@@ -49,6 +49,10 @@ pub enum HiveError {
     /// A fragment exhausted its retry budget and its node failovers;
     /// the driver-level re-execution ladder is the only rung left.
     FragmentLost(String),
+    /// A MERGE matched one target row with more than one source row, so
+    /// which source row should rewrite it is undefined (Hive's
+    /// cardinality check). Nothing was written.
+    CardinalityViolation(String),
     /// An operator asked the per-query memory broker for more bytes than
     /// its grant allows and could not degrade (spill disabled or spill
     /// itself impossible). Deliberately *not* retryable: with spill
@@ -101,6 +105,7 @@ impl HiveError {
             HiveError::External(_) => "EXTERNAL",
             HiveError::Transient(_) => "TRANSIENT",
             HiveError::FragmentLost(_) => "FRAGMENT_LOST",
+            HiveError::CardinalityViolation(_) => "CARDINALITY_VIOLATION",
             HiveError::MemoryExceeded { .. } => "MEMORY_EXCEEDED",
             HiveError::CardinalityMisestimate { .. } => "CARDINALITY_MISESTIMATE",
         }
@@ -143,7 +148,8 @@ impl HiveError {
             | HiveError::Workload(m)
             | HiveError::External(m)
             | HiveError::Transient(m)
-            | HiveError::FragmentLost(m) => m.as_str().into(),
+            | HiveError::FragmentLost(m)
+            | HiveError::CardinalityViolation(m) => m.as_str().into(),
             HiveError::MemoryExceeded {
                 operator,
                 requested,

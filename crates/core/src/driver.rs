@@ -5,9 +5,11 @@
 use crate::mv;
 use crate::results_cache::CacheOutcome;
 use crate::session::{QueryResult, Session};
+use hive_acid::writer::record_id_at;
 use hive_acid::{resolve_snapshot, AcidScan, AcidWriter, Compactor};
 use hive_common::{
-    EngineVersion, HiveConf, HiveError, Result, Row, Schema, TxnId, Value, VectorBatch,
+    EngineVersion, HiveConf, HiveError, RecordId, Result, Row, Schema, TxnId, Value, VectorBatch,
+    WriteId,
 };
 use hive_corc::SearchArgument;
 use hive_dfs::DfsPath;
@@ -17,10 +19,11 @@ use hive_metastore::{
     CompactionKind, CompactionState, LockKey, LockMode, Metastore, Table, TableBuilder, TableStats,
     TableType, ValidTxnList, ValidWriteIdList,
 };
-use hive_optimizer::eval::eval_scalar;
 use hive_optimizer::fingerprint::fingerprint;
 use hive_optimizer::plan::LogicalPlan;
-use hive_optimizer::{Analyzer, MetastoreCatalog, Optimizer, OptimizerContext, ScalarExpr};
+use hive_optimizer::{
+    Analyzer, DmlKind, DmlPlan, MetastoreCatalog, Optimizer, OptimizerContext, ScalarExpr,
+};
 use hive_sql as ast;
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -68,6 +71,48 @@ pub(crate) struct Planned {
     /// Feedback the optimizer saw (persisted + in-flight), so the
     /// cardinality guard's estimates match the planner's.
     pub feedback: HashMap<String, u64>,
+}
+
+/// What one run through the re-optimization ladder produced.
+struct Executed {
+    batch: VectorBatch,
+    trace: NodeTrace,
+    reexecuted: bool,
+    peak_memory_bytes: u64,
+}
+
+/// An open transaction that aborts when dropped uncommitted, so no
+/// error path out of a write statement leaves it pinning `min_open` and
+/// holding its locks.
+struct TxnGuard<'a> {
+    ms: &'a Metastore,
+    id: TxnId,
+    open: bool,
+}
+
+impl<'a> TxnGuard<'a> {
+    fn begin(ms: &'a Metastore) -> Self {
+        TxnGuard {
+            ms,
+            id: ms.open_txn(),
+            open: true,
+        }
+    }
+
+    /// Commit. A commit that fails has nothing left to abort: the
+    /// metastore rolls back the loser of first-commit-wins itself.
+    fn commit(mut self) -> Result<()> {
+        self.open = false;
+        self.ms.commit_txn(self.id)
+    }
+}
+
+impl Drop for TxnGuard<'_> {
+    fn drop(&mut self) {
+        if self.open {
+            let _ = self.ms.abort_txn(self.id);
+        }
+    }
 }
 
 impl Session {
@@ -124,9 +169,9 @@ impl Session {
             ast::Statement::AlterMaterializedViewRebuild { name } => mv::rebuild(self, &name),
             ast::Statement::Insert(ins) => self.run_insert(ins),
             ast::Statement::MultiInsert(mi) => self.run_multi_insert(mi),
-            ast::Statement::Update(upd) => self.run_update(upd),
-            ast::Statement::Delete(del) => self.run_delete(del),
-            ast::Statement::Merge(m) => self.run_merge(m),
+            stmt @ (ast::Statement::Update(_)
+            | ast::Statement::Delete(_)
+            | ast::Statement::Merge(_)) => self.run_dml(&stmt, &conf),
             ast::Statement::AnalyzeTable { name } => self.run_analyze(name),
             ast::Statement::AlterTableCompact { name, major } => {
                 let (db, tname) = self.resolve(&name);
@@ -307,8 +352,18 @@ impl Session {
         extra: &HashMap<String, u64>,
     ) -> Result<Planned> {
         let cat = MetastoreCatalog::new(self.server.metastore().clone(), self.current_db());
-        let analyzer = Analyzer::new(&cat);
-        let analyzed = analyzer.analyze_query(q)?;
+        let analyzed = Analyzer::new(&cat).analyze_query(q)?;
+        self.optimize_analyzed(analyzed, conf, extra)
+    }
+
+    /// Optimize an analyzed plan — a query's or a DML statement's — under
+    /// the feedback context described at [`Session::plan_query_fb`].
+    fn optimize_analyzed(
+        &self,
+        analyzed: LogicalPlan,
+        conf: &HiveConf,
+        extra: &HashMap<String, u64>,
+    ) -> Result<Planned> {
         let usable_views = if conf.mv_rewriting {
             mv::usable_views(self)?
         } else {
@@ -420,9 +475,10 @@ impl Session {
                 CacheOutcome::MissClaimed => claimed = true,
             }
         }
-        let outcome = self.execute_plan_with_retry(q, &planned, conf, pool_fraction);
+        let replan = |extra: &HashMap<String, u64>| self.plan_query_fb(q, conf, extra);
+        let outcome = self.execute_plan_with_retry(&replan, &planned, conf, pool_fraction, None);
         match outcome {
-            Ok((batch, trace, reexecuted, peak_memory_bytes)) => {
+            Ok(executed) => {
                 if claimed {
                     let snapshot = plan
                         .referenced_tables()
@@ -431,29 +487,11 @@ impl Session {
                         .collect();
                     self.server
                         .results_cache()
-                        .fill(key, batch.clone(), snapshot);
+                        .fill(key, executed.batch.clone(), snapshot);
                 }
-                let sim_ms = hive_exec::simulate_ms(&trace, conf, &self.server.inner.sim_model);
-                let parallel_width = trace
-                    .max_parallel_tasks(conf.rows_per_task as u64, conf.total_slots() as u64)
-                    .max(1);
                 Ok(QueryResult {
-                    batch,
-                    sim_ms,
-                    from_cache: false,
                     used_mv,
-                    reexecuted,
-                    affected_rows: 0,
-                    bytes_disk: trace.total(|n| n.bytes_disk),
-                    bytes_cache: trace.total(|n| n.bytes_cache),
-                    fragment_retries: trace.total(|n| n.fragment_retries),
-                    failovers: trace.total(|n| n.failovers),
-                    bytes_spilled: trace.total(|n| n.bytes_spilled),
-                    peak_memory_bytes,
-                    parallel_width,
-                    pir_compiled_stages: trace.total(|n| n.pir_compiled_stages),
-                    pir_fallback_rows: trace.total(|n| n.pir_fallback_rows),
-                    message: None,
+                    ..self.traced_result(executed, conf)
                 })
             }
             Err(e) => {
@@ -462,6 +500,29 @@ impl Session {
                 }
                 Err(e)
             }
+        }
+    }
+
+    /// The result of an executed plan, its counters summed out of the
+    /// trace.
+    fn traced_result(&self, executed: Executed, conf: &HiveConf) -> QueryResult {
+        let trace = &executed.trace;
+        QueryResult {
+            batch: executed.batch,
+            sim_ms: hive_exec::simulate_ms(trace, conf, &self.server.inner.sim_model),
+            reexecuted: executed.reexecuted,
+            bytes_disk: trace.total(|n| n.bytes_disk),
+            bytes_cache: trace.total(|n| n.bytes_cache),
+            fragment_retries: trace.total(|n| n.fragment_retries),
+            failovers: trace.total(|n| n.failovers),
+            bytes_spilled: trace.total(|n| n.bytes_spilled),
+            peak_memory_bytes: executed.peak_memory_bytes,
+            parallel_width: trace
+                .max_parallel_tasks(conf.rows_per_task as u64, conf.total_slots() as u64)
+                .max(1),
+            pir_compiled_stages: trace.total(|n| n.pir_compiled_stages),
+            pir_fallback_rows: trace.total(|n| n.pir_fallback_rows),
+            ..QueryResult::empty()
         }
     }
 
@@ -476,15 +537,29 @@ impl Session {
     ///    disarmed. Results are identical; only the plan changes.
     /// 2. **Other retryable failures** — persist a marker and retry the
     ///    same plan under the overlay configuration.
+    ///
+    /// `replan` re-optimizes the statement under extra feedback; `reader`
+    /// is the transaction a DML statement reads its snapshot under.
     fn execute_plan_with_retry(
         &self,
-        q: &ast::Query,
+        replan: &dyn Fn(&HashMap<String, u64>) -> Result<Planned>,
         planned: &Planned,
         conf: &HiveConf,
         pool_fraction: f64,
-    ) -> Result<(VectorBatch, NodeTrace, bool, u64)> {
-        match self.execute_plan_budgeted(&planned.plan, conf, pool_fraction, Some(planned)) {
-            Ok((b, t, peak)) => Ok((b, t, false, peak)),
+        reader: Option<TxnId>,
+    ) -> Result<Executed> {
+        let run = |plan: &LogicalPlan, conf: &HiveConf, guard, reexecuted| {
+            let (batch, trace, peak_memory_bytes) =
+                self.execute_plan_budgeted(plan, conf, pool_fraction, guard, reader)?;
+            Ok(Executed {
+                batch,
+                trace,
+                reexecuted,
+                peak_memory_bytes,
+            })
+        };
+        match run(&planned.plan, conf, Some(planned), false) {
+            Ok(done) => Ok(done),
             Err(HiveError::CardinalityMisestimate {
                 tables, observed, ..
             }) if conf.reoptimization => {
@@ -501,10 +576,7 @@ impl Session {
                     .save_runtime_stats(&planned.analyzed_fp, entries);
                 let mut extra = planned.feedback.clone();
                 extra.insert(tables, observed);
-                let replanned = self.plan_query_fb(q, conf, &extra)?;
-                let (b, t, peak) =
-                    self.execute_plan_budgeted(&replanned.plan, conf, pool_fraction, None)?;
-                Ok((b, t, true, peak))
+                run(&replan(&extra)?.plan, conf, None, true)
             }
             Err(e) if e.is_retryable() && conf.reoptimization => {
                 // Persist what we know for future planning, then retry
@@ -514,9 +586,7 @@ impl Session {
                     vec![("retryable_failure".to_string(), 1)],
                 );
                 let overlay = hive_exec::engine::overlay_conf(conf);
-                let (b, t, peak) =
-                    self.execute_plan_budgeted(&planned.plan, &overlay, pool_fraction, None)?;
-                Ok((b, t, true, peak))
+                run(&planned.plan, &overlay, None, true)
             }
             Err(e) => Err(e),
         }
@@ -529,7 +599,7 @@ impl Session {
     ) -> Result<(VectorBatch, NodeTrace)> {
         // Non-admitted paths (DML sources, MV rebuilds) run under the
         // full per-query budget: they hold no workload-manager slot.
-        let (b, t, _) = self.execute_plan_budgeted(plan, conf, 1.0, None)?;
+        let (b, t, _) = self.execute_plan_budgeted(plan, conf, 1.0, None, None)?;
         Ok((b, t))
     }
 
@@ -542,8 +612,9 @@ impl Session {
         conf: &HiveConf,
         pool_fraction: f64,
         guard: Option<&Planned>,
+        reader: Option<TxnId>,
     ) -> Result<(VectorBatch, NodeTrace, u64)> {
-        let snaps = QuerySnapshots::new(self.server.metastore(), None);
+        let snaps = QuerySnapshots::new(self.server.metastore(), reader);
         let scanner = self.server.federation_scanner();
         let mut ctx = ExecContext::new(
             self.server.fs(),
@@ -619,6 +690,27 @@ impl Session {
                 let mut t = plan.explain();
                 if used_mv {
                     t.push_str("(query rewritten over materialized view)\n");
+                }
+                t
+            }
+            dml @ (ast::Statement::Update(_)
+            | ast::Statement::Delete(_)
+            | ast::Statement::Merge(_)) => {
+                let dml = self.compile_dml(&dml)?;
+                let planned = self.optimize_analyzed(dml.plan.clone(), conf, &HashMap::new())?;
+                let arms = [
+                    dml.update.as_ref().map(|_| "update"),
+                    dml.delete.as_ref().map(|_| "delete"),
+                    dml.insert.as_ref().map(|_| "insert"),
+                ];
+                let mut t = format!(
+                    "{:?}[{}] arms={}\n",
+                    dml.kind,
+                    dml.target.qualified_name(),
+                    arms.into_iter().flatten().collect::<Vec<_>>().join(",")
+                );
+                for line in planned.plan.explain().lines() {
+                    t.push_str(&format!("  {line}\n"));
                 }
                 t
             }
@@ -768,10 +860,10 @@ impl Session {
             }
             ast::InsertSource::Query(q) => {
                 let planned = self.plan_query_fb(q, &conf, &HashMap::new())?;
-                let (batch, _) = self
-                    .execute_plan_with_retry(q, &planned, &conf, 1.0)
-                    .map(|(b, t, _, _)| (b, t))?;
-                batch.to_rows()
+                let replan = |extra: &HashMap<String, u64>| self.plan_query_fb(q, &conf, extra);
+                self.execute_plan_with_retry(&replan, &planned, &conf, 1.0, None)?
+                    .batch
+                    .to_rows()
             }
         };
         // Column mapping.
@@ -806,7 +898,7 @@ impl Session {
             }
             full_rows.push(Row::new(vals));
         }
-        self.insert_full_rows(&db, &name, &table, full_rows)
+        self.insert_full_rows_txn(&table, full_rows, None)
     }
 
     /// Bulk-load pre-built rows into a table (the benchmark loaders'
@@ -828,25 +920,13 @@ impl Session {
                 )));
             }
         }
-        self.insert_full_rows(&db, &name, &table, rows)
-    }
-
-    fn insert_full_rows(
-        &self,
-        db: &str,
-        name: &str,
-        table: &Table,
-        full_rows: Vec<Row>,
-    ) -> Result<QueryResult> {
-        self.insert_full_rows_txn(db, name, table, full_rows, None)
+        self.insert_full_rows_txn(&table, rows, None)
     }
 
     /// Insert rows, either inside `in_txn` (multi-insert: several tables
     /// share one transaction, §3.2) or in a fresh auto-committed one.
     fn insert_full_rows_txn(
         &self,
-        db: &str,
-        name: &str,
         table: &Table,
         full_rows: Vec<Row>,
         in_txn: Option<TxnId>,
@@ -870,60 +950,20 @@ impl Session {
             });
         }
 
+        let ms = self.server.metastore();
         let qname = table.qualified_name();
-        let (txn, auto_commit) = match in_txn {
-            Some(t) => (t, false),
-            None => (self.server.metastore().open_txn(), true),
-        };
-        let wid = self.server.metastore().allocate_write_id(txn, &qname)?;
-        let data_cols = table.schema.len();
-
-        // Route rows to partitions (dynamic partitioning).
-        let mut by_partition: HashMap<Vec<String>, (Vec<Value>, Vec<Row>)> = HashMap::new();
-        for r in full_rows {
-            let vals = r.into_values();
-            let part_values: Vec<Value> = vals[data_cols..].to_vec();
-            let part_key: Vec<String> = part_values.iter().map(|v| v.to_string()).collect();
-            let data_row = Row::new(vals[..data_cols].to_vec());
-            by_partition
-                .entry(part_key)
-                .or_insert_with(|| (part_values, Vec::new()))
-                .1
-                .push(data_row);
+        let own_txn = in_txn.is_none().then(|| TxnGuard::begin(ms));
+        let txn = in_txn
+            .or(own_txn.as_ref().map(|t| t.id))
+            .expect("the caller's transaction or our own");
+        let wid = ms.allocate_write_id(txn, &qname)?;
+        let batch = VectorBatch::from_rows(&table.full_schema(), &full_rows)?;
+        let stats_delta = self.write_insert_deltas(txn, wid, table, &batch)?;
+        let auto_commit = own_txn.is_some();
+        if let Some(t) = own_txn {
+            t.commit()?;
         }
-        let mut stats_delta = TableStats::new(data_cols);
-        for (_, (part_values, rows)) in by_partition {
-            let dir = if table.is_partitioned() {
-                let info = self
-                    .server
-                    .metastore()
-                    .add_partition(db, name, part_values.clone())?;
-                // Shared lock at partition granularity (§3.2).
-                self.server.metastore().acquire_lock(
-                    txn,
-                    LockKey::partition(&qname, table.partition_dir_name(&part_values)),
-                    LockMode::Shared,
-                )?;
-                DfsPath::new(&info.location)
-            } else {
-                self.server.metastore().acquire_lock(
-                    txn,
-                    LockKey::table(&qname),
-                    LockMode::Shared,
-                )?;
-                DfsPath::new(&table.location)
-            };
-            let batch = VectorBatch::from_rows(&table.schema, &rows)?;
-            let writer = AcidWriter::new(self.server.fs(), &dir, table.schema.clone());
-            writer.write_insert_delta(wid, &batch)?;
-            stats_delta.update_batch(&batch);
-        }
-        if auto_commit {
-            self.server.metastore().commit_txn(txn)?;
-        }
-        self.server
-            .metastore()
-            .merge_table_stats(&qname, &stats_delta);
+        ms.merge_table_stats(&qname, &stats_delta);
         let maintenance = if auto_commit && conf.auto_compaction {
             self.auto_compact_check(table)?
         } else {
@@ -949,434 +989,260 @@ impl Session {
     /// tables transactionally).
     fn run_multi_insert(&self, mi: ast::MultiInsert) -> Result<QueryResult> {
         let conf = self.server.conf();
-        let txn = self.server.metastore().open_txn();
+        let txn = TxnGuard::begin(self.server.metastore());
         let mut total = 0u64;
         let mut tables: Vec<Table> = Vec::new();
-        let result = (|| -> Result<()> {
-            for leg in &mi.inserts {
-                // Each leg is SELECT <projection> FROM <source> WHERE <filter>.
-                let q = ast::Query::simple(ast::QueryBody::Select(Box::new(ast::Select {
-                    distinct: false,
-                    projection: leg.projection.clone(),
-                    from: vec![mi.source.clone()],
-                    selection: leg.filter.clone(),
-                    group_by: vec![],
-                    grouping_sets: None,
-                    having: None,
-                })));
-                let (plan, _) = self.plan_query(&q, &conf)?;
-                let (batch, _) = self.execute_plan(&plan, &conf)?;
-                let (db, name) = self.resolve(&leg.table);
-                let table = self.server.metastore().get_table(&db, &name)?;
-                let full = table.full_schema();
-                let targets: Vec<usize> = match &leg.columns {
-                    Some(cols) => cols
-                        .iter()
-                        .map(|c| full.index_of_required(c))
-                        .collect::<Result<Vec<_>>>()?,
-                    None => (0..full.len()).collect(),
-                };
-                let mut full_rows = Vec::with_capacity(batch.num_rows());
-                for r in batch.to_rows() {
-                    if r.len() != targets.len() {
-                        return Err(HiveError::Analysis(format!(
-                            "multi-insert arity mismatch for {}: {} values for {} columns",
-                            table.qualified_name(),
-                            r.len(),
-                            targets.len()
-                        )));
-                    }
-                    let mut vals = vec![Value::Null; full.len()];
-                    for (v, &t) in r.into_values().into_iter().zip(&targets) {
-                        vals[t] = v.cast_to(&full.field(t).data_type)?;
-                    }
-                    full_rows.push(Row::new(vals));
+        for leg in &mi.inserts {
+            // Each leg is SELECT <projection> FROM <source> WHERE <filter>.
+            let q = ast::Query::simple(ast::QueryBody::Select(Box::new(ast::Select {
+                distinct: false,
+                projection: leg.projection.clone(),
+                from: vec![mi.source.clone()],
+                selection: leg.filter.clone(),
+                group_by: vec![],
+                grouping_sets: None,
+                having: None,
+            })));
+            let (plan, _) = self.plan_query(&q, &conf)?;
+            let (batch, _) = self.execute_plan(&plan, &conf)?;
+            let (db, name) = self.resolve(&leg.table);
+            let table = self.server.metastore().get_table(&db, &name)?;
+            let full = table.full_schema();
+            let targets: Vec<usize> = match &leg.columns {
+                Some(cols) => cols
+                    .iter()
+                    .map(|c| full.index_of_required(c))
+                    .collect::<Result<Vec<_>>>()?,
+                None => (0..full.len()).collect(),
+            };
+            let mut full_rows = Vec::with_capacity(batch.num_rows());
+            for r in batch.to_rows() {
+                if r.len() != targets.len() {
+                    return Err(HiveError::Analysis(format!(
+                        "multi-insert arity mismatch for {}: {} values for {} columns",
+                        table.qualified_name(),
+                        r.len(),
+                        targets.len()
+                    )));
                 }
-                let r = self.insert_full_rows_txn(&db, &name, &table, full_rows, Some(txn))?;
-                total += r.affected_rows;
-                tables.push(table);
-            }
-            Ok(())
-        })();
-        match result {
-            Ok(()) => {
-                self.server.metastore().commit_txn(txn)?;
-                if conf.auto_compaction {
-                    for t in &tables {
-                        self.auto_compact_check(t)?;
-                    }
+                let mut vals = vec![Value::Null; full.len()];
+                for (v, &t) in r.into_values().into_iter().zip(&targets) {
+                    vals[t] = v.cast_to(&full.field(t).data_type)?;
                 }
-                Ok(QueryResult {
-                    affected_rows: total,
-                    message: Some(format!(
-                        "multi-insert wrote {total} rows across {} tables in one transaction",
-                        mi.inserts.len()
-                    )),
-                    ..QueryResult::empty()
-                })
+                full_rows.push(Row::new(vals));
             }
-            Err(e) => {
-                let _ = self.server.metastore().abort_txn(txn);
-                Err(e)
+            let r = self.insert_full_rows_txn(&table, full_rows, Some(txn.id))?;
+            total += r.affected_rows;
+            tables.push(table);
+        }
+        txn.commit()?;
+        if conf.auto_compaction {
+            for t in &tables {
+                self.auto_compact_check(t)?;
             }
         }
-    }
-
-    fn run_update(&self, upd: ast::Update) -> Result<QueryResult> {
-        let (db, name) = self.resolve(&upd.table);
-        let table = self.server.metastore().get_table(&db, &name)?;
-        require_acid(&table, "UPDATE")?;
-        let full = table.full_schema();
-        // Partition columns cannot be updated.
-        for (col, _) in &upd.assignments {
-            if table.partition_key_index(col).is_some() {
-                return Err(HiveError::Unsupported(format!(
-                    "cannot update partition column {col}"
-                )));
-            }
-        }
-        let filter = upd
-            .filter
-            .as_ref()
-            .map(|f| lower_table_expr(f, &full))
-            .transpose()?;
-        let assignments: Vec<(usize, ScalarExpr)> = upd
-            .assignments
-            .iter()
-            .map(|(c, e)| Ok((full.index_of_required(c)?, lower_table_expr(e, &full)?)))
-            .collect::<Result<Vec<_>>>()?;
-
-        self.mutate_rows(&table, filter.as_ref(), |old_row| {
-            // UPDATE = delete + insert with assignments applied.
-            let mut new_vals = old_row.values().to_vec();
-            for (col, e) in &assignments {
-                new_vals[*col] =
-                    eval_scalar(e, old_row.values())?.cast_to(&full.field(*col).data_type)?;
-            }
-            Ok(Some(Row::new(new_vals)))
+        Ok(QueryResult {
+            affected_rows: total,
+            message: Some(format!(
+                "multi-insert wrote {total} rows across {} tables in one transaction",
+                mi.inserts.len()
+            )),
+            ..QueryResult::empty()
         })
     }
 
-    fn run_delete(&self, del: ast::Delete) -> Result<QueryResult> {
-        let (db, name) = self.resolve(&del.table);
-        let table = self.server.metastore().get_table(&db, &name)?;
-        require_acid(&table, "DELETE")?;
-        let full = table.full_schema();
-        let filter = del
-            .filter
-            .as_ref()
-            .map(|f| lower_table_expr(f, &full))
-            .transpose()?;
-        self.mutate_rows(&table, filter.as_ref(), |_old| Ok(None))
+    /// Route full-schema rows to their partitions (dynamic partitioning)
+    /// and write one insert delta per partition under `wid`. Returns the
+    /// statistics of the rows written, for the caller to fold into the
+    /// table's once the transaction commits.
+    fn write_insert_deltas(
+        &self,
+        txn: TxnId,
+        wid: WriteId,
+        table: &Table,
+        full: &VectorBatch,
+    ) -> Result<TableStats> {
+        let ms = self.server.metastore();
+        let qname = table.qualified_name();
+        let data_cols: Vec<usize> = (0..table.schema.len()).collect();
+        let mut stats = TableStats::new(data_cols.len());
+        for (part_name, part_values, rows) in rows_by_partition(table, full, data_cols.len()) {
+            let dir = if table.is_partitioned() {
+                let info = ms.add_partition(&table.db, &table.name, part_values)?;
+                // Shared lock at partition granularity (§3.2).
+                ms.acquire_lock(txn, LockKey::partition(&qname, part_name), LockMode::Shared)?;
+                DfsPath::new(&info.location)
+            } else {
+                ms.acquire_lock(txn, LockKey::table(&qname), LockMode::Shared)?;
+                DfsPath::new(&table.location)
+            };
+            let batch = take_batch(full, &rows).project(&data_cols);
+            AcidWriter::new(self.server.fs(), &dir, table.schema.clone())
+                .write_insert_delta(wid, &batch)?;
+            stats.update_batch(&batch);
+        }
+        Ok(stats)
     }
 
-    /// Shared UPDATE/DELETE machinery: scan matching rows with their
-    /// identities, write delete deltas (+ replacement inserts), commit
-    /// with first-commit-wins conflict detection.
-    fn mutate_rows(
-        &self,
-        table: &Table,
-        filter: Option<&ScalarExpr>,
-        mut replace: impl FnMut(&Row) -> Result<Option<Row>>,
-    ) -> Result<QueryResult> {
-        let qname = table.qualified_name();
-        let conf = self.server.conf();
-        let txn = self.server.metastore().open_txn();
-        let snaps = QuerySnapshots::new(self.server.metastore(), Some(txn));
-        let wlist = snaps.write_ids(&qname);
-        let wid = self.server.metastore().allocate_write_id(txn, &qname)?;
+    fn compile_dml(&self, stmt: &ast::Statement) -> Result<DmlPlan> {
+        let cat = MetastoreCatalog::new(self.server.metastore().clone(), self.current_db());
+        Analyzer::new(&cat).analyze_dml(stmt)
+    }
 
-        let dirs: Vec<(DfsPath, Vec<Value>, Option<String>)> = if table.is_partitioned() {
-            table
-                .partitions
-                .iter()
-                .map(|(d, info)| {
-                    (
-                        DfsPath::new(&info.location),
-                        info.values.clone(),
-                        Some(d.clone()),
-                    )
-                })
-                .collect()
-        } else {
-            vec![(DfsPath::new(&table.location), vec![], None)]
+    /// UPDATE / DELETE / MERGE (§3.2): the statement compiles to a plan
+    /// over the target's row ids, runs through the optimizer and the
+    /// executor like a query, and its result rows are written as delete
+    /// and insert deltas under the statement's own transaction, with
+    /// first-commit-wins conflict detection at commit.
+    fn run_dml(&self, stmt: &ast::Statement, conf: &HiveConf) -> Result<QueryResult> {
+        let ms = self.server.metastore();
+        let dml = self.compile_dml(stmt)?;
+        let replan =
+            |extra: &HashMap<String, u64>| self.optimize_analyzed(dml.plan.clone(), conf, extra);
+        let planned = replan(&HashMap::new())?;
+        let qname = dml.target.qualified_name();
+
+        let txn = TxnGuard::begin(ms);
+        let executed = self.execute_plan_with_retry(&replan, &planned, conf, 1.0, Some(txn.id))?;
+        let wid = ms.allocate_write_id(txn.id, &qname)?;
+        let (affected, inserted) = self.write_dml_deltas(&dml, &executed.batch, txn.id, wid)?;
+        txn.commit()?;
+        if let Some(stats) = inserted {
+            ms.merge_table_stats(&qname, &stats);
+        }
+        if conf.auto_compaction {
+            self.auto_compact_check(&dml.target)?;
+        }
+        let message = match dml.kind {
+            DmlKind::Merge => format!("MERGE affected {affected} rows"),
+            DmlKind::Update | DmlKind::Delete => format!("{affected} rows affected"),
         };
-        let data_cols = table.schema.len();
-        let mut affected = 0u64;
-        let mut commit_err: Option<HiveError> = None;
-        for (dir, part_values, part_name) in dirs {
-            let scan = AcidScan::new(self.server.fs(), &dir, table.schema.clone(), wlist.clone())?;
-            let proj: Vec<usize> = (0..data_cols).collect();
-            let with_ids = scan.read(&proj, &SearchArgument::new(), true)?;
-            let mut victims = Vec::new();
-            let mut replacements: Vec<Row> = Vec::new();
-            for i in 0..with_ids.num_rows() {
-                let row = with_ids.row(i);
-                // Full row = data columns + partition constants.
-                let mut full_vals = row.values()[hive_acid::ACID_COLS..].to_vec();
-                full_vals.extend(part_values.iter().cloned());
-                let full_row = Row::new(full_vals);
-                let matched = match filter {
-                    Some(f) => eval_scalar(f, full_row.values())? == Value::Boolean(true),
-                    None => true,
-                };
-                if !matched {
-                    continue;
-                }
-                affected += 1;
-                victims.push(hive_acid::writer::record_id_at(&with_ids, i));
-                if let Some(new_row) = replace(&full_row)? {
-                    replacements.push(Row::new(new_row.values()[..data_cols].to_vec()));
+        Ok(QueryResult {
+            batch: VectorBatch::empty(&Schema::empty())?,
+            affected_rows: affected,
+            message: Some(message),
+            ..self.traced_result(executed, conf)
+        })
+    }
+
+    /// The DML sink: turn a compiled statement's result rows into deltas.
+    /// Per touched partition (in directory order) one delete delta
+    /// tombstones the victims and one insert delta holds the rewritten
+    /// rows, both in record-id order; then the rows of the insert arm go
+    /// out in the order the join produced them. Nothing here depends on
+    /// how many threads ran the plan, so neither do the bytes written.
+    /// Returns the affected row count and the inserted rows' statistics.
+    fn write_dml_deltas(
+        &self,
+        dml: &DmlPlan,
+        result: &VectorBatch,
+        txn: TxnId,
+        wid: WriteId,
+    ) -> Result<(u64, Option<TableStats>)> {
+        let ms = self.server.metastore();
+        let table = &dml.target;
+        let qname = table.qualified_name();
+        let id0 = dml.row_id_start();
+
+        // A row the join padded for an unmatched source row has no
+        // record id.
+        let (matched, unmatched): (Vec<u32>, Vec<u32>) =
+            (0..result.num_rows() as u32).partition(|&i| !result.column(id0).is_null(i as usize));
+        let matched_rows = take_batch(result, &matched);
+        let id_cols = matched_rows.project(&[id0, id0 + 1, id0 + 2]);
+        let ids: Vec<RecordId> = (0..matched.len())
+            .map(|i| record_id_at(&id_cols, i))
+            .collect();
+
+        // WHEN MATCHED arms, in statement order: UPDATE, then DELETE
+        // over the rows UPDATE's condition passed up.
+        let all: Vec<u32> = (0..matched.len() as u32).collect();
+        let (updated, rest) = match &dml.update {
+            Some(arm) => rows_where(arm.condition.as_ref(), &matched_rows, all)?,
+            None => (vec![], all),
+        };
+        let deleted = match &dml.delete {
+            Some(cond) => rows_where(cond.as_ref(), &matched_rows, rest)?.0,
+            None => vec![],
+        };
+        let rewritten = match &dml.update {
+            Some(arm) => eval_columns(
+                &arm.values,
+                &table.schema,
+                &take_batch(&matched_rows, &updated),
+            )?,
+            None => VectorBatch::empty(&table.schema)?,
+        };
+        let mut action = vec![RowAction::Keep; matched.len()];
+        for &i in &deleted {
+            action[i as usize] = RowAction::Delete;
+        }
+        for (r, &i) in updated.iter().enumerate() {
+            action[i as usize] = RowAction::Rewrite(r as u32);
+        }
+
+        let mut partitions = rows_by_partition(table, &matched_rows, table.schema.len());
+        for (_, _, rows) in &mut partitions {
+            rows.sort_unstable_by_key(|&i| ids[i as usize]);
+            // Hive's cardinality check, before anything is written: which
+            // source row rewrites a target row matched twice is undefined.
+            if dml.update.is_some() || dml.delete.is_some() {
+                let twice = |w: &&[u32]| ids[w[0] as usize] == ids[w[1] as usize];
+                if let Some(w) = rows.windows(2).find(twice) {
+                    return Err(HiveError::CardinalityViolation(format!(
+                        "record {} of {qname} matched more than one source row",
+                        ids[w[0] as usize]
+                    )));
                 }
             }
-            if victims.is_empty() {
+            rows.retain(|&i| action[i as usize] != RowAction::Keep);
+        }
+
+        let mut affected = 0u64;
+        for (part_name, _, rows) in partitions {
+            if rows.is_empty() {
                 continue;
             }
+            let (dir, part) = if table.is_partitioned() {
+                let info = table.partitions.get(&part_name).ok_or_else(|| {
+                    HiveError::Catalog(format!("partition not found: {qname}/{part_name}"))
+                })?;
+                (DfsPath::new(&info.location), Some(part_name))
+            } else {
+                (DfsPath::new(&table.location), None)
+            };
             // Optimistic conflict tracking at partition granularity.
-            self.server
-                .metastore()
-                .add_write_set(txn, &qname, part_name.clone())?;
+            ms.add_write_set(txn, &qname, part)?;
             let writer = AcidWriter::new(self.server.fs(), &dir, table.schema.clone());
+            let victims: Vec<RecordId> = rows.iter().map(|&i| ids[i as usize]).collect();
             writer.write_delete_delta(wid, &victims)?;
-            if !replacements.is_empty() {
-                let batch = VectorBatch::from_rows(&table.schema, &replacements)?;
-                writer.write_insert_delta(wid, &batch)?;
-            }
-        }
-        match self.server.metastore().commit_txn(txn) {
-            Ok(()) => {}
-            Err(e) => commit_err = Some(e),
-        }
-        if let Some(e) = commit_err {
-            return Err(e);
-        }
-        let maintenance = if conf.auto_compaction {
-            self.auto_compact_check(table)?
-        } else {
-            0
-        };
-        let _ = maintenance;
-        Ok(QueryResult {
-            affected_rows: affected,
-            message: Some(format!("{affected} rows affected")),
-            ..QueryResult::empty()
-        })
-    }
-
-    fn run_merge(&self, m: ast::Merge) -> Result<QueryResult> {
-        let (db, name) = self.resolve(&m.target);
-        let table = self.server.metastore().get_table(&db, &name)?;
-        require_acid(&table, "MERGE")?;
-        let conf = self.server.conf();
-        let full = table.full_schema();
-        let target_alias = m.target_alias.clone().unwrap_or_else(|| table.name.clone());
-
-        // Evaluate the source as SELECT * FROM <source>.
-        let src_query = ast::Query::simple(ast::QueryBody::Select(Box::new(ast::Select {
-            distinct: false,
-            projection: vec![ast::SelectItem::Wildcard],
-            from: vec![m.source.clone()],
-            selection: None,
-            group_by: vec![],
-            grouping_sets: None,
-            having: None,
-        })));
-        let (src_plan, _) = self.plan_query(&src_query, &conf)?;
-        let src_schema = src_plan.schema();
-        let (src_batch, _) = self.execute_plan(&src_plan, &conf)?;
-        let source_alias = match &m.source {
-            ast::TableRef::Table { alias, name, .. } => {
-                alias.clone().unwrap_or_else(|| name.name.clone())
-            }
-            ast::TableRef::Subquery { alias, .. } => alias.clone(),
-            _ => "src".to_string(),
-        };
-
-        // Combined scope: target full schema then source schema.
-        let scope = MergeScope {
-            target_alias: &target_alias,
-            target: &full,
-            source_alias: &source_alias,
-            source: &src_schema,
-        };
-        let on = scope.lower(&m.on)?;
-        let upd_arm = m
-            .when_matched_update
-            .as_ref()
-            .map(|u| {
-                Ok::<_, HiveError>((
-                    u.condition.as_ref().map(|c| scope.lower(c)).transpose()?,
-                    u.assignments
-                        .iter()
-                        .map(|(c, e)| Ok((full.index_of_required(c)?, scope.lower(e)?)))
-                        .collect::<Result<Vec<_>>>()?,
-                ))
-            })
-            .transpose()?;
-        let del_arm = m
-            .when_matched_delete
-            .as_ref()
-            .map(|c| c.as_ref().map(|c| scope.lower(c)).transpose())
-            .transpose()?;
-        let ins_arm = m
-            .when_not_matched_insert
-            .as_ref()
-            .map(|ins| {
-                let cols: Vec<usize> = match &ins.columns {
-                    Some(cs) => cs
-                        .iter()
-                        .map(|c| full.index_of_required(c))
-                        .collect::<Result<Vec<_>>>()?,
-                    None => (0..full.len()).collect(),
-                };
-                let exprs = ins
-                    .values
-                    .iter()
-                    .map(|e| scope.lower_source_only(e))
-                    .collect::<Result<Vec<_>>>()?;
-                Ok::<_, HiveError>((cols, exprs))
-            })
-            .transpose()?;
-
-        // Scan the target with identities, per partition.
-        let qname = table.qualified_name();
-        let txn = self.server.metastore().open_txn();
-        let snaps = QuerySnapshots::new(self.server.metastore(), Some(txn));
-        let wlist = snaps.write_ids(&qname);
-        let wid = self.server.metastore().allocate_write_id(txn, &qname)?;
-        let data_cols = table.schema.len();
-        let dirs: Vec<(DfsPath, Vec<Value>, Option<String>)> = if table.is_partitioned() {
-            table
-                .partitions
+            let replacements: Vec<u32> = rows
                 .iter()
-                .map(|(d, i)| (DfsPath::new(&i.location), i.values.clone(), Some(d.clone())))
-                .collect()
-        } else {
-            vec![(DfsPath::new(&table.location), vec![], None)]
-        };
-        let mut matched_sources = vec![false; src_batch.num_rows()];
-        let mut affected = 0u64;
-        for (dir, part_values, part_name) in dirs {
-            let scan = AcidScan::new(self.server.fs(), &dir, table.schema.clone(), wlist.clone())?;
-            let proj: Vec<usize> = (0..data_cols).collect();
-            let with_ids = scan.read(&proj, &SearchArgument::new(), true)?;
-            let mut victims = Vec::new();
-            let mut replacements: Vec<Row> = Vec::new();
-            for i in 0..with_ids.num_rows() {
-                let row = with_ids.row(i);
-                let mut target_vals = row.values()[hive_acid::ACID_COLS..].to_vec();
-                target_vals.extend(part_values.iter().cloned());
-                // Find matching source rows (nested loop; MERGE sources
-                // are small dimension deltas in our workloads).
-                let mut any = false;
-                #[allow(clippy::needless_range_loop)] // `s` also indexes `src_batch`
-                for s in 0..src_batch.num_rows() {
-                    let mut combined = target_vals.clone();
-                    combined.extend(src_batch.row(s).into_values());
-                    if eval_scalar(&on, &combined)? != Value::Boolean(true) {
-                        continue;
-                    }
-                    matched_sources[s] = true;
-                    if any {
-                        continue; // first source match drives the action
-                    }
-                    any = true;
-                    // WHEN MATCHED arms (update first, then delete).
-                    if let Some((cond, assignments)) = &upd_arm {
-                        let applies = match cond {
-                            Some(c) => eval_scalar(c, &combined)? == Value::Boolean(true),
-                            None => true,
-                        };
-                        if applies {
-                            affected += 1;
-                            victims.push(hive_acid::writer::record_id_at(&with_ids, i));
-                            let mut new_vals = target_vals.clone();
-                            for (col, e) in assignments {
-                                new_vals[*col] = eval_scalar(e, &combined)?
-                                    .cast_to(&full.field(*col).data_type)?;
-                            }
-                            replacements.push(Row::new(new_vals[..data_cols].to_vec()));
-                            continue;
-                        }
-                    }
-                    if let Some(cond) = &del_arm {
-                        let applies = match cond {
-                            Some(c) => eval_scalar(c, &combined)? == Value::Boolean(true),
-                            None => true,
-                        };
-                        if applies {
-                            affected += 1;
-                            victims.push(hive_acid::writer::record_id_at(&with_ids, i));
-                        }
-                    }
-                }
+                .filter_map(|&i| match action[i as usize] {
+                    RowAction::Rewrite(r) => Some(r),
+                    _ => None,
+                })
+                .collect();
+            if !replacements.is_empty() {
+                writer.write_insert_delta(wid, &rewritten.take(&replacements))?;
             }
-            if !victims.is_empty() {
-                self.server
-                    .metastore()
-                    .add_write_set(txn, &qname, part_name.clone())?;
-                let writer = AcidWriter::new(self.server.fs(), &dir, table.schema.clone());
-                writer.write_delete_delta(wid, &victims)?;
-                if !replacements.is_empty() {
-                    let batch = VectorBatch::from_rows(&table.schema, &replacements)?;
-                    writer.write_insert_delta(wid, &batch)?;
-                }
-            }
+            affected += rows.len() as u64;
         }
+
         // WHEN NOT MATCHED THEN INSERT.
-        if let Some((cols, exprs)) = &ins_arm {
-            let mut new_rows: Vec<Row> = Vec::new();
-            #[allow(clippy::needless_range_loop)] // `s` also indexes `src_batch`
-            for s in 0..src_batch.num_rows() {
-                if matched_sources[s] {
-                    continue;
-                }
-                let src_vals = src_batch.row(s).into_values();
-                let mut vals = vec![Value::Null; full.len()];
-                for (e, &c) in exprs.iter().zip(cols) {
-                    vals[c] = eval_scalar(e, &src_vals)?.cast_to(&full.field(c).data_type)?;
-                }
-                new_rows.push(Row::new(vals));
-                affected += 1;
+        let inserted = match &dml.insert {
+            Some(values) if !unmatched.is_empty() => {
+                let full = eval_columns(
+                    values,
+                    &table.full_schema(),
+                    &take_batch(result, &unmatched),
+                )?;
+                affected += unmatched.len() as u64;
+                Some(self.write_insert_deltas(txn, wid, table, &full)?)
             }
-            if !new_rows.is_empty() {
-                // Route through the same partition logic as INSERT.
-                let mut by_partition: HashMap<Vec<String>, (Vec<Value>, Vec<Row>)> = HashMap::new();
-                for r in new_rows {
-                    let vals = r.into_values();
-                    let part_values: Vec<Value> = vals[data_cols..].to_vec();
-                    let key: Vec<String> = part_values.iter().map(|v| v.to_string()).collect();
-                    by_partition
-                        .entry(key)
-                        .or_insert_with(|| (part_values, Vec::new()))
-                        .1
-                        .push(Row::new(vals[..data_cols].to_vec()));
-                }
-                for (_, (part_values, rows)) in by_partition {
-                    let dir = if table.is_partitioned() {
-                        let info =
-                            self.server
-                                .metastore()
-                                .add_partition(&db, &name, part_values)?;
-                        DfsPath::new(&info.location)
-                    } else {
-                        DfsPath::new(&table.location)
-                    };
-                    let writer = AcidWriter::new(self.server.fs(), &dir, table.schema.clone());
-                    let batch = VectorBatch::from_rows(&table.schema, &rows)?;
-                    writer.write_insert_delta(wid, &batch)?;
-                }
-            }
-        }
-        self.server.metastore().commit_txn(txn)?;
-        if conf.auto_compaction {
-            self.auto_compact_check(&table)?;
-        }
-        Ok(QueryResult {
-            affected_rows: affected,
-            message: Some(format!("MERGE affected {affected} rows")),
-            ..QueryResult::empty()
-        })
+            _ => None,
+        };
+        Ok((affected, inserted))
     }
 
     fn run_analyze(&self, name: ast::ObjectName) -> Result<QueryResult> {
@@ -1514,15 +1380,98 @@ impl Session {
     }
 }
 
-fn require_acid(table: &Table, op: &str) -> Result<()> {
-    if table.is_acid() {
-        Ok(())
+/// What the WHEN MATCHED arms decided for one matched target row.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum RowAction {
+    /// No arm applied: the row stays as it is.
+    Keep,
+    Delete,
+    /// Tombstoned and rewritten as this row of the rewritten batch.
+    Rewrite(u32),
+}
+
+/// `batch` restricted to `rows`; shares the columns when that is all of
+/// them.
+fn take_batch(batch: &VectorBatch, rows: &[u32]) -> VectorBatch {
+    if rows.len() == batch.num_rows() {
+        batch.clone()
     } else {
-        Err(HiveError::Unsupported(format!(
-            "{op} requires a full-ACID managed table; {} is not",
-            table.qualified_name()
-        )))
+        batch.take(rows)
     }
+}
+
+/// Split `rows` of `batch` into those where `cond` is TRUE (all of them
+/// without a condition) and the rest, both in input order.
+fn rows_where(
+    cond: Option<&ScalarExpr>,
+    batch: &VectorBatch,
+    rows: Vec<u32>,
+) -> Result<(Vec<u32>, Vec<u32>)> {
+    let Some(cond) = cond else {
+        return Ok((rows, vec![]));
+    };
+    let mut pass = vec![false; rows.len()];
+    for p in hive_exec::kernels::filter_indices(cond, &take_batch(batch, &rows))? {
+        pass[p as usize] = true;
+    }
+    let mut pass = pass.into_iter();
+    Ok(rows.into_iter().partition(|_| pass.next() == Some(true)))
+}
+
+/// Evaluate one expression per column of `schema` over `input`,
+/// vectorized, casting each result to its column's declared type.
+fn eval_columns(exprs: &[ScalarExpr], schema: &Schema, input: &VectorBatch) -> Result<VectorBatch> {
+    let cols = exprs
+        .iter()
+        .zip(schema.fields())
+        .map(|(e, f)| {
+            let col = hive_exec::kernels::eval_vector(e, input)?;
+            hive_exec::engine::align_column(col, &f.data_type)
+        })
+        .collect::<Result<Vec<_>>>()?;
+    VectorBatch::from_arcs(schema.clone(), cols, input.num_rows())
+}
+
+/// The rows of `batch` grouped by partition — directory name, partition
+/// values, row indexes in batch order — sorted by directory name. The
+/// partition columns start at `part0`; an unpartitioned table is one
+/// group.
+fn rows_by_partition(
+    table: &Table,
+    batch: &VectorBatch,
+    part0: usize,
+) -> Vec<(String, Vec<Value>, Vec<u32>)> {
+    let n = batch.num_rows() as u32;
+    if !table.is_partitioned() {
+        return if n == 0 {
+            vec![]
+        } else {
+            vec![(String::new(), vec![], (0..n).collect())]
+        };
+    }
+    let mut groups: Vec<(String, Vec<Value>, Vec<u32>)> = Vec::new();
+    let mut by_name: HashMap<String, usize> = HashMap::new();
+    let mut current: Option<usize> = None;
+    for i in 0..n {
+        let values: Vec<Value> = (0..table.partition_keys.len())
+            .map(|k| batch.column(part0 + k).get(i as usize))
+            .collect();
+        // Scans emit a partition at a time: most rows repeat the last.
+        let g = match current {
+            Some(g) if groups[g].1 == values => g,
+            _ => {
+                let name = table.partition_dir_name(&values);
+                *by_name.entry(name.clone()).or_insert_with(|| {
+                    groups.push((name, values, Vec::new()));
+                    groups.len() - 1
+                })
+            }
+        };
+        groups[g].2.push(i);
+        current = Some(g);
+    }
+    groups.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+    groups
 }
 
 fn is_mv_table(ms: &Metastore, qualified: &str) -> bool {
@@ -1593,173 +1542,4 @@ fn eval_const_ast(e: &ast::Expr) -> Result<Value> {
             "INSERT VALUES requires constant expressions, got {other}"
         ))),
     }
-}
-
-/// Lower an AST expression against one table's full schema (UPDATE and
-/// DELETE predicates: single table, no subqueries).
-pub(crate) fn lower_table_expr(e: &ast::Expr, schema: &Schema) -> Result<ScalarExpr> {
-    lower_with(e, &mut |qualifier, name| {
-        let _ = qualifier;
-        schema.index_of_required(name)
-    })
-}
-
-/// MERGE name resolution over (target ++ source).
-struct MergeScope<'a> {
-    target_alias: &'a str,
-    target: &'a Schema,
-    source_alias: &'a str,
-    source: &'a Schema,
-}
-
-impl MergeScope<'_> {
-    fn lower(&self, e: &ast::Expr) -> Result<ScalarExpr> {
-        lower_with(e, &mut |qualifier, name| match qualifier {
-            Some(q) if q == self.target_alias => self.target.index_of_required(name),
-            Some(q) if q == self.source_alias => self
-                .source
-                .index_of_required(name)
-                .map(|i| i + self.target.len()),
-            Some(q) => Err(HiveError::Analysis(format!("unknown alias {q}"))),
-            None => match self.target.index_of(name) {
-                Some(i) => Ok(i),
-                None => self
-                    .source
-                    .index_of_required(name)
-                    .map(|i| i + self.target.len()),
-            },
-        })
-    }
-
-    /// For INSERT arm values: only source columns are in scope, and the
-    /// produced expression evaluates against a source row alone.
-    fn lower_source_only(&self, e: &ast::Expr) -> Result<ScalarExpr> {
-        lower_with(e, &mut |qualifier, name| match qualifier {
-            Some(q) if q == self.source_alias => self.source.index_of_required(name),
-            None => self.source.index_of_required(name),
-            Some(q) => Err(HiveError::Analysis(format!(
-                "MERGE insert values may only reference the source ({q} given)"
-            ))),
-        })
-    }
-}
-
-/// Generic single-scope AST lowering used by DML paths.
-fn lower_with(
-    e: &ast::Expr,
-    resolve: &mut impl FnMut(Option<&str>, &str) -> Result<usize>,
-) -> Result<ScalarExpr> {
-    Ok(match e {
-        ast::Expr::Literal(v) => ScalarExpr::Literal(v.clone()),
-        ast::Expr::Column { qualifier, name } => {
-            ScalarExpr::Column(resolve(qualifier.as_deref(), name)?)
-        }
-        ast::Expr::BinaryOp { left, op, right } => ScalarExpr::Binary {
-            op: *op,
-            left: Box::new(lower_with(left, resolve)?),
-            right: Box::new(lower_with(right, resolve)?),
-        },
-        ast::Expr::Not(i) => ScalarExpr::Not(Box::new(lower_with(i, resolve)?)),
-        ast::Expr::Negate(i) => ScalarExpr::Negate(Box::new(lower_with(i, resolve)?)),
-        ast::Expr::IsNull { expr, negated } => ScalarExpr::IsNull {
-            expr: Box::new(lower_with(expr, resolve)?),
-            negated: *negated,
-        },
-        ast::Expr::Between {
-            expr,
-            low,
-            high,
-            negated,
-        } => {
-            let e = lower_with(expr, resolve)?;
-            let ge = ScalarExpr::Binary {
-                op: ast::BinaryOp::GtEq,
-                left: Box::new(e.clone()),
-                right: Box::new(lower_with(low, resolve)?),
-            };
-            let le = ScalarExpr::Binary {
-                op: ast::BinaryOp::LtEq,
-                left: Box::new(e),
-                right: Box::new(lower_with(high, resolve)?),
-            };
-            let both = ScalarExpr::Binary {
-                op: ast::BinaryOp::And,
-                left: Box::new(ge),
-                right: Box::new(le),
-            };
-            if *negated {
-                ScalarExpr::Not(Box::new(both))
-            } else {
-                both
-            }
-        }
-        ast::Expr::InList {
-            expr,
-            list,
-            negated,
-        } => ScalarExpr::InList {
-            expr: Box::new(lower_with(expr, resolve)?),
-            list: list
-                .iter()
-                .map(|i| lower_with(i, resolve))
-                .collect::<Result<Vec<_>>>()?,
-            negated: *negated,
-        },
-        ast::Expr::Like {
-            expr,
-            pattern,
-            negated,
-        } => ScalarExpr::Like {
-            expr: Box::new(lower_with(expr, resolve)?),
-            pattern: Box::new(lower_with(pattern, resolve)?),
-            negated: *negated,
-        },
-        ast::Expr::Case {
-            operand,
-            branches,
-            else_expr,
-        } => ScalarExpr::Case {
-            operand: operand
-                .as_ref()
-                .map(|o| lower_with(o, resolve).map(Box::new))
-                .transpose()?,
-            branches: branches
-                .iter()
-                .map(|(c, r)| Ok((lower_with(c, resolve)?, lower_with(r, resolve)?)))
-                .collect::<Result<Vec<_>>>()?,
-            else_expr: else_expr
-                .as_ref()
-                .map(|x| lower_with(x, resolve).map(Box::new))
-                .transpose()?,
-        },
-        ast::Expr::Cast { expr, to } => ScalarExpr::Cast {
-            expr: Box::new(lower_with(expr, resolve)?),
-            to: to.clone(),
-        },
-        ast::Expr::Extract { field, expr } => ScalarExpr::Extract {
-            field: *field,
-            expr: Box::new(lower_with(expr, resolve)?),
-        },
-        ast::Expr::Function { name, args, .. } => {
-            match hive_optimizer::expr::BuiltinFunc::from_name(name) {
-                Some(func) => ScalarExpr::Func {
-                    func,
-                    args: args
-                        .iter()
-                        .map(|a| lower_with(a, resolve))
-                        .collect::<Result<Vec<_>>>()?,
-                },
-                None => {
-                    return Err(HiveError::Unsupported(format!(
-                        "function {name} not allowed in DML expressions"
-                    )))
-                }
-            }
-        }
-        other => {
-            return Err(HiveError::Unsupported(format!(
-                "unsupported expression in DML: {other}"
-            )))
-        }
-    })
 }

@@ -1025,7 +1025,7 @@ impl<'a> SortAccess<'a> {
 /// (kernels keep natural types; e.g. `Int + Int` stays Int even when
 /// the planner widened the projection type). Aligned columns pass
 /// through by handle.
-pub(crate) fn align_column(
+pub fn align_column(
     col: std::sync::Arc<hive_common::ColumnVector>,
     want: &hive_common::DataType,
 ) -> Result<std::sync::Arc<hive_common::ColumnVector>> {

@@ -93,6 +93,9 @@ pub fn execute_scan(
     // --- partition directory resolution ----------------------------------
     let cat_table = ctx.ms.get_table(&table.db, &table.name)?;
     let data_cols = cat_table.schema.len();
+    // Schema columns past the partition keys are a `row_ids` scan's
+    // virtual identity columns.
+    let part_end = data_cols + cat_table.partition_keys.len();
     // (directory, partition values) pairs to read.
     let mut dirs: Vec<(DfsPath, Vec<Value>)> = Vec::new();
     if cat_table.is_partitioned() {
@@ -210,9 +213,23 @@ pub fn execute_scan(
     let proj_part: Vec<(usize, usize)> = projection
         .iter()
         .enumerate()
-        .filter(|(_, &sc)| sc >= data_cols)
+        .filter(|(_, &sc)| (data_cols..part_end).contains(&sc))
         .map(|(out_i, &sc)| (out_i, sc - data_cols))
         .collect();
+    // (output slot, identity column) pairs: the identity columns every
+    // ACID read fetches for visibility, surfaced instead of dropped.
+    let proj_ids: Vec<(usize, usize)> = projection
+        .iter()
+        .enumerate()
+        .filter(|(_, &sc)| sc >= part_end)
+        .map(|(out_i, &sc)| (out_i, sc - part_end))
+        .collect();
+    if !proj_ids.is_empty() && !acid {
+        return Err(HiveError::Execution(format!(
+            "{} is not an ACID table: it has no row identities to scan",
+            table.qualified_name
+        )));
+    }
 
     // --- morsel enumeration (serial) ---------------------------------------
     // Directory listing, ACID snapshot resolution, delete-delta loads,
@@ -310,6 +327,7 @@ pub fn execute_scan(
             m.rg,
             &proj_data,
             &proj_part,
+            &proj_ids,
             &dirs[m.dir_idx].1,
             id_shift,
             m.acid_idx.map(|a| (&acid_states[a].0, &acid_states[a].1)),
@@ -462,6 +480,7 @@ fn read_row_group(
     rg: usize,
     proj_data: &[(usize, usize)],
     proj_part: &[(usize, usize)],
+    proj_ids: &[(usize, usize)],
     part_values: &[Value],
     id_shift: usize,
     acid: Option<(&hive_metastore::ValidWriteIdList, &DeleteSet)>,
@@ -503,9 +522,14 @@ fn read_row_group(
     // are shared as-is — no bytes move between the cache and the batch.
     let full = keep.len() == rows;
     let mut cols: Vec<Option<Arc<ColumnVector>>> = vec![None; out_schema.len()];
-    for (slot, (out_i, _)) in proj_data.iter().enumerate() {
-        let col = &fetched[id_shift + slot];
-        cols[*out_i] = Some(if full {
+    let placed = proj_data
+        .iter()
+        .enumerate()
+        .map(|(slot, (out_i, _))| (*out_i, id_shift + slot))
+        .chain(proj_ids.iter().copied());
+    for (out_i, fetched_i) in placed {
+        let col = &fetched[fetched_i];
+        cols[out_i] = Some(if full {
             col.clone()
         } else {
             Arc::new(col.take(&keep))
@@ -631,12 +655,11 @@ fn partition_dir_matches(
     // the directory's values, everything else NULL.
     let mut row = vec![Value::Null; projection.len()];
     let mut has_part_col = false;
+    let part_cols = data_cols..data_cols + part_values.len();
     for (out_i, &sc) in projection.iter().enumerate() {
-        if sc >= data_cols {
-            if let Some(v) = part_values.get(sc - data_cols) {
-                row[out_i] = v.clone();
-                has_part_col = true;
-            }
+        if part_cols.contains(&sc) {
+            row[out_i] = part_values[sc - data_cols].clone();
+            has_part_col = true;
         }
     }
     if !has_part_col {
@@ -650,7 +673,7 @@ fn partition_dir_matches(
             if cols.is_empty()
                 || !cols
                     .iter()
-                    .all(|&c| projection.get(c).is_some_and(|&sc| sc >= data_cols))
+                    .all(|&c| projection.get(c).is_some_and(|sc| part_cols.contains(sc)))
             {
                 continue;
             }

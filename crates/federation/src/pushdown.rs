@@ -336,6 +336,7 @@ fn push_druid_aggregate(node: LogicalPlan) -> LogicalPlan {
             is_mv: table.is_mv,
             external_query: Some(q.to_json().to_string()),
             external_source: table.external_source.clone(),
+            row_ids: false,
         },
         projection: (0..out_schema.len()).collect(),
         filters: vec![],
@@ -502,6 +503,7 @@ fn push_external_scan(node: LogicalPlan) -> LogicalPlan {
             is_mv: table.is_mv,
             external_query: Some(sql),
             external_source: table.external_source.clone(),
+            row_ids: false,
         },
         projection: (0..out_schema.len()).collect(),
         // Filters were pushed; keep none locally (predicates are
@@ -540,6 +542,7 @@ mod tests {
                 is_mv: false,
                 external_query: Some(q.to_json().to_string()),
                 external_source: Some("wiki".to_string()),
+                row_ids: false,
             },
             projection: vec![0, 1],
             filters: vec![],

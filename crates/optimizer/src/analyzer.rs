@@ -13,13 +13,16 @@
 //!   over unselected columns.
 
 use crate::expr::{AggExpr, AggFunc, BuiltinFunc, ScalarExpr, SortKey, WindowExpr, WindowFunc};
-use crate::plan::{JoinType, LogicalPlan, ScanTable};
+use crate::plan::{row_id_fields, JoinType, LogicalPlan, ScanTable};
 use hive_common::{HiveError, Result, Schema, Value};
 use hive_metastore::Table;
 use hive_sql as ast;
 use hive_sql::{BinaryOp, ObjectName, SelectItem};
 use std::collections::HashMap;
 use std::sync::Arc;
+
+mod dml;
+pub use dml::{DmlKind, DmlPlan, UpdateArm};
 
 /// Catalog access needed by the analyzer.
 pub trait CatalogView {
@@ -360,7 +363,7 @@ impl<'a> Analyzer<'a> {
                         return Ok((Arc::new(plan), scope));
                     }
                 }
-                let (scan, table_alias) = self.plan_scan(name, alias.as_deref())?;
+                let (scan, table_alias, _) = self.plan_scan(name, alias.as_deref(), false)?;
                 let scope = Scope::from_schema(&scan.schema(), Some(&table_alias));
                 Ok((Arc::new(scan), scope))
             }
@@ -424,11 +427,22 @@ impl<'a> Analyzer<'a> {
         }
     }
 
-    fn plan_scan(&self, name: &ObjectName, alias: Option<&str>) -> Result<(LogicalPlan, String)> {
+    /// Plan a full-projection scan of a catalog table; with `row_ids`
+    /// (DML targets) the scan also emits the record-identity columns.
+    fn plan_scan(
+        &self,
+        name: &ObjectName,
+        alias: Option<&str>,
+        row_ids: bool,
+    ) -> Result<(LogicalPlan, String, Table)> {
         let db = name.db.clone().unwrap_or_else(|| self.catalog.default_db());
         let table = self.catalog.get_table(&db, &name.name)?;
-        let full = table.full_schema();
+        let mut full = table.full_schema();
         let data_cols = table.schema.len();
+        let partition_cols = (data_cols..full.len()).collect();
+        if row_ids {
+            full = full.join(&Schema::new(row_id_fields().to_vec()));
+        }
         let external_source = table
             .properties
             .get("druid.datasource")
@@ -439,12 +453,13 @@ impl<'a> Analyzer<'a> {
             db: table.db.clone(),
             name: table.name.clone(),
             schema: full.clone(),
-            partition_cols: (data_cols..full.len()).collect(),
+            partition_cols,
             handler: table.storage_handler.clone(),
             acid: table.is_acid(),
             is_mv: table.table_type == hive_metastore::TableType::MaterializedView,
             external_query: None,
             external_source,
+            row_ids,
         };
         let alias = alias
             .map(|a| a.to_ascii_lowercase())
@@ -458,6 +473,7 @@ impl<'a> Analyzer<'a> {
                 semijoin_filters: vec![],
             },
             alias,
+            table,
         ))
     }
 
@@ -503,53 +519,8 @@ impl<'a> Analyzer<'a> {
             correlated: Vec::new(),
         };
 
-        // WHERE: IN/EXISTS subqueries are only supported as top-level
-        // conjuncts (they become Semi/Anti joins); scalar subqueries may
-        // appear anywhere (they become Left joins producing a column).
         if let Some(pred) = &sel.selection {
-            let mut plain: Vec<ScalarExpr> = Vec::new();
-            for conjunct in split_ast_conjuncts(pred) {
-                let (inner, negated) = unwrap_not(conjunct);
-                match inner {
-                    ast::Expr::InSubquery {
-                        expr,
-                        query,
-                        negated: n2,
-                    } => {
-                        let key = self.lower_expr(expr, &mut ctx, ctes)?;
-                        let anti = negated ^ *n2;
-                        self.plan_subquery_join(
-                            &mut ctx,
-                            ctes,
-                            query,
-                            if anti { JoinType::Anti } else { JoinType::Semi },
-                            Some(key),
-                            false,
-                        )?;
-                    }
-                    ast::Expr::Exists { query, negated: n2 } => {
-                        let anti = negated ^ *n2;
-                        self.plan_subquery_join(
-                            &mut ctx,
-                            ctes,
-                            query,
-                            if anti { JoinType::Anti } else { JoinType::Semi },
-                            None,
-                            false,
-                        )?;
-                    }
-                    _ => {
-                        let lowered = self.lower_expr(conjunct, &mut ctx, ctes)?;
-                        plain.push(lowered);
-                    }
-                }
-            }
-            if let Some(pred) = ScalarExpr::conjunction(plain) {
-                ctx.plan = Arc::new(LogicalPlan::Filter {
-                    input: ctx.plan.clone(),
-                    predicate: pred,
-                });
-            }
+            self.apply_where(pred, &mut ctx, ctes)?;
         }
         let _ = plan; // superseded by the context's plan from here on
         scope = ctx.scope.clone();
@@ -607,6 +578,62 @@ impl<'a> Analyzer<'a> {
             return Ok((p, final_scope));
         }
         Ok((final_plan, final_scope))
+    }
+
+    /// Apply a WHERE predicate to `ctx.plan`. IN/EXISTS subqueries are
+    /// only supported as top-level conjuncts (they become Semi/Anti
+    /// joins); scalar subqueries may appear anywhere (they become Left
+    /// joins producing a column).
+    fn apply_where(
+        &self,
+        pred: &ast::Expr,
+        ctx: &mut SelectContext,
+        ctes: &mut HashMap<String, ast::Query>,
+    ) -> Result<()> {
+        let mut plain: Vec<ScalarExpr> = Vec::new();
+        for conjunct in split_ast_conjuncts(pred) {
+            let (inner, negated) = unwrap_not(conjunct);
+            match inner {
+                ast::Expr::InSubquery {
+                    expr,
+                    query,
+                    negated: n2,
+                } => {
+                    let key = self.lower_expr(expr, ctx, ctes)?;
+                    let anti = negated ^ *n2;
+                    self.plan_subquery_join(
+                        ctx,
+                        ctes,
+                        query,
+                        if anti { JoinType::Anti } else { JoinType::Semi },
+                        Some(key),
+                        false,
+                    )?;
+                }
+                ast::Expr::Exists { query, negated: n2 } => {
+                    let anti = negated ^ *n2;
+                    self.plan_subquery_join(
+                        ctx,
+                        ctes,
+                        query,
+                        if anti { JoinType::Anti } else { JoinType::Semi },
+                        None,
+                        false,
+                    )?;
+                }
+                _ => {
+                    let lowered = self.lower_expr(conjunct, ctx, ctes)?;
+                    plain.push(lowered);
+                }
+            }
+        }
+        if let Some(pred) = ScalarExpr::conjunction(plain) {
+            ctx.plan = Arc::new(LogicalPlan::Filter {
+                input: ctx.plan.clone(),
+                predicate: pred,
+            });
+        }
+        Ok(())
     }
 
     /// SELECT without aggregation: project (with window extraction).

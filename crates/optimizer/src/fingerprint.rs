@@ -38,6 +38,11 @@ fn hash_plan(plan: &LogicalPlan, h: &mut DefaultHasher) {
             // Pushed external queries distinguish otherwise-identical
             // scans (the results cache and shared work key on this).
             table.external_query.hash(h);
+            // Only mixed in when set, so read plans hash as they always
+            // have (runtime-stats and results-cache keys are unchanged).
+            if table.row_ids {
+                "row_ids".hash(h);
+            }
             projection.hash(h);
             for f in filters {
                 format!("{f}").hash(h);
@@ -129,6 +134,7 @@ mod tests {
                 is_mv: false,
                 external_query: None,
                 external_source: None,
+                row_ids: false,
             },
             projection: vec![0],
             filters: vec![],

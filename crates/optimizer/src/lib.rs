@@ -25,7 +25,7 @@ pub mod plan;
 pub mod rules;
 pub mod stats;
 
-pub use analyzer::{Analyzer, CatalogView, MetastoreCatalog};
+pub use analyzer::{Analyzer, CatalogView, DmlKind, DmlPlan, MetastoreCatalog, UpdateArm};
 pub use expr::{AggExpr, AggFunc, BuiltinFunc, ScalarExpr, SortKey, WindowExpr, WindowFunc};
 pub use optimizer::{Optimizer, OptimizerContext};
 pub use plan::{JoinType, LogicalPlan, ScanTable, SemiJoinFilterSpec};

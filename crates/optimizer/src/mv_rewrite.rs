@@ -291,6 +291,7 @@ fn build_view_branch(
             is_mv: true,
             external_query: None,
             external_source: None,
+            row_ids: false,
         },
         projection: (0..mv_schema.len()).collect(),
         filters: residuals.to_vec(),

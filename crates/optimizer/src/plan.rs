@@ -36,7 +36,8 @@ pub struct ScanTable {
     pub qualified_name: String,
     pub db: String,
     pub name: String,
-    /// Full logical schema: data columns then partition columns.
+    /// Full logical schema: data columns then partition columns, then —
+    /// when `row_ids` is set — the [`row_id_fields`] virtual columns.
     pub schema: Schema,
     /// Indexes (into `schema`) of the partition columns.
     pub partition_cols: Vec<usize>,
@@ -54,6 +55,19 @@ pub struct ScanTable {
     /// The external system's own object name (Druid datasource / remote
     /// JDBC table), resolved from table properties at analysis time.
     pub external_source: Option<String>,
+    /// The scan exposes each record's ACID identity triple as the last
+    /// [`ROW_ID_COLS`] columns of `schema` (paper §3.2: UPDATE / DELETE /
+    /// MERGE read the rows they rewrite through the ordinary scan).
+    pub row_ids: bool,
+}
+
+/// Number of virtual row-identity columns a `row_ids` scan appends.
+pub const ROW_ID_COLS: usize = 3;
+
+/// The virtual row-identity columns `(WriteId, bucket, RowId)`, named
+/// like the synthetic columns of the ACID file layout they surface.
+pub fn row_id_fields() -> [Field; ROW_ID_COLS] {
+    ["__writeid", "__bucket", "__rowid"].map(|n| Field::new(n, DataType::BigInt))
 }
 
 /// A planned dynamic semijoin-reduction filter on a scan (§4.6): at
@@ -314,6 +328,9 @@ impl LogicalPlan {
                 if let Some(p) = partitions {
                     out.push_str(&format!(" partitions={}", p.len()));
                 }
+                if table.row_ids {
+                    out.push_str(" row_ids");
+                }
                 if !semijoin_filters.is_empty() {
                     out.push_str(&format!(" semijoin_reducers={}", semijoin_filters.len()));
                 }
@@ -520,6 +537,7 @@ mod tests {
                 is_mv: false,
                 external_query: None,
                 external_source: None,
+                row_ids: false,
             },
             projection: (0..ncols).collect(),
             filters: vec![],

@@ -612,6 +612,7 @@ mod tests {
                 is_mv: false,
                 external_query: None,
                 external_source: None,
+                row_ids: false,
             },
             projection: vec![0],
             filters: vec![],

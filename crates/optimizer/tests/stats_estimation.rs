@@ -37,6 +37,7 @@ fn scan_of(name: &str, values: &[Value]) -> (LogicalPlan, FakeStats) {
             is_mv: false,
             external_query: None,
             external_source: None,
+            row_ids: false,
         },
         projection: vec![0],
         filters: vec![],

@@ -86,6 +86,11 @@ cargo build --release --offline
 echo "== tests =="
 cargo test -q --offline --workspace
 
+# bench/e2e is a workspace of its own, so the line above never builds it:
+# this is what catches a session/driver API change that breaks it.
+echo "== e2e smoke =="
+cargo test -q --offline --manifest-path bench/e2e/Cargo.toml
+
 echo "== chaos: fixed-seed fault-injection suite =="
 cargo test -q --offline --test chaos
 
