@@ -187,7 +187,7 @@ fn join_case(
             None,
         )
         .unwrap();
-        let jsb = SelBatch::from_batch(joined);
+        let jsb = joined;
         execute_aggregate_par(
             &jsb,
             &[],

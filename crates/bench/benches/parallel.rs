@@ -191,7 +191,7 @@ fn bench_join(results: &mut Vec<(&'static str, usize, f64)>) {
             None,
         )
         .unwrap();
-        let got = rows_of(&out);
+        let got = rows_of(&out.compact());
         match &baseline {
             None => baseline = Some(got),
             Some(b) => assert_eq!(&got, b, "join diverged at {t} threads"),

@@ -253,7 +253,7 @@ fn micro_cases(results: &mut Vec<(String, f64, f64)>) {
                 None,
             )
             .unwrap();
-            let jsb = SelBatch::from_batch(joined);
+            let jsb = joined;
             execute_aggregate_par(
                 &jsb,
                 &[],
@@ -285,7 +285,7 @@ fn micro_cases(results: &mut Vec<(String, f64, f64)>) {
                 None,
             )
             .unwrap();
-            let jsb = SelBatch::from_batch(joined);
+            let jsb = joined;
             execute_aggregate_par(
                 &jsb,
                 &[],

@@ -36,4 +36,4 @@ pub use selvec::{SelBatch, SelVec};
 pub use types::DataType;
 pub use value::Value;
 pub use vector::ColumnBuilder;
-pub use vector::{ColumnVector, VectorBatch};
+pub use vector::{ColumnVector, VectorBatch, NULL_INDEX};

@@ -18,6 +18,9 @@ use std::sync::Arc;
 /// Default number of rows per vectorized batch.
 pub const DEFAULT_BATCH_SIZE: usize = 1024;
 
+/// The index [`ColumnVector::take_or_null`] gathers as a NULL row.
+pub const NULL_INDEX: u32 = u32::MAX;
+
 /// A typed column of values with an optional null bitmap
 /// (bit set = value is NULL).
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -151,48 +154,108 @@ impl ColumnVector {
         Ok(b.finish())
     }
 
-    /// Gather rows at `indices` into a new column.
+    /// Gather rows at `indices` into a new column. The result carries a
+    /// null bitmap only when a gathered row is NULL.
     pub fn take(&self, indices: &[u32]) -> ColumnVector {
-        fn gather<T: Clone>(v: &[T], n: &Option<BitSet>, idx: &[u32]) -> (Vec<T>, Option<BitSet>) {
-            let out: Vec<T> = idx.iter().map(|&i| v[i as usize].clone()).collect();
-            let nulls = n.as_ref().map(|b| {
-                let mut nb = BitSet::new(idx.len());
-                for (o, &i) in idx.iter().enumerate() {
-                    if b.get(i as usize) {
-                        nb.set(o);
+        self.gather(indices, false)
+    }
+
+    /// [`ColumnVector::take`] for the NULL-extended side of an outer
+    /// join: an index of [`NULL_INDEX`] gathers a NULL row (the type's
+    /// default value under a set null bit), every other index gathers
+    /// the source row exactly as `take` does. A `Dict` stays a `Dict`
+    /// over the same shared dictionary.
+    pub fn take_or_null(&self, indices: &[u32]) -> ColumnVector {
+        self.gather(indices, true)
+    }
+
+    /// An all-NULL column of `n` rows of type `dt`.
+    pub fn all_null(dt: &DataType, n: usize) -> Result<ColumnVector> {
+        Ok(ColumnVector::new_empty(dt)?.take_or_null(&vec![NULL_INDEX; n]))
+    }
+
+    fn gather(&self, idx: &[u32], null_extend: bool) -> ColumnVector {
+        fn vals<T: Clone + Default>(v: &[T], idx: &[u32], null_extend: bool) -> Vec<T> {
+            if null_extend {
+                idx.iter()
+                    .map(|&i| {
+                        if i == NULL_INDEX {
+                            T::default()
+                        } else {
+                            v[i as usize].clone()
+                        }
+                    })
+                    .collect()
+            } else {
+                idx.iter().map(|&i| v[i as usize].clone()).collect()
+            }
+        }
+        // Bit `o` is set when `idx[o]` is the sentinel or names a NULL
+        // source row; no bitmap at all when no gathered row is NULL.
+        fn nulls(src: &Option<BitSet>, idx: &[u32], null_extend: bool) -> Option<BitSet> {
+            let mut out: Option<BitSet> = None;
+            let mut mark = |o: usize| out.get_or_insert_with(|| BitSet::new(idx.len())).set(o);
+            match src {
+                Some(b) => {
+                    for (o, &i) in idx.iter().enumerate() {
+                        if (null_extend && i == NULL_INDEX) || b.get(i as usize) {
+                            mark(o);
+                        }
                     }
                 }
-                nb
-            });
-            (out, nulls)
+                None if null_extend => {
+                    for (o, &i) in idx.iter().enumerate() {
+                        if i == NULL_INDEX {
+                            mark(o);
+                        }
+                    }
+                }
+                None => {}
+            }
+            out
+        }
+        macro_rules! g {
+            ($v:expr, $n:expr) => {
+                (vals($v, idx, null_extend), nulls($n, idx, null_extend))
+            };
         }
         match self {
             ColumnVector::Boolean(v, n) => {
-                let (v, n) = gather(v, n, indices);
+                let (v, n) = g!(v, n);
                 ColumnVector::Boolean(v, n)
             }
             ColumnVector::Int(v, n) => {
-                let (v, n) = gather(v, n, indices);
+                let (v, n) = g!(v, n);
                 ColumnVector::Int(v, n)
             }
             ColumnVector::BigInt(v, n) => {
-                let (v, n) = gather(v, n, indices);
+                let (v, n) = g!(v, n);
                 ColumnVector::BigInt(v, n)
             }
             ColumnVector::Double(v, n) => {
-                let (v, n) = gather(v, n, indices);
+                let (v, n) = g!(v, n);
                 ColumnVector::Double(v, n)
             }
             ColumnVector::Decimal(v, s, n) => {
-                let (v, n) = gather(v, n, indices);
+                let (v, n) = g!(v, n);
                 ColumnVector::Decimal(v, *s, n)
             }
             ColumnVector::Str(v, n) => {
-                let (v, n) = gather(v, n, indices);
+                let (v, n) = g!(v, n);
                 ColumnVector::Str(v, n)
             }
-            ColumnVector::Dict { codes, dict, nulls } => {
-                let (codes, nulls) = gather(codes, nulls, indices);
+            // An empty dictionary has no entry a NULL row's code could
+            // name (every code must be `< dict.len()`), so its
+            // NULL-extension is the equivalent plain column.
+            ColumnVector::Dict { dict, nulls: n, .. } if null_extend && dict.is_empty() => {
+                ColumnVector::Str(vec![String::new(); idx.len()], nulls(n, idx, null_extend))
+            }
+            ColumnVector::Dict {
+                codes,
+                dict,
+                nulls: n,
+            } => {
+                let (codes, nulls) = g!(codes, n);
                 ColumnVector::Dict {
                     codes,
                     dict: dict.clone(),
@@ -200,14 +263,182 @@ impl ColumnVector {
                 }
             }
             ColumnVector::Date(v, n) => {
-                let (v, n) = gather(v, n, indices);
+                let (v, n) = g!(v, n);
                 ColumnVector::Date(v, n)
             }
             ColumnVector::Timestamp(v, n) => {
-                let (v, n) = gather(v, n, indices);
+                let (v, n) = g!(v, n);
                 ColumnVector::Timestamp(v, n)
             }
         }
+    }
+
+    /// Cast every row to `want` — [`Value::cast_to`] cell for cell,
+    /// without a `Value` per cell: NULL rows stay NULL, a lenient cast
+    /// that fails (an unparsable string) yields NULL, and a pair
+    /// `Value::cast_to` rejects is an error as soon as one non-NULL row
+    /// meets it. Strings cast once per dictionary entry when the column
+    /// is dictionary-encoded. The result carries a null bitmap only
+    /// when some row is NULL.
+    pub fn cast_to(&self, want: &DataType) -> Result<ColumnVector> {
+        use crate::dates;
+        use crate::value::{format_decimal, format_double, parse_decimal, pow10, rescale};
+        use ColumnVector as C;
+        use DataType as T;
+        const DAY_MICROS: i64 = 86_400_000_000;
+
+        // `f(i)` converts non-NULL row `i`; `None` is a lenient NULL.
+        fn cells<O: Default>(
+            len: usize,
+            nulls: &Option<BitSet>,
+            mut f: impl FnMut(usize) -> Option<O>,
+        ) -> (Vec<O>, Option<BitSet>) {
+            let mut out_nulls: Option<BitSet> = None;
+            let vals = (0..len)
+                .map(|i| {
+                    let cell = if nulls.as_ref().is_some_and(|b| b.get(i)) {
+                        None
+                    } else {
+                        f(i)
+                    };
+                    cell.unwrap_or_else(|| {
+                        out_nulls.get_or_insert_with(|| BitSet::new(len)).set(i);
+                        O::default()
+                    })
+                })
+                .collect();
+            (vals, out_nulls)
+        }
+        // String sources: `Str` parses per row, `Dict` once per entry.
+        enum Strs<'a> {
+            Plain(&'a [String], &'a Option<BitSet>),
+            Coded(&'a [u32], &'a [String], &'a Option<BitSet>),
+        }
+        impl Strs<'_> {
+            fn parse<O: Default + Clone>(
+                &self,
+                f: impl Fn(&str) -> Option<O>,
+            ) -> (Vec<O>, Option<BitSet>) {
+                match self {
+                    Strs::Plain(v, n) => cells(v.len(), n, |i| f(&v[i])),
+                    Strs::Coded(codes, dict, n) => {
+                        let per_entry: Vec<Option<O>> = dict.iter().map(|s| f(s)).collect();
+                        cells(codes.len(), n, |i| per_entry[codes[i] as usize].clone())
+                    }
+                }
+            }
+        }
+        macro_rules! map {
+            ($v:expr, $n:expr, |$x:ident| $e:expr) => {
+                cells($v.len(), $n, |i| {
+                    let $x = $v[i];
+                    Some($e)
+                })
+            };
+        }
+        macro_rules! col {
+            ($variant:ident, $parts:expr) => {{
+                let (v, n) = $parts;
+                C::$variant(v, n)
+            }};
+        }
+        macro_rules! dec {
+            ($scale:expr, $parts:expr) => {{
+                let (v, n) = $parts;
+                C::Decimal(v, $scale, n)
+            }};
+        }
+
+        ColumnVector::new_empty(want)?; // non-atomic targets are rejected up front
+        if self.data_type() == *want
+            || matches!((self, want), (C::Decimal(_, a, _), T::Decimal(_, b)) if a == b)
+        {
+            return Ok(self.clone());
+        }
+        // No cast exists: fine for a column whose rows are all NULL.
+        let no_cast = || -> Result<ColumnVector> {
+            if self.null_count() < self.len() {
+                return Err(HiveError::Execution(format!(
+                    "cannot cast {} to {want}",
+                    self.data_type()
+                )));
+            }
+            ColumnVector::all_null(want, self.len())
+        };
+        let strs = match self {
+            C::Str(v, n) => Some(Strs::Plain(v, n)),
+            C::Dict { codes, dict, nulls } => Some(Strs::Coded(codes, dict, nulls)),
+            _ => None,
+        };
+        if let Some(src) = strs {
+            return Ok(match want {
+                T::Int => col!(Int, src.parse(|s| s.trim().parse().ok())),
+                T::BigInt => col!(BigInt, src.parse(|s| s.trim().parse().ok())),
+                T::Double => col!(Double, src.parse(|s| s.trim().parse().ok())),
+                T::Decimal(_, sc) => dec!(*sc, src.parse(|s| parse_decimal(s, *sc))),
+                T::Date => col!(Date, src.parse(dates::parse_date)),
+                T::Timestamp => col!(Timestamp, src.parse(dates::parse_timestamp)),
+                T::Boolean => col!(
+                    Boolean,
+                    src.parse(|s| match s.to_ascii_lowercase().as_str() {
+                        "true" => Some(true),
+                        "false" => Some(false),
+                        _ => None,
+                    })
+                ),
+                _ => return no_cast(),
+            });
+        }
+        let out = match (self, want) {
+            (C::Int(v, n), T::BigInt) => col!(BigInt, map!(v, n, |x| x as i64)),
+            (C::Int(v, n), T::Double) => col!(Double, map!(v, n, |x| x as f64)),
+            (C::Int(v, n), T::Decimal(_, s)) => {
+                dec!(*s, map!(v, n, |x| x as i128 * pow10(*s)))
+            }
+            (C::Int(v, n), T::String) => col!(Str, map!(v, n, |x| x.to_string())),
+            (C::Int(v, n), T::Boolean) => col!(Boolean, map!(v, n, |x| x != 0)),
+            (C::BigInt(v, n), T::Int) => col!(Int, map!(v, n, |x| x as i32)),
+            (C::BigInt(v, n), T::Double) => col!(Double, map!(v, n, |x| x as f64)),
+            (C::BigInt(v, n), T::Decimal(_, s)) => {
+                dec!(*s, map!(v, n, |x| x as i128 * pow10(*s)))
+            }
+            (C::BigInt(v, n), T::String) => col!(Str, map!(v, n, |x| x.to_string())),
+            (C::BigInt(v, n), T::Timestamp) => col!(Timestamp, map!(v, n, |x| x)),
+            (C::Double(v, n), T::Int) => col!(Int, map!(v, n, |x| x as i32)),
+            (C::Double(v, n), T::BigInt) => col!(BigInt, map!(v, n, |x| x as i64)),
+            (C::Double(v, n), T::Decimal(_, s)) => {
+                dec!(*s, map!(v, n, |x| (x * pow10(*s) as f64).round() as i128))
+            }
+            (C::Double(v, n), T::String) => col!(Str, map!(v, n, |x| format_double(x))),
+            (C::Decimal(v, s, n), T::Double) => {
+                col!(Double, map!(v, n, |u| u as f64 / pow10(*s) as f64))
+            }
+            (C::Decimal(v, s, n), T::Int) => col!(Int, map!(v, n, |u| (u / pow10(*s)) as i32)),
+            (C::Decimal(v, s, n), T::BigInt) => {
+                col!(BigInt, map!(v, n, |u| (u / pow10(*s)) as i64))
+            }
+            (C::Decimal(v, s, n), T::Decimal(_, s2)) => {
+                dec!(*s2, map!(v, n, |u| rescale(u, *s, *s2)))
+            }
+            (C::Decimal(v, s, n), T::String) => {
+                col!(Str, map!(v, n, |u| format_decimal(u, *s)))
+            }
+            (C::Boolean(v, n), T::Int) => col!(Int, map!(v, n, |b| b as i32)),
+            (C::Boolean(v, n), T::String) => col!(Str, map!(v, n, |b| b.to_string())),
+            (C::Date(v, n), T::Timestamp) => {
+                col!(Timestamp, map!(v, n, |d| d as i64 * DAY_MICROS))
+            }
+            (C::Date(v, n), T::String) => col!(Str, map!(v, n, |d| dates::format_date(d))),
+            (C::Timestamp(v, n), T::Date) => {
+                col!(Date, map!(v, n, |t| t.div_euclid(DAY_MICROS) as i32))
+            }
+            (C::Timestamp(v, n), T::String) => {
+                col!(Str, map!(v, n, |t| dates::format_timestamp(t)))
+            }
+            (C::Timestamp(v, n), T::BigInt) => col!(BigInt, map!(v, n, |t| t)),
+            _ => return no_cast(),
+        };
+        Ok(out)
     }
 
     /// Append all rows of `other` (must be the same variant).
@@ -629,9 +860,9 @@ impl ColumnVector {
 }
 
 /// Logical per-row comparison across the `Str`/`Dict` representations:
-/// two string columns are equal when every row has the same null flag
-/// and the same underlying string (including the padding value stored
-/// at null slots, matching the derived `Str`/`Str` semantics).
+/// two string columns are equal when every row is NULL in both or holds
+/// the same string in both. (What sits under a NULL slot is not
+/// compared: an encoded column can only pad with a dictionary entry.)
 fn str_eq_logical(a: &ColumnVector, b: &ColumnVector) -> bool {
     fn raw(c: &ColumnVector, i: usize) -> &str {
         match c {
@@ -643,7 +874,11 @@ fn str_eq_logical(a: &ColumnVector, b: &ColumnVector) -> bool {
     if a.len() != b.len() {
         return false;
     }
-    (0..a.len()).all(|i| a.is_null(i) == b.is_null(i) && raw(a, i) == raw(b, i))
+    (0..a.len()).all(|i| match (a.is_null(i), b.is_null(i)) {
+        (true, true) => true,
+        (false, false) => raw(a, i) == raw(b, i),
+        _ => false,
+    })
 }
 
 impl PartialEq for ColumnVector {

@@ -1,0 +1,224 @@
+//! The columnar gather and cast kernels against the per-cell path they
+//! replaced: `get(i)` → `Value` → `ColumnBuilder::push`. Every
+//! `ColumnVector` variant × (no bitmap / sparse NULLs / all NULL) ×
+//! (identity, permuted, repeated, sentinel, empty) index lists, plus
+//! the empty source column under all-sentinel indices.
+
+use hive_common::{BitSet, ColumnBuilder, ColumnVector, DataType, Value, NULL_INDEX};
+use proptest::prelude::*;
+use std::sync::Arc;
+
+const VARIANTS: usize = 9;
+
+/// Duplicate entries on purpose: equal strings under different codes.
+fn dictionary() -> Arc<Vec<String>> {
+    Arc::new(
+        ["a", "42", "a", "2001-02-03", " 7 ", "true", "1.255", "42"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect(),
+    )
+}
+
+/// A source column of variant `variant` over raw `cells`; a row is NULL
+/// when `null_mode` is 2, or 1 and its flag is set. NULL slots hold the
+/// type's default, as builders and readers leave them.
+fn column_of(variant: usize, cells: &[(i64, bool)], null_mode: u8) -> ColumnVector {
+    let is_null = |&(_, flag): &(i64, bool)| null_mode == 2 || (null_mode == 1 && flag);
+    let nulls = (null_mode != 0).then(|| {
+        let mut b = BitSet::new(cells.len());
+        for (i, c) in cells.iter().enumerate() {
+            if is_null(c) {
+                b.set(i);
+            }
+        }
+        b
+    });
+    fn vals<T: Default>(
+        cells: &[(i64, bool)],
+        is_null: impl Fn(&(i64, bool)) -> bool,
+        f: impl Fn(i64) -> T,
+    ) -> Vec<T> {
+        cells
+            .iter()
+            .map(|c| if is_null(c) { T::default() } else { f(c.0) })
+            .collect()
+    }
+    let text = |x: i64| match x.rem_euclid(6) {
+        0 => x.to_string(),
+        1 => format!("{}.{:03}", x / 1000, x.rem_euclid(1000)),
+        2 => "2019-09-27".to_string(),
+        3 => " TRUE".to_string(),
+        4 => "false".to_string(),
+        _ => format!("s{x}"),
+    };
+    match variant {
+        0 => ColumnVector::Boolean(vals(cells, is_null, |x| x & 1 == 1), nulls),
+        1 => ColumnVector::Int(vals(cells, is_null, |x| x as i32), nulls),
+        2 => ColumnVector::BigInt(vals(cells, is_null, |x| x), nulls),
+        3 => ColumnVector::Double(vals(cells, is_null, |x| x as f64 / 8.0), nulls),
+        4 => ColumnVector::Decimal(vals(cells, is_null, |x| x as i128), 2, nulls),
+        5 => ColumnVector::Str(vals(cells, is_null, text), nulls),
+        6 => {
+            let dict = dictionary();
+            let codes = vals(cells, is_null, |x| x.rem_euclid(dict.len() as i64) as u32);
+            ColumnVector::dict_from_codes(codes, dict, nulls).unwrap()
+        }
+        7 => ColumnVector::Date(vals(cells, is_null, |x| (x % 100_000) as i32), nulls),
+        _ => ColumnVector::Timestamp(vals(cells, is_null, |x| x), nulls),
+    }
+}
+
+fn bitmap(c: &ColumnVector) -> Option<&BitSet> {
+    match c {
+        ColumnVector::Boolean(_, n)
+        | ColumnVector::Int(_, n)
+        | ColumnVector::BigInt(_, n)
+        | ColumnVector::Double(_, n)
+        | ColumnVector::Decimal(_, _, n)
+        | ColumnVector::Str(_, n)
+        | ColumnVector::Dict { nulls: n, .. }
+        | ColumnVector::Date(_, n)
+        | ColumnVector::Timestamp(_, n) => n.as_ref(),
+    }
+}
+
+/// The index list of `mode` over a source of `n` rows.
+fn indices(mode: u8, n: usize, raw: &[u32]) -> Vec<u32> {
+    if n == 0 {
+        // Only NULL rows can be gathered from an empty source.
+        return if mode == 4 {
+            Vec::new()
+        } else {
+            vec![NULL_INDEX; raw.len()]
+        };
+    }
+    let n32 = n as u32;
+    match mode {
+        0 => (0..n32).collect(),
+        1 => {
+            let mut idx: Vec<u32> = (0..n32).collect();
+            idx.sort_by_key(|&i| (raw.get(i as usize).copied().unwrap_or(i), i));
+            idx
+        }
+        2 => raw.iter().map(|r| r % n32).collect(),
+        3 => raw
+            .iter()
+            .map(|r| match r % (n32 + 1) {
+                r if r == n32 => NULL_INDEX,
+                r => r,
+            })
+            .collect(),
+        _ => Vec::new(),
+    }
+}
+
+/// The replaced path: one `Value` per cell through a builder.
+fn reference<'a>(
+    cells: impl Iterator<Item = Value> + 'a,
+    dt: &DataType,
+) -> Result<ColumnVector, String> {
+    let mut b = ColumnBuilder::new(dt).map_err(|e| e.to_string())?;
+    for v in cells {
+        b.push(&v).map_err(|e| e.to_string())?;
+    }
+    Ok(b.finish())
+}
+
+fn assert_bitmap_only_for_nulls(c: &ColumnVector) {
+    assert_eq!(bitmap(c).is_some(), c.null_count() > 0, "{c:?}");
+}
+
+proptest! {
+    #[test]
+    fn gather_matches_the_value_round_trip(
+        variant in 0usize..VARIANTS,
+        cells in proptest::collection::vec((-3_000_000_000_000_000i64..3_000_000_000_000_000, any::<bool>()), 0..40),
+        null_mode in 0u8..3,
+        index_mode in 0u8..5,
+        raw in proptest::collection::vec(any::<u32>(), 0..60),
+    ) {
+        let src = column_of(variant, &cells, null_mode);
+        let idx = indices(index_mode, src.len(), &raw);
+        let want = reference(
+            idx.iter().map(|&i| if i == NULL_INDEX { Value::Null } else { src.get(i as usize) }),
+            &src.data_type(),
+        )
+        .unwrap();
+
+        let got = src.take_or_null(&idx);
+        prop_assert_eq!(&got, &want);
+        prop_assert_eq!(got.len(), idx.len());
+        assert_bitmap_only_for_nulls(&got);
+        // The representation survives; an encoded column keeps its
+        // dictionary by handle (an empty one has no code for a NULL).
+        match (src.dict_parts(), got.dict_parts()) {
+            (Some((_, d0, _)), Some((_, d1, _))) => prop_assert!(Arc::ptr_eq(d0, d1)),
+            (Some((_, d0, _)), None) => prop_assert!(d0.is_empty()),
+            (None, got_dict) => prop_assert!(got_dict.is_none()),
+        }
+        if !idx.contains(&NULL_INDEX) {
+            let plain = src.take(&idx);
+            prop_assert_eq!(&plain, &want);
+            assert_bitmap_only_for_nulls(&plain);
+        }
+    }
+
+    #[test]
+    fn cast_matches_the_value_round_trip(
+        variant in 0usize..VARIANTS,
+        cells in proptest::collection::vec((-3_000_000_000_000_000i64..3_000_000_000_000_000, any::<bool>()), 0..40),
+        null_mode in 0u8..3,
+    ) {
+        let src = column_of(variant, &cells, null_mode);
+        for want in [
+            DataType::Boolean,
+            DataType::Int,
+            DataType::BigInt,
+            DataType::Double,
+            DataType::Decimal(12, 0),
+            DataType::Decimal(38, 2),
+            DataType::Decimal(20, 5),
+            DataType::String,
+            DataType::Date,
+            DataType::Timestamp,
+        ] {
+            // Aligned types never reach the kernel: `align_column`
+            // passes them through by handle.
+            let aligned = src.data_type() == want
+                || matches!((&src, &want), (ColumnVector::Decimal(_, a, _), DataType::Decimal(_, b)) if a == b);
+            if aligned {
+                continue;
+            }
+            let expect = reference((0..src.len()).map(|i| src.get(i)), &want);
+            match (src.cast_to(&want), expect) {
+                (Ok(got), Ok(expect)) => {
+                    prop_assert_eq!(&got, &expect, "{:?} -> {}", src, want);
+                    assert_bitmap_only_for_nulls(&got);
+                }
+                (Err(got), Err(expect)) => prop_assert_eq!(got.to_string(), expect),
+                (got, expect) => prop_assert!(false, "{src:?} -> {want}: {got:?} vs {expect:?}"),
+            }
+        }
+    }
+}
+
+#[test]
+fn empty_dictionary_null_extends_to_a_plain_column() {
+    let empty = ColumnVector::dict_from_codes(Vec::new(), Arc::new(Vec::new()), None).unwrap();
+    let got = empty.take_or_null(&[NULL_INDEX; 3]);
+    assert_eq!(got, ColumnVector::all_null(&DataType::String, 3).unwrap());
+    assert_eq!(got.null_count(), 3);
+    assert!(empty.take_or_null(&[]).is_empty());
+}
+
+#[test]
+fn decimal_rescale_rounds_like_the_scalar_cast() {
+    let src = ColumnVector::Decimal(vec![1255, -1255, 1, 0], 3, None);
+    let got = src.cast_to(&DataType::Decimal(10, 2)).unwrap();
+    let expect: Vec<Value> = (0..4)
+        .map(|i| src.get(i).cast_to(&DataType::Decimal(10, 2)).unwrap())
+        .collect();
+    assert_eq!((0..4).map(|i| got.get(i)).collect::<Vec<_>>(), expect);
+    assert_eq!(got, ColumnVector::Decimal(vec![126, -126, 0, 0], 2, None));
+}

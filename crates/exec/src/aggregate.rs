@@ -9,11 +9,12 @@
 //! partition count (and deterministic, unlike HashMap iteration order).
 
 use crate::dict::{KeyPart, KeyReader};
+use crate::engine::align_column;
 use crate::kernels::eval_vector;
 use crate::rawtable::{self, RawTable};
 use crate::spill::{partition_of, plan_partition, push_rec, RecIter, SpillCtx};
 use hive_common::hash::FNV_OFFSET;
-use hive_common::{ColumnVector, Result, Row, SelBatch, SelVec, Value, VectorBatch};
+use hive_common::{ColumnVector, Result, SelBatch, SelVec, Value, VectorBatch, NULL_INDEX};
 use hive_optimizer::{AggExpr, AggFunc, ScalarExpr};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -369,7 +370,7 @@ pub fn execute_aggregate_par(
     let with_gid = grouping_sets.is_some();
 
     let mut any_compiled = false;
-    let mut out_rows: Vec<Row> = Vec::new();
+    let mut parts: Vec<VectorBatch> = Vec::with_capacity(sets.len());
     for set in &sets {
         // Grouping id: bit k set when key k is aggregated away.
         let gid: i64 = (0..group_exprs.len())
@@ -408,47 +409,86 @@ pub fn execute_aggregate_par(
             }
         };
         // Global aggregation with no keys over empty input yields the
-        // neutral row.
+        // neutral row (its position is never read: there are no keys).
         if groups.is_empty() && set.is_empty() {
-            groups.push((
-                Vec::new(),
-                aggs.iter().map(|a| Acc::new(a, rawtable)).collect(),
-            ));
+            groups.push((0, aggs.iter().map(|a| Acc::new(a, rawtable)).collect()));
         }
-        for (key, accs) in groups {
-            let mut row: Vec<Value> = Vec::with_capacity(out_schema.len());
-            let mut key_iter = key.into_iter();
-            for k in 0..group_exprs.len() {
-                if set.contains(&k) {
-                    // invariant: the key vec holds exactly one value per
-                    // member of `set`, pushed in `set` order below.
-                    row.push(key_iter.next().ok_or_else(|| {
-                        hive_common::HiveError::Execution("group key arity mismatch".into())
-                    })?);
-                } else {
-                    row.push(Value::Null);
-                }
-            }
-            // Keys were produced in `set` order; reorder into key-index
-            // order. (`set` is ascending by construction from the
-            // parser, so the straight zip above is already aligned —
-            // assert in debug builds.)
-            debug_assert!(set.windows(2).all(|w| w[0] < w[1]));
-            for acc in accs {
-                row.push(acc.finish()?);
-            }
-            if with_gid {
-                row.push(Value::BigInt(gid));
-            }
-            out_rows.push(Row::new(row));
-        }
+        parts.push(emit_groups(
+            groups,
+            &input.sel,
+            &key_cols,
+            set,
+            aggs.len(),
+            with_gid.then_some(gid),
+            out_schema,
+        )?);
     }
     if any_compiled {
         if let Some(pc) = pir {
             pc.compiled_stages += 1;
         }
     }
-    VectorBatch::from_rows(out_schema, &out_rows)
+    match parts.len() {
+        1 => Ok(parts.swap_remove(0)),
+        _ => VectorBatch::concat(out_schema, &parts),
+    }
+}
+
+/// One grouping set's output batch, columnar: each group key is one
+/// typed gather of its key column at the groups' first-seen rows (a
+/// `Dict` key stays `Dict` over the same dictionary; a key this set
+/// aggregates away gathers all-NULL), each aggregate finishes its
+/// per-group states into one column, and every column is aligned to the
+/// declared output type.
+fn emit_groups(
+    groups: Vec<(usize, Vec<Acc>)>,
+    sel: &SelVec,
+    key_cols: &[Arc<ColumnVector>],
+    set: &[usize],
+    naggs: usize,
+    gid: Option<i64>,
+    out_schema: &hive_common::Schema,
+) -> Result<VectorBatch> {
+    let n = groups.len();
+    let first_rows: Vec<u32> = if set.is_empty() {
+        Vec::new()
+    } else {
+        groups
+            .iter()
+            .map(|(pos, _)| sel.index(*pos) as u32)
+            .collect()
+    };
+    let absent = vec![NULL_INDEX; if set.len() < key_cols.len() { n } else { 0 }];
+    let want = |c: usize| &out_schema.field(c).data_type;
+    let mut cols: Vec<Arc<ColumnVector>> = Vec::with_capacity(out_schema.len());
+    for (k, key) in key_cols.iter().enumerate() {
+        let col = if set.contains(&k) {
+            key.take(&first_rows)
+        } else {
+            key.take_or_null(&absent)
+        };
+        cols.push(align_column(Arc::new(col), want(k))?);
+    }
+    let mut states: Vec<std::vec::IntoIter<Acc>> = groups
+        .into_iter()
+        .map(|(_, accs)| accs.into_iter())
+        .collect();
+    for _ in 0..naggs {
+        let finished = states
+            .iter_mut()
+            .filter_map(Iterator::next)
+            .map(Acc::finish)
+            .collect::<Result<Vec<Value>>>()?;
+        cols.push(Arc::new(ColumnVector::from_values(
+            &finished,
+            want(cols.len()),
+        )?));
+    }
+    if let Some(gid) = gid {
+        let col = ColumnVector::BigInt(vec![gid; n], None);
+        cols.push(align_column(Arc::new(col), want(cols.len()))?);
+    }
+    VectorBatch::from_arcs(out_schema.clone(), cols, n)
 }
 
 /// Replace each group's interpreted accumulator states with the
@@ -534,7 +574,7 @@ fn build_groups(
     workers: usize,
     rawtable: bool,
     compiled: bool,
-) -> Result<Vec<(Vec<Value>, Vec<Acc>)>> {
+) -> Result<Vec<(usize, Vec<Acc>)>> {
     let num_rows = sel.len();
     // Key access goes through per-column readers: dictionary-encoded
     // string columns contribute their u32 code (no string clone, no
@@ -546,9 +586,17 @@ fn build_groups(
     // Dense group lookup for the common single-dictionary-key case:
     // slot 0 is the NULL group, slot c+1 the group of code c — no
     // per-row key bytes, no table probe at all (both arms).
-    let dense_len = match &readers[..] {
-        [r] => r.dict_len(),
+    let dense_keys = match &readers[..] {
+        [r] => r.dict_codes(),
         _ => None,
+    };
+    let dense_slots = dense_keys.map_or(0, |(_, _, dict_len)| dict_len + 1);
+    let dense_slot = |codes: &[u32], nulls: Option<&hive_common::BitSet>, i: usize| {
+        if nulls.is_some_and(|n| n.get(i)) {
+            0
+        } else {
+            codes[i] as usize + 1
+        }
     };
 
     let parallel = workers > 1 && num_rows >= 2;
@@ -556,7 +604,7 @@ fn build_groups(
     // flat-table probe hash (rawtable arm, non-dense keys). The dense
     // path indexes groups by code, so serial dense builds skip hashing
     // entirely.
-    let need_hashes = parallel || (rawtable && dense_len.is_none() && num_rows > 0);
+    let need_hashes = parallel || (rawtable && dense_keys.is_none() && num_rows > 0);
     let hashes: Vec<u64> = if need_hashes {
         let chunk = num_rows.div_ceil(workers.max(1)).max(1);
         let nchunks = num_rows.div_ceil(chunk);
@@ -570,13 +618,6 @@ fn build_groups(
         Vec::new()
     };
 
-    // Materialize a group's key scalars from its first-seen position —
-    // once per group, not once per row.
-    let emit_pos = |pos: usize| -> Vec<Value> {
-        let i = sel.index(pos);
-        readers.iter().map(|r| r.value_of(&r.part(i))).collect()
-    };
-
     // One partition's build, `HashMap` arm (the differential oracle):
     // fold every selected position whose stable key hash maps to this
     // partition, in ascending position order (`filter` preserves it),
@@ -588,7 +629,7 @@ fn build_groups(
     let build_partition = |route: Option<(usize, usize)>| -> Result<Vec<(usize, Vec<Acc>)>> {
         let mut index: HashMap<Vec<KeyPart>, usize> = HashMap::new();
         let mut groups: Vec<(usize, Vec<Acc>)> = Vec::new();
-        let mut dense: Vec<usize> = vec![usize::MAX; dense_len.map_or(0, |d| d + 1)];
+        let mut dense: Vec<usize> = vec![usize::MAX; dense_slots];
         let (mut rows_idx, mut assign): (Vec<u32>, Vec<u32>) = (Vec::new(), Vec::new());
         for pos in 0..num_rows {
             if let Some((nparts, p)) = route {
@@ -597,14 +638,8 @@ fn build_groups(
                 }
             }
             let i = sel.index(pos);
-            let gi = if dense_len.is_some() {
-                let slot = match readers[0].part(i) {
-                    KeyPart::Null => 0,
-                    KeyPart::Code(c) => c as usize + 1,
-                    // invariant: a reader with dict_len() set only
-                    // emits Null and Code parts.
-                    KeyPart::Val(_) => unreachable!("value part from a dictionary reader"),
-                };
+            let gi = if let Some((codes, nulls, _)) = dense_keys {
+                let slot = dense_slot(codes, nulls, i);
                 if dense[slot] == usize::MAX {
                     dense[slot] = groups.len();
                     groups.push((pos, aggs.iter().map(|a| Acc::new(a, false)).collect()));
@@ -650,7 +685,7 @@ fn build_groups(
         let mut table = RawTable::new();
         let mut scratch: Vec<u8> = Vec::new();
         let mut groups: Vec<(usize, Vec<Acc>)> = Vec::new();
-        let mut dense: Vec<usize> = vec![usize::MAX; dense_len.map_or(0, |d| d + 1)];
+        let mut dense: Vec<usize> = vec![usize::MAX; dense_slots];
         let (mut rows_idx, mut assign): (Vec<u32>, Vec<u32>) = (Vec::new(), Vec::new());
         for pos in 0..num_rows {
             if let Some((nparts, p)) = route {
@@ -659,13 +694,8 @@ fn build_groups(
                 }
             }
             let i = sel.index(pos);
-            let gi = if dense_len.is_some() {
-                let slot = match readers[0].part(i) {
-                    KeyPart::Null => 0,
-                    KeyPart::Code(c) => c as usize + 1,
-                    // invariant: see `build_partition`.
-                    KeyPart::Val(_) => unreachable!("value part from a dictionary reader"),
-                };
+            let gi = if let Some((codes, nulls, _)) = dense_keys {
+                let slot = dense_slot(codes, nulls, i);
                 if dense[slot] == usize::MAX {
                     dense[slot] = groups.len();
                     groups.push((pos, aggs.iter().map(|a| Acc::new(a, true)).collect()));
@@ -709,11 +739,7 @@ fn build_groups(
     };
 
     if !parallel {
-        let groups = build(None)?;
-        return Ok(groups
-            .into_iter()
-            .map(|(pos, a)| (emit_pos(pos), a))
-            .collect());
+        return build(None);
     }
 
     // One build per hash partition. A group's rows all share a hash, so
@@ -724,7 +750,7 @@ fn build_groups(
     let parts = crate::par::parallel_map(workers, nparts, |p| build(Some((nparts, p))))?;
     let mut all: Vec<(usize, Vec<Acc>)> = parts.into_iter().flatten().collect();
     all.sort_by_key(|(first_pos, _)| *first_pos);
-    Ok(all.into_iter().map(|(pos, a)| (emit_pos(pos), a)).collect())
+    Ok(all)
 }
 
 /// The spilling build for one grouping set: every selected position's
@@ -750,7 +776,7 @@ fn build_groups_spilled(
     aggs: &[AggExpr],
     rawtable: bool,
     sp: &SpillCtx<'_>,
-) -> Result<Vec<(Vec<Value>, Vec<Acc>)>> {
+) -> Result<Vec<(usize, Vec<Acc>)>> {
     let num_rows = sel.len();
     let readers: Vec<KeyReader<'_>> = set
         .iter()
@@ -787,14 +813,7 @@ fn build_groups_spilled(
         &mut file_seq,
     )?;
     groups.sort_by_key(|(first_pos, _)| *first_pos);
-    let emit_pos = |pos: usize| -> Vec<Value> {
-        let i = sel.index(pos);
-        readers.iter().map(|r| r.value_of(&r.part(i))).collect()
-    };
-    Ok(groups
-        .into_iter()
-        .map(|(pos, a)| (emit_pos(pos), a))
-        .collect())
+    Ok(groups)
 }
 
 /// Solve one aggregation partition: fold it in memory (charging the
@@ -918,7 +937,7 @@ fn agg_solve(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hive_common::{DataType, Field, Schema};
+    use hive_common::{DataType, Field, Row, Schema};
     use hive_optimizer::plan::LogicalPlan;
     use std::sync::Arc;
 

@@ -21,8 +21,7 @@ pub(crate) enum KeyPart {
     Val(Value),
 }
 
-/// Per-column key accessor: resolves each row to a [`KeyPart`] and can
-/// materialize parts back to scalars at output time.
+/// Per-column key accessor: resolves each row to a [`KeyPart`].
 pub(crate) struct KeyReader<'a> {
     col: &'a ColumnVector,
     #[allow(clippy::type_complexity)]
@@ -64,10 +63,12 @@ impl<'a> KeyReader<'a> {
         }
     }
 
-    /// Number of dictionary entries when the code fast path is active
-    /// (codes are then dense in `0..dict_len`).
-    pub fn dict_len(&self) -> Option<usize> {
-        self.dict.as_ref().map(|(_, d, _)| d.len())
+    /// The code fast path's parts, when active: per-row codes, the null
+    /// bitmap, and the dictionary size (codes are dense below it).
+    pub fn dict_codes(&self) -> Option<(&'a [u32], Option<&'a BitSet>, usize)> {
+        self.dict
+            .as_ref()
+            .map(|(codes, d, nulls)| (*codes, *nulls, d.len()))
     }
 
     /// Append row `i`'s canonical key-part encoding (the flat-table key
@@ -111,20 +112,6 @@ impl<'a> KeyReader<'a> {
             }
         }
     }
-
-    /// Materialize a part produced by this reader back to its scalar.
-    pub fn value_of(&self, p: &KeyPart) -> Value {
-        match p {
-            KeyPart::Null => Value::Null,
-            KeyPart::Code(c) => match &self.dict {
-                Some((_, dict, _)) => Value::String(dict[*c as usize].clone()),
-                // invariant: `Code` parts only come out of `part()`,
-                // which only emits them when `dict` is present.
-                None => unreachable!("Code part from a non-dictionary reader"),
-            },
-            KeyPart::Val(v) => v.clone(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -132,7 +119,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parts_round_trip_through_value_of() {
+    fn parts_follow_the_column_representation() {
         let dict = Arc::new(vec!["a".to_string(), "b".to_string()]);
         let mut nulls = BitSet::new(3);
         nulls.set(2);
@@ -140,12 +127,12 @@ mod tests {
         let r = KeyReader::new(&col);
         assert_eq!(r.part(0), KeyPart::Code(1));
         assert_eq!(r.part(2), KeyPart::Null);
-        assert_eq!(r.value_of(&r.part(0)), Value::String("b".into()));
-        assert_eq!(r.value_of(&r.part(2)), Value::Null);
+        assert_eq!(r.dict_codes().map(|(_, _, len)| len), Some(2));
 
         let plain = ColumnVector::Int(vec![7, 8], None);
         let rp = KeyReader::new(&plain);
         assert_eq!(rp.part(1), KeyPart::Val(Value::Int(8)));
+        assert!(rp.dict_codes().is_none());
     }
 
     #[test]

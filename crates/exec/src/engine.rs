@@ -9,7 +9,7 @@ use crate::membroker::MemoryBroker;
 use crate::scan::execute_scan;
 use crate::spill::SpillCtx;
 use crate::window::execute_window;
-use hive_common::{ColumnBuilder, HiveConf, HiveError, Result, Row, SelBatch, SelVec, VectorBatch};
+use hive_common::{HiveConf, HiveError, Result, Row, SelBatch, SelVec, VectorBatch};
 use hive_dfs::{DfsPath, DistFs};
 use hive_metastore::{Metastore, ValidWriteIdList};
 use hive_optimizer::fingerprint::fingerprint;
@@ -679,7 +679,7 @@ fn execute_sel_inner(plan: &LogicalPlan, ctx: &ExecContext) -> Result<(SelBatch,
             if let Some(sp) = &sp {
                 fold_spill(&mut t, sp);
             }
-            Ok((SelBatch::from_batch(out), t))
+            Ok((out, t))
         }
         LogicalPlan::Aggregate {
             input,
@@ -1024,7 +1024,8 @@ impl<'a> SortAccess<'a> {
 /// Coerce a column produced by a kernel to the declared output type
 /// (kernels keep natural types; e.g. `Int + Int` stays Int even when
 /// the planner widened the projection type). Aligned columns pass
-/// through by handle.
+/// through by handle; the rest take one typed cast
+/// ([`hive_common::ColumnVector::cast_to`]).
 pub fn align_column(
     col: std::sync::Arc<hive_common::ColumnVector>,
     want: &hive_common::DataType,
@@ -1032,11 +1033,7 @@ pub fn align_column(
     if type_aligned(&col.data_type(), want) {
         return Ok(col);
     }
-    let mut b = ColumnBuilder::new(want)?;
-    for i in 0..col.len() {
-        b.push(&col.get(i))?;
-    }
-    Ok(std::sync::Arc::new(b.finish()))
+    Ok(std::sync::Arc::new(col.cast_to(want)?))
 }
 
 /// INTERSECT / EXCEPT via row-count maps (ALL keeps multiplicity).

@@ -15,8 +15,8 @@ use crate::rawtable::{self, RawTable};
 use crate::spill::{partition_of, plan_partition, push_rec, RecIter, SpillCtx};
 use hive_common::hash::{self, FNV_OFFSET};
 use hive_common::{
-    BitSet, ColumnBuilder, ColumnVector, HiveError, Result, Schema, SelBatch, SelVec, Value,
-    VectorBatch,
+    BitSet, ColumnVector, HiveError, Result, Schema, SelBatch, SelVec, Value, VectorBatch,
+    NULL_INDEX,
 };
 use hive_optimizer::eval::eval_scalar;
 use hive_optimizer::plan::JoinType;
@@ -49,6 +49,7 @@ pub fn execute_join(
         None,
         None,
     )
+    .map(SelBatch::compact)
 }
 
 /// One component of a join key as stored in the hash table.
@@ -305,6 +306,11 @@ enum BuildSide {
 /// then lower to compiled kernels and evaluate vectorized over gathered
 /// candidate pair-batches ([`ResidualPlan`]), with the row closure kept
 /// as the fallback for non-compilable expressions and the grace path.
+///
+/// The output is columnar end to end: one typed gather per column
+/// ([`assemble`]), dictionary columns staying encoded over their shared
+/// dictionary. Semi and anti joins copy nothing — they return the probe
+/// batch's columns under a narrowed selection.
 #[allow(clippy::too_many_arguments)]
 pub fn execute_join_par(
     left_in: &SelBatch,
@@ -318,7 +324,7 @@ pub fn execute_join_par(
     rawtable: bool,
     spill: Option<&SpillCtx<'_>>,
     pir: Option<&mut crate::pir::PirCounters>,
-) -> Result<VectorBatch> {
+) -> Result<SelBatch> {
     // Memory admission. With a broker present the build's modeled bytes
     // must win a grant (held for the whole join); a denial — or the
     // legacy row budget, kept as a planner-misprediction signal —
@@ -326,7 +332,7 @@ pub fn execute_join_par(
     // otherwise downgrades the typed memory error to `Retryable` so the
     // §4.2 re-optimization ladder still applies.
     let over_rows = right_in.num_rows() > build_row_budget;
-    let mut grace = false;
+    let mut grace: Option<&SpillCtx<'_>> = None;
     let _grant = match spill {
         Some(sp) => {
             let est = crate::spill::estimate_table_bytes(right_in.num_rows(), equi.len().max(1));
@@ -340,7 +346,7 @@ pub fn execute_join_par(
                     };
                     return Err(HiveError::Retryable(err.to_string()));
                 }
-                grace = true;
+                grace = Some(sp);
                 None // grace partitions charge their own working sets
             } else {
                 g
@@ -381,14 +387,11 @@ pub fn execute_join_par(
 
     // Evaluate key columns, compact (length = selected row count).
     let sel_key = |sb: &SelBatch, e: &ScalarExpr| -> Result<Arc<ColumnVector>> {
-        match &sb.sel {
-            SelVec::All(_) => eval_vector(e, &sb.batch),
-            SelVec::Idx(idx) => match e {
-                ScalarExpr::Column(c) => Ok(Arc::new(sb.batch.column(*c).take(idx))),
-                // invariant: `normalize` compacted this side otherwise.
-                _ => unreachable!("non-trivial join key over a selection"),
-            },
-        }
+        let col = eval_vector(e, &sb.batch)?; // a bare column is an `Arc` clone
+        Ok(match &sb.sel {
+            SelVec::All(_) => col,
+            SelVec::Idx(idx) => Arc::new(col.take(idx)),
+        })
     };
     let lkeys = equi
         .iter()
@@ -410,21 +413,33 @@ pub fn execute_join_par(
     // Candidate pairs that went through the row interpreter (counted
     // only when a residual exists — the closure is also the no-residual
     // "always true" answer, which is not a fallback).
+    // The interpreted row reads only the columns the predicate
+    // references; the rest stay NULL, as `flush_pairs` pads them.
     let resid_pairs = AtomicU64::new(0);
+    let lw = left.batch.num_columns();
+    let width = lw + right.batch.num_columns();
+    let mut resid_cols = residual.as_ref().map_or(Vec::new(), ScalarExpr::columns);
+    resid_cols.retain(|&c| c < width); // an unbound column fails in `eval_scalar`
     let residual_ok = |li: u32, ri: u32| -> Result<bool> {
         match residual {
             None => Ok(true),
             Some(pred) => {
                 resid_pairs.fetch_add(1, Ordering::Relaxed);
-                let mut vals = left.batch.row(left.sel.index(li as usize)).into_values();
-                vals.extend(right.batch.row(right.sel.index(ri as usize)).into_values());
+                let (lrow, rrow) = (left.sel.index(li as usize), right.sel.index(ri as usize));
+                let mut vals = vec![Value::Null; width];
+                for &c in &resid_cols {
+                    vals[c] = if c < lw {
+                        left.batch.column(c).get(lrow)
+                    } else {
+                        right.batch.column(c - lw).get(rrow)
+                    };
+                }
                 Ok(eval_scalar(pred, &vals)? == Value::Boolean(true))
             }
         }
     };
 
-    if grace {
-        let sp = spill.expect("grace join requires a spill context");
+    if let Some(sp) = grace {
         let result = grace_join(
             &left,
             &right,
@@ -434,6 +449,7 @@ pub fn execute_join_par(
             out_schema,
             sp,
             rawtable,
+            workers,
         )?;
         // Grace joins always interpret their residual (partitions probe
         // row-at-a-time off spill records) — pure fallback, no compiled
@@ -542,11 +558,13 @@ pub fn execute_join_par(
         let mut cands: Vec<u32> = Vec::new();
         let mut key_parts: Vec<JPart> = Vec::with_capacity(codecs.len());
         let mut scratch: Vec<u8> = Vec::new();
-        // Compiled-residual buffers: candidate pairs accumulate across
-        // probe rows (`pr` = build positions, `spans` = per-probe-row
-        // slices of it) and flush through the kernels in batches.
-        let mut pr: Vec<u32> = Vec::new();
-        let mut spans: Vec<(u32, u32, u32)> = Vec::new();
+        // Compiled-residual buffers, held with their plan: candidate
+        // pairs accumulate across probe rows (`pr` = build positions,
+        // `spans` = per-probe-row slices of it) and flush through the
+        // kernels in batches.
+        let mut pairs = resid_plan
+            .as_ref()
+            .map(|plan| (plan, Vec::<u32>::new(), Vec::<(u32, u32, u32)>::new()));
         for li in lo..hi {
             cands.clear();
             // NULL probe keys (hash `None`) never match.
@@ -555,16 +573,13 @@ pub fn execute_join_par(
                 match &build_side {
                     BuildSide::Map(tables) => {
                         key_parts.clear();
-                        for c in &codecs {
-                            match c.probe_part(li as usize) {
-                                Some(p) => key_parts.push(p),
-                                // invariant: the hash existed, so no
-                                // part is NULL.
-                                None => unreachable!("NULL key part under a non-NULL key hash"),
+                        // A NULL part (none under a non-NULL hash)
+                        // leaves the key short: no lookup, no match.
+                        key_parts.extend(codecs.iter().map_while(|c| c.probe_part(li as usize)));
+                        if key_parts.len() == codecs.len() {
+                            if let Some(cs) = tables[part].get(key_parts.as_slice()) {
+                                cands.extend_from_slice(cs);
                             }
-                        }
-                        if let Some(cs) = tables[part].get(key_parts.as_slice()) {
-                            cands.extend_from_slice(cs);
                         }
                     }
                     BuildSide::Raw(builds) => {
@@ -583,14 +598,14 @@ pub fn execute_join_par(
                     }
                 }
             }
-            match &resid_plan {
-                Some(plan) => {
+            match &mut pairs {
+                Some((plan, pr, spans)) => {
                     let start = pr.len() as u32;
                     pr.extend_from_slice(&cands);
                     spans.push((li, start, pr.len() as u32));
                     if pr.len() >= RESID_FLUSH {
                         flush_pairs(
-                            plan, &left, &right, join_type, &pr, &spans, &mut kept, &mut out,
+                            plan, &left, &right, join_type, pr, spans, &mut kept, &mut out,
                         )?;
                         pr.clear();
                         spans.clear();
@@ -607,12 +622,9 @@ pub fn execute_join_par(
                 }
             }
         }
-        if !spans.is_empty() {
-            let plan = resid_plan
-                .as_ref()
-                .expect("spans imply a compiled residual");
+        if let Some((plan, pr, spans)) = pairs.as_ref().filter(|(_, _, spans)| !spans.is_empty()) {
             flush_pairs(
-                plan, &left, &right, join_type, &pr, &spans, &mut kept, &mut out,
+                plan, &left, &right, join_type, pr, spans, &mut kept, &mut out,
             )?;
         }
         Ok(out)
@@ -630,38 +642,16 @@ pub fn execute_join_par(
         })?
     };
 
-    // Deterministic merge: concatenate range outputs in range order and
-    // OR the matched-right sets (order-insensitive booleans).
-    let mut out_left: Vec<u32> = Vec::new();
-    let mut out_right: Vec<Option<u32>> = Vec::new();
-    let mut right_matched = vec![false; right.num_rows()];
+    // Deterministic merge: concatenate range outputs in range order
+    // (the matched-right lists become an order-insensitive set in
+    // `assemble`).
+    let mut merged = ProbeOut::default();
     for r in ranges {
-        out_left.extend(r.left);
-        out_right.extend(r.right);
-        for ri in r.matched_right {
-            right_matched[ri as usize] = true;
-        }
+        merged.left.extend(r.left);
+        merged.right.extend(r.right);
+        merged.matched_right.extend(r.matched_right);
     }
-
-    // Unmatched build rows for right/full joins.
-    let mut extra_right: Vec<u32> = Vec::new();
-    if matches!(join_type, JoinType::Right | JoinType::Full) {
-        for (ri, m) in right_matched.iter().enumerate() {
-            if !m {
-                extra_right.push(ri as u32);
-            }
-        }
-    }
-
-    let result = assemble(
-        &left,
-        &right,
-        join_type,
-        &out_left,
-        &out_right,
-        &extra_right,
-        out_schema,
-    )?;
+    let result = assemble(&left, &right, join_type, merged, out_schema, workers)?;
     if let Some(pc) = pir {
         if residual.is_some() {
             if resid_plan.is_some() {
@@ -677,7 +667,9 @@ pub fn execute_join_par(
 #[derive(Default)]
 struct ProbeOut {
     left: Vec<u32>,
-    right: Vec<Option<u32>>,
+    /// Build position per output row; [`NULL_INDEX`] where the probe
+    /// row found no match.
+    right: Vec<u32>,
     matched_right: Vec<u32>,
 }
 
@@ -690,17 +682,17 @@ fn emit_probe(join_type: JoinType, li: u32, kept: &[u32], out: &mut ProbeOut) {
         JoinType::Inner | JoinType::Cross => {
             for &ri in kept {
                 out.left.push(li);
-                out.right.push(Some(ri));
+                out.right.push(ri);
             }
         }
         JoinType::Left => {
             if kept.is_empty() {
                 out.left.push(li);
-                out.right.push(None);
+                out.right.push(NULL_INDEX);
             } else {
                 for &ri in kept {
                     out.left.push(li);
-                    out.right.push(Some(ri));
+                    out.right.push(ri);
                 }
             }
         }
@@ -708,23 +700,23 @@ fn emit_probe(join_type: JoinType, li: u32, kept: &[u32], out: &mut ProbeOut) {
             for &ri in kept {
                 out.matched_right.push(ri);
                 out.left.push(li);
-                out.right.push(Some(ri));
+                out.right.push(ri);
             }
             if join_type == JoinType::Full && kept.is_empty() {
                 out.left.push(li);
-                out.right.push(None);
+                out.right.push(NULL_INDEX);
             }
         }
         JoinType::Semi => {
             if !kept.is_empty() {
                 out.left.push(li);
-                out.right.push(None);
+                out.right.push(NULL_INDEX);
             }
         }
         JoinType::Anti => {
             if kept.is_empty() {
                 out.left.push(li);
-                out.right.push(None);
+                out.right.push(NULL_INDEX);
             }
         }
     }
@@ -817,7 +809,7 @@ fn flush_pairs(
     let mut cols: Vec<Arc<ColumnVector>> = Vec::with_capacity(plan.schema.fields().len());
     for (ci, f) in plan.schema.fields().iter().enumerate() {
         let col = if !plan.referenced[ci] {
-            crate::pir::fuse::null_column(&f.data_type, npairs)?
+            ColumnVector::all_null(&f.data_type, npairs)?
         } else if ci < lw {
             left.batch.column(ci).take(&lidx)
         } else {
@@ -879,7 +871,8 @@ fn grace_join(
     out_schema: &Schema,
     sp: &SpillCtx<'_>,
     rawtable: bool,
-) -> Result<VectorBatch> {
+    workers: usize,
+) -> Result<SelBatch> {
     let op = sp.next_op();
     let rhashes = hash_rows(codecs, 0, right.num_rows(), true);
     let phashes = hash_rows(codecs, 0, left.num_rows(), false);
@@ -936,30 +929,9 @@ fn grace_join(
     // emission order is ascending right position already).
     let mut order: Vec<u32> = (0..out.left.len() as u32).collect();
     order.sort_by_key(|&i| out.left[i as usize]);
-    let out_left: Vec<u32> = order.iter().map(|&i| out.left[i as usize]).collect();
-    let out_right: Vec<Option<u32>> = order.iter().map(|&i| out.right[i as usize]).collect();
-
-    let mut right_matched = vec![false; right.num_rows()];
-    for ri in out.matched_right {
-        right_matched[ri as usize] = true;
-    }
-    let mut extra_right: Vec<u32> = Vec::new();
-    if matches!(join_type, JoinType::Right | JoinType::Full) {
-        for (ri, m) in right_matched.iter().enumerate() {
-            if !m {
-                extra_right.push(ri as u32);
-            }
-        }
-    }
-    assemble(
-        left,
-        right,
-        join_type,
-        &out_left,
-        &out_right,
-        &extra_right,
-        out_schema,
-    )
+    out.left = order.iter().map(|&i| out.left[i as usize]).collect();
+    out.right = order.iter().map(|&i| out.right[i as usize]).collect();
+    assemble(left, right, join_type, out, out_schema, workers)
 }
 
 /// Solve one grace partition: fit it in memory (charging the broker)
@@ -1121,51 +1093,97 @@ fn grace_solve(
     Ok(())
 }
 
-/// Gather the output columns. `out_left`/`out_right`/`extra_right` hold
-/// *positions* into each side's selection; `sel.index` maps them back to
-/// underlying batch rows at gather time — the only point where the join
-/// touches unneeded payload columns.
+/// Below this many output cells the column gathers run on the calling
+/// thread: spawning workers would cost more than the copies.
+const PAR_GATHER_MIN_CELLS: usize = 64 * 1024;
+
+/// Build the join's output from the probe's position pairs.
+///
+/// `out.left`/`out.right` hold *positions* into each side's selection.
+/// Each side composes them with `sel.index` once into one index vector
+/// of underlying batch rows — [`NULL_INDEX`] where the side is
+/// NULL-extended, and the build rows no probe row matched appended for
+/// right/full joins — and then every output column is one typed gather
+/// of its source column: [`ColumnVector::take`] where the side cannot
+/// be NULL-extended, [`ColumnVector::take_or_null`] where it can.
+/// `Dict` columns stay `Dict` over the same `Arc` dictionary; a null
+/// bitmap exists only where a gathered row is NULL.
+///
+/// Columns are independent, so they gather in parallel over the join's
+/// `workers` with output identical at any count. Semi and anti joins
+/// gather nothing: their output is the probe batch's own columns under
+/// `left.sel` narrowed to the surviving positions.
 fn assemble(
     left: &SelBatch,
     right: &SelBatch,
     join_type: JoinType,
-    out_left: &[u32],
-    out_right: &[Option<u32>],
-    extra_right: &[u32],
+    out: ProbeOut,
     out_schema: &Schema,
-) -> Result<VectorBatch> {
-    let keeps_right = join_type.keeps_right();
-    let n = out_left.len() + extra_right.len();
-    let mut cols = Vec::with_capacity(out_schema.len());
-    // Left columns.
-    for (ci, f) in left.schema().fields().iter().enumerate() {
-        let src = left.batch.column(ci);
-        let mut b = ColumnBuilder::new(&f.data_type)?;
-        for &li in out_left {
-            b.push(&src.get(left.sel.index(li as usize)))?;
-        }
-        for _ in extra_right {
-            b.push(&Value::Null)?;
-        }
-        cols.push(b.finish());
+    workers: usize,
+) -> Result<SelBatch> {
+    if !join_type.keeps_right() {
+        let batch = VectorBatch::from_arcs(
+            out_schema.clone(),
+            left.batch.columns().to_vec(),
+            left.batch.num_rows(),
+        )?;
+        // Positions the probe emitted are in range by construction.
+        let sel = left.sel.compose(&out.left);
+        return Ok(SelBatch { batch, sel });
     }
-    if keeps_right {
-        for (ci, f) in right.schema().fields().iter().enumerate() {
-            let src = right.batch.column(ci);
-            let mut b = ColumnBuilder::new(&f.data_type)?;
-            for ri in out_right {
-                match ri {
-                    Some(r) => b.push(&src.get(right.sel.index(*r as usize)))?,
-                    None => b.push(&Value::Null)?,
-                }
-            }
-            for &ri in extra_right {
-                b.push(&src.get(right.sel.index(ri as usize)))?;
-            }
-            cols.push(b.finish());
+    // Unmatched build rows for right/full joins, in build order.
+    let mut extra_right: Vec<u32> = Vec::new();
+    if matches!(join_type, JoinType::Right | JoinType::Full) {
+        let mut matched = vec![false; right.num_rows()];
+        for ri in out.matched_right {
+            matched[ri as usize] = true;
         }
+        extra_right.extend((0..matched.len() as u32).filter(|&ri| !matched[ri as usize]));
     }
-    VectorBatch::new_with_rows(out_schema.clone(), cols, n)
+    let left_extended = !extra_right.is_empty();
+    // Positions → underlying rows, in place (`All` selections are the
+    // identity already).
+    let compose = |sel: &SelVec, mut pos: Vec<u32>| -> Vec<u32> {
+        if let SelVec::Idx(rows) = sel {
+            for p in pos.iter_mut().filter(|p| **p != NULL_INDEX) {
+                *p = rows[*p as usize];
+            }
+        }
+        pos
+    };
+    let mut ridx = out.right;
+    ridx.extend(extra_right);
+    let ridx = compose(&right.sel, ridx);
+    let n = ridx.len();
+    let mut lidx = compose(&left.sel, out.left);
+    lidx.resize(n, NULL_INDEX);
+
+    let right_extended = matches!(join_type, JoinType::Left | JoinType::Full);
+    let lw = left.batch.num_columns();
+    let ncols = lw + right.batch.num_columns();
+    let gather = |ci: usize| -> Result<Arc<ColumnVector>> {
+        let (src, idx, extended) = if ci < lw {
+            (left.batch.column(ci), &lidx, left_extended)
+        } else {
+            (right.batch.column(ci - lw), &ridx, right_extended)
+        };
+        Ok(Arc::new(if extended {
+            src.take_or_null(idx)
+        } else {
+            src.take(idx)
+        }))
+    };
+    let workers = if n.saturating_mul(ncols) < PAR_GATHER_MIN_CELLS {
+        1
+    } else {
+        workers
+    };
+    let cols = crate::par::parallel_map(workers, ncols, gather)?;
+    Ok(SelBatch::from_batch(VectorBatch::from_arcs(
+        out_schema.clone(),
+        cols,
+        n,
+    )?))
 }
 
 /// Build a runtime semijoin reducer from the values of one column:
@@ -1474,7 +1492,13 @@ mod tests {
                 None,
             )
             .unwrap();
-            let base_rows: Vec<String> = base.to_rows().iter().map(|row| row.to_string()).collect();
+            let base_rows: Vec<String> = base
+                .clone()
+                .compact()
+                .to_rows()
+                .iter()
+                .map(|row| row.to_string())
+                .collect();
             for rawtable in [false, true] {
                 let fs = DistFs::new();
                 // A few KB: far below the build estimate, so the grace
@@ -1496,7 +1520,12 @@ mod tests {
                     None,
                 )
                 .unwrap();
-                let rows: Vec<String> = out.to_rows().iter().map(|row| row.to_string()).collect();
+                let rows: Vec<String> = out
+                    .compact()
+                    .to_rows()
+                    .iter()
+                    .map(|row| row.to_string())
+                    .collect();
                 assert_eq!(rows, base_rows, "{jt:?} grace rawtable={rawtable} diverged");
                 assert!(
                     sp.stats.bytes_written() > 0,
@@ -1588,7 +1617,13 @@ mod tests {
                 None,
             )
             .unwrap();
-            let base_rows: Vec<String> = base.to_rows().iter().map(|row| row.to_string()).collect();
+            let base_rows: Vec<String> = base
+                .clone()
+                .compact()
+                .to_rows()
+                .iter()
+                .map(|row| row.to_string())
+                .collect();
             assert!(base.num_rows() > 0, "{jt:?} produced no rows");
             for workers in [1, 2, 8] {
                 for rawtable in [false, true] {
@@ -1606,8 +1641,12 @@ mod tests {
                         None,
                     )
                     .unwrap();
-                    let rows: Vec<String> =
-                        out.to_rows().iter().map(|row| row.to_string()).collect();
+                    let rows: Vec<String> = out
+                        .compact()
+                        .to_rows()
+                        .iter()
+                        .map(|row| row.to_string())
+                        .collect();
                     assert_eq!(
                         rows, base_rows,
                         "{jt:?} with {workers} workers rawtable={rawtable} diverged"
@@ -1674,10 +1713,379 @@ mod tests {
                 None,
             )
             .unwrap();
-            out.to_rows().iter().map(|row| row.to_string()).collect()
+            out.compact()
+                .to_rows()
+                .iter()
+                .map(|row| row.to_string())
+                .collect()
         };
         let oracle = run(false);
         assert_eq!(run(true), oracle);
         assert!(oracle.contains(&"zz\tNULL".to_string()), "{oracle:?}");
+    }
+
+    // --- columnar output vs the per-cell path it replaced ------------------
+
+    fn strings(entries: &[&str]) -> Arc<Vec<String>> {
+        Arc::new(entries.iter().map(|s| s.to_string()).collect())
+    }
+
+    /// A batch with one column of every type behind an `Int` key (NULL
+    /// every 17th row), each payload with its own NULL cadence. With
+    /// `dict` the string payload is dictionary-encoded over that `Arc`.
+    fn typed_batch(
+        name: &str,
+        n: usize,
+        key: impl Fn(i32) -> i32,
+        dict: Option<&Arc<Vec<String>>>,
+    ) -> VectorBatch {
+        let f = |c: &str, dt: DataType| Field::new(format!("{name}_{c}"), dt);
+        let schema = Schema::new(vec![
+            f("k", DataType::Int),
+            f("s", DataType::String),
+            f("b", DataType::Boolean),
+            f("i", DataType::Int),
+            f("l", DataType::BigInt),
+            f("d", DataType::Double),
+            f("m", DataType::Decimal(9, 2)),
+            f("dt", DataType::Date),
+            f("ts", DataType::Timestamp),
+        ]);
+        let words = strings(&["red", "green", "blue", "green", "teal"]);
+        let words = dict.unwrap_or(&words);
+        let code = |i: usize| (i * 7 + 3) % words.len();
+        let rows: Vec<Row> = (0..n)
+            .map(|i| {
+                let x = i as i64;
+                let or_null = |every: usize, v: Value| if i % every == 0 { Value::Null } else { v };
+                Row::new(vec![
+                    or_null(17, Value::Int(key(i as i32))),
+                    or_null(11, Value::String(words[code(i)].clone())),
+                    or_null(5, Value::Boolean(i % 3 == 0)),
+                    or_null(7, Value::Int(i as i32 * 3 - 40)),
+                    or_null(13, Value::BigInt(x * 1_000_003)),
+                    or_null(19, Value::Double(x as f64 / 7.0)),
+                    or_null(23, Value::Decimal(x as i128 * 101 - 5_000, 2)),
+                    or_null(29, Value::Date(18_000 + i as i32 % 400)),
+                    or_null(31, Value::Timestamp(x * 86_400_000_123)),
+                ])
+            })
+            .collect();
+        let plain = VectorBatch::from_rows(&schema, &rows).unwrap();
+        let Some(dict) = dict else { return plain };
+        let mut nulls = BitSet::new(n);
+        let codes: Vec<u32> = (0..n)
+            .map(|i| {
+                if i % 11 == 0 {
+                    nulls.set(i);
+                    0
+                } else {
+                    code(i) as u32
+                }
+            })
+            .collect();
+        let encoded = ColumnVector::dict_from_codes(codes, dict.clone(), Some(nulls)).unwrap();
+        let mut cols: Vec<Arc<ColumnVector>> = plain.columns().to_vec();
+        cols[1] = Arc::new(encoded);
+        VectorBatch::from_arcs(schema, cols, n).unwrap()
+    }
+
+    /// The oracle: the join computed one `Value` at a time over the
+    /// selected rows, equi key in column 0 of both sides. Returns the
+    /// output batch and the number of candidate pairs the residual saw.
+    fn reference_join(
+        l: &SelBatch,
+        r: &SelBatch,
+        jt: JoinType,
+        residual: Option<&ScalarExpr>,
+        out_schema: &Schema,
+    ) -> (VectorBatch, u64) {
+        let lrows: Vec<Row> = l.sel.iter().map(|i| l.batch.row(i)).collect();
+        let rrows: Vec<Row> = r.sel.iter().map(|i| r.batch.row(i)).collect();
+        let mut table: HashMap<Value, Vec<usize>> = HashMap::new();
+        for (ri, row) in rrows.iter().enumerate() {
+            if !row.get(0).is_null() {
+                table.entry(row.get(0).clone()).or_default().push(ri);
+            }
+        }
+        let nulls = |w: usize| vec![Value::Null; w];
+        let (lw, rw) = (l.batch.num_columns(), r.batch.num_columns());
+        let mut pairs = 0u64;
+        let mut matched = vec![false; rrows.len()];
+        let mut out: Vec<Row> = Vec::new();
+        for lrow in &lrows {
+            let mut kept: Vec<usize> = Vec::new();
+            for &ri in table.get(lrow.get(0)).map_or(&[][..], |c| c.as_slice()) {
+                let mut both = lrow.values().to_vec();
+                both.extend_from_slice(rrows[ri].values());
+                let ok = match residual {
+                    None => true,
+                    Some(pred) => {
+                        pairs += 1;
+                        eval_scalar(pred, &both).unwrap() == Value::Boolean(true)
+                    }
+                };
+                if ok {
+                    kept.push(ri);
+                }
+            }
+            let joined = |ri: usize| {
+                let mut both = lrow.values().to_vec();
+                both.extend_from_slice(rrows[ri].values());
+                Row::new(both)
+            };
+            let unmatched = || {
+                let mut both = lrow.values().to_vec();
+                both.extend(nulls(rw));
+                Row::new(both)
+            };
+            match jt {
+                JoinType::Semi if !kept.is_empty() => out.push(lrow.clone()),
+                JoinType::Anti if kept.is_empty() => out.push(lrow.clone()),
+                JoinType::Semi | JoinType::Anti => {}
+                _ => {
+                    for &ri in &kept {
+                        matched[ri] = true;
+                        out.push(joined(ri));
+                    }
+                    if kept.is_empty() && matches!(jt, JoinType::Left | JoinType::Full) {
+                        out.push(unmatched());
+                    }
+                }
+            }
+        }
+        if matches!(jt, JoinType::Right | JoinType::Full) {
+            for (row, _) in rrows.iter().zip(&matched).filter(|(_, m)| !**m) {
+                let mut both = nulls(lw);
+                both.extend_from_slice(row.values());
+                out.push(Row::new(both));
+            }
+        }
+        (VectorBatch::from_rows(out_schema, &out).unwrap(), pairs)
+    }
+
+    const ALL_JOIN_TYPES: [JoinType; 6] = [
+        JoinType::Inner,
+        JoinType::Left,
+        JoinType::Right,
+        JoinType::Full,
+        JoinType::Semi,
+        JoinType::Anti,
+    ];
+
+    fn schema_of(l: &VectorBatch, r: &VectorBatch, jt: JoinType) -> Schema {
+        if jt.keeps_right() {
+            l.schema().join(r.schema())
+        } else {
+            l.schema().clone()
+        }
+    }
+
+    /// Every other row, back to front: a stacked, non-ascending `Idx`.
+    fn stacked(b: &VectorBatch) -> SelBatch {
+        let idx: Vec<u32> = (0..b.num_rows() as u32).rev().step_by(2).collect();
+        SelBatch::new(b.clone(), SelVec::Idx(idx)).unwrap()
+    }
+
+    #[test]
+    fn columnar_output_equals_the_value_reference() {
+        let equi = vec![(ScalarExpr::Column(0), ScalarExpr::Column(0))];
+        for encoded in [false, true] {
+            // Different dictionaries per side, as two tables have.
+            let ldict = strings(&["ash", "birch", "cedar", "birch", "elm", "fir"]);
+            let rdict = strings(&["xenon", "argon", "neon"]);
+            let (ld, rd) = (encoded.then_some(&ldict), encoded.then_some(&rdict));
+            // Keys overlap on 100..500 only, so both sides have
+            // unmatched rows for the outer joins to NULL-extend.
+            let l = typed_batch("l", 5_000, |i| (i * 31 + 7) % 500, ld);
+            let r = typed_batch("r", 1_500, |i| 100 + (i * 13) % 450, rd);
+            let empty_l = typed_batch("l", 0, |i| i, ld);
+            let empty_r = typed_batch("r", 0, |i| i, rd);
+            let inputs = [
+                (
+                    "full",
+                    SelBatch::from_batch(l.clone()),
+                    SelBatch::from_batch(r.clone()),
+                ),
+                (
+                    "empty build",
+                    SelBatch::from_batch(l.clone()),
+                    SelBatch::from_batch(empty_r),
+                ),
+                (
+                    "empty probe",
+                    SelBatch::from_batch(empty_l),
+                    SelBatch::from_batch(r.clone()),
+                ),
+                ("stacked selections", stacked(&l), stacked(&r)),
+            ];
+            for (what, lsb, rsb) in &inputs {
+                for jt in ALL_JOIN_TYPES {
+                    let out_schema = schema_of(&lsb.batch, &rsb.batch, jt);
+                    let (want, _) = reference_join(lsb, rsb, jt, None, &out_schema);
+                    for workers in [1, 2, 8] {
+                        let out = execute_join_par(
+                            lsb,
+                            rsb,
+                            jt,
+                            &equi,
+                            &None,
+                            &out_schema,
+                            usize::MAX,
+                            workers,
+                            true,
+                            None,
+                            None,
+                        )
+                        .unwrap();
+                        let ctx = format!("{jt:?} / {what} / {workers} workers / dict={encoded}");
+                        assert_eq!(out.num_rows(), want.num_rows(), "{ctx}");
+                        if jt.keeps_right() {
+                            assert!(out.is_compact(), "{ctx}");
+                            for (c, src) in lsb
+                                .batch
+                                .columns()
+                                .iter()
+                                .chain(rsb.batch.columns())
+                                .enumerate()
+                            {
+                                let got = out.batch.column(c);
+                                // Same representation as the source —
+                                // and an encoded payload keeps its
+                                // dictionary by handle.
+                                match (src.dict_parts(), got.dict_parts()) {
+                                    (Some((_, d0, _)), Some((_, d1, _))) => {
+                                        assert!(Arc::ptr_eq(d0, d1), "{ctx}: column {c}")
+                                    }
+                                    (None, None) => {}
+                                    _ => panic!("{ctx}: column {c} changed representation"),
+                                }
+                            }
+                        } else {
+                            // Semi/anti: the probe batch's own columns
+                            // under a narrowed selection, no copies.
+                            for (c, src) in lsb.batch.columns().iter().enumerate() {
+                                assert!(Arc::ptr_eq(src, out.batch.column_arc(c)), "{ctx}");
+                            }
+                        }
+                        assert_eq!(out.compact(), want, "{ctx}");
+                    }
+                }
+            }
+            // The fixture does exercise NULL-extension on both sides.
+            let out_schema = schema_of(&l, &r, JoinType::Full);
+            let (full, _) = reference_join(
+                &SelBatch::from_batch(l.clone()),
+                &SelBatch::from_batch(r.clone()),
+                JoinType::Full,
+                None,
+                &out_schema,
+            );
+            let all_null = |row: &Row, cols: std::ops::Range<usize>| {
+                cols.into_iter().all(|c| row.get(c).is_null())
+            };
+            let rows = full.to_rows();
+            assert!(rows.iter().any(|row| all_null(row, 0..9)));
+            assert!(rows.iter().any(|row| all_null(row, 9..18)));
+        }
+    }
+
+    #[test]
+    fn grace_join_output_equals_the_value_reference() {
+        use crate::membroker::MemoryBroker;
+        use hive_dfs::{DfsPath, DistFs};
+        let equi = vec![(ScalarExpr::Column(0), ScalarExpr::Column(0))];
+        let ldict = strings(&["ash", "birch", "cedar"]);
+        let rdict = strings(&["xenon", "argon"]);
+        for encoded in [false, true] {
+            let (ld, rd) = (encoded.then_some(&ldict), encoded.then_some(&rdict));
+            let l = typed_batch("l", 5_000, |i| (i * 31 + 7) % 500, ld);
+            // Even the halved (stacked) build side models past the budget.
+            let r = typed_batch("r", 3_000, |i| 100 + (i * 13) % 450, rd);
+            for (lsb, rsb) in [
+                (
+                    SelBatch::from_batch(l.clone()),
+                    SelBatch::from_batch(r.clone()),
+                ),
+                (stacked(&l), stacked(&r)),
+            ] {
+                for jt in ALL_JOIN_TYPES {
+                    let out_schema = schema_of(&l, &r, jt);
+                    let (want, _) = reference_join(&lsb, &rsb, jt, None, &out_schema);
+                    for workers in [1, 8] {
+                        let fs = DistFs::new();
+                        let broker = MemoryBroker::with_budget(32 * 1024);
+                        let ops = AtomicU64::new(0);
+                        let sp =
+                            SpillCtx::new(&fs, DfsPath::new("/tmp/spill/q0"), &broker, true, &ops);
+                        let out = execute_join_par(
+                            &lsb,
+                            &rsb,
+                            jt,
+                            &equi,
+                            &None,
+                            &out_schema,
+                            usize::MAX,
+                            workers,
+                            true,
+                            Some(&sp),
+                            None,
+                        )
+                        .unwrap();
+                        assert!(sp.stats.bytes_written() > 0, "{jt:?} never spilled");
+                        assert_eq!(
+                            out.compact(),
+                            want,
+                            "{jt:?} grace / {workers} workers / dict={encoded}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn interpreted_residual_reads_only_referenced_columns() {
+        // `l_i + r_i > 40` has no compiled kernel (arithmetic under the
+        // comparison), so every candidate pair takes the row fallback —
+        // over a 12-column pair of which it needs two.
+        let six: Vec<usize> = (0..6).collect();
+        let l = typed_batch("l", 3_000, |i| (i * 31 + 7) % 300, None).project(&six);
+        let r = typed_batch("r", 900, |i| (i * 13) % 300, None).project(&six);
+        let residual = ScalarExpr::Binary {
+            op: hive_sql::BinaryOp::Gt,
+            left: Box::new(ScalarExpr::Binary {
+                op: hive_sql::BinaryOp::Plus,
+                left: Box::new(ScalarExpr::Column(3)),
+                right: Box::new(ScalarExpr::Column(6 + 3)),
+            }),
+            right: Box::new(ScalarExpr::Literal(Value::Int(40))),
+        };
+        let equi = vec![(ScalarExpr::Column(0), ScalarExpr::Column(0))];
+        let (lsb, rsb) = (SelBatch::from_batch(l.clone()), stacked(&r));
+        for jt in ALL_JOIN_TYPES {
+            let out_schema = schema_of(&l, &r, jt);
+            let (want, pairs) = reference_join(&lsb, &rsb, jt, Some(&residual), &out_schema);
+            assert!(pairs > 0);
+            for workers in [1, 8] {
+                let mut pc = crate::pir::PirCounters::default();
+                let out = execute_join_par(
+                    &lsb,
+                    &rsb,
+                    jt,
+                    &equi,
+                    &Some(residual.clone()),
+                    &out_schema,
+                    usize::MAX,
+                    workers,
+                    true,
+                    None,
+                    Some(&mut pc),
+                )
+                .unwrap();
+                assert_eq!(out.compact(), want, "{jt:?} / {workers} workers");
+                assert_eq!((pc.compiled_stages, pc.fallback_rows), (0, pairs), "{jt:?}");
+            }
+        }
     }
 }

@@ -34,9 +34,7 @@ use super::kernel::SelRef;
 use super::lower::{PredPipeline, ProjPlan};
 use crate::engine::{align_column, execute_sel, type_aligned, ExecContext, NodeTrace};
 use crate::kernels::eval_vector;
-use hive_common::{
-    ColumnBuilder, ColumnVector, DataType, Result, Schema, SelBatch, SelVec, Value, VectorBatch,
-};
+use hive_common::{ColumnVector, DataType, Result, Schema, SelBatch, SelVec, VectorBatch};
 use hive_optimizer::plan::LogicalPlan;
 use hive_optimizer::ScalarExpr;
 use std::collections::HashMap;
@@ -180,7 +178,7 @@ fn run_project(
                 let pad = match pads.get(&field.data_type) {
                     Some(p) => p.clone(),
                     None => {
-                        let p = Arc::new(null_column(&field.data_type, n)?);
+                        let p = Arc::new(ColumnVector::all_null(&field.data_type, n)?);
                         pads.insert(field.data_type.clone(), p.clone());
                         p
                     }
@@ -218,15 +216,4 @@ fn run_project(
     t.rows_out = out.num_rows() as u64;
     t.pir_compiled_stages = 1;
     Ok((SelBatch::from_batch(out), t))
-}
-
-/// A typed all-NULL column of length `n` (padding for unreferenced
-/// positions in a gathered projection base, and for unreferenced
-/// columns of a join-residual pair batch).
-pub(crate) fn null_column(dt: &DataType, n: usize) -> Result<ColumnVector> {
-    let mut b = ColumnBuilder::new(dt)?;
-    for _ in 0..n {
-        b.push(&Value::Null)?;
-    }
-    Ok(b.finish())
 }

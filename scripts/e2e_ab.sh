@@ -1,0 +1,127 @@
+#!/usr/bin/env bash
+# A/B the end-to-end benchmark: this working tree against a parent commit,
+# by the protocol of the choosing-metrics guide (section 8) — alternating
+# pairs of runs, each side's median and quartiles, pairs won.
+#
+#   scripts/e2e_ab.sh <parent-ref> [--workload W] [--pairs N] [--seed S] [--dir D]
+#
+# The parent is checked out (git archive) into D/parent; each side's own,
+# unmodified bench/e2e is built once into its own CARGO_TARGET_DIR
+# (D/target-parent, D/target-change) and run through its own
+# bench/e2e/run.sh — so a change that edits the benchmark is compared
+# against the parent's benchmark, not its own. Pair i runs the parent first
+# when i is odd, the change first when even. Then one traced run per side
+# feeds bench/e2e/compare.py, which checks the bounds, prints the per-layer
+# metrics and compares the counters that must repeat exactly.
+#
+# Defaults: every workload, 10 pairs, seed 2019, D = a temp dir removed on
+# exit (pass --dir to keep the checkout and both builds for the next call).
+# Exits non-zero if any run reports `"correct": false`, or compare.py does.
+set -euo pipefail
+
+repo="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
+[ $# -ge 1 ] || { sed -n '2,20p' "${BASH_SOURCE[0]}" >&2; exit 2; }
+parent_ref="$1"; shift
+workloads="" pairs=10 seed=2019 dir=""
+while [ $# -gt 0 ]; do
+  case "$1" in
+    --workload) workloads="$workloads $2"; shift 2 ;;
+    --pairs) pairs="$2"; shift 2 ;;
+    --seed) seed="$2"; shift 2 ;;
+    --dir) dir="$2"; shift 2 ;;
+    *) echo "e2e_ab.sh: unknown argument $1" >&2; exit 2 ;;
+  esac
+done
+workloads="${workloads:-tpcds_warm scan_cold bi_short acid_churn}"
+
+if [ -z "$dir" ]; then
+  dir="$(mktemp -d)"
+  trap 'rm -rf "$dir"' EXIT
+fi
+mkdir -p "$dir"
+dir="$(cd "$dir" && pwd)"
+
+sha="$(git -C "$repo" rev-parse --verify "$parent_ref^{commit}")"
+if [ "$(cat "$dir/parent.sha" 2>/dev/null)" != "$sha" ]; then
+  rm -rf "$dir/parent"
+  mkdir -p "$dir/parent"
+  git -C "$repo" archive "$sha" | tar -x -C "$dir/parent"
+  echo "$sha" > "$dir/parent.sha"
+fi
+
+# run <side> <workload> <trace> [extra run.sh arguments]: the run's JSON line.
+run() {
+  local side="$1" w="$2" trace="$3" root; shift 3
+  case "$side" in parent) root="$dir/parent" ;; *) root="$repo" ;; esac
+  CARGO_TARGET_DIR="$dir/target-$side" bash "$root/bench/e2e/run.sh" \
+    --workload "$w" --seed "$seed" --trace "$trace" "$@" | tail -n 1
+}
+
+first_workload="$(set -- $workloads; echo "$1")"
+for side in parent change; do
+  echo "# building $side" >&2
+  run "$side" "$first_workload" 0 --seconds 0 > /dev/null
+done
+
+: > "$dir/parent.jsonl"; : > "$dir/change.jsonl"
+record() { # record <side> <workload> <trace>
+  printf '{"workload": "%s", "trace": %s, "result": %s}\n' "$2" "$3" "$(run "$1" "$2" "$3")" \
+    >> "$dir/$1.jsonl"
+}
+for w in $workloads; do
+  for i in $(seq "$pairs"); do
+    if [ $((i % 2)) = 1 ]; then order="parent change"; else order="change parent"; fi
+    for side in $order; do record "$side" "$w" 0; done
+    echo "# $w pair $i/$pairs" >&2
+  done
+  for side in parent change; do record "$side" "$w" 1; done
+done
+
+for side in parent change; do
+  {
+    if [ "$side" = parent ]; then
+      side_sha="$sha" dirty=0
+    else
+      side_sha="$(git -C "$repo" rev-parse HEAD)"
+      dirty="$(git -C "$repo" status --porcelain | grep -c . || true)"
+    fi
+    printf '{"git_sha": "%s", "dirty_files": %s, "host_cores": %s, "seed": %s, "runs": [\n' \
+      "$side_sha" "$dirty" "$(nproc)" "$seed"
+    sed '$!s/$/,/' "$dir/$side.jsonl"
+    printf ']}\n'
+  } > "$dir/$side.json"
+done
+
+status=0
+python3 - "$repo/BENCHMARK.json" "$dir/parent.json" "$dir/change.json" <<'PY' || status=1
+import json, statistics, sys
+
+bench = json.load(open(sys.argv[1]))
+sides = [json.load(open(p))["runs"] for p in sys.argv[2:4]]
+wrong = [r["workload"] for runs in sides for r in runs if not r["result"]["correct"]]
+
+def quartiles(v):
+    if len(v) < 2:
+        return v[0], v[0], v[0]
+    q = statistics.quantiles(v, n=4)
+    return q[0], statistics.median(v), q[2]
+
+print(f"{'workload':12s} {'metric':20s} {'parent q1':>11s} {'median':>11s} {'q3':>11s} "
+      f"{'change q1':>11s} {'median':>11s} {'q3':>11s} {'pairs won':>9s}")
+for w in [x["name"] for x in bench["workloads"]]:
+    for m in bench["end_to_end"]:
+        a, b = ([r["result"]["metrics"][m["name"]]["value"] for r in runs
+                 if r["workload"] == w and not r["trace"]] for runs in sides)
+        if not a or not b:
+            continue
+        better = (lambda x, y: x < y) if m["better"] == "lower" else (lambda x, y: x > y)
+        won = sum(better(y, x) for x, y in zip(a, b))  # a tie counts for neither side
+        cells = " ".join(f"{q:11.4f}" for q in quartiles(a) + quartiles(b))
+        print(f"{w:12s} {m['name']:20s} {cells} {won:>4d} of {len(a):<2d}")
+if wrong:
+    print("WRONG RESULTS: " + " ".join(sorted(set(wrong))))
+    sys.exit(1)
+PY
+python3 "$repo/bench/e2e/compare.py" "$dir/parent.json" "$dir/change.json" \
+  --benchmark "$repo/BENCHMARK.json" --layers || status=1
+exit $status

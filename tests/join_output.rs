@@ -1,0 +1,142 @@
+//! Joins hand their output on columnar — dictionary strings still
+//! encoded, semi/anti joins as selections — so every operator above a
+//! join now sees `Dict` columns and stacked selections it used to see
+//! decoded and compacted. Each consumer must return what the row
+//! interpreter (`vectorized = false`) returns: GROUP BY on a dictionary
+//! key, Window, Sort, INTERSECT and UNION ALL over inputs with
+//! *different* dictionaries, and the result `decode()` itself.
+
+use hive_warehouse::benchdata::tpcds::{self, TpcdsScale};
+use hive_warehouse::{HiveConf, HiveServer};
+
+/// Env knobs override the conf fields; this binary manages them itself.
+fn neutralize_env() {
+    static ONCE: std::sync::Once = std::sync::Once::new();
+    ONCE.call_once(|| {
+        for var in [
+            "HIVE_DICT_ENABLED",
+            "HIVE_SELVEC_ENABLED",
+            "HIVE_PIR_ENABLED",
+            "HIVE_PARALLEL_THREADS",
+            "HIVE_MEMORY_BUDGET",
+        ] {
+            std::env::remove_var(var);
+        }
+    });
+}
+
+fn load_server(tune: impl FnOnce(&mut HiveConf)) -> HiveServer {
+    neutralize_env();
+    let mut conf = HiveConf::v3_1();
+    // Every run executes: a cached answer would compare nothing.
+    conf.results_cache = false;
+    tune(&mut conf);
+    let server = HiveServer::new(conf);
+    let scale = TpcdsScale {
+        days: 6,
+        items: 120,
+        customers: 150,
+        stores: 4,
+        sales_per_day: 1200,
+        return_rate: 0.1,
+    };
+    tpcds::load(&server, scale, 0xC01A).unwrap();
+    server
+}
+
+/// (what the join feeds, SQL). Every statement is deterministic up to
+/// row order; rows are compared sorted.
+const CONSUMERS: [(&str, &str); 7] = [
+    (
+        "GROUP BY on a dictionary key",
+        "SELECT i_category, i_class, COUNT(*), SUM(ss_quantity) \
+         FROM store_sales JOIN item ON ss_item_sk = i_item_sk \
+         GROUP BY i_category, i_class",
+    ),
+    (
+        "GROUP BY over NULL-extended dictionary keys",
+        "SELECT s_state, i_category, COUNT(*) \
+         FROM item LEFT JOIN store_sales ON i_item_sk = ss_item_sk AND ss_quantity > 19 \
+              LEFT JOIN store ON ss_store_sk = s_store_sk \
+         GROUP BY s_state, i_category",
+    ),
+    (
+        "Window",
+        "SELECT i_category, i_brand, total, \
+                RANK() OVER (PARTITION BY i_category ORDER BY total DESC, i_brand) AS rk \
+         FROM (SELECT i_category, i_brand, SUM(ss_quantity) AS total \
+               FROM store_sales JOIN item ON ss_item_sk = i_item_sk \
+               GROUP BY i_category, i_brand) t",
+    ),
+    (
+        "Sort",
+        "SELECT i_category, i_brand, s_store_name, ss_quantity, ss_ticket_number \
+         FROM store_sales JOIN item ON ss_item_sk = i_item_sk \
+              JOIN store ON ss_store_sk = s_store_sk \
+         WHERE ss_quantity > 18 \
+         ORDER BY i_category DESC, i_brand, s_store_name, ss_quantity, ss_ticket_number \
+         LIMIT 200",
+    ),
+    (
+        "INTERSECT over different dictionaries",
+        "SELECT s_state FROM store_sales JOIN store ON ss_store_sk = s_store_sk \
+         INTERSECT \
+         SELECT ca_state FROM customer JOIN customer_address ON c_current_addr_sk = ca_address_sk",
+    ),
+    (
+        "UNION ALL over different dictionaries",
+        "SELECT u.label, COUNT(*) FROM ( \
+            SELECT i_category AS label FROM store_sales JOIN item ON ss_item_sk = i_item_sk \
+            UNION ALL \
+            SELECT ca_state AS label FROM customer LEFT JOIN customer_address \
+                   ON c_current_addr_sk = ca_address_sk AND ca_state < 'M' \
+         ) u GROUP BY u.label",
+    ),
+    (
+        "result decode, semi join under an outer join",
+        "SELECT c_customer_id, c_last_name, ca_state, ca_city \
+         FROM customer LEFT JOIN customer_address \
+              ON c_current_addr_sk = ca_address_sk AND ca_state < 'M' \
+         WHERE c_customer_sk IN (SELECT ss_customer_sk FROM store_sales WHERE ss_quantity > 16)",
+    ),
+];
+
+fn sorted_rows(server: &HiveServer, sql: &str) -> Vec<String> {
+    let mut rows = server
+        .session()
+        .execute(sql)
+        .unwrap_or_else(|e| panic!("{sql}: {e}"))
+        .display_rows();
+    rows.sort();
+    rows
+}
+
+#[test]
+fn operators_above_a_join_match_the_row_interpreter() {
+    let oracle = load_server(|c| c.vectorized = false);
+    let expected: Vec<Vec<String>> = CONSUMERS
+        .iter()
+        .map(|(_, sql)| sorted_rows(&oracle, sql))
+        .collect();
+    for (what, rows) in CONSUMERS.iter().map(|c| c.0).zip(&expected) {
+        assert!(!rows.is_empty(), "{what}: the fixture returns no rows");
+    }
+    type Tune = fn(&mut HiveConf);
+    let settings: [(&str, Tune); 6] = [
+        ("defaults", |_| {}),
+        ("8 threads", |c| c.parallel_threads = 8),
+        ("dictionary off", |c| c.dictionary_enabled = false),
+        ("selvec off", |c| c.selvec_enabled = false),
+        ("pir off, rawtable off", |c| {
+            c.pir_enabled = false;
+            c.rawtable_enabled = false;
+        }),
+        ("32 KiB budget", |c| c.memory_per_query_bytes = 32 * 1024),
+    ];
+    for (setting, tune) in settings {
+        let server = load_server(tune);
+        for ((what, sql), want) in CONSUMERS.iter().zip(&expected) {
+            assert_eq!(&sorted_rows(&server, sql), want, "{what} under {setting}");
+        }
+    }
+}
