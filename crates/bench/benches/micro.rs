@@ -222,11 +222,59 @@ fn bench_frontend(c: &mut Criterion) {
     });
 }
 
+/// `Optimizer::optimize` over a loaded warehouse — real statistics, so
+/// the cost-based stages read histograms and sketches: a `bi_short`-style
+/// filter join and TPC-DS q27. Prints µs per planning (the criterion
+/// stand-in only prints milliseconds); recorded in EXPERIMENTS.md, not
+/// gated on time.
+fn bench_optimize_loaded(_c: &mut Criterion) {
+    use hive_benchdata::tpcds::{self, TpcdsScale};
+    const PLANNINGS: u32 = 500;
+    let server = hive_core::HiveServer::new(HiveConf::v3_1());
+    tpcds::load(&server, TpcdsScale::bench(), 2019).unwrap();
+    let filter_join = format!(
+        "SELECT i_brand, SUM(ss_sales_price) AS sales FROM store_sales, item \
+         WHERE ss_item_sk = i_item_sk AND ss_sold_date_sk = {} AND i_category = 'Books' \
+         GROUP BY i_brand ORDER BY sales DESC, i_brand LIMIT 10",
+        tpcds::base_date_sk() + 3
+    );
+    let q27 = tpcds::queries()
+        .into_iter()
+        .find(|q| q.id == "q27")
+        .expect("q27 is in the curated suite")
+        .sql;
+    let conf = server.conf();
+    let ms = server.metastore();
+    for (name, sql) in [("bi_filter_join", filter_join), ("tpcds_q27", q27)] {
+        let hive_sql::Statement::Query(q) = hive_sql::parse_sql(&sql).unwrap() else {
+            unreachable!()
+        };
+        let cat = MetastoreCatalog::new(ms.clone(), "default");
+        let analyzed = Analyzer::new(&cat).analyze_query(&q).unwrap();
+        let ctx = OptimizerContext {
+            metastore: ms,
+            conf: &conf,
+            usable_views: vec![],
+            feedback: Default::default(),
+        };
+        // First planning derives the column summaries; time warm ones.
+        Optimizer::optimize(analyzed.clone(), &ctx).unwrap();
+        let start = std::time::Instant::now();
+        for _ in 0..PLANNINGS {
+            std::hint::black_box(Optimizer::optimize(analyzed.clone(), &ctx).unwrap());
+        }
+        let us = start.elapsed().as_secs_f64() * 1e6 / PLANNINGS as f64;
+        println!("bench: optimize/{name}");
+        println!("    {us:.1} us/optimize ({PLANNINGS} plannings)");
+    }
+}
+
 criterion_group!(
     benches,
     bench_corc,
     bench_llap_cache,
     bench_exec_kernels,
-    bench_frontend
+    bench_frontend,
+    bench_optimize_loaded
 );
 criterion_main!(benches);

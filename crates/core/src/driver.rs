@@ -644,12 +644,15 @@ impl Session {
                     use_histograms: true,
                     feedback: planned.feedback.clone(),
                 };
+                // One estimator for the whole plan: a join's estimate is
+                // also its parent's input, computed once.
+                let mut est = hive_optimizer::stats::Estimator::new(&gated);
                 let mut estimates: HashMap<u64, (u64, String)> = HashMap::new();
                 plan.visit(&mut |p| {
                     if matches!(p, LogicalPlan::Join { .. }) {
-                        let est = hive_optimizer::stats::estimate_rows(p, &gated).max(0.0) as u64;
+                        let rows = est.rows(p).max(0.0) as u64;
                         let key = hive_optimizer::stats::join_feedback_key(p);
-                        estimates.insert(fingerprint(p), (est, key));
+                        estimates.insert(fingerprint(p), (rows, key));
                     }
                 });
                 if !estimates.is_empty() {
@@ -826,6 +829,7 @@ impl Session {
             .metastore()
             .acquire_lock(txn, LockKey::table(&qname), LockMode::Exclusive)?;
         let table = self.server.metastore().drop_table(&db, &tname)?;
+        self.server.inner.mv_plans.lock().remove(&qname);
         let _ = self.server.fs().delete_dir(&DfsPath::new(&table.location));
         if let Some(h) = &table.storage_handler {
             if let Ok(handler) = self.server.inner.registry.get(h) {

@@ -12,6 +12,7 @@ use hive_optimizer::plan::LogicalPlan;
 use hive_optimizer::{Analyzer, MetastoreCatalog};
 use hive_sql as ast;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Wall-clock millis (staleness windows).
 fn now_millis() -> u64 {
@@ -88,6 +89,10 @@ pub(crate) fn create_view(
     let mut stats = hive_metastore::TableStats::new(batch.num_columns());
     stats.update_batch(&batch);
     ms.set_table_stats(&qname, stats);
+    if let Some(info) = &table.mv_info {
+        // Built here so the first query after CREATE finds it.
+        definition_plan(session, &table, info);
+    }
     Ok(QueryResult {
         affected_rows: rows,
         message: Some(format!("created materialized view {qname} ({rows} rows)")),
@@ -298,16 +303,7 @@ pub(crate) fn usable_views(session: &Session) -> Result<Vec<UsableView>> {
         if !(fresh || within_window) {
             continue;
         }
-        // Analyze the definition for the rewriter.
-        let Ok(ast::Statement::Query(q)) = hive_sql::parse_sql(&info.definition) else {
-            continue;
-        };
-        let cat = MetastoreCatalog::new(ms.clone(), table.db.clone());
-        let Ok(plan) = Analyzer::new(&cat).analyze_query(&q) else {
-            continue;
-        };
-        // Normalize like the query side will be (pushdown etc.).
-        let Ok(plan) = hive_optimizer::Optimizer::exhaustive(plan) else {
+        let Some(plan) = definition_plan(session, &table, info) else {
             continue;
         };
         out.push(UsableView {
@@ -316,6 +312,62 @@ pub(crate) fn usable_views(session: &Session) -> Result<Vec<UsableView>> {
         });
     }
     Ok(out)
+}
+
+/// What the server keeps with a materialized view: its definition plan
+/// (`None`: the definition does not analyze) and the metastore DDL
+/// generation it was derived under.
+pub(crate) struct DefinitionPlan {
+    built_under: u64,
+    plan: Option<Arc<LogicalPlan>>,
+}
+
+/// The view's definition as the rewriter wants it: parsed, analyzed in
+/// the view's database, and normalized like the query side will be
+/// (pushdown etc.). `None` when the definition does not analyze (a
+/// source was dropped or re-created with another schema).
+///
+/// What the text binds to can only change with DDL, so the plan is kept
+/// with the view under the metastore's DDL generation and re-derived
+/// when that moved — never per query, and not on INSERT or REBUILD,
+/// which change data and snapshots but not definitions.
+fn definition_plan(
+    session: &Session,
+    table: &hive_metastore::Table,
+    info: &MaterializedViewInfo,
+) -> Option<Arc<LogicalPlan>> {
+    let ms = session.server.metastore();
+    let qname = table.qualified_name();
+    // Read before analyzing: a DDL racing the analysis leaves an entry
+    // the next query sees as outdated.
+    let generation = ms.ddl_generation();
+    if let Some(kept) = session.server.inner.mv_plans.lock().get(&qname) {
+        if kept.built_under == generation {
+            return kept.plan.clone();
+        }
+    }
+    let plan = analyze_definition(ms, &table.db, &info.definition).map(Arc::new);
+    session.server.inner.mv_plans.lock().insert(
+        qname,
+        DefinitionPlan {
+            built_under: generation,
+            plan: plan.clone(),
+        },
+    );
+    plan
+}
+
+fn analyze_definition(
+    ms: &hive_metastore::Metastore,
+    db: &str,
+    definition: &str,
+) -> Option<LogicalPlan> {
+    let Ok(ast::Statement::Query(q)) = hive_sql::parse_sql(definition) else {
+        return None;
+    };
+    let cat = MetastoreCatalog::new(ms.clone(), db.to_string());
+    let plan = Analyzer::new(&cat).analyze_query(&q).ok()?;
+    hive_optimizer::Optimizer::exhaustive(plan).ok()
 }
 
 /// Render a query AST back to SQL-ish text for storage. The parser
@@ -579,5 +631,68 @@ pub(crate) mod render {
             Minute => "minute",
             Second => "second",
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::usable_views;
+    use crate::HiveServer;
+    use hive_common::HiveConf;
+    use std::sync::Arc;
+
+    /// The definition plan is kept with the view: a query gets the same
+    /// `Arc`, data changes (INSERT, REBUILD) decide usability without
+    /// re-deriving it, and DDL under the view re-derives it — so a plan
+    /// analyzed against a dropped table is never offered.
+    #[test]
+    fn definition_plan_follows_ddl_not_data() {
+        let server = HiveServer::new(HiveConf::v3_1());
+        let sess = server.session();
+        sess.execute("CREATE TABLE base_t (k INT, v INT)").unwrap();
+        let vals: Vec<String> = (0..200).map(|i| format!("({}, 1)", i % 2 + 1)).collect();
+        sess.execute(&format!("INSERT INTO base_t VALUES {}", vals.join(", ")))
+            .unwrap();
+        sess.execute(
+            "CREATE MATERIALIZED VIEW mv_sum AS SELECT k, SUM(v) AS s FROM base_t GROUP BY k",
+        )
+        .unwrap();
+        let q = "SELECT k, SUM(v) AS s FROM base_t GROUP BY k";
+        assert!(sess.execute(q).unwrap().used_mv);
+        let first = usable_views(&sess).unwrap().remove(0).plan;
+        let again = usable_views(&sess).unwrap().remove(0).plan;
+        assert!(Arc::ptr_eq(&first, &again), "a query re-derived the plan");
+
+        sess.execute("INSERT INTO base_t VALUES (1, 5)").unwrap();
+        assert!(
+            usable_views(&sess).unwrap().is_empty(),
+            "stale view offered"
+        );
+        assert!(!sess.execute(q).unwrap().used_mv);
+        sess.execute("ALTER MATERIALIZED VIEW mv_sum REBUILD")
+            .unwrap();
+        let rebuilt = usable_views(&sess).unwrap().remove(0).plan;
+        assert!(
+            Arc::ptr_eq(&first, &rebuilt),
+            "data changes re-derived the plan"
+        );
+        assert!(sess.execute(q).unwrap().used_mv);
+
+        // The source comes back with another schema: the text no longer
+        // binds, and the plan analyzed before the DDL must be gone.
+        sess.execute("DROP TABLE base_t").unwrap();
+        sess.execute("CREATE TABLE base_t (k INT, w INT)").unwrap();
+        assert!(
+            usable_views(&sess).unwrap().is_empty(),
+            "plan from before the DDL offered"
+        );
+        let r = sess
+            .execute("SELECT k, MAX(w) AS m FROM base_t GROUP BY k")
+            .unwrap();
+        assert!(!r.used_mv && r.display_rows().is_empty());
+
+        // Dropping the view drops its plan.
+        sess.execute("DROP TABLE mv_sum").unwrap();
+        assert!(server.inner.mv_plans.lock().is_empty());
     }
 }

@@ -12,6 +12,7 @@ use hive_federation::{
 use hive_llap::{LlapDaemons, WorkloadManager};
 use hive_metastore::Metastore;
 use parking_lot::RwLock;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// The embedded warehouse server (HiveServer2 + HMS + LLAP + federated
@@ -37,6 +38,8 @@ pub(crate) struct ServerInner {
     /// Monotonic counter giving each budgeted query its own spill
     /// directory under `/tmp/hive/spill/`.
     pub spill_seq: std::sync::atomic::AtomicU64,
+    /// Each materialized view's definition plan, by qualified name.
+    pub mv_plans: parking_lot::Mutex<HashMap<String, crate::mv::DefinitionPlan>>,
 }
 
 impl HiveServer {
@@ -73,6 +76,7 @@ impl HiveServer {
                 workload: WorkloadManager::new(),
                 sim_model: SimCostModel::default(),
                 spill_seq: std::sync::atomic::AtomicU64::new(0),
+                mv_plans: Default::default(),
             }),
         }
     }

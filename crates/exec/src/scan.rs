@@ -312,7 +312,7 @@ pub fn execute_scan(
                 crate::pir::PredPipeline::compile(
                     &pred,
                     &out_schema,
-                    Some((&tstats, projection)),
+                    Some((&*tstats, projection)),
                     ctx.conf.effective_histograms_enabled(),
                 )
             })

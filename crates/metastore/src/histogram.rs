@@ -8,11 +8,15 @@
 //! platforms and toolchains, which keeps `HIVE_FAULT_SEED`-style replay
 //! and the histogram on/off differential oracle byte-stable.
 //!
-//! Equi-depth buckets are *derived* from the sample on demand
+//! Equi-depth buckets are *derived* from the sample
 //! ([`ColumnHistogram::buckets`]): the sample is sorted and split into
 //! up to [`BUCKETS`] depth-equal runs, each carrying its value range,
 //! row weight and bucket-local NDV. Under [`SAMPLE_CAP`] values the
-//! sample is lossless, so bucket depths and NDVs are exact.
+//! sample is lossless, so bucket depths and NDVs are exact. The sorted
+//! sample and the buckets form the histogram's query-ready **summary**:
+//! built by the first reader of a given state, kept beside the additive
+//! data in a `Derived` cell, and dropped by every method that changes
+//! the sample — estimation reads it, INSERT folding never builds it.
 //!
 //! Merging (cross-partition rollup, the INSERT path) concatenates
 //! samples while the union fits the cap — exact, order-independent up
@@ -28,8 +32,12 @@
 //! `stats::ColumnStatsMeta::update_column` byte-identical to the
 //! per-value path.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
+use crate::derived::Derived;
 use hive_common::Value;
 use serde::{Deserialize, Serialize};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Reservoir capacity: below this many observed numeric values the
 /// histogram is lossless.
@@ -67,6 +75,9 @@ pub struct ColumnHistogram {
     seen: u64,
     /// xorshift64* state for Algorithm-R replacement.
     rng: u64,
+    /// Query-ready view of `sample`; every method that writes `sample`
+    /// invalidates it.
+    summary: Derived<Summary>,
 }
 
 impl Default for ColumnHistogram {
@@ -75,8 +86,27 @@ impl Default for ColumnHistogram {
             sample: Vec::new(),
             seen: 0,
             rng: RNG_SEED,
+            summary: Derived::default(),
         }
     }
+}
+
+/// What estimation reads instead of the raw reservoir.
+struct Summary {
+    /// The sample in `f64::total_cmp` order.
+    sorted: Vec<f64>,
+    /// Up to [`BUCKETS`] equi-depth buckets over `sorted`.
+    buckets: Vec<Bucket>,
+}
+
+/// Summaries derived since process start (a statistic: tests and probes
+/// read it to show that planning derives each column's summary once).
+static SUMMARIES_BUILT: AtomicU64 = AtomicU64::new(0);
+
+/// Number of histogram summaries (sample sort + bucket derivation) built
+/// by this process so far.
+pub fn summaries_built() -> u64 {
+    SUMMARIES_BUILT.load(Ordering::Relaxed)
 }
 
 /// Numeric view used for sampling: the same mapping
@@ -100,6 +130,7 @@ impl ColumnHistogram {
         if !x.is_finite() {
             return;
         }
+        self.summary.invalidate();
         self.seen += 1;
         if self.sample.len() < SAMPLE_CAP {
             self.sample.push(x);
@@ -144,6 +175,7 @@ impl ColumnHistogram {
             *self = other.clone();
             return;
         }
+        self.summary.invalidate();
         let total = self.seen + other.seen;
         if self.sample.len() + other.sample.len() <= SAMPLE_CAP {
             self.sample.extend_from_slice(&other.sample);
@@ -164,49 +196,28 @@ impl ColumnHistogram {
         }
     }
 
-    /// Derive up to [`BUCKETS`] equi-depth buckets from the sample.
-    pub fn buckets(&self) -> Vec<Bucket> {
+    /// The additive data (`summary_tests` recomputes from it).
+    #[cfg(test)]
+    pub(crate) fn raw(&self) -> (&[f64], u64) {
+        (&self.sample, self.seen)
+    }
+
+    fn summary(&self) -> &Summary {
+        self.summary.get_or_build(|| {
+            SUMMARIES_BUILT.fetch_add(1, Ordering::Relaxed);
+            let mut sorted = self.sample.clone();
+            sorted.sort_by(f64::total_cmp);
+            let buckets = derive_buckets(&sorted, self.seen);
+            Summary { sorted, buckets }
+        })
+    }
+
+    /// Up to [`BUCKETS`] equi-depth buckets over the sample.
+    pub fn buckets(&self) -> &[Bucket] {
         if self.sample.is_empty() {
-            return Vec::new();
+            return &[];
         }
-        let mut sorted = self.sample.clone();
-        sorted.sort_by(f64::total_cmp);
-        let scale = self.seen as f64 / sorted.len() as f64;
-        let n = sorted.len();
-        let nb = BUCKETS.min(n);
-        let mut out = Vec::with_capacity(nb);
-        let mut start = 0usize;
-        for b in 0..nb {
-            // Depth-equal split points; the last bucket absorbs the
-            // remainder.
-            let mut end = ((b + 1) * n) / nb;
-            // Never split a run of equal values across buckets: extend
-            // to cover the full run so `hi` boundaries are honest.
-            while end < n && end > start && sorted[end - 1] == sorted[end] {
-                end += 1;
-            }
-            if end <= start {
-                continue;
-            }
-            let slice = &sorted[start..end];
-            let mut ndv = 1u64;
-            for w in slice.windows(2) {
-                if w[0] != w[1] {
-                    ndv += 1;
-                }
-            }
-            out.push(Bucket {
-                lo: slice[0],
-                hi: slice[end - start - 1],
-                rows: slice.len() as f64 * scale,
-                ndv: ndv as f64,
-            });
-            start = end;
-            if start >= n {
-                break;
-            }
-        }
-        out
+        &self.summary().buckets
     }
 
     /// Estimated fraction of (numeric, non-null) rows equal to `x`.
@@ -220,11 +231,16 @@ impl ColumnHistogram {
         if self.sample.is_empty() {
             return None;
         }
-        let hits = self.sample.iter().filter(|&&v| v == x).count();
+        let summary = self.summary();
+        // Sample values equal to `x`: `total_cmp` order is non-decreasing
+        // under `<` too (it only splits -0.0 from 0.0, which stay
+        // adjacent), so both bounds are binary searches.
+        let sorted = &summary.sorted;
+        let hits = sorted.partition_point(|&v| v <= x) - sorted.partition_point(|&v| v < x);
         if hits >= 2 {
-            return Some(hits as f64 / self.sample.len() as f64);
+            return Some(hits as f64 / sorted.len() as f64);
         }
-        for b in self.buckets() {
+        for b in &summary.buckets {
             if x >= b.lo && x <= b.hi {
                 let frac = b.rows / self.seen as f64;
                 return Some(frac / b.ndv.max(1.0));
@@ -244,20 +260,67 @@ impl ColumnHistogram {
         let total = self.seen as f64;
         let mut rows = 0.0;
         for b in self.buckets() {
-            rows += bucket_overlap_rows(&b, lo, hi);
+            rows += bucket_overlap_rows(b, lo, hi);
         }
         Some((rows / total).clamp(0.0, 1.0))
     }
 
     /// Smallest sampled value.
     pub fn min_value(&self) -> Option<f64> {
-        self.sample.iter().copied().min_by(f64::total_cmp)
+        if self.sample.is_empty() {
+            return None;
+        }
+        self.summary().sorted.first().copied()
     }
 
     /// Largest sampled value.
     pub fn max_value(&self) -> Option<f64> {
-        self.sample.iter().copied().max_by(f64::total_cmp)
+        if self.sample.is_empty() {
+            return None;
+        }
+        self.summary().sorted.last().copied()
     }
+}
+
+/// Split a `total_cmp`-sorted, non-empty sample standing for `seen` rows
+/// into up to [`BUCKETS`] equi-depth buckets.
+fn derive_buckets(sorted: &[f64], seen: u64) -> Vec<Bucket> {
+    let scale = seen as f64 / sorted.len() as f64;
+    let n = sorted.len();
+    let nb = BUCKETS.min(n);
+    let mut out = Vec::with_capacity(nb);
+    let mut start = 0usize;
+    for b in 0..nb {
+        // Depth-equal split points; the last bucket absorbs the
+        // remainder.
+        let mut end = ((b + 1) * n) / nb;
+        // Never split a run of equal values across buckets: extend
+        // to cover the full run so `hi` boundaries are honest.
+        while end < n && end > start && sorted[end - 1] == sorted[end] {
+            end += 1;
+        }
+        if end <= start {
+            continue;
+        }
+        let slice = &sorted[start..end];
+        let mut ndv = 1u64;
+        for w in slice.windows(2) {
+            if w[0] != w[1] {
+                ndv += 1;
+            }
+        }
+        out.push(Bucket {
+            lo: slice[0],
+            hi: slice[end - start - 1],
+            rows: slice.len() as f64 * scale,
+            ndv: ndv as f64,
+        });
+        start = end;
+        if start >= n {
+            break;
+        }
+    }
+    out
 }
 
 /// Rows of `b` falling inside the (inclusive) query range, assuming
@@ -324,8 +387,8 @@ pub fn join_selectivity(l: &ColumnHistogram, r: &ColumnHistogram) -> Option<f64>
             segs.push((v, next));
         }
     }
-    let l_seg = distribute_over_segments(&lb, &segs);
-    let r_seg = distribute_over_segments(&rb, &segs);
+    let l_seg = distribute_over_segments(lb, &bounds, &segs);
+    let r_seg = distribute_over_segments(rb, &bounds, &segs);
 
     let mut out_rows = 0.0;
     for (i, &(lo, hi)) in segs.iter().enumerate() {
@@ -353,9 +416,22 @@ pub fn join_selectivity(l: &ColumnHistogram, r: &ColumnHistogram) -> Option<f64>
 /// weighs its width fraction; zero-width buckets sit wholly on their
 /// point. Weights are normalized per bucket so its rows are partitioned
 /// across the segments rather than double-counted at shared boundaries.
-fn distribute_over_segments(buckets: &[Bucket], segs: &[(f64, f64)]) -> Vec<(f64, f64)> {
+///
+/// `segs[2k]` is the point at `bounds[k]` and `segs[2k + 1]` the open
+/// interval to `bounds[k + 1]`, so a bucket can only weigh on the
+/// segments between its own two boundaries: those are found by binary
+/// search (one interval of slack on each side) and the rest, whose
+/// weight is exactly zero, skipped — adding zeros changes no sum.
+fn distribute_over_segments(
+    buckets: &[Bucket],
+    bounds: &[f64],
+    segs: &[(f64, f64)],
+) -> Vec<(f64, f64)> {
     let mut out = vec![(0.0, 0.0); segs.len()];
     for b in buckets {
+        let first = (2 * bounds.partition_point(|&v| v < b.lo)).saturating_sub(1);
+        let last = (2 * bounds.partition_point(|&v| v <= b.hi) + 1).min(segs.len());
+        let (out, segs) = (&mut out[first..last], &segs[first..last]);
         let width = b.hi - b.lo;
         let weight = |&(lo, hi): &(f64, f64)| -> f64 {
             if hi <= lo {

@@ -5,7 +5,12 @@
 //! loss of approximation accuracy" (paper §4.1). This is the dense
 //! representation with the HLL++ bias-corrected estimator and
 //! linear-counting fallback for small cardinalities.
+//!
+//! The estimate is a float loop over all 4 096 registers; a sketch keeps
+//! it in a `Derived` cell once asked, and drops it whenever a register
+//! changes.
 
+use crate::derived::Derived;
 use hive_common::hash::{encode_str, encode_value, fnv1a};
 use hive_common::Value;
 use serde::{Deserialize, Serialize};
@@ -18,6 +23,9 @@ const M: usize = 1 << P; // 4096 registers
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct HyperLogLog {
     registers: Vec<u8>,
+    /// `estimate()` of the current registers; every write to
+    /// `registers` invalidates it.
+    estimate: Derived<u64>,
 }
 
 impl Default for HyperLogLog {
@@ -31,6 +39,7 @@ impl HyperLogLog {
     pub fn new() -> Self {
         HyperLogLog {
             registers: vec![0; M],
+            estimate: Derived::default(),
         }
     }
 
@@ -90,12 +99,14 @@ impl HyperLogLog {
         let rank = (rest.leading_zeros() + 1).min(64 - P + 1) as u8;
         if rank > self.registers[idx] {
             self.registers[idx] = rank;
+            self.estimate.invalidate();
         }
     }
 
     /// Merge another sketch (register-wise max) — the lossless additive
     /// combination HMS relies on.
     pub fn merge(&mut self, other: &HyperLogLog) {
+        self.estimate.invalidate();
         for (a, b) in self.registers.iter_mut().zip(&other.registers) {
             *a = (*a).max(*b);
         }
@@ -103,10 +114,22 @@ impl HyperLogLog {
 
     /// Estimated number of distinct values.
     pub fn estimate(&self) -> u64 {
+        *self
+            .estimate
+            .get_or_build(|| Self::estimate_registers(&self.registers))
+    }
+
+    /// The additive data (`summary_tests` recomputes from it).
+    #[cfg(test)]
+    pub(crate) fn registers(&self) -> &[u8] {
+        &self.registers
+    }
+
+    fn estimate_registers(registers: &[u8]) -> u64 {
         let m = M as f64;
         let mut sum = 0.0;
         let mut zeros = 0usize;
-        for &r in &self.registers {
+        for &r in registers {
             sum += 1.0 / (1u64 << r) as f64;
             if r == 0 {
                 zeros += 1;

@@ -14,7 +14,9 @@
 //! * [`catalog`] — databases, tables, partitions, constraints, MV metadata.
 //! * [`stats`] — additive table/column statistics; NDV uses a
 //!   HyperLogLog++ sketch ([`hll::HyperLogLog`]) that merges without
-//!   losing accuracy, exactly as §4.1 describes.
+//!   losing accuracy, exactly as §4.1 describes. [`Metastore`] publishes
+//!   them as immutable `Arc` snapshots; the query-ready summary of a
+//!   column is derived lazily, once per published state.
 //! * [`txn`] — TxnId/WriteId allocation, snapshot generation
 //!   ([`txn::ValidTxnList`], [`txn::ValidWriteIdList`]), write-set
 //!   conflict detection (first-commit-wins).
@@ -23,11 +25,14 @@
 
 pub mod catalog;
 pub mod compaction;
+mod derived;
 pub mod histogram;
 pub mod hll;
 pub mod locks;
 pub mod metastore;
 pub mod stats;
+#[cfg(test)]
+mod summary_tests;
 pub mod txn;
 
 pub use catalog::{

@@ -10,6 +10,7 @@ use crate::txn::{TxnManager, TxnState, ValidTxnList, ValidWriteIdList};
 use hive_common::{Result, TxnId, Value, WriteId};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// The Hive Metastore service object. Cheap to clone; all clones share
@@ -22,9 +23,15 @@ pub struct Metastore {
 #[derive(Debug, Default)]
 struct MetastoreInner {
     catalog: RwLock<Catalog>,
+    /// Bumped by every successful DDL on a database or table definition
+    /// (not by partition registration, which INSERT does).
+    ddl_generation: AtomicU64,
     txns: Mutex<TxnManager>,
     locks: Mutex<LockManager>,
-    stats: RwLock<HashMap<String, TableStats>>,
+    /// Published statistics snapshots. Readers take the `Arc`; writers
+    /// mutate copy-on-write, so a snapshot a planner holds never changes
+    /// under it.
+    stats: RwLock<HashMap<String, Arc<TableStats>>>,
     compactions: Mutex<CompactionQueue>,
     /// Runtime operator statistics persisted for reoptimization feedback
     /// (§4.2/§9), keyed by plan fingerprint.
@@ -39,14 +46,32 @@ impl Metastore {
 
     // ---- catalog -------------------------------------------------------
 
+    /// A counter that changes whenever a database or table definition
+    /// does (create, drop, alter): anything derived from analyzing SQL
+    /// against the catalog is valid for the generation it was built
+    /// under. Registering or dropping partitions and refreshing a
+    /// materialized view's snapshot metadata do not count — neither
+    /// changes what a name binds to.
+    pub fn ddl_generation(&self) -> u64 {
+        self.inner.ddl_generation.load(Ordering::SeqCst)
+    }
+
+    fn bump_ddl_generation(&self) {
+        self.inner.ddl_generation.fetch_add(1, Ordering::SeqCst);
+    }
+
     /// Create a database.
     pub fn create_database(&self, name: &str) -> Result<()> {
-        self.inner.catalog.write().create_database(name)
+        self.inner.catalog.write().create_database(name)?;
+        self.bump_ddl_generation();
+        Ok(())
     }
 
     /// Drop an empty database.
     pub fn drop_database(&self, name: &str) -> Result<()> {
-        self.inner.catalog.write().drop_database(name)
+        self.inner.catalog.write().drop_database(name)?;
+        self.bump_ddl_generation();
+        Ok(())
     }
 
     /// Register a table; also initializes its stats entry.
@@ -54,16 +79,18 @@ impl Metastore {
         let qname = table.qualified_name();
         let ncols = table.schema.len();
         self.inner.catalog.write().create_table(table)?;
+        self.bump_ddl_generation();
         self.inner
             .stats
             .write()
-            .insert(qname, TableStats::new(ncols));
+            .insert(qname, Arc::new(TableStats::new(ncols)));
         Ok(())
     }
 
     /// Drop a table and its stats.
     pub fn drop_table(&self, db: &str, name: &str) -> Result<Table> {
         let t = self.inner.catalog.write().drop_table(db, name)?;
+        self.bump_ddl_generation();
         self.inner.stats.write().remove(&t.qualified_name());
         Ok(t)
     }
@@ -139,27 +166,36 @@ impl Metastore {
         let mut cat = self.inner.catalog.write();
         let t = cat.table_mut(db, name)?;
         f(t);
+        self.bump_ddl_generation();
         Ok(())
     }
 
     // ---- statistics ----------------------------------------------------
 
-    /// Current stats for a table (empty default when never written).
-    pub fn table_stats(&self, qualified: &str) -> TableStats {
+    /// The published statistics snapshot of a table (empty default when
+    /// never written): a refcount bump, never a copy. The snapshot is
+    /// immutable — later merges publish a new state and leave it as it
+    /// was — and the column summaries readers derive on it are shared by
+    /// everyone holding it.
+    pub fn table_stats(&self, qualified: &str) -> Arc<TableStats> {
         self.inner
             .stats
             .read()
             .get(qualified)
-            .cloned()
+            .map(Arc::clone)
             .unwrap_or_default()
     }
 
     /// Additively merge new statistics (the INSERT path of §4.1).
+    /// Copy-on-write: in place when no reader holds the current
+    /// snapshot, on a private copy (whose summaries start empty)
+    /// otherwise.
     pub fn merge_table_stats(&self, qualified: &str, delta: &TableStats) {
         let mut g = self.inner.stats.write();
-        g.entry(qualified.to_string())
-            .or_insert_with(|| TableStats::new(delta.columns.len()))
-            .merge(delta);
+        let published = g
+            .entry(qualified.to_string())
+            .or_insert_with(|| Arc::new(TableStats::new(delta.columns.len())));
+        Arc::make_mut(published).merge(delta);
     }
 
     /// Replace statistics outright (ANALYZE TABLE / major compaction).
@@ -167,7 +203,7 @@ impl Metastore {
         self.inner
             .stats
             .write()
-            .insert(qualified.to_string(), stats);
+            .insert(qualified.to_string(), Arc::new(stats));
     }
 
     // ---- transactions --------------------------------------------------

@@ -1,6 +1,12 @@
 //! Table and column statistics stored in HMS and served to the
 //! optimizer (paper §4.1). Statistics are additive: inserts and
 //! per-partition stats merge onto existing values without rescanning.
+//!
+//! The types here hold only that additive data plus, inside the NDV
+//! sketch and the histogram, a lazily derived query-ready summary (see
+//! `derived`) that `Clone`, `PartialEq` and every fold ignore or drop.
+
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use crate::histogram::ColumnHistogram;
 use crate::hll::HyperLogLog;
@@ -24,7 +30,8 @@ pub struct ColumnStatsMeta {
 }
 
 impl ColumnStatsMeta {
-    /// Estimated number of distinct values.
+    /// Estimated number of distinct values (computed once per sketch
+    /// state).
     pub fn ndv_estimate(&self) -> u64 {
         self.ndv.estimate()
     }

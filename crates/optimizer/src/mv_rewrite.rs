@@ -17,7 +17,7 @@
 use crate::expr::{AggExpr, AggFunc, ScalarExpr};
 use crate::plan::{JoinType, LogicalPlan, ScanTable};
 use crate::rules::transform_up;
-use crate::stats::{estimate_cost, StatsSource};
+use crate::stats::{Estimator, StatsSource};
 use hive_common::{HiveError, Result, Value};
 use hive_sql::BinaryOp;
 use std::cmp::Ordering;
@@ -29,8 +29,10 @@ use std::sync::Arc;
 pub struct UsableView {
     /// The MV's own table (scanned by rewritten plans).
     pub table: hive_metastore::Table,
-    /// The analyzed (unoptimized) definition plan.
-    pub plan: LogicalPlan,
+    /// The analyzed definition plan, normalized by the exhaustive stage
+    /// like the query side will be. Shared: the driver keeps it with
+    /// the view and hands it to every query.
+    pub plan: Arc<LogicalPlan>,
 }
 
 /// Column coordinates: `rel_idx * COL_STRIDE + table_schema_col`.
@@ -97,11 +99,12 @@ pub fn try_rewrite(
     // Both sides are compared *after* join reordering, since that is the
     // form either one would ultimately execute in.
     let rewritten = crate::optimizer::Optimizer::exhaustive(rewritten)?;
-    let rewritten = crate::rules::join_reorder::reorder_joins(&rewritten, stats)?;
+    let mut est = Estimator::new(stats);
+    let rewritten = crate::rules::join_reorder::reorder_joins(&rewritten, &mut est)?;
     let rewritten = crate::optimizer::Optimizer::exhaustive(rewritten)?;
-    let old_reordered = crate::rules::join_reorder::reorder_joins(plan, stats)?;
-    let old_cost = estimate_cost(&old_reordered, stats);
-    let new_cost = estimate_cost(&rewritten, stats);
+    let old_reordered = crate::rules::join_reorder::reorder_joins(plan, &mut est)?;
+    let old_cost = est.cost(&old_reordered);
+    let new_cost = est.cost(&rewritten);
     if std::env::var("HIVE_MV_DEBUG").is_ok() {
         eprintln!("mv_rewrite: old={old_cost} new={new_cost}");
     }

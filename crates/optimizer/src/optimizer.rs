@@ -4,7 +4,7 @@
 use crate::mv_rewrite;
 use crate::plan::LogicalPlan;
 use crate::rules::{folding, join_reorder, partition_prune, pruning, pushdown, semijoin};
-use crate::stats::GatedStats;
+use crate::stats::{Estimator, GatedStats, StatsSource};
 use hive_common::{HiveConf, Result};
 use hive_metastore::Metastore;
 use std::collections::HashMap;
@@ -33,6 +33,17 @@ pub struct Optimizer;
 impl Optimizer {
     /// Optimize an analyzed plan.
     pub fn optimize(plan: LogicalPlan, ctx: &OptimizerContext) -> Result<LogicalPlan> {
+        Self::optimize_with_stats(plan, ctx, ctx.metastore)
+    }
+
+    /// [`Optimizer::optimize`] with the statistics read from `stats`
+    /// instead of `ctx.metastore` — the seam a test uses to count or
+    /// fake what the cost-based stages ask for.
+    pub fn optimize_with_stats(
+        plan: LogicalPlan,
+        ctx: &OptimizerContext,
+        stats: &dyn StatsSource,
+    ) -> Result<LogicalPlan> {
         let mut plan = plan;
 
         // Stage 1 — exhaustive rewriting to fixpoint.
@@ -41,25 +52,26 @@ impl Optimizer {
         // Stage 2 — materialized-view rewriting (cost-based: the
         // rewriter only substitutes when the estimate improves).
         if ctx.conf.mv_rewriting && !ctx.usable_views.is_empty() {
-            if let Some(rewritten) =
-                mv_rewrite::try_rewrite(&plan, &ctx.usable_views, ctx.metastore)?
-            {
+            if let Some(rewritten) = mv_rewrite::try_rewrite(&plan, &ctx.usable_views, stats)? {
                 plan = Self::exhaustive(rewritten)?;
             }
         }
 
         // Cost-based stages see the metastore through a gate: the gate
         // decides whether histogram/feedback-driven estimation is live,
-        // so the rules themselves never read configuration.
+        // so the rules themselves never read configuration. They share
+        // one estimator: each table's statistics snapshot is fetched
+        // once and each plan node estimated once for the whole pass.
         let gated = GatedStats {
-            inner: ctx.metastore,
+            inner: stats,
             use_histograms: ctx.conf.effective_histograms_enabled(),
             feedback: ctx.feedback.clone(),
         };
+        let mut est = Estimator::new(&gated);
 
         // Stage 3 — cost-based join reordering.
         if ctx.conf.cbo_enabled {
-            plan = join_reorder::reorder_joins(&plan, &gated)?;
+            plan = join_reorder::reorder_joins(&plan, &mut est)?;
             plan = Self::exhaustive(plan)?;
         }
 
@@ -73,7 +85,7 @@ impl Optimizer {
 
         // Stage 6 — dynamic semijoin reduction planning.
         if ctx.conf.semijoin_reduction {
-            plan = semijoin::plan_semijoin_reduction(&plan, &gated);
+            plan = semijoin::plan_semijoin_reduction(&plan, &mut est);
         }
 
         debug_assert!(plan.check().is_ok(), "optimized plan fails type check");

@@ -8,23 +8,29 @@
 //! the estimated intermediate cardinality (falling back to Cartesian
 //! expansion only when no connected relation remains). A final
 //! projection restores the original column order.
+//!
+//! Every estimate goes through the pass's [`Estimator`]: relations and
+//! candidate joins are `Arc` nodes it memoizes, so the subtree under a
+//! candidate is estimated once however many candidates stack on it.
+
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use crate::expr::ScalarExpr;
 use crate::plan::{JoinType, LogicalPlan};
 use crate::rules::transform_up;
-use crate::stats::{estimate_rows, StatsSource};
-use hive_common::Result;
+use crate::stats::Estimator;
+use hive_common::{HiveError, Result};
 use std::sync::Arc;
 
 /// Reorder all maximal inner-join trees in the plan.
-pub fn reorder_joins(plan: &LogicalPlan, stats: &dyn StatsSource) -> Result<LogicalPlan> {
-    if stats.histograms_enabled() {
-        return reorder_top_down(plan, stats);
+pub fn reorder_joins(plan: &LogicalPlan, est: &mut Estimator) -> Result<LogicalPlan> {
+    if est.histograms_enabled() {
+        return reorder_top_down(plan, est);
     }
     let mut err = None;
     let out = transform_up(plan, &mut |node| {
         if is_reorderable_join(&node) {
-            match reorder_one(&node, stats, false) {
+            match reorder_one(&node, est, false) {
                 Ok(p) => p,
                 Err(e) => {
                     err = Some(e);
@@ -49,7 +55,7 @@ pub fn reorder_joins(plan: &LogicalPlan, stats: &dyn StatsSource) -> Result<Logi
 /// histogram can never move a selective dimension ahead of a bulky
 /// one.) Relations discovered by `flatten` are recursed into, so join
 /// trees under aggregates, set ops, or non-inner joins still reorder.
-fn reorder_top_down(plan: &LogicalPlan, stats: &dyn StatsSource) -> Result<LogicalPlan> {
+fn reorder_top_down(plan: &LogicalPlan, est: &mut Estimator) -> Result<LogicalPlan> {
     if is_reorderable_join(plan) {
         // Greedy left-deep rebuild versus the authored shape, costed
         // under the same estimator. Greedy's search space is left-deep
@@ -57,10 +63,10 @@ fn reorder_top_down(plan: &LogicalPlan, stats: &dyn StatsSource) -> Result<Logic
         // tiny dimensions before one multi-key probe of the fact) can
         // be strictly cheaper, and on a tie the authored tree wins —
         // it needs no column-restoring projection.
-        let greedy = reorder_one(plan, stats, true)?;
-        let authored = reorder_below_joins(plan, stats)?;
+        let greedy = reorder_one(plan, est, true)?;
+        let authored = reorder_below_joins(plan, est)?;
         return Ok(
-            if join_tree_cost(&greedy, stats) < join_tree_cost(&authored, stats) {
+            if join_tree_cost(&greedy, est) < join_tree_cost(&authored, est) {
                 greedy
             } else {
                 authored
@@ -73,7 +79,7 @@ fn reorder_top_down(plan: &LogicalPlan, stats: &dyn StatsSource) -> Result<Logic
     }
     let mut new_children = Vec::with_capacity(children.len());
     for c in children {
-        new_children.push(Arc::new(reorder_top_down(c, stats)?));
+        new_children.push(Arc::new(reorder_top_down(c, est)?));
     }
     Ok(super::with_children(plan, new_children))
 }
@@ -82,27 +88,27 @@ fn reorder_top_down(plan: &LogicalPlan, stats: &dyn StatsSource) -> Result<Logic
 /// into the relations below it (which may themselves contain join trees
 /// — subqueries, derived tables — that still get their own
 /// authored-versus-greedy choice).
-fn reorder_below_joins(plan: &LogicalPlan, stats: &dyn StatsSource) -> Result<LogicalPlan> {
+fn reorder_below_joins(plan: &LogicalPlan, est: &mut Estimator) -> Result<LogicalPlan> {
     if is_reorderable_join(plan) {
         let children = plan.children();
         let mut new_children = Vec::with_capacity(children.len());
         for c in children {
-            new_children.push(Arc::new(reorder_below_joins(c, stats)?));
+            new_children.push(Arc::new(reorder_below_joins(c, est)?));
         }
         Ok(super::with_children(plan, new_children))
     } else {
-        reorder_top_down(plan, stats)
+        reorder_top_down(plan, est)
     }
 }
 
 /// Cost of a join tree as the sum of estimated output rows over every
 /// inner/cross join node: every intermediate a plan materializes is
 /// work its downstream operators pay for again.
-fn join_tree_cost(plan: &LogicalPlan, stats: &dyn StatsSource) -> f64 {
+fn join_tree_cost(plan: &LogicalPlan, est: &mut Estimator) -> f64 {
     let mut cost = 0.0;
     plan.visit(&mut |p| {
         if is_reorderable_join(p) {
-            cost += estimate_rows(p, stats);
+            cost += est.rows(p);
         }
     });
     cost
@@ -137,12 +143,21 @@ struct Edge {
     used: bool,
 }
 
-fn reorder_one(node: &LogicalPlan, stats: &dyn StatsSource, deep: bool) -> Result<LogicalPlan> {
+impl Edge {
+    /// Is this an unused edge between relation `r` and a joined one?
+    fn connects(&self, joined: &[bool], r: usize) -> bool {
+        !self.used
+            && ((joined[self.left_rel] && self.right_rel == r)
+                || (joined[self.right_rel] && self.left_rel == r))
+    }
+}
+
+fn reorder_one(node: &LogicalPlan, est: &mut Estimator, deep: bool) -> Result<LogicalPlan> {
     // Flatten.
     let mut rels: Vec<Rel> = Vec::new();
     let mut edges: Vec<Edge> = Vec::new();
     let mut residuals: Vec<ScalarExpr> = Vec::new(); // global coords
-    flatten(node, &mut rels, &mut edges, &mut residuals, stats, deep)?;
+    flatten(node, &mut rels, &mut edges, &mut residuals, est, deep)?;
     if rels.len() < 2 {
         return Ok(node.clone());
     }
@@ -162,9 +177,9 @@ fn reorder_one(node: &LogicalPlan, stats: &dyn StatsSource, deep: bool) -> Resul
             let conn_b = edges.iter().any(|e| e.left_rel == b || e.right_rel == b);
             conn_a
                 .cmp(&conn_b)
-                .then(rels[a].rows.partial_cmp(&rels[b].rows).unwrap())
+                .then(rels[a].rows.total_cmp(&rels[b].rows))
         })
-        .expect("nonempty");
+        .ok_or_else(|| HiveError::Plan("join reorder: no relation to start from".into()))?;
     joined[start] = true;
     let mut current: Arc<LogicalPlan> = rels[start].plan.clone();
     let mut current_rows = rels[start].rows;
@@ -177,87 +192,87 @@ fn reorder_one(node: &LogicalPlan, stats: &dyn StatsSource, deep: bool) -> Resul
     // buys nothing while the column-restoring projection it forces
     // costs real rows. Genuine wins (a filtered dimension versus an
     // unfiltered one) differ by integer factors, far past 10%.
-    let margin = if stats.histograms_enabled() { 0.9 } else { 1.0 };
+    let margin = if est.histograms_enabled() { 0.9 } else { 1.0 };
     while joined.iter().any(|j| !j) {
         // Candidate = unjoined relation; prefer connected ones, pick the
         // one minimizing estimated output rows.
-        let mut best: Option<(usize, f64, bool)> = None; // (rel, est, connected)
+        let mut best: Option<Candidate> = None;
         for r in 0..n {
             if joined[r] {
                 continue;
             }
-            let connected = edges.iter().any(|e| {
-                !e.used
-                    && ((joined[e.left_rel] && e.right_rel == r)
-                        || (joined[e.right_rel] && e.left_rel == r))
-            });
-            let est = if connected {
-                if stats.histograms_enabled() {
-                    // Cost the candidate through the full estimator
-                    // (histogram overlap on the join keys, runtime
-                    // feedback when present) by building the join it
-                    // would produce.
-                    candidate_join_estimate(
-                        &current,
-                        current_rows,
-                        &rels[r],
-                        r,
-                        &edges,
-                        &joined,
-                        &layout,
-                        stats,
-                    )
-                } else {
-                    // Constant-selectivity oracle: size-containment on
-                    // the raw row counts.
-                    current_rows * rels[r].rows / current_rows.max(rels[r].rows).max(1.0)
-                }
+            let connected = edges.iter().any(|e| e.connects(&joined, r));
+            let (rows, join) = if !connected {
+                (current_rows * rels[r].rows, None)
+            } else if est.histograms_enabled() {
+                // Cost the candidate through the full estimator
+                // (histogram overlap on the join keys, runtime
+                // feedback when present) by building the join it
+                // would produce.
+                candidate_join(
+                    &current,
+                    current_rows,
+                    &rels[r],
+                    r,
+                    &edges,
+                    &joined,
+                    &layout,
+                    est,
+                )
             } else {
-                current_rows * rels[r].rows
+                // Constant-selectivity oracle: size-containment on
+                // the raw row counts.
+                (containment(current_rows, rels[r].rows), None)
             };
             let better = match &best {
                 None => true,
-                Some((_, b_est, b_conn)) => {
-                    (connected && !b_conn) || (connected == *b_conn && est < *b_est * margin)
+                Some(b) => {
+                    (connected && !b.connected)
+                        || (connected == b.connected && rows < b.rows * margin)
                 }
             };
             if better {
-                best = Some((r, est, connected));
+                best = Some(Candidate {
+                    rel: r,
+                    rows,
+                    connected,
+                    join,
+                });
             }
         }
-        let (next, est, connected) = best.expect("some relation remains");
-        // Gather join conditions between `current` and `next`.
-        let mut equi: Vec<(ScalarExpr, ScalarExpr)> = Vec::new();
-        for e in edges.iter_mut().filter(|e| !e.used) {
-            let (cur_rel, cur_expr, next_expr) = if joined[e.left_rel] && e.right_rel == next {
-                (e.left_rel, &e.left_expr, &e.right_expr)
-            } else if joined[e.right_rel] && e.left_rel == next {
-                (e.right_rel, &e.right_expr, &e.left_expr)
-            } else {
-                continue;
-            };
-            // Remap the current-side expr into the accumulated layout.
-            let left = cur_expr
-                .clone()
-                .remap_columns(&|c| layout.iter().position(|&(r, lc)| r == cur_rel && lc == c))?;
-            equi.push((left, next_expr.clone()));
-            e.used = true;
-        }
-        let join_type = if connected && !equi.is_empty() {
-            JoinType::Inner
-        } else {
-            JoinType::Cross
+        let Some(chosen) = best else {
+            return Err(HiveError::Plan(
+                "join reorder: no relation left to attach".into(),
+            ));
         };
-        current = Arc::new(LogicalPlan::Join {
-            left: current,
-            right: rels[next].plan.clone(),
-            join_type,
-            equi,
-            residual: None,
-        });
+        let next = chosen.rel;
+        current = match chosen.join {
+            // The candidate the estimator costed is the join to build.
+            Some(join) => join,
+            None => {
+                let equi = connecting_keys(&edges, &joined, &layout, next)?;
+                let join_type = if chosen.connected && !equi.is_empty() {
+                    JoinType::Inner
+                } else {
+                    JoinType::Cross
+                };
+                Arc::new(LogicalPlan::Join {
+                    left: current,
+                    right: rels[next].plan.clone(),
+                    join_type,
+                    equi,
+                    residual: None,
+                })
+            }
+        };
+        for e in edges.iter_mut() {
+            if e.connects(&joined, next) {
+                e.used = true;
+            }
+        }
         layout.extend((0..rels[next].width).map(|c| (next, c)));
         joined[next] = true;
-        current_rows = est.max(1.0);
+        current_rows = chosen.rows.max(1.0);
     }
 
     // Any unused edges (cycles) and residuals become a filter on top,
@@ -301,8 +316,8 @@ fn reorder_one(node: &LogicalPlan, stats: &dyn StatsSource, deep: bool) -> Resul
     let mut exprs = Vec::with_capacity(total);
     let mut names = Vec::with_capacity(total);
     for g in 0..total {
-        let pos = global_to_layout(g)
-            .ok_or_else(|| hive_common::HiveError::Plan("lost column in reorder".into()))?;
+        let pos =
+            global_to_layout(g).ok_or_else(|| HiveError::Plan("lost column in reorder".into()))?;
         exprs.push(ScalarExpr::Column(pos));
         names.push(schema.field(pos).name.clone());
     }
@@ -313,13 +328,52 @@ fn reorder_one(node: &LogicalPlan, stats: &dyn StatsSource, deep: bool) -> Resul
     })
 }
 
+/// The best relation to attach next, so far.
+struct Candidate {
+    rel: usize,
+    rows: f64,
+    connected: bool,
+    /// The join node the estimate was made on, when one was built.
+    join: Option<Arc<LogicalPlan>>,
+}
+
+/// Size-containment estimate of joining two relations on some key.
+fn containment(l: f64, r: f64) -> f64 {
+    l * r / l.max(r).max(1.0)
+}
+
+/// The equi conditions joining relation `r` onto the accumulated tree:
+/// every unused edge between `r` and a joined relation, the joined
+/// side's expression remapped into the accumulated `layout`.
+fn connecting_keys(
+    edges: &[Edge],
+    joined: &[bool],
+    layout: &[(usize, usize)],
+    r: usize,
+) -> Result<Vec<(ScalarExpr, ScalarExpr)>> {
+    let mut equi = Vec::new();
+    for e in edges.iter().filter(|e| e.connects(joined, r)) {
+        let (cur_rel, cur_expr, next_expr) = if e.right_rel == r && joined[e.left_rel] {
+            (e.left_rel, &e.left_expr, &e.right_expr)
+        } else {
+            (e.right_rel, &e.right_expr, &e.left_expr)
+        };
+        let left = cur_expr
+            .clone()
+            .remap_columns(&|c| layout.iter().position(|&(rr, lc)| rr == cur_rel && lc == c))?;
+        equi.push((left, next_expr.clone()));
+    }
+    Ok(equi)
+}
+
 /// Estimated output rows of joining `rel` onto the accumulated
-/// `current` tree, costed through [`estimate_rows`] on the candidate
-/// join node so histogram overlap and runtime feedback participate.
-/// Falls back to size-containment when the candidate's join keys
-/// cannot be expressed over the accumulated layout.
+/// `current` tree, costed through the estimator on the candidate join
+/// node — returned with the estimate — so histogram overlap and runtime
+/// feedback participate. Falls back to size-containment (and no node)
+/// when the candidate's join keys cannot be expressed over the
+/// accumulated layout.
 #[allow(clippy::too_many_arguments)]
-fn candidate_join_estimate(
+fn candidate_join(
     current: &Arc<LogicalPlan>,
     current_rows: f64,
     rel: &Rel,
@@ -327,37 +381,23 @@ fn candidate_join_estimate(
     edges: &[Edge],
     joined: &[bool],
     layout: &[(usize, usize)],
-    stats: &dyn StatsSource,
-) -> f64 {
-    let fallback = current_rows * rel.rows / current_rows.max(rel.rows).max(1.0);
-    let mut equi: Vec<(ScalarExpr, ScalarExpr)> = Vec::new();
-    for e in edges.iter().filter(|e| !e.used) {
-        let (cur_rel, cur_expr, next_expr) = if joined[e.left_rel] && e.right_rel == r {
-            (e.left_rel, &e.left_expr, &e.right_expr)
-        } else if joined[e.right_rel] && e.left_rel == r {
-            (e.right_rel, &e.right_expr, &e.left_expr)
-        } else {
-            continue;
-        };
-        let Ok(left) = cur_expr
-            .clone()
-            .remap_columns(&|c| layout.iter().position(|&(rr, lc)| rr == cur_rel && lc == c))
-        else {
-            return fallback;
-        };
-        equi.push((left, next_expr.clone()));
-    }
+    est: &mut Estimator,
+) -> (f64, Option<Arc<LogicalPlan>>) {
+    let fallback = (containment(current_rows, rel.rows), None);
+    let Ok(equi) = connecting_keys(edges, joined, layout, r) else {
+        return fallback;
+    };
     if equi.is_empty() {
         return fallback;
     }
-    let candidate = LogicalPlan::Join {
+    let candidate = Arc::new(LogicalPlan::Join {
         left: current.clone(),
         right: rel.plan.clone(),
         join_type: JoinType::Inner,
         equi,
         residual: None,
-    };
-    estimate_rows(&candidate, stats).max(1.0)
+    });
+    (est.rows_of(&candidate).max(1.0), Some(candidate))
 }
 
 /// Flatten nested inner/cross joins into relations + edges.
@@ -366,7 +406,7 @@ fn flatten(
     rels: &mut Vec<Rel>,
     edges: &mut Vec<Edge>,
     residuals: &mut Vec<ScalarExpr>,
-    stats: &dyn StatsSource,
+    est: &mut Estimator,
     deep: bool,
 ) -> Result<()> {
     match node {
@@ -378,14 +418,14 @@ fn flatten(
             residual,
         } => {
             let left_start_rel = rels.len();
-            flatten(left, rels, edges, residuals, stats, deep)?;
+            flatten(left, rels, edges, residuals, est, deep)?;
             let right_start_rel = rels.len();
             let left_width: usize = rels[left_start_rel..right_start_rel]
                 .iter()
                 .map(|r| r.width)
                 .sum();
             let left_offset = rels.get(left_start_rel).map(|r| r.offset).unwrap_or(0);
-            flatten(right, rels, edges, residuals, stats, deep)?;
+            flatten(right, rels, edges, residuals, est, deep)?;
             // Register equi edges: left expr over left subtree's local
             // coords, right over right subtree's.
             for (l, r) in equi {
@@ -414,16 +454,16 @@ fn flatten(
             Ok(())
         }
         other => {
-            let plan = if deep {
-                reorder_top_down(other, stats)?
+            let plan = Arc::new(if deep {
+                reorder_top_down(other, est)?
             } else {
                 other.clone()
-            };
+            });
             let offset = rels.iter().map(|r| r.width).sum();
             let width = other.schema().len();
             rels.push(Rel {
-                rows: estimate_rows(&plan, stats),
-                plan: Arc::new(plan),
+                rows: est.rows_of(&plan),
+                plan,
                 offset,
                 width,
             });
@@ -455,7 +495,5 @@ fn locate(
         }
         acc = hi;
     }
-    Err(hive_common::HiveError::Plan(
-        "join key spans multiple relations".into(),
-    ))
+    Err(HiveError::Plan("join key spans multiple relations".into()))
 }

@@ -15,7 +15,7 @@
 use crate::expr::ScalarExpr;
 use crate::plan::{JoinType, LogicalPlan, SemiJoinFilterSpec};
 use crate::rules::transform_up;
-use crate::stats::{estimate_rows, StatsSource};
+use crate::stats::Estimator;
 use std::sync::Arc;
 
 /// Maximum estimated build-side rows for which a reducer is planned.
@@ -24,11 +24,11 @@ const MAX_SOURCE_ROWS: f64 = 2_000_000.0;
 const MIN_RATIO: f64 = 2.0;
 
 /// Plan semijoin reducers across the plan.
-pub fn plan_semijoin_reduction(plan: &LogicalPlan, stats: &dyn StatsSource) -> LogicalPlan {
-    transform_up(plan, &mut |node| attach_reducers(node, stats))
+pub fn plan_semijoin_reduction(plan: &LogicalPlan, est: &mut Estimator) -> LogicalPlan {
+    transform_up(plan, &mut |node| attach_reducers(node, est))
 }
 
-fn attach_reducers(node: LogicalPlan, stats: &dyn StatsSource) -> LogicalPlan {
+fn attach_reducers(node: LogicalPlan, est: &mut Estimator) -> LogicalPlan {
     let LogicalPlan::Join {
         left,
         right,
@@ -48,12 +48,12 @@ fn attach_reducers(node: LogicalPlan, stats: &dyn StatsSource) -> LogicalPlan {
             residual,
         };
     }
-    let left_rows = estimate_rows(&left, stats);
-    let right_rows = estimate_rows(&right, stats);
+    let left_rows = est.rows_of(&left);
+    let right_rows = est.rows_of(&right);
     // Reducers only reach through intermediate joins on the histogram
     // path: the constant-selectivity plan shape (and thus simulated
     // cost) stays byte-identical to the pre-histogram oracle.
-    let through_joins = stats.histograms_enabled();
+    let through_joins = est.histograms_enabled();
 
     let mut new_left = left.clone();
     let mut new_right = right.clone();

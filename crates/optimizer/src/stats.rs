@@ -2,17 +2,27 @@
 //! statistics (§4.1): row counts, min/max, HyperLogLog-backed NDV, and
 //! seeded equi-depth histograms, plus observed-cardinality feedback
 //! from the runtime-stats store (§4.2).
+//!
+//! Statistics arrive as immutable `Arc` snapshots ([`StatsSource`]) and
+//! are only ever borrowed. A planning pass estimates through one
+//! [`Estimator`], which fetches each table's snapshot once and computes
+//! each plan node's estimate once.
+
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use crate::expr::ScalarExpr;
 use crate::plan::{JoinType, LogicalPlan};
 use hive_common::Value;
-use hive_metastore::{ColumnHistogram, ColumnStatsMeta, TableStats};
+use hive_metastore::{ColumnStatsMeta, TableStats};
 use hive_sql::BinaryOp;
+use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Source of table statistics.
 pub trait StatsSource {
-    /// Stats for a qualified table name (empty default when unknown).
-    fn stats_for(&self, qualified_name: &str) -> TableStats;
+    /// The published statistics snapshot for a qualified table name
+    /// (empty default when unknown).
+    fn stats_for(&self, qualified_name: &str) -> Arc<TableStats>;
 
     /// Whether histogram-driven estimation is active
     /// (`hive.optimizer.histograms.enabled`). When false the System-R
@@ -31,26 +41,26 @@ pub trait StatsSource {
 }
 
 impl StatsSource for hive_metastore::Metastore {
-    fn stats_for(&self, qualified_name: &str) -> TableStats {
+    fn stats_for(&self, qualified_name: &str) -> Arc<TableStats> {
         self.table_stats(qualified_name)
     }
 }
 
 /// The [`StatsSource`] the optimizer stages drive: raw HMS statistics
 /// plus the histogram gate and per-query runtime feedback. All gating
-/// flows through this wrapper, so `estimate_rows` / `selectivity`
-/// never consult configuration themselves.
+/// flows through this wrapper, so the estimator never consults
+/// configuration itself.
 pub struct GatedStats<'a> {
     /// Underlying statistics (normally the metastore).
     pub inner: &'a dyn StatsSource,
     /// Resolved `hive.optimizer.histograms.enabled`.
     pub use_histograms: bool,
     /// Observed join cardinalities keyed by [`join_feedback_key`].
-    pub feedback: std::collections::HashMap<String, u64>,
+    pub feedback: HashMap<String, u64>,
 }
 
 impl StatsSource for GatedStats<'_> {
-    fn stats_for(&self, qualified_name: &str) -> TableStats {
+    fn stats_for(&self, qualified_name: &str) -> Arc<TableStats> {
         self.inner.stats_for(qualified_name)
     }
 
@@ -84,233 +94,320 @@ const SEL_EQ_DEFAULT: f64 = 0.05;
 const SEL_RANGE_DEFAULT: f64 = 1.0 / 3.0;
 const SEL_LIKE_DEFAULT: f64 = 0.25;
 
-/// Estimate output rows for a plan.
+/// Estimate output rows for a plan: one throwaway [`Estimator`] pass.
+/// Code that estimates many nodes of related plans (the optimizer's
+/// cost-based stages, the driver's cardinality guard) keeps one
+/// `Estimator` instead.
 pub fn estimate_rows(plan: &LogicalPlan, src: &dyn StatsSource) -> f64 {
-    match plan {
-        LogicalPlan::Scan {
-            table,
-            projection,
-            filters,
-            partitions,
-            ..
-        } => {
-            let stats = src.stats_for(&table.qualified_name);
-            let mut rows = stats.row_count.max(1) as f64;
-            if let Some(parts) = partitions {
-                // Assume uniform partition sizes.
-                let total = table_partition_count(src, &table.qualified_name).max(1);
-                rows *= (parts.len() as f64 / total as f64).min(1.0);
-            }
-            let use_hist = src.histograms_enabled();
-            for f in filters {
-                rows *= selectivity_with(f, Some((&stats, projection)), use_hist);
-            }
-            rows.max(1.0)
+    Estimator::new(src).rows(plan)
+}
+
+/// Estimated distinct count of output column `col` of `plan` — see
+/// [`Estimator::key_ndv`].
+pub fn estimate_key_ndv(plan: &LogicalPlan, col: usize, src: &dyn StatsSource) -> Option<u64> {
+    Estimator::new(src).key_ndv(plan, col)
+}
+
+/// A base-table column a plan column traces to, inside the snapshot the
+/// estimator holds for that table.
+struct TracedColumn {
+    stats: Arc<TableStats>,
+    col: usize,
+}
+
+impl TracedColumn {
+    fn get(&self) -> Option<&ColumnStatsMeta> {
+        self.stats.columns.get(self.col)
+    }
+}
+
+/// The cardinality estimator of one planning pass.
+///
+/// It holds what makes repeated estimation cheap and nothing else: the
+/// statistics snapshot of every table asked about (fetched from the
+/// [`StatsSource`] once, so one pass sees one state of each table) and a
+/// memo of per-node estimates. The memo key is plan-node **identity** —
+/// the address of a node that lives in an `Arc` — and each entry keeps a
+/// clone of that `Arc`, so a memoized address can never be reused by
+/// another node while the estimator lives. A node's estimate is a pure
+/// function of the node, the snapshots and the source's feedback, so a
+/// memo hit returns exactly what recomputation would.
+pub struct Estimator<'a> {
+    src: &'a dyn StatsSource,
+    tables: HashMap<String, Arc<TableStats>>,
+    memo: HashMap<*const LogicalPlan, (Arc<LogicalPlan>, f64)>,
+}
+
+impl<'a> Estimator<'a> {
+    /// An estimator over `src` with nothing fetched or estimated yet.
+    pub fn new(src: &'a dyn StatsSource) -> Self {
+        Estimator {
+            src,
+            tables: HashMap::new(),
+            memo: HashMap::new(),
         }
-        LogicalPlan::Values { rows, .. } => rows.len() as f64,
-        LogicalPlan::Filter { input, predicate } => {
-            (estimate_rows(input, src) * selectivity(predicate, None)).max(1.0)
+    }
+
+    /// Whether histogram-driven estimation is active on the source.
+    pub fn histograms_enabled(&self) -> bool {
+        self.src.histograms_enabled()
+    }
+
+    /// This pass's snapshot of a table's statistics.
+    fn table(&mut self, qualified_name: &str) -> Arc<TableStats> {
+        if let Some(stats) = self.tables.get(qualified_name) {
+            return Arc::clone(stats);
         }
-        LogicalPlan::Project { input, .. } | LogicalPlan::Window { input, .. } => {
-            estimate_rows(input, src)
+        let stats = self.src.stats_for(qualified_name);
+        self.tables
+            .insert(qualified_name.to_string(), Arc::clone(&stats));
+        stats
+    }
+
+    /// Estimated output rows of a shared plan node, memoized.
+    pub fn rows_of(&mut self, plan: &Arc<LogicalPlan>) -> f64 {
+        let key = Arc::as_ptr(plan);
+        if let Some((_, rows)) = self.memo.get(&key) {
+            return *rows;
         }
-        LogicalPlan::Join {
-            left,
-            right,
-            join_type,
-            equi,
-            residual,
-        } => {
-            // Runtime feedback wins over any estimate: an observed
-            // cardinality for this table set (from a prior execution or
-            // the current query's misestimate trip) IS the answer.
-            if let Some(obs) = src.feedback_rows(&join_feedback_key(plan)) {
-                return (obs as f64).max(1.0);
+        let rows = self.node_rows(plan);
+        self.memo.insert(key, (Arc::clone(plan), rows));
+        rows
+    }
+
+    /// Estimated output rows of a plan. The node itself cannot be pinned
+    /// through a plain reference, so it is looked up (it may be a child
+    /// estimated before) but not remembered; everything below it is.
+    pub fn rows(&mut self, plan: &LogicalPlan) -> f64 {
+        if let Some((_, rows)) = self.memo.get(&(plan as *const LogicalPlan)) {
+            return *rows;
+        }
+        self.node_rows(plan)
+    }
+
+    /// One node's estimate from its children's.
+    fn node_rows(&mut self, plan: &LogicalPlan) -> f64 {
+        match plan {
+            LogicalPlan::Scan {
+                table,
+                projection,
+                filters,
+                partitions,
+                ..
+            } => {
+                let stats = self.table(&table.qualified_name);
+                let mut rows = stats.row_count.max(1) as f64;
+                if let Some(parts) = partitions {
+                    // Assume uniform partition sizes.
+                    let total = table_partition_count(&table.qualified_name).max(1);
+                    rows *= (parts.len() as f64 / total as f64).min(1.0);
+                }
+                let use_hist = self.src.histograms_enabled();
+                for f in filters {
+                    rows *= selectivity_with(f, Some((&*stats, projection)), use_hist);
+                }
+                rows.max(1.0)
             }
-            let l = estimate_rows(left, src);
-            let r = estimate_rows(right, src);
-            let mut rows = match join_type {
-                JoinType::Cross => l * r,
-                JoinType::Semi => l * 0.5,
-                JoinType::Anti => l * 0.5,
-                _ => {
-                    if equi.is_empty() {
-                        l * r
-                    } else {
-                        // Per key: histogram overlap when both sides
-                        // trace to histogrammed scan columns (and the
-                        // gate is on), otherwise |L|*|R| / max(key NDV)
-                        // containment; otherwise the smaller relation's
-                        // cardinality is the proxy (its key is the PK
-                        // in the FK-PK pattern). Multiple keys AND
-                        // together: keep the most selective.
-                        let use_hist = src.histograms_enabled();
-                        let mut sel: Option<f64> = None;
-                        for (le, re) in equi {
-                            let mut key_sel: Option<f64> = None;
-                            if use_hist {
-                                if let (Some(lh), Some(rh)) =
-                                    (key_histogram(left, le, src), key_histogram(right, re, src))
-                                {
-                                    key_sel = hive_metastore::join_selectivity(&lh, &rh);
-                                }
+            LogicalPlan::Values { rows, .. } => rows.len() as f64,
+            LogicalPlan::Filter { input, predicate } => {
+                (self.rows_of(input) * selectivity(predicate, None)).max(1.0)
+            }
+            LogicalPlan::Project { input, .. } | LogicalPlan::Window { input, .. } => {
+                self.rows_of(input)
+            }
+            LogicalPlan::Join {
+                left,
+                right,
+                join_type,
+                equi,
+                residual,
+            } => {
+                // Runtime feedback wins over any estimate: an observed
+                // cardinality for this table set (from a prior execution or
+                // the current query's misestimate trip) IS the answer.
+                if let Some(obs) = self.src.feedback_rows(&join_feedback_key(plan)) {
+                    return (obs as f64).max(1.0);
+                }
+                let l = self.rows_of(left);
+                let r = self.rows_of(right);
+                let mut rows = match join_type {
+                    JoinType::Cross => l * r,
+                    JoinType::Semi => l * 0.5,
+                    JoinType::Anti => l * 0.5,
+                    _ => {
+                        if equi.is_empty() {
+                            l * r
+                        } else {
+                            match self.equi_selectivity(left, right, equi) {
+                                Some(s) => l * r * s,
+                                None => l * r / l.min(r).max(1.0),
                             }
-                            if key_sel.is_none() {
-                                let mut denom: f64 = 0.0;
-                                if let Some(n) = key_ndv(left, le, src) {
-                                    denom = denom.max(n);
-                                }
-                                if let Some(n) = key_ndv(right, re, src) {
-                                    denom = denom.max(n);
-                                }
-                                if denom >= 1.0 {
-                                    key_sel = Some(1.0 / denom);
-                                }
-                            }
-                            if let Some(s) = key_sel {
-                                sel = Some(match sel {
-                                    // Histogram path: AND-ed keys are
-                                    // independent predicates — multiply.
-                                    // (A multi-key probe of a cross
-                                    // product of dimensions must not
-                                    // estimate like its loosest key.)
-                                    Some(cur) if src.histograms_enabled() => cur * s,
-                                    Some(cur) => cur.min(s),
-                                    None => s,
-                                });
-                            }
-                        }
-                        match sel {
-                            Some(s) => l * r * s,
-                            None => l * r / l.min(r).max(1.0),
                         }
                     }
+                };
+                if residual.is_some() {
+                    rows *= SEL_RANGE_DEFAULT;
                 }
-            };
-            if residual.is_some() {
-                rows *= SEL_RANGE_DEFAULT;
+                match join_type {
+                    JoinType::Left => rows.max(l),
+                    JoinType::Right => rows.max(r),
+                    JoinType::Full => rows.max(l + r),
+                    _ => rows.max(1.0),
+                }
             }
-            match join_type {
-                JoinType::Left => rows.max(l),
-                JoinType::Right => rows.max(r),
-                JoinType::Full => rows.max(l + r),
-                _ => rows.max(1.0),
+            LogicalPlan::Aggregate {
+                input,
+                group_exprs,
+                grouping_sets,
+                ..
+            } => {
+                let in_rows = self.rows_of(input);
+                if group_exprs.is_empty() {
+                    return 1.0;
+                }
+                // Heuristic: each key contributes sqrt reduction.
+                let groups = in_rows
+                    .powf(0.5 + 0.1 * (group_exprs.len() as f64 - 1.0))
+                    .min(in_rows);
+                match grouping_sets {
+                    Some(sets) => groups * sets.len() as f64,
+                    None => groups,
+                }
             }
-        }
-        LogicalPlan::Aggregate {
-            input,
-            group_exprs,
-            grouping_sets,
-            ..
-        } => {
-            let in_rows = estimate_rows(input, src);
-            if group_exprs.is_empty() {
-                return 1.0;
-            }
-            // Heuristic: each key contributes sqrt reduction.
-            let groups = in_rows
-                .powf(0.5 + 0.1 * (group_exprs.len() as f64 - 1.0))
-                .min(in_rows);
-            match grouping_sets {
-                Some(sets) => groups * sets.len() as f64,
-                None => groups,
-            }
-        }
-        LogicalPlan::Sort { input, .. } => estimate_rows(input, src),
-        LogicalPlan::Limit { input, n } => estimate_rows(input, src).min(*n as f64),
-        LogicalPlan::Union { inputs } => inputs.iter().map(|i| estimate_rows(i, src)).sum(),
-        LogicalPlan::SetOp {
-            op, left, right, ..
-        } => {
-            let l = estimate_rows(left, src);
-            let r = estimate_rows(right, src);
-            match op {
-                hive_sql::SetOperator::Intersect => l.min(r) * 0.5,
-                _ => l,
+            LogicalPlan::Sort { input, .. } => self.rows_of(input),
+            LogicalPlan::Limit { input, n } => self.rows_of(input).min(*n as f64),
+            LogicalPlan::Union { inputs } => inputs.iter().map(|i| self.rows_of(i)).sum(),
+            LogicalPlan::SetOp {
+                op, left, right, ..
+            } => {
+                let l = self.rows_of(left);
+                let r = self.rows_of(right);
+                match op {
+                    hive_sql::SetOperator::Intersect => l.min(r) * 0.5,
+                    _ => l,
+                }
             }
         }
     }
-}
 
-/// Estimated distinct count of output column `col` of `plan` — the
-/// executor's runtime-filter (Bloom) sizing hint. Traces the column to
-/// a scanned base column and caps the sketch NDV by the plan's own
-/// estimated output rows (a filtered build side can't produce more
-/// distinct keys than rows). `None` when no statistics reach the
-/// column.
-pub fn estimate_key_ndv(plan: &LogicalPlan, col: usize, src: &dyn StatsSource) -> Option<u64> {
-    let cs = key_column_stats_col(plan, col, src)?;
-    let ndv = cs.ndv_estimate();
-    if ndv == 0 {
-        return None;
-    }
-    Some((ndv as f64).min(estimate_rows(plan, src)).max(1.0) as u64)
-}
-
-/// NDV of a join-key expression when it is a plain column tracing
-/// through Filters/pass-through Projects/Joins down to a Scan with
-/// stats.
-fn key_ndv(plan: &LogicalPlan, key: &ScalarExpr, src: &dyn StatsSource) -> Option<f64> {
-    let cs = key_column_stats(plan, key, src)?;
-    let ndv = cs.ndv_estimate();
-    (ndv > 0).then_some(ndv as f64)
-}
-
-/// Histogram of a join-key expression (same tracing as [`key_ndv`]),
-/// when one was collected.
-fn key_histogram(
-    plan: &LogicalPlan,
-    key: &ScalarExpr,
-    src: &dyn StatsSource,
-) -> Option<ColumnHistogram> {
-    let cs = key_column_stats(plan, key, src)?;
-    (!cs.histogram.is_empty()).then(|| cs.histogram.clone())
-}
-
-fn key_column_stats(
-    plan: &LogicalPlan,
-    key: &ScalarExpr,
-    src: &dyn StatsSource,
-) -> Option<ColumnStatsMeta> {
-    let col = match key {
-        ScalarExpr::Column(c) => *c,
-        _ => return None,
-    };
-    key_column_stats_col(plan, col, src)
-}
-
-fn key_column_stats_col(
-    plan: &LogicalPlan,
-    col: usize,
-    src: &dyn StatsSource,
-) -> Option<ColumnStatsMeta> {
-    match plan {
-        LogicalPlan::Scan {
-            table, projection, ..
-        } => {
-            let stats = src.stats_for(&table.qualified_name);
-            let sc = *projection.get(col)?;
-            stats.columns.get(sc).cloned()
+    /// Combined selectivity of a join's equi keys, `None` when no key
+    /// reaches statistics. Per key: histogram overlap when both sides
+    /// trace to histogrammed scan columns (and the gate is on), otherwise
+    /// `1 / max(key NDV)` containment. Multiple keys AND together: on
+    /// the histogram path they are independent predicates and multiply
+    /// (a multi-key probe of a cross product of dimensions must not
+    /// estimate like its loosest key); otherwise keep the most selective.
+    fn equi_selectivity(
+        &mut self,
+        left: &LogicalPlan,
+        right: &LogicalPlan,
+        equi: &[(ScalarExpr, ScalarExpr)],
+    ) -> Option<f64> {
+        let use_hist = self.src.histograms_enabled();
+        let mut sel: Option<f64> = None;
+        for (le, re) in equi {
+            let lc = self.key_column(left, le);
+            let rc = self.key_column(right, re);
+            let (lcs, rcs) = (
+                lc.as_ref().and_then(TracedColumn::get),
+                rc.as_ref().and_then(TracedColumn::get),
+            );
+            let mut key_sel: Option<f64> = None;
+            if use_hist {
+                if let (Some(lcs), Some(rcs)) = (lcs, rcs) {
+                    key_sel = hive_metastore::join_selectivity(&lcs.histogram, &rcs.histogram);
+                }
+            }
+            if key_sel.is_none() {
+                let mut denom: f64 = 0.0;
+                for cs in [lcs, rcs].into_iter().flatten() {
+                    let ndv = cs.ndv_estimate();
+                    if ndv > 0 {
+                        denom = denom.max(ndv as f64);
+                    }
+                }
+                if denom >= 1.0 {
+                    key_sel = Some(1.0 / denom);
+                }
+            }
+            if let Some(s) = key_sel {
+                sel = Some(match sel {
+                    Some(cur) if use_hist => cur * s,
+                    Some(cur) => cur.min(s),
+                    None => s,
+                });
+            }
         }
-        LogicalPlan::Filter { input, .. } => key_column_stats_col(input, col, src),
-        LogicalPlan::Project { input, exprs, .. } => match exprs.get(col)? {
-            ScalarExpr::Column(c) => key_column_stats_col(input, *c, src),
+        sel
+    }
+
+    /// Estimated distinct count of output column `col` of `plan` — the
+    /// executor's runtime-filter (Bloom) sizing hint. Traces the column
+    /// to a scanned base column and caps the sketch NDV by the plan's
+    /// own estimated output rows (a filtered build side can't produce
+    /// more distinct keys than rows). `None` when no statistics reach
+    /// the column.
+    pub fn key_ndv(&mut self, plan: &LogicalPlan, col: usize) -> Option<u64> {
+        let traced = self.trace_column(plan, col)?;
+        let ndv = traced.get()?.ndv_estimate();
+        if ndv == 0 {
+            return None;
+        }
+        Some((ndv as f64).min(self.rows(plan)).max(1.0) as u64)
+    }
+
+    /// A simple total-cost model: cumulative rows processed, weighting
+    /// joins by build-side size. Used by MV rewriting to compare plans.
+    pub fn cost(&mut self, plan: &LogicalPlan) -> f64 {
+        let mut cost = self.rows(plan);
+        for c in plan.children() {
+            cost += self.cost(c);
+        }
+        if let LogicalPlan::Join { right, .. } = plan {
+            // Hash-build cost on the right side.
+            cost += self.rows_of(right) * 2.0;
+        }
+        cost
+    }
+
+    /// The base column behind a join-key expression when it is a plain
+    /// column tracing through Filters/pass-through Projects/Joins down
+    /// to a Scan.
+    fn key_column(&mut self, plan: &LogicalPlan, key: &ScalarExpr) -> Option<TracedColumn> {
+        match key {
+            ScalarExpr::Column(c) => self.trace_column(plan, *c),
             _ => None,
-        },
-        LogicalPlan::Join { left, right, .. } => {
-            // Join output is left columns then right columns.
-            let lw = left.schema().len();
-            if col < lw {
-                key_column_stats_col(left, col, src)
-            } else {
-                key_column_stats_col(right, col - lw, src)
-            }
         }
-        _ => None,
+    }
+
+    fn trace_column(&mut self, plan: &LogicalPlan, col: usize) -> Option<TracedColumn> {
+        match plan {
+            LogicalPlan::Scan {
+                table, projection, ..
+            } => Some(TracedColumn {
+                col: *projection.get(col)?,
+                stats: self.table(&table.qualified_name),
+            }),
+            LogicalPlan::Filter { input, .. } => self.trace_column(input, col),
+            LogicalPlan::Project { input, exprs, .. } => match exprs.get(col)? {
+                ScalarExpr::Column(c) => self.trace_column(input, *c),
+                _ => None,
+            },
+            LogicalPlan::Join { left, right, .. } => {
+                // Join output is left columns then right columns.
+                let lw = left.schema().len();
+                if col < lw {
+                    self.trace_column(left, col)
+                } else {
+                    self.trace_column(right, col - lw)
+                }
+            }
+            _ => None,
+        }
     }
 }
 
-fn table_partition_count(_src: &dyn StatsSource, _name: &str) -> usize {
+fn table_partition_count(_name: &str) -> usize {
     // Partition counts are resolved by the partition-pruning rule which
     // stores the concrete list; estimation just needs a denominator and
     // the rule records it through `partitions`. Fall back to 365 (a
@@ -568,20 +665,6 @@ fn range_selectivity(
     }
 }
 
-/// A simple total-cost model: cumulative rows processed, weighting
-/// joins by build-side size. Used by join reordering to compare orders.
-pub fn estimate_cost(plan: &LogicalPlan, src: &dyn StatsSource) -> f64 {
-    let mut cost = estimate_rows(plan, src);
-    for c in plan.children() {
-        cost += estimate_cost(c, src);
-    }
-    if let LogicalPlan::Join { right, .. } = plan {
-        // Hash-build cost on the right side.
-        cost += estimate_rows(right, src) * 2.0;
-    }
-    cost
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -590,11 +673,11 @@ mod tests {
     use std::collections::HashMap;
     use std::sync::Arc;
 
-    struct FakeStats(HashMap<String, TableStats>);
+    struct FakeStats(HashMap<String, Arc<TableStats>>);
 
     impl StatsSource for FakeStats {
-        fn stats_for(&self, q: &str) -> TableStats {
-            self.0.get(q).cloned().unwrap_or_default()
+        fn stats_for(&self, q: &str) -> Arc<TableStats> {
+            self.0.get(q).map(Arc::clone).unwrap_or_default()
         }
     }
 
@@ -625,7 +708,7 @@ mod tests {
             stats.columns[0].update(&Value::Int(i as i32));
         }
         let mut m = HashMap::new();
-        m.insert(format!("default.{name}"), stats);
+        m.insert(format!("default.{name}"), Arc::new(stats));
         (plan, FakeStats(m))
     }
 
@@ -675,7 +758,7 @@ mod tests {
         let mut merged = src_f.0;
         let mut dim_stats = TableStats::new(1);
         dim_stats.row_count = 1000;
-        merged.insert("default.dim".into(), dim_stats);
+        merged.insert("default.dim".into(), Arc::new(dim_stats));
         let src = FakeStats(merged);
         let join = LogicalPlan::Join {
             left: Arc::new(fact),

@@ -12,12 +12,13 @@ use hive_optimizer::ScalarExpr;
 use hive_sql::BinaryOp;
 use proptest::prelude::*;
 use std::collections::HashMap;
+use std::sync::Arc;
 
-struct FakeStats(HashMap<String, TableStats>);
+struct FakeStats(HashMap<String, Arc<TableStats>>);
 
 impl StatsSource for FakeStats {
-    fn stats_for(&self, q: &str) -> TableStats {
-        self.0.get(q).cloned().unwrap_or_default()
+    fn stats_for(&self, q: &str) -> Arc<TableStats> {
+        self.0.get(q).map(Arc::clone).unwrap_or_default()
     }
 }
 
@@ -50,7 +51,7 @@ fn scan_of(name: &str, values: &[Value]) -> (LogicalPlan, FakeStats) {
         stats.columns[0].update(v);
     }
     let mut m = HashMap::new();
-    m.insert(format!("default.{name}"), stats);
+    m.insert(format!("default.{name}"), Arc::new(stats));
     (plan, FakeStats(m))
 }
 

@@ -84,6 +84,13 @@ echo "== build (release) =="
 cargo build --release --offline
 
 echo "== tests =="
+# Named first so a failure says which promise broke: a planner change
+# that moves a plan or an estimate, or one that goes back to fetching
+# statistics or deriving summaries more than once per planning.
+echo "-- plans do not move: EXPLAIN + estimate bits vs tests/golden/plan_stability.txt --"
+cargo test -q --offline --test plan_stability plans_and_estimates_match_the_golden_file
+echo "-- planning in O(plan): the counting-StatsSource gate --"
+cargo test -q --offline --test plan_stability one_optimize_fetches_each_table_once_and_derives_each_summary_once
 cargo test -q --offline --workspace
 
 # bench/e2e is a workspace of its own, so the line above never builds it:
