@@ -269,12 +269,195 @@ fn bench_optimize_loaded(_c: &mut Criterion) {
     }
 }
 
+/// Time `calls` runs of `f` and print the mean as `bench: <name>` /
+/// `<ns> ns/<unit>`, with `units` units of work per call.
+fn report_ns(name: &str, unit: &str, calls: u32, units: f64, mut f: impl FnMut()) {
+    f(); // warm
+    let start = std::time::Instant::now();
+    for _ in 0..calls {
+        f();
+    }
+    let ns = start.elapsed().as_secs_f64() * 1e9 / (calls as f64 * units);
+    println!("bench: {name}");
+    println!("    {ns:.1} ns/{unit} ({calls} calls)");
+}
+
+/// The cold read path, one layer at a time: decoding one 5 000-value
+/// chunk per column type, an LRFU hit and an evicting miss at two cache
+/// populations, and the key-less 13-aggregate sweep over 300 000 rows as
+/// one part and as sixty. Prints ns per value / per call (the criterion
+/// stand-in only prints milliseconds); recorded in EXPERIMENTS.md, not
+/// gated on time.
+fn bench_cold_read_path(_c: &mut Criterion) {
+    use hive_common::{ColumnVector, FileId, SelBatch};
+    const ROWS: usize = 5000;
+
+    // corc: one chunk, fetched once, decoded repeatedly.
+    let words: Vec<String> = (0..40).map(|w| format!("word-{w:03}")).collect();
+    let columns: [(&str, DataType, ColumnVector); 4] = [
+        (
+            "int",
+            DataType::Int,
+            ColumnVector::Int((0..ROWS).map(|i| (i * 7919 % 1000) as i32).collect(), None),
+        ),
+        (
+            "bigint",
+            DataType::BigInt,
+            ColumnVector::BigInt((0..ROWS).map(|i| i as i64 * 104_729).collect(), None),
+        ),
+        (
+            "decimal",
+            DataType::Decimal(7, 2),
+            ColumnVector::Decimal(
+                (0..ROWS).map(|i| (i * 31 % 99_999) as i128).collect(),
+                2,
+                None,
+            ),
+        ),
+        (
+            "dict",
+            DataType::String,
+            ColumnVector::Str(
+                (0..ROWS).map(|i| words[i * 13 % 40].clone()).collect(),
+                None,
+            ),
+        ),
+    ];
+    let fs = hive_dfs::DistFs::new();
+    for (name, dt, col) in columns {
+        let schema = Schema::new(vec![Field::new("c", dt)]);
+        let batch = VectorBatch::new(schema, vec![col]).unwrap();
+        let path = hive_dfs::DfsPath::new(format!("/bench/decode_{name}"));
+        fs.create(
+            &path,
+            write_batch_to_bytes(&batch, WriterOptions::default()).unwrap(),
+        )
+        .unwrap();
+        let file = hive_corc::CorcFile::open(&fs, &path).unwrap();
+        let (offset, len) = file.chunk_range(0, 0).unwrap();
+        let bytes = fs.read_range(&path, offset, len).unwrap();
+        report_ns(
+            &format!("corc/decode_{name}_{ROWS}"),
+            "value",
+            2000,
+            ROWS as f64,
+            || {
+                let col = file.decode_column_chunk_encoded(bytes.clone(), 0, 0);
+                std::hint::black_box(col.unwrap().len());
+            },
+        );
+    }
+
+    // llap: a hit, and a miss that evicts, with the cache full.
+    let chunk = ColumnVector::BigInt(vec![7; 100], None);
+    let key = |file: u64| ChunkKey {
+        file: FileId(file),
+        column: 0,
+        row_group: 0,
+    };
+    for entries in [256u64, 4096] {
+        let cache = LlapCache::new(entries as usize * chunk.approx_bytes(), 0.5);
+        for f in 0..entries {
+            cache.get_or_load(key(f), || Ok(chunk.clone())).unwrap();
+        }
+        let mut next = entries;
+        report_ns(
+            &format!("llap/miss_evict_at_{entries}_entries"),
+            "call",
+            20_000,
+            1.0,
+            || {
+                next += 1;
+                cache.get_or_load(key(next), || Ok(chunk.clone())).unwrap();
+            },
+        );
+        assert_eq!(cache.len(), entries as usize);
+        if entries == 4096 {
+            let resident = next;
+            report_ns("llap/hit", "call", 200_000, 1.0, || {
+                let hit = cache.get_or_load(key(resident), || unreachable!("must hit"));
+                std::hint::black_box(hit.unwrap().len());
+            });
+        }
+    }
+
+    // aggregate: `scan_cold`'s sweep_all shape over its parts.
+    const SWEEP_ROWS: usize = 300_000;
+    let mut fields = Vec::new();
+    for c in 0..13 {
+        let dt = if c < 8 {
+            DataType::Int
+        } else {
+            DataType::Decimal(7, 2)
+        };
+        fields.push(Field::new(format!("c{c}"), dt));
+    }
+    let schema = Schema::new(fields);
+    let part = |lo: usize, rows: usize| {
+        let cols = (0..13)
+            .map(|c| {
+                let v = (lo..lo + rows).map(|i| (i * (c + 3) * 7919) % 100_000);
+                if c < 8 {
+                    ColumnVector::Int(v.map(|x| x as i32).collect(), None)
+                } else {
+                    ColumnVector::Decimal(v.map(|x| x as i128).collect(), 2, None)
+                }
+            })
+            .collect();
+        SelBatch::from_batch(VectorBatch::new(schema.clone(), cols).unwrap())
+    };
+    let aggs: Vec<AggExpr> = (0..13)
+        .map(|c| AggExpr {
+            func: [AggFunc::Sum, AggFunc::Min, AggFunc::Max][c % 3],
+            arg: Some(ScalarExpr::Column(c)),
+            distinct: false,
+        })
+        .collect();
+    let out_schema = hive_optimizer::plan::LogicalPlan::Aggregate {
+        input: std::sync::Arc::new(hive_optimizer::plan::LogicalPlan::Values {
+            schema: schema.clone(),
+            rows: vec![],
+        }),
+        group_exprs: vec![],
+        grouping_sets: None,
+        aggs: aggs.clone(),
+    }
+    .schema();
+    let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+    for nparts in [1, 60] {
+        let rows = SWEEP_ROWS / nparts;
+        let parts: Vec<SelBatch> = (0..nparts).map(|p| part(p * rows, rows)).collect();
+        report_ns(
+            &format!("aggregate/keyless_13cols_300k_{nparts}_parts"),
+            &format!("value ({workers} workers)"),
+            20,
+            (SWEEP_ROWS * 13) as f64,
+            || {
+                let mut pc = hive_exec::pir::PirCounters::default();
+                let out = hive_exec::aggregate::execute_aggregate_parts(
+                    &parts,
+                    &[],
+                    &None,
+                    &aggs,
+                    &out_schema,
+                    workers,
+                    true,
+                    None,
+                    Some(&mut pc),
+                );
+                std::hint::black_box(out.unwrap().num_rows());
+            },
+        );
+    }
+}
+
 criterion_group!(
     benches,
     bench_corc,
     bench_llap_cache,
     bench_exec_kernels,
     bench_frontend,
-    bench_optimize_loaded
+    bench_optimize_loaded,
+    bench_cold_read_path
 );
 criterion_main!(benches);

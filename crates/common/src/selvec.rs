@@ -73,6 +73,15 @@ impl SelVec {
         (0..self.len()).map(move |p| self.index(p))
     }
 
+    /// The explicit index list; `None` for `All`.
+    #[inline]
+    pub fn as_indices(&self) -> Option<&[u32]> {
+        match self {
+            SelVec::All(_) => None,
+            SelVec::Idx(v) => Some(v),
+        }
+    }
+
     /// Materialize as an index list (allocates for `All`).
     pub fn to_indices(&self) -> Vec<u32> {
         match self {

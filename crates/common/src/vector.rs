@@ -10,6 +10,7 @@ use crate::bitset::BitSet;
 use crate::error::{HiveError, Result};
 use crate::row::Row;
 use crate::schema::Schema;
+use crate::selvec::SelBatch;
 use crate::types::DataType;
 use crate::value::Value;
 use serde::{Deserialize, Serialize};
@@ -152,6 +153,28 @@ impl ColumnVector {
             b.push(v)?;
         }
         Ok(b.finish())
+    }
+
+    /// `n` copies of `v` cast to `dt` — what `n` pushes of `v` through
+    /// a [`ColumnBuilder`] build, without the per-row cast and clone.
+    pub fn constant(v: &Value, dt: &DataType, n: usize) -> Result<ColumnVector> {
+        let one = ColumnVector::from_values(std::slice::from_ref(v), dt)?;
+        if one.is_null(0) {
+            return ColumnVector::all_null(dt, n);
+        }
+        Ok(match one {
+            ColumnVector::Boolean(x, _) => ColumnVector::Boolean(vec![x[0]; n], None),
+            ColumnVector::Int(x, _) => ColumnVector::Int(vec![x[0]; n], None),
+            ColumnVector::BigInt(x, _) => ColumnVector::BigInt(vec![x[0]; n], None),
+            ColumnVector::Double(x, _) => ColumnVector::Double(vec![x[0]; n], None),
+            ColumnVector::Decimal(x, s, _) => ColumnVector::Decimal(vec![x[0]; n], s, None),
+            ColumnVector::Str(x, _) => ColumnVector::Str(vec![x[0].clone(); n], None),
+            ColumnVector::Date(x, _) => ColumnVector::Date(vec![x[0]; n], None),
+            ColumnVector::Timestamp(x, _) => ColumnVector::Timestamp(vec![x[0]; n], None),
+            // `from_values` builds through `ColumnBuilder`, which never
+            // produces the encoded variant.
+            dict @ ColumnVector::Dict { .. } => dict.take(&vec![0; n]),
+        })
     }
 
     /// Gather rows at `indices` into a new column. The result carries a
@@ -1184,31 +1207,25 @@ impl VectorBatch {
         Ok(out)
     }
 
-    /// Concatenate the selected rows of `(batch, keep)` parts in one
-    /// gather per column (see [`ColumnVector::concat_selected`]). A
-    /// `None` keep-list takes the whole part. This is how the fused
-    /// scan assembles morsel results: survivors of a compiled predicate
-    /// are copied exactly once, instead of concatenating full morsels
-    /// and filtering the result.
-    pub fn concat_selected(
-        schema: &Schema,
-        parts: &[(VectorBatch, Option<Vec<u32>>)],
-    ) -> Result<VectorBatch> {
+    /// Concatenate the selected rows of `parts` in one gather per
+    /// column (see [`ColumnVector::concat_selected`]), each output
+    /// column reserved to the total up front. This is how a scan
+    /// assembles its morsels: survivors of a fused predicate are copied
+    /// exactly once, instead of concatenating full morsels and
+    /// filtering the result.
+    pub fn concat_selected(schema: &Schema, parts: &[SelBatch]) -> Result<VectorBatch> {
         let ncols = schema.len();
-        if parts.iter().any(|(b, _)| b.num_columns() != ncols) {
+        if parts.iter().any(|p| p.batch.num_columns() != ncols) {
             return Err(HiveError::Execution(
                 "batch arity mismatch in concat_selected".into(),
             ));
         }
-        let total: usize = parts
-            .iter()
-            .map(|(b, sel)| sel.as_ref().map_or(b.num_rows(), |s| s.len()))
-            .sum();
+        let total: usize = parts.iter().map(SelBatch::num_rows).sum();
         let mut columns = Vec::with_capacity(ncols);
         for (ci, field) in schema.fields().iter().enumerate() {
             let col_parts: Vec<(&ColumnVector, Option<&[u32]>)> = parts
                 .iter()
-                .map(|(b, sel)| (b.column(ci), sel.as_deref()))
+                .map(|p| (p.batch.column(ci), p.sel.as_indices()))
                 .collect();
             columns.push(ColumnVector::concat_selected(&field.data_type, &col_parts)?);
         }
@@ -1363,12 +1380,41 @@ mod tests {
     }
 
     #[test]
+    fn constant_equals_repeated_pushes() {
+        let cases = [
+            (Value::Int(7), DataType::Int),
+            (Value::Int(7), DataType::BigInt), // cast on the way in
+            (Value::String("p".into()), DataType::String),
+            (Value::Decimal(1234, 2), DataType::Decimal(9, 2)),
+            (Value::Null, DataType::Date),
+            (Value::String("not a number".into()), DataType::Int), // lenient cast → NULL
+        ];
+        for (v, dt) in cases {
+            for n in [0, 1, 5] {
+                let mut b = ColumnBuilder::new(&dt).unwrap();
+                for _ in 0..n {
+                    b.push(&v).unwrap();
+                }
+                let got = ColumnVector::constant(&v, &dt, n).unwrap();
+                assert_eq!(got, b.finish(), "{v:?} as {dt} x{n}");
+            }
+        }
+    }
+
+    fn part(b: &VectorBatch, keep: Option<Vec<u32>>) -> SelBatch {
+        match keep {
+            Some(idx) => SelBatch::new(b.clone(), crate::selvec::SelVec::Idx(idx)).unwrap(),
+            None => SelBatch::from_batch(b.clone()),
+        }
+    }
+
+    #[test]
     fn concat_selected_matches_concat_then_take() {
         let b = sample_batch();
         let parts = vec![
-            (b.clone(), Some(vec![2u32, 0])),
-            (b.clone(), None),
-            (b.clone(), Some(vec![1u32])),
+            part(&b, Some(vec![2, 0])),
+            part(&b, None),
+            part(&b, Some(vec![1])),
         ];
         let got = VectorBatch::concat_selected(b.schema(), &parts).unwrap();
         // Reference: concatenate full parts, then gather the same rows
@@ -1402,10 +1448,7 @@ mod tests {
         .unwrap();
         let b1 = VectorBatch::new(schema.clone(), vec![d1]).unwrap();
         let b2 = VectorBatch::new(schema.clone(), vec![d2]).unwrap();
-        let parts = vec![
-            (b1.clone(), Some(vec![2u32, 1])),
-            (b2.clone(), Some(vec![0u32, 1])),
-        ];
+        let parts = vec![part(&b1, Some(vec![2, 1])), part(&b2, Some(vec![0, 1]))];
         let got = VectorBatch::concat_selected(&schema, &parts).unwrap();
         let full = VectorBatch::concat(&schema, &[b1, b2]).unwrap();
         let expected = full.take(&[2, 1, 3, 4]);
@@ -1426,7 +1469,7 @@ mod tests {
         .unwrap();
         let b1 = VectorBatch::new(schema.clone(), vec![dict]).unwrap();
         let b2 = VectorBatch::new(schema.clone(), vec![plain]).unwrap();
-        let parts = vec![(b1.clone(), None), (b2.clone(), Some(vec![1u32]))];
+        let parts = vec![part(&b1, None), part(&b2, Some(vec![1]))];
         let got = VectorBatch::concat_selected(&schema, &parts).unwrap();
         let full = VectorBatch::concat(&schema, &[b1, b2]).unwrap();
         let expected = full.take(&[0, 1, 3]);
@@ -1436,7 +1479,7 @@ mod tests {
     #[test]
     fn concat_selected_empty_selections() {
         let b = sample_batch();
-        let parts = vec![(b.clone(), Some(Vec::new())), (b.clone(), Some(Vec::new()))];
+        let parts = vec![part(&b, Some(Vec::new())), part(&b, Some(Vec::new()))];
         let got = VectorBatch::concat_selected(b.schema(), &parts).unwrap();
         assert_eq!(got.num_rows(), 0);
         assert_eq!(got.num_columns(), 3);

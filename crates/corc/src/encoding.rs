@@ -1,5 +1,13 @@
 //! Primitive binary encodings: little-endian scalars, LEB128 varints,
 //! zigzag integers, run-length encoding, and value (de)serialization.
+//!
+//! Two readers share the grammar. [`ByteReader`] owns a `Bytes` buffer
+//! and serves the footer, statistics and Bloom-filter parsers, which
+//! run once per file. [`SliceReader`] borrows the chunk as `&[u8]` with
+//! a cursor and is the per-value decode path: one bounds check per
+//! varint byte, fixed-width runs taken as one checked sub-slice.
+
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use hive_common::{HiveError, Result, Value};
@@ -227,25 +235,119 @@ pub fn rle_encode_i64(values: &[i64], w: &mut ByteWriter) {
     }
 }
 
-/// Decode a [`rle_encode_i64`] stream of exactly `count` values.
-pub fn rle_decode_i64(r: &mut ByteReader, count: usize) -> Result<Vec<i64>> {
+/// Borrowing cursor over one encoded chunk. Every read is checked
+/// against the slice: a short or corrupt buffer is a
+/// [`HiveError::Format`], never a panic or an over-read.
+#[derive(Debug)]
+pub struct SliceReader<'a> {
+    buf: &'a [u8],
+    pos: usize,
+}
+
+#[cold]
+fn short_buffer(need: usize, have: usize) -> HiveError {
+    HiveError::Format(format!(
+        "unexpected end of buffer: need {need}, have {have}"
+    ))
+}
+
+impl<'a> SliceReader<'a> {
+    /// Wrap a chunk for reading.
+    pub fn new(buf: &'a [u8]) -> Self {
+        SliceReader { buf, pos: 0 }
+    }
+
+    /// Remaining unread bytes.
+    pub fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
+    #[inline]
+    pub fn get_u8(&mut self) -> Result<u8> {
+        match self.buf.get(self.pos) {
+            Some(&b) => {
+                self.pos += 1;
+                Ok(b)
+            }
+            None => Err(short_buffer(1, 0)),
+        }
+    }
+
+    /// The next `n` bytes as one sub-slice (one length check).
+    #[inline]
+    pub fn take(&mut self, n: usize) -> Result<&'a [u8]> {
+        if n > self.remaining() {
+            return Err(short_buffer(n, self.remaining()));
+        }
+        let s = &self.buf[self.pos..self.pos + n];
+        self.pos += n;
+        Ok(s)
+    }
+
+    /// LEB128 unsigned varint.
+    #[inline]
+    pub fn get_varint(&mut self) -> Result<u64> {
+        let mut v: u64 = 0;
+        let mut shift = 0u32;
+        loop {
+            let byte = self.get_u8()?;
+            v |= ((byte & 0x7f) as u64) << shift;
+            if byte & 0x80 == 0 {
+                return Ok(v);
+            }
+            shift += 7;
+            if shift >= 64 {
+                return Err(HiveError::Format("varint too long".into()));
+            }
+        }
+    }
+
+    /// Zigzag-encoded signed varint.
+    #[inline]
+    pub fn get_varint_signed(&mut self) -> Result<i64> {
+        Ok(zigzag_decode(self.get_varint()?))
+    }
+
+    /// Length-prefixed UTF-8 string.
+    pub fn get_str(&mut self) -> Result<String> {
+        let len = self.get_varint()?;
+        let len = usize::try_from(len).map_err(|_| short_buffer(usize::MAX, self.remaining()))?;
+        std::str::from_utf8(self.take(len)?)
+            .map(str::to_owned)
+            .map_err(|_| HiveError::Format("invalid UTF-8 in string".into()))
+    }
+}
+
+/// Decode a [`rle_encode_i64`] stream of exactly `count` values straight
+/// into the target width: `conv` maps each decoded integer (once per
+/// run, once per literal) and may reject it.
+pub fn rle_decode<T: Copy>(
+    r: &mut SliceReader<'_>,
+    count: usize,
+    conv: impl Fn(i64) -> Result<T>,
+) -> Result<Vec<T>> {
     let mut out = Vec::with_capacity(count);
     while out.len() < count {
         let control = r.get_varint()?;
         let n = (control >> 1) as usize;
-        if n == 0 || out.len() + n > count {
+        if n == 0 || n > count - out.len() {
             return Err(HiveError::Format("corrupt RLE stream".into()));
         }
         if control & 1 == 0 {
-            let v = r.get_varint_signed()?;
+            let v = conv(r.get_varint_signed()?)?;
             out.resize(out.len() + n, v);
         } else {
             for _ in 0..n {
-                out.push(r.get_varint_signed()?);
+                out.push(conv(r.get_varint_signed()?)?);
             }
         }
     }
     Ok(out)
+}
+
+/// [`rle_decode`] at full width.
+pub fn rle_decode_i64(r: &mut SliceReader<'_>, count: usize) -> Result<Vec<i64>> {
+    rle_decode(r, count, Ok)
 }
 
 /// Value tags for stats serialization.
@@ -337,6 +439,34 @@ mod tests {
     }
 
     #[test]
+    fn slice_reader_matches_byte_reader_and_rejects_overlong_varints() {
+        let mut w = ByteWriter::new();
+        for v in [0u64, 1, 127, 128, 300, u64::MAX] {
+            w.put_varint(v);
+        }
+        w.put_str("héllo");
+        let bytes = w.finish();
+        let mut r = SliceReader::new(&bytes);
+        for v in [0u64, 1, 127, 128, 300, u64::MAX] {
+            assert_eq!(r.get_varint().unwrap(), v);
+        }
+        assert_eq!(r.get_str().unwrap(), "héllo");
+        assert_eq!(r.remaining(), 0);
+        assert!(matches!(r.get_u8(), Err(HiveError::Format(_))));
+        // Ten continuation bytes: more than 64 bits of payload.
+        let overlong = [0x80u8; 11];
+        assert!(matches!(
+            SliceReader::new(&overlong).get_varint(),
+            Err(HiveError::Format(_))
+        ));
+        // A length prefix past the end of the buffer.
+        assert!(matches!(
+            SliceReader::new(&[0x05, b'a']).get_str(),
+            Err(HiveError::Format(_))
+        ));
+    }
+
+    #[test]
     fn zigzag() {
         for v in [0i64, -1, 1, -2, i64::MAX, i64::MIN, 12345, -98765] {
             assert_eq!(zigzag_decode(zigzag_encode(v)), v);
@@ -359,8 +489,10 @@ mod tests {
         for vals in cases {
             let mut w = ByteWriter::new();
             rle_encode_i64(&vals, &mut w);
-            let mut r = ByteReader::new(w.finish());
+            let bytes = w.finish();
+            let mut r = SliceReader::new(&bytes);
             assert_eq!(rle_decode_i64(&mut r, vals.len()).unwrap(), vals);
+            assert_eq!(r.remaining(), 0);
         }
     }
 
@@ -377,8 +509,8 @@ mod tests {
         let mut w = ByteWriter::new();
         w.put_varint(1000 << 1); // run of 1000
         w.put_varint_signed(1);
-        let mut r = ByteReader::new(w.finish());
-        assert!(rle_decode_i64(&mut r, 10).is_err());
+        let bytes = w.finish();
+        assert!(rle_decode_i64(&mut SliceReader::new(&bytes), 10).is_err());
     }
 
     #[test]

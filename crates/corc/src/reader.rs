@@ -1,8 +1,10 @@
 //! The corc file reader: footer parsing, sarg-driven row-group
 //! selection, and ranged per-chunk column reads.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use crate::bloom::BloomFilter;
-use crate::encoding::ByteReader;
+use crate::encoding::{rle_decode, ByteReader, SliceReader};
 use crate::sarg::{SearchArgument, TruthValue};
 use crate::stats::ColumnStatistics;
 use crate::writer::{ChunkMeta, RowGroupMeta};
@@ -233,7 +235,7 @@ impl CorcFile {
             })?
             .row_count as usize;
         let dt = &self.footer.schema.field(col).data_type;
-        let decoded = decode_column(bytes, dt, rows, keep_dict)?;
+        let decoded = decode_column(&bytes, dt, rows, keep_dict)?;
         if !keep_dict {
             return Ok(decoded);
         }
@@ -371,90 +373,101 @@ fn read_data_type(r: &mut ByteReader) -> Result<DataType> {
 /// `keep_dict`, dictionary-encoded string chunks come back as
 /// `ColumnVector::Dict` (codes + shared dictionary) instead of
 /// materializing one `String` per row.
+///
+/// The chunk is read as a slice with a cursor ([`SliceReader`]):
+/// run-length streams decode straight into the column's width and
+/// fixed-width values are one length check plus `chunks_exact`. Every
+/// length read from the chunk is bounded by `rows` or by the bytes
+/// left before anything is allocated for it.
 pub(crate) fn decode_column(
-    bytes: Bytes,
+    bytes: &[u8],
     dt: &DataType,
     rows: usize,
     keep_dict: bool,
 ) -> Result<ColumnVector> {
-    let mut r = ByteReader::new(bytes);
+    let mut r = SliceReader::new(bytes);
     // Null section.
     let nulls = match r.get_u8()? {
         0 => None,
         1 => {
-            let count = r.get_varint()? as usize;
+            let count = r.get_varint()?;
             let mut b = BitSet::new(rows);
             let mut pos = 0u64;
-            for i in 0..count {
-                let delta = r.get_varint()?;
-                pos = if i == 0 { delta } else { pos + delta };
-                if pos as usize >= rows {
-                    return Err(HiveError::Format("null position out of range".into()));
-                }
+            for _ in 0..count {
+                // First entry is absolute, the rest are deltas.
+                pos = pos
+                    .checked_add(r.get_varint()?)
+                    .filter(|&p| p < rows as u64)
+                    .ok_or_else(|| HiveError::Format("null position out of range".into()))?;
                 b.set(pos as usize);
             }
             Some(b)
         }
         t => return Err(HiveError::Format(format!("bad null section tag {t}"))),
     };
+    // `rows` fixed-width little-endian values as one checked sub-slice.
+    fn fixed<'a>(r: &mut SliceReader<'a>, rows: usize, width: usize) -> Result<&'a [u8]> {
+        let len = rows
+            .checked_mul(width)
+            .ok_or_else(|| HiveError::Format("row count overflows chunk length".into()))?;
+        r.take(len)
+    }
     Ok(match dt {
         DataType::Boolean => {
-            let ints = crate::encoding::rle_decode_i64(&mut r, rows)?;
-            ColumnVector::Boolean(ints.into_iter().map(|v| v != 0).collect(), nulls)
+            ColumnVector::Boolean(rle_decode(&mut r, rows, |v| Ok(v != 0))?, nulls)
         }
-        DataType::Int => {
-            let ints = crate::encoding::rle_decode_i64(&mut r, rows)?;
-            ColumnVector::Int(ints.into_iter().map(|v| v as i32).collect(), nulls)
-        }
-        DataType::Date => {
-            let ints = crate::encoding::rle_decode_i64(&mut r, rows)?;
-            ColumnVector::Date(ints.into_iter().map(|v| v as i32).collect(), nulls)
-        }
-        DataType::BigInt => {
-            ColumnVector::BigInt(crate::encoding::rle_decode_i64(&mut r, rows)?, nulls)
-        }
-        DataType::Timestamp => {
-            ColumnVector::Timestamp(crate::encoding::rle_decode_i64(&mut r, rows)?, nulls)
-        }
+        DataType::Int => ColumnVector::Int(rle_decode(&mut r, rows, |v| Ok(v as i32))?, nulls),
+        DataType::Date => ColumnVector::Date(rle_decode(&mut r, rows, |v| Ok(v as i32))?, nulls),
+        DataType::BigInt => ColumnVector::BigInt(rle_decode(&mut r, rows, Ok)?, nulls),
+        DataType::Timestamp => ColumnVector::Timestamp(rle_decode(&mut r, rows, Ok)?, nulls),
         DataType::Double => {
-            let mut v = Vec::with_capacity(rows);
-            for _ in 0..rows {
-                v.push(r.get_f64()?);
-            }
+            let v = fixed(&mut r, rows, 8)?
+                .chunks_exact(8)
+                .map(|c| {
+                    let mut le = [0u8; 8];
+                    le.copy_from_slice(c);
+                    f64::from_le_bytes(le)
+                })
+                .collect();
             ColumnVector::Double(v, nulls)
         }
         DataType::Decimal(_, s) => {
-            let mut v = Vec::with_capacity(rows);
-            for _ in 0..rows {
-                v.push(r.get_i128()?);
-            }
+            let v = fixed(&mut r, rows, 16)?
+                .chunks_exact(16)
+                .map(|c| {
+                    let mut le = [0u8; 16];
+                    le.copy_from_slice(c);
+                    i128::from_le_bytes(le)
+                })
+                .collect();
             ColumnVector::Decimal(v, *s, nulls)
         }
         DataType::String => match r.get_u8()? {
             1 => {
-                let dict_len = r.get_varint()? as usize;
+                // Every entry costs at least its length byte.
+                let dict_len = usize::try_from(r.get_varint()?)
+                    .ok()
+                    .filter(|&n| n <= r.remaining())
+                    .ok_or_else(|| HiveError::Format("dictionary longer than its chunk".into()))?;
                 let mut dict = Vec::with_capacity(dict_len);
                 for _ in 0..dict_len {
                     dict.push(r.get_str()?);
                 }
-                let idx = crate::encoding::rle_decode_i64(&mut r, rows)?;
+                let codes: Vec<u32> = rle_decode(&mut r, rows, |i| {
+                    u32::try_from(i)
+                        .ok()
+                        .filter(|&c| (c as usize) < dict.len())
+                        .ok_or_else(|| HiveError::Format("dictionary index out of range".into()))
+                })?;
                 if keep_dict {
-                    let mut codes = Vec::with_capacity(rows);
-                    for i in idx {
-                        if i < 0 || i as usize >= dict.len() {
-                            return Err(HiveError::Format("dictionary index out of range".into()));
-                        }
-                        codes.push(i as u32);
+                    // Codes were range-checked as they decoded.
+                    ColumnVector::Dict {
+                        codes,
+                        dict: std::sync::Arc::new(dict),
+                        nulls,
                     }
-                    ColumnVector::dict_from_codes(codes, std::sync::Arc::new(dict), nulls)?
                 } else {
-                    let mut v = Vec::with_capacity(rows);
-                    for i in idx {
-                        let s = dict.get(i as usize).ok_or_else(|| {
-                            HiveError::Format("dictionary index out of range".into())
-                        })?;
-                        v.push(s.clone());
-                    }
+                    let v = codes.iter().map(|&c| dict[c as usize].clone()).collect();
                     ColumnVector::Str(v, nulls)
                 }
             }
@@ -505,7 +518,7 @@ pub fn round_trip(batch: &VectorBatch, opts: crate::writer::WriterOptions) -> Re
         for (ci, c) in rg.chunks.iter().enumerate() {
             let chunk = all.slice(c.offset as usize..(c.offset + c.len) as usize);
             cols.push(decode_column(
-                chunk,
+                &chunk,
                 &footer.schema.field(ci).data_type,
                 rg.row_count as usize,
                 false,
@@ -520,8 +533,327 @@ pub fn round_trip(batch: &VectorBatch, opts: crate::writer::WriterOptions) -> Re
 mod tests {
     use super::*;
     use crate::encoding::{rle_encode_i64, ByteWriter};
-    use crate::writer::{CorcWriter, WriterOptions};
+    use crate::writer::{encode_column, CorcWriter, WriterOptions};
     use hive_common::Row;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The `ByteReader` decoder `decode_column` replaced, kept as the
+    /// reference the slice decoder is checked against value for value.
+    mod reference {
+        use super::*;
+
+        fn rle_decode_i64(r: &mut ByteReader, count: usize) -> Result<Vec<i64>> {
+            let mut out = Vec::with_capacity(count);
+            while out.len() < count {
+                let control = r.get_varint()?;
+                let n = (control >> 1) as usize;
+                if n == 0 || out.len() + n > count {
+                    return Err(HiveError::Format("corrupt RLE stream".into()));
+                }
+                if control & 1 == 0 {
+                    let v = r.get_varint_signed()?;
+                    out.resize(out.len() + n, v);
+                } else {
+                    for _ in 0..n {
+                        out.push(r.get_varint_signed()?);
+                    }
+                }
+            }
+            Ok(out)
+        }
+
+        pub fn decode_column(
+            bytes: Bytes,
+            dt: &DataType,
+            rows: usize,
+            keep_dict: bool,
+        ) -> Result<ColumnVector> {
+            let mut r = ByteReader::new(bytes);
+            let nulls = match r.get_u8()? {
+                0 => None,
+                1 => {
+                    let count = r.get_varint()? as usize;
+                    let mut b = BitSet::new(rows);
+                    let mut pos = 0u64;
+                    for i in 0..count {
+                        let delta = r.get_varint()?;
+                        pos = if i == 0 { delta } else { pos + delta };
+                        if pos as usize >= rows {
+                            return Err(HiveError::Format("null position out of range".into()));
+                        }
+                        b.set(pos as usize);
+                    }
+                    Some(b)
+                }
+                t => return Err(HiveError::Format(format!("bad null section tag {t}"))),
+            };
+            Ok(match dt {
+                DataType::Boolean => {
+                    let ints = rle_decode_i64(&mut r, rows)?;
+                    ColumnVector::Boolean(ints.into_iter().map(|v| v != 0).collect(), nulls)
+                }
+                DataType::Int => {
+                    let ints = rle_decode_i64(&mut r, rows)?;
+                    ColumnVector::Int(ints.into_iter().map(|v| v as i32).collect(), nulls)
+                }
+                DataType::Date => {
+                    let ints = rle_decode_i64(&mut r, rows)?;
+                    ColumnVector::Date(ints.into_iter().map(|v| v as i32).collect(), nulls)
+                }
+                DataType::BigInt => ColumnVector::BigInt(rle_decode_i64(&mut r, rows)?, nulls),
+                DataType::Timestamp => {
+                    ColumnVector::Timestamp(rle_decode_i64(&mut r, rows)?, nulls)
+                }
+                DataType::Double => {
+                    let mut v = Vec::with_capacity(rows);
+                    for _ in 0..rows {
+                        v.push(r.get_f64()?);
+                    }
+                    ColumnVector::Double(v, nulls)
+                }
+                DataType::Decimal(_, s) => {
+                    let mut v = Vec::with_capacity(rows);
+                    for _ in 0..rows {
+                        v.push(r.get_i128()?);
+                    }
+                    ColumnVector::Decimal(v, *s, nulls)
+                }
+                DataType::String => match r.get_u8()? {
+                    1 => {
+                        let dict_len = r.get_varint()? as usize;
+                        let mut dict = Vec::with_capacity(dict_len);
+                        for _ in 0..dict_len {
+                            dict.push(r.get_str()?);
+                        }
+                        let idx = rle_decode_i64(&mut r, rows)?;
+                        if keep_dict {
+                            let mut codes = Vec::with_capacity(rows);
+                            for i in idx {
+                                if i < 0 || i as usize >= dict.len() {
+                                    return Err(HiveError::Format(
+                                        "dictionary index out of range".into(),
+                                    ));
+                                }
+                                codes.push(i as u32);
+                            }
+                            ColumnVector::dict_from_codes(codes, std::sync::Arc::new(dict), nulls)?
+                        } else {
+                            let mut v = Vec::with_capacity(rows);
+                            for i in idx {
+                                let s = dict.get(i as usize).ok_or_else(|| {
+                                    HiveError::Format("dictionary index out of range".into())
+                                })?;
+                                v.push(s.clone());
+                            }
+                            ColumnVector::Str(v, nulls)
+                        }
+                    }
+                    0 => {
+                        let mut v = Vec::with_capacity(rows);
+                        for _ in 0..rows {
+                            v.push(r.get_str()?);
+                        }
+                        ColumnVector::Str(v, nulls)
+                    }
+                    t => return Err(HiveError::Format(format!("bad string encoding tag {t}"))),
+                },
+                t => {
+                    return Err(HiveError::Format(format!(
+                        "unsupported column type in file: {t}"
+                    )))
+                }
+            })
+        }
+    }
+
+    const TYPES: [DataType; 8] = [
+        DataType::Boolean,
+        DataType::Int,
+        DataType::BigInt,
+        DataType::Double,
+        DataType::Decimal(38, 4),
+        DataType::String,
+        DataType::Date,
+        DataType::Timestamp,
+    ];
+
+    /// `rows` integers with the run structure `shape` names: 0 all
+    /// equal, 1 all distinct, 2 runs of exactly two, 3 runs of exactly
+    /// three (the encoder's run threshold), 4 random runs with
+    /// `i64::MIN`/`MAX` mixed in.
+    fn shaped_ints(rng: &mut StdRng, rows: usize, shape: usize) -> Vec<i64> {
+        let base = rng.gen_range(-1000i64..1000);
+        (0..rows)
+            .map(|i| match shape {
+                0 => base,
+                1 => base + i as i64,
+                2 => base + (i / 2) as i64,
+                3 => base + (i / 3) as i64,
+                _ => match rng.gen_range(0..10) {
+                    0 => i64::MIN,
+                    1 => i64::MAX,
+                    2..=5 => base,
+                    _ => rng.gen_range(i64::MIN..i64::MAX),
+                },
+            })
+            .collect()
+    }
+
+    fn random_column(
+        rng: &mut StdRng,
+        dt: &DataType,
+        rows: usize,
+        shape: usize,
+        null_pct: u32,
+    ) -> ColumnVector {
+        let ints = shaped_ints(rng, rows, shape);
+        let nulls = (null_pct > 0).then(|| {
+            let mut b = BitSet::new(rows);
+            for i in 0..rows {
+                if rng.gen_range(0..100) < null_pct {
+                    b.set(i);
+                }
+            }
+            b
+        });
+        match dt {
+            DataType::Boolean => {
+                ColumnVector::Boolean(ints.iter().map(|v| v & 1 == 1).collect(), nulls)
+            }
+            DataType::Int => ColumnVector::Int(ints.iter().map(|&v| v as i32).collect(), nulls),
+            DataType::Date => ColumnVector::Date(ints.iter().map(|&v| v as i32).collect(), nulls),
+            DataType::BigInt => ColumnVector::BigInt(ints, nulls),
+            DataType::Timestamp => ColumnVector::Timestamp(ints, nulls),
+            DataType::Double => ColumnVector::Double(
+                ints.iter()
+                    .map(|&v| match v {
+                        i64::MIN => f64::NAN,
+                        i64::MAX => -0.0,
+                        v => v as f64 * 0.25,
+                    })
+                    .collect(),
+                nulls,
+            ),
+            DataType::Decimal(_, s) => ColumnVector::Decimal(
+                ints.iter()
+                    .map(|&v| match v {
+                        i64::MIN => i128::MIN,
+                        i64::MAX => i128::MAX,
+                        v => v as i128 * 1_000_003,
+                    })
+                    .collect(),
+                *s,
+                nulls,
+            ),
+            _ => ColumnVector::Str(ints.iter().map(|v| format!("s{v}é")).collect(), nulls),
+        }
+    }
+
+    /// Bit-exact column equality (`NaN == NaN`, `-0.0 != 0.0`, and a
+    /// `Dict` only equals a `Dict`).
+    fn assert_same(a: &ColumnVector, b: &ColumnVector, what: &str) {
+        assert_eq!(
+            std::mem::discriminant(a),
+            std::mem::discriminant(b),
+            "{what}"
+        );
+        match (a, b) {
+            (ColumnVector::Double(x, xn), ColumnVector::Double(y, yn)) => {
+                let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(x), bits(y), "{what}");
+                assert_eq!(xn, yn, "{what}");
+            }
+            (
+                ColumnVector::Dict {
+                    codes: xc,
+                    dict: xd,
+                    nulls: xn,
+                },
+                ColumnVector::Dict {
+                    codes: yc,
+                    dict: yd,
+                    nulls: yn,
+                },
+            ) => {
+                assert_eq!((xc, &**xd, xn), (yc, &**yd, yn), "{what}");
+            }
+            _ => assert_eq!(a, b, "{what}"),
+        }
+    }
+
+    /// Every encoded chunk the cases below produce, with what decodes it:
+    /// each `DataType` x null density x run structure, strings both
+    /// dictionary-encoded and direct.
+    fn encoded_chunks(rng: &mut StdRng, rows: usize) -> Vec<(DataType, usize, Bytes)> {
+        let mut out = Vec::new();
+        for dt in &TYPES {
+            for null_pct in [0, 10, 90] {
+                for shape in 0..5 {
+                    let ratios: &[f64] = if *dt == DataType::String {
+                        &[1.0, 0.0] // dictionary, direct
+                    } else {
+                        &[0.5]
+                    };
+                    let col = random_column(rng, dt, rows, shape, null_pct);
+                    for &ratio in ratios {
+                        let mut w = ByteWriter::new();
+                        encode_column(&col, &mut w, ratio).unwrap();
+                        out.push((dt.clone(), rows, w.finish()));
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn slice_decode_equals_reference_decode() {
+        let mut rng = StdRng::seed_from_u64(0xc0dec);
+        for rows in [0, 1, 2, 3, 7, 64, 65, 300, 5000] {
+            for (dt, rows, bytes) in encoded_chunks(&mut rng, rows) {
+                for keep_dict in [false, true] {
+                    let want =
+                        reference::decode_column(bytes.clone(), &dt, rows, keep_dict).unwrap();
+                    let got = decode_column(&bytes, &dt, rows, keep_dict).unwrap();
+                    assert_eq!(got.len(), rows);
+                    assert_same(&got, &want, &format!("{dt} rows={rows} keep={keep_dict}"));
+                }
+            }
+        }
+    }
+
+    /// Byte-level fuzz of the chunk decoder: every prefix truncation
+    /// and 1 000 seeded single-byte mutations of each encoded chunk
+    /// decode to `Ok` (of exactly `rows` values) or `HiveError::Format`.
+    /// A panic, an over-read (slice index out of range) or an
+    /// allocation sized by a corrupt length would abort the test.
+    #[test]
+    fn decode_fuzz_truncations_and_mutations_end_typed() {
+        let mut rng = StdRng::seed_from_u64(0xf022);
+        let check = |bytes: &[u8], dt: &DataType, rows: usize, what: &str| {
+            for keep_dict in [false, true] {
+                match decode_column(bytes, dt, rows, keep_dict) {
+                    Ok(col) => assert_eq!(col.len(), rows, "{what}"),
+                    Err(HiveError::Format(_)) => {}
+                    Err(e) => panic!("{what}: untyped decode error {e:?}"),
+                }
+            }
+        };
+        for (dt, rows, bytes) in encoded_chunks(&mut rng, 40) {
+            for cut in 0..bytes.len() {
+                check(&bytes[..cut], &dt, rows, &format!("{dt} cut at {cut}"));
+            }
+            let mut buf = bytes.to_vec();
+            for _ in 0..1000 {
+                let at = rng.gen_range(0..buf.len());
+                let old = buf[at];
+                buf[at] = rng.gen_range(0..=255u8);
+                check(&buf, &dt, rows, &format!("{dt} byte {at} -> {}", buf[at]));
+                buf[at] = old;
+            }
+        }
+    }
 
     /// Hand-craft a dictionary-encoded string chunk whose index stream
     /// holds a code past the dictionary: both the encoded and the
@@ -538,7 +870,7 @@ mod tests {
         rle_encode_i64(&[0, 5, 1], &mut w); // code 5 is out of range
         let bytes = w.finish();
         for keep_dict in [true, false] {
-            let err = decode_column(bytes.clone(), &DataType::String, 3, keep_dict)
+            let err = decode_column(&bytes, &DataType::String, 3, keep_dict)
                 .expect_err("out-of-range code must not decode");
             assert!(
                 matches!(err, HiveError::Format(_)),

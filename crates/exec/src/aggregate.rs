@@ -14,7 +14,9 @@ use crate::kernels::eval_vector;
 use crate::rawtable::{self, RawTable};
 use crate::spill::{partition_of, plan_partition, push_rec, RecIter, SpillCtx};
 use hive_common::hash::FNV_OFFSET;
-use hive_common::{ColumnVector, Result, SelBatch, SelVec, Value, VectorBatch, NULL_INDEX};
+use hive_common::{
+    ColumnVector, HiveError, Result, SelBatch, SelVec, Value, VectorBatch, NULL_INDEX,
+};
 use hive_optimizer::{AggExpr, AggFunc, ScalarExpr};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -270,7 +272,8 @@ impl Acc {
 }
 
 /// Execute an Aggregate node over a materialized input (serial path;
-/// identical results to [`execute_aggregate_par`] at any worker count).
+/// identical results to [`execute_aggregate_parts`] at any worker count
+/// and however the input is cut into parts).
 pub fn execute_aggregate(
     input: &VectorBatch,
     group_exprs: &[ScalarExpr],
@@ -291,12 +294,48 @@ pub fn execute_aggregate(
     )
 }
 
-/// Execute an Aggregate node over a materialized input with a
-/// hash-partitioned parallel build across up to `workers` threads.
+/// [`execute_aggregate_parts`] over one part.
+#[allow(clippy::too_many_arguments)]
+pub fn execute_aggregate_par(
+    input: &SelBatch,
+    group_exprs: &[ScalarExpr],
+    grouping_sets: &Option<Vec<Vec<usize>>>,
+    aggs: &[AggExpr],
+    out_schema: &hive_common::Schema,
+    workers: usize,
+    rawtable: bool,
+    spill: Option<&SpillCtx<'_>>,
+    pir: Option<&mut crate::pir::PirCounters>,
+) -> Result<VectorBatch> {
+    execute_aggregate_parts(
+        std::slice::from_ref(input),
+        group_exprs,
+        grouping_sets,
+        aggs,
+        out_schema,
+        workers,
+        rawtable,
+        spill,
+        pir,
+    )
+}
+
+/// Execute an Aggregate node over its input as an ordered sequence of
+/// parts — a scan's morsels, or any materialized input as one part —
+/// across up to `workers` threads. The result is byte-identical to
+/// aggregating the parts' concatenation serially.
 ///
-/// The input arrives as a `(batch, selection)` pair: bare-column keys
-/// and arguments read straight through the selection (no compaction),
-/// computed expressions compact the input once up front.
+/// Each part is a `(batch, selection)` pair: bare-column keys and
+/// arguments read straight through the selection (no compaction),
+/// computed expressions compact the part once up front.
+///
+/// Several parts fold **part by part** ([`fold_parts`]) when every
+/// aggregate's state merges exactly ([`crate::pir::agg::mergeable`]):
+/// the input is never assembled. Otherwise — an order-sensitive
+/// accumulator, the interpreted path, a denied memory grant — the key
+/// and argument columns are assembled once and the single-part build
+/// runs over them: hash-partitioned across the workers when there are
+/// group keys, one accumulator row when there are none.
 ///
 /// `out_schema` is the logical node's output schema (group keys, aggs,
 /// and the grouping-id column when `grouping_sets` is present).
@@ -306,13 +345,12 @@ pub fn execute_aggregate(
 /// differential oracle.
 ///
 /// `pir` is `Some` when the physical IR is enabled: the build then
-/// records each row's group assignment and folds every aggregate
-/// through a compiled accumulator kernel ([`crate::pir::agg`]) when all
-/// of them are compilable, reporting compiled/fallback accounting into
-/// the counters.
+/// folds every aggregate through a compiled accumulator kernel
+/// ([`crate::pir::agg`]) when all of them are compilable, reporting
+/// compiled/fallback accounting into the counters.
 #[allow(clippy::too_many_arguments)]
-pub fn execute_aggregate_par(
-    input: &SelBatch,
+pub fn execute_aggregate_parts(
+    parts: &[SelBatch],
     group_exprs: &[ScalarExpr],
     grouping_sets: &Option<Vec<Vec<usize>>>,
     aggs: &[AggExpr],
@@ -330,38 +368,23 @@ pub fn execute_aggregate_par(
                 .as_ref()
                 .is_none_or(|e| matches!(e, ScalarExpr::Column(_)))
         });
-    let input = if input.sel.is_all() || trivial {
-        input.clone()
-    } else {
-        SelBatch::from_batch(input.clone().compact())
+    let mut evaluated = crate::par::parallel_map(workers, parts.len(), |p| {
+        PartCols::eval(&parts[p], group_exprs, aggs, trivial)
+    })?;
+    let total_rows: usize = evaluated.iter().map(|p| p.sel.len()).sum();
+    let by_parts = evaluated.len() > 1
+        && pir.is_some()
+        && aggs.iter().enumerate().all(|(ai, a)| {
+            evaluated
+                .iter()
+                .all(|p| crate::pir::agg::mergeable(a.func, a.distinct, p.arg_cols[ai].as_deref()))
+        });
+    // The input as one part, assembled when something first needs it.
+    let mut whole: Option<PartCols> = match evaluated.len() {
+        0 => return Err(HiveError::Execution("aggregate over no parts".into())),
+        1 => evaluated.pop(),
+        _ => None,
     };
-    // Evaluate key and argument columns once, over the batch domain
-    // (bare columns are `Arc` clones — zero copy); the build below maps
-    // selected positions back through `input.sel`.
-    let key_cols = group_exprs
-        .iter()
-        .map(|g| eval_vector(g, &input.batch))
-        .collect::<Result<Vec<_>>>()?;
-    let arg_cols = aggs
-        .iter()
-        .map(|a| {
-            a.arg
-                .as_ref()
-                .map(|e| eval_vector(e, &input.batch))
-                .transpose()
-        })
-        .collect::<Result<Vec<_>>>()?;
-
-    // Compiled-accumulator gate: every aggregate must have a
-    // monomorphized kernel for its argument's runtime representation,
-    // or the whole build stays on the interpreted `Acc::update` loop
-    // (mixing per-agg would change nothing — the per-row dispatch is
-    // the cost being removed).
-    let compiled = pir.is_some()
-        && aggs
-            .iter()
-            .zip(&arg_cols)
-            .all(|(a, c)| crate::pir::agg::compilable(a.func, a.distinct, c.as_deref()));
 
     let sets: Vec<Vec<usize>> = match grouping_sets {
         Some(s) => s.clone(),
@@ -370,20 +393,55 @@ pub fn execute_aggregate_par(
     let with_gid = grouping_sets.is_some();
 
     let mut any_compiled = false;
-    let mut parts: Vec<VectorBatch> = Vec::with_capacity(sets.len());
+    let mut out: Vec<VectorBatch> = Vec::with_capacity(sets.len());
     for set in &sets {
         // Grouping id: bit k set when key k is aggregated away.
         let gid: i64 = (0..group_exprs.len())
             .filter(|k| !set.contains(k))
             .fold(0i64, |acc, k| acc | (1 << k));
+        let gid = with_gid.then_some(gid);
         // Memory admission: the modeled table bytes (rows is the upper
         // bound on groups) must win a broker grant, held through the
         // build. A denial degrades to the partitioned spilling build;
         // with spill disabled the build proceeds over budget instead
         // (visible in the broker peak) — group-bys have no in-memory
         // fallback the way joins have re-optimization.
-        let est = crate::spill::estimate_agg_bytes(input.sel.len(), set.len().max(1), aggs.len());
+        let est = crate::spill::estimate_agg_bytes(total_rows, set.len().max(1), aggs.len());
         let admission = spill.map(|sp| (sp, sp.broker.try_reserve("group-by", est)));
+        let denied = matches!(&admission, Some((_, None)));
+
+        if by_parts && !denied {
+            if let Some((groups, key_rows, key_cols)) =
+                fold_parts(&evaluated, set, aggs, workers, rawtable)?
+            {
+                any_compiled = true;
+                out.push(emit_groups(
+                    groups,
+                    &key_rows,
+                    &key_cols,
+                    set,
+                    aggs.len(),
+                    gid,
+                    out_schema,
+                )?);
+                continue;
+            }
+        }
+
+        let input = match &mut whole {
+            Some(w) => w,
+            slot => slot.insert(PartCols::assemble(&evaluated)?),
+        };
+        // Compiled-accumulator gate: every aggregate must have a
+        // monomorphized kernel for its argument's runtime representation,
+        // or the whole build stays on the interpreted `Acc::update` loop
+        // (mixing per-agg would change nothing — the per-row dispatch is
+        // the cost being removed).
+        let compiled = pir.is_some()
+            && aggs
+                .iter()
+                .zip(&input.arg_cols)
+                .all(|(a, c)| crate::pir::agg::compilable(a.func, a.distinct, c.as_deref()));
         let spilled = matches!(&admission, Some((sp, None)) if sp.enabled);
         // The spilling build keeps the interpreted accumulators: its
         // record-at-a-time recursion has no batch to fold over.
@@ -391,20 +449,33 @@ pub fn execute_aggregate_par(
             if compiled && !spilled {
                 any_compiled = true;
             } else {
-                pc.fallback_rows += input.sel.len() as u64;
+                pc.fallback_rows += total_rows as u64;
             }
         }
         let mut groups = match &admission {
-            Some((sp, None)) if sp.enabled => {
-                build_groups_spilled(&input.sel, &key_cols, &arg_cols, set, aggs, rawtable, sp)?
-            }
+            Some((sp, None)) if sp.enabled => build_groups_spilled(
+                &input.sel,
+                &input.key_cols,
+                &input.arg_cols,
+                set,
+                aggs,
+                rawtable,
+                sp,
+            )?,
             _ => {
                 let _forced = match &admission {
                     Some((sp, None)) => Some(sp.broker.force_reserve("group-by", est)),
                     _ => None,
                 };
                 build_groups(
-                    &input.sel, &key_cols, &arg_cols, set, aggs, workers, rawtable, compiled,
+                    &input.sel,
+                    &input.key_cols,
+                    &input.arg_cols,
+                    set,
+                    aggs,
+                    workers,
+                    rawtable,
+                    compiled,
                 )?
             }
         };
@@ -413,13 +484,13 @@ pub fn execute_aggregate_par(
         if groups.is_empty() && set.is_empty() {
             groups.push((0, aggs.iter().map(|a| Acc::new(a, rawtable)).collect()));
         }
-        parts.push(emit_groups(
+        out.push(emit_groups(
             groups,
             &input.sel,
-            &key_cols,
+            &input.key_cols,
             set,
             aggs.len(),
-            with_gid.then_some(gid),
+            gid,
             out_schema,
         )?);
     }
@@ -428,11 +499,229 @@ pub fn execute_aggregate_par(
             pc.compiled_stages += 1;
         }
     }
-    match parts.len() {
-        1 => Ok(parts.swap_remove(0)),
-        _ => VectorBatch::concat(out_schema, &parts),
+    match out.len() {
+        1 => Ok(out.swap_remove(0)),
+        _ => VectorBatch::concat(out_schema, &out),
     }
 }
+
+/// One part's evaluated group-key and aggregate-argument columns. The
+/// columns span the part's batch domain; `sel` names the rows that
+/// count.
+struct PartCols {
+    sel: SelVec,
+    key_cols: Vec<Arc<ColumnVector>>,
+    arg_cols: Vec<Option<Arc<ColumnVector>>>,
+}
+
+impl PartCols {
+    /// Evaluate keys and arguments once, over the batch domain (bare
+    /// columns are `Arc` clones — zero copy). Computed expressions must
+    /// only see selected rows, so they compact the part first.
+    fn eval(
+        part: &SelBatch,
+        group_exprs: &[ScalarExpr],
+        aggs: &[AggExpr],
+        trivial: bool,
+    ) -> Result<PartCols> {
+        let part = if part.sel.is_all() || trivial {
+            part.clone()
+        } else {
+            SelBatch::from_batch(part.clone().compact())
+        };
+        let key_cols = group_exprs
+            .iter()
+            .map(|g| eval_vector(g, &part.batch))
+            .collect::<Result<Vec<_>>>()?;
+        let arg_cols = aggs
+            .iter()
+            .map(|a| {
+                a.arg
+                    .as_ref()
+                    .map(|e| eval_vector(e, &part.batch))
+                    .transpose()
+            })
+            .collect::<Result<Vec<_>>>()?;
+        Ok(PartCols {
+            sel: part.sel,
+            key_cols,
+            arg_cols,
+        })
+    }
+
+    /// The parts as one: each key and argument column gathered through
+    /// the parts' selections in a single reserved pass. Expression
+    /// evaluation is row-local, so these are the columns that
+    /// evaluating over the concatenated input gives.
+    fn assemble(parts: &[PartCols]) -> Result<PartCols> {
+        let gather = |cols: Vec<(&ColumnVector, Option<&[u32]>)>| {
+            let dt = match cols.first() {
+                Some((c, _)) => c.data_type(),
+                None => return Err(HiveError::Execution("aggregate over no parts".into())),
+            };
+            ColumnVector::concat_selected(&dt, &cols).map(Arc::new)
+        };
+        let shape = &parts[0];
+        let key_cols = (0..shape.key_cols.len())
+            .map(|k| {
+                gather(
+                    (parts.iter())
+                        .map(|p| (&*p.key_cols[k], p.sel.as_indices()))
+                        .collect(),
+                )
+            })
+            .collect::<Result<Vec<_>>>()?;
+        // Every part evaluated the same aggregates, so an argument is
+        // present in all of them or in none.
+        let arg_cols = (0..shape.arg_cols.len())
+            .map(|a| {
+                shape.arg_cols[a].as_ref().map(|_| {
+                    gather(
+                        (parts.iter())
+                            .filter_map(|p| Some((p.arg_cols[a].as_deref()?, p.sel.as_indices())))
+                            .collect(),
+                    )
+                })
+            })
+            .map(Option::transpose)
+            .collect::<Result<Vec<_>>>()?;
+        Ok(PartCols {
+            sel: SelVec::All(parts.iter().map(|p| p.sel.len()).sum()),
+            key_cols,
+            arg_cols,
+        })
+    }
+}
+
+/// Fold one grouping set part by part, without assembling the input:
+/// each part discovers its own groups (serially inside the part) and
+/// folds the compiled accumulators over them, in parallel across
+/// `workers`; the part states then merge **serially in part order**,
+/// which reproduces the serial build's first-seen group order and, for
+/// every [`crate::pir::agg::mergeable`] state, its value. A key-less set
+/// has one state per part and discovers nothing.
+///
+/// Returns the groups with the key rows and columns their first-seen
+/// positions index, or `None` when this set should take the assembled build
+/// instead: a SUM(Decimal) whose magnitudes leave `i128` (the serial
+/// fold may have overflowed on some prefix and must run to surface its
+/// exact error or value), or a key that barely reduces — when the
+/// first part keeps more than one group per [`MIN_REDUCTION`] rows,
+/// merging every part's groups costs more than the hash-partitioned
+/// build saves.
+#[allow(clippy::type_complexity)]
+fn fold_parts(
+    parts: &[PartCols],
+    set: &[usize],
+    aggs: &[AggExpr],
+    workers: usize,
+    rawtable: bool,
+) -> Result<Option<(Vec<(usize, Vec<Acc>)>, SelVec, Vec<Arc<ColumnVector>>)>> {
+    use crate::pir::agg::{assigned, fold, fold_keyless, FoldOut};
+    /// One part's states: `states` groups, the batch row each was first
+    /// seen at (none for a key-less set — its one state has no key to
+    /// gather), and per aggregate one state per group.
+    struct PartFold {
+        states: usize,
+        first_rows: Vec<u32>,
+        folds: Vec<FoldOut>,
+    }
+    let fold_part = |part: &PartCols| -> Result<PartFold> {
+        let args = aggs.iter().zip(&part.arg_cols);
+        if set.is_empty() {
+            return Ok(PartFold {
+                states: 1,
+                first_rows: Vec::new(),
+                folds: args
+                    .map(|(a, c)| fold_keyless(a.func, c.as_deref(), &part.sel, true))
+                    .collect::<Result<_>>()?,
+            });
+        }
+        let d = discover(&part.sel, &part.key_cols, set, rawtable)?;
+        let states = d.first_pos.len();
+        Ok(PartFold {
+            states,
+            folds: args
+                .map(|(a, c)| {
+                    let pairs = assigned(&d.rows_idx, &d.assign);
+                    fold(a.func, c.as_deref(), pairs, states, true)
+                })
+                .collect::<Result<_>>()?,
+            first_rows: (d.first_pos.iter())
+                .map(|&pos| part.sel.index(pos) as u32)
+                .collect(),
+        })
+    };
+    let Some((probe, rest)) = parts.split_first() else {
+        return Ok(None);
+    };
+    let first = fold_part(probe)?;
+    if first.first_rows.len() * MIN_REDUCTION > probe.sel.len() {
+        return Ok(None);
+    }
+    let mut partials = vec![first];
+    partials.extend(crate::par::parallel_map(workers, rest.len(), |p| {
+        fold_part(&rest[p])
+    })?);
+
+    // Lay every part's group keys end to end, in part order, and
+    // discover the groups of *that*: row r's group is the merged group
+    // of the part-local group r stands for, and first-seen order is the
+    // serial build's. (Key-less: one state per part, all group 0.)
+    let (first_pos, merged_of, key_cols) = if set.is_empty() {
+        (vec![0], vec![0u32; partials.len()], probe.key_cols.clone())
+    } else {
+        let mut key_cols = probe.key_cols.clone();
+        for &k in set {
+            let cols: Vec<(&ColumnVector, Option<&[u32]>)> = parts
+                .iter()
+                .zip(&partials)
+                .map(|(part, fold)| (&*part.key_cols[k], Some(&fold.first_rows[..])))
+                .collect();
+            let dt = probe.key_cols[k].data_type();
+            key_cols[k] = Arc::new(ColumnVector::concat_selected(&dt, &cols)?);
+        }
+        let local_groups = partials.iter().map(|p| p.states).sum();
+        let d = discover(&SelVec::All(local_groups), &key_cols, set, rawtable)?;
+        (d.first_pos, d.assign, key_cols)
+    };
+
+    // Merge in part order. The first part's groups are all new, in
+    // order, so its states are the merged states' prefix as they stand.
+    let mut partials = partials.into_iter();
+    let Some(first) = partials.next() else {
+        return Ok(None);
+    };
+    let mut state = first.folds;
+    for f in &mut state {
+        f.grow(first_pos.len());
+    }
+    let mut maps = &merged_of[first.states..];
+    for part in partials {
+        let (map, later) = maps.split_at(part.states);
+        for ((acc, f), a) in state.iter_mut().zip(part.folds).zip(aggs) {
+            acc.merge(f, map, a.func)?;
+        }
+        maps = later;
+    }
+    let Some(state) = state
+        .into_iter()
+        .map(FoldOut::close_partial)
+        .collect::<Option<Vec<_>>>()
+    else {
+        return Ok(None);
+    };
+    let mut groups: Vec<(usize, Vec<Acc>)> = first_pos
+        .into_iter()
+        .map(|pos| (pos, aggs.iter().map(|a| Acc::new(a, rawtable)).collect()))
+        .collect();
+    install_folds(&mut groups, state, aggs);
+    Ok(Some((groups, SelVec::All(merged_of.len()), key_cols)))
+}
+
+/// The parts route is for keys that reduce: the first part must keep at
+/// most one group per this many rows.
+const MIN_REDUCTION: usize = 8;
 
 /// One grouping set's output batch, columnar: each group key is one
 /// typed gather of its key column at the groups' first-seen rows (a
@@ -491,28 +780,16 @@ fn emit_groups(
     VectorBatch::from_arcs(out_schema.clone(), cols, n)
 }
 
-/// Replace each group's interpreted accumulator states with the
-/// compiled fold of the recorded `(row, group)` assignment — one
-/// type-specialized pass per aggregate over the whole partition.
-fn fold_compiled(
+/// Replace each group's accumulator states with compiled folds: one
+/// [`crate::pir::agg::FoldOut`] per aggregate, one state per group.
+fn install_folds(
     groups: &mut [(usize, Vec<Acc>)],
-    rows_idx: &[u32],
-    assign: &[u32],
+    folds: Vec<crate::pir::agg::FoldOut>,
     aggs: &[AggExpr],
-    arg_cols: &[Option<Arc<ColumnVector>>],
-) -> Result<()> {
-    use crate::pir::agg::{fold, FoldOut};
-    if groups.is_empty() {
-        return Ok(());
-    }
-    for (ai, a) in aggs.iter().enumerate() {
-        match fold(
-            a.func,
-            arg_cols[ai].as_deref(),
-            rows_idx,
-            assign,
-            groups.len(),
-        )? {
+) {
+    use crate::pir::agg::FoldOut;
+    for (ai, (a, f)) in aggs.iter().zip(folds).enumerate() {
+        match f {
             FoldOut::Count(cs) => {
                 for (g, c) in groups.iter_mut().zip(cs) {
                     g.1[ai] = Acc::Count(c);
@@ -532,9 +809,15 @@ fn fold_compiled(
                     g.1[ai] = Acc::Avg { sum, count };
                 }
             }
+            // Only the parts route folds partially, and it closes the
+            // partial sums before installing them.
+            FoldOut::DecPartial { scale, sums, .. } => {
+                for (g, s) in groups.iter_mut().zip(sums) {
+                    g.1[ai] = Acc::Sum(s.map(|u| Value::Decimal(u, scale)));
+                }
+            }
         }
     }
-    Ok(())
 }
 
 /// Stable FNV-1a hashes of the group keys for selected positions
@@ -559,6 +842,224 @@ fn hash_rows(readers: &[KeyReader<'_>], sel: &SelVec, lo: usize, hi: usize) -> V
     hs
 }
 
+/// The groups of one build partition, in first-seen order, with every
+/// row's assignment — `rows_idx[j]` is a batch row, `assign[j]` its
+/// group, in ascending selected-position order.
+struct Discovery {
+    /// Selected position each group was first seen at.
+    first_pos: Vec<usize>,
+    rows_idx: Vec<u32>,
+    assign: Vec<u32>,
+}
+
+/// Key access goes through per-column readers: dictionary-encoded
+/// string columns contribute their u32 code (no string clone, no
+/// `Value` allocation per row), everything else its scalar value.
+fn key_readers<'a>(key_cols: &'a [Arc<ColumnVector>], set: &[usize]) -> Vec<KeyReader<'a>> {
+    set.iter()
+        .map(|&k| KeyReader::new(key_cols[k].as_ref()))
+        .collect()
+}
+
+/// The single-dictionary-key case looks groups up densely — slot 0 is
+/// the NULL group, slot c+1 the group of code c — with no per-row key
+/// bytes, no hashes and no table probe at all (both arms).
+fn dense_keys<'a>(
+    readers: &[KeyReader<'a>],
+) -> Option<(&'a [u32], Option<&'a hive_common::BitSet>, usize)> {
+    match readers {
+        [r] => r.dict_codes(),
+        _ => None,
+    }
+}
+
+/// Discover the groups among the selected positions whose stable key
+/// hash routes them to this partition (`route = (partitions, this)`;
+/// `None` takes every row), in ascending position order.
+///
+/// `rawtable` picks the group index: the flat table (group index =
+/// table entry id — entry ids are dense in insertion order, so they
+/// stay aligned with `first_pos`; keys live as canonical bytes in the
+/// table arena) or the `HashMap` arm (the differential oracle). `hashes`
+/// is only read under `route` or by the flat table, and stays empty
+/// when neither needs it.
+fn discover_partition(
+    sel: &SelVec,
+    readers: &[KeyReader<'_>],
+    rawtable: bool,
+    hashes: &[u64],
+    route: Option<(usize, usize)>,
+) -> Discovery {
+    // `group_of(pos, row, groups so far)` answers the row's group, or
+    // `groups so far` after registering a new one. `hashes` is only
+    // indexed under `route` (it may be empty otherwise), so the
+    // position loop is the right shape, not a zip candidate.
+    #[allow(clippy::needless_range_loop)]
+    fn assign_rows(
+        sel: &SelVec,
+        hashes: &[u64],
+        route: Option<(usize, usize)>,
+        mut group_of: impl FnMut(usize, usize, usize) -> usize,
+    ) -> Discovery {
+        let mut d = Discovery {
+            first_pos: Vec::new(),
+            rows_idx: Vec::new(),
+            assign: Vec::new(),
+        };
+        for pos in 0..sel.len() {
+            if let Some((nparts, p)) = route {
+                if hashes[pos] as usize % nparts != p {
+                    continue;
+                }
+            }
+            let i = sel.index(pos);
+            let g = group_of(pos, i, d.first_pos.len());
+            if g == d.first_pos.len() {
+                d.first_pos.push(pos);
+            }
+            d.rows_idx.push(i as u32);
+            d.assign.push(g as u32);
+        }
+        d
+    }
+    if let Some((codes, nulls, dict_len)) = dense_keys(readers) {
+        let mut dense: Vec<usize> = vec![usize::MAX; dict_len + 1];
+        assign_rows(sel, hashes, route, |_, i, next| {
+            let slot = if nulls.is_some_and(|n| n.get(i)) {
+                0
+            } else {
+                codes[i] as usize + 1
+            };
+            if dense[slot] == usize::MAX {
+                dense[slot] = next;
+            }
+            dense[slot]
+        })
+    } else if rawtable {
+        let mut table = RawTable::new();
+        let mut scratch: Vec<u8> = Vec::new();
+        assign_rows(sel, hashes, route, |pos, i, _| {
+            scratch.clear();
+            for r in readers {
+                r.encode_part_at(i, &mut scratch);
+            }
+            table.insert(hashes[pos], &scratch).0 as usize
+        })
+    } else {
+        let mut index: HashMap<Vec<KeyPart>, usize> = HashMap::new();
+        assign_rows(sel, hashes, route, |_, i, next| {
+            let key: Vec<KeyPart> = readers.iter().map(|r| r.part(i)).collect();
+            *index.entry(key).or_insert(next)
+        })
+    }
+}
+
+/// Hashes for every selected position, computed in row-range chunks
+/// across `workers`.
+fn hash_all(readers: &[KeyReader<'_>], sel: &SelVec, workers: usize) -> Result<Vec<u64>> {
+    let num_rows = sel.len();
+    let chunk = num_rows.div_ceil(workers.max(1)).max(1);
+    let nchunks = num_rows.div_ceil(chunk);
+    Ok(crate::par::parallel_map(workers.max(1), nchunks, |c| {
+        let lo = c * chunk;
+        let hi = ((c + 1) * chunk).min(num_rows);
+        Ok(hash_rows(readers, sel, lo, hi))
+    })?
+    .concat())
+}
+
+/// Serial discovery over a whole selection.
+fn discover(
+    sel: &SelVec,
+    key_cols: &[Arc<ColumnVector>],
+    set: &[usize],
+    rawtable: bool,
+) -> Result<Discovery> {
+    let readers = key_readers(key_cols, set);
+    // The dense path indexes groups by code and skips hashing entirely.
+    let hashes = if rawtable && dense_keys(&readers).is_none() {
+        hash_all(&readers, sel, 1)?
+    } else {
+        Vec::new()
+    };
+    Ok(discover_partition(sel, &readers, rawtable, &hashes, None))
+}
+
+/// Accumulate one partition's discovered groups: a compiled fold per
+/// aggregate over the recorded assignment — no per-row `Value`
+/// materialization or dispatch — or the interpreted `Acc::update` loop
+/// in the same row order.
+fn accumulate(
+    d: &Discovery,
+    aggs: &[AggExpr],
+    arg_cols: &[Option<Arc<ColumnVector>>],
+    rawtable: bool,
+    compiled: bool,
+) -> Result<Vec<(usize, Vec<Acc>)>> {
+    let mut groups: Vec<(usize, Vec<Acc>)> = d
+        .first_pos
+        .iter()
+        .map(|&pos| (pos, aggs.iter().map(|a| Acc::new(a, rawtable)).collect()))
+        .collect();
+    if compiled {
+        let folds = aggs
+            .iter()
+            .zip(arg_cols)
+            .map(|(a, c)| {
+                crate::pir::agg::fold(
+                    a.func,
+                    c.as_deref(),
+                    crate::pir::agg::assigned(&d.rows_idx, &d.assign),
+                    groups.len(),
+                    false,
+                )
+            })
+            .collect::<Result<Vec<_>>>()?;
+        install_folds(&mut groups, folds, aggs);
+    } else {
+        for (&i, &g) in d.rows_idx.iter().zip(&d.assign) {
+            for (acc, arg) in groups[g as usize].1.iter_mut().zip(arg_cols) {
+                let v = arg.as_ref().map(|c| c.get(i as usize));
+                acc.update(v.as_ref())?;
+            }
+        }
+    }
+    Ok(groups)
+}
+
+/// A key-less aggregate's one group: each accumulator folded straight
+/// over the selection — no hashes, no table, no assignment vector.
+fn fold_keyless_group(
+    sel: &SelVec,
+    arg_cols: &[Option<Arc<ColumnVector>>],
+    aggs: &[AggExpr],
+    rawtable: bool,
+    compiled: bool,
+) -> Result<Vec<(usize, Vec<Acc>)>> {
+    let mut groups = vec![(
+        0,
+        aggs.iter()
+            .map(|a| Acc::new(a, rawtable))
+            .collect::<Vec<_>>(),
+    )];
+    if compiled {
+        let folds = aggs
+            .iter()
+            .zip(arg_cols)
+            .map(|(a, c)| crate::pir::agg::fold_keyless(a.func, c.as_deref(), sel, false))
+            .collect::<Result<Vec<_>>>()?;
+        install_folds(&mut groups, folds, aggs);
+    } else {
+        for i in sel.iter() {
+            for (acc, arg) in groups[0].1.iter_mut().zip(arg_cols) {
+                let v = arg.as_ref().map(|c| c.get(i));
+                acc.update(v.as_ref())?;
+            }
+        }
+    }
+    Ok(groups)
+}
+
 /// Build the aggregation state for one grouping set, returning groups
 /// ordered by their first-seen selected position — exactly the order
 /// the serial single-pass build discovers them in, for any `workers`
@@ -575,179 +1076,24 @@ fn build_groups(
     rawtable: bool,
     compiled: bool,
 ) -> Result<Vec<(usize, Vec<Acc>)>> {
-    let num_rows = sel.len();
-    // Key access goes through per-column readers: dictionary-encoded
-    // string columns contribute their u32 code (no string clone, no
-    // Value allocation per row), everything else its scalar value.
-    let readers: Vec<KeyReader<'_>> = set
-        .iter()
-        .map(|&k| KeyReader::new(key_cols[k].as_ref()))
-        .collect();
-    // Dense group lookup for the common single-dictionary-key case:
-    // slot 0 is the NULL group, slot c+1 the group of code c — no
-    // per-row key bytes, no table probe at all (both arms).
-    let dense_keys = match &readers[..] {
-        [r] => r.dict_codes(),
-        _ => None,
-    };
-    let dense_slots = dense_keys.map_or(0, |(_, _, dict_len)| dict_len + 1);
-    let dense_slot = |codes: &[u32], nulls: Option<&hive_common::BitSet>, i: usize| {
-        if nulls.is_some_and(|n| n.get(i)) {
-            0
-        } else {
-            codes[i] as usize + 1
-        }
-    };
-
-    let parallel = workers > 1 && num_rows >= 2;
-    // Hashes route rows to partitions (parallel build) and serve as the
-    // flat-table probe hash (rawtable arm, non-dense keys). The dense
-    // path indexes groups by code, so serial dense builds skip hashing
-    // entirely.
-    let need_hashes = parallel || (rawtable && dense_keys.is_none() && num_rows > 0);
-    let hashes: Vec<u64> = if need_hashes {
-        let chunk = num_rows.div_ceil(workers.max(1)).max(1);
-        let nchunks = num_rows.div_ceil(chunk);
-        crate::par::parallel_map(workers.max(1), nchunks, |c| {
-            let lo = c * chunk;
-            let hi = ((c + 1) * chunk).min(num_rows);
-            Ok(hash_rows(&readers, sel, lo, hi))
-        })?
-        .concat()
-    } else {
-        Vec::new()
-    };
-
-    // One partition's build, `HashMap` arm (the differential oracle):
-    // fold every selected position whose stable key hash maps to this
-    // partition, in ascending position order (`filter` preserves it),
-    // tracking each group's first position for the deterministic merge.
-    // `hashes` is only indexed under `route` (it stays empty when no
-    // routing or flat table needs it), so position-loop indexing is
-    // the correct shape, not a zip candidate.
-    #[allow(clippy::type_complexity, clippy::needless_range_loop)]
-    let build_partition = |route: Option<(usize, usize)>| -> Result<Vec<(usize, Vec<Acc>)>> {
-        let mut index: HashMap<Vec<KeyPart>, usize> = HashMap::new();
-        let mut groups: Vec<(usize, Vec<Acc>)> = Vec::new();
-        let mut dense: Vec<usize> = vec![usize::MAX; dense_slots];
-        let (mut rows_idx, mut assign): (Vec<u32>, Vec<u32>) = (Vec::new(), Vec::new());
-        for pos in 0..num_rows {
-            if let Some((nparts, p)) = route {
-                if hashes[pos] as usize % nparts != p {
-                    continue;
-                }
-            }
-            let i = sel.index(pos);
-            let gi = if let Some((codes, nulls, _)) = dense_keys {
-                let slot = dense_slot(codes, nulls, i);
-                if dense[slot] == usize::MAX {
-                    dense[slot] = groups.len();
-                    groups.push((pos, aggs.iter().map(|a| Acc::new(a, false)).collect()));
-                }
-                dense[slot]
-            } else {
-                let key: Vec<KeyPart> = readers.iter().map(|r| r.part(i)).collect();
-                match index.get(&key) {
-                    Some(&g) => g,
-                    None => {
-                        let g = groups.len();
-                        index.insert(key, g);
-                        groups.push((pos, aggs.iter().map(|a| Acc::new(a, false)).collect()));
-                        g
-                    }
-                }
-            };
-            // Compiled path: record the assignment, fold per aggregate
-            // below — no per-row `Value` materialization or dispatch.
-            if compiled {
-                rows_idx.push(i as u32);
-                assign.push(gi as u32);
-            } else {
-                for (acc, arg) in groups[gi].1.iter_mut().zip(arg_cols) {
-                    let v = arg.as_ref().map(|c| c.get(i));
-                    acc.update(v.as_ref())?;
-                }
-            }
-        }
-        if compiled {
-            fold_compiled(&mut groups, &rows_idx, &assign, aggs, arg_cols)?;
-        }
-        Ok(groups)
-    };
-
-    // One partition's build, flat-table arm: group index = table entry
-    // id (entry ids are dense in insertion order, and groups are pushed
-    // on insertion, so they stay aligned). Keys live as canonical bytes
-    // in the table arena — no per-group `Vec<KeyPart>` and no `Value`
-    // clones until emit.
-    #[allow(clippy::needless_range_loop)] // see `build_partition`
-    let build_partition_raw = |route: Option<(usize, usize)>| -> Result<Vec<(usize, Vec<Acc>)>> {
-        let mut table = RawTable::new();
-        let mut scratch: Vec<u8> = Vec::new();
-        let mut groups: Vec<(usize, Vec<Acc>)> = Vec::new();
-        let mut dense: Vec<usize> = vec![usize::MAX; dense_slots];
-        let (mut rows_idx, mut assign): (Vec<u32>, Vec<u32>) = (Vec::new(), Vec::new());
-        for pos in 0..num_rows {
-            if let Some((nparts, p)) = route {
-                if hashes[pos] as usize % nparts != p {
-                    continue;
-                }
-            }
-            let i = sel.index(pos);
-            let gi = if let Some((codes, nulls, _)) = dense_keys {
-                let slot = dense_slot(codes, nulls, i);
-                if dense[slot] == usize::MAX {
-                    dense[slot] = groups.len();
-                    groups.push((pos, aggs.iter().map(|a| Acc::new(a, true)).collect()));
-                }
-                dense[slot]
-            } else {
-                scratch.clear();
-                for r in &readers {
-                    r.encode_part_at(i, &mut scratch);
-                }
-                let (e, inserted) = table.insert(hashes[pos], &scratch);
-                if inserted {
-                    groups.push((pos, aggs.iter().map(|a| Acc::new(a, true)).collect()));
-                }
-                e as usize
-            };
-            // Compiled path: record the assignment, fold per aggregate
-            // below — no per-row `Value` materialization or dispatch.
-            if compiled {
-                rows_idx.push(i as u32);
-                assign.push(gi as u32);
-            } else {
-                for (acc, arg) in groups[gi].1.iter_mut().zip(arg_cols) {
-                    let v = arg.as_ref().map(|c| c.get(i));
-                    acc.update(v.as_ref())?;
-                }
-            }
-        }
-        if compiled {
-            fold_compiled(&mut groups, &rows_idx, &assign, aggs, arg_cols)?;
-        }
-        Ok(groups)
-    };
-
-    let build = |route: Option<(usize, usize)>| {
-        if rawtable {
-            build_partition_raw(route)
-        } else {
-            build_partition(route)
-        }
-    };
-
-    if !parallel {
-        return build(None);
+    if set.is_empty() {
+        return fold_keyless_group(sel, arg_cols, aggs, rawtable, compiled);
     }
-
+    if workers <= 1 || sel.len() < 2 {
+        let d = discover(sel, key_cols, set, rawtable)?;
+        return accumulate(&d, aggs, arg_cols, rawtable, compiled);
+    }
     // One build per hash partition. A group's rows all share a hash, so
     // they live in exactly one partition and fold in position order;
     // the merge sorts by global first-seen position, restoring the
     // serial discovery order.
+    let readers = key_readers(key_cols, set);
+    let hashes = hash_all(&readers, sel, workers)?;
     let nparts = workers;
-    let parts = crate::par::parallel_map(workers, nparts, |p| build(Some((nparts, p))))?;
+    let parts = crate::par::parallel_map(workers, nparts, |p| {
+        let d = discover_partition(sel, &readers, rawtable, &hashes, Some((nparts, p)));
+        accumulate(&d, aggs, arg_cols, rawtable, compiled)
+    })?;
     let mut all: Vec<(usize, Vec<Acc>)> = parts.into_iter().flatten().collect();
     all.sort_by_key(|(first_pos, _)| *first_pos);
     Ok(all)
@@ -1319,6 +1665,61 @@ mod tests {
             );
             assert_eq!(broker.reserved(), 0, "all grants released");
         }
+    }
+
+    #[test]
+    fn parts_route_takes_keys_that_reduce_and_leaves_the_rest() {
+        let schema = Schema::new(vec![
+            Field::new("few", DataType::Int),
+            Field::new("many", DataType::Int),
+            Field::new("v", DataType::BigInt),
+        ]);
+        let parts: Vec<PartCols> = (0..3)
+            .map(|p| {
+                let rows: Vec<Row> = (0..1000)
+                    .map(|i| {
+                        Row::new(vec![
+                            Value::Int(i % 7),
+                            Value::Int(p * 1000 + i),
+                            Value::BigInt(i as i64),
+                        ])
+                    })
+                    .collect();
+                let batch = VectorBatch::from_rows(&schema, &rows).unwrap();
+                let keys = [ScalarExpr::Column(0), ScalarExpr::Column(1)];
+                let aggs = sum_of(2);
+                PartCols::eval(&SelBatch::from_batch(batch), &keys, &aggs, true).unwrap()
+            })
+            .collect();
+        let aggs = sum_of(2);
+        // Seven groups a part: merged part by part, in first-seen order.
+        let (groups, _, _) = fold_parts(&parts, &[0], &aggs, 2, true)
+            .unwrap()
+            .expect("a key that reduces takes the parts route");
+        assert_eq!(groups.len(), 7);
+        assert_eq!(
+            groups.iter().map(|g| g.0).collect::<Vec<_>>(),
+            (0..7).collect::<Vec<_>>()
+        );
+        // A group per row: merging 3 000 one-row groups would cost more
+        // than the partitioned build over the assembled columns.
+        assert!(fold_parts(&parts, &[1], &aggs, 2, true).unwrap().is_none());
+        // No keys: one state per part, nothing to discover.
+        let (groups, _, _) = fold_parts(&parts, &[], &aggs, 2, true).unwrap().unwrap();
+        let total: i64 = 3 * (0..1000).sum::<i64>();
+        assert_eq!(groups.len(), 1);
+        assert_eq!(
+            groups[0].1[0].clone().finish().unwrap(),
+            Value::BigInt(total)
+        );
+    }
+
+    fn sum_of(col: usize) -> Vec<AggExpr> {
+        vec![AggExpr {
+            func: AggFunc::Sum,
+            arg: Some(ScalarExpr::Column(col)),
+            distinct: false,
+        }]
     }
 
     #[test]

@@ -2,11 +2,11 @@
 //! optimized logical plan, with per-node tracing feeding the simulated
 //! cluster time model.
 
-use crate::aggregate::execute_aggregate_par;
+use crate::aggregate::execute_aggregate_parts;
 use crate::join::execute_join_par;
 use crate::kernels::{eval_rowmode, eval_vector, filter_indices, filter_indices_rowmode};
 use crate::membroker::MemoryBroker;
-use crate::scan::execute_scan;
+use crate::scan::{execute_scan, execute_scan_parts};
 use crate::spill::SpillCtx;
 use crate::window::execute_window;
 use hive_common::{HiveConf, HiveError, Result, Row, SelBatch, SelVec, VectorBatch};
@@ -533,6 +533,46 @@ pub fn execute_sel(plan: &LogicalPlan, ctx: &ExecContext) -> Result<(SelBatch, N
     Ok((sb, trace))
 }
 
+/// Execute the input of a consumer that folds parts (the aggregate) as
+/// an ordered sequence of at least one part, whose selected rows end to
+/// end are exactly [`execute_sel`]'s rows. A stored-table scan that is
+/// not a shared-work site yields one part per morsel in enumeration
+/// order, directly or through the PIR-fused Filter/Project chain above
+/// it (whose stages evaluate batch-locally); anything else — a shared
+/// subtree, a federated scan, any other operator — is one part. The
+/// trace, the fault rolls and their order are `execute_sel`'s.
+pub(crate) fn execute_parts(
+    plan: &LogicalPlan,
+    ctx: &ExecContext,
+) -> Result<(Vec<SelBatch>, NodeTrace)> {
+    let in_parts = !ctx.is_shared_subtree(plan)
+        && match plan {
+            LogicalPlan::Scan { table, .. } => {
+                table.handler.is_none() && ctx.scan_share_key(plan).is_none()
+            }
+            LogicalPlan::Filter { .. } | LogicalPlan::Project { .. } => {
+                crate::pir::enabled(ctx.conf)
+            }
+            _ => false,
+        };
+    if !in_parts {
+        return execute_sel(plan, ctx).map(|(sb, t)| (vec![sb], t));
+    }
+    let (mut parts, mut trace) = match plan {
+        LogicalPlan::Scan { .. } => execute_scan_parts(plan, ctx, &execute)?,
+        _ => crate::pir::execute_chain_parts(plan, ctx)?,
+    };
+    crate::recovery::apply_fragment_faults(ctx, &mut trace)?;
+    if !ctx.conf.effective_selvec_enabled() {
+        for p in &mut parts {
+            if !p.is_compact() {
+                *p = SelBatch::from_batch(p.clone().compact());
+            }
+        }
+    }
+    Ok((parts, trace))
+}
+
 /// True when `col_dt` already satisfies the declared output type (the
 /// condition under which `align_column` passes a column through).
 pub(crate) fn type_aligned(col_dt: &hive_common::DataType, want: &hive_common::DataType) -> bool {
@@ -687,13 +727,14 @@ fn execute_sel_inner(plan: &LogicalPlan, ctx: &ExecContext) -> Result<(SelBatch,
             grouping_sets,
             aggs,
         } => {
-            let (child, ct) = execute_sel(input, ctx)?;
-            let (workers, _lease) = ctx.lease_workers(crate::par::row_morsels(child.num_rows()));
-            let rows_in = child.num_rows() as u64;
+            let (child, ct) = execute_parts(input, ctx)?;
+            let child_rows: usize = child.iter().map(SelBatch::num_rows).sum();
+            let (workers, _lease) = ctx.lease_workers(crate::par::row_morsels(child_rows));
+            let rows_in = child_rows as u64;
             let sp = ctx.spill_ctx();
             let mut pc = crate::pir::PirCounters::default();
             let pir = crate::pir::enabled(ctx.conf).then_some(&mut pc);
-            let out = execute_aggregate_par(
+            let out = execute_aggregate_parts(
                 &child,
                 group_exprs,
                 grouping_sets,

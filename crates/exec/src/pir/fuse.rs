@@ -34,7 +34,9 @@ use super::kernel::SelRef;
 use super::lower::{PredPipeline, ProjPlan};
 use crate::engine::{align_column, execute_sel, type_aligned, ExecContext, NodeTrace};
 use crate::kernels::eval_vector;
-use hive_common::{ColumnVector, DataType, Result, Schema, SelBatch, SelVec, VectorBatch};
+use hive_common::{
+    ColumnVector, DataType, HiveError, Result, Schema, SelBatch, SelVec, VectorBatch,
+};
 use hive_optimizer::plan::LogicalPlan;
 use hive_optimizer::ScalarExpr;
 use std::collections::HashMap;
@@ -55,6 +57,40 @@ pub(crate) fn execute_chain(
     plan: &LogicalPlan,
     ctx: &ExecContext,
 ) -> Result<(SelBatch, NodeTrace)> {
+    let (mut parts, trace) = run_chain(plan, ctx, |source| {
+        execute_sel(source, ctx).map(|(sb, t)| (vec![sb], t))
+    })?;
+    match parts.pop() {
+        Some(sb) if parts.is_empty() => Ok((sb, trace)),
+        _ => Err(HiveError::Execution(
+            "fused chain over one batch did not yield one batch".into(),
+        )),
+    }
+}
+
+/// [`execute_chain`] for a consumer that folds parts: the chain's
+/// source may arrive as several parts (a scan's morsels) and every
+/// stage runs part by part — stages evaluate batch-locally, so the
+/// parts' selected rows, end to end, are exactly the rows the chain
+/// yields over the assembled source.
+pub(crate) fn execute_chain_parts(
+    plan: &LogicalPlan,
+    ctx: &ExecContext,
+) -> Result<(Vec<SelBatch>, NodeTrace)> {
+    run_chain(plan, ctx, |source| {
+        crate::engine::execute_parts(source, ctx)
+    })
+}
+
+/// Peel the chain off `plan`, take its source's parts from `source`
+/// (at least one), and run each stage over every part. A stage is
+/// compiled once, from the first part's schema; its one `NodeTrace`
+/// sums the parts' rows.
+fn run_chain(
+    plan: &LogicalPlan,
+    ctx: &ExecContext,
+    source: impl FnOnce(&LogicalPlan) -> Result<(Vec<SelBatch>, NodeTrace)>,
+) -> Result<(Vec<SelBatch>, NodeTrace)> {
     // Peel top-down.
     let mut stages: Vec<Stage<'_>> = Vec::new();
     let mut cur = plan;
@@ -79,12 +115,54 @@ pub(crate) fn execute_chain(
             break;
         }
     }
-    let (mut sb, mut trace) = execute_sel(cur, ctx)?;
+    let (mut parts, mut trace) = source(cur)?;
     for (i, stage) in stages.iter().enumerate().rev() {
-        let (nsb, mut st) = match stage {
-            Stage::Filter(pred) => run_filter(pred, sb)?,
-            Stage::Project { exprs, schema } => run_project(exprs, schema, sb)?,
+        let Some(first) = parts.first().map(|p| p.batch.clone()) else {
+            return Err(HiveError::Execution("fused chain over no parts".into()));
         };
+        let in_schema = first.schema();
+        let rows_in: u64 = parts.iter().map(|p| p.num_rows() as u64).sum();
+        let mut st = match stage {
+            Stage::Filter(pred) => {
+                // Engine-level filters order conjuncts by cost tier and
+                // default selectivity estimates; scans (which hold table
+                // stats) compile their own pipelines in `read_scan`.
+                let pipe = PredPipeline::compile(pred, in_schema, None, false);
+                parts = parts
+                    .into_iter()
+                    .map(|sb| run_filter(&pipe, sb))
+                    .collect::<Result<_>>()?;
+                let mut t = NodeTrace::leaf("Filter");
+                t.pir_compiled_stages = pipe.fully_compiled() as u64;
+                if !pipe.fully_compiled() {
+                    t.pir_fallback_rows = rows_in;
+                }
+                t
+            }
+            Stage::Project { exprs, schema } => {
+                // All-trivial projection: re-share column handles, the
+                // selection passes through untouched (the interpreter's
+                // zero-copy fast path).
+                let trivial = exprs.iter().enumerate().all(|(i, e)| {
+                    matches!(e, ScalarExpr::Column(c)
+                        if type_aligned(&first.column(*c).data_type(), &schema.field(i).data_type))
+                });
+                let compiled = if trivial {
+                    None
+                } else {
+                    Some(ProjPlan::compile(exprs, in_schema)?)
+                };
+                parts = parts
+                    .into_iter()
+                    .map(|sb| run_project(exprs, compiled.as_ref(), schema, sb))
+                    .collect::<Result<_>>()?;
+                let mut t = NodeTrace::leaf("Project");
+                t.pir_compiled_stages = 1;
+                t
+            }
+        };
+        st.rows_in = rows_in;
+        st.rows_out = parts.iter().map(|p| p.num_rows() as u64).sum();
         st.children = vec![trace];
         if i > 0 {
             // Interior stage: roll its fault schedule here, exactly
@@ -93,18 +171,11 @@ pub(crate) fn execute_chain(
             crate::recovery::apply_fragment_faults(ctx, &mut st)?;
         }
         trace = st;
-        sb = nsb;
     }
-    Ok((sb, trace))
+    Ok((parts, trace))
 }
 
-fn run_filter(pred: &ScalarExpr, sb: SelBatch) -> Result<(SelBatch, NodeTrace)> {
-    let rows_in = sb.num_rows() as u64;
-    // Engine-level filters order conjuncts by cost tier and default
-    // selectivity estimates; scans (which hold table stats) compile
-    // their own pipelines in `execute_scan`.
-    let pipe = PredPipeline::compile(pred, sb.batch.schema(), None, false);
-    let fully = pipe.fully_compiled();
+fn run_filter(pipe: &PredPipeline, sb: SelBatch) -> Result<SelBatch> {
     let kept = pipe.select(&sb.batch, SelRef::of(&sb.sel))?;
     let SelBatch { batch, sel } = sb;
     let sel = match kept {
@@ -114,29 +185,18 @@ fn run_filter(pred: &ScalarExpr, sb: SelBatch) -> Result<(SelBatch, NodeTrace)> 
         // selection — no compose step.
         Some(rows) => SelVec::Idx(rows),
     };
-    let mut t = NodeTrace::leaf("Filter");
-    t.rows_in = rows_in;
-    t.rows_out = sel.len() as u64;
-    t.pir_compiled_stages = fully as u64;
-    if !fully {
-        t.pir_fallback_rows = rows_in;
-    }
-    Ok((SelBatch::new(batch, sel)?, t))
+    SelBatch::new(batch, sel)
 }
 
+/// One part through a projection: `plan` is `None` for the all-trivial
+/// projection (bare column refs already in their declared types).
 fn run_project(
     exprs: &[ScalarExpr],
+    plan: Option<&ProjPlan>,
     out_schema: &Schema,
     sb: SelBatch,
-) -> Result<(SelBatch, NodeTrace)> {
-    let rows_in = sb.num_rows() as u64;
-    // All-trivial projection: re-share column handles, selection passes
-    // through untouched (the interpreter's zero-copy fast path).
-    let trivial = exprs.iter().enumerate().all(|(i, e)| {
-        matches!(e, ScalarExpr::Column(c)
-            if type_aligned(&sb.batch.column(*c).data_type(), &out_schema.field(i).data_type))
-    });
-    if trivial {
+) -> Result<SelBatch> {
+    let Some(plan) = plan else {
         let cols = exprs
             .iter()
             .map(|e| match e {
@@ -145,13 +205,8 @@ fn run_project(
             })
             .collect();
         let out = VectorBatch::from_arcs(out_schema.clone(), cols, sb.batch.num_rows())?;
-        let mut t = NodeTrace::leaf("Project");
-        t.rows_in = rows_in;
-        t.rows_out = rows_in;
-        t.pir_compiled_stages = 1;
-        return Ok((SelBatch::new(out, sb.sel)?, t));
-    }
-    let plan = ProjPlan::compile(exprs, sb.batch.schema())?;
+        return SelBatch::new(out, sb.sel);
+    };
     let n = sb.num_rows();
     // The evaluation base: at an identity selection the child's columns
     // are shared as-is; otherwise gather *only referenced* columns
@@ -211,9 +266,5 @@ fn run_project(
         )?);
     }
     let out = VectorBatch::from_arcs(out_schema.clone(), out_cols, n)?;
-    let mut t = NodeTrace::leaf("Project");
-    t.rows_in = rows_in;
-    t.rows_out = out.num_rows() as u64;
-    t.pir_compiled_stages = 1;
-    Ok((SelBatch::from_batch(out), t))
+    Ok(SelBatch::from_batch(out))
 }

@@ -33,10 +33,11 @@ use hive_common::{fault::hash_str, HiveError, Result};
 
 /// Retry `op` on [`HiveError::Transient`] with capped exponential
 /// backoff, charging waits to the context's per-query accumulator.
-/// Exhaustion escalates to [`HiveError::FragmentLost`].
+/// Exhaustion escalates to [`HiveError::FragmentLost`]; `what` names
+/// the operation for that error and is not called otherwise.
 pub(crate) fn retry_transient<T>(
     ctx: &ExecContext,
-    what: &str,
+    what: impl Fn() -> String,
     mut op: impl FnMut() -> Result<T>,
 ) -> Result<T> {
     let fault = ctx.fs.fault();
@@ -49,7 +50,8 @@ pub(crate) fn retry_transient<T>(
                 }
                 if attempt >= fault.max_fragment_retries() {
                     return Err(HiveError::FragmentLost(format!(
-                        "{what}: transient error persisted through {attempt} retries: {e}"
+                        "{}: transient error persisted through {attempt} retries: {e}",
+                        what()
                     )));
                 }
                 ctx.charge_retry(fault.backoff_ms(attempt));

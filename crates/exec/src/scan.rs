@@ -4,9 +4,10 @@
 
 use crate::engine::{ExecContext, NodeTrace};
 use crate::kernels::{filter_indices, filter_indices_rowmode};
-use hive_acid::{resolve_snapshot, writer::record_id_at, DeleteSet, ACID_COLS};
+use hive_acid::{resolve_snapshot, DeleteSet, ACID_COLS};
 use hive_common::{
-    ColumnVector, HiveError, Result, Schema, SelBatch, SelVec, Value, VectorBatch, WriteId,
+    BucketId, ColumnVector, HiveError, RecordId, Result, RowId, Schema, SelBatch, SelVec, Value,
+    VectorBatch, WriteId,
 };
 use hive_corc::{ColumnPredicate, CorcFile, SearchArgument};
 use hive_dfs::DfsPath;
@@ -22,11 +23,96 @@ type ExecFn<'f> = &'f dyn Fn(&LogicalPlan, &ExecContext) -> Result<(VectorBatch,
 /// Execute a Scan node. The result carries residual row-level filters as
 /// a selection over the read batch — downstream operators consume the
 /// `(batch, selection)` pair without compacting (§3.3's late filtering).
+///
+/// This is [`read_scan`] plus assembly: a single part keeps the row
+/// group's `Arc` columns as they are, several parts take one
+/// [`VectorBatch::concat_selected`] (each survivor copied exactly once).
 pub fn execute_scan(
     plan: &LogicalPlan,
     ctx: &ExecContext,
     exec: ExecFn,
 ) -> Result<(SelBatch, NodeTrace)> {
+    let mut read = read_scan(plan, ctx, exec)?;
+    let out = match read.parts.len() {
+        1 => read.parts.swap_remove(0),
+        _ => SelBatch::from_batch(VectorBatch::concat_selected(&plan.schema(), &read.parts)?),
+    };
+    if let Some(key) = read.publish {
+        // A shared scan runs unfused: `out` is every raw row.
+        ctx.shared_put(key, out.batch.clone());
+    }
+    let filtered = read.residual.apply(out, ctx)?;
+    read.trace.rows_out = filtered.num_rows() as u64;
+    Ok((filtered, read.trace))
+}
+
+/// Execute a Scan node without assembling it: one filtered part per
+/// morsel, in morsel enumeration order, for a consumer that folds parts
+/// (the aggregate). Concatenating the parts' selected rows gives
+/// exactly [`execute_scan`]'s rows; the trace is the same trace. The
+/// caller has checked that the scan is not a shared-work site — a
+/// shared scan must publish its assembled rows.
+pub(crate) fn execute_scan_parts(
+    plan: &LogicalPlan,
+    ctx: &ExecContext,
+    exec: ExecFn,
+) -> Result<(Vec<SelBatch>, NodeTrace)> {
+    let ScanRead {
+        parts,
+        residual,
+        mut trace,
+        ..
+    } = read_scan(plan, ctx, exec)?;
+    let parts = parts
+        .into_iter()
+        .map(|p| residual.apply(p, ctx))
+        .collect::<Result<Vec<_>>>()?;
+    trace.rows_out = parts.iter().map(|p| p.num_rows() as u64).sum();
+    Ok((parts, trace))
+}
+
+/// A scan's rows before assembly.
+struct ScanRead<'p> {
+    /// At least one part. A storage read gives one per morsel in
+    /// enumeration order, each carrying its fused keep-list as its
+    /// selection; a federated scan, a shared-work reuse and an empty
+    /// reducer give a single finished part.
+    parts: Vec<SelBatch>,
+    /// What the rows still owe; batch-local, so it applies to one part
+    /// or to the assembled batch alike.
+    residual: Residual<'p>,
+    /// Everything but `rows_out`.
+    trace: NodeTrace,
+    /// Share key to publish the assembled raw rows under.
+    publish: Option<u64>,
+}
+
+/// Row-level work left after the read: the pushed filters, unless the
+/// fused pipeline already ran them inside the morsel workers, and the
+/// semijoin reducers' row checks (the Bloom filter may let some row
+/// groups through).
+#[derive(Default)]
+struct Residual<'p> {
+    filters: &'p [ScalarExpr],
+    reducer_preds: Vec<ColumnPredicate>,
+}
+
+impl Residual<'_> {
+    fn apply(&self, sb: SelBatch, ctx: &ExecContext) -> Result<SelBatch> {
+        let sb = if self.filters.is_empty() {
+            sb
+        } else {
+            // Unfused parts carry the identity selection.
+            apply_row_filters(sb.batch, self.filters, ctx)?
+        };
+        Ok(apply_reducer_row_checks(sb, &self.reducer_preds))
+    }
+}
+
+/// Everything a scan does short of assembling its rows: reducers,
+/// partition and snapshot resolution, morsel enumeration, and the
+/// morsel-parallel read with the fused residual predicate.
+fn read_scan<'p>(plan: &'p LogicalPlan, ctx: &ExecContext, exec: ExecFn) -> Result<ScanRead<'p>> {
     let LogicalPlan::Scan {
         table,
         projection,
@@ -42,6 +128,12 @@ pub fn execute_scan(
         label: format!("Scan({})", table.qualified_name),
         ..Default::default()
     };
+    let finished = |part: SelBatch, trace: NodeTrace| ScanRead {
+        parts: vec![part],
+        residual: Residual::default(),
+        trace,
+        publish: None,
+    };
 
     // Federated tables go through the storage-handler hook.
     if table.handler.is_some() {
@@ -52,13 +144,11 @@ pub fn execute_scan(
             ))
         })?;
         let result = scanner.scan(table, projection, filters)?;
-        trace.rows_out = result.batch.num_rows() as u64;
         trace.external_ms = result.external_ms;
         // Residual filters still apply (the handler may have pushed
         // only part of them).
         let filtered = apply_row_filters(result.batch, filters, ctx)?;
-        trace.rows_out = filtered.num_rows() as u64;
-        return Ok((filtered, trace));
+        return Ok(finished(filtered, trace));
     }
 
     // --- dynamic semijoin reduction (§4.6) -------------------------------
@@ -68,10 +158,8 @@ pub fn execute_scan(
         let reducer = run_reducer(spec, ctx, exec, &mut trace)?;
         let Some((min, max, bloom, values)) = reducer else {
             // Empty build side: nothing can match.
-            return Ok((
-                SelBatch::from_batch(VectorBatch::empty(&out_schema)?),
-                trace,
-            ));
+            let empty = SelBatch::from_batch(VectorBatch::empty(&out_schema)?);
+            return Ok(finished(empty, trace));
         };
         if spec.is_partition_col {
             // Dynamic partition pruning: collect the exact value set.
@@ -170,38 +258,35 @@ pub fn execute_scan(
             std::mem::swap(&mut reuse.children, &mut trace.children);
             trace.children.push(reuse);
             trace.rows_in = raw.num_rows() as u64;
-            let filtered =
-                apply_reducer_row_checks(apply_row_filters(raw, filters, ctx)?, &extra_preds);
-            trace.rows_out = filtered.num_rows() as u64;
-            return Ok((filtered, trace));
+            let residual = Residual {
+                filters,
+                reducer_preds: extra_preds,
+            };
+            let filtered = residual.apply(SelBatch::from_batch(raw), ctx)?;
+            return Ok(finished(filtered, trace));
         }
     }
     // A shared scan reads without sargs so every consumer's rows are
     // present in the published batch.
-    let effective_sarg = if share_key.is_some() {
+    let file_sarg = if share_key.is_some() {
         SearchArgument::new()
     } else {
         file_sarg
     };
-    let file_sarg = effective_sarg;
 
     // --- read --------------------------------------------------------------
     let io_before = ctx.fs.stats().snapshot();
     let charges_before = ctx.fault_charges();
     let slow_before = ctx.fs.fault().slow_penalty_ms();
-    let cache_before = ctx
-        .llap
-        .map(|l| l.cache().stats().hit_miss())
-        .unwrap_or((0, 0));
-    let cache_bytes_before = ctx
-        .llap
-        .map(|l| {
+    let cache_bytes_served = || {
+        ctx.llap.map_or(0, |l| {
             l.cache()
                 .stats()
                 .bytes_served_from_cache
                 .load(std::sync::atomic::Ordering::Relaxed)
         })
-        .unwrap_or(0);
+    };
+    let cache_bytes_before = cache_bytes_served();
 
     // Data-column projection (schema col indexes < data_cols).
     let proj_data: Vec<(usize, usize)> = projection
@@ -244,9 +329,11 @@ pub fn execute_scan(
         if acid {
             let wlist = ctx.snapshots.write_ids(&table.qualified_name);
             let snap = resolve_snapshot(ctx.fs, dir, &wlist);
-            let deletes = crate::recovery::retry_transient(ctx, "load delete deltas", || {
-                DeleteSet::load(ctx.fs, &snap, &wlist)
-            })?;
+            let deletes = crate::recovery::retry_transient(
+                ctx,
+                || "load delete deltas".into(),
+                || DeleteSet::load(ctx.fs, &snap, &wlist),
+            )?;
             let acid_idx = acid_states.len();
             acid_states.push((wlist, deletes));
             let mut files: Vec<DfsPath> = Vec::new();
@@ -294,17 +381,17 @@ pub fn execute_scan(
 
     // --- morsel execution --------------------------------------------------
     // Workers claim morsels from a shared counter; the count is gated by
-    // live LLAP executor leases. Batches land indexed by morsel and are
-    // appended in enumeration order, so the result is byte-identical to
+    // live LLAP executor leases. Parts land indexed by morsel, so their
+    // order — and with it the assembled result — is byte-identical to
     // the serial loop at any worker count.
     let (workers, _lease) = ctx.lease_workers(morsels.len());
     trace.parallel_workers = workers as u64;
     // Fused residual predicate (PIR): compile the pushed filters once —
     // conjuncts ordered by the table's column statistics — and evaluate
-    // them inside each morsel worker, so multi-morsel assembly gathers
-    // only survivors instead of concatenating full morsels and
-    // filtering the result. Shared scans must publish raw rows (other
-    // plan sites apply different filters), so they keep the eager path.
+    // them inside each morsel worker, so assembly gathers only
+    // survivors instead of concatenating full morsels and filtering the
+    // result. Shared scans must publish raw rows (other plan sites
+    // apply different filters), so they keep the eager path.
     let fused: Option<crate::pir::PredPipeline> =
         if crate::pir::enabled(ctx.conf) && share_key.is_none() && !filters.is_empty() {
             let tstats = ctx.ms.table_stats(&table.qualified_name);
@@ -333,32 +420,20 @@ pub fn execute_scan(
             m.acid_idx.map(|a| (&acid_states[a].0, &acid_states[a].1)),
             &out_schema,
         )?;
-        // `None` keep-list = every row passed: assembly stays a memcpy.
-        let keep = match &fused {
+        // No keep-list = every row passed: the identity selection.
+        let sel = match &fused {
             Some(p) => p.select(&b, crate::pir::SelRef::All(b.num_rows()))?,
             None => None,
         };
-        Ok((b, keep))
+        let sel = sel.map_or(SelVec::All(b.num_rows()), SelVec::Idx);
+        Ok(SelBatch { batch: b, sel })
     })?;
-    // The scan's input cardinality is the raw morsel rows (what the
-    // eager path counts after its full concat, before filtering).
-    let raw_rows: usize = parts.iter().map(|(b, _)| b.num_rows()).sum();
-    // Single-morsel scans keep the row group's `Arc` columns as-is;
-    // multi-morsel concatenation is a genuine pipeline breaker (the
-    // fused path copies each survivor exactly once).
-    let (out, presel) = if parts.len() == 1 {
-        let (b, keep) = parts.pop().expect("len checked");
-        (b, keep.map(SelVec::Idx))
-    } else if fused.is_some() {
-        // One gather per column straight from the morsel keep-lists.
-        (VectorBatch::concat_selected(&out_schema, &parts)?, None)
-    } else {
-        let mut out = VectorBatch::empty(&out_schema)?;
-        for (b, _) in &parts {
-            out.append(b)?;
-        }
-        (out, None)
-    };
+    // The scan's input cardinality is the raw morsel rows, before any
+    // filter.
+    trace.rows_in = parts.iter().map(|p| p.batch.num_rows() as u64).sum();
+    if parts.is_empty() {
+        parts.push(SelBatch::from_batch(VectorBatch::empty(&out_schema)?));
+    }
 
     let io_after = ctx.fs.stats().snapshot().since(&io_before);
     trace.bytes_disk = io_after.bytes_read;
@@ -369,37 +444,19 @@ pub fn execute_scan(
     trace.fragment_retries += charges.transient_retries - charges_before.transient_retries;
     trace.backoff_wait_ms += charges.backoff_wait_ms - charges_before.backoff_wait_ms;
     trace.injected_delay_ms += ctx.fs.fault().slow_penalty_ms() - slow_before;
-    if let Some(l) = ctx.llap {
-        let (h, _m) = l.cache().stats().hit_miss();
-        let _ = h.saturating_sub(cache_before.0);
-        let bytes_cache_after = l
-            .cache()
-            .stats()
-            .bytes_served_from_cache
-            .load(std::sync::atomic::Ordering::Relaxed);
-        trace.bytes_cache = bytes_cache_after.saturating_sub(cache_bytes_before);
-    }
-    trace.rows_in = raw_rows as u64;
-    if let Some(key) = share_key {
-        ctx.shared_put(key, out.clone());
-    }
+    trace.bytes_cache = cache_bytes_served().saturating_sub(cache_bytes_before);
 
-    // --- residual row-level filtering --------------------------------------
-    // The fused path already applied `filters` per morsel (the
-    // single-morsel keep-list arrives as `presel`); only the semijoin
-    // reducers' row checks remain. The eager path filters here, over
-    // the assembled batch.
-    let filtered = if fused.is_some() {
-        let sb = match presel {
-            Some(sel) => SelBatch::new(out, sel)?,
-            None => SelBatch::from_batch(out),
-        };
-        apply_reducer_row_checks(sb, &extra_preds)
-    } else {
-        apply_reducer_row_checks(apply_row_filters(out, filters, ctx)?, &extra_preds)
-    };
-    trace.rows_out = filtered.num_rows() as u64;
-    Ok((filtered, trace))
+    Ok(ScanRead {
+        parts,
+        // The fused path already applied `filters` per morsel; only the
+        // reducers' row checks remain.
+        residual: Residual {
+            filters: if fused.is_some() { &[] } else { filters },
+            reducer_preds: extra_preds,
+        },
+        trace,
+        publish: share_key,
+    })
 }
 
 /// Run one semijoin reducer's source subplan; `None` when the build side
@@ -455,10 +512,14 @@ fn run_reducer(
 }
 
 fn open_file(ctx: &ExecContext, path: &DfsPath) -> Result<CorcFile> {
-    crate::recovery::retry_transient(ctx, &format!("open {path}"), || match ctx.llap {
-        Some(l) if ctx.conf.llap_enabled => l.metadata().open(ctx.fs, path),
-        _ => CorcFile::open(ctx.fs, path),
-    })
+    crate::recovery::retry_transient(
+        ctx,
+        || format!("open {path}"),
+        || match ctx.llap {
+            Some(l) if ctx.conf.llap_enabled => l.metadata().open(ctx.fs, path),
+            _ => CorcFile::open(ctx.fs, path),
+        },
+    )
 }
 
 /// One unit of parallel scan work: a single selected row group of one
@@ -470,6 +531,59 @@ struct Morsel {
     dir_idx: usize,
     /// Index into the per-directory ACID snapshot state, if any.
     acid_idx: Option<usize>,
+}
+
+/// The rows of one ACID row group a snapshot sees: `None` when it sees
+/// all of them. With nothing deleted the write ids decide, and a row
+/// group written by one transaction (min = max) or spanning only
+/// visible ids is decided whole.
+fn visible_rows(
+    ids: &[Arc<ColumnVector>],
+    rows: usize,
+    wlist: &hive_metastore::ValidWriteIdList,
+    deletes: &DeleteSet,
+) -> Result<Option<Vec<u32>>> {
+    let id_col = |c: usize| match ids[c].as_ref() {
+        ColumnVector::BigInt(v, None) if v.len() == rows => Ok(v.as_slice()),
+        other => Err(HiveError::Execution(format!(
+            "ACID identity column {c} is {} with {} rows, not {rows} non-null BIGINTs",
+            other.data_type(),
+            other.len()
+        ))),
+    };
+    let wids = id_col(0)?;
+    let visible = |w: i64| wlist.is_visible(WriteId(w as u64));
+    if deletes.is_empty() {
+        let (Some(&lo), Some(&hi)) = (wids.iter().min(), wids.iter().max()) else {
+            return Ok(None);
+        };
+        if lo == hi {
+            return Ok(if visible(lo) { None } else { Some(Vec::new()) });
+        }
+        if lo >= 0
+            && WriteId(hi as u64) <= wlist.high_watermark
+            && wlist.all_visible(WriteId(lo as u64), WriteId(hi as u64))
+        {
+            return Ok(None);
+        }
+        let keep: Vec<u32> = (0..rows as u32)
+            .filter(|&i| visible(wids[i as usize]))
+            .collect();
+        return Ok((keep.len() < rows).then_some(keep));
+    }
+    let (buckets, row_ids) = (id_col(1)?, id_col(2)?);
+    let keep: Vec<u32> = (0..rows)
+        .filter(|&i| {
+            visible(wids[i])
+                && !deletes.contains(&RecordId::new(
+                    WriteId(wids[i] as u64),
+                    BucketId(buckets[i] as u64),
+                    RowId(row_ids[i] as u64),
+                ))
+        })
+        .map(|i| i as u32)
+        .collect();
+    Ok((keep.len() < rows).then_some(keep))
 }
 
 /// Read one row group into a standalone batch (runs on a morsel worker).
@@ -496,31 +610,14 @@ fn read_row_group(
         fetched.push(col);
     }
     // Visibility filtering for ACID files.
-    let keep: Vec<u32> = match acid {
-        Some((wlist, deletes)) => {
-            let id_batch = VectorBatch::from_arcs(
-                hive_acid::writer::acid_file_schema(&Schema::empty()),
-                fetched[..ACID_COLS].to_vec(),
-                rows,
-            )?;
-            (0..rows as u32)
-                .filter(|&i| {
-                    let wid = match id_batch.column(0).get(i as usize) {
-                        Value::BigInt(v) => WriteId(v as u64),
-                        _ => return false,
-                    };
-                    wlist.is_visible(wid)
-                        && (deletes.is_empty()
-                            || !deletes.contains(&record_id_at(&id_batch, i as usize)))
-                })
-                .collect()
-        }
-        None => (0..rows as u32).collect(),
+    let keep: Option<Vec<u32>> = match acid {
+        Some((wlist, deletes)) => visible_rows(&fetched[..id_shift], rows, wlist, deletes)?,
+        None => None,
     };
+    let kept_rows = keep.as_ref().map_or(rows, Vec::len);
     // Assemble the output-ordered batch. When visibility kept every row
     // (non-ACID files, or ACID with nothing deleted) the fetched `Arc`s
     // are shared as-is — no bytes move between the cache and the batch.
-    let full = keep.len() == rows;
     let mut cols: Vec<Option<Arc<ColumnVector>>> = vec![None; out_schema.len()];
     let placed = proj_data
         .iter()
@@ -529,25 +626,21 @@ fn read_row_group(
         .chain(proj_ids.iter().copied());
     for (out_i, fetched_i) in placed {
         let col = &fetched[fetched_i];
-        cols[out_i] = Some(if full {
-            col.clone()
-        } else {
-            Arc::new(col.take(&keep))
+        cols[out_i] = Some(match &keep {
+            None => col.clone(),
+            Some(keep) => Arc::new(col.take(keep)),
         });
     }
     for (out_i, key_idx) in proj_part {
-        let v = part_values.get(*key_idx).cloned().unwrap_or(Value::Null);
-        let mut b = hive_common::ColumnBuilder::new(&out_schema.field(*out_i).data_type)?;
-        for _ in 0..keep.len() {
-            b.push(&v)?;
-        }
-        cols[*out_i] = Some(Arc::new(b.finish()));
+        let v = part_values.get(*key_idx).unwrap_or(&Value::Null);
+        let dt = &out_schema.field(*out_i).data_type;
+        cols[*out_i] = Some(Arc::new(ColumnVector::constant(v, dt, kept_rows)?));
     }
     let cols: Vec<Arc<ColumnVector>> = cols
         .into_iter()
         .map(|c| c.ok_or_else(|| HiveError::Execution("unfilled scan column".into())))
         .collect::<Result<Vec<_>>>()?;
-    VectorBatch::from_arcs(out_schema.clone(), cols, keep.len())
+    VectorBatch::from_arcs(out_schema.clone(), cols, kept_rows)
 }
 
 /// Fetch one column chunk, through the LLAP cache when enabled
@@ -564,7 +657,7 @@ fn fetch_chunk(
     rg: usize,
     col: usize,
 ) -> Result<Arc<ColumnVector>> {
-    let what = format!("chunk rg={rg} col={col} of file {:?}", file.file_id());
+    let what = || format!("chunk rg={rg} col={col} of file {:?}", file.file_id());
     // Late materialization: keep dictionary-encoded string chunks as
     // codes + shared dictionary all the way through the cache and the
     // operators (§3.1/§3.3 — LLAP caches data "in its encoded format").
@@ -586,7 +679,7 @@ fn fetch_chunk(
             let fault = ctx.fs.fault();
             let fault = fault.is_active().then(|| fault.as_ref());
             let arc = l.cache().get_or_load_with_fault(key, fault, || {
-                crate::recovery::retry_transient(ctx, &what, read)
+                crate::recovery::retry_transient(ctx, what, read)
             })?;
             if ctx.conf.effective_selvec_enabled() {
                 Ok(arc)
@@ -598,9 +691,7 @@ fn fetch_chunk(
                 Ok(Arc::new((*arc).clone()))
             }
         }
-        _ => Ok(Arc::new(crate::recovery::retry_transient(
-            ctx, &what, read,
-        )?)),
+        _ => Ok(Arc::new(crate::recovery::retry_transient(ctx, what, read)?)),
     }
 }
 

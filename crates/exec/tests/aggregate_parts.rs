@@ -1,0 +1,407 @@
+//! Property test: **parts equal the whole**. However an aggregate's
+//! input is cut into parts — row groups with their own dictionaries,
+//! empty parts, parts under a selection — `execute_aggregate_parts`
+//! returns exactly what the serial `execute_aggregate` returns over the
+//! concatenation: the same values to the bit, the same group order, the
+//! neutral row over all-empty input, and the same error when a decimal
+//! SUM overflows.
+
+use hive_common::{
+    BitSet, ColumnVector, DataType, Field, Schema, SelBatch, SelVec, Value, VectorBatch,
+};
+use hive_exec::aggregate::{execute_aggregate, execute_aggregate_par, execute_aggregate_parts};
+use hive_exec::pir::PirCounters;
+use hive_optimizer::plan::LogicalPlan;
+use hive_optimizer::{AggExpr, AggFunc, ScalarExpr};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use std::sync::Arc;
+
+/// Column positions in [`schema`].
+const K_INT: usize = 0;
+const K_STR: usize = 1;
+const FIRST_VALUE: usize = 2;
+
+fn schema() -> Schema {
+    Schema::new(vec![
+        Field::new("k_int", DataType::Int),
+        Field::new("k_str", DataType::String),
+        Field::new("v_bool", DataType::Boolean),
+        Field::new("v_int", DataType::Int),
+        Field::new("v_big", DataType::BigInt),
+        Field::new("v_dbl", DataType::Double),
+        Field::new("v_dec", DataType::Decimal(38, 2)),
+        Field::new("v_str", DataType::String),
+        Field::new("v_date", DataType::Date),
+        Field::new("v_ts", DataType::Timestamp),
+    ])
+}
+
+fn nulls(rng: &mut StdRng, rows: usize) -> Option<BitSet> {
+    // A third of the columns carry no bitmap at all.
+    if rng.gen_range(0..3) == 0 {
+        return None;
+    }
+    let mut b = BitSet::new(rows);
+    for i in 0..rows {
+        if rng.gen_range(0..6) == 0 {
+            b.set(i);
+        }
+    }
+    Some(b)
+}
+
+/// A string column over a handful of words: plain, or dictionary-encoded
+/// over a dictionary of this part's own (a shuffled subset plus words no
+/// other part has), so parts never agree on codes.
+fn string_column(rng: &mut StdRng, rows: usize, part: usize) -> ColumnVector {
+    let mut words: Vec<String> = ["ant", "bee", "cat", "dog", "eel", ""]
+        .iter()
+        .map(|w| w.to_string())
+        .collect();
+    words.push(format!("only-in-{part}"));
+    for i in (1..words.len()).rev() {
+        words.swap(i, rng.gen_range(0..=i));
+    }
+    words.truncate(rng.gen_range(2..=words.len()));
+    let codes: Vec<u32> = (0..rows)
+        .map(|_| rng.gen_range(0..words.len()) as u32)
+        .collect();
+    let nulls = nulls(rng, rows);
+    if rng.gen_bool(0.7) {
+        ColumnVector::dict_from_codes(codes, Arc::new(words), nulls).unwrap()
+    } else {
+        ColumnVector::Str(
+            codes.iter().map(|&c| words[c as usize].clone()).collect(),
+            nulls,
+        )
+    }
+}
+
+/// One part: `rows` random rows and a selection over them. `edge`
+/// mixes in the values where fold order or overflow shows: `NaN` and
+/// `-0.0`, integers that wrap, decimals within a few additions of
+/// `i128::MAX`.
+fn random_part(rng: &mut StdRng, part: usize, rows: usize, edge: bool) -> SelBatch {
+    let ints = |rng: &mut StdRng, lo: i64, hi: i64| -> Vec<i64> {
+        (0..rows).map(|_| rng.gen_range(lo..hi)).collect()
+    };
+    let k_int: Vec<i32> = ints(rng, 0, 5).iter().map(|&v| v as i32).collect();
+    let v_int: Vec<i32> = (0..rows)
+        .map(|_| match rng.gen_range(0..8) {
+            0 if edge => i32::MAX,
+            1 if edge => i32::MIN,
+            _ => rng.gen_range(-50..50),
+        })
+        .collect();
+    let v_big: Vec<i64> = (0..rows)
+        .map(|_| match rng.gen_range(0..8) {
+            0 if edge => i64::MAX,
+            1 if edge => i64::MIN,
+            _ => rng.gen_range(-1000..1000),
+        })
+        .collect();
+    let v_dbl: Vec<f64> = (0..rows)
+        .map(|_| match rng.gen_range(0..10) {
+            0 if edge => f64::NAN,
+            1 => -0.0,
+            2 => 0.0,
+            3 if edge => 1e300,
+            _ => rng.gen_range(-400i64..400) as f64 * 0.125 + 0.1,
+        })
+        .collect();
+    let v_dec: Vec<i128> = (0..rows)
+        .map(|_| match rng.gen_range(0..6) {
+            0 if edge => i128::MAX / 3,
+            1 if edge => -(i128::MAX / 3),
+            2 if edge => i128::MAX / 2 + 7,
+            _ => rng.gen_range(-100_000i64..100_000) as i128,
+        })
+        .collect();
+    let columns = vec![
+        ColumnVector::Int(k_int, nulls(rng, rows)),
+        string_column(rng, rows, part),
+        ColumnVector::Boolean(
+            (0..rows).map(|_| rng.gen_bool(0.5)).collect(),
+            nulls(rng, rows),
+        ),
+        ColumnVector::Int(v_int, nulls(rng, rows)),
+        ColumnVector::BigInt(v_big, nulls(rng, rows)),
+        ColumnVector::Double(v_dbl, nulls(rng, rows)),
+        ColumnVector::Decimal(v_dec, 2, nulls(rng, rows)),
+        string_column(rng, rows, part),
+        ColumnVector::Date(
+            ints(rng, 0, 400).iter().map(|&v| v as i32).collect(),
+            nulls(rng, rows),
+        ),
+        ColumnVector::Timestamp(ints(rng, -5, 5_000_000), nulls(rng, rows)),
+    ];
+    let batch = VectorBatch::new_with_rows(schema(), columns, rows).unwrap();
+    let sel = match rng.gen_range(0..4) {
+        0 => SelVec::Idx((0..rows as u32).filter(|_| rng.gen_bool(0.5)).collect()),
+        1 => SelVec::Idx(Vec::new()),
+        _ => SelVec::All(rows),
+    };
+    SelBatch::new(batch, sel).unwrap()
+}
+
+/// 1–9 parts, some of them empty. The first part is usually large
+/// enough that two keys still reduce it eightfold — the keyed parts
+/// route probes the first part and leaves keys that barely reduce to
+/// the assembled build — and sometimes small, so both sides run.
+fn random_parts(rng: &mut StdRng, edge: bool) -> Vec<SelBatch> {
+    (0..rng.gen_range(1..=9))
+        .map(|p| {
+            let rows = match rng.gen_range(0..4) {
+                0 => 0,
+                _ if p == 0 && rng.gen_bool(0.7) => rng.gen_range(800..900),
+                _ => rng.gen_range(1..80),
+            };
+            random_part(rng, p, rows, edge)
+        })
+        .collect()
+}
+
+/// Every aggregate the engine has over one value column, with and
+/// without DISTINCT, plus `COUNT(*)`.
+fn aggs_over(col: usize, dt: &DataType) -> Vec<AggExpr> {
+    let numeric = matches!(
+        dt,
+        DataType::Int | DataType::BigInt | DataType::Double | DataType::Decimal(..)
+    );
+    let mut out = vec![AggExpr {
+        func: AggFunc::Count,
+        arg: None,
+        distinct: false,
+    }];
+    for func in [
+        AggFunc::Count,
+        AggFunc::Sum,
+        AggFunc::Min,
+        AggFunc::Max,
+        AggFunc::Avg,
+        AggFunc::StddevSamp,
+    ] {
+        if !numeric && matches!(func, AggFunc::Sum | AggFunc::Avg | AggFunc::StddevSamp) {
+            continue;
+        }
+        for distinct in [false, true] {
+            out.push(AggExpr {
+                func,
+                arg: Some(ScalarExpr::Column(col)),
+                distinct,
+            });
+        }
+    }
+    out
+}
+
+fn out_schema(groups: &[ScalarExpr], sets: &Option<Vec<Vec<usize>>>, aggs: &[AggExpr]) -> Schema {
+    LogicalPlan::Aggregate {
+        input: Arc::new(LogicalPlan::Values {
+            schema: schema(),
+            rows: vec![],
+        }),
+        group_exprs: groups.to_vec(),
+        grouping_sets: sets.clone(),
+        aggs: aggs.to_vec(),
+    }
+    .schema()
+}
+
+/// Rows as values with doubles by bit pattern: `NaN` equals itself and
+/// `-0.0` differs from `0.0`. Dictionary columns decode first — which
+/// dictionary a result column happens to carry is not part of the
+/// result.
+fn bits(b: &VectorBatch) -> Vec<Vec<String>> {
+    b.clone()
+        .decode()
+        .to_rows()
+        .iter()
+        .map(|r| {
+            r.values()
+                .iter()
+                .map(|v| match v {
+                    Value::Double(f) => format!("f64:{:016x}", f.to_bits()),
+                    v => format!("{v:?}"),
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// The key shapes: key-less, one key, two keys, grouping sets (with the
+/// empty set among them).
+#[allow(clippy::type_complexity)]
+fn key_shapes() -> Vec<(Vec<ScalarExpr>, Option<Vec<Vec<usize>>>)> {
+    let k = |c| ScalarExpr::Column(c);
+    vec![
+        (vec![], None),
+        (vec![k(K_STR)], None),
+        (vec![k(K_INT)], None),
+        (vec![k(K_INT), k(K_STR)], None),
+        (
+            vec![k(K_INT), k(K_STR)],
+            Some(vec![vec![0, 1], vec![1], vec![0], vec![]]),
+        ),
+    ]
+}
+
+fn check(parts: &[SelBatch], what: &str) {
+    let whole = VectorBatch::concat_selected(&schema(), parts).unwrap();
+    for (groups, sets) in key_shapes() {
+        for (col, field) in schema().fields().iter().enumerate().skip(FIRST_VALUE) {
+            // One aggregate at a time and all of a column's at once:
+            // alone, a mergeable aggregate takes the parts route; next to
+            // an order-sensitive one, the whole operator assembles.
+            let all = aggs_over(col, &field.data_type);
+            let mut lists: Vec<Vec<AggExpr>> = all.iter().map(|a| vec![a.clone()]).collect();
+            lists.push(all);
+            for aggs in lists {
+                let out = out_schema(&groups, &sets, &aggs);
+                for rawtable in [true, false] {
+                    // The serial, interpreted build over the whole input.
+                    // (Per table arm: the `HashMap` oracle's DISTINCT set
+                    // counts every NaN as its own value, the flat table
+                    // counts one.)
+                    let want = if rawtable {
+                        execute_aggregate(&whole, &groups, &sets, &aggs, &out)
+                    } else {
+                        let sb = SelBatch::from_batch(whole.clone());
+                        execute_aggregate_par(
+                            &sb, &groups, &sets, &aggs, &out, 1, false, None, None,
+                        )
+                    };
+                    let worker_counts: &[usize] = if rawtable { &[1, 2, 8] } else { &[2] };
+                    for &workers in worker_counts {
+                        let mut pc = PirCounters::default();
+                        let got = execute_aggregate_parts(
+                            parts,
+                            &groups,
+                            &sets,
+                            &aggs,
+                            &out,
+                            workers,
+                            rawtable,
+                            None,
+                            Some(&mut pc),
+                        );
+                        let ctx = format!(
+                            "{what}: {} keys, sets {sets:?}, {aggs:?}, {workers} workers, \
+                             rawtable {rawtable}",
+                            groups.len()
+                        );
+                        match (&want, &got) {
+                            (Ok(w), Ok(g)) => assert_eq!(bits(g), bits(w), "{ctx}"),
+                            (Err(w), Err(g)) => assert_eq!(g.to_string(), w.to_string(), "{ctx}"),
+                            _ => panic!("{ctx}: whole {want:?} but parts {got:?}"),
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn parts_equal_the_whole() {
+    let mut rng = StdRng::seed_from_u64(0x9a275);
+    for case in 0..6 {
+        let parts = random_parts(&mut rng, false);
+        check(&parts, &format!("case {case}"));
+    }
+}
+
+#[test]
+fn parts_equal_the_whole_at_the_edges() {
+    // NaN leaders, signed zeros, wrapping integer sums, and decimal sums
+    // that overflow — on a prefix only, in a partial only, or for good.
+    let mut rng = StdRng::seed_from_u64(0xed9e);
+    let mut overflowed = 0;
+    for case in 0..8 {
+        let parts = random_parts(&mut rng, true);
+        let whole = VectorBatch::concat_selected(&schema(), &parts).unwrap();
+        let sum_dec = [AggExpr {
+            func: AggFunc::Sum,
+            arg: Some(ScalarExpr::Column(6)),
+            distinct: false,
+        }];
+        let out = out_schema(&[], &None, &sum_dec);
+        overflowed += execute_aggregate(&whole, &[], &None, &sum_dec, &out).is_err() as usize;
+        check(&parts, &format!("edge case {case}"));
+    }
+    assert!(
+        (1..8).contains(&overflowed),
+        "the cases must include both overflowing and fitting decimal sums, got {overflowed}/8"
+    );
+}
+
+#[test]
+fn all_empty_parts_give_the_neutral_row() {
+    let mut rng = StdRng::seed_from_u64(3);
+    let parts: Vec<SelBatch> = (0..4).map(|p| random_part(&mut rng, p, 0, false)).collect();
+    check(&parts, "all parts empty");
+    let aggs = aggs_over(3, &DataType::Int);
+    let out = out_schema(&[], &None, &aggs);
+    let mut pc = PirCounters::default();
+    let got = execute_aggregate_parts(
+        &parts,
+        &[],
+        &None,
+        &aggs,
+        &out,
+        2,
+        true,
+        None,
+        Some(&mut pc),
+    )
+    .unwrap();
+    assert_eq!(got.num_rows(), 1);
+    assert_eq!(got.row(0).get(0), &Value::BigInt(0)); // COUNT(*)
+    assert!(got.row(0).get(3).is_null()); // SUM
+}
+
+#[test]
+fn a_prefix_overflow_the_partials_hide_still_errors() {
+    // Serially: MAX-1, then +5 overflows. Cut after the first row, the
+    // second part's own sum is -5 and the merged total MAX-6 fits — only
+    // the magnitude guard sees that the serial fold would have failed.
+    let schema = Schema::new(vec![Field::new("d", DataType::Decimal(38, 0))]);
+    let part = |vals: Vec<i128>| {
+        SelBatch::from_batch(
+            VectorBatch::new(schema.clone(), vec![ColumnVector::Decimal(vals, 0, None)]).unwrap(),
+        )
+    };
+    let parts = [part(vec![i128::MAX - 1]), part(vec![5, -10])];
+    let aggs = [AggExpr {
+        func: AggFunc::Sum,
+        arg: Some(ScalarExpr::Column(0)),
+        distinct: false,
+    }];
+    let out = LogicalPlan::Aggregate {
+        input: Arc::new(LogicalPlan::Values {
+            schema: schema.clone(),
+            rows: vec![],
+        }),
+        group_exprs: vec![],
+        grouping_sets: None,
+        aggs: aggs.to_vec(),
+    }
+    .schema();
+    let whole = VectorBatch::concat_selected(&schema, &parts).unwrap();
+    let want = execute_aggregate(&whole, &[], &None, &aggs, &out).unwrap_err();
+    let mut pc = PirCounters::default();
+    let got = execute_aggregate_parts(
+        &parts,
+        &[],
+        &None,
+        &aggs,
+        &out,
+        2,
+        true,
+        None,
+        Some(&mut pc),
+    )
+    .unwrap_err();
+    assert_eq!(got.to_string(), want.to_string());
+}

@@ -1,17 +1,19 @@
 //! The LLAP data cache and metadata cache.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use hive_common::{ColumnVector, FaultInjector, FileId, Result};
 use hive_corc::CorcFile;
 use hive_dfs::{DfsPath, DistFs};
 use parking_lot::Mutex;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// A cache key: one column chunk of one row group of one file. FileId is
 /// the stable identity (ETag analogue) that keeps entries valid across
 /// the ACID table's evolving directory layout.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ChunkKey {
     pub file: FileId,
     pub column: usize,
@@ -58,9 +60,15 @@ struct Entry {
     bytes: usize,
     /// Shared dictionary this entry holds a reference on, if any.
     dict_key: Option<DictKey>,
-    /// LRFU combined recency/frequency value.
-    crf: f64,
+    /// Time-invariant LRFU key `log2(CRF) + λ·last_ref` (see
+    /// [`LlapCache`]); raised on every hit.
+    key: f64,
     last_ref: u64,
+    /// The `(key, last_ref)` this entry is filed under in
+    /// `CacheInner::order`. A hit moves `key`/`last_ref` but not the
+    /// filing, so the entry is stale in the order exactly when
+    /// `filed.1 != last_ref`.
+    filed: (u64, u64),
 }
 
 /// Per-entry cost split: own bytes plus (for encoded chunks) the shared
@@ -126,8 +134,27 @@ impl CacheStats {
 /// for eviction is the chunk").
 ///
 /// LRFU computes a combined recency/frequency value per entry:
-/// `CRF = 1 + CRF_old · 2^(−λ·Δt)` on each reference. λ→0 degenerates to
-/// LFU, λ→1 to LRU.
+/// `CRF = 1 + CRF_old · 2^(−λ·Δt)` on each reference, and evicts the
+/// entry whose CRF decayed to *now* is lowest. λ→0 degenerates to LFU,
+/// λ→1 to LRU.
+///
+/// Two entries that are not re-referenced never change order: decayed
+/// to any common `now`, `CRF · 2^(−λ(now − last))` compares as
+/// `log2(CRF) + λ·last` does. That **time-invariant key** is what each
+/// entry stores — a new entry has `λ·now` (CRF 1), a hit moves it to
+/// `log2(1 + 2^(key − λ·now)) + λ·now` — and victims are taken from a
+/// set ordered by `(key, last_ref, ChunkKey)`. In the log domain the key
+/// cannot underflow (the linear CRF is exactly 0.0 after ≈ 2 150 ticks
+/// at λ = 0.5, which made every old entry tie), and `last_ref` is unique
+/// per reference, so the order is total: the same access sequence
+/// evicts the same chunks in every process.
+///
+/// A hit costs one `exp2`/`log2` pair and two stores; it does not touch
+/// the ordered set. A hit only ever raises an entry's key, so the set's
+/// first element, if it has not been hit since it was filed, is the
+/// true minimum; if it has, eviction re-files it under its current key
+/// and looks again. A miss that evicts costs O(log n) per victim plus
+/// one re-filing per entry hit since the last eviction passed over it.
 #[derive(Debug)]
 pub struct LlapCache {
     inner: Mutex<CacheInner>,
@@ -139,6 +166,8 @@ pub struct LlapCache {
 #[derive(Debug, Default)]
 struct CacheInner {
     entries: HashMap<ChunkKey, Entry>,
+    /// One element per resident entry: `(filed.0, filed.1, chunk)`.
+    order: BTreeSet<(u64, u64, ChunkKey)>,
     bytes: usize,
     tick: u64,
     /// `(bytes, live entry refs)` per shared dictionary; the bytes are
@@ -147,18 +176,65 @@ struct CacheInner {
     dict_charges: HashMap<DictKey, (usize, usize)>,
 }
 
-/// Remove an entry's byte charges, releasing its dictionary share when
-/// it was the last reference.
-fn release_entry(g: &mut CacheInner, e: Entry) {
-    g.bytes -= e.bytes;
-    if let Some(dk) = e.dict_key {
-        if let Some(c) = g.dict_charges.get_mut(&dk) {
-            c.1 -= 1;
-            if c.1 == 0 {
-                g.bytes -= c.0;
-                g.dict_charges.remove(&dk);
+/// Map an `f64` to a `u64` whose unsigned order is `f64::total_cmp`'s,
+/// so LRFU keys sort as integers (a NaN key — NaN λ — still sorts).
+fn ord_bits(f: f64) -> u64 {
+    let b = f.to_bits();
+    if b >> 63 == 1 {
+        !b
+    } else {
+        b | (1 << 63)
+    }
+}
+
+impl CacheInner {
+    /// Drop `key`'s entry: its order element and its charges.
+    fn remove(&mut self, key: &ChunkKey) -> bool {
+        let Some(e) = self.entries.remove(key) else {
+            return false;
+        };
+        self.order.remove(&(e.filed.0, e.filed.1, *key));
+        self.release(e);
+        true
+    }
+
+    /// Give back a departed entry's bytes, and its dictionary's when it
+    /// was the last reference.
+    fn release(&mut self, e: Entry) {
+        self.bytes -= e.bytes;
+        if let Some(dk) = e.dict_key {
+            if let Some(c) = self.dict_charges.get_mut(&dk) {
+                c.1 -= 1;
+                if c.1 == 0 {
+                    self.bytes -= c.0;
+                    self.dict_charges.remove(&dk);
+                }
             }
         }
+    }
+
+    /// Evict the entry with the lowest LRFU key; false when empty.
+    fn evict_one(&mut self) -> bool {
+        while let Some((_, filed_at, victim)) = self.order.pop_first() {
+            match self.entries.get_mut(&victim) {
+                // Hit since it was filed: its key only rose, so re-file
+                // it and look at the new first element.
+                Some(e) if e.last_ref != filed_at => {
+                    e.filed = (ord_bits(e.key), e.last_ref);
+                    self.order.insert((e.filed.0, e.filed.1, victim));
+                }
+                Some(_) => {
+                    if let Some(e) = self.entries.remove(&victim) {
+                        self.release(e);
+                    }
+                    return true;
+                }
+                // Unreachable while `order` mirrors `entries`; an
+                // orphan element is simply dropped.
+                None => {}
+            }
+        }
+        false
     }
 }
 
@@ -193,11 +269,6 @@ impl LlapCache {
         self.len() == 0
     }
 
-    fn crf_now(&self, e: &Entry, now: u64) -> f64 {
-        let dt = (now - e.last_ref) as f64;
-        e.crf * 2f64.powf(-self.lambda * dt)
-    }
-
     /// Fetch a chunk, loading it on miss via `load` (the I/O elevator's
     /// fetch-and-decode path).
     pub fn get_or_load(
@@ -229,16 +300,11 @@ impl LlapCache {
                     .unwrap_or(false);
                 if corrupt {
                     self.stats.corrupt_misses.fetch_add(1, Ordering::Relaxed);
-                    if let Some(e) = g.entries.remove(&key) {
-                        release_entry(&mut g, e);
-                    }
+                    g.remove(&key);
                     // Fall through to the miss path below.
                 } else {
-                    let decayed = {
-                        let dt = (now - e.last_ref) as f64;
-                        e.crf * 2f64.powf(-self.lambda * dt)
-                    };
-                    e.crf = 1.0 + decayed;
+                    let lam_now = self.lambda * now as f64;
+                    e.key = (1.0 + (e.key - lam_now).exp2()).log2() + lam_now;
                     e.last_ref = now;
                     self.stats.hits.fetch_add(1, Ordering::Relaxed);
                     self.stats
@@ -257,68 +323,58 @@ impl LlapCache {
         let (bytes, dict_info) = chunk_cost(&key, &col);
         let data = Arc::new(col);
         let mut g = self.inner.lock();
+        let g = &mut *g;
         g.tick += 1;
         let now = g.tick;
+        // Two workers can miss on the same chunk concurrently (the load
+        // runs outside the lock); the loser's insert replaces the
+        // winner's entry, whose charges go back first.
+        g.remove(&key);
         // Cost of admitting this chunk right now: its own bytes plus
         // the dictionary when no resident entry shares it yet
         // (re-evaluated inside the eviction loop, since evicting the
         // dictionary's last other holder re-adds its bytes to our bill).
-        fn admit_cost(g: &CacheInner, bytes: usize, dict_info: &Option<(DictKey, usize)>) -> usize {
+        let admit_cost = |g: &CacheInner| {
             bytes
-                + match dict_info {
+                + match &dict_info {
                     Some((dk, db)) if !g.dict_charges.contains_key(dk) => *db,
                     _ => 0,
                 }
-        }
-        // Evict lowest-CRF entries until the new chunk fits. Chunks
+        };
+        // Evict lowest-key entries until the new chunk fits. Chunks
         // larger than the whole cache bypass it.
-        if admit_cost(&g, bytes, &dict_info) <= self.capacity_bytes {
-            while g.bytes + admit_cost(&g, bytes, &dict_info) > self.capacity_bytes {
-                // total_cmp instead of partial_cmp().unwrap(): a NaN
-                // CRF (λ/Δt edge cases) must pick *a* victim, not
-                // panic mid-eviction with the cache lock held.
-                let victim = match g
-                    .entries
-                    .iter()
-                    .min_by(|(_, a), (_, b)| self.crf_now(a, now).total_cmp(&self.crf_now(b, now)))
-                    .map(|(k, _)| *k)
-                {
-                    Some(v) => v,
-                    None => break,
-                };
-                if let Some(e) = g.entries.remove(&victim) {
-                    release_entry(&mut g, e);
-                    self.stats.evictions.fetch_add(1, Ordering::Relaxed);
+        if admit_cost(g) <= self.capacity_bytes {
+            while g.bytes + admit_cost(g) > self.capacity_bytes {
+                if !g.evict_one() {
+                    break;
                 }
+                self.stats.evictions.fetch_add(1, Ordering::Relaxed);
             }
-            let inner = &mut *g;
             let dict_key = dict_info.map(|(dk, db)| {
-                let c = inner.dict_charges.entry(dk).or_insert((db, 0));
+                let c = g.dict_charges.entry(dk).or_insert((db, 0));
                 if c.1 == 0 {
                     // First resident reference carries the dictionary.
-                    inner.bytes += db;
+                    g.bytes += db;
                 }
                 c.1 += 1;
                 dk
             });
             g.bytes += bytes;
-            if let Some(old) = g.entries.insert(
+            // CRF 1 at `now`: log2(1) + λ·now.
+            let lrfu_key = self.lambda * now as f64;
+            let filed = (ord_bits(lrfu_key), now);
+            g.order.insert((filed.0, filed.1, key));
+            g.entries.insert(
                 key,
                 Entry {
                     data: data.clone(),
                     bytes,
                     dict_key,
-                    crf: 1.0,
+                    key: lrfu_key,
                     last_ref: now,
+                    filed,
                 },
-            ) {
-                // Two workers can miss on the same chunk concurrently
-                // (the load runs outside the lock); the loser's insert
-                // replaces the winner's entry, so give back the bytes
-                // of the entry being replaced or resident accounting
-                // drifts upward forever.
-                release_entry(&mut g, old);
-            }
+            );
         }
         Ok(data)
     }
@@ -327,6 +383,7 @@ impl LlapCache {
     pub fn clear(&self) {
         let mut g = self.inner.lock();
         g.entries.clear();
+        g.order.clear();
         g.dict_charges.clear();
         g.bytes = 0;
     }
@@ -347,8 +404,7 @@ impl LlapCache {
             .copied()
             .collect();
         for k in victims {
-            if let Some(e) = g.entries.remove(&k) {
-                release_entry(&mut g, e);
+            if g.remove(&k) {
                 self.stats.evictions.fetch_add(1, Ordering::Relaxed);
             }
         }
@@ -410,6 +466,9 @@ mod tests {
     fn chunk(n: usize) -> ColumnVector {
         ColumnVector::BigInt(vec![7; n], None)
     }
+
+    /// `chunk(100).approx_bytes()`.
+    const CHUNK: usize = 812;
 
     fn key(f: u64, c: usize, rg: usize) -> ChunkKey {
         ChunkKey {
@@ -534,6 +593,244 @@ mod tests {
         // And it must distinguish fields that a naive XOR would merge.
         assert_ne!(key(1, 2, 3).hash64(), key(1, 3, 2).hash64());
         assert_ne!(key(2, 1, 3).hash64(), key(1, 2, 3).hash64());
+    }
+
+    // ---- LRFU order: determinism, no underflow, the O(n) model ---------
+
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::collections::BTreeMap;
+
+    fn resident(cache: &LlapCache) -> BTreeSet<ChunkKey> {
+        cache.inner.lock().entries.keys().copied().collect()
+    }
+
+    /// `order` holds exactly the resident entries under the tuple each
+    /// is filed at, and `bytes` is the sum over entries plus the live
+    /// dictionary charges.
+    fn assert_in_step(cache: &LlapCache) {
+        let g = cache.inner.lock();
+        assert_eq!(g.order.len(), g.entries.len(), "order size");
+        for (k, e) in &g.entries {
+            assert!(
+                g.order.contains(&(e.filed.0, e.filed.1, *k)),
+                "{k:?} not filed where its entry says"
+            );
+        }
+        let own: usize = g.entries.values().map(|e| e.bytes).sum();
+        let dicts: usize = g.dict_charges.values().map(|c| c.0).sum();
+        assert_eq!(g.bytes, own + dicts, "resident bytes");
+        let refs: usize = g.dict_charges.values().map(|c| c.1).sum();
+        assert_eq!(
+            refs,
+            g.entries.values().filter(|e| e.dict_key.is_some()).count(),
+            "dictionary reference counts"
+        );
+    }
+
+    /// A seeded get/insert trace over `keys` distinct chunks.
+    fn trace(seed: u64, len: usize, keys: u64) -> Vec<ChunkKey> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..len)
+            .map(|_| {
+                // Skewed: a few hot chunks among one-shot ones.
+                let k = if rng.gen_bool(0.4) {
+                    rng.gen_range(0..4)
+                } else {
+                    rng.gen_range(0..keys)
+                };
+                key(k, 0, 0)
+            })
+            .collect()
+    }
+
+    /// Replay `ops` and record the resident set after every reference.
+    fn replay(cache: &LlapCache, ops: &[ChunkKey]) -> Vec<BTreeSet<ChunkKey>> {
+        ops.iter()
+            .map(|&k| {
+                cache.get_or_load(k, || Ok(chunk(100))).unwrap();
+                resident(cache)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn same_trace_evicts_the_same_victims_every_time() {
+        // Long enough that at λ = 0.5 the linear CRF of the early
+        // entries is exactly 0.0 — where the old chooser tied and fell
+        // back on `HashMap` iteration order.
+        let ops = trace(7, 6000, 40);
+        for lambda in [0.0, 0.5, 1.0] {
+            let a = LlapCache::new(8 * CHUNK, lambda);
+            let first = replay(&a, &ops);
+            let b = LlapCache::new(8 * CHUNK, lambda);
+            assert_eq!(replay(&b, &ops), first, "two instances, λ={lambda}");
+            a.clear();
+            let again = replay(&a, &ops);
+            // Ticks differ after `clear` (the clock keeps running), the
+            // order of any two keys does not.
+            assert_eq!(again, first, "same instance twice, λ={lambda}");
+            assert!(a.stats().evictions.load(Ordering::Relaxed) > 1000);
+        }
+    }
+
+    #[test]
+    fn entries_ten_thousand_ticks_apart_still_order() {
+        let touch = |cache: &LlapCache, k: u64| {
+            cache.get_or_load(key(k, 0, 0), || Ok(chunk(100))).unwrap();
+        };
+        let age = |cache: &LlapCache| cache.inner.lock().tick += 10_000;
+        let has = |cache: &LlapCache, k: u64| resident(cache).contains(&key(k, 0, 0));
+
+        // λ = 0.5: one-shot entries 10 000 ticks apart evict oldest
+        // first, though every one of them has linear CRF 0.0 by then.
+        let cache = LlapCache::new(3 * CHUNK, 0.5);
+        for k in 0..3 {
+            touch(&cache, k);
+            age(&cache);
+        }
+        for k in 0..3 {
+            touch(&cache, 10 + k);
+            assert!(!has(&cache, k), "λ=0.5 kept {k} past its elders");
+            assert!((k + 1..3).all(|later| has(&cache, later)));
+        }
+
+        // λ = 0: reference counts decide, however long ago they were
+        // made; equal counts fall to the older last reference.
+        let cache = LlapCache::new(3 * CHUNK, 0.0);
+        for (k, refs) in [(0, 3), (1, 1), (2, 2)] {
+            for _ in 0..refs {
+                touch(&cache, k);
+            }
+            age(&cache);
+        }
+        touch(&cache, 10); // evicts 1 (one reference)
+        assert!(!has(&cache, 1) && has(&cache, 0) && has(&cache, 2));
+        touch(&cache, 10);
+        touch(&cache, 10); // 10 now has three
+        touch(&cache, 11); // evicts 2 (two references)
+        assert!(!has(&cache, 2) && has(&cache, 0) && has(&cache, 10));
+        for _ in 0..3 {
+            touch(&cache, 11);
+        }
+        touch(&cache, 12); // 0 and 10 tie on three: 0 was touched longer ago
+        assert!(!has(&cache, 0) && has(&cache, 10) && has(&cache, 11));
+        assert_in_step(&cache);
+    }
+
+    /// The chooser this cache used to run on every miss: decay every
+    /// resident entry's linear CRF to `now` and take the minimum — kept
+    /// here as the model the ordered set is checked against. Ties (the
+    /// old code left them to `HashMap` order) go to the older reference.
+    #[derive(Default)]
+    struct LinearLrfu {
+        entries: BTreeMap<ChunkKey, (f64, u64)>,
+        tick: u64,
+    }
+
+    impl LinearLrfu {
+        fn reference(&mut self, k: ChunkKey, lambda: f64, capacity: usize) {
+            self.tick += 1;
+            let now = self.tick;
+            if let Some((crf, last)) = self.entries.get_mut(&k) {
+                *crf = 1.0 + *crf * 2f64.powf(-lambda * (now - *last) as f64);
+                *last = now;
+                return;
+            }
+            self.tick += 1;
+            let now = self.tick;
+            while self.entries.len() >= capacity {
+                let crf_now =
+                    |(crf, last): &(f64, u64)| crf * 2f64.powf(-lambda * (now - last) as f64);
+                let victim = *self
+                    .entries
+                    .iter()
+                    .min_by(|(_, a), (_, b)| crf_now(a).total_cmp(&crf_now(b)).then(a.1.cmp(&b.1)))
+                    .unwrap()
+                    .0;
+                self.entries.remove(&victim);
+            }
+            self.entries.insert(k, (1.0, now));
+        }
+    }
+
+    #[test]
+    fn ordered_set_picks_the_linear_choosers_victims() {
+        for lambda in [0.0, 0.01, 0.5, 1.0] {
+            for seed in 0..20 {
+                // Short enough that 2^(−λ·Δt) stays a normal number.
+                let ops = trace(seed, 400, 30);
+                let cache = LlapCache::new(6 * CHUNK, lambda);
+                let mut model = LinearLrfu::default();
+                for (i, &k) in ops.iter().enumerate() {
+                    cache.get_or_load(k, || Ok(chunk(100))).unwrap();
+                    model.reference(k, lambda, 6);
+                    assert_eq!(
+                        resident(&cache),
+                        model.entries.keys().copied().collect(),
+                        "λ={lambda} seed={seed} op {i}"
+                    );
+                }
+                assert_in_step(&cache);
+            }
+        }
+    }
+
+    #[test]
+    fn order_and_bytes_stay_in_step_under_any_mix() {
+        let dicts: Vec<Arc<Vec<String>>> = (0..3)
+            .map(|d| Arc::new(vec![format!("dict{d}-a"), format!("dict{d}-bb")]))
+            .collect();
+        let faults = FaultInjector::new();
+        faults.set_plan(hive_common::FaultPlan {
+            seed: 11,
+            cache_corruption_prob: 0.3,
+            ..hive_common::FaultPlan::none()
+        });
+        for seed in 0..10 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let cache = LlapCache::new(9000, [0.0, 0.5, 1.0][seed as usize % 3]);
+            for _ in 0..600 {
+                let k = key(
+                    rng.gen_range(0..3),
+                    rng.gen_range(0..2),
+                    rng.gen_range(0..6),
+                );
+                // Column 1 of each file is dictionary-encoded.
+                let load = |rows: usize| -> Result<ColumnVector> {
+                    Ok(if k.column == 1 {
+                        dict_chunk(&dicts[k.file.0 as usize], rows)
+                    } else {
+                        chunk(rows)
+                    })
+                };
+                match rng.gen_range(0..20) {
+                    0 => cache.clear(),
+                    1 => cache.evict_node_share(rng.gen_range(0..3), 3),
+                    // Two loads of one key in flight: the inner insert
+                    // lands first, the outer replaces it.
+                    2 | 3 => {
+                        cache
+                            .get_or_load(k, || {
+                                cache.get_or_load(k, || load(120))?;
+                                load(120)
+                            })
+                            .unwrap();
+                    }
+                    4..=8 => {
+                        cache
+                            .get_or_load_with_fault(k, Some(&faults), || load(150))
+                            .unwrap();
+                    }
+                    _ => {
+                        cache.get_or_load(k, || load(100)).unwrap();
+                    }
+                }
+                assert_in_step(&cache);
+                assert!(cache.resident_bytes() <= 9000);
+            }
+            assert!(cache.stats().corrupt_misses.load(Ordering::Relaxed) > 0);
+        }
     }
 
     fn dict_chunk(dict: &Arc<Vec<String>>, rows: usize) -> ColumnVector {

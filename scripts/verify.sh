@@ -91,6 +91,15 @@ echo "-- plans do not move: EXPLAIN + estimate bits vs tests/golden/plan_stabili
 cargo test -q --offline --test plan_stability plans_and_estimates_match_the_golden_file
 echo "-- planning in O(plan): the counting-StatsSource gate --"
 cargo test -q --offline --test plan_stability one_optimize_fetches_each_table_once_and_derives_each_summary_once
+# The cold read path's three promises (DESIGN.md §4 "parts", §LLAP):
+# folding a scan part by part changes no byte, LRFU evicts what the
+# linear chooser would have, and the chunk decoder ends typed.
+echo "-- parts equal the whole: any cut of an aggregate's input, same bytes --"
+cargo test -q --offline -p hive-exec --test aggregate_parts
+echo "-- LRFU: the ordered set picks the O(n) chooser's victims --"
+cargo test -q --offline -p hive-llap --lib ordered_set_picks_the_linear_choosers_victims
+echo "-- corc: truncated and mutated chunks decode to Ok or Format --"
+cargo test -q --offline -p hive-corc --lib decode_fuzz_truncations_and_mutations_end_typed
 cargo test -q --offline --workspace
 
 # bench/e2e is a workspace of its own, so the line above never builds it:
