@@ -451,6 +451,158 @@ fn bench_cold_read_path(_c: &mut Criterion) {
     }
 }
 
+/// The hash-key layer, one operator call per case: a single INT join
+/// key against a build side that fits the cache and one that does not,
+/// a two-column INT key, a key-less LEFT join (a scalar subquery's
+/// shape), a GROUP BY over an (INT, dictionary) key, and the byte
+/// table's zero-length key. Prints ns per probe / input row; recorded in
+/// EXPERIMENTS.md, not gated on time.
+fn bench_hash_keys(_c: &mut Criterion) {
+    use hive_common::ColumnVector;
+    const ROWS: usize = 300_000;
+    let ints = |name: &str, cols: Vec<Vec<i32>>| {
+        let fields = (0..cols.len())
+            .map(|c| Field::new(format!("{name}{c}"), DataType::Int))
+            .collect();
+        let cols = cols
+            .into_iter()
+            .map(|v| ColumnVector::Int(v, None))
+            .collect();
+        VectorBatch::new(Schema::new(fields), cols).unwrap()
+    };
+    let scatter = |i: usize, domain: usize| (i.wrapping_mul(2_654_435_761) % domain) as i32;
+    let row_ids = |n: usize| (0..n as i32).collect::<Vec<i32>>();
+    let col0 = || vec![(ScalarExpr::Column(0), ScalarExpr::Column(0))];
+    let join_case = |name: &str,
+                     left: VectorBatch,
+                     right: VectorBatch,
+                     jt: JoinType,
+                     equi: Vec<(ScalarExpr, ScalarExpr)>| {
+        let out_schema = if jt.keeps_right() {
+            left.schema().join(right.schema())
+        } else {
+            left.schema().clone()
+        };
+        report_ns(name, "probe row", 20, left.num_rows() as f64, || {
+            let out = execute_join(&left, &right, jt, &equi, &None, &out_schema, usize::MAX);
+            std::hint::black_box(out.unwrap().num_rows());
+        });
+    };
+    for (name, build) in [("2k", 2_000), ("300k", ROWS)] {
+        join_case(
+            &format!("join/probe_int_key_build_{name}"),
+            ints(
+                "l",
+                vec![
+                    (0..ROWS).map(|i| scatter(i, build)).collect(),
+                    row_ids(ROWS),
+                ],
+            ),
+            ints(
+                "r",
+                vec![
+                    (0..build).map(|i| scatter(i + 17, build)).collect(),
+                    row_ids(build),
+                ],
+            ),
+            JoinType::Inner,
+            col0(),
+        );
+    }
+    let pair = |i: usize| (scatter(i, 1_000), scatter(i / 7, 300));
+    join_case(
+        "join/probe_two_int_keys_build_300k",
+        ints(
+            "l",
+            vec![
+                (0..ROWS).map(|i| pair(i * 3).0).collect(),
+                (0..ROWS).map(|i| pair(i * 3).1).collect(),
+                row_ids(ROWS),
+            ],
+        ),
+        ints(
+            "r",
+            vec![
+                (0..ROWS).map(|i| pair(i).0).collect(),
+                (0..ROWS).map(|i| pair(i).1).collect(),
+                row_ids(ROWS),
+            ],
+        ),
+        JoinType::Semi,
+        vec![
+            (ScalarExpr::Column(0), ScalarExpr::Column(0)),
+            (ScalarExpr::Column(1), ScalarExpr::Column(1)),
+        ],
+    );
+    join_case(
+        "join/keyless_left_300k_x_1",
+        ints("l", vec![row_ids(ROWS)]),
+        ints("r", vec![vec![42]]),
+        JoinType::Left,
+        vec![],
+    );
+
+    let words = std::sync::Arc::new((0..40).map(|w| format!("word-{w:03}")).collect::<Vec<_>>());
+    let batch = VectorBatch::new(
+        Schema::new(vec![
+            Field::new("k", DataType::Int),
+            Field::new("d", DataType::String),
+            Field::new("v", DataType::Int),
+        ]),
+        vec![
+            ColumnVector::Int((0..ROWS).map(|i| scatter(i, 500)).collect(), None),
+            ColumnVector::dict_from_codes(
+                (0..ROWS).map(|i| scatter(i / 3, 40) as u32).collect(),
+                words,
+                None,
+            )
+            .unwrap(),
+            ColumnVector::Int(row_ids(ROWS), None),
+        ],
+    )
+    .unwrap();
+    let groups = vec![ScalarExpr::Column(0), ScalarExpr::Column(1)];
+    let aggs = vec![AggExpr {
+        func: AggFunc::Sum,
+        arg: Some(ScalarExpr::Column(2)),
+        distinct: false,
+    }];
+    let out_schema = hive_optimizer::plan::LogicalPlan::Aggregate {
+        input: std::sync::Arc::new(hive_optimizer::plan::LogicalPlan::Values {
+            schema: batch.schema().clone(),
+            rows: vec![],
+        }),
+        group_exprs: groups.clone(),
+        grouping_sets: None,
+        aggs: aggs.clone(),
+    }
+    .schema();
+    report_ns(
+        "aggregate/group_int_dict_300k",
+        "row",
+        20,
+        ROWS as f64,
+        || {
+            let out = execute_aggregate(&batch, &groups, &None, &aggs, &out_schema);
+            std::hint::black_box(out.unwrap().num_rows());
+        },
+    );
+
+    const FINDS: usize = 3_000_000;
+    let empty_key = hive_common::hash::FNV_OFFSET;
+    let mut table = hive_exec::RawTable::new();
+    table.insert(empty_key, b"");
+    report_ns("rawtable/find_empty_key", "find", 5, FINDS as f64, || {
+        let mut hits = 0usize;
+        for _ in 0..FINDS {
+            hits += std::hint::black_box(&table)
+                .find(empty_key, std::hint::black_box(b""))
+                .is_some() as usize;
+        }
+        std::hint::black_box(hits);
+    });
+}
+
 criterion_group!(
     benches,
     bench_corc,
@@ -458,6 +610,7 @@ criterion_group!(
     bench_exec_kernels,
     bench_frontend,
     bench_optimize_loaded,
-    bench_cold_read_path
+    bench_cold_read_path,
+    bench_hash_keys
 );
 criterion_main!(benches);

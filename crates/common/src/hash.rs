@@ -1,21 +1,29 @@
-//! Stable hashing for the vectorized hash operators.
+//! Canonical key encoding and stable hashing for the hash operators.
 //!
-//! Join, aggregate, window and set-op hash tables key rows by a
-//! canonical byte encoding of each key value (one [`encode_value`] call
-//! per key column), hashed with inline FNV-1a — the same function
-//! `ChunkKey::hash64` and the fault injector use. Two properties carry
-//! the whole design:
+//! This module defines *which keys are equal*. Join, aggregate, window
+//! and set-op keys that have no fixed-width form — plain strings,
+//! DOUBLE, DECIMAL, mixed representations, keys too wide to pack — and
+//! every key that spills are a canonical byte encoding of each key
+//! value (one [`encode_value`] call per key column), hashed with inline
+//! FNV-1a — the same function `ChunkKey::hash64` and the fault injector
+//! use. Keys whose columns are all fixed-width (INT/BIGINT, DATE,
+//! TIMESTAMP, BOOLEAN, dictionary codes) are instead packed into a
+//! `u64`/`u128` by `hive-exec`'s key layer (`hive_exec::keys`) and
+//! hashed as a word; that shape is admitted exactly where word equality
+//! coincides with the encoding equality defined here, so the encoding
+//! stays the one definition of grouping semantics (and the HLL sketch's
+//! input). Two properties carry the design:
 //!
-//! * **Stability.** FNV-1a is a fixed algorithm, so hash values — and
-//!   with them partition routing and `HIVE_FAULT_SEED` replay
-//!   schedules — are identical across runs, platforms and toolchains.
-//!   (`DefaultHasher` only promises determinism within one compiler
-//!   release.)
+//! * **Stability.** FNV-1a is a fixed algorithm (as is the word hash),
+//!   so hash values — and with them partition routing, spill files and
+//!   `HIVE_FAULT_SEED` replay schedules — are identical across runs,
+//!   platforms and toolchains. (`DefaultHasher` only promises
+//!   determinism within one compiler release.)
 //! * **Encoding equality ⟺ key equality.** Two values receive the same
 //!   encoding exactly when the engine's grouping semantics
 //!   (`Value::group_eq` + `Value::hash_value`, the `HashMap` oracle
 //!   path) would merge them into one group. Equal encodings trivially
-//!   imply equal hashes, so the flat tables in `hive-exec` can compare
+//!   imply equal hashes, so the byte table in `hive-exec` can compare
 //!   keys with a plain `memcmp` against arena-resident bytes — no
 //!   per-entry `Vec<Value>` and no re-hashing.
 //!
@@ -42,8 +50,7 @@ pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 pub const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// Fold `bytes` into an in-progress FNV-1a state (start from
-/// [`FNV_OFFSET`]). Column-wise hashing uses this as its combine step:
-/// each key column folds its encoding into the running per-row state.
+/// [`FNV_OFFSET`]): hashing a key in pieces equals hashing it whole.
 #[inline]
 pub fn fnv1a_extend(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
@@ -218,8 +225,7 @@ mod tests {
         assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a(b"foobar"), 0x85944171f73967e8);
-        // Extending in two steps equals one pass (the column-wise
-        // combine step).
+        // Extending in two steps equals one pass.
         assert_eq!(fnv1a_extend(fnv1a(b"foo"), b"bar"), fnv1a(b"foobar"));
     }
 

@@ -100,6 +100,11 @@ impl ColumnVector {
         per_variant!(self, _v, n => n.as_ref().is_some_and(|b| b.get(i)))
     }
 
+    /// The null bitmap, when the column carries one (bit set = NULL).
+    pub fn nulls(&self) -> Option<&BitSet> {
+        per_variant!(self, _v, n => n.as_ref())
+    }
+
     /// Number of NULL rows.
     pub fn null_count(&self) -> usize {
         per_variant!(self, _v, n => n.as_ref().map_or(0, |b| b.count_ones()))

@@ -8,17 +8,17 @@
 //! index, so the emitted row order is byte-identical for any worker or
 //! partition count (and deterministic, unlike HashMap iteration order).
 
-use crate::dict::{KeyPart, KeyReader};
+use crate::dict::KeyPart;
 use crate::engine::align_column;
 use crate::kernels::eval_vector;
-use crate::rawtable::{self, RawTable};
+use crate::keys::{Grouper, KeySide, RowKeys, ValueSet};
+use crate::rawtable::RawTable;
 use crate::spill::{partition_of, plan_partition, push_rec, RecIter, SpillCtx};
-use hive_common::hash::FNV_OFFSET;
 use hive_common::{
     ColumnVector, HiveError, Result, SelBatch, SelVec, Value, VectorBatch, NULL_INDEX,
 };
 use hive_optimizer::{AggExpr, AggFunc, ScalarExpr};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// One in-flight aggregate state.
@@ -44,77 +44,31 @@ enum Acc {
     },
 }
 
-/// Dedup state for DISTINCT aggregates. Both representations keep the
-/// distinct values in first-seen order (`vals`), so fold-order
-/// sensitive finishers (SUM/AVG over doubles) are byte-identical
-/// across the `hive.exec.rawtable.enabled` toggle and across worker
-/// counts — a group's rows all live in one partition and arrive in
-/// ascending row order, so first-seen order is thread-invariant.
-#[derive(Debug, Clone)]
-enum DistinctSet {
-    /// `HashMap` oracle path (toggle off).
-    Map {
-        set: HashSet<Value>,
-        vals: Vec<Value>,
-    },
-    /// Flat-table path: dedup by canonical encoding bytes, no `Value`
-    /// clone for already-seen inputs.
-    Raw {
-        table: RawTable,
-        scratch: Vec<u8>,
-        vals: Vec<Value>,
-    },
+/// Dedup state for DISTINCT aggregates: the values seen, in first-seen
+/// order (`vals`), deduplicated through the key layer's [`ValueSet`].
+/// First-seen order is what keeps fold-order sensitive finishers
+/// (SUM/AVG over doubles) byte-identical across worker counts — a
+/// group's rows all live in one partition and arrive in ascending row
+/// order.
+#[derive(Debug, Clone, Default)]
+struct DistinctSet {
+    set: ValueSet,
+    vals: Vec<Value>,
 }
 
 impl DistinctSet {
-    fn new(use_rawtable: bool) -> DistinctSet {
-        if use_rawtable {
-            DistinctSet::Raw {
-                table: RawTable::new(),
-                scratch: Vec::new(),
-                vals: Vec::new(),
-            }
-        } else {
-            DistinctSet::Map {
-                set: HashSet::new(),
-                vals: Vec::new(),
-            }
-        }
-    }
-
     fn insert(&mut self, v: &Value) {
-        match self {
-            DistinctSet::Map { set, vals } => {
-                if set.insert(v.clone()) {
-                    vals.push(v.clone());
-                }
-            }
-            DistinctSet::Raw {
-                table,
-                scratch,
-                vals,
-            } => {
-                let h = rawtable::hash_value(v, scratch);
-                let (_, inserted) = table.insert(h, scratch);
-                if inserted {
-                    vals.push(v.clone());
-                }
-            }
-        }
-    }
-
-    fn into_vals(self) -> Vec<Value> {
-        match self {
-            DistinctSet::Map { vals, .. } | DistinctSet::Raw { vals, .. } => vals,
+        if self.set.insert(v) {
+            self.vals.push(v.clone());
         }
     }
 }
 
 impl Acc {
-    fn new(a: &AggExpr, use_rawtable: bool) -> Acc {
+    fn new(a: &AggExpr) -> Acc {
         if a.distinct {
             return Acc::Distinct {
-                seen: DistinctSet::new(use_rawtable),
+                seen: DistinctSet::default(),
                 func: a.func,
             };
         }
@@ -227,9 +181,8 @@ impl Acc {
                 }
             }
             Acc::Distinct { seen, func } => {
-                // Fold in first-seen order (see [`DistinctSet`]) — the
-                // deterministic order both toggle arms share.
-                let vals = seen.into_vals();
+                // Fold in first-seen order (see [`DistinctSet`]).
+                let vals = seen.vals;
                 match func {
                     AggFunc::Count => Value::BigInt(vals.len() as i64),
                     AggFunc::Sum => {
@@ -340,9 +293,9 @@ pub fn execute_aggregate_par(
 /// `out_schema` is the logical node's output schema (group keys, aggs,
 /// and the grouping-id column when `grouping_sets` is present).
 ///
-/// `rawtable` selects the flat-table build (`hive.exec.rawtable.enabled`);
-/// both arms are byte-identical — the `HashMap` arm stays as the
-/// differential oracle.
+/// `rawtable` selects the key layer's tables ([`crate::keys`]:
+/// `hive.exec.rawtable.enabled`); both arms are byte-identical — the
+/// `HashMap` arm stays as the differential oracle.
 ///
 /// `pir` is `Some` when the physical IR is enabled: the build then
 /// folds every aggregate through a compiled accumulator kernel
@@ -482,7 +435,7 @@ pub fn execute_aggregate_parts(
         // Global aggregation with no keys over empty input yields the
         // neutral row (its position is never read: there are no keys).
         if groups.is_empty() && set.is_empty() {
-            groups.push((0, aggs.iter().map(|a| Acc::new(a, rawtable)).collect()));
+            groups.push((0, aggs.iter().map(Acc::new).collect()));
         }
         out.push(emit_groups(
             groups,
@@ -713,7 +666,7 @@ fn fold_parts(
     };
     let mut groups: Vec<(usize, Vec<Acc>)> = first_pos
         .into_iter()
-        .map(|pos| (pos, aggs.iter().map(|a| Acc::new(a, rawtable)).collect()))
+        .map(|pos| (pos, aggs.iter().map(Acc::new).collect()))
         .collect();
     install_folds(&mut groups, state, aggs);
     Ok(Some((groups, SelVec::All(merged_of.len()), key_cols)))
@@ -820,28 +773,6 @@ fn install_folds(
     }
 }
 
-/// Stable FNV-1a hashes of the group keys for selected positions
-/// `lo..hi`, computed column-wise: one pass per key column folding that
-/// column's canonical key-part encoding into every row's running state
-/// (the batch-at-a-time combine step; see [`hive_common::hash`]).
-///
-/// The same hash serves both toggle arms: it routes rows to build
-/// partitions (replacing the old per-row `DefaultHasher`), and on the
-/// flat-table arm it doubles as the table probe hash — by construction
-/// it equals `fnv1a` of the concatenated key-part encodings, i.e. of
-/// the arena key bytes. Routing is result-invisible (merge order comes
-/// from first-seen row indices), so dictionary codes are safe to hash.
-fn hash_rows(readers: &[KeyReader<'_>], sel: &SelVec, lo: usize, hi: usize) -> Vec<u64> {
-    let mut hs = vec![FNV_OFFSET; hi - lo];
-    let mut scratch: Vec<u8> = Vec::new();
-    for r in readers {
-        for (slot, h) in hs.iter_mut().enumerate() {
-            *h = r.fold_part_at(sel.index(lo + slot), *h, &mut scratch);
-        }
-    }
-    hs
-}
-
 /// The groups of one build partition, in first-seen order, with every
 /// row's assignment — `rows_idx[j]` is a batch row, `assign[j]` its
 /// group, in ascending selected-position order.
@@ -852,79 +783,94 @@ struct Discovery {
     assign: Vec<u32>,
 }
 
-/// Key access goes through per-column readers: dictionary-encoded
-/// string columns contribute their u32 code (no string clone, no
-/// `Value` allocation per row), everything else its scalar value.
-fn key_readers<'a>(key_cols: &'a [Arc<ColumnVector>], set: &[usize]) -> Vec<KeyReader<'a>> {
-    set.iter()
-        .map(|&k| KeyReader::new(key_cols[k].as_ref()))
-        .collect()
+impl Discovery {
+    /// Room for a partition's share of `rows` selected positions.
+    fn for_rows(rows: usize, route: Option<(usize, usize)>) -> Discovery {
+        let share = rows / route.map_or(1, |(nparts, _)| nparts.max(1));
+        Discovery {
+            first_pos: Vec::new(),
+            rows_idx: Vec::with_capacity(share),
+            assign: Vec::with_capacity(share),
+        }
+    }
+
+    /// Record that selected position `pos` (batch row `i`) belongs to
+    /// group `g` — the next unused id for a group not seen before.
+    #[inline]
+    fn push(&mut self, pos: usize, i: usize, g: usize) {
+        if g == self.first_pos.len() {
+            self.first_pos.push(pos);
+        }
+        self.rows_idx.push(i as u32);
+        self.assign.push(g as u32);
+    }
+}
+
+/// One grouping set's key columns, classified once by the key layer.
+fn key_side<'a>(key_cols: &'a [Arc<ColumnVector>], set: &[usize]) -> KeySide<'a> {
+    let cols: Vec<&ColumnVector> = set.iter().map(|&k| key_cols[k].as_ref()).collect();
+    KeySide::group(&cols)
 }
 
 /// The single-dictionary-key case looks groups up densely — slot 0 is
-/// the NULL group, slot c+1 the group of code c — with no per-row key
-/// bytes, no hashes and no table probe at all (both arms).
+/// the NULL group, slot c+1 the group of code c — with no per-row key,
+/// no hashes and no table probe at all (both arms).
 fn dense_keys<'a>(
-    readers: &[KeyReader<'a>],
+    side: &KeySide<'a>,
 ) -> Option<(&'a [u32], Option<&'a hive_common::BitSet>, usize)> {
-    match readers {
-        [r] => r.dict_codes(),
+    match side.cols() {
+        [c] => c.codes().map(|k| (k.codes, c.nulls(), k.space)),
         _ => None,
     }
 }
 
-/// Discover the groups among the selected positions whose stable key
-/// hash routes them to this partition (`route = (partitions, this)`;
-/// `None` takes every row), in ascending position order.
+/// Discover the groups among the selected positions whose key hash
+/// routes them to this partition (`route = (partitions, this)`; `None`
+/// takes every row), in ascending position order.
 ///
-/// `rawtable` picks the group index: the flat table (group index =
-/// table entry id — entry ids are dense in insertion order, so they
-/// stay aligned with `first_pos`; keys live as canonical bytes in the
-/// table arena) or the `HashMap` arm (the differential oracle). `hashes`
-/// is only read under `route` or by the flat table, and stays empty
-/// when neither needs it.
+/// `rawtable` picks the group index: the key layer's table for the
+/// side's shape (group id = table entry id — entry ids are dense in
+/// insertion order, so they stay aligned with `first_pos`) or the
+/// `HashMap` arm (the differential oracle). `keys` is only read under
+/// `route` or by the key layer's table, and may be absent otherwise.
 fn discover_partition(
     sel: &SelVec,
-    readers: &[KeyReader<'_>],
+    side: &KeySide<'_>,
     rawtable: bool,
-    hashes: &[u64],
+    keys: Option<&RowKeys>,
     route: Option<(usize, usize)>,
-) -> Discovery {
-    // `group_of(pos, row, groups so far)` answers the row's group, or
-    // `groups so far` after registering a new one. `hashes` is only
-    // indexed under `route` (it may be empty otherwise), so the
-    // position loop is the right shape, not a zip candidate.
-    #[allow(clippy::needless_range_loop)]
-    fn assign_rows(
+) -> Result<Discovery> {
+    // The arms that walk positions themselves: `group_of(row, groups so
+    // far)` answers the row's group, or `groups so far` for a new one.
+    fn walk(
         sel: &SelVec,
-        hashes: &[u64],
+        keys: Option<&RowKeys>,
         route: Option<(usize, usize)>,
-        mut group_of: impl FnMut(usize, usize, usize) -> usize,
-    ) -> Discovery {
-        let mut d = Discovery {
-            first_pos: Vec::new(),
-            rows_idx: Vec::new(),
-            assign: Vec::new(),
+        mut group_of: impl FnMut(usize, usize) -> usize,
+    ) -> Result<Discovery> {
+        let mut d = Discovery::for_rows(sel.len(), route);
+        let route = match route {
+            Some((nparts, p)) => Some((keys.ok_or_else(missing_keys)?, nparts, p)),
+            None => None,
         };
         for pos in 0..sel.len() {
-            if let Some((nparts, p)) = route {
-                if hashes[pos] as usize % nparts != p {
+            if let Some((keys, nparts, p)) = route {
+                if crate::keys::route(keys.hash(pos).unwrap_or(0), nparts) != p {
                     continue;
                 }
             }
             let i = sel.index(pos);
-            let g = group_of(pos, i, d.first_pos.len());
-            if g == d.first_pos.len() {
-                d.first_pos.push(pos);
-            }
-            d.rows_idx.push(i as u32);
-            d.assign.push(g as u32);
+            let g = group_of(i, d.first_pos.len());
+            d.push(pos, i, g);
         }
-        d
+        Ok(d)
     }
-    if let Some((codes, nulls, dict_len)) = dense_keys(readers) {
+    fn missing_keys() -> HiveError {
+        HiveError::Execution("group discovery without its keys".into())
+    }
+    if let Some((codes, nulls, dict_len)) = dense_keys(side) {
         let mut dense: Vec<usize> = vec![usize::MAX; dict_len + 1];
-        assign_rows(sel, hashes, route, |_, i, next| {
+        walk(sel, keys, route, |i, next| {
             let slot = if nulls.is_some_and(|n| n.get(i)) {
                 0
             } else {
@@ -936,36 +882,19 @@ fn discover_partition(
             dense[slot]
         })
     } else if rawtable {
-        let mut table = RawTable::new();
-        let mut scratch: Vec<u8> = Vec::new();
-        assign_rows(sel, hashes, route, |pos, i, _| {
-            scratch.clear();
-            for r in readers {
-                r.encode_part_at(i, &mut scratch);
-            }
-            table.insert(hashes[pos], &scratch).0 as usize
-        })
+        let mut d = Discovery::for_rows(sel.len(), route);
+        let keys = keys.ok_or_else(missing_keys)?;
+        Grouper::new(side.shape()).assign(keys, route, |pos, g, _| {
+            d.push(pos, sel.index(pos), g as usize)
+        })?;
+        Ok(d)
     } else {
         let mut index: HashMap<Vec<KeyPart>, usize> = HashMap::new();
-        assign_rows(sel, hashes, route, |_, i, next| {
-            let key: Vec<KeyPart> = readers.iter().map(|r| r.part(i)).collect();
+        walk(sel, keys, route, |i, next| {
+            let key: Vec<KeyPart> = side.cols().iter().map(|c| c.part(i)).collect();
             *index.entry(key).or_insert(next)
         })
     }
-}
-
-/// Hashes for every selected position, computed in row-range chunks
-/// across `workers`.
-fn hash_all(readers: &[KeyReader<'_>], sel: &SelVec, workers: usize) -> Result<Vec<u64>> {
-    let num_rows = sel.len();
-    let chunk = num_rows.div_ceil(workers.max(1)).max(1);
-    let nchunks = num_rows.div_ceil(chunk);
-    Ok(crate::par::parallel_map(workers.max(1), nchunks, |c| {
-        let lo = c * chunk;
-        let hi = ((c + 1) * chunk).min(num_rows);
-        Ok(hash_rows(readers, sel, lo, hi))
-    })?
-    .concat())
 }
 
 /// Serial discovery over a whole selection.
@@ -975,14 +904,20 @@ fn discover(
     set: &[usize],
     rawtable: bool,
 ) -> Result<Discovery> {
-    let readers = key_readers(key_cols, set);
-    // The dense path indexes groups by code and skips hashing entirely.
-    let hashes = if rawtable && dense_keys(&readers).is_none() {
-        hash_all(&readers, sel, 1)?
-    } else {
-        Vec::new()
-    };
-    Ok(discover_partition(sel, &readers, rawtable, &hashes, None))
+    let side = key_side(key_cols, set);
+    // The dense path indexes groups by code and the oracle by value:
+    // neither needs keys.
+    if !rawtable || dense_keys(&side).is_some() {
+        return discover_partition(sel, &side, rawtable, None, None);
+    }
+    let mut d = Discovery::for_rows(sel.len(), None);
+    let mut groups = Grouper::new(side.shape());
+    side.key_chunks(sel, 0, sel.len(), |at, keys| {
+        groups.assign(keys, None, |r, g, _| {
+            d.push(at + r, sel.index(at + r), g as usize)
+        })
+    })?;
+    Ok(d)
 }
 
 /// Accumulate one partition's discovered groups: a compiled fold per
@@ -993,13 +928,12 @@ fn accumulate(
     d: &Discovery,
     aggs: &[AggExpr],
     arg_cols: &[Option<Arc<ColumnVector>>],
-    rawtable: bool,
     compiled: bool,
 ) -> Result<Vec<(usize, Vec<Acc>)>> {
     let mut groups: Vec<(usize, Vec<Acc>)> = d
         .first_pos
         .iter()
-        .map(|&pos| (pos, aggs.iter().map(|a| Acc::new(a, rawtable)).collect()))
+        .map(|&pos| (pos, aggs.iter().map(Acc::new).collect()))
         .collect();
     if compiled {
         let folds = aggs
@@ -1033,15 +967,9 @@ fn fold_keyless_group(
     sel: &SelVec,
     arg_cols: &[Option<Arc<ColumnVector>>],
     aggs: &[AggExpr],
-    rawtable: bool,
     compiled: bool,
 ) -> Result<Vec<(usize, Vec<Acc>)>> {
-    let mut groups = vec![(
-        0,
-        aggs.iter()
-            .map(|a| Acc::new(a, rawtable))
-            .collect::<Vec<_>>(),
-    )];
+    let mut groups = vec![(0, aggs.iter().map(Acc::new).collect::<Vec<_>>())];
     if compiled {
         let folds = aggs
             .iter()
@@ -1077,22 +1005,22 @@ fn build_groups(
     compiled: bool,
 ) -> Result<Vec<(usize, Vec<Acc>)>> {
     if set.is_empty() {
-        return fold_keyless_group(sel, arg_cols, aggs, rawtable, compiled);
+        return fold_keyless_group(sel, arg_cols, aggs, compiled);
     }
     if workers <= 1 || sel.len() < 2 {
         let d = discover(sel, key_cols, set, rawtable)?;
-        return accumulate(&d, aggs, arg_cols, rawtable, compiled);
+        return accumulate(&d, aggs, arg_cols, compiled);
     }
     // One build per hash partition. A group's rows all share a hash, so
     // they live in exactly one partition and fold in position order;
     // the merge sorts by global first-seen position, restoring the
     // serial discovery order.
-    let readers = key_readers(key_cols, set);
-    let hashes = hash_all(&readers, sel, workers)?;
+    let side = key_side(key_cols, set);
+    let keys = side.keys_par(sel, workers)?;
     let nparts = workers;
     let parts = crate::par::parallel_map(workers, nparts, |p| {
-        let d = discover_partition(sel, &readers, rawtable, &hashes, Some((nparts, p)));
-        accumulate(&d, aggs, arg_cols, rawtable, compiled)
+        let d = discover_partition(sel, &side, rawtable, Some(&keys), Some((nparts, p)))?;
+        accumulate(&d, aggs, arg_cols, compiled)
     })?;
     let mut all: Vec<(usize, Vec<Acc>)> = parts.into_iter().flatten().collect();
     all.sort_by_key(|(first_pos, _)| *first_pos);
@@ -1124,21 +1052,14 @@ fn build_groups_spilled(
     sp: &SpillCtx<'_>,
 ) -> Result<Vec<(usize, Vec<Acc>)>> {
     let num_rows = sel.len();
-    let readers: Vec<KeyReader<'_>> = set
-        .iter()
-        .map(|&k| KeyReader::new(key_cols[k].as_ref()))
-        .collect();
-    let hashes = hash_rows(&readers, sel, 0, num_rows);
+    // Spill records are the bytes shape, whatever the columns are.
+    let keys = key_side(key_cols, set).into_bytes().keys(sel, 0, num_rows);
     let mut recs: Vec<u8> = Vec::new();
-    let mut scratch: Vec<u8> = Vec::new();
-    for (pos, h) in hashes.iter().enumerate() {
-        scratch.clear();
-        let i = sel.index(pos);
-        for r in &readers {
-            r.encode_part_at(i, &mut scratch);
-        }
+    for pos in 0..num_rows {
         // NULL is a group: every row has a key hash and a record.
-        push_rec(&mut recs, *h, pos as u32, &scratch);
+        if let Some((h, key)) = keys.record(pos) {
+            push_rec(&mut recs, h, pos as u32, key);
+        }
     }
     let op = sp.next_op();
     let mut groups: Vec<(usize, Vec<Acc>)> = Vec::new();
@@ -1199,10 +1120,7 @@ fn agg_solve(
                 let (h, pos, key) = rec?;
                 let (e, inserted) = table.insert(h, key);
                 if inserted {
-                    groups.push((
-                        pos as usize,
-                        aggs.iter().map(|a| Acc::new(a, true)).collect(),
-                    ));
+                    groups.push((pos as usize, aggs.iter().map(Acc::new).collect()));
                 }
                 let i = sel.index(pos as usize);
                 for (acc, arg) in groups[e as usize].1.iter_mut().zip(arg_cols) {
@@ -1221,10 +1139,7 @@ fn agg_solve(
                     None => {
                         let g = groups.len();
                         index.insert(key.to_vec(), g);
-                        groups.push((
-                            pos as usize,
-                            aggs.iter().map(|a| Acc::new(a, false)).collect(),
-                        ));
+                        groups.push((pos as usize, aggs.iter().map(Acc::new).collect()));
                         g
                     }
                 };
@@ -1723,22 +1638,26 @@ mod tests {
     }
 
     #[test]
-    fn routing_hashes_are_pinned_fnv1a() {
-        // Partition routing must stay on FNV-1a over the canonical key
-        // encoding forever: a silent hash change would reshuffle rows
-        // across build partitions and change the fault-injection
-        // schedule (not results). Pinned against the vectors in
-        // hive_common::hash.
-        let ints = ColumnVector::Int(vec![42, 1], None);
-        let strs = ColumnVector::Str(vec!["ab".into(), "cd".into()], None);
-        let r_int = KeyReader::new(&ints);
-        let hs = hash_rows(&[r_int], &SelVec::all(2), 0, 2);
-        assert_eq!(hs[0], 0xb960_a184_f070_32c6); // fnv1a(enc(Int 42))
-        assert_eq!(hs[1], 0x7194_f3e5_9ae4_7dcd); // fnv1a(enc(Int 1))
-        let r_int = KeyReader::new(&ints);
-        let r_str = KeyReader::new(&strs);
-        let hs = hash_rows(&[r_int, r_str], &SelVec::all(2), 0, 2);
-        // Column-wise folding equals fnv1a over the concatenated parts.
-        assert_eq!(hs[0], 0x6161_74ad_148e_10c7); // fnv1a(enc(Int 42) ++ enc(Str "ab"))
+    fn bytes_shape_hashes_are_fnv1a_of_the_key_bytes() {
+        // What the spilled build writes into its records: the FNV-1a of
+        // the canonical key encoding, pinned against the vectors in
+        // hive_common::hash. (Word shapes hash the packed word instead;
+        // `crates/exec/tests/keys.rs` covers their contract.)
+        let ints = Arc::new(ColumnVector::Int(vec![42, 1], None));
+        let strs = Arc::new(ColumnVector::Str(vec!["ab".into(), "cd".into()], None));
+        let cols = [ints, strs];
+        let keys = key_side(&cols, &[0])
+            .into_bytes()
+            .keys(&SelVec::all(2), 0, 2);
+        assert_eq!(keys.hash(0), Some(0xb960_a184_f070_32c6)); // fnv1a(enc(Int 42))
+        assert_eq!(keys.hash(1), Some(0x7194_f3e5_9ae4_7dcd)); // fnv1a(enc(Int 1))
+        let keys = key_side(&cols, &[0, 1]).keys(&SelVec::all(2), 0, 2);
+        assert_eq!(keys.shape(), crate::keys::Shape::Bytes);
+        // fnv1a(enc(Int 42) ++ enc(Str "ab"))
+        assert_eq!(keys.hash(0), Some(0x6161_74ad_148e_10c7));
+        for r in 0..2 {
+            let bytes = keys.bytes(r).unwrap();
+            assert_eq!(keys.hash(r), Some(hive_common::hash::fnv1a(bytes)));
+        }
     }
 }

@@ -1079,10 +1079,12 @@ pub fn align_column(
 
 /// INTERSECT / EXCEPT via row-count maps (ALL keeps multiplicity).
 ///
-/// On the flat-table arm (`rawtable`) rows are keyed by their canonical
-/// encoding in one shared table arena — no `Row` materialization or
-/// clone per input row; `Row`s are built only for emitted output. The
-/// `HashMap<Row, i64>` arm stays as the differential oracle.
+/// On the flat-table arm (`rawtable`) whole rows are keyed through the
+/// key layer ([`crate::keys`]) — both inputs into one table, packed
+/// words where every column pair allows it — and the output is the kept
+/// *left positions* gathered column by column and aligned to the output
+/// schema; no `Row` is built. The `HashMap<Row, i64>` arm stays as the
+/// differential oracle.
 fn execute_setop(
     op: SetOperator,
     all: bool,
@@ -1095,68 +1097,71 @@ fn execute_setop(
     // multiplicity, `already` how many left occurrences preceded this
     // one. For EXCEPT ALL this is the multiset difference — emit
     // occurrences beyond those matched by right-side copies.
-    let decide = |in_right: i64, already: i64| -> Result<bool> {
-        Ok(match (op, all) {
-            (SetOperator::Intersect, false) => in_right > 0 && already == 0,
-            (SetOperator::Intersect, true) => in_right > already,
-            (SetOperator::Except, false) => in_right == 0 && already == 0,
-            (SetOperator::Except, true) => already + 1 > in_right,
-            (SetOperator::Union, _) => {
-                // The planner lowers UNION to LogicalPlan::Union nodes;
-                // reaching here means a plan-construction bug, which
-                // should fail the query, not the process.
-                return Err(HiveError::Plan(
-                    "UNION reached SetOp execution (unions lower to Union nodes)".into(),
-                ));
-            }
-        })
+    let decide: fn(i64, i64) -> bool = match (op, all) {
+        (SetOperator::Intersect, false) => |in_right, already| in_right > 0 && already == 0,
+        (SetOperator::Intersect, true) => |in_right, already| in_right > already,
+        (SetOperator::Except, false) => |in_right, already| in_right == 0 && already == 0,
+        (SetOperator::Except, true) => |in_right, already| already + 1 > in_right,
+        (SetOperator::Union, _) => {
+            // The planner lowers UNION to LogicalPlan::Union nodes;
+            // reaching here means a plan-construction bug, which
+            // should fail the query, not the process.
+            return Err(HiveError::Plan(
+                "UNION reached SetOp execution (unions lower to Union nodes)".into(),
+            ));
+        }
     };
-    let mut out_rows: Vec<Row> = Vec::new();
     if rawtable {
-        let mut table = crate::rawtable::RawTable::new();
-        let mut scratch: Vec<u8> = Vec::new();
-        // Per table entry: right-side multiplicity / left rows seen.
+        use crate::keys::{column_refs, Grouper, KeySide};
+        let (lcols, rcols) = (column_refs(left.columns()), column_refs(right.columns()));
+        let (lside, rside) = KeySide::group_pair(&lcols, &rcols);
+        let mut groups = Grouper::new(lside.shape());
+        // Per group: right-side multiplicity / left rows seen.
         let mut right_count: Vec<i64> = Vec::new();
         let mut seen: Vec<i64> = Vec::new();
-        for i in 0..right.num_rows() {
-            scratch.clear();
-            crate::rawtable::encode_row(right, i, &mut scratch);
-            let (e, inserted) = table.insert(hive_common::hash::fnv1a(&scratch), &scratch);
-            if inserted {
-                right_count.push(0);
-                seen.push(0);
-            }
-            right_count[e as usize] += 1;
+        let (nr, nl) = (right.num_rows(), left.num_rows());
+        rside.key_chunks(&SelVec::all(nr), 0, nr, |_, keys| {
+            groups.assign(keys, None, |_, g, new| {
+                if new {
+                    right_count.push(0);
+                }
+                right_count[g as usize] += 1;
+            })
+        })?;
+        seen.resize(right_count.len(), 0);
+        let mut kept: Vec<u32> = Vec::new();
+        lside.key_chunks(&SelVec::all(nl), 0, nl, |at, keys| {
+            groups.assign(keys, None, |r, g, new| {
+                if new {
+                    right_count.push(0);
+                    seen.push(0);
+                }
+                let g = g as usize;
+                if decide(right_count[g], seen[g]) {
+                    kept.push((at + r) as u32);
+                }
+                seen[g] += 1;
+            })
+        })?;
+        let cols = (left.columns().iter().zip(schema.fields()))
+            .map(|(col, f)| align_column(std::sync::Arc::new(col.take(&kept)), &f.data_type))
+            .collect::<Result<Vec<_>>>()?;
+        return VectorBatch::from_arcs(schema.clone(), cols, kept.len());
+    }
+    let mut out_rows: Vec<Row> = Vec::new();
+    let mut right_counts: HashMap<Row, i64> = HashMap::new();
+    for i in 0..right.num_rows() {
+        *right_counts.entry(right.row(i)).or_insert(0) += 1;
+    }
+    let mut emitted: HashMap<Row, i64> = HashMap::new();
+    for i in 0..left.num_rows() {
+        let row = left.row(i);
+        let in_right = right_counts.get(&row).copied().unwrap_or(0);
+        let already = emitted.entry(row.clone()).or_insert(0);
+        if decide(in_right, *already) {
+            out_rows.push(row.clone());
         }
-        for i in 0..left.num_rows() {
-            scratch.clear();
-            crate::rawtable::encode_row(left, i, &mut scratch);
-            let (e, inserted) = table.insert(hive_common::hash::fnv1a(&scratch), &scratch);
-            if inserted {
-                right_count.push(0);
-                seen.push(0);
-            }
-            let e = e as usize;
-            if decide(right_count[e], seen[e])? {
-                out_rows.push(left.row(i));
-            }
-            seen[e] += 1;
-        }
-    } else {
-        let mut right_counts: HashMap<Row, i64> = HashMap::new();
-        for i in 0..right.num_rows() {
-            *right_counts.entry(right.row(i)).or_insert(0) += 1;
-        }
-        let mut emitted: HashMap<Row, i64> = HashMap::new();
-        for i in 0..left.num_rows() {
-            let row = left.row(i);
-            let in_right = right_counts.get(&row).copied().unwrap_or(0);
-            let already = emitted.entry(row.clone()).or_insert(0);
-            if decide(in_right, *already)? {
-                out_rows.push(row.clone());
-            }
-            *already += 1;
-        }
+        *already += 1;
     }
     VectorBatch::from_rows(schema, &out_rows)
 }

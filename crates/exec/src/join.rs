@@ -10,13 +10,11 @@
 //! the serial probe order.
 
 use crate::kernels::eval_vector;
+use crate::keys::{column_refs, route, JoinIndex, KeyCol, KeySide, RowKeys, MISS};
 use crate::pir::{PredPipeline, SelRef};
-use crate::rawtable::{self, RawTable};
 use crate::spill::{partition_of, plan_partition, push_rec, RecIter, SpillCtx};
-use hive_common::hash::{self, FNV_OFFSET};
 use hive_common::{
-    BitSet, ColumnVector, HiveError, Result, Schema, SelBatch, SelVec, Value, VectorBatch,
-    NULL_INDEX,
+    ColumnVector, HiveError, Result, Schema, SelBatch, SelVec, Value, VectorBatch, NULL_INDEX,
 };
 use hive_optimizer::eval::eval_scalar;
 use hive_optimizer::plan::JoinType;
@@ -52,7 +50,7 @@ pub fn execute_join(
     .map(SelBatch::compact)
 }
 
-/// One component of a join key as stored in the hash table.
+/// One component of a join key as the `HashMap` oracle arm stores it.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 enum JPart {
     /// Dictionary code in the *right* (build) side's code space.
@@ -65,223 +63,37 @@ enum JPart {
     Miss,
 }
 
-/// Per-key-column codec: when both sides are dictionary-encoded, keys
-/// are right-side `u32` codes (left codes translate once per distinct
-/// left entry through `probe_map`), so build and probe hash and compare
-/// integers instead of cloning strings.
-enum JoinCodec<'a> {
-    Codes {
-        lcodes: &'a [u32],
-        lnulls: Option<&'a BitSet>,
-        rcodes: &'a [u32],
-        rnulls: Option<&'a BitSet>,
-        /// Canonical right code per right code (collapses duplicate
-        /// dictionary entries so equal strings share a key).
-        rcanon: Vec<u32>,
-        /// Right canonical code per left code, `None` when the left
-        /// entry does not appear in the right dictionary.
-        probe_map: Vec<Option<u32>>,
-    },
-    Vals {
-        l: &'a ColumnVector,
-        r: &'a ColumnVector,
-    },
-}
-
-impl<'a> JoinCodec<'a> {
-    fn new(l: &'a ColumnVector, r: &'a ColumnVector) -> JoinCodec<'a> {
-        if let (Some((lc, ld, ln)), Some((rc, rd, rn))) = (l.dict_parts(), r.dict_parts()) {
-            let mut rindex: HashMap<&str, u32> = HashMap::with_capacity(rd.len());
-            let rcanon: Vec<u32> = rd
-                .iter()
-                .enumerate()
-                .map(|(ci, s)| *rindex.entry(s.as_str()).or_insert(ci as u32))
-                .collect();
-            let probe_map = ld.iter().map(|s| rindex.get(s.as_str()).copied()).collect();
-            return JoinCodec::Codes {
-                lcodes: lc,
-                lnulls: ln,
-                rcodes: rc,
-                rnulls: rn,
-                rcanon,
-                probe_map,
-            };
-        }
-        JoinCodec::Vals { l, r }
-    }
-
-    /// Build-side key part for right row `i`; `None` = NULL key.
-    #[inline]
-    fn build_part(&self, i: usize) -> Option<JPart> {
-        match self {
-            JoinCodec::Codes {
-                rcodes,
-                rnulls,
-                rcanon,
-                ..
-            } => {
-                if rnulls.is_some_and(|n| n.get(i)) {
-                    None
-                } else {
-                    Some(JPart::Code(rcanon[rcodes[i] as usize]))
-                }
+/// The oracle's key part for row `i` of one classified key column
+/// ([`KeySide::join_pair`]): when both sides are dictionary-encoded,
+/// the code translated into the build side's code space, otherwise the
+/// scalar value. `None` = NULL key.
+#[inline]
+fn join_part(col: &KeyCol<'_>, i: usize) -> Option<JPart> {
+    match col.codes() {
+        Some(codes) => {
+            if col.nulls().is_some_and(|n| n.get(i)) {
+                return None;
             }
-            JoinCodec::Vals { r, .. } => {
-                let v = r.get(i);
-                if v.is_null() {
-                    None
-                } else {
-                    Some(JPart::Val(v))
-                }
+            Some(match codes.at(i) {
+                MISS => JPart::Miss,
+                code => JPart::Code(code),
+            })
+        }
+        None => {
+            let v = col.col().get(i);
+            if v.is_null() {
+                None
+            } else {
+                Some(JPart::Val(v))
             }
         }
     }
-
-    /// Probe-side key part for left row `i`; `None` = NULL key.
-    #[inline]
-    fn probe_part(&self, i: usize) -> Option<JPart> {
-        match self {
-            JoinCodec::Codes {
-                lcodes,
-                lnulls,
-                probe_map,
-                ..
-            } => {
-                if lnulls.is_some_and(|n| n.get(i)) {
-                    None
-                } else {
-                    Some(match probe_map[lcodes[i] as usize] {
-                        Some(c) => JPart::Code(c),
-                        None => JPart::Miss,
-                    })
-                }
-            }
-            JoinCodec::Vals { l, .. } => {
-                let v = l.get(i);
-                if v.is_null() {
-                    None
-                } else {
-                    Some(JPart::Val(v))
-                }
-            }
-        }
-    }
-
-    /// Append build row `i`'s canonical key-part encoding (the flat
-    /// table's arena bytes, see [`hive_common::hash`]); `false` = NULL
-    /// key value, nothing appended.
-    #[inline]
-    fn encode_build_part(&self, i: usize, out: &mut Vec<u8>) -> bool {
-        match self {
-            JoinCodec::Codes {
-                rcodes,
-                rnulls,
-                rcanon,
-                ..
-            } => {
-                if rnulls.is_some_and(|n| n.get(i)) {
-                    false
-                } else {
-                    hash::encode_code(rcanon[rcodes[i] as usize], out);
-                    true
-                }
-            }
-            JoinCodec::Vals { r, .. } => rawtable::try_encode_cell(r, i, out),
-        }
-    }
-
-    /// Append probe row `i`'s canonical key-part encoding; `false` =
-    /// NULL. A left dictionary entry absent from the right dictionary
-    /// encodes as `TAG_MISS`, which no build key contains — the lookup
-    /// fails, exactly as [`JPart::Miss`] does on the `HashMap` arm.
-    #[inline]
-    fn encode_probe_part(&self, i: usize, out: &mut Vec<u8>) -> bool {
-        match self {
-            JoinCodec::Codes {
-                lcodes,
-                lnulls,
-                probe_map,
-                ..
-            } => {
-                if lnulls.is_some_and(|n| n.get(i)) {
-                    false
-                } else {
-                    match probe_map[lcodes[i] as usize] {
-                        Some(c) => hash::encode_code(c, out),
-                        None => hash::encode_miss(out),
-                    }
-                    true
-                }
-            }
-            JoinCodec::Vals { l, .. } => rawtable::try_encode_cell(l, i, out),
-        }
-    }
-
-    /// Fold row `i`'s key-part encoding into an in-progress FNV-1a
-    /// state (the column-wise hash combine step); `None` = NULL key
-    /// value. `scratch` is cleared and reused across calls.
-    #[inline]
-    fn fold_part(&self, i: usize, build: bool, h: u64, scratch: &mut Vec<u8>) -> Option<u64> {
-        scratch.clear();
-        let ok = if build {
-            self.encode_build_part(i, scratch)
-        } else {
-            self.encode_probe_part(i, scratch)
-        };
-        if ok {
-            Some(hash::fnv1a_extend(h, scratch))
-        } else {
-            None
-        }
-    }
-}
-
-/// Stable FNV-1a hashes of rows `lo..hi`'s join keys, computed
-/// column-wise — one pass per key column folding that column's
-/// canonical encoding into every row's running state. `None` when any
-/// key value is NULL (NULL keys never match, and never enter the
-/// build). With no key columns (cross-style joins) every row shares the
-/// hash of the empty key.
-///
-/// The same hash routes rows to build partitions on both toggle arms
-/// (replacing the old per-row `DefaultHasher`) and probes the flat
-/// table on the rawtable arm — by construction it equals `fnv1a` of the
-/// concatenated key-part encodings, i.e. of the arena key bytes.
-/// (Routing is result-invisible: output order comes from probe range
-/// order, so hashing codes instead of strings cannot change results.)
-fn hash_rows(codecs: &[JoinCodec<'_>], lo: usize, hi: usize, build: bool) -> Vec<Option<u64>> {
-    let mut hs = vec![Some(FNV_OFFSET); hi - lo];
-    let mut scratch: Vec<u8> = Vec::new();
-    for c in codecs {
-        for (slot, h) in hs.iter_mut().enumerate() {
-            if let Some(cur) = *h {
-                *h = c.fold_part(lo + slot, build, cur, &mut scratch);
-            }
-        }
-    }
-    hs
-}
-
-/// One partition of the flat-table join build. Each entry's candidate
-/// list is a singly linked chain through `next` in insertion
-/// (ascending right position) order — byte-compatible with the
-/// serial `HashMap` build's `Vec<u32>` push order.
-#[derive(Default)]
-struct RawBuild {
-    table: RawTable,
-    /// Per table entry: first/last chain link (indexes into `rows`).
-    head: Vec<u32>,
-    tail: Vec<u32>,
-    /// Per inserted build row: right-side position, and the next link
-    /// in its entry's chain (`u32::MAX` terminates).
-    rows: Vec<u32>,
-    next: Vec<u32>,
 }
 
 /// The build side under either toggle arm.
 enum BuildSide {
     Map(Vec<HashMap<Vec<JPart>, Vec<u32>>>),
-    Raw(Vec<RawBuild>),
+    Raw(JoinIndex),
 }
 
 /// Execute a join with hash-partitioned parallel build and ranged
@@ -298,9 +110,9 @@ enum BuildSide {
 /// raises a retryable error so the driver can re-optimize with runtime
 /// statistics.
 ///
-/// `rawtable` selects the flat-table build (`hive.exec.rawtable.enabled`);
-/// both arms are byte-identical — the `HashMap` arm stays as the
-/// differential oracle.
+/// `rawtable` selects the key layer's tables ([`crate::keys`]:
+/// `hive.exec.rawtable.enabled`); both arms are byte-identical — the
+/// `HashMap` arm stays as the differential oracle.
 ///
 /// `pir` is `Some` when the physical IR is enabled: residual predicates
 /// then lower to compiled kernels and evaluate vectorized over gathered
@@ -402,13 +214,12 @@ pub fn execute_join_par(
         .map(|(_, r)| sel_key(&right, r))
         .collect::<Result<Vec<_>>>()?;
 
-    // Per-key-column codecs: dict×dict columns join on u32 codes, all
-    // others on scalar values (see [`JoinCodec`]).
-    let codecs: Vec<JoinCodec<'_>> = lkeys
-        .iter()
-        .zip(&rkeys)
-        .map(|(l, r)| JoinCodec::new(l.as_ref(), r.as_ref()))
-        .collect();
+    // Classify the key column pairs once: the key layer picks the
+    // shape both sides share (no table, packed words, or canonical
+    // bytes) from the columns' runtime representations.
+    let (lrefs, rrefs) = (column_refs(&lkeys), column_refs(&rkeys));
+    let (probe_side, build_side) = KeySide::join_pair(&lrefs, &rrefs);
+    let (all_left, all_right) = (SelVec::all(left.num_rows()), SelVec::all(right.num_rows()));
 
     // Candidate pairs that went through the row interpreter (counted
     // only when a residual exists — the closure is also the no-residual
@@ -444,7 +255,8 @@ pub fn execute_join_par(
             &left,
             &right,
             join_type,
-            &codecs,
+            &probe_side.into_bytes(),
+            &build_side.into_bytes(),
             &residual_ok,
             out_schema,
             sp,
@@ -472,68 +284,38 @@ pub fn execute_join_par(
 
     // --- build ------------------------------------------------------------
     // Hash-partitioned build over the right side: a key's rows all land
-    // in one partition (keyed by the stable hash), and each partition
-    // inserts its rows in ascending order, so every bucket's candidate
-    // list is exactly what the serial single-map build produces.
-    let nparts = if workers <= 1 { 1 } else { workers };
-    // Build-side key hashes: route rows to partitions (parallel build)
-    // and double as the flat-table probe hash (rawtable arm at any
-    // worker count). The serial HashMap build needs neither.
-    let rhashes: Vec<Option<u64>> = if nparts == 1 && !rawtable {
-        Vec::new()
+    // in one partition (keyed by the key hash), and each partition
+    // inserts its rows in ascending order, so every key's candidate
+    // list is exactly what the serial single-table build produces. (A
+    // build side of a morsel or two is one partition: a thread each
+    // would cost more than the inserts.)
+    let nparts = if workers <= 1 || right.num_rows() < 2 * crate::par::ROWS_PER_MORSEL {
+        1
     } else {
-        let n = right.num_rows();
-        let chunk = n.div_ceil(nparts).max(1);
-        crate::par::parallel_map(workers, n.div_ceil(chunk), |c| {
-            let lo = c * chunk;
-            let hi = ((c + 1) * chunk).min(n);
-            Ok(hash_rows(&codecs, lo, hi, true))
-        })?
-        .concat()
+        workers
     };
-    let build_side: BuildSide = if rawtable {
-        let parts = crate::par::parallel_map(workers, nparts, |p| {
-            let mut b = RawBuild::default();
-            let mut scratch: Vec<u8> = Vec::new();
-            for (i, rh) in rhashes.iter().enumerate() {
-                let h = match *rh {
-                    Some(h) if nparts == 1 || h as usize % nparts == p => h,
-                    _ => continue, // NULL key or other partition
-                };
-                scratch.clear();
-                for c in &codecs {
-                    // invariant: the hash existed, so no part is NULL.
-                    c.encode_build_part(i, &mut scratch);
-                }
-                let (e, inserted) = b.table.insert(h, &scratch);
-                let link = b.rows.len() as u32;
-                b.rows.push(i as u32);
-                b.next.push(u32::MAX);
-                if inserted {
-                    b.head.push(link);
-                    b.tail.push(link);
-                } else {
-                    b.next[b.tail[e as usize] as usize] = link;
-                    b.tail[e as usize] = link;
-                }
-            }
-            Ok(b)
-        })?;
-        BuildSide::Raw(parts)
+    let build: BuildSide = if rawtable {
+        let keys = build_side.keys_par(&all_right, workers)?;
+        BuildSide::Raw(JoinIndex::build(&keys, workers, nparts)?)
     } else {
+        // The oracle arm takes the key layer's hashes for partition
+        // routing only; its serial build needs none.
+        let routing = match nparts {
+            1 => None,
+            _ => Some(build_side.keys_par(&all_right, workers)?),
+        };
         let tables = crate::par::parallel_map(workers, nparts, |p| {
             let mut table: HashMap<Vec<JPart>, Vec<u32>> = HashMap::new();
-            #[allow(clippy::needless_range_loop)] // `i` is a row id, not just an index
             'rows: for i in 0..right.num_rows() {
-                if nparts > 1 {
-                    match rhashes[i] {
-                        Some(h) if h as usize % nparts == p => {}
+                if let Some(keys) = &routing {
+                    match keys.hash(i) {
+                        Some(h) if route(h, nparts) == p => {}
                         _ => continue 'rows,
                     }
                 }
                 let mut key = Vec::with_capacity(equi.len());
-                for c in &codecs {
-                    match c.build_part(i) {
+                for c in build_side.cols() {
+                    match join_part(c, i) {
                         Some(p) => key.push(p),
                         None => continue 'rows,
                     }
@@ -548,16 +330,14 @@ pub fn execute_join_par(
     // --- probe ------------------------------------------------------------
     // Contiguous left-row ranges probed in parallel; range outputs
     // concatenate in range order, reproducing the serial probe order.
-    // Each range hashes its probe keys column-wise up front, then walks
-    // rows with reused key buffers — no per-row allocation on either
-    // arm (the `Vec<JPart>` and candidate-list clones are gone).
+    // Each range prepares its probe keys column-wise a chunk at a time,
+    // then walks the chunk's rows with each row's candidate list
+    // borrowed from the build — no per-row allocation on either arm.
     let probe_range = |lo: u32, hi: u32| -> Result<ProbeOut> {
         let mut out = ProbeOut::default();
-        let phashes = hash_rows(&codecs, lo as usize, hi as usize, false);
+        out.left.reserve((hi - lo) as usize);
+        out.right.reserve((hi - lo) as usize);
         let mut kept: Vec<u32> = Vec::new();
-        let mut cands: Vec<u32> = Vec::new();
-        let mut key_parts: Vec<JPart> = Vec::with_capacity(codecs.len());
-        let mut scratch: Vec<u8> = Vec::new();
         // Compiled-residual buffers, held with their plan: candidate
         // pairs accumulate across probe rows (`pr` = build positions,
         // `spans` = per-probe-row slices of it) and flush through the
@@ -565,43 +345,12 @@ pub fn execute_join_par(
         let mut pairs = resid_plan
             .as_ref()
             .map(|plan| (plan, Vec::<u32>::new(), Vec::<(u32, u32, u32)>::new()));
-        for li in lo..hi {
-            cands.clear();
-            // NULL probe keys (hash `None`) never match.
-            if let Some(h) = phashes[(li - lo) as usize] {
-                let part = h as usize % nparts;
-                match &build_side {
-                    BuildSide::Map(tables) => {
-                        key_parts.clear();
-                        // A NULL part (none under a non-NULL hash)
-                        // leaves the key short: no lookup, no match.
-                        key_parts.extend(codecs.iter().map_while(|c| c.probe_part(li as usize)));
-                        if key_parts.len() == codecs.len() {
-                            if let Some(cs) = tables[part].get(key_parts.as_slice()) {
-                                cands.extend_from_slice(cs);
-                            }
-                        }
-                    }
-                    BuildSide::Raw(builds) => {
-                        scratch.clear();
-                        for c in &codecs {
-                            c.encode_probe_part(li as usize, &mut scratch);
-                        }
-                        let b = &builds[part];
-                        if let Some(e) = b.table.find(h, &scratch) {
-                            let mut link = b.head[e as usize];
-                            while link != u32::MAX {
-                                cands.push(b.rows[link as usize]);
-                                link = b.next[link as usize];
-                            }
-                        }
-                    }
-                }
-            }
+        // Probe row `li` met build rows `cands` (none for a NULL key).
+        let mut matched = |li: u32, cands: &[u32]| -> Result<()> {
             match &mut pairs {
                 Some((plan, pr, spans)) => {
                     let start = pr.len() as u32;
-                    pr.extend_from_slice(&cands);
+                    pr.extend_from_slice(cands);
                     spans.push((li, start, pr.len() as u32));
                     if pr.len() >= RESID_FLUSH {
                         flush_pairs(
@@ -611,14 +360,52 @@ pub fn execute_join_par(
                         spans.clear();
                     }
                 }
+                None if residual.is_none() => emit_probe(join_type, li, cands, &mut out),
                 None => {
                     kept.clear();
-                    for &ri in &cands {
+                    for &ri in cands {
                         if residual_ok(li, ri)? {
                             kept.push(ri);
                         }
                     }
                     emit_probe(join_type, li, &kept, &mut out);
+                }
+            }
+            Ok(())
+        };
+        let (from, to) = (lo as usize, hi as usize);
+        match &build {
+            BuildSide::Raw(index) => probe_side.key_chunks(&all_left, from, to, |at, keys| {
+                index.probe(keys, |r, cands| matched((at + r) as u32, cands))
+            })?,
+            BuildSide::Map(tables) => {
+                let mut key_parts: Vec<JPart> = Vec::with_capacity(probe_side.cols().len());
+                // Probe row `li` against partition `part`'s table. NULL
+                // probe keys never match: under a partitioned build
+                // they have no hash and no partition, and in any case a
+                // NULL part leaves the key short — no lookup.
+                let mut probe_row = |li: u32, part: Option<usize>| -> Result<()> {
+                    key_parts.clear();
+                    key_parts.extend(
+                        (probe_side.cols().iter()).map_while(|c| join_part(c, li as usize)),
+                    );
+                    let cands = match part {
+                        Some(part) if key_parts.len() == probe_side.cols().len() => {
+                            tables[part].get(key_parts.as_slice())
+                        }
+                        _ => None,
+                    };
+                    matched(li, cands.map_or(&[], Vec::as_slice))
+                };
+                if nparts == 1 {
+                    (lo..hi).try_for_each(|li| probe_row(li, Some(0)))?;
+                } else {
+                    probe_side.key_chunks(&all_left, from, to, |at, keys| {
+                        (0..keys.len()).try_for_each(|r| {
+                            let part = keys.hash(r).map(|h| route(h, nparts));
+                            probe_row((at + r) as u32, part)
+                        })
+                    })?;
                 }
             }
         }
@@ -645,7 +432,8 @@ pub fn execute_join_par(
     // Deterministic merge: concatenate range outputs in range order
     // (the matched-right lists become an order-insensitive set in
     // `assemble`).
-    let mut merged = ProbeOut::default();
+    let mut ranges = ranges.into_iter();
+    let mut merged = ranges.next().unwrap_or_default();
     for r in ranges {
         merged.left.extend(r.left);
         merged.right.extend(r.right);
@@ -844,9 +632,9 @@ fn flush_pairs(
 
 /// The grace (recursive partitioned) hash join: both sides' keys are
 /// encoded into spill records — the stored 64-bit FNV-1a hash plus the
-/// canonical key bytes, i.e. exactly the flat table's probe hash and
-/// arena contents, so partitions read back from disk rebuild their
-/// tables without re-hashing or re-encoding. Payload columns never
+/// canonical key bytes, i.e. the key layer's bytes shape whatever the
+/// columns are — so partitions read back from disk rebuild their tables
+/// without re-hashing or re-encoding. Payload columns never
 /// spill: records carry *positions*, and assembly gathers from the
 /// resident input batches at the end, exactly like the in-memory path.
 ///
@@ -866,7 +654,8 @@ fn grace_join(
     left: &SelBatch,
     right: &SelBatch,
     join_type: JoinType,
-    codecs: &[JoinCodec<'_>],
+    probe_side: &KeySide<'_>,
+    build_side: &KeySide<'_>,
     residual_ok: &dyn Fn(u32, u32) -> Result<bool>,
     out_schema: &Schema,
     sp: &SpillCtx<'_>,
@@ -874,34 +663,26 @@ fn grace_join(
     workers: usize,
 ) -> Result<SelBatch> {
     let op = sp.next_op();
-    let rhashes = hash_rows(codecs, 0, right.num_rows(), true);
-    let phashes = hash_rows(codecs, 0, left.num_rows(), false);
+    // Both sides arrive on the bytes shape ([`KeySide::into_bytes`]):
+    // the record format is the canonical key encoding whatever the
+    // columns are.
+    let rkeys = build_side.keys(&SelVec::all(right.num_rows()), 0, right.num_rows());
+    let pkeys = probe_side.keys(&SelVec::all(left.num_rows()), 0, left.num_rows());
 
     let mut out = ProbeOut::default();
-    let mut scratch: Vec<u8> = Vec::new();
     let mut build: Vec<u8> = Vec::new();
     let mut brows = 0usize;
-    for (i, h) in rhashes.iter().enumerate() {
+    for i in 0..right.num_rows() {
         // NULL build keys never enter any build — same as in-memory.
-        if let Some(h) = *h {
-            scratch.clear();
-            for c in codecs {
-                c.encode_build_part(i, &mut scratch);
-            }
-            push_rec(&mut build, h, i as u32, &scratch);
+        if let Some((h, key)) = rkeys.record(i) {
+            push_rec(&mut build, h, i as u32, key);
             brows += 1;
         }
     }
     let mut probe: Vec<u8> = Vec::new();
-    for (i, h) in phashes.iter().enumerate() {
-        match *h {
-            Some(h) => {
-                scratch.clear();
-                for c in codecs {
-                    c.encode_probe_part(i, &mut scratch);
-                }
-                push_rec(&mut probe, h, i as u32, &scratch);
-            }
+    for i in 0..left.num_rows() {
+        match pkeys.record(i) {
+            Some((h, key)) => push_rec(&mut probe, h, i as u32, key),
             // NULL probe keys never match: emit their no-match output
             // up front; the final stable sort interleaves it back.
             None => emit_probe(join_type, i as u32, &[], &mut out),
@@ -913,7 +694,7 @@ fn grace_join(
         sp,
         op,
         join_type,
-        codecs.len().max(1),
+        build_side.cols().len().max(1),
         rawtable,
         residual_ok,
         0,
@@ -972,36 +753,24 @@ fn grace_solve(
         };
         let mut kept: Vec<u32> = Vec::new();
         if rawtable {
-            let mut b = RawBuild::default();
-            for rec in RecIter::new(build) {
-                let (h, ri, key) = rec?;
-                let (e, inserted) = b.table.insert(h, key);
-                let link = b.rows.len() as u32;
-                b.rows.push(ri);
-                b.next.push(u32::MAX);
-                if inserted {
-                    b.head.push(link);
-                    b.tail.push(link);
-                } else {
-                    b.next[b.tail[e as usize] as usize] = link;
-                    b.tail[e as usize] = link;
-                }
-            }
-            for rec in RecIter::new(probe) {
-                let (h, li, key) = rec?;
+            // Records are bytes-shape keys already: index the build
+            // records, probe with the probe records, and map record
+            // numbers back to the positions they carry.
+            let (bkeys, bpos) = RowKeys::from_records(RecIter::new(build))?;
+            let (pkeys, ppos) = RowKeys::from_records(RecIter::new(probe))?;
+            let index = JoinIndex::build(&bkeys, 1, 1)?;
+            index.probe(&pkeys, |r, cands| {
+                let li = ppos[r];
                 kept.clear();
-                if let Some(e) = b.table.find(h, key) {
-                    let mut link = b.head[e as usize];
-                    while link != u32::MAX {
-                        let ri = b.rows[link as usize];
-                        if residual_ok(li, ri)? {
-                            kept.push(ri);
-                        }
-                        link = b.next[link as usize];
+                for &c in cands {
+                    let ri = bpos[c as usize];
+                    if residual_ok(li, ri)? {
+                        kept.push(ri);
                     }
                 }
                 emit_probe(join_type, li, &kept, out);
-            }
+                Ok(())
+            })?;
         } else {
             // Differential-oracle arm: keyed by the canonical encoding
             // bytes (encoding equality ⟺ key equality, so this matches
@@ -1297,7 +1066,7 @@ pub fn build_runtime_filter_sized(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hive_common::{DataType, Field, Row};
+    use hive_common::{BitSet, DataType, Field, Row};
 
     fn batch(name: &str, rows: &[(Option<i32>, &str)]) -> VectorBatch {
         let schema = Schema::new(vec![
@@ -1657,10 +1426,12 @@ mod tests {
     }
 
     #[test]
-    fn join_routing_hashes_are_pinned_fnv1a() {
-        // Routing must stay on FNV-1a over the canonical key encoding:
-        // a silent change would reshuffle build partitions and the
-        // fault-injection schedule. Pinned against hive_common::hash.
+    fn grace_record_hashes_are_fnv1a_of_the_key_bytes() {
+        // What the grace join writes into its records — and routes spill
+        // partitions by — is FNV-1a over the canonical key encoding,
+        // pinned against hive_common::hash; a NULL key has neither hash
+        // nor record on either side. (Word shapes hash the packed word;
+        // `crates/exec/tests/keys.rs` covers their contract.)
         let ints = ColumnVector::Int(
             vec![42, 1],
             Some({
@@ -1669,14 +1440,16 @@ mod tests {
                 n
             }),
         );
-        let other = ColumnVector::Int(vec![42, 1], None);
-        let codecs = vec![JoinCodec::new(&ints, &other)];
-        let hs = hash_rows(&codecs, 0, 2, false);
-        assert_eq!(hs[0], Some(0xb960_a184_f070_32c6)); // fnv1a(enc(Int 42))
-        assert_eq!(hs[1], None); // NULL key never hashes
-        let hs = hash_rows(&codecs, 0, 2, true);
-        assert_eq!(hs[0], Some(0xb960_a184_f070_32c6));
-        assert_eq!(hs[1], Some(0x7194_f3e5_9ae4_7dcd)); // fnv1a(enc(Int 1))
+        let other = ColumnVector::BigInt(vec![42, 1], None);
+        let (probe, build) = KeySide::join_pair(&[&ints], &[&other]);
+        let all = SelVec::all(2);
+        let hs = probe.into_bytes().keys(&all, 0, 2);
+        assert_eq!(hs.hash(0), Some(0xb960_a184_f070_32c6)); // fnv1a(enc(Int 42))
+        assert_eq!(hs.hash(0), hs.bytes(0).map(hive_common::hash::fnv1a));
+        assert_eq!((hs.hash(1), hs.bytes(1)), (None, None)); // NULL key never hashes
+        let hs = build.into_bytes().keys(&all, 0, 2);
+        assert_eq!(hs.hash(0), Some(0xb960_a184_f070_32c6));
+        assert_eq!(hs.hash(1), Some(0x7194_f3e5_9ae4_7dcd)); // fnv1a(enc(Int 1))
     }
 
     #[test]

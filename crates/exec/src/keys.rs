@@ -1,0 +1,1314 @@
+//! Hash keys: one layer under join, GROUP BY, DISTINCT, set operations
+//! and window partitions.
+//!
+//! The paper's vectorized operators (§3.3, §5) prepare keys batch-wise
+//! and leave a tight per-row probe. This module is that preparation. A
+//! hash operator hands it its key columns once per call; the columns'
+//! *runtime representation* picks one of three [`Shape`]s, and every
+//! operator then gets the same three things from it: a per-row key, a
+//! per-row hash with the excluded rows marked beside it, and a table
+//! that stores that key.
+//!
+//! * **None** — no key columns (a cross join, a scalar-subquery LEFT
+//!   join, a window without PARTITION BY). No table is consulted and
+//!   nothing is hashed: every row is in the one group, every probe
+//!   row's candidates are all build rows in order.
+//! * **Word** (`u64` / `u128`) — every column is fixed-width and *word
+//!   equality ⟺ canonical-encoding equality* (the table in DESIGN.md
+//!   §4): INT and BIGINT normalised to one width on both sides, DATE ×
+//!   DATE, TIMESTAMP × TIMESTAMP, BOOLEAN, and dictionary codes in one
+//!   code space (a join translates probe codes into the build
+//!   dictionary's, an absent entry meaning "no match"). Columns pack
+//!   side by side with their NULL bits; the word is hashed with one
+//!   multiply–xorshift ([`Word::hash`]) and compared as a word in a
+//!   [`WordTable`] whose bucket carries the key — one cache line per
+//!   lookup.
+//! * **Bytes** — everything else: plain strings, DOUBLE, DECIMAL, mixed
+//!   `Dict`/`Str`, dictionaries with duplicate entries, keys too wide
+//!   to pack. Each row's canonical encoding ([`hive_common::hash`]) is
+//!   written once into an arena, hashed with FNV-1a and compared by
+//!   `memcmp` in a [`RawTable`]. This is the single general path and
+//!   the spill-record format: the grace join and the spilled aggregate
+//!   force it ([`KeySide::into_bytes`]) whatever the columns are.
+//!
+//! The shape is a function of the columns, never of a setting or a
+//! workload. Everything an operator's result depends on is shape-blind:
+//! group and entry ids are dense in first-seen order, a join entry's
+//! candidates are its build rows in ascending position, NULL never
+//! matches in a join and is one group everywhere else. Only partition
+//! routing ([`route`]) sees the hash value, and routing is
+//! result-invisible by construction (outputs merge by first-seen
+//! position or probe range). Both hashes are fixed functions, so
+//! `HIVE_FAULT_SEED` replay is unaffected.
+
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
+use crate::rawtable::RawTable;
+use hive_common::hash::{self, fnv1a};
+use hive_common::{BitSet, ColumnVector, HiveError, Result, SelVec, Value};
+use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
+
+/// The translated code of a probe-side dictionary entry the build
+/// dictionary does not contain: it equals no build key.
+pub(crate) const MISS: u32 = u32::MAX;
+
+/// How an operator's key is represented; see the module docs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Shape {
+    None,
+    W64,
+    W128,
+    Bytes,
+}
+
+/// The build partition a key hash routes to: the hash's upper half
+/// scaled onto `0..nparts` (a multiply and a shift, no division). The
+/// tables index buckets by the low bits, so the rows of one partition
+/// still spread over all of its table's buckets.
+#[inline]
+pub fn route(hash: u64, nparts: usize) -> usize {
+    (((hash >> 32) * nparts as u64) >> 32) as usize
+}
+
+/// A packed key: `u64` or `u128`.
+pub trait Word: Copy + Eq + Default + Send + Sync + std::fmt::Debug + 'static {
+    /// OR `bits` in at bit offset `shift`.
+    fn or_in(&mut self, bits: u64, shift: u32);
+    /// The key's hash: one multiply–xorshift per 64-bit word. A fixed
+    /// function, like FNV-1a on the bytes shape.
+    fn hash(self) -> u64;
+}
+
+#[inline]
+fn mix(w: u64) -> u64 {
+    let m = w.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    m ^ (m >> 32)
+}
+
+impl Word for u64 {
+    #[inline]
+    fn or_in(&mut self, bits: u64, shift: u32) {
+        *self |= bits << shift;
+    }
+    #[inline]
+    fn hash(self) -> u64 {
+        mix(self)
+    }
+}
+
+impl Word for u128 {
+    #[inline]
+    fn or_in(&mut self, bits: u64, shift: u32) {
+        *self |= (bits as u128) << shift;
+    }
+    #[inline]
+    fn hash(self) -> u64 {
+        mix(mix(self as u64) ^ (self >> 64) as u64)
+    }
+}
+
+/// Where one key column's key bits come from.
+#[derive(Debug, Clone)]
+enum Src<'a> {
+    Bool(&'a [bool]),
+    /// INT beside INT, DATE beside DATE: the 32 value bits.
+    I32(&'a [i32]),
+    /// INT beside BIGINT: sign-extended, so equal integers are equal
+    /// words on both sides.
+    I32Wide(&'a [i32]),
+    /// BIGINT, TIMESTAMP.
+    I64(&'a [i64]),
+    /// Dictionary codes in one code space of `space` entries. `map`
+    /// translates this side's codes into that space ([`MISS`] where the
+    /// entry is absent from it); `None` is the identity.
+    Code {
+        codes: &'a [u32],
+        map: Option<Vec<u32>>,
+        space: usize,
+    },
+    /// No word form: the cell's canonical bytes only.
+    Cell,
+}
+
+/// One key column of one input, classified.
+#[derive(Debug, Clone)]
+pub struct KeyCol<'a> {
+    col: &'a ColumnVector,
+    nulls: Option<&'a BitSet>,
+    src: Src<'a>,
+}
+
+/// A code-keyed column's per-row codes, their translation into the
+/// key's code space (`None` = identity) and that space's size.
+pub(crate) struct Codes<'a, 'k> {
+    pub codes: &'a [u32],
+    map: Option<&'k [u32]>,
+    pub space: usize,
+}
+
+impl Codes<'_, '_> {
+    /// Row `i`'s code in the key's code space ([`MISS`] when absent).
+    #[inline]
+    pub fn at(&self, i: usize) -> u32 {
+        let code = self.codes[i];
+        self.map.map_or(code, |m| m[code as usize])
+    }
+}
+
+/// True when no two dictionary entries are equal, i.e. codes identify
+/// strings. Engine-produced dictionaries are deduplicated; hand-built
+/// ones need not be.
+fn distinct_entries(dict: &[String]) -> bool {
+    let mut seen = HashSet::with_capacity(dict.len());
+    dict.iter().all(|s| seen.insert(s.as_str()))
+}
+
+/// Translate a join's two dictionaries into the build side's code
+/// space: the probe side's map (`MISS` for entries the build dictionary
+/// lacks), and the build side's own map collapsing duplicate entries
+/// onto their first code (`None` when there are none).
+fn translate(probe: &[String], build: &[String]) -> (Vec<u32>, Option<Vec<u32>>) {
+    let mut index: HashMap<&str, u32> = HashMap::with_capacity(build.len());
+    let canon: Vec<u32> = build
+        .iter()
+        .enumerate()
+        .map(|(c, s)| *index.entry(s.as_str()).or_insert(c as u32))
+        .collect();
+    let probe_map = probe
+        .iter()
+        .map(|s| index.get(s.as_str()).copied().unwrap_or(MISS))
+        .collect();
+    let identity = canon.iter().enumerate().all(|(c, &to)| to == c as u32);
+    (probe_map, (!identity).then_some(canon))
+}
+
+impl<'a> KeyCol<'a> {
+    /// Classify one key column pair. In a join (`join`) the right
+    /// column is the build side and dictionary codes translate into its
+    /// code space; otherwise both sides feed one table where NULL and
+    /// every distinct value is a group, so codes are usable only over
+    /// one shared, duplicate-free dictionary.
+    fn pair(l: &'a ColumnVector, r: &'a ColumnVector, join: bool) -> (KeyCol<'a>, KeyCol<'a>) {
+        use ColumnVector as C;
+        let (ls, rs) = match (l, r) {
+            (C::Boolean(a, _), C::Boolean(b, _)) => (Src::Bool(a), Src::Bool(b)),
+            (C::Int(a, _), C::Int(b, _)) | (C::Date(a, _), C::Date(b, _)) => {
+                (Src::I32(a), Src::I32(b))
+            }
+            (C::Int(a, _), C::BigInt(b, _)) => (Src::I32Wide(a), Src::I64(b)),
+            (C::BigInt(a, _), C::Int(b, _)) => (Src::I64(a), Src::I32Wide(b)),
+            (C::BigInt(a, _), C::BigInt(b, _)) | (C::Timestamp(a, _), C::Timestamp(b, _)) => {
+                (Src::I64(a), Src::I64(b))
+            }
+            (
+                C::Dict {
+                    codes: lc,
+                    dict: ld,
+                    ..
+                },
+                C::Dict {
+                    codes: rc,
+                    dict: rd,
+                    ..
+                },
+            ) => {
+                let code = |codes: &'a [u32], map| Src::Code {
+                    codes,
+                    map,
+                    space: rd.len(),
+                };
+                if join {
+                    let (probe_map, canon) = translate(ld, rd);
+                    (code(lc, Some(probe_map)), code(rc, canon))
+                } else if Arc::ptr_eq(ld, rd) && distinct_entries(rd) {
+                    (code(lc, None), code(rc, None))
+                } else {
+                    (Src::Cell, Src::Cell)
+                }
+            }
+            _ => (Src::Cell, Src::Cell),
+        };
+        let col = |col: &'a ColumnVector, src| KeyCol {
+            col,
+            nulls: col.nulls(),
+            src,
+        };
+        (col(l, ls), col(r, rs))
+    }
+
+    /// Classify a grouping column (GROUP BY, window partition or peer
+    /// key): NULL is a key value.
+    pub(crate) fn group(col: &'a ColumnVector) -> KeyCol<'a> {
+        KeyCol::pair(col, col, false).0
+    }
+
+    pub(crate) fn col(&self) -> &'a ColumnVector {
+        self.col
+    }
+
+    pub(crate) fn nulls(&self) -> Option<&'a BitSet> {
+        self.nulls
+    }
+
+    /// The column's dictionary codes, when it keys by code.
+    pub(crate) fn codes(&self) -> Option<Codes<'a, '_>> {
+        match &self.src {
+            Src::Code { codes, map, space } => Some(Codes {
+                codes,
+                map: map.as_deref(),
+                space: *space,
+            }),
+            _ => None,
+        }
+    }
+
+    /// Bits the column takes in a packed word; `None` = bytes only.
+    fn width(&self) -> Option<u32> {
+        Some(match &self.src {
+            Src::Bool(_) => 1,
+            Src::I32(_) => 32,
+            Src::I32Wide(_) | Src::I64(_) => 64,
+            // Codes run below `space`; `MISS` is never packed.
+            Src::Code { space, .. } => {
+                (usize::BITS - space.saturating_sub(1).leading_zeros()).max(1)
+            }
+            Src::Cell => return None,
+        })
+    }
+
+    /// Append row `i`'s canonical key-part encoding; `false` (nothing
+    /// appended) when the cell is NULL. A probe-side dictionary entry
+    /// the build side lacks encodes as `TAG_MISS`, which no build key
+    /// contains.
+    #[inline]
+    fn encode(&self, i: usize, out: &mut Vec<u8>) -> bool {
+        let Some(codes) = self.codes() else {
+            return encode_cell(self.col, i, out);
+        };
+        if self.nulls.is_some_and(|n| n.get(i)) {
+            return false;
+        }
+        match codes.at(i) {
+            MISS => hash::encode_miss(out),
+            code => hash::encode_code(code, out),
+        }
+        true
+    }
+
+    /// OR this column's bits for rows `lo..lo + keys.len()` of `sel`
+    /// into `keys`, column-wise. A NULL cell sets the slot's NULL bit
+    /// (and no value bits) when NULL is a key, and marks the row
+    /// skipped otherwise; so does a `MISS`.
+    fn pack<K: Word>(
+        &self,
+        keys: &mut [K],
+        skip: &mut Option<Vec<bool>>,
+        sel: &SelVec,
+        lo: usize,
+        slot: Slot,
+    ) {
+        match &self.src {
+            Src::Bool(v) => self.fill(keys, skip, sel, lo, slot, v, |b| b as u64),
+            Src::I32(v) => self.fill(keys, skip, sel, lo, slot, v, |x| x as u32 as u64),
+            Src::I32Wide(v) => self.fill(keys, skip, sel, lo, slot, v, |x| x as i64 as u64),
+            Src::I64(v) => self.fill(keys, skip, sel, lo, slot, v, |x| x as u64),
+            Src::Code {
+                codes, map: None, ..
+            } => self.fill(keys, skip, sel, lo, slot, codes, |c| c as u64),
+            Src::Code {
+                codes,
+                map: Some(map),
+                ..
+            } => {
+                // The one source that can miss: a missing entry packs no
+                // bits, and its rows are marked in a second pass that
+                // most columns never need.
+                let mut missed = false;
+                self.fill(keys, skip, sel, lo, slot, codes, |c| {
+                    let code = map[c as usize];
+                    missed |= code == MISS;
+                    if code == MISS {
+                        0
+                    } else {
+                        code as u64
+                    }
+                });
+                if missed {
+                    let skip = skip.get_or_insert_with(|| vec![false; keys.len()]);
+                    for_rows(sel, lo, keys.len(), |s, i| {
+                        if map[codes[i] as usize] == MISS {
+                            skip[s] = true;
+                        }
+                    });
+                }
+            }
+            // A side with a `Cell` column has the bytes shape.
+            Src::Cell => {}
+        }
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    #[inline]
+    fn fill<K: Word, T: Copy>(
+        &self,
+        keys: &mut [K],
+        skip: &mut Option<Vec<bool>>,
+        sel: &SelVec,
+        lo: usize,
+        slot: Slot,
+        vals: &[T],
+        mut bits: impl FnMut(T) -> u64,
+    ) {
+        let n = keys.len();
+        let Some(nulls) = self.nulls else {
+            return for_rows(sel, lo, n, |s, i| keys[s].or_in(bits(vals[i]), slot.shift));
+        };
+        match slot.null_bit {
+            Some(bit) => for_rows(sel, lo, n, |s, i| {
+                if nulls.get(i) {
+                    keys[s].or_in(1, bit);
+                } else {
+                    keys[s].or_in(bits(vals[i]), slot.shift);
+                }
+            }),
+            None => {
+                let skip = skip.get_or_insert_with(|| vec![false; n]);
+                for_rows(sel, lo, n, |s, i| {
+                    if nulls.get(i) {
+                        skip[s] = true;
+                    } else {
+                        keys[s].or_in(bits(vals[i]), slot.shift);
+                    }
+                });
+            }
+        }
+    }
+}
+
+/// `f(slot, batch row)` for selected positions `lo..lo + n`.
+#[inline]
+fn for_rows(sel: &SelVec, lo: usize, n: usize, mut f: impl FnMut(usize, usize)) {
+    match sel.as_indices() {
+        None => (0..n).for_each(|s| f(s, lo + s)),
+        Some(idx) => idx[lo..lo + n]
+            .iter()
+            .enumerate()
+            .for_each(|(s, &i)| f(s, i as usize)),
+    }
+}
+
+/// Append the canonical encoding of column cell `(col, i)` when it is
+/// non-NULL; `false` (nothing appended) for NULL. Typed per-variant
+/// access: string cells fold their bytes without materializing a
+/// `Value`, and a `Dict` column that is not keyed by code encodes the
+/// referenced entry — the bytes its decoded `Str` twin produces.
+#[inline]
+fn encode_cell(col: &ColumnVector, i: usize, out: &mut Vec<u8>) -> bool {
+    if col.is_null(i) {
+        return false;
+    }
+    match col {
+        ColumnVector::Boolean(v, _) => {
+            out.push(hash::TAG_BOOL);
+            out.push(v[i] as u8);
+        }
+        ColumnVector::Int(v, _) => hash::encode_i64(v[i] as i64, out),
+        ColumnVector::BigInt(v, _) => hash::encode_i64(v[i], out),
+        ColumnVector::Double(v, _) => hash::encode_f64(v[i], out),
+        ColumnVector::Decimal(v, s, _) => hash::encode_decimal(v[i], *s, out),
+        ColumnVector::Str(v, _) => hash::encode_str(v[i].as_bytes(), out),
+        ColumnVector::Dict { codes, dict, .. } => {
+            hash::encode_str(dict[codes[i] as usize].as_bytes(), out)
+        }
+        ColumnVector::Date(v, _) => hash::encode_date(v[i], out),
+        ColumnVector::Timestamp(v, _) => hash::encode_timestamp(v[i], out),
+    }
+    true
+}
+
+/// Borrow shared columns as the plain references the [`KeySide`]
+/// constructors take.
+pub fn column_refs(cols: &[Arc<ColumnVector>]) -> Vec<&ColumnVector> {
+    cols.iter().map(|c| c.as_ref()).collect()
+}
+
+/// Rows per [`KeySide::key_chunks`] chunk: packed keys of 128 KiB, or
+/// byte keys of around a megabyte — inside the L2 cache either way.
+const KEY_CHUNK: usize = 16 * 1024;
+
+/// Where a column sits in the packed word.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    shift: u32,
+    /// The column's NULL bit, when NULL is a key and a side has a mask.
+    null_bit: Option<u32>,
+}
+
+/// One input's key columns, classified against the other input's (if
+/// any): what [`KeySide::keys`] turns row ranges into keys with.
+#[derive(Debug, Clone)]
+pub struct KeySide<'a> {
+    cols: Vec<KeyCol<'a>>,
+    slots: Vec<Slot>,
+    shape: Shape,
+    /// GROUP BY semantics (NULL is a key) rather than join semantics (a
+    /// NULL key part excludes the row).
+    null_is_key: bool,
+}
+
+impl<'a> KeySide<'a> {
+    fn pair(
+        left: &[&'a ColumnVector],
+        right: &[&'a ColumnVector],
+        join: bool,
+    ) -> (KeySide<'a>, KeySide<'a>) {
+        let (lcols, rcols): (Vec<_>, Vec<_>) = left
+            .iter()
+            .zip(right)
+            .map(|(l, r)| KeyCol::pair(l, r, join))
+            .unzip();
+        // One layout for both sides: a column's width is a property of
+        // the pair, its NULL bit exists if either side has a mask.
+        let mut slots = Vec::with_capacity(lcols.len());
+        let mut bits = Some(0u32);
+        for (l, r) in lcols.iter().zip(&rcols) {
+            let mut slot = Slot {
+                shift: bits.unwrap_or(0),
+                null_bit: None,
+            };
+            bits = bits.zip(l.width()).map(|(at, w)| at + w);
+            if !join && (l.nulls.is_some() || r.nulls.is_some()) {
+                slot.null_bit = bits;
+                bits = bits.map(|at| at + 1);
+            }
+            slots.push(slot);
+        }
+        let shape = match bits {
+            _ if lcols.is_empty() => Shape::None,
+            Some(0..=64) => Shape::W64,
+            Some(65..=128) => Shape::W128,
+            _ => Shape::Bytes,
+        };
+        let side = |cols| KeySide {
+            cols,
+            slots: slots.clone(),
+            shape,
+            null_is_key: !join,
+        };
+        (side(lcols), side(rcols))
+    }
+
+    /// A join's key columns, pairwise: `(probe side, build side)`.
+    pub fn join_pair(
+        probe: &[&'a ColumnVector],
+        build: &[&'a ColumnVector],
+    ) -> (KeySide<'a>, KeySide<'a>) {
+        KeySide::pair(probe, build, true)
+    }
+
+    /// Two inputs keyed into one table with grouping semantics (a set
+    /// operation's whole rows).
+    pub fn group_pair(
+        left: &[&'a ColumnVector],
+        right: &[&'a ColumnVector],
+    ) -> (KeySide<'a>, KeySide<'a>) {
+        KeySide::pair(left, right, false)
+    }
+
+    /// One input's grouping columns (GROUP BY, window partitions).
+    pub fn group(cols: &[&'a ColumnVector]) -> KeySide<'a> {
+        KeySide::pair(cols, cols, false).0
+    }
+
+    /// The same columns on the bytes shape, whatever they are: the
+    /// spill-record format.
+    pub fn into_bytes(mut self) -> KeySide<'a> {
+        self.shape = Shape::Bytes;
+        self
+    }
+
+    pub fn shape(&self) -> Shape {
+        self.shape
+    }
+
+    pub(crate) fn cols(&self) -> &[KeyCol<'a>] {
+        &self.cols
+    }
+
+    /// The keys of selected positions `lo..hi` of `sel`.
+    pub fn keys(&self, sel: &SelVec, lo: usize, hi: usize) -> RowKeys {
+        match self.shape {
+            Shape::None => RowKeys::None(hi - lo),
+            Shape::W64 => RowKeys::W64(self.pack(sel, lo, hi)),
+            Shape::W128 => RowKeys::W128(self.pack(sel, lo, hi)),
+            Shape::Bytes => RowKeys::Bytes(self.encode(sel, lo, hi)),
+        }
+    }
+
+    /// The keys of selected positions `lo..hi`, a chunk at a time:
+    /// `f(chunk start, the chunk's keys)`, ascending. What a serial
+    /// consumer uses instead of [`KeySide::keys`] over the whole range:
+    /// the keys it is inserting or probing stay cache-resident, and no
+    /// range-sized key array is ever allocated.
+    pub fn key_chunks(
+        &self,
+        sel: &SelVec,
+        lo: usize,
+        hi: usize,
+        mut f: impl FnMut(usize, &RowKeys) -> Result<()>,
+    ) -> Result<()> {
+        (lo..hi)
+            .step_by(KEY_CHUNK)
+            .try_for_each(|at| f(at, &self.keys(sel, at, (at + KEY_CHUNK).min(hi))))
+    }
+
+    /// The keys of every selected position, prepared in row-range
+    /// chunks (of a morsel at least) across `workers`.
+    pub(crate) fn keys_par(&self, sel: &SelVec, workers: usize) -> Result<RowKeys> {
+        let n = sel.len();
+        let chunk = n.div_ceil(workers.max(1)).max(crate::par::ROWS_PER_MORSEL);
+        if workers <= 1 || chunk >= n {
+            return Ok(self.keys(sel, 0, n));
+        }
+        let mut chunks = crate::par::parallel_map(workers, n.div_ceil(chunk), |c| {
+            Ok(self.keys(sel, c * chunk, ((c + 1) * chunk).min(n)))
+        })?
+        .into_iter();
+        let mut all = chunks.next().unwrap_or(RowKeys::None(0));
+        chunks.try_for_each(|more| all.append(more))?;
+        Ok(all)
+    }
+
+    fn pack<K: Word>(&self, sel: &SelVec, lo: usize, hi: usize) -> WordKeys<K> {
+        let mut keys = vec![K::default(); hi - lo];
+        let mut skip = None;
+        for (col, slot) in self.cols.iter().zip(&self.slots) {
+            col.pack(&mut keys, &mut skip, sel, lo, *slot);
+        }
+        WordKeys { keys, skip }
+    }
+
+    fn encode(&self, sel: &SelVec, lo: usize, hi: usize) -> ByteKeys {
+        let n = hi - lo;
+        let mut out = ByteKeys {
+            hashes: Vec::with_capacity(n),
+            ends: Vec::with_capacity(n),
+            arena: Vec::new(),
+            skip: None,
+        };
+        for_rows(sel, lo, n, |s, i| {
+            let start = out.arena.len();
+            let mut keyed = true;
+            for col in &self.cols {
+                if !col.encode(i, &mut out.arena) {
+                    if self.null_is_key {
+                        out.arena.push(hash::TAG_NULL);
+                    } else {
+                        keyed = false;
+                        break;
+                    }
+                }
+            }
+            if !keyed {
+                out.arena.truncate(start);
+                out.skip.get_or_insert_with(|| vec![false; n])[s] = true;
+            }
+            out.hashes.push(fnv1a(&out.arena[start..]));
+            out.ends.push(out.arena.len());
+        });
+        out
+    }
+}
+
+/// Packed keys of a row range, with the rows a join excludes (a NULL
+/// key part, a probe entry the build dictionary lacks) marked beside
+/// them. The hash is a function of the word and is computed where it is
+/// used.
+#[derive(Debug, Clone)]
+pub struct WordKeys<K> {
+    keys: Vec<K>,
+    skip: Option<Vec<bool>>,
+}
+
+/// Canonical key bytes of a row range, each row encoded once: FNV-1a
+/// hash, arena slice, and the excluded rows marked.
+#[derive(Debug, Clone)]
+pub struct ByteKeys {
+    hashes: Vec<u64>,
+    /// Per row: end offset of its key in `arena`.
+    ends: Vec<usize>,
+    arena: Vec<u8>,
+    skip: Option<Vec<bool>>,
+}
+
+impl ByteKeys {
+    #[inline]
+    fn key(&self, r: usize) -> &[u8] {
+        let start = if r == 0 { 0 } else { self.ends[r - 1] };
+        &self.arena[start..self.ends[r]]
+    }
+}
+
+#[inline]
+fn skipped(skip: &Option<Vec<bool>>, r: usize) -> bool {
+    skip.as_ref().is_some_and(|s| s[r])
+}
+
+/// The keys of a row range, in the shape its [`KeySide`] chose.
+#[derive(Debug, Clone)]
+pub enum RowKeys {
+    /// No key columns: this many rows, all with the one empty key.
+    None(usize),
+    W64(WordKeys<u64>),
+    W128(WordKeys<u128>),
+    Bytes(ByteKeys),
+}
+
+impl RowKeys {
+    pub fn len(&self) -> usize {
+        match self {
+            RowKeys::None(n) => *n,
+            RowKeys::W64(k) => k.keys.len(),
+            RowKeys::W128(k) => k.keys.len(),
+            RowKeys::Bytes(k) => k.hashes.len(),
+        }
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    pub fn shape(&self) -> Shape {
+        match self {
+            RowKeys::None(_) => Shape::None,
+            RowKeys::W64(_) => Shape::W64,
+            RowKeys::W128(_) => Shape::W128,
+            RowKeys::Bytes(_) => Shape::Bytes,
+        }
+    }
+
+    /// Row `r`'s key hash; `None` when a join excludes the row.
+    #[inline]
+    pub fn hash(&self, r: usize) -> Option<u64> {
+        match self {
+            RowKeys::None(_) => Some(0),
+            RowKeys::W64(k) => (!skipped(&k.skip, r)).then(|| k.keys[r].hash()),
+            RowKeys::W128(k) => (!skipped(&k.skip, r)).then(|| k.keys[r].hash()),
+            RowKeys::Bytes(k) => (!skipped(&k.skip, r)).then(|| k.hashes[r]),
+        }
+    }
+
+    /// Row `r`'s canonical key bytes on the bytes shape (`None` on the
+    /// others, and for an excluded row).
+    pub fn bytes(&self, r: usize) -> Option<&[u8]> {
+        match self {
+            RowKeys::Bytes(k) if !skipped(&k.skip, r) => Some(k.key(r)),
+            _ => None,
+        }
+    }
+
+    /// Row `r` as a spill record's `(hash, key bytes)`: bytes shape,
+    /// keyed rows only.
+    pub(crate) fn record(&self, r: usize) -> Option<(u64, &[u8])> {
+        self.hash(r).zip(self.bytes(r))
+    }
+
+    /// Bytes-shape keys read back from spill records `(hash, position,
+    /// key bytes)`: row `r` of the keys is record `r`, whose position is
+    /// the second result's entry `r`.
+    pub(crate) fn from_records<'r>(
+        records: impl Iterator<Item = Result<(u64, u32, &'r [u8])>>,
+    ) -> Result<(RowKeys, Vec<u32>)> {
+        let mut keys = ByteKeys {
+            hashes: Vec::new(),
+            ends: Vec::new(),
+            arena: Vec::new(),
+            skip: None,
+        };
+        let mut positions = Vec::new();
+        for rec in records {
+            let (hash, pos, key) = rec?;
+            keys.hashes.push(hash);
+            keys.arena.extend_from_slice(key);
+            keys.ends.push(keys.arena.len());
+            positions.push(pos);
+        }
+        Ok((RowKeys::Bytes(keys), positions))
+    }
+
+    /// Append the keys of the row range that follows this one (of the
+    /// same [`KeySide`]).
+    fn append(&mut self, more: RowKeys) -> Result<()> {
+        match (self, more) {
+            (RowKeys::None(n), RowKeys::None(m)) => *n += m,
+            (RowKeys::W64(a), RowKeys::W64(b)) => a.append(b),
+            (RowKeys::W128(a), RowKeys::W128(b)) => a.append(b),
+            (RowKeys::Bytes(a), RowKeys::Bytes(b)) => {
+                append_skips(&mut a.skip, a.hashes.len(), b.skip, b.hashes.len());
+                let base = a.arena.len();
+                a.hashes.extend(b.hashes);
+                a.ends.extend(b.ends.iter().map(|end| base + end));
+                a.arena.extend(b.arena);
+            }
+            (_, more) => return Err(shape_mismatch(more.shape())),
+        }
+        Ok(())
+    }
+}
+
+impl<K: Word> WordKeys<K> {
+    fn append(&mut self, more: WordKeys<K>) {
+        append_skips(&mut self.skip, self.keys.len(), more.skip, more.keys.len());
+        self.keys.extend(more.keys);
+    }
+}
+
+/// Extend the excluded-row marks of `have` rows with those of the
+/// `adding` rows that follow; absent marks mean no row is excluded.
+fn append_skips(skip: &mut Option<Vec<bool>>, have: usize, more: Option<Vec<bool>>, adding: usize) {
+    if skip.is_some() || more.is_some() {
+        let all = skip.get_or_insert_with(|| vec![false; have]);
+        match more {
+            Some(more) => all.extend(more),
+            None => all.resize(have + adding, false),
+        }
+    }
+}
+
+const VACANT: u32 = u32::MAX;
+
+#[derive(Debug, Clone, Copy)]
+struct Bucket<K> {
+    key: K,
+    /// Entry id; [`VACANT`] marks an empty bucket.
+    entry: u32,
+    /// The hash's low half, which is all the bucket index ever uses:
+    /// growth re-places buckets from it, keys are never re-hashed.
+    hash: u32,
+}
+
+/// Open-addressing table from packed keys to dense entry ids (`0..len`
+/// in insertion order), linear probing. The bucket carries the key, so a
+/// lookup that hits its home bucket touches one cache line.
+#[derive(Debug, Clone)]
+pub struct WordTable<K> {
+    buckets: Vec<Bucket<K>>,
+    mask: usize,
+    len: u32,
+}
+
+impl<K: Word> Default for WordTable<K> {
+    fn default() -> Self {
+        WordTable {
+            buckets: Vec::new(),
+            mask: 0,
+            len: 0,
+        }
+    }
+}
+
+impl<K: Word> WordTable<K> {
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Number of distinct keys inserted.
+    pub fn len(&self) -> usize {
+        self.len as usize
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Look `key` up by its hash.
+    #[inline]
+    pub fn find(&self, hash: u64, key: K) -> Option<u32> {
+        if self.buckets.is_empty() {
+            return None;
+        }
+        let mut b = hash as u32 as usize & self.mask;
+        loop {
+            let bucket = &self.buckets[b];
+            if bucket.entry == VACANT {
+                return None;
+            }
+            if bucket.key == key {
+                return Some(bucket.entry);
+            }
+            b = (b + 1) & self.mask;
+        }
+    }
+
+    /// Find `key` or insert it: `(entry id, inserted)`.
+    #[inline]
+    pub fn insert(&mut self, hash: u64, key: K) -> (u32, bool) {
+        // Load stays ≤ 7/8, so the probe always meets a vacant bucket.
+        if (self.len as usize + 1) * 8 > self.buckets.len() * 7 {
+            self.grow();
+        }
+        let mut b = hash as u32 as usize & self.mask;
+        loop {
+            let bucket = &mut self.buckets[b];
+            if bucket.entry == VACANT {
+                *bucket = Bucket {
+                    key,
+                    entry: self.len,
+                    hash: hash as u32,
+                };
+                self.len += 1;
+                return (bucket.entry, true);
+            }
+            if bucket.key == key {
+                return (bucket.entry, false);
+            }
+            b = (b + 1) & self.mask;
+        }
+    }
+
+    #[cold]
+    fn grow(&mut self) {
+        let vacant = Bucket {
+            key: K::default(),
+            entry: VACANT,
+            hash: 0,
+        };
+        let size = (self.buckets.len() * 2).max(16);
+        let old = std::mem::replace(&mut self.buckets, vec![vacant; size]);
+        self.mask = size - 1;
+        for bucket in old.into_iter().filter(|b| b.entry != VACANT) {
+            let mut b = bucket.hash as usize & self.mask;
+            while self.buckets[b].entry != VACANT {
+                b = (b + 1) & self.mask;
+            }
+            self.buckets[b] = bucket;
+        }
+    }
+}
+
+/// A table over one shape's keys — what lets the group and join loops
+/// below be written once and compiled per shape.
+trait KeyTable: Default + Send + Sync {
+    type Keys: Sync;
+    fn rows(keys: &Self::Keys) -> usize;
+    fn skip(keys: &Self::Keys, r: usize) -> bool;
+    fn hash(keys: &Self::Keys, r: usize) -> u64;
+    fn entries(&self) -> usize;
+    fn insert_row(&mut self, keys: &Self::Keys, r: usize, hash: u64) -> (u32, bool);
+    fn find_row(&self, keys: &Self::Keys, r: usize, hash: u64) -> Option<u32>;
+}
+
+impl<K: Word> KeyTable for WordTable<K> {
+    type Keys = WordKeys<K>;
+    #[inline]
+    fn rows(keys: &WordKeys<K>) -> usize {
+        keys.keys.len()
+    }
+    #[inline]
+    fn skip(keys: &WordKeys<K>, r: usize) -> bool {
+        skipped(&keys.skip, r)
+    }
+    #[inline]
+    fn hash(keys: &WordKeys<K>, r: usize) -> u64 {
+        keys.keys[r].hash()
+    }
+    fn entries(&self) -> usize {
+        self.len()
+    }
+    #[inline]
+    fn insert_row(&mut self, keys: &WordKeys<K>, r: usize, hash: u64) -> (u32, bool) {
+        self.insert(hash, keys.keys[r])
+    }
+    #[inline]
+    fn find_row(&self, keys: &WordKeys<K>, r: usize, hash: u64) -> Option<u32> {
+        self.find(hash, keys.keys[r])
+    }
+}
+
+impl KeyTable for RawTable {
+    type Keys = ByteKeys;
+    #[inline]
+    fn rows(keys: &ByteKeys) -> usize {
+        keys.hashes.len()
+    }
+    #[inline]
+    fn skip(keys: &ByteKeys, r: usize) -> bool {
+        skipped(&keys.skip, r)
+    }
+    #[inline]
+    fn hash(keys: &ByteKeys, r: usize) -> u64 {
+        keys.hashes[r]
+    }
+    fn entries(&self) -> usize {
+        self.len()
+    }
+    #[inline]
+    fn insert_row(&mut self, keys: &ByteKeys, r: usize, hash: u64) -> (u32, bool) {
+        self.insert(hash, keys.key(r))
+    }
+    #[inline]
+    fn find_row(&self, keys: &ByteKeys, r: usize, hash: u64) -> Option<u32> {
+        self.find(hash, keys.key(r))
+    }
+}
+
+/// Insert the rows of `keys` that are keyed and that `route` =
+/// `(partitions, this one)` accepts, ascending, telling `visit` each
+/// one's `(row, entry, newly inserted)`.
+#[inline]
+fn assign_rows<T: KeyTable>(
+    table: &mut T,
+    keys: &T::Keys,
+    route_to: Option<(usize, usize)>,
+    mut visit: impl FnMut(usize, u32, bool),
+) {
+    for r in 0..T::rows(keys) {
+        if T::skip(keys, r) {
+            continue;
+        }
+        let h = T::hash(keys, r);
+        if route_to.is_some_and(|(nparts, p)| route(h, nparts) != p) {
+            continue;
+        }
+        let (e, new) = table.insert_row(keys, r, h);
+        visit(r, e, new);
+    }
+}
+
+fn shape_mismatch(keys: Shape) -> HiveError {
+    HiveError::Execution(format!(
+        "{keys:?} keys offered to a key table of another shape"
+    ))
+}
+
+/// Groups rows by key: dense group ids in first-seen order. One
+/// `Grouper` may take several [`RowKeys`] of one shape in turn (a set
+/// operation's right input, then its left).
+#[derive(Debug)]
+pub struct Grouper(Groups);
+
+#[derive(Debug)]
+enum Groups {
+    /// No key columns: one group, once a row arrived.
+    None {
+        seen: bool,
+    },
+    W64(WordTable<u64>),
+    W128(WordTable<u128>),
+    Bytes(RawTable),
+}
+
+impl Grouper {
+    pub fn new(shape: Shape) -> Grouper {
+        Grouper(match shape {
+            Shape::None => Groups::None { seen: false },
+            Shape::W64 => Groups::W64(WordTable::new()),
+            Shape::W128 => Groups::W128(WordTable::new()),
+            Shape::Bytes => Groups::Bytes(RawTable::new()),
+        })
+    }
+
+    /// For every keyed row of `keys` that `route_to` = `(partitions,
+    /// this one)` accepts, in ascending order: `visit(row, group,
+    /// first of its group)`.
+    pub fn assign(
+        &mut self,
+        keys: &RowKeys,
+        route_to: Option<(usize, usize)>,
+        mut visit: impl FnMut(usize, u32, bool),
+    ) -> Result<()> {
+        match (&mut self.0, keys) {
+            (Groups::None { seen }, RowKeys::None(n)) => {
+                // The empty key hashes to 0: partition 0 owns it.
+                if route_to.is_none_or(|(_, p)| p == 0) {
+                    for r in 0..*n {
+                        visit(r, 0, !std::mem::replace(seen, true));
+                    }
+                }
+            }
+            (Groups::W64(t), RowKeys::W64(k)) => assign_rows(t, k, route_to, visit),
+            (Groups::W128(t), RowKeys::W128(k)) => assign_rows(t, k, route_to, visit),
+            (Groups::Bytes(t), RowKeys::Bytes(k)) => assign_rows(t, k, route_to, visit),
+            (_, keys) => return Err(shape_mismatch(keys.shape())),
+        }
+        Ok(())
+    }
+}
+
+/// One build partition of a join: its keys' table and, per entry, the
+/// build rows carrying that key in ascending position — entry `e`'s
+/// candidates are `rows[starts[e]..starts[e + 1]]`.
+#[derive(Debug)]
+struct JoinPart<T> {
+    table: T,
+    starts: Vec<u32>,
+    rows: Vec<u32>,
+}
+
+impl<T: KeyTable> JoinPart<T> {
+    fn build(keys: &T::Keys, route_to: Option<(usize, usize)>) -> JoinPart<T> {
+        let mut table = T::default();
+        let (mut rows, mut entry_of) = (Vec::new(), Vec::new());
+        assign_rows(&mut table, keys, route_to, |r, e, _| {
+            rows.push(r as u32);
+            entry_of.push(e);
+        });
+        let entries = table.entries();
+        // Unique keys (a dimension's primary key): entry e is row e of
+        // the inserted rows already.
+        if entries == rows.len() {
+            return JoinPart {
+                table,
+                starts: (0..=entries as u32).collect(),
+                rows,
+            };
+        }
+        // Counting sort by entry; stable, so each entry's rows stay in
+        // ascending position.
+        let mut starts = vec![0u32; entries + 1];
+        for &e in &entry_of {
+            starts[e as usize + 1] += 1;
+        }
+        for e in 0..entries {
+            starts[e + 1] += starts[e];
+        }
+        let mut next = starts.clone();
+        let mut sorted = vec![0u32; rows.len()];
+        for (&r, &e) in rows.iter().zip(&entry_of) {
+            sorted[next[e as usize] as usize] = r;
+            next[e as usize] += 1;
+        }
+        JoinPart {
+            table,
+            starts,
+            rows: sorted,
+        }
+    }
+
+    #[inline]
+    fn candidates(&self, entry: Option<u32>) -> &[u32] {
+        match entry {
+            Some(e) => {
+                let e = e as usize;
+                &self.rows[self.starts[e] as usize..self.starts[e + 1] as usize]
+            }
+            None => &[],
+        }
+    }
+}
+
+/// Probe rows are looked up a block at a time, ahead of being visited:
+/// the lookups of a block are independent loads the CPU overlaps, which
+/// the per-row emit work between them would otherwise serialize.
+const PROBE_BLOCK: usize = 64;
+
+fn probe_parts<'s, T: KeyTable>(
+    parts: &'s [JoinPart<T>],
+    keys: &T::Keys,
+    mut visit: impl FnMut(usize, &'s [u32]) -> Result<()>,
+) -> Result<()> {
+    let n = T::rows(keys);
+    let mut found: [(u32, Option<u32>); PROBE_BLOCK] = [(0, None); PROBE_BLOCK];
+    let mut lo = 0;
+    while lo < n {
+        let block = (n - lo).min(PROBE_BLOCK);
+        for (j, slot) in found[..block].iter_mut().enumerate() {
+            let r = lo + j;
+            *slot = if T::skip(keys, r) {
+                (0, None)
+            } else {
+                let h = T::hash(keys, r);
+                let p = if parts.len() == 1 {
+                    0
+                } else {
+                    route(h, parts.len())
+                };
+                (p as u32, parts[p].table.find_row(keys, r, h))
+            };
+        }
+        for (j, &(p, entry)) in found[..block].iter().enumerate() {
+            visit(lo + j, parts[p as usize].candidates(entry))?;
+        }
+        lo += block;
+    }
+    Ok(())
+}
+
+/// A join's build side: key → the build rows carrying it, hash-partitioned
+/// so the partitions build in parallel. A key's rows all land in one
+/// partition and each partition inserts in ascending position, so every
+/// candidate list is what a serial single-table build produces.
+#[derive(Debug)]
+pub struct JoinIndex(Index);
+
+#[derive(Debug)]
+enum Index {
+    /// No key columns, no table: every probe row's candidates are all
+    /// build rows in order.
+    None(Vec<u32>),
+    W64(Vec<JoinPart<WordTable<u64>>>),
+    W128(Vec<JoinPart<WordTable<u128>>>),
+    Bytes(Vec<JoinPart<RawTable>>),
+}
+
+impl JoinIndex {
+    /// Index the build side's keys (row `r` of `keys` is build position
+    /// `r`) in `nparts` partitions across `workers`.
+    pub fn build(keys: &RowKeys, workers: usize, nparts: usize) -> Result<JoinIndex> {
+        fn parts<T: KeyTable>(
+            keys: &T::Keys,
+            workers: usize,
+            nparts: usize,
+        ) -> Result<Vec<JoinPart<T>>> {
+            crate::par::parallel_map(workers, nparts.max(1), |p| {
+                Ok(JoinPart::build(keys, (nparts > 1).then_some((nparts, p))))
+            })
+        }
+        Ok(JoinIndex(match keys {
+            RowKeys::None(n) => Index::None((0..*n as u32).collect()),
+            RowKeys::W64(k) => Index::W64(parts(k, workers, nparts)?),
+            RowKeys::W128(k) => Index::W128(parts(k, workers, nparts)?),
+            RowKeys::Bytes(k) => Index::Bytes(parts(k, workers, nparts)?),
+        }))
+    }
+
+    /// For each row of the probe keys, ascending: `visit(row, the build
+    /// positions carrying its key, ascending)` — none for a row the join
+    /// excludes.
+    pub fn probe<'s>(
+        &'s self,
+        keys: &RowKeys,
+        mut visit: impl FnMut(usize, &'s [u32]) -> Result<()>,
+    ) -> Result<()> {
+        match (&self.0, keys) {
+            (Index::None(all), RowKeys::None(n)) => (0..*n).try_for_each(|r| visit(r, all)),
+            (Index::W64(parts), RowKeys::W64(k)) => probe_parts(parts, k, visit),
+            (Index::W128(parts), RowKeys::W128(k)) => probe_parts(parts, k, visit),
+            (Index::Bytes(parts), RowKeys::Bytes(k)) => probe_parts(parts, k, visit),
+            (_, keys) => Err(shape_mismatch(keys.shape())),
+        }
+    }
+}
+
+/// The values a DISTINCT aggregate has seen, deduplicated by canonical
+/// encoding — values arrive one at a time rather than column-wise, so
+/// this is the bytes shape row by row. Encoding equality is the
+/// engine's grouping equality: every `NaN` of one bit pattern is one
+/// value, `0.0` and `-0.0` are one value, an integral DOUBLE is its
+/// integer.
+#[derive(Debug, Clone, Default)]
+pub struct ValueSet {
+    table: RawTable,
+    scratch: Vec<u8>,
+}
+
+impl ValueSet {
+    /// Add `v`; true when it was not in the set.
+    pub fn insert(&mut self, v: &Value) -> bool {
+        self.scratch.clear();
+        hash::encode_value(v, &mut self.scratch);
+        self.table.insert(fnv1a(&self.scratch), &self.scratch).1
+    }
+
+    pub fn len(&self) -> usize {
+        self.table.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.table.is_empty()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn word_table_ids_are_dense_and_survive_growth() {
+        let mut t = WordTable::<u64>::new();
+        for n in 0..5000u64 {
+            let key = n.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            assert_eq!(t.insert(key.hash(), key), (n as u32, true));
+        }
+        for n in 0..5000u64 {
+            let key = n.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            assert_eq!(t.insert(key.hash(), key), (n as u32, false));
+            assert_eq!(t.find(key.hash(), key), Some(n as u32));
+        }
+        assert_eq!(t.len(), 5000);
+        assert_eq!(t.find(7u64.hash(), 7), None);
+        assert_eq!(WordTable::<u128>::new().find(0, 0), None);
+    }
+
+    #[test]
+    fn cell_encoding_matches_value_encoding() {
+        // The typed per-variant arms must produce the bytes of the
+        // scalar `encode_value` they bypass.
+        let mut nulls = BitSet::new(3);
+        nulls.set(1);
+        let cols = vec![
+            ColumnVector::Int(vec![7, 0, -3], Some(nulls.clone())),
+            ColumnVector::Str(
+                vec!["a".into(), String::new(), "bc".into()],
+                Some(nulls.clone()),
+            ),
+            ColumnVector::Double(vec![2.5, 0.0, 42.0], Some(nulls.clone())),
+            ColumnVector::Decimal(vec![25, 0, 4200], 2, Some(nulls.clone())),
+            ColumnVector::Date(vec![0, 1, -40], Some(nulls.clone())),
+            ColumnVector::Timestamp(vec![0, 1, 86_400_000_000], Some(nulls.clone())),
+            ColumnVector::Boolean(vec![true, false, false], Some(nulls)),
+            ColumnVector::dict_from_codes(
+                vec![1, 0, 1],
+                Arc::new(vec!["x".into(), "yz".into()]),
+                None,
+            )
+            .unwrap(),
+        ];
+        for col in &cols {
+            for i in 0..3 {
+                let (mut fast, mut oracle) = (Vec::new(), Vec::new());
+                if !encode_cell(col, i, &mut fast) {
+                    fast.push(hash::TAG_NULL);
+                }
+                hash::encode_value(&col.get(i), &mut oracle);
+                assert_eq!(fast, oracle, "{col:?} row {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn shapes_follow_the_columns() {
+        let int = ColumnVector::Int(vec![1, 2], None);
+        let big = ColumnVector::BigInt(vec![1, 2], None);
+        let mut mask = BitSet::new(2);
+        mask.set(0);
+        let nullable = ColumnVector::Int(vec![0, 2], Some(mask));
+        let text = ColumnVector::Str(vec!["a".into(), "b".into()], None);
+        let dict = |entries: &[&str]| {
+            let d = Arc::new(entries.iter().map(|s| s.to_string()).collect::<Vec<_>>());
+            ColumnVector::dict_from_codes(vec![0, 1], d, None).unwrap()
+        };
+        let (codes, dups) = (dict(&["x", "y", "z"]), dict(&["x", "x"]));
+        let shape = |cols: &[&ColumnVector]| KeySide::group(cols).shape();
+        assert_eq!(shape(&[]), Shape::None);
+        assert_eq!(shape(&[&int]), Shape::W64);
+        assert_eq!(shape(&[&int, &int]), Shape::W64);
+        assert_eq!(shape(&[&big]), Shape::W64);
+        // A NULL bit makes it 65.
+        assert_eq!(shape(&[&int, &nullable]), Shape::W128);
+        assert_eq!(shape(&[&big, &int, &codes]), Shape::W128);
+        assert_eq!(shape(&[&big, &big, &int]), Shape::Bytes);
+        assert_eq!(shape(&[&int, &text]), Shape::Bytes);
+        assert_eq!(shape(&[&codes, &codes, &codes]), Shape::W64);
+        assert_eq!(shape(&[&dups]), Shape::Bytes);
+        // A join has no NULL bits and widens INT beside BIGINT.
+        let join = |l: &[&ColumnVector], r: &[&ColumnVector]| KeySide::join_pair(l, r).0.shape();
+        assert_eq!(join(&[&nullable, &int], &[&int, &nullable]), Shape::W64);
+        assert_eq!(join(&[&int, &int], &[&big, &int]), Shape::W128);
+        assert_eq!(join(&[&codes], &[&dups]), Shape::W64);
+        assert_eq!(join(&[&codes], &[&text]), Shape::Bytes);
+        assert_eq!(join(&[], &[]), Shape::None);
+        assert_eq!(KeySide::group(&[&int]).into_bytes().shape(), Shape::Bytes);
+    }
+}

@@ -18,6 +18,7 @@ pub(crate) mod dict;
 pub mod engine;
 pub mod join;
 pub mod kernels;
+pub mod keys;
 pub mod membroker;
 pub(crate) mod par;
 pub mod pir;

@@ -1,29 +1,25 @@
-//! Open-addressing flat hash table shared by the hash operators.
+//! Open-addressing flat hash table for byte-encoded keys.
 //!
-//! The paper's vectorized operators (§3.3, §5) keep hot loops tight by
-//! separating *batch-wise* key preparation from a simple per-row probe
-//! loop. [`RawTable`] is the probe-side half: a flat open-addressing
-//! table with 1-byte fingerprint tags and linear probing, keyed by a
-//! precomputed 64-bit hash over each key's canonical byte encoding
-//! (see [`hive_common::hash`]). Keys live contiguously in an arena —
-//! one `Vec<u8>` for the whole table, no per-entry allocation — and
-//! compare by `memcmp`, which the encoding scheme makes equivalent to
-//! the engine's grouping semantics.
+//! The table behind the *bytes* shape of the key layer
+//! ([`crate::keys`]): keys that have no packed-word form (plain strings,
+//! DOUBLE, DECIMAL, mixed representations, keys too wide to pack) and
+//! every spilled partition read back from disk. [`RawTable`] maps a
+//! key's canonical byte encoding ([`hive_common::hash`]) to a dense
+//! entry id: 1-byte fingerprint tags, linear probing, the caller's
+//! precomputed 64-bit hash. Keys live contiguously in an arena — one
+//! `Vec<u8>` for the whole table, no per-entry allocation — and compare
+//! by length and `memcmp`, which the encoding scheme makes equivalent to
+//! the engine's grouping semantics. (Keys that pack into a `u64`/`u128`
+//! never come here: [`crate::keys::WordTable`] stores them in the
+//! bucket.)
 //!
 //! Entry ids are assigned in insertion order, so a build that inserts
 //! rows in ascending order gets first-seen-ordered entries for free —
 //! the property the deterministic partition merges in join/aggregate
 //! rely on. Growth rehashes buckets from the *stored* hashes; keys are
 //! never re-encoded and entry ids never move.
-//!
-//! The per-batch half (column-wise hashing with dict-code and null-free
-//! fast paths) lives with the key readers: [`crate::dict::KeyReader`]
-//! for aggregate/window keys and the join codec in [`crate::join`],
-//! both of which bottom out in [`encode_cell`] / [`try_encode_cell`]
-//! here.
 
-use hive_common::hash::{self, fnv1a_extend, FNV_OFFSET};
-use hive_common::{ColumnVector, Value};
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 /// Bucket tag marking an empty slot. Occupied tags always have the high
 /// bit set, so no fingerprint collides with empty.
@@ -92,6 +88,16 @@ impl RawTable {
         &self.arena[start..self.key_ends[e]]
     }
 
+    /// Whether entry `e`'s key is `key`: lengths first, so a zero-length
+    /// key (set operations over zero-column rows) is decided without
+    /// slicing the arena.
+    #[inline]
+    fn key_is(&self, e: usize, key: &[u8]) -> bool {
+        let start = if e == 0 { 0 } else { self.key_ends[e - 1] };
+        let end = self.key_ends[e];
+        end - start == key.len() && (key.is_empty() || self.arena[start..end] == *key)
+    }
+
     /// Look up `key` (with its precomputed hash); `Some(entry id)` on a
     /// hit. The tight loop the probe sides run: tag filter first, then
     /// full-hash filter, then `memcmp`.
@@ -109,7 +115,7 @@ impl RawTable {
             }
             if t == tag {
                 let e = self.slots[b] as usize;
-                if self.hashes[e] == hash && self.key(e) == key {
+                if self.hashes[e] == hash && self.key_is(e, key) {
                     return Some(e as u32);
                 }
             }
@@ -142,7 +148,7 @@ impl RawTable {
             }
             if t == tag {
                 let e = self.slots[b] as usize;
-                if self.hashes[e] == hash && self.key(e) == key {
+                if self.hashes[e] == hash && self.key_is(e, key) {
                     return (e as u32, false);
                 }
             }
@@ -180,75 +186,10 @@ fn buckets_for(entries: usize) -> usize {
     (entries * 8 / 7 + 1).next_power_of_two().max(16)
 }
 
-/// Append the canonical encoding of column cell `(col, i)` to `out`
-/// when it is non-NULL; return `false` (appending nothing) for NULL.
-/// Join keys use this directly (a NULL key part drops the row);
-/// [`encode_cell`] wraps it for operators where NULL is a key.
-///
-/// Typed per-variant access keeps the hot path allocation-free: string
-/// cells fold their bytes without materializing a `Value`, and a plain
-/// `Dict` column (one that fell off the code fast path) encodes the
-/// referenced dictionary entry — the same bytes its decoded `Str` twin
-/// would produce.
-#[inline]
-pub(crate) fn try_encode_cell(col: &ColumnVector, i: usize, out: &mut Vec<u8>) -> bool {
-    if col.is_null(i) {
-        return false;
-    }
-    match col {
-        ColumnVector::Boolean(v, _) => {
-            out.push(hash::TAG_BOOL);
-            out.push(v[i] as u8);
-        }
-        ColumnVector::Int(v, _) => hash::encode_i64(v[i] as i64, out),
-        ColumnVector::BigInt(v, _) => hash::encode_i64(v[i], out),
-        ColumnVector::Double(v, _) => hash::encode_f64(v[i], out),
-        ColumnVector::Decimal(v, s, _) => hash::encode_decimal(v[i], *s, out),
-        ColumnVector::Str(v, _) => hash::encode_str(v[i].as_bytes(), out),
-        ColumnVector::Dict { codes, dict, .. } => {
-            hash::encode_str(dict[codes[i] as usize].as_bytes(), out)
-        }
-        ColumnVector::Date(v, _) => hash::encode_date(v[i], out),
-        ColumnVector::Timestamp(v, _) => hash::encode_timestamp(v[i], out),
-    }
-    true
-}
-
-/// Append the canonical encoding of cell `(col, i)`, encoding NULL as
-/// its own key class (GROUP BY / window / set-op semantics: all NULLs
-/// group together).
-#[inline]
-pub(crate) fn encode_cell(col: &ColumnVector, i: usize, out: &mut Vec<u8>) {
-    if !try_encode_cell(col, i, out) {
-        out.push(hash::TAG_NULL);
-    }
-}
-
-/// Encode one whole row of `batch` (every column, NULLs included) —
-/// the set-op key, byte-equivalent to the `Row`-keyed `HashMap` oracle.
-#[inline]
-pub(crate) fn encode_row(batch: &hive_common::VectorBatch, i: usize, out: &mut Vec<u8>) {
-    for c in batch.columns() {
-        encode_cell(c.as_ref(), i, out);
-    }
-}
-
-/// Hash a scalar [`Value`] through the same canonical encoding (used by
-/// the DISTINCT-aggregate dedup set, where values arrive one at a time
-/// rather than column-wise).
-#[inline]
-pub(crate) fn hash_value(v: &Value, scratch: &mut Vec<u8>) -> u64 {
-    scratch.clear();
-    hash::encode_value(v, scratch);
-    fnv1a_extend(FNV_OFFSET, scratch)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hive_common::hash::fnv1a;
-    use hive_common::BitSet;
-    use std::sync::Arc;
+    use hive_common::hash::{fnv1a, FNV_OFFSET};
 
     #[test]
     fn insert_find_roundtrip_with_dense_entry_ids() {
@@ -322,44 +263,19 @@ mod tests {
 
     #[test]
     fn empty_key_is_a_valid_key() {
-        // Cross-style joins key every row by the empty key.
+        // Set operations over zero-column rows key every row by the
+        // empty key.
         let mut t = RawTable::new();
         assert_eq!(t.insert(FNV_OFFSET, b""), (0, true));
         assert_eq!(t.insert(FNV_OFFSET, b""), (0, false));
         assert_eq!(t.find(FNV_OFFSET, b""), Some(0));
-    }
-
-    #[test]
-    fn cell_encoding_matches_value_encoding() {
-        // The typed per-variant fast paths must produce byte-identical
-        // encodings to the scalar `encode_value` they bypass.
-        let mut nulls = BitSet::new(3);
-        nulls.set(1);
-        let cols = vec![
-            ColumnVector::Int(vec![7, 0, -3], Some(nulls.clone())),
-            ColumnVector::Str(
-                vec!["a".into(), String::new(), "bc".into()],
-                Some(nulls.clone()),
-            ),
-            ColumnVector::Double(vec![2.5, 0.0, 42.0], Some(nulls.clone())),
-            ColumnVector::Decimal(vec![25, 0, 4200], 2, Some(nulls.clone())),
-            ColumnVector::Date(vec![0, 1, -40], Some(nulls.clone())),
-            ColumnVector::Timestamp(vec![0, 1, 86_400_000_000], Some(nulls.clone())),
-            ColumnVector::Boolean(vec![true, false, false], Some(nulls)),
-            ColumnVector::dict_from_codes(
-                vec![1, 0, 1],
-                Arc::new(vec!["x".into(), "yz".into()]),
-                None,
-            )
-            .unwrap(),
-        ];
-        for col in &cols {
-            for i in 0..3 {
-                let (mut fast, mut oracle) = (Vec::new(), Vec::new());
-                encode_cell(col, i, &mut fast);
-                hash::encode_value(&col.get(i), &mut oracle);
-                assert_eq!(fast, oracle, "{col:?} row {i}");
-            }
-        }
+        // It is decided by length: under a full hash collision it is
+        // neither mistaken for a non-empty key nor the other way round.
+        assert_eq!(t.find(FNV_OFFSET, b"x"), None);
+        assert_eq!(t.insert(FNV_OFFSET, b"x"), (1, true));
+        assert_eq!(t.find(FNV_OFFSET, b""), Some(0));
+        let mut t = RawTable::new();
+        assert_eq!(t.insert(7, b"x"), (0, true));
+        assert_eq!(t.find(7, b""), None);
     }
 }

@@ -13,11 +13,13 @@
 //! u64 hash (LE) | u32 row (LE) | u32 key_len (LE) | key_len key bytes
 //! ```
 //!
-//! where `hash` is the operator's stable FNV-1a key hash and `key` the
-//! canonical key encoding ([`hive_common::hash`]) — exactly the
-//! [`crate::rawtable::RawTable`] arena bytes plus its stored 64-bit
-//! hash, so a partition read back from disk rebuilds its table with
-//! `insert(hash, key)` and never re-hashes or re-encodes. That keeps
+//! where `hash` is the FNV-1a hash of `key`, the canonical key encoding
+//! ([`hive_common::hash`]) — the key layer's *bytes* shape
+//! ([`crate::keys`]), which spilling operators force whatever their key
+//! columns are, i.e. exactly the [`crate::rawtable::RawTable`] arena
+//! bytes plus its stored 64-bit hash. A partition read back from disk
+//! rebuilds its table from the records and never re-hashes or
+//! re-encodes. That keeps
 //! the spilled build byte-compatible with the in-memory build (same
 //! probe hash, same arena contents) and keeps seeded fault replay
 //! deterministic: the spilled byte stream is a pure function of the

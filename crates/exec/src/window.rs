@@ -1,10 +1,9 @@
 //! Window function execution: partition, order, and evaluate ranking /
 //! navigation / framed-aggregate functions.
 
-use crate::dict::{KeyPart, KeyReader};
+use crate::dict::KeyPart;
 use crate::kernels::eval_vector;
-use crate::rawtable::RawTable;
-use hive_common::hash;
+use crate::keys::{column_refs, Grouper, KeyCol, KeySide};
 use hive_common::{ColumnBuilder, ColumnVector, Result, SelBatch, SelVec, Value, VectorBatch};
 use hive_optimizer::plan::window_output_type;
 use hive_optimizer::{AggFunc, ScalarExpr, WindowExpr, WindowFunc};
@@ -16,9 +15,9 @@ use std::sync::Arc;
 /// per window expression is appended. The input arrives as a
 /// `(batch, selection)` pair; output is 1:1 with the *selected* rows
 /// (window output is compact — a pipeline breaker by nature).
-/// `rawtable` selects the flat-table partition index
-/// (`hive.exec.rawtable.enabled`); both arms bucket identical rows —
-/// the `HashMap` arm stays as the differential oracle.
+/// `rawtable` selects the key layer's partition index
+/// (`hive.exec.rawtable.enabled`; [`crate::keys`]); both arms bucket
+/// identical rows — the `HashMap` arm stays as the differential oracle.
 pub fn execute_window(
     input: &SelBatch,
     windows: &[WindowExpr],
@@ -89,46 +88,39 @@ fn eval_one_window(input: &SelBatch, w: &WindowExpr, rawtable: bool) -> Result<V
         .map(|e| eval_vector(e, &input.batch))
         .collect::<Result<Vec<_>>>()?;
 
-    // Group positions by partition key. Dictionary-encoded partition
-    // columns key by u32 code via [`KeyReader`] — no string clones.
+    // Group positions by partition key through the key layer: packed
+    // words for fixed-width and dictionary-coded columns, canonical
+    // bytes otherwise, and no table at all without PARTITION BY.
     // (Output cells are written per position, so partition iteration
     // order is irrelevant to results.)
-    let part_readers: Vec<KeyReader<'_>> = part_cols
-        .iter()
-        .map(|c| KeyReader::new(c.as_ref()))
-        .collect();
+    let part_refs = column_refs(&part_cols);
+    let part_side = KeySide::group(&part_refs);
     let buckets: Vec<Vec<usize>> = if rawtable {
-        // Flat-table arm: partitions keyed by canonical key-part bytes
-        // in the table arena; bucket index = entry id (dense in
-        // first-seen order), no per-row `Vec<KeyPart>`.
-        let mut table = RawTable::new();
-        let mut scratch: Vec<u8> = Vec::new();
+        // Bucket index = group id (dense in first-seen order).
         let mut buckets: Vec<Vec<usize>> = Vec::new();
-        for pos in 0..n {
-            scratch.clear();
-            for r in &part_readers {
-                r.encode_part_at(at(pos), &mut scratch);
-            }
-            let (e, inserted) = table.insert(hash::fnv1a(&scratch), &scratch);
-            if inserted {
-                buckets.push(Vec::new());
-            }
-            buckets[e as usize].push(pos);
-        }
+        let mut groups = Grouper::new(part_side.shape());
+        part_side.key_chunks(&input.sel, 0, n, |at, keys| {
+            groups.assign(keys, None, |r, g, new| {
+                if new {
+                    buckets.push(Vec::new());
+                }
+                buckets[g as usize].push(at + r);
+            })
+        })?;
         buckets
     } else {
         let mut partitions: std::collections::HashMap<Vec<KeyPart>, Vec<usize>> =
             std::collections::HashMap::new();
         for pos in 0..n {
-            let key: Vec<KeyPart> = part_readers.iter().map(|r| r.part(at(pos))).collect();
+            let key: Vec<KeyPart> = (part_side.cols().iter()).map(|c| c.part(at(pos))).collect();
             partitions.entry(key).or_default().push(pos);
         }
         partitions.into_values().collect()
     };
 
-    let order_readers: Vec<KeyReader<'_>> = order_cols
+    let order_readers: Vec<KeyCol<'_>> = order_cols
         .iter()
-        .map(|c| KeyReader::new(c.as_ref()))
+        .map(|c| KeyCol::group(c.as_ref()))
         .collect();
     let mut out = vec![Value::Null; n];
     for mut rows in buckets {

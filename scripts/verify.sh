@@ -100,6 +100,13 @@ echo "-- LRFU: the ordered set picks the O(n) chooser's victims --"
 cargo test -q --offline -p hive-llap --lib ordered_set_picks_the_linear_choosers_victims
 echo "-- corc: truncated and mutated chunks decode to Ok or Format --"
 cargo test -q --offline -p hive-corc --lib decode_fuzz_truncations_and_mutations_end_typed
+# The hash-key layer's two promises (DESIGN.md §4 "Hash keys"): packed
+# words group and join exactly as the canonical bytes they replaced, and
+# a DISTINCT set has one answer whatever the table toggle says.
+echo "-- key layer: word shapes = bytes shape = the replaced encode-and-FNV code --"
+cargo test -q --offline -p hive-exec --test keys
+echo "-- COUNT(DISTINCT double): NaN counts once under every configuration --"
+cargo test -q --offline --test hash_keys count_distinct_over_doubles_is_one_answer_under_every_configuration
 cargo test -q --offline --workspace
 
 # bench/e2e is a workspace of its own, so the line above never builds it:
