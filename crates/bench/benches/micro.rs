@@ -603,6 +603,75 @@ fn bench_hash_keys(_c: &mut Criterion) {
     });
 }
 
+/// What a short statement pays per call rather than per row: handing a
+/// two-item call to the persistent executors (plain and from inside
+/// another call), a results-cache hit through `Session::execute`, a
+/// semijoin reducer built from 5 000 INT keys, and its row check over
+/// 300 000. Prints ns per call / per row; recorded in EXPERIMENTS.md,
+/// not gated on time.
+fn bench_fixed_costs(_c: &mut Criterion) {
+    use hive_common::ColumnVector;
+    use hive_exec::par::parallel_map;
+
+    report_ns(
+        "par/dispatch_2_workers_trivial_items",
+        "call",
+        20_000,
+        1.0,
+        || {
+            std::hint::black_box(parallel_map(2, 2, Ok).unwrap());
+        },
+    );
+    report_ns("par/dispatch_nested", "outer call", 10_000, 1.0, || {
+        let inner = |_| parallel_map(2, 2, Ok);
+        std::hint::black_box(parallel_map(2, 2, inner).unwrap());
+    });
+
+    let server = hive_core::HiveServer::new(HiveConf::v3_1());
+    let sess = server.session();
+    sess.execute("CREATE TABLE t (k INT, v INT)").unwrap();
+    let vals: Vec<String> = (0..500).map(|i| format!("({}, {i})", i % 10)).collect();
+    sess.execute(&format!("INSERT INTO t VALUES {}", vals.join(", ")))
+        .unwrap();
+    let q = "SELECT k, SUM(v) AS s FROM t WHERE k < 5 GROUP BY k ORDER BY s DESC LIMIT 3";
+    sess.execute(q).unwrap();
+    report_ns("driver/results_cache_hit", "execute", 5_000, 1.0, || {
+        assert!(sess.execute(q).unwrap().from_cache);
+    });
+
+    let scatter = |i: usize, domain: usize| (i.wrapping_mul(2_654_435_761) % domain) as i32;
+    let int_batch = |rows: usize, domain: usize| {
+        let col = ColumnVector::Int((0..rows).map(|i| scatter(i, domain)).collect(), None);
+        VectorBatch::new(Schema::new(vec![Field::new("k", DataType::Int)]), vec![col]).unwrap()
+    };
+    let build = int_batch(5_000, 1_500);
+    report_ns(
+        "reducer/bloom_build_int_5000",
+        "build row",
+        200,
+        5_000.0,
+        || {
+            let built = hive_exec::join::build_runtime_filter_sized(&build, 0, Some(1_500));
+            std::hint::black_box(built);
+        },
+    );
+    let (min, max, bloom) =
+        hive_exec::join::build_runtime_filter_sized(&build, 0, Some(1_500)).unwrap();
+    let reducer = ColumnPredicate::BloomRange {
+        column: 0,
+        min,
+        max,
+        bloom,
+    };
+    // Two rows in three fall outside the build's range.
+    let probe = int_batch(300_000, 4_500);
+    report_ns("reducer/row_check_int_300k", "row", 10, 300_000.0, || {
+        let mut positions: Vec<u32> = (0..300_000).collect();
+        reducer.retain_matching(probe.column(0), &mut positions, |p| p as usize);
+        std::hint::black_box(positions);
+    });
+}
+
 criterion_group!(
     benches,
     bench_corc,
@@ -611,6 +680,7 @@ criterion_group!(
     bench_frontend,
     bench_optimize_loaded,
     bench_cold_read_path,
-    bench_hash_keys
+    bench_hash_keys,
+    bench_fixed_costs
 );
 criterion_main!(benches);

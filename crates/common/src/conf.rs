@@ -6,6 +6,7 @@
 //! cache, CBO, vectorization).
 
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
 /// Which release of the system to emulate.
 ///
@@ -251,9 +252,14 @@ impl HiveConf {
         if requested > 0 {
             return requested;
         }
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
+        // Asked once per process: the answer reads cgroup files (tens of
+        // microseconds) and every scan, join and aggregate asks.
+        static HOST_CORES: OnceLock<usize> = OnceLock::new();
+        *HOST_CORES.get_or_init(|| {
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
+        })
     }
 
     /// Resolve [`HiveConf::dictionary_enabled`]: the `HIVE_DICT_ENABLED`

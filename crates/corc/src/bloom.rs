@@ -3,6 +3,7 @@
 
 use crate::encoding::{ByteReader, ByteWriter};
 use hive_common::{Result, Value};
+use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 
 /// A classic Bloom filter with double hashing.
@@ -29,41 +30,71 @@ impl BloomFilter {
         }
     }
 
-    fn base_hashes(v: &Value) -> (u64, u64) {
-        // Two independent hash streams via seeded SipHash-like mixing of
-        // the default hasher output.
-        let mut h1 = std::collections::hash_map::DefaultHasher::new();
-        v.hash_value(&mut h1);
-        let a = h1.finish();
-        let mut h2 = std::collections::hash_map::DefaultHasher::new();
+    /// Two hash streams over whatever `feed` writes: the default hasher
+    /// plain, and seeded.
+    fn base_hashes(feed: impl Fn(&mut DefaultHasher)) -> (u64, u64) {
+        let mut h1 = DefaultHasher::new();
+        feed(&mut h1);
+        let mut h2 = DefaultHasher::new();
         0x9e37_79b9_7f4a_7c15u64.hash(&mut h2);
-        v.hash_value(&mut h2);
-        let b = h2.finish() | 1; // odd so strides cover the table
-        (a, b)
+        feed(&mut h2);
+        (h1.finish(), h2.finish() | 1) // odd so strides cover the table
+    }
+
+    fn bit(&self, a: u64, b: u64, i: u32) -> (usize, u64) {
+        let bit = a.wrapping_add(b.wrapping_mul(i as u64)) % self.num_bits;
+        ((bit / 64) as usize, 1 << (bit % 64))
+    }
+
+    fn set(&mut self, feed: impl Fn(&mut DefaultHasher)) {
+        let (a, b) = Self::base_hashes(feed);
+        for i in 0..self.num_hashes {
+            let (word, mask) = self.bit(a, b, i);
+            self.bits[word] |= mask;
+        }
+    }
+
+    fn test(&self, feed: impl Fn(&mut DefaultHasher)) -> bool {
+        let (a, b) = Self::base_hashes(feed);
+        (0..self.num_hashes).all(|i| {
+            let (word, mask) = self.bit(a, b, i);
+            self.bits[word] & mask != 0
+        })
     }
 
     /// Insert a value (NULLs are ignored; NULL never matches `=`).
     pub fn insert(&mut self, v: &Value) {
-        if v.is_null() {
-            return;
-        }
-        let (a, b) = Self::base_hashes(v);
-        for i in 0..self.num_hashes {
-            let bit = a.wrapping_add(b.wrapping_mul(i as u64)) % self.num_bits;
-            self.bits[(bit / 64) as usize] |= 1 << (bit % 64);
+        if !v.is_null() {
+            self.set(|h| v.hash_value(h));
         }
     }
 
     /// Possibly-contains test; `false` is definitive.
     pub fn might_contain(&self, v: &Value) -> bool {
-        if v.is_null() {
-            return false;
-        }
-        let (a, b) = Self::base_hashes(v);
-        (0..self.num_hashes).all(|i| {
-            let bit = a.wrapping_add(b.wrapping_mul(i as u64)) % self.num_bits;
-            self.bits[(bit / 64) as usize] >> (bit % 64) & 1 == 1
-        })
+        !v.is_null() && self.test(|h| v.hash_value(h))
+    }
+
+    /// [`BloomFilter::insert`] of the INT, BIGINT, DATE or TIMESTAMP
+    /// value with this number — they all hash as it ([`Value::hash_value`])
+    /// — without building the `Value`.
+    pub fn insert_i64(&mut self, v: i64) {
+        self.set(|h| v.hash(h));
+    }
+
+    /// [`BloomFilter::might_contain`], as [`BloomFilter::insert_i64`].
+    pub fn might_contain_i64(&self, v: i64) -> bool {
+        self.test(|h| v.hash(h))
+    }
+
+    /// [`BloomFilter::insert`] of the STRING value `s`, without building
+    /// the `Value`.
+    pub fn insert_str(&mut self, s: &str) {
+        self.set(|h| s.hash(h));
+    }
+
+    /// [`BloomFilter::might_contain`], as [`BloomFilter::insert_str`].
+    pub fn might_contain_str(&self, s: &str) -> bool {
+        self.test(|h| s.hash(h))
     }
 
     /// Merge another filter built with identical parameters.
@@ -109,6 +140,34 @@ impl BloomFilter {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn typed_inserts_and_probes_are_the_value_ones() {
+        let mut by_value = BloomFilter::new(64, 0.01);
+        let mut typed = BloomFilter::new(64, 0.01);
+        for n in [-7i64, 0, 3, 1 << 40] {
+            by_value.insert(&Value::BigInt(n));
+            typed.insert_i64(n);
+        }
+        by_value.insert(&Value::Int(11));
+        by_value.insert(&Value::Date(12));
+        by_value.insert(&Value::Timestamp(13));
+        by_value.insert(&Value::String("brand #4".into()));
+        (11..=13).for_each(|n| typed.insert_i64(n));
+        typed.insert_str("brand #4");
+        assert_eq!(by_value, typed);
+        for n in -50i64..50 {
+            assert_eq!(
+                typed.might_contain_i64(n),
+                by_value.might_contain(&Value::Int(n as i32))
+            );
+            let s = format!("brand #{n}");
+            assert_eq!(
+                typed.might_contain_str(&s),
+                by_value.might_contain(&Value::String(s))
+            );
+        }
+    }
 
     #[test]
     fn no_false_negatives() {

@@ -4,7 +4,7 @@
 
 use crate::bloom::BloomFilter;
 use crate::stats::ColumnStatistics;
-use hive_common::Value;
+use hive_common::{BitSet, ColumnVector, Value};
 use std::cmp::Ordering;
 use std::fmt;
 
@@ -196,6 +196,78 @@ impl ColumnPredicate {
                     && bloom.might_contain(v)
             }
         }
+    }
+
+    /// Keep the `positions` whose row of `col` passes
+    /// [`ColumnPredicate::matches_value`] (`row_of` maps a position to
+    /// its row). A [`ColumnPredicate::BloomRange`] — the runtime
+    /// semijoin reducer — over an INT, BIGINT, DATE or dictionary column
+    /// is decided from the typed slice: range first, then the same Bloom
+    /// hashes, no `Value` per row, one verdict per dictionary entry.
+    /// Everything else takes the `Value` path; the answers are the same.
+    pub fn retain_matching(
+        &self,
+        col: &ColumnVector,
+        positions: &mut Vec<u32>,
+        row_of: impl Fn(u32) -> usize,
+    ) {
+        if let ColumnPredicate::BloomRange {
+            min, max, bloom, ..
+        } = self
+        {
+            let is_null = |nulls: &Option<BitSet>, row| nulls.as_ref().is_some_and(|n| n.get(row));
+            // INT and BIGINT compare with either as the `i64` they hash as.
+            let int = |v: &Value| match v {
+                Value::Int(x) => Some(*x as i64),
+                Value::BigInt(x) => Some(*x),
+                _ => None,
+            };
+            let in_i64 =
+                |lo: i64, hi: i64, x: i64| lo <= x && x <= hi && bloom.might_contain_i64(x);
+            match (col, int(min), int(max), min, max) {
+                (ColumnVector::Int(vals, nulls), Some(lo), Some(hi), ..) => {
+                    return positions.retain(|&p| {
+                        let row = row_of(p);
+                        !is_null(nulls, row) && in_i64(lo, hi, vals[row] as i64)
+                    });
+                }
+                (ColumnVector::BigInt(vals, nulls), Some(lo), Some(hi), ..) => {
+                    return positions.retain(|&p| {
+                        let row = row_of(p);
+                        !is_null(nulls, row) && in_i64(lo, hi, vals[row])
+                    });
+                }
+                (ColumnVector::Date(vals, nulls), _, _, Value::Date(lo), Value::Date(hi)) => {
+                    return positions.retain(|&p| {
+                        let row = row_of(p);
+                        !is_null(nulls, row) && in_i64(*lo as i64, *hi as i64, vals[row] as i64)
+                    });
+                }
+                (
+                    ColumnVector::Dict { codes, dict, nulls },
+                    _,
+                    _,
+                    Value::String(lo),
+                    Value::String(hi),
+                ) => {
+                    // Per dictionary entry, decided when first met.
+                    let mut verdicts: Vec<Option<bool>> = vec![None; dict.len()];
+                    return positions.retain(|&p| {
+                        let row = row_of(p);
+                        if is_null(nulls, row) {
+                            return false;
+                        }
+                        let code = codes[row] as usize;
+                        *verdicts[code].get_or_insert_with(|| {
+                            let s = dict[code].as_str();
+                            lo.as_str() <= s && s <= hi.as_str() && bloom.might_contain_str(s)
+                        })
+                    });
+                }
+                _ => {}
+            }
+        }
+        positions.retain(|&p| self.matches_value(&col.get(row_of(p))));
     }
 }
 

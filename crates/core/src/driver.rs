@@ -3,7 +3,7 @@
 //! re-optimization, and the DML/DDL implementations.
 
 use crate::mv;
-use crate::results_cache::CacheOutcome;
+use crate::results_cache::{CacheOutcome, CachedResult, QueryResultsCache};
 use crate::session::{QueryResult, Session};
 use hive_acid::writer::record_id_at;
 use hive_acid::{resolve_snapshot, AcidScan, AcidWriter, Compactor};
@@ -17,7 +17,7 @@ use hive_exec::{execute_sel as exec_plan_sel, ExecContext, NodeTrace, SnapshotPr
 use hive_llap::TriggerVerdict;
 use hive_metastore::{
     CompactionKind, CompactionState, LockKey, LockMode, Metastore, Table, TableBuilder, TableStats,
-    TableType, ValidTxnList, ValidWriteIdList,
+    TableType, TableVersion, ValidTxnList, ValidWriteIdList,
 };
 use hive_optimizer::fingerprint::fingerprint;
 use hive_optimizer::plan::LogicalPlan;
@@ -27,6 +27,14 @@ use hive_optimizer::{
 use hive_sql as ast;
 use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::sync::Arc;
+
+#[cfg(test)]
+thread_local! {
+    /// How often this thread entered [`Session::optimize_analyzed`]: what
+    /// lets a test say "a results-cache hit does not plan" without a clock.
+    pub(crate) static OPTIMIZE_CALLS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
 
 /// Per-query snapshot provider: one ValidTxnList captured at query
 /// start, narrowed per table on demand and memoized (the paper's
@@ -79,6 +87,27 @@ struct Executed {
     trace: NodeTrace,
     reexecuted: bool,
     peak_memory_bytes: u64,
+}
+
+/// A results-cache claim that is given back when dropped unfilled, so no
+/// error path out of a SELECT leaves identical queries waiting on it.
+struct Claim<'a> {
+    cache: &'a QueryResultsCache,
+    key: u64,
+}
+
+impl Claim<'_> {
+    fn fill(self, result: CachedResult, snapshot: Vec<(String, TableVersion)>) {
+        self.cache.fill(self.key, result, snapshot);
+        // Filled is settled: the key may already be someone else's claim.
+        std::mem::forget(self);
+    }
+}
+
+impl Drop for Claim<'_> {
+    fn drop(&mut self) {
+        self.cache.abandon(self.key);
+    }
 }
 
 /// An open transaction that aborts when dropped uncommitted, so no
@@ -351,9 +380,14 @@ impl Session {
         conf: &HiveConf,
         extra: &HashMap<String, u64>,
     ) -> Result<Planned> {
+        self.optimize_analyzed(self.analyze_query(q)?, conf, extra)
+    }
+
+    /// Resolve a query against the session catalog: the plan the results
+    /// cache is keyed on and the optimizer starts from.
+    pub(crate) fn analyze_query(&self, q: &ast::Query) -> Result<LogicalPlan> {
         let cat = MetastoreCatalog::new(self.server.metastore().clone(), self.current_db());
-        let analyzed = Analyzer::new(&cat).analyze_query(q)?;
-        self.optimize_analyzed(analyzed, conf, extra)
+        Analyzer::new(&cat).analyze_query(q)
     }
 
     /// Optimize an analyzed plan — a query's or a DML statement's — under
@@ -364,13 +398,15 @@ impl Session {
         conf: &HiveConf,
         extra: &HashMap<String, u64>,
     ) -> Result<Planned> {
+        #[cfg(test)]
+        OPTIMIZE_CALLS.with(|n| n.set(n.get() + 1));
         let usable_views = if conf.mv_rewriting {
             mv::usable_views(self)?
         } else {
             vec![]
         };
         let before_fp = fingerprint(&analyzed);
-        let analyzed_fp = hive_optimizer::fingerprint::fingerprint_hex(&analyzed);
+        let analyzed_fp = format!("{before_fp:016x}");
         let mut feedback: HashMap<String, u64> = self
             .server
             .metastore()
@@ -441,66 +477,80 @@ impl Session {
         }
     }
 
-    /// The post-admission SELECT path (results cache → execute with
-    /// re-optimization). `pool_fraction` scales the per-query memory
-    /// budget; the serving layer calls this directly with a slot it
-    /// manages on its own timeline.
+    /// The post-admission SELECT path (analyze → results cache → optimize
+    /// → execute with re-optimization). `pool_fraction` scales the
+    /// per-query memory budget; the serving layer calls this directly
+    /// with a slot it manages on its own timeline.
     pub(crate) fn run_select_admitted(
         &self,
         q: &ast::Query,
         conf: &HiveConf,
         pool_fraction: f64,
     ) -> Result<QueryResult> {
-        let planned = self.plan_query_fb(q, conf, &HashMap::new())?;
-        let (plan, used_mv) = (&planned.plan, planned.used_mv);
-        // Results cache probe (§4.3): deterministic queries only.
-        let cacheable = conf.results_cache && plan_is_deterministic(plan);
-        let key = fingerprint(plan);
-        let mut claimed = false;
-        if cacheable {
-            match self
-                .server
-                .results_cache()
-                .probe(key, |t| self.server.metastore().table_write_hwm(t))
-            {
-                CacheOutcome::Hit(batch) | CacheOutcome::HitAfterWait(batch) => {
+        let analyzed = self.analyze_query(q)?;
+        let ms = self.server.metastore();
+        let cache = self.server.results_cache();
+        // Results cache probe (§4.3), in front of the planner: keyed on
+        // the analyzed query, so a hit costs parse + analyze + one
+        // fetch. Deterministic queries only.
+        let key = results_cache_key(&analyzed, conf);
+        let mut claim = None;
+        if conf.results_cache && plan_is_deterministic(&analyzed) {
+            match cache.probe(key, |t| ms.table_version(t)) {
+                CacheOutcome::Hit(hit) => {
                     return Ok(QueryResult {
-                        batch,
+                        batch: hit.batch,
                         sim_ms: 2.0, // single fetch task (§4.3)
                         from_cache: true,
-                        used_mv,
+                        used_mv: hit.used_mv,
                         ..QueryResult::empty()
                     });
                 }
-                CacheOutcome::MissClaimed => claimed = true,
+                CacheOutcome::MissClaimed => claim = Some(Claim { cache, key }),
             }
         }
+        // What the entry will be valid against, first half: every table
+        // the query names, as it is *before* planning looks at anything.
+        // A write that commits from here on leaves the entry stale,
+        // never wrong — and one that committed earlier is in front of
+        // the planner's own view-freshness checks, below.
+        let versions = |tables: &[String]| -> Vec<(String, TableVersion)> {
+            let of = |t: &String| (t.clone(), ms.table_version(t));
+            tables.iter().map(of).collect()
+        };
+        let named = analyzed.referenced_tables();
+        let mut snapshot = claim.as_ref().map_or_else(Vec::new, |_| versions(&named));
+        let planned = self.optimize_analyzed(analyzed, conf, &HashMap::new())?;
+        // A result read from a view that is behind its sources is good
+        // for the view's staleness window, not for as long as nothing
+        // changes: it is not cached. (Read after the snapshot: a source
+        // write this misses is one the snapshot predates.)
+        if planned.used_mv && mv::reads_stale_view(ms, &planned.plan) {
+            claim = None;
+        }
+        // Second half: the tables only the plan reads (a view the
+        // rewriter chose, so a rebuild invalidates), before the read.
+        let claim = claim.map(|claim| {
+            let mut chosen = planned.plan.referenced_tables();
+            chosen.retain(|t| !named.contains(t));
+            snapshot.extend(versions(&chosen));
+            (claim, snapshot)
+        });
         let replan = |extra: &HashMap<String, u64>| self.plan_query_fb(q, conf, extra);
-        let outcome = self.execute_plan_with_retry(&replan, &planned, conf, pool_fraction, None);
-        match outcome {
-            Ok(executed) => {
-                if claimed {
-                    let snapshot = plan
-                        .referenced_tables()
-                        .iter()
-                        .map(|t| (t.clone(), self.server.metastore().table_write_hwm(t)))
-                        .collect();
-                    self.server
-                        .results_cache()
-                        .fill(key, executed.batch.clone(), snapshot);
-                }
-                Ok(QueryResult {
-                    used_mv,
-                    ..self.traced_result(executed, conf)
-                })
-            }
-            Err(e) => {
-                if claimed {
-                    self.server.results_cache().abandon(key);
-                }
-                Err(e)
-            }
+        let executed =
+            self.execute_plan_with_retry(&replan, &planned, conf, pool_fraction, None)?;
+        let used_mv = planned.used_mv;
+        if let Some((claim, snapshot)) = claim {
+            let result = CachedResult {
+                batch: executed.batch.clone(),
+                used_mv,
+            };
+            claim.fill(result, snapshot);
         }
+        Ok(QueryResult {
+            used_mv,
+            ..self.traced_result(executed, conf)
+        })
     }
 
     /// The result of an executed plan, its counters summed out of the
@@ -995,7 +1045,7 @@ impl Session {
         let conf = self.server.conf();
         let txn = TxnGuard::begin(self.server.metastore());
         let mut total = 0u64;
-        let mut tables: Vec<Table> = Vec::new();
+        let mut tables: Vec<Arc<Table>> = Vec::new();
         for leg in &mi.inserts {
             // Each leg is SELECT <projection> FROM <source> WHERE <filter>.
             let q = ast::Query::simple(ast::QueryBody::Select(Box::new(ast::Select {
@@ -1479,11 +1529,8 @@ fn rows_by_partition(
 }
 
 fn is_mv_table(ms: &Metastore, qualified: &str) -> bool {
-    qualified
-        .split_once('.')
-        .and_then(|(db, t)| ms.get_table(db, t).ok())
-        .map(|t| t.table_type == TableType::MaterializedView)
-        .unwrap_or(false)
+    ms.get_table_qualified(qualified)
+        .is_some_and(|t| t.table_type == TableType::MaterializedView)
 }
 
 fn convert_constraint(c: &ast::TableConstraintDef) -> hive_metastore::Constraint {
@@ -1501,6 +1548,19 @@ fn convert_constraint(c: &ast::TableConstraintDef) -> hive_metastore::Constraint
             ref_columns: ref_columns.clone(),
         },
         ast::TableConstraintDef::Unique(cols) => hive_metastore::Constraint::Unique(cols.clone()),
+    }
+}
+
+/// The results-cache key of an analyzed query: its fingerprint — table
+/// references resolved, so one text under two current databases is two
+/// keys — mixed with the one switch that changes which stored data may
+/// answer it.
+fn results_cache_key(analyzed: &LogicalPlan, conf: &HiveConf) -> u64 {
+    let fp = fingerprint(analyzed);
+    if conf.mv_rewriting {
+        fp.rotate_left(1) ^ 0x9E37_79B9_7F4A_7C15
+    } else {
+        fp
     }
 }
 

@@ -12,6 +12,8 @@
 //!   (reoptimization on retryable failure) → results
 //! ```
 
+#[cfg(test)]
+mod cache_position_tests;
 pub mod driver;
 pub mod mv;
 pub mod results_cache;
@@ -19,7 +21,7 @@ pub mod server;
 pub mod serving;
 pub mod session;
 
-pub use results_cache::{CacheOutcome, QueryResultsCache};
+pub use results_cache::{CacheOutcome, CachedResult, QueryResultsCache};
 pub use server::HiveServer;
 pub use serving::{
     run_streams, QueryOutcome, QueryStream, QueryVerdict, ServingOptions, ServingReport,

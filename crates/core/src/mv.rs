@@ -6,7 +6,7 @@ use crate::driver::QuerySnapshots;
 use crate::session::{QueryResult, Session};
 use hive_common::{HiveError, Result, VectorBatch};
 use hive_dfs::DfsPath;
-use hive_metastore::{MaterializedViewInfo, TableBuilder, TableType};
+use hive_metastore::{MaterializedViewInfo, Metastore, TableBuilder, TableType};
 use hive_optimizer::mv_rewrite::UsableView;
 use hive_optimizer::plan::LogicalPlan;
 use hive_optimizer::{Analyzer, MetastoreCatalog};
@@ -49,10 +49,7 @@ pub(crate) fn create_view(
     let (plan, _) = session.plan_query(&cmv.query, &conf)?;
     let (batch, _) = session.execute_plan(&plan, &conf)?;
     let sources = plan.referenced_tables();
-    let snapshots: BTreeMap<String, u64> = sources
-        .iter()
-        .map(|t| (t.clone(), ms.table_write_hwm(t).raw()))
-        .collect();
+    let (snapshots, incarnations) = source_versions(ms, &sources);
     let staleness = cmv
         .properties
         .iter()
@@ -62,6 +59,7 @@ pub(crate) fn create_view(
         definition: render_query(&cmv.query),
         source_tables: sources.clone(),
         source_snapshots: snapshots,
+        source_incarnations: incarnations,
         last_rebuild_millis: now_millis(),
         staleness_window_millis: staleness,
         rewrite_enabled: true,
@@ -144,10 +142,14 @@ pub(crate) fn rebuild(session: &Session, name: &ast::ObjectName) -> Result<Query
     let (plan, _) = session.plan_query(&q, &conf)?;
 
     // Incremental eligibility: SPJ definition + insert-only source
-    // changes (no delete deltas past the recorded snapshot).
+    // changes (no delete deltas past the recorded snapshot) to the
+    // tables the snapshot was taken of — a re-created source shares
+    // nothing with the rows the view holds.
     let is_spj = !plan_has_aggregate(&plan);
-    let insert_only = sources_insert_only(session, &info)?;
-    let incremental = is_spj && insert_only && table.storage_handler.is_none();
+    let incremental = is_spj
+        && table.storage_handler.is_none()
+        && freshness(ms, &info) != Freshness::Orphaned
+        && sources_insert_only(session, &info)?;
 
     let mode;
     if incremental {
@@ -180,16 +182,13 @@ pub(crate) fn rebuild(session: &Session, name: &ast::ObjectName) -> Result<Query
         ms.set_table_stats(&table.qualified_name(), stats);
     }
     // Refresh the snapshot metadata.
-    let snapshots: BTreeMap<String, u64> = info
-        .source_tables
-        .iter()
-        .map(|t| (t.clone(), ms.table_write_hwm(t).raw()))
-        .collect();
+    let (snapshots, incarnations) = source_versions(ms, &info.source_tables);
     ms.update_mv_info(
         &db,
         &name.name,
         MaterializedViewInfo {
             source_snapshots: snapshots,
+            source_incarnations: incarnations,
             last_rebuild_millis: now_millis(),
             ..info
         },
@@ -285,8 +284,61 @@ fn sources_insert_only(session: &Session, info: &MaterializedViewInfo) -> Result
     Ok(true)
 }
 
+/// The sources' current WriteId high watermarks and incarnations: what
+/// a (re)build records as the state its contents reflect.
+fn source_versions(
+    ms: &Metastore,
+    sources: &[String],
+) -> (BTreeMap<String, u64>, BTreeMap<String, u64>) {
+    sources
+        .iter()
+        .map(|t| {
+            let v = ms.table_version(t);
+            ((t.clone(), v.hwm.raw()), (t.clone(), v.incarnation))
+        })
+        .unzip()
+}
+
+/// How a view's contents stand to its sources as they are now.
+#[derive(Debug, PartialEq, Eq)]
+enum Freshness {
+    /// Nothing was written to any source since the last (re)build.
+    Fresh,
+    /// Sources gained writes: usable inside the staleness window only.
+    Behind,
+    /// A source was dropped, or dropped and re-created: the contents
+    /// describe a table that no longer exists, whatever the WriteId
+    /// counters (kept per name, across the drop) say.
+    Orphaned,
+}
+
+fn freshness(ms: &Metastore, info: &MaterializedViewInfo) -> Freshness {
+    let mut state = Freshness::Fresh;
+    for t in &info.source_tables {
+        let now = ms.table_version(t);
+        if now.incarnation != info.source_incarnations.get(t).copied().unwrap_or(0) {
+            return Freshness::Orphaned;
+        }
+        if now.hwm.raw() != info.source_snapshots.get(t).copied().unwrap_or(0) {
+            state = Freshness::Behind;
+        }
+    }
+    state
+}
+
+/// Does `plan` read a materialized view that is not fresh? (What such a
+/// plan returns is good for the view's staleness window only.)
+pub(crate) fn reads_stale_view(ms: &Metastore, plan: &LogicalPlan) -> bool {
+    plan.referenced_tables().iter().any(|t| {
+        ms.get_table_qualified(t)
+            .and_then(|table| table.mv_info.as_ref().map(|i| freshness(ms, i)))
+            .is_some_and(|f| f != Freshness::Fresh)
+    })
+}
+
 /// Views usable for rewriting under the current state: fresh views, plus
-/// stale views still inside their declared staleness window.
+/// views behind their sources but still inside their declared staleness
+/// window.
 pub(crate) fn usable_views(session: &Session) -> Result<Vec<UsableView>> {
     let ms = session.server.metastore();
     let mut out = Vec::new();
@@ -294,22 +346,20 @@ pub(crate) fn usable_views(session: &Session) -> Result<Vec<UsableView>> {
         let Some(info) = &table.mv_info else {
             continue;
         };
-        let fresh = info.source_tables.iter().all(|t| {
-            ms.table_write_hwm(t).raw() == info.source_snapshots.get(t).copied().unwrap_or(0)
-        });
-        let within_window = info
-            .staleness_window_millis
-            .is_some_and(|w| now_millis().saturating_sub(info.last_rebuild_millis) <= w);
-        if !(fresh || within_window) {
+        let usable = match freshness(ms, info) {
+            Freshness::Fresh => true,
+            Freshness::Behind => info
+                .staleness_window_millis
+                .is_some_and(|w| now_millis().saturating_sub(info.last_rebuild_millis) <= w),
+            Freshness::Orphaned => false,
+        };
+        if !usable {
             continue;
         }
         let Some(plan) = definition_plan(session, &table, info) else {
             continue;
         };
-        out.push(UsableView {
-            table: table.clone(),
-            plan,
-        });
+        out.push(UsableView { table, plan });
     }
     Ok(out)
 }
@@ -647,7 +697,13 @@ mod tests {
     /// analyzed against a dropped table is never offered.
     #[test]
     fn definition_plan_follows_ddl_not_data() {
-        let server = HiveServer::new(HiveConf::v3_1());
+        for results_cache in [true, false] {
+            definition_plan_follows_ddl_not_data_with(results_cache);
+        }
+    }
+
+    fn definition_plan_follows_ddl_not_data_with(results_cache: bool) {
+        let server = HiveServer::new(HiveConf::v3_1().with(|c| c.results_cache = results_cache));
         let sess = server.session();
         sess.execute("CREATE TABLE base_t (k INT, v INT)").unwrap();
         let vals: Vec<String> = (0..200).map(|i| format!("({}, 1)", i % 2 + 1)).collect();
@@ -668,7 +724,8 @@ mod tests {
             usable_views(&sess).unwrap().is_empty(),
             "stale view offered"
         );
-        assert!(!sess.execute(q).unwrap().used_mv);
+        let over_base = sess.execute(q).unwrap();
+        assert!(!over_base.used_mv && !over_base.from_cache);
         sess.execute("ALTER MATERIALIZED VIEW mv_sum REBUILD")
             .unwrap();
         let rebuilt = usable_views(&sess).unwrap().remove(0).plan;
@@ -676,7 +733,18 @@ mod tests {
             Arc::ptr_eq(&first, &rebuilt),
             "data changes re-derived the plan"
         );
-        assert!(sess.execute(q).unwrap().used_mv);
+        // The planner would choose the rebuilt view again; with the
+        // results cache on it is not asked — the base table's rows did
+        // not change, and the hit reports the run that computed them.
+        let r = sess.execute(q).unwrap();
+        assert_eq!((r.from_cache, r.used_mv), (results_cache, !results_cache));
+        let sorted = |r: &crate::QueryResult| {
+            let mut rows = r.display_rows();
+            rows.sort();
+            rows
+        };
+        assert_eq!(sorted(&r), vec!["1\t105", "2\t100"]);
+        assert_eq!(sorted(&r), sorted(&over_base));
 
         // The source comes back with another schema: the text no longer
         // binds, and the plan analyzed before the DDL must be gone.

@@ -227,32 +227,49 @@ fn materialized_view_rewriting_paper_figure4() {
 
 #[test]
 fn stale_mv_not_used_until_rebuilt() {
-    let s = server();
-    let sess = s.session();
-    sess.execute("CREATE TABLE base_t (k INT, v INT)").unwrap();
-    // Enough rows that the cost-based optimizer prefers the (smaller)
-    // materialization over recomputation.
-    let vals: Vec<String> = (0..200).map(|i| format!("({}, 1)", i % 2 + 1)).collect();
-    sess.execute(&format!("INSERT INTO base_t VALUES {}", vals.join(", ")))
+    for results_cache in [true, false] {
+        let s = server();
+        s.set_conf(|c| c.results_cache = results_cache);
+        let sess = s.session();
+        sess.execute("CREATE TABLE base_t (k INT, v INT)").unwrap();
+        // Enough rows that the cost-based optimizer prefers the (smaller)
+        // materialization over recomputation.
+        let vals: Vec<String> = (0..200).map(|i| format!("({}, 1)", i % 2 + 1)).collect();
+        sess.execute(&format!("INSERT INTO base_t VALUES {}", vals.join(", ")))
+            .unwrap();
+        sess.execute(
+            "CREATE MATERIALIZED VIEW mv_sum AS
+             SELECT k, SUM(v) AS s FROM base_t GROUP BY k",
+        )
         .unwrap();
-    sess.execute(
-        "CREATE MATERIALIZED VIEW mv_sum AS
-         SELECT k, SUM(v) AS s FROM base_t GROUP BY k",
-    )
-    .unwrap();
-    let q = "SELECT k, SUM(v) AS s FROM base_t GROUP BY k ORDER BY k";
-    assert!(sess.execute(q).unwrap().used_mv);
-    // New data → stale → not used, and results stay correct.
-    sess.execute("INSERT INTO base_t VALUES (1, 5)").unwrap();
-    let r = sess.execute(q).unwrap();
-    assert!(!r.used_mv, "stale view must not answer queries");
-    assert_eq!(r.display_rows(), vec!["1\t105", "2\t100"]);
-    // Rebuild refreshes it.
-    sess.execute("ALTER MATERIALIZED VIEW mv_sum REBUILD")
-        .unwrap();
-    let r = sess.execute(q).unwrap();
-    assert!(r.used_mv);
-    assert_eq!(r.display_rows(), vec!["1\t105", "2\t100"]);
+        let q = "SELECT k, SUM(v) AS s FROM base_t GROUP BY k ORDER BY k";
+        assert!(sess.execute(q).unwrap().used_mv);
+        // New data → stale → not used, and results stay correct.
+        sess.execute("INSERT INTO base_t VALUES (1, 5)").unwrap();
+        let r = sess.execute(q).unwrap();
+        assert!(!r.used_mv, "stale view must not answer queries");
+        assert!(!r.from_cache, "an entry outlived a write to its table");
+        assert_eq!(r.display_rows(), vec!["1\t105", "2\t100"]);
+        // Rebuild refreshes it. The rows the stale-view query computed
+        // from the base table are still that table's rows, so with the
+        // results cache on they answer — in front of the planner,
+        // reporting the `used_mv` of the run that filled the entry. With
+        // it off the planner is asked, and chooses the view again.
+        sess.execute("ALTER MATERIALIZED VIEW mv_sum REBUILD")
+            .unwrap();
+        let r = sess.execute(q).unwrap();
+        assert_eq!(r.from_cache, results_cache);
+        assert_eq!(r.used_mv, !results_cache, "cache={results_cache}");
+        assert_eq!(r.display_rows(), vec!["1\t105", "2\t100"]);
+        // Either way the rebuilt view holds the new sums, and the next
+        // write to the base table ends the cached answer with it.
+        let direct = sess.execute("SELECT k, s FROM mv_sum ORDER BY k").unwrap();
+        assert_eq!(direct.display_rows(), vec!["1\t105", "2\t100"]);
+        sess.execute("INSERT INTO base_t VALUES (2, 7)").unwrap();
+        let r = sess.execute(q).unwrap();
+        assert!(!r.used_mv && !r.from_cache);
+        assert_eq!(r.display_rows(), vec!["1\t105", "2\t107"]);
+    }
 }
 
 #[test]

@@ -14,12 +14,13 @@ use crate::keys::{column_refs, route, JoinIndex, KeyCol, KeySide, RowKeys, MISS}
 use crate::pir::{PredPipeline, SelRef};
 use crate::spill::{partition_of, plan_partition, push_rec, RecIter, SpillCtx};
 use hive_common::{
-    ColumnVector, HiveError, Result, Schema, SelBatch, SelVec, Value, VectorBatch, NULL_INDEX,
+    BitSet, ColumnVector, HiveError, Result, Schema, SelBatch, SelVec, Value, VectorBatch,
+    NULL_INDEX,
 };
 use hive_optimizer::eval::eval_scalar;
 use hive_optimizer::plan::JoinType;
 use hive_optimizer::ScalarExpr;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -972,95 +973,96 @@ pub fn build_runtime_filter(
 }
 
 /// [`build_runtime_filter`] with an optimizer NDV hint. With a hint the
-/// Bloom bit array is sized for that many distinct keys up front and
-/// the build streams every non-NULL value straight in — no distinct-set
-/// materialization. Bloom inserts are idempotent, so membership matches
-/// the deduplicated build exactly; only the false-positive rate (never
-/// a join result — the reducer is a pre-filter) depends on the hint's
-/// accuracy. Without a hint, the original dedup-then-size build runs,
-/// preserving the constant-stats oracle byte-for-byte.
+/// Bloom bit array is sized for that many distinct keys up front;
+/// without one it is sized by the column's distinct non-NULL count (the
+/// constant-stats oracle). Either way every non-NULL value goes in —
+/// Bloom inserts are idempotent, so membership is that of a
+/// deduplicated build, and only the false-positive rate (never a join
+/// result — the reducer is a pre-filter) depends on the hint's accuracy.
+///
+/// INT, BIGINT and DATE columns are read as typed slices and dictionary
+/// columns through their code space — no `Value` per row, one insert per
+/// dictionary entry present — with the same hashes, hence the same bits,
+/// as the `Value` loop the remaining types take.
 pub fn build_runtime_filter_sized(
     values: &VectorBatch,
     key_col: usize,
     ndv_hint: Option<usize>,
 ) -> Option<(Value, Value, hive_corc::BloomFilter)> {
-    let col = values.column(key_col);
-    if let Some(hint) = ndv_hint {
-        let mut bloom = hive_corc::BloomFilter::new(hint.max(16), 0.01);
-        let mut min: Option<Value> = None;
-        let mut max: Option<Value> = None;
-        for i in 0..col.len() {
-            let v = col.get(i);
-            if v.is_null() {
-                continue;
+    match values.column(key_col) {
+        ColumnVector::Int(vals, nulls) => int_reducer(vals, nulls, ndv_hint, Value::Int),
+        ColumnVector::BigInt(vals, nulls) => int_reducer(vals, nulls, ndv_hint, Value::BigInt),
+        ColumnVector::Date(vals, nulls) => int_reducer(vals, nulls, ndv_hint, Value::Date),
+        ColumnVector::Dict { codes, dict, nulls } => {
+            let mut present = vec![false; dict.len()];
+            for (i, &c) in codes.iter().enumerate() {
+                if !nulls.as_ref().is_some_and(|n| n.get(i)) {
+                    present[c as usize] = true;
+                }
             }
-            bloom.insert(&v);
-            if min
-                .as_ref()
-                .is_none_or(|m| v.sql_cmp(m) == Some(std::cmp::Ordering::Less))
-            {
-                min = Some(v.clone());
-            }
-            if max
-                .as_ref()
-                .is_none_or(|m| v.sql_cmp(m) == Some(std::cmp::Ordering::Greater))
-            {
-                max = Some(v);
-            }
+            let strings = || {
+                dict.iter()
+                    .zip(&present)
+                    .filter(|(_, &p)| p)
+                    .map(|(s, _)| s.as_str())
+            };
+            // Duplicate dictionary entries are one distinct value.
+            let distinct = || strings().collect::<HashSet<_>>().len();
+            let mut bloom = reducer_bloom(ndv_hint.unwrap_or_else(distinct));
+            strings().for_each(|s| bloom.insert_str(s));
+            let (min, max) = (strings().min()?, strings().max()?);
+            Some((Value::String(min.into()), Value::String(max.into()), bloom))
         }
-        return Some((min?, max?, bloom));
+        col => {
+            let live = || (0..col.len()).map(|i| col.get(i)).filter(|v| !v.is_null());
+            let distinct = || live().collect::<HashSet<_>>().len();
+            let mut bloom = reducer_bloom(ndv_hint.unwrap_or_else(distinct));
+            let mut min: Option<Value> = None;
+            let mut max: Option<Value> = None;
+            for v in live() {
+                bloom.insert(&v);
+                if min
+                    .as_ref()
+                    .is_none_or(|m| v.sql_cmp(m) == Some(std::cmp::Ordering::Less))
+                {
+                    min = Some(v.clone());
+                }
+                if max
+                    .as_ref()
+                    .is_none_or(|m| v.sql_cmp(m) == Some(std::cmp::Ordering::Greater))
+                {
+                    max = Some(v);
+                }
+            }
+            Some((min?, max?, bloom))
+        }
     }
+}
 
-    // Pass 1: collect distinct non-NULL values.
-    let distinct: Vec<Value> = if let Some((codes, dict, nulls)) = col.dict_parts() {
-        // Dictionary path: mark the codes actually present, then emit
-        // each distinct *string* once (duplicate dictionary entries
-        // collapse through the set below).
-        let mut present = vec![false; dict.len()];
-        for (i, &c) in codes.iter().enumerate() {
-            if !nulls.is_some_and(|n| n.get(i)) {
-                present[c as usize] = true;
-            }
-        }
-        let mut seen = std::collections::HashSet::new();
-        dict.iter()
+/// A reducer's Bloom filter, sized for `expected` distinct keys.
+fn reducer_bloom(expected: usize) -> hive_corc::BloomFilter {
+    hive_corc::BloomFilter::new(expected.max(16), 0.01)
+}
+
+/// [`build_runtime_filter_sized`] over an integer-like column: min, max
+/// and Bloom inserts straight from the slice (`T` hashes as its `i64`,
+/// like the `Value` that `wrap` builds).
+fn int_reducer<T: Copy + Ord + std::hash::Hash + Into<i64>>(
+    vals: &[T],
+    nulls: &Option<BitSet>,
+    ndv_hint: Option<usize>,
+    wrap: fn(T) -> Value,
+) -> Option<(Value, Value, hive_corc::BloomFilter)> {
+    let live = || {
+        vals.iter()
             .enumerate()
-            .filter(|&(c, s)| present[c] && seen.insert(s.as_str()))
-            .map(|(_, s)| Value::String(s.clone()))
-            .collect()
-    } else {
-        let mut seen = std::collections::HashSet::new();
-        let mut out = Vec::new();
-        for i in 0..col.len() {
-            let v = col.get(i);
-            if !v.is_null() && seen.insert(v.clone()) {
-                out.push(v);
-            }
-        }
-        out
+            .filter(|(i, _)| !nulls.as_ref().is_some_and(|n| n.get(*i)))
+            .map(|(_, &v)| v)
     };
-
-    // Pass 2: one Bloom insert per distinct value, min/max over the
-    // distinct set.
-    let mut bloom = hive_corc::BloomFilter::new(distinct.len().max(16), 0.01);
-    let mut min: Option<Value> = None;
-    let mut max: Option<Value> = None;
-    for v in distinct {
-        bloom.insert(&v);
-        if min
-            .as_ref()
-            .is_none_or(|m| v.sql_cmp(m) == Some(std::cmp::Ordering::Less))
-        {
-            min = Some(v.clone());
-        }
-        if max
-            .as_ref()
-            .is_none_or(|m| v.sql_cmp(m) == Some(std::cmp::Ordering::Greater))
-        {
-            max = Some(v);
-        }
-    }
-    Some((min?, max?, bloom))
+    let distinct = || live().collect::<HashSet<_>>().len();
+    let mut bloom = reducer_bloom(ndv_hint.unwrap_or_else(distinct));
+    live().for_each(|v| bloom.insert_i64(v.into()));
+    Some((wrap(live().min()?), wrap(live().max()?), bloom))
 }
 
 #[cfg(test)]

@@ -20,7 +20,7 @@ pub mod join;
 pub mod kernels;
 pub mod keys;
 pub mod membroker;
-pub(crate) mod par;
+pub mod par;
 pub mod pir;
 pub mod rawtable;
 pub mod recovery;

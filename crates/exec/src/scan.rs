@@ -719,14 +719,12 @@ fn apply_reducer_row_checks(sb: SelBatch, extra_preds: &[ColumnPredicate]) -> Se
     if extra_preds.is_empty() {
         return sb;
     }
-    let positions: Vec<u32> = (0..sb.num_rows() as u32)
-        .filter(|&p| {
-            let row = sb.sel.index(p as usize);
-            extra_preds
-                .iter()
-                .all(|pr| pr.matches_value(&sb.batch.column(pr.column()).get(row)))
-        })
-        .collect();
+    let mut positions: Vec<u32> = (0..sb.num_rows() as u32).collect();
+    for pr in extra_preds {
+        pr.retain_matching(sb.batch.column(pr.column()), &mut positions, |p| {
+            sb.sel.index(p as usize)
+        });
+    }
     let sel = sb.sel.compose(&positions);
     SelBatch {
         batch: sb.batch,

@@ -4,6 +4,7 @@
 use hive_common::{Field, HiveError, Result, Schema, Value};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// How a table is managed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -54,6 +55,10 @@ pub struct MaterializedViewInfo {
     /// Per-source-table high-watermark WriteId captured at the last
     /// (re)build — the snapshot the MV contents reflect.
     pub source_snapshots: BTreeMap<String, u64>,
+    /// Per-source-table [`Table::incarnation`] at the last (re)build: a
+    /// mark in `source_snapshots` means something only for the creation
+    /// of the name it was taken from.
+    pub source_incarnations: BTreeMap<String, u64>,
     /// Wall-clock millis (UNIX epoch) of the last (re)build.
     pub last_rebuild_millis: u64,
     /// Allowed staleness window in millis; `None` means the view is only
@@ -91,6 +96,12 @@ pub struct Table {
     /// Materialized-view metadata (present iff `table_type` is
     /// `MaterializedView`).
     pub mv_info: Option<MaterializedViewInfo>,
+    /// Which creation of its name this table is: the catalog numbers
+    /// every `CREATE` it accepts, so a dropped-and-recreated table
+    /// differs from its predecessor here when nothing else does (WriteId
+    /// counters are kept per *name* and survive the drop). 0 until
+    /// registered.
+    pub incarnation: u64,
 }
 
 impl Table {
@@ -152,14 +163,18 @@ impl Table {
 pub struct Database {
     /// Database name.
     pub name: String,
-    /// Tables by (lower-case) name.
-    pub tables: BTreeMap<String, Table>,
+    /// Tables by (lower-case) name: published snapshots. Readers take
+    /// the `Arc`; mutators go through [`Catalog::table_mut`], which
+    /// copies only when a reader still holds the current snapshot.
+    pub tables: BTreeMap<String, Arc<Table>>,
 }
 
 /// The whole catalog.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Catalog {
     databases: BTreeMap<String, Database>,
+    /// Tables registered so far — the last [`Table::incarnation`] given.
+    creations: u64,
 }
 
 impl Default for Catalog {
@@ -179,7 +194,10 @@ impl Catalog {
                 tables: BTreeMap::new(),
             },
         );
-        Catalog { databases }
+        Catalog {
+            databases,
+            creations: 0,
+        }
     }
 
     /// Create a database.
@@ -224,8 +242,8 @@ impl Catalog {
             .ok_or_else(|| HiveError::Catalog(format!("database not found: {name}")))
     }
 
-    /// Register a table.
-    pub fn create_table(&mut self, table: Table) -> Result<()> {
+    /// Register a table, stamping its [`Table::incarnation`].
+    pub fn create_table(&mut self, mut table: Table) -> Result<()> {
         let db = self
             .databases
             .get_mut(&table.db)
@@ -236,12 +254,14 @@ impl Catalog {
                 table.qualified_name()
             )));
         }
-        db.tables.insert(table.name.clone(), table);
+        self.creations += 1;
+        table.incarnation = self.creations;
+        db.tables.insert(table.name.clone(), Arc::new(table));
         Ok(())
     }
 
     /// Remove a table, returning its metadata.
-    pub fn drop_table(&mut self, db: &str, name: &str) -> Result<Table> {
+    pub fn drop_table(&mut self, db: &str, name: &str) -> Result<Arc<Table>> {
         let dbl = db.to_ascii_lowercase();
         let namel = name.to_ascii_lowercase();
         let d = self
@@ -253,32 +273,35 @@ impl Catalog {
             .ok_or_else(|| HiveError::Catalog(format!("table not found: {db}.{name}")))
     }
 
-    /// Look up a table.
-    pub fn table(&self, db: &str, name: &str) -> Result<&Table> {
+    /// Look up a table's published snapshot.
+    pub fn table(&self, db: &str, name: &str) -> Result<&Arc<Table>> {
         self.database(db)?
             .tables
             .get(&name.to_ascii_lowercase())
             .ok_or_else(|| HiveError::Catalog(format!("table not found: {db}.{name}")))
     }
 
-    /// Mutable table lookup.
+    /// Mutable table lookup. Copy-on-write: in place when no reader
+    /// holds the current snapshot, on a private copy otherwise — a
+    /// snapshot a planner or scan holds never changes under it.
     pub fn table_mut(&mut self, db: &str, name: &str) -> Result<&mut Table> {
         self.databases
             .get_mut(&db.to_ascii_lowercase())
             .ok_or_else(|| HiveError::Catalog(format!("database not found: {db}")))?
             .tables
             .get_mut(&name.to_ascii_lowercase())
+            .map(Arc::make_mut)
             .ok_or_else(|| HiveError::Catalog(format!("table not found: {db}.{name}")))
     }
 
     /// All tables in a database.
-    pub fn tables_in(&self, db: &str) -> Result<Vec<&Table>> {
+    pub fn tables_in(&self, db: &str) -> Result<Vec<&Arc<Table>>> {
         Ok(self.database(db)?.tables.values().collect())
     }
 
     /// All materialized views across all databases whose rewriting is
     /// enabled (candidates for §4.4 rewriting).
-    pub fn rewrite_enabled_views(&self) -> Vec<&Table> {
+    pub fn rewrite_enabled_views(&self) -> Vec<&Arc<Table>> {
         self.databases
             .values()
             .flat_map(|d| d.tables.values())
@@ -315,6 +338,7 @@ impl TableBuilder {
                 location,
                 partitions: BTreeMap::new(),
                 mv_info: None,
+                incarnation: 0,
             },
         }
     }
@@ -394,6 +418,20 @@ mod tests {
     }
 
     #[test]
+    fn every_creation_of_a_name_is_a_new_incarnation() {
+        let mut c = Catalog::new();
+        c.create_table(sample_table()).unwrap();
+        let first = c.table("default", "store_sales").unwrap().incarnation;
+        assert_ne!(first, 0);
+        c.drop_table("default", "store_sales").unwrap();
+        c.create_table(sample_table()).unwrap();
+        assert_ne!(
+            c.table("default", "store_sales").unwrap().incarnation,
+            first
+        );
+    }
+
+    #[test]
     fn databases() {
         let mut c = Catalog::new();
         c.create_database("tpcds").unwrap();
@@ -433,6 +471,7 @@ mod tests {
             definition: "SELECT ...".into(),
             source_tables: vec!["default.store_sales".into()],
             source_snapshots: BTreeMap::new(),
+            source_incarnations: BTreeMap::new(),
             last_rebuild_millis: 0,
             staleness_window_millis: None,
             rewrite_enabled: true,

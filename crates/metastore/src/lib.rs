@@ -43,6 +43,6 @@ pub use compaction::{CompactionKind, CompactionRequest, CompactionState};
 pub use histogram::{join_selectivity, Bucket, ColumnHistogram};
 pub use hll::HyperLogLog;
 pub use locks::{LockKey, LockManager, LockMode};
-pub use metastore::Metastore;
+pub use metastore::{Metastore, TableVersion};
 pub use stats::{ColumnStatsMeta, TableStats};
 pub use txn::{TxnManager, TxnState, ValidTxnList, ValidWriteIdList};

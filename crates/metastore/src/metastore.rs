@@ -13,6 +13,19 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+/// What a snapshot of a table's *data* is valid against: which creation
+/// of the name it was taken from, and that creation's WriteId high
+/// watermark. Two equal versions of one name mean nothing was written,
+/// and nothing dropped and re-created, in between — what the results
+/// cache and materialized-view freshness both ask.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TableVersion {
+    /// [`Table::incarnation`]; 0 when the table does not exist.
+    pub incarnation: u64,
+    /// [`Metastore::table_write_hwm`].
+    pub hwm: WriteId,
+}
+
 /// The Hive Metastore service object. Cheap to clone; all clones share
 /// state.
 #[derive(Debug, Clone, Default)]
@@ -88,16 +101,25 @@ impl Metastore {
     }
 
     /// Drop a table and its stats.
-    pub fn drop_table(&self, db: &str, name: &str) -> Result<Table> {
+    pub fn drop_table(&self, db: &str, name: &str) -> Result<Arc<Table>> {
         let t = self.inner.catalog.write().drop_table(db, name)?;
         self.bump_ddl_generation();
         self.inner.stats.write().remove(&t.qualified_name());
         Ok(t)
     }
 
-    /// Fetch a table's metadata (cloned snapshot).
-    pub fn get_table(&self, db: &str, name: &str) -> Result<Table> {
+    /// A table's published metadata snapshot: a refcount bump, never a
+    /// copy of the partition map. Immutable — later DDL and partition
+    /// registration publish a new state and leave this one as it was.
+    pub fn get_table(&self, db: &str, name: &str) -> Result<Arc<Table>> {
         self.inner.catalog.read().table(db, name).cloned()
+    }
+
+    /// [`Metastore::get_table`] by qualified `db.table` name; `None` when
+    /// the name has no such form or no such table.
+    pub fn get_table_qualified(&self, qualified: &str) -> Option<Arc<Table>> {
+        let (db, name) = qualified.split_once('.')?;
+        self.get_table(db, name).ok()
     }
 
     /// True if a table exists.
@@ -117,8 +139,8 @@ impl Metastore {
             .collect())
     }
 
-    /// Rewrite-enabled materialized views (cloned snapshots).
-    pub fn rewrite_enabled_views(&self) -> Vec<Table> {
+    /// Rewrite-enabled materialized views (published snapshots).
+    pub fn rewrite_enabled_views(&self) -> Vec<Arc<Table>> {
         self.inner
             .catalog
             .read()
@@ -131,11 +153,14 @@ impl Metastore {
     /// Register a partition on a table, creating its location entry.
     pub fn add_partition(&self, db: &str, name: &str, values: Vec<Value>) -> Result<PartitionInfo> {
         let mut cat = self.inner.catalog.write();
-        let t = cat.table_mut(db, name)?;
-        let dir = t.partition_dir_name(&values);
-        if let Some(existing) = t.partitions.get(&dir) {
+        // Look before taking the table mutably: re-registering a known
+        // partition (every INSERT into it) must not copy the snapshot.
+        let published = cat.table(db, name)?;
+        let dir = published.partition_dir_name(&values);
+        if let Some(existing) = published.partitions.get(&dir) {
             return Ok(existing.clone());
         }
+        let t = cat.table_mut(db, name)?;
         let info = PartitionInfo {
             values,
             location: format!("{}/{}", t.location, dir),
@@ -270,6 +295,15 @@ impl Metastore {
     /// snapshots).
     pub fn table_write_hwm(&self, table: &str) -> WriteId {
         self.inner.txns.lock().table_write_hwm(table)
+    }
+
+    /// The table's current [`TableVersion`], by qualified `db.table` name.
+    pub fn table_version(&self, qualified: &str) -> TableVersion {
+        let table = self.get_table_qualified(qualified);
+        TableVersion {
+            incarnation: table.map_or(0, |t| t.incarnation),
+            hwm: self.table_write_hwm(qualified),
+        }
     }
 
     /// Major-compaction history truncation.

@@ -27,7 +27,7 @@ pub use dml::{DmlKind, DmlPlan, UpdateArm};
 /// Catalog access needed by the analyzer.
 pub trait CatalogView {
     /// Resolve a table by database and name.
-    fn get_table(&self, db: &str, name: &str) -> Result<Table>;
+    fn get_table(&self, db: &str, name: &str) -> Result<Arc<Table>>;
     /// The session's current database.
     fn default_db(&self) -> String;
 }
@@ -47,7 +47,7 @@ impl MetastoreCatalog {
 }
 
 impl CatalogView for MetastoreCatalog {
-    fn get_table(&self, db: &str, name: &str) -> Result<Table> {
+    fn get_table(&self, db: &str, name: &str) -> Result<Arc<Table>> {
         self.ms.get_table(db, name)
     }
 
@@ -434,7 +434,7 @@ impl<'a> Analyzer<'a> {
         name: &ObjectName,
         alias: Option<&str>,
         row_ids: bool,
-    ) -> Result<(LogicalPlan, String, Table)> {
+    ) -> Result<(LogicalPlan, String, Arc<Table>)> {
         let db = name.db.clone().unwrap_or_else(|| self.catalog.default_db());
         let table = self.catalog.get_table(&db, &name.name)?;
         let mut full = table.full_schema();

@@ -48,7 +48,7 @@ pub struct UpdateArm {
 #[derive(Debug, Clone)]
 pub struct DmlPlan {
     pub kind: DmlKind,
-    pub target: Table,
+    pub target: Arc<Table>,
     pub plan: LogicalPlan,
     /// Applies to a matched row first.
     pub update: Option<UpdateArm>,
@@ -113,7 +113,7 @@ impl Analyzer<'_> {
         alias: Option<&str>,
         op: &str,
         filter: Option<&ast::Expr>,
-    ) -> Result<(SelectContext<'static>, Table)> {
+    ) -> Result<(SelectContext<'static>, Arc<Table>)> {
         let (scan, alias, target) = self.plan_scan(name, alias, true)?;
         if !target.is_acid() {
             return Err(HiveError::Unsupported(format!(

@@ -28,7 +28,7 @@ use std::sync::Arc;
 #[derive(Debug, Clone)]
 pub struct UsableView {
     /// The MV's own table (scanned by rewritten plans).
-    pub table: hive_metastore::Table,
+    pub table: Arc<hive_metastore::Table>,
     /// The analyzed definition plan, normalized by the exhaustive stage
     /// like the query side will be. Shared: the driver keeps it with
     /// the view and hands it to every query.

@@ -83,6 +83,31 @@ cargo clippy -q --offline --workspace --all-targets -- -D warnings
 echo "== build (release) =="
 cargo build --release --offline
 
+echo "== gates: threads start in one place, unsafe in one block =="
+# Operators get threads from exec::par's pool and nowhere else: outside
+# test modules, crates/exec/src may name a thread-starting API only where
+# the pool starts a helper.
+starts="$(find crates/exec/src -name '*.rs' | sort | while read -r f; do
+    awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit }
+        /^[[:space:]]*\/\// { next }
+        /thread::(scope|spawn|Builder)/ { print f ":" FNR }' "$f"
+done)"
+if [[ "$(echo "$starts" | grep -c .)" != 1 || "$starts" != crates/exec/src/par.rs:* ]]; then
+    echo "thread start-up outside the executor pool's helper start-up:" >&2
+    echo "$starts" >&2
+    exit 1
+fi
+# One `unsafe` block in the workspace: where a pool helper follows the
+# raw address of a caller's claim loop. What it needs declared (the
+# `unsafe fn` it calls, `Send` for the address) lives beside it.
+sites="$(grep -rnE 'unsafe[[:space:]]*(\{|impl|fn)' crates src --include='*.rs' | grep -vE ':[0-9]+:[[:space:]]*//' || true)"
+if echo "$sites" | grep -qv '^crates/exec/src/par.rs:' ||
+    [[ "$(echo "$sites" | grep -cE 'unsafe[[:space:]]*\{')" != 1 ]]; then
+    echo "expected unsafe only in crates/exec/src/par.rs, and one block of it:" >&2
+    echo "$sites" >&2
+    exit 1
+fi
+
 echo "== tests =="
 # Named first so a failure says which promise broke: a planner change
 # that moves a plan or an estimate, or one that goes back to fetching
@@ -107,6 +132,25 @@ echo "-- key layer: word shapes = bytes shape = the replaced encode-and-FNV code
 cargo test -q --offline -p hive-exec --test keys
 echo "-- COUNT(DISTINCT double): NaN counts once under every configuration --"
 cargo test -q --offline --test hash_keys count_distinct_over_doubles_is_one_answer_under_every_configuration
+# The persistent executors (DESIGN.md §5 "Executors are persistent"): the
+# ticket protocol under nesting, many clients, panics and a borrowed
+# stack freed right after the call — then the engine on top of it, at
+# each width the sweeps use (the variable overrides every conf).
+for threads in 1 2 8; do
+    echo "-- executor pool: stress tests and engine at HIVE_PARALLEL_THREADS=$threads --"
+    HIVE_PARALLEL_THREADS="$threads" cargo test -q --offline -p hive-exec --lib par::tests
+    HIVE_PARALLEL_THREADS="$threads" cargo test -q --offline --test hash_keys --test scan_parts
+done
+cargo test -q --offline --test parallel_determinism concurrent_sessions_share_the_executors_and_agree_with_serial
+# chaos_recovery's scans span several row groups, so it starts helpers;
+# its `main` then returns with them parked.
+echo "-- the process exits under parked helpers --"
+HIVE_PARALLEL_THREADS=8 timeout 300 cargo run -q --offline --example chaos_recovery > /dev/null
+echo "-- reducers: typed slices give the Value path's bits and verdicts --"
+cargo test -q --offline -p hive-exec --test reducers
+echo "-- results cache: right across DROP/re-CREATE, and in front of the planner --"
+cargo test -q --offline -p hive-core --test table_incarnation
+cargo test -q --offline -p hive-core --lib cache_position_tests
 cargo test -q --offline --workspace
 
 # bench/e2e is a workspace of its own, so the line above never builds it:

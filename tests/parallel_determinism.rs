@@ -99,3 +99,32 @@ fn daemon_death_plan_is_deterministic_across_thread_counts() {
         );
     }
 }
+
+/// Morsel workers are persistent and shared by every session of the
+/// process (`hive_exec::par`): eight clients issuing statements at once
+/// against one server at 8 threads — more claim loops wanted than there
+/// are helpers, nested calls inside scan workers, calls that find no
+/// idle helper and run on their caller — each get the serial rows.
+#[test]
+fn concurrent_sessions_share_the_executors_and_agree_with_serial() {
+    let queries = tpcds::queries();
+    let run_all = |server: &HiveServer| -> Vec<Vec<String>> {
+        queries
+            .iter()
+            .map(|q| server.session().execute(&q.sql).unwrap().display_rows())
+            .collect()
+    };
+    let serial_server = load_server(1);
+    serial_server.set_conf(|c| c.results_cache = false);
+    let serial = run_all(&serial_server);
+
+    let server = load_server(8);
+    server.set_conf(|c| c.results_cache = false);
+    std::thread::scope(|s| {
+        let clients: Vec<_> = (0..8).map(|_| s.spawn(|| run_all(&server))).collect();
+        for (client, handle) in clients.into_iter().enumerate() {
+            let got = handle.join().unwrap();
+            assert_eq!(got, serial, "client {client} diverged from the serial rows");
+        }
+    });
+}
