@@ -12,8 +12,9 @@
 
 use crate::layout::{AcidDir, DirKind};
 use crate::snapshot::{resolve_snapshot, DeleteSet};
-use crate::writer::{acid_file_schema, delete_file_schema, record_id_at, AcidWriter};
-use hive_common::{Result, Schema, Value, VectorBatch, WriteId};
+use crate::visibility::Visibility;
+use crate::writer::{acid_file_schema, delete_file_schema, AcidWriter};
+use hive_common::{Result, Schema, VectorBatch, WriteId};
 use hive_corc::{CorcFile, CorcWriter};
 use hive_dfs::{DfsPath, DistFs};
 use hive_metastore::ValidWriteIdList;
@@ -88,7 +89,13 @@ impl Compactor {
             // invariant: guarded by `ins.len() >= 2`, so min/max exist.
             let min = ins.iter().map(|d| d.min_wid).min().expect("ins nonempty");
             let max = ins.iter().map(|d| d.max_wid).max().expect("ins nonempty");
-            let merged = self.read_stores_with_ids(&ins, wlist, true)?;
+            // Aborted history is dropped; tombstones stay in their own
+            // deltas, so nothing is deleted here.
+            let merged = self.read_stores(
+                &ins,
+                Visibility::new(wlist, &DeleteSet::default()),
+                &acid_file_schema(&self.data_schema),
+            )?;
             let w = AcidWriter::new(&self.fs, &self.dir, self.data_schema.clone());
             self.fs.mkdirs(&tmp);
             let dir = w.write_store_with_ids(DirKind::Delta, min, max, &merged, Some(&tmp))?;
@@ -101,7 +108,11 @@ impl Compactor {
             // invariant: guarded by `dels.len() >= 2`, so min/max exist.
             let min = dels.iter().map(|d| d.min_wid).min().expect("dels nonempty");
             let max = dels.iter().map(|d| d.max_wid).max().expect("dels nonempty");
-            let merged = self.read_delete_stores(&dels, wlist)?;
+            let merged = self.read_stores(
+                &dels,
+                Visibility::of_tombstones(wlist),
+                &delete_file_schema(),
+            )?;
             self.fs.mkdirs(&tmp);
             let dir_name = AcidDir::dir_name(DirKind::DeleteDelta, min, max);
             let tmp_dir = tmp.child(&dir_name);
@@ -152,7 +163,11 @@ impl Compactor {
             ..wlist.clone()
         };
         let deletes = DeleteSet::load(&self.fs, &snap, &compact_wlist)?;
-        let merged = self.read_stores_filtered(&sources, &compact_wlist, &deletes)?;
+        let merged = self.read_stores(
+            &sources,
+            Visibility::new(&compact_wlist, &deletes),
+            &acid_file_schema(&self.data_schema),
+        )?;
 
         let tmp = self.dir.child(".tmp_compact_major");
         self.fs.mkdirs(&tmp);
@@ -196,88 +211,24 @@ impl Compactor {
         Ok(())
     }
 
-    /// Read stores keeping identity columns; optionally keep only
-    /// records whose WriteId is visible (drops aborted history).
-    fn read_stores_with_ids(
+    /// Every record of `dirs`' files that `vis` sees, all file columns,
+    /// in directory then file then row order. Row groups are decided
+    /// from their footers ([`crate::visibility`]) and the survivors
+    /// gathered once.
+    fn read_stores(
         &self,
         dirs: &[AcidDir],
-        wlist: &ValidWriteIdList,
-        drop_invisible: bool,
+        vis: Visibility,
+        file_schema: &Schema,
     ) -> Result<VectorBatch> {
-        let schema = acid_file_schema(&self.data_schema);
-        let mut out = VectorBatch::empty(&schema)?;
+        let all_cols: Vec<usize> = (0..file_schema.len()).collect();
+        let mut parts = Vec::new();
         for d in dirs {
             for (path, _) in self.fs.list_files_recursive(&d.path) {
                 let f = CorcFile::open(&self.fs, &path)?;
-                let all = f.read_all_encoded()?;
-                if drop_invisible {
-                    let keep: Vec<u32> = (0..all.num_rows())
-                        .filter(|&i| match all.column(0).get(i) {
-                            Value::BigInt(v) => wlist.is_visible(WriteId(v as u64)),
-                            _ => false,
-                        })
-                        .map(|i| i as u32)
-                        .collect();
-                    out.append(&all.take(&keep))?;
-                } else {
-                    out.append(&all)?;
-                }
+                vis.read_parts(&f, 0..f.row_group_count(), &all_cols, &mut parts)?;
             }
         }
-        Ok(out)
-    }
-
-    /// Read stores, keeping visible and not-deleted records.
-    fn read_stores_filtered(
-        &self,
-        dirs: &[AcidDir],
-        wlist: &ValidWriteIdList,
-        deletes: &DeleteSet,
-    ) -> Result<VectorBatch> {
-        let schema = acid_file_schema(&self.data_schema);
-        let mut out = VectorBatch::empty(&schema)?;
-        for d in dirs {
-            for (path, _) in self.fs.list_files_recursive(&d.path) {
-                let f = CorcFile::open(&self.fs, &path)?;
-                let all = f.read_all_encoded()?;
-                let keep: Vec<u32> = (0..all.num_rows())
-                    .filter(|&i| {
-                        let visible = match all.column(0).get(i) {
-                            Value::BigInt(v) => wlist.is_visible(WriteId(v as u64)),
-                            _ => false,
-                        };
-                        visible && !deletes.contains(&record_id_at(&all, i))
-                    })
-                    .map(|i| i as u32)
-                    .collect();
-                out.append(&all.take(&keep))?;
-            }
-        }
-        Ok(out)
-    }
-
-    /// Merge delete-delta stores keeping visible tombstones.
-    fn read_delete_stores(
-        &self,
-        dirs: &[AcidDir],
-        wlist: &ValidWriteIdList,
-    ) -> Result<VectorBatch> {
-        let schema = delete_file_schema();
-        let mut out = VectorBatch::empty(&schema)?;
-        for d in dirs {
-            for (path, _) in self.fs.list_files_recursive(&d.path) {
-                let f = CorcFile::open(&self.fs, &path)?;
-                let all = f.read_all_encoded()?;
-                let keep: Vec<u32> = (0..all.num_rows())
-                    .filter(|&i| match all.column(3).get(i) {
-                        Value::BigInt(v) => wlist.is_visible(WriteId(v as u64)),
-                        _ => false,
-                    })
-                    .map(|i| i as u32)
-                    .collect();
-                out.append(&all.take(&keep))?;
-            }
-        }
-        Ok(out)
+        VectorBatch::concat_selected(file_schema, &parts)
     }
 }

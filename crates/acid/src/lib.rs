@@ -19,7 +19,9 @@
 //! update splits into delete + insert. Readers resolve a
 //! [`hive_metastore::ValidWriteIdList`] snapshot against the directory
 //! listing ([`snapshot::resolve_snapshot`]), anti-join delete deltas
-//! ([`snapshot::DeleteSet`]), and filter records per WriteId.
+//! ([`snapshot::DeleteSet`]), and filter records per WriteId — decided
+//! once per row group from the footer wherever it can be
+//! ([`visibility`]).
 //!
 //! [`compactor`] implements minor/major compaction with the separated
 //! cleaning phase.
@@ -28,10 +30,12 @@ pub mod compactor;
 pub mod layout;
 pub mod reader;
 pub mod snapshot;
+pub mod visibility;
 pub mod writer;
 
 pub use compactor::Compactor;
 pub use layout::{AcidDir, DirKind};
 pub use reader::{read_external_table, AcidScan};
 pub use snapshot::{resolve_snapshot, AcidSnapshot, DeleteSet};
+pub use visibility::{RowGroupClass, Visibility};
 pub use writer::{AcidWriter, ACID_COLS};

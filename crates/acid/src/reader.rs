@@ -1,7 +1,8 @@
 //! Merge-on-read: scanning the visible records of an ACID store.
 
 use crate::snapshot::{resolve_snapshot, AcidSnapshot, DeleteSet};
-use crate::writer::{record_id_at, ACID_COLS};
+use crate::visibility::Visibility;
+use crate::writer::{acid_file_schema, record_id_at, ACID_COLS};
 use hive_common::{Result, Schema, Value, VectorBatch, WriteId};
 use hive_corc::{ColumnPredicate, CorcFile, SearchArgument};
 use hive_dfs::{DfsPath, DistFs};
@@ -90,9 +91,44 @@ impl AcidScan {
         self.deletes.is_empty() || !self.deletes.contains(&record_id_at(file_batch, i))
     }
 
-    /// Read all visible records. `projection` indexes the *data*
-    /// schema; when `include_row_ids` is set the identity columns are
-    /// prepended to the output (the UPDATE/DELETE path needs them).
+    /// Read all visible records, visibility decided per row group from
+    /// the footer ([`crate::visibility`]): a wholly visible row group
+    /// costs no identity chunk, a wholly invisible one costs nothing.
+    /// Same arguments and same rows as [`AcidScan::read`]; string
+    /// columns stay dictionary-encoded where the file has them so.
+    pub fn read_row_groups(
+        &self,
+        projection: &[usize],
+        sarg: &SearchArgument,
+        include_row_ids: bool,
+    ) -> Result<VectorBatch> {
+        let file_sarg = Self::shift_sarg(sarg);
+        let mut file_proj: Vec<usize> = match include_row_ids {
+            true => (0..ACID_COLS).collect(),
+            false => Vec::new(),
+        };
+        file_proj.extend(projection.iter().map(|&c| c + ACID_COLS));
+        let out_schema = acid_file_schema(&self.data_schema).project(&file_proj);
+        let vis = Visibility::new(&self.wlist, &self.deletes);
+        let mut parts = Vec::new();
+        for path in self.data_files() {
+            let f = CorcFile::open(&self.fs, &path)?;
+            vis.read_parts(
+                &f,
+                f.selected_row_groups(&file_sarg),
+                &file_proj,
+                &mut parts,
+            )?;
+        }
+        VectorBatch::concat_selected(&out_schema, &parts)
+    }
+
+    /// [`AcidScan::read_row_groups`] one record at a time: every
+    /// identity column of every row group fetched, every record asked
+    /// [`AcidScan::is_record_visible`]. Kept as the reference the
+    /// columnar readers are tested against. `projection` indexes the
+    /// *data* schema; when `include_row_ids` is set the identity columns
+    /// are prepended to the output (the UPDATE/DELETE path needs them).
     pub fn read(
         &self,
         projection: &[usize],

@@ -2,12 +2,12 @@
 //! deltas, and the set of deleted record identities.
 
 use crate::layout::{AcidDir, DirKind};
-use crate::writer::record_id_at;
+use crate::visibility::{id_slice, record_id, Visibility};
+use crate::writer::ACID_COLS;
 use hive_common::{RecordId, Result, WriteId};
 use hive_corc::CorcFile;
 use hive_dfs::{DfsPath, DistFs};
 use hive_metastore::ValidWriteIdList;
-use std::collections::HashSet;
 
 /// The store directories a given snapshot must read.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -105,66 +105,74 @@ pub fn resolve_snapshot(fs: &DistFs, dir: &DfsPath, wlist: &ValidWriteIdList) ->
     }
 }
 
-/// The set of deleted record identities visible under a snapshot.
+/// The set of deleted record identities visible under a snapshot, kept
+/// sorted so a row group probes only the tombstones inside its own
+/// identity range ([`crate::visibility`]).
 ///
 /// "Since delta files with deleted records are usually small, they can
 /// be kept in-memory most times, accelerating the merging phase" (§3.2).
 #[derive(Debug, Clone, Default)]
 pub struct DeleteSet {
-    set: HashSet<RecordId>,
+    /// Sorted, no duplicates.
+    ids: Vec<RecordId>,
 }
 
 impl DeleteSet {
     /// Build from the snapshot's delete deltas; tombstones written by
     /// invisible (open/aborted/future) transactions are ignored.
     pub fn load(fs: &DistFs, snapshot: &AcidSnapshot, wlist: &ValidWriteIdList) -> Result<Self> {
-        let mut set = HashSet::new();
+        let vis = Visibility::of_tombstones(wlist);
+        let id_proj: Vec<usize> = (0..ACID_COLS).collect();
+        let mut ids = Vec::new();
         for d in &snapshot.delete_deltas {
             for (path, _) in fs.list_files_recursive(&d.path) {
                 let f = CorcFile::open(fs, &path)?;
-                let all = f.read_all()?;
-                for i in 0..all.num_rows() {
-                    let deleting_wid = match all.column(3).get(i) {
-                        hive_common::Value::BigInt(v) => WriteId(v as u64),
-                        v => {
-                            return Err(hive_common::HiveError::Format(format!(
-                                "bad __cur_writeid {v:?}"
-                            )))
-                        }
-                    };
-                    if wlist.is_visible(deleting_wid) {
-                        set.insert(record_id_at(&all, i));
-                    }
+                let mut parts = Vec::new();
+                vis.read_parts(&f, 0..f.row_group_count(), &id_proj, &mut parts)?;
+                for part in &parts {
+                    let cols = std::array::from_fn(|c| Some(part.batch.column(c)));
+                    let col = |c| id_slice(&cols, c, part.batch.num_rows());
+                    let (wids, buckets, rowids) = (col(0)?, col(1)?, col(2)?);
+                    ids.extend(part.sel.iter().map(|i| record_id(wids, buckets, rowids, i)));
                 }
             }
         }
-        Ok(DeleteSet { set })
+        ids.sort_unstable();
+        ids.dedup();
+        Ok(DeleteSet { ids })
     }
 
     /// Is this record deleted?
     pub fn contains(&self, id: &RecordId) -> bool {
-        self.set.contains(id)
+        self.ids.binary_search(id).is_ok()
     }
 
     /// Number of tombstones.
     pub fn len(&self) -> usize {
-        self.set.len()
+        self.ids.len()
     }
 
     /// True when no tombstones apply.
     pub fn is_empty(&self) -> bool {
-        self.set.is_empty()
+        self.ids.is_empty()
     }
 
     /// Insert directly (used by compaction when carrying tombstones
     /// forward).
     pub fn insert(&mut self, id: RecordId) {
-        self.set.insert(id);
+        if let Err(at) = self.ids.binary_search(&id) {
+            self.ids.insert(at, id);
+        }
     }
 
-    /// Iterate over tombstoned identities.
+    /// Iterate over tombstoned identities, in `RecordId` order.
     pub fn iter(&self) -> impl Iterator<Item = &RecordId> {
-        self.set.iter()
+        self.ids.iter()
+    }
+
+    /// The tombstones as a sorted slice.
+    pub(crate) fn as_sorted(&self) -> &[RecordId] {
+        &self.ids
     }
 }
 

@@ -672,6 +672,75 @@ fn bench_fixed_costs(_c: &mut Criterion) {
     });
 }
 
+/// An ACID read against the same rows read plain: sixty partitions of
+/// 5 000 rows swept by a key-less aggregate from a cold LLAP cache, as a
+/// non-ACID table, as an ACID table every row group of which the
+/// snapshot sees whole (no identity chunk is fetched: the DFS reads
+/// must equal the plain table's), and after one DELETE whose tombstone
+/// reaches one row group of the sixty (three identity chunks more).
+/// Prints ns per row and DFS reads per scan; recorded in
+/// EXPERIMENTS.md, not gated on time.
+fn bench_acid_read_path(_c: &mut Criterion) {
+    const PARTS: usize = 60;
+    const PER_PART: usize = 5_000;
+    let server = hive_core::HiveServer::new(HiveConf::v3_1().with(|c| {
+        c.results_cache = false;
+        c.auto_compaction = false;
+    }));
+    let sess = server.session();
+    let part_rows = |p: usize, with_part: bool| -> Vec<Row> {
+        (0..PER_PART)
+            .map(|i| {
+                let k = (p * PER_PART + i) as i64;
+                let mut vals = vec![Value::BigInt(k), Value::BigInt(k * 31 % 997)];
+                if with_part {
+                    vals.push(Value::Int(p as i32));
+                }
+                Row::new(vals)
+            })
+            .collect()
+    };
+    sess.execute("CREATE TABLE acid_t (k BIGINT, c BIGINT) PARTITIONED BY (p INT)")
+        .unwrap();
+    let all: Vec<Row> = (0..PARTS).flat_map(|p| part_rows(p, true)).collect();
+    sess.bulk_insert("acid_t", all).unwrap();
+    sess.execute("CREATE EXTERNAL TABLE plain_t (k BIGINT, c BIGINT) PARTITIONED BY (p INT)")
+        .unwrap();
+    let data = Schema::new(vec![
+        Field::new("k", DataType::BigInt),
+        Field::new("c", DataType::BigInt),
+    ]);
+    for p in 0..PARTS {
+        let info = server
+            .metastore()
+            .add_partition("default", "plain_t", vec![Value::Int(p as i32)])
+            .unwrap();
+        let batch = VectorBatch::from_rows(&data, &part_rows(p, false)).unwrap();
+        let bytes = write_batch_to_bytes(&batch, WriterOptions::default()).unwrap();
+        let path = hive_dfs::DfsPath::new(format!("{}/data_0", info.location));
+        server.fs().create(&path, bytes).unwrap();
+    }
+    let scan = |name: &str, table: &str| {
+        let q = format!("SELECT SUM(c), MIN(k), COUNT(*) FROM {table}");
+        let mut reads = 0;
+        report_ns(name, "row", 20, (PARTS * PER_PART) as f64, || {
+            server.llap().cache().clear();
+            let before = server.fs().stats().snapshot();
+            std::hint::black_box(sess.execute(&q).unwrap());
+            reads = server.fs().stats().snapshot().since(&before).reads;
+        });
+        println!("    {reads} DFS reads/scan");
+    };
+    scan("plain/scan_60x5000", "plain_t");
+    scan("acid/scan_whole_visible_60x5000", "acid_t");
+    sess.execute(&format!(
+        "DELETE FROM acid_t WHERE p = 7 AND k = {}",
+        7 * PER_PART + 11
+    ))
+    .unwrap();
+    scan("acid/scan_tombstones_touch_1_of_60", "acid_t");
+}
+
 criterion_group!(
     benches,
     bench_corc,
@@ -681,6 +750,7 @@ criterion_group!(
     bench_optimize_loaded,
     bench_cold_read_path,
     bench_hash_keys,
-    bench_fixed_costs
+    bench_fixed_costs,
+    bench_acid_read_path
 );
 criterion_main!(benches);

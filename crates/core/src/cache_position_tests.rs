@@ -119,3 +119,27 @@ fn mv_rewriting_on_and_off_never_share_an_entry_and_a_hit_reports_its_fills_used
     let r = sess.execute(q).unwrap();
     assert!(!r.from_cache && r.used_mv, "the entry over the old view");
 }
+
+/// A non-deterministic expression keeps a query out of the cache
+/// wherever the plan holds it — sort keys, join conditions and window
+/// specifications as much as filters and projections.
+#[test]
+fn nondeterministic_sort_join_and_window_expressions_are_never_cached() {
+    let server = HiveServer::new(HiveConf::v3_1());
+    let sess = server.session();
+    create_and_fill(&sess);
+    for q in [
+        "SELECT k FROM base_t ORDER BY rand()",
+        "SELECT a.k FROM base_t a JOIN base_t b ON a.k = b.k AND rand() < 2 WHERE a.v = 7",
+        "SELECT k, SUM(v) OVER (PARTITION BY k ORDER BY rand()) AS s FROM base_t",
+    ] {
+        for run in 0..2 {
+            let r = sess.execute(q).unwrap();
+            assert!(
+                !r.from_cache,
+                "run {run} of `{q}` was answered from the cache"
+            );
+        }
+    }
+    assert_eq!(server.results_cache().len(), 0);
+}

@@ -1318,7 +1318,7 @@ impl Session {
         let proj: Vec<usize> = (0..table.schema.len()).collect();
         for dir in dirs {
             let scan = AcidScan::new(self.server.fs(), &dir, table.schema.clone(), wlist.clone())?;
-            let batch = scan.read(&proj, &SearchArgument::new(), false)?;
+            let batch = scan.read_row_groups(&proj, &SearchArgument::new(), false)?;
             stats.update_batch(&batch);
         }
         let rows = stats.row_count;
@@ -1581,13 +1581,27 @@ fn plan_is_deterministic(plan: &LogicalPlan) -> bool {
                 group_exprs, aggs, ..
             } => {
                 group_exprs.iter().for_each(&mut check);
-                for a in aggs {
-                    if let Some(arg) = &a.arg {
-                        check(arg);
-                    }
+                aggs.iter().filter_map(|a| a.arg.as_ref()).for_each(check);
+            }
+            LogicalPlan::Join { equi, residual, .. } => {
+                for (l, r) in equi {
+                    check(l);
+                    check(r);
+                }
+                residual.iter().for_each(check);
+            }
+            LogicalPlan::Sort { keys, .. } => keys.iter().for_each(|k| check(&k.expr)),
+            LogicalPlan::Window { windows, .. } => {
+                for w in windows {
+                    w.args.iter().chain(&w.partition_by).for_each(&mut check);
+                    w.order_by.iter().for_each(|k| check(&k.expr));
                 }
             }
-            _ => {}
+            // No expressions of their own.
+            LogicalPlan::Values { .. }
+            | LogicalPlan::Limit { .. }
+            | LogicalPlan::Union { .. }
+            | LogicalPlan::SetOp { .. } => {}
         }
     });
     det

@@ -4,11 +4,8 @@
 
 use crate::engine::{ExecContext, NodeTrace};
 use crate::kernels::{filter_indices, filter_indices_rowmode};
-use hive_acid::{resolve_snapshot, DeleteSet, ACID_COLS};
-use hive_common::{
-    BucketId, ColumnVector, HiveError, RecordId, Result, RowId, Schema, SelBatch, SelVec, Value,
-    VectorBatch, WriteId,
-};
+use hive_acid::{resolve_snapshot, DeleteSet, RowGroupClass, Visibility, ACID_COLS};
+use hive_common::{ColumnVector, HiveError, Result, Schema, SelBatch, SelVec, Value, VectorBatch};
 use hive_corc::{ColumnPredicate, CorcFile, SearchArgument};
 use hive_dfs::DfsPath;
 use hive_optimizer::eval::eval_scalar;
@@ -301,8 +298,9 @@ fn read_scan<'p>(plan: &'p LogicalPlan, ctx: &ExecContext, exec: ExecFn) -> Resu
         .filter(|(_, &sc)| (data_cols..part_end).contains(&sc))
         .map(|(out_i, &sc)| (out_i, sc - data_cols))
         .collect();
-    // (output slot, identity column) pairs: the identity columns every
-    // ACID read fetches for visibility, surfaced instead of dropped.
+    // (output slot, identity column) pairs: a `row_ids` scan surfaces
+    // the record identities, so its row groups fetch these whatever
+    // their visibility class.
     let proj_ids: Vec<(usize, usize)> = projection
         .iter()
         .enumerate()
@@ -323,56 +321,50 @@ fn read_scan<'p>(plan: &'p LogicalPlan, ctx: &ExecContext, exec: ExecFn) -> Resu
     // unit morsel-driven schedulers dispatch). `CorcFile` carries only
     // the DFS handle and an `Arc<Footer>`, so cloning it into each
     // morsel is cheap and shares the decoded footer.
-    let mut acid_states: Vec<(hive_metastore::ValidWriteIdList, DeleteSet)> = Vec::new();
+    //
+    // An ACID row group's visibility is decided here, from the footer:
+    // one the snapshot sees nothing of gets no morsel, one it sees all
+    // of is read like a non-ACID row group (`hive_acid::visibility`).
+    // One write-id list serves every directory of the scan.
+    let wlist = acid.then(|| ctx.snapshots.write_ids(&table.qualified_name));
+    let mut delete_sets: Vec<DeleteSet> = Vec::new();
     let mut morsels: Vec<Morsel> = Vec::new();
     for (dir_idx, (dir, _)) in dirs.iter().enumerate() {
-        if acid {
-            let wlist = ctx.snapshots.write_ids(&table.qualified_name);
-            let snap = resolve_snapshot(ctx.fs, dir, &wlist);
-            let deletes = crate::recovery::retry_transient(
-                ctx,
-                || "load delete deltas".into(),
-                || DeleteSet::load(ctx.fs, &snap, &wlist),
-            )?;
-            let acid_idx = acid_states.len();
-            acid_states.push((wlist, deletes));
-            let mut files: Vec<DfsPath> = Vec::new();
-            if let Some(b) = &snap.base {
-                files.extend(
-                    ctx.fs
-                        .list_files_recursive(&b.path)
-                        .into_iter()
-                        .map(|(p, _)| p),
-                );
+        let files: Vec<DfsPath> = match &wlist {
+            Some(wlist) => {
+                let snap = resolve_snapshot(ctx.fs, dir, wlist);
+                delete_sets.push(crate::recovery::retry_transient(
+                    ctx,
+                    || "load delete deltas".into(),
+                    || DeleteSet::load(ctx.fs, &snap, wlist),
+                )?);
+                snap.base
+                    .iter()
+                    .chain(&snap.insert_deltas)
+                    .flat_map(|d| ctx.fs.list_files_recursive(&d.path))
+                    .map(|(p, _)| p)
+                    .collect()
             }
-            for d in &snap.insert_deltas {
-                files.extend(
-                    ctx.fs
-                        .list_files_recursive(&d.path)
-                        .into_iter()
-                        .map(|(p, _)| p),
-                );
-            }
-            for path in files {
-                let file = open_file(ctx, &path)?;
-                for rg in file.selected_row_groups(&file_sarg) {
+            None => ctx
+                .fs
+                .list_files_recursive(dir)
+                .into_iter()
+                .map(|(p, _)| p)
+                .collect(),
+        };
+        let vis = wlist
+            .as_ref()
+            .map(|w| Visibility::new(w, &delete_sets[dir_idx]));
+        for path in files {
+            let file = open_file(ctx, &path)?;
+            for rg in file.selected_row_groups(&file_sarg) {
+                let class = vis.map_or(RowGroupClass::All, |v| v.classify_row_group(&file, rg));
+                if class != RowGroupClass::None {
                     morsels.push(Morsel {
                         file: file.clone(),
                         rg,
                         dir_idx,
-                        acid_idx: Some(acid_idx),
-                    });
-                }
-            }
-        } else {
-            for (path, _) in ctx.fs.list_files_recursive(dir) {
-                let file = open_file(ctx, &path)?;
-                for rg in file.selected_row_groups(&file_sarg) {
-                    morsels.push(Morsel {
-                        file: file.clone(),
-                        rg,
-                        dir_idx,
-                        acid_idx: None,
+                        class,
                     });
                 }
             }
@@ -417,7 +409,10 @@ fn read_scan<'p>(plan: &'p LogicalPlan, ctx: &ExecContext, exec: ExecFn) -> Resu
             &proj_ids,
             &dirs[m.dir_idx].1,
             id_shift,
-            m.acid_idx.map(|a| (&acid_states[a].0, &acid_states[a].1)),
+            m.class,
+            wlist
+                .as_ref()
+                .map(|w| Visibility::new(w, &delete_sets[m.dir_idx])),
             &out_schema,
         )?;
         // No keep-list = every row passed: the identity selection.
@@ -529,64 +524,13 @@ struct Morsel {
     rg: usize,
     /// Index into the scan's `(dir, partition values)` list.
     dir_idx: usize,
-    /// Index into the per-directory ACID snapshot state, if any.
-    acid_idx: Option<usize>,
-}
-
-/// The rows of one ACID row group a snapshot sees: `None` when it sees
-/// all of them. With nothing deleted the write ids decide, and a row
-/// group written by one transaction (min = max) or spanning only
-/// visible ids is decided whole.
-fn visible_rows(
-    ids: &[Arc<ColumnVector>],
-    rows: usize,
-    wlist: &hive_metastore::ValidWriteIdList,
-    deletes: &DeleteSet,
-) -> Result<Option<Vec<u32>>> {
-    let id_col = |c: usize| match ids[c].as_ref() {
-        ColumnVector::BigInt(v, None) if v.len() == rows => Ok(v.as_slice()),
-        other => Err(HiveError::Execution(format!(
-            "ACID identity column {c} is {} with {} rows, not {rows} non-null BIGINTs",
-            other.data_type(),
-            other.len()
-        ))),
-    };
-    let wids = id_col(0)?;
-    let visible = |w: i64| wlist.is_visible(WriteId(w as u64));
-    if deletes.is_empty() {
-        let (Some(&lo), Some(&hi)) = (wids.iter().min(), wids.iter().max()) else {
-            return Ok(None);
-        };
-        if lo == hi {
-            return Ok(if visible(lo) { None } else { Some(Vec::new()) });
-        }
-        if lo >= 0
-            && WriteId(hi as u64) <= wlist.high_watermark
-            && wlist.all_visible(WriteId(lo as u64), WriteId(hi as u64))
-        {
-            return Ok(None);
-        }
-        let keep: Vec<u32> = (0..rows as u32)
-            .filter(|&i| visible(wids[i as usize]))
-            .collect();
-        return Ok((keep.len() < rows).then_some(keep));
-    }
-    let (buckets, row_ids) = (id_col(1)?, id_col(2)?);
-    let keep: Vec<u32> = (0..rows)
-        .filter(|&i| {
-            visible(wids[i])
-                && !deletes.contains(&RecordId::new(
-                    WriteId(wids[i] as u64),
-                    BucketId(buckets[i] as u64),
-                    RowId(row_ids[i] as u64),
-                ))
-        })
-        .map(|i| i as u32)
-        .collect();
-    Ok((keep.len() < rows).then_some(keep))
+    /// What the snapshot sees of the row group (`All` off ACID tables).
+    class: RowGroupClass,
 }
 
 /// Read one row group into a standalone batch (runs on a morsel worker).
+/// Identity columns are fetched only as far as `class` needs them to
+/// decide visibility, or `proj_ids` surfaces them.
 #[allow(clippy::too_many_arguments)]
 fn read_row_group(
     ctx: &ExecContext,
@@ -597,36 +541,45 @@ fn read_row_group(
     proj_ids: &[(usize, usize)],
     part_values: &[Value],
     id_shift: usize,
-    acid: Option<(&hive_metastore::ValidWriteIdList, &DeleteSet)>,
+    class: RowGroupClass,
+    vis: Option<Visibility>,
     out_schema: &Schema,
 ) -> Result<VectorBatch> {
     let rows = file.row_group_rows(rg) as usize;
-    // Fetch the needed file columns (identity columns for ACID).
-    let mut file_cols: Vec<usize> = (0..id_shift).collect();
-    file_cols.extend(proj_data.iter().map(|(_, sc)| sc + id_shift));
-    let mut fetched: Vec<Arc<ColumnVector>> = Vec::with_capacity(file_cols.len());
-    for &fc in &file_cols {
-        let col = fetch_chunk(ctx, file, rg, fc)?;
-        fetched.push(col);
+    let needs = class.needs();
+    let mut ids: [Option<Arc<ColumnVector>>; ACID_COLS] = Default::default();
+    for (c, slot) in ids.iter_mut().enumerate().take(id_shift) {
+        if needs[c] || proj_ids.iter().any(|&(_, id)| id == c) {
+            *slot = Some(fetch_chunk(ctx, file, rg, c)?);
+        }
     }
-    // Visibility filtering for ACID files.
-    let keep: Option<Vec<u32>> = match acid {
-        Some((wlist, deletes)) => visible_rows(&fetched[..id_shift], rows, wlist, deletes)?,
-        None => None,
+    let data: Vec<Arc<ColumnVector>> = proj_data
+        .iter()
+        .map(|(_, sc)| fetch_chunk(ctx, file, rg, sc + id_shift))
+        .collect::<Result<_>>()?;
+    let keep: Option<Vec<u32>> = match (class, vis) {
+        (RowGroupClass::PerRow { tombstones }, Some(vis)) => {
+            vis.visible_rows(rows, tombstones, std::array::from_fn(|c| ids[c].as_deref()))?
+        }
+        _ => None,
     };
     let kept_rows = keep.as_ref().map_or(rows, Vec::len);
     // Assemble the output-ordered batch. When visibility kept every row
-    // (non-ACID files, or ACID with nothing deleted) the fetched `Arc`s
-    // are shared as-is — no bytes move between the cache and the batch.
+    // (non-ACID files, ACID row groups the snapshot sees whole) the
+    // fetched `Arc`s are shared as-is — no bytes move between the cache
+    // and the batch.
     let mut cols: Vec<Option<Arc<ColumnVector>>> = vec![None; out_schema.len()];
     let placed = proj_data
         .iter()
-        .enumerate()
-        .map(|(slot, (out_i, _))| (*out_i, id_shift + slot))
-        .chain(proj_ids.iter().copied());
-    for (out_i, fetched_i) in placed {
-        let col = &fetched[fetched_i];
-        cols[out_i] = Some(match &keep {
+        .zip(&data)
+        .map(|((out_i, _), col)| (*out_i, Some(col)))
+        .chain(
+            proj_ids
+                .iter()
+                .map(|&(out_i, id)| (out_i, ids[id].as_ref())),
+        );
+    for (out_i, col) in placed {
+        cols[out_i] = col.map(|col| match &keep {
             None => col.clone(),
             Some(keep) => Arc::new(col.take(keep)),
         });

@@ -72,13 +72,53 @@ impl ValidWriteIdList {
         wid <= self.high_watermark && !self.open.contains(&wid) && !self.aborted.contains(&wid)
     }
 
-    /// Are *all* WriteIds in `[lo, hi]` visible? Used to decide whether a
-    /// compacted delta directory can be consumed wholesale.
+    /// Are *all* WriteIds in `[lo, hi]` visible? Exactly
+    /// `(lo..=hi).all(is_visible)`: a row group whose footer says its
+    /// write ids span `[lo, hi]` needs no per-row check.
     pub fn all_visible(&self, lo: WriteId, hi: WriteId) -> bool {
-        if hi > self.high_watermark && self.own != Some(hi) {
+        if lo > hi {
+            return true;
+        }
+        let is_own = |w: &WriteId| self.own == Some(*w);
+        if hi > self.high_watermark {
+            // Above the watermark only the reader's own id is visible,
+            // so that part of the range must be exactly `{own}`.
+            let first_above = lo.max(WriteId(self.high_watermark.0 + 1));
+            if first_above != hi || !is_own(&hi) {
+                return false;
+            }
+        }
+        let top = hi.min(self.high_watermark);
+        lo > top
+            || (self.open.range(lo..=top).all(is_own) && self.aborted.range(lo..=top).all(is_own))
+    }
+
+    /// Is *no* WriteId in `[lo, hi]` visible? Exactly
+    /// `!(lo..=hi).any(is_visible)`: such a row group (an aborted delta,
+    /// history below an incremental rebuild's floor) need not be read.
+    pub fn none_visible(&self, lo: WriteId, hi: WriteId) -> bool {
+        if lo > hi {
+            return true;
+        }
+        if self.own.is_some_and(|w| lo <= w && w <= hi) {
             return false;
         }
-        self.open.range(lo..=hi).next().is_none() && self.aborted.range(lo..=hi).next().is_none()
+        let top = hi.min(self.high_watermark);
+        if lo > top {
+            return true;
+        }
+        // Every id of `[lo, top]` must be open or aborted.
+        let span = top.0 - lo.0 + 1;
+        if span > (self.open.len() + self.aborted.len()) as u64 {
+            return false;
+        }
+        let open = self.open.range(lo..=top).count();
+        let aborted_only = self
+            .aborted
+            .range(lo..=top)
+            .filter(|w| !self.open.contains(w))
+            .count();
+        (open + aborted_only) as u64 == span
     }
 
     /// Can a `base_N` directory be consumed under this snapshot? True

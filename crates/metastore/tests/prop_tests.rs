@@ -70,27 +70,37 @@ proptest! {
         }
     }
 
-    /// `all_visible(lo, hi)` agrees with per-id `is_visible` on every
-    /// subrange, and `is_valid_base(n)` is monotone: once a base is
-    /// invalid at n, every higher base is invalid too (same open set).
+    /// `all_visible(lo, hi)` ⇔ every id in the range `is_visible`, and
+    /// `none_visible(lo, hi)` ⇔ no id in the range `is_visible` — on
+    /// every subrange, past the watermark too, with and without the
+    /// reader's own id (which may sit in `open`, above the watermark, or
+    /// both), and under an MV-style floor (a dense aborted prefix). And
+    /// `is_valid_base(n)` is monotone: once a base is invalid at n,
+    /// every higher base is invalid too (same open set).
     #[test]
     fn write_id_list_algebra(
         hwm in 1u64..40,
         open in proptest::collection::btree_set(1u64..40, 0..6),
         aborted in proptest::collection::btree_set(1u64..40, 0..6),
+        own in proptest::option::of(1u64..44),
+        floor in 0u64..20,
     ) {
-        let list = ValidWriteIdList {
+        let mut list = ValidWriteIdList {
             table: TABLE.to_string(),
             high_watermark: WriteId(hwm),
             open: open.iter().map(|&w| WriteId(w)).collect(),
             aborted: aborted.iter().map(|&w| WriteId(w)).collect(),
-            own: None,
+            own: own.map(WriteId),
         };
-        for lo in 1..=hwm {
-            for hi in lo..=hwm {
-                let want = (lo..=hi).all(|w| list.is_visible(WriteId(w)));
-                prop_assert_eq!(list.all_visible(WriteId(lo), WriteId(hi)), want,
-                    "range [{}, {}]", lo, hi);
+        list.aborted.extend((1..=floor).map(WriteId));
+        for lo in 1..=hwm + 4 {
+            for hi in lo..=hwm + 4 {
+                let all = (lo..=hi).all(|w| list.is_visible(WriteId(w)));
+                let any = (lo..=hi).any(|w| list.is_visible(WriteId(w)));
+                prop_assert_eq!(list.all_visible(WriteId(lo), WriteId(hi)), all,
+                    "all_visible [{}, {}]", lo, hi);
+                prop_assert_eq!(list.none_visible(WriteId(lo), WriteId(hi)), !any,
+                    "none_visible [{}, {}]", lo, hi);
             }
         }
         // min_open is the smallest open id.

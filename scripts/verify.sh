@@ -140,7 +140,15 @@ for threads in 1 2 8; do
     echo "-- executor pool: stress tests and engine at HIVE_PARALLEL_THREADS=$threads --"
     HIVE_PARALLEL_THREADS="$threads" cargo test -q --offline -p hive-exec --lib par::tests
     HIVE_PARALLEL_THREADS="$threads" cargo test -q --offline --test hash_keys --test scan_parts
+    # ACID visibility decided per row group from the footer (DESIGN.md
+    # §4 "ACID reads"): generated stores x write-id lists against the row-at-a-time
+    # reader, which fetches every identity column and asks every record.
+    HIVE_PARALLEL_THREADS="$threads" cargo test -q --offline -p hive-exec --test acid_visibility
 done
+echo "-- ACID at par, by counter: a visible row group costs a plain one's DFS reads --"
+cargo test -q --offline -p hive-core --test acid_at_par
+echo "-- compaction: the bytes of the replaced Value-per-row reads --"
+cargo test -q --offline -p hive-acid --test prop_tests compacted_files_are_byte_identical_to_the_replaced_reads
 cargo test -q --offline --test parallel_determinism concurrent_sessions_share_the_executors_and_agree_with_serial
 # chaos_recovery's scans span several row groups, so it starts helpers;
 # its `main` then returns with them parked.
@@ -247,6 +255,19 @@ if [[ -n "${HIVE_WM_SWEEP:-}" ]]; then
     echo "== wm sweep: benchmark (writes BENCH_throughput.json) =="
     cargo bench -q --offline -p hive-bench --bench throughput
 fi
+
+# The paper's §8 claim as a gate: a major-compacted ACID table reads in
+# the simulated time of the same rows as plain files. Sim time repeats
+# exactly; 1.00 is the ratio recorded in EXPERIMENTS.md ("ACID reads at
+# par").
+echo "== paper gate: compacted-ACID reads at par with non-ACID (ablation_acid) =="
+ratio="$(cargo bench -q --offline -p hive-bench --bench ablation_acid |
+    sed -n 's/^compacted-ACID vs non-ACID ratio: \([0-9.]*\)x.*/\1/p')"
+if ! awk -v r="$ratio" 'BEGIN { exit !(r != "" && r + 0 <= 1.00 + 0.02) }'; then
+    echo "compacted-ACID / non-ACID sim time is '${ratio}', above 1.00 + 0.02" >&2
+    exit 1
+fi
+echo "ratio ${ratio}x"
 
 echo "== bench gates =="
 python3 scripts/bench_check.py
