@@ -33,6 +33,20 @@ fn sales_batch(n: usize) -> VectorBatch {
     VectorBatch::from_rows(&schema, &rows).unwrap()
 }
 
+/// The output schema of `GROUP BY groups` with `aggs` over `input`.
+fn aggregate_schema(input: &Schema, groups: &[ScalarExpr], aggs: &[AggExpr]) -> Schema {
+    hive_optimizer::plan::LogicalPlan::Aggregate {
+        input: std::sync::Arc::new(hive_optimizer::plan::LogicalPlan::Values {
+            schema: input.clone(),
+            rows: vec![],
+        }),
+        group_exprs: groups.to_vec(),
+        grouping_sets: None,
+        aggs: aggs.to_vec(),
+    }
+    .schema()
+}
+
 fn bench_corc(c: &mut Criterion) {
     let batch = sales_batch(50_000);
     c.bench_function("corc/write_50k_rows", |b| {
@@ -413,16 +427,7 @@ fn bench_cold_read_path(_c: &mut Criterion) {
             distinct: false,
         })
         .collect();
-    let out_schema = hive_optimizer::plan::LogicalPlan::Aggregate {
-        input: std::sync::Arc::new(hive_optimizer::plan::LogicalPlan::Values {
-            schema: schema.clone(),
-            rows: vec![],
-        }),
-        group_exprs: vec![],
-        grouping_sets: None,
-        aggs: aggs.clone(),
-    }
-    .schema();
+    let out_schema = aggregate_schema(&schema, &[], &aggs);
     let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
     for nparts in [1, 60] {
         let rows = SWEEP_ROWS / nparts;
@@ -567,16 +572,7 @@ fn bench_hash_keys(_c: &mut Criterion) {
         arg: Some(ScalarExpr::Column(2)),
         distinct: false,
     }];
-    let out_schema = hive_optimizer::plan::LogicalPlan::Aggregate {
-        input: std::sync::Arc::new(hive_optimizer::plan::LogicalPlan::Values {
-            schema: batch.schema().clone(),
-            rows: vec![],
-        }),
-        group_exprs: groups.clone(),
-        grouping_sets: None,
-        aggs: aggs.clone(),
-    }
-    .schema();
+    let out_schema = aggregate_schema(batch.schema(), &groups, &aggs);
     report_ns(
         "aggregate/group_int_dict_300k",
         "row",
@@ -741,6 +737,134 @@ fn bench_acid_read_path(_c: &mut Criterion) {
     scan("acid/scan_tombstones_touch_1_of_60", "acid_t");
 }
 
+/// Strings a join replicates (DESIGN.md §4 "Replicated strings"): a
+/// 10-row dimension's plain string column fanned out over 300 000 fact
+/// rows, the same fan-out at the encode threshold's worst case (a
+/// dimension of all-distinct strings one row shorter than the output), a
+/// join whose output is its probe side row for row (four DECIMAL payload
+/// columns it need not copy), a GROUP BY over a replicated string, and
+/// the bare gather at 1x + 1, 2x (all-distinct strings: the dedup pass
+/// buys nothing) and 30 000x. Prints ns per output row; recorded in
+/// EXPERIMENTS.md, not gated on time.
+fn bench_replicated_strings(_c: &mut Criterion) {
+    use hive_common::ColumnVector;
+    const ROWS: usize = 300_000;
+    let scatter = |i: usize, domain: usize| (i.wrapping_mul(2_654_435_761) % domain) as i32;
+    let names = |n: usize| {
+        (0..n)
+            .map(|i| format!("store name {i:07}"))
+            .collect::<Vec<_>>()
+    };
+    let dimension = |n: usize| {
+        VectorBatch::new(
+            Schema::new(vec![
+                Field::new("d_k", DataType::Int),
+                Field::new("d_name", DataType::String),
+            ]),
+            vec![
+                ColumnVector::Int((0..n as i32).collect(), None),
+                ColumnVector::Str(names(n), None),
+            ],
+        )
+        .unwrap()
+    };
+    let facts = |domain: usize, decimals: usize| {
+        let mut fields = vec![Field::new("f_k", DataType::Int)];
+        let mut cols = vec![ColumnVector::Int(
+            (0..ROWS).map(|i| scatter(i, domain)).collect(),
+            None,
+        )];
+        for c in 0..decimals {
+            fields.push(Field::new(format!("f_m{c}"), DataType::Decimal(7, 2)));
+            cols.push(ColumnVector::Decimal(
+                (0..ROWS).map(|i| (i * (c + 3)) as i128 % 100_000).collect(),
+                2,
+                None,
+            ));
+        }
+        VectorBatch::new(Schema::new(fields), cols).unwrap()
+    };
+    let equi = vec![(ScalarExpr::Column(0), ScalarExpr::Column(0))];
+    let join_case = |name: &str, left: VectorBatch, right: VectorBatch| {
+        let out_schema = left.schema().join(right.schema());
+        report_ns(name, "output row", 20, ROWS as f64, || {
+            let out = execute_join(
+                &left,
+                &right,
+                JoinType::Inner,
+                &equi,
+                &None,
+                &out_schema,
+                usize::MAX,
+            )
+            .unwrap();
+            assert_eq!(out.num_rows(), ROWS);
+            std::hint::black_box(out);
+        });
+    };
+    join_case("join/fanout_str_dim_300k_x_10", facts(10, 0), dimension(10));
+    join_case(
+        "join/fanout_str_near_1x_300k",
+        facts(ROWS - 1, 0),
+        dimension(ROWS - 1),
+    );
+    // The dimension's only payload is its key: what is timed beside the
+    // probe is the probe side's own four columns.
+    join_case(
+        "join/one_to_one_probe_4_decimal_cols_300k",
+        facts(2_000, 4),
+        dimension(2_000).project(&[0]),
+    );
+
+    let idx: Vec<u32> = (0..ROWS).map(|i| scatter(i, 10) as u32).collect();
+    let batch = VectorBatch::new(
+        Schema::new(vec![
+            Field::new("name", DataType::String),
+            Field::new("v", DataType::Int),
+        ]),
+        vec![
+            ColumnVector::Str(names(10), None).take(&idx),
+            ColumnVector::Int((0..ROWS as i32).collect(), None),
+        ],
+    )
+    .unwrap();
+    let groups = vec![ScalarExpr::Column(0)];
+    let aggs = vec![AggExpr {
+        func: AggFunc::Sum,
+        arg: Some(ScalarExpr::Column(1)),
+        distinct: false,
+    }];
+    let out_schema = aggregate_schema(batch.schema(), &groups, &aggs);
+    report_ns(
+        "aggregate/group_replicated_str_300k",
+        "row",
+        20,
+        ROWS as f64,
+        || {
+            let out = execute_aggregate(&batch, &groups, &None, &aggs, &out_schema);
+            std::hint::black_box(out.unwrap().num_rows());
+        },
+    );
+
+    for (name, len, cells) in [
+        ("1x+1", ROWS / 2, ROWS / 2 + 1),
+        ("2x", ROWS / 2, ROWS),
+        ("30000x", 10, ROWS),
+    ] {
+        let src = ColumnVector::Str(names(len), None);
+        let idx: Vec<u32> = (0..cells).map(|i| scatter(i, len) as u32).collect();
+        report_ns(
+            &format!("gather/str_take_{name}"),
+            "output row",
+            20,
+            cells as f64,
+            || {
+                std::hint::black_box(src.take(std::hint::black_box(&idx)));
+            },
+        );
+    }
+}
+
 criterion_group!(
     benches,
     bench_corc,
@@ -751,6 +875,7 @@ criterion_group!(
     bench_cold_read_path,
     bench_hash_keys,
     bench_fixed_costs,
-    bench_acid_read_path
+    bench_acid_read_path,
+    bench_replicated_strings
 );
 criterion_main!(benches);

@@ -22,6 +22,20 @@ pub const DEFAULT_BATCH_SIZE: usize = 1024;
 /// The index [`ColumnVector::take_or_null`] gathers as a NULL row.
 pub const NULL_INDEX: u32 = u32::MAX;
 
+/// A gather of a plain string column into at least this many times its
+/// row count leaves dictionary-encoded (see [`ColumnVector::take`]).
+///
+/// Encoding costs a hash probe per *source* row and saves a `String`
+/// clone per *output* cell, so it pays once rows repeat enough. Measured
+/// on the worst input — every string distinct, so the pass finds nothing
+/// to share — over 150 000 18-byte strings (`micro`'s
+/// `gather/str_take_*`, ns per output cell, three alternating runs,
+/// cloning gather → encoding gather): at 1x + 1 cells 59–72 → 104–143,
+/// at 2x 58–62 → 47–59, at 30 000x (10 strings) 31–33 → 0.4–0.5. Any
+/// repeat at all would lose near 1x; from 2x the encoding gather is no
+/// slower on any input.
+const FANOUT_ENCODE_FACTOR: usize = 2;
+
 /// A typed column of values with an optional null bitmap
 /// (bit set = value is NULL).
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -161,7 +175,9 @@ impl ColumnVector {
     }
 
     /// `n` copies of `v` cast to `dt` — what `n` pushes of `v` through
-    /// a [`ColumnBuilder`] build, without the per-row cast and clone.
+    /// a [`ColumnBuilder`] build, without the per-row cast and clone. A
+    /// string constant is a one-entry dictionary under `n` zero codes:
+    /// one `String`, not `n`.
     pub fn constant(v: &Value, dt: &DataType, n: usize) -> Result<ColumnVector> {
         let one = ColumnVector::from_values(std::slice::from_ref(v), dt)?;
         if one.is_null(0) {
@@ -173,7 +189,11 @@ impl ColumnVector {
             ColumnVector::BigInt(x, _) => ColumnVector::BigInt(vec![x[0]; n], None),
             ColumnVector::Double(x, _) => ColumnVector::Double(vec![x[0]; n], None),
             ColumnVector::Decimal(x, s, _) => ColumnVector::Decimal(vec![x[0]; n], s, None),
-            ColumnVector::Str(x, _) => ColumnVector::Str(vec![x[0].clone(); n], None),
+            ColumnVector::Str(x, _) => ColumnVector::Dict {
+                codes: vec![0; n],
+                dict: Arc::new(x),
+                nulls: None,
+            },
             ColumnVector::Date(x, _) => ColumnVector::Date(vec![x[0]; n], None),
             ColumnVector::Timestamp(x, _) => ColumnVector::Timestamp(vec![x[0]; n], None),
             // `from_values` builds through `ColumnBuilder`, which never
@@ -183,7 +203,12 @@ impl ColumnVector {
     }
 
     /// Gather rows at `indices` into a new column. The result carries a
-    /// null bitmap only when a gathered row is NULL.
+    /// null bitmap only when a gathered row is NULL. A plain string
+    /// column gathered into at least twice as many cells as it has rows
+    /// (a join fanning a dimension out) leaves as a `Dict` over its
+    /// distinct non-NULL strings — logically the same column, without a
+    /// `String` per cell; every other gather keeps the source's
+    /// representation.
     pub fn take(&self, indices: &[u32]) -> ColumnVector {
         self.gather(indices, false)
     }
@@ -197,12 +222,40 @@ impl ColumnVector {
         self.gather(indices, true)
     }
 
-    /// An all-NULL column of `n` rows of type `dt`.
+    /// An all-NULL column of `n` rows of type `dt`: the type's default
+    /// value under a set null bit in every row.
     pub fn all_null(dt: &DataType, n: usize) -> Result<ColumnVector> {
-        Ok(ColumnVector::new_empty(dt)?.take_or_null(&vec![NULL_INDEX; n]))
+        let mut col = ColumnVector::new_empty(dt)?;
+        per_variant!(&mut col, v, nulls => {
+            v.resize(n, Default::default());
+            *nulls = (n > 0).then(|| BitSet::all_set(n));
+        });
+        Ok(col)
     }
 
     fn gather(&self, idx: &[u32], null_extend: bool) -> ColumnVector {
+        // Each source row's code in the dictionary of the column's
+        // distinct non-NULL strings, in first-seen order (NULL rows take
+        // code 0, under their null bit).
+        fn intern(v: &[String], nulls: &Option<BitSet>) -> (Vec<u32>, Vec<String>) {
+            let mut dict: Vec<String> = Vec::new();
+            let mut seen: std::collections::HashMap<&str, u32> =
+                std::collections::HashMap::with_capacity(v.len());
+            let codes = v
+                .iter()
+                .enumerate()
+                .map(|(i, s)| {
+                    if nulls.as_ref().is_some_and(|b| b.get(i)) {
+                        return 0;
+                    }
+                    *seen.entry(s).or_insert_with(|| {
+                        dict.push(s.clone());
+                        dict.len() as u32 - 1
+                    })
+                })
+                .collect();
+            (codes, dict)
+        }
         fn vals<T: Clone + Default>(v: &[T], idx: &[u32], null_extend: bool) -> Vec<T> {
             if null_extend {
                 idx.iter()
@@ -269,6 +322,19 @@ impl ColumnVector {
                 ColumnVector::Decimal(v, *s, n)
             }
             ColumnVector::Str(v, n) => {
+                if idx.len() >= v.len().saturating_mul(FANOUT_ENCODE_FACTOR) {
+                    // A fan-out: source rows repeat. Gather codes
+                    // over the distinct non-NULL strings instead of
+                    // cloning a `String` per output cell.
+                    let (row_codes, dict) = intern(v, n);
+                    if !dict.is_empty() {
+                        return ColumnVector::Dict {
+                            codes: vals(&row_codes, idx, null_extend),
+                            dict: Arc::new(dict),
+                            nulls: nulls(n, idx, null_extend),
+                        };
+                    }
+                }
                 let (v, n) = g!(v, n);
                 ColumnVector::Str(v, n)
             }

@@ -125,6 +125,15 @@ fn reference<'a>(
     Ok(b.finish())
 }
 
+/// The fan-out rule: a plain string column holding at least one string,
+/// gathered into at least twice as many cells as it has rows, leaves
+/// encoded.
+fn fans_out(src: &ColumnVector, idx: &[u32]) -> bool {
+    matches!(src, ColumnVector::Str(..))
+        && idx.len() >= 2 * src.len()
+        && src.null_count() < src.len()
+}
+
 fn assert_bitmap_only_for_nulls(c: &ColumnVector) {
     assert_eq!(bitmap(c).is_some(), c.null_count() > 0, "{c:?}");
 }
@@ -152,10 +161,12 @@ proptest! {
         assert_bitmap_only_for_nulls(&got);
         // The representation survives; an encoded column keeps its
         // dictionary by handle (an empty one has no code for a NULL).
+        // The one change of representation is a plain string column
+        // with a string to repeat, gathered to more cells than rows.
         match (src.dict_parts(), got.dict_parts()) {
             (Some((_, d0, _)), Some((_, d1, _))) => prop_assert!(Arc::ptr_eq(d0, d1)),
             (Some((_, d0, _)), None) => prop_assert!(d0.is_empty()),
-            (None, got_dict) => prop_assert!(got_dict.is_none()),
+            (None, got_dict) => prop_assert_eq!(got_dict.is_some(), fans_out(&src, &idx)),
         }
         if !idx.contains(&NULL_INDEX) {
             let plain = src.take(&idx);
@@ -199,6 +210,83 @@ proptest! {
                 (Err(got), Err(expect)) => prop_assert_eq!(got.to_string(), expect),
                 (got, expect) => prop_assert!(false, "{src:?} -> {want}: {got:?} vs {expect:?}"),
             }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+    /// Plain string columns on both sides of the fan-out threshold:
+    /// whatever representation leaves, it reads as the `Value`-per-cell
+    /// gather does, and an encoded result is a well-formed dictionary
+    /// column that later gathers carry by handle.
+    #[test]
+    fn string_fan_out_is_representation_blind(
+        // Few distinct words, "" among them, so duplicates are the rule.
+        words in proptest::collection::vec((0usize..5, any::<bool>()), 0..12),
+        null_mode in 0u8..3,
+        length in 0u8..6,
+        raw in proptest::collection::vec(any::<u32>(), 0..16),
+    ) {
+        const WORDS: [&str; 5] = ["", "Store A", "ese", "", "Store A "];
+        let is_null = |flag: bool| null_mode == 2 || (null_mode == 1 && flag);
+        let len = words.len();
+        let nulls = (null_mode != 0).then(|| {
+            let mut b = BitSet::new(len);
+            (0..len).filter(|&i| is_null(words[i].1)).for_each(|i| b.set(i));
+            b
+        });
+        let src = ColumnVector::Str(
+            words
+                .iter()
+                .map(|&(w, flag)| if is_null(flag) { String::new() } else { WORDS[w].to_string() })
+                .collect(),
+            nulls,
+        );
+        // Cell counts on both sides of the threshold (`2 x len`), or
+        // whatever `raw` holds; repeats throughout, and the NULL sentinel
+        // where `raw` says so.
+        let cells = match length {
+            0 => len,
+            1 => len + 1,
+            2 => (2 * len).saturating_sub(1),
+            3 => 2 * len,
+            4 => 64 * len,
+            _ => raw.len(),
+        };
+        let idx: Vec<u32> = (0..cells)
+            .map(|o| {
+                let r = raw.get(o % raw.len().max(1)).copied().unwrap_or(o as u32);
+                match (r as usize).wrapping_add(o) % (len + 1) {
+                    i if i == len => NULL_INDEX,
+                    i => i as u32,
+                }
+            })
+            .collect();
+        let want = reference(
+            idx.iter().map(|&i| if i == NULL_INDEX { Value::Null } else { src.get(i as usize) }),
+            &DataType::String,
+        )
+        .unwrap();
+
+        let mut results = vec![src.take_or_null(&idx)];
+        if !idx.contains(&NULL_INDEX) {
+            results.push(src.take(&idx));
+        }
+        for got in results {
+            prop_assert_eq!(got.len(), want.len());
+            for i in 0..want.len() {
+                prop_assert_eq!(got.get(i), want.get(i), "cell {}", i);
+            }
+            assert_bitmap_only_for_nulls(&got);
+            prop_assert_eq!(got.is_dict(), fans_out(&src, &idx));
+            let Some((codes, dict, _)) = got.dict_parts() else { continue };
+            let distinct: std::collections::HashSet<&String> = dict.iter().collect();
+            prop_assert_eq!(distinct.len(), dict.len(), "duplicate entry in {:?}", dict);
+            prop_assert!(codes.iter().all(|&c| (c as usize) < dict.len()));
+            let again = got.take_or_null(&[0, NULL_INDEX, 0]);
+            let kept = again.dict_parts().is_some_and(|(_, d, _)| Arc::ptr_eq(d, dict));
+            prop_assert!(kept, "a second gather re-encoded the column");
         }
     }
 }

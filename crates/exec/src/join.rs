@@ -877,7 +877,9 @@ const PAR_GATHER_MIN_CELLS: usize = 64 * 1024;
 /// of its source column: [`ColumnVector::take`] where the side cannot
 /// be NULL-extended, [`ColumnVector::take_or_null`] where it can.
 /// `Dict` columns stay `Dict` over the same `Arc` dictionary; a null
-/// bitmap exists only where a gathered row is NULL.
+/// bitmap exists only where a gathered row is NULL. A side whose index
+/// vector is `0..n` over an unselected batch is not gathered at all: the
+/// output shares its columns.
 ///
 /// Columns are independent, so they gather in parallel over the join's
 /// `workers` with output identical at any count. Semi and anti joins
@@ -929,9 +931,19 @@ fn assemble(
     lidx.resize(n, NULL_INDEX);
 
     let right_extended = matches!(join_type, JoinType::Left | JoinType::Full);
+    // A join that neither drops, repeats nor reorders a probe row (FK→PK
+    // after semijoin reduction): its left output *is* its left input.
+    // Read off the positions, so it holds for whatever produced them.
+    let left_shared = !left_extended
+        && left.sel.is_all()
+        && n == left.batch.num_rows()
+        && lidx.iter().enumerate().all(|(o, &i)| i as usize == o);
     let lw = left.batch.num_columns();
     let ncols = lw + right.batch.num_columns();
     let gather = |ci: usize| -> Result<Arc<ColumnVector>> {
+        if ci < lw && left_shared {
+            return Ok(left.batch.column_arc(ci).clone());
+        }
         let (src, idx, extended) = if ci < lw {
             (left.batch.column(ci), &lidx, left_extended)
         } else {
@@ -1726,13 +1738,20 @@ mod tests {
                             {
                                 let got = out.batch.column(c);
                                 // Same representation as the source —
-                                // and an encoded payload keeps its
-                                // dictionary by handle.
+                                // an encoded payload keeps its dictionary
+                                // by handle — except a plain string column
+                                // the join fans out (two cells a row, or
+                                // more), which leaves encoded.
+                                let fanned = matches!(**src, ColumnVector::Str(..))
+                                    && out.num_rows() >= 2 * src.len()
+                                    && src.null_count() < src.len();
                                 match (src.dict_parts(), got.dict_parts()) {
                                     (Some((_, d0, _)), Some((_, d1, _))) => {
                                         assert!(Arc::ptr_eq(d0, d1), "{ctx}: column {c}")
                                     }
-                                    (None, None) => {}
+                                    (None, got) => {
+                                        assert_eq!(got.is_some(), fanned, "{ctx}: column {c}")
+                                    }
                                     _ => panic!("{ctx}: column {c} changed representation"),
                                 }
                             }
@@ -1763,6 +1782,273 @@ mod tests {
             assert!(rows.iter().any(|row| all_null(row, 0..9)));
             assert!(rows.iter().any(|row| all_null(row, 9..18)));
         }
+    }
+
+    // --- replicated strings: a star chain over 3-row dimensions -------------
+
+    /// 300 fact rows: two dimension keys, a unique id, a DECIMAL and a
+    /// plain string payload. `ragged` leaves some rows without a
+    /// dimension row to match (a NULL key, a key no dimension has).
+    fn star_fact(ragged: bool) -> VectorBatch {
+        let n = 300usize;
+        let keys = |salt: usize| {
+            let mut nulls = BitSet::new(n);
+            let vals = (0..n)
+                .map(|i| {
+                    if ragged && i % 17 == 0 {
+                        nulls.set(i);
+                        0
+                    } else if ragged && i % 5 == 0 {
+                        3
+                    } else {
+                        ((i + salt) % 3) as i32
+                    }
+                })
+                .collect();
+            ColumnVector::Int(vals, ragged.then_some(nulls))
+        };
+        VectorBatch::new(
+            Schema::new(vec![
+                Field::new("f_k1", DataType::Int),
+                Field::new("f_k2", DataType::Int),
+                Field::new("f_i", DataType::Int),
+                Field::new("f_m", DataType::Decimal(9, 2)),
+                Field::new("f_s", DataType::String),
+            ]),
+            vec![
+                keys(0),
+                keys(1),
+                ColumnVector::Int((0..n as i32).collect(), None),
+                ColumnVector::Decimal((0..n as i128).map(|i| i * 101 - 5_000).collect(), 2, None),
+                ColumnVector::Str((0..n).map(|i| format!("ticket {i}")).collect(), None),
+            ],
+        )
+        .unwrap()
+    }
+
+    /// A dimension keyed `0..names.len()` whose plain string column
+    /// holds `names` (`None` = NULL).
+    fn star_dim(name: &str, names: &[Option<&str>]) -> VectorBatch {
+        let rows: Vec<Row> = names
+            .iter()
+            .enumerate()
+            .map(|(k, s)| {
+                let name = s.map_or(Value::Null, |s| Value::String(s.into()));
+                Row::new(vec![Value::Int(k as i32), name])
+            })
+            .collect();
+        let schema = Schema::new(vec![
+            Field::new(format!("{name}_k"), DataType::Int),
+            Field::new(format!("{name}_name"), DataType::String),
+        ]);
+        let dim = VectorBatch::from_rows(&schema, &rows).unwrap();
+        assert!(!dim.column(1).is_dict());
+        dim
+    }
+
+    /// `l ⋈ r` on column 0 = column 0 (no key for a cross join), in
+    /// memory or — under a broker that cannot hold the build — grace.
+    fn star_join(
+        l: &SelBatch,
+        r: &SelBatch,
+        jt: JoinType,
+        residual: &Option<ScalarExpr>,
+        workers: usize,
+        grace: bool,
+    ) -> SelBatch {
+        use crate::membroker::MemoryBroker;
+        use hive_dfs::{DfsPath, DistFs};
+        let equi = match jt {
+            JoinType::Cross => vec![],
+            _ => vec![(ScalarExpr::Column(0), ScalarExpr::Column(0))],
+        };
+        let out_schema = l.batch.schema().join(r.batch.schema());
+        let fs = DistFs::new();
+        let broker = MemoryBroker::with_budget(64);
+        let ops = AtomicU64::new(0);
+        let sp = SpillCtx::new(&fs, DfsPath::new("/tmp/spill/q0"), &broker, true, &ops);
+        execute_join_par(
+            l,
+            r,
+            jt,
+            &equi,
+            residual,
+            &out_schema,
+            usize::MAX,
+            workers,
+            true,
+            grace.then_some(&sp),
+            None,
+        )
+        .unwrap()
+    }
+
+    /// [`reference_join`], and the nested loop for a cross join.
+    fn star_reference(
+        l: &SelBatch,
+        r: &SelBatch,
+        jt: JoinType,
+        residual: Option<&ScalarExpr>,
+    ) -> VectorBatch {
+        let out_schema = l.batch.schema().join(r.batch.schema());
+        if jt != JoinType::Cross {
+            return reference_join(l, r, jt, residual, &out_schema).0;
+        }
+        let mut out: Vec<Row> = Vec::new();
+        for li in l.sel.iter() {
+            for ri in r.sel.iter() {
+                let mut both = l.batch.row(li).values().to_vec();
+                both.extend_from_slice(r.batch.row(ri).values());
+                if residual.is_none_or(|p| eval_scalar(p, &both).unwrap() == Value::Boolean(true)) {
+                    out.push(Row::new(both));
+                }
+            }
+        }
+        VectorBatch::from_rows(&out_schema, &out).unwrap()
+    }
+
+    /// True when `out`'s first columns are `input`'s very allocations.
+    fn shares_left(out: &SelBatch, input: &VectorBatch) -> bool {
+        (input.columns().iter().enumerate())
+            .all(|(c, src)| Arc::ptr_eq(src, out.batch.column_arc(c)))
+    }
+
+    fn assert_well_formed_dict(col: &ColumnVector, ctx: &str) {
+        let (codes, dict, _) = col
+            .dict_parts()
+            .unwrap_or_else(|| panic!("{ctx}: a replicated string column left plain"));
+        let distinct: HashSet<&String> = dict.iter().collect();
+        assert_eq!(distinct.len(), dict.len(), "{ctx}: duplicate entries");
+        assert!(codes.iter().all(|&c| (c as usize) < dict.len()), "{ctx}");
+    }
+
+    #[test]
+    fn star_chain_keeps_dimension_strings_encoded_and_shares_a_one_to_one_probe() {
+        // Equal names on purpose: the dictionary has one entry for both.
+        let stores = star_dim("s", &[Some("ese"), Some("able"), Some("ese")]);
+        let channels = star_dim("c", &[Some("web"), None, Some("")]);
+        let residual = Some(ScalarExpr::Binary {
+            op: hive_sql::BinaryOp::Gt,
+            left: Box::new(ScalarExpr::Column(2)), // f_i, in both links
+            right: Box::new(ScalarExpr::Literal(Value::Int(40))),
+        });
+        let join_types = [
+            JoinType::Inner,
+            JoinType::Left,
+            JoinType::Right,
+            JoinType::Full,
+            JoinType::Cross,
+        ];
+        let mut shared_links = 0;
+        for ragged in [false, true] {
+            let fact = star_fact(ragged);
+            for jt in join_types {
+                for residual in [&None, &residual] {
+                    for (grace, workers) in [(false, 1), (false, 2), (true, 1), (true, 2)] {
+                        let ctx = format!(
+                            "{jt:?} / ragged={ragged} / residual={} / grace={grace} / {workers} workers",
+                            residual.is_some()
+                        );
+                        // Link 1: fact ⋈ stores on f_k1.
+                        let l1 = SelBatch::from_batch(fact.clone());
+                        let r1 = SelBatch::from_batch(stores.clone());
+                        let out1 = star_join(&l1, &r1, jt, residual, workers, grace);
+                        let want1 = star_reference(&l1, &r1, jt, residual.as_ref());
+                        assert_eq!(out1.clone().compact(), want1, "{ctx}: link 1");
+                        assert!(out1.num_rows() >= 2 * stores.num_rows(), "{ctx}");
+                        assert_well_formed_dict(out1.batch.column(6), &ctx);
+
+                        // The probe side is shared exactly when the join
+                        // returned it row for row.
+                        let lw = fact.num_columns();
+                        let row_for_row = want1.num_rows() == fact.num_rows()
+                            && want1.project(&(0..lw).collect::<Vec<_>>()).to_rows()
+                                == fact.to_rows();
+                        assert_eq!(shares_left(&out1, &fact), row_for_row, "{ctx}: link 1");
+                        shared_links += row_for_row as usize;
+
+                        // Link 2: that output, keyed by f_k2, ⋈ channels.
+                        let mut order: Vec<usize> = (0..out1.batch.num_columns()).collect();
+                        order.swap(0, 1);
+                        let l2 = SelBatch::from_batch(out1.compact().project(&order));
+                        let r2 = SelBatch::from_batch(channels.clone());
+                        let out2 = star_join(&l2, &r2, jt, residual, workers, grace);
+                        let want2 = star_reference(&l2, &r2, jt, residual.as_ref());
+                        assert_eq!(out2.clone().compact(), want2, "{ctx}: link 2");
+                        assert_well_formed_dict(out2.batch.column(8), &ctx);
+                        // The store name rides through by handle: the
+                        // column itself, or new codes over its dictionary.
+                        let (_, d1, _) = l2.batch.column(6).dict_parts().unwrap();
+                        let (_, d2, _) = out2.batch.column(6).dict_parts().unwrap();
+                        assert!(Arc::ptr_eq(d1, d2), "{ctx}: store names re-encoded");
+                    }
+                }
+            }
+        }
+        assert!(shared_links > 0);
+
+        // By name: FK→PK inner and left joins share; one probe row
+        // dropped or matched twice, or a selection on the probe, copy.
+        let fact = star_fact(false);
+        let (l, r) = (
+            SelBatch::from_batch(fact.clone()),
+            SelBatch::from_batch(stores.clone()),
+        );
+        for jt in [JoinType::Inner, JoinType::Left] {
+            assert!(
+                shares_left(&star_join(&l, &r, jt, &None, 2, false), &fact),
+                "{jt:?}"
+            );
+        }
+        let left_ragged = star_fact(true);
+        let lr = SelBatch::from_batch(left_ragged.clone());
+        let out = star_join(&lr, &r, JoinType::Left, &None, 1, false);
+        assert!(shares_left(&out, &left_ragged)); // unmatched rows NULL-extend in place
+        assert!(!shares_left(
+            &star_join(&lr, &r, JoinType::Inner, &None, 1, false),
+            &left_ragged
+        ));
+
+        let with_key = |row: usize, k: i32| {
+            let mut cols = fact.columns().to_vec();
+            let ColumnVector::Int(mut keys, nulls) = (*cols[0]).clone() else {
+                unreachable!()
+            };
+            keys[row] = k;
+            cols[0] = Arc::new(ColumnVector::Int(keys, nulls));
+            VectorBatch::from_arcs(fact.schema().clone(), cols, fact.num_rows()).unwrap()
+        };
+        let drops_one = with_key(150, 7);
+        let out = star_join(
+            &SelBatch::from_batch(drops_one.clone()),
+            &r,
+            JoinType::Inner,
+            &None,
+            1,
+            false,
+        );
+        assert_eq!(out.num_rows(), 299);
+        assert!(!shares_left(&out, &drops_one));
+        // Store 3 is listed twice; exactly one fact row asks for it.
+        let twice = star_dim("s", &[Some("ese"), Some("able"), Some("ese"), Some("anti")])
+            .take(&[0, 1, 2, 3, 3]);
+        let repeats_one = with_key(150, 3);
+        let out = star_join(
+            &SelBatch::from_batch(repeats_one.clone()),
+            &SelBatch::from_batch(twice),
+            JoinType::Inner,
+            &None,
+            1,
+            false,
+        );
+        assert_eq!(out.num_rows(), 301);
+        assert!(!shares_left(&out, &repeats_one));
+        let all_but_last: Vec<u32> = (0..299).collect();
+        let narrowed = SelBatch::new(fact.clone(), SelVec::Idx(all_but_last)).unwrap();
+        assert!(!shares_left(
+            &star_join(&narrowed, &r, JoinType::Inner, &None, 1, false),
+            &fact
+        ));
     }
 
     #[test]

@@ -184,25 +184,10 @@ pub fn eval_rowmode(
     Ok(b.finish())
 }
 
+/// `n` rows of the literal `v` in its own type (a type-less NULL is a
+/// string column of NULLs).
 fn broadcast(v: &Value, n: usize) -> Result<ColumnVector> {
-    Ok(match v {
-        Value::Null => {
-            // Type-less NULL broadcast: a string column of NULLs.
-            let mut b = BitSet::new(n);
-            for i in 0..n {
-                b.set(i);
-            }
-            ColumnVector::Str(vec![String::new(); n], Some(b))
-        }
-        Value::Boolean(x) => ColumnVector::Boolean(vec![*x; n], None),
-        Value::Int(x) => ColumnVector::Int(vec![*x; n], None),
-        Value::BigInt(x) => ColumnVector::BigInt(vec![*x; n], None),
-        Value::Double(x) => ColumnVector::Double(vec![*x; n], None),
-        Value::Decimal(u, s) => ColumnVector::Decimal(vec![*u; n], *s, None),
-        Value::String(x) => ColumnVector::Str(vec![x.clone(); n], None),
-        Value::Date(x) => ColumnVector::Date(vec![*x; n], None),
-        Value::Timestamp(x) => ColumnVector::Timestamp(vec![*x; n], None),
-    })
+    ColumnVector::constant(v, &v.data_type(), n)
 }
 
 fn bool_combine(op: BinaryOp, l: &ColumnVector, r: &ColumnVector) -> Result<ColumnVector> {

@@ -159,6 +159,12 @@ cargo test -q --offline -p hive-exec --test reducers
 echo "-- results cache: right across DROP/re-CREATE, and in front of the planner --"
 cargo test -q --offline -p hive-core --test table_incarnation
 cargo test -q --offline -p hive-core --lib cache_position_tests
+# Replicated strings (DESIGN.md §4 "Replicated strings"): a gather may
+# hand a string column on encoded, so nothing may read the representation.
+echo "-- gather: plain and encoded results equal the Value-per-cell gather, either side of the fan-out threshold --"
+cargo test -q --offline -p hive-common --test gather_cast_props
+echo "-- above a join: consumers of dictionary and replicated plain strings = the row interpreter --"
+cargo test -q --offline --test join_output
 cargo test -q --offline --workspace
 
 # bench/e2e is a workspace of its own, so the line above never builds it:

@@ -5,6 +5,11 @@
 //! interpreter (`vectorized = false`) returns: GROUP BY on a dictionary
 //! key, Window, Sort, INTERSECT and UNION ALL over inputs with
 //! *different* dictionaries, and the result `decode()` itself.
+//!
+//! A *plain* string a join replicates — a small dimension's name column
+//! the writer rightly left unencoded, a string literal — reaches those
+//! consumers encoded too (one dictionary built by the gather, one entry
+//! for a literal); the second test holds them to the same oracle.
 
 use hive_warehouse::benchdata::tpcds::{self, TpcdsScale};
 use hive_warehouse::{HiveConf, HiveServer};
@@ -137,6 +142,81 @@ fn operators_above_a_join_match_the_row_interpreter() {
         let server = load_server(tune);
         for ((what, sql), want) in CONSUMERS.iter().zip(&expected) {
             assert_eq!(&sorted_rows(&server, sql), want, "{what} under {setting}");
+        }
+    }
+}
+
+/// Consumers of a plain string column a join has replicated:
+/// `s_store_name` has as many distinct values as `store` has rows, so
+/// the writer leaves it plain, and the literals are plain by birth.
+const REPLICATED: [(&str, &str); 6] = [
+    (
+        "GROUP BY",
+        "SELECT s_store_name, COUNT(*), SUM(ss_quantity) \
+         FROM store_sales JOIN store ON ss_store_sk = s_store_sk \
+         GROUP BY s_store_name",
+    ),
+    (
+        "GROUP BY through a second join",
+        "SELECT s_store_name, i_category, COUNT(*) \
+         FROM store_sales JOIN store ON ss_store_sk = s_store_sk \
+              JOIN item ON ss_item_sk = i_item_sk \
+         GROUP BY s_store_name, i_category",
+    ),
+    (
+        "ORDER BY",
+        "SELECT s_store_name, ss_ticket_number, ss_item_sk, ss_quantity \
+         FROM store_sales JOIN store ON ss_store_sk = s_store_sk \
+         WHERE ss_quantity > 18 \
+         ORDER BY s_store_name DESC, ss_ticket_number, ss_item_sk, ss_quantity \
+         LIMIT 200",
+    ),
+    (
+        "DISTINCT beside a literal",
+        "SELECT DISTINCT s_store_name, 'store' AS channel \
+         FROM store_sales LEFT JOIN store ON ss_store_sk = s_store_sk AND ss_quantity > 10",
+    ),
+    (
+        "window PARTITION BY",
+        "SELECT s_store_name, ss_sold_date_sk, total, \
+                RANK() OVER (PARTITION BY s_store_name ORDER BY total DESC, ss_sold_date_sk), \
+                SUM(total) OVER (PARTITION BY s_store_name) \
+         FROM (SELECT s_store_name, ss_sold_date_sk, SUM(ss_quantity) AS total \
+               FROM store_sales JOIN store ON ss_store_sk = s_store_sk \
+               GROUP BY s_store_name, ss_sold_date_sk) t",
+    ),
+    (
+        "UNION ALL of literal-tagged branches",
+        "SELECT u.channel, u.name, COUNT(*) FROM ( \
+            SELECT 'store' AS channel, s_store_name AS name \
+            FROM store_sales JOIN store ON ss_store_sk = s_store_sk \
+            UNION ALL \
+            SELECT 'customer' AS channel, c_last_name AS name \
+            FROM store_sales JOIN customer ON ss_customer_sk = c_customer_sk \
+         ) u GROUP BY u.channel, u.name",
+    ),
+];
+
+#[test]
+fn replicated_plain_strings_match_the_row_interpreter() {
+    let oracle = load_server(|c| c.vectorized = false);
+    type Tune = fn(&mut HiveConf);
+    let settings: [(&str, Tune); 4] = [
+        ("1 thread", |c| c.parallel_threads = 1),
+        ("2 threads", |c| c.parallel_threads = 2),
+        ("8 threads", |c| c.parallel_threads = 8),
+        // Every string column leaves the scan plain.
+        ("2 threads, dictionary off", |c| {
+            c.parallel_threads = 2;
+            c.dictionary_enabled = false;
+        }),
+    ];
+    let servers = settings.map(|(setting, tune)| (setting, load_server(tune)));
+    for (what, sql) in REPLICATED {
+        let want = sorted_rows(&oracle, sql);
+        assert!(want.len() > 1, "{what}: the fixture returns {want:?}");
+        for (setting, server) in &servers {
+            assert_eq!(sorted_rows(server, sql), want, "{what} under {setting}");
         }
     }
 }
