@@ -865,6 +865,183 @@ fn bench_replicated_strings(_c: &mut Criterion) {
     }
 }
 
+/// The aggregate from fold to output, and the last row loop a filter
+/// ran: a `GROUP BY` over two INT columns with a group per row (TPC-DS
+/// q34's inner aggregate: key preparation and group discovery timed on
+/// their own through the key layer, then the whole operator compiled at
+/// one worker — fold and emit are what it adds to those two — and at
+/// two, which adds routing and the partition merge, and interpreted for
+/// contrast), `COUNT(DISTINCT int)` over four groups (q73), a decimal
+/// SUM over 20 000 groups, and a `DECIMAL` column filtered against the
+/// `DOUBLE` column a scalar subquery leaves beside it (q25 / q65 / q92;
+/// the statement also scans, joins and counts, so the same statement
+/// against a literal is printed beside it). Prints ns per input row;
+/// recorded in EXPERIMENTS.md, not gated on time.
+fn bench_aggregate_states(_c: &mut Criterion) {
+    use hive_common::{ColumnVector, SelBatch, SelVec};
+    use hive_exec::aggregate::execute_aggregate_par;
+    use hive_exec::keys::{Grouper, KeySide};
+    use hive_exec::pir::PirCounters;
+
+    let scatter = |i: usize, domain: usize| (i.wrapping_mul(2_654_435_761) % domain) as i32;
+    let count_star = || AggExpr {
+        func: AggFunc::Count,
+        arg: None,
+        distinct: false,
+    };
+    // The operator as the engine calls it with the physical IR on
+    // (`compiled`) and off, at `workers` workers.
+    let aggregate_case = |name: &str,
+                          batch: &VectorBatch,
+                          groups: &[ScalarExpr],
+                          aggs: &[AggExpr],
+                          workers: usize,
+                          compiled: bool| {
+        let out_schema = aggregate_schema(batch.schema(), groups, aggs);
+        let input = SelBatch::from_batch(batch.clone());
+        let rows = batch.num_rows() as f64;
+        report_ns(name, "row", 10, rows, || {
+            let mut pc = PirCounters::default();
+            let pir = compiled.then_some(&mut pc);
+            let out = execute_aggregate_par(
+                &input,
+                groups,
+                &None,
+                aggs,
+                &out_schema,
+                workers,
+                true,
+                None,
+                pir,
+            );
+            std::hint::black_box(out.unwrap().num_rows());
+        });
+    };
+    let variants = |name: &str, batch: &VectorBatch, groups: &[ScalarExpr], aggs: &[AggExpr]| {
+        aggregate_case(name, batch, groups, aggs, 1, true);
+        aggregate_case(&format!("{name}/2_workers"), batch, groups, aggs, 2, true);
+        aggregate_case(
+            &format!("{name}/interpreted"),
+            batch,
+            groups,
+            aggs,
+            1,
+            false,
+        );
+    };
+
+    const TICKETS: usize = 180_000;
+    let int_field = |name: &str| Field::new(name, DataType::Int);
+    let tickets = VectorBatch::new(
+        Schema::new(vec![int_field("ticket"), int_field("customer")]),
+        vec![
+            ColumnVector::Int((0..TICKETS as i32).collect(), None),
+            ColumnVector::Int((0..TICKETS).map(|i| scatter(i, 20_000)).collect(), None),
+        ],
+    )
+    .unwrap();
+    let name = "aggregate/group_all_distinct_2int_180k";
+    let side = KeySide::group(&[tickets.column(0), tickets.column(1)]);
+    let all = SelVec::All(TICKETS);
+    report_ns(&format!("{name}/key"), "row", 10, TICKETS as f64, || {
+        std::hint::black_box(side.keys(&all, 0, TICKETS));
+    });
+    let keys = side.keys(&all, 0, TICKETS);
+    report_ns(
+        &format!("{name}/discover"),
+        "row",
+        10,
+        TICKETS as f64,
+        || {
+            let mut assign = Vec::with_capacity(TICKETS);
+            let mut groups = Grouper::new(side.shape());
+            groups
+                .assign(&keys, None, |_, g, _| assign.push(g))
+                .unwrap();
+            std::hint::black_box(assign);
+        },
+    );
+    let both = [ScalarExpr::Column(0), ScalarExpr::Column(1)];
+    variants(name, &tickets, &both, &[count_star()]);
+
+    const ROWS: usize = 300_000;
+    let potentials = std::sync::Arc::new(
+        [">10000", "5001-10000", "1001-5000", "Unknown"]
+            .map(String::from)
+            .to_vec(),
+    );
+    let baskets = VectorBatch::new(
+        Schema::new(vec![
+            Field::new("potential", DataType::String),
+            int_field("ticket"),
+        ]),
+        vec![
+            ColumnVector::dict_from_codes(
+                (0..ROWS).map(|i| scatter(i / 3, 4) as u32).collect(),
+                potentials,
+                None,
+            )
+            .unwrap(),
+            ColumnVector::Int((0..ROWS).map(|i| (i / 3) as i32).collect(), None),
+        ],
+    )
+    .unwrap();
+    let distinct_tickets = AggExpr {
+        func: AggFunc::Count,
+        arg: Some(ScalarExpr::Column(1)),
+        distinct: true,
+    };
+    variants(
+        "aggregate/count_distinct_int_300k_4_groups",
+        &baskets,
+        &[ScalarExpr::Column(0)],
+        &[distinct_tickets],
+    );
+
+    let priced = VectorBatch::new(
+        Schema::new(vec![
+            int_field("item"),
+            Field::new("price", DataType::Decimal(7, 2)),
+        ]),
+        vec![
+            ColumnVector::Int((0..ROWS).map(|i| scatter(i, 20_000)).collect(), None),
+            ColumnVector::Decimal((0..ROWS).map(|i| (i % 10_000) as i128).collect(), 2, None),
+        ],
+    )
+    .unwrap();
+    let sum_price = AggExpr {
+        func: AggFunc::Sum,
+        arg: Some(ScalarExpr::Column(1)),
+        distinct: false,
+    };
+    variants(
+        "aggregate/sum_decimal_20k_groups_300k",
+        &priced,
+        &[ScalarExpr::Column(0)],
+        &[sum_price],
+    );
+
+    let server = hive_core::HiveServer::new(HiveConf::v3_1().with(|c| c.results_cache = false));
+    let sess = server.session();
+    sess.execute("CREATE TABLE sales (item INT, price DECIMAL(7,2))")
+        .unwrap();
+    sess.bulk_insert("sales", priced.to_rows()).unwrap();
+    for (name, sql) in [
+        (
+            "filter/decimal_col_vs_double_col_300k",
+            "SELECT COUNT(*) FROM sales WHERE price <= (SELECT AVG(price) * 1.2 FROM sales)",
+        ),
+        (
+            "filter/decimal_col_vs_literal_300k",
+            "SELECT COUNT(*) FROM sales WHERE price <= 60.00",
+        ),
+    ] {
+        report_ns(name, "row", 10, ROWS as f64, || {
+            std::hint::black_box(sess.execute(sql).unwrap().display_rows());
+        });
+    }
+}
+
 criterion_group!(
     benches,
     bench_corc,
@@ -876,6 +1053,7 @@ criterion_group!(
     bench_hash_keys,
     bench_fixed_costs,
     bench_acid_read_path,
-    bench_replicated_strings
+    bench_replicated_strings,
+    bench_aggregate_states
 );
 criterion_main!(benches);

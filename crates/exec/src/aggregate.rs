@@ -7,11 +7,20 @@
 //! Welford variance). Partitions merge by each group's first-seen row
 //! index, so the emitted row order is byte-identical for any worker or
 //! partition count (and deterministic, unlike HashMap iteration order).
+//!
+//! A build's per-group states ([`States`]) are columns on the compiled
+//! path — one [`FoldOut`] per aggregate from the fold to the output
+//! column — and accumulator rows (`Vec<Acc>` per group) only where the
+//! interpreter *is* the implementation: `hive.exec.pir.enabled = false`
+//! (the differential oracle), `STDDEV_SAMP`, and the spilled build.
+
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use crate::dict::KeyPart;
 use crate::engine::align_column;
 use crate::kernels::eval_vector;
 use crate::keys::{Grouper, KeySide, RowKeys, ValueSet};
+use crate::pir::agg::FoldOut;
 use crate::rawtable::RawTable;
 use crate::spill::{partition_of, plan_partition, push_rec, RecIter, SpillCtx};
 use hive_common::{
@@ -297,9 +306,11 @@ pub fn execute_aggregate_par(
 /// `hive.exec.rawtable.enabled`); both arms are byte-identical — the
 /// `HashMap` arm stays as the differential oracle.
 ///
-/// `pir` is `Some` when the physical IR is enabled: the build then
-/// folds every aggregate through a compiled accumulator kernel
-/// ([`crate::pir::agg`]) when all of them are compilable, reporting
+/// `pir` is `Some` when the physical IR is enabled: when every
+/// aggregate is compilable ([`crate::pir::agg::compilable`]) the build
+/// folds each through its kernel into per-group state columns
+/// ([`FoldOut`]) and finishes those straight into the output columns —
+/// no accumulator row and no `Value` per group in between — reporting
 /// compiled/fallback accounting into the counters.
 #[allow(clippy::too_many_arguments)]
 pub fn execute_aggregate_parts(
@@ -364,16 +375,14 @@ pub fn execute_aggregate_parts(
         let denied = matches!(&admission, Some((_, None)));
 
         if by_parts && !denied {
-            if let Some((groups, key_rows, key_cols)) =
-                fold_parts(&evaluated, set, aggs, workers, rawtable)?
-            {
+            if let Some(f) = fold_parts(&evaluated, set, aggs, workers, rawtable)? {
                 any_compiled = true;
                 out.push(emit_groups(
-                    groups,
-                    &key_rows,
-                    &key_cols,
+                    f.groups,
+                    &f.key_rows,
+                    &f.key_cols,
+                    &f.arg_cols,
                     set,
-                    aggs.len(),
                     gid,
                     out_schema,
                 )?);
@@ -434,15 +443,19 @@ pub fn execute_aggregate_parts(
         };
         // Global aggregation with no keys over empty input yields the
         // neutral row (its position is never read: there are no keys).
-        if groups.is_empty() && set.is_empty() {
-            groups.push((0, aggs.iter().map(Acc::new).collect()));
+        // Only the spilled build can come back without it.
+        if let States::Rows(rows) = &mut groups.states {
+            if rows.is_empty() && set.is_empty() {
+                groups.first_pos.push(0);
+                rows.push(aggs.iter().map(Acc::new).collect());
+            }
         }
         out.push(emit_groups(
             groups,
             &input.sel,
             &input.key_cols,
+            &input.arg_cols,
             set,
-            aggs.len(),
             gid,
             out_schema,
         )?);
@@ -546,6 +559,33 @@ impl PartCols {
     }
 }
 
+/// The per-group aggregate states of one build.
+enum States {
+    /// The compiled build's: one [`FoldOut`] per aggregate, each holding
+    /// a state per group.
+    Folded(Vec<FoldOut>),
+    /// The interpreted build's: one accumulator row per group.
+    Rows(Vec<Vec<Acc>>),
+}
+
+/// One grouping set's groups — or one build partition's — in first-seen
+/// order.
+struct Built {
+    /// Selected position each group was first seen at, ascending.
+    first_pos: Vec<usize>,
+    states: States,
+}
+
+/// One grouping set folded part by part: the merged groups, the key
+/// rows and columns their first-seen positions index, and per aggregate
+/// the column its states finish against (MIN/MAX: the parts' winners).
+struct PartsFold {
+    groups: Built,
+    key_rows: SelVec,
+    key_cols: Vec<Arc<ColumnVector>>,
+    arg_cols: Vec<Option<Arc<ColumnVector>>>,
+}
+
 /// Fold one grouping set part by part, without assembling the input:
 /// each part discovers its own groups (serially inside the part) and
 /// folds the compiled accumulators over them, in parallel across
@@ -554,23 +594,21 @@ impl PartCols {
 /// every [`crate::pir::agg::mergeable`] state, its value. A key-less set
 /// has one state per part and discovers nothing.
 ///
-/// Returns the groups with the key rows and columns their first-seen
-/// positions index, or `None` when this set should take the assembled build
+/// Returns `None` when this set should take the assembled build
 /// instead: a SUM(Decimal) whose magnitudes leave `i128` (the serial
 /// fold may have overflowed on some prefix and must run to surface its
 /// exact error or value), or a key that barely reduces — when the
 /// first part keeps more than one group per [`MIN_REDUCTION`] rows,
 /// merging every part's groups costs more than the hash-partitioned
 /// build saves.
-#[allow(clippy::type_complexity)]
 fn fold_parts(
     parts: &[PartCols],
     set: &[usize],
     aggs: &[AggExpr],
     workers: usize,
     rawtable: bool,
-) -> Result<Option<(Vec<(usize, Vec<Acc>)>, SelVec, Vec<Arc<ColumnVector>>)>> {
-    use crate::pir::agg::{assigned, fold, fold_keyless, FoldOut};
+) -> Result<Option<PartsFold>> {
+    use crate::pir::agg::{assigned, fold, fold_keyless};
     /// One part's states: `states` groups, the batch row each was first
     /// seen at (none for a key-less set — its one state has no key to
     /// gather), and per aggregate one state per group.
@@ -586,7 +624,7 @@ fn fold_parts(
                 states: 1,
                 first_rows: Vec::new(),
                 folds: args
-                    .map(|(a, c)| fold_keyless(a.func, c.as_deref(), &part.sel, true))
+                    .map(|(a, c)| fold_keyless(a.func, false, c.as_deref(), &part.sel, true))
                     .collect::<Result<_>>()?,
             });
         }
@@ -638,38 +676,64 @@ fn fold_parts(
         let d = discover(&SelVec::All(local_groups), &key_cols, set, rawtable)?;
         (d.first_pos, d.assign, key_cols)
     };
+    let ngroups = first_pos.len();
 
-    // Merge in part order. The first part's groups are all new, in
-    // order, so its states are the merged states' prefix as they stand.
-    let mut partials = partials.into_iter();
-    let Some(first) = partials.next() else {
-        return Ok(None);
-    };
-    let mut state = first.folds;
-    for f in &mut state {
-        f.grow(first_pos.len());
-    }
-    let mut maps = &merged_of[first.states..];
-    for part in partials {
-        let (map, later) = maps.split_at(part.states);
-        for ((acc, f), a) in state.iter_mut().zip(part.folds).zip(aggs) {
-            acc.merge(f, map, a.func)?;
+    // Merge aggregate by aggregate, each over its states in part order.
+    let part_states: Vec<usize> = partials.iter().map(|p| p.states).collect();
+    let mut per_part: Vec<std::vec::IntoIter<FoldOut>> =
+        (partials.into_iter().map(|p| p.folds.into_iter())).collect();
+    let mut folds = Vec::with_capacity(aggs.len());
+    let mut arg_cols = Vec::with_capacity(aggs.len());
+    for (ai, a) in aggs.iter().enumerate() {
+        let mut states = per_part.iter_mut().filter_map(Iterator::next);
+        if matches!(a.func, AggFunc::Min | AggFunc::Max) {
+            // A MIN/MAX state names rows of its own part's argument:
+            // gather each part's winners, lay them end to end like the
+            // keys, and fold *them* — row r is part-local group r, of
+            // merged group `merged_of[r]`. Strictly better replaces, so
+            // the earlier part keeps a tie, as in the serial fold.
+            let Some(dt) = probe.arg_cols[ai].as_ref().map(|c| c.data_type()) else {
+                return Ok(None);
+            };
+            let winners = (parts.iter().zip(states))
+                .map(|(part, f)| f.finish(part.arg_cols[ai].as_deref(), &dt))
+                .collect::<Result<Vec<_>>>()?;
+            let cols: Vec<(&ColumnVector, Option<&[u32]>)> =
+                winners.iter().map(|w| (&**w, None)).collect();
+            let winners = Arc::new(ColumnVector::concat_selected(&dt, &cols)?);
+            let pairs = (merged_of.iter().enumerate()).map(|(r, &g)| (r, g as usize));
+            folds.push(fold(a.func, Some(&winners), pairs, ngroups, false)?);
+            arg_cols.push(Some(winners));
+            continue;
         }
-        maps = later;
+        // COUNT and SUM states add up. The first part's groups are all
+        // new, in order, so its states are the merged states' prefix as
+        // they stand.
+        let Some(mut acc) = states.next() else {
+            return Ok(None);
+        };
+        acc.grow(ngroups);
+        let mut maps = &merged_of[part_states[0]..];
+        for (f, &n) in states.zip(&part_states[1..]) {
+            let (map, later) = maps.split_at(n);
+            acc.merge(f, map)?;
+            maps = later;
+        }
+        let Some(acc) = acc.close_partial() else {
+            return Ok(None);
+        };
+        folds.push(acc);
+        arg_cols.push(None);
     }
-    let Some(state) = state
-        .into_iter()
-        .map(FoldOut::close_partial)
-        .collect::<Option<Vec<_>>>()
-    else {
-        return Ok(None);
-    };
-    let mut groups: Vec<(usize, Vec<Acc>)> = first_pos
-        .into_iter()
-        .map(|pos| (pos, aggs.iter().map(Acc::new).collect()))
-        .collect();
-    install_folds(&mut groups, state, aggs);
-    Ok(Some((groups, SelVec::All(merged_of.len()), key_cols)))
+    Ok(Some(PartsFold {
+        groups: Built {
+            first_pos,
+            states: States::Folded(folds),
+        },
+        key_rows: SelVec::All(merged_of.len()),
+        key_cols,
+        arg_cols,
+    }))
 }
 
 /// The parts route is for keys that reduce: the first part must keep at
@@ -680,24 +744,25 @@ const MIN_REDUCTION: usize = 8;
 /// typed gather of its key column at the groups' first-seen rows (a
 /// `Dict` key stays `Dict` over the same dictionary; a key this set
 /// aggregates away gathers all-NULL), each aggregate finishes its
-/// per-group states into one column, and every column is aligned to the
-/// declared output type.
+/// per-group states into one column — a compiled build's state columns
+/// directly ([`FoldOut::finish`], against the aggregate's argument in
+/// `arg_cols`), the interpreter's accumulator rows through a `Value`
+/// each — and every column is aligned to the declared output type.
 fn emit_groups(
-    groups: Vec<(usize, Vec<Acc>)>,
+    groups: Built,
     sel: &SelVec,
     key_cols: &[Arc<ColumnVector>],
+    arg_cols: &[Option<Arc<ColumnVector>>],
     set: &[usize],
-    naggs: usize,
     gid: Option<i64>,
     out_schema: &hive_common::Schema,
 ) -> Result<VectorBatch> {
-    let n = groups.len();
+    let n = groups.first_pos.len();
     let first_rows: Vec<u32> = if set.is_empty() {
         Vec::new()
     } else {
-        groups
-            .iter()
-            .map(|(pos, _)| sel.index(*pos) as u32)
+        (groups.first_pos.iter())
+            .map(|&pos| sel.index(pos) as u32)
             .collect()
     };
     let absent = vec![NULL_INDEX; if set.len() < key_cols.len() { n } else { 0 }];
@@ -711,66 +776,33 @@ fn emit_groups(
         };
         cols.push(align_column(Arc::new(col), want(k))?);
     }
-    let mut states: Vec<std::vec::IntoIter<Acc>> = groups
-        .into_iter()
-        .map(|(_, accs)| accs.into_iter())
-        .collect();
-    for _ in 0..naggs {
-        let finished = states
-            .iter_mut()
-            .filter_map(Iterator::next)
-            .map(Acc::finish)
-            .collect::<Result<Vec<Value>>>()?;
-        cols.push(Arc::new(ColumnVector::from_values(
-            &finished,
-            want(cols.len()),
-        )?));
+    match groups.states {
+        States::Folded(folds) => {
+            for (fold, arg) in folds.into_iter().zip(arg_cols) {
+                cols.push(fold.finish(arg.as_deref(), want(cols.len()))?);
+            }
+        }
+        States::Rows(rows) => {
+            let mut states: Vec<std::vec::IntoIter<Acc>> =
+                rows.into_iter().map(Vec::into_iter).collect();
+            for _ in arg_cols {
+                let finished = states
+                    .iter_mut()
+                    .filter_map(Iterator::next)
+                    .map(Acc::finish)
+                    .collect::<Result<Vec<Value>>>()?;
+                cols.push(Arc::new(ColumnVector::from_values(
+                    &finished,
+                    want(cols.len()),
+                )?));
+            }
+        }
     }
     if let Some(gid) = gid {
         let col = ColumnVector::BigInt(vec![gid; n], None);
         cols.push(align_column(Arc::new(col), want(cols.len()))?);
     }
     VectorBatch::from_arcs(out_schema.clone(), cols, n)
-}
-
-/// Replace each group's accumulator states with compiled folds: one
-/// [`crate::pir::agg::FoldOut`] per aggregate, one state per group.
-fn install_folds(
-    groups: &mut [(usize, Vec<Acc>)],
-    folds: Vec<crate::pir::agg::FoldOut>,
-    aggs: &[AggExpr],
-) {
-    use crate::pir::agg::FoldOut;
-    for (ai, (a, f)) in aggs.iter().zip(folds).enumerate() {
-        match f {
-            FoldOut::Count(cs) => {
-                for (g, c) in groups.iter_mut().zip(cs) {
-                    g.1[ai] = Acc::Count(c);
-                }
-            }
-            FoldOut::Opt(vs) => {
-                for (g, v) in groups.iter_mut().zip(vs) {
-                    g.1[ai] = match a.func {
-                        AggFunc::Sum => Acc::Sum(v),
-                        AggFunc::Min => Acc::Min(v),
-                        _ => Acc::Max(v),
-                    };
-                }
-            }
-            FoldOut::Avg(ss) => {
-                for (g, (sum, count)) in groups.iter_mut().zip(ss) {
-                    g.1[ai] = Acc::Avg { sum, count };
-                }
-            }
-            // Only the parts route folds partially, and it closes the
-            // partial sums before installing them.
-            FoldOut::DecPartial { scale, sums, .. } => {
-                for (g, s) in groups.iter_mut().zip(sums) {
-                    g.1[ai] = Acc::Sum(s.map(|u| Value::Decimal(u, scale)));
-                }
-            }
-        }
-    }
 }
 
 /// The groups of one build partition, in first-seen order, with every
@@ -922,43 +954,38 @@ fn discover(
 
 /// Accumulate one partition's discovered groups: a compiled fold per
 /// aggregate over the recorded assignment — no per-row `Value`
-/// materialization or dispatch — or the interpreted `Acc::update` loop
-/// in the same row order.
+/// materialization or dispatch, DISTINCT as a row filter in front of
+/// the same kernel — or the interpreted `Acc::update` loop in the same
+/// row order.
 fn accumulate(
-    d: &Discovery,
+    d: Discovery,
     aggs: &[AggExpr],
     arg_cols: &[Option<Arc<ColumnVector>>],
     compiled: bool,
-) -> Result<Vec<(usize, Vec<Acc>)>> {
-    let mut groups: Vec<(usize, Vec<Acc>)> = d
-        .first_pos
-        .iter()
-        .map(|&pos| (pos, aggs.iter().map(Acc::new).collect()))
-        .collect();
-    if compiled {
-        let folds = aggs
-            .iter()
-            .zip(arg_cols)
-            .map(|(a, c)| {
-                crate::pir::agg::fold(
-                    a.func,
-                    c.as_deref(),
-                    crate::pir::agg::assigned(&d.rows_idx, &d.assign),
-                    groups.len(),
-                    false,
-                )
-            })
-            .collect::<Result<Vec<_>>>()?;
-        install_folds(&mut groups, folds, aggs);
+) -> Result<Built> {
+    let ngroups = d.first_pos.len();
+    let states = if compiled {
+        let fold = |(a, c): (&AggExpr, &Option<Arc<ColumnVector>>)| {
+            let arg = c.as_deref();
+            crate::pir::agg::fold_assigned(a.func, a.distinct, arg, &d.rows_idx, &d.assign, ngroups)
+        };
+        States::Folded(aggs.iter().zip(arg_cols).map(fold).collect::<Result<_>>()?)
     } else {
+        let mut rows: Vec<Vec<Acc>> = (0..ngroups)
+            .map(|_| aggs.iter().map(Acc::new).collect())
+            .collect();
         for (&i, &g) in d.rows_idx.iter().zip(&d.assign) {
-            for (acc, arg) in groups[g as usize].1.iter_mut().zip(arg_cols) {
+            for (acc, arg) in rows[g as usize].iter_mut().zip(arg_cols) {
                 let v = arg.as_ref().map(|c| c.get(i as usize));
                 acc.update(v.as_ref())?;
             }
         }
-    }
-    Ok(groups)
+        States::Rows(rows)
+    };
+    Ok(Built {
+        first_pos: d.first_pos,
+        states,
+    })
 }
 
 /// A key-less aggregate's one group: each accumulator folded straight
@@ -968,24 +995,26 @@ fn fold_keyless_group(
     arg_cols: &[Option<Arc<ColumnVector>>],
     aggs: &[AggExpr],
     compiled: bool,
-) -> Result<Vec<(usize, Vec<Acc>)>> {
-    let mut groups = vec![(0, aggs.iter().map(Acc::new).collect::<Vec<_>>())];
-    if compiled {
-        let folds = aggs
-            .iter()
-            .zip(arg_cols)
-            .map(|(a, c)| crate::pir::agg::fold_keyless(a.func, c.as_deref(), sel, false))
-            .collect::<Result<Vec<_>>>()?;
-        install_folds(&mut groups, folds, aggs);
+) -> Result<Built> {
+    let states = if compiled {
+        let fold = |(a, c): (&AggExpr, &Option<Arc<ColumnVector>>)| {
+            crate::pir::agg::fold_keyless(a.func, a.distinct, c.as_deref(), sel, false)
+        };
+        States::Folded(aggs.iter().zip(arg_cols).map(fold).collect::<Result<_>>()?)
     } else {
+        let mut row: Vec<Acc> = aggs.iter().map(Acc::new).collect();
         for i in sel.iter() {
-            for (acc, arg) in groups[0].1.iter_mut().zip(arg_cols) {
+            for (acc, arg) in row.iter_mut().zip(arg_cols) {
                 let v = arg.as_ref().map(|c| c.get(i));
                 acc.update(v.as_ref())?;
             }
         }
-    }
-    Ok(groups)
+        States::Rows(vec![row])
+    };
+    Ok(Built {
+        first_pos: vec![0],
+        states,
+    })
 }
 
 /// Build the aggregation state for one grouping set, returning groups
@@ -1003,28 +1032,87 @@ fn build_groups(
     workers: usize,
     rawtable: bool,
     compiled: bool,
-) -> Result<Vec<(usize, Vec<Acc>)>> {
+) -> Result<Built> {
     if set.is_empty() {
         return fold_keyless_group(sel, arg_cols, aggs, compiled);
     }
     if workers <= 1 || sel.len() < 2 {
         let d = discover(sel, key_cols, set, rawtable)?;
-        return accumulate(&d, aggs, arg_cols, compiled);
+        return accumulate(d, aggs, arg_cols, compiled);
     }
     // One build per hash partition. A group's rows all share a hash, so
-    // they live in exactly one partition and fold in position order;
-    // the merge sorts by global first-seen position, restoring the
-    // serial discovery order.
+    // they live in exactly one partition and fold in position order.
     let side = key_side(key_cols, set);
     let keys = side.keys_par(sel, workers)?;
     let nparts = workers;
     let parts = crate::par::parallel_map(workers, nparts, |p| {
         let d = discover_partition(sel, &side, rawtable, Some(&keys), Some((nparts, p)))?;
-        accumulate(&d, aggs, arg_cols, compiled)
+        accumulate(d, aggs, arg_cols, compiled)
     })?;
-    let mut all: Vec<(usize, Vec<Acc>)> = parts.into_iter().flatten().collect();
-    all.sort_by_key(|(first_pos, _)| *first_pos);
-    Ok(all)
+    merge_partitions(parts, aggs.len())
+}
+
+/// The partitions of a hash-partitioned build as one build. Their
+/// groups are disjoint and each partition lists its own ascending by
+/// first-seen position, so the serial discovery order is a merge of
+/// ascending lists — pairwise, two cursors each — and every group's
+/// state is picked from its partition as it stands: nothing is sorted
+/// and nothing is combined.
+fn merge_partitions(parts: Vec<Built>, naggs: usize) -> Result<Built> {
+    /// `(first-seen position, (partition, group within it))`.
+    type Slot = (usize, (u32, u32));
+    fn merge_two(a: Vec<Slot>, b: Vec<Slot>) -> Vec<Slot> {
+        let mut out = Vec::with_capacity(a.len() + b.len());
+        let (mut a, mut b) = (a.into_iter().peekable(), b.into_iter().peekable());
+        while let (Some(x), Some(y)) = (a.peek(), b.peek()) {
+            out.extend(if x.0 < y.0 { a.next() } else { b.next() });
+        }
+        out.extend(a);
+        out.extend(b);
+        out
+    }
+    let mut lists: Vec<Vec<Slot>> = (parts.iter().enumerate())
+        .map(|(p, part)| {
+            let slots = part.first_pos.iter().enumerate();
+            slots.map(|(l, &pos)| (pos, (p as u32, l as u32))).collect()
+        })
+        .collect();
+    while lists.len() > 1 {
+        let mut pairs = lists.into_iter();
+        let mut merged = Vec::new();
+        while let Some(a) = pairs.next() {
+            merged.push(match pairs.next() {
+                Some(b) => merge_two(a, b),
+                None => a,
+            });
+        }
+        lists = merged;
+    }
+    let (first_pos, order): (Vec<usize>, Vec<(u32, u32)>) =
+        lists.pop().unwrap_or_default().into_iter().unzip();
+
+    // Per aggregate, the partitions' state columns; per partition, its
+    // accumulator rows. A build is one or the other throughout.
+    let mut folded: Vec<Vec<FoldOut>> = (0..naggs).map(|_| Vec::new()).collect();
+    let mut rows: Vec<Vec<Vec<Acc>>> = Vec::new();
+    for part in parts {
+        match part.states {
+            States::Folded(folds) => {
+                for (col, f) in folded.iter_mut().zip(folds) {
+                    col.push(f);
+                }
+            }
+            States::Rows(r) => rows.push(r),
+        }
+    }
+    let states = if rows.is_empty() {
+        let pick = |col: &Vec<FoldOut>| FoldOut::interleave(col, &order);
+        States::Folded(folded.iter().map(pick).collect::<Result<_>>()?)
+    } else {
+        let take = |&(p, l): &(u32, u32)| std::mem::take(&mut rows[p as usize][l as usize]);
+        States::Rows(order.iter().map(take).collect())
+    };
+    Ok(Built { first_pos, states })
 }
 
 /// The spilling build for one grouping set: every selected position's
@@ -1050,7 +1138,7 @@ fn build_groups_spilled(
     aggs: &[AggExpr],
     rawtable: bool,
     sp: &SpillCtx<'_>,
-) -> Result<Vec<(usize, Vec<Acc>)>> {
+) -> Result<Built> {
     let num_rows = sel.len();
     // Spill records are the bytes shape, whatever the columns are.
     let keys = key_side(key_cols, set).into_bytes().keys(sel, 0, num_rows);
@@ -1080,7 +1168,11 @@ fn build_groups_spilled(
         &mut file_seq,
     )?;
     groups.sort_by_key(|(first_pos, _)| *first_pos);
-    Ok(groups)
+    let (first_pos, rows) = groups.into_iter().unzip();
+    Ok(Built {
+        first_pos,
+        states: States::Rows(rows),
+    })
 }
 
 /// Solve one aggregation partition: fold it in memory (charging the
@@ -1608,25 +1700,22 @@ mod tests {
             .collect();
         let aggs = sum_of(2);
         // Seven groups a part: merged part by part, in first-seen order.
-        let (groups, _, _) = fold_parts(&parts, &[0], &aggs, 2, true)
+        let merged = fold_parts(&parts, &[0], &aggs, 2, true)
             .unwrap()
             .expect("a key that reduces takes the parts route");
-        assert_eq!(groups.len(), 7);
-        assert_eq!(
-            groups.iter().map(|g| g.0).collect::<Vec<_>>(),
-            (0..7).collect::<Vec<_>>()
-        );
+        assert_eq!(merged.groups.first_pos, (0..7).collect::<Vec<_>>());
         // A group per row: merging 3 000 one-row groups would cost more
         // than the partitioned build over the assembled columns.
         assert!(fold_parts(&parts, &[1], &aggs, 2, true).unwrap().is_none());
         // No keys: one state per part, nothing to discover.
-        let (groups, _, _) = fold_parts(&parts, &[], &aggs, 2, true).unwrap().unwrap();
+        let merged = fold_parts(&parts, &[], &aggs, 2, true).unwrap().unwrap();
         let total: i64 = 3 * (0..1000).sum::<i64>();
-        assert_eq!(groups.len(), 1);
-        assert_eq!(
-            groups[0].1[0].clone().finish().unwrap(),
-            Value::BigInt(total)
-        );
+        assert_eq!(merged.groups.first_pos, vec![0]);
+        let States::Folded(mut folds) = merged.groups.states else {
+            panic!("the parts route folds compiled states");
+        };
+        let sum = folds.remove(0).finish(None, &DataType::BigInt).unwrap();
+        assert_eq!(*sum, ColumnVector::BigInt(vec![total], None));
     }
 
     fn sum_of(col: usize) -> Vec<AggExpr> {

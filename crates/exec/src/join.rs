@@ -443,8 +443,9 @@ pub fn execute_join_par(
     let result = assemble(&left, &right, join_type, merged, out_schema, workers)?;
     if let Some(pc) = pir {
         if residual.is_some() {
-            if resid_plan.is_some() {
+            if let Some(plan) = &resid_plan {
                 pc.compiled_stages += 1;
+                pc.fallback_rows += plan.pipe.interpreted_rows();
             }
             pc.fallback_rows += resid_pairs.load(Ordering::Relaxed);
         }

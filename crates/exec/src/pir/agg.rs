@@ -2,7 +2,7 @@
 //! boundary.
 //!
 //! The interpreted build ([`crate::aggregate`]) calls `Acc::update` per
-//! row: a `ColumnVector::get` materializing a [`Value`], then an enum
+//! row: a `ColumnVector::get` materializing a `Value`, then an enum
 //! dispatch per accumulator. With the physical IR enabled, the build
 //! instead records each selected row's `(row, group)` assignment while
 //! discovering groups, and every aggregate folds its input column in
@@ -23,16 +23,25 @@
 //!   interpreter's exact overflow error.
 //! - **MIN/MAX** keep the *first* strictly-better row (`sql_cmp ==
 //!   Less/Greater`), so NaN poisoning (a NaN leader never loses) and
-//!   tie behavior match exactly; the winning value materializes once
-//!   per group at the end.
+//!   tie behavior match exactly; the state is the winning *row*, and the
+//!   output column is one gather of the argument at those rows.
 //! - **AVG** accumulates `(f64 sum, count)` in ascending row order —
 //!   the interpreter's fold order, which f64 addition is sensitive to.
+//! - **DISTINCT** is a row filter in front of the same kernels
+//!   ([`first_occurrences`]): the interpreter keeps each group's values
+//!   in first-seen order and folds them at the end, which is the fold of
+//!   the rows where a `(group, value)` pair first occurs, ascending.
 //!
 //! Every kernel takes its `(row, group)` pairs as an iterator, so one
 //! source serves both shapes of build: a keyed build zips the recorded
 //! row and assignment vectors ([`assigned`]), a key-less aggregate
-//! walks its selection with the constant group 0 ([`keyless`]) and
+//! walks its selection with the constant group 0 ([`fold_keyless`]) and
 //! allocates neither.
+//!
+//! The folded state ([`FoldOut`]) is typed vectors, one slot per group,
+//! and stays that from the fold to the output column
+//! ([`FoldOut::finish`]): no accumulator row and no `Value` per group
+//! exists on the compiled path.
 //!
 //! The parts route (DESIGN.md §4) merges per-part states, which for
 //! SUM(Decimal) must not hide an overflow the serial fold would have
@@ -48,38 +57,103 @@
 //! surfaces first may differ from the interpreter. Any failing query
 //! fails under both paths; only the reported error can differ.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use super::kernel::column_nulls;
-use hive_common::{ColumnVector, HiveError, Result, SelVec, Value};
+use crate::engine::align_column;
+use crate::keys::{Grouper, KeySide};
+use hive_common::{BitSet, ColumnVector, DataType, HiveError, Result, SelVec, NULL_INDEX};
 use hive_optimizer::AggFunc;
 use std::cmp::Ordering;
+use std::sync::Arc;
 
-/// Folded per-group states; the caller converts them back into the
-/// interpreter's accumulator domain before `finish`.
+/// Per-group sums of one SUM kernel: `vals[g]` is the sum of group
+/// `g`'s non-null inputs once `seen[g]` is set; a group that saw none
+/// (SQL NULL) holds the type's zero.
+#[derive(Debug)]
+pub(crate) struct Sums<T> {
+    vals: Vec<T>,
+    seen: Vec<bool>,
+}
+
+impl<T: Copy + Default> Sums<T> {
+    fn new(ngroups: usize) -> Sums<T> {
+        Sums {
+            vals: vec![T::default(); ngroups],
+            seen: vec![false; ngroups],
+        }
+    }
+
+    fn resize(&mut self, ngroups: usize) {
+        self.vals.resize(ngroups, T::default());
+        self.seen.resize(ngroups, false);
+    }
+
+    /// Add a later part's sums in: its state `l` into slot `slots[l]`.
+    /// (An unseen state holds zero, so adding it changes nothing.)
+    fn add(&mut self, part: Sums<T>, slots: impl Iterator<Item = usize>, add: fn(T, T) -> T) {
+        for ((g, v), seen) in slots.zip(part.vals).zip(part.seen) {
+            self.vals[g] = add(self.vals[g], v);
+            self.seen[g] |= seen;
+        }
+    }
+
+    /// The output column's parts: the sums, and the unseen groups as
+    /// its null bitmap (none when every group saw a value).
+    fn into_column(self) -> (Vec<T>, Option<BitSet>) {
+        let mut nulls: Option<BitSet> = None;
+        for (g, _) in self.seen.iter().enumerate().filter(|(_, seen)| !**seen) {
+            nulls
+                .get_or_insert_with(|| BitSet::new(self.vals.len()))
+                .set(g);
+        }
+        (self.vals, nulls)
+    }
+}
+
+/// One aggregate's folded states, one slot per group: what a compiled
+/// build holds from the fold to the output column ([`FoldOut::finish`]).
+#[derive(Debug)]
 pub(crate) enum FoldOut {
     /// COUNT(*) / COUNT(expr) per group.
     Count(Vec<i64>),
-    /// SUM/MIN/MAX per group (`None` = no non-null input).
-    Opt(Vec<Option<Value>>),
+    /// SUM per group, at the argument's width.
+    SumInt(Sums<i32>),
+    SumBigInt(Sums<i64>),
+    SumDouble(Sums<f64>),
+    SumDecimal(Sums<i128>, u8),
     /// AVG per group as `(sum, count)`.
     Avg(Vec<(f64, i64)>),
+    /// MIN/MAX per group: the argument row that won ([`NULL_INDEX`] =
+    /// no non-null input).
+    Best(Vec<u32>),
     /// Partial SUM(Decimal) per group: the wrapping sum of the non-null
-    /// inputs (`None` = none seen) and the saturating sum of their
-    /// magnitudes.
+    /// inputs and the saturating sum of their magnitudes.
     DecPartial {
         scale: u8,
-        sums: Vec<Option<i128>>,
+        sums: Sums<i128>,
         mags: Vec<u128>,
     },
 }
 
 /// Can `func` over `arg`'s runtime representation fold through a
-/// compiled kernel with byte-identical results? DISTINCT and Welford
-/// stddev keep their stateful accumulators (row fallback); SUM/AVG
-/// compile for the numeric column types, MIN/MAX for every type whose
-/// `sql_cmp` is a direct same-variant comparison. COUNT only needs the
-/// null bitmap, so it compiles over anything.
+/// compiled kernel with byte-identical results? Welford stddev keeps
+/// its stateful accumulator (row fallback); SUM/AVG compile for the
+/// numeric column types, MIN/MAX for every type whose `sql_cmp` is a
+/// direct same-variant comparison. COUNT only needs the null bitmap, so
+/// it compiles over anything. DISTINCT compiles wherever the plain
+/// aggregate does ([`first_occurrences`] in front of the same kernel) —
+/// except MIN/MAX over DOUBLE, where the interpreter's `min_by` /
+/// `max_by` over the distinct values and the strict-better fold treat
+/// an incomparable NaN differently.
 pub(crate) fn compilable(func: AggFunc, distinct: bool, arg: Option<&ColumnVector>) -> bool {
-    if distinct {
+    if distinct
+        && (arg.is_none()
+            || matches!(
+                (func, arg),
+                (AggFunc::Min | AggFunc::Max, Some(ColumnVector::Double(..)))
+            ))
+    {
         return false;
     }
     match func {
@@ -116,11 +190,13 @@ pub(crate) fn compilable(func: AggFunc, distinct: bool, arg: Option<&ColumnVecto
 /// order, into exactly the serial fold's state? Anything that
 /// accumulates `f64` is not (addition order shows in the bits), nor is
 /// MIN/MAX over DOUBLE (a NaN leader never loses, so the first row
-/// matters); integer sums wrap associatively, decimal sums are guarded
-/// by [`FoldOut::DecPartial`], and a strict-better MIN/MAX over a total
-/// order is the same value wherever the parts are cut.
+/// matters), nor DISTINCT (a value's first occurrence is a property of
+/// the whole input); integer sums wrap associatively, decimal sums are
+/// guarded by [`FoldOut::DecPartial`], and a strict-better MIN/MAX over
+/// a total order is the same value wherever the parts are cut.
 pub(crate) fn mergeable(func: AggFunc, distinct: bool, arg: Option<&ColumnVector>) -> bool {
-    compilable(func, distinct, arg)
+    !distinct
+        && compilable(func, distinct, arg)
         && match func {
             AggFunc::Count => true,
             AggFunc::Sum | AggFunc::Min | AggFunc::Max => {
@@ -140,18 +216,91 @@ pub(crate) fn assigned<'a>(
         .map(|(&i, &g)| (i as usize, g as usize))
 }
 
+fn missing_argument() -> HiveError {
+    HiveError::Execution("compiled aggregate missing its argument".into())
+}
+
+/// The DISTINCT filter: of the `(rows[j], assign[j])` pairs (every row
+/// in group 0 when `assign` is absent), those whose argument is
+/// non-NULL and whose `(group, argument)` combination has not occurred
+/// at an earlier `j` — in order, so folding them is the interpreter's
+/// fold of each group's distinct values in first-seen order.
+///
+/// The pairs are discovered by the key layer, like any other grouping:
+/// the group ids and the gathered argument are the two key columns, and
+/// [`Grouper::assign`] flags the first row of each key. Key equality is
+/// canonical-encoding equality, i.e. the interpreter's `ValueSet`: one
+/// `NaN` per bit pattern, `0.0` and `-0.0` one value.
+pub(crate) fn first_occurrences(
+    arg: &ColumnVector,
+    rows: &[u32],
+    assign: Option<&[u32]>,
+) -> Result<(Vec<u32>, Vec<u32>)> {
+    // NULL arguments never enter a DISTINCT set; without them the
+    // gathered argument carries no bitmap (and its key no NULL bit).
+    let nulls = column_nulls(arg);
+    let (rows, groups): (Vec<u32>, Vec<u32>) = (0..rows.len())
+        .filter(|&j| !nulls.is_some_and(|nb| nb.get(rows[j] as usize)))
+        .map(|j| (rows[j], assign.map_or(0, |a| a[j])))
+        .unzip();
+    let vals = arg.take(&rows);
+    // Group ids are dense below the row count: as INT words they stay
+    // distinct, whatever the sign bit says.
+    let ids = assign.map(|_| ColumnVector::Int(groups.iter().map(|&g| g as i32).collect(), None));
+    let cols: Vec<&ColumnVector> = ids.iter().chain(std::iter::once(&vals)).collect();
+    let side = KeySide::group(&cols);
+    let mut pairs = Grouper::new(side.shape());
+    let mut first = (Vec::new(), Vec::new());
+    let n = rows.len();
+    side.key_chunks(&SelVec::All(n), 0, n, |at, keys| {
+        pairs.assign(keys, None, |r, _, new| {
+            if new {
+                first.0.push(rows[at + r]);
+                first.1.push(groups[at + r]);
+            }
+        })
+    })?;
+    Ok(first)
+}
+
 /// [`fold`] for a key-less aggregate: every selected row, group 0 — no
-/// row or assignment vector exists.
+/// row or assignment vector exists (but for DISTINCT, whose filter
+/// names the rows it keeps).
 pub(crate) fn fold_keyless(
     func: AggFunc,
+    distinct: bool,
     arg: Option<&ColumnVector>,
     sel: &SelVec,
     partial: bool,
 ) -> Result<FoldOut> {
+    if distinct {
+        let col = arg.ok_or_else(missing_argument)?;
+        let (rows, groups) = first_occurrences(col, &sel.to_indices(), None)?;
+        return fold(func, arg, assigned(&rows, &groups), 1, partial);
+    }
     match sel {
         SelVec::All(n) => fold(func, arg, (0..*n).map(|i| (i, 0)), 1, partial),
         SelVec::Idx(v) => fold(func, arg, v.iter().map(|&i| (i as usize, 0)), 1, partial),
     }
+}
+
+/// [`fold`] over a keyed build's recorded assignment — `rows[j]` is a
+/// batch row, `assign[j]` its group — through the DISTINCT filter when
+/// the aggregate has one.
+pub(crate) fn fold_assigned(
+    func: AggFunc,
+    distinct: bool,
+    arg: Option<&ColumnVector>,
+    rows: &[u32],
+    assign: &[u32],
+    ngroups: usize,
+) -> Result<FoldOut> {
+    if distinct {
+        let col = arg.ok_or_else(missing_argument)?;
+        let (rows, assign) = first_occurrences(col, rows, Some(assign))?;
+        return fold(func, arg, assigned(&rows, &assign), ngroups, false);
+    }
+    fold(func, arg, assigned(rows, assign), ngroups, false)
 }
 
 /// Fold one aggregate over `(row, group)` pairs in ascending
@@ -166,8 +315,7 @@ pub(crate) fn fold(
     ngroups: usize,
     partial: bool,
 ) -> Result<FoldOut> {
-    let col =
-        arg.ok_or_else(|| HiveError::Execution("compiled aggregate missing its argument".into()));
+    let col = arg.ok_or_else(missing_argument);
     match func {
         AggFunc::Count => Ok(FoldOut::Count(fold_count(arg, pairs, ngroups))),
         AggFunc::Sum => match col? {
@@ -177,8 +325,8 @@ pub(crate) fn fold(
             col => fold_sum(col, pairs, ngroups),
         },
         AggFunc::Avg => fold_avg(col?, pairs, ngroups),
-        AggFunc::Min => fold_minmax(col?, pairs, ngroups, Ordering::Less),
-        AggFunc::Max => fold_minmax(col?, pairs, ngroups, Ordering::Greater),
+        AggFunc::Min => Ok(fold_minmax(col?, pairs, ngroups, Ordering::Less)),
+        AggFunc::Max => Ok(fold_minmax(col?, pairs, ngroups, Ordering::Greater)),
         AggFunc::StddevSamp => Err(HiveError::Execution(
             "stddev has no compiled accumulator".into(),
         )),
@@ -238,57 +386,43 @@ fn fold_sum(
     ngroups: usize,
 ) -> Result<FoldOut> {
     let nulls = column_nulls(col);
-    Ok(FoldOut::Opt(match col {
+    Ok(match col {
         ColumnVector::Int(v, _) => {
             // `Value::add` on Int does exact i128 math then truncates
-            // back to i32 per step — a wrapping add at i32 width.
-            let mut accs: Vec<Option<i32>> = vec![None; ngroups];
+            // back to i32 per step — a wrapping add at i32 width (and
+            // the first value added to zero is itself).
+            let mut s = Sums::<i32>::new(ngroups);
             fold_loop!(nulls, pairs, i, g, {
-                let a = &mut accs[g];
-                *a = Some(match *a {
-                    None => v[i],
-                    Some(c) => c.wrapping_add(v[i]),
-                });
+                s.vals[g] = s.vals[g].wrapping_add(v[i]);
+                s.seen[g] = true;
             });
-            accs.into_iter().map(|a| a.map(Value::Int)).collect()
+            FoldOut::SumInt(s)
         }
         ColumnVector::BigInt(v, _) => {
-            let mut accs: Vec<Option<i64>> = vec![None; ngroups];
+            let mut s = Sums::<i64>::new(ngroups);
             fold_loop!(nulls, pairs, i, g, {
-                let a = &mut accs[g];
-                *a = Some(match *a {
-                    None => v[i],
-                    Some(c) => c.wrapping_add(v[i]),
-                });
+                s.vals[g] = s.vals[g].wrapping_add(v[i]);
+                s.seen[g] = true;
             });
-            accs.into_iter().map(|a| a.map(Value::BigInt)).collect()
+            FoldOut::SumBigInt(s)
         }
         ColumnVector::Double(v, _) => {
             // Assign-first (see module docs): the first value seeds the
             // accumulator exactly as the interpreter's clone does.
-            let mut accs: Vec<Option<f64>> = vec![None; ngroups];
+            let mut s = Sums::<f64>::new(ngroups);
             fold_loop!(nulls, pairs, i, g, {
-                let a = &mut accs[g];
-                *a = Some(match *a {
-                    None => v[i],
-                    Some(c) => c + v[i],
-                });
+                s.vals[g] = if s.seen[g] { s.vals[g] + v[i] } else { v[i] };
+                s.seen[g] = true;
             });
-            accs.into_iter().map(|a| a.map(Value::Double)).collect()
+            FoldOut::SumDouble(s)
         }
-        ColumnVector::Decimal(v, s, _) => {
-            let s = *s;
-            let mut accs: Vec<Option<i128>> = vec![None; ngroups];
+        ColumnVector::Decimal(v, scale, _) => {
+            let mut s = Sums::<i128>::new(ngroups);
             fold_loop!(nulls, pairs, i, g, {
-                let a = &mut accs[g];
-                *a = Some(match *a {
-                    None => v[i],
-                    Some(c) => c.checked_add(v[i]).ok_or_else(decimal_overflow)?,
-                });
+                s.vals[g] = s.vals[g].checked_add(v[i]).ok_or_else(decimal_overflow)?;
+                s.seen[g] = true;
             });
-            accs.into_iter()
-                .map(|a| a.map(|u| Value::Decimal(u, s)))
-                .collect()
+            FoldOut::SumDecimal(s, *scale)
         }
         other => {
             return Err(HiveError::Execution(format!(
@@ -296,7 +430,7 @@ fn fold_sum(
                 other.data_type()
             )))
         }
-    }))
+    })
 }
 
 /// The interpreter's (`Value::add`'s) decimal overflow error.
@@ -307,30 +441,86 @@ fn decimal_overflow() -> HiveError {
 fn fold_sum_decimal_partial(
     v: &[i128],
     scale: u8,
-    nulls: Option<&hive_common::BitSet>,
+    nulls: Option<&BitSet>,
     pairs: impl Iterator<Item = (usize, usize)>,
     ngroups: usize,
 ) -> FoldOut {
-    let mut sums: Vec<Option<i128>> = vec![None; ngroups];
+    let mut sums = Sums::<i128>::new(ngroups);
     let mut mags: Vec<u128> = vec![0; ngroups];
     fold_loop!(nulls, pairs, i, g, {
-        sums[g] = Some(sums[g].unwrap_or(0).wrapping_add(v[i]));
+        sums.vals[g] = sums.vals[g].wrapping_add(v[i]);
+        sums.seen[g] = true;
         mags[g] = mags[g].saturating_add(v[i].unsigned_abs());
     });
     FoldOut::DecPartial { scale, sums, mags }
 }
 
 impl FoldOut {
+    /// The aggregate's output column: one row per group, aligned to the
+    /// declared output type `want`. COUNT is `BigInt`; SUM is its typed
+    /// sums with the unseen groups as null bits; AVG divides once per
+    /// group; MIN/MAX gather `arg` at the winning rows, so a `Dict`
+    /// argument stays a `Dict` over the same dictionary.
+    pub(crate) fn finish(
+        self,
+        arg: Option<&ColumnVector>,
+        want: &DataType,
+    ) -> Result<Arc<ColumnVector>> {
+        let col = match self {
+            FoldOut::Count(counts) => ColumnVector::BigInt(counts, None),
+            FoldOut::SumInt(s) => {
+                let (vals, nulls) = s.into_column();
+                ColumnVector::Int(vals, nulls)
+            }
+            FoldOut::SumBigInt(s) => {
+                let (vals, nulls) = s.into_column();
+                ColumnVector::BigInt(vals, nulls)
+            }
+            FoldOut::SumDouble(s) => {
+                let (vals, nulls) = s.into_column();
+                ColumnVector::Double(vals, nulls)
+            }
+            FoldOut::SumDecimal(s, scale) => {
+                let (vals, nulls) = s.into_column();
+                ColumnVector::Decimal(vals, scale, nulls)
+            }
+            FoldOut::Avg(states) => {
+                let seen = states.iter().map(|&(_, count)| count > 0).collect();
+                let vals = (states.iter())
+                    .map(|&(sum, count)| if count > 0 { sum / count as f64 } else { 0.0 })
+                    .collect();
+                let (vals, nulls) = Sums { vals, seen }.into_column();
+                ColumnVector::Double(vals, nulls)
+            }
+            FoldOut::Best(rows) => arg.ok_or_else(missing_argument)?.take_or_null(&rows),
+            FoldOut::DecPartial { .. } => {
+                return Err(HiveError::Execution(
+                    "partial decimal sums finish only once closed".into(),
+                ))
+            }
+        };
+        align_column(Arc::new(col), want)
+    }
+
     /// Merge a later part's states into these: `other`'s state `l`
-    /// belongs to group `map[l]` here. Both sides are [`fold`]s of the
-    /// same [`mergeable`] aggregate over the same column type.
-    pub(crate) fn merge(&mut self, other: FoldOut, map: &[u32], func: AggFunc) -> Result<()> {
+    /// belongs to group `map[l]` here. Both sides are partial [`fold`]s
+    /// of the same [`mergeable`] COUNT or SUM over the same column type
+    /// (MIN/MAX states name rows of their own part's column and merge by
+    /// folding the parts' winners instead).
+    pub(crate) fn merge(&mut self, other: FoldOut, map: &[u32]) -> Result<()> {
         let slots = map.iter().map(|&g| g as usize);
         match (self, other) {
             (FoldOut::Count(acc), FoldOut::Count(part)) => {
                 for (g, c) in slots.zip(part) {
                     acc[g] += c;
                 }
+            }
+            // Wrapping at the column width, as each part's fold is.
+            (FoldOut::SumInt(acc), FoldOut::SumInt(part)) => {
+                acc.add(part, slots, i32::wrapping_add)
+            }
+            (FoldOut::SumBigInt(acc), FoldOut::SumBigInt(part)) => {
+                acc.add(part, slots, i64::wrapping_add)
             }
             (
                 FoldOut::DecPartial { sums, mags, .. },
@@ -340,47 +530,9 @@ impl FoldOut {
                     ..
                 },
             ) => {
-                for ((g, s), m) in slots.zip(psums).zip(pmags) {
-                    if let Some(s) = s {
-                        sums[g] = Some(sums[g].unwrap_or(0).wrapping_add(s));
-                    }
+                sums.add(psums, slots.clone(), i128::wrapping_add);
+                for (g, m) in slots.zip(pmags) {
                     mags[g] = mags[g].saturating_add(m);
-                }
-            }
-            (FoldOut::Opt(acc), FoldOut::Opt(part)) => {
-                for (g, new) in slots.zip(part) {
-                    let Some(new) = new else { continue };
-                    let merged = match (acc[g].take(), func) {
-                        (None, _) => new,
-                        // Wrapping at the column width, as each part's
-                        // fold is.
-                        (Some(Value::Int(a)), AggFunc::Sum) => match new {
-                            Value::Int(b) => Value::Int(a.wrapping_add(b)),
-                            _ => return Err(mismatched_parts()),
-                        },
-                        (Some(Value::BigInt(a)), AggFunc::Sum) => match new {
-                            Value::BigInt(b) => Value::BigInt(a.wrapping_add(b)),
-                            _ => return Err(mismatched_parts()),
-                        },
-                        // Strictly better replaces; the earlier part
-                        // keeps a tie.
-                        (Some(cur), AggFunc::Min) => {
-                            if new.sql_cmp(&cur) == Some(Ordering::Less) {
-                                new
-                            } else {
-                                cur
-                            }
-                        }
-                        (Some(cur), AggFunc::Max) => {
-                            if new.sql_cmp(&cur) == Some(Ordering::Greater) {
-                                new
-                            } else {
-                                cur
-                            }
-                        }
-                        _ => return Err(mismatched_parts()),
-                    };
-                    acc[g] = Some(merged);
                 }
             }
             _ => return Err(mismatched_parts()),
@@ -392,10 +544,14 @@ impl FoldOut {
     pub(crate) fn grow(&mut self, ngroups: usize) {
         match self {
             FoldOut::Count(v) => v.resize(ngroups, 0),
-            FoldOut::Opt(v) => v.resize(ngroups, None),
+            FoldOut::SumInt(s) => s.resize(ngroups),
+            FoldOut::SumBigInt(s) => s.resize(ngroups),
+            FoldOut::SumDouble(s) => s.resize(ngroups),
+            FoldOut::SumDecimal(s, _) => s.resize(ngroups),
             FoldOut::Avg(v) => v.resize(ngroups, (0.0, 0)),
+            FoldOut::Best(v) => v.resize(ngroups, NULL_INDEX),
             FoldOut::DecPartial { sums, mags, .. } => {
-                sums.resize(ngroups, None);
+                sums.resize(ngroups);
                 mags.resize(ngroups, 0);
             }
         }
@@ -406,17 +562,57 @@ impl FoldOut {
     /// and has to be run to find out.
     pub(crate) fn close_partial(self) -> Option<FoldOut> {
         match self {
-            FoldOut::DecPartial { scale, sums, mags } => {
-                mags.iter().all(|&m| m <= i128::MAX as u128).then(|| {
-                    FoldOut::Opt(
-                        sums.into_iter()
-                            .map(|s| s.map(|u| Value::Decimal(u, scale)))
-                            .collect(),
-                    )
-                })
-            }
+            FoldOut::DecPartial { scale, sums, mags } => mags
+                .iter()
+                .all(|&m| m <= i128::MAX as u128)
+                .then_some(FoldOut::SumDecimal(sums, scale)),
             done => Some(done),
         }
+    }
+
+    /// The states of a hash-partitioned build as one: `parts[p]` holds
+    /// partition `p`'s groups (the partitions' groups are disjoint), and
+    /// merged group `g` is state `l` of partition `p` for `order[g] =
+    /// (p, l)`. A gather per state vector — nothing is combined, so
+    /// every state keeps its bits.
+    pub(crate) fn interleave(parts: &[FoldOut], order: &[(u32, u32)]) -> Result<FoldOut> {
+        // One state vector of every partition, gathered in `order`.
+        macro_rules! pick {
+            ($pat:pat => $vec:expr) => {{
+                let vecs = (parts.iter())
+                    .map(|f| match f {
+                        $pat => Ok($vec.as_slice()),
+                        _ => Err(mismatched_parts()),
+                    })
+                    .collect::<Result<Vec<_>>>()?;
+                (order.iter())
+                    .map(|&(p, l)| vecs[p as usize][l as usize])
+                    .collect::<Vec<_>>()
+            }};
+        }
+        macro_rules! pick_sums {
+            ($variant:ident) => {
+                Sums {
+                    vals: pick!(FoldOut::$variant(s, ..) => s.vals),
+                    seen: pick!(FoldOut::$variant(s, ..) => s.seen),
+                }
+            };
+        }
+        Ok(match parts.first() {
+            None => return Err(mismatched_parts()),
+            Some(FoldOut::Count(_)) => FoldOut::Count(pick!(FoldOut::Count(v) => v)),
+            Some(FoldOut::SumInt(_)) => FoldOut::SumInt(pick_sums!(SumInt)),
+            Some(FoldOut::SumBigInt(_)) => FoldOut::SumBigInt(pick_sums!(SumBigInt)),
+            Some(FoldOut::SumDouble(_)) => FoldOut::SumDouble(pick_sums!(SumDouble)),
+            Some(FoldOut::SumDecimal(_, scale)) => {
+                FoldOut::SumDecimal(pick_sums!(SumDecimal), *scale)
+            }
+            Some(FoldOut::Avg(_)) => FoldOut::Avg(pick!(FoldOut::Avg(v) => v)),
+            Some(FoldOut::Best(_)) => FoldOut::Best(pick!(FoldOut::Best(v) => v)),
+            // Only the parts route folds partially, and it merges by
+            // `merge`.
+            Some(FoldOut::DecPartial { .. }) => return Err(mismatched_parts()),
+        })
     }
 }
 
@@ -465,11 +661,11 @@ fn fold_minmax(
     pairs: impl Iterator<Item = (usize, usize)>,
     ngroups: usize,
     want: Ordering,
-) -> Result<FoldOut> {
+) -> FoldOut {
     let nulls = column_nulls(col);
-    // Track the winning row per group; the value materializes once at
-    // the end. `u32::MAX` = no non-null input seen.
-    let mut best: Vec<u32> = vec![u32::MAX; ngroups];
+    // The winning row per group is the state; `NULL_INDEX` = no
+    // non-null input seen.
+    let mut best: Vec<u32> = vec![NULL_INDEX; ngroups];
     macro_rules! mm_loop {
         ($cmp:expr) => {
             fold_loop!(nulls, pairs, i, g, {
@@ -477,7 +673,7 @@ fn fold_minmax(
                 // Replace only on a strict win (`sql_cmp == want`): an
                 // incomparable pair (NaN) never replaces, and a NaN
                 // leader never loses — the interpreter's exact rule.
-                if *b == u32::MAX || $cmp(i, *b as usize) == Some(want) {
+                if *b == NULL_INDEX || $cmp(i, *b as usize) == Some(want) {
                     *b = i as u32;
                 }
             })
@@ -498,15 +694,5 @@ fn fold_minmax(
         ColumnVector::Date(v, _) => mm_loop!(|i: usize, b: usize| Some(v[i].cmp(&v[b]))),
         ColumnVector::Timestamp(v, _) => mm_loop!(|i: usize, b: usize| Some(v[i].cmp(&v[b]))),
     }
-    Ok(FoldOut::Opt(
-        best.into_iter()
-            .map(|b| {
-                if b == u32::MAX {
-                    None
-                } else {
-                    Some(col.get(b as usize))
-                }
-            })
-            .collect(),
-    ))
+    FoldOut::Best(best)
 }

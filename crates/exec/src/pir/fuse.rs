@@ -134,9 +134,13 @@ fn run_chain(
                     .collect::<Result<_>>()?;
                 let mut t = NodeTrace::leaf("Filter");
                 t.pir_compiled_stages = pipe.fully_compiled() as u64;
-                if !pipe.fully_compiled() {
-                    t.pir_fallback_rows = rows_in;
-                }
+                // A row kernel interprets every input row; a compiled
+                // pipeline only those a kernel gave up on at run time.
+                t.pir_fallback_rows = if pipe.fully_compiled() {
+                    pipe.interpreted_rows()
+                } else {
+                    rows_in
+                };
                 t
             }
             Stage::Project { exprs, schema } => {

@@ -16,12 +16,15 @@
 //! `sel`. NULL comparisons never pass (three-valued logic), so
 //! `AND` is an ordered short-circuit intersection and `OR` a union.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use hive_common::value::pow10;
 use hive_common::{BitSet, ColumnVector, KernelType, Result, SelVec, Value, VectorBatch};
 use hive_optimizer::eval::eval_scalar;
 use hive_optimizer::ScalarExpr;
 use hive_sql::BinaryOp;
 use std::cmp::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 /// Borrowed selection: the rows a kernel may look at, in order.
 #[derive(Clone, Copy)]
@@ -63,9 +66,11 @@ fn for_each_sel(sel: SelRef<'_>, mut f: impl FnMut(u32)) {
     }
 }
 
+/// The bitmap a row loop has to consult: `None` when the column has no
+/// NULL row (no bitmap, or one with no bit set).
 #[inline]
-fn null_free(nulls: &Option<BitSet>) -> bool {
-    nulls.as_ref().is_none_or(|b| b.count_ones() == 0)
+fn live_nulls(nulls: &Option<BitSet>) -> Option<&BitSet> {
+    nulls.as_ref().filter(|b| b.count_ones() > 0)
 }
 
 /// A comparison operator resolved to its verdict per [`Ordering`] —
@@ -293,8 +298,20 @@ impl PredKernel {
         }
     }
 
-    /// Rows of `sel` (in order) where this predicate is TRUE.
-    pub(crate) fn select(&self, batch: &VectorBatch, sel: SelRef<'_>) -> Result<Vec<u32>> {
+    /// Rows of `sel` (in order) where this predicate is TRUE. Rows a
+    /// specialized kernel hands to the row interpreter at run time (its
+    /// columns arrived in a representation it has no loop for) are
+    /// added to `interpreted`.
+    pub(crate) fn select(
+        &self,
+        batch: &VectorBatch,
+        sel: SelRef<'_>,
+        interpreted: &AtomicU64,
+    ) -> Result<Vec<u32>> {
+        let interpret = |expr, cols: &[usize]| {
+            interpreted.fetch_add(sel.len() as u64, Relaxed);
+            select_row(expr, cols, batch, sel)
+        };
         match self {
             PredKernel::Cmp {
                 col,
@@ -305,7 +322,7 @@ impl PredKernel {
                 Some(v) => Ok(v),
                 // Representation drifted from the schema the spec was
                 // compiled against: evaluate the original expression.
-                None => select_row(orig, std::slice::from_ref(col), batch, sel),
+                None => interpret(orig, std::slice::from_ref(col)),
             },
             PredKernel::CmpCols {
                 lcol,
@@ -314,7 +331,7 @@ impl PredKernel {
                 orig,
             } => match select_cmp_cols(batch.column(*lcol), batch.column(*rcol), *mask, sel) {
                 Some(v) => Ok(v),
-                None => select_row(orig, &[*lcol, *rcol], batch, sel),
+                None => interpret(orig, &[*lcol, *rcol]),
             },
             PredKernel::StrPrefix {
                 col,
@@ -323,9 +340,9 @@ impl PredKernel {
                 orig,
             } => match batch.column(*col) {
                 ColumnVector::Str(v, n) => {
-                    let nf = null_free(n);
+                    let nulls = live_nulls(n);
                     Ok(filter_sel(sel, |r| {
-                        (nf || !n.as_ref().expect("nullable").get(r))
+                        !nulls.is_some_and(|b| b.get(r))
                             && (v[r].starts_with(prefix.as_str()) != *negated)
                     }))
                 }
@@ -334,13 +351,12 @@ impl PredKernel {
                         .iter()
                         .map(|s| s.starts_with(prefix.as_str()) != *negated)
                         .collect();
-                    let nf = null_free(nulls);
+                    let nulls = live_nulls(nulls);
                     Ok(filter_sel(sel, |r| {
-                        (nf || !nulls.as_ref().expect("nullable").get(r))
-                            && verdicts[codes[r] as usize]
+                        !nulls.is_some_and(|b| b.get(r)) && verdicts[codes[r] as usize]
                     }))
                 }
-                _ => select_row(orig, std::slice::from_ref(col), batch, sel),
+                _ => interpret(orig, std::slice::from_ref(col)),
             },
             PredKernel::IsNull { col, negated } => {
                 let c = batch.column(*col);
@@ -358,17 +374,17 @@ impl PredKernel {
                 })
             }
             PredKernel::And(ks) => {
-                let mut cur = ks[0].select(batch, sel)?;
+                let mut cur = ks[0].select(batch, sel, interpreted)?;
                 for k in &ks[1..] {
                     if cur.is_empty() {
                         break;
                     }
-                    cur = k.select(batch, SelRef::Idx(&cur))?;
+                    cur = k.select(batch, SelRef::Idx(&cur), interpreted)?;
                 }
                 Ok(cur)
             }
             PredKernel::Or(l, r) => {
-                let lp = l.select(batch, sel)?;
+                let lp = l.select(batch, sel, interpreted)?;
                 if lp.len() == sel.len() {
                     return Ok(lp);
                 }
@@ -382,7 +398,7 @@ impl PredKernel {
                         rest.push(row);
                     }
                 });
-                let rp = r.select(batch, SelRef::Idx(&rest))?;
+                let rp = r.select(batch, SelRef::Idx(&rest), interpreted)?;
                 // Union back in selection order (both are ordered
                 // subsequences of `sel`).
                 let mut out = Vec::with_capacity(lp.len() + rp.len());
@@ -402,6 +418,8 @@ impl PredKernel {
                 });
                 Ok(out)
             }
+            // A compile-time row kernel: its stage counts every input
+            // row as interpreted already.
             PredKernel::Row { expr, cols } => select_row(expr, cols, batch, sel),
         }
     }
@@ -428,13 +446,11 @@ pub(crate) fn column_nulls(col: &ColumnVector) -> Option<&BitSet> {
 macro_rules! cmp_fixed {
     ($vals:expr, $nulls:expr, $sel:expr, $mask:expr, $lit:expr) => {{
         let (vals, lit, mask) = ($vals, $lit, $mask);
-        if null_free($nulls) {
-            filter_sel($sel, |r| mask.hit_opt(vals[r].partial_cmp(&lit)))
-        } else {
-            let b = $nulls.as_ref().expect("nullable");
-            filter_sel($sel, |r| {
+        match live_nulls($nulls) {
+            None => filter_sel($sel, |r| mask.hit_opt(vals[r].partial_cmp(&lit))),
+            Some(b) => filter_sel($sel, |r| {
                 !b.get(r) && mask.hit_opt(vals[r].partial_cmp(&lit))
-            })
+            }),
         }
     }};
 }
@@ -450,12 +466,10 @@ fn select_cmp(
     Some(match (spec, col) {
         (CmpSpec::Int(x), ColumnVector::Int(v, n)) => cmp_fixed!(v, n, sel, mask, *x),
         (CmpSpec::IntWide(x), ColumnVector::Int(v, n)) => {
-            let (x, nf) = (*x, null_free(n));
-            if nf {
-                filter_sel(sel, |r| mask.hit((v[r] as i64).cmp(&x)))
-            } else {
-                let b = n.as_ref().expect("nullable");
-                filter_sel(sel, |r| !b.get(r) && mask.hit((v[r] as i64).cmp(&x)))
+            let x = *x;
+            match live_nulls(n) {
+                None => filter_sel(sel, |r| mask.hit((v[r] as i64).cmp(&x))),
+                Some(b) => filter_sel(sel, |r| !b.get(r) && mask.hit((v[r] as i64).cmp(&x))),
             }
         }
         (CmpSpec::BigInt(x), ColumnVector::BigInt(v, n)) => cmp_fixed!(v, n, sel, mask, *x),
@@ -466,35 +480,28 @@ fn select_cmp(
         (CmpSpec::DecimalWide { lit, factor, scale }, ColumnVector::Decimal(v, s, n))
             if s == scale =>
         {
-            let (lit, factor, nf) = (*lit, *factor, null_free(n));
-            if nf {
-                filter_sel(sel, |r| mask.hit((v[r] * factor).cmp(&lit)))
-            } else {
-                let b = n.as_ref().expect("nullable");
-                filter_sel(sel, |r| !b.get(r) && mask.hit((v[r] * factor).cmp(&lit)))
+            let (lit, factor) = (*lit, *factor);
+            match live_nulls(n) {
+                None => filter_sel(sel, |r| mask.hit((v[r] * factor).cmp(&lit))),
+                Some(b) => filter_sel(sel, |r| !b.get(r) && mask.hit((v[r] * factor).cmp(&lit))),
             }
         }
         (CmpSpec::Date(x), ColumnVector::Date(v, n)) => cmp_fixed!(v, n, sel, mask, *x),
         (CmpSpec::Timestamp(x), ColumnVector::Timestamp(v, n)) => cmp_fixed!(v, n, sel, mask, *x),
-        (CmpSpec::Str(x), ColumnVector::Str(v, n)) => {
-            let nf = null_free(n);
-            if nf {
-                filter_sel(sel, |r| mask.hit(v[r].as_str().cmp(x.as_str())))
-            } else {
-                let b = n.as_ref().expect("nullable");
-                filter_sel(sel, |r| {
-                    !b.get(r) && mask.hit(v[r].as_str().cmp(x.as_str()))
-                })
-            }
-        }
+        (CmpSpec::Str(x), ColumnVector::Str(v, n)) => match live_nulls(n) {
+            None => filter_sel(sel, |r| mask.hit(v[r].as_str().cmp(x.as_str()))),
+            Some(b) => filter_sel(sel, |r| {
+                !b.get(r) && mask.hit(v[r].as_str().cmp(x.as_str()))
+            }),
+        },
         // Dictionary column: one verdict per distinct entry, then a
         // code-indexed lookup per row — `eval_dict_unary`'s shape with
         // the decision made at compile time.
         (CmpSpec::Str(x), ColumnVector::Dict { codes, dict, nulls }) => {
             let verdicts: Vec<bool> = dict.iter().map(|s| mask.hit(s.as_str().cmp(x))).collect();
-            let nf = null_free(nulls);
+            let nulls = live_nulls(nulls);
             filter_sel(sel, |r| {
-                (nf || !nulls.as_ref().expect("nullable").get(r)) && verdicts[codes[r] as usize]
+                !nulls.is_some_and(|b| b.get(r)) && verdicts[codes[r] as usize]
             })
         }
         _ => return None,
@@ -521,8 +528,10 @@ fn cmp_cols_loop(
 
 /// Monomorphized column-column comparison. Each arm mirrors the
 /// corresponding `sql_cmp` pair exactly (same widening, same rescale
-/// direction); `None` for pairs `sql_cmp` resolves through the f64
-/// default or not at all — those evaluate via the row fallback.
+/// direction; a DOUBLE beside another numeric type compares both as
+/// `Value::as_f64` gives them, `sql_cmp`'s default). Every numeric ×
+/// numeric pair has an arm; `None` is for the pairs `sql_cmp` does not
+/// resolve at all — those evaluate via the row fallback.
 fn select_cmp_cols(
     l: &ColumnVector,
     r: &ColumnVector,
@@ -566,6 +575,33 @@ fn select_cmp_cols(
         (C::BigInt(a, _), C::Decimal(b, s, _)) => {
             let f = pow10(*s);
             cmp_cols_loop(sel, mask, ln, rn, |i| Some((a[i] as i128 * f).cmp(&b[i])))
+        }
+        // `sql_cmp`'s f64 default: both sides through `Value::as_f64` —
+        // a decimal *divided* by 10^scale (a reciprocal multiply rounds
+        // differently) — then `partial_cmp`, so NaN never passes.
+        (C::Int(a, _), C::Double(b, _)) => {
+            cmp_cols_loop(sel, mask, ln, rn, |i| (a[i] as f64).partial_cmp(&b[i]))
+        }
+        (C::Double(a, _), C::Int(b, _)) => {
+            cmp_cols_loop(sel, mask, ln, rn, |i| a[i].partial_cmp(&(b[i] as f64)))
+        }
+        (C::BigInt(a, _), C::Double(b, _)) => {
+            cmp_cols_loop(sel, mask, ln, rn, |i| (a[i] as f64).partial_cmp(&b[i]))
+        }
+        (C::Double(a, _), C::BigInt(b, _)) => {
+            cmp_cols_loop(sel, mask, ln, rn, |i| a[i].partial_cmp(&(b[i] as f64)))
+        }
+        (C::Decimal(a, s, _), C::Double(b, _)) => {
+            let div = 10f64.powi(*s as i32);
+            cmp_cols_loop(sel, mask, ln, rn, |i| {
+                (a[i] as f64 / div).partial_cmp(&b[i])
+            })
+        }
+        (C::Double(a, _), C::Decimal(b, s, _)) => {
+            let div = 10f64.powi(*s as i32);
+            cmp_cols_loop(sel, mask, ln, rn, |i| {
+                a[i].partial_cmp(&(b[i] as f64 / div))
+            })
         }
         (C::Date(a, _), C::Date(b, _)) => {
             cmp_cols_loop(sel, mask, ln, rn, |i| Some(a[i].cmp(&b[i])))
@@ -628,9 +664,9 @@ fn select_row(
                     vals[*c] = Value::String(s.clone());
                     verdicts.push(eval_scalar(expr, &vals)? == Value::Boolean(true));
                 }
-                let nf = null_free(nulls);
+                let nulls = live_nulls(nulls);
                 return Ok(filter_sel(sel, |r| {
-                    if !nf && nulls.as_ref().expect("nullable").get(r) {
+                    if nulls.is_some_and(|b| b.get(r)) {
                         null_pass
                     } else {
                         verdicts[codes[r] as usize]
@@ -665,4 +701,74 @@ fn select_row(
         }
     }
     Ok(out)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Columns of eight rows over the values where the numeric
+    /// comparisons differ: equal and unequal magnitudes, both zeros,
+    /// NaN and an infinity for doubles, the extremes for integers.
+    fn numeric_columns(nulls: Option<BitSet>) -> Vec<ColumnVector> {
+        vec![
+            ColumnVector::Int(vec![0, 1, -1, 5, i32::MAX, i32::MIN, 2, 3], nulls.clone()),
+            ColumnVector::BigInt(vec![0, 1, -1, 5, i64::MAX, i64::MIN, 2, 7], nulls.clone()),
+            ColumnVector::Double(
+                vec![0.0, -0.0, f64::NAN, 5.0, 1.005, -1.0, f64::INFINITY, 2.0],
+                nulls.clone(),
+            ),
+            ColumnVector::Decimal(vec![0, 100, -100, 500, 1005, 7, -1, 200], 2, nulls.clone()),
+            ColumnVector::Decimal(
+                vec![0, 1, -1, 5, 3, 10i128.pow(30), 2, 70],
+                0,
+                nulls.clone(),
+            ),
+            ColumnVector::Decimal(vec![0, 1000, 1005, 5000, -3, 10_050, 1, 2000], 3, nulls),
+        ]
+    }
+
+    #[test]
+    fn every_numeric_column_pair_compares_as_sql_cmp_does() {
+        let n = 8;
+        let (mut some, mut other) = (BitSet::new(n), BitSet::new(n));
+        some.set(1);
+        some.set(6);
+        other.set(3);
+        other.set(6);
+        let ops = [
+            BinaryOp::Eq,
+            BinaryOp::NotEq,
+            BinaryOp::Lt,
+            BinaryOp::LtEq,
+            BinaryOp::Gt,
+            BinaryOp::GtEq,
+        ];
+        let rotated: Vec<u32> = vec![7, 5, 3, 1, 6, 0];
+        let mut pairs = 0;
+        for (lnulls, rnulls) in [(None, None), (Some(some), None), (None, Some(other))] {
+            for l in numeric_columns(lnulls.clone()) {
+                // The right side's rows rotate, so every value meets
+                // several others (and itself, across the type pairs).
+                for shift in [0, 3] {
+                    for r in numeric_columns(rnulls.clone()) {
+                        let idx: Vec<u32> = (0..n as u32).map(|i| (i + shift) % n as u32).collect();
+                        let r = r.take(&idx);
+                        for op in ops {
+                            let mask = OrdMask::of(op).unwrap();
+                            for sel in [SelRef::All(n), SelRef::Idx(&rotated)] {
+                                let got = select_cmp_cols(&l, &r, mask, sel)
+                                    .unwrap_or_else(|| panic!("no arm for {l:?} x {r:?}"));
+                                let want =
+                                    filter_sel(sel, |i| mask.hit_opt(l.get(i).sql_cmp(&r.get(i))));
+                                assert_eq!(got, want, "{l:?} {op:?} {r:?}");
+                            }
+                        }
+                        pairs += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(pairs, 3 * 6 * 2 * 6);
+    }
 }

@@ -35,6 +35,7 @@ use hive_optimizer::stats::selectivity_with;
 use hive_optimizer::ScalarExpr;
 use hive_sql::BinaryOp;
 use std::collections::{HashMap, HashSet};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A compiled filter: an ordered bank of predicate kernels.
 #[derive(Debug)]
@@ -43,8 +44,10 @@ pub(crate) enum PredPipeline {
     KeepAll,
     /// Predicate folded to FALSE/NULL — no row can pass.
     DropAll,
-    /// Short-circuit conjunct bank, cheapest/most-selective first.
-    Kernels(Vec<PredKernel>),
+    /// Short-circuit conjunct bank, cheapest/most-selective first, and
+    /// the rows its specialized kernels handed to the row interpreter at
+    /// run time (see [`PredPipeline::interpreted_rows`]).
+    Kernels(Vec<PredKernel>, AtomicU64),
 }
 
 impl PredPipeline {
@@ -71,7 +74,7 @@ impl PredPipeline {
         // predicate would change what it computes: evaluate it row by
         // row in source order, exactly like the interpreter.
         if !folded.is_deterministic() {
-            return PredPipeline::Kernels(vec![row_kernel(folded)]);
+            return PredPipeline::Kernels(vec![row_kernel(folded)], AtomicU64::new(0));
         }
         let mut seen: HashSet<String> = HashSet::new();
         let mut items: Vec<(usize, u8, f64, PredKernel)> = Vec::new();
@@ -99,7 +102,10 @@ impl PredPipeline {
                 .then(a.2.partial_cmp(&b.2).unwrap_or(std::cmp::Ordering::Equal))
                 .then(a.0.cmp(&b.0))
         });
-        PredPipeline::Kernels(items.into_iter().map(|(_, _, _, k)| k).collect())
+        PredPipeline::Kernels(
+            items.into_iter().map(|(_, _, _, k)| k).collect(),
+            AtomicU64::new(0),
+        )
     }
 
     /// True when no kernel in the pipeline is a row-at-a-time
@@ -108,7 +114,20 @@ impl PredPipeline {
     pub(crate) fn fully_compiled(&self) -> bool {
         match self {
             PredPipeline::KeepAll | PredPipeline::DropAll => true,
-            PredPipeline::Kernels(ks) => !ks.iter().any(PredKernel::has_row),
+            PredPipeline::Kernels(ks, _) => !ks.iter().any(PredKernel::has_row),
+        }
+    }
+
+    /// Rows that a comparison or prefix kernel evaluated through the row
+    /// interpreter so far, because a column arrived in a representation
+    /// the kernel has no loop for. A pipeline that is
+    /// [`PredPipeline::fully_compiled`] can still have them — the
+    /// lowering decides from the schema, the loop from the batch — and a
+    /// stage adds them to its `pir_fallback_rows`.
+    pub(crate) fn interpreted_rows(&self) -> u64 {
+        match self {
+            PredPipeline::KeepAll | PredPipeline::DropAll => 0,
+            PredPipeline::Kernels(_, interpreted) => interpreted.load(Ordering::Relaxed),
         }
     }
 
@@ -119,8 +138,8 @@ impl PredPipeline {
         match self {
             PredPipeline::KeepAll => Ok(None),
             PredPipeline::DropAll => Ok(Some(Vec::new())),
-            PredPipeline::Kernels(ks) => {
-                let mut cur = ks[0].select(batch, sel)?;
+            PredPipeline::Kernels(ks, interpreted) => {
+                let mut cur = ks[0].select(batch, sel, interpreted)?;
                 if cur.len() == sel.len() && ks.len() == 1 {
                     return Ok(None);
                 }
@@ -128,7 +147,7 @@ impl PredPipeline {
                     if cur.is_empty() {
                         break;
                     }
-                    cur = k.select(batch, SelRef::Idx(&cur))?;
+                    cur = k.select(batch, SelRef::Idx(&cur), interpreted)?;
                 }
                 if cur.len() == sel.len() {
                     return Ok(None);

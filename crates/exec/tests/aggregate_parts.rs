@@ -1,31 +1,45 @@
-//! Property test: **parts equal the whole**. However an aggregate's
-//! input is cut into parts — row groups with their own dictionaries,
-//! empty parts, parts under a selection — `execute_aggregate_parts`
-//! returns exactly what the serial `execute_aggregate` returns over the
-//! concatenation: the same values to the bit, the same group order, the
-//! neutral row over all-empty input, and the same error when a decimal
-//! SUM overflows.
+//! Property test: **parts equal the whole, compiled equals
+//! interpreted**. However an aggregate's input is cut into parts — row
+//! groups with their own dictionaries, empty parts, parts under a
+//! selection — the compiled `execute_aggregate_parts` (PIR counters
+//! passed: state columns from the fold to the output, DISTINCT as a
+//! first-occurrence filter) returns exactly what the serial, interpreted
+//! `execute_aggregate` (accumulator rows, a `Value` per state) returns
+//! over the concatenation: the same values to the bit, the same group
+//! order, the neutral row over all-empty input, and the same error when
+//! a decimal SUM overflows — at 1, 2 and 8 workers, with grouping sets,
+//! through the parts route, and under a spill budget, which keeps
+//! taking the interpreted rows.
 
 use hive_common::{
     BitSet, ColumnVector, DataType, Field, Schema, SelBatch, SelVec, Value, VectorBatch,
 };
+use hive_dfs::{DfsPath, DistFs};
 use hive_exec::aggregate::{execute_aggregate, execute_aggregate_par, execute_aggregate_parts};
 use hive_exec::pir::PirCounters;
+use hive_exec::{MemoryBroker, SpillCtx};
 use hive_optimizer::plan::LogicalPlan;
 use hive_optimizer::{AggExpr, AggFunc, ScalarExpr};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
 /// Column positions in [`schema`].
 const K_INT: usize = 0;
 const K_STR: usize = 1;
-const FIRST_VALUE: usize = 2;
+const K_PART: usize = 2;
+const K_ROW: usize = 3;
+const FIRST_VALUE: usize = 4;
+const V_INT: usize = 5;
+const V_DEC: usize = 8;
 
 fn schema() -> Schema {
     Schema::new(vec![
         Field::new("k_int", DataType::Int),
         Field::new("k_str", DataType::String),
+        Field::new("k_part", DataType::Int),
+        Field::new("k_row", DataType::Int),
         Field::new("v_bool", DataType::Boolean),
         Field::new("v_int", DataType::Int),
         Field::new("v_big", DataType::BigInt),
@@ -78,10 +92,12 @@ fn string_column(rng: &mut StdRng, rows: usize, part: usize) -> ColumnVector {
     }
 }
 
-/// One part: `rows` random rows and a selection over them. `edge`
-/// mixes in the values where fold order or overflow shows: `NaN` and
-/// `-0.0`, integers that wrap, decimals within a few additions of
-/// `i128::MAX`.
+/// One part: `rows` random rows and a selection over them. `(k_part,
+/// k_row)` is the part and the row within it — a key with a group per
+/// row. `edge` mixes in the values where fold order or overflow shows:
+/// `NaN` and `-0.0`, integers that wrap, decimals within a few additions
+/// of `i128::MAX` (several *distinct* ones around `i128::MAX / 2`, so a
+/// SUM(DISTINCT) overflows too).
 fn random_part(rng: &mut StdRng, part: usize, rows: usize, edge: bool) -> SelBatch {
     let ints = |rng: &mut StdRng, lo: i64, hi: i64| -> Vec<i64> {
         (0..rows).map(|_| rng.gen_range(lo..hi)).collect()
@@ -114,13 +130,15 @@ fn random_part(rng: &mut StdRng, part: usize, rows: usize, edge: bool) -> SelBat
         .map(|_| match rng.gen_range(0..6) {
             0 if edge => i128::MAX / 3,
             1 if edge => -(i128::MAX / 3),
-            2 if edge => i128::MAX / 2 + 7,
+            2 if edge => i128::MAX / 2 + rng.gen_range(0i64..3) as i128,
             _ => rng.gen_range(-100_000i64..100_000) as i128,
         })
         .collect();
     let columns = vec![
         ColumnVector::Int(k_int, nulls(rng, rows)),
         string_column(rng, rows, part),
+        ColumnVector::Int(vec![part as i32; rows], None),
+        ColumnVector::Int((0..rows as i32).collect(), None),
         ColumnVector::Boolean(
             (0..rows).map(|_| rng.gen_bool(0.5)).collect(),
             nulls(rng, rows),
@@ -230,8 +248,9 @@ fn bits(b: &VectorBatch) -> Vec<Vec<String>> {
         .collect()
 }
 
-/// The key shapes: key-less, one key, two keys, grouping sets (with the
-/// empty set among them).
+/// The key shapes: key-less, one key (both carry NULLs in most parts),
+/// two keys, a two-`INT` key with a group per row, grouping sets (with
+/// the empty set among them).
 #[allow(clippy::type_complexity)]
 fn key_shapes() -> Vec<(Vec<ScalarExpr>, Option<Vec<Vec<usize>>>)> {
     let k = |c| ScalarExpr::Column(c);
@@ -240,6 +259,7 @@ fn key_shapes() -> Vec<(Vec<ScalarExpr>, Option<Vec<Vec<usize>>>)> {
         (vec![k(K_STR)], None),
         (vec![k(K_INT)], None),
         (vec![k(K_INT), k(K_STR)], None),
+        (vec![k(K_PART), k(K_ROW)], None),
         (
             vec![k(K_INT), k(K_STR)],
             Some(vec![vec![0, 1], vec![1], vec![0], vec![]]),
@@ -249,6 +269,7 @@ fn key_shapes() -> Vec<(Vec<ScalarExpr>, Option<Vec<Vec<usize>>>)> {
 
 fn check(parts: &[SelBatch], what: &str) {
     let whole = VectorBatch::concat_selected(&schema(), parts).unwrap();
+    let rows = whole.num_rows();
     for (groups, sets) in key_shapes() {
         for (col, field) in schema().fields().iter().enumerate().skip(FIRST_VALUE) {
             // One aggregate at a time and all of a column's at once:
@@ -256,6 +277,15 @@ fn check(parts: &[SelBatch], what: &str) {
             // an order-sensitive one, the whole operator assembles.
             let all = aggs_over(col, &field.data_type);
             let mut lists: Vec<Vec<AggExpr>> = all.iter().map(|a| vec![a.clone()]).collect();
+            // ... and all that compile at once: STDDEV_SAMP keeps the
+            // whole operator on the interpreter's rows.
+            let compiled: Vec<AggExpr> = (all.iter())
+                .filter(|a| a.func != AggFunc::StddevSamp)
+                .cloned()
+                .collect();
+            if compiled.len() < all.len() {
+                lists.push(compiled);
+            }
             lists.push(all);
             for aggs in lists {
                 let out = out_schema(&groups, &sets, &aggs);
@@ -291,15 +321,63 @@ fn check(parts: &[SelBatch], what: &str) {
                              rawtable {rawtable}",
                             groups.len()
                         );
-                        match (&want, &got) {
-                            (Ok(w), Ok(g)) => assert_eq!(bits(g), bits(w), "{ctx}"),
-                            (Err(w), Err(g)) => assert_eq!(g.to_string(), w.to_string(), "{ctx}"),
-                            _ => panic!("{ctx}: whole {want:?} but parts {got:?}"),
+                        same(&want, &got, &ctx);
+                        // Which builds are compiled: all but STDDEV_SAMP
+                        // and MIN/MAX(DISTINCT) over a DOUBLE.
+                        let interpreted = aggs.iter().any(|a| {
+                            a.func == AggFunc::StddevSamp
+                                || (a.distinct
+                                    && matches!(a.func, AggFunc::Min | AggFunc::Max)
+                                    && field.data_type == DataType::Double)
+                        });
+                        if got.is_ok() {
+                            assert_eq!(pc.compiled_stages, !interpreted as u64, "{ctx}");
+                            assert_eq!(pc.fallback_rows == 0, !interpreted || rows == 0, "{ctx}");
                         }
+                    }
+                }
+                // Under a budget the build spills, and the spilled build
+                // keeps the interpreter's accumulator rows: the same
+                // bytes, every row accounted as a fallback row.
+                if aggs.len() > 1 && whole.num_rows() > 0 {
+                    let want = execute_aggregate(&whole, &groups, &sets, &aggs, &out);
+                    let fs = DistFs::new();
+                    let broker = MemoryBroker::with_budget(4 * 1024);
+                    let ops = AtomicU64::new(0);
+                    let sp = SpillCtx::new(&fs, DfsPath::new("/tmp/spill/q"), &broker, true, &ops);
+                    let mut pc = PirCounters::default();
+                    let got = execute_aggregate_parts(
+                        parts,
+                        &groups,
+                        &sets,
+                        &aggs,
+                        &out,
+                        2,
+                        true,
+                        Some(&sp),
+                        Some(&mut pc),
+                    );
+                    let ctx = format!("{what}: {} keys, sets {sets:?}, spilled", groups.len());
+                    same(&want, &got, &ctx);
+                    if whole.num_rows() > 200 {
+                        assert_eq!(pc.compiled_stages, 0, "{ctx}");
+                        assert!(pc.fallback_rows > 0, "{ctx}");
                     }
                 }
             }
         }
+    }
+}
+
+fn same(
+    want: &hive_common::Result<VectorBatch>,
+    got: &hive_common::Result<VectorBatch>,
+    ctx: &str,
+) {
+    match (want, got) {
+        (Ok(w), Ok(g)) => assert_eq!(bits(g), bits(w), "{ctx}"),
+        (Err(w), Err(g)) => assert_eq!(g.to_string(), w.to_string(), "{ctx}"),
+        _ => panic!("{ctx}: interpreted {want:?} but compiled {got:?}"),
     }
 }
 
@@ -317,22 +395,26 @@ fn parts_equal_the_whole_at_the_edges() {
     // NaN leaders, signed zeros, wrapping integer sums, and decimal sums
     // that overflow — on a prefix only, in a partial only, or for good.
     let mut rng = StdRng::seed_from_u64(0xed9e);
-    let mut overflowed = 0;
+    let (mut overflowed, mut distinct_overflowed) = (0, 0);
     for case in 0..8 {
         let parts = random_parts(&mut rng, true);
         let whole = VectorBatch::concat_selected(&schema(), &parts).unwrap();
-        let sum_dec = [AggExpr {
+        let mut sum_dec = [AggExpr {
             func: AggFunc::Sum,
-            arg: Some(ScalarExpr::Column(6)),
+            arg: Some(ScalarExpr::Column(V_DEC)),
             distinct: false,
         }];
         let out = out_schema(&[], &None, &sum_dec);
         overflowed += execute_aggregate(&whole, &[], &None, &sum_dec, &out).is_err() as usize;
+        sum_dec[0].distinct = true;
+        distinct_overflowed +=
+            execute_aggregate(&whole, &[], &None, &sum_dec, &out).is_err() as usize;
         check(&parts, &format!("edge case {case}"));
     }
     assert!(
-        (1..8).contains(&overflowed),
-        "the cases must include both overflowing and fitting decimal sums, got {overflowed}/8"
+        (1..8).contains(&overflowed) && (1..8).contains(&distinct_overflowed),
+        "the cases must include both overflowing and fitting decimal sums, got {overflowed}/8 \
+         and {distinct_overflowed}/8 over the distinct values"
     );
 }
 
@@ -341,7 +423,7 @@ fn all_empty_parts_give_the_neutral_row() {
     let mut rng = StdRng::seed_from_u64(3);
     let parts: Vec<SelBatch> = (0..4).map(|p| random_part(&mut rng, p, 0, false)).collect();
     check(&parts, "all parts empty");
-    let aggs = aggs_over(3, &DataType::Int);
+    let aggs = aggs_over(V_INT, &DataType::Int);
     let out = out_schema(&[], &None, &aggs);
     let mut pc = PirCounters::default();
     let got = execute_aggregate_parts(
@@ -404,4 +486,61 @@ fn a_prefix_overflow_the_partials_hide_still_errors() {
     )
     .unwrap_err();
     assert_eq!(got.to_string(), want.to_string());
+}
+
+#[test]
+fn a_group_per_row_merges_its_partitions_in_first_seen_order() {
+    // One part of several morsels, so the keyed build partitions by key
+    // hash: with a group per row every partition holds thousands of
+    // groups and the merge interleaves them; with the NULL-bearing
+    // five-value key it holds a few.
+    let mut rng = StdRng::seed_from_u64(0x24);
+    let part = random_part(&mut rng, 0, 10_000, true);
+    let whole = VectorBatch::concat_selected(&schema(), std::slice::from_ref(&part)).unwrap();
+    let agg = |func, col, distinct| AggExpr {
+        func,
+        arg: Some(ScalarExpr::Column(col)),
+        distinct,
+    };
+    let (v_dbl, v_str) = (V_INT + 2, V_DEC + 1);
+    let aggs = vec![
+        AggExpr {
+            func: AggFunc::Count,
+            arg: None,
+            distinct: false,
+        },
+        agg(AggFunc::Sum, v_dbl, false),
+        agg(AggFunc::Min, v_str, false),
+        agg(AggFunc::Avg, V_DEC, false),
+        agg(AggFunc::Count, V_INT, true),
+        agg(AggFunc::Sum, v_dbl, true),
+        agg(AggFunc::Max, V_DEC, true),
+    ];
+    let k = |c| ScalarExpr::Column(c);
+    for groups in [vec![k(K_PART), k(K_ROW)], vec![k(K_INT)]] {
+        let out = out_schema(&groups, &None, &aggs);
+        let want = execute_aggregate(&whole, &groups, &None, &aggs, &out);
+        for rawtable in [true, false] {
+            for workers in [1, 2, 8] {
+                let mut pc = PirCounters::default();
+                let got = execute_aggregate_par(
+                    &part,
+                    &groups,
+                    &None,
+                    &aggs,
+                    &out,
+                    workers,
+                    rawtable,
+                    None,
+                    Some(&mut pc),
+                );
+                let ctx = format!(
+                    "{} keys, {workers} workers, rawtable {rawtable}",
+                    groups.len()
+                );
+                same(&want, &got, &ctx);
+                assert_eq!((pc.compiled_stages, pc.fallback_rows), (1, 0), "{ctx}");
+            }
+        }
+    }
 }

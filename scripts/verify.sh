@@ -118,8 +118,12 @@ echo "-- planning in O(plan): the counting-StatsSource gate --"
 cargo test -q --offline --test plan_stability one_optimize_fetches_each_table_once_and_derives_each_summary_once
 # The cold read path's three promises (DESIGN.md §4 "parts", §LLAP):
 # folding a scan part by part changes no byte, LRFU evicts what the
-# linear chooser would have, and the chunk decoder ends typed.
-echo "-- parts equal the whole: any cut of an aggregate's input, same bytes --"
+# linear chooser would have, and the chunk decoder ends typed. The first
+# also pins compiled = interpreted (DESIGN.md §4 "Aggregate states stay
+# columns"): state columns from fold to output and DISTINCT as a
+# first-occurrence filter return the accumulator rows' bytes — DISTINCT
+# of every function included — at 1/2/8 workers and under a spill budget.
+echo "-- parts equal the whole, compiled equals interpreted: any cut, any worker count, same bytes --"
 cargo test -q --offline -p hive-exec --test aggregate_parts
 echo "-- LRFU: the ordered set picks the O(n) chooser's victims --"
 cargo test -q --offline -p hive-llap --lib ordered_set_picks_the_linear_choosers_victims
@@ -130,7 +134,7 @@ cargo test -q --offline -p hive-corc --lib decode_fuzz_truncations_and_mutations
 # a DISTINCT set has one answer whatever the table toggle says.
 echo "-- key layer: word shapes = bytes shape = the replaced encode-and-FNV code --"
 cargo test -q --offline -p hive-exec --test keys
-echo "-- COUNT(DISTINCT double): NaN counts once under every configuration --"
+echo "-- COUNT/SUM/AVG(DISTINCT double): NaN counts once, one answer under every configuration --"
 cargo test -q --offline --test hash_keys count_distinct_over_doubles_is_one_answer_under_every_configuration
 # The persistent executors (DESIGN.md §5 "Executors are persistent"): the
 # ticket protocol under nesting, many clients, panics and a borrowed

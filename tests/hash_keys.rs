@@ -168,14 +168,19 @@ fn count_distinct_over_doubles_is_one_answer_under_every_configuration() {
             ])
         })
         .collect();
+    // The compiled aggregate (DISTINCT as a first-occurrence filter in
+    // front of the kernels) and the interpreted one (a value set per
+    // group) are two of the configurations. With the NaNs filtered out,
+    // SUM and AVG over the distinct values show the fold order too.
     let mut answers = Vec::new();
-    for vectorized in [true, false] {
+    for (vectorized, pir) in [(true, true), (true, false), (false, false)] {
         for rawtable in [true, false] {
             for threads in [1, 2, 4] {
                 neutralize_env();
                 let server = HiveServer::new(HiveConf::v3_1().with(|c| {
                     c.results_cache = false;
                     c.vectorized = vectorized;
+                    c.pir_enabled = pir;
                     c.rawtable_enabled = rawtable;
                     c.parallel_threads = threads;
                 }));
@@ -188,11 +193,17 @@ fn count_distinct_over_doubles_is_one_answer_under_every_configuration() {
                 for sql in [
                     "SELECT COUNT(DISTINCT x) FROM nums",
                     "SELECT g, COUNT(DISTINCT x), COUNT(x) FROM nums GROUP BY g ORDER BY g",
+                    "SELECT g, SUM(DISTINCT x), AVG(DISTINCT x) FROM nums GROUP BY g ORDER BY g",
+                    "SELECT g, SUM(DISTINCT x), AVG(DISTINCT x), COUNT(DISTINCT x) FROM nums \
+                     WHERE x < 100 GROUP BY g ORDER BY g",
                 ] {
                     got.push(session.execute(sql).unwrap().display_rows());
                 }
                 answers.push((
-                    format!("vectorized {vectorized}, rawtable {rawtable}, {threads} threads"),
+                    format!(
+                        "vectorized {vectorized}, pir {pir}, rawtable {rawtable}, \
+                         {threads} threads"
+                    ),
                     got,
                 ));
             }
@@ -203,6 +214,17 @@ fn count_distinct_over_doubles_is_one_answer_under_every_configuration() {
     assert_eq!(
         answers[0].1[1],
         vec!["0\t4\t4000", "1\t4\t4000", "2\t4\t4000"]
+    );
+    // A NaN among the distinct values is the sum; without it, 0 + 2.5 + 3
+    // over three values.
+    assert_eq!(
+        answers[0].1[2],
+        vec!["0\tNaN\tNaN", "1\tNaN\tNaN", "2\tNaN\tNaN"]
+    );
+    let third = format!("{}", 5.5 / 3.0);
+    assert_eq!(
+        answers[0].1[3],
+        [0, 1, 2].map(|g| format!("{g}\t5.5\t{third}\t3"))
     );
     for (what, got) in &answers[1..] {
         assert_eq!(got, &answers[0].1, "{what}");
