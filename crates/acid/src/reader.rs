@@ -4,7 +4,7 @@ use crate::snapshot::{resolve_snapshot, AcidSnapshot, DeleteSet};
 use crate::visibility::Visibility;
 use crate::writer::{acid_file_schema, record_id_at, ACID_COLS};
 use hive_common::{Result, Schema, Value, VectorBatch, WriteId};
-use hive_corc::{ColumnPredicate, CorcFile, SearchArgument};
+use hive_corc::{CorcFile, SearchArgument};
 use hive_dfs::{DfsPath, DistFs};
 use hive_metastore::ValidWriteIdList;
 
@@ -73,7 +73,7 @@ impl AcidScan {
         SearchArgument::with(
             sarg.predicates
                 .iter()
-                .map(|p| shift_predicate(p, ACID_COLS))
+                .map(|p| p.with_column(p.column() + ACID_COLS))
                 .collect(),
         )
     }
@@ -175,32 +175,6 @@ impl AcidScan {
             }
         }
         Ok(out)
-    }
-}
-
-/// Re-target a predicate to a shifted column index.
-fn shift_predicate(p: &ColumnPredicate, by: usize) -> ColumnPredicate {
-    match p {
-        ColumnPredicate::Eq(c, v) => ColumnPredicate::Eq(c + by, v.clone()),
-        ColumnPredicate::Lt(c, v) => ColumnPredicate::Lt(c + by, v.clone()),
-        ColumnPredicate::Le(c, v) => ColumnPredicate::Le(c + by, v.clone()),
-        ColumnPredicate::Gt(c, v) => ColumnPredicate::Gt(c + by, v.clone()),
-        ColumnPredicate::Ge(c, v) => ColumnPredicate::Ge(c + by, v.clone()),
-        ColumnPredicate::Between(c, a, b) => ColumnPredicate::Between(c + by, a.clone(), b.clone()),
-        ColumnPredicate::In(c, vs) => ColumnPredicate::In(c + by, vs.clone()),
-        ColumnPredicate::IsNull(c) => ColumnPredicate::IsNull(c + by),
-        ColumnPredicate::IsNotNull(c) => ColumnPredicate::IsNotNull(c + by),
-        ColumnPredicate::BloomRange {
-            column,
-            min,
-            max,
-            bloom,
-        } => ColumnPredicate::BloomRange {
-            column: column + by,
-            min: min.clone(),
-            max: max.clone(),
-            bloom: bloom.clone(),
-        },
     }
 }
 

@@ -602,9 +602,10 @@ fn bench_hash_keys(_c: &mut Criterion) {
 /// What a short statement pays per call rather than per row: handing a
 /// two-item call to the persistent executors (plain and from inside
 /// another call), a results-cache hit through `Session::execute`, a
-/// semijoin reducer built from 5 000 INT keys, and its row check over
-/// 300 000. Prints ns per call / per row; recorded in EXPERIMENTS.md,
-/// not gated on time.
+/// semijoin reducer built from 5 000 INT keys, and row checks over
+/// 300 000 rows against each layout of the filter (dense INT, blocked
+/// BIGINT, a dictionary probe of STRING keys). Prints ns per call / per
+/// row; recorded in EXPERIMENTS.md, not gated on time.
 fn bench_fixed_costs(_c: &mut Criterion) {
     use hive_common::ColumnVector;
     use hive_exec::par::parallel_map;
@@ -635,37 +636,59 @@ fn bench_fixed_costs(_c: &mut Criterion) {
         assert!(sess.execute(q).unwrap().from_cache);
     });
 
-    let scatter = |i: usize, domain: usize| (i.wrapping_mul(2_654_435_761) % domain) as i32;
-    let int_batch = |rows: usize, domain: usize| {
-        let col = ColumnVector::Int((0..rows).map(|i| scatter(i, domain)).collect(), None);
-        VectorBatch::new(Schema::new(vec![Field::new("k", DataType::Int)]), vec![col]).unwrap()
+    // Reducer builds and row checks, through the selection narrowing a
+    // morsel worker applies. Two rows in three of each probe fall outside
+    // the build's keys.
+    use hive_common::SelVec;
+    use hive_exec::runtime_filter::RuntimeFilter;
+    let scatter = |i: usize, domain: usize| i.wrapping_mul(2_654_435_761) % domain;
+    let ints = |rows: usize, domain: usize| -> Vec<i32> {
+        (0..rows).map(|i| scatter(i, domain) as i32).collect()
     };
-    let build = int_batch(5_000, 1_500);
-    report_ns(
-        "reducer/bloom_build_int_5000",
-        "build row",
-        200,
-        5_000.0,
-        || {
-            let built = hive_exec::join::build_runtime_filter_sized(&build, 0, Some(1_500));
-            std::hint::black_box(built);
+    let build = ColumnVector::Int(ints(5_000, 1_500), None);
+    report_ns("reducer/build_int_5000", "build row", 200, 5_000.0, || {
+        std::hint::black_box(RuntimeFilter::build(&build));
+    });
+    let row_check = |name: &str, build: ColumnVector, probe: ColumnVector| {
+        let filter = RuntimeFilter::build(&build).unwrap();
+        report_ns(name, "row", 10, 300_000.0, || {
+            std::hint::black_box(filter.retain(&probe, SelVec::All(300_000)));
+        });
+    };
+    // Dense: 1 500 INT keys over a span of 1 500 — the exact bitmap.
+    row_check(
+        "reducer/row_check_int_300k",
+        build.clone(),
+        ColumnVector::Int(ints(300_000, 4_500), None),
+    );
+    // Blocked: 1 500 BIGINT keys a million apart, far more than 16 bits a
+    // key — the split-block filter.
+    let spread = |rows: usize, domain: usize| -> Vec<i64> {
+        (0..rows)
+            .map(|i| scatter(i, domain) as i64 * 1_000_003)
+            .collect()
+    };
+    row_check(
+        "reducer/row_check_sparse_bigint_300k",
+        ColumnVector::BigInt(spread(5_000, 1_500), None),
+        ColumnVector::BigInt(spread(300_000, 4_500), None),
+    );
+    // A dictionary probe against STRING keys: one verdict per entry.
+    let names = |rows: usize, domain: usize| -> Vec<String> {
+        (0..rows)
+            .map(|i| format!("brand #{}", scatter(i, domain)))
+            .collect()
+    };
+    let dict: Vec<String> = (0..4_500).map(|i| format!("brand #{i}")).collect();
+    row_check(
+        "reducer/row_check_dict_300k",
+        ColumnVector::Str(names(5_000, 1_500), None),
+        ColumnVector::Dict {
+            codes: (0..300_000).map(|i| scatter(i, 4_500) as u32).collect(),
+            dict: std::sync::Arc::new(dict),
+            nulls: None,
         },
     );
-    let (min, max, bloom) =
-        hive_exec::join::build_runtime_filter_sized(&build, 0, Some(1_500)).unwrap();
-    let reducer = ColumnPredicate::BloomRange {
-        column: 0,
-        min,
-        max,
-        bloom,
-    };
-    // Two rows in three fall outside the build's range.
-    let probe = int_batch(300_000, 4_500);
-    report_ns("reducer/row_check_int_300k", "row", 10, 300_000.0, || {
-        let mut positions: Vec<u32> = (0..300_000).collect();
-        reducer.retain_matching(probe.column(0), &mut positions, |p| p as usize);
-        std::hint::black_box(positions);
-    });
 }
 
 /// An ACID read against the same rows read plain: sixty partitions of

@@ -1,10 +1,18 @@
-//! Bloom filters over column values, used for sargable `=`/`IN`
-//! pushdown and for the dynamic index-semijoin reduction (paper §4.6).
+//! Bloom filters over column values: the per-row-group index a corc
+//! file carries for sargable `=`/`IN` pushdown. What they hash and how
+//! they are laid out is the file format; the runtime semijoin reducer
+//! has its own filter (`hive_exec::runtime_filter`).
+
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use crate::encoding::{ByteReader, ByteWriter};
-use hive_common::{Result, Value};
+use hive_common::{HiveError, Result, Value};
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
+
+/// Most hash functions a filter uses; [`BloomFilter::new`] never asks
+/// for more, so a file that claims more is corrupt.
+const MAX_HASHES: u32 = 16;
 
 /// A classic Bloom filter with double hashing.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -26,7 +34,7 @@ impl BloomFilter {
         BloomFilter {
             bits: vec![0; num_bits.div_ceil(64) as usize],
             num_bits,
-            num_hashes: num_hashes.min(16),
+            num_hashes: num_hashes.min(MAX_HASHES),
         }
     }
 
@@ -46,68 +54,28 @@ impl BloomFilter {
         ((bit / 64) as usize, 1 << (bit % 64))
     }
 
-    fn set(&mut self, feed: impl Fn(&mut DefaultHasher)) {
-        let (a, b) = Self::base_hashes(feed);
+    /// Insert a value (NULLs are ignored; NULL never matches `=`).
+    pub fn insert(&mut self, v: &Value) {
+        if v.is_null() {
+            return;
+        }
+        let (a, b) = Self::base_hashes(|h| v.hash_value(h));
         for i in 0..self.num_hashes {
             let (word, mask) = self.bit(a, b, i);
             self.bits[word] |= mask;
         }
     }
 
-    fn test(&self, feed: impl Fn(&mut DefaultHasher)) -> bool {
-        let (a, b) = Self::base_hashes(feed);
+    /// Possibly-contains test; `false` is definitive.
+    pub fn might_contain(&self, v: &Value) -> bool {
+        if v.is_null() {
+            return false;
+        }
+        let (a, b) = Self::base_hashes(|h| v.hash_value(h));
         (0..self.num_hashes).all(|i| {
             let (word, mask) = self.bit(a, b, i);
             self.bits[word] & mask != 0
         })
-    }
-
-    /// Insert a value (NULLs are ignored; NULL never matches `=`).
-    pub fn insert(&mut self, v: &Value) {
-        if !v.is_null() {
-            self.set(|h| v.hash_value(h));
-        }
-    }
-
-    /// Possibly-contains test; `false` is definitive.
-    pub fn might_contain(&self, v: &Value) -> bool {
-        !v.is_null() && self.test(|h| v.hash_value(h))
-    }
-
-    /// [`BloomFilter::insert`] of the INT, BIGINT, DATE or TIMESTAMP
-    /// value with this number — they all hash as it ([`Value::hash_value`])
-    /// — without building the `Value`.
-    pub fn insert_i64(&mut self, v: i64) {
-        self.set(|h| v.hash(h));
-    }
-
-    /// [`BloomFilter::might_contain`], as [`BloomFilter::insert_i64`].
-    pub fn might_contain_i64(&self, v: i64) -> bool {
-        self.test(|h| v.hash(h))
-    }
-
-    /// [`BloomFilter::insert`] of the STRING value `s`, without building
-    /// the `Value`.
-    pub fn insert_str(&mut self, s: &str) {
-        self.set(|h| s.hash(h));
-    }
-
-    /// [`BloomFilter::might_contain`], as [`BloomFilter::insert_str`].
-    pub fn might_contain_str(&self, s: &str) -> bool {
-        self.test(|h| s.hash(h))
-    }
-
-    /// Merge another filter built with identical parameters.
-    pub fn union(&mut self, other: &BloomFilter) {
-        assert_eq!(self.num_bits, other.num_bits, "bloom size mismatch");
-        for (a, b) in self.bits.iter_mut().zip(&other.bits) {
-            *a |= b;
-        }
-    }
-
-    /// Approximate memory footprint in bytes.
-    pub fn approx_bytes(&self) -> usize {
-        self.bits.len() * 8
     }
 
     /// Serialize to a byte stream.
@@ -120,19 +88,24 @@ impl BloomFilter {
         }
     }
 
-    /// Deserialize from a byte stream.
+    /// Deserialize from a byte stream. Counts are checked against the
+    /// bytes left and against each other before anything is allocated,
+    /// so a corrupt footer fails with [`HiveError::Format`].
     pub fn read(r: &mut ByteReader) -> Result<Self> {
         let num_bits = r.get_varint()?;
-        let num_hashes = r.get_varint()? as u32;
-        let words = r.get_varint()? as usize;
-        let mut bits = Vec::with_capacity(words);
-        for _ in 0..words {
-            bits.push(r.get_u64()?);
+        let num_hashes = r.get_varint()?;
+        let words = r.get_count(8)?;
+        if num_bits == 0 || num_hashes > MAX_HASHES as u64 || words as u64 != num_bits.div_ceil(64)
+        {
+            return Err(HiveError::Format(format!(
+                "bloom filter of {num_bits} bits, {num_hashes} hashes in {words} words"
+            )));
         }
+        let bits = (0..words).map(|_| r.get_u64()).collect::<Result<_>>()?;
         Ok(BloomFilter {
             bits,
             num_bits,
-            num_hashes,
+            num_hashes: num_hashes as u32,
         })
     }
 }
@@ -140,34 +113,6 @@ impl BloomFilter {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn typed_inserts_and_probes_are_the_value_ones() {
-        let mut by_value = BloomFilter::new(64, 0.01);
-        let mut typed = BloomFilter::new(64, 0.01);
-        for n in [-7i64, 0, 3, 1 << 40] {
-            by_value.insert(&Value::BigInt(n));
-            typed.insert_i64(n);
-        }
-        by_value.insert(&Value::Int(11));
-        by_value.insert(&Value::Date(12));
-        by_value.insert(&Value::Timestamp(13));
-        by_value.insert(&Value::String("brand #4".into()));
-        (11..=13).for_each(|n| typed.insert_i64(n));
-        typed.insert_str("brand #4");
-        assert_eq!(by_value, typed);
-        for n in -50i64..50 {
-            assert_eq!(
-                typed.might_contain_i64(n),
-                by_value.might_contain(&Value::Int(n as i32))
-            );
-            let s = format!("brand #{n}");
-            assert_eq!(
-                typed.might_contain_str(&s),
-                by_value.might_contain(&Value::String(s))
-            );
-        }
-    }
 
     #[test]
     fn no_false_negatives() {
@@ -222,16 +167,5 @@ mod tests {
         let mut r = ByteReader::new(w.finish());
         let b2 = BloomFilter::read(&mut r).unwrap();
         assert_eq!(b, b2);
-    }
-
-    #[test]
-    fn union_combines() {
-        let mut a = BloomFilter::new(100, 0.01);
-        let mut b = BloomFilter::new(100, 0.01);
-        a.insert(&Value::Int(1));
-        b.insert(&Value::Int(2));
-        a.union(&b);
-        assert!(a.might_contain(&Value::Int(1)));
-        assert!(a.might_contain(&Value::Int(2)));
     }
 }

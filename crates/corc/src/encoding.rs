@@ -128,6 +128,15 @@ impl ByteReader {
         Ok(self.buf.get_u8())
     }
 
+    /// A varint count of items at least `min_bytes` long each. A count
+    /// the bytes left cannot hold is corrupt, and fails before it sizes
+    /// an allocation.
+    pub fn get_count(&mut self, min_bytes: usize) -> Result<usize> {
+        let n = usize::try_from(self.get_varint()?).unwrap_or(usize::MAX);
+        self.need(n.saturating_mul(min_bytes))?;
+        Ok(n)
+    }
+
     pub fn get_u32(&mut self) -> Result<u32> {
         self.need(4)?;
         Ok(self.buf.get_u32_le())

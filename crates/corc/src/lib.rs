@@ -24,7 +24,7 @@ pub mod writer;
 
 pub use bloom::BloomFilter;
 pub use reader::CorcFile;
-pub use sarg::{ColumnPredicate, SearchArgument, TruthValue};
+pub use sarg::{ColumnPredicate, KeyFilter, SearchArgument, TruthValue};
 pub use stats::ColumnStatistics;
 pub use writer::{CorcWriter, WriterOptions};
 

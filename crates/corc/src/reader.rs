@@ -298,7 +298,7 @@ impl CorcFile {
 
 pub(crate) fn parse_footer(bytes: Bytes) -> Result<Footer> {
     let mut r = ByteReader::new(bytes);
-    let nfields = r.get_varint()? as usize;
+    let nfields = r.get_count(1)?;
     let mut fields = Vec::with_capacity(nfields);
     for _ in 0..nfields {
         let name = r.get_str()?;
@@ -313,7 +313,7 @@ pub(crate) fn parse_footer(bytes: Bytes) -> Result<Footer> {
     let schema = Schema::new(fields);
     let row_group_size = r.get_varint()? as usize;
     let total_rows = r.get_varint()?;
-    let ngroups = r.get_varint()? as usize;
+    let ngroups = r.get_count(1)?;
     let mut row_groups = Vec::with_capacity(ngroups);
     for _ in 0..ngroups {
         let row_count = r.get_varint()?;

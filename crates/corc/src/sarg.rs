@@ -2,11 +2,14 @@
 //! I/O elevator evaluates against row-group indexes (§5.1) before
 //! reading data.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use crate::bloom::BloomFilter;
 use crate::stats::ColumnStatistics;
-use hive_common::{BitSet, ColumnVector, Value};
+use hive_common::Value;
 use std::cmp::Ordering;
 use std::fmt;
+use std::sync::Arc;
 
 /// Three-valued outcome of evaluating a predicate against an index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,9 +34,18 @@ impl TruthValue {
     }
 }
 
+/// A runtime semijoin reducer's key set (§4.6). The executor builds it
+/// from a join's build side and checks rows against it itself; a sarg
+/// only asks it about the one value of a single-valued row group.
+pub trait KeyFilter: fmt::Debug + Send + Sync {
+    /// `false` only when no build key is join-equal to `v`. NULL never
+    /// matches.
+    fn might_contain(&self, v: &Value) -> bool;
+}
+
 /// A single sargable predicate on one column (identified by its index in
 /// the file schema).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub enum ColumnPredicate {
     Eq(usize, Value),
     Lt(usize, Value),
@@ -44,13 +56,13 @@ pub enum ColumnPredicate {
     In(usize, Vec<Value>),
     IsNull(usize),
     IsNotNull(usize),
-    /// Dynamic runtime filter from semijoin reduction: a Bloom filter of
-    /// the build-side keys plus their min/max range (§4.6).
-    BloomRange {
+    /// Dynamic runtime filter from semijoin reduction (§4.6): the
+    /// build-side keys' min/max range, then their key set.
+    Reducer {
         column: usize,
         min: Value,
         max: Value,
-        bloom: BloomFilter,
+        filter: Arc<dyn KeyFilter>,
     },
 }
 
@@ -67,8 +79,26 @@ impl ColumnPredicate {
             | ColumnPredicate::In(c, _)
             | ColumnPredicate::IsNull(c)
             | ColumnPredicate::IsNotNull(c)
-            | ColumnPredicate::BloomRange { column: c, .. } => *c,
+            | ColumnPredicate::Reducer { column: c, .. } => *c,
         }
+    }
+
+    /// The same predicate over column `col`.
+    pub fn with_column(&self, col: usize) -> ColumnPredicate {
+        let mut p = self.clone();
+        match &mut p {
+            ColumnPredicate::Eq(c, _)
+            | ColumnPredicate::Lt(c, _)
+            | ColumnPredicate::Le(c, _)
+            | ColumnPredicate::Gt(c, _)
+            | ColumnPredicate::Ge(c, _)
+            | ColumnPredicate::Between(c, _, _)
+            | ColumnPredicate::In(c, _)
+            | ColumnPredicate::IsNull(c)
+            | ColumnPredicate::IsNotNull(c)
+            | ColumnPredicate::Reducer { column: c, .. } => *c = col,
+        }
+        p
     }
 
     /// Evaluate against row-range statistics (and an optional Bloom
@@ -140,19 +170,19 @@ impl ColumnPredicate {
                 let le = cmp_bound(stats, hi, |o| o != Ordering::Greater);
                 ge.and(le)
             }
-            ColumnPredicate::BloomRange {
-                min, max, bloom: b, ..
+            ColumnPredicate::Reducer {
+                min, max, filter, ..
             } => {
                 let ge = cmp_bound(stats, min, |o| o != Ordering::Less);
                 let le = cmp_bound(stats, max, |o| o != Ordering::Greater);
                 if ge.and(le) == No {
                     return No;
                 }
-                // If the range is a single value, the Bloom filter can
-                // give a definitive miss.
+                // If the range is a single value, the key set can give
+                // a definitive miss.
                 if stats.min == stats.max {
                     if let Some(v) = &stats.min {
-                        if !b.might_contain(v) {
+                        if !filter.might_contain(v) {
                             return No;
                         }
                     }
@@ -160,114 +190,6 @@ impl ColumnPredicate {
                 Maybe
             }
         }
-    }
-
-    /// Evaluate against a single concrete value (row-level residual
-    /// check used by the index-semijoin runtime filter).
-    pub fn matches_value(&self, v: &Value) -> bool {
-        match self {
-            ColumnPredicate::IsNull(_) => v.is_null(),
-            ColumnPredicate::IsNotNull(_) => !v.is_null(),
-            _ if v.is_null() => false,
-            ColumnPredicate::Eq(_, x) => v.sql_cmp(x) == Some(Ordering::Equal),
-            ColumnPredicate::Lt(_, x) => v.sql_cmp(x) == Some(Ordering::Less),
-            ColumnPredicate::Le(_, x) => {
-                v.sql_cmp(x) != Some(Ordering::Greater) && v.sql_cmp(x).is_some()
-            }
-            ColumnPredicate::Gt(_, x) => v.sql_cmp(x) == Some(Ordering::Greater),
-            ColumnPredicate::Ge(_, x) => {
-                v.sql_cmp(x) != Some(Ordering::Less) && v.sql_cmp(x).is_some()
-            }
-            ColumnPredicate::Between(_, lo, hi) => {
-                v.sql_cmp(lo) != Some(Ordering::Less)
-                    && v.sql_cmp(hi) != Some(Ordering::Greater)
-                    && v.sql_cmp(lo).is_some()
-                    && v.sql_cmp(hi).is_some()
-            }
-            ColumnPredicate::In(_, vals) => {
-                vals.iter().any(|x| v.sql_cmp(x) == Some(Ordering::Equal))
-            }
-            ColumnPredicate::BloomRange {
-                min, max, bloom, ..
-            } => {
-                v.sql_cmp(min) != Some(Ordering::Less)
-                    && v.sql_cmp(max) != Some(Ordering::Greater)
-                    && v.sql_cmp(min).is_some()
-                    && bloom.might_contain(v)
-            }
-        }
-    }
-
-    /// Keep the `positions` whose row of `col` passes
-    /// [`ColumnPredicate::matches_value`] (`row_of` maps a position to
-    /// its row). A [`ColumnPredicate::BloomRange`] — the runtime
-    /// semijoin reducer — over an INT, BIGINT, DATE or dictionary column
-    /// is decided from the typed slice: range first, then the same Bloom
-    /// hashes, no `Value` per row, one verdict per dictionary entry.
-    /// Everything else takes the `Value` path; the answers are the same.
-    pub fn retain_matching(
-        &self,
-        col: &ColumnVector,
-        positions: &mut Vec<u32>,
-        row_of: impl Fn(u32) -> usize,
-    ) {
-        if let ColumnPredicate::BloomRange {
-            min, max, bloom, ..
-        } = self
-        {
-            let is_null = |nulls: &Option<BitSet>, row| nulls.as_ref().is_some_and(|n| n.get(row));
-            // INT and BIGINT compare with either as the `i64` they hash as.
-            let int = |v: &Value| match v {
-                Value::Int(x) => Some(*x as i64),
-                Value::BigInt(x) => Some(*x),
-                _ => None,
-            };
-            let in_i64 =
-                |lo: i64, hi: i64, x: i64| lo <= x && x <= hi && bloom.might_contain_i64(x);
-            match (col, int(min), int(max), min, max) {
-                (ColumnVector::Int(vals, nulls), Some(lo), Some(hi), ..) => {
-                    return positions.retain(|&p| {
-                        let row = row_of(p);
-                        !is_null(nulls, row) && in_i64(lo, hi, vals[row] as i64)
-                    });
-                }
-                (ColumnVector::BigInt(vals, nulls), Some(lo), Some(hi), ..) => {
-                    return positions.retain(|&p| {
-                        let row = row_of(p);
-                        !is_null(nulls, row) && in_i64(lo, hi, vals[row])
-                    });
-                }
-                (ColumnVector::Date(vals, nulls), _, _, Value::Date(lo), Value::Date(hi)) => {
-                    return positions.retain(|&p| {
-                        let row = row_of(p);
-                        !is_null(nulls, row) && in_i64(*lo as i64, *hi as i64, vals[row] as i64)
-                    });
-                }
-                (
-                    ColumnVector::Dict { codes, dict, nulls },
-                    _,
-                    _,
-                    Value::String(lo),
-                    Value::String(hi),
-                ) => {
-                    // Per dictionary entry, decided when first met.
-                    let mut verdicts: Vec<Option<bool>> = vec![None; dict.len()];
-                    return positions.retain(|&p| {
-                        let row = row_of(p);
-                        if is_null(nulls, row) {
-                            return false;
-                        }
-                        let code = codes[row] as usize;
-                        *verdicts[code].get_or_insert_with(|| {
-                            let s = dict[code].as_str();
-                            lo.as_str() <= s && s <= hi.as_str() && bloom.might_contain_str(s)
-                        })
-                    });
-                }
-                _ => {}
-            }
-        }
-        positions.retain(|&p| self.matches_value(&col.get(row_of(p))));
     }
 }
 
@@ -297,7 +219,7 @@ fn cmp_bound(stats: &ColumnStatistics, v: &Value, accept: impl Fn(Ordering) -> b
 }
 
 /// A conjunction of sargable predicates.
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct SearchArgument {
     /// All predicates must hold (AND semantics).
     pub predicates: Vec<ColumnPredicate>,
@@ -364,10 +286,10 @@ impl fmt::Display for ColumnPredicate {
             }
             ColumnPredicate::IsNull(c) => write!(f, "col{c} IS NULL"),
             ColumnPredicate::IsNotNull(c) => write!(f, "col{c} IS NOT NULL"),
-            ColumnPredicate::BloomRange {
+            ColumnPredicate::Reducer {
                 column, min, max, ..
             } => {
-                write!(f, "col{column} IN BLOOM[{min}..{max}]")
+                write!(f, "col{column} IN REDUCER[{min}..{max}]")
             }
         }
     }
@@ -499,21 +421,30 @@ mod tests {
         );
     }
 
+    /// A key set of the listed integers.
+    #[derive(Debug)]
+    struct Keys(Vec<i32>);
+
+    impl KeyFilter for Keys {
+        fn might_contain(&self, v: &Value) -> bool {
+            matches!(v, Value::Int(x) if self.0.contains(x))
+        }
+    }
+
     #[test]
-    fn row_level_matches() {
-        let p = ColumnPredicate::Between(0, Value::Int(5), Value::Int(10));
-        assert!(p.matches_value(&Value::Int(7)));
-        assert!(!p.matches_value(&Value::Int(11)));
-        assert!(!p.matches_value(&Value::Null));
-        let mut b = BloomFilter::new(10, 0.01);
-        b.insert(&Value::Int(7));
-        let br = ColumnPredicate::BloomRange {
+    fn reducer_skips_by_range_then_by_the_single_value() {
+        let reducer = ColumnPredicate::Reducer {
             column: 0,
-            min: Value::Int(0),
-            max: Value::Int(100),
-            bloom: b,
+            min: Value::Int(5),
+            max: Value::Int(9),
+            filter: Arc::new(Keys(vec![5, 9])),
         };
-        assert!(br.matches_value(&Value::Int(7)));
-        assert!(!br.matches_value(&Value::Int(200)));
+        let t = |lo, hi| reducer.evaluate(&stats(lo, hi, 0, 10), None);
+        assert_eq!(t(10, 20), TruthValue::No, "above the range");
+        assert_eq!(t(0, 4), TruthValue::No, "below the range");
+        assert_eq!(t(7, 7), TruthValue::No, "the one value is not a key");
+        assert_eq!(t(9, 9), TruthValue::Maybe);
+        assert_eq!(t(6, 8), TruthValue::Maybe, "several values: range only");
+        assert_eq!(reducer.with_column(3).column(), 3);
     }
 }

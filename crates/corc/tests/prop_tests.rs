@@ -221,3 +221,101 @@ fn dict_edge_cases_round_trip() {
     let err = ColumnVector::dict_from_codes(vec![0, 2], dict, None).unwrap_err();
     assert!(matches!(err, hive_common::HiveError::Format(_)), "{err:?}");
 }
+
+// --- corrupt footers ----------------------------------------------------
+
+use hive_common::HiveError;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+/// Byte-level fuzz of the footer (the chunk decoder's has its own in
+/// `reader`): every truncation, 2 000 seeded single-byte mutations, and a
+/// varint of 2⁶² spliced in at every byte of a footer that carries Bloom
+/// indexes open as `Ok` or `HiveError::Format`. No count read from the
+/// footer may size an allocation or an index before it is checked, and a
+/// footer that still opens answers Bloom lookups and row-group selection
+/// without panicking.
+#[test]
+fn footer_truncations_and_mutations_end_typed() {
+    let rows: Vec<Row> = (0..600i64)
+        .map(|k| {
+            Row::new(vec![
+                Value::BigInt(k * 7),
+                Value::String(format!("s{}", k % 50)),
+                Value::Boolean(k % 3 == 0),
+                Value::Decimal(k as i128 * 25, 2),
+            ])
+        })
+        .collect();
+    let mut w = CorcWriter::new(
+        schema(),
+        WriterOptions {
+            row_group_size: 100,
+            bloom_columns: vec![0, 1],
+            bloom_fpp: 0.05,
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    w.write_batch(&VectorBatch::from_rows(&schema(), &rows).unwrap())
+        .unwrap();
+    let file = w.finish().unwrap().to_vec();
+    let (body, tail) = file.split_at(file.len() - 8);
+    let footer_len = u32::from_le_bytes(tail[..4].try_into().unwrap()) as usize;
+    let (data, footer) = body.split_at(body.len() - footer_len);
+
+    let fs = DistFs::new();
+    let path = DfsPath::new("/fuzz/f");
+    let probes = [
+        Value::BigInt(14),
+        Value::BigInt(15),
+        Value::String("s3".into()),
+        Value::Null,
+    ];
+    let open = |footer: &[u8], what: &str| {
+        let mut bytes = data.to_vec();
+        bytes.extend_from_slice(footer);
+        bytes.extend_from_slice(&(footer.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(&tail[4..]);
+        let _ = fs.delete_file(&path);
+        fs.create(&path, bytes.into()).unwrap();
+        let f = match CorcFile::open(&fs, &path) {
+            Ok(f) => f,
+            Err(HiveError::Format(_)) => return,
+            Err(e) => panic!("{what}: untyped open error {e:?}"),
+        };
+        let cols = f.schema().len();
+        for rg in 0..f.row_group_count() {
+            for col in 0..cols {
+                if let Some(b) = f.column_bloom(rg, col) {
+                    probes.iter().for_each(|v| {
+                        b.might_contain(v);
+                    });
+                }
+            }
+        }
+        let sarg = (0..cols.min(2))
+            .map(|c| ColumnPredicate::Eq(c, probes[c * 2].clone()))
+            .collect();
+        f.selected_row_groups(&SearchArgument::with(sarg));
+    };
+    open(footer, "intact");
+    for cut in 0..footer.len() {
+        open(&footer[..cut], &format!("cut at {cut}"));
+    }
+    let mut rng = StdRng::seed_from_u64(0xf007);
+    let mut buf = footer.to_vec();
+    for _ in 0..2_000 {
+        let at = rng.gen_range(0..buf.len());
+        let old = buf[at];
+        buf[at] = rng.gen_range(0..=255u8);
+        open(&buf, &format!("byte {at} -> {}", buf[at]));
+        buf[at] = old;
+    }
+    // A count read there claims far more entries than bytes are left.
+    let huge = [0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x40];
+    for at in 0..footer.len() {
+        let spliced = [&footer[..at], &huge[..], &footer[at + 1..]].concat();
+        open(&spliced, &format!("2^62 at byte {at}"));
+    }
+}

@@ -14,13 +14,12 @@ use crate::keys::{column_refs, route, JoinIndex, KeyCol, KeySide, RowKeys, MISS}
 use crate::pir::{PredPipeline, SelRef};
 use crate::spill::{partition_of, plan_partition, push_rec, RecIter, SpillCtx};
 use hive_common::{
-    BitSet, ColumnVector, HiveError, Result, Schema, SelBatch, SelVec, Value, VectorBatch,
-    NULL_INDEX,
+    ColumnVector, HiveError, Result, Schema, SelBatch, SelVec, Value, VectorBatch, NULL_INDEX,
 };
 use hive_optimizer::eval::eval_scalar;
 use hive_optimizer::plan::JoinType;
 use hive_optimizer::ScalarExpr;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -969,119 +968,11 @@ fn assemble(
     )?))
 }
 
-/// Build a runtime semijoin reducer from the values of one column:
-/// min/max range + Bloom filter (§4.6's index semijoin payload).
-///
-/// The build side of a semijoin is often heavily duplicated (e.g. a
-/// dimension key repeated per sales row), so values are deduplicated
-/// before insertion — via the dictionary code space when the column is
-/// dictionary-encoded, otherwise through a `HashSet` — and the Bloom
-/// filter is sized by the *distinct* count rather than the row count,
-/// which keeps its bit array proportional to the information it holds.
-pub fn build_runtime_filter(
-    values: &VectorBatch,
-    key_col: usize,
-) -> Option<(Value, Value, hive_corc::BloomFilter)> {
-    build_runtime_filter_sized(values, key_col, None)
-}
-
-/// [`build_runtime_filter`] with an optimizer NDV hint. With a hint the
-/// Bloom bit array is sized for that many distinct keys up front;
-/// without one it is sized by the column's distinct non-NULL count (the
-/// constant-stats oracle). Either way every non-NULL value goes in —
-/// Bloom inserts are idempotent, so membership is that of a
-/// deduplicated build, and only the false-positive rate (never a join
-/// result — the reducer is a pre-filter) depends on the hint's accuracy.
-///
-/// INT, BIGINT and DATE columns are read as typed slices and dictionary
-/// columns through their code space — no `Value` per row, one insert per
-/// dictionary entry present — with the same hashes, hence the same bits,
-/// as the `Value` loop the remaining types take.
-pub fn build_runtime_filter_sized(
-    values: &VectorBatch,
-    key_col: usize,
-    ndv_hint: Option<usize>,
-) -> Option<(Value, Value, hive_corc::BloomFilter)> {
-    match values.column(key_col) {
-        ColumnVector::Int(vals, nulls) => int_reducer(vals, nulls, ndv_hint, Value::Int),
-        ColumnVector::BigInt(vals, nulls) => int_reducer(vals, nulls, ndv_hint, Value::BigInt),
-        ColumnVector::Date(vals, nulls) => int_reducer(vals, nulls, ndv_hint, Value::Date),
-        ColumnVector::Dict { codes, dict, nulls } => {
-            let mut present = vec![false; dict.len()];
-            for (i, &c) in codes.iter().enumerate() {
-                if !nulls.as_ref().is_some_and(|n| n.get(i)) {
-                    present[c as usize] = true;
-                }
-            }
-            let strings = || {
-                dict.iter()
-                    .zip(&present)
-                    .filter(|(_, &p)| p)
-                    .map(|(s, _)| s.as_str())
-            };
-            // Duplicate dictionary entries are one distinct value.
-            let distinct = || strings().collect::<HashSet<_>>().len();
-            let mut bloom = reducer_bloom(ndv_hint.unwrap_or_else(distinct));
-            strings().for_each(|s| bloom.insert_str(s));
-            let (min, max) = (strings().min()?, strings().max()?);
-            Some((Value::String(min.into()), Value::String(max.into()), bloom))
-        }
-        col => {
-            let live = || (0..col.len()).map(|i| col.get(i)).filter(|v| !v.is_null());
-            let distinct = || live().collect::<HashSet<_>>().len();
-            let mut bloom = reducer_bloom(ndv_hint.unwrap_or_else(distinct));
-            let mut min: Option<Value> = None;
-            let mut max: Option<Value> = None;
-            for v in live() {
-                bloom.insert(&v);
-                if min
-                    .as_ref()
-                    .is_none_or(|m| v.sql_cmp(m) == Some(std::cmp::Ordering::Less))
-                {
-                    min = Some(v.clone());
-                }
-                if max
-                    .as_ref()
-                    .is_none_or(|m| v.sql_cmp(m) == Some(std::cmp::Ordering::Greater))
-                {
-                    max = Some(v);
-                }
-            }
-            Some((min?, max?, bloom))
-        }
-    }
-}
-
-/// A reducer's Bloom filter, sized for `expected` distinct keys.
-fn reducer_bloom(expected: usize) -> hive_corc::BloomFilter {
-    hive_corc::BloomFilter::new(expected.max(16), 0.01)
-}
-
-/// [`build_runtime_filter_sized`] over an integer-like column: min, max
-/// and Bloom inserts straight from the slice (`T` hashes as its `i64`,
-/// like the `Value` that `wrap` builds).
-fn int_reducer<T: Copy + Ord + std::hash::Hash + Into<i64>>(
-    vals: &[T],
-    nulls: &Option<BitSet>,
-    ndv_hint: Option<usize>,
-    wrap: fn(T) -> Value,
-) -> Option<(Value, Value, hive_corc::BloomFilter)> {
-    let live = || {
-        vals.iter()
-            .enumerate()
-            .filter(|(i, _)| !nulls.as_ref().is_some_and(|n| n.get(*i)))
-            .map(|(_, &v)| v)
-    };
-    let distinct = || live().collect::<HashSet<_>>().len();
-    let mut bloom = reducer_bloom(ndv_hint.unwrap_or_else(distinct));
-    live().for_each(|v| bloom.insert_i64(v.into()));
-    Some((wrap(live().min()?), wrap(live().max()?), bloom))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use hive_common::{BitSet, DataType, Field, Row};
+    use std::collections::HashSet;
 
     fn batch(name: &str, rows: &[(Option<i32>, &str)]) -> VectorBatch {
         let schema = Schema::new(vec![
@@ -1335,16 +1226,6 @@ mod tests {
         let out =
             execute_join(&l, &r, JoinType::Cross, &[], &None, &out_schema, 1_000_000).unwrap();
         assert_eq!(out.num_rows(), 2);
-    }
-
-    #[test]
-    fn runtime_filter_build() {
-        let r = batch("r", &[(Some(5), "a"), (Some(9), "b"), (None, "n")]);
-        let (min, max, bloom) = build_runtime_filter(&r, 0).unwrap();
-        assert_eq!(min, Value::Int(5));
-        assert_eq!(max, Value::Int(9));
-        assert!(bloom.might_contain(&Value::Int(5)));
-        assert!(!bloom.might_contain(&Value::Int(6)));
     }
 
     fn big_batch(name: &str, n: usize, key_mod: i32) -> VectorBatch {

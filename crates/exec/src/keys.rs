@@ -81,7 +81,7 @@ pub trait Word: Copy + Eq + Default + Send + Sync + std::fmt::Debug + 'static {
 }
 
 #[inline]
-fn mix(w: u64) -> u64 {
+pub(crate) fn mix(w: u64) -> u64 {
     let m = w.wrapping_mul(0x9e37_79b9_7f4a_7c15);
     m ^ (m >> 32)
 }
@@ -404,7 +404,7 @@ fn for_rows(sel: &SelVec, lo: usize, n: usize, mut f: impl FnMut(usize, usize)) 
 /// `Value`, and a `Dict` column that is not keyed by code encodes the
 /// referenced entry — the bytes its decoded `Str` twin produces.
 #[inline]
-fn encode_cell(col: &ColumnVector, i: usize, out: &mut Vec<u8>) -> bool {
+pub(crate) fn encode_cell(col: &ColumnVector, i: usize, out: &mut Vec<u8>) -> bool {
     if col.is_null(i) {
         return false;
     }

@@ -24,6 +24,7 @@ pub mod par;
 pub mod pir;
 pub mod rawtable;
 pub mod recovery;
+pub mod runtime_filter;
 pub mod scan;
 pub mod simtime;
 pub mod spill;

@@ -2,14 +2,18 @@
 //! dynamic semijoin reduction, LLAP cache routing, and federation
 //! dispatch.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use crate::engine::{ExecContext, NodeTrace};
 use crate::kernels::{filter_indices, filter_indices_rowmode};
+use crate::pir::{PredPipeline, SelRef};
+use crate::runtime_filter::RuntimeFilter;
 use hive_acid::{resolve_snapshot, DeleteSet, RowGroupClass, Visibility, ACID_COLS};
 use hive_common::{ColumnVector, HiveError, Result, Schema, SelBatch, SelVec, Value, VectorBatch};
 use hive_corc::{ColumnPredicate, CorcFile, SearchArgument};
 use hive_dfs::DfsPath;
 use hive_optimizer::eval::eval_scalar;
-use hive_optimizer::plan::{LogicalPlan, SemiJoinFilterSpec};
+use hive_optimizer::plan::LogicalPlan;
 use hive_optimizer::ScalarExpr;
 use hive_sql::BinaryOp;
 use std::collections::HashSet;
@@ -30,17 +34,17 @@ pub fn execute_scan(
     exec: ExecFn,
 ) -> Result<(SelBatch, NodeTrace)> {
     let mut read = read_scan(plan, ctx, exec)?;
-    let out = match read.parts.len() {
+    let mut out = match read.parts.len() {
         1 => read.parts.swap_remove(0),
         _ => SelBatch::from_batch(VectorBatch::concat_selected(&plan.schema(), &read.parts)?),
     };
-    if let Some(key) = read.publish {
-        // A shared scan runs unfused: `out` is every raw row.
+    if let Some((key, work)) = read.publish {
+        // A shared scan reads unfiltered: `out` is every raw row.
         ctx.shared_put(key, out.batch.clone());
+        out = work.apply(out.batch, ctx)?;
     }
-    let filtered = read.residual.apply(out, ctx)?;
-    read.trace.rows_out = filtered.num_rows() as u64;
-    Ok((filtered, read.trace))
+    read.trace.rows_out = out.num_rows() as u64;
+    Ok((out, read.trace))
 }
 
 /// Execute a Scan node without assembling it: one filtered part per
@@ -56,14 +60,10 @@ pub(crate) fn execute_scan_parts(
 ) -> Result<(Vec<SelBatch>, NodeTrace)> {
     let ScanRead {
         parts,
-        residual,
         mut trace,
-        ..
+        publish,
     } = read_scan(plan, ctx, exec)?;
-    let parts = parts
-        .into_iter()
-        .map(|p| residual.apply(p, ctx))
-        .collect::<Result<Vec<_>>>()?;
+    debug_assert!(publish.is_none(), "a shared scan's parts are raw rows");
     trace.rows_out = parts.iter().map(|p| p.num_rows() as u64).sum();
     Ok((parts, trace))
 }
@@ -71,38 +71,43 @@ pub(crate) fn execute_scan_parts(
 /// A scan's rows before assembly.
 struct ScanRead<'p> {
     /// At least one part. A storage read gives one per morsel in
-    /// enumeration order, each carrying its fused keep-list as its
-    /// selection; a federated scan, a shared-work reuse and an empty
-    /// reducer give a single finished part.
+    /// enumeration order, each carrying the rows that passed its
+    /// [`RowWork`] as its selection; a federated scan, a shared-work
+    /// reuse and an empty reducer give a single finished part.
     parts: Vec<SelBatch>,
-    /// What the rows still owe; batch-local, so it applies to one part
-    /// or to the assembled batch alike.
-    residual: Residual<'p>,
     /// Everything but `rows_out`.
     trace: NodeTrace,
-    /// Share key to publish the assembled raw rows under.
-    publish: Option<u64>,
+    /// A shared scan's parts are raw rows: the share key to publish them
+    /// under, assembled, and the row work they still owe.
+    publish: Option<(u64, RowWork<'p>)>,
 }
 
-/// Row-level work left after the read: the pushed filters, unless the
-/// fused pipeline already ran them inside the morsel workers, and the
-/// semijoin reducers' row checks (the Bloom filter may let some row
-/// groups through).
-#[derive(Default)]
-struct Residual<'p> {
+/// A scan's row-level work: its pushed filters — compiled (`fused`) or
+/// interpreted — then its semijoin reducers' row checks (a reducer's
+/// sarg skips whole row groups only). Batch-local: a storage read does
+/// it to each part inside the morsel workers, a shared scan to the rows
+/// it published or reuses.
+struct RowWork<'p> {
     filters: &'p [ScalarExpr],
-    reducer_preds: Vec<ColumnPredicate>,
+    fused: Option<PredPipeline>,
+    /// (output column, key set) pairs.
+    reducers: Vec<(usize, Arc<RuntimeFilter>)>,
 }
 
-impl Residual<'_> {
-    fn apply(&self, sb: SelBatch, ctx: &ExecContext) -> Result<SelBatch> {
-        let sb = if self.filters.is_empty() {
-            sb
-        } else {
-            // Unfused parts carry the identity selection.
-            apply_row_filters(sb.batch, self.filters, ctx)?
+impl RowWork<'_> {
+    fn apply(&self, batch: VectorBatch, ctx: &ExecContext) -> Result<SelBatch> {
+        let n = batch.num_rows();
+        let sel = match &self.fused {
+            Some(p) => p
+                .select(&batch, SelRef::All(n))?
+                .map_or(SelVec::All(n), SelVec::Idx),
+            None => apply_row_filters(&batch, self.filters, ctx)?,
         };
-        Ok(apply_reducer_row_checks(sb, &self.reducer_preds))
+        let sel = self
+            .reducers
+            .iter()
+            .fold(sel, |sel, (col, f)| f.retain(batch.column(*col), sel));
+        Ok(SelBatch { batch, sel })
     }
 }
 
@@ -127,7 +132,6 @@ fn read_scan<'p>(plan: &'p LogicalPlan, ctx: &ExecContext, exec: ExecFn) -> Resu
     };
     let finished = |part: SelBatch, trace: NodeTrace| ScanRead {
         parts: vec![part],
-        residual: Residual::default(),
         trace,
         publish: None,
     };
@@ -144,17 +148,23 @@ fn read_scan<'p>(plan: &'p LogicalPlan, ctx: &ExecContext, exec: ExecFn) -> Resu
         trace.external_ms = result.external_ms;
         // Residual filters still apply (the handler may have pushed
         // only part of them).
-        let filtered = apply_row_filters(result.batch, filters, ctx)?;
+        let sel = apply_row_filters(&result.batch, filters, ctx)?;
+        let filtered = SelBatch {
+            batch: result.batch,
+            sel,
+        };
         return Ok(finished(filtered, trace));
     }
 
     // --- dynamic semijoin reduction (§4.6) -------------------------------
-    let mut extra_preds: Vec<ColumnPredicate> = Vec::new();
+    let mut reducers: Vec<(usize, Arc<RuntimeFilter>)> = Vec::new();
     let mut partition_value_allowlist: Option<(usize, HashSet<Value>)> = None;
     for spec in semijoin_filters {
-        let reducer = run_reducer(spec, ctx, exec, &mut trace)?;
-        let Some((min, max, bloom, values)) = reducer else {
-            // Empty build side: nothing can match.
+        let (batch, sub_trace) = exec(&spec.source, ctx)?;
+        trace.children.push(sub_trace);
+        let keys = batch.column(spec.source_key);
+        let Some(filter) = RuntimeFilter::build(keys) else {
+            // No build key: nothing can match.
             let empty = SelBatch::from_batch(VectorBatch::empty(&out_schema)?);
             return Ok(finished(empty, trace));
         };
@@ -163,15 +173,14 @@ fn read_scan<'p>(plan: &'p LogicalPlan, ctx: &ExecContext, exec: ExecFn) -> Resu
             let entry =
                 partition_value_allowlist.get_or_insert_with(|| (spec.target_col, HashSet::new()));
             if entry.0 == spec.target_col {
-                entry.1.extend(values);
+                entry.1.extend(
+                    (0..keys.len())
+                        .map(|i| keys.get(i))
+                        .filter(|v| !v.is_null()),
+                );
             }
         } else {
-            extra_preds.push(ColumnPredicate::BloomRange {
-                column: spec.target_col,
-                min,
-                max,
-                bloom,
-            });
+            reducers.push((spec.target_col, Arc::new(filter)));
         }
     }
 
@@ -223,11 +232,11 @@ fn read_scan<'p>(plan: &'p LogicalPlan, ctx: &ExecContext, exec: ExecFn) -> Resu
             }
         }
     }
-    for p in &extra_preds {
+    for (target, filter) in &reducers {
         // Reducer target col → data column index.
-        let col = projection[p.column()];
+        let col = projection[*target];
         if col < data_cols {
-            sarg_preds.push(retarget(p, col));
+            sarg_preds.push(filter.predicate(col));
         }
     }
     let acid = table.acid;
@@ -235,7 +244,7 @@ fn read_scan<'p>(plan: &'p LogicalPlan, ctx: &ExecContext, exec: ExecFn) -> Resu
     let file_sarg = SearchArgument::with(
         sarg_preds
             .iter()
-            .map(|p| retarget(p, p.column() + id_shift))
+            .map(|p| p.with_column(p.column() + id_shift))
             .collect(),
     );
 
@@ -244,6 +253,28 @@ fn read_scan<'p>(plan: &'p LogicalPlan, ctx: &ExecContext, exec: ExecFn) -> Resu
     // filters, the raw read happens once; each consumer applies its own
     // filters below. (The sarg skip is forfeited on the shared read.)
     let share_key = ctx.scan_share_key(plan);
+    // Fused residual predicate (PIR): compile the pushed filters once —
+    // conjuncts ordered by the table's column statistics. Shared scans
+    // must publish raw rows (other plan sites apply different filters),
+    // so they keep the interpreted path.
+    let fused = if crate::pir::enabled(ctx.conf) && share_key.is_none() && !filters.is_empty() {
+        let tstats = ctx.ms.table_stats(&table.qualified_name);
+        ScalarExpr::conjunction(filters.to_vec()).map(|pred| {
+            PredPipeline::compile(
+                &pred,
+                &out_schema,
+                Some((&*tstats, projection)),
+                ctx.conf.effective_histograms_enabled(),
+            )
+        })
+    } else {
+        None
+    };
+    let work = RowWork {
+        filters,
+        fused,
+        reducers,
+    };
     if let Some(key) = share_key {
         if let Some(raw) = ctx.shared_get(key) {
             let mut reuse = NodeTrace {
@@ -255,12 +286,7 @@ fn read_scan<'p>(plan: &'p LogicalPlan, ctx: &ExecContext, exec: ExecFn) -> Resu
             std::mem::swap(&mut reuse.children, &mut trace.children);
             trace.children.push(reuse);
             trace.rows_in = raw.num_rows() as u64;
-            let residual = Residual {
-                filters,
-                reducer_preds: extra_preds,
-            };
-            let filtered = residual.apply(SelBatch::from_batch(raw), ctx)?;
-            return Ok(finished(filtered, trace));
+            return Ok(finished(work.apply(raw, ctx)?, trace));
         }
     }
     // A shared scan reads without sargs so every consumer's rows are
@@ -378,26 +404,8 @@ fn read_scan<'p>(plan: &'p LogicalPlan, ctx: &ExecContext, exec: ExecFn) -> Resu
     // the serial loop at any worker count.
     let (workers, _lease) = ctx.lease_workers(morsels.len());
     trace.parallel_workers = workers as u64;
-    // Fused residual predicate (PIR): compile the pushed filters once —
-    // conjuncts ordered by the table's column statistics — and evaluate
-    // them inside each morsel worker, so assembly gathers only
-    // survivors instead of concatenating full morsels and filtering the
-    // result. Shared scans must publish raw rows (other plan sites
-    // apply different filters), so they keep the eager path.
-    let fused: Option<crate::pir::PredPipeline> =
-        if crate::pir::enabled(ctx.conf) && share_key.is_none() && !filters.is_empty() {
-            let tstats = ctx.ms.table_stats(&table.qualified_name);
-            ScalarExpr::conjunction(filters.to_vec()).map(|pred| {
-                crate::pir::PredPipeline::compile(
-                    &pred,
-                    &out_schema,
-                    Some((&*tstats, projection)),
-                    ctx.conf.effective_histograms_enabled(),
-                )
-            })
-        } else {
-            None
-        };
+    // Each worker does its part's row work, so assembly gathers only
+    // survivors; a shared scan's parts stay raw for publishing.
     let mut parts = crate::par::parallel_map(workers, morsels.len(), |i| {
         let m = &morsels[i];
         let b = read_row_group(
@@ -415,13 +423,10 @@ fn read_scan<'p>(plan: &'p LogicalPlan, ctx: &ExecContext, exec: ExecFn) -> Resu
                 .map(|w| Visibility::new(w, &delete_sets[m.dir_idx])),
             &out_schema,
         )?;
-        // No keep-list = every row passed: the identity selection.
-        let sel = match &fused {
-            Some(p) => p.select(&b, crate::pir::SelRef::All(b.num_rows()))?,
-            None => None,
-        };
-        let sel = sel.map_or(SelVec::All(b.num_rows()), SelVec::Idx);
-        Ok(SelBatch { batch: b, sel })
+        match share_key {
+            Some(_) => Ok(SelBatch::from_batch(b)),
+            None => work.apply(b, ctx),
+        }
     })?;
     // The scan's input cardinality is the raw morsel rows, before any
     // filter.
@@ -443,67 +448,9 @@ fn read_scan<'p>(plan: &'p LogicalPlan, ctx: &ExecContext, exec: ExecFn) -> Resu
 
     Ok(ScanRead {
         parts,
-        // The fused path already applied `filters` per morsel; only the
-        // reducers' row checks remain.
-        residual: Residual {
-            filters: if fused.is_some() { &[] } else { filters },
-            reducer_preds: extra_preds,
-        },
         trace,
-        publish: share_key,
+        publish: share_key.map(|key| (key, work)),
     })
-}
-
-/// Run one semijoin reducer's source subplan; `None` when the build side
-/// is empty.
-#[allow(clippy::type_complexity)]
-fn run_reducer(
-    spec: &SemiJoinFilterSpec,
-    ctx: &ExecContext,
-    exec: ExecFn,
-    trace: &mut NodeTrace,
-) -> Result<Option<(Value, Value, hive_corc::BloomFilter, Vec<Value>)>> {
-    let (batch, sub_trace) = exec(&spec.source, ctx)?;
-    trace.children.push(sub_trace);
-    if batch.num_rows() == 0 {
-        return Ok(None);
-    }
-    // Bloom sizing: with histograms on, size the bit array from the
-    // optimizer's NDV estimate for the build key and stream values in
-    // without materializing the distinct set. The hint only moves the
-    // false-positive rate — the reducer is a pre-filter, so results
-    // are identical either way.
-    let ndv_hint = if ctx.conf.effective_histograms_enabled() {
-        hive_optimizer::stats::estimate_key_ndv(
-            &spec.source,
-            spec.source_key,
-            &hive_optimizer::stats::GatedStats {
-                inner: ctx.ms,
-                use_histograms: true,
-                feedback: Default::default(),
-            },
-        )
-        .map(|n| n as usize)
-    } else {
-        None
-    };
-    let Some((min, max, bloom)) =
-        crate::join::build_runtime_filter_sized(&batch, spec.source_key, ndv_hint)
-    else {
-        return Ok(None);
-    };
-    // The exact value list feeds dynamic partition pruning only; the
-    // Bloom path never reads it.
-    let values: Vec<Value> = if spec.is_partition_col {
-        let col = batch.column(spec.source_key);
-        (0..col.len())
-            .map(|i| col.get(i))
-            .filter(|v| !v.is_null())
-            .collect()
-    } else {
-        Vec::new()
-    };
-    Ok(Some((min, max, bloom, values)))
 }
 
 fn open_file(ctx: &ExecContext, path: &DfsPath) -> Result<CorcFile> {
@@ -648,41 +595,21 @@ fn fetch_chunk(
     }
 }
 
-/// Apply residual row-level filters as a selection over `batch` — no
-/// row movement; compaction is deferred to the next pipeline breaker.
+/// Residual row-level filters as a selection over `batch` — no row
+/// movement; compaction is deferred to the next pipeline breaker.
 fn apply_row_filters(
-    batch: VectorBatch,
+    batch: &VectorBatch,
     filters: &[ScalarExpr],
     ctx: &ExecContext,
-) -> Result<SelBatch> {
+) -> Result<SelVec> {
     let Some(pred) = ScalarExpr::conjunction(filters.to_vec()) else {
-        return Ok(SelBatch::from_batch(batch));
+        return Ok(SelVec::All(batch.num_rows()));
     };
-    let idx = if ctx.conf.vectorized {
-        filter_indices(&pred, &batch)?
+    Ok(SelVec::Idx(if ctx.conf.vectorized {
+        filter_indices(&pred, batch)?
     } else {
-        filter_indices_rowmode(&pred, &batch)?
-    };
-    SelBatch::new(batch, SelVec::Idx(idx))
-}
-
-/// Row-level check of non-partition semijoin reducers (the Bloom filter
-/// may let some row groups through); narrows the selection in place.
-fn apply_reducer_row_checks(sb: SelBatch, extra_preds: &[ColumnPredicate]) -> SelBatch {
-    if extra_preds.is_empty() {
-        return sb;
-    }
-    let mut positions: Vec<u32> = (0..sb.num_rows() as u32).collect();
-    for pr in extra_preds {
-        pr.retain_matching(sb.batch.column(pr.column()), &mut positions, |p| {
-            sb.sel.index(p as usize)
-        });
-    }
-    let sel = sb.sel.compose(&positions);
-    SelBatch {
-        batch: sb.batch,
-        sel,
-    }
+        filter_indices_rowmode(&pred, batch)?
+    }))
 }
 
 /// Evaluate partition-column-only conjuncts against a directory's
@@ -798,28 +725,5 @@ fn to_column_predicate(
             }
         }
         _ => None,
-    }
-}
-
-/// Rebuild a predicate with a different column index.
-fn retarget(p: &ColumnPredicate, col: usize) -> ColumnPredicate {
-    match p {
-        ColumnPredicate::Eq(_, v) => ColumnPredicate::Eq(col, v.clone()),
-        ColumnPredicate::Lt(_, v) => ColumnPredicate::Lt(col, v.clone()),
-        ColumnPredicate::Le(_, v) => ColumnPredicate::Le(col, v.clone()),
-        ColumnPredicate::Gt(_, v) => ColumnPredicate::Gt(col, v.clone()),
-        ColumnPredicate::Ge(_, v) => ColumnPredicate::Ge(col, v.clone()),
-        ColumnPredicate::Between(_, a, b) => ColumnPredicate::Between(col, a.clone(), b.clone()),
-        ColumnPredicate::In(_, vs) => ColumnPredicate::In(col, vs.clone()),
-        ColumnPredicate::IsNull(_) => ColumnPredicate::IsNull(col),
-        ColumnPredicate::IsNotNull(_) => ColumnPredicate::IsNotNull(col),
-        ColumnPredicate::BloomRange {
-            min, max, bloom, ..
-        } => ColumnPredicate::BloomRange {
-            column: col,
-            min: min.clone(),
-            max: max.clone(),
-            bloom: bloom.clone(),
-        },
     }
 }

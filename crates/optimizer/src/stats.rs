@@ -102,12 +102,6 @@ pub fn estimate_rows(plan: &LogicalPlan, src: &dyn StatsSource) -> f64 {
     Estimator::new(src).rows(plan)
 }
 
-/// Estimated distinct count of output column `col` of `plan` — see
-/// [`Estimator::key_ndv`].
-pub fn estimate_key_ndv(plan: &LogicalPlan, col: usize, src: &dyn StatsSource) -> Option<u64> {
-    Estimator::new(src).key_ndv(plan, col)
-}
-
 /// A base-table column a plan column traces to, inside the snapshot the
 /// estimator holds for that table.
 struct TracedColumn {
@@ -339,21 +333,6 @@ impl<'a> Estimator<'a> {
             }
         }
         sel
-    }
-
-    /// Estimated distinct count of output column `col` of `plan` — the
-    /// executor's runtime-filter (Bloom) sizing hint. Traces the column
-    /// to a scanned base column and caps the sketch NDV by the plan's
-    /// own estimated output rows (a filtered build side can't produce
-    /// more distinct keys than rows). `None` when no statistics reach
-    /// the column.
-    pub fn key_ndv(&mut self, plan: &LogicalPlan, col: usize) -> Option<u64> {
-        let traced = self.trace_column(plan, col)?;
-        let ndv = traced.get()?.ndv_estimate();
-        if ndv == 0 {
-            return None;
-        }
-        Some((ndv as f64).min(self.rows(plan)).max(1.0) as u64)
     }
 
     /// A simple total-cost model: cumulative rows processed, weighting

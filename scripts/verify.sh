@@ -127,8 +127,9 @@ echo "-- parts equal the whole, compiled equals interpreted: any cut, any worker
 cargo test -q --offline -p hive-exec --test aggregate_parts
 echo "-- LRFU: the ordered set picks the O(n) chooser's victims --"
 cargo test -q --offline -p hive-llap --lib ordered_set_picks_the_linear_choosers_victims
-echo "-- corc: truncated and mutated chunks decode to Ok or Format --"
+echo "-- corc: truncated and mutated chunks and footers decode to Ok or Format --"
 cargo test -q --offline -p hive-corc --lib decode_fuzz_truncations_and_mutations_end_typed
+cargo test -q --offline -p hive-corc --test prop_tests footer_truncations_and_mutations_end_typed
 # The hash-key layer's two promises (DESIGN.md §4 "Hash keys"): packed
 # words group and join exactly as the canonical bytes they replaced, and
 # a DISTINCT set has one answer whatever the table toggle says.
@@ -158,7 +159,7 @@ cargo test -q --offline --test parallel_determinism concurrent_sessions_share_th
 # its `main` then returns with them parked.
 echo "-- the process exits under parked helpers --"
 HIVE_PARALLEL_THREADS=8 timeout 300 cargo run -q --offline --example chaos_recovery > /dev/null
-echo "-- reducers: typed slices give the Value path's bits and verdicts --"
+echo "-- reducers: a dropped row has no join partner; dense arm exact, blocked arm <= 2 % false positives; parts route = assembled route --"
 cargo test -q --offline -p hive-exec --test reducers
 echo "-- results cache: right across DROP/re-CREATE, and in front of the planner --"
 cargo test -q --offline -p hive-core --test table_incarnation
