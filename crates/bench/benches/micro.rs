@@ -603,7 +603,7 @@ fn bench_hash_keys(_c: &mut Criterion) {
 /// two-item call to the persistent executors (plain and from inside
 /// another call), a results-cache hit through `Session::execute`, a
 /// semijoin reducer built from 5 000 INT keys, and row checks over
-/// 300 000 rows against each layout of the filter (dense INT, blocked
+/// 300 000 rows against each layout of the filter (dense INT, hashed
 /// BIGINT, a dictionary probe of STRING keys). Prints ns per call / per
 /// row; recorded in EXPERIMENTS.md, not gated on time.
 fn bench_fixed_costs(_c: &mut Criterion) {
@@ -661,8 +661,8 @@ fn bench_fixed_costs(_c: &mut Criterion) {
         build.clone(),
         ColumnVector::Int(ints(300_000, 4_500), None),
     );
-    // Blocked: 1 500 BIGINT keys a million apart, far more than 16 bits a
-    // key — the split-block filter.
+    // Hashed: 1 500 BIGINT keys a million apart, far more than 16 bits a
+    // key — the sorted set of encoding hashes.
     let spread = |rows: usize, domain: usize| -> Vec<i64> {
         (0..rows)
             .map(|i| scatter(i, domain) as i64 * 1_000_003)

@@ -81,7 +81,7 @@ pub trait Word: Copy + Eq + Default + Send + Sync + std::fmt::Debug + 'static {
 }
 
 #[inline]
-pub(crate) fn mix(w: u64) -> u64 {
+fn mix(w: u64) -> u64 {
     let m = w.wrapping_mul(0x9e37_79b9_7f4a_7c15);
     m ^ (m >> 32)
 }

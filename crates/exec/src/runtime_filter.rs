@@ -6,21 +6,21 @@
 //! canonical key encoding ([`hive_common::hash`]) — so a row the filter
 //! drops has no join partner. INT/BIGINT/DATE keys whose span is at most
 //! `max(BITS_PER_KEY × distinct, DENSE_MIN_BITS)` bits get an exact
-//! bitmap over `[min, max]`; every other build a split-block filter
-//! (Putze, Sanders & Singler) at `BITS_PER_KEY` bits a distinct key. The
+//! bitmap over `[min, max]`; every other build a sorted set of its
+//! keys' encoding hashes, wrong only on a 64-bit hash collision. The
 //! choice is a size comparison, not a setting (DESIGN.md, "Semijoin
 //! reducers"). `corc::bloom` is the file format's filter, not this one.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-use crate::keys::{encode_cell, mix, route};
+use crate::keys::encode_cell;
 use hive_common::hash::{self, fnv1a};
 use hive_common::{BitSet, ColumnVector, SelVec, Value};
 use hive_corc::ColumnPredicate;
 use std::cmp::Ordering;
 use std::sync::Arc;
 
-/// Bits of filter per distinct build key, either layout.
+/// Bits of bitmap a distinct build key may cost.
 const BITS_PER_KEY: u64 = 16;
 /// A dense bitmap of up to this many bits (8 KiB) is taken whatever
 /// the key count.
@@ -36,121 +36,34 @@ pub struct RuntimeFilter {
     max: Value,
 }
 
-/// The build keys, by the encoding class they were built from.
+/// The build keys, by layout.
 #[derive(Debug)]
 enum Keys {
-    /// INT/BIGINT keys (tag [`hash::TAG_I64`]) or DATE keys as days (tag
-    /// [`hash::TAG_DATE`], day 0 encoding as [`hash::TAG_EPOCH0`]): a
-    /// probe matches by the `i64` of an encoding with that tag.
-    Words(u8, WordSet),
-    /// Any other build: the hashes of the keys' encodings.
-    Bytes(Blocked),
+    Dense(Dense),
+    /// Any other build: the FNV-1a hashes of the keys' canonical
+    /// encodings, sorted and distinct.
+    Hashed(Vec<u64>),
 }
 
-/// A set of `i64` keys.
+/// INT/BIGINT keys (`tag` [`hash::TAG_I64`]) or DATE keys as days
+/// (`tag` [`hash::TAG_DATE`], day 0 encoding as [`hash::TAG_EPOCH0`]):
+/// bit `k − min` is set for every key `k`, and bits past the largest key
+/// are clear, so the test is exact. A probe matches by the `i64` of an
+/// encoding with that tag.
 #[derive(Debug)]
-enum WordSet {
-    /// Bit `k − min` is set for every key `k`; bits past the largest key
-    /// are clear, so the test is exact.
-    Dense { min: i64, bits: Vec<u64> },
-    /// The key range, then a blocked filter of the keys.
-    Sparse { min: i64, max: i64, filter: Blocked },
+struct Dense {
+    tag: u8,
+    min: i64,
+    bits: Vec<u64>,
 }
 
-impl WordSet {
-    /// `keys`: sorted, distinct, not empty.
-    fn new(keys: &[i64]) -> WordSet {
-        let (min, max) = (keys[0], keys[keys.len() - 1]);
-        let span = max.abs_diff(min).saturating_add(1);
-        if span <= (BITS_PER_KEY * keys.len() as u64).max(DENSE_MIN_BITS) {
-            let mut bits = vec![0u64; span.div_ceil(64) as usize];
-            for &k in keys {
-                let off = k.abs_diff(min);
-                bits[(off >> 6) as usize] |= 1 << (off & 63);
-            }
-            WordSet::Dense { min, bits }
-        } else {
-            let mut filter = Blocked::new(keys.len());
-            keys.iter().for_each(|&k| filter.insert(mix(k as u64)));
-            WordSet::Sparse { min, max, filter }
-        }
-    }
-
+impl Dense {
     #[inline]
     fn contains(&self, k: i64) -> bool {
-        match self {
-            WordSet::Dense { min, bits } => dense_contains(*min, bits, k),
-            WordSet::Sparse { min, max, filter } => {
-                *min <= k && k <= *max && filter.contains(mix(k as u64))
-            }
-        }
-    }
-
-    /// [`narrow`] by the key `key(r)` of each row, the layout decided
-    /// once rather than per row.
-    #[inline]
-    fn narrow(&self, sel: SelVec, nulls: &Option<BitSet>, key: impl Fn(usize) -> i64) -> SelVec {
-        match self {
-            WordSet::Dense { min, bits } => {
-                narrow(sel, nulls, |r| dense_contains(*min, bits, key(r)))
-            }
-            sparse => narrow(sel, nulls, |r| sparse.contains(key(r))),
-        }
-    }
-}
-
-#[inline]
-fn dense_contains(min: i64, bits: &[u64], k: i64) -> bool {
-    let off = k.wrapping_sub(min) as u64;
-    bits.get((off >> 6) as usize)
-        .is_some_and(|w| w >> (off & 63) & 1 != 0)
-}
-
-/// One filter block: 256 bits in eight 32-bit lanes, aligned so that it
-/// never straddles a cache line.
-#[derive(Debug, Clone, Copy, Default)]
-#[repr(align(32))]
-struct Block([u32; 8]);
-
-/// Odd multipliers that pick one bit per lane from a 32-bit hash.
-const SALT: [u32; 8] = [
-    0x47b6137b, 0x44974d91, 0x8824ad5b, 0xa2b7289d, 0x705495c7, 0x2df1424b, 0x9efc4947, 0x5c6bfb31,
-];
-
-/// A split-block filter over 64-bit hashes: the upper half picks the
-/// block, the lower half one bit in each lane of it.
-#[derive(Debug)]
-struct Blocked {
-    blocks: Vec<Block>,
-}
-
-impl Blocked {
-    fn new(distinct: usize) -> Blocked {
-        let blocks = (distinct as u64 * BITS_PER_KEY).div_ceil(256).max(1);
-        Blocked {
-            blocks: vec![Block::default(); blocks as usize],
-        }
-    }
-
-    #[inline]
-    fn masks(h: u64) -> [u32; 8] {
-        SALT.map(|s| 1 << ((h as u32).wrapping_mul(s) >> 27))
-    }
-
-    fn insert(&mut self, h: u64) {
-        let b = route(h, self.blocks.len());
-        for (lane, m) in self.blocks[b].0.iter_mut().zip(Self::masks(h)) {
-            *lane |= m;
-        }
-    }
-
-    #[inline]
-    fn contains(&self, h: u64) -> bool {
-        let block = &self.blocks[route(h, self.blocks.len())].0;
-        block
-            .iter()
-            .zip(Self::masks(h))
-            .fold(true, |all, (lane, m)| all & (lane & m != 0))
+        let off = k.wrapping_sub(self.min) as u64;
+        self.bits
+            .get((off >> 6) as usize)
+            .is_some_and(|w| w >> (off & 63) & 1 != 0)
     }
 }
 
@@ -167,56 +80,73 @@ fn sorted_keys<T: Copy + Into<i64>>(vals: &[T], nulls: &Option<BitSet>) -> Vec<i
     keys
 }
 
+/// The dense filter of sorted, distinct `keys` (`wrap` gives a key its
+/// column type), or `None` when there is none or their span is wider
+/// than the size rule allows.
+fn dense(tag: u8, keys: &[i64], wrap: fn(i64) -> Value) -> Option<RuntimeFilter> {
+    let (min, max) = (*keys.first()?, *keys.last()?);
+    let span = max.abs_diff(min).saturating_add(1);
+    if span > (BITS_PER_KEY * keys.len() as u64).max(DENSE_MIN_BITS) {
+        return None;
+    }
+    let mut bits = vec![0u64; span.div_ceil(64) as usize];
+    for &k in keys {
+        let off = k.abs_diff(min);
+        bits[(off >> 6) as usize] |= 1 << (off & 63);
+    }
+    Some(RuntimeFilter {
+        keys: Keys::Dense(Dense { tag, min, bits }),
+        min: wrap(min),
+        max: wrap(max),
+    })
+}
+
 impl RuntimeFilter {
     /// The reducer of a build key column; `None` when the column holds no
     /// non-NULL key (nothing can match).
     pub fn build(col: &ColumnVector) -> Option<RuntimeFilter> {
-        let words = |tag, keys: Vec<i64>, wrap: fn(i64) -> Value| {
-            let (min, max) = (wrap(*keys.first()?), wrap(*keys.last()?));
-            let keys = Keys::Words(tag, WordSet::new(&keys));
-            Some(RuntimeFilter { keys, min, max })
-        };
-        match col {
-            ColumnVector::Int(v, nulls) => words(hash::TAG_I64, sorted_keys(v, nulls), |k| {
+        let dense = match col {
+            ColumnVector::Int(v, nulls) => dense(hash::TAG_I64, &sorted_keys(v, nulls), |k| {
                 Value::Int(k as i32)
             }),
             ColumnVector::BigInt(v, nulls) => {
-                words(hash::TAG_I64, sorted_keys(v, nulls), Value::BigInt)
+                dense(hash::TAG_I64, &sorted_keys(v, nulls), Value::BigInt)
             }
-            ColumnVector::Date(v, nulls) => words(hash::TAG_DATE, sorted_keys(v, nulls), |k| {
+            ColumnVector::Date(v, nulls) => dense(hash::TAG_DATE, &sorted_keys(v, nulls), |k| {
                 Value::Date(k as i32)
             }),
-            col => {
-                // Distinct keys by encoding, each with its first row (the
-                // value min/max are picked from by `sql_cmp`).
-                let mut encoded: Vec<(Vec<u8>, usize)> = (0..col.len())
-                    .filter_map(|i| {
-                        let mut e = Vec::new();
-                        encode_cell(col, i, &mut e).then_some((e, i))
-                    })
-                    .collect();
-                encoded.sort_unstable();
-                encoded.dedup_by(|a, b| a.0 == b.0);
-                let pick = |o| {
-                    encoded.iter().map(|&(_, i)| col.get(i)).reduce(|m, v| {
-                        if v.sql_cmp(&m) == Some(o) {
-                            v
-                        } else {
-                            m
-                        }
-                    })
-                };
-                let mut filter = Blocked::new(encoded.len());
-                encoded
-                    .iter()
-                    .for_each(|(e, _)| filter.insert(mix(fnv1a(e))));
-                Some(RuntimeFilter {
-                    min: pick(Ordering::Less)?,
-                    max: pick(Ordering::Greater)?,
-                    keys: Keys::Bytes(filter),
-                })
-            }
+            _ => None,
+        };
+        if dense.is_some() {
+            return dense;
         }
+        // Distinct keys by encoding, each with its first row (the value
+        // min/max are picked from by `sql_cmp`).
+        let mut encoded: Vec<(Vec<u8>, usize)> = (0..col.len())
+            .filter_map(|i| {
+                let mut e = Vec::new();
+                encode_cell(col, i, &mut e).then_some((e, i))
+            })
+            .collect();
+        encoded.sort_unstable();
+        encoded.dedup_by(|a, b| a.0 == b.0);
+        let pick = |o| {
+            encoded.iter().map(|&(_, i)| col.get(i)).reduce(|m, v| {
+                if v.sql_cmp(&m) == Some(o) {
+                    v
+                } else {
+                    m
+                }
+            })
+        };
+        let mut hashes: Vec<u64> = encoded.iter().map(|(e, _)| fnv1a(e)).collect();
+        hashes.sort_unstable();
+        hashes.dedup();
+        Some(RuntimeFilter {
+            min: pick(Ordering::Less)?,
+            max: pick(Ordering::Greater)?,
+            keys: Keys::Hashed(hashes),
+        })
     }
 
     /// The sarg form of this reducer over file column `column`: its key
@@ -233,18 +163,18 @@ impl RuntimeFilter {
     /// True for the dense layout: the filter keeps exactly the rows
     /// whose key is a build key.
     pub fn is_exact(&self) -> bool {
-        matches!(self.keys, Keys::Words(_, WordSet::Dense { .. }))
+        matches!(self.keys, Keys::Dense(_))
     }
 
     /// `false` only when no build key has this canonical encoding.
     fn contains_encoded(&self, encoding: &[u8]) -> bool {
         match (&self.keys, encoding) {
-            (Keys::Words(hash::TAG_DATE, set), [hash::TAG_EPOCH0]) => set.contains(0),
-            (Keys::Words(tag, set), [t, word @ ..]) if t == tag => word
+            (Keys::Dense(d), [hash::TAG_EPOCH0]) if d.tag == hash::TAG_DATE => d.contains(0),
+            (Keys::Dense(d), [t, word @ ..]) if *t == d.tag => word
                 .try_into()
-                .is_ok_and(|w| set.contains(i64::from_le_bytes(w))),
-            (Keys::Words(..), _) => false,
-            (Keys::Bytes(filter), _) => filter.contains(mix(fnv1a(encoding))),
+                .is_ok_and(|w| d.contains(i64::from_le_bytes(w))),
+            (Keys::Dense(_), _) => false,
+            (Keys::Hashed(hashes), _) => hashes.binary_search(&fnv1a(encoding)).is_ok(),
         }
     }
 
@@ -254,12 +184,14 @@ impl RuntimeFilter {
     /// narrowed in place.
     pub fn retain(&self, col: &ColumnVector, sel: SelVec) -> SelVec {
         match (&self.keys, col) {
-            (Keys::Words(hash::TAG_I64, set), ColumnVector::Int(v, nulls))
-            | (Keys::Words(hash::TAG_DATE, set), ColumnVector::Date(v, nulls)) => {
-                set.narrow(sel, nulls, |r| v[r] as i64)
+            (Keys::Dense(d), ColumnVector::Int(v, nulls)) if d.tag == hash::TAG_I64 => {
+                narrow(sel, nulls, |r| d.contains(v[r] as i64))
             }
-            (Keys::Words(hash::TAG_I64, set), ColumnVector::BigInt(v, nulls)) => {
-                set.narrow(sel, nulls, |r| v[r])
+            (Keys::Dense(d), ColumnVector::Date(v, nulls)) if d.tag == hash::TAG_DATE => {
+                narrow(sel, nulls, |r| d.contains(v[r] as i64))
+            }
+            (Keys::Dense(d), ColumnVector::BigInt(v, nulls)) if d.tag == hash::TAG_I64 => {
+                narrow(sel, nulls, |r| d.contains(v[r]))
             }
             (_, ColumnVector::Dict { codes, dict, nulls }) => {
                 // One verdict per dictionary entry, decided when first met.

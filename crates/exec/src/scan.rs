@@ -63,7 +63,11 @@ pub(crate) fn execute_scan_parts(
         mut trace,
         publish,
     } = read_scan(plan, ctx, exec)?;
-    debug_assert!(publish.is_none(), "a shared scan's parts are raw rows");
+    if publish.is_some() {
+        return Err(HiveError::Execution(
+            "execute_scan_parts on a shared scan: its parts are raw rows".into(),
+        ));
+    }
     trace.rows_out = parts.iter().map(|p| p.num_rows() as u64).sum();
     Ok((parts, trace))
 }
@@ -159,27 +163,33 @@ fn read_scan<'p>(plan: &'p LogicalPlan, ctx: &ExecContext, exec: ExecFn) -> Resu
     // --- dynamic semijoin reduction (§4.6) -------------------------------
     let mut reducers: Vec<(usize, Arc<RuntimeFilter>)> = Vec::new();
     let mut partition_value_allowlist: Option<(usize, HashSet<Value>)> = None;
+    // A build with no key: nothing can match.
+    let nothing = |trace| -> Result<ScanRead<'p>> {
+        let empty = SelBatch::from_batch(VectorBatch::empty(&out_schema)?);
+        Ok(finished(empty, trace))
+    };
     for spec in semijoin_filters {
         let (batch, sub_trace) = exec(&spec.source, ctx)?;
         trace.children.push(sub_trace);
         let keys = batch.column(spec.source_key);
-        let Some(filter) = RuntimeFilter::build(keys) else {
-            // No build key: nothing can match.
-            let empty = SelBatch::from_batch(VectorBatch::empty(&out_schema)?);
-            return Ok(finished(empty, trace));
-        };
         if spec.is_partition_col {
             // Dynamic partition pruning: collect the exact value set.
+            let values: Vec<Value> = (0..keys.len())
+                .map(|i| keys.get(i))
+                .filter(|v| !v.is_null())
+                .collect();
+            if values.is_empty() {
+                return nothing(trace);
+            }
             let entry =
                 partition_value_allowlist.get_or_insert_with(|| (spec.target_col, HashSet::new()));
             if entry.0 == spec.target_col {
-                entry.1.extend(
-                    (0..keys.len())
-                        .map(|i| keys.get(i))
-                        .filter(|v| !v.is_null()),
-                );
+                entry.1.extend(values);
             }
         } else {
+            let Some(filter) = RuntimeFilter::build(keys) else {
+                return nothing(trace);
+            };
             reducers.push((spec.target_col, Arc::new(filter)));
         }
     }

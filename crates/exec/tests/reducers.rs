@@ -6,7 +6,7 @@
 //!   build representation pair, with NULLs on both sides, through `All`
 //!   and `Idx` selections (ascending and not);
 //! * the dense arm keeps exactly the rows that have one;
-//! * the blocked arm passes at most 2 % of 100 000 absent keys;
+//! * the hashed arm passes at most 2 % of 100 000 absent keys;
 //! * a scan that checks its reducers inside the morsel workers keeps the
 //!   same rows by its parts route (an aggregate's input) as by its
 //!   assembled one, at 1 and 2 workers, fused and interpreted filters.
@@ -35,7 +35,7 @@ const VARIANTS: usize = 10;
 
 /// A column of `n` rows of the `variant`-th representation, values from
 /// a small domain (so builds and probes overlap), about one NULL in six.
-/// Variant 9 is BIGINT spread far wider than 16 bits a key: the blocked
+/// Variant 9 is BIGINT spread far wider than 16 bits a key: the hashed
 /// arm of an integer build.
 fn random_column(rng: &mut StdRng, variant: usize, n: usize) -> ColumnVector {
     let nulls = if rng.gen_bool(0.8) {
@@ -123,7 +123,7 @@ fn partners(probe: &ColumnVector, build: &ColumnVector) -> Vec<bool> {
 #[test]
 fn a_dropped_row_has_no_join_partner_and_the_dense_arm_drops_every_other() {
     let mut rng = StdRng::seed_from_u64(0x5E31_2028);
-    let (mut kept, mut exact, mut blocked) = (0usize, 0usize, 0usize);
+    let (mut kept, mut exact, mut hashed) = (0usize, 0usize, 0usize);
     for round in 0..VARIANTS * VARIANTS * 6 {
         let (probe_variant, build_variant) = (round % VARIANTS, (round / VARIANTS) % VARIANTS);
         let what = format!("probe {probe_variant} build {build_variant}");
@@ -138,7 +138,7 @@ fn a_dropped_row_has_no_join_partner_and_the_dense_arm_drops_every_other() {
         if filter.is_exact() {
             exact += 1;
         } else {
-            blocked += 1;
+            hashed += 1;
         }
         for (r, _) in has.iter().enumerate().filter(|(_, &h)| h) {
             assert!(filter.might_contain(&probe.get(r)), "{what}: row {r}");
@@ -167,21 +167,21 @@ fn a_dropped_row_has_no_join_partner_and_the_dense_arm_drops_every_other() {
         }
     }
     assert!(
-        kept > 5_000 && exact > 50 && blocked > 50,
-        "the generator stopped covering both arms: kept {kept}, exact {exact}, blocked {blocked}"
+        kept > 5_000 && exact > 50 && hashed > 50,
+        "the generator stopped covering both arms: kept {kept}, exact {exact}, hashed {hashed}"
     );
 }
 
 #[test]
-fn the_blocked_arm_passes_at_most_two_percent_of_absent_keys() {
+fn the_hashed_arm_passes_at_most_two_percent_of_absent_keys() {
     let absent = 100_000;
     let fp_rate = |build: ColumnVector, probe: ColumnVector| {
         let f = RuntimeFilter::build(&build).unwrap();
         assert!(!f.is_exact());
         f.retain(&probe, SelVec::All(absent)).len() as f64 / absent as f64
     };
-    // 1 000 BIGINT keys over a span of 10⁹: absent keys inside the same
-    // span, where the range test cannot help.
+    // 1 000 BIGINT keys over a span of 10⁹ (too wide for the dense arm):
+    // absent keys inside the same span.
     let keys: Vec<i64> = (0..1_000).map(|i| i * 1_000_003 + (i * i) % 977).collect();
     let set: HashSet<i64> = keys.iter().copied().collect();
     let probe: Vec<i64> = (0..)
@@ -266,7 +266,7 @@ fn the_parts_route_keeps_the_rows_of_the_assembled_route() {
             rows: keys.iter().map(|&k| vec![Value::Int(k)]).collect(),
         })
     };
-    // Dense: every seventh key below 3 000. Blocked: a span past 65 536
+    // Dense: every seventh key below 3 000. Hashed: a span past 65 536
     // bits over a few keys.
     let dense: Vec<i32> = (0..3_000).step_by(7).collect();
     let sparse = [3, 1_200, 4_999, 100_000];

@@ -159,7 +159,7 @@ cargo test -q --offline --test parallel_determinism concurrent_sessions_share_th
 # its `main` then returns with them parked.
 echo "-- the process exits under parked helpers --"
 HIVE_PARALLEL_THREADS=8 timeout 300 cargo run -q --offline --example chaos_recovery > /dev/null
-echo "-- reducers: a dropped row has no join partner; dense arm exact, blocked arm <= 2 % false positives; parts route = assembled route --"
+echo "-- reducers: a dropped row has no join partner; dense arm exact, hashed arm <= 2 % false positives; parts route = assembled route --"
 cargo test -q --offline -p hive-exec --test reducers
 echo "-- results cache: right across DROP/re-CREATE, and in front of the planner --"
 cargo test -q --offline -p hive-core --test table_incarnation
