@@ -446,7 +446,6 @@ fn bench_cold_read_path(_c: &mut Criterion) {
                     &aggs,
                     &out_schema,
                     workers,
-                    true,
                     None,
                     Some(&mut pc),
                 );
@@ -926,17 +925,8 @@ fn bench_aggregate_states(_c: &mut Criterion) {
         report_ns(name, "row", 10, rows, || {
             let mut pc = PirCounters::default();
             let pir = compiled.then_some(&mut pc);
-            let out = execute_aggregate_par(
-                &input,
-                groups,
-                &None,
-                aggs,
-                &out_schema,
-                workers,
-                true,
-                None,
-                pir,
-            );
+            let out =
+                execute_aggregate_par(&input, groups, &None, aggs, &out_schema, workers, None, pir);
             std::hint::black_box(out.unwrap().num_rows());
         });
     };

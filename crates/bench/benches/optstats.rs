@@ -103,9 +103,6 @@ fn main() {
     // override the settings this harness manages itself.
     std::env::remove_var("HIVE_HISTOGRAMS_ENABLED");
     std::env::remove_var("HIVE_PIR_ENABLED");
-    std::env::remove_var("HIVE_SELVEC_ENABLED");
-    std::env::remove_var("HIVE_DICT_ENABLED");
-    std::env::remove_var("HIVE_RAWTABLE_ENABLED");
     std::env::remove_var("HIVE_PARALLEL_THREADS");
 
     // (name, hist_on_ms, hist_off_ms)

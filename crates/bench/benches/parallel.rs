@@ -118,36 +118,16 @@ fn bench_aggregate(results: &mut Vec<(&'static str, usize, f64)>) {
     let input = hive_common::SelBatch::from_batch(batch);
     let mut baseline: Option<Vec<String>> = None;
     for &t in &THREADS {
-        let out = execute_aggregate_par(
-            &input,
-            &groups,
-            &None,
-            &aggs,
-            &out_schema,
-            t,
-            true,
-            None,
-            None,
-        )
-        .unwrap();
+        let out = execute_aggregate_par(&input, &groups, &None, &aggs, &out_schema, t, None, None)
+            .unwrap();
         let got = rows_of(&out);
         match &baseline {
             None => baseline = Some(got),
             Some(b) => assert_eq!(&got, b, "aggregate diverged at {t} threads"),
         }
         let ms = time_ms(|| {
-            execute_aggregate_par(
-                &input,
-                &groups,
-                &None,
-                &aggs,
-                &out_schema,
-                t,
-                true,
-                None,
-                None,
-            )
-            .unwrap();
+            execute_aggregate_par(&input, &groups, &None, &aggs, &out_schema, t, None, None)
+                .unwrap();
         });
         eprintln!("aggregate  threads={t:<2} {ms:8.2} ms");
         results.push(("aggregate", t, ms));
@@ -186,7 +166,6 @@ fn bench_join(results: &mut Vec<(&'static str, usize, f64)>) {
             &out_schema,
             usize::MAX,
             t,
-            true,
             None,
             None,
         )
@@ -206,7 +185,6 @@ fn bench_join(results: &mut Vec<(&'static str, usize, f64)>) {
                 &out_schema,
                 usize::MAX,
                 t,
-                true,
                 None,
                 None,
             )

@@ -2,8 +2,8 @@
 //!
 //! Engine-level queries against a loaded TPC-DS warehouse with
 //! `hive.exec.pir.enabled` on and off. The case grid covers the
-//! filter→aggregate shapes BENCH_selvec.json records at ≤1.14x for
-//! selection vectors alone (scan / join / group-by at 1/50/99%
+//! filter→aggregate shapes the selection-vector bench once recorded at
+//! ≤1.14x (EXPERIMENTS.md; scan / join / group-by at 1/50/99%
 //! selectivity), a multi-conjunct predicate where compiled conjunct
 //! ordering short-circuits through the selection vector, an explicit
 //! filter→project→aggregate chain, and dictionary versus plain string
@@ -189,9 +189,6 @@ fn main() {
     // The env knobs (set by HIVE_PIR_SWEEP test runs) must not
     // override the settings this harness manages itself.
     std::env::remove_var("HIVE_PIR_ENABLED");
-    std::env::remove_var("HIVE_SELVEC_ENABLED");
-    std::env::remove_var("HIVE_DICT_ENABLED");
-    std::env::remove_var("HIVE_RAWTABLE_ENABLED");
     std::env::remove_var("HIVE_PARALLEL_THREADS");
 
     // (name, pir_on_ms, pir_off_ms)

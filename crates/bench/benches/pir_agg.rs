@@ -187,9 +187,6 @@ fn main() {
     // The env knobs (set by HIVE_PIR_SWEEP test runs) must not
     // override the settings this harness manages itself.
     std::env::remove_var("HIVE_PIR_ENABLED");
-    std::env::remove_var("HIVE_SELVEC_ENABLED");
-    std::env::remove_var("HIVE_DICT_ENABLED");
-    std::env::remove_var("HIVE_RAWTABLE_ENABLED");
     std::env::remove_var("HIVE_PARALLEL_THREADS");
 
     // (name, pir_on_ms, pir_off_ms)

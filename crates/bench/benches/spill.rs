@@ -78,9 +78,6 @@ fn main() {
     // the budgets this harness sets explicitly.
     std::env::remove_var("HIVE_SPILL_ENABLED");
     std::env::remove_var("HIVE_MEMORY_BUDGET");
-    std::env::remove_var("HIVE_RAWTABLE_ENABLED");
-    std::env::remove_var("HIVE_SELVEC_ENABLED");
-    std::env::remove_var("HIVE_DICT_ENABLED");
     std::env::remove_var("HIVE_PARALLEL_THREADS");
 
     let cases: [(&'static str, &'static str); 3] = [

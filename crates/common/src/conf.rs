@@ -97,30 +97,6 @@ pub struct HiveConf {
     /// the serial path. Results are byte-identical at every setting; only
     /// wall-clock time changes. Overridable via `HIVE_PARALLEL_THREADS`.
     pub parallel_threads: usize,
-    /// `hive.exec.dictionary.enabled`: keep string columns dictionary-
-    /// encoded end-to-end (corc reader → LLAP cache → exec kernels),
-    /// materializing to `Str` only at output boundaries. Results are
-    /// byte-identical either way; only decode cost, allocations and
-    /// cache bytes change. Overridable via `HIVE_DICT_ENABLED`
-    /// (`0`/`false`/`off` disables, anything else enables).
-    pub dictionary_enabled: bool,
-    /// `hive.exec.selvec.enabled`: pass selection vectors and `Arc`-
-    /// shared columns between operators, compacting only at pipeline
-    /// breakers (join build, union, final output). When off, every
-    /// operator boundary compacts eagerly — the pre-selection-vector
-    /// data flow. Results are byte-identical either way; only copy
-    /// volume changes. Overridable via `HIVE_SELVEC_ENABLED`
-    /// (`0`/`false`/`off` disables, anything else enables).
-    pub selvec_enabled: bool,
-    /// `hive.exec.rawtable.enabled`: key the hash operators (join
-    /// build/probe, GROUP BY, DISTINCT, window partitioning, set ops)
-    /// on open-addressing flat tables with arena-resident canonical key
-    /// bytes and precomputed FNV-1a hashes. When off, the operators use
-    /// the original `HashMap` paths — the differential oracle. Results
-    /// are byte-identical either way; only per-row hashing/allocation
-    /// cost changes. Overridable via `HIVE_RAWTABLE_ENABLED`
-    /// (`0`/`false`/`off` disables, anything else enables).
-    pub rawtable_enabled: bool,
     /// `hive.exec.pir.enabled`: lower optimizer Filter/Project chains
     /// into physical-IR pipelines — fused selection-vector loops whose
     /// expression nodes are resolved to type-specialized kernels once
@@ -201,9 +177,6 @@ impl HiveConf {
             results_cache_entries: 64,
             hash_join_row_budget: 4_000_000,
             parallel_threads: 0,
-            dictionary_enabled: true,
-            selvec_enabled: true,
-            rawtable_enabled: true,
             pir_enabled: true,
             histograms_enabled: true,
             spill_enabled: true,
@@ -262,64 +235,25 @@ impl HiveConf {
         })
     }
 
-    /// Resolve [`HiveConf::dictionary_enabled`]: the `HIVE_DICT_ENABLED`
-    /// environment variable wins (for process-level differential
-    /// sweeps), then the conf field.
-    pub fn effective_dictionary_enabled(&self) -> bool {
-        match std::env::var("HIVE_DICT_ENABLED") {
-            Ok(v) => !matches!(v.trim(), "0" | "false" | "off" | ""),
-            Err(_) => self.dictionary_enabled,
-        }
-    }
-
-    /// Resolve [`HiveConf::selvec_enabled`]: the `HIVE_SELVEC_ENABLED`
-    /// environment variable wins (for process-level differential
-    /// sweeps), then the conf field.
-    pub fn effective_selvec_enabled(&self) -> bool {
-        match std::env::var("HIVE_SELVEC_ENABLED") {
-            Ok(v) => !matches!(v.trim(), "0" | "false" | "off" | ""),
-            Err(_) => self.selvec_enabled,
-        }
-    }
-
-    /// Resolve [`HiveConf::rawtable_enabled`]: the
-    /// `HIVE_RAWTABLE_ENABLED` environment variable wins (for
-    /// process-level differential sweeps), then the conf field.
-    pub fn effective_rawtable_enabled(&self) -> bool {
-        match std::env::var("HIVE_RAWTABLE_ENABLED") {
-            Ok(v) => !matches!(v.trim(), "0" | "false" | "off" | ""),
-            Err(_) => self.rawtable_enabled,
-        }
-    }
-
     /// Resolve [`HiveConf::pir_enabled`]: the `HIVE_PIR_ENABLED`
     /// environment variable wins (for process-level differential
     /// sweeps), then the conf field.
     pub fn effective_pir_enabled(&self) -> bool {
-        match std::env::var("HIVE_PIR_ENABLED") {
-            Ok(v) => !matches!(v.trim(), "0" | "false" | "off" | ""),
-            Err(_) => self.pir_enabled,
-        }
+        env_flag("HIVE_PIR_ENABLED", self.pir_enabled)
     }
 
     /// Resolve [`HiveConf::histograms_enabled`]: the
     /// `HIVE_HISTOGRAMS_ENABLED` environment variable wins (for
     /// process-level differential sweeps), then the conf field.
     pub fn effective_histograms_enabled(&self) -> bool {
-        match std::env::var("HIVE_HISTOGRAMS_ENABLED") {
-            Ok(v) => !matches!(v.trim(), "0" | "false" | "off" | ""),
-            Err(_) => self.histograms_enabled,
-        }
+        env_flag("HIVE_HISTOGRAMS_ENABLED", self.histograms_enabled)
     }
 
     /// Resolve [`HiveConf::spill_enabled`]: the `HIVE_SPILL_ENABLED`
     /// environment variable wins (for process-level differential
     /// sweeps), then the conf field.
     pub fn effective_spill_enabled(&self) -> bool {
-        match std::env::var("HIVE_SPILL_ENABLED") {
-            Ok(v) => !matches!(v.trim(), "0" | "false" | "off" | ""),
-            Err(_) => self.spill_enabled,
-        }
+        env_flag("HIVE_SPILL_ENABLED", self.spill_enabled)
     }
 
     /// Resolve [`HiveConf::memory_per_query_bytes`]: the
@@ -331,6 +265,16 @@ impl HiveConf {
             .ok()
             .and_then(|v| v.trim().parse::<usize>().ok())
             .unwrap_or(self.memory_per_query_bytes)
+    }
+}
+
+/// A boolean switch's environment override: when `name` is set, `0`,
+/// `false`, `off` and the empty string disable and anything else
+/// enables; when it is unset, `field` stands.
+fn env_flag(name: &str, field: bool) -> bool {
+    match std::env::var(name) {
+        Ok(v) => !matches!(v.trim(), "0" | "false" | "off" | ""),
+        Err(_) => field,
     }
 }
 

@@ -21,8 +21,8 @@
 //!   determinism within one compiler release.)
 //! * **Encoding equality ⟺ key equality.** Two values receive the same
 //!   encoding exactly when the engine's grouping semantics
-//!   (`Value::group_eq` + `Value::hash_value`, the `HashMap` oracle
-//!   path) would merge them into one group. Equal encodings trivially
+//!   (`Value::group_eq` + `Value::hash_value` — the oracle: what a
+//!   `HashMap<Value, _>` keys by) would merge them into one group. Equal encodings trivially
 //!   imply equal hashes, so the byte table in `hive-exec` can compare
 //!   keys with a plain `memcmp` against arena-resident bytes — no
 //!   per-entry `Vec<Value>` and no re-hashing.

@@ -16,7 +16,6 @@
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-use crate::dict::KeyPart;
 use crate::engine::align_column;
 use crate::kernels::eval_vector;
 use crate::keys::{Grouper, KeySide, RowKeys, ValueSet};
@@ -27,7 +26,6 @@ use hive_common::{
     ColumnVector, HiveError, Result, SelBatch, SelVec, Value, VectorBatch, NULL_INDEX,
 };
 use hive_optimizer::{AggExpr, AggFunc, ScalarExpr};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// One in-flight aggregate state.
@@ -250,7 +248,6 @@ pub fn execute_aggregate(
         aggs,
         out_schema,
         1,
-        true,
         None,
         None,
     )
@@ -265,7 +262,6 @@ pub fn execute_aggregate_par(
     aggs: &[AggExpr],
     out_schema: &hive_common::Schema,
     workers: usize,
-    rawtable: bool,
     spill: Option<&SpillCtx<'_>>,
     pir: Option<&mut crate::pir::PirCounters>,
 ) -> Result<VectorBatch> {
@@ -276,7 +272,6 @@ pub fn execute_aggregate_par(
         aggs,
         out_schema,
         workers,
-        rawtable,
         spill,
         pir,
     )
@@ -302,10 +297,6 @@ pub fn execute_aggregate_par(
 /// `out_schema` is the logical node's output schema (group keys, aggs,
 /// and the grouping-id column when `grouping_sets` is present).
 ///
-/// `rawtable` selects the key layer's tables ([`crate::keys`]:
-/// `hive.exec.rawtable.enabled`); both arms are byte-identical — the
-/// `HashMap` arm stays as the differential oracle.
-///
 /// `pir` is `Some` when the physical IR is enabled: when every
 /// aggregate is compilable ([`crate::pir::agg::compilable`]) the build
 /// folds each through its kernel into per-group state columns
@@ -320,7 +311,6 @@ pub fn execute_aggregate_parts(
     aggs: &[AggExpr],
     out_schema: &hive_common::Schema,
     workers: usize,
-    rawtable: bool,
     spill: Option<&SpillCtx<'_>>,
     mut pir: Option<&mut crate::pir::PirCounters>,
 ) -> Result<VectorBatch> {
@@ -375,7 +365,7 @@ pub fn execute_aggregate_parts(
         let denied = matches!(&admission, Some((_, None)));
 
         if by_parts && !denied {
-            if let Some(f) = fold_parts(&evaluated, set, aggs, workers, rawtable)? {
+            if let Some(f) = fold_parts(&evaluated, set, aggs, workers)? {
                 any_compiled = true;
                 out.push(emit_groups(
                     f.groups,
@@ -415,15 +405,9 @@ pub fn execute_aggregate_parts(
             }
         }
         let mut groups = match &admission {
-            Some((sp, None)) if sp.enabled => build_groups_spilled(
-                &input.sel,
-                &input.key_cols,
-                &input.arg_cols,
-                set,
-                aggs,
-                rawtable,
-                sp,
-            )?,
+            Some((sp, None)) if sp.enabled => {
+                build_groups_spilled(&input.sel, &input.key_cols, &input.arg_cols, set, aggs, sp)?
+            }
             _ => {
                 let _forced = match &admission {
                     Some((sp, None)) => Some(sp.broker.force_reserve("group-by", est)),
@@ -436,7 +420,6 @@ pub fn execute_aggregate_parts(
                     set,
                     aggs,
                     workers,
-                    rawtable,
                     compiled,
                 )?
             }
@@ -606,7 +589,6 @@ fn fold_parts(
     set: &[usize],
     aggs: &[AggExpr],
     workers: usize,
-    rawtable: bool,
 ) -> Result<Option<PartsFold>> {
     use crate::pir::agg::{assigned, fold, fold_keyless};
     /// One part's states: `states` groups, the batch row each was first
@@ -628,7 +610,7 @@ fn fold_parts(
                     .collect::<Result<_>>()?,
             });
         }
-        let d = discover(&part.sel, &part.key_cols, set, rawtable)?;
+        let d = discover(&part.sel, &part.key_cols, set)?;
         let states = d.first_pos.len();
         Ok(PartFold {
             states,
@@ -673,7 +655,7 @@ fn fold_parts(
             key_cols[k] = Arc::new(ColumnVector::concat_selected(&dt, &cols)?);
         }
         let local_groups = partials.iter().map(|p| p.states).sum();
-        let d = discover(&SelVec::All(local_groups), &key_cols, set, rawtable)?;
+        let d = discover(&SelVec::All(local_groups), &key_cols, set)?;
         (d.first_pos, d.assign, key_cols)
     };
     let ngroups = first_pos.len();
@@ -846,7 +828,7 @@ fn key_side<'a>(key_cols: &'a [Arc<ColumnVector>], set: &[usize]) -> KeySide<'a>
 
 /// The single-dictionary-key case looks groups up densely — slot 0 is
 /// the NULL group, slot c+1 the group of code c — with no per-row key,
-/// no hashes and no table probe at all (both arms).
+/// no hashes and no table probe at all.
 fn dense_keys<'a>(
     side: &KeySide<'a>,
 ) -> Option<(&'a [u32], Option<&'a hive_common::BitSet>, usize)> {
@@ -860,87 +842,57 @@ fn dense_keys<'a>(
 /// routes them to this partition (`route = (partitions, this)`; `None`
 /// takes every row), in ascending position order.
 ///
-/// `rawtable` picks the group index: the key layer's table for the
-/// side's shape (group id = table entry id — entry ids are dense in
-/// insertion order, so they stay aligned with `first_pos`) or the
-/// `HashMap` arm (the differential oracle). `keys` is only read under
-/// `route` or by the key layer's table, and may be absent otherwise.
+/// The group index is the key layer's table for the side's shape (group
+/// id = table entry id — entry ids are dense in insertion order, so they
+/// stay aligned with `first_pos`), or the dense code slots of a single
+/// dictionary key. `keys` is only read under `route` or by the key
+/// layer's table, and may be absent otherwise.
 fn discover_partition(
     sel: &SelVec,
     side: &KeySide<'_>,
-    rawtable: bool,
     keys: Option<&RowKeys>,
     route: Option<(usize, usize)>,
 ) -> Result<Discovery> {
-    // The arms that walk positions themselves: `group_of(row, groups so
-    // far)` answers the row's group, or `groups so far` for a new one.
-    fn walk(
-        sel: &SelVec,
-        keys: Option<&RowKeys>,
-        route: Option<(usize, usize)>,
-        mut group_of: impl FnMut(usize, usize) -> usize,
-    ) -> Result<Discovery> {
-        let mut d = Discovery::for_rows(sel.len(), route);
-        let route = match route {
-            Some((nparts, p)) => Some((keys.ok_or_else(missing_keys)?, nparts, p)),
-            None => None,
-        };
-        for pos in 0..sel.len() {
-            if let Some((keys, nparts, p)) = route {
-                if crate::keys::route(keys.hash(pos).unwrap_or(0), nparts) != p {
-                    continue;
-                }
-            }
-            let i = sel.index(pos);
-            let g = group_of(i, d.first_pos.len());
-            d.push(pos, i, g);
-        }
-        Ok(d)
-    }
-    fn missing_keys() -> HiveError {
-        HiveError::Execution("group discovery without its keys".into())
-    }
-    if let Some((codes, nulls, dict_len)) = dense_keys(side) {
-        let mut dense: Vec<usize> = vec![usize::MAX; dict_len + 1];
-        walk(sel, keys, route, |i, next| {
-            let slot = if nulls.is_some_and(|n| n.get(i)) {
-                0
-            } else {
-                codes[i] as usize + 1
-            };
-            if dense[slot] == usize::MAX {
-                dense[slot] = next;
-            }
-            dense[slot]
-        })
-    } else if rawtable {
-        let mut d = Discovery::for_rows(sel.len(), route);
+    let missing_keys = || HiveError::Execution("group discovery without its keys".into());
+    let mut d = Discovery::for_rows(sel.len(), route);
+    let Some((codes, nulls, dict_len)) = dense_keys(side) else {
         let keys = keys.ok_or_else(missing_keys)?;
         Grouper::new(side.shape()).assign(keys, route, |pos, g, _| {
             d.push(pos, sel.index(pos), g as usize)
         })?;
-        Ok(d)
-    } else {
-        let mut index: HashMap<Vec<KeyPart>, usize> = HashMap::new();
-        walk(sel, keys, route, |i, next| {
-            let key: Vec<KeyPart> = side.cols().iter().map(|c| c.part(i)).collect();
-            *index.entry(key).or_insert(next)
-        })
+        return Ok(d);
+    };
+    let route = match route {
+        Some((nparts, p)) => Some((keys.ok_or_else(missing_keys)?, nparts, p)),
+        None => None,
+    };
+    let mut dense: Vec<usize> = vec![usize::MAX; dict_len + 1];
+    for pos in 0..sel.len() {
+        if let Some((keys, nparts, p)) = route {
+            if crate::keys::route(keys.hash(pos).unwrap_or(0), nparts) != p {
+                continue;
+            }
+        }
+        let i = sel.index(pos);
+        let slot = if nulls.is_some_and(|n| n.get(i)) {
+            0
+        } else {
+            codes[i] as usize + 1
+        };
+        if dense[slot] == usize::MAX {
+            dense[slot] = d.first_pos.len();
+        }
+        d.push(pos, i, dense[slot]);
     }
+    Ok(d)
 }
 
 /// Serial discovery over a whole selection.
-fn discover(
-    sel: &SelVec,
-    key_cols: &[Arc<ColumnVector>],
-    set: &[usize],
-    rawtable: bool,
-) -> Result<Discovery> {
+fn discover(sel: &SelVec, key_cols: &[Arc<ColumnVector>], set: &[usize]) -> Result<Discovery> {
     let side = key_side(key_cols, set);
-    // The dense path indexes groups by code and the oracle by value:
-    // neither needs keys.
-    if !rawtable || dense_keys(&side).is_some() {
-        return discover_partition(sel, &side, rawtable, None, None);
+    // The dense path indexes groups by code: it needs no keys.
+    if dense_keys(&side).is_some() {
+        return discover_partition(sel, &side, None, None);
     }
     let mut d = Discovery::for_rows(sel.len(), None);
     let mut groups = Grouper::new(side.shape());
@@ -1030,14 +982,13 @@ fn build_groups(
     set: &[usize],
     aggs: &[AggExpr],
     workers: usize,
-    rawtable: bool,
     compiled: bool,
 ) -> Result<Built> {
     if set.is_empty() {
         return fold_keyless_group(sel, arg_cols, aggs, compiled);
     }
     if workers <= 1 || sel.len() < 2 {
-        let d = discover(sel, key_cols, set, rawtable)?;
+        let d = discover(sel, key_cols, set)?;
         return accumulate(d, aggs, arg_cols, compiled);
     }
     // One build per hash partition. A group's rows all share a hash, so
@@ -1046,7 +997,7 @@ fn build_groups(
     let keys = side.keys_par(sel, workers)?;
     let nparts = workers;
     let parts = crate::par::parallel_map(workers, nparts, |p| {
-        let d = discover_partition(sel, &side, rawtable, Some(&keys), Some((nparts, p)))?;
+        let d = discover_partition(sel, &side, Some(&keys), Some((nparts, p)))?;
         accumulate(d, aggs, arg_cols, compiled)
     })?;
     merge_partitions(parts, aggs.len())
@@ -1136,7 +1087,6 @@ fn build_groups_spilled(
     arg_cols: &[Option<Arc<ColumnVector>>],
     set: &[usize],
     aggs: &[AggExpr],
-    rawtable: bool,
     sp: &SpillCtx<'_>,
 ) -> Result<Built> {
     let num_rows = sel.len();
@@ -1159,7 +1109,6 @@ fn build_groups_spilled(
         arg_cols,
         aggs,
         set.len().max(1),
-        rawtable,
         0,
         None,
         num_rows,
@@ -1188,7 +1137,6 @@ fn agg_solve(
     arg_cols: &[Option<Arc<ColumnVector>>],
     aggs: &[AggExpr],
     key_cols_n: usize,
-    rawtable: bool,
     depth: u32,
     parent_rows: Option<usize>,
     rows: usize,
@@ -1206,40 +1154,17 @@ fn agg_solve(
             None => sp.broker.force_reserve("group-by-partition", est),
         };
         let mut groups: Vec<(usize, Vec<Acc>)> = Vec::new();
-        if rawtable {
-            let mut table = RawTable::new();
-            for rec in RecIter::new(recs) {
-                let (h, pos, key) = rec?;
-                let (e, inserted) = table.insert(h, key);
-                if inserted {
-                    groups.push((pos as usize, aggs.iter().map(Acc::new).collect()));
-                }
-                let i = sel.index(pos as usize);
-                for (acc, arg) in groups[e as usize].1.iter_mut().zip(arg_cols) {
-                    let v = arg.as_ref().map(|c| c.get(i));
-                    acc.update(v.as_ref())?;
-                }
+        let mut table = RawTable::new();
+        for rec in RecIter::new(recs) {
+            let (h, pos, key) = rec?;
+            let (e, inserted) = table.insert(h, key);
+            if inserted {
+                groups.push((pos as usize, aggs.iter().map(Acc::new).collect()));
             }
-        } else {
-            // Differential-oracle arm, keyed by the canonical encoding
-            // bytes (encoding equality ⟺ group equality).
-            let mut index: HashMap<Vec<u8>, usize> = HashMap::new();
-            for rec in RecIter::new(recs) {
-                let (_h, pos, key) = rec?;
-                let gi = match index.get(key) {
-                    Some(&g) => g,
-                    None => {
-                        let g = groups.len();
-                        index.insert(key.to_vec(), g);
-                        groups.push((pos as usize, aggs.iter().map(Acc::new).collect()));
-                        g
-                    }
-                };
-                let i = sel.index(pos as usize);
-                for (acc, arg) in groups[gi].1.iter_mut().zip(arg_cols) {
-                    let v = arg.as_ref().map(|c| c.get(i));
-                    acc.update(v.as_ref())?;
-                }
+            let i = sel.index(pos as usize);
+            for (acc, arg) in groups[e as usize].1.iter_mut().zip(arg_cols) {
+                let v = arg.as_ref().map(|c| c.get(i));
+                acc.update(v.as_ref())?;
             }
         }
         out.extend(groups);
@@ -1275,7 +1200,6 @@ fn agg_solve(
             arg_cols,
             aggs,
             key_cols_n,
-            rawtable,
             depth + 1,
             Some(rows),
             n,
@@ -1291,6 +1215,7 @@ fn agg_solve(
 mod tests {
     use super::*;
     use hive_common::{DataType, Field, Row, Schema};
+    use hive_optimizer::eval::eval_scalar;
     use hive_optimizer::plan::LogicalPlan;
     use std::sync::Arc;
 
@@ -1448,6 +1373,60 @@ mod tests {
         assert!(rows.contains(&"a\t3\t0".to_string()), "{rows:?}");
     }
 
+    /// The reference: groups keyed by `Value` on column 0 in first-seen
+    /// order, each folded one row at a time through its accumulators.
+    fn reference_aggregate(b: &VectorBatch, aggs: &[AggExpr]) -> Vec<String> {
+        let mut index: std::collections::HashMap<Value, usize> = Default::default();
+        let mut groups: Vec<(Value, Vec<Acc>)> = Vec::new();
+        for row in b.to_rows() {
+            let key = row.get(0).clone();
+            let g = *index.entry(key.clone()).or_insert_with(|| {
+                groups.push((key, aggs.iter().map(Acc::new).collect()));
+                groups.len() - 1
+            });
+            for (acc, a) in groups[g].1.iter_mut().zip(aggs) {
+                let v = a
+                    .arg
+                    .as_ref()
+                    .map(|e| eval_scalar(e, row.values()).unwrap());
+                acc.update(v.as_ref()).unwrap();
+            }
+        }
+        (groups.into_iter())
+            .map(|(key, accs)| {
+                let mut vals = vec![key];
+                vals.extend(accs.into_iter().map(|a| a.finish().unwrap()));
+                Row::new(vals).to_string()
+            })
+            .collect()
+    }
+
+    /// [`execute_aggregate_par`] grouped on column 0, as display rows,
+    /// interpreted (`pir = false`) or compiled.
+    fn run_grouped(
+        sb: &SelBatch,
+        aggs: &[AggExpr],
+        workers: usize,
+        pir: bool,
+        spill: Option<&SpillCtx<'_>>,
+    ) -> Vec<String> {
+        let groups = vec![ScalarExpr::Column(0)];
+        let out_schema = agg_schema(&sb.batch, &groups, &None, aggs);
+        let mut pc = crate::pir::PirCounters::default();
+        let out = execute_aggregate_par(
+            sb,
+            &groups,
+            &None,
+            aggs,
+            &out_schema,
+            workers,
+            spill,
+            pir.then_some(&mut pc),
+        )
+        .unwrap();
+        out.to_rows().iter().map(|r| r.to_string()).collect()
+    }
+
     #[test]
     fn parallel_aggregate_is_byte_identical() {
         // Floating-point aggregates (avg, stddev) are fold-order
@@ -1468,7 +1447,6 @@ mod tests {
             })
             .collect();
         let b = VectorBatch::from_rows(&schema, &rows).unwrap();
-        let groups = vec![ScalarExpr::Column(0)];
         let aggs = [
             AggFunc::Count,
             AggFunc::Sum,
@@ -1482,52 +1460,24 @@ mod tests {
             distinct: false,
         })
         .collect::<Vec<_>>();
-        let out_schema = agg_schema(&b, &groups, &None, &aggs);
+        // Every worker count, interpreted or compiled, must reproduce
+        // the reference byte for byte.
+        let want = reference_aggregate(&b, &aggs);
+        assert_eq!(want.len(), 98); // 97 int keys + NULL group
         let sb = SelBatch::from_batch(b);
-        // Oracle: serial HashMap build. Every (workers, rawtable) combo
-        // must reproduce it byte for byte.
-        let base = execute_aggregate_par(
-            &sb,
-            &groups,
-            &None,
-            &aggs,
-            &out_schema,
-            1,
-            false,
-            None,
-            None,
-        )
-        .unwrap();
-        let base_rows: Vec<String> = base.to_rows().iter().map(|r| r.to_string()).collect();
-        assert_eq!(base.num_rows(), 98); // 97 int keys + NULL group
         for workers in [1, 2, 8] {
-            for rawtable in [false, true] {
-                let out = execute_aggregate_par(
-                    &sb,
-                    &groups,
-                    &None,
-                    &aggs,
-                    &out_schema,
-                    workers,
-                    rawtable,
-                    None,
-                    None,
-                )
-                .unwrap();
-                let got: Vec<String> = out.to_rows().iter().map(|r| r.to_string()).collect();
-                assert_eq!(
-                    got, base_rows,
-                    "{workers} workers rawtable={rawtable} diverged"
-                );
+            for pir in [false, true] {
+                let got = run_grouped(&sb, &aggs, workers, pir, None);
+                assert_eq!(got, want, "{workers} workers, pir {pir} diverged");
             }
         }
     }
 
     #[test]
-    fn distinct_aggregates_match_across_toggle_and_workers() {
+    fn distinct_aggregates_match_the_reference_at_any_worker_count() {
         // DISTINCT SUM over doubles is fold-order sensitive: identical
-        // output across the toggle and worker counts pins the shared
-        // first-seen dedup order.
+        // output across worker counts pins the shared first-seen dedup
+        // order.
         let schema = Schema::new(vec![
             Field::new("k", DataType::Int),
             Field::new("v", DataType::Double),
@@ -1541,7 +1491,6 @@ mod tests {
             })
             .collect();
         let b = VectorBatch::from_rows(&schema, &rows).unwrap();
-        let groups = vec![ScalarExpr::Column(0)];
         let aggs: Vec<AggExpr> = [AggFunc::Count, AggFunc::Sum, AggFunc::Avg]
             .into_iter()
             .map(|func| AggExpr {
@@ -1550,40 +1499,12 @@ mod tests {
                 distinct: true,
             })
             .collect();
-        let out_schema = agg_schema(&b, &groups, &None, &aggs);
+        let want = reference_aggregate(&b, &aggs);
         let sb = SelBatch::from_batch(b);
-        let base = execute_aggregate_par(
-            &sb,
-            &groups,
-            &None,
-            &aggs,
-            &out_schema,
-            1,
-            false,
-            None,
-            None,
-        )
-        .unwrap();
-        let base_rows: Vec<String> = base.to_rows().iter().map(|r| r.to_string()).collect();
         for workers in [1, 4] {
-            for rawtable in [false, true] {
-                let out = execute_aggregate_par(
-                    &sb,
-                    &groups,
-                    &None,
-                    &aggs,
-                    &out_schema,
-                    workers,
-                    rawtable,
-                    None,
-                    None,
-                )
-                .unwrap();
-                let got: Vec<String> = out.to_rows().iter().map(|r| r.to_string()).collect();
-                assert_eq!(
-                    got, base_rows,
-                    "{workers} workers rawtable={rawtable} diverged"
-                );
+            for pir in [false, true] {
+                let got = run_grouped(&sb, &aggs, workers, pir, None);
+                assert_eq!(got, want, "{workers} workers, pir {pir} diverged");
             }
         }
     }
@@ -1595,7 +1516,7 @@ mod tests {
         use std::sync::atomic::AtomicU64;
         // Order-sensitive aggregates (f64 sum/avg/stddev + DISTINCT
         // sum) over many groups: the partitioned spilling build must
-        // reproduce the in-memory build byte for byte.
+        // reproduce the reference byte for byte.
         let schema = Schema::new(vec![
             Field::new("k", DataType::Int),
             Field::new("v", DataType::Double),
@@ -1611,7 +1532,6 @@ mod tests {
             })
             .collect();
         let b = VectorBatch::from_rows(&schema, &rows).unwrap();
-        let groups = vec![ScalarExpr::Column(0)];
         let mut aggs: Vec<AggExpr> = [
             AggFunc::Count,
             AggFunc::Sum,
@@ -1630,48 +1550,21 @@ mod tests {
             arg: Some(ScalarExpr::Column(1)),
             distinct: true,
         });
-        let out_schema = agg_schema(&b, &groups, &None, &aggs);
+        let want = reference_aggregate(&b, &aggs);
         let sb = SelBatch::from_batch(b);
-        let base = execute_aggregate_par(
-            &sb,
-            &groups,
-            &None,
-            &aggs,
-            &out_schema,
-            1,
-            false,
-            None,
-            None,
-        )
-        .unwrap();
-        let base_rows: Vec<String> = base.to_rows().iter().map(|r| r.to_string()).collect();
-        for rawtable in [false, true] {
-            let fs = DistFs::new();
-            let broker = MemoryBroker::with_budget(16 * 1024);
-            let ops = AtomicU64::new(0);
-            let sp = SpillCtx::new(&fs, DfsPath::new("/tmp/spill/q0"), &broker, true, &ops);
-            let out = execute_aggregate_par(
-                &sb,
-                &groups,
-                &None,
-                &aggs,
-                &out_schema,
-                1,
-                rawtable,
-                Some(&sp),
-                None,
-            )
-            .unwrap();
-            let got: Vec<String> = out.to_rows().iter().map(|r| r.to_string()).collect();
-            assert_eq!(got, base_rows, "spilled rawtable={rawtable} diverged");
-            assert!(sp.stats.bytes_written() > 0, "group-by never spilled");
-            assert!(
-                fs.list_files_recursive(&DfsPath::new("/tmp/spill"))
-                    .is_empty(),
-                "spill files all deleted"
-            );
-            assert_eq!(broker.reserved(), 0, "all grants released");
-        }
+        let fs = DistFs::new();
+        let broker = MemoryBroker::with_budget(16 * 1024);
+        let ops = AtomicU64::new(0);
+        let sp = SpillCtx::new(&fs, DfsPath::new("/tmp/spill/q0"), &broker, true, &ops);
+        let got = run_grouped(&sb, &aggs, 1, false, Some(&sp));
+        assert_eq!(got, want, "spilled build diverged");
+        assert!(sp.stats.bytes_written() > 0, "group-by never spilled");
+        assert!(
+            fs.list_files_recursive(&DfsPath::new("/tmp/spill"))
+                .is_empty(),
+            "spill files all deleted"
+        );
+        assert_eq!(broker.reserved(), 0, "all grants released");
     }
 
     #[test]
@@ -1700,15 +1593,15 @@ mod tests {
             .collect();
         let aggs = sum_of(2);
         // Seven groups a part: merged part by part, in first-seen order.
-        let merged = fold_parts(&parts, &[0], &aggs, 2, true)
+        let merged = fold_parts(&parts, &[0], &aggs, 2)
             .unwrap()
             .expect("a key that reduces takes the parts route");
         assert_eq!(merged.groups.first_pos, (0..7).collect::<Vec<_>>());
         // A group per row: merging 3 000 one-row groups would cost more
         // than the partitioned build over the assembled columns.
-        assert!(fold_parts(&parts, &[1], &aggs, 2, true).unwrap().is_none());
+        assert!(fold_parts(&parts, &[1], &aggs, 2).unwrap().is_none());
         // No keys: one state per part, nothing to discover.
-        let merged = fold_parts(&parts, &[], &aggs, 2, true).unwrap().unwrap();
+        let merged = fold_parts(&parts, &[], &aggs, 2).unwrap().unwrap();
         let total: i64 = 3 * (0..1000).sum::<i64>();
         assert_eq!(merged.groups.first_pos, vec![0]);
         let States::Folded(mut folds) = merged.groups.states else {

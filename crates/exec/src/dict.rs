@@ -1,18 +1,15 @@
-//! The `HashMap` oracle's view of a grouping key column.
+//! Window peer comparison's view of an ORDER BY key column.
 //!
-//! With `hive.exec.rawtable.enabled = false` GROUP BY and window
-//! partitioning key rows by `Vec<KeyPart>` in a `std::collections::HashMap`
-//! — the differential oracle for the key layer ([`crate::keys`]), which
-//! classifies the column ([`KeyCol`]) for both: a dictionary-encoded
-//! string column over a duplicate-free dictionary contributes its `u32`
-//! code, every other column the scalar value. Window peer comparison
-//! reads the same parts on both arms.
+//! Rows are peers when every order key's [`KeyPart`] is equal. The key
+//! layer classifies the column ([`KeyCol`]): a dictionary-encoded string
+//! column over a duplicate-free dictionary contributes its `u32` code,
+//! every other column the scalar value.
 
 use crate::keys::KeyCol;
 use hive_common::Value;
 
-/// One component of a grouping/partition key.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// One component of a window ORDER BY key.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum KeyPart {
     /// SQL NULL (all NULLs group together, as `Value::Null` did).
     Null,
@@ -24,8 +21,8 @@ pub(crate) enum KeyPart {
 }
 
 impl KeyCol<'_> {
-    /// The key part for row `i` of a grouping column
-    /// ([`KeyCol::group`]).
+    /// The key part for row `i` of a column classified by
+    /// [`KeyCol::group`].
     #[inline]
     pub(crate) fn part(&self, i: usize) -> KeyPart {
         match self.codes() {

@@ -5,6 +5,7 @@
 use crate::aggregate::execute_aggregate_parts;
 use crate::join::execute_join_par;
 use crate::kernels::{eval_rowmode, eval_vector, filter_indices, filter_indices_rowmode};
+use crate::keys::{column_refs, Grouper, KeySide};
 use crate::membroker::MemoryBroker;
 use crate::scan::{execute_scan, execute_scan_parts};
 use crate::spill::SpillCtx;
@@ -499,11 +500,7 @@ pub fn execute(plan: &LogicalPlan, ctx: &ExecContext) -> Result<(VectorBatch, No
 /// Execute a plan, returning a `(batch, selection)` pair. Operators
 /// narrow selections and share `Arc`'d columns instead of copying
 /// survivors; the caller compacts at its pipeline breaker (the driver's
-/// output choke point, a join build, a reducer). With
-/// `hive.exec.selvec.enabled` off, every operator boundary compacts
-/// here instead — each operator's `All`-selection path is exactly the
-/// pre-selection-vector code, which is what makes the toggle's
-/// byte-identity structural rather than coincidental.
+/// output choke point, a join build, a reducer).
 pub fn execute_sel(plan: &LogicalPlan, ctx: &ExecContext) -> Result<(SelBatch, NodeTrace)> {
     // Shared-work reuse check.
     let fp = fingerprint(plan);
@@ -526,9 +523,6 @@ pub fn execute_sel(plan: &LogicalPlan, ctx: &ExecContext) -> Result<(SelBatch, N
         let b = sb.compact();
         ctx.shared.lock().insert(fp, b.clone());
         sb = SelBatch::from_batch(b);
-    }
-    if !ctx.conf.effective_selvec_enabled() && !sb.is_compact() {
-        sb = SelBatch::from_batch(sb.compact());
     }
     Ok((sb, trace))
 }
@@ -558,18 +552,11 @@ pub(crate) fn execute_parts(
     if !in_parts {
         return execute_sel(plan, ctx).map(|(sb, t)| (vec![sb], t));
     }
-    let (mut parts, mut trace) = match plan {
+    let (parts, mut trace) = match plan {
         LogicalPlan::Scan { .. } => execute_scan_parts(plan, ctx, &execute)?,
         _ => crate::pir::execute_chain_parts(plan, ctx)?,
     };
     crate::recovery::apply_fragment_faults(ctx, &mut trace)?;
-    if !ctx.conf.effective_selvec_enabled() {
-        for p in &mut parts {
-            if !p.is_compact() {
-                *p = SelBatch::from_batch(p.clone().compact());
-            }
-        }
-    }
     Ok((parts, trace))
 }
 
@@ -698,7 +685,6 @@ fn execute_sel_inner(plan: &LogicalPlan, ctx: &ExecContext) -> Result<(SelBatch,
                 &schema,
                 ctx.conf.hash_join_row_budget,
                 workers,
-                ctx.conf.effective_rawtable_enabled(),
                 sp.as_ref(),
                 pir,
             )?;
@@ -741,7 +727,6 @@ fn execute_sel_inner(plan: &LogicalPlan, ctx: &ExecContext) -> Result<(SelBatch,
                 aggs,
                 &schema,
                 workers,
-                ctx.conf.effective_rawtable_enabled(),
                 sp.as_ref(),
                 pir,
             )?;
@@ -762,12 +747,7 @@ fn execute_sel_inner(plan: &LogicalPlan, ctx: &ExecContext) -> Result<(SelBatch,
         LogicalPlan::Window { input, windows } => {
             let (child, ct) = execute_sel(input, ctx)?;
             let rows_in = child.num_rows() as u64;
-            let out = execute_window(
-                &child,
-                windows,
-                &schema,
-                ctx.conf.effective_rawtable_enabled(),
-            )?;
+            let out = execute_window(&child, windows, &schema)?;
             let mut t = NodeTrace::leaf("Window");
             t.rows_in = rows_in;
             t.rows_out = out.num_rows() as u64;
@@ -881,14 +861,7 @@ fn execute_sel_inner(plan: &LogicalPlan, ctx: &ExecContext) -> Result<(SelBatch,
         } => {
             let (lb, lt) = execute(left, ctx)?;
             let (rb, rt) = execute(right, ctx)?;
-            let out = execute_setop(
-                *op,
-                *all,
-                &lb,
-                &rb,
-                &schema,
-                ctx.conf.effective_rawtable_enabled(),
-            )?;
+            let out = execute_setop(*op, *all, &lb, &rb, &schema)?;
             let mut t = NodeTrace::leaf(&format!("SetOp({op:?})"));
             t.rows_in = (lb.num_rows() + rb.num_rows()) as u64;
             t.rows_out = out.num_rows() as u64;
@@ -1079,19 +1052,16 @@ pub fn align_column(
 
 /// INTERSECT / EXCEPT via row-count maps (ALL keeps multiplicity).
 ///
-/// On the flat-table arm (`rawtable`) whole rows are keyed through the
-/// key layer ([`crate::keys`]) — both inputs into one table, packed
-/// words where every column pair allows it — and the output is the kept
-/// *left positions* gathered column by column and aligned to the output
-/// schema; no `Row` is built. The `HashMap<Row, i64>` arm stays as the
-/// differential oracle.
+/// Whole rows are keyed through the key layer ([`crate::keys`]) — both
+/// inputs into one table, packed words where every column pair allows
+/// it — and the output is the kept *left positions* gathered column by
+/// column and aligned to the output schema; no `Row` is built.
 fn execute_setop(
     op: SetOperator,
     all: bool,
     left: &VectorBatch,
     right: &VectorBatch,
     schema: &hive_common::Schema,
-    rawtable: bool,
 ) -> Result<VectorBatch> {
     // Shared emit decision: `in_right` is the row's right-side
     // multiplicity, `already` how many left occurrences preceded this
@@ -1111,59 +1081,40 @@ fn execute_setop(
             ));
         }
     };
-    if rawtable {
-        use crate::keys::{column_refs, Grouper, KeySide};
-        let (lcols, rcols) = (column_refs(left.columns()), column_refs(right.columns()));
-        let (lside, rside) = KeySide::group_pair(&lcols, &rcols);
-        let mut groups = Grouper::new(lside.shape());
-        // Per group: right-side multiplicity / left rows seen.
-        let mut right_count: Vec<i64> = Vec::new();
-        let mut seen: Vec<i64> = Vec::new();
-        let (nr, nl) = (right.num_rows(), left.num_rows());
-        rside.key_chunks(&SelVec::all(nr), 0, nr, |_, keys| {
-            groups.assign(keys, None, |_, g, new| {
-                if new {
-                    right_count.push(0);
-                }
-                right_count[g as usize] += 1;
-            })
-        })?;
-        seen.resize(right_count.len(), 0);
-        let mut kept: Vec<u32> = Vec::new();
-        lside.key_chunks(&SelVec::all(nl), 0, nl, |at, keys| {
-            groups.assign(keys, None, |r, g, new| {
-                if new {
-                    right_count.push(0);
-                    seen.push(0);
-                }
-                let g = g as usize;
-                if decide(right_count[g], seen[g]) {
-                    kept.push((at + r) as u32);
-                }
-                seen[g] += 1;
-            })
-        })?;
-        let cols = (left.columns().iter().zip(schema.fields()))
-            .map(|(col, f)| align_column(std::sync::Arc::new(col.take(&kept)), &f.data_type))
-            .collect::<Result<Vec<_>>>()?;
-        return VectorBatch::from_arcs(schema.clone(), cols, kept.len());
-    }
-    let mut out_rows: Vec<Row> = Vec::new();
-    let mut right_counts: HashMap<Row, i64> = HashMap::new();
-    for i in 0..right.num_rows() {
-        *right_counts.entry(right.row(i)).or_insert(0) += 1;
-    }
-    let mut emitted: HashMap<Row, i64> = HashMap::new();
-    for i in 0..left.num_rows() {
-        let row = left.row(i);
-        let in_right = right_counts.get(&row).copied().unwrap_or(0);
-        let already = emitted.entry(row.clone()).or_insert(0);
-        if decide(in_right, *already) {
-            out_rows.push(row.clone());
-        }
-        *already += 1;
-    }
-    VectorBatch::from_rows(schema, &out_rows)
+    let (lcols, rcols) = (column_refs(left.columns()), column_refs(right.columns()));
+    let (lside, rside) = KeySide::group_pair(&lcols, &rcols);
+    let mut groups = Grouper::new(lside.shape());
+    // Per group: right-side multiplicity / left rows seen.
+    let mut right_count: Vec<i64> = Vec::new();
+    let mut seen: Vec<i64> = Vec::new();
+    let (nr, nl) = (right.num_rows(), left.num_rows());
+    rside.key_chunks(&SelVec::all(nr), 0, nr, |_, keys| {
+        groups.assign(keys, None, |_, g, new| {
+            if new {
+                right_count.push(0);
+            }
+            right_count[g as usize] += 1;
+        })
+    })?;
+    seen.resize(right_count.len(), 0);
+    let mut kept: Vec<u32> = Vec::new();
+    lside.key_chunks(&SelVec::all(nl), 0, nl, |at, keys| {
+        groups.assign(keys, None, |r, g, new| {
+            if new {
+                right_count.push(0);
+                seen.push(0);
+            }
+            let g = g as usize;
+            if decide(right_count[g], seen[g]) {
+                kept.push((at + r) as u32);
+            }
+            seen[g] += 1;
+        })
+    })?;
+    let cols = (left.columns().iter().zip(schema.fields()))
+        .map(|(col, f)| align_column(std::sync::Arc::new(col.take(&kept)), &f.data_type))
+        .collect::<Result<Vec<_>>>()?;
+    VectorBatch::from_arcs(schema.clone(), cols, kept.len())
 }
 
 /// Convenience for tests: run a plan with wide-open snapshots and no

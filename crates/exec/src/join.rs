@@ -10,7 +10,7 @@
 //! the serial probe order.
 
 use crate::kernels::eval_vector;
-use crate::keys::{column_refs, route, JoinIndex, KeyCol, KeySide, RowKeys, MISS};
+use crate::keys::{column_refs, JoinIndex, KeySide, RowKeys};
 use crate::pir::{PredPipeline, SelRef};
 use crate::spill::{partition_of, plan_partition, push_rec, RecIter, SpillCtx};
 use hive_common::{
@@ -19,7 +19,6 @@ use hive_common::{
 use hive_optimizer::eval::eval_scalar;
 use hive_optimizer::plan::JoinType;
 use hive_optimizer::ScalarExpr;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -43,57 +42,10 @@ pub fn execute_join(
         out_schema,
         build_row_budget,
         1,
-        true,
         None,
         None,
     )
     .map(SelBatch::compact)
-}
-
-/// One component of a join key as the `HashMap` oracle arm stores it.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum JPart {
-    /// Dictionary code in the *right* (build) side's code space.
-    Code(u32),
-    /// Non-dictionary value (also the mixed dict/plain fallback).
-    Val(Value),
-    /// Probe-only: a left dictionary entry absent from the right
-    /// dictionary. Build keys never contain `Miss`, so the lookup
-    /// fails — exactly the no-match outcome the value compare gives.
-    Miss,
-}
-
-/// The oracle's key part for row `i` of one classified key column
-/// ([`KeySide::join_pair`]): when both sides are dictionary-encoded,
-/// the code translated into the build side's code space, otherwise the
-/// scalar value. `None` = NULL key.
-#[inline]
-fn join_part(col: &KeyCol<'_>, i: usize) -> Option<JPart> {
-    match col.codes() {
-        Some(codes) => {
-            if col.nulls().is_some_and(|n| n.get(i)) {
-                return None;
-            }
-            Some(match codes.at(i) {
-                MISS => JPart::Miss,
-                code => JPart::Code(code),
-            })
-        }
-        None => {
-            let v = col.col().get(i);
-            if v.is_null() {
-                None
-            } else {
-                Some(JPart::Val(v))
-            }
-        }
-    }
-}
-
-/// The build side under either toggle arm.
-enum BuildSide {
-    Map(Vec<HashMap<Vec<JPart>, Vec<u32>>>),
-    Raw(JoinIndex),
 }
 
 /// Execute a join with hash-partitioned parallel build and ranged
@@ -109,10 +61,6 @@ enum BuildSide {
 /// The build side is the right input; exceeding `build_row_budget`
 /// raises a retryable error so the driver can re-optimize with runtime
 /// statistics.
-///
-/// `rawtable` selects the key layer's tables ([`crate::keys`]:
-/// `hive.exec.rawtable.enabled`); both arms are byte-identical — the
-/// `HashMap` arm stays as the differential oracle.
 ///
 /// `pir` is `Some` when the physical IR is enabled: residual predicates
 /// then lower to compiled kernels and evaluate vectorized over gathered
@@ -133,7 +81,6 @@ pub fn execute_join_par(
     out_schema: &Schema,
     build_row_budget: usize,
     workers: usize,
-    rawtable: bool,
     spill: Option<&SpillCtx<'_>>,
     pir: Option<&mut crate::pir::PirCounters>,
 ) -> Result<SelBatch> {
@@ -260,7 +207,6 @@ pub fn execute_join_par(
             &residual_ok,
             out_schema,
             sp,
-            rawtable,
             workers,
         )?;
         // Grace joins always interpret their residual (partitions probe
@@ -294,45 +240,15 @@ pub fn execute_join_par(
     } else {
         workers
     };
-    let build: BuildSide = if rawtable {
-        let keys = build_side.keys_par(&all_right, workers)?;
-        BuildSide::Raw(JoinIndex::build(&keys, workers, nparts)?)
-    } else {
-        // The oracle arm takes the key layer's hashes for partition
-        // routing only; its serial build needs none.
-        let routing = match nparts {
-            1 => None,
-            _ => Some(build_side.keys_par(&all_right, workers)?),
-        };
-        let tables = crate::par::parallel_map(workers, nparts, |p| {
-            let mut table: HashMap<Vec<JPart>, Vec<u32>> = HashMap::new();
-            'rows: for i in 0..right.num_rows() {
-                if let Some(keys) = &routing {
-                    match keys.hash(i) {
-                        Some(h) if route(h, nparts) == p => {}
-                        _ => continue 'rows,
-                    }
-                }
-                let mut key = Vec::with_capacity(equi.len());
-                for c in build_side.cols() {
-                    match join_part(c, i) {
-                        Some(p) => key.push(p),
-                        None => continue 'rows,
-                    }
-                }
-                table.entry(key).or_default().push(i as u32);
-            }
-            Ok(table)
-        })?;
-        BuildSide::Map(tables)
-    };
+    let keys = build_side.keys_par(&all_right, workers)?;
+    let index = JoinIndex::build(&keys, workers, nparts)?;
 
     // --- probe ------------------------------------------------------------
     // Contiguous left-row ranges probed in parallel; range outputs
     // concatenate in range order, reproducing the serial probe order.
     // Each range prepares its probe keys column-wise a chunk at a time,
     // then walks the chunk's rows with each row's candidate list
-    // borrowed from the build — no per-row allocation on either arm.
+    // borrowed from the build — no per-row allocation.
     let probe_range = |lo: u32, hi: u32| -> Result<ProbeOut> {
         let mut out = ProbeOut::default();
         out.left.reserve((hi - lo) as usize);
@@ -374,41 +290,9 @@ pub fn execute_join_par(
             Ok(())
         };
         let (from, to) = (lo as usize, hi as usize);
-        match &build {
-            BuildSide::Raw(index) => probe_side.key_chunks(&all_left, from, to, |at, keys| {
-                index.probe(keys, |r, cands| matched((at + r) as u32, cands))
-            })?,
-            BuildSide::Map(tables) => {
-                let mut key_parts: Vec<JPart> = Vec::with_capacity(probe_side.cols().len());
-                // Probe row `li` against partition `part`'s table. NULL
-                // probe keys never match: under a partitioned build
-                // they have no hash and no partition, and in any case a
-                // NULL part leaves the key short — no lookup.
-                let mut probe_row = |li: u32, part: Option<usize>| -> Result<()> {
-                    key_parts.clear();
-                    key_parts.extend(
-                        (probe_side.cols().iter()).map_while(|c| join_part(c, li as usize)),
-                    );
-                    let cands = match part {
-                        Some(part) if key_parts.len() == probe_side.cols().len() => {
-                            tables[part].get(key_parts.as_slice())
-                        }
-                        _ => None,
-                    };
-                    matched(li, cands.map_or(&[], Vec::as_slice))
-                };
-                if nparts == 1 {
-                    (lo..hi).try_for_each(|li| probe_row(li, Some(0)))?;
-                } else {
-                    probe_side.key_chunks(&all_left, from, to, |at, keys| {
-                        (0..keys.len()).try_for_each(|r| {
-                            let part = keys.hash(r).map(|h| route(h, nparts));
-                            probe_row((at + r) as u32, part)
-                        })
-                    })?;
-                }
-            }
-        }
+        probe_side.key_chunks(&all_left, from, to, |at, keys| {
+            index.probe(keys, |r, cands| matched((at + r) as u32, cands))
+        })?;
         if let Some((plan, pr, spans)) = pairs.as_ref().filter(|(_, _, spans)| !spans.is_empty()) {
             flush_pairs(
                 plan, &left, &right, join_type, pr, spans, &mut kept, &mut out,
@@ -660,7 +544,6 @@ fn grace_join(
     residual_ok: &dyn Fn(u32, u32) -> Result<bool>,
     out_schema: &Schema,
     sp: &SpillCtx<'_>,
-    rawtable: bool,
     workers: usize,
 ) -> Result<SelBatch> {
     let op = sp.next_op();
@@ -696,7 +579,6 @@ fn grace_join(
         op,
         join_type,
         build_side.cols().len().max(1),
-        rawtable,
         residual_ok,
         0,
         None,
@@ -726,7 +608,6 @@ fn grace_solve(
     op: u64,
     join_type: JoinType,
     key_cols: usize,
-    rawtable: bool,
     residual_ok: &dyn Fn(u32, u32) -> Result<bool>,
     depth: u32,
     parent_build_rows: Option<usize>,
@@ -752,48 +633,25 @@ fn grace_solve(
             Some(g) => g,
             None => sp.broker.force_reserve("join-partition", est),
         };
+        // Records are bytes-shape keys already: index the build records,
+        // probe with the probe records, and map record numbers back to
+        // the positions they carry.
+        let (bkeys, bpos) = RowKeys::from_records(RecIter::new(build))?;
+        let (pkeys, ppos) = RowKeys::from_records(RecIter::new(probe))?;
+        let index = JoinIndex::build(&bkeys, 1, 1)?;
         let mut kept: Vec<u32> = Vec::new();
-        if rawtable {
-            // Records are bytes-shape keys already: index the build
-            // records, probe with the probe records, and map record
-            // numbers back to the positions they carry.
-            let (bkeys, bpos) = RowKeys::from_records(RecIter::new(build))?;
-            let (pkeys, ppos) = RowKeys::from_records(RecIter::new(probe))?;
-            let index = JoinIndex::build(&bkeys, 1, 1)?;
-            index.probe(&pkeys, |r, cands| {
-                let li = ppos[r];
-                kept.clear();
-                for &c in cands {
-                    let ri = bpos[c as usize];
-                    if residual_ok(li, ri)? {
-                        kept.push(ri);
-                    }
+        index.probe(&pkeys, |r, cands| {
+            let li = ppos[r];
+            kept.clear();
+            for &c in cands {
+                let ri = bpos[c as usize];
+                if residual_ok(li, ri)? {
+                    kept.push(ri);
                 }
-                emit_probe(join_type, li, &kept, out);
-                Ok(())
-            })?;
-        } else {
-            // Differential-oracle arm: keyed by the canonical encoding
-            // bytes (encoding equality ⟺ key equality, so this matches
-            // the `Vec<JPart>` map byte for byte).
-            let mut table: HashMap<Vec<u8>, Vec<u32>> = HashMap::new();
-            for rec in RecIter::new(build) {
-                let (_h, ri, key) = rec?;
-                table.entry(key.to_vec()).or_default().push(ri);
             }
-            for rec in RecIter::new(probe) {
-                let (_h, li, key) = rec?;
-                kept.clear();
-                if let Some(cands) = table.get(key) {
-                    for &ri in cands {
-                        if residual_ok(li, ri)? {
-                            kept.push(ri);
-                        }
-                    }
-                }
-                emit_probe(join_type, li, &kept, out);
-            }
-        }
+            emit_probe(join_type, li, &kept, out);
+            Ok(())
+        })?;
         return Ok(());
     }
 
@@ -849,7 +707,6 @@ fn grace_solve(
             op,
             join_type,
             key_cols,
-            rawtable,
             residual_ok,
             depth + 1,
             Some(brows),
@@ -972,7 +829,7 @@ fn assemble(
 mod tests {
     use super::*;
     use hive_common::{BitSet, DataType, Field, Row};
-    use std::collections::HashSet;
+    use std::collections::{HashMap, HashSet};
 
     fn batch(name: &str, rows: &[(Option<i32>, &str)]) -> VectorBatch {
         let schema = Schema::new(vec![
@@ -1121,7 +978,6 @@ mod tests {
             &out_schema,
             usize::MAX,
             1,
-            true,
             Some(&sp),
             None,
         )
@@ -1138,22 +994,18 @@ mod tests {
         let l = big_batch("l", 9_000, 500);
         let r = big_batch("r", 3_000, 500);
         let equi = vec![(ScalarExpr::Column(0), ScalarExpr::Column(0))];
-        for jt in [
-            JoinType::Inner,
-            JoinType::Left,
-            JoinType::Right,
-            JoinType::Full,
-            JoinType::Semi,
-            JoinType::Anti,
-        ] {
-            let out_schema = if jt.keeps_right() {
-                l.schema().join(r.schema())
-            } else {
-                l.schema().clone()
-            };
+        for jt in ALL_JOIN_TYPES {
+            let out_schema = schema_of(&l, &r, jt);
             let lsb = SelBatch::from_batch(l.clone());
             let rsb = SelBatch::from_batch(r.clone());
-            let base = execute_join_par(
+            let (want, _) = reference_join(&lsb, &rsb, jt, None, &out_schema);
+            let fs = DistFs::new();
+            // A few KB: far below the build estimate, so the grace
+            // path must engage and recurse at least one level.
+            let broker = MemoryBroker::with_budget(16 * 1024);
+            let ops = AtomicU64::new(0);
+            let sp = SpillCtx::new(&fs, DfsPath::new("/tmp/spill/q0"), &broker, true, &ops);
+            let out = execute_join_par(
                 &lsb,
                 &rsb,
                 jt,
@@ -1162,59 +1014,23 @@ mod tests {
                 &out_schema,
                 1_000_000,
                 1,
-                false,
-                None,
+                Some(&sp),
                 None,
             )
             .unwrap();
-            let base_rows: Vec<String> = base
-                .clone()
-                .compact()
-                .to_rows()
-                .iter()
-                .map(|row| row.to_string())
-                .collect();
-            for rawtable in [false, true] {
-                let fs = DistFs::new();
-                // A few KB: far below the build estimate, so the grace
-                // path must engage and recurse at least one level.
-                let broker = MemoryBroker::with_budget(16 * 1024);
-                let ops = AtomicU64::new(0);
-                let sp = SpillCtx::new(&fs, DfsPath::new("/tmp/spill/q0"), &broker, true, &ops);
-                let out = execute_join_par(
-                    &lsb,
-                    &rsb,
-                    jt,
-                    &equi,
-                    &None,
-                    &out_schema,
-                    1_000_000,
-                    1,
-                    rawtable,
-                    Some(&sp),
-                    None,
-                )
-                .unwrap();
-                let rows: Vec<String> = out
-                    .compact()
-                    .to_rows()
-                    .iter()
-                    .map(|row| row.to_string())
-                    .collect();
-                assert_eq!(rows, base_rows, "{jt:?} grace rawtable={rawtable} diverged");
-                assert!(
-                    sp.stats.bytes_written() > 0,
-                    "{jt:?} grace run never spilled"
-                );
-                assert!(sp.stats.bytes_read() > 0, "partitions were read back");
-                assert!(
-                    fs.list_files_recursive(&DfsPath::new("/tmp/spill"))
-                        .is_empty(),
-                    "spill files all deleted after the join"
-                );
-                assert!(broker.denials() > 0);
-                assert_eq!(broker.reserved(), 0, "all grants released");
-            }
+            assert_eq!(out.compact(), want, "{jt:?} grace diverged");
+            assert!(
+                sp.stats.bytes_written() > 0,
+                "{jt:?} grace run never spilled"
+            );
+            assert!(sp.stats.bytes_read() > 0, "partitions were read back");
+            assert!(
+                fs.list_files_recursive(&DfsPath::new("/tmp/spill"))
+                    .is_empty(),
+                "spill files all deleted after the join"
+            );
+            assert!(broker.denials() > 0);
+            assert_eq!(broker.reserved(), 0, "all grants released");
         }
     }
 
@@ -1251,72 +1067,33 @@ mod tests {
         let l = big_batch("l", 9_000, 500);
         let r = big_batch("r", 3_000, 500);
         let equi = vec![(ScalarExpr::Column(0), ScalarExpr::Column(0))];
-        for jt in [
-            JoinType::Inner,
-            JoinType::Left,
-            JoinType::Right,
-            JoinType::Full,
-            JoinType::Semi,
-            JoinType::Anti,
-        ] {
-            let out_schema = if jt.keeps_right() {
-                l.schema().join(r.schema())
-            } else {
-                l.schema().clone()
-            };
+        for jt in ALL_JOIN_TYPES {
+            let out_schema = schema_of(&l, &r, jt);
             let lsb = SelBatch::from_batch(l.clone());
             let rsb = SelBatch::from_batch(r.clone());
-            // Oracle: serial HashMap build. Every (workers, rawtable)
-            // combo must reproduce it byte for byte.
-            let base = execute_join_par(
-                &lsb,
-                &rsb,
-                jt,
-                &equi,
-                &None,
-                &out_schema,
-                1_000_000,
-                1,
-                false,
-                None,
-                None,
-            )
-            .unwrap();
-            let base_rows: Vec<String> = base
-                .clone()
-                .compact()
-                .to_rows()
-                .iter()
-                .map(|row| row.to_string())
-                .collect();
-            assert!(base.num_rows() > 0, "{jt:?} produced no rows");
+            // Every worker count must reproduce the `Value` reference
+            // byte for byte.
+            let (want, _) = reference_join(&lsb, &rsb, jt, None, &out_schema);
+            assert!(want.num_rows() > 0, "{jt:?} produced no rows");
             for workers in [1, 2, 8] {
-                for rawtable in [false, true] {
-                    let out = execute_join_par(
-                        &lsb,
-                        &rsb,
-                        jt,
-                        &equi,
-                        &None,
-                        &out_schema,
-                        1_000_000,
-                        workers,
-                        rawtable,
-                        None,
-                        None,
-                    )
-                    .unwrap();
-                    let rows: Vec<String> = out
-                        .compact()
-                        .to_rows()
-                        .iter()
-                        .map(|row| row.to_string())
-                        .collect();
-                    assert_eq!(
-                        rows, base_rows,
-                        "{jt:?} with {workers} workers rawtable={rawtable} diverged"
-                    );
-                }
+                let out = execute_join_par(
+                    &lsb,
+                    &rsb,
+                    jt,
+                    &equi,
+                    &None,
+                    &out_schema,
+                    1_000_000,
+                    workers,
+                    None,
+                    None,
+                )
+                .unwrap();
+                assert_eq!(
+                    out.compact(),
+                    want,
+                    "{jt:?} with {workers} workers diverged"
+                );
             }
         }
     }
@@ -1349,10 +1126,10 @@ mod tests {
     }
 
     #[test]
-    fn dict_join_keys_match_across_toggle() {
+    fn dict_join_keys_miss_entries_absent_from_the_build_dictionary() {
         // dict×dict joins key on right-side codes; dict-only-left
-        // entries must miss on both arms. Columns are built as real
-        // dictionary vectors so the `Codes` codec engages.
+        // entries must miss. Columns are built as real dictionary
+        // vectors so the `Codes` codec engages.
         let mk = |codes: Vec<u32>, dict: &[&str]| {
             let schema = Schema::new(vec![Field::new("k", DataType::String)]);
             let dict = Arc::new(dict.iter().map(|s| s.to_string()).collect::<Vec<_>>());
@@ -1367,30 +1144,24 @@ mod tests {
         let out_schema = l.schema().join(r.schema());
         let lsb = SelBatch::from_batch(l);
         let rsb = SelBatch::from_batch(r);
-        let run = |rawtable: bool| -> Vec<String> {
-            let out = execute_join_par(
-                &lsb,
-                &rsb,
-                JoinType::Left,
-                &equi,
-                &None,
-                &out_schema,
-                1_000_000,
-                1,
-                rawtable,
-                None,
-                None,
-            )
-            .unwrap();
-            out.compact()
-                .to_rows()
-                .iter()
-                .map(|row| row.to_string())
-                .collect()
-        };
-        let oracle = run(false);
-        assert_eq!(run(true), oracle);
-        assert!(oracle.contains(&"zz\tNULL".to_string()), "{oracle:?}");
+        let out = execute_join_par(
+            &lsb,
+            &rsb,
+            JoinType::Left,
+            &equi,
+            &None,
+            &out_schema,
+            1_000_000,
+            1,
+            None,
+            None,
+        )
+        .unwrap()
+        .compact();
+        let (want, _) = reference_join(&lsb, &rsb, JoinType::Left, None, &out_schema);
+        assert_eq!(out, want);
+        let rows: Vec<String> = out.to_rows().iter().map(|row| row.to_string()).collect();
+        assert!(rows.contains(&"zz\tNULL".to_string()), "{rows:?}");
     }
 
     // --- columnar output vs the per-cell path it replaced ------------------
@@ -1602,7 +1373,6 @@ mod tests {
                             &out_schema,
                             usize::MAX,
                             workers,
-                            true,
                             None,
                             None,
                         )
@@ -1758,7 +1528,6 @@ mod tests {
             &out_schema,
             usize::MAX,
             workers,
-            true,
             grace.then_some(&sp),
             None,
         )
@@ -1970,7 +1739,6 @@ mod tests {
                             &out_schema,
                             usize::MAX,
                             workers,
-                            true,
                             Some(&sp),
                             None,
                         )
@@ -2021,7 +1789,6 @@ mod tests {
                     &out_schema,
                     usize::MAX,
                     workers,
-                    true,
                     None,
                     Some(&mut pc),
                 )

@@ -16,8 +16,9 @@
 //!
 //! The per-batch interpreter ([`crate::kernels`]) stays as the
 //! differential oracle: with the toggle off, every operator takes the
-//! pre-PIR path, and `tests/pir_differential.rs` pins the two to
-//! identical results, traces, and fault schedules.
+//! pre-PIR path. `tests/differential.rs` holds that path to the row
+//! interpreter's results, and `tests/pir_differential.rs` pins the two
+//! to identical rows and fault schedules.
 
 pub(crate) mod agg;
 pub(crate) mod fuse;

@@ -278,4 +278,71 @@ mod tests {
         assert_eq!(t.insert(7, b"x"), (0, true));
         assert_eq!(t.find(7, b""), None);
     }
+
+    /// Drive a key sequence through [`RawTable`] and a `HashMap` model:
+    /// entry ids must be dense first-seen indexes, lookups must agree,
+    /// and stored key bytes must round-trip — under whatever `hash` the
+    /// caller picks (a constant one forces every key through the same
+    /// bucket chain and a single fingerprint).
+    fn check_against_model(keys: &[Vec<u8>], hash: impl Fn(&[u8]) -> u64) {
+        let mut table = RawTable::new();
+        let mut model: std::collections::HashMap<Vec<u8>, u32> = Default::default();
+        for key in keys {
+            let (e, inserted) = table.insert(hash(key), key);
+            match model.get(key) {
+                Some(&id) => assert_eq!((e, inserted), (id, false), "known key"),
+                None => {
+                    let id = model.len() as u32;
+                    assert_eq!(
+                        (e, inserted),
+                        (id, true),
+                        "ids are dense first-seen indexes"
+                    );
+                    model.insert(key.clone(), id);
+                }
+            }
+            assert_eq!(table.key(e as usize), key.as_slice(), "arena key bytes");
+        }
+        assert_eq!(table.len(), model.len());
+        for (key, &id) in &model {
+            assert_eq!(table.find(hash(key), key), Some(id));
+        }
+        let absent = b"\xFFnever-inserted\xFF".to_vec();
+        if !model.contains_key(&absent) {
+            assert_eq!(table.find(hash(&absent), &absent), None);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Random byte keys from a small alphabet (plenty of duplicates)
+        /// behave exactly like the model.
+        #[test]
+        fn matches_a_hashmap_model(
+            keys in proptest::collection::vec(proptest::collection::vec(0u8..4, 0..6), 0..400),
+        ) {
+            check_against_model(&keys, fnv1a);
+        }
+
+        /// A constant hash puts every key on one probe chain with one
+        /// fingerprint: disambiguation falls through to the key bytes.
+        #[test]
+        fn model_holds_under_forced_fingerprint_collisions(
+            keys in proptest::collection::vec(proptest::collection::vec(0u8..4, 0..5), 0..200),
+            h in proptest::prelude::any::<u64>(),
+        ) {
+            check_against_model(&keys, move |_| h);
+        }
+
+        /// Insert counts straddling the growth threshold: entry ids and
+        /// lookups survive every rehash, and re-probes after growth.
+        #[test]
+        fn model_holds_across_growth_boundaries(n in 0usize..700) {
+            let keys: Vec<Vec<u8>> = (0..n as u64).map(|i| i.to_le_bytes().to_vec()).collect();
+            check_against_model(&keys, fnv1a);
+            let twice: Vec<Vec<u8>> = keys.iter().chain(&keys).cloned().collect();
+            check_against_model(&twice, fnv1a);
+        }
+    }
 }

@@ -556,11 +556,11 @@ fn read_row_group(
 /// Fetch one column chunk, through the LLAP cache when enabled
 /// (the I/O elevator path, §5.1). DFS loads retry transient injected
 /// errors; cached chunks detected as corrupt degrade back to the DFS
-/// load path.
+/// load path. The cache's `Arc` is handed out directly (zero-copy).
 ///
-/// With `hive.exec.selvec.enabled` the cache's `Arc` is handed out
-/// directly (zero-copy); the legacy flow deep-copies the chunk into a
-/// private column and charges `bytes_copied_out`.
+/// Late materialization: dictionary-encoded string chunks stay codes +
+/// shared dictionary all the way through the cache and the operators
+/// (§3.1/§3.3 — LLAP caches data "in its encoded format").
 fn fetch_chunk(
     ctx: &ExecContext,
     file: &CorcFile,
@@ -568,17 +568,7 @@ fn fetch_chunk(
     col: usize,
 ) -> Result<Arc<ColumnVector>> {
     let what = || format!("chunk rg={rg} col={col} of file {:?}", file.file_id());
-    // Late materialization: keep dictionary-encoded string chunks as
-    // codes + shared dictionary all the way through the cache and the
-    // operators (§3.1/§3.3 — LLAP caches data "in its encoded format").
-    let encoded = ctx.conf.effective_dictionary_enabled();
-    let read = || {
-        if encoded {
-            file.read_column_chunk_encoded(rg, col)
-        } else {
-            file.read_column_chunk(rg, col)
-        }
-    };
+    let read = || file.read_column_chunk_encoded(rg, col);
     match ctx.llap {
         Some(l) if ctx.conf.llap_enabled => {
             let key = hive_llap::cache::ChunkKey {
@@ -588,18 +578,9 @@ fn fetch_chunk(
             };
             let fault = ctx.fs.fault();
             let fault = fault.is_active().then(|| fault.as_ref());
-            let arc = l.cache().get_or_load_with_fault(key, fault, || {
+            l.cache().get_or_load_with_fault(key, fault, || {
                 crate::recovery::retry_transient(ctx, what, read)
-            })?;
-            if ctx.conf.effective_selvec_enabled() {
-                Ok(arc)
-            } else {
-                l.cache().stats().bytes_copied_out.fetch_add(
-                    arc.approx_bytes() as u64,
-                    std::sync::atomic::Ordering::Relaxed,
-                );
-                Ok(Arc::new((*arc).clone()))
-            }
+            })
         }
         _ => Ok(Arc::new(crate::recovery::retry_transient(ctx, what, read)?)),
     }

@@ -15,14 +15,11 @@ use std::sync::Arc;
 /// per window expression is appended. The input arrives as a
 /// `(batch, selection)` pair; output is 1:1 with the *selected* rows
 /// (window output is compact — a pipeline breaker by nature).
-/// `rawtable` selects the key layer's partition index
-/// (`hive.exec.rawtable.enabled`; [`crate::keys`]); both arms bucket
-/// identical rows — the `HashMap` arm stays as the differential oracle.
+/// Partitions are bucketed through the key layer ([`crate::keys`]).
 pub fn execute_window(
     input: &SelBatch,
     windows: &[WindowExpr],
     out_schema: &hive_common::Schema,
-    rawtable: bool,
 ) -> Result<VectorBatch> {
     // Bare columns and literals read straight through the selection;
     // computed expressions need a compact domain, so compact once.
@@ -53,7 +50,7 @@ pub fn execute_window(
     };
     for w in windows {
         let dt = window_output_type(w, input.schema());
-        let values = eval_one_window(&input, w, rawtable)?;
+        let values = eval_one_window(&input, w)?;
         let mut b = ColumnBuilder::new(&dt)?;
         for v in &values {
             b.push(v)?;
@@ -68,7 +65,7 @@ pub fn execute_window(
 /// Evaluate one window expression. All bookkeeping (partition lists,
 /// sort order, frames, the output vec) lives in *position* space
 /// (0..selected rows); column reads map through `input.sel`.
-fn eval_one_window(input: &SelBatch, w: &WindowExpr, rawtable: bool) -> Result<Vec<Value>> {
+fn eval_one_window(input: &SelBatch, w: &WindowExpr) -> Result<Vec<Value>> {
     let n = input.num_rows();
     let at = |pos: usize| input.sel.index(pos);
     // Partition keys and order keys evaluated once.
@@ -95,28 +92,17 @@ fn eval_one_window(input: &SelBatch, w: &WindowExpr, rawtable: bool) -> Result<V
     // order is irrelevant to results.)
     let part_refs = column_refs(&part_cols);
     let part_side = KeySide::group(&part_refs);
-    let buckets: Vec<Vec<usize>> = if rawtable {
-        // Bucket index = group id (dense in first-seen order).
-        let mut buckets: Vec<Vec<usize>> = Vec::new();
-        let mut groups = Grouper::new(part_side.shape());
-        part_side.key_chunks(&input.sel, 0, n, |at, keys| {
-            groups.assign(keys, None, |r, g, new| {
-                if new {
-                    buckets.push(Vec::new());
-                }
-                buckets[g as usize].push(at + r);
-            })
-        })?;
-        buckets
-    } else {
-        let mut partitions: std::collections::HashMap<Vec<KeyPart>, Vec<usize>> =
-            std::collections::HashMap::new();
-        for pos in 0..n {
-            let key: Vec<KeyPart> = (part_side.cols().iter()).map(|c| c.part(at(pos))).collect();
-            partitions.entry(key).or_default().push(pos);
-        }
-        partitions.into_values().collect()
-    };
+    // Bucket index = group id (dense in first-seen order).
+    let mut buckets: Vec<Vec<usize>> = Vec::new();
+    let mut groups = Grouper::new(part_side.shape());
+    part_side.key_chunks(&input.sel, 0, n, |at, keys| {
+        groups.assign(keys, None, |r, g, new| {
+            if new {
+                buckets.push(Vec::new());
+            }
+            buckets[g as usize].push(at + r);
+        })
+    })?;
 
     let order_readers: Vec<KeyCol<'_>> = order_cols
         .iter()
@@ -416,11 +402,8 @@ mod tests {
             fields.push(Field::new("_w0", window_output_type(&w, b.schema())));
             Schema::new(fields)
         };
-        // Both toggle arms must agree on every case in this module.
         let sb = SelBatch::from_batch(b);
-        let out = execute_window(&sb, std::slice::from_ref(&w), &plan_schema, true).unwrap();
-        let oracle = execute_window(&sb, &[w], &plan_schema, false).unwrap();
-        assert_eq!(out, oracle, "toggle arms diverged");
+        let out = execute_window(&sb, &[w], &plan_schema).unwrap();
         (0..out.num_rows()).map(|i| out.column(2).get(i)).collect()
     }
 

@@ -289,51 +289,36 @@ fn check(parts: &[SelBatch], what: &str) {
             lists.push(all);
             for aggs in lists {
                 let out = out_schema(&groups, &sets, &aggs);
-                for rawtable in [true, false] {
-                    // The serial, interpreted build over the whole input.
-                    // (Per table arm: the `HashMap` oracle's DISTINCT set
-                    // counts every NaN as its own value, the flat table
-                    // counts one.)
-                    let want = if rawtable {
-                        execute_aggregate(&whole, &groups, &sets, &aggs, &out)
-                    } else {
-                        let sb = SelBatch::from_batch(whole.clone());
-                        execute_aggregate_par(
-                            &sb, &groups, &sets, &aggs, &out, 1, false, None, None,
-                        )
-                    };
-                    let worker_counts: &[usize] = if rawtable { &[1, 2, 8] } else { &[2] };
-                    for &workers in worker_counts {
-                        let mut pc = PirCounters::default();
-                        let got = execute_aggregate_parts(
-                            parts,
-                            &groups,
-                            &sets,
-                            &aggs,
-                            &out,
-                            workers,
-                            rawtable,
-                            None,
-                            Some(&mut pc),
-                        );
-                        let ctx = format!(
-                            "{what}: {} keys, sets {sets:?}, {aggs:?}, {workers} workers, \
-                             rawtable {rawtable}",
-                            groups.len()
-                        );
-                        same(&want, &got, &ctx);
-                        // Which builds are compiled: all but STDDEV_SAMP
-                        // and MIN/MAX(DISTINCT) over a DOUBLE.
-                        let interpreted = aggs.iter().any(|a| {
-                            a.func == AggFunc::StddevSamp
-                                || (a.distinct
-                                    && matches!(a.func, AggFunc::Min | AggFunc::Max)
-                                    && field.data_type == DataType::Double)
-                        });
-                        if got.is_ok() {
-                            assert_eq!(pc.compiled_stages, !interpreted as u64, "{ctx}");
-                            assert_eq!(pc.fallback_rows == 0, !interpreted || rows == 0, "{ctx}");
-                        }
+                // The serial, interpreted build over the whole input.
+                let want = execute_aggregate(&whole, &groups, &sets, &aggs, &out);
+                for workers in [1, 2, 8] {
+                    let mut pc = PirCounters::default();
+                    let got = execute_aggregate_parts(
+                        parts,
+                        &groups,
+                        &sets,
+                        &aggs,
+                        &out,
+                        workers,
+                        None,
+                        Some(&mut pc),
+                    );
+                    let ctx = format!(
+                        "{what}: {} keys, sets {sets:?}, {aggs:?}, {workers} workers",
+                        groups.len()
+                    );
+                    same(&want, &got, &ctx);
+                    // Which builds are compiled: all but STDDEV_SAMP
+                    // and MIN/MAX(DISTINCT) over a DOUBLE.
+                    let interpreted = aggs.iter().any(|a| {
+                        a.func == AggFunc::StddevSamp
+                            || (a.distinct
+                                && matches!(a.func, AggFunc::Min | AggFunc::Max)
+                                && field.data_type == DataType::Double)
+                    });
+                    if got.is_ok() {
+                        assert_eq!(pc.compiled_stages, !interpreted as u64, "{ctx}");
+                        assert_eq!(pc.fallback_rows == 0, !interpreted || rows == 0, "{ctx}");
                     }
                 }
                 // Under a budget the build spills, and the spilled build
@@ -353,7 +338,6 @@ fn check(parts: &[SelBatch], what: &str) {
                         &aggs,
                         &out,
                         2,
-                        true,
                         Some(&sp),
                         Some(&mut pc),
                     );
@@ -426,18 +410,8 @@ fn all_empty_parts_give_the_neutral_row() {
     let aggs = aggs_over(V_INT, &DataType::Int);
     let out = out_schema(&[], &None, &aggs);
     let mut pc = PirCounters::default();
-    let got = execute_aggregate_parts(
-        &parts,
-        &[],
-        &None,
-        &aggs,
-        &out,
-        2,
-        true,
-        None,
-        Some(&mut pc),
-    )
-    .unwrap();
+    let got =
+        execute_aggregate_parts(&parts, &[], &None, &aggs, &out, 2, None, Some(&mut pc)).unwrap();
     assert_eq!(got.num_rows(), 1);
     assert_eq!(got.row(0).get(0), &Value::BigInt(0)); // COUNT(*)
     assert!(got.row(0).get(3).is_null()); // SUM
@@ -473,18 +447,8 @@ fn a_prefix_overflow_the_partials_hide_still_errors() {
     let whole = VectorBatch::concat_selected(&schema, &parts).unwrap();
     let want = execute_aggregate(&whole, &[], &None, &aggs, &out).unwrap_err();
     let mut pc = PirCounters::default();
-    let got = execute_aggregate_parts(
-        &parts,
-        &[],
-        &None,
-        &aggs,
-        &out,
-        2,
-        true,
-        None,
-        Some(&mut pc),
-    )
-    .unwrap_err();
+    let got = execute_aggregate_parts(&parts, &[], &None, &aggs, &out, 2, None, Some(&mut pc))
+        .unwrap_err();
     assert_eq!(got.to_string(), want.to_string());
 }
 
@@ -520,27 +484,21 @@ fn a_group_per_row_merges_its_partitions_in_first_seen_order() {
     for groups in [vec![k(K_PART), k(K_ROW)], vec![k(K_INT)]] {
         let out = out_schema(&groups, &None, &aggs);
         let want = execute_aggregate(&whole, &groups, &None, &aggs, &out);
-        for rawtable in [true, false] {
-            for workers in [1, 2, 8] {
-                let mut pc = PirCounters::default();
-                let got = execute_aggregate_par(
-                    &part,
-                    &groups,
-                    &None,
-                    &aggs,
-                    &out,
-                    workers,
-                    rawtable,
-                    None,
-                    Some(&mut pc),
-                );
-                let ctx = format!(
-                    "{} keys, {workers} workers, rawtable {rawtable}",
-                    groups.len()
-                );
-                same(&want, &got, &ctx);
-                assert_eq!((pc.compiled_stages, pc.fallback_rows), (1, 0), "{ctx}");
-            }
+        for workers in [1, 2, 8] {
+            let mut pc = PirCounters::default();
+            let got = execute_aggregate_par(
+                &part,
+                &groups,
+                &None,
+                &aggs,
+                &out,
+                workers,
+                None,
+                Some(&mut pc),
+            );
+            let ctx = format!("{} keys, {workers} workers", groups.len());
+            same(&want, &got, &ctx);
+            assert_eq!((pc.compiled_stages, pc.fallback_rows), (1, 0), "{ctx}");
         }
     }
 }

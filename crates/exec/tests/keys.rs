@@ -446,22 +446,8 @@ fn output_pairs(out: &VectorBatch, lid: usize, rid: Option<usize>) -> Vec<(u32, 
         .collect()
 }
 
-/// The arms to run an operator on: the key layer at 1/2/4 workers,
-/// and the `HashMap` oracle — unless a key column holds a NaN, which
-/// the oracle's `Value` equality (`sql_cmp`, NaN ≠ NaN) keys apart from
-/// itself where the canonical encoding keys it by bit pattern.
-fn arms(batches: &[&VectorBatch], nkeys: usize) -> Vec<(usize, bool)> {
-    let nan_key = batches.iter().any(|b| {
-        b.columns()[..nkeys].iter().any(
-            |c| matches!(c.as_ref(), ColumnVector::Double(v, _) if v.iter().any(|x| x.is_nan())),
-        )
-    });
-    let mut arms = vec![(1, true), (2, true), (4, true)];
-    if !nan_key {
-        arms.push((2, false));
-    }
-    arms
-}
+/// The worker counts to run an operator at.
+const WORKERS: [usize; 3] = [1, 2, 4];
 
 const JOIN_TYPES: [JoinType; 6] = [
     JoinType::Inner,
@@ -473,8 +459,7 @@ const JOIN_TYPES: [JoinType; 6] = [
 ];
 
 /// Run the join operator over `l ⋈ r` on their first `nkeys` columns
-/// and check its pairs against `want`, at 1/2/4 workers on the key
-/// layer and once on the `HashMap` oracle arm.
+/// and check its pairs against `want`, at 1/2/4 workers.
 fn check_join_operator(
     l: &VectorBatch,
     r: &VectorBatch,
@@ -497,7 +482,7 @@ fn check_join_operator(
     );
     // Byte-identity by `Debug`: a NaN key column is unequal to itself.
     let mut first: Option<String> = None;
-    for (workers, rawtable) in arms(&[l, r], nkeys) {
+    for workers in WORKERS {
         let out = execute_join_par(
             &lsb,
             &rsb,
@@ -507,13 +492,12 @@ fn check_join_operator(
             &out_schema,
             usize::MAX,
             workers,
-            rawtable,
             None,
             None,
         )
         .unwrap()
         .compact();
-        let ctx = format!("{jt:?}, {workers} workers, rawtable {rawtable}");
+        let ctx = format!("{jt:?}, {workers} workers");
         assert_eq!(output_pairs(&out, lid, rid), want, "{ctx}");
         let out = format!("{out:?}");
         match &first {
@@ -593,7 +577,7 @@ proptest! {
 
     /// Join candidates — word shapes = bytes shape = the reference, at
     /// any partition count — and the operator's pairs for every join
-    /// type at 1/2/4 workers and on the oracle arm.
+    /// type at 1/2/4 workers.
     fn join_pairs_equal_the_reference(seed in any::<u64>()) {
         let mut rng = Rng(seed);
         let (nl, nr) = (rng.below(90), rng.below(60));
@@ -656,7 +640,7 @@ proptest! {
     }
 
     /// GROUP BY through the operator: groups in first-seen order with
-    /// their counts, byte-identical at 1/2/4 workers and on the oracle.
+    /// their counts, byte-identical at 1/2/4 workers.
     fn group_by_operator_equals_the_reference(seed in any::<u64>()) {
         let mut rng = Rng(seed);
         let n = rng.below(150);
@@ -685,12 +669,11 @@ proptest! {
             aggs: aggs.clone(),
         }
         .schema();
-        let arms = arms(&[&batch], ncols);
         let sb = SelBatch::from_batch(batch);
         let mut first: Option<String> = None;
-        for (workers, rawtable) in arms {
+        for workers in WORKERS {
             let out = execute_aggregate_par(
-                &sb, &groups, &None, &aggs, &out_schema, workers, rawtable, None, None,
+                &sb, &groups, &None, &aggs, &out_schema, workers, None, None,
             )
             .unwrap();
             let got: Vec<i64> = out
@@ -698,7 +681,7 @@ proptest! {
                 .iter()
                 .map(|row| row.get(ncols).as_i64().unwrap())
                 .collect();
-            prop_assert_eq!(&got, &counts, "{} workers, rawtable {}", workers, rawtable);
+            prop_assert_eq!(&got, &counts, "{} workers", workers);
             let out = format!("{out:?}");
             match &first {
                 None => first = Some(out),

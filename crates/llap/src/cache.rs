@@ -100,12 +100,6 @@ pub struct CacheStats {
     /// Hits discarded because the chunk was detected as corrupt
     /// (checksum-mismatch model); each degrades to a DFS load.
     pub corrupt_misses: AtomicU64,
-    /// Bytes deep-copied out of the cache into private batches. The
-    /// selection-vector data flow hands out `Arc` references instead,
-    /// so this counter stays at zero with `hive.exec.selvec.enabled`;
-    /// the eager-compaction path charges every chunk it clones. Scan
-    /// consumers charge it (the cache itself always returns `Arc`s).
-    pub bytes_copied_out: AtomicU64,
 }
 
 impl CacheStats {

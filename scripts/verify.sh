@@ -12,45 +12,14 @@
 #
 #   HIVE_FAULT_SEED=<seed> cargo test --test chaos env_seeded_chaos_replay
 #
-# HIVE_PAR_SWEEP=1 additionally re-runs the test suite with the
-# morsel-parallelism knob forced to 1, 2, and 8 host threads
-# (HIVE_PARALLEL_THREADS overrides hive.exec.parallel.threads), then
-# runs the parallel benchmark, which refreshes BENCH_parallel.json at
-# the repo root.
-#
-# HIVE_DICT_SWEEP=1 re-runs the test suite with dictionary-encoded late
-# materialization forced off and then on (HIVE_DICT_ENABLED overrides
-# hive.exec.dictionary.enabled) — results must be identical either way —
-# then runs the dictionary benchmark, which refreshes BENCH_dict.json.
-#
-# HIVE_SELVEC_SWEEP=1 re-runs the test suite with selection-vector
-# execution forced off and then on (HIVE_SELVEC_ENABLED overrides
-# hive.exec.selvec.enabled) — results must be identical either way —
-# then runs the selvec benchmark, which refreshes BENCH_selvec.json.
-#
-# HIVE_RAWTABLE_SWEEP=1 re-runs the test suite with the flat hash
-# table forced off and then on (HIVE_RAWTABLE_ENABLED overrides
-# hive.exec.rawtable.enabled) — results must be identical either way —
-# then runs the hashtable benchmark, which refreshes BENCH_hash.json.
-#
-# HIVE_SPILL_SWEEP=1 re-runs the test suite under a forced tiny
-# per-query memory budget (HIVE_MEMORY_BUDGET overrides
-# hive.exec.memory.per.query.bytes), pushing every blocking operator
-# through the grace-join / spilled-aggregation / external-sort paths —
-# results must be identical to the unbudgeted runs — then runs the
-# spill benchmark, which refreshes BENCH_spill.json.
-#
-# HIVE_PIR_SWEEP=1 re-runs the test suite with the compiled physical
-# IR forced off and then on (HIVE_PIR_ENABLED overrides
-# hive.exec.pir.enabled) — results must be identical either way — then
-# runs the pir benchmark, which refreshes BENCH_pir.json.
-#
-# HIVE_STATS_SWEEP=1 re-runs the test suite with histogram-driven
-# cardinality estimation forced off and then on (HIVE_HISTOGRAMS_ENABLED
-# overrides hive.optimizer.histograms.enabled) — results must be
-# identical either way; the off setting is the constant-selectivity
-# differential oracle — then runs the optstats benchmark, which
-# refreshes BENCH_optstats.json.
+# HIVE_<NAME>_SWEEP=1 runs one row of the `sweeps` table below: the
+# workspace tests once per value of its variable (each overrides a
+# HiveConf field for the whole process; results must not change), then
+# its benchmarks, each of which refreshes BENCH_<bench>.json at the repo
+# root. PAR sweeps the morsel threads, SPILL a per-query memory budget
+# that forces grace joins, spilled aggregation and external sorts, PIR
+# the compiled physical IR, STATS histogram-driven estimation (off is
+# the constant-selectivity planner).
 #
 # HIVE_WM_SWEEP=1 runs the multi-stream serving determinism suite at
 # 1/4/16 streams × 1/2/8 morsel threads under a fixed HIVE_FAULT_SEED
@@ -58,20 +27,24 @@
 # the single-query serial path is the differential oracle), then runs
 # the throughput benchmark, which refreshes BENCH_throughput.json.
 #
-# HIVE_SWEEP_ALL=1 turns on every per-PR sweep above in one knob (the
-# individual flags keep working, and an explicitly-set flag wins).
+# HIVE_SWEEP_ALL=1 turns on every sweep in one knob (the individual
+# flags keep working, and an explicitly-set flag wins).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# One row per sweep: HIVE_<NAME>_SWEEP's NAME, variable, values, benches.
+sweeps=(
+    "PAR HIVE_PARALLEL_THREADS 1,2,8 parallel"
+    "SPILL HIVE_MEMORY_BUDGET 32768,1048576 spill"
+    "PIR HIVE_PIR_ENABLED 0,1 pir,pir_agg"
+    "STATS HIVE_HISTOGRAMS_ENABLED 0,1 optstats"
+)
+
 if [[ -n "${HIVE_SWEEP_ALL:-}" ]]; then
-    : "${HIVE_PAR_SWEEP:=1}"
-    : "${HIVE_DICT_SWEEP:=1}"
-    : "${HIVE_SELVEC_SWEEP:=1}"
-    : "${HIVE_RAWTABLE_SWEEP:=1}"
-    : "${HIVE_SPILL_SWEEP:=1}"
-    : "${HIVE_PIR_SWEEP:=1}"
-    : "${HIVE_STATS_SWEEP:=1}"
-    : "${HIVE_WM_SWEEP:=1}"
+    for row in "${sweeps[@]}" WM; do
+        flag="HIVE_${row%% *}_SWEEP"
+        [[ -n "${!flag:-}" ]] || printf -v "$flag" 1
+    done
 fi
 
 echo "== format =="
@@ -132,11 +105,12 @@ cargo test -q --offline -p hive-corc --lib decode_fuzz_truncations_and_mutations
 cargo test -q --offline -p hive-corc --test prop_tests footer_truncations_and_mutations_end_typed
 # The hash-key layer's two promises (DESIGN.md §4 "Hash keys"): packed
 # words group and join exactly as the canonical bytes they replaced, and
-# a DISTINCT set has one answer whatever the table toggle says.
+# a DOUBLE key (NaN, signed zeros) has one answer under every
+# configuration.
 echo "-- key layer: word shapes = bytes shape = the replaced encode-and-FNV code --"
 cargo test -q --offline -p hive-exec --test keys
-echo "-- COUNT/SUM/AVG(DISTINCT double): NaN counts once, one answer under every configuration --"
-cargo test -q --offline --test hash_keys count_distinct_over_doubles_is_one_answer_under_every_configuration
+echo "-- DISTINCT and JOIN over doubles: NaN is one value, one answer under every configuration --"
+cargo test -q --offline --test hash_keys double_keys_are_one_answer_under_every_configuration
 # The persistent executors (DESIGN.md §5 "Executors are persistent"): the
 # ticket protocol under nesting, many clients, panics and a borrowed
 # stack freed right after the call — then the engine on top of it, at
@@ -186,70 +160,19 @@ for seed in ${HIVE_CHAOS_SEEDS:-}; do
         cargo test -q --offline --test chaos env_seeded_chaos_replay -- --nocapture
 done
 
-if [[ -n "${HIVE_PAR_SWEEP:-}" ]]; then
-    for threads in 1 2 8; do
-        echo "== parallel sweep: tests at HIVE_PARALLEL_THREADS=$threads =="
-        HIVE_PARALLEL_THREADS="$threads" cargo test -q --offline --workspace
+for row in "${sweeps[@]}"; do
+    read -r name var values benches <<< "$row"
+    flag="HIVE_${name}_SWEEP"
+    [[ -n "${!flag:-}" ]] || continue
+    for value in ${values//,/ }; do
+        echo "== ${name,,} sweep: tests at $var=$value =="
+        env "$var=$value" cargo test -q --offline --workspace
     done
-    echo "== parallel sweep: benchmark (writes BENCH_parallel.json) =="
-    cargo bench -q --offline -p hive-bench --bench parallel
-fi
-
-if [[ -n "${HIVE_DICT_SWEEP:-}" ]]; then
-    for dict in 0 1; do
-        echo "== dictionary sweep: tests at HIVE_DICT_ENABLED=$dict =="
-        HIVE_DICT_ENABLED="$dict" cargo test -q --offline --workspace
+    for bench in ${benches//,/ }; do
+        echo "== ${name,,} sweep: benchmark (writes BENCH_$bench.json) =="
+        cargo bench -q --offline -p hive-bench --bench "$bench"
     done
-    echo "== dictionary sweep: benchmark (writes BENCH_dict.json) =="
-    cargo bench -q --offline -p hive-bench --bench dictionary
-fi
-
-if [[ -n "${HIVE_SELVEC_SWEEP:-}" ]]; then
-    for selvec in 0 1; do
-        echo "== selvec sweep: tests at HIVE_SELVEC_ENABLED=$selvec =="
-        HIVE_SELVEC_ENABLED="$selvec" cargo test -q --offline --workspace
-    done
-    echo "== selvec sweep: benchmark (writes BENCH_selvec.json) =="
-    cargo bench -q --offline -p hive-bench --bench selvec
-fi
-
-if [[ -n "${HIVE_RAWTABLE_SWEEP:-}" ]]; then
-    for raw in 0 1; do
-        echo "== rawtable sweep: tests at HIVE_RAWTABLE_ENABLED=$raw =="
-        HIVE_RAWTABLE_ENABLED="$raw" cargo test -q --offline --workspace
-    done
-    echo "== rawtable sweep: benchmark (writes BENCH_hash.json) =="
-    cargo bench -q --offline -p hive-bench --bench hashtable
-fi
-
-if [[ -n "${HIVE_SPILL_SWEEP:-}" ]]; then
-    for budget in 32768 1048576; do
-        echo "== spill sweep: tests at HIVE_MEMORY_BUDGET=$budget =="
-        HIVE_MEMORY_BUDGET="$budget" cargo test -q --offline --workspace
-    done
-    echo "== spill sweep: benchmark (writes BENCH_spill.json) =="
-    cargo bench -q --offline -p hive-bench --bench spill
-fi
-
-if [[ -n "${HIVE_PIR_SWEEP:-}" ]]; then
-    for pir in 0 1; do
-        echo "== pir sweep: tests at HIVE_PIR_ENABLED=$pir =="
-        HIVE_PIR_ENABLED="$pir" cargo test -q --offline --workspace
-    done
-    echo "== pir sweep: benchmark (writes BENCH_pir.json) =="
-    cargo bench -q --offline -p hive-bench --bench pir
-    echo "== pir sweep: aggregate/residual benchmark (writes BENCH_pir_agg.json) =="
-    cargo bench -q --offline -p hive-bench --bench pir_agg
-fi
-
-if [[ -n "${HIVE_STATS_SWEEP:-}" ]]; then
-    for hist in 0 1; do
-        echo "== stats sweep: tests at HIVE_HISTOGRAMS_ENABLED=$hist =="
-        HIVE_HISTOGRAMS_ENABLED="$hist" cargo test -q --offline --workspace
-    done
-    echo "== stats sweep: benchmark (writes BENCH_optstats.json) =="
-    cargo bench -q --offline -p hive-bench --bench optstats
-fi
+done
 
 if [[ -n "${HIVE_WM_SWEEP:-}" ]]; then
     for streams in 1 4 16; do

@@ -56,6 +56,17 @@ const QUERY: &str = "SELECT r_name, COUNT(*), SUM(amount), SUM(qty) \
                      WHERE qty > 3 \
                      GROUP BY r_name ORDER BY r_name";
 
+/// True when `HIVE_MEMORY_BUDGET` is set: it overrides the 4 KiB conf
+/// budget the spill tests below need, so they stand down (the
+/// variable's own sweep covers spilling under it).
+fn budget_overridden(test: &str) -> bool {
+    let set = std::env::var("HIVE_MEMORY_BUDGET").is_ok();
+    if set {
+        eprintln!("{test}: skipped, HIVE_MEMORY_BUDGET overrides its 4 KiB budget");
+    }
+    set
+}
+
 /// Run the reference query on a freshly-loaded warehouse under `plan`
 /// (applied after load, so faults hit only the query), returning
 /// `(rows, sim_ms, fragment_retries, failovers, live_nodes)`.
@@ -181,6 +192,9 @@ proptest! {
 /// must replay exactly from the seed.
 #[test]
 fn spill_io_faults_recover_with_identical_results() {
+    if budget_overridden("spill_io_faults_recover_with_identical_results") {
+        return;
+    }
     let (baseline, ..) = run_under_plan(&FaultPlan::none()).unwrap();
 
     let run = |plan: &FaultPlan| {
@@ -229,6 +243,9 @@ fn spill_io_faults_recover_with_identical_results() {
 /// delete every spill file — no orphans under the spill root.
 #[test]
 fn aborted_spill_leaves_no_orphan_files() {
+    if budget_overridden("aborted_spill_leaves_no_orphan_files") {
+        return;
+    }
     let server = load_warehouse();
     server.set_conf(|c| {
         c.memory_per_query_bytes = 4096;

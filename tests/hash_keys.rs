@@ -4,9 +4,10 @@
 //! wall-clock time. The 28 TPC-DS queries and the twelve `scan_cold`
 //! statement shapes must return the row interpreter's rows
 //! (`vectorized = false`, one thread) at 1, 2 and 4 threads — a sibling
-//! of `tests/scan_parts.rs`, which pins 2 threads — and
-//! `COUNT(DISTINCT x)` over DOUBLE must count a NaN once under every
-//! configuration (it used to depend on `hive.exec.rawtable.enabled`).
+//! of `tests/scan_parts.rs`, which pins 2 threads — and DOUBLE keys
+//! must give one answer under every configuration: `COUNT(DISTINCT x)`
+//! counts a NaN once, and a join on DOUBLE columns matches NaN to NaN
+//! and `0.0` to `-0.0`.
 
 use hive_warehouse::benchdata::tpcds::{self, TpcdsScale};
 use hive_warehouse::{HiveConf, HiveServer, Row, Value};
@@ -17,9 +18,6 @@ fn neutralize_env() {
     ONCE.call_once(|| {
         for var in [
             "HIVE_PIR_ENABLED",
-            "HIVE_SELVEC_ENABLED",
-            "HIVE_DICT_ENABLED",
-            "HIVE_RAWTABLE_ENABLED",
             "HIVE_PARALLEL_THREADS",
             "HIVE_SPILL_ENABLED",
             "HIVE_MEMORY_BUDGET",
@@ -156,7 +154,7 @@ fn tpcds_and_scan_cold_match_the_row_interpreter_at_1_2_4_threads() {
 }
 
 #[test]
-fn count_distinct_over_doubles_is_one_answer_under_every_configuration() {
+fn double_keys_are_one_answer_under_every_configuration() {
     // Two NaNs, both zeros, and repeats, spread over enough rows for a
     // partitioned build: NaN is one value, 0.0 and -0.0 are one value.
     let values = [f64::NAN, 0.0, 2.5, f64::NAN, -0.0, 3.0, 2.5, 3.0];
@@ -168,45 +166,50 @@ fn count_distinct_over_doubles_is_one_answer_under_every_configuration() {
             ])
         })
         .collect();
+    // A join partner per DOUBLE key `h`: NaN, both zeros, 2.5, and 7.0,
+    // which no row of `nums` holds.
+    let keys = [f64::NAN, 0.0, -0.0, 2.5, 7.0];
+    let partners: Vec<Row> = (keys.iter().enumerate())
+        .map(|(h, &y)| Row::new(vec![Value::Int(h as i32), Value::Double(y)]))
+        .collect();
     // The compiled aggregate (DISTINCT as a first-occurrence filter in
     // front of the kernels) and the interpreted one (a value set per
     // group) are two of the configurations. With the NaNs filtered out,
     // SUM and AVG over the distinct values show the fold order too.
     let mut answers = Vec::new();
     for (vectorized, pir) in [(true, true), (true, false), (false, false)] {
-        for rawtable in [true, false] {
-            for threads in [1, 2, 4] {
-                neutralize_env();
-                let server = HiveServer::new(HiveConf::v3_1().with(|c| {
-                    c.results_cache = false;
-                    c.vectorized = vectorized;
-                    c.pir_enabled = pir;
-                    c.rawtable_enabled = rawtable;
-                    c.parallel_threads = threads;
-                }));
-                let session = server.session();
-                session
-                    .execute("CREATE TABLE nums (g INT, x DOUBLE)")
-                    .unwrap();
-                session.bulk_insert("nums", rows.clone()).unwrap();
-                let mut got = Vec::new();
-                for sql in [
-                    "SELECT COUNT(DISTINCT x) FROM nums",
-                    "SELECT g, COUNT(DISTINCT x), COUNT(x) FROM nums GROUP BY g ORDER BY g",
-                    "SELECT g, SUM(DISTINCT x), AVG(DISTINCT x) FROM nums GROUP BY g ORDER BY g",
-                    "SELECT g, SUM(DISTINCT x), AVG(DISTINCT x), COUNT(DISTINCT x) FROM nums \
-                     WHERE x < 100 GROUP BY g ORDER BY g",
-                ] {
-                    got.push(session.execute(sql).unwrap().display_rows());
-                }
-                answers.push((
-                    format!(
-                        "vectorized {vectorized}, pir {pir}, rawtable {rawtable}, \
-                         {threads} threads"
-                    ),
-                    got,
-                ));
+        for threads in [1, 2, 4] {
+            neutralize_env();
+            let server = HiveServer::new(HiveConf::v3_1().with(|c| {
+                c.results_cache = false;
+                c.vectorized = vectorized;
+                c.pir_enabled = pir;
+                c.parallel_threads = threads;
+            }));
+            let session = server.session();
+            session
+                .execute("CREATE TABLE nums (g INT, x DOUBLE)")
+                .unwrap();
+            session.bulk_insert("nums", rows.clone()).unwrap();
+            session
+                .execute("CREATE TABLE partners (h INT, y DOUBLE)")
+                .unwrap();
+            session.bulk_insert("partners", partners.clone()).unwrap();
+            let mut got = Vec::new();
+            for sql in [
+                "SELECT COUNT(DISTINCT x) FROM nums",
+                "SELECT g, COUNT(DISTINCT x), COUNT(x) FROM nums GROUP BY g ORDER BY g",
+                "SELECT g, SUM(DISTINCT x), AVG(DISTINCT x) FROM nums GROUP BY g ORDER BY g",
+                "SELECT g, SUM(DISTINCT x), AVG(DISTINCT x), COUNT(DISTINCT x) FROM nums \
+                 WHERE x < 100 GROUP BY g ORDER BY g",
+                "SELECT h, COUNT(*) FROM nums JOIN partners ON x = y GROUP BY h ORDER BY h",
+            ] {
+                got.push(session.execute(sql).unwrap().display_rows());
             }
+            answers.push((
+                format!("vectorized {vectorized}, pir {pir}, {threads} threads"),
+                got,
+            ));
         }
     }
     // NaN, zero, 2.5, 3.0.
@@ -225,6 +228,24 @@ fn count_distinct_over_doubles_is_one_answer_under_every_configuration() {
     assert_eq!(
         answers[0].1[3],
         [0, 1, 2].map(|g| format!("{g}\t5.5\t{third}\t3"))
+    );
+    // NaN meets NaN, each zero meets both zeros, 7.0 meets nothing.
+    let count = |hit: fn(f64) -> bool| {
+        (rows.iter())
+            .filter(|r| matches!(r.get(1), Value::Double(x) if hit(*x)))
+            .count()
+    };
+    let (nan, zero, two_and_a_half) =
+        (count(f64::is_nan), count(|x| x == 0.0), count(|x| x == 2.5));
+    assert!(nan > 0 && zero > 0);
+    assert_eq!(
+        answers[0].1[4],
+        vec![
+            format!("0\t{nan}"),
+            format!("1\t{zero}"),
+            format!("2\t{zero}"),
+            format!("3\t{two_and_a_half}"),
+        ]
     );
     for (what, got) in &answers[1..] {
         assert_eq!(got, &answers[0].1, "{what}");

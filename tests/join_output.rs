@@ -19,8 +19,6 @@ fn neutralize_env() {
     static ONCE: std::sync::Once = std::sync::Once::new();
     ONCE.call_once(|| {
         for var in [
-            "HIVE_DICT_ENABLED",
-            "HIVE_SELVEC_ENABLED",
             "HIVE_PIR_ENABLED",
             "HIVE_PARALLEL_THREADS",
             "HIVE_MEMORY_BUDGET",
@@ -127,15 +125,10 @@ fn operators_above_a_join_match_the_row_interpreter() {
         assert!(!rows.is_empty(), "{what}: the fixture returns no rows");
     }
     type Tune = fn(&mut HiveConf);
-    let settings: [(&str, Tune); 6] = [
+    let settings: [(&str, Tune); 4] = [
         ("defaults", |_| {}),
         ("8 threads", |c| c.parallel_threads = 8),
-        ("dictionary off", |c| c.dictionary_enabled = false),
-        ("selvec off", |c| c.selvec_enabled = false),
-        ("pir off, rawtable off", |c| {
-            c.pir_enabled = false;
-            c.rawtable_enabled = false;
-        }),
+        ("pir off", |c| c.pir_enabled = false),
         ("32 KiB budget", |c| c.memory_per_query_bytes = 32 * 1024),
     ];
     for (setting, tune) in settings {
@@ -197,26 +190,44 @@ const REPLICATED: [(&str, &str); 6] = [
     ),
 ];
 
+/// The same statement with every joined dimension string computed in
+/// a derived table: the join then replicates strings that are plain
+/// whatever the writer chose.
+fn computed_strings(sql: &str) -> String {
+    sql.replace(
+        "JOIN store ON",
+        "JOIN (SELECT s_store_sk, CONCAT(s_store_name, '') AS s_store_name FROM store) st ON",
+    )
+    .replace(
+        "JOIN item ON",
+        "JOIN (SELECT i_item_sk, CONCAT(i_category, '') AS i_category FROM item) it ON",
+    )
+    .replace(
+        "JOIN customer ON",
+        "JOIN (SELECT c_customer_sk, CONCAT(c_last_name, '') AS c_last_name FROM customer) cu ON",
+    )
+}
+
 #[test]
 fn replicated_plain_strings_match_the_row_interpreter() {
     let oracle = load_server(|c| c.vectorized = false);
-    type Tune = fn(&mut HiveConf);
-    let settings: [(&str, Tune); 4] = [
-        ("1 thread", |c| c.parallel_threads = 1),
-        ("2 threads", |c| c.parallel_threads = 2),
-        ("8 threads", |c| c.parallel_threads = 8),
-        // Every string column leaves the scan plain.
-        ("2 threads, dictionary off", |c| {
-            c.parallel_threads = 2;
-            c.dictionary_enabled = false;
-        }),
-    ];
-    let servers = settings.map(|(setting, tune)| (setting, load_server(tune)));
+    let servers = [1, 2, 8].map(|n| (n, load_server(move |c| c.parallel_threads = n)));
     for (what, sql) in REPLICATED {
-        let want = sorted_rows(&oracle, sql);
-        assert!(want.len() > 1, "{what}: the fixture returns {want:?}");
-        for (setting, server) in &servers {
-            assert_eq!(sorted_rows(server, sql), want, "{what} under {setting}");
+        let plain = computed_strings(sql);
+        assert_ne!(plain, sql, "{what}: no dimension string to compute");
+        for (leg, sql) in [("as stored", sql), ("computed", plain.as_str())] {
+            let want = sorted_rows(&oracle, sql);
+            assert!(
+                want.len() > 1,
+                "{what}, {leg}: the fixture returns {want:?}"
+            );
+            for (threads, server) in &servers {
+                assert_eq!(
+                    sorted_rows(server, sql),
+                    want,
+                    "{what}, {leg}, at {threads} threads"
+                );
+            }
         }
     }
 }

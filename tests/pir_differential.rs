@@ -1,15 +1,13 @@
 //! Physical-IR differential suite: `hive.exec.pir.enabled` may only
 //! change how Filter/Project chains, scan predicates, aggregate
 //! accumulators, and join residuals execute (fused compiled pipelines
-//! versus the per-batch interpreter), never results.
-//! Every curated TPC-DS query must return byte-identical rows with PIR
-//! on and off — fault-free, under a seeded fault plan with recovery
-//! (including an exact replay of the simulated fault penalty), and
-//! across the 1/2/8 thread sweep. Property tests then drive randomly
-//! generated predicate trees — mixed-scale decimal literals, NULL
-//! literals, CASE-produced NULLs, nested AND/OR/NOT — through both
-//! paths and require identical row sets, both as plain filters and as
-//! aggregate inputs / join residual predicates; the
+//! versus the per-batch interpreter), never results. The curated
+//! TPC-DS suite with PIR off runs in `tests/differential.rs`; here the
+//! fault schedule must not depend on the setting, and property tests
+//! drive randomly generated predicate trees — mixed-scale decimal
+//! literals, NULL literals, CASE-produced NULLs, nested AND/OR/NOT —
+//! through both paths and require identical row sets, both as plain
+//! filters and as aggregate inputs / join residual predicates; the
 //! `pir_compiled_stages`/`pir_fallback_rows` counters then prove the
 //! compiled paths actually ran rather than silently falling back.
 
@@ -23,9 +21,6 @@ fn neutralize_env() {
     static ONCE: std::sync::Once = std::sync::Once::new();
     ONCE.call_once(|| {
         std::env::remove_var("HIVE_PIR_ENABLED");
-        std::env::remove_var("HIVE_SELVEC_ENABLED");
-        std::env::remove_var("HIVE_DICT_ENABLED");
-        std::env::remove_var("HIVE_RAWTABLE_ENABLED");
         std::env::remove_var("HIVE_PARALLEL_THREADS");
     });
 }
@@ -51,98 +46,6 @@ fn load_server(pir: bool, threads: usize) -> HiveServer {
     let server = HiveServer::new(conf);
     tpcds::load(&server, scale(), 0xDA7A).unwrap();
     server
-}
-
-/// Every curated TPC-DS query: compiled pipelines on == off.
-#[test]
-fn pir_toggle_never_changes_results() {
-    let queries = tpcds::queries();
-    let off = load_server(false, 1);
-    let on = load_server(true, 1);
-    for q in &queries {
-        let expected = off.session().execute(&q.sql).unwrap().display_rows();
-        let got = on.session().execute(&q.sql).unwrap().display_rows();
-        assert_eq!(got, expected, "{} diverged with PIR enabled", q.id);
-    }
-}
-
-/// The toggle stays invisible across worker counts: the whole curated
-/// suite agrees between PIR on and off at 1, 2, and 8 threads, and
-/// every run equals the 1-thread interpreter baseline.
-#[test]
-fn pir_toggle_is_invisible_across_thread_sweep() {
-    let queries = tpcds::queries();
-    let baseline_server = load_server(false, 1);
-    let baseline: Vec<Vec<String>> = queries
-        .iter()
-        .map(|q| {
-            baseline_server
-                .session()
-                .execute(&q.sql)
-                .unwrap()
-                .display_rows()
-        })
-        .collect();
-    assert!(baseline.iter().any(|rows| !rows.is_empty()));
-    for threads in [2, 8] {
-        for pir in [false, true] {
-            let server = load_server(pir, threads);
-            for (q, expected) in queries.iter().zip(&baseline) {
-                let rows = server.session().execute(&q.sql).unwrap().display_rows();
-                assert_eq!(
-                    &rows, expected,
-                    "{} diverged with pir={pir} at {threads} threads",
-                    q.id
-                );
-            }
-        }
-    }
-    // 1-thread PIR run against the same baseline.
-    let on = load_server(true, 1);
-    for (q, expected) in queries.iter().zip(&baseline) {
-        let rows = on.session().execute(&q.sql).unwrap().display_rows();
-        assert_eq!(&rows, expected, "{} diverged with pir at 1 thread", q.id);
-    }
-}
-
-/// A seeded fault plan (daemon deaths, transient DFS errors, recovery
-/// enabled) yields the fault-free rows under both settings, and the
-/// simulated fault penalty replays exactly within each setting — fused
-/// stages must charge the same per-stage fault rolls as the
-/// interpreter's operator traces.
-#[test]
-fn faulted_runs_match_under_both_settings() {
-    let query = &tpcds::queries()[0];
-    let baseline = load_server(false, 1)
-        .session()
-        .execute(&query.sql)
-        .unwrap()
-        .display_rows();
-
-    let plan = FaultPlan::none().with(|p| {
-        p.seed = 0xBADD_CAFE;
-        p.daemon_kill_prob = 0.8;
-        p.dfs_read_error_prob = 0.05;
-        p.dfs_slow_prob = 0.1;
-        p.dfs_slow_ms = 4.0;
-    });
-    let run = |pir: bool| -> (Vec<String>, f64, u64) {
-        let server = load_server(pir, 2);
-        server.set_conf(|c| c.fault = plan.clone());
-        let r = server.session().execute(&query.sql).unwrap();
-        (r.display_rows(), r.sim_ms, r.fragment_retries)
-    };
-    for pir in [false, true] {
-        let (rows, sim_ms, retries) = run(pir);
-        assert_eq!(rows, baseline, "faulted run diverged with pir={pir}");
-        let (rows2, sim_ms2, retries2) = run(pir);
-        assert_eq!(rows2, baseline);
-        assert_eq!(
-            (sim_ms2, retries2),
-            (sim_ms, retries),
-            "fault penalty must replay exactly with pir={pir}"
-        );
-    }
 }
 
 /// The fused fault schedule also replays identically across the two

@@ -44,9 +44,6 @@ fn load_server() -> HiveServer {
     for var in [
         "HIVE_HISTOGRAMS_ENABLED",
         "HIVE_PIR_ENABLED",
-        "HIVE_SELVEC_ENABLED",
-        "HIVE_DICT_ENABLED",
-        "HIVE_RAWTABLE_ENABLED",
         "HIVE_PARALLEL_THREADS",
     ] {
         std::env::remove_var(var);

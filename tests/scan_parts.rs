@@ -4,8 +4,8 @@
 //! wall-clock time. The twelve statement shapes of the `scan_cold`
 //! benchmark workload — key-less sweeps, partition-range and point
 //! reads, GROUP BYs over both fact tables — must return the row
-//! interpreter's rows at every thread count, with each execution toggle
-//! off, under a memory budget that denies the group-by its grant, and
+//! interpreter's rows at every thread count, with PIR, LLAP or shared
+//! work off, under a memory budget that denies the group-by its grant, and
 //! under a seeded fault plan; simulated time must not depend on the
 //! thread count; a cache too small for the working set must evict the
 //! same chunks in every run; and a plan whose branches share a scan
@@ -20,9 +20,6 @@ fn neutralize_env() {
     ONCE.call_once(|| {
         for var in [
             "HIVE_PIR_ENABLED",
-            "HIVE_SELVEC_ENABLED",
-            "HIVE_DICT_ENABLED",
-            "HIVE_RAWTABLE_ENABLED",
             "HIVE_PARALLEL_THREADS",
             "HIVE_SPILL_ENABLED",
             "HIVE_MEMORY_BUDGET",
@@ -177,14 +174,11 @@ fn statements_match_the_row_interpreter_under_every_configuration() {
     let server = load_server(HiveConf::v3_1());
     let base = server.conf();
     type Variant = (&'static str, fn(&mut HiveConf));
-    let variants: [Variant; 10] = [
+    let variants: [Variant; 7] = [
         ("1 thread", |c| c.parallel_threads = 1),
         ("2 threads", |c| c.parallel_threads = 2),
         ("8 threads", |c| c.parallel_threads = 8),
         ("pir off", |c| c.pir_enabled = false),
-        ("rawtable off", |c| c.rawtable_enabled = false),
-        ("dictionary off", |c| c.dictionary_enabled = false),
-        ("selvec off", |c| c.selvec_enabled = false),
         ("llap off", |c| c.llap_enabled = false),
         ("shared work off", |c| c.shared_work = false),
         // Denies every group-by its grant: the spilled build.
@@ -196,7 +190,7 @@ fn statements_match_the_row_interpreter_under_every_configuration() {
             c.parallel_threads = 2;
             tweak(c);
         });
-        // Chunks cached under another configuration's encoding.
+        // Every row starts from a cold cache.
         server.llap().cache().clear();
         for (((id, _), want), (rows, _, _)) in
             statements().iter().zip(&oracle).zip(run_all(&server))
@@ -223,27 +217,6 @@ fn thread_count_moves_neither_simulated_time_nor_retries() {
         .collect();
     assert_eq!(passes[1], passes[0], "2 threads against 1");
     assert_eq!(passes[2], passes[0], "8 threads against 1");
-}
-
-#[test]
-fn tpcds_suite_matches_the_row_interpreter() {
-    // `tests/parallel_determinism.rs` pins the vectorized engine at
-    // 1 = 2 = 8 threads; this pins 2 threads to the row interpreter.
-    let queries = tpcds::queries();
-    let interpreter = load_server(HiveConf::v3_1().with(|c| {
-        c.vectorized = false;
-        c.parallel_threads = 1;
-    }));
-    let vectorized = load_server(HiveConf::v3_1().with(|c| c.parallel_threads = 2));
-    for q in &queries {
-        let want = interpreter
-            .session()
-            .execute(&q.sql)
-            .unwrap()
-            .display_rows();
-        let got = vectorized.session().execute(&q.sql).unwrap().display_rows();
-        assert_eq!(got, want, "{} diverged from the row interpreter", q.id);
-    }
 }
 
 #[test]

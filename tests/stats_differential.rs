@@ -1,17 +1,14 @@
 //! Statistics differential suite: `hive.optimizer.histograms.enabled`
 //! may only change *estimates* — join order, build-side choice, Bloom
-//! sizing, conjunct order — never results. Every curated TPC-DS query
-//! must return byte-identical rows with histograms on and off —
-//! fault-free, under a seeded fault plan with recovery, and across the
-//! 1/2/8 thread sweep. The adaptive rung is then exercised end to end:
-//! a join whose LIKE-defaulted filter estimate undershoots reality by
-//! more than 10x must trip the cardinality guard exactly once, re-plan
-//! with the observed count substituted, and return the same rows; the
-//! persisted feedback must keep a second execution of the same query
-//! from ever tripping again.
+//! sizing, conjunct order — never results. The curated TPC-DS suite
+//! with histograms off runs in `tests/differential.rs`. Here the
+//! adaptive rung is exercised end to end: a join whose LIKE-defaulted
+//! filter estimate undershoots reality by more than 10x must trip the
+//! cardinality guard exactly once, re-plan with the observed count
+//! substituted, and return the same rows; the persisted feedback must
+//! keep a second execution of the same query from ever tripping again.
 
-use hive_warehouse::benchdata::tpcds::{self, TpcdsScale};
-use hive_warehouse::{FaultPlan, HiveConf, HiveServer};
+use hive_warehouse::{HiveConf, HiveServer};
 
 /// Env knobs override the conf fields; this binary manages both itself.
 fn neutralize_env() {
@@ -19,131 +16,8 @@ fn neutralize_env() {
     ONCE.call_once(|| {
         std::env::remove_var("HIVE_HISTOGRAMS_ENABLED");
         std::env::remove_var("HIVE_PIR_ENABLED");
-        std::env::remove_var("HIVE_SELVEC_ENABLED");
-        std::env::remove_var("HIVE_DICT_ENABLED");
-        std::env::remove_var("HIVE_RAWTABLE_ENABLED");
         std::env::remove_var("HIVE_PARALLEL_THREADS");
     });
-}
-
-/// Big enough that multi-join queries exercise reordering, runtime
-/// filters, and partition pruning with real row counts behind them.
-fn scale() -> TpcdsScale {
-    TpcdsScale {
-        days: 8,
-        items: 150,
-        customers: 200,
-        stores: 4,
-        sales_per_day: 1500,
-        return_rate: 0.1,
-    }
-}
-
-fn load_server(histograms: bool, threads: usize) -> HiveServer {
-    neutralize_env();
-    let mut conf = HiveConf::v3_1();
-    conf.histograms_enabled = histograms;
-    conf.parallel_threads = threads;
-    let server = HiveServer::new(conf);
-    tpcds::load(&server, scale(), 0xDA7A).unwrap();
-    server
-}
-
-/// Every curated TPC-DS query: histogram-driven planning == constant
-/// selectivities, byte for byte.
-#[test]
-fn histogram_toggle_never_changes_results() {
-    let queries = tpcds::queries();
-    let off = load_server(false, 1);
-    let on = load_server(true, 1);
-    for q in &queries {
-        let expected = off.session().execute(&q.sql).unwrap().display_rows();
-        let got = on.session().execute(&q.sql).unwrap().display_rows();
-        assert_eq!(got, expected, "{} diverged with histograms enabled", q.id);
-    }
-}
-
-/// The toggle stays invisible across worker counts: the whole curated
-/// suite agrees between histograms on and off at 1, 2, and 8 threads,
-/// and every run equals the 1-thread constant-selectivity baseline.
-#[test]
-fn histogram_toggle_is_invisible_across_thread_sweep() {
-    let queries = tpcds::queries();
-    let baseline_server = load_server(false, 1);
-    let baseline: Vec<Vec<String>> = queries
-        .iter()
-        .map(|q| {
-            baseline_server
-                .session()
-                .execute(&q.sql)
-                .unwrap()
-                .display_rows()
-        })
-        .collect();
-    assert!(baseline.iter().any(|rows| !rows.is_empty()));
-    for threads in [2, 8] {
-        for hist in [false, true] {
-            let server = load_server(hist, threads);
-            for (q, expected) in queries.iter().zip(&baseline) {
-                let rows = server.session().execute(&q.sql).unwrap().display_rows();
-                assert_eq!(
-                    &rows, expected,
-                    "{} diverged with histograms={hist} at {threads} threads",
-                    q.id
-                );
-            }
-        }
-    }
-    let on = load_server(true, 1);
-    for (q, expected) in queries.iter().zip(&baseline) {
-        let rows = on.session().execute(&q.sql).unwrap().display_rows();
-        assert_eq!(
-            &rows, expected,
-            "{} diverged with histograms at 1 thread",
-            q.id
-        );
-    }
-}
-
-/// A seeded fault plan (daemon deaths, transient DFS errors, recovery
-/// enabled) yields the fault-free rows under both settings, and the
-/// simulated fault penalty replays exactly within each setting.
-#[test]
-fn faulted_runs_match_under_both_settings() {
-    let query = &tpcds::queries()[0];
-    let baseline = load_server(false, 1)
-        .session()
-        .execute(&query.sql)
-        .unwrap()
-        .display_rows();
-
-    let plan = FaultPlan::none().with(|p| {
-        p.seed = 0xBADD_CAFE;
-        p.daemon_kill_prob = 0.8;
-        p.dfs_read_error_prob = 0.05;
-        p.dfs_slow_prob = 0.1;
-        p.dfs_slow_ms = 4.0;
-    });
-    let run = |hist: bool| -> (Vec<String>, f64, u64) {
-        let server = load_server(hist, 2);
-        server.set_conf(|c| c.fault = plan.clone());
-        let r = server.session().execute(&query.sql).unwrap();
-        (r.display_rows(), r.sim_ms, r.fragment_retries)
-    };
-    for hist in [false, true] {
-        let (rows, sim_ms, retries) = run(hist);
-        assert_eq!(
-            rows, baseline,
-            "faulted run diverged with histograms={hist}"
-        );
-        let (rows2, sim_ms2, retries2) = run(hist);
-        assert_eq!(rows2, baseline);
-        assert_eq!(
-            (sim_ms2, retries2),
-            (sim_ms, retries),
-            "fault penalty must replay exactly with histograms={hist}"
-        );
-    }
 }
 
 /// A fact table whose every row survives two LIKE filters (estimated
