@@ -9,11 +9,12 @@
 //! (daemon deaths, transient and slow DFS reads, spill-targeted read and
 //! write failures, all with recovery): the rows must still be the
 //! reference's, and a second run from the same start must replay the
-//! simulated fault penalty `(sim_ms, fragment_retries)` exactly.
+//! simulated fault penalty `(sim_ms, fragment_retries)` exactly. Each
+//! row is its own pair of tests, named after the row.
 
 use hive_warehouse::benchdata::tpcds::{self, TpcdsScale};
 use hive_warehouse::{DfsPath, FaultPlan, HiveConf, HiveServer};
-use std::sync::OnceLock;
+use std::sync::{Mutex, MutexGuard, OnceLock};
 
 /// Env knobs override the conf fields; this binary manages them itself.
 fn neutralize_env() {
@@ -49,17 +50,13 @@ fn scale() -> TpcdsScale {
 /// it, large enough to keep the spill recursion shallow.
 const TINY_BUDGET: usize = 32 * 1024;
 
-/// A configuration row: a name and what it changes from the defaults.
+/// A configuration: a name and what it changes from the defaults.
 type Config = (&'static str, fn(&mut HiveConf));
 
-const CONFIGS: [Config; 4] = [
-    ("defaults", |_| {}),
-    ("pir off", |c| c.pir_enabled = false),
-    ("histograms off", |c| c.histograms_enabled = false),
-    ("32 KiB budget", |c| c.memory_per_query_bytes = TINY_BUDGET),
-];
-
-const THREADS: [usize; 3] = [1, 2, 8];
+const DEFAULTS: Config = ("defaults", |_| {});
+const PIR_OFF: Config = ("pir off", |c| c.pir_enabled = false);
+const HISTOGRAMS_OFF: Config = ("histograms off", |c| c.histograms_enabled = false);
+const TINY: Config = ("32 KiB budget", |c| c.memory_per_query_bytes = TINY_BUDGET);
 
 /// The defaults every row starts from. The results cache is off so each
 /// row really executes.
@@ -137,27 +134,31 @@ fn assert_spilled_cleanly(server: &HiveServer, pass: &Pass, what: &str) {
     );
 }
 
-#[test]
-fn every_configuration_returns_the_row_interpreters_rows() {
-    let server = load_server(base_conf());
-    for (name, tweak) in CONFIGS {
-        for threads in THREADS {
-            server.set_conf(|c| {
-                *c = base_conf();
-                c.parallel_threads = threads;
-                tweak(c);
-            });
-            server.llap().cache().clear();
-            let what = format!("{name}, {threads} threads");
-            let pass = run_suite(&server);
-            assert_reference_rows(&pass, &what);
-            assert_spilled_cleanly(&server, &pass, &what);
-        }
-    }
+/// The server the fault-free rows share. Each row resets the whole conf
+/// and clears the LLAP cache, so rows do not see each other.
+fn shared_server() -> MutexGuard<'static, HiveServer> {
+    static SERVER: OnceLock<Mutex<HiveServer>> = OnceLock::new();
+    SERVER
+        .get_or_init(|| Mutex::new(load_server(base_conf())))
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-#[test]
-fn seeded_faults_return_the_same_rows_and_replay_exactly() {
+fn returns_the_reference_rows((name, tweak): Config, threads: usize) {
+    let server = shared_server();
+    server.set_conf(|c| {
+        *c = base_conf();
+        c.parallel_threads = threads;
+        tweak(c);
+    });
+    server.llap().cache().clear();
+    let what = format!("{name}, {threads} threads");
+    let pass = run_suite(&server);
+    assert_reference_rows(&pass, &what);
+    assert_spilled_cleanly(&server, &pass, &what);
+}
+
+fn faulted_rows_replay_exactly((name, tweak): Config, threads: usize) {
     let plan = FaultPlan::none().with(|p| {
         p.seed = 0xBADD_CAFE;
         p.daemon_kill_prob = 0.8;
@@ -168,38 +169,66 @@ fn seeded_faults_return_the_same_rows_and_replay_exactly() {
         p.path_fail_count = 2;
         p.dfs_write_error_prob = 0.2;
     });
-    for (name, tweak) in CONFIGS {
-        for threads in THREADS {
-            // Each run starts from a fresh server: killed daemons stay
-            // dead and spill paths carry a per-server sequence number,
-            // so a second run on the same server would not start where
-            // the first did.
-            let run = || {
-                let server = load_server(base_conf().with(|c| {
-                    c.parallel_threads = threads;
-                    tweak(c);
-                }));
-                server.set_conf(|c| c.fault = plan.clone());
-                let pass = run_suite(&server);
-                (server, pass)
-            };
-            let what = format!("{name}, {threads} threads, faulted");
-            let (server, first) = run();
-            assert_reference_rows(&first, &what);
-            assert!(
-                first.iter().any(|r| r.2 > 0),
-                "the fault plan never fired: {what}"
-            );
-            assert_spilled_cleanly(&server, &first, &what);
-            let penalty =
-                |pass: &Pass| -> Vec<(f64, u64)> { pass.iter().map(|r| (r.1, r.2)).collect() };
-            let (_, second) = run();
-            assert_reference_rows(&second, &what);
-            assert_eq!(
-                penalty(&second),
-                penalty(&first),
-                "the fault penalty must replay exactly: {what}"
-            );
+    // Each run starts from a fresh server: killed daemons stay dead and
+    // spill paths carry a per-server sequence number, so a second run on
+    // the same server would not start where the first did.
+    let run = || {
+        let server = load_server(base_conf().with(|c| {
+            c.parallel_threads = threads;
+            tweak(c);
+        }));
+        server.set_conf(|c| c.fault = plan.clone());
+        let pass = run_suite(&server);
+        (server, pass)
+    };
+    let what = format!("{name}, {threads} threads, faulted");
+    let (server, first) = run();
+    assert_reference_rows(&first, &what);
+    assert!(
+        first.iter().any(|r| r.2 > 0),
+        "the fault plan never fired: {what}"
+    );
+    assert_spilled_cleanly(&server, &first, &what);
+    let penalty = |pass: &Pass| -> Vec<(f64, u64)> { pass.iter().map(|r| (r.1, r.2)).collect() };
+    let (_, second) = run();
+    assert_reference_rows(&second, &what);
+    assert_eq!(
+        penalty(&second),
+        penalty(&first),
+        "the fault penalty must replay exactly: {what}"
+    );
+}
+
+/// The table of configurations. Each row is two tests: its fault-free
+/// pass, and its pass under the seeded fault plan.
+macro_rules! configurations {
+    ($($row:ident: $config:ident, $threads:literal;)*) => {
+        mod every_configuration_returns_the_row_interpreters_rows {
+            $(#[test]
+            fn $row() {
+                super::returns_the_reference_rows(super::$config, $threads);
+            })*
         }
-    }
+        mod seeded_faults_return_the_same_rows_and_replay_exactly {
+            $(#[test]
+            fn $row() {
+                super::faulted_rows_replay_exactly(super::$config, $threads);
+            })*
+        }
+    };
+}
+
+configurations! {
+    defaults_1_thread: DEFAULTS, 1;
+    defaults_2_threads: DEFAULTS, 2;
+    defaults_8_threads: DEFAULTS, 8;
+    pir_off_1_thread: PIR_OFF, 1;
+    pir_off_2_threads: PIR_OFF, 2;
+    pir_off_8_threads: PIR_OFF, 8;
+    histograms_off_1_thread: HISTOGRAMS_OFF, 1;
+    histograms_off_2_threads: HISTOGRAMS_OFF, 2;
+    histograms_off_8_threads: HISTOGRAMS_OFF, 8;
+    tiny_budget_1_thread: TINY, 1;
+    tiny_budget_2_threads: TINY, 2;
+    tiny_budget_8_threads: TINY, 8;
 }

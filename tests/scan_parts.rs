@@ -220,6 +220,28 @@ fn thread_count_moves_neither_simulated_time_nor_retries() {
 }
 
 #[test]
+fn tpcds_suite_matches_the_row_interpreter() {
+    // `tests/parallel_determinism.rs` pins the vectorized engine at
+    // 1 = 2 = 8 threads; this pins 2 threads to the row interpreter on
+    // this file's multi-part layout.
+    let queries = tpcds::queries();
+    let interpreter = load_server(HiveConf::v3_1().with(|c| {
+        c.vectorized = false;
+        c.parallel_threads = 1;
+    }));
+    let vectorized = load_server(HiveConf::v3_1().with(|c| c.parallel_threads = 2));
+    for q in &queries {
+        let want = interpreter
+            .session()
+            .execute(&q.sql)
+            .unwrap()
+            .display_rows();
+        let got = vectorized.session().execute(&q.sql).unwrap().display_rows();
+        assert_eq!(got, want, "{} diverged from the row interpreter", q.id);
+    }
+}
+
+#[test]
 fn faulted_statements_recover_to_the_same_rows_and_replay_exactly() {
     let oracle = oracle_rows();
     let plan = FaultPlan::none().with(|p| {
