@@ -20,23 +20,20 @@
 //!   platforms and toolchains. (`DefaultHasher` only promises
 //!   determinism within one compiler release.)
 //! * **Encoding equality ⟺ key equality.** Two values receive the same
-//!   encoding exactly when the engine's grouping semantics
-//!   (`Value::group_eq` + `Value::hash_value` — the oracle: what a
-//!   `HashMap<Value, _>` keys by) would merge them into one group. Equal encodings trivially
-//!   imply equal hashes, so the byte table in `hive-exec` can compare
-//!   keys with a plain `memcmp` against arena-resident bytes — no
-//!   per-entry `Vec<Value>` and no re-hashing.
+//!   encoding exactly when `Value::group_eq` holds *and*
+//!   `Value::hash_value` normalizes them identically — plus one rule
+//!   `group_eq` lacks: a NaN DOUBLE equals a NaN of the same bits.
+//!   Equal encodings imply equal hashes, so the byte table in
+//!   `hive-exec` can compare keys with a plain `memcmp` against
+//!   arena-resident bytes — no per-entry `Vec<Value>` and no re-hashing.
 //!
-//! The oracle merges two keys when they land in the same bucket *and*
-//! compare equal, i.e. when `hash_value` normalizes them identically
-//! and `group_eq` holds. The encoding mirrors both at once: numeric
-//! values that normalize to the same `i64` (INT/BIGINT, integral
-//! DOUBLE, scale-divisible DECIMAL) share [`TAG_I64`]; values the
-//! oracle keeps apart (BOOLEAN vs INT, DATE vs TIMESTAMP at equal raw
-//! magnitude, non-integral DOUBLE vs DECIMAL) get distinct tags. The
-//! one deliberate cross-type datetime merge is the epoch itself:
-//! `Date(0)` and `Timestamp(0)` hash and compare equal under the
-//! oracle, so both encode as [`TAG_EPOCH0`].
+//! Numeric values that normalize to the same `i64` (INT/BIGINT,
+//! integral DOUBLE, scale-divisible DECIMAL) share [`TAG_I64`]; values
+//! that are not `group_eq` or normalize apart (BOOLEAN vs INT, DATE vs
+//! TIMESTAMP at equal raw magnitude, non-integral DOUBLE vs DECIMAL)
+//! get distinct tags. The one cross-type datetime merge is the epoch
+//! itself: `Date(0)` and `Timestamp(0)` normalize and compare equal, so
+//! both encode as [`TAG_EPOCH0`].
 //!
 //! Every encoding is prefix-free (fixed length per tag, strings length-
 //! prefixed), so concatenating per-column encodings preserves the
@@ -78,8 +75,8 @@ pub const TAG_DEC: u8 = 0x03;
 /// UTF-8 string: u32 length prefix + bytes.
 pub const TAG_STR: u8 = 0x04;
 /// `Date(0)` / `Timestamp(0)` — the epoch, the only DATE/TIMESTAMP pair
-/// the oracle merges across types (equal normalized hash *and* equal
-/// under `sql_cmp`).
+/// that is equal across types (equal normalized hash *and* equal under
+/// `sql_cmp`).
 pub const TAG_EPOCH0: u8 = 0x05;
 /// Dictionary code (emitted by the exec-layer key codecs; codes are
 /// only comparable within one table's build/probe code space).
@@ -92,7 +89,7 @@ pub const TAG_DATE: u8 = 0x08;
 /// Non-epoch TIMESTAMP (microseconds since epoch).
 pub const TAG_TS: u8 = 0x09;
 /// BOOLEAN (never merges with INT 0/1 — `sql_cmp` has no
-/// boolean/numeric bridge, so the oracle keeps them apart).
+/// boolean/numeric bridge).
 pub const TAG_BOOL: u8 = 0x0A;
 /// Scale-divisible DECIMAL whose quotient overflows `i64`.
 pub const TAG_BIGDEC: u8 = 0x0B;
@@ -131,8 +128,8 @@ pub fn encode_i64(v: i64, out: &mut Vec<u8>) {
 }
 
 /// Encode a DOUBLE: integral values in `i64` range normalize to
-/// [`TAG_I64`] (merging with equal integers, as the oracle's
-/// `hash_value` + `sql_cmp` do), everything else keys by raw bits.
+/// [`TAG_I64`] (merging with equal integers, as `hash_value` +
+/// `sql_cmp` do), everything else keys by raw bits.
 #[inline]
 pub fn encode_f64(v: f64, out: &mut Vec<u8>) {
     if v.fract() == 0.0 && v.abs() < 9e18 {
@@ -243,25 +240,30 @@ mod tests {
 
     #[test]
     fn numeric_normalization_matches_oracle_merges() {
-        // Classes the HashMap oracle merges (equal hash_value + group_eq)
-        // share one encoding.
+        // Values with equal hash_value normalization and group_eq share
+        // one encoding.
         assert_eq!(enc(&Value::Int(42)), enc(&Value::BigInt(42)));
         assert_eq!(enc(&Value::Int(42)), enc(&Value::Double(42.0)));
         assert_eq!(enc(&Value::Int(42)), enc(&Value::Decimal(4200, 2)));
         assert_eq!(enc(&Value::Double(0.0)), enc(&Value::Double(-0.0)));
-        // Classes it keeps apart stay apart.
+        // NaN is one key with itself, though not group_eq.
+        assert_eq!(
+            enc(&Value::Double(f64::NAN)),
+            enc(&Value::Double(f64::NAN))
+        );
+        // Classes that are not group_eq stay apart.
         assert_ne!(enc(&Value::Boolean(true)), enc(&Value::Int(1)));
         assert_ne!(enc(&Value::Double(2.5)), enc(&Value::Decimal(25, 1)));
         assert_ne!(enc(&Value::Int(0)), enc(&Value::Date(0)));
         // Non-divisible decimals key by raw (unscaled, scale), exactly
-        // the oracle's hash input: (25,1) and (250,2) are sql-equal but
-        // hash apart, so they never merge there either.
+        // hash_value's input: (25,1) and (250,2) are sql-equal but
+        // normalize apart.
         assert_ne!(enc(&Value::Decimal(25, 1)), enc(&Value::Decimal(250, 2)));
     }
 
     #[test]
     fn datetime_encoding_merges_only_at_epoch() {
-        // The oracle merges Date(d)/Timestamp(t) iff their normalized
+        // Date(d)/Timestamp(t) are one key iff their normalized
         // hashes agree (d == t) *and* sql_cmp holds (86_400_000_000·d
         // == t) — simultaneously true only at the epoch.
         assert_eq!(enc(&Value::Date(0)), enc(&Value::Timestamp(0)));

@@ -1152,3 +1152,194 @@ const _: () = {
         _assert_sync::<ExecContext<'_>>();
     }
 };
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hive_common::{BitSet, ColumnVector, DataType, Field, Schema, Value};
+    use std::sync::Arc;
+
+    /// The reference: whole rows compared value by value — `group_eq`
+    /// (NULL equals NULL, 0.0 equals -0.0) or both NaN — with no hashing
+    /// and no key layer. A left row's occurrence `i` (counting earlier
+    /// equal left rows) against `r` equal right rows is kept by
+    /// INTERSECT ALL when `i < r`, by EXCEPT ALL when `i >= r`, and by
+    /// the distinct forms only as the first occurrence.
+    fn reference_setop(
+        op: SetOperator,
+        all: bool,
+        left: &VectorBatch,
+        right: &VectorBatch,
+    ) -> Vec<String> {
+        let same = |a: &Row, b: &Row| {
+            a.values().iter().zip(b.values()).all(|(x, y)| {
+                x.group_eq(y)
+                    || matches!((x, y), (Value::Double(p), Value::Double(q)) if p.is_nan() && q.is_nan())
+            })
+        };
+        let rights = right.to_rows();
+        let lefts = left.to_rows();
+        let mut out = Vec::new();
+        for (at, row) in lefts.iter().enumerate() {
+            let r = rights.iter().filter(|o| same(o, row)).count();
+            let i = lefts[..at].iter().filter(|o| same(o, row)).count();
+            let keep = match (op, all) {
+                (SetOperator::Intersect, true) => i < r,
+                (SetOperator::Intersect, false) => i == 0 && r > 0,
+                (SetOperator::Except, true) => i >= r,
+                (SetOperator::Except, false) => i == 0 && r == 0,
+                (SetOperator::Union, _) => unreachable!(),
+            };
+            if keep {
+                out.push(row.to_string());
+            }
+        }
+        out
+    }
+
+    /// A small deterministic generator: each seed is one fixed case.
+    struct Lcg(u64);
+    impl Lcg {
+        fn pick(&mut self, n: usize) -> usize {
+            self.0 = self
+                .0
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((self.0 >> 33) % n as u64) as usize
+        }
+    }
+
+    const STRS: [&str; 3] = ["a", "b", "c"];
+    const DOUBLES: [Option<f64>; 6] = [
+        None,
+        Some(f64::NAN),
+        Some(0.0),
+        Some(-0.0),
+        Some(1.5),
+        Some(2.0),
+    ];
+
+    /// `n` rows of `(k INT, s STRING, d DOUBLE)` over small domains with
+    /// NULLs in every column, so most rows repeat. `s` is dictionary
+    /// encoded when `dict` holds, over a dictionary whose order depends on
+    /// the seed (so two sides' code spaces differ); plain otherwise.
+    fn side(seed: u64, n: usize, dict: bool, width: usize) -> VectorBatch {
+        let mut g = Lcg(seed);
+        let ks: Vec<Value> = (0..n)
+            .map(|_| match g.pick(4) {
+                0 => Value::Null,
+                k => Value::Int(k as i32),
+            })
+            .collect();
+        let ss: Vec<Option<usize>> = (0..n)
+            .map(|_| Some(g.pick(4)).filter(|&s| s < STRS.len()))
+            .collect();
+        let ds: Vec<Value> = (0..n)
+            .map(|_| DOUBLES[g.pick(DOUBLES.len())].map_or(Value::Null, Value::Double))
+            .collect();
+        let s_col = if dict {
+            let rot = seed as usize % STRS.len();
+            let entries: Vec<String> = (0..STRS.len())
+                .map(|i| STRS[(i + rot) % STRS.len()].into())
+                .collect();
+            let mut nulls = BitSet::new(n);
+            let codes = (ss.iter().enumerate())
+                .map(|(row, s)| match s {
+                    Some(s) => ((s + STRS.len() - rot) % STRS.len()) as u32,
+                    None => {
+                        nulls.set(row);
+                        0
+                    }
+                })
+                .collect();
+            ColumnVector::dict_from_codes(codes, Arc::new(entries), Some(nulls)).unwrap()
+        } else {
+            let vals: Vec<Value> = (ss.iter())
+                .map(|s| s.map_or(Value::Null, |s| Value::String(STRS[s].into())))
+                .collect();
+            ColumnVector::from_values(&vals, &DataType::String).unwrap()
+        };
+        let cols = [
+            (
+                Field::new("k", DataType::Int),
+                ColumnVector::from_values(&ks, &DataType::Int).unwrap(),
+            ),
+            (Field::new("s", DataType::String), s_col),
+            (
+                Field::new("d", DataType::Double),
+                ColumnVector::from_values(&ds, &DataType::Double).unwrap(),
+            ),
+        ];
+        let (fields, cols): (Vec<_>, Vec<_>) = cols.into_iter().take(width).unzip();
+        VectorBatch::new(Schema::new(fields), cols).unwrap()
+    }
+
+    /// INTERSECT / EXCEPT × ALL / distinct over one INT column (a packed
+    /// word key), INT + STRING and INT + STRING + DOUBLE (byte keys),
+    /// with the string dictionary encoded on neither, one or both sides.
+    #[test]
+    fn set_operations_equal_the_row_reference() {
+        let mut checked = 0;
+        for seed in 1..=8u64 {
+            for width in 1..=3 {
+                for (ldict, rdict) in [(false, false), (true, false), (false, true), (true, true)] {
+                    let left = side(seed, 80, ldict, width);
+                    let right = side(seed * 31 + 7, 50, rdict, width);
+                    for op in [SetOperator::Intersect, SetOperator::Except] {
+                        for all in [true, false] {
+                            let got = execute_setop(op, all, &left, &right, left.schema()).unwrap();
+                            let got: Vec<String> =
+                                got.to_rows().iter().map(|r| r.to_string()).collect();
+                            let want = reference_setop(op, all, &left, &right);
+                            assert_eq!(
+                                got, want,
+                                "{op:?} all={all} seed={seed} width={width} dict={ldict}/{rdict}"
+                            );
+                            checked += want.len();
+                        }
+                    }
+                }
+            }
+        }
+        assert!(checked > 1000, "the cases must keep rows: {checked}");
+    }
+
+    /// NaN meets NaN, -0.0 meets 0.0 and NULL meets NULL; a NaN with no
+    /// partner stays in EXCEPT.
+    #[test]
+    fn double_and_null_rows_meet_their_equals() {
+        let batch = |ds: &[Value]| {
+            let schema = Schema::new(vec![Field::new("d", DataType::Double)]);
+            let col = ColumnVector::from_values(ds, &DataType::Double).unwrap();
+            VectorBatch::new(schema, vec![col]).unwrap()
+        };
+        let nan = Value::Double(f64::NAN);
+        let left = batch(&[
+            nan.clone(),
+            nan.clone(),
+            Value::Double(-0.0),
+            Value::Null,
+            Value::Double(1.5),
+        ]);
+        let right = batch(&[nan.clone(), Value::Double(0.0), Value::Null, Value::Null]);
+        let run = |op, all| {
+            let out = execute_setop(op, all, &left, &right, left.schema()).unwrap();
+            (
+                out.to_rows()
+                    .iter()
+                    .map(|r| r.to_string())
+                    .collect::<Vec<_>>(),
+                reference_setop(op, all, &left, &right),
+            )
+        };
+        let (got, want) = run(SetOperator::Intersect, true);
+        assert_eq!(got, want);
+        assert_eq!(got.len(), 3, "{got:?}"); // one NaN, -0.0, NULL
+        let (got, want) = run(SetOperator::Except, true);
+        assert_eq!(got, want);
+        assert_eq!(got.len(), 2, "{got:?}"); // the second NaN, 1.5
+        let (got, want) = run(SetOperator::Except, false);
+        assert_eq!(got, want);
+        assert_eq!(got.len(), 1, "{got:?}"); // 1.5
+    }
+}

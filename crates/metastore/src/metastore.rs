@@ -362,6 +362,12 @@ impl Metastore {
     pub fn runtime_stats(&self, fingerprint: &str) -> Option<Vec<(String, u64)>> {
         self.inner.runtime_stats.read().get(fingerprint).cloned()
     }
+
+    /// Forget every plan's runtime stats: the next planning of any
+    /// statement uses its own estimates again.
+    pub fn clear_runtime_stats(&self) {
+        self.inner.runtime_stats.write().clear();
+    }
 }
 
 #[cfg(test)]
@@ -446,5 +452,7 @@ mod tests {
             vec![("join-1".to_string(), 1000)]
         );
         assert!(ms.runtime_stats("plan-y").is_none());
+        ms.clear_runtime_stats();
+        assert!(ms.runtime_stats("plan-x").is_none());
     }
 }

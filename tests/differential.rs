@@ -1,16 +1,20 @@
 //! The differential harness: one reference, a table of configurations.
 //!
 //! The reference is the row interpreter (`vectorized = false`, one
-//! thread). Every configuration row — the defaults, PIR off, histograms
+//! thread). It differs from the other rows only in how filters and
+//! projections evaluate expressions: joins, group-bys, window
+//! partitions and set operations run the same key layer on both sides,
+//! and are held to `Value`-level references in their own modules'
+//! tests. Every configuration row — the defaults, PIR off, histograms
 //! off, and a 32 KiB per-query memory budget that forces grace joins,
 //! spilled group-bys and external sorts, each at 1, 2 and 8 threads —
 //! must return the reference's rows for all curated TPC-DS queries, byte
 //! for byte. Each row then runs the suite under one seeded fault plan
 //! (daemon deaths, transient and slow DFS reads, spill-targeted read and
 //! write failures, all with recovery): the rows must still be the
-//! reference's, and a second run from the same start must replay the
-//! simulated fault penalty `(sim_ms, fragment_retries)` exactly. Each
-//! row is its own pair of tests, named after the row.
+//! reference's, and a second run from the same start must replay
+//! `(sim_ms, fragment_retries, bytes_spilled)` exactly. Each row is its
+//! own pair of tests, named after the row.
 
 use hive_warehouse::benchdata::tpcds::{self, TpcdsScale};
 use hive_warehouse::{DfsPath, FaultPlan, HiveConf, HiveServer};
@@ -134,8 +138,10 @@ fn assert_spilled_cleanly(server: &HiveServer, pass: &Pass, what: &str) {
     );
 }
 
-/// The server the fault-free rows share. Each row resets the whole conf
-/// and clears the LLAP cache, so rows do not see each other.
+/// The server the fault-free rows share. Each row resets the whole conf,
+/// clears the LLAP cache and forgets the runtime stats a tripped
+/// cardinality guard leaves, so every row plans from its own estimates
+/// whatever ran before it.
 fn shared_server() -> MutexGuard<'static, HiveServer> {
     static SERVER: OnceLock<Mutex<HiveServer>> = OnceLock::new();
     SERVER
@@ -152,6 +158,7 @@ fn returns_the_reference_rows((name, tweak): Config, threads: usize) {
         tweak(c);
     });
     server.llap().cache().clear();
+    server.metastore().clear_runtime_stats();
     let what = format!("{name}, {threads} threads");
     let pass = run_suite(&server);
     assert_reference_rows(&pass, &what);
@@ -189,13 +196,14 @@ fn faulted_rows_replay_exactly((name, tweak): Config, threads: usize) {
         "the fault plan never fired: {what}"
     );
     assert_spilled_cleanly(&server, &first, &what);
-    let penalty = |pass: &Pass| -> Vec<(f64, u64)> { pass.iter().map(|r| (r.1, r.2)).collect() };
+    let penalty =
+        |pass: &Pass| -> Vec<(f64, u64, u64)> { pass.iter().map(|r| (r.1, r.2, r.3)).collect() };
     let (_, second) = run();
     assert_reference_rows(&second, &what);
     assert_eq!(
         penalty(&second),
         penalty(&first),
-        "the fault penalty must replay exactly: {what}"
+        "sim_ms, retries and spilled bytes must replay exactly: {what}"
     );
 }
 
