@@ -825,6 +825,49 @@ fn bench_replicated_strings(_c: &mut Criterion) {
         });
     };
     join_case("join/fanout_str_dim_300k_x_10", facts(10, 0), dimension(10));
+
+    // A star probe as a scan hands it over: the fact side in 60 parts of
+    // 5 000 rows, joined with a 2 000-row dimension and that output, on
+    // the dimension's key, with a second one — part by part, at one
+    // worker and at two.
+    let fact = facts(2_000, 2);
+    let parts: Vec<hive_common::SelBatch> = (0..60)
+        .map(|p| {
+            let rows: Vec<u32> = (p * 5_000..(p + 1) * 5_000).map(|r| r as u32).collect();
+            hive_common::SelBatch::from_batch(fact.take(&rows))
+        })
+        .collect();
+    let dim = dimension(2_000);
+    let first_schema = fact.schema().join(dim.schema());
+    let star_schema = first_schema.join(dim.schema());
+    let second = vec![(ScalarExpr::Column(3), ScalarExpr::Column(0))];
+    for workers in [1, 2] {
+        report_ns(
+            &format!("join/star_probe_parts_300k/{workers}_workers"),
+            "probe row",
+            20,
+            ROWS as f64,
+            || {
+                let join = |parts: &[hive_common::SelBatch], equi: &[_], schema| {
+                    hive_exec::join::execute_join_parts(
+                        parts,
+                        &hive_common::SelBatch::from_batch(dim.clone()),
+                        JoinType::Inner,
+                        equi,
+                        &None,
+                        schema,
+                        usize::MAX,
+                        workers,
+                        None,
+                        None,
+                    )
+                    .unwrap()
+                };
+                let out = join(&join(&parts, &equi, &first_schema), &second, &star_schema);
+                std::hint::black_box(out.len());
+            },
+        );
+    }
     join_case(
         "join/fanout_str_near_1x_300k",
         facts(ROWS - 1, 0),

@@ -56,7 +56,7 @@ impl Value {
             Value::Int(v) => Some(*v as f64),
             Value::BigInt(v) => Some(*v as f64),
             Value::Double(v) => Some(*v),
-            Value::Decimal(u, s) => Some(*u as f64 / 10f64.powi(*s as i32)),
+            Value::Decimal(u, s) => Some(dec_to_f64(*u, *s)),
             _ => None,
         }
     }
@@ -383,6 +383,21 @@ impl fmt::Display for Value {
 /// Raise 10 to `s` as i128.
 pub fn pow10(s: u8) -> i128 {
     10i128.pow(s as u32)
+}
+
+/// A decimal as `f64`: the unscaled integer converted, then *divided*
+/// by `10^scale` (a reciprocal multiply rounds differently). Every
+/// decimal-to-double conversion goes through here. An unscaled value
+/// that fits `i64` converts through `i64` — the same correctly rounded
+/// `f64` as the `i128` conversion, bit for bit, without its software
+/// routine.
+#[inline]
+pub fn dec_to_f64(unscaled: i128, scale: u8) -> f64 {
+    let x = match i64::try_from(unscaled) {
+        Ok(small) => small as f64,
+        Err(_) => unscaled as f64,
+    };
+    x / 10f64.powi(scale as i32)
 }
 
 /// Change a decimal's scale, rounding half away from zero when reducing.

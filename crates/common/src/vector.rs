@@ -233,29 +233,51 @@ impl ColumnVector {
         Ok(col)
     }
 
-    fn gather(&self, idx: &[u32], null_extend: bool) -> ColumnVector {
-        // Each source row's code in the dictionary of the column's
-        // distinct non-NULL strings, in first-seen order (NULL rows take
-        // code 0, under their null bit).
-        fn intern(v: &[String], nulls: &Option<BitSet>) -> (Vec<u32>, Vec<String>) {
-            let mut dict: Vec<String> = Vec::new();
-            let mut seen: std::collections::HashMap<&str, u32> =
-                std::collections::HashMap::with_capacity(v.len());
-            let codes = v
-                .iter()
-                .enumerate()
-                .map(|(i, s)| {
-                    if nulls.as_ref().is_some_and(|b| b.get(i)) {
-                        return 0;
-                    }
-                    *seen.entry(s).or_insert_with(|| {
-                        dict.push(s.clone());
-                        dict.len() as u32 - 1
-                    })
-                })
-                .collect();
-            (codes, dict)
+    /// True when a gather of `cells` cells from this column is a fan-out
+    /// [`ColumnVector::take`] encodes: a plain string column gathered
+    /// into at least `FANOUT_ENCODE_FACTOR` times its rows.
+    pub fn fans_out(&self, cells: usize) -> bool {
+        matches!(self, ColumnVector::Str(v, _) if cells >= v.len().saturating_mul(FANOUT_ENCODE_FACTOR))
+    }
+
+    /// The `Dict` form a fan-out gather of `cells` cells reads from: this
+    /// column's rows as codes over its distinct non-NULL strings, in
+    /// first-seen order (NULL rows take code 0, under their null bit).
+    /// `None` when the gather is no fan-out ([`ColumnVector::fans_out`])
+    /// or the column has no non-NULL row. Gathering from the result is
+    /// gathering from this column: a caller that splits one fan-out
+    /// into several gathers encodes once and shares the dictionary.
+    pub fn fanout_encoded(&self, cells: usize) -> Option<ColumnVector> {
+        let ColumnVector::Str(v, nulls) = self else {
+            return None;
+        };
+        if !self.fans_out(cells) {
+            return None;
         }
+        let mut dict: Vec<String> = Vec::new();
+        let mut seen: std::collections::HashMap<&str, u32> =
+            std::collections::HashMap::with_capacity(v.len());
+        let codes = v
+            .iter()
+            .enumerate()
+            .map(|(i, s)| {
+                if nulls.as_ref().is_some_and(|b| b.get(i)) {
+                    return 0;
+                }
+                *seen.entry(s).or_insert_with(|| {
+                    dict.push(s.clone());
+                    dict.len() as u32 - 1
+                })
+            })
+            .collect();
+        (!dict.is_empty()).then(|| ColumnVector::Dict {
+            codes,
+            dict: Arc::new(dict),
+            nulls: nulls.clone(),
+        })
+    }
+
+    fn gather(&self, idx: &[u32], null_extend: bool) -> ColumnVector {
         fn vals<T: Clone + Default>(v: &[T], idx: &[u32], null_extend: bool) -> Vec<T> {
             if null_extend {
                 idx.iter()
@@ -322,18 +344,11 @@ impl ColumnVector {
                 ColumnVector::Decimal(v, *s, n)
             }
             ColumnVector::Str(v, n) => {
-                if idx.len() >= v.len().saturating_mul(FANOUT_ENCODE_FACTOR) {
-                    // A fan-out: source rows repeat. Gather codes
-                    // over the distinct non-NULL strings instead of
-                    // cloning a `String` per output cell.
-                    let (row_codes, dict) = intern(v, n);
-                    if !dict.is_empty() {
-                        return ColumnVector::Dict {
-                            codes: vals(&row_codes, idx, null_extend),
-                            dict: Arc::new(dict),
-                            nulls: nulls(n, idx, null_extend),
-                        };
-                    }
+                // A fan-out: source rows repeat. Gather codes over the
+                // distinct non-NULL strings instead of cloning a
+                // `String` per output cell.
+                if let Some(encoded) = self.fanout_encoded(idx.len()) {
+                    return encoded.gather(idx, null_extend);
                 }
                 let (v, n) = g!(v, n);
                 ColumnVector::Str(v, n)

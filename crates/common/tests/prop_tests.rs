@@ -19,7 +19,39 @@ fn arb_value() -> impl Strategy<Value = Value> {
     ]
 }
 
+/// Unscaled decimals around the edges of the `i64` fast path: `i64::MIN`
+/// and `MAX` ± 1, ±2^53 ± 1 (where `f64` stops being exact), and any
+/// `i128` at all.
+fn arb_unscaled() -> impl Strategy<Value = i128> {
+    let edges: Vec<i128> = [
+        i64::MIN as i128,
+        i64::MAX as i128,
+        1i128 << 53,
+        -(1i128 << 53),
+    ]
+    .iter()
+    .flat_map(|&e| [e - 1, e, e + 1])
+    .collect();
+    prop_oneof![
+        (0..edges.len()).prop_map(move |i| edges[i]),
+        any::<i64>().prop_map(i128::from),
+        i128::MIN..i128::MAX,
+        -(1i128 << 60)..(1i128 << 60),
+    ]
+}
+
 proptest! {
+    /// `dec_to_f64` is the `i128` conversion divided by `10^scale`, bit
+    /// for bit, over scales 0–38 — its `i64` path rounds exactly as the
+    /// `i128` conversion does.
+    #[test]
+    fn dec_to_f64_is_the_i128_conversion(unscaled in arb_unscaled(), scale in 0u8..=38) {
+        let want = (unscaled as f64) / 10f64.powi(scale as i32);
+        let got = value::dec_to_f64(unscaled, scale);
+        prop_assert_eq!(got.to_bits(), want.to_bits(), "{} at scale {}", unscaled, scale);
+        prop_assert_eq!(Value::Decimal(unscaled, scale).as_f64().map(f64::to_bits), Some(want.to_bits()));
+    }
+
     #[test]
     fn decimal_format_parse_round_trip(unscaled in -10_000_000_000i128..10_000_000_000, scale in 0u8..9) {
         let text = value::format_decimal(unscaled, scale);

@@ -18,7 +18,7 @@
 
 use crate::engine::align_column;
 use crate::kernels::eval_vector;
-use crate::keys::{Grouper, KeySide, RowKeys, ValueSet};
+use crate::keys::{Grouper, KeySide, RowKeys, Runs, ValueSet};
 use crate::pir::agg::FoldOut;
 use crate::rawtable::RawTable;
 use crate::spill::{partition_of, plan_partition, push_rec, RecIter, SpillCtx};
@@ -326,13 +326,24 @@ pub fn execute_aggregate_parts(
         PartCols::eval(&parts[p], group_exprs, aggs, trivial)
     })?;
     let total_rows: usize = evaluated.iter().map(|p| p.sel.len()).sum();
-    let by_parts = evaluated.len() > 1
-        && pir.is_some()
-        && aggs.iter().enumerate().all(|(ai, a)| {
-            evaluated
-                .iter()
-                .all(|p| crate::pir::agg::mergeable(a.func, a.distinct, p.arg_cols[ai].as_deref()))
-        });
+    // Several parts fold part by part when every aggregate's states
+    // merge — or, over a key-less set, when the ones that do not are a
+    // SUM or AVG, which continue one state across the parts instead.
+    let pir_on = pir.is_some();
+    let by_parts = |evaluated: &[PartCols], set: &[usize]| {
+        evaluated.len() > 1
+            && pir_on
+            && aggs.iter().enumerate().all(|(ai, a)| {
+                evaluated.iter().all(|p| {
+                    let arg = p.arg_cols[ai].as_deref();
+                    crate::pir::agg::mergeable(a.func, a.distinct, arg)
+                        || (set.is_empty()
+                            && matches!(a.func, AggFunc::Sum | AggFunc::Avg)
+                            && crate::pir::agg::compilable(a.func, a.distinct, arg)
+                            && !a.distinct)
+                })
+            })
+    };
     // The input as one part, assembled when something first needs it.
     let mut whole: Option<PartCols> = match evaluated.len() {
         0 => return Err(HiveError::Execution("aggregate over no parts".into())),
@@ -364,7 +375,7 @@ pub fn execute_aggregate_parts(
         let admission = spill.map(|sp| (sp, sp.broker.try_reserve("group-by", est)));
         let denied = matches!(&admission, Some((_, None)));
 
-        if by_parts && !denied {
+        if by_parts(&evaluated, set) && !denied {
             if let Some(f) = fold_parts(&evaluated, set, aggs, workers)? {
                 any_compiled = true;
                 out.push(emit_groups(
@@ -382,7 +393,7 @@ pub fn execute_aggregate_parts(
 
         let input = match &mut whole {
             Some(w) => w,
-            slot => slot.insert(PartCols::assemble(&evaluated)?),
+            slot => slot.insert(PartCols::assemble(&evaluated, workers)?),
         };
         // Compiled-accumulator gate: every aggregate must have a
         // monomorphized kernel for its argument's runtime representation,
@@ -499,40 +510,41 @@ impl PartCols {
     }
 
     /// The parts as one: each key and argument column gathered through
-    /// the parts' selections in a single reserved pass. Expression
-    /// evaluation is row-local, so these are the columns that
-    /// evaluating over the concatenated input gives.
-    fn assemble(parts: &[PartCols]) -> Result<PartCols> {
-        let gather = |cols: Vec<(&ColumnVector, Option<&[u32]>)>| {
-            let dt = match cols.first() {
-                Some((c, _)) => c.data_type(),
-                None => return Err(HiveError::Execution("aggregate over no parts".into())),
-            };
-            ColumnVector::concat_selected(&dt, &cols).map(Arc::new)
-        };
+    /// the parts' selections in a single reserved pass, the columns in
+    /// parallel across `workers`. Expression evaluation is row-local, so
+    /// these are the columns that evaluating over the concatenated input
+    /// gives.
+    fn assemble(parts: &[PartCols], workers: usize) -> Result<PartCols> {
         let shape = &parts[0];
-        let key_cols = (0..shape.key_cols.len())
-            .map(|k| {
-                gather(
-                    (parts.iter())
-                        .map(|p| (&*p.key_cols[k], p.sel.as_indices()))
-                        .collect(),
-                )
-            })
-            .collect::<Result<Vec<_>>>()?;
-        // Every part evaluated the same aggregates, so an argument is
-        // present in all of them or in none.
-        let arg_cols = (0..shape.arg_cols.len())
-            .map(|a| {
-                shape.arg_cols[a].as_ref().map(|_| {
-                    gather(
-                        (parts.iter())
-                            .filter_map(|p| Some((p.arg_cols[a].as_deref()?, p.sel.as_indices())))
-                            .collect(),
-                    )
-                })
-            })
-            .map(Option::transpose)
+        let nkeys = shape.key_cols.len();
+        // Column `c`: key `c`, then argument `c - nkeys`. Every part
+        // evaluated the same aggregates, so an argument is present in
+        // all of them or in none.
+        let column = |c: usize| -> Option<&ColumnVector> {
+            match c.checked_sub(nkeys) {
+                None => Some(&*shape.key_cols[c]),
+                Some(a) => shape.arg_cols[a].as_deref(),
+            }
+        };
+        let mut cols = crate::par::parallel_map(workers, nkeys + shape.arg_cols.len(), |c| {
+            let Some(dt) = column(c).map(ColumnVector::data_type) else {
+                return Ok(None);
+            };
+            let of = |p: &'_ PartCols| match c.checked_sub(nkeys) {
+                None => Some(p.key_cols[c].clone()),
+                Some(a) => p.arg_cols[a].clone(),
+            };
+            let held: Vec<(Arc<ColumnVector>, Option<&[u32]>)> = (parts.iter())
+                .filter_map(|p| Some((of(p)?, p.sel.as_indices())))
+                .collect();
+            let refs: Vec<(&ColumnVector, Option<&[u32]>)> =
+                held.iter().map(|(c, sel)| (&**c, *sel)).collect();
+            ColumnVector::concat_selected(&dt, &refs).map(|c| Some(Arc::new(c)))
+        })?;
+        let arg_cols = cols.split_off(nkeys);
+        let key_cols = cols
+            .into_iter()
+            .map(|c| c.ok_or_else(|| HiveError::Execution("aggregate key missing".into())))
             .collect::<Result<Vec<_>>>()?;
         Ok(PartCols {
             sel: SelVec::All(parts.iter().map(|p| p.sel.len()).sum()),
@@ -590,23 +602,36 @@ fn fold_parts(
     aggs: &[AggExpr],
     workers: usize,
 ) -> Result<Option<PartsFold>> {
-    use crate::pir::agg::{assigned, fold, fold_keyless};
+    use crate::pir::agg::{assigned, fold, fold_keyless, fold_keyless_continued, mergeable};
     /// One part's states: `states` groups, the batch row each was first
     /// seen at (none for a key-less set — its one state has no key to
-    /// gather), and per aggregate one state per group.
+    /// gather), and per aggregate one state per group (none for an
+    /// aggregate folded across the parts).
     struct PartFold {
         states: usize,
         first_rows: Vec<u32>,
-        folds: Vec<FoldOut>,
+        folds: Vec<Option<FoldOut>>,
     }
+    // A key-less SUM or AVG whose states do not merge (an `f64` state)
+    // folds across the parts in part order instead, continuing one state.
+    let continued: Vec<bool> = (aggs.iter().enumerate())
+        .map(|(ai, a)| {
+            set.is_empty()
+                && !(parts.iter()).all(|p| mergeable(a.func, a.distinct, p.arg_cols[ai].as_deref()))
+        })
+        .collect();
     let fold_part = |part: &PartCols| -> Result<PartFold> {
-        let args = aggs.iter().zip(&part.arg_cols);
+        let args = aggs.iter().zip(&part.arg_cols).zip(&continued);
         if set.is_empty() {
             return Ok(PartFold {
                 states: 1,
                 first_rows: Vec::new(),
                 folds: args
-                    .map(|(a, c)| fold_keyless(a.func, false, c.as_deref(), &part.sel, true))
+                    .map(|((a, c), &continued)| {
+                        (!continued)
+                            .then(|| fold_keyless(a.func, false, c.as_deref(), &part.sel, true))
+                            .transpose()
+                    })
                     .collect::<Result<_>>()?,
             });
         }
@@ -615,9 +640,9 @@ fn fold_parts(
         Ok(PartFold {
             states,
             folds: args
-                .map(|(a, c)| {
+                .map(|((a, c), _)| {
                     let pairs = assigned(&d.rows_idx, &d.assign);
-                    fold(a.func, c.as_deref(), pairs, states, true)
+                    fold(a.func, c.as_deref(), pairs, states, true).map(Some)
                 })
                 .collect::<Result<_>>()?,
             first_rows: (d.first_pos.iter())
@@ -662,12 +687,21 @@ fn fold_parts(
 
     // Merge aggregate by aggregate, each over its states in part order.
     let part_states: Vec<usize> = partials.iter().map(|p| p.states).collect();
-    let mut per_part: Vec<std::vec::IntoIter<FoldOut>> =
+    let mut per_part: Vec<std::vec::IntoIter<Option<FoldOut>>> =
         (partials.into_iter().map(|p| p.folds.into_iter())).collect();
     let mut folds = Vec::with_capacity(aggs.len());
     let mut arg_cols = Vec::with_capacity(aggs.len());
     for (ai, a) in aggs.iter().enumerate() {
-        let mut states = per_part.iter_mut().filter_map(Iterator::next);
+        let mut states = per_part.iter_mut().filter_map(|p| p.next().flatten());
+        if continued[ai] {
+            let args: Vec<(Option<&ColumnVector>, &SelVec)> = (parts.iter())
+                .map(|p| (p.arg_cols[ai].as_deref(), &p.sel))
+                .collect();
+            states.for_each(drop);
+            folds.push(fold_keyless_continued(a.func, &args)?);
+            arg_cols.push(None);
+            continue;
+        }
         if matches!(a.func, AggFunc::Min | AggFunc::Max) {
             // A MIN/MAX state names rows of its own part's argument:
             // gather each part's winners, lay them end to end like the
@@ -798,13 +832,12 @@ struct Discovery {
 }
 
 impl Discovery {
-    /// Room for a partition's share of `rows` selected positions.
-    fn for_rows(rows: usize, route: Option<(usize, usize)>) -> Discovery {
-        let share = rows / route.map_or(1, |(nparts, _)| nparts.max(1));
+    /// Room for `rows` selected positions.
+    fn for_rows(rows: usize) -> Discovery {
         Discovery {
             first_pos: Vec::new(),
-            rows_idx: Vec::with_capacity(share),
-            assign: Vec::with_capacity(share),
+            rows_idx: Vec::with_capacity(rows),
+            assign: Vec::with_capacity(rows),
         }
     }
 
@@ -838,63 +871,87 @@ fn dense_keys<'a>(
     }
 }
 
-/// Discover the groups among the selected positions whose key hash
-/// routes them to this partition (`route = (partitions, this)`; `None`
-/// takes every row), in ascending position order.
+/// Discover the groups of one partition of a partitioned build: the
+/// selected positions of partition `p`'s run in every chunk's [`Runs`],
+/// read in chunk order — ascending position order.
 ///
 /// The group index is the key layer's table for the side's shape (group
 /// id = table entry id — entry ids are dense in insertion order, so they
 /// stay aligned with `first_pos`), or the dense code slots of a single
-/// dictionary key. `keys` is only read under `route` or by the key
-/// layer's table, and may be absent otherwise.
+/// dictionary key.
 fn discover_partition(
     sel: &SelVec,
     side: &KeySide<'_>,
-    keys: Option<&RowKeys>,
-    route: Option<(usize, usize)>,
+    keys: &RowKeys,
+    runs: &[Runs],
+    p: usize,
 ) -> Result<Discovery> {
-    let missing_keys = || HiveError::Execution("group discovery without its keys".into());
-    let mut d = Discovery::for_rows(sel.len(), route);
-    let Some((codes, nulls, dict_len)) = dense_keys(side) else {
-        let keys = keys.ok_or_else(missing_keys)?;
-        Grouper::new(side.shape()).assign(keys, route, |pos, g, _| {
-            d.push(pos, sel.index(pos), g as usize)
-        })?;
-        return Ok(d);
-    };
-    let route = match route {
-        Some((nparts, p)) => Some((keys.ok_or_else(missing_keys)?, nparts, p)),
-        None => None,
-    };
-    let mut dense: Vec<usize> = vec![usize::MAX; dict_len + 1];
-    for pos in 0..sel.len() {
-        if let Some((keys, nparts, p)) = route {
-            if crate::keys::route(keys.hash(pos).unwrap_or(0), nparts) != p {
-                continue;
+    let rows: usize = runs.iter().map(|r| r.run(p).len()).sum();
+    let mut d = Discovery::for_rows(rows);
+    match dense_keys(side) {
+        Some(dense) => {
+            let mut slots = DenseSlots::new(dense);
+            for run in runs {
+                for &pos in run.run(p) {
+                    slots.push(&mut d, pos as usize, sel);
+                }
             }
         }
-        let i = sel.index(pos);
-        let slot = if nulls.is_some_and(|n| n.get(i)) {
-            0
-        } else {
-            codes[i] as usize + 1
-        };
-        if dense[slot] == usize::MAX {
-            dense[slot] = d.first_pos.len();
+        None => {
+            let mut groups = Grouper::new(side.shape());
+            for run in runs {
+                groups.assign(keys, Some(run.run(p)), |pos, g, _| {
+                    d.push(pos, sel.index(pos), g as usize)
+                })?;
+            }
         }
-        d.push(pos, i, dense[slot]);
     }
     Ok(d)
+}
+
+/// Group ids of a single dictionary key, looked up densely: slot 0 is
+/// the NULL group, slot c+1 the group of code c.
+struct DenseSlots<'a> {
+    codes: &'a [u32],
+    nulls: Option<&'a hive_common::BitSet>,
+    group: Vec<usize>,
+}
+
+impl<'a> DenseSlots<'a> {
+    fn new((codes, nulls, dict_len): (&'a [u32], Option<&'a hive_common::BitSet>, usize)) -> Self {
+        DenseSlots {
+            codes,
+            nulls,
+            group: vec![usize::MAX; dict_len + 1],
+        }
+    }
+
+    /// Assign selected position `pos` to its group.
+    #[inline]
+    fn push(&mut self, d: &mut Discovery, pos: usize, sel: &SelVec) {
+        let i = sel.index(pos);
+        let slot = if self.nulls.is_some_and(|n| n.get(i)) {
+            0
+        } else {
+            self.codes[i] as usize + 1
+        };
+        if self.group[slot] == usize::MAX {
+            self.group[slot] = d.first_pos.len();
+        }
+        d.push(pos, i, self.group[slot]);
+    }
 }
 
 /// Serial discovery over a whole selection.
 fn discover(sel: &SelVec, key_cols: &[Arc<ColumnVector>], set: &[usize]) -> Result<Discovery> {
     let side = key_side(key_cols, set);
+    let mut d = Discovery::for_rows(sel.len());
     // The dense path indexes groups by code: it needs no keys.
-    if dense_keys(&side).is_some() {
-        return discover_partition(sel, &side, None, None);
+    if let Some(dense) = dense_keys(&side) {
+        let mut slots = DenseSlots::new(dense);
+        (0..sel.len()).for_each(|pos| slots.push(&mut d, pos, sel));
+        return Ok(d);
     }
-    let mut d = Discovery::for_rows(sel.len(), None);
     let mut groups = Grouper::new(side.shape());
     side.key_chunks(sel, 0, sel.len(), |at, keys| {
         groups.assign(keys, None, |r, g, _| {
@@ -987,31 +1044,87 @@ fn build_groups(
     if set.is_empty() {
         return fold_keyless_group(sel, arg_cols, aggs, compiled);
     }
-    if workers <= 1 || sel.len() < 2 {
+    let nparts = crate::keys::partitions_for(sel.len());
+    if workers <= 1 || nparts <= 1 {
         let d = discover(sel, key_cols, set)?;
         return accumulate(d, aggs, arg_cols, compiled);
     }
     // One build per hash partition. A group's rows all share a hash, so
-    // they live in exactly one partition and fold in position order.
+    // they live in exactly one partition and fold in position order;
+    // each position is routed once, by the chunk that prepared its key.
     let side = key_side(key_cols, set);
-    let keys = side.keys_par(sel, workers)?;
-    let nparts = workers;
+    let (keys, runs) = side.keys_par(sel, workers, nparts)?;
     let parts = crate::par::parallel_map(workers, nparts, |p| {
-        let d = discover_partition(sel, &side, Some(&keys), Some((nparts, p)))?;
+        let d = discover_partition(sel, &side, &keys, &runs, p)?;
         accumulate(d, aggs, arg_cols, compiled)
     })?;
-    merge_partitions(parts, aggs.len())
+    merge_partitions(parts, aggs.len(), sel.len())
 }
 
-/// The partitions of a hash-partitioned build as one build. Their
-/// groups are disjoint and each partition lists its own ascending by
-/// first-seen position, so the serial discovery order is a merge of
-/// ascending lists — pairwise, two cursors each — and every group's
-/// state is picked from its partition as it stands: nothing is sorted
-/// and nothing is combined.
-fn merge_partitions(parts: Vec<Built>, naggs: usize) -> Result<Built> {
+/// The partitions of a hash-partitioned build over `positions` selected
+/// positions as one build. Their groups are disjoint and each partition
+/// lists its own ascending by first-seen position, so the serial
+/// discovery order is a merge of ascending lists ([`merge_first_seen`])
+/// and every group's state is picked from its partition as it stands:
+/// nothing is sorted and nothing is combined.
+fn merge_partitions(parts: Vec<Built>, naggs: usize, positions: usize) -> Result<Built> {
+    let (first_pos, order) = merge_first_seen(&parts, positions);
+
+    // Per aggregate, the partitions' state columns; per partition, its
+    // accumulator rows. A build is one or the other throughout.
+    let mut folded: Vec<Vec<FoldOut>> = (0..naggs).map(|_| Vec::new()).collect();
+    let mut rows: Vec<Vec<Vec<Acc>>> = Vec::new();
+    for part in parts {
+        match part.states {
+            States::Folded(folds) => {
+                for (col, f) in folded.iter_mut().zip(folds) {
+                    col.push(f);
+                }
+            }
+            States::Rows(r) => rows.push(r),
+        }
+    }
+    let states = if rows.is_empty() {
+        let pick = |col: &Vec<FoldOut>| FoldOut::interleave(col, &order);
+        States::Folded(folded.iter().map(pick).collect::<Result<_>>()?)
+    } else {
+        let take = |&(p, l): &(u32, u32)| std::mem::take(&mut rows[p as usize][l as usize]);
+        States::Rows(order.iter().map(take).collect())
+    };
+    Ok(Built { first_pos, states })
+}
+
+/// The partitions' groups in first-seen order: each group's first
+/// position and `(partition, group within it)`. The lists are ascending
+/// and disjoint, so the order is their merge. With a group per few rows
+/// the merge is a pass over the positions instead — every group's slot
+/// written at its first position, then read back in position order —
+/// which costs one visit per row rather than one per group per merge
+/// round.
+fn merge_first_seen(parts: &[Built], rows: usize) -> (Vec<usize>, Vec<(u32, u32)>) {
     /// `(first-seen position, (partition, group within it))`.
     type Slot = (usize, (u32, u32));
+    let groups: usize = parts.iter().map(|p| p.first_pos.len()).sum();
+    if groups * DENSE_MERGE > rows && parts.len() < u8::MAX as usize {
+        // A position's byte names the partition whose group starts there;
+        // a partition's groups start in ascending order, so the `l`-th
+        // one met is its group `l`.
+        const NONE: u8 = u8::MAX;
+        let mut at = vec![NONE; rows];
+        for (p, part) in parts.iter().enumerate() {
+            for &pos in &part.first_pos {
+                at[pos] = p as u8;
+            }
+        }
+        let mut next = vec![0u32; parts.len()];
+        let mut merged = (Vec::with_capacity(groups), Vec::with_capacity(groups));
+        for (pos, &p) in at.iter().enumerate().filter(|(_, &p)| p != NONE) {
+            merged.0.push(pos);
+            merged.1.push((p as u32, next[p as usize]));
+            next[p as usize] += 1;
+        }
+        return merged;
+    }
     fn merge_two(a: Vec<Slot>, b: Vec<Slot>) -> Vec<Slot> {
         let mut out = Vec::with_capacity(a.len() + b.len());
         let (mut a, mut b) = (a.into_iter().peekable(), b.into_iter().peekable());
@@ -1039,32 +1152,12 @@ fn merge_partitions(parts: Vec<Built>, naggs: usize) -> Result<Built> {
         }
         lists = merged;
     }
-    let (first_pos, order): (Vec<usize>, Vec<(u32, u32)>) =
-        lists.pop().unwrap_or_default().into_iter().unzip();
-
-    // Per aggregate, the partitions' state columns; per partition, its
-    // accumulator rows. A build is one or the other throughout.
-    let mut folded: Vec<Vec<FoldOut>> = (0..naggs).map(|_| Vec::new()).collect();
-    let mut rows: Vec<Vec<Vec<Acc>>> = Vec::new();
-    for part in parts {
-        match part.states {
-            States::Folded(folds) => {
-                for (col, f) in folded.iter_mut().zip(folds) {
-                    col.push(f);
-                }
-            }
-            States::Rows(r) => rows.push(r),
-        }
-    }
-    let states = if rows.is_empty() {
-        let pick = |col: &Vec<FoldOut>| FoldOut::interleave(col, &order);
-        States::Folded(folded.iter().map(pick).collect::<Result<_>>()?)
-    } else {
-        let take = |&(p, l): &(u32, u32)| std::mem::take(&mut rows[p as usize][l as usize]);
-        States::Rows(order.iter().map(take).collect())
-    };
-    Ok(Built { first_pos, states })
+    lists.pop().unwrap_or_default().into_iter().unzip()
 }
+
+/// Merge first-seen lists by a pass over the positions once the build
+/// holds more than one group per this many rows.
+const DENSE_MERGE: usize = 4;
 
 /// The spilling build for one grouping set: every selected position's
 /// group key is encoded into a spill record (stable hash + canonical

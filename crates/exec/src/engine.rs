@@ -3,7 +3,7 @@
 //! cluster time model.
 
 use crate::aggregate::execute_aggregate_parts;
-use crate::join::execute_join_par;
+use crate::join::execute_join_parts;
 use crate::kernels::{eval_rowmode, eval_vector, filter_indices, filter_indices_rowmode};
 use crate::keys::{column_refs, Grouper, KeySide};
 use crate::membroker::MemoryBroker;
@@ -14,7 +14,7 @@ use hive_common::{HiveConf, HiveError, Result, Row, SelBatch, SelVec, VectorBatc
 use hive_dfs::{DfsPath, DistFs};
 use hive_metastore::{Metastore, ValidWriteIdList};
 use hive_optimizer::fingerprint::fingerprint;
-use hive_optimizer::plan::LogicalPlan;
+use hive_optimizer::plan::{JoinType, LogicalPlan};
 use hive_optimizer::ScalarExpr;
 use hive_sql::SetOperator;
 use parking_lot::Mutex;
@@ -527,14 +527,16 @@ pub fn execute_sel(plan: &LogicalPlan, ctx: &ExecContext) -> Result<(SelBatch, N
     Ok((sb, trace))
 }
 
-/// Execute the input of a consumer that folds parts (the aggregate) as
-/// an ordered sequence of at least one part, whose selected rows end to
-/// end are exactly [`execute_sel`]'s rows. A stored-table scan that is
-/// not a shared-work site yields one part per morsel in enumeration
-/// order, directly or through the PIR-fused Filter/Project chain above
-/// it (whose stages evaluate batch-locally); anything else — a shared
-/// subtree, a federated scan, any other operator — is one part. The
-/// trace, the fault rolls and their order are `execute_sel`'s.
+/// Execute the input of a consumer that folds parts (the aggregate, a
+/// join's probe side, a fused chain over either) as an ordered sequence
+/// of at least one part, whose selected rows end to end are exactly
+/// [`execute_sel`]'s rows. A stored-table scan that is not a shared-work
+/// site yields one part per morsel in enumeration order; so does the
+/// PIR-fused Filter/Project chain above such a source (its stages
+/// evaluate batch-locally) and a join that probes such a source part by
+/// part ([`execute_join_parts`]); anything else — a shared subtree, a
+/// federated scan, a `Right`/`Full` join, any other operator — is one
+/// part. The trace, the fault rolls and their order are `execute_sel`'s.
 pub(crate) fn execute_parts(
     plan: &LogicalPlan,
     ctx: &ExecContext,
@@ -547,6 +549,9 @@ pub(crate) fn execute_parts(
             LogicalPlan::Filter { .. } | LogicalPlan::Project { .. } => {
                 crate::pir::enabled(ctx.conf)
             }
+            LogicalPlan::Join { join_type, .. } => {
+                !matches!(join_type, JoinType::Right | JoinType::Full)
+            }
             _ => false,
         };
     if !in_parts {
@@ -554,10 +559,77 @@ pub(crate) fn execute_parts(
     }
     let (parts, mut trace) = match plan {
         LogicalPlan::Scan { .. } => execute_scan_parts(plan, ctx, &execute)?,
+        LogicalPlan::Join { .. } => execute_join_node(plan, ctx, true)?,
         _ => crate::pir::execute_chain_parts(plan, ctx)?,
     };
     crate::recovery::apply_fragment_faults(ctx, &mut trace)?;
     Ok((parts, trace))
+}
+
+/// A `Join` node: its probe side as parts when `parts` holds (see
+/// [`execute_parts`]), as one batch otherwise; the output as
+/// [`execute_join_parts`] gives it.
+fn execute_join_node(
+    plan: &LogicalPlan,
+    ctx: &ExecContext,
+    parts: bool,
+) -> Result<(Vec<SelBatch>, NodeTrace)> {
+    let LogicalPlan::Join {
+        left,
+        right,
+        join_type,
+        equi,
+        residual,
+    } = plan
+    else {
+        return Err(HiveError::Execution(
+            "execute_join_node on a non-join".into(),
+        ));
+    };
+    let (lparts, lt) = if parts {
+        execute_parts(left, ctx)?
+    } else {
+        execute_sel(left, ctx).map(|(sb, t)| (vec![sb], t))?
+    };
+    let (rb, rt) = execute_sel(right, ctx)?;
+    let lrows: usize = lparts.iter().map(SelBatch::num_rows).sum();
+    let morsels = crate::par::row_morsels(lrows.max(rb.num_rows()));
+    let (workers, _lease) = ctx.lease_workers(morsels);
+    let rows_in = (lrows + rb.num_rows()) as u64;
+    let sp = ctx.spill_ctx();
+    let mut pc = crate::pir::PirCounters::default();
+    let pir = crate::pir::enabled(ctx.conf).then_some(&mut pc);
+    let out = execute_join_parts(
+        &lparts,
+        &rb,
+        *join_type,
+        equi,
+        residual,
+        &plan.schema(),
+        ctx.conf.hash_join_row_budget,
+        workers,
+        sp.as_ref(),
+        pir,
+    )?;
+    let rows_out: usize = out.iter().map(SelBatch::num_rows).sum();
+    if let Some(g) = &ctx.card_guard {
+        if let Some(e) = g.check(fingerprint(plan), rows_out as u64) {
+            return Err(e);
+        }
+    }
+    let mut t = NodeTrace::leaf(&format!("Join({join_type:?})"));
+    t.parallel_workers = workers as u64;
+    t.rows_in = rows_in;
+    t.rows_out = rows_out as u64;
+    t.is_boundary = true;
+    t.shuffle_rows = t.rows_in;
+    t.pir_compiled_stages = pc.compiled_stages;
+    t.pir_fallback_rows = pc.fallback_rows;
+    t.children = vec![lt, rt];
+    if let Some(sp) = &sp {
+        fold_spill(&mut t, sp);
+    }
+    Ok((out, t))
 }
 
 /// True when `col_dt` already satisfies the declared output type (the
@@ -661,51 +733,14 @@ fn execute_sel_inner(plan: &LogicalPlan, ctx: &ExecContext) -> Result<(SelBatch,
             t.children = vec![ct];
             Ok((SelBatch::from_batch(out), t))
         }
-        LogicalPlan::Join {
-            left,
-            right,
-            join_type,
-            equi,
-            residual,
-        } => {
-            let (lb, lt) = execute_sel(left, ctx)?;
-            let (rb, rt) = execute_sel(right, ctx)?;
-            let morsels = crate::par::row_morsels(lb.num_rows().max(rb.num_rows()));
-            let (workers, _lease) = ctx.lease_workers(morsels);
-            let rows_in = (lb.num_rows() + rb.num_rows()) as u64;
-            let sp = ctx.spill_ctx();
-            let mut pc = crate::pir::PirCounters::default();
-            let pir = crate::pir::enabled(ctx.conf).then_some(&mut pc);
-            let out = execute_join_par(
-                &lb,
-                &rb,
-                *join_type,
-                equi,
-                residual,
-                &schema,
-                ctx.conf.hash_join_row_budget,
-                workers,
-                sp.as_ref(),
-                pir,
-            )?;
-            if let Some(g) = &ctx.card_guard {
-                if let Some(e) = g.check(fingerprint(plan), out.num_rows() as u64) {
-                    return Err(e);
-                }
+        LogicalPlan::Join { .. } => {
+            let (mut out, t) = execute_join_node(plan, ctx, false)?;
+            match (out.pop(), out.is_empty()) {
+                (Some(one), true) => Ok((one, t)),
+                _ => Err(HiveError::Execution(
+                    "a join over one probe batch did not yield one batch".into(),
+                )),
             }
-            let mut t = NodeTrace::leaf(&format!("Join({join_type:?})"));
-            t.parallel_workers = workers as u64;
-            t.rows_in = rows_in;
-            t.rows_out = out.num_rows() as u64;
-            t.is_boundary = true;
-            t.shuffle_rows = t.rows_in;
-            t.pir_compiled_stages = pc.compiled_stages;
-            t.pir_fallback_rows = pc.fallback_rows;
-            t.children = vec![lt, rt];
-            if let Some(sp) = &sp {
-                fold_spill(&mut t, sp);
-            }
-            Ok((out, t))
         }
         LogicalPlan::Aggregate {
             input,

@@ -5,12 +5,13 @@
 //! Both join phases are morsel-parallel with byte-identical output at
 //! any worker count: the build side is hash-partitioned (each partition
 //! inserts its rows in ascending order, so per-bucket candidate lists
-//! match the serial build exactly), and the probe side splits into
-//! contiguous row ranges whose outputs concatenate in range order —
-//! the serial probe order.
+//! match the serial build exactly), and the probe side is probed part by
+//! part when it arrives as parts ([`execute_join_parts`]) or split into
+//! contiguous row ranges otherwise — either way the outputs follow in
+//! part or range order, the serial probe order.
 
 use crate::kernels::eval_vector;
-use crate::keys::{column_refs, JoinIndex, KeySide, RowKeys};
+use crate::keys::{column_refs, partitions_for, JoinIndex, KeySide, RowKeys};
 use crate::pir::{PredPipeline, SelRef};
 use crate::spill::{partition_of, plan_partition, push_rec, RecIter, SpillCtx};
 use hive_common::{
@@ -84,6 +85,60 @@ pub fn execute_join_par(
     spill: Option<&SpillCtx<'_>>,
     pir: Option<&mut crate::pir::PirCounters>,
 ) -> Result<SelBatch> {
+    let mut out = execute_join_parts(
+        std::slice::from_ref(left_in),
+        right_in,
+        join_type,
+        equi,
+        residual,
+        out_schema,
+        build_row_budget,
+        workers,
+        spill,
+        pir,
+    )?;
+    match (out.pop(), out.is_empty()) {
+        (Some(one), true) => Ok(one),
+        _ => Err(HiveError::Execution(
+            "a join over one probe part did not yield one part".into(),
+        )),
+    }
+}
+
+/// [`execute_join_par`] over a probe side that arrives as an ordered
+/// sequence of parts — a scan's morsels, a fused chain over them, or
+/// another such join's output — returning the output as parts in part
+/// order, whose selected rows end to end are the join's rows over the
+/// parts' concatenation.
+///
+/// The build runs once. Each probe part is then probed on its own,
+/// the parts in parallel across `workers`, and assembles its own output,
+/// so the probe side is never concatenated. Two things are decided once
+/// for the whole join, as one output would: a plain string build column
+/// the whole join fans out ([`ColumnVector::fanout_encoded`]) is encoded
+/// once, and every part gathers codes over that one dictionary; and a
+/// plain string *probe* column that would fan out in the whole join or
+/// in a part sends the join down the assembled path.
+///
+/// The assembled path — the probe parts concatenated into one, probed in
+/// row ranges — is taken for a single part, a probe side under two
+/// morsels, `Right`/`Full` joins (their unmatched build rows are a
+/// property of every part), computed probe keys, probe key columns whose
+/// representations differ between parts (one build index serves one
+/// classification), and a denied memory grant (the grace join).
+#[allow(clippy::too_many_arguments)]
+pub fn execute_join_parts(
+    lefts: &[SelBatch],
+    right_in: &SelBatch,
+    join_type: JoinType,
+    equi: &[(ScalarExpr, ScalarExpr)],
+    residual: &Option<ScalarExpr>,
+    out_schema: &Schema,
+    build_row_budget: usize,
+    workers: usize,
+    spill: Option<&SpillCtx<'_>>,
+    pir: Option<&mut crate::pir::PirCounters>,
+) -> Result<Vec<SelBatch>> {
     // Memory admission. With a broker present the build's modeled bytes
     // must win a grant (held for the whole join); a denial — or the
     // legacy row budget, kept as a planner-misprediction signal —
@@ -135,10 +190,7 @@ pub fn execute_join_par(
             SelBatch::from_batch(sb.clone().compact())
         }
     };
-    let left = normalize(
-        left_in,
-        equi.iter().all(|(l, _)| matches!(l, ScalarExpr::Column(_))),
-    );
+    let probe_trivial = equi.iter().all(|(l, _)| matches!(l, ScalarExpr::Column(_)));
     let right = normalize(
         right_in,
         equi.iter().all(|(_, r)| matches!(r, ScalarExpr::Column(_))),
@@ -152,104 +204,280 @@ pub fn execute_join_par(
             SelVec::Idx(idx) => Arc::new(col.take(idx)),
         })
     };
-    let lkeys = equi
-        .iter()
-        .map(|(l, _)| sel_key(&left, l))
-        .collect::<Result<Vec<_>>>()?;
+    let probe_keys = |sb: &SelBatch| -> Result<Vec<Arc<ColumnVector>>> {
+        equi.iter().map(|(l, _)| sel_key(sb, l)).collect()
+    };
     let rkeys = equi
         .iter()
         .map(|(_, r)| sel_key(&right, r))
         .collect::<Result<Vec<_>>>()?;
 
-    // Classify the key column pairs once: the key layer picks the
-    // shape both sides share (no table, packed words, or canonical
-    // bytes) from the columns' runtime representations.
-    let (lrefs, rrefs) = (column_refs(&lkeys), column_refs(&rkeys));
-    let (probe_side, build_side) = KeySide::join_pair(&lrefs, &rrefs);
-    let (all_left, all_right) = (SelVec::all(left.num_rows()), SelVec::all(right.num_rows()));
+    // One build index serves every part only if every part's key
+    // columns pair with the build's alike: the pairing reads the columns'
+    // representations (a dictionary pair keys by code, anything else with
+    // a string by bytes), and for bare columns those are the batches'.
+    let key_reps = |sb: &SelBatch| -> Vec<std::mem::Discriminant<ColumnVector>> {
+        (equi.iter())
+            .filter_map(|(l, _)| match l {
+                ScalarExpr::Column(c) => Some(std::mem::discriminant(sb.batch.column(*c))),
+                _ => None,
+            })
+            .collect()
+    };
+    let probe_rows: usize = lefts.iter().map(SelBatch::num_rows).sum();
+    let by_parts = lefts.len() > 1
+        && grace.is_none()
+        && probe_trivial
+        && !matches!(join_type, JoinType::Right | JoinType::Full)
+        && probe_rows >= 2 * crate::par::ROWS_PER_MORSEL
+        && lefts.iter().all(|p| key_reps(p) == key_reps(&lefts[0]));
 
-    // Candidate pairs that went through the row interpreter (counted
-    // only when a residual exists — the closure is also the no-residual
-    // "always true" answer, which is not a fallback).
-    // The interpreted row reads only the columns the predicate
-    // references; the rest stay NULL, as `flush_pairs` pads them.
-    let resid_pairs = AtomicU64::new(0);
-    let lw = left.batch.num_columns();
-    let width = lw + right.batch.num_columns();
-    let mut resid_cols = residual.as_ref().map_or(Vec::new(), ScalarExpr::columns);
-    resid_cols.retain(|&c| c < width); // an unbound column fails in `eval_scalar`
-    let residual_ok = |li: u32, ri: u32| -> Result<bool> {
-        match residual {
-            None => Ok(true),
-            Some(pred) => {
-                resid_pairs.fetch_add(1, Ordering::Relaxed);
-                let (lrow, rrow) = (left.sel.index(li as usize), right.sel.index(ri as usize));
-                let mut vals = vec![Value::Null; width];
-                for &c in &resid_cols {
-                    vals[c] = if c < lw {
-                        left.batch.column(c).get(lrow)
-                    } else {
-                        right.batch.column(c - lw).get(rrow)
-                    };
-                }
-                Ok(eval_scalar(pred, &vals)? == Value::Boolean(true))
-            }
-        }
+    let lw = lefts.first().map_or(0, |l| l.batch.num_columns());
+    let resid = Residual::new(residual.as_ref(), lw, right.batch.num_columns());
+    let probe_schema = || -> Result<&Schema> {
+        (lefts.first().map(|l| l.batch.schema()))
+            .ok_or_else(|| HiveError::Execution("a join over no probe parts".into()))
     };
 
-    if let Some(sp) = grace {
-        let result = grace_join(
+    if !by_parts {
+        let left = match lefts {
+            [one] => normalize(one, probe_trivial),
+            _ => SelBatch::from_batch(VectorBatch::concat_selected(probe_schema()?, lefts)?),
+        };
+        let lkeys = probe_keys(&left)?;
+        let (probe_side, build_side) =
+            KeySide::join_pair(&column_refs(&lkeys), &column_refs(&rkeys));
+        if let Some(sp) = grace {
+            let result = grace_join(
+                &left,
+                &right,
+                join_type,
+                &probe_side.into_bytes(),
+                &build_side.into_bytes(),
+                &|li, ri| resid.ok(&left, &right, li, ri),
+                out_schema,
+                sp,
+                workers,
+            )?;
+            // Grace joins always interpret their residual (partitions
+            // probe row-at-a-time off spill records) — pure fallback, no
+            // compiled stage.
+            if let Some(pc) = pir {
+                pc.fallback_rows += resid.pairs.load(Ordering::Relaxed);
+            }
+            return Ok(vec![result]);
+        }
+        let build = Build::new(
+            &right,
+            &build_side,
+            join_type,
+            resid,
+            &left,
+            pir.is_some(),
+            workers,
+        )?;
+        // Contiguous left-row ranges probed in parallel; range outputs
+        // concatenate in range order, reproducing the serial probe order.
+        let n = left.num_rows() as u32;
+        let ranges: Vec<ProbeOut> = if workers <= 1 {
+            vec![build.probe(&left, &probe_side, 0, n)?]
+        } else {
+            let chunk = (n.div_ceil(workers as u32)).max(crate::par::ROWS_PER_MORSEL as u32 / 4);
+            let nranges = n.div_ceil(chunk) as usize;
+            crate::par::parallel_map(workers, nranges, |r| {
+                let lo = r as u32 * chunk;
+                build.probe(&left, &probe_side, lo, (lo + chunk).min(n))
+            })?
+        };
+        let result = assemble(
             &left,
             &right,
             join_type,
-            &probe_side.into_bytes(),
-            &build_side.into_bytes(),
-            &residual_ok,
+            ProbeOut::concat(ranges),
             out_schema,
-            sp,
             workers,
         )?;
-        // Grace joins always interpret their residual (partitions probe
-        // row-at-a-time off spill records) — pure fallback, no compiled
-        // stage.
-        if let Some(pc) = pir {
-            pc.fallback_rows += resid_pairs.load(Ordering::Relaxed);
-        }
-        return Ok(result);
+        build.count(pir);
+        return Ok(vec![result]);
     }
 
-    // Compiled residual: lower the predicate against the concatenated
-    // (left ++ right) schema once; probe ranges then gather candidate
-    // (probe, build) pairs into pair-batches and run the compiled
-    // conjunction vectorized. `None` (non-compilable shape, or PIR off)
-    // keeps the row closure above.
-    let resid_plan = match (residual, pir.is_some()) {
-        (Some(pred), true) => ResidualPlan::compile(pred, &left, &right),
-        _ => None,
-    };
+    // By parts: the build side pairs with the first part's key columns
+    // as the batch holds them (every part's pair alike).
+    let first_keys = (equi.iter())
+        .map(|(l, _)| eval_vector(l, &lefts[0].batch))
+        .collect::<Result<Vec<_>>>()?;
+    let (_, build_side) = KeySide::join_pair(&column_refs(&first_keys), &column_refs(&rkeys));
+    let build = Build::new(
+        &right,
+        &build_side,
+        join_type,
+        resid,
+        &lefts[0],
+        pir.is_some(),
+        workers,
+    )?;
+    let outs = crate::par::parallel_map(workers, lefts.len(), |p| {
+        let left = &lefts[p];
+        let lkeys = probe_keys(left)?;
+        let (probe_side, _) = KeySide::join_pair(&column_refs(&lkeys), &column_refs(&rkeys));
+        build.probe(left, &probe_side, 0, left.num_rows() as u32)
+    })?;
+    build.count(pir);
 
-    // --- build ------------------------------------------------------------
-    // Hash-partitioned build over the right side: a key's rows all land
-    // in one partition (keyed by the key hash), and each partition
-    // inserts its rows in ascending order, so every key's candidate
-    // list is exactly what the serial single-table build produces. (A
-    // build side of a morsel or two is one partition: a thread each
-    // would cost more than the inserts.)
-    let nparts = if workers <= 1 || right.num_rows() < 2 * crate::par::ROWS_PER_MORSEL {
-        1
+    // The fan-out rule, decided on the whole join's output.
+    let total: usize = outs.iter().map(|o| o.left.len()).sum();
+    let whole_fans_out = total >= 2 * probe_rows;
+    let probe_fans_out = join_type.keeps_right()
+        && lefts.iter().zip(&outs).any(|(l, o)| {
+            let n = o.left.len();
+            (l.batch.columns().iter()).any(|c| {
+                matches!(**c, ColumnVector::Str(..)) && (whole_fans_out || n > 0 && c.fans_out(n))
+            })
+        });
+    if probe_fans_out {
+        // Assemble as one output, over the concatenated probe side.
+        let left = SelBatch::from_batch(VectorBatch::concat_selected(probe_schema()?, lefts)?);
+        let mut at = 0u32;
+        let shifted = (lefts.iter().zip(outs)).map(|(l, mut o)| {
+            o.left.iter_mut().for_each(|li| *li += at);
+            at += l.num_rows() as u32;
+            o
+        });
+        let merged = ProbeOut::concat(shifted.collect());
+        return Ok(vec![assemble(
+            &left, &right, join_type, merged, out_schema, workers,
+        )?]);
+    }
+    let right = if join_type.keeps_right() {
+        let encoded: Vec<Arc<ColumnVector>> = (right.batch.columns().iter())
+            .map(|c| c.fanout_encoded(total).map_or_else(|| c.clone(), Arc::new))
+            .collect();
+        let (schema, rows) = (right.batch.schema().clone(), right.batch.num_rows());
+        SelBatch {
+            batch: VectorBatch::from_arcs(schema, encoded, rows)?,
+            sel: right.sel.clone(),
+        }
     } else {
-        workers
+        right.clone()
     };
-    let keys = build_side.keys_par(&all_right, workers)?;
-    let index = JoinIndex::build(&keys, workers, nparts)?;
+    let outs: Vec<parking_lot::Mutex<Option<ProbeOut>>> = outs
+        .into_iter()
+        .map(|o| parking_lot::Mutex::new(Some(o)))
+        .collect();
+    crate::par::parallel_map(workers, lefts.len(), |p| {
+        let out = outs[p].lock().take().unwrap_or_default();
+        assemble(&lefts[p], &right, join_type, out, out_schema, 1)
+    })
+}
 
-    // --- probe ------------------------------------------------------------
-    // Contiguous left-row ranges probed in parallel; range outputs
-    // concatenate in range order, reproducing the serial probe order.
-    // Each range prepares its probe keys column-wise a chunk at a time,
-    // then walks the chunk's rows with each row's candidate list
-    // borrowed from the build — no per-row allocation.
-    let probe_range = |lo: u32, hi: u32| -> Result<ProbeOut> {
+/// A join's residual predicate as the row interpreter evaluates it, the
+/// compiled plan when it has one, and the candidate pairs the
+/// interpreter saw (counted only when a residual exists — `ok` is also
+/// the no-residual "always true" answer, which is not a fallback).
+struct Residual<'a> {
+    pred: Option<&'a ScalarExpr>,
+    /// The columns the predicate references: the interpreted row reads
+    /// only these; the rest stay NULL, as `flush_pairs` pads them.
+    cols: Vec<usize>,
+    /// Probe-side width, and the width of the pair row.
+    lw: usize,
+    width: usize,
+    pairs: AtomicU64,
+}
+
+impl<'a> Residual<'a> {
+    fn new(pred: Option<&'a ScalarExpr>, lw: usize, rw: usize) -> Residual<'a> {
+        let width = lw + rw;
+        let mut cols = pred.map_or(Vec::new(), ScalarExpr::columns);
+        cols.retain(|&c| c < width); // an unbound column fails in `eval_scalar`
+        Residual {
+            pred,
+            cols,
+            lw,
+            width,
+            pairs: AtomicU64::new(0),
+        }
+    }
+
+    /// Does the pair (probe position `li`, build position `ri`) pass?
+    fn ok(&self, left: &SelBatch, right: &SelBatch, li: u32, ri: u32) -> Result<bool> {
+        let Some(pred) = self.pred else {
+            return Ok(true);
+        };
+        self.pairs.fetch_add(1, Ordering::Relaxed);
+        let (lrow, rrow) = (left.sel.index(li as usize), right.sel.index(ri as usize));
+        let mut vals = vec![Value::Null; self.width];
+        for &c in &self.cols {
+            vals[c] = if c < self.lw {
+                left.batch.column(c).get(lrow)
+            } else {
+                right.batch.column(c - self.lw).get(rrow)
+            };
+        }
+        Ok(eval_scalar(pred, &vals)? == Value::Boolean(true))
+    }
+}
+
+/// A join's build side, ready to probe: the indexed build keys and the
+/// residual, shared by every probe range or part.
+struct Build<'a> {
+    right: &'a SelBatch,
+    join_type: JoinType,
+    index: JoinIndex,
+    resid: Residual<'a>,
+    /// The residual lowered to kernels: probe rows gather their
+    /// candidate (probe, build) pairs into pair-batches and run the
+    /// compiled conjunction vectorized. `None` (non-compilable shape, or
+    /// PIR off) keeps the row closure.
+    plan: Option<ResidualPlan>,
+}
+
+impl<'a> Build<'a> {
+    /// Hash-partitioned build over the right side: a key's rows all land
+    /// in one partition (keyed by the key hash), and each partition
+    /// inserts its rows in ascending order, so every key's candidate list
+    /// is exactly what the serial single-table build produces. The
+    /// partition count follows the build's size ([`partitions_for`]); a
+    /// single worker builds one table.
+    fn new(
+        right: &'a SelBatch,
+        build_side: &KeySide<'_>,
+        join_type: JoinType,
+        resid: Residual<'a>,
+        left: &SelBatch,
+        pir: bool,
+        workers: usize,
+    ) -> Result<Build<'a>> {
+        let plan = match (resid.pred, pir) {
+            (Some(pred), true) => ResidualPlan::compile(pred, left, right),
+            _ => None,
+        };
+        let nparts = if workers <= 1 {
+            1
+        } else {
+            partitions_for(right.num_rows())
+        };
+        let (keys, runs) = build_side.keys_par(&SelVec::all(right.num_rows()), workers, nparts)?;
+        Ok(Build {
+            right,
+            join_type,
+            index: JoinIndex::build(&keys, &runs, workers)?,
+            resid,
+            plan,
+        })
+    }
+
+    /// Probe positions `lo..hi` of `left`. Each chunk of probe keys is
+    /// prepared column-wise, then its rows are walked with each row's
+    /// candidate list borrowed from the build — no per-row allocation.
+    fn probe(
+        &self,
+        left: &SelBatch,
+        probe_side: &KeySide<'_>,
+        lo: u32,
+        hi: u32,
+    ) -> Result<ProbeOut> {
+        let (right, join_type) = (self.right, self.join_type);
         let mut out = ProbeOut::default();
         out.left.reserve((hi - lo) as usize);
         out.right.reserve((hi - lo) as usize);
@@ -258,7 +486,8 @@ pub fn execute_join_par(
         // pairs accumulate across probe rows (`pr` = build positions,
         // `spans` = per-probe-row slices of it) and flush through the
         // kernels in batches.
-        let mut pairs = resid_plan
+        let mut pairs = self
+            .plan
             .as_ref()
             .map(|plan| (plan, Vec::<u32>::new(), Vec::<(u32, u32, u32)>::new()));
         // Probe row `li` met build rows `cands` (none for a NULL key).
@@ -269,18 +498,16 @@ pub fn execute_join_par(
                     pr.extend_from_slice(cands);
                     spans.push((li, start, pr.len() as u32));
                     if pr.len() >= RESID_FLUSH {
-                        flush_pairs(
-                            plan, &left, &right, join_type, pr, spans, &mut kept, &mut out,
-                        )?;
+                        flush_pairs(plan, left, right, join_type, pr, spans, &mut kept, &mut out)?;
                         pr.clear();
                         spans.clear();
                     }
                 }
-                None if residual.is_none() => emit_probe(join_type, li, cands, &mut out),
+                None if self.resid.pred.is_none() => emit_probe(join_type, li, cands, &mut out),
                 None => {
                     kept.clear();
                     for &ri in cands {
-                        if residual_ok(li, ri)? {
+                        if self.resid.ok(left, right, li, ri)? {
                             kept.push(ri);
                         }
                     }
@@ -289,51 +516,28 @@ pub fn execute_join_par(
             }
             Ok(())
         };
-        let (from, to) = (lo as usize, hi as usize);
-        probe_side.key_chunks(&all_left, from, to, |at, keys| {
-            index.probe(keys, |r, cands| matched((at + r) as u32, cands))
+        let all_left = SelVec::all(left.num_rows());
+        probe_side.key_chunks(&all_left, lo as usize, hi as usize, |at, keys| {
+            self.index
+                .probe(keys, |r, cands| matched((at + r) as u32, cands))
         })?;
         if let Some((plan, pr, spans)) = pairs.as_ref().filter(|(_, _, spans)| !spans.is_empty()) {
-            flush_pairs(
-                plan, &left, &right, join_type, pr, spans, &mut kept, &mut out,
-            )?;
+            flush_pairs(plan, left, right, join_type, pr, spans, &mut kept, &mut out)?;
         }
         Ok(out)
-    };
-
-    let n = left.num_rows() as u32;
-    let ranges: Vec<ProbeOut> = if workers <= 1 {
-        vec![probe_range(0, n)?]
-    } else {
-        let chunk = (n.div_ceil(workers as u32)).max(crate::par::ROWS_PER_MORSEL as u32 / 4);
-        let nranges = n.div_ceil(chunk) as usize;
-        crate::par::parallel_map(workers, nranges, |r| {
-            let lo = r as u32 * chunk;
-            probe_range(lo, (lo + chunk).min(n))
-        })?
-    };
-
-    // Deterministic merge: concatenate range outputs in range order
-    // (the matched-right lists become an order-insensitive set in
-    // `assemble`).
-    let mut ranges = ranges.into_iter();
-    let mut merged = ranges.next().unwrap_or_default();
-    for r in ranges {
-        merged.left.extend(r.left);
-        merged.right.extend(r.right);
-        merged.matched_right.extend(r.matched_right);
     }
-    let result = assemble(&left, &right, join_type, merged, out_schema, workers)?;
-    if let Some(pc) = pir {
-        if residual.is_some() {
-            if let Some(plan) = &resid_plan {
+
+    /// Report the residual's compiled stage and interpreted pairs.
+    fn count(&self, pir: Option<&mut crate::pir::PirCounters>) {
+        let Some(pc) = pir else { return };
+        if self.resid.pred.is_some() {
+            if let Some(plan) = &self.plan {
                 pc.compiled_stages += 1;
                 pc.fallback_rows += plan.pipe.interpreted_rows();
             }
-            pc.fallback_rows += resid_pairs.load(Ordering::Relaxed);
+            pc.fallback_rows += self.resid.pairs.load(Ordering::Relaxed);
         }
     }
-    Ok(result)
 }
 
 /// One probe range's output rows and the build rows it matched.
@@ -344,6 +548,29 @@ struct ProbeOut {
     /// row found no match.
     right: Vec<u32>,
     matched_right: Vec<u32>,
+}
+
+impl ProbeOut {
+    /// Consecutive ranges' outputs as one, in range order (the
+    /// matched-right lists become an order-insensitive set in
+    /// `assemble`): each vector reserved once, a single range moved.
+    fn concat(ranges: Vec<ProbeOut>) -> ProbeOut {
+        if ranges.len() <= 1 {
+            return ranges.into_iter().next().unwrap_or_default();
+        }
+        let sum = |f: fn(&ProbeOut) -> usize| ranges.iter().map(f).sum::<usize>();
+        let mut merged = ProbeOut {
+            left: Vec::with_capacity(sum(|r| r.left.len())),
+            right: Vec::with_capacity(sum(|r| r.right.len())),
+            matched_right: Vec::with_capacity(sum(|r| r.matched_right.len())),
+        };
+        for r in ranges {
+            merged.left.extend(r.left);
+            merged.right.extend(r.right);
+            merged.matched_right.extend(r.matched_right);
+        }
+        merged
+    }
 }
 
 /// Emit probe row `li`'s output for its residual-surviving candidate
@@ -638,7 +865,7 @@ fn grace_solve(
         // the positions they carry.
         let (bkeys, bpos) = RowKeys::from_records(RecIter::new(build))?;
         let (pkeys, ppos) = RowKeys::from_records(RecIter::new(probe))?;
-        let index = JoinIndex::build(&bkeys, 1, 1)?;
+        let index = JoinIndex::build(&bkeys, &[], 1)?;
         let mut kept: Vec<u32> = Vec::new();
         index.probe(&pkeys, |r, cands| {
             let li = ppos[r];

@@ -71,6 +71,85 @@ pub fn route(hash: u64, nparts: usize) -> usize {
     (((hash >> 32) * nparts as u64) >> 32) as usize
 }
 
+/// Keyed rows per partition of a partitioned build.
+const PARTITION_ROWS: usize = 2 * crate::par::ROWS_PER_MORSEL;
+/// The most partitions a build splits into.
+const MAX_PARTITIONS: usize = 16;
+
+/// How many partitions a hash-partitioned build of `rows` rows splits
+/// into — a function of the build's size, never of the worker count, so
+/// every lease width routes a key to the same partition. Below two
+/// [`PARTITION_ROWS`] the build is one partition.
+pub(crate) fn partitions_for(rows: usize) -> usize {
+    (rows / PARTITION_ROWS).clamp(1, MAX_PARTITIONS)
+}
+
+/// One chunk of keyed rows scattered by partition: partition `p`'s run
+/// is the chunk's rows whose key [`route`]s to `p`, ascending. Rows a
+/// join excludes (a NULL key part) are in no run.
+#[derive(Debug, Clone, Default)]
+pub struct Runs {
+    /// Row numbers grouped by partition, ascending inside each group.
+    rows: Vec<u32>,
+    /// Partition `p`'s run is `rows[starts[p]..starts[p + 1]]`.
+    starts: Vec<u32>,
+}
+
+impl Runs {
+    /// Partition `p`'s rows, ascending.
+    pub fn run(&self, p: usize) -> &[u32] {
+        &self.rows[self.starts[p] as usize..self.starts[p + 1] as usize]
+    }
+}
+
+/// Scatter the rows of `keys` into `nparts` runs, once: a counting pass
+/// over the routes, then one stable placement. Row `r` is recorded as
+/// `at + r` — the chunk's rows numbered in the whole input — so a
+/// partition that reads every chunk's run in chunk order sees its rows
+/// in ascending order, as the serial build inserts them.
+pub fn partition(keys: &RowKeys, at: usize, nparts: usize) -> Runs {
+    fn scatter<T: KeyTable>(keys: &T::Keys, at: usize, nparts: usize) -> Runs {
+        let n = T::rows(keys);
+        let mut to: Vec<u32> = Vec::with_capacity(n);
+        let mut starts = vec![0u32; nparts + 1];
+        for r in 0..n {
+            let p = if T::skip(keys, r) {
+                u32::MAX
+            } else {
+                let p = route(T::hash(keys, r), nparts);
+                starts[p + 1] += 1;
+                p as u32
+            };
+            to.push(p);
+        }
+        for p in 0..nparts {
+            starts[p + 1] += starts[p];
+        }
+        let mut next = starts.clone();
+        let mut rows = vec![0u32; starts[nparts] as usize];
+        for (r, &p) in to.iter().enumerate().filter(|(_, &p)| p != u32::MAX) {
+            rows[next[p as usize] as usize] = (at + r) as u32;
+            next[p as usize] += 1;
+        }
+        Runs { rows, starts }
+    }
+    let nparts = nparts.max(1);
+    match keys {
+        // The empty key hashes to 0: partition 0 owns every row.
+        RowKeys::None(n) => {
+            let mut starts = vec![*n as u32; nparts + 1];
+            starts[0] = 0;
+            Runs {
+                rows: (at as u32..(at + n) as u32).collect(),
+                starts,
+            }
+        }
+        RowKeys::W64(k) => scatter::<WordTable<u64>>(k, at, nparts),
+        RowKeys::W128(k) => scatter::<WordTable<u128>>(k, at, nparts),
+        RowKeys::Bytes(k) => scatter::<RawTable>(k, at, nparts),
+    }
+}
+
 /// A packed key: `u64` or `u128`.
 pub trait Word: Copy + Eq + Default + Send + Sync + std::fmt::Debug + 'static {
     /// OR `bits` in at bit offset `shift`.
@@ -564,20 +643,40 @@ impl<'a> KeySide<'a> {
     }
 
     /// The keys of every selected position, prepared in row-range
-    /// chunks (of a morsel at least) across `workers`.
-    pub(crate) fn keys_par(&self, sel: &SelVec, workers: usize) -> Result<RowKeys> {
+    /// chunks (of a morsel at least) across `workers`. With more than one
+    /// partition each chunk also [`partition`]s its own rows while its
+    /// keys are cache-resident: the runs come back in chunk order (none
+    /// for a single partition).
+    pub(crate) fn keys_par(
+        &self,
+        sel: &SelVec,
+        workers: usize,
+        nparts: usize,
+    ) -> Result<(RowKeys, Vec<Runs>)> {
         let n = sel.len();
         let chunk = n.div_ceil(workers.max(1)).max(crate::par::ROWS_PER_MORSEL);
-        if workers <= 1 || chunk >= n {
-            return Ok(self.keys(sel, 0, n));
+        let nchunks = if workers <= 1 {
+            1
+        } else {
+            n.div_ceil(chunk).max(1)
+        };
+        let chunk = n.div_ceil(nchunks);
+        let chunks = crate::par::parallel_map(workers, nchunks, |c| {
+            let lo = c * chunk;
+            let keys = self.keys(sel, lo, ((c + 1) * chunk).min(n));
+            let runs = (nparts > 1).then(|| partition(&keys, lo, nparts));
+            Ok((keys, runs))
+        })?;
+        let mut all: Option<RowKeys> = None;
+        let mut runs = Vec::with_capacity(chunks.len());
+        for (keys, r) in chunks {
+            runs.extend(r);
+            match &mut all {
+                Some(all) => all.append(keys)?,
+                None => all = Some(keys),
+            }
         }
-        let mut chunks = crate::par::parallel_map(workers, n.div_ceil(chunk), |c| {
-            Ok(self.keys(sel, c * chunk, ((c + 1) * chunk).min(n)))
-        })?
-        .into_iter();
-        let mut all = chunks.next().unwrap_or(RowKeys::None(0));
-        chunks.try_for_each(|more| all.append(more))?;
-        Ok(all)
+        Ok((all.unwrap_or(RowKeys::None(0)), runs))
     }
 
     fn pack<K: Word>(&self, sel: &SelVec, lo: usize, hi: usize) -> WordKeys<K> {
@@ -953,26 +1052,25 @@ impl KeyTable for RawTable {
     }
 }
 
-/// Insert the rows of `keys` that are keyed and that `route` =
-/// `(partitions, this one)` accepts, ascending, telling `visit` each
-/// one's `(row, entry, newly inserted)`.
+/// Insert the keyed rows of `keys` — or only `rows`, a run of keyed
+/// rows — in order, telling `visit` each one's `(row, entry, newly
+/// inserted)`.
 #[inline]
 fn assign_rows<T: KeyTable>(
     table: &mut T,
     keys: &T::Keys,
-    route_to: Option<(usize, usize)>,
+    rows: Option<&[u32]>,
     mut visit: impl FnMut(usize, u32, bool),
 ) {
-    for r in 0..T::rows(keys) {
-        if T::skip(keys, r) {
-            continue;
-        }
-        let h = T::hash(keys, r);
-        if route_to.is_some_and(|(nparts, p)| route(h, nparts) != p) {
-            continue;
-        }
-        let (e, new) = table.insert_row(keys, r, h);
+    let mut insert = |r: usize| {
+        let (e, new) = table.insert_row(keys, r, T::hash(keys, r));
         visit(r, e, new);
+    };
+    match rows {
+        Some(rows) => rows.iter().for_each(|&r| insert(r as usize)),
+        None => (0..T::rows(keys))
+            .filter(|&r| !T::skip(keys, r))
+            .for_each(insert),
     }
 }
 
@@ -1009,27 +1107,26 @@ impl Grouper {
         })
     }
 
-    /// For every keyed row of `keys` that `route_to` = `(partitions,
-    /// this one)` accepts, in ascending order: `visit(row, group,
-    /// first of its group)`.
+    /// For every keyed row of `keys` — or every row of `rows`, one
+    /// [`partition`] run of them — in order: `visit(row, group, first of
+    /// its group)`.
     pub fn assign(
         &mut self,
         keys: &RowKeys,
-        route_to: Option<(usize, usize)>,
+        rows: Option<&[u32]>,
         mut visit: impl FnMut(usize, u32, bool),
     ) -> Result<()> {
         match (&mut self.0, keys) {
             (Groups::None { seen }, RowKeys::None(n)) => {
-                // The empty key hashes to 0: partition 0 owns it.
-                if route_to.is_none_or(|(_, p)| p == 0) {
-                    for r in 0..*n {
-                        visit(r, 0, !std::mem::replace(seen, true));
-                    }
+                let mut one = |r: usize| visit(r, 0, !std::mem::replace(seen, true));
+                match rows {
+                    Some(rows) => rows.iter().for_each(|&r| one(r as usize)),
+                    None => (0..*n).for_each(one),
                 }
             }
-            (Groups::W64(t), RowKeys::W64(k)) => assign_rows(t, k, route_to, visit),
-            (Groups::W128(t), RowKeys::W128(k)) => assign_rows(t, k, route_to, visit),
-            (Groups::Bytes(t), RowKeys::Bytes(k)) => assign_rows(t, k, route_to, visit),
+            (Groups::W64(t), RowKeys::W64(k)) => assign_rows(t, k, rows, visit),
+            (Groups::W128(t), RowKeys::W128(k)) => assign_rows(t, k, rows, visit),
+            (Groups::Bytes(t), RowKeys::Bytes(k)) => assign_rows(t, k, rows, visit),
             (_, keys) => return Err(shape_mismatch(keys.shape())),
         }
         Ok(())
@@ -1047,13 +1144,24 @@ struct JoinPart<T> {
 }
 
 impl<T: KeyTable> JoinPart<T> {
-    fn build(keys: &T::Keys, route_to: Option<(usize, usize)>) -> JoinPart<T> {
+    /// Index the keyed rows of `keys`, or — for partition `p` of a
+    /// partitioned build — partition `p`'s run of every chunk, in chunk
+    /// order.
+    fn build(keys: &T::Keys, runs: Option<(&[Runs], usize)>) -> JoinPart<T> {
         let mut table = T::default();
         let (mut rows, mut entry_of) = (Vec::new(), Vec::new());
-        assign_rows(&mut table, keys, route_to, |r, e, _| {
+        let mut record = |r: usize, e: u32, _| {
             rows.push(r as u32);
             entry_of.push(e);
-        });
+        };
+        match runs {
+            Some((runs, p)) => {
+                for run in runs {
+                    assign_rows(&mut table, keys, Some(run.run(p)), &mut record);
+                }
+            }
+            None => assign_rows(&mut table, keys, None, record),
+        }
         let entries = table.entries();
         // Unique keys (a dimension's primary key): entry e is row e of
         // the inserted rows already.
@@ -1154,22 +1262,27 @@ enum Index {
 
 impl JoinIndex {
     /// Index the build side's keys (row `r` of `keys` is build position
-    /// `r`) in `nparts` partitions across `workers`.
-    pub fn build(keys: &RowKeys, workers: usize, nparts: usize) -> Result<JoinIndex> {
+    /// `r`) across `workers`: one table, or — given the [`partition`]
+    /// runs of `keys`' chunks, in chunk order — one table per partition.
+    pub fn build(keys: &RowKeys, runs: &[Runs], workers: usize) -> Result<JoinIndex> {
         fn parts<T: KeyTable>(
             keys: &T::Keys,
+            runs: &[Runs],
             workers: usize,
-            nparts: usize,
         ) -> Result<Vec<JoinPart<T>>> {
-            crate::par::parallel_map(workers, nparts.max(1), |p| {
-                Ok(JoinPart::build(keys, (nparts > 1).then_some((nparts, p))))
+            let nparts = runs.first().map_or(1, |r| r.starts.len() - 1);
+            if nparts <= 1 {
+                return Ok(vec![JoinPart::build(keys, None)]);
+            }
+            crate::par::parallel_map(workers, nparts, |p| {
+                Ok(JoinPart::build(keys, Some((runs, p))))
             })
         }
         Ok(JoinIndex(match keys {
             RowKeys::None(n) => Index::None((0..*n as u32).collect()),
-            RowKeys::W64(k) => Index::W64(parts(k, workers, nparts)?),
-            RowKeys::W128(k) => Index::W128(parts(k, workers, nparts)?),
-            RowKeys::Bytes(k) => Index::Bytes(parts(k, workers, nparts)?),
+            RowKeys::W64(k) => Index::W64(parts(k, runs, workers)?),
+            RowKeys::W128(k) => Index::W128(parts(k, runs, workers)?),
+            RowKeys::Bytes(k) => Index::Bytes(parts(k, runs, workers)?),
         }))
     }
 

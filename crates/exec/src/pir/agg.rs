@@ -62,6 +62,7 @@
 use super::kernel::column_nulls;
 use crate::engine::align_column;
 use crate::keys::{Grouper, KeySide};
+use hive_common::value::dec_to_f64;
 use hive_common::{BitSet, ColumnVector, DataType, HiveError, Result, SelVec, NULL_INDEX};
 use hive_optimizer::AggFunc;
 use std::cmp::Ordering;
@@ -385,52 +386,62 @@ fn fold_sum(
     pairs: impl Iterator<Item = (usize, usize)>,
     ngroups: usize,
 ) -> Result<FoldOut> {
-    let nulls = column_nulls(col);
-    Ok(match col {
-        ColumnVector::Int(v, _) => {
-            // `Value::add` on Int does exact i128 math then truncates
-            // back to i32 per step — a wrapping add at i32 width (and
-            // the first value added to zero is itself).
-            let mut s = Sums::<i32>::new(ngroups);
-            fold_loop!(nulls, pairs, i, g, {
-                s.vals[g] = s.vals[g].wrapping_add(v[i]);
-                s.seen[g] = true;
-            });
-            FoldOut::SumInt(s)
-        }
-        ColumnVector::BigInt(v, _) => {
-            let mut s = Sums::<i64>::new(ngroups);
-            fold_loop!(nulls, pairs, i, g, {
-                s.vals[g] = s.vals[g].wrapping_add(v[i]);
-                s.seen[g] = true;
-            });
-            FoldOut::SumBigInt(s)
-        }
-        ColumnVector::Double(v, _) => {
-            // Assign-first (see module docs): the first value seeds the
-            // accumulator exactly as the interpreter's clone does.
-            let mut s = Sums::<f64>::new(ngroups);
-            fold_loop!(nulls, pairs, i, g, {
-                s.vals[g] = if s.seen[g] { s.vals[g] + v[i] } else { v[i] };
-                s.seen[g] = true;
-            });
-            FoldOut::SumDouble(s)
-        }
-        ColumnVector::Decimal(v, scale, _) => {
-            let mut s = Sums::<i128>::new(ngroups);
-            fold_loop!(nulls, pairs, i, g, {
-                s.vals[g] = s.vals[g].checked_add(v[i]).ok_or_else(decimal_overflow)?;
-                s.seen[g] = true;
-            });
-            FoldOut::SumDecimal(s, *scale)
-        }
+    let mut sums = match col {
+        ColumnVector::Int(..) => FoldOut::SumInt(Sums::new(ngroups)),
+        ColumnVector::BigInt(..) => FoldOut::SumBigInt(Sums::new(ngroups)),
+        ColumnVector::Double(..) => FoldOut::SumDouble(Sums::new(ngroups)),
+        ColumnVector::Decimal(_, scale, _) => FoldOut::SumDecimal(Sums::new(ngroups), *scale),
         other => {
             return Err(HiveError::Execution(format!(
                 "no compiled SUM kernel for {:?}",
                 other.data_type()
             )))
         }
-    })
+    };
+    fold_sum_into(&mut sums, col, pairs)?;
+    Ok(sums)
+}
+
+/// Add `pairs` into running SUM states of `col`'s type, in order.
+fn fold_sum_into(
+    sums: &mut FoldOut,
+    col: &ColumnVector,
+    pairs: impl Iterator<Item = (usize, usize)>,
+) -> Result<()> {
+    let nulls = column_nulls(col);
+    match (sums, col) {
+        (FoldOut::SumInt(s), ColumnVector::Int(v, _)) => {
+            // `Value::add` on Int does exact i128 math then truncates
+            // back to i32 per step — a wrapping add at i32 width (and
+            // the first value added to zero is itself).
+            fold_loop!(nulls, pairs, i, g, {
+                s.vals[g] = s.vals[g].wrapping_add(v[i]);
+                s.seen[g] = true;
+            });
+        }
+        (FoldOut::SumBigInt(s), ColumnVector::BigInt(v, _)) => {
+            fold_loop!(nulls, pairs, i, g, {
+                s.vals[g] = s.vals[g].wrapping_add(v[i]);
+                s.seen[g] = true;
+            });
+        }
+        (FoldOut::SumDouble(s), ColumnVector::Double(v, _)) => {
+            // Assign-first (see module docs): the first value seeds the
+            // accumulator exactly as the interpreter's clone does.
+            fold_loop!(nulls, pairs, i, g, {
+                s.vals[g] = if s.seen[g] { s.vals[g] + v[i] } else { v[i] };
+                s.seen[g] = true;
+            });
+        }
+        (FoldOut::SumDecimal(s, scale), ColumnVector::Decimal(v, vs, _)) if *scale == *vs => {
+            fold_loop!(nulls, pairs, i, g, {
+                s.vals[g] = s.vals[g].checked_add(v[i]).ok_or_else(decimal_overflow)?;
+                s.seen[g] = true;
+            });
+        }
+        _ => return Err(mismatched_parts()),
+    }
+    Ok(())
 }
 
 /// The interpreter's (`Value::add`'s) decimal overflow error.
@@ -625,8 +636,18 @@ fn fold_avg(
     pairs: impl Iterator<Item = (usize, usize)>,
     ngroups: usize,
 ) -> Result<FoldOut> {
-    let nulls = column_nulls(col);
     let mut accs: Vec<(f64, i64)> = vec![(0.0, 0); ngroups];
+    fold_avg_into(&mut accs, col, pairs)?;
+    Ok(FoldOut::Avg(accs))
+}
+
+/// Add `pairs` into running AVG states, in order.
+fn fold_avg_into(
+    accs: &mut [(f64, i64)],
+    col: &ColumnVector,
+    pairs: impl Iterator<Item = (usize, usize)>,
+) -> Result<()> {
+    let nulls = column_nulls(col);
     macro_rules! avg_loop {
         ($v:expr, $conv:expr) => {
             fold_loop!(nulls, pairs, i, g, {
@@ -640,12 +661,8 @@ fn fold_avg(
         ColumnVector::Int(v, _) => avg_loop!(v, |x: i32| x as f64),
         ColumnVector::BigInt(v, _) => avg_loop!(v, |x: i64| x as f64),
         ColumnVector::Double(v, _) => avg_loop!(v, |x: f64| x),
-        ColumnVector::Decimal(v, s, _) => {
-            // `Value::as_f64` divides by 10^scale per value; reproduce
-            // the identical division (not a reciprocal multiply).
-            let div = 10f64.powi(*s as i32);
-            avg_loop!(v, |x: i128| x as f64 / div)
-        }
+        // `Value::as_f64`'s conversion, value for value.
+        ColumnVector::Decimal(v, s, _) => avg_loop!(v, |x: i128| dec_to_f64(x, *s)),
         other => {
             return Err(HiveError::Execution(format!(
                 "no compiled AVG kernel for {:?}",
@@ -653,7 +670,42 @@ fn fold_avg(
             )))
         }
     }
-    Ok(FoldOut::Avg(accs))
+    Ok(())
+}
+
+/// A key-less SUM or AVG over several parts, folded as one: the state
+/// the first part leaves is where the next part's fold starts, so the
+/// values meet in the serial fold's order — which `f64` addition and a
+/// checked decimal sum both depend on — without the parts' argument
+/// columns being assembled first. `parts` are `(argument, selection)`
+/// in part order.
+pub(crate) fn fold_keyless_continued(
+    func: AggFunc,
+    parts: &[(Option<&ColumnVector>, &SelVec)],
+) -> Result<FoldOut> {
+    fn step(
+        state: &mut Option<FoldOut>,
+        func: AggFunc,
+        arg: Option<&ColumnVector>,
+        pairs: impl Iterator<Item = (usize, usize)>,
+    ) -> Result<()> {
+        let col = arg.ok_or_else(missing_argument)?;
+        match (state.as_mut(), func) {
+            (None, _) => *state = Some(fold(func, arg, pairs, 1, false)?),
+            (Some(FoldOut::Avg(accs)), AggFunc::Avg) => fold_avg_into(accs, col, pairs)?,
+            (Some(sums), AggFunc::Sum) => fold_sum_into(sums, col, pairs)?,
+            _ => return Err(mismatched_parts()),
+        }
+        Ok(())
+    }
+    let mut state: Option<FoldOut> = None;
+    for &(arg, sel) in parts {
+        match sel {
+            SelVec::All(n) => step(&mut state, func, arg, (0..*n).map(|i| (i, 0)))?,
+            SelVec::Idx(v) => step(&mut state, func, arg, v.iter().map(|&i| (i as usize, 0)))?,
+        }
+    }
+    state.ok_or_else(|| HiveError::Execution("aggregate over no parts".into()))
 }
 
 fn fold_minmax(

@@ -39,6 +39,7 @@ use hive_common::{
 };
 use hive_optimizer::plan::LogicalPlan;
 use hive_optimizer::ScalarExpr;
+use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -116,6 +117,12 @@ fn run_chain(
         }
     }
     let (mut parts, mut trace) = source(cur)?;
+    // Stages run part by part, the parts in parallel.
+    let rows: usize = parts.iter().map(SelBatch::num_rows).sum();
+    let (workers, _lease) = match parts.len() {
+        0 | 1 => (1, None),
+        _ => ctx.lease_workers(crate::par::row_morsels(rows)),
+    };
     for (i, stage) in stages.iter().enumerate().rev() {
         let Some(first) = parts.first().map(|p| p.batch.clone()) else {
             return Err(HiveError::Execution("fused chain over no parts".into()));
@@ -128,10 +135,7 @@ fn run_chain(
                 // default selectivity estimates; scans (which hold table
                 // stats) compile their own pipelines in `read_scan`.
                 let pipe = PredPipeline::compile(pred, in_schema, None, false);
-                parts = parts
-                    .into_iter()
-                    .map(|sb| run_filter(&pipe, sb))
-                    .collect::<Result<_>>()?;
+                parts = map_parts(parts, workers, |sb| run_filter(&pipe, sb))?;
                 let mut t = NodeTrace::leaf("Filter");
                 t.pir_compiled_stages = pipe.fully_compiled() as u64;
                 // A row kernel interprets every input row; a compiled
@@ -156,10 +160,9 @@ fn run_chain(
                 } else {
                     Some(ProjPlan::compile(exprs, in_schema)?)
                 };
-                parts = parts
-                    .into_iter()
-                    .map(|sb| run_project(exprs, compiled.as_ref(), schema, sb))
-                    .collect::<Result<_>>()?;
+                parts = map_parts(parts, workers, |sb| {
+                    run_project(exprs, compiled.as_ref(), schema, sb)
+                })?;
                 let mut t = NodeTrace::leaf("Project");
                 t.pir_compiled_stages = 1;
                 t
@@ -177,6 +180,24 @@ fn run_chain(
         trace = st;
     }
     Ok((parts, trace))
+}
+
+/// `f` over every part, in parallel across `workers`, the results in
+/// part order (the lowest part's error wins, as in the serial loop).
+fn map_parts(
+    parts: Vec<SelBatch>,
+    workers: usize,
+    f: impl Fn(SelBatch) -> Result<SelBatch> + Sync,
+) -> Result<Vec<SelBatch>> {
+    if workers <= 1 {
+        return parts.into_iter().map(f).collect();
+    }
+    let slots: Vec<Mutex<Option<SelBatch>>> =
+        parts.into_iter().map(|p| Mutex::new(Some(p))).collect();
+    crate::par::parallel_map(workers, slots.len(), |i| {
+        let part = slots[i].lock().take();
+        f(part.ok_or_else(|| HiveError::Execution("a part was taken twice".into()))?)
+    })
 }
 
 fn run_filter(pipe: &PredPipeline, sb: SelBatch) -> Result<SelBatch> {

@@ -18,7 +18,7 @@
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-use hive_common::value::pow10;
+use hive_common::value::{dec_to_f64, pow10};
 use hive_common::{BitSet, ColumnVector, KernelType, Result, SelVec, Value, VectorBatch};
 use hive_optimizer::eval::eval_scalar;
 use hive_optimizer::ScalarExpr;
@@ -591,18 +591,12 @@ fn select_cmp_cols(
         (C::Double(a, _), C::BigInt(b, _)) => {
             cmp_cols_loop(sel, mask, ln, rn, |i| a[i].partial_cmp(&(b[i] as f64)))
         }
-        (C::Decimal(a, s, _), C::Double(b, _)) => {
-            let div = 10f64.powi(*s as i32);
-            cmp_cols_loop(sel, mask, ln, rn, |i| {
-                (a[i] as f64 / div).partial_cmp(&b[i])
-            })
-        }
-        (C::Double(a, _), C::Decimal(b, s, _)) => {
-            let div = 10f64.powi(*s as i32);
-            cmp_cols_loop(sel, mask, ln, rn, |i| {
-                a[i].partial_cmp(&(b[i] as f64 / div))
-            })
-        }
+        (C::Decimal(a, s, _), C::Double(b, _)) => cmp_cols_loop(sel, mask, ln, rn, |i| {
+            dec_to_f64(a[i], *s).partial_cmp(&b[i])
+        }),
+        (C::Double(a, _), C::Decimal(b, s, _)) => cmp_cols_loop(sel, mask, ln, rn, |i| {
+            a[i].partial_cmp(&dec_to_f64(b[i], *s))
+        }),
         (C::Date(a, _), C::Date(b, _)) => {
             cmp_cols_loop(sel, mask, ln, rn, |i| Some(a[i].cmp(&b[i])))
         }

@@ -502,3 +502,85 @@ fn a_group_per_row_merges_its_partitions_in_first_seen_order() {
         }
     }
 }
+
+#[test]
+fn keyless_double_sums_and_averages_continue_one_state_across_parts() {
+    // Serially (1e16 + 1) + 1 rounds back to 1e16 twice, and the total
+    // is 0; summed per part and merged it would be 1e16 + 2 - 1e16 = 2.
+    // The parts route continues one state across the parts instead —
+    // compiled, nothing assembled — and lands on the serial bits.
+    let schema = Schema::new(vec![
+        Field::new("d", DataType::Double),
+        Field::new("m", DataType::Decimal(38, 2)),
+    ]);
+    let part = |d: Vec<f64>, sel: SelVec| {
+        let m = (d.iter())
+            .map(|&x| {
+                if x.abs() < 1e6 {
+                    (x * 100.0) as i128
+                } else {
+                    7
+                }
+            })
+            .collect();
+        let cols = vec![
+            ColumnVector::Double(d, None),
+            ColumnVector::Decimal(m, 2, None),
+        ];
+        SelBatch::new(VectorBatch::new(schema.clone(), cols).unwrap(), sel).unwrap()
+    };
+    let parts = [
+        part(vec![1e16, -0.0], SelVec::All(2)),
+        part(vec![1.0, 99.0, 1.0], SelVec::Idx(vec![0, 2])),
+        part(vec![], SelVec::All(0)),
+        part(vec![-1e16, 0.25], SelVec::All(2)),
+    ];
+    let agg = |func, col| AggExpr {
+        func,
+        arg: Some(ScalarExpr::Column(col)),
+        distinct: false,
+    };
+    let aggs = [
+        agg(AggFunc::Sum, 0),
+        agg(AggFunc::Avg, 0),
+        agg(AggFunc::Avg, 1),
+        agg(AggFunc::Sum, 1),
+        AggExpr {
+            func: AggFunc::Count,
+            arg: None,
+            distinct: false,
+        },
+    ];
+    let out = LogicalPlan::Aggregate {
+        input: Arc::new(LogicalPlan::Values {
+            schema: schema.clone(),
+            rows: vec![],
+        }),
+        group_exprs: vec![],
+        grouping_sets: None,
+        aggs: aggs.to_vec(),
+    }
+    .schema();
+    let whole = VectorBatch::concat_selected(&schema, &parts).unwrap();
+    let want = execute_aggregate(&whole, &[], &None, &aggs, &out);
+    assert_eq!(want.as_ref().unwrap().row(0).get(0), &Value::Double(0.25));
+    for workers in [1, 2, 8] {
+        let mut pc = PirCounters::default();
+        let got = execute_aggregate_parts(
+            &parts,
+            &[],
+            &None,
+            &aggs,
+            &out,
+            workers,
+            None,
+            Some(&mut pc),
+        );
+        same(&want, &got, &format!("{workers} workers"));
+        assert_eq!(
+            (pc.compiled_stages, pc.fallback_rows),
+            (1, 0),
+            "{workers} workers"
+        );
+    }
+}

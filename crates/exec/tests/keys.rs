@@ -17,7 +17,9 @@ use hive_common::{
 };
 use hive_exec::aggregate::execute_aggregate_par;
 use hive_exec::join::execute_join_par;
-use hive_exec::keys::{Grouper, JoinIndex, KeySide, RowKeys, Shape, ValueSet, Word, WordTable};
+use hive_exec::keys::{
+    partition, route, Grouper, JoinIndex, KeySide, RowKeys, Runs, Shape, ValueSet, Word, WordTable,
+};
 use hive_optimizer::plan::{JoinType, LogicalPlan};
 use hive_optimizer::{AggExpr, AggFunc, ScalarExpr};
 use proptest::prelude::*;
@@ -410,7 +412,11 @@ fn layer_group_ids(keys: &RowKeys) -> (Vec<u32>, Vec<usize>) {
 
 /// Candidate lists of every probe row through the key layer.
 fn layer_candidates(probe: &RowKeys, build: &RowKeys, nparts: usize) -> Vec<Vec<u32>> {
-    let index = JoinIndex::build(build, nparts, nparts).unwrap();
+    let runs: Vec<Runs> = (nparts > 1)
+        .then(|| partition(build, 0, nparts))
+        .into_iter()
+        .collect();
+    let index = JoinIndex::build(build, &runs, nparts).unwrap();
     let mut out = Vec::new();
     index
         .probe(probe, |r, cands| {
@@ -604,6 +610,47 @@ proptest! {
         let (l, r) = (batch_of("l", lcols), batch_of("r", rcols));
         for jt in JOIN_TYPES {
             check_join_operator(&l, &r, nkeys, jt, &reference::join_pairs(&want, nr, jt));
+        }
+    }
+
+    /// `partition` puts every keyed row in exactly one run — the
+    /// partition `route` gives its hash — numbered from the chunk's first
+    /// position and ascending within the run; a row a join excludes is
+    /// in none. Join sides (NULL parts excluded) and grouping sides (NULL
+    /// a key), every shape, one to eight partitions.
+    fn partition_scatters_each_keyed_row_once_by_route(seed in any::<u64>()) {
+        let mut rng = Rng(seed);
+        let n = rng.below(300);
+        let at = rng.below(10_000);
+        let (mut lcols, mut rcols) = (Vec::new(), Vec::new());
+        for _ in 0..rng.below(4) {
+            let (lk, rk) = pair_kinds(&mut rng);
+            let nullable = (rng.below(2) == 0, rng.below(2) == 0);
+            lcols.push(column(&mut rng, lk, n, nullable.0));
+            rcols.push(column(&mut rng, rk, n, nullable.1));
+        }
+        let (probe, build) = KeySide::join_pair(&refs(&lcols), &refs(&rcols));
+        let group = KeySide::group(&refs(&lcols));
+        let all = SelVec::all(n);
+        for side in [&probe, &build, &group, &group.clone().into_bytes()] {
+            let keys = side.keys(&all, 0, n);
+            for nparts in [1, 2, 3, 8] {
+                let runs = partition(&keys, at, nparts);
+                let mut seen = vec![0u32; n];
+                for p in 0..nparts {
+                    let run = runs.run(p);
+                    prop_assert!(run.windows(2).all(|w| w[0] < w[1]), "run {} ascends", p);
+                    for &row in run {
+                        let r = row as usize - at;
+                        seen[r] += 1;
+                        let h = keys.hash(r);
+                        prop_assert_eq!(h.map(|h| route(h, nparts)), Some(p), "row {}", r);
+                    }
+                }
+                for (r, &times) in seen.iter().enumerate() {
+                    prop_assert_eq!(times, keys.hash(r).is_some() as u32, "row {} of {:?}", r, side.shape());
+                }
+            }
         }
     }
 

@@ -4,6 +4,7 @@
 # pairs of runs, each side's median and quartiles, pairs won.
 #
 #   scripts/e2e_ab.sh <parent-ref> [--workload W] [--pairs N] [--seed S] [--dir D]
+#                     [--cores N]
 #
 # The parent is checked out (git archive) into D/parent; each side's own,
 # unmodified bench/e2e is built once into its own CARGO_TARGET_DIR
@@ -14,21 +15,27 @@
 # feeds bench/e2e/compare.py, which checks the bounds, prints the per-layer
 # metrics and compares the counters that must repeat exactly.
 #
-# Defaults: every workload, 10 pairs, seed 2019, D = a temp dir removed on
-# exit (pass --dir to keep the checkout and both builds for the next call).
+# --cores N runs every run of both sides under `taskset -c 0-(N-1)`: the
+# way to compare core counts, since the benchmark clears every HIVE_*
+# variable (a 1- versus 2-core table is two calls, --cores 1 and 2).
+#
+# Defaults: every workload, 10 pairs, seed 2019, every core, D = a temp
+# dir removed on exit (pass --dir to keep the checkout and both builds
+# for the next call).
 # Exits non-zero if any run reports `"correct": false`, or compare.py does.
 set -euo pipefail
 
 repo="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 [ $# -ge 1 ] || { sed -n '2,20p' "${BASH_SOURCE[0]}" >&2; exit 2; }
 parent_ref="$1"; shift
-workloads="" pairs=10 seed=2019 dir=""
+workloads="" pairs=10 seed=2019 dir="" cores=""
 while [ $# -gt 0 ]; do
   case "$1" in
     --workload) workloads="$workloads $2"; shift 2 ;;
     --pairs) pairs="$2"; shift 2 ;;
     --seed) seed="$2"; shift 2 ;;
     --dir) dir="$2"; shift 2 ;;
+    --cores) cores="$2"; shift 2 ;;
     *) echo "e2e_ab.sh: unknown argument $1" >&2; exit 2 ;;
   esac
 done
@@ -49,18 +56,24 @@ if [ "$(cat "$dir/parent.sha" 2>/dev/null)" != "$sha" ]; then
   echo "$sha" > "$dir/parent.sha"
 fi
 
+pin=()
+if [ -n "$cores" ]; then
+  [ "$cores" -ge 1 ] 2>/dev/null || { echo "e2e_ab.sh: --cores needs a count" >&2; exit 2; }
+  pin=(taskset -c "0-$((cores - 1))")
+fi
+
 # run <side> <workload> <trace> [extra run.sh arguments]: the run's JSON line.
 run() {
   local side="$1" w="$2" trace="$3" root; shift 3
   case "$side" in parent) root="$dir/parent" ;; *) root="$repo" ;; esac
-  CARGO_TARGET_DIR="$dir/target-$side" bash "$root/bench/e2e/run.sh" \
+  CARGO_TARGET_DIR="$dir/target-$side" "${pin[@]}" bash "$root/bench/e2e/run.sh" \
     --workload "$w" --seed "$seed" --trace "$trace" "$@" | tail -n 1
 }
 
 first_workload="$(set -- $workloads; echo "$1")"
 for side in parent change; do
   echo "# building $side" >&2
-  run "$side" "$first_workload" 0 --seconds 0 > /dev/null
+  (pin=(); run "$side" "$first_workload" 0 --seconds 0 > /dev/null) # builds on every core
 done
 
 : > "$dir/parent.jsonl"; : > "$dir/change.jsonl"
@@ -86,7 +99,7 @@ for side in parent change; do
       dirty="$(git -C "$repo" status --porcelain | grep -c . || true)"
     fi
     printf '{"git_sha": "%s", "dirty_files": %s, "host_cores": %s, "seed": %s, "runs": [\n' \
-      "$side_sha" "$dirty" "$(nproc)" "$seed"
+      "$side_sha" "$dirty" "${cores:-$(nproc)}" "$seed"
     sed '$!s/$/,/' "$dir/$side.jsonl"
     printf ']}\n'
   } > "$dir/$side.json"

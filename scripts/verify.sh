@@ -98,6 +98,8 @@ cargo test -q --offline --test plan_stability one_optimize_fetches_each_table_on
 # of every function included — at 1/2/8 workers and under a spill budget.
 echo "-- parts equal the whole, compiled equals interpreted: any cut, any worker count, same bytes --"
 cargo test -q --offline -p hive-exec --test aggregate_parts
+echo "-- a join probed part by part = the join over the concatenation; one dictionary per fan-out --"
+cargo test -q --offline -p hive-exec --test join_parts
 echo "-- LRFU: the ordered set picks the O(n) chooser's victims --"
 cargo test -q --offline -p hive-llap --lib ordered_set_picks_the_linear_choosers_victims
 echo "-- corc: truncated and mutated chunks and footers decode to Ok or Format --"
