@@ -36,6 +36,15 @@ pub const NULL_INDEX: u32 = u32::MAX;
 /// slower on any input.
 const FANOUT_ENCODE_FACTOR: usize = 2;
 
+/// True when gathering `cells` cells from a plain string column of `rows`
+/// rows is a fan-out: at least `FANOUT_ENCODE_FACTOR` times its rows. A
+/// caller that splits one gather into several decides with this on the
+/// whole gather, so every piece leaves in the representation the whole
+/// would have.
+pub fn is_fanout(rows: usize, cells: usize) -> bool {
+    cells >= rows.saturating_mul(FANOUT_ENCODE_FACTOR)
+}
+
 /// A typed column of values with an optional null bitmap
 /// (bit set = value is NULL).
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -235,9 +244,9 @@ impl ColumnVector {
 
     /// True when a gather of `cells` cells from this column is a fan-out
     /// [`ColumnVector::take`] encodes: a plain string column gathered
-    /// into at least `FANOUT_ENCODE_FACTOR` times its rows.
+    /// into at least `FANOUT_ENCODE_FACTOR` times its rows ([`is_fanout`]).
     pub fn fans_out(&self, cells: usize) -> bool {
-        matches!(self, ColumnVector::Str(v, _) if cells >= v.len().saturating_mul(FANOUT_ENCODE_FACTOR))
+        matches!(self, ColumnVector::Str(v, _) if is_fanout(v.len(), cells))
     }
 
     /// The `Dict` form a fan-out gather of `cells` cells reads from: this

@@ -329,20 +329,25 @@ pub fn execute_aggregate_parts(
     // Several parts fold part by part when every aggregate's states
     // merge — or, over a key-less set, when the ones that do not are a
     // SUM or AVG, which continue one state across the parts instead.
+    // `Some(continued)`: per aggregate, whether it continues.
     let pir_on = pir.is_some();
-    let by_parts = |evaluated: &[PartCols], set: &[usize]| {
-        evaluated.len() > 1
-            && pir_on
-            && aggs.iter().enumerate().all(|(ai, a)| {
-                evaluated.iter().all(|p| {
-                    let arg = p.arg_cols[ai].as_deref();
-                    crate::pir::agg::mergeable(a.func, a.distinct, arg)
-                        || (set.is_empty()
-                            && matches!(a.func, AggFunc::Sum | AggFunc::Avg)
-                            && crate::pir::agg::compilable(a.func, a.distinct, arg)
-                            && !a.distinct)
-                })
+    let by_parts = |evaluated: &[PartCols], set: &[usize]| -> Option<Vec<bool>> {
+        if evaluated.len() <= 1 || !pir_on {
+            return None;
+        }
+        (aggs.iter().enumerate())
+            .map(|(ai, a)| {
+                let args = || evaluated.iter().map(|p| p.arg_cols[ai].as_deref());
+                if args().all(|arg| crate::pir::agg::mergeable(a.func, a.distinct, arg)) {
+                    return Some(false);
+                }
+                let continues = set.is_empty()
+                    && !a.distinct
+                    && matches!(a.func, AggFunc::Sum | AggFunc::Avg)
+                    && args().all(|arg| crate::pir::agg::compilable(a.func, false, arg));
+                continues.then_some(true)
             })
+            .collect()
     };
     // The input as one part, assembled when something first needs it.
     let mut whole: Option<PartCols> = match evaluated.len() {
@@ -375,8 +380,8 @@ pub fn execute_aggregate_parts(
         let admission = spill.map(|sp| (sp, sp.broker.try_reserve("group-by", est)));
         let denied = matches!(&admission, Some((_, None)));
 
-        if by_parts(&evaluated, set) && !denied {
-            if let Some(f) = fold_parts(&evaluated, set, aggs, workers)? {
+        if let Some(continued) = by_parts(&evaluated, set).filter(|_| !denied) {
+            if let Some(f) = fold_parts(&evaluated, set, aggs, &continued, workers)? {
                 any_compiled = true;
                 out.push(emit_groups(
                     f.groups,
@@ -393,7 +398,7 @@ pub fn execute_aggregate_parts(
 
         let input = match &mut whole {
             Some(w) => w,
-            slot => slot.insert(PartCols::assemble(&evaluated, workers)?),
+            slot => slot.insert(PartCols::assemble(&evaluated)?),
         };
         // Compiled-accumulator gate: every aggregate must have a
         // monomorphized kernel for its argument's runtime representation,
@@ -510,41 +515,40 @@ impl PartCols {
     }
 
     /// The parts as one: each key and argument column gathered through
-    /// the parts' selections in a single reserved pass, the columns in
-    /// parallel across `workers`. Expression evaluation is row-local, so
-    /// these are the columns that evaluating over the concatenated input
-    /// gives.
-    fn assemble(parts: &[PartCols], workers: usize) -> Result<PartCols> {
-        let shape = &parts[0];
-        let nkeys = shape.key_cols.len();
-        // Column `c`: key `c`, then argument `c - nkeys`. Every part
-        // evaluated the same aggregates, so an argument is present in
-        // all of them or in none.
-        let column = |c: usize| -> Option<&ColumnVector> {
-            match c.checked_sub(nkeys) {
-                None => Some(&*shape.key_cols[c]),
-                Some(a) => shape.arg_cols[a].as_deref(),
-            }
+    /// the parts' selections in a single reserved pass. Expression
+    /// evaluation is row-local, so these are the columns that
+    /// evaluating over the concatenated input gives.
+    fn assemble(parts: &[PartCols]) -> Result<PartCols> {
+        let gather = |cols: Vec<(&ColumnVector, Option<&[u32]>)>| {
+            let dt = match cols.first() {
+                Some((c, _)) => c.data_type(),
+                None => return Err(HiveError::Execution("aggregate over no parts".into())),
+            };
+            ColumnVector::concat_selected(&dt, &cols).map(Arc::new)
         };
-        let mut cols = crate::par::parallel_map(workers, nkeys + shape.arg_cols.len(), |c| {
-            let Some(dt) = column(c).map(ColumnVector::data_type) else {
-                return Ok(None);
-            };
-            let of = |p: &'_ PartCols| match c.checked_sub(nkeys) {
-                None => Some(p.key_cols[c].clone()),
-                Some(a) => p.arg_cols[a].clone(),
-            };
-            let held: Vec<(Arc<ColumnVector>, Option<&[u32]>)> = (parts.iter())
-                .filter_map(|p| Some((of(p)?, p.sel.as_indices())))
-                .collect();
-            let refs: Vec<(&ColumnVector, Option<&[u32]>)> =
-                held.iter().map(|(c, sel)| (&**c, *sel)).collect();
-            ColumnVector::concat_selected(&dt, &refs).map(|c| Some(Arc::new(c)))
-        })?;
-        let arg_cols = cols.split_off(nkeys);
-        let key_cols = cols
-            .into_iter()
-            .map(|c| c.ok_or_else(|| HiveError::Execution("aggregate key missing".into())))
+        let shape = &parts[0];
+        let key_cols = (0..shape.key_cols.len())
+            .map(|k| {
+                gather(
+                    (parts.iter())
+                        .map(|p| (&*p.key_cols[k], p.sel.as_indices()))
+                        .collect(),
+                )
+            })
+            .collect::<Result<Vec<_>>>()?;
+        // Every part evaluated the same aggregates, so an argument is
+        // present in all of them or in none.
+        let arg_cols = (0..shape.arg_cols.len())
+            .map(|a| {
+                shape.arg_cols[a].as_ref().map(|_| {
+                    gather(
+                        (parts.iter())
+                            .filter_map(|p| Some((p.arg_cols[a].as_deref()?, p.sel.as_indices())))
+                            .collect(),
+                    )
+                })
+            })
+            .map(Option::transpose)
             .collect::<Result<Vec<_>>>()?;
         Ok(PartCols {
             sel: SelVec::All(parts.iter().map(|p| p.sel.len()).sum()),
@@ -600,9 +604,10 @@ fn fold_parts(
     parts: &[PartCols],
     set: &[usize],
     aggs: &[AggExpr],
+    continued: &[bool],
     workers: usize,
 ) -> Result<Option<PartsFold>> {
-    use crate::pir::agg::{assigned, fold, fold_keyless, fold_keyless_continued, mergeable};
+    use crate::pir::agg::{assigned, fold, fold_keyless, fold_keyless_continued};
     /// One part's states: `states` groups, the batch row each was first
     /// seen at (none for a key-less set — its one state has no key to
     /// gather), and per aggregate one state per group (none for an
@@ -612,16 +617,8 @@ fn fold_parts(
         first_rows: Vec<u32>,
         folds: Vec<Option<FoldOut>>,
     }
-    // A key-less SUM or AVG whose states do not merge (an `f64` state)
-    // folds across the parts in part order instead, continuing one state.
-    let continued: Vec<bool> = (aggs.iter().enumerate())
-        .map(|(ai, a)| {
-            set.is_empty()
-                && !(parts.iter()).all(|p| mergeable(a.func, a.distinct, p.arg_cols[ai].as_deref()))
-        })
-        .collect();
     let fold_part = |part: &PartCols| -> Result<PartFold> {
-        let args = aggs.iter().zip(&part.arg_cols).zip(&continued);
+        let args = aggs.iter().zip(&part.arg_cols).zip(continued);
         if set.is_empty() {
             return Ok(PartFold {
                 states: 1,
@@ -1096,68 +1093,31 @@ fn merge_partitions(parts: Vec<Built>, naggs: usize, positions: usize) -> Result
 
 /// The partitions' groups in first-seen order: each group's first
 /// position and `(partition, group within it)`. The lists are ascending
-/// and disjoint, so the order is their merge. With a group per few rows
-/// the merge is a pass over the positions instead — every group's slot
-/// written at its first position, then read back in position order —
-/// which costs one visit per row rather than one per group per merge
-/// round.
+/// and disjoint, so one pass over the positions merges them: every
+/// group's partition is written at its first position, then read back
+/// in position order. A partition's groups start in ascending order, so
+/// the `l`-th one met is its group `l`.
 fn merge_first_seen(parts: &[Built], rows: usize) -> (Vec<usize>, Vec<(u32, u32)>) {
-    /// `(first-seen position, (partition, group within it))`.
-    type Slot = (usize, (u32, u32));
+    // A position's byte names the partition whose group starts there
+    // (a build has at most `keys::MAX_PARTITIONS` partitions).
+    const NONE: u8 = u8::MAX;
+    debug_assert!(parts.len() < NONE as usize);
     let groups: usize = parts.iter().map(|p| p.first_pos.len()).sum();
-    if groups * DENSE_MERGE > rows && parts.len() < u8::MAX as usize {
-        // A position's byte names the partition whose group starts there;
-        // a partition's groups start in ascending order, so the `l`-th
-        // one met is its group `l`.
-        const NONE: u8 = u8::MAX;
-        let mut at = vec![NONE; rows];
-        for (p, part) in parts.iter().enumerate() {
-            for &pos in &part.first_pos {
-                at[pos] = p as u8;
-            }
+    let mut at = vec![NONE; rows];
+    for (p, part) in parts.iter().enumerate() {
+        for &pos in &part.first_pos {
+            at[pos] = p as u8;
         }
-        let mut next = vec![0u32; parts.len()];
-        let mut merged = (Vec::with_capacity(groups), Vec::with_capacity(groups));
-        for (pos, &p) in at.iter().enumerate().filter(|(_, &p)| p != NONE) {
-            merged.0.push(pos);
-            merged.1.push((p as u32, next[p as usize]));
-            next[p as usize] += 1;
-        }
-        return merged;
     }
-    fn merge_two(a: Vec<Slot>, b: Vec<Slot>) -> Vec<Slot> {
-        let mut out = Vec::with_capacity(a.len() + b.len());
-        let (mut a, mut b) = (a.into_iter().peekable(), b.into_iter().peekable());
-        while let (Some(x), Some(y)) = (a.peek(), b.peek()) {
-            out.extend(if x.0 < y.0 { a.next() } else { b.next() });
-        }
-        out.extend(a);
-        out.extend(b);
-        out
+    let mut next = vec![0u32; parts.len()];
+    let mut merged = (Vec::with_capacity(groups), Vec::with_capacity(groups));
+    for (pos, &p) in at.iter().enumerate().filter(|(_, &p)| p != NONE) {
+        merged.0.push(pos);
+        merged.1.push((p as u32, next[p as usize]));
+        next[p as usize] += 1;
     }
-    let mut lists: Vec<Vec<Slot>> = (parts.iter().enumerate())
-        .map(|(p, part)| {
-            let slots = part.first_pos.iter().enumerate();
-            slots.map(|(l, &pos)| (pos, (p as u32, l as u32))).collect()
-        })
-        .collect();
-    while lists.len() > 1 {
-        let mut pairs = lists.into_iter();
-        let mut merged = Vec::new();
-        while let Some(a) = pairs.next() {
-            merged.push(match pairs.next() {
-                Some(b) => merge_two(a, b),
-                None => a,
-            });
-        }
-        lists = merged;
-    }
-    lists.pop().unwrap_or_default().into_iter().unzip()
+    merged
 }
-
-/// Merge first-seen lists by a pass over the positions once the build
-/// holds more than one group per this many rows.
-const DENSE_MERGE: usize = 4;
 
 /// The spilling build for one grouping set: every selected position's
 /// group key is encoded into a spill record (stable hash + canonical
@@ -1686,15 +1646,19 @@ mod tests {
             .collect();
         let aggs = sum_of(2);
         // Seven groups a part: merged part by part, in first-seen order.
-        let merged = fold_parts(&parts, &[0], &aggs, 2)
+        let merged = fold_parts(&parts, &[0], &aggs, &[false], 2)
             .unwrap()
             .expect("a key that reduces takes the parts route");
         assert_eq!(merged.groups.first_pos, (0..7).collect::<Vec<_>>());
         // A group per row: merging 3 000 one-row groups would cost more
         // than the partitioned build over the assembled columns.
-        assert!(fold_parts(&parts, &[1], &aggs, 2).unwrap().is_none());
+        assert!(fold_parts(&parts, &[1], &aggs, &[false], 2)
+            .unwrap()
+            .is_none());
         // No keys: one state per part, nothing to discover.
-        let merged = fold_parts(&parts, &[], &aggs, 2).unwrap().unwrap();
+        let merged = fold_parts(&parts, &[], &aggs, &[false], 2)
+            .unwrap()
+            .unwrap();
         let total: i64 = 3 * (0..1000).sum::<i64>();
         assert_eq!(merged.groups.first_pos, vec![0]);
         let States::Folded(mut folds) = merged.groups.states else {

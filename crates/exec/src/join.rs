@@ -326,7 +326,7 @@ pub fn execute_join_parts(
 
     // The fan-out rule, decided on the whole join's output.
     let total: usize = outs.iter().map(|o| o.left.len()).sum();
-    let whole_fans_out = total >= 2 * probe_rows;
+    let whole_fans_out = hive_common::vector::is_fanout(probe_rows, total);
     let probe_fans_out = join_type.keeps_right()
         && lefts.iter().zip(&outs).any(|(l, o)| {
             let n = o.left.len();

@@ -52,7 +52,10 @@ sha="$(git -C "$repo" rev-parse --verify "$parent_ref^{commit}")"
 if [ "$(cat "$dir/parent.sha" 2>/dev/null)" != "$sha" ]; then
   rm -rf "$dir/parent"
   mkdir -p "$dir/parent"
-  git -C "$repo" archive "$sha" | tar -x -C "$dir/parent"
+  # -m: stamp the files now. Archived files carry the commit's time, and
+  # an older parent's sources would look older than the previous parent's
+  # build in D/target-parent, which cargo would then reuse.
+  git -C "$repo" archive "$sha" | tar -x -m -C "$dir/parent"
   echo "$sha" > "$dir/parent.sha"
 fi
 
