@@ -121,20 +121,40 @@ impl DeleteSet {
     /// Build from the snapshot's delete deltas; tombstones written by
     /// invisible (open/aborted/future) transactions are ignored.
     pub fn load(fs: &DistFs, snapshot: &AcidSnapshot, wlist: &ValidWriteIdList) -> Result<Self> {
+        Self::load_each(fs, snapshot, wlist, |_, read| read())
+    }
+
+    /// [`DeleteSet::load`] with each delete-delta file's read handed to
+    /// `each` as `(path, read)`. `each` may run `read` more than once, so
+    /// a transient fault costs a retry of one file, not of the whole set.
+    pub fn load_each(
+        fs: &DistFs,
+        snapshot: &AcidSnapshot,
+        wlist: &ValidWriteIdList,
+        mut each: impl FnMut(
+            &DfsPath,
+            &mut dyn FnMut() -> Result<Vec<RecordId>>,
+        ) -> Result<Vec<RecordId>>,
+    ) -> Result<Self> {
         let vis = Visibility::of_tombstones(wlist);
         let id_proj: Vec<usize> = (0..ACID_COLS).collect();
+        let read_file = |path: &DfsPath| -> Result<Vec<RecordId>> {
+            let f = CorcFile::open(fs, path)?;
+            let mut parts = Vec::new();
+            vis.read_parts(&f, 0..f.row_group_count(), &id_proj, &mut parts)?;
+            let mut ids = Vec::new();
+            for part in &parts {
+                let cols = std::array::from_fn(|c| Some(part.batch.column(c)));
+                let col = |c| id_slice(&cols, c, part.batch.num_rows());
+                let (wids, buckets, rowids) = (col(0)?, col(1)?, col(2)?);
+                ids.extend(part.sel.iter().map(|i| record_id(wids, buckets, rowids, i)));
+            }
+            Ok(ids)
+        };
         let mut ids = Vec::new();
         for d in &snapshot.delete_deltas {
             for (path, _) in fs.list_files_recursive(&d.path) {
-                let f = CorcFile::open(fs, &path)?;
-                let mut parts = Vec::new();
-                vis.read_parts(&f, 0..f.row_group_count(), &id_proj, &mut parts)?;
-                for part in &parts {
-                    let cols = std::array::from_fn(|c| Some(part.batch.column(c)));
-                    let col = |c| id_slice(&cols, c, part.batch.num_rows());
-                    let (wids, buckets, rowids) = (col(0)?, col(1)?, col(2)?);
-                    ids.extend(part.sel.iter().map(|i| record_id(wids, buckets, rowids, i)));
-                }
+                ids.extend(each(&path, &mut || read_file(&path))?);
             }
         }
         ids.sort_unstable();

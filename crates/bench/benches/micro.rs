@@ -297,11 +297,13 @@ fn report_ns(name: &str, unit: &str, calls: u32, units: f64, mut f: impl FnMut()
 }
 
 /// The cold read path, one layer at a time: decoding one 5 000-value
-/// chunk per column type, an LRFU hit and an evicting miss at two cache
-/// populations, and the key-less 13-aggregate sweep over 300 000 rows as
-/// one part and as sixty. Prints ns per value / per call (the criterion
-/// stand-in only prints milliseconds); recorded in EXPERIMENTS.md, not
-/// gated on time.
+/// chunk per column type (and an INT chunk that is one literal run of
+/// 20-bit values), an LRFU hit and an evicting miss at two cache
+/// populations, the key-less 13-aggregate sweep over 300 000 rows as one
+/// part and as sixty, and one key-less SUM, MIN and MAX over an INT and
+/// a DECIMAL(7,2) column under every row and under half of them. Prints
+/// ns per value / per call (the criterion stand-in only prints
+/// milliseconds); recorded in EXPERIMENTS.md, not gated on time.
 fn bench_cold_read_path(_c: &mut Criterion) {
     use hive_common::{ColumnVector, FileId, SelBatch};
     const ROWS: usize = 5000;
@@ -354,6 +356,30 @@ fn bench_cold_read_path(_c: &mut Criterion) {
             &format!("corc/decode_{name}_{ROWS}"),
             "value",
             2000,
+            ROWS as f64,
+            || {
+                let col = file.decode_column_chunk_encoded(bytes.clone(), 0, 0);
+                std::hint::black_box(col.unwrap().len());
+            },
+        );
+    }
+
+    // corc: an INT chunk with no repeats at all — every value a literal.
+    {
+        let vals = (0..ROWS).map(|i| (i as i64 * 2_654_435_761 % 1_000_003) as i32);
+        let schema = Schema::new(vec![Field::new("c", DataType::Int)]);
+        let col = ColumnVector::Int(vals.collect(), None);
+        let batch = VectorBatch::new(schema, vec![col]).unwrap();
+        let path = hive_dfs::DfsPath::new("/bench/decode_int_literal");
+        let bytes = write_batch_to_bytes(&batch, WriterOptions::default()).unwrap();
+        fs.create(&path, bytes).unwrap();
+        let file = hive_corc::CorcFile::open(&fs, &path).unwrap();
+        let (offset, len) = file.chunk_range(0, 0).unwrap();
+        let bytes = fs.read_range(&path, offset, len).unwrap();
+        report_ns(
+            "corc/decode_int_literal_5k",
+            "value",
+            20_000,
             ROWS as f64,
             || {
                 let col = file.decode_column_chunk_encoded(bytes.clone(), 0, 0);
@@ -452,6 +478,63 @@ fn bench_cold_read_path(_c: &mut Criterion) {
                 std::hint::black_box(out.unwrap().num_rows());
             },
         );
+    }
+}
+
+/// One key-less SUM, MIN and MAX over a 300 000-row column, as one part
+/// with one worker: the fold and nothing else of the operator moves.
+fn bench_keyless_fold(_c: &mut Criterion) {
+    use hive_common::{ColumnVector, SelBatch, SelVec};
+    const ROWS: usize = 300_000;
+    let vals = || (0..ROWS).map(|i| (i * 7919) % 100_000);
+    let columns = [
+        (
+            "int",
+            DataType::Int,
+            ColumnVector::Int(vals().map(|x| x as i32).collect(), None),
+        ),
+        (
+            "decimal",
+            DataType::Decimal(7, 2),
+            ColumnVector::Decimal(vals().map(|x| x as i128).collect(), 2, None),
+        ),
+    ];
+    let aggs: Vec<AggExpr> = [AggFunc::Sum, AggFunc::Min, AggFunc::Max]
+        .map(|func| AggExpr {
+            func,
+            arg: Some(ScalarExpr::Column(0)),
+            distinct: false,
+        })
+        .to_vec();
+    for (name, dt, col) in columns {
+        let schema = Schema::new(vec![Field::new("c", dt)]);
+        let out_schema = aggregate_schema(&schema, &[], &aggs);
+        let batch = VectorBatch::new(schema, vec![col]).unwrap();
+        let half = SelVec::Idx((0..ROWS as u32).filter(|i| i % 4 < 2).collect());
+        for (sel_name, sel) in [("all", SelVec::All(ROWS)), ("idx50", half)] {
+            let values = sel.len() * aggs.len();
+            let parts = [SelBatch::new(batch.clone(), sel).unwrap()];
+            report_ns(
+                &format!("aggregate/keyless_sum_min_max_300k/{name}/{sel_name}"),
+                "value",
+                50,
+                values as f64,
+                || {
+                    let mut pc = hive_exec::pir::PirCounters::default();
+                    let out = hive_exec::aggregate::execute_aggregate_parts(
+                        &parts,
+                        &[],
+                        &None,
+                        &aggs,
+                        &out_schema,
+                        1,
+                        None,
+                        Some(&mut pc),
+                    );
+                    std::hint::black_box(out.unwrap().num_rows());
+                },
+            );
+        }
     }
 }
 
@@ -1106,6 +1189,7 @@ criterion_group!(
     bench_frontend,
     bench_optimize_loaded,
     bench_cold_read_path,
+    bench_keyless_fold,
     bench_hash_keys,
     bench_fixed_costs,
     bench_acid_read_path,

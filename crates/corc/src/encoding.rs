@@ -204,11 +204,19 @@ pub fn zigzag_decode(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
+/// Longest literal run the encoder writes (ORC RLEv2's cap): one outlier
+/// widens at most this many values.
+const MAX_LITERAL_RUN: usize = 512;
+
 /// Run-length encode a signed integer sequence.
 ///
 /// Stream grammar: repeated `(control, payload)` where `control` is a
-/// varint `n`; if the low bit is 0 the run is `n >> 1` repeats of one
-/// zigzag varint; if 1 it is `n >> 1` literal zigzag varints.
+/// varint `n`. If its low bit is 0 the run is `n >> 1` repeats of one
+/// zigzag varint. If it is 1 the run is `n >> 1` literals, bit-packed
+/// against a frame of reference (ORC RLEv2's `DIRECT` run): the base (the
+/// run's minimum, a zigzag varint), a width byte `w` in `0..=64`, then
+/// `ceil(n·w / 8)` bytes holding each `value − base` as a `w`-bit field,
+/// packed LSB-first. A width of 0 is a run of the base alone.
 pub fn rle_encode_i64(values: &[i64], w: &mut ByteWriter) {
     let mut i = 0;
     while i < values.len() {
@@ -235,13 +243,43 @@ pub fn rle_encode_i64(values: &[i64], w: &mut ByteWriter) {
                 }
                 i += r;
             }
-            let lit = &values[start..i];
-            w.put_varint(((lit.len() as u64) << 1) | 1);
-            for &v in lit {
-                w.put_varint_signed(v);
+            for lit in values[start..i].chunks(MAX_LITERAL_RUN) {
+                put_packed_run(lit, w);
             }
         }
     }
+}
+
+/// Bytes of `n` packed `width`-bit fields; `None` past `usize`.
+fn packed_len(n: usize, width: u32) -> Option<usize> {
+    Some(n.checked_mul(width as usize)?.div_ceil(8))
+}
+
+/// One literal run: control, base, width, then the packed offsets.
+fn put_packed_run(lit: &[i64], w: &mut ByteWriter) {
+    let base = lit.iter().copied().min().unwrap_or(0);
+    let offset = |v: i64| (v as u64).wrapping_sub(base as u64);
+    let span = lit.iter().map(|&v| offset(v)).max().unwrap_or(0);
+    let width = u64::BITS - span.leading_zeros();
+    w.put_varint(((lit.len() as u64) << 1) | 1);
+    w.put_varint_signed(base);
+    w.put_u8(width as u8);
+    if width == 0 {
+        return;
+    }
+    // Fields enter `acc` above the `bits` still pending and leave it a
+    // whole little-endian word at a time.
+    let (mut acc, mut bits) = (0u128, 0u32);
+    for &v in lit {
+        acc |= u128::from(offset(v)) << bits;
+        bits += width;
+        if bits >= 64 {
+            w.put_u64(acc as u64);
+            acc >>= 64;
+            bits -= 64;
+        }
+    }
+    w.put_slice(&acc.to_le_bytes()[..bits.div_ceil(8) as usize]);
 }
 
 /// Borrowing cursor over one encoded chunk. Every read is checked
@@ -329,7 +367,8 @@ impl<'a> SliceReader<'a> {
 
 /// Decode a [`rle_encode_i64`] stream of exactly `count` values straight
 /// into the target width: `conv` maps each decoded integer (once per
-/// run, once per literal) and may reject it.
+/// repeat run, once per literal) and may reject it. A packed run costs
+/// one length check for its whole body.
 pub fn rle_decode<T: Copy>(
     r: &mut SliceReader<'_>,
     count: usize,
@@ -338,20 +377,80 @@ pub fn rle_decode<T: Copy>(
     let mut out = Vec::with_capacity(count);
     while out.len() < count {
         let control = r.get_varint()?;
-        let n = (control >> 1) as usize;
+        let n = usize::try_from(control >> 1).unwrap_or(usize::MAX);
         if n == 0 || n > count - out.len() {
             return Err(HiveError::Format("corrupt RLE stream".into()));
         }
         if control & 1 == 0 {
             let v = conv(r.get_varint_signed()?)?;
             out.resize(out.len() + n, v);
-        } else {
-            for _ in 0..n {
-                out.push(conv(r.get_varint_signed()?)?);
-            }
+            continue;
         }
+        let base = r.get_varint_signed()?;
+        let width = u32::from(r.get_u8()?);
+        if width > 64 {
+            return Err(HiveError::Format(format!(
+                "packed run width {width} above 64"
+            )));
+        }
+        let len = packed_len(n, width).ok_or_else(|| short_buffer(usize::MAX, r.remaining()))?;
+        unpack(r.take(len)?, n, width, base, &mut out, &conv)?;
     }
     Ok(out)
+}
+
+/// Append the `n` `width`-bit fields of `body` (exactly long enough for
+/// them), each added to `base` and mapped by `conv`.
+fn unpack<T: Copy>(
+    body: &[u8],
+    n: usize,
+    width: u32,
+    base: i64,
+    out: &mut Vec<T>,
+    conv: &impl Fn(i64) -> Result<T>,
+) -> Result<()> {
+    // The base is the run's least value, so it converts for any run a
+    // writer produced; it also fills the slots until they are written.
+    let start = out.len();
+    out.resize(start + n, conv(base)?);
+    if width == 0 {
+        return Ok(());
+    }
+    let slots = &mut out[start..];
+    let mask = u64::MAX >> (64 - width);
+    let width = width as usize;
+    // The little-endian word at byte `at`, zero past the body's end.
+    let word = |at: usize| {
+        let mut le = [0u8; 8];
+        let tail = body.get(at..).unwrap_or_default();
+        let k = tail.len().min(8);
+        le[..k].copy_from_slice(&tail[..k]);
+        u64::from_le_bytes(le)
+    };
+    // Up to 56 bits, a field lies in the eight bytes from its first one,
+    // and every field whose eight bytes are in the body reads as one
+    // load.
+    let whole = match (width <= 56, body.len().checked_sub(8)) {
+        (true, Some(last)) => n.min(last * 8 / width + 1),
+        _ => 0,
+    };
+    for (i, slot) in slots[..whole].iter_mut().enumerate() {
+        let bit = i * width;
+        let at = bit / 8;
+        let w = <[u8; 8]>::try_from(&body[at..at + 8]).map_or(0, u64::from_le_bytes);
+        *slot = conv(base.wrapping_add(((w >> (bit % 8)) & mask) as i64))?;
+    }
+    for (i, slot) in slots.iter_mut().enumerate().skip(whole) {
+        let bit = i * width;
+        let (at, shift) = (bit / 8, (bit % 8) as u32);
+        let mut field = word(at) >> shift;
+        if shift as usize + width > 64 {
+            // A field over 56 bits can reach into a ninth byte.
+            field |= word(at + 8) << (64 - shift);
+        }
+        *slot = conv(base.wrapping_add((field & mask) as i64))?;
+    }
+    Ok(())
 }
 
 /// [`rle_decode`] at full width.
@@ -520,6 +619,89 @@ mod tests {
         w.put_varint_signed(1);
         let bytes = w.finish();
         assert!(rle_decode_i64(&mut SliceReader::new(&bytes), 10).is_err());
+    }
+
+    /// `n` values whose offsets from `base` span exactly `width` bits
+    /// (the first is the base, the last the base plus the widest offset),
+    /// `base` pulled down so that no value wraps.
+    fn run_of_width(width: u32, base: i64, raw: &[u64]) -> (i64, Vec<i64>) {
+        let mask = u64::MAX.checked_shr(64 - width).unwrap_or(0);
+        let hi = i64::MAX as i128 - mask as i128;
+        let base = (base as i128).clamp(i64::MIN as i128, hi) as i64;
+        let mut vals: Vec<i64> = (raw.iter())
+            .map(|&r| base.wrapping_add((r & mask) as i64))
+            .collect();
+        let n = vals.len();
+        vals[0] = base;
+        if n > 1 {
+            vals[n - 1] = base.wrapping_add(mask as i64);
+        }
+        (base, vals)
+    }
+
+    proptest::proptest! {
+        /// Packed runs of every width class round-trip through the
+        /// decoder, at lengths that end inside and on byte boundaries,
+        /// over the whole `i64` range (width 64 spans `MIN..=MAX`); the
+        /// run carries its frame of reference and the width it needs,
+        /// and its body is exactly `ceil(n·width / 8)` bytes. The same
+        /// values through `rle_encode_i64` (which may cut repeats out of
+        /// them) decode to themselves too.
+        #[test]
+        fn packed_runs_round_trip_at_every_width(
+            width in proptest::prelude::Strategy::prop_map(0usize..8, |i| [0u32, 1, 7, 13, 31, 33, 63, 64][i]),
+            base in proptest::prelude::any::<i64>(),
+            raw in proptest::collection::vec(proptest::prelude::any::<u64>(), 1..80),
+        ) {
+            let (base, vals) = run_of_width(width, base, &raw);
+            let want_width = if vals.len() > 1 { width } else { 0 };
+            let mut w = ByteWriter::new();
+            put_packed_run(&vals, &mut w);
+            let bytes = w.finish();
+            let mut r = SliceReader::new(&bytes);
+            proptest::prop_assert_eq!(r.get_varint().unwrap(), ((vals.len() as u64) << 1) | 1);
+            proptest::prop_assert_eq!(r.get_varint_signed().unwrap(), base);
+            proptest::prop_assert_eq!(u32::from(r.get_u8().unwrap()), want_width);
+            proptest::prop_assert_eq!(r.remaining(), (vals.len() * want_width as usize).div_ceil(8));
+            let got = rle_decode_i64(&mut SliceReader::new(&bytes), vals.len()).unwrap();
+            proptest::prop_assert_eq!(got, vals.clone());
+
+            let mut w = ByteWriter::new();
+            rle_encode_i64(&vals, &mut w);
+            let bytes = w.finish();
+            let mut r = SliceReader::new(&bytes);
+            proptest::prop_assert_eq!(rle_decode_i64(&mut r, vals.len()).unwrap(), vals);
+            proptest::prop_assert_eq!(r.remaining(), 0);
+        }
+    }
+
+    #[test]
+    fn literal_runs_are_cut_at_the_cap_and_pack_small_offsets() {
+        // Distinct values, no repeats: literal runs of at most the cap,
+        // each 10 bits a value for offsets below 1024.
+        let vals: Vec<i64> = (0..2000).map(|i| 1_000_000 + (i * 7919) % 1000).collect();
+        let mut w = ByteWriter::new();
+        rle_encode_i64(&vals, &mut w);
+        let bytes = w.finish();
+        assert!(bytes.len() < 2000 * 10 / 8 + 4 * 8, "{} bytes", bytes.len());
+        let mut r = SliceReader::new(&bytes);
+        let mut runs = 0;
+        let mut left = vals.len();
+        while r.remaining() > 0 {
+            let n = (r.get_varint().unwrap() >> 1) as usize;
+            assert!(n <= MAX_LITERAL_RUN);
+            r.get_varint_signed().unwrap();
+            let width = r.get_u8().unwrap() as usize;
+            assert_eq!(width, 10);
+            r.take((n * width).div_ceil(8)).unwrap();
+            left -= n;
+            runs += 1;
+        }
+        assert_eq!((left, runs), (0, 2000usize.div_ceil(MAX_LITERAL_RUN)));
+        assert_eq!(
+            rle_decode_i64(&mut SliceReader::new(&bytes), vals.len()).unwrap(),
+            vals
+        );
     }
 
     #[test]

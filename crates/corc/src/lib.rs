@@ -31,5 +31,11 @@ pub use writer::{CorcWriter, WriterOptions};
 /// Default rows per row group (ORC's index stride).
 pub const DEFAULT_ROW_GROUP_SIZE: usize = 10_000;
 
-/// Magic bytes identifying a corc file.
-pub const MAGIC: &[u8; 4] = b"CORC";
+/// Magic bytes identifying a corc file, and with them its layout
+/// version: `COR2` files pack literal integer runs into bit fields
+/// ([`encoding::rle_encode_i64`]).
+pub const MAGIC: &[u8; 4] = b"COR2";
+
+/// The magic of the first layout, whose literal runs were varints. No
+/// decoder for it is kept: such a file is a typed format error.
+pub(crate) const V1_MAGIC: &[u8; 4] = b"CORC";

@@ -8,7 +8,7 @@ use crate::encoding::{rle_decode, ByteReader, SliceReader};
 use crate::sarg::{SearchArgument, TruthValue};
 use crate::stats::ColumnStatistics;
 use crate::writer::{ChunkMeta, RowGroupMeta};
-use crate::MAGIC;
+use crate::{MAGIC, V1_MAGIC};
 use bytes::Bytes;
 use hive_common::{
     BitSet, ColumnVector, DataType, Field, FileId, HiveError, Result, Schema, VectorBatch,
@@ -68,13 +68,7 @@ impl CorcFile {
         let tail = fs.read_range(path, meta.len - 8, 8)?;
         let mut tr = ByteReader::new(tail);
         let footer_len = tr.get_u32()? as u64;
-        let mut magic = [0u8; 4];
-        for b in magic.iter_mut() {
-            *b = tr.get_u8()?;
-        }
-        if &magic != MAGIC {
-            return Err(HiveError::Format(format!("bad magic in {path}")));
-        }
+        check_magic(&mut tr, path.as_str())?;
         if footer_len + 8 > meta.len {
             return Err(HiveError::Format(format!(
                 "corrupt footer length in {path}"
@@ -296,6 +290,22 @@ impl CorcFile {
     }
 }
 
+/// Read the trailing magic: this layout's, or a typed error naming why
+/// the file cannot be read.
+fn check_magic(tr: &mut ByteReader, what: &str) -> Result<()> {
+    let mut magic = [0u8; 4];
+    for b in magic.iter_mut() {
+        *b = tr.get_u8()?;
+    }
+    match &magic {
+        m if m == MAGIC => Ok(()),
+        m if m == V1_MAGIC => Err(HiveError::Format(format!(
+            "{what} has the v1 corc layout (varint literal runs), which this reader does not decode"
+        ))),
+        _ => Err(HiveError::Format(format!("bad magic in {what}"))),
+    }
+}
+
 pub(crate) fn parse_footer(bytes: Bytes) -> Result<Footer> {
     let mut r = ByteReader::new(bytes);
     let nfields = r.get_count(1)?;
@@ -496,13 +506,7 @@ pub fn parse_in_memory(bytes: &Bytes) -> Result<(Footer, Bytes)> {
     let tail = bytes.slice(bytes.len() - 8..);
     let mut tr = ByteReader::new(tail);
     let footer_len = tr.get_u32()? as usize;
-    let mut magic = [0u8; 4];
-    for b in magic.iter_mut() {
-        *b = tr.get_u8()?;
-    }
-    if &magic != MAGIC {
-        return Err(HiveError::Format("bad magic".into()));
-    }
+    check_magic(&mut tr, "in-memory file")?;
     let footer = parse_footer(bytes.slice(bytes.len() - 8 - footer_len..bytes.len() - 8))?;
     Ok((footer, bytes.clone()))
 }
@@ -536,7 +540,7 @@ mod tests {
     use crate::writer::{encode_column, CorcWriter, WriterOptions};
     use hive_common::Row;
     use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
+    use rand::{Rng, RngCore, SeedableRng};
 
     /// The `ByteReader` decoder `decode_column` replaced, kept as the
     /// reference the slice decoder is checked against value for value.
@@ -554,10 +558,25 @@ mod tests {
                 if control & 1 == 0 {
                     let v = r.get_varint_signed()?;
                     out.resize(out.len() + n, v);
-                } else {
-                    for _ in 0..n {
-                        out.push(r.get_varint_signed()?);
+                    continue;
+                }
+                // A packed run, read one bit at a time.
+                let base = r.get_varint_signed()?;
+                let width = r.get_u8()? as usize;
+                if width > 64 {
+                    return Err(HiveError::Format("packed run too wide".into()));
+                }
+                let mut body = Vec::new();
+                for _ in 0..(n * width).div_ceil(8) {
+                    body.push(r.get_u8()?);
+                }
+                for i in 0..n {
+                    let mut field = 0u64;
+                    for b in 0..width {
+                        let bit = i * width + b;
+                        field |= u64::from((body[bit / 8] >> (bit % 8)) & 1) << b;
                     }
+                    out.push(base.wrapping_add(field as i64));
                 }
             }
             Ok(out)
@@ -681,15 +700,20 @@ mod tests {
     /// `rows` integers with the run structure `shape` names: 0 all
     /// equal, 1 all distinct, 2 runs of exactly two, 3 runs of exactly
     /// three (the encoder's run threshold), 4 random runs with
-    /// `i64::MIN`/`MAX` mixed in.
+    /// `i64::MIN`/`MAX` mixed in, 5 distinct offsets of a random packed
+    /// width (0 to 64 bits) from the base.
     fn shaped_ints(rng: &mut StdRng, rows: usize, shape: usize) -> Vec<i64> {
         let base = rng.gen_range(-1000i64..1000);
+        let width = rng.gen_range(0..=64u32);
         (0..rows)
             .map(|i| match shape {
                 0 => base,
                 1 => base + i as i64,
                 2 => base + (i / 2) as i64,
                 3 => base + (i / 3) as i64,
+                5 => {
+                    base.wrapping_add((rng.next_u64().checked_shr(64 - width).unwrap_or(0)) as i64)
+                }
                 _ => match rng.gen_range(0..10) {
                     0 => i64::MIN,
                     1 => i64::MAX,
@@ -789,7 +813,7 @@ mod tests {
         let mut out = Vec::new();
         for dt in &TYPES {
             for null_pct in [0, 10, 90] {
-                for shape in 0..5 {
+                for shape in 0..6 {
                     let ratios: &[f64] = if *dt == DataType::String {
                         &[1.0, 0.0] // dictionary, direct
                     } else {
@@ -875,6 +899,70 @@ mod tests {
             assert!(
                 matches!(err, HiveError::Format(_)),
                 "{keep_dict}: unexpected error {err:?}"
+            );
+        }
+    }
+
+    /// A packed run wider than 64 bits, one whose body is shorter than
+    /// its `n·width` bits, and a file in the v1 layout each fail as
+    /// `Format` — never a panic, an over-read or made-up values.
+    #[test]
+    fn malformed_packed_runs_and_v1_files_are_format_errors() {
+        let chunk = |width: u8, body: &[u8]| {
+            let mut w = ByteWriter::new();
+            w.put_u8(0); // no nulls
+            w.put_varint((4 << 1) | 1); // four packed literals
+            w.put_varint_signed(-3);
+            w.put_u8(width);
+            w.put_slice(body);
+            w.finish()
+        };
+        let int_types = [
+            DataType::Boolean,
+            DataType::Int,
+            DataType::BigInt,
+            DataType::Date,
+            DataType::Timestamp,
+        ];
+        // Four 13-bit fields are 52 bits: seven bytes.
+        let whole = chunk(13, &[0xff; 7]);
+        let got = decode_column(&whole, &DataType::BigInt, 4, false).unwrap();
+        assert_eq!(got, ColumnVector::BigInt(vec![8188; 4], None));
+        for (width, body) in [
+            (65u8, &[0u8; 40][..]),
+            (255, &[0; 40]),
+            (13, &[0xff; 6]),
+            (64, &[0; 31]),
+        ] {
+            let bytes = chunk(width, body);
+            for dt in &int_types {
+                match decode_column(&bytes, dt, 4, false) {
+                    Err(HiveError::Format(_)) => {}
+                    other => panic!("width {width}, {} body bytes, {dt}: {other:?}", body.len()),
+                }
+                assert!(reference::decode_column(bytes.clone(), dt, 4, false).is_err());
+            }
+        }
+
+        // The v1 layout is told apart by its magic.
+        let schema = Schema::new(vec![Field::new("a", DataType::Int)]);
+        let batch = VectorBatch::new(schema, vec![ColumnVector::Int(vec![1, 5, 9], None)]).unwrap();
+        let mut v1 = crate::writer::write_batch_to_bytes(&batch, WriterOptions::default())
+            .unwrap()
+            .to_vec();
+        let n = v1.len();
+        v1[n - 4..].copy_from_slice(crate::V1_MAGIC);
+        let v1 = Bytes::from(v1);
+        let fs = DistFs::new();
+        let path = DfsPath::new("/t/v1");
+        fs.create(&path, v1.clone()).unwrap();
+        for err in [
+            CorcFile::open(&fs, &path).unwrap_err(),
+            parse_in_memory(&v1).unwrap_err(),
+        ] {
+            assert!(
+                matches!(&err, HiveError::Format(m) if m.contains("v1 corc layout")),
+                "{err:?}"
             );
         }
     }

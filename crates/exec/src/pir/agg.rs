@@ -32,11 +32,19 @@
 //!   in first-seen order and folds them at the end, which is the fold of
 //!   the rows where a `(group, value)` pair first occurs, ascending.
 //!
-//! Every kernel takes its `(row, group)` pairs as an iterator, so one
-//! source serves both shapes of build: a keyed build zips the recorded
-//! row and assignment vectors ([`assigned`]), a key-less aggregate
-//! walks its selection with the constant group 0 ([`fold_keyless`]) and
-//! allocates neither.
+//! A keyed build's kernels take `(row, group)` pairs as an iterator,
+//! zipped from the recorded row and assignment vectors ([`assigned`]),
+//! and keep their states in per-group vectors. A key-less aggregate has
+//! one state, and its kernels ([`fold_keyless`]) hold it in locals: the
+//! loop walks the selection itself, with no pair, no group index and no
+//! store to a state slot per row. Where the order of the values cannot
+//! show in the result — a wrapping integer sum, a decimal magnitude
+//! sum, the least or greatest value of a total order — the loop is a
+//! plain reduction the compiler can vectorize; a MIN/MAX then finds the
+//! first row holding that value, which is the row the strict-better
+//! fold ends on. The semantics above hold unchanged: the pairs route
+//! folded with the constant group 0 is the reference they are tested
+//! against.
 //!
 //! The folded state ([`FoldOut`]) is typed vectors, one slot per group,
 //! and stays that from the fold to the output column
@@ -264,9 +272,10 @@ pub(crate) fn first_occurrences(
     Ok(first)
 }
 
-/// [`fold`] for a key-less aggregate: every selected row, group 0 — no
-/// row or assignment vector exists (but for DISTINCT, whose filter
-/// names the rows it keeps).
+/// A key-less aggregate's one state over the selected rows of `arg`,
+/// held in locals while it folds (see the module docs). DISTINCT folds
+/// the rows its filter keeps. Only call for [`compilable`] combinations;
+/// with `partial`, SUM(Decimal) yields a [`FoldOut::DecPartial`].
 pub(crate) fn fold_keyless(
     func: AggFunc,
     distinct: bool,
@@ -276,13 +285,226 @@ pub(crate) fn fold_keyless(
 ) -> Result<FoldOut> {
     if distinct {
         let col = arg.ok_or_else(missing_argument)?;
-        let (rows, groups) = first_occurrences(col, &sel.to_indices(), None)?;
-        return fold(func, arg, assigned(&rows, &groups), 1, partial);
+        let (rows, _) = first_occurrences(col, &sel.to_indices(), None)?;
+        return fold_keyless(func, false, arg, &SelVec::Idx(rows), partial);
     }
-    match sel {
-        SelVec::All(n) => fold(func, arg, (0..*n).map(|i| (i, 0)), 1, partial),
-        SelVec::Idx(v) => fold(func, arg, v.iter().map(|&i| (i as usize, 0)), 1, partial),
+    let col = match (func, arg) {
+        (AggFunc::Count, None) => return Ok(FoldOut::Count(vec![sel.len() as i64])),
+        (_, arg) => arg.ok_or_else(missing_argument)?,
+    };
+    let nulls = column_nulls(col);
+    match func {
+        AggFunc::Count => Ok(FoldOut::Count(vec![count_rows(nulls, sel) as i64])),
+        AggFunc::Sum => match col {
+            ColumnVector::Decimal(v, scale, _) if partial => {
+                let seen = first_row(v, nulls, sel).is_some();
+                let (sum, mag) = fold_rows(v, nulls, sel, (0i128, 0u128), |(s, m), _, &x| {
+                    (s.wrapping_add(x), m.saturating_add(x.unsigned_abs()))
+                });
+                Ok(FoldOut::DecPartial {
+                    scale: *scale,
+                    sums: Sums {
+                        vals: vec![sum],
+                        seen: vec![seen],
+                    },
+                    mags: vec![mag],
+                })
+            }
+            col => {
+                let mut sums = FoldOut::sums_for(col, 1)?;
+                keyless_sum_into(&mut sums, col, sel)?;
+                Ok(sums)
+            }
+        },
+        AggFunc::Avg => {
+            let mut acc = (0.0, 0);
+            keyless_avg_into(&mut acc, col, sel)?;
+            Ok(FoldOut::Avg(vec![acc]))
+        }
+        AggFunc::Min => Ok(FoldOut::Best(vec![keyless_best(col, sel, Ordering::Less)])),
+        AggFunc::Max => Ok(FoldOut::Best(vec![keyless_best(
+            col,
+            sel,
+            Ordering::Greater,
+        )])),
+        AggFunc::StddevSamp => Err(HiveError::Execution(
+            "stddev has no compiled accumulator".into(),
+        )),
     }
+}
+
+/// Fold `f` over the selected non-null values of `v`, in ascending
+/// selected-position order, each with its row: the one loop every
+/// key-less kernel runs, its state the value `init` starts it from.
+/// `f` may stop the fold with an error.
+#[inline(always)]
+fn try_fold_rows<'a, T, A, E>(
+    v: &'a [T],
+    nulls: Option<&BitSet>,
+    sel: &SelVec,
+    init: A,
+    mut f: impl FnMut(A, usize, &'a T) -> std::result::Result<A, E>,
+) -> std::result::Result<A, E> {
+    match (sel, nulls) {
+        (SelVec::All(n), None) => {
+            (v[..*n].iter().enumerate()).try_fold(init, |a, (i, x)| f(a, i, x))
+        }
+        (SelVec::All(n), Some(nb)) => {
+            (v[..*n].iter().enumerate())
+                .try_fold(init, |a, (i, x)| if nb.get(i) { Ok(a) } else { f(a, i, x) })
+        }
+        (SelVec::Idx(rows), None) => {
+            (rows.iter()).try_fold(init, |a, &i| f(a, i as usize, &v[i as usize]))
+        }
+        (SelVec::Idx(rows), Some(nb)) => rows.iter().try_fold(init, |a, &i| {
+            let i = i as usize;
+            if nb.get(i) {
+                Ok(a)
+            } else {
+                f(a, i, &v[i])
+            }
+        }),
+    }
+}
+
+/// [`try_fold_rows`] for a fold that cannot fail.
+#[inline(always)]
+fn fold_rows<'a, T, A>(
+    v: &'a [T],
+    nulls: Option<&BitSet>,
+    sel: &SelVec,
+    init: A,
+    mut f: impl FnMut(A, usize, &'a T) -> A,
+) -> A {
+    match try_fold_rows(v, nulls, sel, init, |a, i, x| {
+        Ok::<A, std::convert::Infallible>(f(a, i, x))
+    }) {
+        Ok(a) => a,
+        Err(never) => match never {},
+    }
+}
+
+/// The first selected row with a non-null value.
+fn first_row<T>(v: &[T], nulls: Option<&BitSet>, sel: &SelVec) -> Option<usize> {
+    try_fold_rows(v, nulls, sel, (), |(), i, _| Err(i)).err()
+}
+
+/// Selected rows that are not null.
+fn count_rows(nulls: Option<&BitSet>, sel: &SelVec) -> usize {
+    match (nulls, sel) {
+        (None, sel) => sel.len(),
+        (Some(nb), SelVec::All(n)) => (0..*n).filter(|&i| !nb.get(i)).count(),
+        (Some(nb), SelVec::Idx(rows)) => rows.iter().filter(|&&i| !nb.get(i as usize)).count(),
+    }
+}
+
+/// Continue a key-less SUM state (one slot) over `col`'s selected rows.
+/// Integer and decimal sums are plain reductions; `seen` is whether any
+/// non-null row was selected, asked once.
+fn keyless_sum_into(sums: &mut FoldOut, col: &ColumnVector, sel: &SelVec) -> Result<()> {
+    let nulls = column_nulls(col);
+    match (sums, col) {
+        // `Value::add`'s wrap-through-cast chain (module docs).
+        (FoldOut::SumInt(s), ColumnVector::Int(v, _)) => {
+            s.vals[0] = fold_rows(v, nulls, sel, s.vals[0], |a, _, &x| a.wrapping_add(x));
+            s.seen[0] |= first_row(v, nulls, sel).is_some();
+        }
+        (FoldOut::SumBigInt(s), ColumnVector::BigInt(v, _)) => {
+            s.vals[0] = fold_rows(v, nulls, sel, s.vals[0], |a, _, &x| a.wrapping_add(x));
+            s.seen[0] |= first_row(v, nulls, sel).is_some();
+        }
+        (FoldOut::SumDecimal(s, scale), ColumnVector::Decimal(v, vs, _)) if *scale == *vs => {
+            s.vals[0] = try_fold_rows(v, nulls, sel, s.vals[0], |a, _, &x| {
+                a.checked_add(x).ok_or_else(decimal_overflow)
+            })?;
+            s.seen[0] |= first_row(v, nulls, sel).is_some();
+        }
+        (FoldOut::SumDouble(s), ColumnVector::Double(v, _)) => {
+            // Assign-first, in order: addition order shows in the bits.
+            (s.vals[0], s.seen[0]) =
+                fold_rows(v, nulls, sel, (s.vals[0], s.seen[0]), |(a, seen), _, &x| {
+                    (if seen { a + x } else { x }, true)
+                });
+        }
+        _ => return Err(mismatched_parts()),
+    }
+    Ok(())
+}
+
+/// Continue a key-less AVG state over `col`'s selected rows, in order.
+fn keyless_avg_into(acc: &mut (f64, i64), col: &ColumnVector, sel: &SelVec) -> Result<()> {
+    let nulls = column_nulls(col);
+    macro_rules! avg {
+        ($v:expr, $conv:expr) => {
+            *acc = fold_rows($v, nulls, sel, *acc, |(s, c), _, &x| (s + $conv(x), c + 1))
+        };
+    }
+    match col {
+        ColumnVector::Int(v, _) => avg!(v, |x: i32| x as f64),
+        ColumnVector::BigInt(v, _) => avg!(v, |x: i64| x as f64),
+        ColumnVector::Double(v, _) => avg!(v, |x: f64| x),
+        ColumnVector::Decimal(v, s, _) => avg!(v, |x: i128| dec_to_f64(x, *s)),
+        other => {
+            return Err(HiveError::Execution(format!(
+                "no compiled AVG kernel for {:?}",
+                other.data_type()
+            )))
+        }
+    }
+    Ok(())
+}
+
+/// The winning row of a key-less MIN (`want` = Less) or MAX
+/// ([`NULL_INDEX`] when no non-null row is selected).
+fn keyless_best(col: &ColumnVector, sel: &SelVec, want: Ordering) -> u32 {
+    let nulls = column_nulls(col);
+    let row = match col {
+        ColumnVector::Boolean(v, _) => best_of_total(v, nulls, sel, want, |&x| x),
+        ColumnVector::Int(v, _) | ColumnVector::Date(v, _) => {
+            best_of_total(v, nulls, sel, want, |&x| x)
+        }
+        ColumnVector::BigInt(v, _) | ColumnVector::Timestamp(v, _) => {
+            best_of_total(v, nulls, sel, want, |&x| x)
+        }
+        ColumnVector::Decimal(v, _, _) => best_of_total(v, nulls, sel, want, |&x| x),
+        ColumnVector::Str(v, _) => best_of_total(v, nulls, sel, want, String::as_str),
+        ColumnVector::Dict { codes, dict, .. } => {
+            best_of_total(codes, nulls, sel, want, |&c| dict[c as usize].as_str())
+        }
+        // No total order: the strict-better fold itself, with the
+        // leader's value beside its row (the NaN rule, module docs).
+        ColumnVector::Double(v, _) => fold_rows(v, nulls, sel, None, |best, i, &x| match best {
+            Some((_, b)) if x.partial_cmp(&b) != Some(want) => best,
+            _ => Some((i, x)),
+        })
+        .map(|(i, _)| i),
+    };
+    row.map_or(NULL_INDEX, |i| i as u32)
+}
+
+/// The row a strict-better fold under the total order of `key` ends on:
+/// the first selected non-null row holding the least (`want` = Less) or
+/// greatest key — a reduction to that key, then a search for it.
+fn best_of_total<'a, T, K: Ord + Copy>(
+    v: &'a [T],
+    nulls: Option<&BitSet>,
+    sel: &SelVec,
+    want: Ordering,
+    key: impl Fn(&'a T) -> K,
+) -> Option<usize> {
+    let first = key(&v[first_row(v, nulls, sel)?]);
+    let best = match want {
+        Ordering::Less => fold_rows(v, nulls, sel, first, |b, _, x| b.min(key(x))),
+        _ => fold_rows(v, nulls, sel, first, |b, _, x| b.max(key(x))),
+    };
+    try_fold_rows(v, nulls, sel, (), |(), i, x| {
+        if key(x) == best {
+            Err(i)
+        } else {
+            Ok(())
+        }
+    })
+    .err()
 }
 
 /// [`fold`] over a keyed build's recorded assignment — `rows[j]` is a
@@ -386,30 +608,9 @@ fn fold_sum(
     pairs: impl Iterator<Item = (usize, usize)>,
     ngroups: usize,
 ) -> Result<FoldOut> {
-    let mut sums = match col {
-        ColumnVector::Int(..) => FoldOut::SumInt(Sums::new(ngroups)),
-        ColumnVector::BigInt(..) => FoldOut::SumBigInt(Sums::new(ngroups)),
-        ColumnVector::Double(..) => FoldOut::SumDouble(Sums::new(ngroups)),
-        ColumnVector::Decimal(_, scale, _) => FoldOut::SumDecimal(Sums::new(ngroups), *scale),
-        other => {
-            return Err(HiveError::Execution(format!(
-                "no compiled SUM kernel for {:?}",
-                other.data_type()
-            )))
-        }
-    };
-    fold_sum_into(&mut sums, col, pairs)?;
-    Ok(sums)
-}
-
-/// Add `pairs` into running SUM states of `col`'s type, in order.
-fn fold_sum_into(
-    sums: &mut FoldOut,
-    col: &ColumnVector,
-    pairs: impl Iterator<Item = (usize, usize)>,
-) -> Result<()> {
+    let mut sums = FoldOut::sums_for(col, ngroups)?;
     let nulls = column_nulls(col);
-    match (sums, col) {
+    match (&mut sums, col) {
         (FoldOut::SumInt(s), ColumnVector::Int(v, _)) => {
             // `Value::add` on Int does exact i128 math then truncates
             // back to i32 per step — a wrapping add at i32 width (and
@@ -441,7 +642,7 @@ fn fold_sum_into(
         }
         _ => return Err(mismatched_parts()),
     }
-    Ok(())
+    Ok(sums)
 }
 
 /// The interpreter's (`Value::add`'s) decimal overflow error.
@@ -467,6 +668,22 @@ fn fold_sum_decimal_partial(
 }
 
 impl FoldOut {
+    /// `ngroups` empty SUM states at `col`'s width.
+    fn sums_for(col: &ColumnVector, ngroups: usize) -> Result<FoldOut> {
+        Ok(match col {
+            ColumnVector::Int(..) => FoldOut::SumInt(Sums::new(ngroups)),
+            ColumnVector::BigInt(..) => FoldOut::SumBigInt(Sums::new(ngroups)),
+            ColumnVector::Double(..) => FoldOut::SumDouble(Sums::new(ngroups)),
+            ColumnVector::Decimal(_, scale, _) => FoldOut::SumDecimal(Sums::new(ngroups), *scale),
+            other => {
+                return Err(HiveError::Execution(format!(
+                    "no compiled SUM kernel for {:?}",
+                    other.data_type()
+                )))
+            }
+        })
+    }
+
     /// The aggregate's output column: one row per group, aligned to the
     /// declared output type `want`. COUNT is `BigInt`; SUM is its typed
     /// sums with the unseen groups as null bits; AVG divides once per
@@ -637,16 +854,6 @@ fn fold_avg(
     ngroups: usize,
 ) -> Result<FoldOut> {
     let mut accs: Vec<(f64, i64)> = vec![(0.0, 0); ngroups];
-    fold_avg_into(&mut accs, col, pairs)?;
-    Ok(FoldOut::Avg(accs))
-}
-
-/// Add `pairs` into running AVG states, in order.
-fn fold_avg_into(
-    accs: &mut [(f64, i64)],
-    col: &ColumnVector,
-    pairs: impl Iterator<Item = (usize, usize)>,
-) -> Result<()> {
     let nulls = column_nulls(col);
     macro_rules! avg_loop {
         ($v:expr, $conv:expr) => {
@@ -670,7 +877,7 @@ fn fold_avg_into(
             )))
         }
     }
-    Ok(())
+    Ok(FoldOut::Avg(accs))
 }
 
 /// A key-less SUM or AVG over several parts, folded as one: the state
@@ -683,26 +890,14 @@ pub(crate) fn fold_keyless_continued(
     func: AggFunc,
     parts: &[(Option<&ColumnVector>, &SelVec)],
 ) -> Result<FoldOut> {
-    fn step(
-        state: &mut Option<FoldOut>,
-        func: AggFunc,
-        arg: Option<&ColumnVector>,
-        pairs: impl Iterator<Item = (usize, usize)>,
-    ) -> Result<()> {
-        let col = arg.ok_or_else(missing_argument)?;
-        match (state.as_mut(), func) {
-            (None, _) => *state = Some(fold(func, arg, pairs, 1, false)?),
-            (Some(FoldOut::Avg(accs)), AggFunc::Avg) => fold_avg_into(accs, col, pairs)?,
-            (Some(sums), AggFunc::Sum) => fold_sum_into(sums, col, pairs)?,
-            _ => return Err(mismatched_parts()),
-        }
-        Ok(())
-    }
     let mut state: Option<FoldOut> = None;
     for &(arg, sel) in parts {
-        match sel {
-            SelVec::All(n) => step(&mut state, func, arg, (0..*n).map(|i| (i, 0)))?,
-            SelVec::Idx(v) => step(&mut state, func, arg, v.iter().map(|&i| (i as usize, 0)))?,
+        let col = arg.ok_or_else(missing_argument)?;
+        match (state.as_mut(), func) {
+            (None, _) => state = Some(fold_keyless(func, false, arg, sel, false)?),
+            (Some(FoldOut::Avg(accs)), AggFunc::Avg) => keyless_avg_into(&mut accs[0], col, sel)?,
+            (Some(sums), AggFunc::Sum) => keyless_sum_into(sums, col, sel)?,
+            _ => return Err(mismatched_parts()),
         }
     }
     state.ok_or_else(|| HiveError::Execution("aggregate over no parts".into()))
@@ -747,4 +942,233 @@ fn fold_minmax(
         ColumnVector::Timestamp(v, _) => mm_loop!(|i: usize, b: usize| Some(v[i].cmp(&v[b]))),
     }
     FoldOut::Best(best)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::Arc;
+
+    /// A column of every compilable representation, `n` rows, with a
+    /// null every third row when `nulls`: doubles with NaN, both zeros
+    /// and infinities; decimals small and (`huge`) a few additions from
+    /// `i128::MAX` either way.
+    fn columns(n: usize, nulls: bool) -> Vec<(&'static str, ColumnVector)> {
+        let bitmap = || {
+            nulls.then(|| {
+                let mut b = BitSet::new(n);
+                (0..n).filter(|i| i % 3 == 1).for_each(|i| b.set(i));
+                b
+            })
+        };
+        let int = |i: usize| ((i * 7919) % 201) as i64 - 100;
+        let words: Vec<String> = ["pear", "apple", "", "fig", "apple"]
+            .map(String::from)
+            .to_vec();
+        vec![
+            (
+                "bool",
+                ColumnVector::Boolean((0..n).map(|i| i % 5 == 2).collect(), bitmap()),
+            ),
+            (
+                "int",
+                ColumnVector::Int(
+                    (0..n)
+                        .map(|i| match i % 11 {
+                            3 => i32::MAX,
+                            7 => i32::MIN,
+                            _ => int(i) as i32,
+                        })
+                        .collect(),
+                    bitmap(),
+                ),
+            ),
+            (
+                "bigint",
+                ColumnVector::BigInt(
+                    (0..n)
+                        .map(|i| if i % 13 == 4 { i64::MAX } else { int(i) })
+                        .collect(),
+                    bitmap(),
+                ),
+            ),
+            (
+                "double",
+                ColumnVector::Double(
+                    (0..n)
+                        .map(|i| match i % 9 {
+                            0 => -0.0,
+                            1 => 0.0,
+                            2 if i > 20 => f64::NAN,
+                            4 => f64::INFINITY,
+                            5 if i > 40 => f64::NEG_INFINITY,
+                            _ => int(i) as f64 * 0.125 + 0.1,
+                        })
+                        .collect(),
+                    bitmap(),
+                ),
+            ),
+            (
+                "decimal",
+                ColumnVector::Decimal((0..n).map(|i| int(i) as i128).collect(), 2, bitmap()),
+            ),
+            (
+                "huge",
+                ColumnVector::Decimal(
+                    (0..n)
+                        .map(|i| match i % 4 {
+                            0 => i128::MAX / 3,
+                            1 => -(i128::MAX / 3),
+                            2 => i128::MAX / 2 + (i % 3) as i128,
+                            _ => int(i) as i128,
+                        })
+                        .collect(),
+                    2,
+                    bitmap(),
+                ),
+            ),
+            (
+                "str",
+                ColumnVector::Str((0..n).map(|i| words[i * 3 % 5].clone()).collect(), bitmap()),
+            ),
+            (
+                "dict",
+                ColumnVector::Dict {
+                    codes: (0..n).map(|i| (i * 3 % 5) as u32).collect(),
+                    dict: Arc::new(words.clone()),
+                    nulls: bitmap(),
+                },
+            ),
+            (
+                "date",
+                ColumnVector::Date((0..n).map(|i| int(i) as i32).collect(), bitmap()),
+            ),
+            (
+                "ts",
+                ColumnVector::Timestamp((0..n).map(int).collect(), bitmap()),
+            ),
+        ]
+    }
+
+    /// The selections a key-less fold sees over `n` rows: all, every
+    /// other row, the second half, none.
+    fn selections(n: usize) -> Vec<SelVec> {
+        vec![
+            SelVec::All(n),
+            SelVec::Idx((0..n as u32).step_by(2).collect()),
+            SelVec::Idx((n as u32 / 2..n as u32).collect()),
+            SelVec::Idx(Vec::new()),
+        ]
+    }
+
+    /// Results compared by their debug text: `-0.0` and `NaN` print as
+    /// themselves, an error by its message.
+    fn text(r: &Result<FoldOut>) -> String {
+        format!("{r:?}")
+    }
+
+    /// The pairs route with the constant group 0 — the reference.
+    fn by_pairs(
+        func: AggFunc,
+        distinct: bool,
+        arg: Option<&ColumnVector>,
+        sel: &SelVec,
+        partial: bool,
+    ) -> Result<FoldOut> {
+        if distinct {
+            let (rows, groups) =
+                first_occurrences(arg.ok_or_else(missing_argument)?, &sel.to_indices(), None)?;
+            return fold(func, arg, assigned(&rows, &groups), 1, partial);
+        }
+        fold(func, arg, sel.iter().map(|i| (i, 0)), 1, partial)
+    }
+
+    const FUNCS: [AggFunc; 6] = [
+        AggFunc::Count,
+        AggFunc::Sum,
+        AggFunc::Avg,
+        AggFunc::Min,
+        AggFunc::Max,
+        AggFunc::StddevSamp,
+    ];
+
+    #[test]
+    fn keyless_kernels_equal_the_pairs_route() {
+        let mut checked = 0;
+        let (mut overflowed, mut saturated) = (0, 0);
+        for n in [0, 1, 2, 7, 64, 65, 300] {
+            for nulls in [false, true] {
+                for (name, col) in columns(n, nulls) {
+                    for sel in selections(n) {
+                        for func in FUNCS {
+                            for distinct in [false, true] {
+                                if !compilable(func, distinct, Some(&col)) {
+                                    continue;
+                                }
+                                for partial in [false, true] {
+                                    let what = format!(
+                                        "{func:?} distinct={distinct} partial={partial} over {name} \
+                                         n={n} nulls={nulls} {sel:?}"
+                                    );
+                                    let got =
+                                        fold_keyless(func, distinct, Some(&col), &sel, partial);
+                                    let want = by_pairs(func, distinct, Some(&col), &sel, partial);
+                                    assert_eq!(text(&got), text(&want), "{what}");
+                                    overflowed += got.is_err() as usize;
+                                    saturated += matches!(
+                                        &got,
+                                        Ok(FoldOut::DecPartial { mags, .. }) if mags[0] > i128::MAX as u128
+                                    ) as usize;
+                                    checked += 1;
+                                }
+                            }
+                        }
+                    }
+                }
+                // COUNT(*): no argument at all.
+                for sel in selections(n) {
+                    let got = fold_keyless(AggFunc::Count, false, None, &sel, false);
+                    assert_eq!(
+                        text(&got),
+                        text(&by_pairs(AggFunc::Count, false, None, &sel, false))
+                    );
+                }
+            }
+        }
+        assert!(checked > 5000, "{checked} combinations");
+        assert!(
+            overflowed > 0 && saturated > 0,
+            "{overflowed} overflows, {saturated} saturated partials"
+        );
+    }
+
+    /// A key-less SUM or AVG continued across parts is the one fold over
+    /// their rows in order — here three consecutive slices of a column.
+    #[test]
+    fn continued_keyless_folds_equal_the_pairs_route() {
+        let n = 300;
+        for nulls in [false, true] {
+            for (name, col) in columns(n, nulls) {
+                for func in [AggFunc::Sum, AggFunc::Avg] {
+                    if !compilable(func, false, Some(&col)) {
+                        continue;
+                    }
+                    let cuts = [0u32, 0, 97, 250, n as u32];
+                    let sels: Vec<SelVec> = cuts
+                        .windows(2)
+                        .map(|w| SelVec::Idx((w[0]..w[1]).collect()))
+                        .collect();
+                    let parts: Vec<(Option<&ColumnVector>, &SelVec)> =
+                        sels.iter().map(|s| (Some(&col), s)).collect();
+                    let got = fold_keyless_continued(func, &parts);
+                    let want = by_pairs(func, false, Some(&col), &SelVec::All(n), false);
+                    assert_eq!(
+                        text(&got),
+                        text(&want),
+                        "{func:?} over {name}, nulls={nulls}"
+                    );
+                }
+            }
+        }
+    }
 }

@@ -369,11 +369,10 @@ fn read_scan<'p>(plan: &'p LogicalPlan, ctx: &ExecContext, exec: ExecFn) -> Resu
         let files: Vec<DfsPath> = match &wlist {
             Some(wlist) => {
                 let snap = resolve_snapshot(ctx.fs, dir, wlist);
-                delete_sets.push(crate::recovery::retry_transient(
-                    ctx,
-                    || "load delete deltas".into(),
-                    || DeleteSet::load(ctx.fs, &snap, wlist),
-                )?);
+                delete_sets.push(DeleteSet::load_each(ctx.fs, &snap, wlist, |path, read| {
+                    let what = || format!("load delete delta {path}");
+                    crate::recovery::retry_transient(ctx, what, read)
+                })?);
                 snap.base
                     .iter()
                     .chain(&snap.insert_deltas)

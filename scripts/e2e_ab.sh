@@ -19,6 +19,14 @@
 # way to compare core counts, since the benchmark clears every HIVE_*
 # variable (a 1- versus 2-core table is two calls, --cores 1 and 2).
 #
+# Every run also records the benchmark process's CPU seconds (user +
+# system) and minor page faults, from the rusage of run.sh and its
+# children less that of run.sh's own up-to-date build check, timed alone
+# just before. The summary adds ops per CPU-second (operations over the
+# whole process's CPU: set-up, timed passes and the correctness check)
+# and minor faults per operation beside the wall-clock metrics, with the
+# same quartiles and pairs won, and prints the core count.
+#
 # Defaults: every workload, 10 pairs, seed 2019, every core, D = a temp
 # dir removed on exit (pass --dir to keep the checkout and both builds
 # for the next call).
@@ -65,12 +73,33 @@ if [ -n "$cores" ]; then
   pin=(taskset -c "0-$((cores - 1))")
 fi
 
-# run <side> <workload> <trace> [extra run.sh arguments]: the run's JSON line.
+# rusage <file> <command...>: run the command; write "<cpu seconds>
+# <minor faults>" of it and every child it waited for to <file>.
+rusage() {
+  python3 -c '
+import resource, subprocess, sys
+code = subprocess.run(sys.argv[2:]).returncode
+r = resource.getrusage(resource.RUSAGE_CHILDREN)
+open(sys.argv[1], "w").write(f"{r.ru_utime + r.ru_stime:.3f} {r.ru_minflt}\n")
+sys.exit(code)' "$@"
+}
+
+# run <side> <workload> <trace> [extra run.sh arguments]: the run's JSON
+# line; its CPU seconds and minor faults, build check excluded, go to
+# $dir/usage as "<cpu seconds> <minor faults>".
 run() {
   local side="$1" w="$2" trace="$3" root; shift 3
   case "$side" in parent) root="$dir/parent" ;; *) root="$repo" ;; esac
-  CARGO_TARGET_DIR="$dir/target-$side" "${pin[@]}" bash "$root/bench/e2e/run.sh" \
+  local target="$dir/target-$side"
+  CARGO_TARGET_DIR="$target" rusage "$dir/usage.build" cargo build --release --offline \
+    --quiet --manifest-path "$root/bench/e2e/Cargo.toml"
+  CARGO_TARGET_DIR="$target" rusage "$dir/usage.run" "${pin[@]}" bash "$root/bench/e2e/run.sh" \
     --workload "$w" --seed "$seed" --trace "$trace" "$@" | tail -n 1
+  read -r run_cpu run_flt < "$dir/usage.run"
+  read -r build_cpu build_flt < "$dir/usage.build"
+  python3 -c 'import sys; r, rf, b, bf = map(float, sys.argv[1:])
+print(f"{max(r - b, 0):.3f} {max(rf - bf, 0):.0f}")' \
+    "$run_cpu" "$run_flt" "$build_cpu" "$build_flt" > "$dir/usage"
 }
 
 first_workload="$(set -- $workloads; echo "$1")"
@@ -81,8 +110,11 @@ done
 
 : > "$dir/parent.jsonl"; : > "$dir/change.jsonl"
 record() { # record <side> <workload> <trace>
-  printf '{"workload": "%s", "trace": %s, "result": %s}\n' "$2" "$3" "$(run "$1" "$2" "$3")" \
-    >> "$dir/$1.jsonl"
+  local result cpu_s minflt
+  result="$(run "$1" "$2" "$3")"
+  read -r cpu_s minflt < "$dir/usage"
+  printf '{"workload": "%s", "trace": %s, "cpu_s": %s, "minflt": %s, "result": %s}\n' \
+    "$2" "$3" "$cpu_s" "$minflt" "$result" >> "$dir/$1.jsonl"
 }
 for w in $workloads; do
   for i in $(seq "$pairs"); do
@@ -122,11 +154,25 @@ def quartiles(v):
     q = statistics.quantiles(v, n=4)
     return q[0], statistics.median(v), q[2]
 
+# Per run: the end-to-end metrics, then the process's use of the host.
+def per_run(r):
+    out = {m: v["value"] for m, v in r["result"]["metrics"].items()}
+    ops = r["result"]["attempted"]
+    out["ops_per_cpu_s"] = ops / r["cpu_s"] if r["cpu_s"] > 0 else 0.0
+    out["minflt_per_op"] = r["minflt"] / ops if ops else 0.0
+    return out
+
+metrics = bench["end_to_end"] + [
+    {"name": "ops_per_cpu_s", "better": "higher"},
+    {"name": "minflt_per_op", "better": "lower"},
+]
+cores = {json.load(open(p))["host_cores"] for p in sys.argv[2:4]}
+print(f"cores: {' / '.join(map(str, sorted(cores)))} (of {__import__('os').cpu_count()} on the host)")
 print(f"{'workload':12s} {'metric':20s} {'parent q1':>11s} {'median':>11s} {'q3':>11s} "
       f"{'change q1':>11s} {'median':>11s} {'q3':>11s} {'pairs won':>9s}")
 for w in [x["name"] for x in bench["workloads"]]:
-    for m in bench["end_to_end"]:
-        a, b = ([r["result"]["metrics"][m["name"]]["value"] for r in runs
+    for m in metrics:
+        a, b = ([per_run(r)[m["name"]] for r in runs
                  if r["workload"] == w and not r["trace"]] for runs in sides)
         if not a or not b:
             continue

@@ -105,6 +105,11 @@ cargo test -q --offline -p hive-llap --lib ordered_set_picks_the_linear_choosers
 echo "-- corc: truncated and mutated chunks and footers decode to Ok or Format --"
 cargo test -q --offline -p hive-corc --lib decode_fuzz_truncations_and_mutations_end_typed
 cargo test -q --offline -p hive-corc --test prop_tests footer_truncations_and_mutations_end_typed
+echo "-- corc: packed runs round-trip at every width; a bad width, a short body, a v1 file are Format --"
+cargo test -q --offline -p hive-corc --lib packed_runs_round_trip_at_every_width
+cargo test -q --offline -p hive-corc --lib malformed_packed_runs_and_v1_files_are_format_errors
+echo "-- key-less kernels = the pairs route, every compilable (function, type) pair --"
+cargo test -q --offline -p hive-exec --lib pir::agg::tests
 # The hash-key layer's two promises (DESIGN.md §4 "Hash keys"): packed
 # words group and join exactly as the canonical bytes they replaced, and
 # a DOUBLE key (NaN, signed zeros) has one answer under every
