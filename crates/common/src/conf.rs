@@ -108,9 +108,11 @@ pub struct HiveConf {
     /// (function, column type) over the recorded group assignment, and
     /// join residual predicates evaluate vectorized over gathered
     /// candidate pair-batches instead of per-pair row interpretation
-    /// (non-compilable shapes, spilled aggregates and grace joins keep
-    /// the interpreter; `pir_compiled_stages`/`pir_fallback_rows` on
-    /// the query result account for which path ran). When off, the
+    /// (non-compilable shapes and grace-join residuals keep the
+    /// interpreter; a spilled aggregate's partitions fold compiled
+    /// exactly when the in-memory build would;
+    /// `pir_compiled_stages`/`pir_fallback_rows` on the query result
+    /// account for which path ran). When off, the
     /// per-batch interpreter (`eval_vector` + eager stage
     /// materialization) runs — the differential oracle. Results are
     /// byte-identical either way; only dispatch and materialization

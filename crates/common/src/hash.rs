@@ -247,10 +247,7 @@ mod tests {
         assert_eq!(enc(&Value::Int(42)), enc(&Value::Decimal(4200, 2)));
         assert_eq!(enc(&Value::Double(0.0)), enc(&Value::Double(-0.0)));
         // NaN is one key with itself, though not group_eq.
-        assert_eq!(
-            enc(&Value::Double(f64::NAN)),
-            enc(&Value::Double(f64::NAN))
-        );
+        assert_eq!(enc(&Value::Double(f64::NAN)), enc(&Value::Double(f64::NAN)));
         // Classes that are not group_eq stay apart.
         assert_ne!(enc(&Value::Boolean(true)), enc(&Value::Int(1)));
         assert_ne!(enc(&Value::Double(2.5)), enc(&Value::Decimal(25, 1)));

@@ -12,7 +12,9 @@
 //! path — one [`FoldOut`] per aggregate from the fold to the output
 //! column — and accumulator rows (`Vec<Acc>` per group) only where the
 //! interpreter *is* the implementation: `hive.exec.pir.enabled = false`
-//! (the differential oracle), `STDDEV_SAMP`, and the spilled build.
+//! (the differential oracle) and `STDDEV_SAMP`. A build that spills is
+//! the in-memory build over each spilled partition's positions, so it
+//! is compiled or interpreted exactly as the in-memory one would be.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
@@ -20,8 +22,7 @@ use crate::engine::align_column;
 use crate::kernels::eval_vector;
 use crate::keys::{Grouper, KeySide, RowKeys, Runs, ValueSet};
 use crate::pir::agg::FoldOut;
-use crate::rawtable::RawTable;
-use crate::spill::{partition_of, plan_partition, push_rec, RecIter, SpillCtx};
+use crate::spill::SpillCtx;
 use hive_common::{
     ColumnVector, HiveError, Result, SelBatch, SelVec, Value, VectorBatch, NULL_INDEX,
 };
@@ -410,20 +411,23 @@ pub fn execute_aggregate_parts(
                 .iter()
                 .zip(&input.arg_cols)
                 .all(|(a, c)| crate::pir::agg::compilable(a.func, a.distinct, c.as_deref()));
-        let spilled = matches!(&admission, Some((sp, None)) if sp.enabled);
-        // The spilling build keeps the interpreted accumulators: its
-        // record-at-a-time recursion has no batch to fold over.
         if let Some(pc) = pir.as_deref_mut() {
-            if compiled && !spilled {
+            if compiled {
                 any_compiled = true;
             } else {
                 pc.fallback_rows += total_rows as u64;
             }
         }
-        let mut groups = match &admission {
-            Some((sp, None)) if sp.enabled => {
-                build_groups_spilled(&input.sel, &input.key_cols, &input.arg_cols, set, aggs, sp)?
-            }
+        let groups = match &admission {
+            Some((sp, None)) if sp.enabled => build_groups_spilled(
+                &input.sel,
+                &input.key_cols,
+                &input.arg_cols,
+                set,
+                aggs,
+                compiled,
+                sp,
+            )?,
             _ => {
                 let _forced = match &admission {
                     Some((sp, None)) => Some(sp.broker.force_reserve("group-by", est)),
@@ -440,15 +444,6 @@ pub fn execute_aggregate_parts(
                 )?
             }
         };
-        // Global aggregation with no keys over empty input yields the
-        // neutral row (its position is never read: there are no keys).
-        // Only the spilled build can come back without it.
-        if let States::Rows(rows) = &mut groups.states {
-            if rows.is_empty() && set.is_empty() {
-                groups.first_pos.push(0);
-                rows.push(aggs.iter().map(Acc::new).collect());
-            }
-        }
         out.push(emit_groups(
             groups,
             &input.sel,
@@ -1055,18 +1050,21 @@ fn build_groups(
         let d = discover_partition(sel, &side, &keys, &runs, p)?;
         accumulate(d, aggs, arg_cols, compiled)
     })?;
-    merge_partitions(parts, aggs.len(), sel.len())
+    let order = merge_first_seen(&parts, sel.len());
+    merge_partitions(parts, aggs.len(), order)
 }
 
-/// The partitions of a hash-partitioned build over `positions` selected
-/// positions as one build. Their groups are disjoint and each partition
-/// lists its own ascending by first-seen position, so the serial
-/// discovery order is a merge of ascending lists ([`merge_first_seen`])
-/// and every group's state is picked from its partition as it stands:
-/// nothing is sorted and nothing is combined.
-fn merge_partitions(parts: Vec<Built>, naggs: usize, positions: usize) -> Result<Built> {
-    let (first_pos, order) = merge_first_seen(&parts, positions);
-
+/// The partitions of a hash-partitioned build as one build. Their
+/// groups are disjoint, so the serial discovery order is theirs merged
+/// by first-seen position — `(first_pos, order)`, each group's first
+/// position and `(partition, group within it)` — and every group's
+/// state is picked from its partition as it stands: nothing is
+/// combined.
+fn merge_partitions(
+    parts: Vec<Built>,
+    naggs: usize,
+    (first_pos, order): (Vec<usize>, Vec<(u32, u32)>),
+) -> Result<Built> {
     // Per aggregate, the partitions' state columns; per partition, its
     // accumulator rows. A build is one or the other throughout.
     let mut folded: Vec<Vec<FoldOut>> = (0..naggs).map(|_| Vec::new()).collect();
@@ -1119,149 +1117,62 @@ fn merge_first_seen(parts: &[Built], rows: usize) -> (Vec<usize>, Vec<(u32, u32)
     merged
 }
 
-/// The spilling build for one grouping set: every selected position's
-/// group key is encoded into a spill record (stable hash + canonical
-/// key bytes + position — the same format the grace join uses), then
-/// recursively partitioned through disk until a partition's modeled
-/// table fits the working budget. Each leaf builds its groups exactly
-/// like the in-memory build; the final merge sorts by global first-seen
-/// position, restoring the serial discovery order.
+/// The partitions' groups in first-seen order by sorting them: what a
+/// spilled build merges its leaves with, whose number a byte per
+/// position ([`merge_first_seen`]) does not bound.
+fn merge_sorted(parts: &[Built]) -> (Vec<usize>, Vec<(u32, u32)>) {
+    let mut groups: Vec<(usize, (u32, u32))> = (parts.iter().enumerate())
+        .flat_map(|(p, part)| {
+            (part.first_pos.iter().enumerate()).map(move |(l, &pos)| (pos, (p as u32, l as u32)))
+        })
+        .collect();
+    groups.sort_unstable_by_key(|&(pos, _)| pos);
+    groups.into_iter().unzip()
+}
+
+/// The spilling build for one grouping set: the selected positions are
+/// partitioned through spill files by their key hash ([`crate::spill::solve`])
+/// until a partition's modeled state fits the working budget, and each
+/// leaf is the in-memory build over its positions — the same key
+/// shape, the same discovery, the same compiled or interpreted fold.
 ///
-/// Byte-identity with the in-memory path: a group's rows all share a
-/// key hash, so they land in one partition and fold in ascending
-/// position order (partitioning preserves relative record order) —
-/// the same fold order the serial loop uses, which is what keeps
-/// order-sensitive accumulators (f64 sums, Welford variance, DISTINCT
-/// first-seen order) bit-exact. The whole path is serial, so its spill
-/// I/O schedule replays deterministically at any worker count.
+/// A group's positions all share a key hash, so they land in one leaf
+/// in ascending order: its states fold exactly as in the serial build
+/// (f64 sums, Welford variance and DISTINCT first-seen order included),
+/// and the leaves merge by first-seen position. The recursion is
+/// serial, so its spill I/O replays at any worker count.
 fn build_groups_spilled(
     sel: &SelVec,
     key_cols: &[Arc<ColumnVector>],
     arg_cols: &[Option<Arc<ColumnVector>>],
     set: &[usize],
     aggs: &[AggExpr],
+    compiled: bool,
     sp: &SpillCtx<'_>,
 ) -> Result<Built> {
-    let num_rows = sel.len();
-    // Spill records are the bytes shape, whatever the columns are.
-    let keys = key_side(key_cols, set).into_bytes().keys(sel, 0, num_rows);
-    let mut recs: Vec<u8> = Vec::new();
-    for pos in 0..num_rows {
-        // NULL is a group: every row has a key hash and a record.
-        if let Some((h, key)) = keys.record(pos) {
-            push_rec(&mut recs, h, pos as u32, key);
-        }
-    }
-    let op = sp.next_op();
-    let mut groups: Vec<(usize, Vec<Acc>)> = Vec::new();
-    let mut file_seq = 0u64;
-    agg_solve(
+    let side = key_side(key_cols, set);
+    let mut leaves: Vec<Built> = Vec::new();
+    crate::spill::solve(
         sp,
-        op,
-        sel,
-        arg_cols,
-        aggs,
-        set.len().max(1),
-        0,
-        None,
-        num_rows,
-        &recs,
-        &mut groups,
-        &mut file_seq,
+        "group-by-partition",
+        [(&side, sel, ".agg")],
+        |rows| crate::spill::estimate_agg_bytes(rows, set.len().max(1), aggs.len()),
+        [(0..sel.len() as u32).collect()],
+        |[run]| {
+            let rows = sel.compose(&run);
+            let mut leaf = build_groups(&rows, key_cols, arg_cols, set, aggs, 1, compiled)?;
+            // A key-less group's position is never read.
+            if !set.is_empty() {
+                for p in &mut leaf.first_pos {
+                    *p = run[*p] as usize;
+                }
+            }
+            leaves.push(leaf);
+            Ok(())
+        },
     )?;
-    groups.sort_by_key(|(first_pos, _)| *first_pos);
-    let (first_pos, rows) = groups.into_iter().unzip();
-    Ok(Built {
-        first_pos,
-        states: States::Rows(rows),
-    })
-}
-
-/// Solve one aggregation partition: fold it in memory (charging the
-/// broker) or split it `fanout` ways through spill files and recurse —
-/// the same discipline as the grace join's [`crate::spill::plan_partition`]
-/// recursion, with the no-progress and depth guards bounding skewed
-/// key distributions.
-#[allow(clippy::too_many_arguments)]
-fn agg_solve(
-    sp: &SpillCtx<'_>,
-    op: u64,
-    sel: &SelVec,
-    arg_cols: &[Option<Arc<ColumnVector>>],
-    aggs: &[AggExpr],
-    key_cols_n: usize,
-    depth: u32,
-    parent_rows: Option<usize>,
-    rows: usize,
-    recs: &[u8],
-    out: &mut Vec<(usize, Vec<Acc>)>,
-    file_seq: &mut u64,
-) -> Result<()> {
-    let est = crate::spill::estimate_agg_bytes(rows, key_cols_n, aggs.len());
-    let plan = plan_partition(est, sp.broker.chunk_budget(), depth, rows, parent_rows);
-    if plan.process_in_memory {
-        // Forced when over budget: the skewed tail (one dominant key /
-        // depth cap) proceeds rather than fails; see the broker peak.
-        let _g = match sp.broker.try_reserve("group-by-partition", est) {
-            Some(g) => g,
-            None => sp.broker.force_reserve("group-by-partition", est),
-        };
-        let mut groups: Vec<(usize, Vec<Acc>)> = Vec::new();
-        let mut table = RawTable::new();
-        for rec in RecIter::new(recs) {
-            let (h, pos, key) = rec?;
-            let (e, inserted) = table.insert(h, key);
-            if inserted {
-                groups.push((pos as usize, aggs.iter().map(Acc::new).collect()));
-            }
-            let i = sel.index(pos as usize);
-            for (acc, arg) in groups[e as usize].1.iter_mut().zip(arg_cols) {
-                let v = arg.as_ref().map(|c| c.get(i));
-                acc.update(v.as_ref())?;
-            }
-        }
-        out.extend(groups);
-        return Ok(());
-    }
-
-    let fanout = plan.fanout;
-    let mut parts: Vec<(Vec<u8>, usize)> = vec![(Vec::new(), 0); fanout];
-    for rec in RecIter::new(recs) {
-        let (h, pos, key) = rec?;
-        let p = partition_of(h, depth, fanout);
-        push_rec(&mut parts[p].0, h, pos, key);
-        parts[p].1 += 1;
-    }
-    // Write every partition before reading any back (the grace
-    // discipline: one partition's records resident at a time below).
-    let mut files = Vec::with_capacity(fanout);
-    for (p, (buf, n)) in parts.drain(..).enumerate() {
-        if buf.is_empty() {
-            continue;
-        }
-        let id = *file_seq;
-        *file_seq += 1;
-        files.push((sp.write(&format!("op{op}-s{id}-p{p}.agg"), buf)?, n));
-    }
-    for (f, n) in files {
-        let buf = sp.read(&f)?;
-        drop(f);
-        agg_solve(
-            sp,
-            op,
-            sel,
-            arg_cols,
-            aggs,
-            key_cols_n,
-            depth + 1,
-            Some(rows),
-            n,
-            &buf,
-            out,
-            file_seq,
-        )?;
-    }
-    Ok(())
+    let order = merge_sorted(&leaves);
+    merge_partitions(leaves, aggs.len(), order)
 }
 
 #[cfg(test)]
@@ -1674,29 +1585,5 @@ mod tests {
             arg: Some(ScalarExpr::Column(col)),
             distinct: false,
         }]
-    }
-
-    #[test]
-    fn bytes_shape_hashes_are_fnv1a_of_the_key_bytes() {
-        // What the spilled build writes into its records: the FNV-1a of
-        // the canonical key encoding, pinned against the vectors in
-        // hive_common::hash. (Word shapes hash the packed word instead;
-        // `crates/exec/tests/keys.rs` covers their contract.)
-        let ints = Arc::new(ColumnVector::Int(vec![42, 1], None));
-        let strs = Arc::new(ColumnVector::Str(vec!["ab".into(), "cd".into()], None));
-        let cols = [ints, strs];
-        let keys = key_side(&cols, &[0])
-            .into_bytes()
-            .keys(&SelVec::all(2), 0, 2);
-        assert_eq!(keys.hash(0), Some(0xb960_a184_f070_32c6)); // fnv1a(enc(Int 42))
-        assert_eq!(keys.hash(1), Some(0x7194_f3e5_9ae4_7dcd)); // fnv1a(enc(Int 1))
-        let keys = key_side(&cols, &[0, 1]).keys(&SelVec::all(2), 0, 2);
-        assert_eq!(keys.shape(), crate::keys::Shape::Bytes);
-        // fnv1a(enc(Int 42) ++ enc(Str "ab"))
-        assert_eq!(keys.hash(0), Some(0x6161_74ad_148e_10c7));
-        for r in 0..2 {
-            let bytes = keys.bytes(r).unwrap();
-            assert_eq!(keys.hash(r), Some(hive_common::hash::fnv1a(bytes)));
-        }
     }
 }

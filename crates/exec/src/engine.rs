@@ -2,6 +2,8 @@
 //! optimized logical plan, with per-node tracing feeding the simulated
 //! cluster time model.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use crate::aggregate::execute_aggregate_parts;
 use crate::join::execute_join_parts;
 use crate::kernels::{eval_rowmode, eval_vector, filter_indices, filter_indices_rowmode};
@@ -924,12 +926,12 @@ fn fold_spill(t: &mut NodeTrace, sp: &SpillCtx<'_>) {
 
 /// External-merge sort: bounded runs + k-way merge. Positions are
 /// split into consecutive chunks sized to the broker's working budget,
-/// each chunk stable-sorted in memory and spilled as little-endian
-/// `u32` positions, then merged. On ties the merge prefers the
-/// lowest-index run; runs cover consecutive position ranges, so for
-/// equal keys the earlier run holds the earlier original positions —
-/// the merge output is exactly the in-memory stable sort's order,
-/// which is what makes the tiny-budget arm byte-identical.
+/// each chunk stable-sorted in memory and spilled as a position run
+/// ([`crate::spill`]'s one format), then merged. On ties the merge
+/// prefers the lowest-index run; runs cover consecutive position
+/// ranges, so for equal keys the earlier run holds the earlier original
+/// positions — the merge output is exactly the in-memory stable sort's
+/// order, which is what makes the tiny-budget arm byte-identical.
 fn external_sort(
     n: usize,
     per_row: u64,
@@ -951,28 +953,15 @@ fn external_sort(
             .force_reserve("sort-run", (hi - lo) as u64 * per_row);
         let mut run: Vec<u32> = (lo as u32..hi as u32).collect();
         run.sort_by(|&a, &b| cmp(a, b));
-        let mut buf = Vec::with_capacity(run.len() * 4);
-        for p in &run {
-            buf.extend_from_slice(&p.to_le_bytes());
-        }
-        files.push(sp.write(&format!("op{op}-run{}.sort", files.len()), buf)?);
+        files.push(sp.write_run(&format!("op{op}-run{}.sort", files.len()), &run)?);
         lo = hi;
     }
     // Merge state is the position arrays alone — 4 bytes/row versus
     // the full comparator working set the broker denied.
     let _merge = sp.broker.force_reserve("sort-merge", n as u64 * 4);
-    let mut runs: Vec<Vec<u32>> = Vec::with_capacity(files.len());
-    for f in &files {
-        let buf = sp.read(f)?;
-        if buf.len() % 4 != 0 {
-            return Err(HiveError::Format("sort run not u32-aligned".into()));
-        }
-        runs.push(
-            buf.chunks_exact(4)
-                .map(|c| u32::from_le_bytes(c.try_into().expect("4-byte chunk")))
-                .collect(),
-        );
-    }
+    let runs = (files.iter())
+        .map(|f| sp.read_run(f, n))
+        .collect::<Result<Vec<_>>>()?;
     drop(files); // runs are merged from memory; delete the spill files
     let mut heads = vec![0usize; runs.len()];
     let mut out = Vec::with_capacity(n);

@@ -10,10 +10,12 @@
 //! contiguous row ranges otherwise — either way the outputs follow in
 //! part or range order, the serial probe order.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use crate::kernels::eval_vector;
-use crate::keys::{column_refs, partitions_for, JoinIndex, KeySide, RowKeys};
+use crate::keys::{column_refs, partitions_for, JoinIndex, KeySide};
 use crate::pir::{PredPipeline, SelRef};
-use crate::spill::{partition_of, plan_partition, push_rec, RecIter, SpillCtx};
+use crate::spill::SpillCtx;
 use hive_common::{
     ColumnVector, HiveError, Result, Schema, SelBatch, SelVec, Value, VectorBatch, NULL_INDEX,
 };
@@ -252,16 +254,16 @@ pub fn execute_join_parts(
                 &left,
                 &right,
                 join_type,
-                &probe_side.into_bytes(),
-                &build_side.into_bytes(),
+                &probe_side,
+                &build_side,
                 &|li, ri| resid.ok(&left, &right, li, ri),
                 out_schema,
                 sp,
                 workers,
             )?;
-            // Grace joins always interpret their residual (partitions
-            // probe row-at-a-time off spill records) — pure fallback, no
-            // compiled stage.
+            // Grace joins interpret their residual (each leaf probes its
+            // candidates pair by pair) — pure fallback, no compiled
+            // stage.
             if let Some(pc) = pir {
                 pc.fallback_rows += resid.pairs.load(Ordering::Relaxed);
             }
@@ -576,7 +578,7 @@ impl ProbeOut {
 /// Emit probe row `li`'s output for its residual-surviving candidate
 /// list `kept` — the single source of truth for per-join-type emission
 /// semantics, shared by the in-memory probe and the grace join's
-/// partition probes (which is what makes them byte-identical).
+/// leaves (which is what makes them byte-identical).
 fn emit_probe(join_type: JoinType, li: u32, kept: &[u32], out: &mut ProbeOut) {
     match join_type {
         JoinType::Inner | JoinType::Cross => {
@@ -742,25 +744,30 @@ fn flush_pairs(
     Ok(())
 }
 
-/// The grace (recursive partitioned) hash join: both sides' keys are
-/// encoded into spill records — the stored 64-bit FNV-1a hash plus the
-/// canonical key bytes, i.e. the key layer's bytes shape whatever the
-/// columns are — so partitions read back from disk rebuild their tables
-/// without re-hashing or re-encoding. Payload columns never
-/// spill: records carry *positions*, and assembly gathers from the
-/// resident input batches at the end, exactly like the in-memory path.
+/// The grace (recursive partitioned) hash join: both sides' positions
+/// are partitioned through spill files by their key hash
+/// ([`crate::spill::solve`]; the build side sizes a partition) until a
+/// partition's build fits the working budget. A leaf indexes its build
+/// positions' keys in a [`JoinIndex`] and probes it with its probe
+/// positions' keys — both re-derived from the resident key columns by
+/// the join's own [`KeySide`]s, whatever shape they chose — emitting
+/// through [`emit_probe`], as the in-memory probe does. A probe row the
+/// join excludes (a NULL key part) routes to partition 0 and finds no
+/// candidates there. Payload columns never spill: assembly gathers from
+/// the resident input batches at the end, exactly like the in-memory
+/// path.
 ///
 /// Determinism: the whole grace pipeline is serial (hashing, routing,
 /// partition order, leaf probes), so its output — and its spill I/O
 /// schedule, which seeded fault injection keys on file paths — is a
 /// pure function of the input, independent of the worker count.
 ///
-/// Output order: leaf partitions emit `(left, right)` position pairs in
-/// partition-local probe order; a final stable sort by left position
+/// Output order: leaves emit `(left, right)` position pairs in
+/// leaf-local probe order; a final stable sort by left position
 /// restores global probe order. Within one left row all matches live in
-/// one partition (same key ⇒ same hash ⇒ same route) and leaf chains
-/// insert in ascending right position, so the sorted pair list is
-/// byte-identical to the in-memory probe's emission order.
+/// one leaf (same key ⇒ same hash ⇒ same route) and a leaf's candidates
+/// ascend by build position, so the sorted pair list is byte-identical
+/// to the in-memory probe's emission order.
 #[allow(clippy::too_many_arguments)]
 fn grace_join(
     left: &SelBatch,
@@ -773,178 +780,46 @@ fn grace_join(
     sp: &SpillCtx<'_>,
     workers: usize,
 ) -> Result<SelBatch> {
-    let op = sp.next_op();
-    // Both sides arrive on the bytes shape ([`KeySide::into_bytes`]):
-    // the record format is the canonical key encoding whatever the
-    // columns are.
-    let rkeys = build_side.keys(&SelVec::all(right.num_rows()), 0, right.num_rows());
-    let pkeys = probe_side.keys(&SelVec::all(left.num_rows()), 0, left.num_rows());
-
+    let (nl, nr) = (left.num_rows(), right.num_rows());
+    let (all_l, all_r) = (SelVec::all(nl), SelVec::all(nr));
     let mut out = ProbeOut::default();
-    let mut build: Vec<u8> = Vec::new();
-    let mut brows = 0usize;
-    for i in 0..right.num_rows() {
-        // NULL build keys never enter any build — same as in-memory.
-        if let Some((h, key)) = rkeys.record(i) {
-            push_rec(&mut build, h, i as u32, key);
-            brows += 1;
-        }
-    }
-    let mut probe: Vec<u8> = Vec::new();
-    for i in 0..left.num_rows() {
-        match pkeys.record(i) {
-            Some((h, key)) => push_rec(&mut probe, h, i as u32, key),
-            // NULL probe keys never match: emit their no-match output
-            // up front; the final stable sort interleaves it back.
-            None => emit_probe(join_type, i as u32, &[], &mut out),
-        }
-    }
-
-    let mut file_seq = 0u64;
-    grace_solve(
+    let mut kept: Vec<u32> = Vec::new();
+    crate::spill::solve(
         sp,
-        op,
-        join_type,
-        build_side.cols().len().max(1),
-        residual_ok,
-        0,
-        None,
-        brows,
-        &build,
-        &probe,
-        &mut out,
-        &mut file_seq,
+        "join-partition",
+        [
+            (build_side, &all_r, "-build.grace"),
+            (probe_side, &all_l, "-probe.grace"),
+        ],
+        |rows| crate::spill::estimate_table_bytes(rows, build_side.cols().len().max(1)),
+        [(0..nr as u32).collect(), (0..nl as u32).collect()],
+        |[build, probe]| {
+            let (build, probe) = (SelVec::Idx(build), SelVec::Idx(probe));
+            let index = JoinIndex::build(&build_side.keys(&build, 0, build.len()), &[], 1)?;
+            probe_side.key_chunks(&probe, 0, probe.len(), |at, keys| {
+                index.probe(keys, |r, cands| {
+                    let li = probe.index(at + r) as u32;
+                    kept.clear();
+                    for &c in cands {
+                        let ri = build.index(c as usize) as u32;
+                        if residual_ok(li, ri)? {
+                            kept.push(ri);
+                        }
+                    }
+                    emit_probe(join_type, li, &kept, &mut out);
+                    Ok(())
+                })
+            })
+        },
     )?;
 
-    // Restore global probe order (stable: within a left row, partition
+    // Restore global probe order (stable: within a left row, leaf
     // emission order is ascending right position already).
     let mut order: Vec<u32> = (0..out.left.len() as u32).collect();
     order.sort_by_key(|&i| out.left[i as usize]);
     out.left = order.iter().map(|&i| out.left[i as usize]).collect();
     out.right = order.iter().map(|&i| out.right[i as usize]).collect();
     assemble(left, right, join_type, out, out_schema, workers)
-}
-
-/// Solve one grace partition: fit it in memory (charging the broker)
-/// or split it `fanout` ways through spill files and recurse. Every
-/// partition file is written before any is read back — the grace
-/// discipline that bounds resident record state to one partition.
-#[allow(clippy::too_many_arguments)]
-fn grace_solve(
-    sp: &SpillCtx<'_>,
-    op: u64,
-    join_type: JoinType,
-    key_cols: usize,
-    residual_ok: &dyn Fn(u32, u32) -> Result<bool>,
-    depth: u32,
-    parent_build_rows: Option<usize>,
-    brows: usize,
-    build: &[u8],
-    probe: &[u8],
-    out: &mut ProbeOut,
-    file_seq: &mut u64,
-) -> Result<()> {
-    let est = crate::spill::estimate_table_bytes(brows, key_cols);
-    let plan = plan_partition(
-        est,
-        sp.broker.chunk_budget(),
-        depth,
-        brows,
-        parent_build_rows,
-    );
-    if plan.process_in_memory {
-        // Forced when over budget: degradation has bottomed out (skewed
-        // single-key partition / depth cap) and proceeding beats
-        // failing; the overshoot lands in the broker peak.
-        let _g = match sp.broker.try_reserve("join-partition", est) {
-            Some(g) => g,
-            None => sp.broker.force_reserve("join-partition", est),
-        };
-        // Records are bytes-shape keys already: index the build records,
-        // probe with the probe records, and map record numbers back to
-        // the positions they carry.
-        let (bkeys, bpos) = RowKeys::from_records(RecIter::new(build))?;
-        let (pkeys, ppos) = RowKeys::from_records(RecIter::new(probe))?;
-        let index = JoinIndex::build(&bkeys, &[], 1)?;
-        let mut kept: Vec<u32> = Vec::new();
-        index.probe(&pkeys, |r, cands| {
-            let li = ppos[r];
-            kept.clear();
-            for &c in cands {
-                let ri = bpos[c as usize];
-                if residual_ok(li, ri)? {
-                    kept.push(ri);
-                }
-            }
-            emit_probe(join_type, li, &kept, out);
-            Ok(())
-        })?;
-        return Ok(());
-    }
-
-    let fanout = plan.fanout;
-    let mut bparts: Vec<(Vec<u8>, usize)> = vec![(Vec::new(), 0); fanout];
-    let mut pparts: Vec<(Vec<u8>, usize)> = vec![(Vec::new(), 0); fanout];
-    for rec in RecIter::new(build) {
-        let (h, ri, key) = rec?;
-        let p = partition_of(h, depth, fanout);
-        push_rec(&mut bparts[p].0, h, ri, key);
-        bparts[p].1 += 1;
-    }
-    for rec in RecIter::new(probe) {
-        let (h, li, key) = rec?;
-        let p = partition_of(h, depth, fanout);
-        push_rec(&mut pparts[p].0, h, li, key);
-        pparts[p].1 += 1;
-    }
-    // Write all 2·fanout files, then read partitions back one at a time
-    // (RAII guards delete each pair as its recursion completes).
-    let mut files = Vec::with_capacity(fanout);
-    for (p, ((bbuf, bn), (pbuf, pn))) in bparts.drain(..).zip(pparts.drain(..)).enumerate() {
-        let id = *file_seq;
-        *file_seq += 1;
-        let bf = if bbuf.is_empty() {
-            None
-        } else {
-            Some(sp.write(&format!("op{op}-s{id}-p{p}-build.grace"), bbuf)?)
-        };
-        let pf = if pbuf.is_empty() {
-            None
-        } else {
-            Some(sp.write(&format!("op{op}-s{id}-p{p}-probe.grace"), pbuf)?)
-        };
-        files.push((bf, pf, bn, pn));
-    }
-    for (bf, pf, bn, pn) in files {
-        // No probe rows: nothing to emit or match in this partition.
-        if pn == 0 {
-            continue;
-        }
-        let bbuf = match &bf {
-            Some(f) => sp.read(f)?,
-            None => Vec::new(),
-        };
-        let pbuf = match &pf {
-            Some(f) => sp.read(f)?,
-            None => Vec::new(),
-        };
-        drop((bf, pf));
-        grace_solve(
-            sp,
-            op,
-            join_type,
-            key_cols,
-            residual_ok,
-            depth + 1,
-            Some(brows),
-            bn,
-            &bbuf,
-            &pbuf,
-            out,
-            file_seq,
-        )?;
-    }
-    Ok(())
 }
 
 /// Below this many output cells the column gathers run on the calling
@@ -1323,33 +1198,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn grace_record_hashes_are_fnv1a_of_the_key_bytes() {
-        // What the grace join writes into its records — and routes spill
-        // partitions by — is FNV-1a over the canonical key encoding,
-        // pinned against hive_common::hash; a NULL key has neither hash
-        // nor record on either side. (Word shapes hash the packed word;
-        // `crates/exec/tests/keys.rs` covers their contract.)
-        let ints = ColumnVector::Int(
-            vec![42, 1],
-            Some({
-                let mut n = hive_common::BitSet::new(2);
-                n.set(1);
-                n
-            }),
-        );
-        let other = ColumnVector::BigInt(vec![42, 1], None);
-        let (probe, build) = KeySide::join_pair(&[&ints], &[&other]);
-        let all = SelVec::all(2);
-        let hs = probe.into_bytes().keys(&all, 0, 2);
-        assert_eq!(hs.hash(0), Some(0xb960_a184_f070_32c6)); // fnv1a(enc(Int 42))
-        assert_eq!(hs.hash(0), hs.bytes(0).map(hive_common::hash::fnv1a));
-        assert_eq!((hs.hash(1), hs.bytes(1)), (None, None)); // NULL key never hashes
-        let hs = build.into_bytes().keys(&all, 0, 2);
-        assert_eq!(hs.hash(0), Some(0xb960_a184_f070_32c6));
-        assert_eq!(hs.hash(1), Some(0x7194_f3e5_9ae4_7dcd)); // fnv1a(enc(Int 1))
     }
 
     #[test]

@@ -27,9 +27,11 @@
 //!   `Dict`/`Str`, dictionaries with duplicate entries, keys too wide
 //!   to pack. Each row's canonical encoding ([`hive_common::hash`]) is
 //!   written once into an arena, hashed with FNV-1a and compared by
-//!   `memcmp` in a [`RawTable`]. This is the single general path and
-//!   the spill-record format: the grace join and the spilled aggregate
-//!   force it ([`KeySide::into_bytes`]) whatever the columns are.
+//!   `memcmp` in a [`RawTable`]. This is the single general path.
+//!
+//! Spilling operators key through the same shapes: a spilled partition
+//! is a run of positions ([`crate::spill`]), and its keys are re-derived
+//! from the resident columns by the operator's own [`KeySide`].
 //!
 //! The shape is a function of the columns, never of a setting or a
 //! workload. Everything an operator's result depends on is shape-blind:
@@ -600,13 +602,6 @@ impl<'a> KeySide<'a> {
         KeySide::pair(cols, cols, false).0
     }
 
-    /// The same columns on the bytes shape, whatever they are: the
-    /// spill-record format.
-    pub fn into_bytes(mut self) -> KeySide<'a> {
-        self.shape = Shape::Bytes;
-        self
-    }
-
     pub fn shape(&self) -> Shape {
         self.shape
     }
@@ -805,35 +800,6 @@ impl RowKeys {
             RowKeys::Bytes(k) if !skipped(&k.skip, r) => Some(k.key(r)),
             _ => None,
         }
-    }
-
-    /// Row `r` as a spill record's `(hash, key bytes)`: bytes shape,
-    /// keyed rows only.
-    pub(crate) fn record(&self, r: usize) -> Option<(u64, &[u8])> {
-        self.hash(r).zip(self.bytes(r))
-    }
-
-    /// Bytes-shape keys read back from spill records `(hash, position,
-    /// key bytes)`: row `r` of the keys is record `r`, whose position is
-    /// the second result's entry `r`.
-    pub(crate) fn from_records<'r>(
-        records: impl Iterator<Item = Result<(u64, u32, &'r [u8])>>,
-    ) -> Result<(RowKeys, Vec<u32>)> {
-        let mut keys = ByteKeys {
-            hashes: Vec::new(),
-            ends: Vec::new(),
-            arena: Vec::new(),
-            skip: None,
-        };
-        let mut positions = Vec::new();
-        for rec in records {
-            let (hash, pos, key) = rec?;
-            keys.hashes.push(hash);
-            keys.arena.extend_from_slice(key);
-            keys.ends.push(keys.arena.len());
-            positions.push(pos);
-        }
-        Ok((RowKeys::Bytes(keys), positions))
     }
 
     /// Append the keys of the row range that follows this one (of the
@@ -1422,6 +1388,5 @@ mod tests {
         assert_eq!(join(&[&codes], &[&dups]), Shape::W64);
         assert_eq!(join(&[&codes], &[&text]), Shape::Bytes);
         assert_eq!(join(&[], &[]), Shape::None);
-        assert_eq!(KeySide::group(&[&int]).into_bytes().shape(), Shape::Bytes);
     }
 }

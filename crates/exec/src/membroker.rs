@@ -112,7 +112,7 @@ impl MemoryBroker {
     }
 
     /// High-water mark of reserved bytes (forced grants included) —
-    /// the "peak tracked memory" BENCH_spill.json reports.
+    /// the query result's `peak_memory_bytes`.
     pub fn peak_bytes(&self) -> u64 {
         self.peak.load(Ordering::Relaxed)
     }

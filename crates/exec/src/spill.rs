@@ -1,45 +1,51 @@
 //! Spill-to-disk plumbing shared by the grace hash join, the
 //! partitioned aggregate, and the external-merge sort.
 //!
-//! # Spill record format
+//! # One format: position runs
 //!
-//! Blocking operators spill *keys and row ids*, never payload columns
-//! (payloads stay in the materialized input batch and are gathered once
-//! at assembly, and dictionary-encoded columns never decode — sort
-//! spills only position runs, joins/aggregates spill canonical key
-//! encodings which for dict×dict keys are u32 codes). One record is
+//! A blocking operator's input is resident when it runs — payloads,
+//! keys and arguments alike — so a spill file never carries a key or a
+//! value. It carries *which positions* a partition holds: a run of
+//! `u32` positions, little-endian, ascending within each input. The
+//! external sort's sorted runs are the same format (ordered by its
+//! comparator instead). A run whose length is not a multiple of four,
+//! that reads back shorter than it was written, or that names a
+//! position its input does not have is a typed [`HiveError::Format`]:
+//! the resident columns are never indexed with a bad position.
 //!
-//! ```text
-//! u64 hash (LE) | u32 row (LE) | u32 key_len (LE) | key_len key bytes
-//! ```
+//! # One recursion
 //!
-//! where `hash` is the FNV-1a hash of `key`, the canonical key encoding
-//! ([`hive_common::hash`]) — the key layer's *bytes* shape
-//! ([`crate::keys`]), which spilling operators force whatever their key
-//! columns are, i.e. exactly the [`crate::rawtable::RawTable`] arena
-//! bytes plus its stored 64-bit hash. A partition read back from disk
-//! rebuilds its table from the records and never re-hashes or
-//! re-encodes. That keeps
-//! the spilled build byte-compatible with the in-memory build (same
-//! probe hash, same arena contents) and keeps seeded fault replay
-//! deterministic: the spilled byte stream is a pure function of the
-//! input rows.
+//! The grace join (two inputs: build, probe) and the spilled aggregate
+//! (one input) share [`solve`]: [`plan_partition`] decides whether a
+//! partition fits the broker's working budget; if it does, the
+//! operator's leaf runs its *in-memory* build over the partition's
+//! positions, re-deriving keys from the resident columns with its own
+//! [`KeySide`] — whatever shape that side chose. Otherwise every input
+//! is split by [`partition_of`] over the key hash
+//! ([`crate::keys::RowKeys::hash`]), every partition's runs are written
+//! before any is read back (the grace discipline), and each partition
+//! recurses. A key's positions share a hash, so they land in one leaf,
+//! in ascending order: the leaf sees exactly the rows, in exactly the
+//! order, that the in-memory build gives that key.
 //!
 //! # I/O, faults, recovery
 //!
 //! Spill files are written through [`hive_dfs::DistFs`], so their I/O
 //! is metered into the sim-time model and both reads and writes pass
 //! the seeded [`hive_common::fault::FaultInjector`] (sites `DfsRead` /
-//! `DfsWrite`). [`SpillCtx::write`] and [`SpillCtx::read`] retry
-//! transient faults with the same capped-exponential ladder as
+//! `DfsWrite`). [`SpillCtx::write_run`] and [`SpillCtx::read_run`]
+//! retry transient faults with the same capped-exponential ladder as
 //! fragment recovery, charging backoff to the operator's spill stats;
 //! with recovery disabled the first fault surfaces, which is what the
 //! orphan-cleanup test aborts a query with. [`SpillFile`] deletes its
 //! file on drop — normal completion, `?` propagation, and panic unwind
 //! all leave the spill directory empty.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
+use crate::keys::KeySide;
 use crate::membroker::MemoryBroker;
-use hive_common::{HiveError, Result};
+use hive_common::{HiveError, Result, SelVec};
 use hive_dfs::{Bytes, DfsPath, DistFs};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -121,50 +127,23 @@ pub fn partition_of(hash: u64, depth: u32, fanout: usize) -> usize {
     (z % fanout.max(1) as u64) as usize
 }
 
-/// Append one spill record to `out`.
-pub fn push_rec(out: &mut Vec<u8>, hash: u64, row: u32, key: &[u8]) {
-    out.extend_from_slice(&hash.to_le_bytes());
-    out.extend_from_slice(&row.to_le_bytes());
-    out.extend_from_slice(&(key.len() as u32).to_le_bytes());
-    out.extend_from_slice(key);
+/// A run of positions as spill-file bytes: `u32` little-endian each.
+fn encode_run(run: &[u32]) -> Vec<u8> {
+    run.iter().flat_map(|p| p.to_le_bytes()).collect()
 }
 
-/// Iterate spill records out of a buffer read back from a spill file.
-pub struct RecIter<'a> {
-    buf: &'a [u8],
-    off: usize,
-}
-
-impl<'a> RecIter<'a> {
-    pub fn new(buf: &'a [u8]) -> RecIter<'a> {
-        RecIter { buf, off: 0 }
+/// Spill-file bytes back into positions.
+fn decode_run(buf: &[u8]) -> Result<Vec<u32>> {
+    if !buf.len().is_multiple_of(4) {
+        return Err(HiveError::Format(format!(
+            "spill run of {} bytes is not u32-aligned",
+            buf.len()
+        )));
     }
-}
-
-impl<'a> Iterator for RecIter<'a> {
-    type Item = Result<(u64, u32, &'a [u8])>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.off == self.buf.len() {
-            return None;
-        }
-        if self.buf.len() - self.off < 16 {
-            self.off = self.buf.len();
-            return Some(Err(HiveError::Format(
-                "truncated spill record header".into(),
-            )));
-        }
-        let b = &self.buf[self.off..];
-        let hash = u64::from_le_bytes(b[0..8].try_into().expect("8-byte slice"));
-        let row = u32::from_le_bytes(b[8..12].try_into().expect("4-byte slice"));
-        let len = u32::from_le_bytes(b[12..16].try_into().expect("4-byte slice")) as usize;
-        if b.len() - 16 < len {
-            self.off = self.buf.len();
-            return Some(Err(HiveError::Format("truncated spill record key".into())));
-        }
-        self.off += 16 + len;
-        Some(Ok((hash, row, &b[16..16 + len])))
-    }
+    Ok(buf
+        .chunks_exact(4)
+        .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
+        .collect())
 }
 
 /// Per-operator spill I/O accounting, folded into the operator's
@@ -297,13 +276,13 @@ impl<'a> SpillCtx<'a> {
         }
     }
 
-    /// Write one spill file (fault-injected, retried) and return its
-    /// RAII guard. `name` must be unique within the query — prefix it
-    /// with the operator's `next_op` id.
-    pub fn write(&self, name: &str, data: Vec<u8>) -> Result<SpillFile<'a>> {
+    /// Write one run of positions as a spill file (fault-injected,
+    /// retried) and return its RAII guard. `name` must be unique within
+    /// the query — prefix it with the operator's `next_op` id.
+    pub fn write_run(&self, name: &str, run: &[u32]) -> Result<SpillFile<'a>> {
         let path = self.dir.child(name);
+        let data = Bytes::from(encode_run(run));
         let bytes = data.len() as u64;
-        let data = Bytes::from(data);
         self.with_retry("spill write", || self.fs.create(&path, data.clone()))?;
         self.stats.bytes_written.fetch_add(bytes, Ordering::Relaxed);
         self.stats.files.fetch_add(1, Ordering::Relaxed);
@@ -314,14 +293,144 @@ impl<'a> SpillCtx<'a> {
         })
     }
 
-    /// Read a spill file back (fault-injected, retried).
-    pub fn read(&self, file: &SpillFile<'_>) -> Result<Vec<u8>> {
+    /// Read a run of positions below `bound` back (fault-injected,
+    /// retried). Fewer bytes than were written, a misaligned run or a
+    /// position at or above `bound` is a `Format` error.
+    pub fn read_run(&self, file: &SpillFile<'_>, bound: usize) -> Result<Vec<u32>> {
         let (_, data) = self.with_retry("spill read", || self.fs.read(&file.path))?;
         self.stats
             .bytes_read
             .fetch_add(data.len() as u64, Ordering::Relaxed);
         self.stats.reads.fetch_add(1, Ordering::Relaxed);
-        Ok(data.to_vec())
+        if data.len() as u64 != file.bytes {
+            return Err(HiveError::Format(format!(
+                "spill run {} read {} of its {} bytes",
+                file.path,
+                data.len(),
+                file.bytes
+            )));
+        }
+        let run = decode_run(&data)?;
+        match run.iter().find(|&&p| p as usize >= bound) {
+            Some(p) => Err(HiveError::Format(format!(
+                "spill run {} names position {p} of {bound}",
+                file.path
+            ))),
+            None => Ok(run),
+        }
+    }
+}
+
+/// Run a partitioned spilling operator over its inputs — per input, its
+/// key side, the selection its positions index (its key columns are
+/// read at `sel.index(pos)`) and its spill-file suffix — starting from
+/// `runs`, each input's positions in ascending order.
+///
+/// Input 0 sizes a partition: `est(rows)` is the modeled working set of
+/// a leaf over that many of its positions, planned against the broker's
+/// chunk budget by [`plan_partition`]. A partition that fits — or that
+/// stops shrinking, or reaches [`MAX_DEPTH`] — reserves `est` as
+/// `grant` (forced when over budget: proceeding beats failing, and the
+/// overshoot lands in the broker peak) and goes to `leaf`. One that
+/// does not is split `fanout` ways by [`partition_of`] over each
+/// position's key hash; a position its side excludes (a join's NULL key
+/// part) goes to partition 0, whose leaf excludes it again. Every
+/// partition's runs are written before any is read back, and a
+/// partition whose last input holds no position is dropped unread:
+/// nothing of it reaches the output.
+///
+/// The whole recursion is serial, so its spill I/O schedule — file
+/// names, sizes, order — is a pure function of the input.
+pub fn solve<const N: usize>(
+    sp: &SpillCtx<'_>,
+    grant: &str,
+    inputs: [(&KeySide<'_>, &SelVec, &str); N],
+    est: impl Fn(usize) -> u64,
+    runs: [Vec<u32>; N],
+    mut leaf: impl FnMut([Vec<u32>; N]) -> Result<()>,
+) -> Result<()> {
+    let mut rec = Recursion {
+        sp,
+        op: sp.next_op(),
+        grant,
+        inputs,
+        est: &est,
+        files: 0,
+    };
+    rec.solve(runs, 0, None, &mut leaf)
+}
+
+/// What stays fixed down one operator's recursion.
+struct Recursion<'s, 'k, const N: usize> {
+    sp: &'s SpillCtx<'s>,
+    op: u64,
+    grant: &'s str,
+    inputs: [(&'s KeySide<'k>, &'s SelVec, &'s str); N],
+    est: &'s dyn Fn(usize) -> u64,
+    /// Partitions written so far: names every partition's files apart.
+    files: u64,
+}
+
+impl<const N: usize> Recursion<'_, '_, N> {
+    fn solve(
+        &mut self,
+        runs: [Vec<u32>; N],
+        depth: u32,
+        parent_rows: Option<usize>,
+        leaf: &mut dyn FnMut([Vec<u32>; N]) -> Result<()>,
+    ) -> Result<()> {
+        let rows = runs[0].len();
+        let est = (self.est)(rows);
+        let plan = plan_partition(est, self.sp.broker.chunk_budget(), depth, rows, parent_rows);
+        if plan.process_in_memory {
+            let broker = self.sp.broker;
+            let _grant = match broker.try_reserve(self.grant, est) {
+                Some(g) => g,
+                None => broker.force_reserve(self.grant, est),
+            };
+            return leaf(runs);
+        }
+        let fanout = plan.fanout;
+        let mut parts: Vec<[Vec<u32>; N]> = (0..fanout)
+            .map(|_| std::array::from_fn(|_| Vec::new()))
+            .collect();
+        for (i, (run, (keys, sel, _))) in runs.iter().zip(self.inputs).enumerate() {
+            keys.key_chunks(&sel.compose(run), 0, run.len(), |at, k| {
+                for r in 0..k.len() {
+                    let p = k.hash(r).map_or(0, |h| partition_of(h, depth, fanout));
+                    parts[p][i].push(run[at + r]);
+                }
+                Ok(())
+            })?;
+        }
+        drop(runs);
+        let mut written = Vec::with_capacity(fanout);
+        for (p, part) in parts.into_iter().enumerate() {
+            let id = self.files;
+            self.files += 1;
+            let mut files: [Option<SpillFile<'_>>; N] = std::array::from_fn(|_| None);
+            for ((file, run), (_, _, suffix)) in files.iter_mut().zip(&part).zip(self.inputs) {
+                if !run.is_empty() {
+                    let name = format!("op{}-s{id}-p{p}{suffix}", self.op);
+                    *file = Some(self.sp.write_run(&name, run)?);
+                }
+            }
+            written.push(files);
+        }
+        for files in written {
+            if files[N - 1].is_none() {
+                continue;
+            }
+            let mut runs: [Vec<u32>; N] = std::array::from_fn(|_| Vec::new());
+            for ((run, file), (_, sel, _)) in runs.iter_mut().zip(&files).zip(self.inputs) {
+                if let Some(f) = file {
+                    *run = self.sp.read_run(f, sel.len())?;
+                }
+            }
+            drop(files);
+            self.solve(runs, depth + 1, Some(rows), leaf)?;
+        }
+        Ok(())
     }
 }
 
@@ -335,23 +444,29 @@ mod tests {
     }
 
     #[test]
-    fn records_roundtrip() {
-        let mut buf = Vec::new();
-        push_rec(&mut buf, 0xDEAD_BEEF, 7, b"key-a");
-        push_rec(&mut buf, 42, 0, b"");
-        push_rec(&mut buf, u64::MAX, u32::MAX, &[0u8; 300]);
-        let recs: Vec<_> = RecIter::new(&buf).map(|r| r.unwrap()).collect();
-        assert_eq!(recs.len(), 3);
-        assert_eq!(recs[0], (0xDEAD_BEEF, 7, &b"key-a"[..]));
-        assert_eq!(recs[1], (42, 0, &b""[..]));
-        assert_eq!(recs[2].2.len(), 300);
-        // Truncation is a Format error, not a panic.
-        let bad: Vec<_> = RecIter::new(&buf[..buf.len() - 1]).collect();
+    fn runs_round_trip_and_misaligned_truncated_or_out_of_range_runs_are_format_errors() {
+        let (fs, broker, ops) = ctx_parts();
+        let sp = SpillCtx::new(&fs, DfsPath::new("/tmp/spill/q0"), &broker, true, &ops);
+        let run = [0, 7, 0x0102_0304, u32::MAX];
+        let f = sp.write_run("op0-p0.agg", &run).unwrap();
+        assert_eq!(f.bytes, 16);
+        assert_eq!(sp.read_run(&f, usize::MAX).unwrap(), run);
+        // A position its input does not have.
+        let err = sp.read_run(&f, u32::MAX as usize).unwrap_err();
+        assert!(matches!(err, HiveError::Format(_)), "{err}");
+        assert_eq!(encode_run(&run)[8..12], [4, 3, 2, 1], "little-endian");
         assert!(matches!(
-            bad.last().unwrap(),
-            Err(HiveError::Format(_)) | Ok(_)
+            decode_run(&[1, 2, 3, 4, 5]),
+            Err(HiveError::Format(_))
         ));
-        assert!(bad.iter().any(|r| r.is_err()));
+        // The file loses a whole position, then half of one.
+        for keep in [12, 6] {
+            fs.delete_file(f.path()).unwrap();
+            let short = encode_run(&run)[..keep].to_vec();
+            fs.create(f.path(), Bytes::from(short)).unwrap();
+            let err = sp.read_run(&f, usize::MAX).unwrap_err();
+            assert!(matches!(err, HiveError::Format(_)), "{keep} bytes: {err}");
+        }
     }
 
     #[test]
@@ -359,12 +474,12 @@ mod tests {
         let (fs, broker, ops) = ctx_parts();
         let sp = SpillCtx::new(&fs, DfsPath::new("/tmp/spill/q0"), &broker, true, &ops);
         {
-            let f = sp.write("op0-p0.spill", vec![1, 2, 3]).unwrap();
+            let f = sp.write_run("op0-p0.spill", &[1, 2, 3]).unwrap();
             assert_eq!(
                 fs.list_files_recursive(&DfsPath::new("/tmp/spill")).len(),
                 1
             );
-            assert_eq!(sp.read(&f).unwrap(), vec![1, 2, 3]);
+            assert_eq!(sp.read_run(&f, 4).unwrap(), vec![1, 2, 3]);
         }
         assert!(
             fs.list_files_recursive(&DfsPath::new("/tmp/spill"))
@@ -373,7 +488,7 @@ mod tests {
         );
         // Panic unwind path.
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _f = sp.write("op0-p1.spill", vec![9; 64]).unwrap();
+            let _f = sp.write_run("op0-p1.spill", &[9; 16]).unwrap();
             panic!("operator died mid-spill");
         }));
         assert!(r.is_err());
@@ -383,7 +498,7 @@ mod tests {
             "no orphans after panic unwind"
         );
         assert_eq!(sp.stats.files(), 2);
-        assert_eq!(sp.stats.bytes_written(), 3 + 64);
+        assert_eq!(sp.stats.bytes_written(), 4 * (3 + 16));
     }
 
     #[test]
@@ -394,8 +509,8 @@ mod tests {
         plan.path_fail_count = 2;
         fs.fault().set_plan(plan);
         let sp = SpillCtx::new(&fs, DfsPath::new("/tmp/spill/q1"), &broker, true, &ops);
-        let f = sp.write("op0-p0.spill", vec![5; 10]).unwrap();
-        assert_eq!(sp.read(&f).unwrap(), vec![5; 10]);
+        let f = sp.write_run("op0-p0.spill", &[5; 10]).unwrap();
+        assert_eq!(sp.read_run(&f, 6).unwrap(), vec![5; 10]);
         assert!(
             sp.stats.retries() >= 4,
             "2 write + 2 read faults retried, got {}",
@@ -413,7 +528,7 @@ mod tests {
         plan.recovery_enabled = false;
         fs.fault().set_plan(plan);
         let sp = SpillCtx::new(&fs, DfsPath::new("/tmp/spill/q2"), &broker, true, &ops);
-        let err = sp.write("op0-p0.spill", vec![1]).unwrap_err();
+        let err = sp.write_run("op0-p0.spill", &[1]).unwrap_err();
         assert!(err.is_transient(), "{err}");
         assert!(
             fs.list_files_recursive(&DfsPath::new("/tmp/spill"))

@@ -14,12 +14,11 @@
 #
 # HIVE_<NAME>_SWEEP=1 runs one row of the `sweeps` table below: the
 # workspace tests once per value of its variable (each overrides a
-# HiveConf field for the whole process; results must not change), then
-# its benchmarks, each of which refreshes BENCH_<bench>.json at the repo
-# root. PAR sweeps the morsel threads, SPILL a per-query memory budget
-# that forces grace joins, spilled aggregation and external sorts, PIR
-# the compiled physical IR, STATS histogram-driven estimation (off is
-# the constant-selectivity planner).
+# HiveConf field for the whole process; results must not change). PAR
+# sweeps the morsel threads, SPILL a per-query memory budget that forces
+# grace joins, spilled aggregation and external sorts, PIR the compiled
+# physical IR, STATS histogram-driven estimation (off is the
+# constant-selectivity planner).
 #
 # HIVE_WM_SWEEP=1 runs the multi-stream serving determinism suite at
 # 1/4/16 streams × 1/2/8 morsel threads under a fixed HIVE_FAULT_SEED
@@ -32,12 +31,12 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# One row per sweep: HIVE_<NAME>_SWEEP's NAME, variable, values, benches.
+# One row per sweep: HIVE_<NAME>_SWEEP's NAME, variable, values.
 sweeps=(
-    "PAR HIVE_PARALLEL_THREADS 1,2,8 parallel"
-    "SPILL HIVE_MEMORY_BUDGET 32768,1048576 spill"
-    "PIR HIVE_PIR_ENABLED 0,1 pir,pir_agg"
-    "STATS HIVE_HISTOGRAMS_ENABLED 0,1 optstats"
+    "PAR HIVE_PARALLEL_THREADS 1,2,8"
+    "SPILL HIVE_MEMORY_BUDGET 32768,1048576"
+    "PIR HIVE_PIR_ENABLED 0,1"
+    "STATS HIVE_HISTOGRAMS_ENABLED 0,1"
 )
 
 if [[ -n "${HIVE_SWEEP_ALL:-}" ]]; then
@@ -100,6 +99,11 @@ echo "-- parts equal the whole, compiled equals interpreted: any cut, any worker
 cargo test -q --offline -p hive-exec --test aggregate_parts
 echo "-- a join probed part by part = the join over the concatenation; one dictionary per fan-out --"
 cargo test -q --offline -p hive-exec --test join_parts
+# One spill format (DESIGN.md §4 "Memory broker & spill format"): a
+# spilled partition is a position run rebuilt by the in-memory build.
+echo "-- spilled builds two levels deep = the unbudgeted builds, byte for byte --"
+cargo test -q --offline -p hive-exec --test spill_builds
+cargo test -q --offline -p hive-exec --lib spill::tests
 echo "-- LRFU: the ordered set picks the O(n) chooser's victims --"
 cargo test -q --offline -p hive-llap --lib ordered_set_picks_the_linear_choosers_victims
 echo "-- corc: truncated and mutated chunks and footers decode to Ok or Format --"
@@ -168,16 +172,12 @@ for seed in ${HIVE_CHAOS_SEEDS:-}; do
 done
 
 for row in "${sweeps[@]}"; do
-    read -r name var values benches <<< "$row"
+    read -r name var values <<< "$row"
     flag="HIVE_${name}_SWEEP"
     [[ -n "${!flag:-}" ]] || continue
     for value in ${values//,/ }; do
         echo "== ${name,,} sweep: tests at $var=$value =="
         env "$var=$value" cargo test -q --offline --workspace
-    done
-    for bench in ${benches//,/ }; do
-        echo "== ${name,,} sweep: benchmark (writes BENCH_$bench.json) =="
-        cargo bench -q --offline -p hive-bench --bench "$bench"
     done
 done
 
@@ -209,8 +209,5 @@ if ! awk -v r="$ratio" 'BEGIN { exit !(r != "" && r + 0 <= 1.00 + 0.02) }'; then
     exit 1
 fi
 echo "ratio ${ratio}x"
-
-echo "== bench gates =="
-python3 scripts/bench_check.py
 
 echo "verify: OK"
