@@ -39,7 +39,7 @@
 //! prefixed), so concatenating per-column encodings preserves the
 //! equality property for multi-column keys.
 
-use crate::value::Value;
+use crate::value::{pow10, Value};
 
 /// FNV-1a 64-bit offset basis.
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -93,11 +93,6 @@ pub const TAG_TS: u8 = 0x09;
 pub const TAG_BOOL: u8 = 0x0A;
 /// Scale-divisible DECIMAL whose quotient overflows `i64`.
 pub const TAG_BIGDEC: u8 = 0x0B;
-
-#[inline]
-fn pow10(s: u8) -> i128 {
-    10i128.pow(s as u32)
-}
 
 /// Append the canonical encoding of `v` to `out`. See the module docs
 /// for the equivalence argument; [`encode_code`] / [`encode_miss`]

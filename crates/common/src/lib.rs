@@ -8,6 +8,8 @@
 //! Every other crate in the workspace depends on this one; it has no
 //! dependencies of its own beyond `serde`.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod bitset;
 pub mod conf;
 pub mod dates;
@@ -36,4 +38,4 @@ pub use selvec::{SelBatch, SelVec};
 pub use types::DataType;
 pub use value::Value;
 pub use vector::ColumnBuilder;
-pub use vector::{ColumnVector, VectorBatch, NULL_INDEX};
+pub use vector::{ColumnVector, DecUnit, DecVals, VectorBatch, NULL_INDEX};

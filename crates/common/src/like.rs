@@ -7,10 +7,12 @@
 
 /// Decode the char at byte offset `i`.
 fn char_at(s: &str, i: usize) -> char {
-    // invariant: offsets only ever advance by `len_utf8()` of decoded
-    // chars (or past 1-byte ASCII metachars), so `i` is always a char
-    // boundary inside the string.
-    s[i..].chars().next().expect("offset on a char boundary")
+    // Offsets only ever advance by `len_utf8()` of decoded chars (or
+    // past 1-byte ASCII metachars), so `i` is always a char boundary
+    // inside the string and the default is never taken.
+    s.get(i..)
+        .and_then(|t| t.chars().next())
+        .unwrap_or_default()
 }
 
 /// Match `text` against the SQL LIKE `pattern`.

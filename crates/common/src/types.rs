@@ -18,7 +18,9 @@ pub enum DataType {
     BigInt,
     /// DOUBLE (64-bit IEEE float)
     Double,
-    /// DECIMAL(precision, scale) with i128 unscaled representation.
+    /// DECIMAL(precision, scale): precision `1..=38`, scale at most the
+    /// precision ([`DataType::decimal`]). A column holds its unscaled
+    /// values as `i64` or `i128`, by content ([`crate::DecVals`]).
     Decimal(u8, u8),
     /// STRING / VARCHAR (length constraints are not enforced).
     String,
@@ -37,6 +39,21 @@ pub enum DataType {
 }
 
 impl DataType {
+    /// DECIMAL(`precision`, `scale`), or why it is no type: the precision
+    /// must lie in `1..=38` (the digits an `i128` holds) and the scale
+    /// may not exceed it.
+    pub fn decimal(precision: u64, scale: u64) -> std::result::Result<DataType, String> {
+        match (u8::try_from(precision), u8::try_from(scale)) {
+            (Ok(p @ 1..=38), Ok(s)) if s <= p => Ok(DataType::Decimal(p, s)),
+            _ if !(1..=38).contains(&precision) => {
+                Err(format!("DECIMAL precision {precision} outside 1..=38"))
+            }
+            _ => Err(format!(
+                "DECIMAL scale {scale} above its precision {precision}"
+            )),
+        }
+    }
+
     /// True for types the vectorized engine can process.
     pub fn is_atomic(&self) -> bool {
         !matches!(

@@ -239,17 +239,17 @@ impl Value {
         match (self, other) {
             (Value::Decimal(u1, s1), Value::Decimal(u2, s2)) => {
                 let s = (*s1 + *s2).min(18);
-                let raw = u1 * u2; // scale s1+s2
+                let raw = u1.checked_mul(*u2).ok_or_else(decimal_mul_overflow)?; // scale s1+s2
                 Ok(Value::Decimal(rescale(raw, s1 + s2, s), s))
             }
             // Decimal × integer keeps the decimal's scale.
             (Value::Decimal(u, s), other_v) | (other_v, Value::Decimal(u, s))
                 if other_v.data_type().is_integer() =>
             {
-                let y = other_v.as_i64().expect("integer") as i128;
+                let y = other_v.as_i64().ok_or_else(decimal_mul_overflow)? as i128;
                 u.checked_mul(y)
                     .map(|v| Value::Decimal(v, *s))
-                    .ok_or_else(|| HiveError::Execution("decimal overflow in *".into()))
+                    .ok_or_else(decimal_mul_overflow)
             }
             _ => numeric_binop(self, other, "*", |a, b| a.checked_mul(b), |a, b| a * b),
         }
@@ -378,6 +378,10 @@ impl fmt::Display for Value {
             Value::Timestamp(t) => write!(f, "{}", dates::format_timestamp(*t)),
         }
     }
+}
+
+fn decimal_mul_overflow() -> HiveError {
+    HiveError::Execution("decimal overflow in *".into())
 }
 
 /// Raise 10 to `s` as i128.

@@ -53,8 +53,9 @@ pub enum ColumnVector {
     Int(Vec<i32>, Option<BitSet>),
     BigInt(Vec<i64>, Option<BitSet>),
     Double(Vec<f64>, Option<BitSet>),
-    /// Unscaled values plus a shared scale.
-    Decimal(Vec<i128>, u8, Option<BitSet>),
+    /// Unscaled values, at the width their content needs, plus a shared
+    /// scale.
+    Decimal(DecVals, u8, Option<BitSet>),
     Str(Vec<String>, Option<BitSet>),
     /// Dictionary-encoded strings: one `u32` code per row indexing into
     /// a dictionary shared (via `Arc`) across every chunk clone — the
@@ -69,6 +70,204 @@ pub enum ColumnVector {
     },
     Date(Vec<i32>, Option<BitSet>),
     Timestamp(Vec<i64>, Option<BitSet>),
+}
+
+/// A decimal column's unscaled values, held as `i64` when every one of
+/// them fits (Hive 3's `Decimal64ColumnVector`) and as `i128` otherwise.
+/// The width follows the content, never the declared precision: readers
+/// and builders produce `Narrow` whenever the values allow, and a value
+/// past `i64` widens the whole column. Both widths mean the same values —
+/// equality, hashing, gathers, casts and concatenation do not see which
+/// one a column holds — so a kernel is written once, generic in
+/// [`DecUnit`], and [`with_dec!`](crate::with_dec) instantiates it per
+/// width.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub enum DecVals {
+    Narrow(Vec<i64>),
+    Wide(Vec<i128>),
+}
+
+/// One unscaled decimal value at one of [`DecVals`]' two widths.
+pub trait DecUnit: Copy + Ord + Default + Send + Sync + std::fmt::Debug + 'static {
+    /// The width in bits: 64 or 128.
+    const BITS: u32;
+    /// The value widened to `i128` (free for `i128`, a sign extension
+    /// for `i64`).
+    fn wide(self) -> i128;
+    /// `x` at this width, when it fits.
+    fn from_wide(x: i128) -> Option<Self>;
+    /// The values of `v` when they are held at this width.
+    fn slice(v: &DecVals) -> Option<&[Self]>;
+    /// Values at this width as a column's [`DecVals`].
+    fn vals(v: Vec<Self>) -> DecVals;
+}
+
+impl DecUnit for i64 {
+    const BITS: u32 = 64;
+    #[inline(always)]
+    fn wide(self) -> i128 {
+        self as i128
+    }
+    #[inline(always)]
+    fn from_wide(x: i128) -> Option<i64> {
+        i64::try_from(x).ok()
+    }
+    fn slice(v: &DecVals) -> Option<&[i64]> {
+        match v {
+            DecVals::Narrow(v) => Some(v),
+            DecVals::Wide(_) => None,
+        }
+    }
+    fn vals(v: Vec<i64>) -> DecVals {
+        DecVals::Narrow(v)
+    }
+}
+
+impl DecUnit for i128 {
+    const BITS: u32 = 128;
+    #[inline(always)]
+    fn wide(self) -> i128 {
+        self
+    }
+    #[inline(always)]
+    fn from_wide(x: i128) -> Option<i128> {
+        Some(x)
+    }
+    fn slice(v: &DecVals) -> Option<&[i128]> {
+        match v {
+            DecVals::Wide(v) => Some(v),
+            DecVals::Narrow(_) => None,
+        }
+    }
+    fn vals(v: Vec<i128>) -> DecVals {
+        DecVals::Wide(v)
+    }
+}
+
+/// Evaluate `$body` with `$v` bound to a [`DecVals`]' values at their
+/// width — a `Vec<i64>` or a `Vec<i128>` (by reference when `$vals` is
+/// one). The body is written once and compiled per width; its element
+/// type is a [`DecUnit`].
+#[macro_export]
+macro_rules! with_dec {
+    ($vals:expr, $v:ident => $body:expr) => {
+        match $vals {
+            $crate::vector::DecVals::Narrow($v) => $body,
+            $crate::vector::DecVals::Wide($v) => $body,
+        }
+    };
+}
+
+impl DecVals {
+    /// Number of values.
+    pub fn len(&self) -> usize {
+        with_dec!(self, v => v.len())
+    }
+
+    /// True for no values.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Value `i`, widened.
+    #[inline]
+    pub fn get(&self, i: usize) -> i128 {
+        with_dec!(self, v => v[i].wide())
+    }
+
+    /// True when the values are held as `i64`.
+    pub fn is_narrow(&self) -> bool {
+        matches!(self, DecVals::Narrow(_))
+    }
+
+    /// The values as `i128`: borrowed when wide, widened into a copy
+    /// when narrow.
+    pub fn to_wide(&self) -> std::borrow::Cow<'_, [i128]> {
+        match self {
+            DecVals::Narrow(v) => v.iter().map(|&x| x as i128).collect(),
+            DecVals::Wide(v) => std::borrow::Cow::Borrowed(v),
+        }
+    }
+
+    /// The values as `i64` when every one fits: borrowed when narrow,
+    /// narrowed into a copy when wide.
+    pub fn narrowed(&self) -> Option<std::borrow::Cow<'_, [i64]>> {
+        match self {
+            DecVals::Narrow(v) => Some(std::borrow::Cow::Borrowed(v)),
+            DecVals::Wide(v) => v.iter().map(|&x| i64::try_from(x).ok()).collect(),
+        }
+    }
+
+    /// Widen in place (a no-op when already wide).
+    fn widen(&mut self) -> &mut Vec<i128> {
+        if let DecVals::Narrow(v) = self {
+            *self = DecVals::Wide(v.iter().map(|&x| x as i128).collect());
+        }
+        match self {
+            DecVals::Wide(v) => v,
+            DecVals::Narrow(_) => unreachable!("widened just above"),
+        }
+    }
+
+    /// Append `x`, widening the column when it does not fit `i64`.
+    pub fn push(&mut self, x: i128) {
+        match (&mut *self, i64::try_from(x)) {
+            (DecVals::Narrow(v), Ok(x)) => v.push(x),
+            _ => self.widen().push(x),
+        }
+    }
+
+    /// Grow or shrink to `n` values, new ones `fill`.
+    pub fn resize(&mut self, n: usize, fill: i64) {
+        match self {
+            DecVals::Narrow(v) => v.resize(n, fill),
+            DecVals::Wide(v) => v.resize(n, fill.into()),
+        }
+    }
+
+    /// Append `other`'s values: at this width when both are narrow,
+    /// else both widened.
+    pub fn extend_from(&mut self, other: &DecVals) {
+        match (&mut *self, other) {
+            (DecVals::Narrow(a), DecVals::Narrow(b)) => a.extend_from_slice(b),
+            (this, other) => this.widen().extend_from_slice(&other.to_wide()),
+        }
+    }
+}
+
+/// Wide values narrowed when every one fits `i64`: the width by content.
+impl From<Vec<i128>> for DecVals {
+    fn from(v: Vec<i128>) -> DecVals {
+        let wide = DecVals::Wide(v);
+        match wide.narrowed() {
+            Some(narrow) => DecVals::Narrow(narrow.into_owned()),
+            None => wide,
+        }
+    }
+}
+
+/// Collected wide, then narrowed when every value fits `i64`.
+impl FromIterator<i128> for DecVals {
+    fn from_iter<I: IntoIterator<Item = i128>>(iter: I) -> DecVals {
+        DecVals::from(iter.into_iter().collect::<Vec<i128>>())
+    }
+}
+
+impl From<Vec<i64>> for DecVals {
+    fn from(v: Vec<i64>) -> DecVals {
+        DecVals::Narrow(v)
+    }
+}
+
+/// Equal values, whatever the widths.
+impl PartialEq for DecVals {
+    fn eq(&self, other: &DecVals) -> bool {
+        match (self, other) {
+            (DecVals::Narrow(a), DecVals::Narrow(b)) => a == b,
+            (DecVals::Wide(a), DecVals::Wide(b)) => a == b,
+            (a, b) => a.len() == b.len() && (0..a.len()).all(|i| a.get(i) == b.get(i)),
+        }
+    }
 }
 
 macro_rules! per_variant {
@@ -143,7 +342,7 @@ impl ColumnVector {
             ColumnVector::Int(v, _) => Value::Int(v[i]),
             ColumnVector::BigInt(v, _) => Value::BigInt(v[i]),
             ColumnVector::Double(v, _) => Value::Double(v[i]),
-            ColumnVector::Decimal(v, s, _) => Value::Decimal(v[i], *s),
+            ColumnVector::Decimal(v, s, _) => Value::Decimal(v.get(i), *s),
             ColumnVector::Str(v, _) => Value::String(v[i].clone()),
             ColumnVector::Dict { codes, dict, .. } => {
                 Value::String(dict[codes[i] as usize].clone())
@@ -161,7 +360,7 @@ impl ColumnVector {
             DataType::Int => ColumnVector::Int(Vec::new(), None),
             DataType::BigInt => ColumnVector::BigInt(Vec::new(), None),
             DataType::Double => ColumnVector::Double(Vec::new(), None),
-            DataType::Decimal(_, s) => ColumnVector::Decimal(Vec::new(), *s, None),
+            DataType::Decimal(_, s) => ColumnVector::Decimal(DecVals::Narrow(Vec::new()), *s, None),
             DataType::String => ColumnVector::Str(Vec::new(), None),
             DataType::Date => ColumnVector::Date(Vec::new(), None),
             DataType::Timestamp => ColumnVector::Timestamp(Vec::new(), None),
@@ -197,7 +396,9 @@ impl ColumnVector {
             ColumnVector::Int(x, _) => ColumnVector::Int(vec![x[0]; n], None),
             ColumnVector::BigInt(x, _) => ColumnVector::BigInt(vec![x[0]; n], None),
             ColumnVector::Double(x, _) => ColumnVector::Double(vec![x[0]; n], None),
-            ColumnVector::Decimal(x, s, _) => ColumnVector::Decimal(vec![x[0]; n], s, None),
+            ColumnVector::Decimal(x, s, _) => {
+                ColumnVector::Decimal(with_dec!(x, x => DecUnit::vals(vec![x[0]; n])), s, None)
+            }
             ColumnVector::Str(x, _) => ColumnVector::Dict {
                 codes: vec![0; n],
                 dict: Arc::new(x),
@@ -349,7 +550,10 @@ impl ColumnVector {
                 ColumnVector::Double(v, n)
             }
             ColumnVector::Decimal(v, s, n) => {
-                let (v, n) = g!(v, n);
+                let (v, n) = with_dec!(v, v => {
+                    let (v, n) = g!(v, n);
+                    (DecUnit::vals(v), n)
+                });
                 ColumnVector::Decimal(v, *s, n)
             }
             ColumnVector::Str(v, n) => {
@@ -462,8 +666,8 @@ impl ColumnVector {
         }
         macro_rules! dec {
             ($scale:expr, $parts:expr) => {{
-                let (v, n) = $parts;
-                C::Decimal(v, $scale, n)
+                let (v, n): (Vec<i128>, _) = $parts;
+                C::Decimal(DecVals::from(v), $scale, n)
             }};
         }
 
@@ -528,19 +732,14 @@ impl ColumnVector {
                 dec!(*s, map!(v, n, |x| (x * pow10(*s) as f64).round() as i128))
             }
             (C::Double(v, n), T::String) => col!(Str, map!(v, n, |x| format_double(x))),
-            (C::Decimal(v, s, n), T::Double) => {
-                col!(Double, map!(v, n, |u| u as f64 / pow10(*s) as f64))
-            }
-            (C::Decimal(v, s, n), T::Int) => col!(Int, map!(v, n, |u| (u / pow10(*s)) as i32)),
-            (C::Decimal(v, s, n), T::BigInt) => {
-                col!(BigInt, map!(v, n, |u| (u / pow10(*s)) as i64))
-            }
-            (C::Decimal(v, s, n), T::Decimal(_, s2)) => {
-                dec!(*s2, map!(v, n, |u| rescale(u, *s, *s2)))
-            }
-            (C::Decimal(v, s, n), T::String) => {
-                col!(Str, map!(v, n, |u| format_decimal(u, *s)))
-            }
+            (C::Decimal(v, s, n), want) => with_dec!(v, v => match want {
+                T::Double => col!(Double, map!(v, n, |u| u.wide() as f64 / pow10(*s) as f64)),
+                T::Int => col!(Int, map!(v, n, |u| (u.wide() / pow10(*s)) as i32)),
+                T::BigInt => col!(BigInt, map!(v, n, |u| (u.wide() / pow10(*s)) as i64)),
+                T::Decimal(_, s2) => dec!(*s2, map!(v, n, |u| rescale(u.wide(), *s, *s2))),
+                T::String => col!(Str, map!(v, n, |u| format_decimal(u.wide(), *s))),
+                _ => return no_cast(),
+            }),
             (C::Boolean(v, n), T::Int) => col!(Int, map!(v, n, |b| b as i32)),
             (C::Boolean(v, n), T::String) => col!(Str, map!(v, n, |b| b.to_string())),
             (C::Date(v, n), T::Timestamp) => {
@@ -694,7 +893,10 @@ impl ColumnVector {
             (ColumnVector::BigInt(av, an), ColumnVector::BigInt(bv, bn)) => app!(av, an, bv, bn),
             (ColumnVector::Double(av, an), ColumnVector::Double(bv, bn)) => app!(av, an, bv, bn),
             (ColumnVector::Decimal(av, s1, an), ColumnVector::Decimal(bv, s2, bn)) if s1 == s2 => {
-                app!(av, an, bv, bn)
+                let alen = av.len();
+                av.extend_from(bv);
+                merge_nulls(alen, an, bv.len(), bn);
+                Ok(())
             }
             (ColumnVector::Str(av, an), ColumnVector::Str(bv, bn)) => app!(av, an, bv, bn),
             (ColumnVector::Date(av, an), ColumnVector::Date(bv, bn)) => app!(av, an, bv, bn),
@@ -801,19 +1003,32 @@ impl ColumnVector {
                 uniform_gather!(Timestamp, i64)
             }
             Some(&(ColumnVector::Str(..), _)) if all_are!(Str) => uniform_gather!(Str, String),
-            Some(&(ColumnVector::Decimal(_, s0, _), _))
-                if parts
-                    .iter()
-                    .all(|&(c, _)| matches!(c, ColumnVector::Decimal(_, s, _) if s == s0)) =>
+            // Parts of one scale and one width gather at that width;
+            // mixed widths widen through `append` below.
+            Some(&(ColumnVector::Decimal(v0, s0, _), _))
+                if parts.iter().all(|&(c, _)| {
+                    matches!(c, ColumnVector::Decimal(v, s, _)
+                        if s == s0 && v.is_narrow() == v0.is_narrow())
+                }) =>
             {
-                let mut vals: Vec<i128> = Vec::with_capacity(total);
-                let mut nulls = has_nulls.then(|| BitSet::new(total));
-                for &(c, sel) in parts {
-                    let ColumnVector::Decimal(v, _, n) = c else {
-                        unreachable!()
-                    };
-                    gather_part(&mut vals, &mut nulls, v, n, sel);
+                fn gather_dec<T: DecUnit>(
+                    parts: &[(&ColumnVector, Option<&[u32]>)],
+                    total: usize,
+                    mut nulls: Option<BitSet>,
+                ) -> (DecVals, Option<BitSet>) {
+                    let mut vals: Vec<T> = Vec::with_capacity(total);
+                    for &(c, sel) in parts {
+                        if let ColumnVector::Decimal(v, _, n) = c {
+                            gather_part(&mut vals, &mut nulls, T::slice(v).unwrap_or(&[]), n, sel);
+                        }
+                    }
+                    (T::vals(vals), nulls)
                 }
+                let nulls = has_nulls.then(|| BitSet::new(total));
+                let (vals, nulls) = match v0 {
+                    DecVals::Narrow(_) => gather_dec::<i64>(parts, total, nulls),
+                    DecVals::Wide(_) => gather_dec::<i128>(parts, total, nulls),
+                };
                 return Ok(ColumnVector::Decimal(vals, *s0, nulls));
             }
             Some(_) if parts.iter().all(|&(c, _)| c.is_dict()) => {
@@ -919,7 +1134,8 @@ impl ColumnVector {
             ColumnVector::Int(v, _) | ColumnVector::Date(v, _) => v.len() * 4,
             ColumnVector::BigInt(v, _) | ColumnVector::Timestamp(v, _) => v.len() * 8,
             ColumnVector::Double(v, _) => v.len() * 8,
-            ColumnVector::Decimal(v, _, _) => v.len() * 16,
+            ColumnVector::Decimal(DecVals::Narrow(v), _, _) => v.len() * 8,
+            ColumnVector::Decimal(DecVals::Wide(v), _, _) => v.len() * 16,
             ColumnVector::Str(v, _) => v.iter().map(|s| s.len() + 24).sum(),
             // Codes plus the full dictionary heap. Cache accounting
             // that shares the dictionary across chunks charges it once

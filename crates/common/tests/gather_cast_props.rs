@@ -4,11 +4,11 @@
 //! (identity, permuted, repeated, sentinel, empty) index lists, plus
 //! the empty source column under all-sentinel indices.
 
-use hive_common::{BitSet, ColumnBuilder, ColumnVector, DataType, Value, NULL_INDEX};
+use hive_common::{BitSet, ColumnBuilder, ColumnVector, DataType, DecVals, Value, NULL_INDEX};
 use proptest::prelude::*;
 use std::sync::Arc;
 
-const VARIANTS: usize = 9;
+const VARIANTS: usize = 10;
 
 /// Duplicate entries on purpose: equal strings under different codes.
 fn dictionary() -> Arc<Vec<String>> {
@@ -57,7 +57,21 @@ fn column_of(variant: usize, cells: &[(i64, bool)], null_mode: u8) -> ColumnVect
         1 => ColumnVector::Int(vals(cells, is_null, |x| x as i32), nulls),
         2 => ColumnVector::BigInt(vals(cells, is_null, |x| x), nulls),
         3 => ColumnVector::Double(vals(cells, is_null, |x| x as f64 / 8.0), nulls),
-        4 => ColumnVector::Decimal(vals(cells, is_null, |x| x as i128), 2, nulls),
+        // Decimals narrow by content, reaching the `i64` extremes, and
+        // the same values held wide.
+        4 | 9 => {
+            let v = vals(cells, is_null, |x| match x.rem_euclid(7) {
+                0 => i64::MAX as i128,
+                1 => i64::MIN as i128,
+                _ => x as i128,
+            });
+            let v = if variant == 4 {
+                DecVals::from(v)
+            } else {
+                DecVals::Wide(v)
+            };
+            ColumnVector::Decimal(v, 2, nulls)
+        }
         5 => ColumnVector::Str(vals(cells, is_null, text), nulls),
         6 => {
             let dict = dictionary();
@@ -302,11 +316,100 @@ fn empty_dictionary_null_extends_to_a_plain_column() {
 
 #[test]
 fn decimal_rescale_rounds_like_the_scalar_cast() {
-    let src = ColumnVector::Decimal(vec![1255, -1255, 1, 0], 3, None);
+    let src = ColumnVector::Decimal(vec![1255i128, -1255, 1, 0].into(), 3, None);
     let got = src.cast_to(&DataType::Decimal(10, 2)).unwrap();
     let expect: Vec<Value> = (0..4)
         .map(|i| src.get(i).cast_to(&DataType::Decimal(10, 2)).unwrap())
         .collect();
     assert_eq!((0..4).map(|i| got.get(i)).collect::<Vec<_>>(), expect);
-    assert_eq!(got, ColumnVector::Decimal(vec![126, -126, 0, 0], 2, None));
+    assert_eq!(
+        got,
+        ColumnVector::Decimal(vec![126i128, -126, 0, 0].into(), 2, None)
+    );
+}
+
+proptest! {
+    /// A decimal column's width is invisible: the same values held as
+    /// `i64` or `i128` are equal, gather, cast and hash alike, and parts
+    /// of mixed widths concatenate (widening) to what appending their
+    /// `Value`s builds. Values past `i64` keep a column wide.
+    #[test]
+    fn decimal_widths_are_invisible(
+        cells in proptest::collection::vec((any::<i64>(), 0u8..8), 0..40),
+        null_mode in 0u8..3,
+        raw in proptest::collection::vec(any::<u32>(), 0..60),
+        cuts in proptest::collection::vec(any::<u32>(), 3),
+    ) {
+        let n = cells.len();
+        let is_null = |k: u8| null_mode == 2 || (null_mode == 1 && k == 0);
+        let vals: Vec<i128> = cells
+            .iter()
+            .map(|&(x, k)| match k {
+                _ if is_null(k) => 0,
+                1 => i64::MAX as i128,
+                2 => i64::MIN as i128,
+                3 => x as i128 * 1_000_000_007, // past `i64` unless small
+                _ => x as i128,
+            })
+            .collect();
+        let nulls = (null_mode != 0).then(|| {
+            let mut b = BitSet::new(n);
+            (0..n).filter(|&i| is_null(cells[i].1)).for_each(|i| b.set(i));
+            b
+        });
+        let fits = vals.iter().all(|&v| i64::try_from(v).is_ok());
+        let by_content = ColumnVector::Decimal(DecVals::from(vals.clone()), 2, nulls.clone());
+        let wide = ColumnVector::Decimal(DecVals::Wide(vals.clone()), 2, nulls.clone());
+        let ColumnVector::Decimal(v, ..) = &by_content else { unreachable!() };
+        prop_assert_eq!(v.is_narrow(), fits);
+        prop_assert_eq!(by_content.approx_bytes(), wide.approx_bytes() - if fits { 8 * n } else { 0 });
+        prop_assert_eq!(&by_content, &wide);
+        prop_assert_eq!(&wide, &by_content);
+
+        // Gathers, casts and canonical hash encodings agree cell for cell.
+        let idx = indices(3, n, &raw);
+        prop_assert_eq!(by_content.take_or_null(&idx), wide.take_or_null(&idx));
+        for want in [DataType::Double, DataType::Int, DataType::BigInt, DataType::Decimal(38, 4), DataType::Decimal(20, 1), DataType::String] {
+            match (by_content.cast_to(&want), wide.cast_to(&want)) {
+                (Ok(a), Ok(b)) => prop_assert_eq!(a, b),
+                (Err(a), Err(b)) => prop_assert_eq!(a.to_string(), b.to_string()),
+                (a, b) => prop_assert!(false, "-> {want}: {a:?} vs {b:?}"),
+            }
+        }
+        for i in 0..n {
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            hive_common::hash::encode_value(&by_content.get(i), &mut a);
+            hive_common::hash::encode_value(&wide.get(i), &mut b);
+            prop_assert_eq!(a, b);
+        }
+
+        // Parts of either width, cut at `cuts`, each under a selection.
+        let small = ColumnVector::Decimal(DecVals::from(vec![5i128, -7]), 2, None);
+        let parts = [&by_content, &wide, &small, &by_content];
+        let sels: Vec<Option<Vec<u32>>> = parts
+            .iter()
+            .zip(&cuts)
+            .map(|(c, &k)| (k % 3 != 0).then(|| (0..c.len() as u32).filter(|i| (i + k) % 3 != 0).collect()))
+            .chain([None])
+            .collect();
+        let refs: Vec<(&ColumnVector, Option<&[u32]>)> =
+            parts.iter().zip(&sels).map(|(&c, s)| (c, s.as_deref())).collect();
+        let got = ColumnVector::concat_selected(&DataType::Decimal(38, 2), &refs).unwrap();
+        let want = reference(
+            refs.iter().flat_map(|&(c, sel)| match sel {
+                Some(sel) => sel.iter().map(|&i| c.get(i as usize)).collect::<Vec<_>>(),
+                None => (0..c.len()).map(|i| c.get(i)).collect(),
+            }),
+            &DataType::Decimal(38, 2),
+        )
+        .unwrap();
+        // Cell for cell: a part's bitmap, even an empty one, stays
+        // present in a concatenation.
+        prop_assert_eq!(got.len(), want.len());
+        for i in 0..got.len() {
+            prop_assert_eq!(got.get(i), want.get(i), "cell {}", i);
+        }
+        let ColumnVector::Decimal(g, ..) = &got else { unreachable!() };
+        prop_assert!(!g.is_narrow() || fits, "narrow concat of a wide part");
+    }
 }

@@ -32,10 +32,20 @@ pub use writer::{CorcWriter, WriterOptions};
 pub const DEFAULT_ROW_GROUP_SIZE: usize = 10_000;
 
 /// Magic bytes identifying a corc file, and with them its layout
-/// version: `COR2` files pack literal integer runs into bit fields
-/// ([`encoding::rle_encode_i64`]).
-pub const MAGIC: &[u8; 4] = b"COR2";
+/// version: `COR3` files pack literal integer runs into bit fields
+/// ([`encoding::rle_encode_i64`]), and decimal chunks whose values all
+/// fit `i64` are such runs too ([`DECIMAL_PACKED`]).
+pub const MAGIC: &[u8; 4] = b"COR3";
 
-/// The magic of the first layout, whose literal runs were varints. No
-/// decoder for it is kept: such a file is a typed format error.
-pub(crate) const V1_MAGIC: &[u8; 4] = b"CORC";
+/// The magics of earlier layouts, each with what this one changed. No
+/// decoder for them is kept: such a file is a typed format error.
+pub(crate) const OLD_MAGICS: [(&[u8; 4], &str); 2] = [
+    (b"CORC", "v1 corc layout (varint literal runs)"),
+    (b"COR2", "v2 corc layout (raw 16-byte decimals)"),
+];
+
+/// A decimal chunk's data starts with one of these tags: the unscaled
+/// values as one [`encoding::rle_encode_i64`] stream (every value fits
+/// `i64`), or as raw little-endian `i128`s.
+pub(crate) const DECIMAL_PACKED: u8 = 0;
+pub(crate) const DECIMAL_RAW: u8 = 1;

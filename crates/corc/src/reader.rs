@@ -8,10 +8,10 @@ use crate::encoding::{rle_decode, ByteReader, SliceReader};
 use crate::sarg::{SearchArgument, TruthValue};
 use crate::stats::ColumnStatistics;
 use crate::writer::{ChunkMeta, RowGroupMeta};
-use crate::{MAGIC, V1_MAGIC};
+use crate::{DECIMAL_PACKED, DECIMAL_RAW, MAGIC, OLD_MAGICS};
 use bytes::Bytes;
 use hive_common::{
-    BitSet, ColumnVector, DataType, Field, FileId, HiveError, Result, Schema, VectorBatch,
+    BitSet, ColumnVector, DataType, DecVals, Field, FileId, HiveError, Result, Schema, VectorBatch,
 };
 use hive_dfs::{DfsPath, DistFs};
 
@@ -299,10 +299,14 @@ fn check_magic(tr: &mut ByteReader, what: &str) -> Result<()> {
     }
     match &magic {
         m if m == MAGIC => Ok(()),
-        m if m == V1_MAGIC => Err(HiveError::Format(format!(
-            "{what} has the v1 corc layout (varint literal runs), which this reader does not decode"
-        ))),
-        _ => Err(HiveError::Format(format!("bad magic in {what}"))),
+        m => Err(HiveError::Format(
+            match OLD_MAGICS.iter().find(|(old, _)| *old == m) {
+                Some((_, layout)) => {
+                    format!("{what} has the {layout}, which this reader does not decode")
+                }
+                None => format!("bad magic in {what}"),
+            },
+        )),
     }
 }
 
@@ -370,7 +374,7 @@ fn read_data_type(r: &mut ByteReader) -> Result<DataType> {
         4 => {
             let p = r.get_u8()?;
             let s = r.get_u8()?;
-            DataType::Decimal(p, s)
+            DataType::decimal(p.into(), s.into()).map_err(HiveError::Format)?
         }
         5 => DataType::String,
         6 => DataType::Date,
@@ -442,14 +446,20 @@ pub(crate) fn decode_column(
             ColumnVector::Double(v, nulls)
         }
         DataType::Decimal(_, s) => {
-            let v = fixed(&mut r, rows, 16)?
-                .chunks_exact(16)
-                .map(|c| {
-                    let mut le = [0u8; 16];
-                    le.copy_from_slice(c);
-                    i128::from_le_bytes(le)
-                })
-                .collect();
+            let v = match r.get_u8()? {
+                DECIMAL_PACKED => DecVals::Narrow(rle_decode(&mut r, rows, Ok)?),
+                DECIMAL_RAW => DecVals::Wide(
+                    fixed(&mut r, rows, 16)?
+                        .chunks_exact(16)
+                        .map(|c| {
+                            let mut le = [0u8; 16];
+                            le.copy_from_slice(c);
+                            i128::from_le_bytes(le)
+                        })
+                        .collect(),
+                ),
+                t => return Err(HiveError::Format(format!("bad decimal encoding tag {t}"))),
+            };
             ColumnVector::Decimal(v, *s, nulls)
         }
         DataType::String => match r.get_u8()? {
@@ -632,10 +642,17 @@ mod tests {
                     ColumnVector::Double(v, nulls)
                 }
                 DataType::Decimal(_, s) => {
-                    let mut v = Vec::with_capacity(rows);
-                    for _ in 0..rows {
-                        v.push(r.get_i128()?);
-                    }
+                    let v = match r.get_u8()? {
+                        DECIMAL_PACKED => DecVals::Narrow(rle_decode_i64(&mut r, rows)?),
+                        DECIMAL_RAW => {
+                            let mut v = Vec::with_capacity(rows);
+                            for _ in 0..rows {
+                                v.push(r.get_i128()?);
+                            }
+                            DecVals::Wide(v)
+                        }
+                        t => return Err(HiveError::Format(format!("bad decimal tag {t}"))),
+                    };
                     ColumnVector::Decimal(v, *s, nulls)
                 }
                 DataType::String => match r.get_u8()? {
@@ -759,14 +776,18 @@ mod tests {
                     .collect(),
                 nulls,
             ),
+            // Shape 4 spreads past `i64` (a raw chunk); every other
+            // shape's values fit it (a packed run), its extremes included.
             DataType::Decimal(_, s) => ColumnVector::Decimal(
                 ints.iter()
-                    .map(|&v| match v {
-                        i64::MIN => i128::MIN,
-                        i64::MAX => i128::MAX,
-                        v => v as i128 * 1_000_003,
+                    .map(|&v| match (shape, v) {
+                        (4, i64::MIN) => i128::MIN,
+                        (4, i64::MAX) => i128::MAX,
+                        (4, v) => v as i128 * 1_000_003,
+                        (_, v) => v as i128,
                     })
-                    .collect(),
+                    .collect::<Vec<i128>>()
+                    .into(),
                 *s,
                 nulls,
             ),
@@ -774,8 +795,8 @@ mod tests {
         }
     }
 
-    /// Bit-exact column equality (`NaN == NaN`, `-0.0 != 0.0`, and a
-    /// `Dict` only equals a `Dict`).
+    /// Bit-exact column equality (`NaN == NaN`, `-0.0 != 0.0`, a `Dict`
+    /// only equals a `Dict`, and decimals are held at one width).
     fn assert_same(a: &ColumnVector, b: &ColumnVector, what: &str) {
         assert_eq!(
             std::mem::discriminant(a),
@@ -783,6 +804,10 @@ mod tests {
             "{what}"
         );
         match (a, b) {
+            (ColumnVector::Decimal(x, ..), ColumnVector::Decimal(y, ..)) => {
+                assert_eq!(x.is_narrow(), y.is_narrow(), "{what}");
+                assert_eq!(a, b, "{what}");
+            }
             (ColumnVector::Double(x, xn), ColumnVector::Double(y, yn)) => {
                 let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
                 assert_eq!(bits(x), bits(y), "{what}");
@@ -834,6 +859,8 @@ mod tests {
     #[test]
     fn slice_decode_equals_reference_decode() {
         let mut rng = StdRng::seed_from_u64(0xc0dec);
+        // Decimal chunks seen as (packed, raw).
+        let mut decimals = (0, 0);
         for rows in [0, 1, 2, 3, 7, 64, 65, 300, 5000] {
             for (dt, rows, bytes) in encoded_chunks(&mut rng, rows) {
                 for keep_dict in [false, true] {
@@ -842,9 +869,18 @@ mod tests {
                     let got = decode_column(&bytes, &dt, rows, keep_dict).unwrap();
                     assert_eq!(got.len(), rows);
                     assert_same(&got, &want, &format!("{dt} rows={rows} keep={keep_dict}"));
+                    if let ColumnVector::Decimal(v, ..) = &got {
+                        let seen = if v.is_narrow() {
+                            &mut decimals.0
+                        } else {
+                            &mut decimals.1
+                        };
+                        *seen += 1;
+                    }
                 }
             }
         }
+        assert!(decimals.0 > 0 && decimals.1 > 0, "{decimals:?}");
     }
 
     /// Byte-level fuzz of the chunk decoder: every prefix truncation
@@ -944,26 +980,94 @@ mod tests {
             }
         }
 
-        // The v1 layout is told apart by its magic.
+        // The earlier layouts (v1, and v2 with its raw decimals) are
+        // told apart by their magics.
         let schema = Schema::new(vec![Field::new("a", DataType::Int)]);
         let batch = VectorBatch::new(schema, vec![ColumnVector::Int(vec![1, 5, 9], None)]).unwrap();
-        let mut v1 = crate::writer::write_batch_to_bytes(&batch, WriterOptions::default())
-            .unwrap()
-            .to_vec();
-        let n = v1.len();
-        v1[n - 4..].copy_from_slice(crate::V1_MAGIC);
-        let v1 = Bytes::from(v1);
+        let file = crate::writer::write_batch_to_bytes(&batch, WriterOptions::default()).unwrap();
         let fs = DistFs::new();
-        let path = DfsPath::new("/t/v1");
-        fs.create(&path, v1.clone()).unwrap();
-        for err in [
-            CorcFile::open(&fs, &path).unwrap_err(),
-            parse_in_memory(&v1).unwrap_err(),
+        for (magic, layout) in crate::OLD_MAGICS {
+            let mut old = file.to_vec();
+            let n = old.len();
+            old[n - 4..].copy_from_slice(magic);
+            let old = Bytes::from(old);
+            let path = DfsPath::new(format!("/t/{layout}"));
+            fs.create(&path, old.clone()).unwrap();
+            for err in [
+                CorcFile::open(&fs, &path).unwrap_err(),
+                parse_in_memory(&old).unwrap_err(),
+            ] {
+                assert!(
+                    matches!(&err, HiveError::Format(m) if m.contains(layout)),
+                    "{err:?}"
+                );
+            }
+        }
+        assert!(crate::OLD_MAGICS.iter().any(|(m, _)| *m == b"COR2"));
+    }
+
+    /// Decimal chunks round-trip through files at both widths: values
+    /// that all fit `i64` (its extremes included) come back as a packed
+    /// run and a narrow column, one value past `i64` either way keeps
+    /// the whole chunk raw and wide — whatever width the written column
+    /// held them at.
+    #[test]
+    fn decimal_chunks_pack_at_the_i64_edges_and_fall_back_past_them() {
+        let schema = Schema::new(vec![Field::new("d", DataType::Decimal(38, 2))]);
+        let edges = vec![i64::MIN as i128, -1, 0, 7, i64::MAX as i128];
+        let cases: Vec<(Vec<i128>, bool)> = vec![
+            (edges.clone(), true),
+            ([edges.clone(), vec![i64::MAX as i128 + 1]].concat(), false),
+            ([vec![i64::MIN as i128 - 1], edges.clone()].concat(), false),
+        ];
+        for (vals, narrow) in cases {
+            let mut nulls = BitSet::new(vals.len());
+            nulls.set(1);
+            for held in [DecVals::from(vals.clone()), DecVals::Wide(vals.clone())] {
+                let col = ColumnVector::Decimal(held, 2, Some(nulls.clone()));
+                let batch = VectorBatch::new(schema.clone(), vec![col.clone()]).unwrap();
+                let bytes =
+                    crate::writer::write_batch_to_bytes(&batch, WriterOptions::default()).unwrap();
+                let (footer, all) = parse_in_memory(&bytes).unwrap();
+                let meta = &footer.row_groups[0].chunks[0];
+                let chunk = &all[meta.offset as usize..(meta.offset + meta.len) as usize];
+                let got =
+                    decode_column(chunk, &footer.schema.field(0).data_type, vals.len(), false)
+                        .unwrap();
+                let ColumnVector::Decimal(got_vals, 2, _) = &got else {
+                    panic!("{got:?}");
+                };
+                assert_eq!(got_vals.is_narrow(), narrow, "{vals:?}");
+                assert_eq!(got, col, "{vals:?}");
+                // A packed chunk is the tag plus a run, far below 16
+                // bytes a value.
+                assert_eq!(narrow, meta.len < 16 * vals.len() as u64, "{vals:?}");
+            }
+        }
+    }
+
+    /// A footer declaring a DECIMAL no parser accepts — precision 0 or
+    /// above 38, or a scale above the precision — is `Format`.
+    #[test]
+    fn impossible_decimal_types_in_a_footer_are_format_errors() {
+        for (p, s, ok) in [
+            (38u8, 38u8, true),
+            (1, 0, true),
+            (0, 0, false),
+            (39, 2, false),
+            (5, 9, false),
+            (38, 60, false),
         ] {
-            assert!(
-                matches!(&err, HiveError::Format(m) if m.contains("v1 corc layout")),
-                "{err:?}"
-            );
+            let mut w = crate::encoding::ByteWriter::new();
+            w.put_u8(4);
+            w.put_u8(p);
+            w.put_u8(s);
+            let got = read_data_type(&mut ByteReader::new(w.finish()));
+            match got {
+                Ok(dt) => assert!(ok && dt == DataType::Decimal(p, s), "({p},{s})"),
+                Err(HiveError::Format(_)) => assert!(!ok, "({p},{s})"),
+                Err(e) => panic!("({p},{s}): {e:?}"),
+            }
         }
     }
 

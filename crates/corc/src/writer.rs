@@ -3,7 +3,7 @@
 use crate::bloom::BloomFilter;
 use crate::encoding::ByteWriter;
 use crate::stats::{ChunkEncoding, ColumnStatistics};
-use crate::{DEFAULT_ROW_GROUP_SIZE, MAGIC};
+use crate::{DECIMAL_PACKED, DECIMAL_RAW, DEFAULT_ROW_GROUP_SIZE, MAGIC};
 use bytes::Bytes;
 use hive_common::{ColumnVector, DataType, HiveError, Result, Schema, VectorBatch};
 
@@ -288,11 +288,21 @@ pub(crate) fn encode_column(
                 w.put_f64(x);
             }
         }
-        ColumnVector::Decimal(v, _, _) => {
-            for &x in v {
-                w.put_i128(x);
+        // A tag, then the values as a packed integer run when every
+        // one fits `i64` (whatever width the column held them at), or
+        // raw when one does not.
+        ColumnVector::Decimal(v, _, _) => match v.narrowed() {
+            Some(narrow) => {
+                w.put_u8(DECIMAL_PACKED);
+                crate::encoding::rle_encode_i64(&narrow, w);
             }
-        }
+            None => {
+                w.put_u8(DECIMAL_RAW);
+                for &x in v.to_wide().iter() {
+                    w.put_i128(x);
+                }
+            }
+        },
         ColumnVector::Str(v, _) => {
             let vals: Vec<&String> = v.iter().collect();
             return Ok(encode_str_values(&vals, w, dictionary_ratio));

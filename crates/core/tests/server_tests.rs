@@ -36,6 +36,38 @@ fn setup_sales(s: &HiveServer) {
     }
 }
 
+/// A DECIMAL product past `i128` is the typed `decimal overflow in *`
+/// error, whether its operands are columns or CASTs; decimal values past
+/// `i64` travel beside narrow ones through scans and aggregates.
+#[test]
+fn decimal_products_past_i128_fail_typed() {
+    let s = server();
+    let sess = s.session();
+    sess.execute("CREATE TABLE d (a DECIMAL(38,1))").unwrap();
+    sess.execute("INSERT INTO d VALUES (12345678901234567890.5), (1.5)")
+        .unwrap();
+    for sql in [
+        "SELECT a * a FROM d",
+        "SELECT CAST(12345678901234567890.5 AS DECIMAL(38,1)) \
+         * CAST(12345678901234567890.5 AS DECIMAL(38,1))",
+    ] {
+        let err = sess.execute(sql).unwrap_err();
+        assert!(
+            err.to_string().contains("decimal overflow in *"),
+            "{sql}: {err}"
+        );
+    }
+    let r = sess
+        .execute("SELECT SUM(a), MIN(a), MAX(a), COUNT(*) FROM d")
+        .unwrap();
+    assert_eq!(
+        r.display_rows(),
+        vec!["12345678901234567892.0\t1.5\t12345678901234567890.5\t2"]
+    );
+    let r = sess.execute("SELECT a * 2 FROM d WHERE a < 2").unwrap();
+    assert_eq!(r.display_rows(), vec!["3.0"]);
+}
+
 #[test]
 fn create_insert_select_round_trip() {
     let s = server();

@@ -6,7 +6,9 @@
 //! ([`hive_optimizer::eval`]), which is also what the Hive-1.2
 //! row-interpreter mode uses for *all* expressions.
 
-use hive_common::{BitSet, ColumnBuilder, ColumnVector, HiveError, Result, Value, VectorBatch};
+use hive_common::{
+    BitSet, ColumnBuilder, ColumnVector, DecUnit, HiveError, Result, Value, VectorBatch,
+};
 use hive_optimizer::eval::{eval_binary, eval_scalar};
 use hive_optimizer::ScalarExpr;
 use hive_sql::BinaryOp;
@@ -325,30 +327,23 @@ fn try_fast_binary(
             let out: Vec<bool> = codes.iter().map(|&c| per_code[c as usize]).collect();
             Ok(Some(ColumnVector::Boolean(out, nulls.clone())))
         }
-        (ColumnVector::Decimal(v, s, nl), Value::Decimal(u, s2)) => {
+        (ColumnVector::Decimal(v, s, nl), lit) => {
             // `sql_cmp` compares decimals exactly at the wider scale.
             // Rescaling the literal *down* to the column scale rounds
             // (half away from zero), so when the literal carries more
             // fractional digits the rows widen instead.
-            if *s2 <= *s {
-                let scaled = hive_common::value::rescale(*u, *s2, *s);
-                cmp_prim!(v, nl, scaled)
-            } else {
-                let (lit, factor) = (*u, hive_common::value::pow10(*s2 - *s));
-                let mut out = Vec::with_capacity(n);
-                for v in v.iter() {
-                    out.push(apply_ord(op, (v * factor).partial_cmp(&lit)));
-                }
-                Ok(Some(ColumnVector::Boolean(out, nl.clone())))
-            }
-        }
-        (ColumnVector::Decimal(v, s, nl), Value::Int(x)) => {
-            let scaled = *x as i128 * hive_common::value::pow10(*s);
-            cmp_prim!(v, nl, scaled)
-        }
-        (ColumnVector::Decimal(v, s, nl), Value::BigInt(x)) => {
-            let scaled = *x as i128 * hive_common::value::pow10(*s);
-            cmp_prim!(v, nl, scaled)
+            let (lit, factor) = match lit {
+                Value::Decimal(u, s2) if s2 <= s => (hive_common::value::rescale(*u, *s2, *s), 1),
+                Value::Decimal(u, s2) => (*u, hive_common::value::pow10(*s2 - *s)),
+                Value::Int(x) => (*x as i128 * hive_common::value::pow10(*s), 1),
+                Value::BigInt(x) => (*x as i128 * hive_common::value::pow10(*s), 1),
+                _ => return Ok(None),
+            };
+            let out = hive_common::with_dec!(v, v => v
+                .iter()
+                .map(|x| apply_ord(op, (x.wide() * factor).partial_cmp(&lit)))
+                .collect());
+            Ok(Some(ColumnVector::Boolean(out, nl.clone())))
         }
         // Reversed orientation: integer column against a decimal
         // literal. `sql_cmp` scales the *integer* up to the literal's

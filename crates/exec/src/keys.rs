@@ -497,7 +497,7 @@ pub(crate) fn encode_cell(col: &ColumnVector, i: usize, out: &mut Vec<u8>) -> bo
         ColumnVector::Int(v, _) => hash::encode_i64(v[i] as i64, out),
         ColumnVector::BigInt(v, _) => hash::encode_i64(v[i], out),
         ColumnVector::Double(v, _) => hash::encode_f64(v[i], out),
-        ColumnVector::Decimal(v, s, _) => hash::encode_decimal(v[i], *s, out),
+        ColumnVector::Decimal(v, s, _) => hash::encode_decimal(v.get(i), *s, out),
         ColumnVector::Str(v, _) => hash::encode_str(v[i].as_bytes(), out),
         ColumnVector::Dict { codes, dict, .. } => {
             hash::encode_str(dict[codes[i] as usize].as_bytes(), out)
@@ -1333,7 +1333,7 @@ mod tests {
                 Some(nulls.clone()),
             ),
             ColumnVector::Double(vec![2.5, 0.0, 42.0], Some(nulls.clone())),
-            ColumnVector::Decimal(vec![25, 0, 4200], 2, Some(nulls.clone())),
+            ColumnVector::Decimal(vec![25i128, 0, 4200].into(), 2, Some(nulls.clone())),
             ColumnVector::Date(vec![0, 1, -40], Some(nulls.clone())),
             ColumnVector::Timestamp(vec![0, 1, 86_400_000_000], Some(nulls.clone())),
             ColumnVector::Boolean(vec![true, false, false], Some(nulls)),

@@ -71,7 +71,9 @@ use super::kernel::column_nulls;
 use crate::engine::align_column;
 use crate::keys::{Grouper, KeySide};
 use hive_common::value::dec_to_f64;
-use hive_common::{BitSet, ColumnVector, DataType, HiveError, Result, SelVec, NULL_INDEX};
+use hive_common::{
+    with_dec, BitSet, ColumnVector, DataType, DecUnit, HiveError, Result, SelVec, NULL_INDEX,
+};
 use hive_optimizer::AggFunc;
 use std::cmp::Ordering;
 use std::sync::Arc;
@@ -297,10 +299,10 @@ pub(crate) fn fold_keyless(
         AggFunc::Count => Ok(FoldOut::Count(vec![count_rows(nulls, sel) as i64])),
         AggFunc::Sum => match col {
             ColumnVector::Decimal(v, scale, _) if partial => {
-                let seen = first_row(v, nulls, sel).is_some();
-                let (sum, mag) = fold_rows(v, nulls, sel, (0i128, 0u128), |(s, m), _, &x| {
-                    (s.wrapping_add(x), m.saturating_add(x.unsigned_abs()))
-                });
+                let (seen, (sum, mag)) = with_dec!(v, v => (
+                    first_row(v, nulls, sel).is_some(),
+                    fold_rows(v, nulls, sel, (0, 0), |(s, m), _, &x| dec_partial_add(s, m, x)),
+                ));
                 Ok(FoldOut::DecPartial {
                     scale: *scale,
                     sums: Sums {
@@ -414,10 +416,10 @@ fn keyless_sum_into(sums: &mut FoldOut, col: &ColumnVector, sel: &SelVec) -> Res
             s.seen[0] |= first_row(v, nulls, sel).is_some();
         }
         (FoldOut::SumDecimal(s, scale), ColumnVector::Decimal(v, vs, _)) if *scale == *vs => {
-            s.vals[0] = try_fold_rows(v, nulls, sel, s.vals[0], |a, _, &x| {
-                a.checked_add(x).ok_or_else(decimal_overflow)
-            })?;
-            s.seen[0] |= first_row(v, nulls, sel).is_some();
+            with_dec!(v, v => {
+                s.vals[0] = dec_sum(v, nulls, sel, s.vals[0])?;
+                s.seen[0] |= first_row(v, nulls, sel).is_some();
+            })
         }
         (FoldOut::SumDouble(s), ColumnVector::Double(v, _)) => {
             // Assign-first, in order: addition order shows in the bits.
@@ -443,7 +445,9 @@ fn keyless_avg_into(acc: &mut (f64, i64), col: &ColumnVector, sel: &SelVec) -> R
         ColumnVector::Int(v, _) => avg!(v, |x: i32| x as f64),
         ColumnVector::BigInt(v, _) => avg!(v, |x: i64| x as f64),
         ColumnVector::Double(v, _) => avg!(v, |x: f64| x),
-        ColumnVector::Decimal(v, s, _) => avg!(v, |x: i128| dec_to_f64(x, *s)),
+        ColumnVector::Decimal(v, s, _) => {
+            with_dec!(v, v => avg!(v, |x| dec_to_f64(DecUnit::wide(x), *s)))
+        }
         other => {
             return Err(HiveError::Execution(format!(
                 "no compiled AVG kernel for {:?}",
@@ -466,7 +470,9 @@ fn keyless_best(col: &ColumnVector, sel: &SelVec, want: Ordering) -> u32 {
         ColumnVector::BigInt(v, _) | ColumnVector::Timestamp(v, _) => {
             best_of_total(v, nulls, sel, want, |&x| x)
         }
-        ColumnVector::Decimal(v, _, _) => best_of_total(v, nulls, sel, want, |&x| x),
+        ColumnVector::Decimal(v, _, _) => {
+            with_dec!(v, v => best_of_total(v, nulls, sel, want, |&x| x))
+        }
         ColumnVector::Str(v, _) => best_of_total(v, nulls, sel, want, String::as_str),
         ColumnVector::Dict { codes, dict, .. } => {
             best_of_total(codes, nulls, sel, want, |&c| dict[c as usize].as_str())
@@ -542,9 +548,9 @@ pub(crate) fn fold(
     match func {
         AggFunc::Count => Ok(FoldOut::Count(fold_count(arg, pairs, ngroups))),
         AggFunc::Sum => match col? {
-            ColumnVector::Decimal(v, s, n) if partial => {
-                Ok(fold_sum_decimal_partial(v, *s, n.as_ref(), pairs, ngroups))
-            }
+            ColumnVector::Decimal(v, s, n) if partial => Ok(with_dec!(v, v => {
+                fold_sum_decimal_partial(v, *s, n.as_ref(), pairs, ngroups)
+            })),
             col => fold_sum(col, pairs, ngroups),
         },
         AggFunc::Avg => fold_avg(col?, pairs, ngroups),
@@ -635,23 +641,53 @@ fn fold_sum(
             });
         }
         (FoldOut::SumDecimal(s, scale), ColumnVector::Decimal(v, vs, _)) if *scale == *vs => {
-            fold_loop!(nulls, pairs, i, g, {
-                s.vals[g] = s.vals[g].checked_add(v[i]).ok_or_else(decimal_overflow)?;
+            with_dec!(v, v => fold_loop!(nulls, pairs, i, g, {
+                s.vals[g] = dec_add(s.vals[g], v[i])?;
                 s.seen[g] = true;
-            });
+            }))
         }
         _ => return Err(mismatched_parts()),
     }
     Ok(sums)
 }
 
-/// The interpreter's (`Value::add`'s) decimal overflow error.
-fn decimal_overflow() -> HiveError {
-    HiveError::Execution("decimal overflow in +".into())
+/// A decimal SUM step: `a + x` with `x` widened into the `i128` state,
+/// or the interpreter's (`Value::add`'s) overflow error.
+#[inline(always)]
+fn dec_add<T: DecUnit>(a: i128, x: T) -> Result<i128> {
+    a.checked_add(x.wide())
+        .ok_or_else(|| HiveError::Execution("decimal overflow in +".into()))
 }
 
-fn fold_sum_decimal_partial(
-    v: &[i128],
+/// A partial decimal SUM step: the wrapping sum and the saturating sum
+/// of magnitudes ([`FoldOut::DecPartial`]), `x` widened into both. A
+/// partial fold starts from zero and sees fewer than 2^64 values, so
+/// `i64` values can neither wrap the one nor saturate the other: at that
+/// width both are plain additions.
+#[inline(always)]
+fn dec_partial_add<T: DecUnit>(sum: i128, mag: u128, x: T) -> (i128, u128) {
+    let x = x.wide();
+    if T::BITS == 64 {
+        (sum + x, mag + x.unsigned_abs())
+    } else {
+        (sum.wrapping_add(x), mag.saturating_add(x.unsigned_abs()))
+    }
+}
+
+/// `start` plus the selected non-null values of `v` in order, through
+/// [`dec_add`]. When every value is at most 64 bits wide and `start`
+/// leaves room for `sel.len()` of them either way, no prefix can leave
+/// `i128`, and the sum is a plain reduction.
+fn dec_sum<T: DecUnit>(v: &[T], nulls: Option<&BitSet>, sel: &SelVec, start: i128) -> Result<i128> {
+    let room = (i128::MAX as u128).saturating_sub(start.unsigned_abs());
+    if T::BITS == 64 && (sel.len() as u128) << 63 <= room {
+        return Ok(start + fold_rows(v, nulls, sel, 0, |a, _, &x| a + x.wide()));
+    }
+    try_fold_rows(v, nulls, sel, start, |a, _, &x| dec_add(a, x))
+}
+
+fn fold_sum_decimal_partial<T: DecUnit>(
+    v: &[T],
     scale: u8,
     nulls: Option<&BitSet>,
     pairs: impl Iterator<Item = (usize, usize)>,
@@ -660,9 +696,8 @@ fn fold_sum_decimal_partial(
     let mut sums = Sums::<i128>::new(ngroups);
     let mut mags: Vec<u128> = vec![0; ngroups];
     fold_loop!(nulls, pairs, i, g, {
-        sums.vals[g] = sums.vals[g].wrapping_add(v[i]);
+        (sums.vals[g], mags[g]) = dec_partial_add(sums.vals[g], mags[g], v[i]);
         sums.seen[g] = true;
-        mags[g] = mags[g].saturating_add(v[i].unsigned_abs());
     });
     FoldOut::DecPartial { scale, sums, mags }
 }
@@ -710,7 +745,7 @@ impl FoldOut {
             }
             FoldOut::SumDecimal(s, scale) => {
                 let (vals, nulls) = s.into_column();
-                ColumnVector::Decimal(vals, scale, nulls)
+                ColumnVector::Decimal(vals.into(), scale, nulls)
             }
             FoldOut::Avg(states) => {
                 let seen = states.iter().map(|&(_, count)| count > 0).collect();
@@ -869,7 +904,9 @@ fn fold_avg(
         ColumnVector::BigInt(v, _) => avg_loop!(v, |x: i64| x as f64),
         ColumnVector::Double(v, _) => avg_loop!(v, |x: f64| x),
         // `Value::as_f64`'s conversion, value for value.
-        ColumnVector::Decimal(v, s, _) => avg_loop!(v, |x: i128| dec_to_f64(x, *s)),
+        ColumnVector::Decimal(v, s, _) => {
+            with_dec!(v, v => avg_loop!(v, |x| dec_to_f64(DecUnit::wide(x), *s)))
+        }
         other => {
             return Err(HiveError::Execution(format!(
                 "no compiled AVG kernel for {:?}",
@@ -931,7 +968,9 @@ fn fold_minmax(
         ColumnVector::Int(v, _) => mm_loop!(|i: usize, b: usize| Some(v[i].cmp(&v[b]))),
         ColumnVector::BigInt(v, _) => mm_loop!(|i: usize, b: usize| Some(v[i].cmp(&v[b]))),
         ColumnVector::Double(v, _) => mm_loop!(|i: usize, b: usize| v[i].partial_cmp(&v[b])),
-        ColumnVector::Decimal(v, _, _) => mm_loop!(|i: usize, b: usize| Some(v[i].cmp(&v[b]))),
+        ColumnVector::Decimal(v, _, _) => {
+            with_dec!(v, v => mm_loop!(|i: usize, b: usize| Some(v[i].cmp(&v[b]))))
+        }
         ColumnVector::Str(v, _) => mm_loop!(|i: usize, b: usize| Some(v[i].cmp(&v[b]))),
         ColumnVector::Dict { codes, dict, .. } => {
             mm_loop!(|i: usize, b: usize| Some(
@@ -947,6 +986,7 @@ fn fold_minmax(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hive_common::DecVals;
     use std::sync::Arc;
 
     /// A column of every compilable representation, `n` rows, with a
@@ -1023,6 +1063,24 @@ mod tests {
                             _ => int(i) as i128,
                         })
                         .collect(),
+                    2,
+                    bitmap(),
+                ),
+            ),
+            (
+                // Narrow, at and beside the `i64` extremes: sums leave
+                // `i64` at once, and stay in `i128`.
+                "decimal_edges",
+                ColumnVector::Decimal(
+                    (0..n)
+                        .map(|i| match i % 5 {
+                            0 => i64::MAX,
+                            1 => i64::MIN,
+                            2 => i64::MAX - int(i).abs(),
+                            _ => int(i),
+                        })
+                        .collect::<Vec<i64>>()
+                        .into(),
                     2,
                     bitmap(),
                 ),
@@ -1140,6 +1198,91 @@ mod tests {
             overflowed > 0 && saturated > 0,
             "{overflowed} overflows, {saturated} saturated partials"
         );
+    }
+
+    /// Every decimal kernel over narrow (`i64`) values folds to exactly
+    /// what it folds over the same values held as `i128` — the reference
+    /// width: key-less, keyed (the pairs route), partial, DISTINCT and
+    /// continued across parts, at the `i64` edges.
+    #[test]
+    fn narrow_decimal_folds_equal_the_wide_reference() {
+        let mut checked = 0;
+        for n in [0, 1, 7, 65, 300] {
+            for nulls in [false, true] {
+                for (name, col) in columns(n, nulls) {
+                    let ColumnVector::Decimal(v @ DecVals::Narrow(_), scale, bits) = &col else {
+                        continue;
+                    };
+                    let wide = ColumnVector::Decimal(
+                        DecVals::Wide(v.to_wide().into_owned()),
+                        *scale,
+                        bits.clone(),
+                    );
+                    for sel in selections(n) {
+                        for func in [AggFunc::Sum, AggFunc::Avg, AggFunc::Min, AggFunc::Max] {
+                            let what = format!("{func:?} over {name} n={n} nulls={nulls} {sel:?}");
+                            for (distinct, partial) in
+                                [(false, false), (false, true), (true, false)]
+                            {
+                                let got = fold_keyless(func, distinct, Some(&col), &sel, partial);
+                                let want = fold_keyless(func, distinct, Some(&wide), &sel, partial);
+                                assert_eq!(text(&got), text(&want), "{what} {distinct} {partial}");
+                                let groups: Vec<u32> = sel.iter().map(|i| (i % 3) as u32).collect();
+                                let rows = sel.to_indices();
+                                let got =
+                                    fold_assigned(func, distinct, Some(&col), &rows, &groups, 3);
+                                let want =
+                                    fold_assigned(func, distinct, Some(&wide), &rows, &groups, 3);
+                                assert_eq!(text(&got), text(&want), "keyed {what} {distinct}");
+                                checked += 1;
+                            }
+                            let cut = SelVec::Idx(Vec::new());
+                            let parts =
+                                [(Some(&col), &sel), (Some(&wide), &cut), (Some(&col), &sel)];
+                            let wides = [
+                                (Some(&wide), &sel),
+                                (Some(&wide), &cut),
+                                (Some(&wide), &sel),
+                            ];
+                            if matches!(func, AggFunc::Sum | AggFunc::Avg) {
+                                assert_eq!(
+                                    text(&fold_keyless_continued(func, &parts)),
+                                    text(&fold_keyless_continued(func, &wides)),
+                                    "continued {what}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(checked > 500, "{checked}");
+    }
+
+    /// A narrow checked sum continued from a start near either end of
+    /// `i128` takes the checked path, and fails exactly when a prefix
+    /// leaves `i128`; with room it is the plain reduction.
+    #[test]
+    fn narrow_sums_near_the_i128_edge_check_every_prefix() {
+        let v: Vec<i64> = vec![i64::MAX, i64::MIN, 5, i64::MAX];
+        let edge = i64::MAX as i128;
+        for start in [
+            0,
+            i128::MAX - 2 * edge,
+            i128::MAX - edge - 4,
+            i128::MAX - 4,
+            i128::MIN + edge,
+            i128::MIN,
+            i128::MAX,
+        ] {
+            for sel in [SelVec::All(4), SelVec::Idx(vec![1, 2])] {
+                let got = dec_sum(&v, None, &sel, start);
+                let want = try_fold_rows(&v, None, &sel, start, |a, _, &x| {
+                    a.checked_add(x as i128).ok_or(())
+                });
+                assert_eq!(got.ok(), want.ok(), "from {start} over {sel:?}");
+            }
+        }
     }
 
     /// A key-less SUM or AVG continued across parts is the one fold over

@@ -19,7 +19,9 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use hive_common::value::{dec_to_f64, pow10};
-use hive_common::{BitSet, ColumnVector, KernelType, Result, SelVec, Value, VectorBatch};
+use hive_common::{
+    with_dec, BitSet, ColumnVector, DecUnit, KernelType, Result, SelVec, Value, VectorBatch,
+};
 use hive_optimizer::eval::eval_scalar;
 use hive_optimizer::ScalarExpr;
 use hive_sql::BinaryOp;
@@ -134,17 +136,13 @@ pub(crate) enum CmpSpec {
     IntWide(i64),
     BigInt(i64),
     Double(f64),
-    /// Literal rescaled **up** to the column scale — exact, never
-    /// rounds (a literal with more fractional digits than the column
-    /// uses [`CmpSpec::DecimalWide`] instead).
+    /// Compare `row * factor` against `lit`, both at the wider of the
+    /// column's and the literal's scales: a literal with no more
+    /// fractional digits than the column is rescaled **up** to it
+    /// (`factor` 1); one with more keeps its digits and the rows widen
+    /// instead. Exact either way, where rounding the literal down to
+    /// the column scale is not.
     Decimal {
-        lit: i128,
-        scale: u8,
-    },
-    /// Literal scale exceeds the column scale: compare
-    /// `row * factor` against the unscaled literal, both at the
-    /// literal's scale. Exact where rounding the literal down is not.
-    DecimalWide {
         lit: i128,
         factor: i128,
         scale: u8,
@@ -163,9 +161,7 @@ impl CmpSpec {
             CmpSpec::Int(_) | CmpSpec::IntWide(_) => KernelType::Int,
             CmpSpec::BigInt(_) => KernelType::BigInt,
             CmpSpec::Double(_) => KernelType::Double,
-            CmpSpec::Decimal { scale, .. } | CmpSpec::DecimalWide { scale, .. } => {
-                KernelType::Decimal(*scale)
-            }
+            CmpSpec::Decimal { scale, .. } => KernelType::Decimal(*scale),
             CmpSpec::Date(_) => KernelType::Date,
             CmpSpec::Timestamp(_) => KernelType::Timestamp,
             CmpSpec::Str(_) => KernelType::Str,
@@ -184,26 +180,24 @@ impl CmpSpec {
             (KernelType::BigInt, Value::Int(x)) => CmpSpec::BigInt(*x as i64),
             (KernelType::Double, Value::Double(x)) => CmpSpec::Double(*x),
             (KernelType::Double, Value::Int(x)) => CmpSpec::Double(*x as f64),
-            (KernelType::Decimal(s), Value::Decimal(u, s2)) => {
-                if *s2 <= s {
-                    CmpSpec::Decimal {
-                        lit: rescale(*u, *s2, s),
-                        scale: s,
-                    }
-                } else {
-                    CmpSpec::DecimalWide {
-                        lit: *u,
-                        factor: pow10(*s2 - s),
-                        scale: s,
-                    }
-                }
-            }
+            (KernelType::Decimal(s), Value::Decimal(u, s2)) if *s2 <= s => CmpSpec::Decimal {
+                lit: rescale(*u, *s2, s),
+                factor: 1,
+                scale: s,
+            },
+            (KernelType::Decimal(s), Value::Decimal(u, s2)) => CmpSpec::Decimal {
+                lit: *u,
+                factor: pow10(*s2 - s),
+                scale: s,
+            },
             (KernelType::Decimal(s), Value::Int(x)) => CmpSpec::Decimal {
                 lit: *x as i128 * pow10(s),
+                factor: 1,
                 scale: s,
             },
             (KernelType::Decimal(s), Value::BigInt(x)) => CmpSpec::Decimal {
                 lit: *x as i128 * pow10(s),
+                factor: 1,
                 scale: s,
             },
             (KernelType::Date, Value::Date(x)) => CmpSpec::Date(*x),
@@ -474,17 +468,8 @@ fn select_cmp(
         }
         (CmpSpec::BigInt(x), ColumnVector::BigInt(v, n)) => cmp_fixed!(v, n, sel, mask, *x),
         (CmpSpec::Double(x), ColumnVector::Double(v, n)) => cmp_fixed!(v, n, sel, mask, *x),
-        (CmpSpec::Decimal { lit, scale }, ColumnVector::Decimal(v, s, n)) if s == scale => {
-            cmp_fixed!(v, n, sel, mask, *lit)
-        }
-        (CmpSpec::DecimalWide { lit, factor, scale }, ColumnVector::Decimal(v, s, n))
-            if s == scale =>
-        {
-            let (lit, factor) = (*lit, *factor);
-            match live_nulls(n) {
-                None => filter_sel(sel, |r| mask.hit((v[r] * factor).cmp(&lit))),
-                Some(b) => filter_sel(sel, |r| !b.get(r) && mask.hit((v[r] * factor).cmp(&lit))),
-            }
+        (CmpSpec::Decimal { lit, factor, scale }, ColumnVector::Decimal(v, s, n)) if s == scale => {
+            with_dec!(v, v => select_dec_cmp(v, n, sel, mask, *lit, *factor))
         }
         (CmpSpec::Date(x), ColumnVector::Date(v, n)) => cmp_fixed!(v, n, sel, mask, *x),
         (CmpSpec::Timestamp(x), ColumnVector::Timestamp(v, n)) => cmp_fixed!(v, n, sel, mask, *x),
@@ -506,6 +491,29 @@ fn select_cmp(
         }
         _ => return None,
     })
+}
+
+/// A decimal column against a [`CmpSpec::Decimal`], at the column's
+/// width: a row compares to the literal directly when nothing scales it
+/// and the literal fits the width — always for `i128`, and for `i64`
+/// whenever the literal is an `i64` — and otherwise widened and scaled.
+fn select_dec_cmp<T: DecUnit>(
+    v: &[T],
+    nulls: &Option<BitSet>,
+    sel: SelRef<'_>,
+    mask: OrdMask,
+    lit: i128,
+    factor: i128,
+) -> Vec<u32> {
+    match T::from_wide(lit) {
+        Some(lit) if factor == 1 => cmp_fixed!(v, nulls, sel, mask, lit),
+        _ => match live_nulls(nulls) {
+            None => filter_sel(sel, |r| mask.hit((v[r].wide() * factor).cmp(&lit))),
+            Some(b) => filter_sel(sel, |r| {
+                !b.get(r) && mask.hit((v[r].wide() * factor).cmp(&lit))
+            }),
+        },
+    }
 }
 
 /// Shared loop for column-column comparisons: a row passes when both
@@ -556,25 +564,36 @@ fn select_cmp_cols(
         }
         // Mixed scales rescale both sides up to the max scale — the
         // exact `sql_cmp` path (rescale up is a lossless multiply).
+        // Either side at either width: decimals compare widened.
         (C::Decimal(a, s1, _), C::Decimal(b, s2, _)) => {
             let (fa, fb) = (pow10(s2.saturating_sub(*s1)), pow10(s1.saturating_sub(*s2)));
-            cmp_cols_loop(sel, mask, ln, rn, |i| Some((a[i] * fa).cmp(&(b[i] * fb))))
+            with_dec!(a, a => with_dec!(b, b => cmp_cols_loop(sel, mask, ln, rn, |i| {
+                Some((a[i].wide() * fa).cmp(&(b[i].wide() * fb)))
+            })))
         }
         (C::Decimal(a, s, _), C::Int(b, _)) => {
             let f = pow10(*s);
-            cmp_cols_loop(sel, mask, ln, rn, |i| Some(a[i].cmp(&(b[i] as i128 * f))))
+            with_dec!(a, a => cmp_cols_loop(sel, mask, ln, rn, |i| {
+                Some(a[i].wide().cmp(&(b[i] as i128 * f)))
+            }))
         }
         (C::Int(a, _), C::Decimal(b, s, _)) => {
             let f = pow10(*s);
-            cmp_cols_loop(sel, mask, ln, rn, |i| Some((a[i] as i128 * f).cmp(&b[i])))
+            with_dec!(b, b => cmp_cols_loop(sel, mask, ln, rn, |i| {
+                Some((a[i] as i128 * f).cmp(&b[i].wide()))
+            }))
         }
         (C::Decimal(a, s, _), C::BigInt(b, _)) => {
             let f = pow10(*s);
-            cmp_cols_loop(sel, mask, ln, rn, |i| Some(a[i].cmp(&(b[i] as i128 * f))))
+            with_dec!(a, a => cmp_cols_loop(sel, mask, ln, rn, |i| {
+                Some(a[i].wide().cmp(&(b[i] as i128 * f)))
+            }))
         }
         (C::BigInt(a, _), C::Decimal(b, s, _)) => {
             let f = pow10(*s);
-            cmp_cols_loop(sel, mask, ln, rn, |i| Some((a[i] as i128 * f).cmp(&b[i])))
+            with_dec!(b, b => cmp_cols_loop(sel, mask, ln, rn, |i| {
+                Some((a[i] as i128 * f).cmp(&b[i].wide()))
+            }))
         }
         // `sql_cmp`'s f64 default: both sides through `Value::as_f64` —
         // a decimal *divided* by 10^scale (a reciprocal multiply rounds
@@ -591,12 +610,16 @@ fn select_cmp_cols(
         (C::Double(a, _), C::BigInt(b, _)) => {
             cmp_cols_loop(sel, mask, ln, rn, |i| a[i].partial_cmp(&(b[i] as f64)))
         }
-        (C::Decimal(a, s, _), C::Double(b, _)) => cmp_cols_loop(sel, mask, ln, rn, |i| {
-            dec_to_f64(a[i], *s).partial_cmp(&b[i])
-        }),
-        (C::Double(a, _), C::Decimal(b, s, _)) => cmp_cols_loop(sel, mask, ln, rn, |i| {
-            a[i].partial_cmp(&dec_to_f64(b[i], *s))
-        }),
+        (C::Decimal(a, s, _), C::Double(b, _)) => {
+            with_dec!(a, a => cmp_cols_loop(sel, mask, ln, rn, |i| {
+                dec_to_f64(a[i].wide(), *s).partial_cmp(&b[i])
+            }))
+        }
+        (C::Double(a, _), C::Decimal(b, s, _)) => {
+            with_dec!(b, b => cmp_cols_loop(sel, mask, ln, rn, |i| {
+                a[i].partial_cmp(&dec_to_f64(b[i].wide(), *s))
+            }))
+        }
         (C::Date(a, _), C::Date(b, _)) => {
             cmp_cols_loop(sel, mask, ln, rn, |i| Some(a[i].cmp(&b[i])))
         }
@@ -700,6 +723,7 @@ fn select_row(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hive_common::DecVals;
 
     /// Columns of eight rows over the values where the numeric
     /// comparisons differ: equal and unequal magnitudes, both zeros,
@@ -712,14 +736,80 @@ mod tests {
                 vec![0.0, -0.0, f64::NAN, 5.0, 1.005, -1.0, f64::INFINITY, 2.0],
                 nulls.clone(),
             ),
-            ColumnVector::Decimal(vec![0, 100, -100, 500, 1005, 7, -1, 200], 2, nulls.clone()),
+            // Decimals at both widths: narrow, the same values held
+            // wide, wide by content, and narrow at the `i64` extremes.
             ColumnVector::Decimal(
-                vec![0, 1, -1, 5, 3, 10i128.pow(30), 2, 70],
+                vec![0i128, 100, -100, 500, 1005, 7, -1, 200].into(),
+                2,
+                nulls.clone(),
+            ),
+            ColumnVector::Decimal(
+                DecVals::Wide(vec![0, 100, -100, 500, 1005, 7, -1, 200]),
+                2,
+                nulls.clone(),
+            ),
+            ColumnVector::Decimal(
+                vec![0, 1, -1, 5, 3, 10i128.pow(30), 2, 70].into(),
                 0,
                 nulls.clone(),
             ),
-            ColumnVector::Decimal(vec![0, 1000, 1005, 5000, -3, 10_050, 1, 2000], 3, nulls),
+            ColumnVector::Decimal(
+                vec![0i128, 1000, 1005, 5000, -3, 10_050, 1, 2000].into(),
+                3,
+                nulls.clone(),
+            ),
+            ColumnVector::Decimal(
+                vec![0, i64::MAX, i64::MIN, 5, -3, i64::MAX - 1, 1, i64::MIN + 1].into(),
+                1,
+                nulls,
+            ),
         ]
+    }
+
+    /// A decimal column at either width against every literal the
+    /// lowering coerces — an integer, a decimal of fewer, equal and more
+    /// fractional digits, and literals past `i64` — selects the rows
+    /// `sql_cmp` says the comparison holds for.
+    #[test]
+    fn decimal_columns_against_literals_compare_as_sql_cmp_does() {
+        let n = 8;
+        let mut nulls = BitSet::new(n);
+        nulls.set(2);
+        let lits = [
+            Value::Int(5),
+            Value::BigInt(-1),
+            Value::BigInt(i64::MAX),
+            Value::Decimal(5, 1),
+            Value::Decimal(1005, 3),
+            Value::Decimal(i64::MAX as i128, 1),
+            Value::Decimal(i64::MAX as i128 + 1, 1),
+            Value::Decimal(i64::MIN as i128 - 1, 2),
+            Value::Decimal(-10i128.pow(30), 4),
+        ];
+        let mut checked = (0, 0);
+        for col in numeric_columns(Some(nulls)) {
+            let ColumnVector::Decimal(v, scale, _) = &col else {
+                continue;
+            };
+            for lit in &lits {
+                let spec = CmpSpec::coerce(KernelType::Decimal(*scale), lit).unwrap();
+                for op in [BinaryOp::Eq, BinaryOp::Lt, BinaryOp::GtEq] {
+                    let mask = OrdMask::of(op).unwrap();
+                    for sel in [SelRef::All(n), SelRef::Idx(&[7, 4, 1, 0])] {
+                        let got = select_cmp(&col, mask, &spec, sel).unwrap();
+                        let want = filter_sel(sel, |i| mask.hit_opt(col.get(i).sql_cmp(lit)));
+                        assert_eq!(got, want, "{col:?} {op:?} {lit:?}");
+                    }
+                }
+                let seen = if v.is_narrow() {
+                    &mut checked.0
+                } else {
+                    &mut checked.1
+                };
+                *seen += 1;
+            }
+        }
+        assert!(checked.0 > 0 && checked.1 > 0, "{checked:?}");
     }
 
     #[test]
@@ -763,6 +853,6 @@ mod tests {
                 }
             }
         }
-        assert_eq!(pairs, 3 * 6 * 2 * 6);
+        assert_eq!(pairs, 3 * 8 * 2 * 8);
     }
 }

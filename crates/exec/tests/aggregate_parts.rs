@@ -126,11 +126,15 @@ fn random_part(rng: &mut StdRng, part: usize, rows: usize, edge: bool) -> SelBat
             _ => rng.gen_range(-400i64..400) as f64 * 0.125 + 0.1,
         })
         .collect();
+    // Narrow (`i64`) unless a value past `i64` lands in the part, so the
+    // parts of one column come at either width or both.
     let v_dec: Vec<i128> = (0..rows)
-        .map(|_| match rng.gen_range(0..6) {
+        .map(|_| match rng.gen_range(0..8) {
             0 if edge => i128::MAX / 3,
             1 if edge => -(i128::MAX / 3),
             2 if edge => i128::MAX / 2 + rng.gen_range(0i64..3) as i128,
+            3 if edge => i64::MAX as i128,
+            4 if edge => i64::MIN as i128,
             _ => rng.gen_range(-100_000i64..100_000) as i128,
         })
         .collect();
@@ -146,7 +150,7 @@ fn random_part(rng: &mut StdRng, part: usize, rows: usize, edge: bool) -> SelBat
         ColumnVector::Int(v_int, nulls(rng, rows)),
         ColumnVector::BigInt(v_big, nulls(rng, rows)),
         ColumnVector::Double(v_dbl, nulls(rng, rows)),
-        ColumnVector::Decimal(v_dec, 2, nulls(rng, rows)),
+        ColumnVector::Decimal(v_dec.into(), 2, nulls(rng, rows)),
         string_column(rng, rows, part),
         ColumnVector::Date(
             ints(rng, 0, 400).iter().map(|&v| v as i32).collect(),
@@ -428,7 +432,11 @@ fn a_prefix_overflow_the_partials_hide_still_errors() {
     let schema = Schema::new(vec![Field::new("d", DataType::Decimal(38, 0))]);
     let part = |vals: Vec<i128>| {
         SelBatch::from_batch(
-            VectorBatch::new(schema.clone(), vec![ColumnVector::Decimal(vals, 0, None)]).unwrap(),
+            VectorBatch::new(
+                schema.clone(),
+                vec![ColumnVector::Decimal(vals.into(), 0, None)],
+            )
+            .unwrap(),
         )
     };
     let parts = [part(vec![i128::MAX - 1]), part(vec![5, -10])];

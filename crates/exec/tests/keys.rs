@@ -46,7 +46,7 @@ mod reference {
             ColumnVector::Int(v, _) => hash::encode_i64(v[i] as i64, out),
             ColumnVector::BigInt(v, _) => hash::encode_i64(v[i], out),
             ColumnVector::Double(v, _) => hash::encode_f64(v[i], out),
-            ColumnVector::Decimal(v, s, _) => hash::encode_decimal(v[i], *s, out),
+            ColumnVector::Decimal(v, s, _) => hash::encode_decimal(v.get(i), *s, out),
             ColumnVector::Str(v, _) => hash::encode_str(v[i].as_bytes(), out),
             ColumnVector::Dict { codes, dict, .. } => {
                 hash::encode_str(dict[codes[i] as usize].as_bytes(), out)

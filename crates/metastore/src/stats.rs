@@ -10,7 +10,7 @@
 
 use crate::histogram::ColumnHistogram;
 use crate::hll::HyperLogLog;
-use hive_common::{hash, BitSet, ColumnVector, Value, VectorBatch};
+use hive_common::{hash, BitSet, ColumnVector, DecUnit, Value, VectorBatch};
 use serde::{Deserialize, Serialize};
 
 /// Statistics for one column.
@@ -170,13 +170,13 @@ impl ColumnStatsMeta {
             }
             ColumnVector::Decimal(vals, scale, nulls) => {
                 let s = *scale;
-                self.update_numeric(
+                hive_common::with_dec!(vals, vals => self.update_numeric(
                     vals,
                     nulls.as_ref(),
-                    |u| Value::Decimal(u, s),
-                    |u, buf| hash::encode_decimal(u, s, buf),
-                    |u| u as f64 / 10f64.powi(s as i32),
-                )
+                    |u| Value::Decimal(u.wide(), s),
+                    |u, buf| hash::encode_decimal(u.wide(), s, buf),
+                    |u| u.wide() as f64 / 10f64.powi(s as i32),
+                ))
             }
             ColumnVector::Date(vals, nulls) => {
                 self.update_numeric(vals, nulls.as_ref(), Value::Date, hash::encode_date, |v| {
@@ -333,7 +333,11 @@ mod tests {
             ColumnVector::Int(vec![3, 1, 0, 7, 1, 0], Some(nulls.clone())),
             ColumnVector::BigInt(vec![9, -2, 0, 9, 5, 0], Some(nulls.clone())),
             ColumnVector::Double(vec![1.5, 2.0, 0.0, -3.25, 2.0, 0.0], Some(nulls.clone())),
-            ColumnVector::Decimal(vec![125, -50, 0, 125, 300, 0], 2, Some(nulls.clone())),
+            ColumnVector::Decimal(
+                vec![125i128, -50, 0, 125, 300, 0].into(),
+                2,
+                Some(nulls.clone()),
+            ),
             ColumnVector::Boolean(
                 vec![true, false, false, true, true, false],
                 Some(nulls.clone()),

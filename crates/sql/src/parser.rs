@@ -697,23 +697,25 @@ impl Parser {
             "date" => DataType::Date,
             "timestamp" => DataType::Timestamp,
             "decimal" | "numeric" => {
-                let (mut p, mut s) = (10u8, 0u8);
+                let (mut p, mut s) = (10, 0);
+                // Out-of-range digits saturate, so they fail the check.
+                let digits = |v: i128| u64::try_from(v).unwrap_or(u64::MAX);
                 if self.eat(&Token::LParen) {
                     if let Token::Integer(v) = self.advance() {
-                        p = v as u8;
+                        p = digits(v);
                     } else {
                         return self.error("expected precision");
                     }
                     if self.eat(&Token::Comma) {
                         if let Token::Integer(v) = self.advance() {
-                            s = v as u8;
+                            s = digits(v);
                         } else {
                             return self.error("expected scale");
                         }
                     }
                     self.expect(&Token::RParen)?;
                 }
-                DataType::Decimal(p, s)
+                DataType::decimal(p, s).map_err(HiveError::Parse)?
             }
             other => {
                 return Err(HiveError::Parse(format!("unknown data type '{other}'")));

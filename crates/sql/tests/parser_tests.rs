@@ -448,3 +448,40 @@ fn show_transactions_parses() {
     ));
     assert!(hive_sql::parse_sql("SHOW NONSENSE").is_err());
 }
+
+#[test]
+fn decimal_types_are_validated() {
+    // Precision 1..=38, scale at most the precision; nothing truncates.
+    for (sql, want) in [
+        (
+            "CREATE TABLE t (d DECIMAL(38,38))",
+            Some(DataType::Decimal(38, 38)),
+        ),
+        (
+            "CREATE TABLE t (d DECIMAL(1))",
+            Some(DataType::Decimal(1, 0)),
+        ),
+        ("CREATE TABLE t (d DECIMAL)", Some(DataType::Decimal(10, 0))),
+        ("CREATE TABLE t (d DECIMAL(300,2))", None),
+        ("CREATE TABLE t (d DECIMAL(39,2))", None),
+        ("CREATE TABLE t (d DECIMAL(0,0))", None),
+        ("CREATE TABLE t (d DECIMAL(38,60))", None),
+        ("CREATE TABLE t (d DECIMAL(5,9))", None),
+        ("CREATE TABLE t (d DECIMAL(5,256))", None),
+    ] {
+        match (parse_sql(sql), want) {
+            (Ok(Statement::CreateTable(ct)), Some(dt)) => assert_eq!(ct.columns[0].data_type, dt),
+            (Err(hive_common::HiveError::Parse(_)), None) => {}
+            (got, want) => panic!("{sql}: {got:?}, wanted {want:?}"),
+        }
+    }
+    for sql in [
+        "SELECT CAST(1.5 AS DECIMAL(10,50))",
+        "SELECT CAST(1.5 AS DECIMAL(300,2))",
+    ] {
+        assert!(
+            matches!(parse_sql(sql), Err(hive_common::HiveError::Parse(_))),
+            "{sql}"
+        );
+    }
+}

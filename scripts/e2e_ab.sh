@@ -27,6 +27,15 @@
 # and minor faults per operation beside the wall-clock metrics, with the
 # same quartiles and pairs won, and prints the core count.
 #
+# A pair is contaminated — a neighbour took CPU from one of its runs —
+# when either run's wall/CPU ratio (wall seconds over CPU seconds, build
+# check excluded from both) falls outside its side's Tukey fences for
+# the workload: the interquartile range widened by 1.5 times its width
+# on either side. (The bare interquartile range would flag half of all
+# runs by construction.) Each contaminated pair is re-run once, in the
+# same order, and the re-run counts instead; the summary lists the
+# contaminated pairs per workload.
+#
 # Defaults: every workload, 10 pairs, seed 2019, every core, D = a temp
 # dir removed on exit (pass --dir to keep the checkout and both builds
 # for the next call).
@@ -74,19 +83,22 @@ if [ -n "$cores" ]; then
 fi
 
 # rusage <file> <command...>: run the command; write "<cpu seconds>
-# <minor faults>" of it and every child it waited for to <file>.
+# <minor faults> <wall seconds>" of it and every child it waited for to
+# <file>.
 rusage() {
   python3 -c '
-import resource, subprocess, sys
+import resource, subprocess, sys, time
+start = time.monotonic()
 code = subprocess.run(sys.argv[2:]).returncode
+wall = time.monotonic() - start
 r = resource.getrusage(resource.RUSAGE_CHILDREN)
-open(sys.argv[1], "w").write(f"{r.ru_utime + r.ru_stime:.3f} {r.ru_minflt}\n")
+open(sys.argv[1], "w").write(f"{r.ru_utime + r.ru_stime:.3f} {r.ru_minflt} {wall:.3f}\n")
 sys.exit(code)' "$@"
 }
 
 # run <side> <workload> <trace> [extra run.sh arguments]: the run's JSON
-# line; its CPU seconds and minor faults, build check excluded, go to
-# $dir/usage as "<cpu seconds> <minor faults>".
+# line; its CPU seconds, minor faults and wall seconds, build check
+# excluded, go to $dir/usage as "<cpu seconds> <minor faults> <wall>".
 run() {
   local side="$1" w="$2" trace="$3" root; shift 3
   case "$side" in parent) root="$dir/parent" ;; *) root="$repo" ;; esac
@@ -95,11 +107,11 @@ run() {
     --quiet --manifest-path "$root/bench/e2e/Cargo.toml"
   CARGO_TARGET_DIR="$target" rusage "$dir/usage.run" "${pin[@]}" bash "$root/bench/e2e/run.sh" \
     --workload "$w" --seed "$seed" --trace "$trace" "$@" | tail -n 1
-  read -r run_cpu run_flt < "$dir/usage.run"
-  read -r build_cpu build_flt < "$dir/usage.build"
-  python3 -c 'import sys; r, rf, b, bf = map(float, sys.argv[1:])
-print(f"{max(r - b, 0):.3f} {max(rf - bf, 0):.0f}")' \
-    "$run_cpu" "$run_flt" "$build_cpu" "$build_flt" > "$dir/usage"
+  read -r run_cpu run_flt run_wall < "$dir/usage.run"
+  read -r build_cpu build_flt build_wall < "$dir/usage.build"
+  python3 -c 'import sys; r, rf, rw, b, bf, bw = map(float, sys.argv[1:])
+print(f"{max(r - b, 0):.3f} {max(rf - bf, 0):.0f} {max(rw - bw, 0):.3f}")' \
+    "$run_cpu" "$run_flt" "$run_wall" "$build_cpu" "$build_flt" "$build_wall" > "$dir/usage"
 }
 
 first_workload="$(set -- $workloads; echo "$1")"
@@ -109,35 +121,68 @@ for side in parent change; do
 done
 
 : > "$dir/parent.jsonl"; : > "$dir/change.jsonl"
-record() { # record <side> <workload> <trace>
-  local result cpu_s minflt
+record() { # record <side> <workload> <trace> <pair> <rerun>
+  local result cpu_s minflt wall_s
   result="$(run "$1" "$2" "$3")"
-  read -r cpu_s minflt < "$dir/usage"
-  printf '{"workload": "%s", "trace": %s, "cpu_s": %s, "minflt": %s, "result": %s}\n' \
-    "$2" "$3" "$cpu_s" "$minflt" "$result" >> "$dir/$1.jsonl"
+  read -r cpu_s minflt wall_s < "$dir/usage"
+  printf '{"workload": "%s", "trace": %s, "pair": %s, "rerun": %s, "cpu_s": %s, "minflt": %s, "wall_s": %s, "result": %s}\n' \
+    "$2" "$3" "$4" "$5" "$cpu_s" "$minflt" "$wall_s" "$result" >> "$dir/$1.jsonl"
+}
+run_pair() { # run_pair <workload> <pair> <rerun>
+  local order
+  if [ $(($2 % 2)) = 1 ]; then order="parent change"; else order="change parent"; fi
+  for side in $order; do record "$side" "$1" 0 "$2" "$3"; done
+}
+# contaminated <workload>: the pairs where either run's wall/CPU ratio
+# lies outside its side's Tukey fences.
+contaminated() {
+  python3 - "$1" "$dir/parent.jsonl" "$dir/change.jsonl" <<'PY'
+import json, statistics, sys
+w, bad = sys.argv[1], set()
+for path in sys.argv[2:]:
+    runs = [r for r in map(json.loads, open(path))
+            if r["workload"] == w and not r["trace"] and not r["rerun"] and r["cpu_s"] > 0]
+    if len(runs) < 4:
+        continue
+    ratio = {r["pair"]: r["wall_s"] / r["cpu_s"] for r in runs}
+    q1, _, q3 = statistics.quantiles(ratio.values(), n=4)
+    lo, hi = q1 - 1.5 * (q3 - q1), q3 + 1.5 * (q3 - q1)
+    bad |= {p for p, x in ratio.items() if not lo <= x <= hi}
+print(" ".join(map(str, sorted(bad))))
+PY
 }
 for w in $workloads; do
   for i in $(seq "$pairs"); do
-    if [ $((i % 2)) = 1 ]; then order="parent change"; else order="change parent"; fi
-    for side in $order; do record "$side" "$w" 0; done
+    run_pair "$w" "$i" 0
     echo "# $w pair $i/$pairs" >&2
   done
-  for side in parent change; do record "$side" "$w" 1; done
+  for i in $(contaminated "$w"); do
+    echo "# $w pair $i contaminated: re-run" >&2
+    run_pair "$w" "$i" 1
+  done
+  for side in parent change; do record "$side" "$w" 1 0 0; done
 done
 
+# <side>.json: the counted runs (a contaminated pair's re-run in place
+# of the pair), and the runs they replaced under "contaminated_runs".
 for side in parent change; do
-  {
-    if [ "$side" = parent ]; then
-      side_sha="$sha" dirty=0
-    else
-      side_sha="$(git -C "$repo" rev-parse HEAD)"
-      dirty="$(git -C "$repo" status --porcelain | grep -c . || true)"
-    fi
-    printf '{"git_sha": "%s", "dirty_files": %s, "host_cores": %s, "seed": %s, "runs": [\n' \
-      "$side_sha" "$dirty" "${cores:-$(nproc)}" "$seed"
-    sed '$!s/$/,/' "$dir/$side.jsonl"
-    printf ']}\n'
-  } > "$dir/$side.json"
+  if [ "$side" = parent ]; then
+    side_sha="$sha" dirty=0
+  else
+    side_sha="$(git -C "$repo" rev-parse HEAD)"
+    dirty="$(git -C "$repo" status --porcelain | grep -c . || true)"
+  fi
+  python3 - "$dir/$side.jsonl" "$side_sha" "$dirty" "${cores:-$(nproc)}" "$seed" \
+    > "$dir/$side.json" <<'PY'
+import json, sys
+path, sha, dirty, cores, seed = sys.argv[1:]
+runs = [json.loads(line) for line in open(path)]
+redone = {(r["workload"], r["pair"]) for r in runs if r["rerun"]}
+replaced = [r for r in runs if not r["trace"] and not r["rerun"] and (r["workload"], r["pair"]) in redone]
+json.dump({"git_sha": sha, "dirty_files": int(dirty), "host_cores": int(cores), "seed": int(seed),
+           "runs": [r for r in runs if not any(r is x for x in replaced)],
+           "contaminated_runs": replaced}, sys.stdout, indent=0)
+PY
 done
 
 status=0
@@ -168,12 +213,20 @@ metrics = bench["end_to_end"] + [
 ]
 cores = {json.load(open(p))["host_cores"] for p in sys.argv[2:4]}
 print(f"cores: {' / '.join(map(str, sorted(cores)))} (of {__import__('os').cpu_count()} on the host)")
+for w in [x["name"] for x in bench["workloads"]]:
+    redone = sorted({r["pair"] for p in sys.argv[2:4]
+                     for r in json.load(open(p))["contaminated_runs"] if r["workload"] == w})
+    if any(r["workload"] == w for r in sides[0]):
+        print(f"{w}: contaminated pairs (re-run once): {' '.join(map(str, redone)) or 'none'}")
 print(f"{'workload':12s} {'metric':20s} {'parent q1':>11s} {'median':>11s} {'q3':>11s} "
       f"{'change q1':>11s} {'median':>11s} {'q3':>11s} {'pairs won':>9s}")
 for w in [x["name"] for x in bench["workloads"]]:
     for m in metrics:
-        a, b = ([per_run(r)[m["name"]] for r in runs
-                 if r["workload"] == w and not r["trace"]] for runs in sides)
+        pa, pb = ({r["pair"]: r for r in runs if r["workload"] == w and not r["trace"]}
+                  for runs in sides)
+        pairs = sorted(set(pa) & set(pb))
+        a = [per_run(pa[p])[m["name"]] for p in pairs]
+        b = [per_run(pb[p])[m["name"]] for p in pairs]
         if not a or not b:
             continue
         better = (lambda x, y: x < y) if m["better"] == "lower" else (lambda x, y: x > y)

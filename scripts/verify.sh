@@ -114,6 +114,18 @@ cargo test -q --offline -p hive-corc --lib packed_runs_round_trip_at_every_width
 cargo test -q --offline -p hive-corc --lib malformed_packed_runs_and_v1_files_are_format_errors
 echo "-- key-less kernels = the pairs route, every compilable (function, type) pair --"
 cargo test -q --offline -p hive-exec --lib pir::agg::tests
+# Decimals in 64 bits (DESIGN.md §4 "Decimals in 64 bits"): a width by
+# content that no result, hash or file can tell apart from i128.
+echo "-- decimals: packed chunks at the i64 edges, the raw fallback past them, COR2 and impossible types are Format --"
+cargo test -q --offline -p hive-corc --lib decimal_chunks_pack_at_the_i64_edges_and_fall_back_past_them
+cargo test -q --offline -p hive-corc --lib impossible_decimal_types_in_a_footer_are_format_errors
+echo "-- decimals: i64 and i128 columns are equal, gather, cast, hash, concatenate and fold alike --"
+cargo test -q --offline -p hive-common --test gather_cast_props decimal_widths_are_invisible
+cargo test -q --offline -p hive-exec --lib narrow_decimal_folds_equal_the_wide_reference
+cargo test -q --offline -p hive-exec --lib decimal_columns_against_literals_compare_as_sql_cmp_does
+echo "-- decimals: DECIMAL types are validated, a product past i128 is a typed error --"
+cargo test -q --offline -p hive-sql --test parser_tests decimal_types_are_validated
+cargo test -q --offline -p hive-core --test server_tests decimal_products_past_i128_fail_typed
 # The hash-key layer's two promises (DESIGN.md §4 "Hash keys"): packed
 # words group and join exactly as the canonical bytes they replaced, and
 # a DOUBLE key (NaN, signed zeros) has one answer under every
