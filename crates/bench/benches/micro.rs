@@ -388,6 +388,61 @@ fn bench_cold_read_path(_c: &mut Criterion) {
         );
     }
 
+    // llap: every chunk of one store_sales file (a `scan_cold`
+    // partition: 5 000 rows) through the miss path of a cache a quarter
+    // the size of the file's decoded chunks, so each miss evicts and
+    // decodes into the spares evictions leave — the warehouse's own
+    // widths and churn.
+    {
+        use hive_benchdata::tpcds::{self, TpcdsScale};
+        let server = hive_core::HiveServer::new(HiveConf::v3_1());
+        let scale = TpcdsScale {
+            days: 2,
+            sales_per_day: 5000,
+            ..TpcdsScale::tiny()
+        };
+        tpcds::load(&server, scale, 2019).unwrap();
+        let fs = server.fs();
+        let table = hive_dfs::DfsPath::new("/warehouse/default/store_sales");
+        let (path, _) = (fs.list_files_recursive(&table).into_iter())
+            .max_by_key(|(_, meta)| meta.len)
+            .unwrap();
+        let file = hive_corc::CorcFile::open(fs, &path).unwrap();
+        let chunks: Vec<(usize, usize)> = (0..file.row_group_count())
+            .flat_map(|rg| (0..file.schema().len()).map(move |c| (rg, c)))
+            .collect();
+        let values: u64 = chunks.iter().map(|&(rg, _)| file.row_group_rows(rg)).sum();
+        let decoded: usize = (chunks.iter())
+            .map(|&(rg, c)| {
+                file.read_column_chunk_encoded(rg, c)
+                    .unwrap()
+                    .approx_bytes()
+            })
+            .sum();
+        let cache = LlapCache::new(decoded / 4, 0.5);
+        let mut next = 0u64;
+        let mut pass = || {
+            for &(rg, column) in &chunks {
+                next += 1;
+                let key = ChunkKey {
+                    file: FileId(next),
+                    column,
+                    row_group: rg,
+                };
+                let load = || file.read_column_chunk_encoded_with(rg, column, Some(cache.spares()));
+                cache.get_or_load(key, load).unwrap();
+            }
+        };
+        pass(); // fills the cache
+        report_ns(
+            "llap/miss_decode_store_sales_file",
+            "value",
+            200,
+            values as f64,
+            pass,
+        );
+    }
+
     // llap: a hit, and a miss that evicts, with the cache full.
     let chunk = ColumnVector::BigInt(vec![7; 100], None);
     let key = |file: u64| ChunkKey {

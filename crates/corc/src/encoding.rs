@@ -11,6 +11,7 @@
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use hive_common::{HiveError, Result, Value};
+use std::ops::RangeInclusive;
 
 /// Append-only binary writer.
 #[derive(Debug, Default)]
@@ -365,25 +366,64 @@ impl<'a> SliceReader<'a> {
     }
 }
 
-/// Decode a [`rle_encode_i64`] stream of exactly `count` values straight
-/// into the target width: `conv` maps each decoded integer (once per
-/// repeat run, once per literal) and may reject it. A packed run costs
-/// one length check for its whole body.
-pub fn rle_decode<T: Copy>(
+/// A column's integer type, as a run decodes into it: `narrow` takes a
+/// value already checked to lie in the column's domain (see
+/// [`rle_decode_into`]) to the column's width.
+pub trait RunTarget: Copy {
+    fn narrow(v: i64) -> Self;
+}
+
+macro_rules! run_target {
+    ($($t:ty: $v:ident => $narrow:expr),*) => {$(
+        impl RunTarget for $t {
+            #[inline]
+            fn narrow($v: i64) -> $t {
+                $narrow
+            }
+        }
+    )*};
+}
+run_target!(i64: v => v, i32: v => v as i32, u32: v => v as u32, bool: v => v != 0);
+
+/// Every `i64`: the domain of a column as wide as the stream.
+pub const ANY_I64: RangeInclusive<i64> = i64::MIN..=i64::MAX;
+
+#[cold]
+fn out_of_domain(v: i64, domain: &RangeInclusive<i64>) -> HiveError {
+    HiveError::Format(format!(
+        "decoded value {v} outside the column's range {}..={}",
+        domain.start(),
+        domain.end()
+    ))
+}
+
+/// Decode a [`rle_encode_i64`] stream of exactly `count` values onto the
+/// end of `out`. Every value must lie in `domain` (a column narrower
+/// than `i64`, a dictionary's codes), or the chunk is a typed error: a
+/// repeat run checks its one value, a packed run checks once when its
+/// frame of reference (`base ..= base + mask`) lies inside `domain`, and
+/// value by value otherwise. A packed run costs one length check for its
+/// whole body, and its values are written once, never pre-filled.
+pub fn rle_decode_into<T: RunTarget>(
     r: &mut SliceReader<'_>,
     count: usize,
-    conv: impl Fn(i64) -> Result<T>,
-) -> Result<Vec<T>> {
-    let mut out = Vec::with_capacity(count);
-    while out.len() < count {
+    domain: RangeInclusive<i64>,
+    out: &mut Vec<T>,
+) -> Result<()> {
+    let end = out.len().saturating_add(count);
+    out.reserve(count);
+    while out.len() < end {
         let control = r.get_varint()?;
         let n = usize::try_from(control >> 1).unwrap_or(usize::MAX);
-        if n == 0 || n > count - out.len() {
+        if n == 0 || n > end - out.len() {
             return Err(HiveError::Format("corrupt RLE stream".into()));
         }
         if control & 1 == 0 {
-            let v = conv(r.get_varint_signed()?)?;
-            out.resize(out.len() + n, v);
+            let v = r.get_varint_signed()?;
+            if !domain.contains(&v) {
+                return Err(out_of_domain(v, &domain));
+            }
+            out.resize(out.len() + n, T::narrow(v));
             continue;
         }
         let base = r.get_varint_signed()?;
@@ -394,31 +434,73 @@ pub fn rle_decode<T: Copy>(
             )));
         }
         let len = packed_len(n, width).ok_or_else(|| short_buffer(usize::MAX, r.remaining()))?;
-        unpack(r.take(len)?, n, width, base, &mut out, &conv)?;
+        unpack(r.take(len)?, n, width, base, &domain, out)?;
     }
+    Ok(())
+}
+
+/// [`rle_decode_into`] a new vector, at full width.
+pub fn rle_decode_i64(r: &mut SliceReader<'_>, count: usize) -> Result<Vec<i64>> {
+    let mut out = Vec::new();
+    rle_decode_into(r, count, ANY_I64, &mut out)?;
     Ok(out)
 }
 
+/// Fields unpacked per pass: a stack block the conversion then reads.
+const BLOCK: usize = 256;
+
 /// Append the `n` `width`-bit fields of `body` (exactly long enough for
-/// them), each added to `base` and mapped by `conv`.
-fn unpack<T: Copy>(
+/// them), each added to `base`, checked against `domain` and narrowed.
+/// Whole groups of eight take the kernel for their width; the last
+/// `n mod 8` fields, and every field wider than 56 bits, are read one at
+/// a time.
+fn unpack<T: RunTarget>(
     body: &[u8],
     n: usize,
     width: u32,
     base: i64,
+    domain: &RangeInclusive<i64>,
     out: &mut Vec<T>,
-    conv: &impl Fn(i64) -> Result<T>,
 ) -> Result<()> {
-    // The base is the run's least value, so it converts for any run a
-    // writer produced; it also fills the slots until they are written.
-    let start = out.len();
-    out.resize(start + n, conv(base)?);
+    // `base + lo ..= base + hi` lies in `domain` (and so wraps nowhere).
+    let spans_inside = |lo: u64, hi: u64| {
+        i128::from(*domain.start()) <= i128::from(base) + i128::from(lo)
+            && i128::from(base) + i128::from(hi) <= i128::from(*domain.end())
+    };
+    let mask = u64::MAX.checked_shr(64 - width).unwrap_or(0);
+    let frame_fits = *domain == ANY_I64 || spans_inside(0, mask);
     if width == 0 {
+        if !frame_fits {
+            return Err(out_of_domain(base, domain));
+        }
+        out.resize(out.len() + n, T::narrow(base));
         return Ok(());
     }
-    let slots = &mut out[start..];
-    let mask = u64::MAX >> (64 - width);
-    let width = width as usize;
+    let value = |f: u64| base.wrapping_add(f as i64);
+    let w = width as usize;
+    let whole = if w <= 56 { n / 8 * 8 } else { 0 };
+    if whole > 0 {
+        let mut block = [0u64; BLOCK];
+        let mut first = 0;
+        while first < whole {
+            let fields = &mut block[..(whole - first).min(BLOCK)];
+            unpack_groups(width, &body[first / 8 * w..], fields);
+            if !frame_fits {
+                // The block's least and greatest fields decide it; past
+                // them, find the value the way the wrapping sum lands.
+                let (lo, hi) =
+                    (fields.iter()).fold((u64::MAX, 0), |(lo, hi), &f| (lo.min(f), hi.max(f)));
+                if !spans_inside(lo, hi) {
+                    let mut values = fields.iter().map(|&f| value(f));
+                    if let Some(v) = values.find(|v| !domain.contains(v)) {
+                        return Err(out_of_domain(v, domain));
+                    }
+                }
+            }
+            out.extend(fields.iter().map(|&f| T::narrow(value(f))));
+            first += fields.len();
+        }
+    }
     // The little-endian word at byte `at`, zero past the body's end.
     let word = |at: usize| {
         let mut le = [0u8; 8];
@@ -427,35 +509,59 @@ fn unpack<T: Copy>(
         le[..k].copy_from_slice(&tail[..k]);
         u64::from_le_bytes(le)
     };
-    // Up to 56 bits, a field lies in the eight bytes from its first one,
-    // and every field whose eight bytes are in the body reads as one
-    // load.
-    let whole = match (width <= 56, body.len().checked_sub(8)) {
-        (true, Some(last)) => n.min(last * 8 / width + 1),
-        _ => 0,
-    };
-    for (i, slot) in slots[..whole].iter_mut().enumerate() {
-        let bit = i * width;
-        let at = bit / 8;
-        let w = <[u8; 8]>::try_from(&body[at..at + 8]).map_or(0, u64::from_le_bytes);
-        *slot = conv(base.wrapping_add(((w >> (bit % 8)) & mask) as i64))?;
-    }
-    for (i, slot) in slots.iter_mut().enumerate().skip(whole) {
-        let bit = i * width;
+    for i in whole..n {
+        let bit = i * w;
         let (at, shift) = (bit / 8, (bit % 8) as u32);
         let mut field = word(at) >> shift;
-        if shift as usize + width > 64 {
+        if shift + width > 64 {
             // A field over 56 bits can reach into a ninth byte.
             field |= word(at + 8) << (64 - shift);
         }
-        *slot = conv(base.wrapping_add((field & mask) as i64))?;
+        let v = value(field & mask);
+        if !frame_fits && !domain.contains(&v) {
+            return Err(out_of_domain(v, domain));
+        }
+        out.push(T::narrow(v));
     }
     Ok(())
 }
 
-/// [`rle_decode`] at full width.
-pub fn rle_decode_i64(r: &mut SliceReader<'_>, count: usize) -> Result<Vec<i64>> {
-    rle_decode(r, count, Ok)
+/// Unpack `out.len() / 8` groups of eight `W`-bit fields from the front
+/// of `body`. Eight fields are exactly `W` bytes, so a group is one
+/// length check, and with `W` a constant every shift and mask is one.
+fn groups<const W: usize>(body: &[u8], out: &mut [u64]) {
+    let mask = u64::MAX >> (64 - W);
+    let (bytes, _) = body.as_chunks::<W>();
+    let (fields, _) = out.as_chunks_mut::<8>();
+    for (group, fields) in bytes.iter().zip(fields) {
+        for (j, field) in fields.iter_mut().enumerate() {
+            // Field `j` starts `j·W` bits in and, at most 56 bits wide,
+            // lies in the eight bytes from its first one (or in what is
+            // left of the group).
+            let (at, shift) = (j * W / 8, j * W % 8);
+            let end = (at + 8).min(W);
+            let mut le = [0u8; 8];
+            le[..end - at].copy_from_slice(&group[at..end]);
+            *field = (u64::from_le_bytes(le) >> shift) & mask;
+        }
+    }
+}
+
+/// [`groups`] for a width in `1..=56`, chosen once per block: one
+/// instance per width, whatever the column type.
+fn unpack_groups(width: u32, body: &[u8], out: &mut [u64]) {
+    macro_rules! by_width {
+        ($($w:literal)*) => {
+            match width {
+                $($w => groups::<$w>(body, out),)*
+                _ => {}
+            }
+        };
+    }
+    by_width!(
+        1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22 23 24 25 26 27 28
+        29 30 31 32 33 34 35 36 37 38 39 40 41 42 43 44 45 46 47 48 49 50 51 52 53 54 55 56
+    );
 }
 
 /// Value tags for stats serialization.
@@ -639,21 +745,37 @@ mod tests {
         (base, vals)
     }
 
+    /// Run lengths that end inside a group of eight and on one: short
+    /// runs, runs up to the encoder's cap, and the last groups below it.
+    fn run_len() -> impl proptest::prelude::Strategy<Value = usize> {
+        proptest::prop_oneof![1usize..=17, 505usize..=512, 1usize..=512]
+    }
+
+    /// `len` seeded raw offsets.
+    fn raw_offsets(seed: u64, len: usize) -> Vec<u64> {
+        use rand::{RngCore, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        (0..len).map(|_| rng.next_u64()).collect()
+    }
+
     proptest::proptest! {
-        /// Packed runs of every width class round-trip through the
-        /// decoder, at lengths that end inside and on byte boundaries,
-        /// over the whole `i64` range (width 64 spans `MIN..=MAX`); the
-        /// run carries its frame of reference and the width it needs,
-        /// and its body is exactly `ceil(n·width / 8)` bytes. The same
-        /// values through `rle_encode_i64` (which may cut repeats out of
-        /// them) decode to themselves too.
+        /// Packed runs of every width round-trip through the decoder, at
+        /// lengths that end inside and on a group of eight, over the
+        /// whole `i64` range (width 64 spans `MIN..=MAX`); the run
+        /// carries its frame of reference and the width it needs, and
+        /// its body is exactly `ceil(n·width / 8)` bytes and ends the
+        /// buffer, so the last whole group ends within a group's width
+        /// of the slice's end and the fields after it are the tail's.
+        /// The same values through `rle_encode_i64` (which may cut
+        /// repeats out of them) decode to themselves too.
         #[test]
         fn packed_runs_round_trip_at_every_width(
-            width in proptest::prelude::Strategy::prop_map(0usize..8, |i| [0u32, 1, 7, 13, 31, 33, 63, 64][i]),
+            width in 0u32..=64,
+            len in run_len(),
             base in proptest::prelude::any::<i64>(),
-            raw in proptest::collection::vec(proptest::prelude::any::<u64>(), 1..80),
+            seed in proptest::prelude::any::<u64>(),
         ) {
-            let (base, vals) = run_of_width(width, base, &raw);
+            let (base, vals) = run_of_width(width, base, &raw_offsets(seed, len));
             let want_width = if vals.len() > 1 { width } else { 0 };
             let mut w = ByteWriter::new();
             put_packed_run(&vals, &mut w);
@@ -672,6 +794,45 @@ mod tests {
             let mut r = SliceReader::new(&bytes);
             proptest::prop_assert_eq!(rle_decode_i64(&mut r, vals.len()).unwrap(), vals);
             proptest::prop_assert_eq!(r.remaining(), 0);
+        }
+    }
+
+    /// Every width from 1 to 64 at every length from 1 to 17 and from
+    /// 505 to 512, each run the last bytes of its buffer, against a
+    /// decode that reads the body one bit at a time.
+    #[test]
+    fn packed_runs_equal_a_bit_by_bit_decode_at_every_width_and_tail() {
+        for width in 1..=64u32 {
+            for n in (1..=17).chain(505..=512) {
+                let (base, vals) = run_of_width(
+                    width,
+                    -7,
+                    &raw_offsets(u64::from(width) * 1000 + n as u64, n),
+                );
+                let mut w = ByteWriter::new();
+                put_packed_run(&vals, &mut w);
+                let bytes = w.finish();
+                let mut r = SliceReader::new(&bytes);
+                r.get_varint().unwrap();
+                r.get_varint_signed().unwrap();
+                // One value packs at width 0.
+                let w = r.get_u8().unwrap() as usize;
+                assert_eq!(w, if n > 1 { width as usize } else { 0 });
+                let body = r.take(r.remaining()).unwrap();
+                assert_eq!(body.len(), (n * w).div_ceil(8));
+                let by_bits: Vec<i64> = (0..n)
+                    .map(|i| {
+                        let field = (0..w).fold(0u64, |f, b| {
+                            let bit = i * w + b;
+                            f | u64::from((body[bit / 8] >> (bit % 8)) & 1) << b
+                        });
+                        base.wrapping_add(field as i64)
+                    })
+                    .collect();
+                assert_eq!(by_bits, vals, "width {width}, {n} values");
+                let got = rle_decode_i64(&mut SliceReader::new(&bytes), n).unwrap();
+                assert_eq!(got, vals, "width {width}, {n} values");
+            }
         }
     }
 

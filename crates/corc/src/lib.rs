@@ -19,12 +19,14 @@ pub mod bloom;
 pub mod encoding;
 pub mod reader;
 pub mod sarg;
+pub mod spares;
 pub mod stats;
 pub mod writer;
 
 pub use bloom::BloomFilter;
 pub use reader::CorcFile;
 pub use sarg::{ColumnPredicate, KeyFilter, SearchArgument, TruthValue};
+pub use spares::Spares;
 pub use stats::ColumnStatistics;
 pub use writer::{CorcWriter, WriterOptions};
 

@@ -4,8 +4,9 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use crate::bloom::BloomFilter;
-use crate::encoding::{rle_decode, ByteReader, SliceReader};
+use crate::encoding::{rle_decode_into, ByteReader, RunTarget, SliceReader, ANY_I64};
 use crate::sarg::{SearchArgument, TruthValue};
+use crate::spares::{buffer, Spare, Spares};
 use crate::stats::ColumnStatistics;
 use crate::writer::{ChunkMeta, RowGroupMeta};
 use crate::{DECIMAL_PACKED, DECIMAL_RAW, MAGIC, OLD_MAGICS};
@@ -14,6 +15,7 @@ use hive_common::{
     BitSet, ColumnVector, DataType, DecVals, Field, FileId, HiveError, Result, Schema, VectorBatch,
 };
 use hive_dfs::{DfsPath, DistFs};
+use std::ops::RangeInclusive;
 
 /// Parsed footer of a corc file.
 #[derive(Debug, Clone)]
@@ -188,8 +190,19 @@ impl CorcFile {
     /// string chunks in their encoded form (`Dict` with an `Arc`'d
     /// dictionary shared across this file's chunks of the column).
     pub fn read_column_chunk_encoded(&self, rg: usize, col: usize) -> Result<ColumnVector> {
+        self.read_column_chunk_encoded_with(rg, col, None)
+    }
+
+    /// [`CorcFile::read_column_chunk_encoded`] into a buffer from
+    /// `spares` when one fits (the LLAP cache's miss path).
+    pub fn read_column_chunk_encoded_with(
+        &self,
+        rg: usize,
+        col: usize,
+        spares: Option<&Spares>,
+    ) -> Result<ColumnVector> {
         let bytes = self.fetch_chunk_bytes(rg, col)?;
-        self.decode_column_chunk_encoded(bytes, rg, col)
+        self.decode_chunk_inner(bytes, rg, col, true, spares)
     }
 
     fn fetch_chunk_bytes(&self, rg: usize, col: usize) -> Result<Bytes> {
@@ -200,7 +213,7 @@ impl CorcFile {
     /// Decode a previously-fetched chunk (LLAP's cache path: the cache
     /// stores decoded chunks; on miss it fetches bytes then decodes).
     pub fn decode_column_chunk(&self, bytes: Bytes, rg: usize, col: usize) -> Result<ColumnVector> {
-        self.decode_chunk_inner(bytes, rg, col, false)
+        self.decode_chunk_inner(bytes, rg, col, false, None)
     }
 
     /// Encoded-form counterpart of [`CorcFile::decode_column_chunk`].
@@ -210,7 +223,7 @@ impl CorcFile {
         rg: usize,
         col: usize,
     ) -> Result<ColumnVector> {
-        self.decode_chunk_inner(bytes, rg, col, true)
+        self.decode_chunk_inner(bytes, rg, col, true, None)
     }
 
     fn decode_chunk_inner(
@@ -219,6 +232,7 @@ impl CorcFile {
         rg: usize,
         col: usize,
         keep_dict: bool,
+        spares: Option<&Spares>,
     ) -> Result<ColumnVector> {
         let rows = self
             .footer
@@ -229,7 +243,7 @@ impl CorcFile {
             })?
             .row_count as usize;
         let dt = &self.footer.schema.field(col).data_type;
-        let decoded = decode_column(&bytes, dt, rows, keep_dict)?;
+        let decoded = decode_column(&bytes, dt, rows, keep_dict, spares)?;
         if !keep_dict {
             return Ok(decoded);
         }
@@ -392,12 +406,15 @@ fn read_data_type(r: &mut ByteReader) -> Result<DataType> {
 /// run-length streams decode straight into the column's width and
 /// fixed-width values are one length check plus `chunks_exact`. Every
 /// length read from the chunk is bounded by `rows` or by the bytes
-/// left before anything is allocated for it.
+/// left before anything is allocated for it. An INT or DATE value
+/// outside `i32`, like a dictionary code outside the dictionary, is a
+/// typed error. Value buffers come from `spares` when given.
 pub(crate) fn decode_column(
     bytes: &[u8],
     dt: &DataType,
     rows: usize,
     keep_dict: bool,
+    spares: Option<&Spares>,
 ) -> Result<ColumnVector> {
     let mut r = SliceReader::new(bytes);
     // Null section.
@@ -426,28 +443,40 @@ pub(crate) fn decode_column(
             .ok_or_else(|| HiveError::Format("row count overflows chunk length".into()))?;
         r.take(len)
     }
+    // `rows` integers of a column whose values lie in `domain`.
+    fn ints<T: RunTarget + Spare>(
+        r: &mut SliceReader<'_>,
+        rows: usize,
+        domain: RangeInclusive<i64>,
+        spares: Option<&Spares>,
+    ) -> Result<Vec<T>> {
+        let mut v = buffer(spares, rows);
+        rle_decode_into(r, rows, domain, &mut v)?;
+        Ok(v)
+    }
+    const I32: RangeInclusive<i64> = i32::MIN as i64..=i32::MAX as i64;
     Ok(match dt {
         DataType::Boolean => {
-            ColumnVector::Boolean(rle_decode(&mut r, rows, |v| Ok(v != 0))?, nulls)
+            let mut v = Vec::with_capacity(rows);
+            rle_decode_into(&mut r, rows, ANY_I64, &mut v)?;
+            ColumnVector::Boolean(v, nulls)
         }
-        DataType::Int => ColumnVector::Int(rle_decode(&mut r, rows, |v| Ok(v as i32))?, nulls),
-        DataType::Date => ColumnVector::Date(rle_decode(&mut r, rows, |v| Ok(v as i32))?, nulls),
-        DataType::BigInt => ColumnVector::BigInt(rle_decode(&mut r, rows, Ok)?, nulls),
-        DataType::Timestamp => ColumnVector::Timestamp(rle_decode(&mut r, rows, Ok)?, nulls),
+        DataType::Int => ColumnVector::Int(ints(&mut r, rows, I32, spares)?, nulls),
+        DataType::Date => ColumnVector::Date(ints(&mut r, rows, I32, spares)?, nulls),
+        DataType::BigInt => ColumnVector::BigInt(ints(&mut r, rows, ANY_I64, spares)?, nulls),
+        DataType::Timestamp => ColumnVector::Timestamp(ints(&mut r, rows, ANY_I64, spares)?, nulls),
         DataType::Double => {
-            let v = fixed(&mut r, rows, 8)?
-                .chunks_exact(8)
-                .map(|c| {
-                    let mut le = [0u8; 8];
-                    le.copy_from_slice(c);
-                    f64::from_le_bytes(le)
-                })
-                .collect();
+            let mut v = buffer(spares, rows);
+            v.extend(fixed(&mut r, rows, 8)?.chunks_exact(8).map(|c| {
+                let mut le = [0u8; 8];
+                le.copy_from_slice(c);
+                f64::from_le_bytes(le)
+            }));
             ColumnVector::Double(v, nulls)
         }
         DataType::Decimal(_, s) => {
             let v = match r.get_u8()? {
-                DECIMAL_PACKED => DecVals::Narrow(rle_decode(&mut r, rows, Ok)?),
+                DECIMAL_PACKED => DecVals::Narrow(ints(&mut r, rows, ANY_I64, spares)?),
                 DECIMAL_RAW => DecVals::Wide(
                     fixed(&mut r, rows, 16)?
                         .chunks_exact(16)
@@ -473,12 +502,11 @@ pub(crate) fn decode_column(
                 for _ in 0..dict_len {
                     dict.push(r.get_str()?);
                 }
-                let codes: Vec<u32> = rle_decode(&mut r, rows, |i| {
-                    u32::try_from(i)
-                        .ok()
-                        .filter(|&c| (c as usize) < dict.len())
-                        .ok_or_else(|| HiveError::Format("dictionary index out of range".into()))
-                })?;
+                // Codes index the dictionary (`dict_len` is at most the
+                // chunk's length, far below `i64::MAX`); they outlive the
+                // decode only when the chunk stays encoded.
+                let domain = 0..=dict.len() as i64 - 1;
+                let codes: Vec<u32> = ints(&mut r, rows, domain, spares.filter(|_| keep_dict))?;
                 if keep_dict {
                     // Codes were range-checked as they decoded.
                     ColumnVector::Dict {
@@ -536,6 +564,7 @@ pub fn round_trip(batch: &VectorBatch, opts: crate::writer::WriterOptions) -> Re
                 &footer.schema.field(ci).data_type,
                 rg.row_count as usize,
                 false,
+                None,
             )?);
         }
         out.append(&VectorBatch::new(footer.schema.clone(), cols)?)?;
@@ -551,6 +580,7 @@ mod tests {
     use hive_common::Row;
     use rand::rngs::StdRng;
     use rand::{Rng, RngCore, SeedableRng};
+    use std::sync::Arc;
 
     /// The `ByteReader` decoder `decode_column` replaced, kept as the
     /// reference the slice decoder is checked against value for value.
@@ -592,6 +622,15 @@ mod tests {
             Ok(out)
         }
 
+        /// INT and DATE values, each of which must fit `i32`.
+        fn narrow(ints: Vec<i64>) -> Result<Vec<i32>> {
+            ints.into_iter()
+                .map(|v| {
+                    i32::try_from(v).map_err(|_| HiveError::Format(format!("{v} is not an i32")))
+                })
+                .collect()
+        }
+
         pub fn decode_column(
             bytes: Bytes,
             dt: &DataType,
@@ -622,14 +661,8 @@ mod tests {
                     let ints = rle_decode_i64(&mut r, rows)?;
                     ColumnVector::Boolean(ints.into_iter().map(|v| v != 0).collect(), nulls)
                 }
-                DataType::Int => {
-                    let ints = rle_decode_i64(&mut r, rows)?;
-                    ColumnVector::Int(ints.into_iter().map(|v| v as i32).collect(), nulls)
-                }
-                DataType::Date => {
-                    let ints = rle_decode_i64(&mut r, rows)?;
-                    ColumnVector::Date(ints.into_iter().map(|v| v as i32).collect(), nulls)
-                }
+                DataType::Int => ColumnVector::Int(narrow(rle_decode_i64(&mut r, rows)?)?, nulls),
+                DataType::Date => ColumnVector::Date(narrow(rle_decode_i64(&mut r, rows)?)?, nulls),
                 DataType::BigInt => ColumnVector::BigInt(rle_decode_i64(&mut r, rows)?, nulls),
                 DataType::Timestamp => {
                     ColumnVector::Timestamp(rle_decode_i64(&mut r, rows)?, nulls)
@@ -658,7 +691,7 @@ mod tests {
                 DataType::String => match r.get_u8()? {
                     1 => {
                         let dict_len = r.get_varint()? as usize;
-                        let mut dict = Vec::with_capacity(dict_len);
+                        let mut dict = Vec::with_capacity(dict_len.min(r.remaining()));
                         for _ in 0..dict_len {
                             dict.push(r.get_str()?);
                         }
@@ -866,7 +899,7 @@ mod tests {
                 for keep_dict in [false, true] {
                     let want =
                         reference::decode_column(bytes.clone(), &dt, rows, keep_dict).unwrap();
-                    let got = decode_column(&bytes, &dt, rows, keep_dict).unwrap();
+                    let got = decode_column(&bytes, &dt, rows, keep_dict, None).unwrap();
                     assert_eq!(got.len(), rows);
                     assert_same(&got, &want, &format!("{dt} rows={rows} keep={keep_dict}"));
                     if let ColumnVector::Decimal(v, ..) = &got {
@@ -887,16 +920,23 @@ mod tests {
     /// and 1 000 seeded single-byte mutations of each encoded chunk
     /// decode to `Ok` (of exactly `rows` values) or `HiveError::Format`.
     /// A panic, an over-read (slice index out of range) or an
-    /// allocation sized by a corrupt length would abort the test.
+    /// allocation sized by a corrupt length would abort the test. The
+    /// reference decoder accepts exactly the same chunks, to the same
+    /// values: a value a column cannot hold is rejected by both.
     #[test]
     fn decode_fuzz_truncations_and_mutations_end_typed() {
         let mut rng = StdRng::seed_from_u64(0xf022);
         let check = |bytes: &[u8], dt: &DataType, rows: usize, what: &str| {
             for keep_dict in [false, true] {
-                match decode_column(bytes, dt, rows, keep_dict) {
-                    Ok(col) => assert_eq!(col.len(), rows, "{what}"),
-                    Err(HiveError::Format(_)) => {}
-                    Err(e) => panic!("{what}: untyped decode error {e:?}"),
+                let want =
+                    reference::decode_column(Bytes::from(bytes.to_vec()), dt, rows, keep_dict);
+                match (decode_column(bytes, dt, rows, keep_dict, None), want) {
+                    (Ok(col), Ok(want)) => {
+                        assert_eq!(col.len(), rows, "{what}");
+                        assert_same(&col, &want, what);
+                    }
+                    (Err(HiveError::Format(_)), Err(_)) => {}
+                    (got, want) => panic!("{what}: {got:?}, the reference {want:?}"),
                 }
             }
         };
@@ -911,6 +951,98 @@ mod tests {
                 buf[at] = rng.gen_range(0..=255u8);
                 check(&buf, &dt, rows, &format!("{dt} byte {at} -> {}", buf[at]));
                 buf[at] = old;
+            }
+        }
+    }
+
+    /// A decode into spares that held other values gives the bytes a
+    /// fresh decode gives, for every type, with and without NULLs; the
+    /// types a decode fills from spares (INT, DATE, BIGINT, TIMESTAMP,
+    /// DOUBLE, a packed DECIMAL, dictionary codes) take one.
+    #[test]
+    fn decoding_into_dirty_spares_equals_a_fresh_decode() {
+        let mut rng = StdRng::seed_from_u64(0x5a7e);
+        let mut taken = 0;
+        for rows in [1, 7, 300, 5000] {
+            for (dt, rows, bytes) in encoded_chunks(&mut rng, rows) {
+                for keep_dict in [false, true] {
+                    let fresh = decode_column(&bytes, &dt, rows, keep_dict, None).unwrap();
+                    let spares = Spares::new(1 << 20);
+                    spares.keep(ColumnVector::Int(vec![-1; rows], None));
+                    spares.keep(ColumnVector::BigInt(vec![i64::MIN; rows], None));
+                    spares.keep(ColumnVector::Double(vec![f64::NAN; rows], None));
+                    spares.keep(
+                        ColumnVector::dict_from_codes(
+                            vec![0; rows],
+                            Arc::new(vec!["x".into()]),
+                            None,
+                        )
+                        .unwrap(),
+                    );
+                    let shelved = spares.bytes();
+                    let got = decode_column(&bytes, &dt, rows, keep_dict, Some(&spares)).unwrap();
+                    let what = format!("{dt} rows={rows} keep={keep_dict}");
+                    assert_same(&got, &fresh, &what);
+                    let fills = match &got {
+                        ColumnVector::Str(..) | ColumnVector::Boolean(..) => false,
+                        ColumnVector::Decimal(v, ..) => v.is_narrow(),
+                        _ => true,
+                    };
+                    assert_eq!(spares.bytes() < shelved, fills, "{what}");
+                    taken += usize::from(fills);
+                }
+            }
+        }
+        assert!(taken > 100, "{taken}");
+    }
+
+    /// An INT or DATE chunk holding a value outside `i32` is `Format`,
+    /// never a wrapped number: in a repeat run, in a packed run, below
+    /// `i32::MIN`, and at width 0. A packed run whose frame passes
+    /// `i32::MAX` while each of its values fits decodes. BIGINT and
+    /// TIMESTAMP hold every one of them, and the reference agrees.
+    #[test]
+    fn int_and_date_values_past_i32_are_format_errors() {
+        let max = i32::MAX as i64;
+        let chunk = |control: u64, base: i64, packed: &[u8]| {
+            let mut w = ByteWriter::new();
+            w.put_u8(0); // no nulls
+            w.put_varint(control);
+            w.put_varint_signed(base);
+            w.put_slice(packed);
+            w.finish()
+        };
+        let bad = [
+            chunk(3 << 1, max + 1, &[]),
+            chunk(3 << 1, i32::MIN as i64 - 1, &[]),
+            // Fields 0, 3, 1 at width 2: the middle one is MAX + 2.
+            chunk((3 << 1) | 1, max - 1, &[2, 0b01_11_00]),
+            chunk((3 << 1) | 1, max + 5, &[0]),
+        ];
+        // Fields 0, 1, 1 at width 2: a frame up to MAX + 2, values to MAX.
+        let fits = chunk((3 << 1) | 1, max - 1, &[2, 0b01_01_00]);
+        for dt in [DataType::Int, DataType::Date] {
+            for bytes in &bad {
+                let got = decode_column(bytes, &dt, 3, false, None);
+                assert!(
+                    matches!(got, Err(HiveError::Format(_))),
+                    "{dt} {bytes:?}: {got:?}"
+                );
+                assert!(reference::decode_column(bytes.clone(), &dt, 3, false).is_err());
+            }
+            let got = decode_column(&fits, &dt, 3, false, None).unwrap();
+            let want = vec![i32::MAX - 1, i32::MAX, i32::MAX];
+            let want = match dt {
+                DataType::Int => ColumnVector::Int(want, None),
+                _ => ColumnVector::Date(want, None),
+            };
+            assert_eq!(got, want);
+        }
+        for dt in [DataType::BigInt, DataType::Timestamp] {
+            for bytes in bad.iter().chain([&fits]) {
+                let got = decode_column(bytes, &dt, 3, false, None).unwrap();
+                let want = reference::decode_column(bytes.clone(), &dt, 3, false).unwrap();
+                assert_eq!(got, want, "{dt}");
             }
         }
     }
@@ -930,7 +1062,7 @@ mod tests {
         rle_encode_i64(&[0, 5, 1], &mut w); // code 5 is out of range
         let bytes = w.finish();
         for keep_dict in [true, false] {
-            let err = decode_column(&bytes, &DataType::String, 3, keep_dict)
+            let err = decode_column(&bytes, &DataType::String, 3, keep_dict, None)
                 .expect_err("out-of-range code must not decode");
             assert!(
                 matches!(err, HiveError::Format(_)),
@@ -962,7 +1094,7 @@ mod tests {
         ];
         // Four 13-bit fields are 52 bits: seven bytes.
         let whole = chunk(13, &[0xff; 7]);
-        let got = decode_column(&whole, &DataType::BigInt, 4, false).unwrap();
+        let got = decode_column(&whole, &DataType::BigInt, 4, false, None).unwrap();
         assert_eq!(got, ColumnVector::BigInt(vec![8188; 4], None));
         for (width, body) in [
             (65u8, &[0u8; 40][..]),
@@ -972,7 +1104,7 @@ mod tests {
         ] {
             let bytes = chunk(width, body);
             for dt in &int_types {
-                match decode_column(&bytes, dt, 4, false) {
+                match decode_column(&bytes, dt, 4, false, None) {
                     Err(HiveError::Format(_)) => {}
                     other => panic!("width {width}, {} body bytes, {dt}: {other:?}", body.len()),
                 }
@@ -1031,9 +1163,14 @@ mod tests {
                 let (footer, all) = parse_in_memory(&bytes).unwrap();
                 let meta = &footer.row_groups[0].chunks[0];
                 let chunk = &all[meta.offset as usize..(meta.offset + meta.len) as usize];
-                let got =
-                    decode_column(chunk, &footer.schema.field(0).data_type, vals.len(), false)
-                        .unwrap();
+                let got = decode_column(
+                    chunk,
+                    &footer.schema.field(0).data_type,
+                    vals.len(),
+                    false,
+                    None,
+                )
+                .unwrap();
                 let ColumnVector::Decimal(got_vals, 2, _) = &got else {
                     panic!("{got:?}");
                 };

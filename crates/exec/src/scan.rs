@@ -555,7 +555,8 @@ fn read_row_group(
 /// Fetch one column chunk, through the LLAP cache when enabled
 /// (the I/O elevator path, §5.1). DFS loads retry transient injected
 /// errors; cached chunks detected as corrupt degrade back to the DFS
-/// load path. The cache's `Arc` is handed out directly (zero-copy).
+/// load path. The cache's `Arc` is handed out directly (zero-copy), and
+/// a miss decodes into the cache's spare buffers.
 ///
 /// Late materialization: dictionary-encoded string chunks stay codes +
 /// shared dictionary all the way through the cache and the operators
@@ -567,7 +568,7 @@ fn fetch_chunk(
     col: usize,
 ) -> Result<Arc<ColumnVector>> {
     let what = || format!("chunk rg={rg} col={col} of file {:?}", file.file_id());
-    let read = || file.read_column_chunk_encoded(rg, col);
+    let read = |spares| file.read_column_chunk_encoded_with(rg, col, spares);
     match ctx.llap {
         Some(l) if ctx.conf.llap_enabled => {
             let key = hive_llap::cache::ChunkKey {
@@ -577,11 +578,16 @@ fn fetch_chunk(
             };
             let fault = ctx.fs.fault();
             let fault = fault.is_active().then(|| fault.as_ref());
-            l.cache().get_or_load_with_fault(key, fault, || {
-                crate::recovery::retry_transient(ctx, what, read)
+            let cache = l.cache();
+            cache.get_or_load_with_fault(key, fault, || {
+                crate::recovery::retry_transient(ctx, what, || read(Some(cache.spares())))
             })
         }
-        _ => Ok(Arc::new(crate::recovery::retry_transient(ctx, what, read)?)),
+        _ => Ok(Arc::new(crate::recovery::retry_transient(
+            ctx,
+            what,
+            || read(None),
+        )?)),
     }
 }
 

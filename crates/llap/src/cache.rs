@@ -3,7 +3,7 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use hive_common::{ColumnVector, FaultInjector, FileId, Result};
-use hive_corc::CorcFile;
+use hive_corc::{CorcFile, Spares};
 use hive_dfs::{DfsPath, DistFs};
 use parking_lot::Mutex;
 use std::collections::{BTreeSet, HashMap};
@@ -149,12 +149,20 @@ impl CacheStats {
 /// true minimum; if it has, eviction re-files it under its current key
 /// and looks again. A miss that evicts costs O(log n) per victim plus
 /// one re-filing per entry hit since the last eviction passed over it.
+///
+/// A departed entry is released after `inner` is unlocked. When no query
+/// still holds its chunk, the chunk's value buffer goes to the cache's
+/// [`Spares`], which a miss decodes into, so a cache at capacity turns
+/// over its own memory instead of the allocator's. The spares hold at
+/// most a quarter of the capacity and are not charged to it: admission,
+/// LRFU keys, victims and byte counters are what they are without them.
 #[derive(Debug)]
 pub struct LlapCache {
     inner: Mutex<CacheInner>,
     capacity_bytes: usize,
     lambda: f64,
     stats: CacheStats,
+    spares: Spares,
 }
 
 #[derive(Debug, Default)]
@@ -182,19 +190,17 @@ fn ord_bits(f: f64) -> u64 {
 }
 
 impl CacheInner {
-    /// Drop `key`'s entry: its order element and its charges.
-    fn remove(&mut self, key: &ChunkKey) -> bool {
-        let Some(e) = self.entries.remove(key) else {
-            return false;
-        };
+    /// Drop `key`'s entry: its order element and its charges. The chunk
+    /// comes back, for the caller to release once it has unlocked.
+    fn remove(&mut self, key: &ChunkKey) -> Option<Arc<ColumnVector>> {
+        let e = self.entries.remove(key)?;
         self.order.remove(&(e.filed.0, e.filed.1, *key));
-        self.release(e);
-        true
+        Some(self.release(e))
     }
 
     /// Give back a departed entry's bytes, and its dictionary's when it
-    /// was the last reference.
-    fn release(&mut self, e: Entry) {
+    /// was the last reference; returns its chunk.
+    fn release(&mut self, e: Entry) -> Arc<ColumnVector> {
         self.bytes -= e.bytes;
         if let Some(dk) = e.dict_key {
             if let Some(c) = self.dict_charges.get_mut(&dk) {
@@ -205,10 +211,12 @@ impl CacheInner {
                 }
             }
         }
+        e.data
     }
 
-    /// Evict the entry with the lowest LRFU key; false when empty.
-    fn evict_one(&mut self) -> bool {
+    /// Evict the entry with the lowest LRFU key and return its chunk;
+    /// `None` when empty.
+    fn evict_one(&mut self) -> Option<Arc<ColumnVector>> {
         while let Some((_, filed_at, victim)) = self.order.pop_first() {
             match self.entries.get_mut(&victim) {
                 // Hit since it was filed: its key only rose, so re-file
@@ -218,17 +226,15 @@ impl CacheInner {
                     self.order.insert((e.filed.0, e.filed.1, victim));
                 }
                 Some(_) => {
-                    if let Some(e) = self.entries.remove(&victim) {
-                        self.release(e);
-                    }
-                    return true;
+                    let e = self.entries.remove(&victim)?;
+                    return Some(self.release(e));
                 }
                 // Unreachable while `order` mirrors `entries`; an
                 // orphan element is simply dropped.
                 None => {}
             }
         }
-        false
+        None
     }
 }
 
@@ -240,6 +246,24 @@ impl LlapCache {
             capacity_bytes,
             lambda: lambda.clamp(0.0, 1.0),
             stats: CacheStats::default(),
+            spares: Spares::new(capacity_bytes / 4),
+        }
+    }
+
+    /// Value buffers of released chunks, for a miss's decode to fill.
+    pub fn spares(&self) -> &Spares {
+        &self.spares
+    }
+
+    /// Release departed chunks; call with `inner` unlocked. A chunk no
+    /// query holds gives its value buffer to the spares.
+    fn recycle(&self, victims: impl IntoIterator<Item = Arc<ColumnVector>>) {
+        for victim in victims {
+            #[cfg(test)]
+            tests::count_release(self.inner.try_lock().is_some());
+            if let Ok(col) = Arc::try_unwrap(victim) {
+                self.spares.keep(col);
+            }
         }
     }
 
@@ -284,17 +308,15 @@ impl LlapCache {
         fault: Option<&FaultInjector>,
         load: impl FnOnce() -> Result<ColumnVector>,
     ) -> Result<Arc<ColumnVector>> {
-        {
+        let corrupt = {
             let mut g = self.inner.lock();
             g.tick += 1;
             let now = g.tick;
+            let mut corrupt = None;
             if let Some(e) = g.entries.get_mut(&key) {
-                let corrupt = fault
-                    .map(|f| f.cache_chunk_corrupt(key.hash64()))
-                    .unwrap_or(false);
-                if corrupt {
+                if fault.is_some_and(|f| f.cache_chunk_corrupt(key.hash64())) {
                     self.stats.corrupt_misses.fetch_add(1, Ordering::Relaxed);
-                    g.remove(&key);
+                    corrupt = g.remove(&key);
                     // Fall through to the miss path below.
                 } else {
                     let lam_now = self.lambda * now as f64;
@@ -307,7 +329,9 @@ impl LlapCache {
                     return Ok(e.data.clone());
                 }
             }
-        }
+            corrupt
+        };
+        self.recycle(corrupt);
         // Miss: load outside the lock.
         self.stats.misses.fetch_add(1, Ordering::Relaxed);
         let col = load()?;
@@ -316,14 +340,14 @@ impl LlapCache {
             .fetch_add(col.approx_bytes() as u64, Ordering::Relaxed);
         let (bytes, dict_info) = chunk_cost(&key, &col);
         let data = Arc::new(col);
-        let mut g = self.inner.lock();
-        let g = &mut *g;
+        let mut guard = self.inner.lock();
+        let g = &mut *guard;
         g.tick += 1;
         let now = g.tick;
         // Two workers can miss on the same chunk concurrently (the load
         // runs outside the lock); the loser's insert replaces the
         // winner's entry, whose charges go back first.
-        g.remove(&key);
+        let mut victims: Vec<Arc<ColumnVector>> = g.remove(&key).into_iter().collect();
         // Cost of admitting this chunk right now: its own bytes plus
         // the dictionary when no resident entry shares it yet
         // (re-evaluated inside the eviction loop, since evicting the
@@ -339,9 +363,10 @@ impl LlapCache {
         // larger than the whole cache bypass it.
         if admit_cost(g) <= self.capacity_bytes {
             while g.bytes + admit_cost(g) > self.capacity_bytes {
-                if !g.evict_one() {
+                let Some(victim) = g.evict_one() else {
                     break;
-                }
+                };
+                victims.push(victim);
                 self.stats.evictions.fetch_add(1, Ordering::Relaxed);
             }
             let dict_key = dict_info.map(|(dk, db)| {
@@ -370,16 +395,20 @@ impl LlapCache {
                 },
             );
         }
+        drop(guard);
+        self.recycle(victims);
         Ok(data)
     }
 
     /// Drop every cached chunk (tests / manual flush).
     pub fn clear(&self) {
         let mut g = self.inner.lock();
-        g.entries.clear();
+        let entries = std::mem::take(&mut g.entries);
         g.order.clear();
         g.dict_charges.clear();
         g.bytes = 0;
+        drop(g);
+        self.recycle(entries.into_values().map(|e| e.data));
     }
 
     /// Drop the share of the cache owned by daemon `node` out of a
@@ -391,17 +420,18 @@ impl LlapCache {
             return;
         }
         let mut g = self.inner.lock();
-        let victims: Vec<ChunkKey> = g
+        let keys: Vec<ChunkKey> = g
             .entries
             .keys()
             .filter(|k| k.hash64() as usize % nodes == node)
             .copied()
             .collect();
-        for k in victims {
-            if g.remove(&k) {
-                self.stats.evictions.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+        let victims: Vec<Arc<ColumnVector>> = keys.iter().filter_map(|k| g.remove(k)).collect();
+        self.stats
+            .evictions
+            .fetch_add(victims.len() as u64, Ordering::Relaxed);
+        drop(g);
+        self.recycle(victims);
     }
 }
 
@@ -453,9 +483,27 @@ impl MetadataCache {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use hive_common::HiveError;
+
+    thread_local! {
+        /// Chunks this thread released, and how many of those with the
+        /// cache's `inner` unlocked.
+        static RELEASES: std::cell::Cell<(usize, usize)> = const { std::cell::Cell::new((0, 0)) };
+    }
+
+    pub(crate) fn count_release(unlocked: bool) {
+        RELEASES.with(|r| {
+            let (all, free) = r.get();
+            r.set((all + 1, free + usize::from(unlocked)));
+        });
+    }
+
+    /// `(released, released unlocked)` on this thread so far.
+    pub(crate) fn releases() -> (usize, usize) {
+        RELEASES.with(|r| r.get())
+    }
 
     fn chunk(n: usize) -> ColumnVector {
         ColumnVector::BigInt(vec![7; n], None)
@@ -822,6 +870,7 @@ mod tests {
                 }
                 assert_in_step(&cache);
                 assert!(cache.resident_bytes() <= 9000);
+                assert!(cache.spares().bytes() <= 9000 / 4);
             }
             assert!(cache.stats().corrupt_misses.load(Ordering::Relaxed) > 0);
         }
@@ -885,5 +934,70 @@ mod tests {
         // nodes=1 maps every key to node 0; the second call is a no-op.
         assert_eq!(cache.resident_bytes(), 0);
         assert_eq!(cache.len(), 0);
+    }
+
+    /// A corc file of `groups` row groups of 1 000 distinct BIGINTs.
+    fn bigint_file(groups: usize) -> CorcFile {
+        use hive_common::{DataType, Field, Schema, VectorBatch};
+        let schema = Schema::new(vec![Field::new("v", DataType::BigInt)]);
+        let vals = (0..groups as i64 * 1000)
+            .map(|i| i * 7919 % 1_000_003)
+            .collect();
+        let batch = VectorBatch::new(schema, vec![ColumnVector::BigInt(vals, None)]).unwrap();
+        let opts = hive_corc::WriterOptions {
+            row_group_size: 1000,
+            ..Default::default()
+        };
+        let fs = DistFs::new();
+        let path = DfsPath::new("/t/spares");
+        let bytes = hive_corc::writer::write_batch_to_bytes(&batch, opts).unwrap();
+        fs.create(&path, bytes).unwrap();
+        CorcFile::open(&fs, &path).unwrap()
+    }
+
+    #[test]
+    fn a_held_chunk_keeps_its_values_through_misses_that_take_spares() {
+        let file = bigint_file(40);
+        let chunk_bytes = file.read_column_chunk_encoded(0, 0).unwrap().approx_bytes();
+        // Eight chunks resident; the spares hold two value buffers.
+        let cache = LlapCache::new(8 * chunk_bytes, 1.0);
+        let load = |rg: usize| {
+            cache
+                .get_or_load(key(1, 0, rg), || {
+                    file.read_column_chunk_encoded_with(rg, 0, Some(cache.spares()))
+                })
+                .unwrap()
+        };
+        let held = load(0);
+        let want = file.read_column_chunk_encoded(0, 0).unwrap();
+        for rg in 1..40 {
+            let got = load(rg);
+            assert_eq!(
+                *got,
+                file.read_column_chunk_encoded(rg, 0).unwrap(),
+                "rg {rg}"
+            );
+            // From the second eviction on, each miss takes the buffer the
+            // one before it shelved: the shelves never hold two.
+            if rg >= 10 {
+                assert_eq!(cache.spares().bytes(), 1000 * 8, "rg {rg}");
+            }
+            assert_eq!(*held, want, "held chunk changed at rg {rg}");
+        }
+        assert!(!resident(&cache).contains(&key(1, 0, 0)));
+        assert_eq!(cache.stats().evictions.load(Ordering::Relaxed), 40 - 8);
+    }
+
+    #[test]
+    fn spares_never_pass_a_quarter_of_the_capacity() {
+        for capacity in [0, CHUNK, 3 * CHUNK, 4 * CHUNK, 40 * CHUNK] {
+            let cache = LlapCache::new(capacity, 0.5);
+            for i in 0..200 {
+                cache.get_or_load(key(i, 0, 0), || Ok(chunk(100))).unwrap();
+                assert!(cache.spares().bytes() <= capacity / 4, "{capacity}");
+            }
+            cache.clear();
+            assert!(cache.spares().bytes() <= capacity / 4, "{capacity}");
+        }
     }
 }

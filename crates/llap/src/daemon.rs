@@ -257,28 +257,65 @@ mod tests {
         assert!(!d.kill_daemon(99), "out of range");
     }
 
+    /// A killed daemon's share leaves the cache, and it and a chunk
+    /// dropped as corrupt on a hit are released with the cache unlocked:
+    /// their buffers go to the spares, except one a reader still holds.
     #[test]
     fn kill_drops_cache_share() {
-        use crate::cache::ChunkKey;
-        use hive_common::{ColumnVector, FileId};
+        use crate::cache::{tests::releases, ChunkKey};
+        use hive_common::{ColumnVector, FaultInjector, FaultPlan, FileId};
         let d = LlapDaemons::new(4, 2, 1 << 20, 0.5);
-        for i in 0..64 {
-            d.cache()
-                .get_or_load(
-                    ChunkKey {
-                        file: FileId(i),
-                        column: 0,
-                        row_group: 0,
-                    },
-                    || Ok(ColumnVector::BigInt(vec![1; 16], None)),
-                )
-                .unwrap();
-        }
+        let key = |i| ChunkKey {
+            file: FileId(i),
+            column: 0,
+            row_group: 0,
+        };
+        let chunks: Vec<_> = (0..64)
+            .map(|i| {
+                d.cache()
+                    .get_or_load(key(i), || Ok(ColumnVector::BigInt(vec![1; 16], None)))
+                    .unwrap()
+            })
+            .collect();
+        // A reader holds the first chunk of node 2's share.
+        let held = (0..64).find(|&i| key(i).hash64() % 4 == 2).unwrap();
+        let held = chunks[held as usize].clone();
+        drop(chunks);
         let before = d.cache().len();
         assert_eq!(before, 64);
+        let released = releases();
         d.kill_daemon(2);
         let after = d.cache().len();
         assert!(after < before, "killed node's share must be evicted");
         assert!(after > 0, "only one node's share is lost");
+        let gone = before - after;
+        assert_eq!(releases(), (released.0 + gone, released.1 + gone));
+        assert_eq!(d.cache().spares().bytes(), (gone - 1) * 16 * 8);
+        assert_eq!(*held, ColumnVector::BigInt(vec![1; 16], None));
+
+        let faults = FaultInjector::new();
+        faults.set_plan(FaultPlan {
+            seed: 3,
+            cache_corruption_prob: 1.0,
+            ..FaultPlan::none()
+        });
+        let resident = (0..64).find(|&i| key(i).hash64() % 4 != 2).unwrap();
+        let released = releases();
+        let spare = d.cache().spares().bytes();
+        d.cache()
+            .get_or_load_with_fault(key(resident), Some(&faults), || {
+                // The corrupt chunk's buffer is already a spare.
+                assert_eq!(d.cache().spares().bytes(), spare + 16 * 8);
+                Ok(ColumnVector::BigInt(vec![2; 16], None))
+            })
+            .unwrap();
+        assert_eq!(releases(), (released.0 + 1, released.1 + 1));
+        assert_eq!(
+            d.cache()
+                .stats()
+                .corrupt_misses
+                .load(std::sync::atomic::Ordering::Relaxed),
+            1
+        );
     }
 }

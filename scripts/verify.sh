@@ -112,6 +112,18 @@ cargo test -q --offline -p hive-corc --test prop_tests footer_truncations_and_mu
 echo "-- corc: packed runs round-trip at every width; a bad width, a short body, a v1 file are Format --"
 cargo test -q --offline -p hive-corc --lib packed_runs_round_trip_at_every_width
 cargo test -q --offline -p hive-corc --lib malformed_packed_runs_and_v1_files_are_format_errors
+# Cold misses at memory speed (DESIGN.md §4 "corc decodes from a slice",
+# "LLAP: exact LRFU"): the width-specialized unpack kernel, and misses
+# that decode into the buffers the cache's own evictions left.
+echo "-- corc: the group kernel = a bit-by-bit decode at every width and tail; INT/DATE past i32 are Format --"
+cargo test -q --offline -p hive-corc --lib packed_runs_equal_a_bit_by_bit_decode_at_every_width_and_tail
+cargo test -q --offline -p hive-corc --lib int_and_date_values_past_i32_are_format_errors
+echo "-- spares: a dirty spare decodes to a fresh decode's bytes; a held chunk is never recycled; a quarter of the capacity at most --"
+cargo test -q --offline -p hive-corc --lib decoding_into_dirty_spares_equals_a_fresh_decode
+cargo test -q --offline -p hive-corc --lib spares::tests
+cargo test -q --offline -p hive-llap --lib a_held_chunk_keeps_its_values_through_misses_that_take_spares
+cargo test -q --offline -p hive-llap --lib spares_never_pass_a_quarter_of_the_capacity
+cargo test -q --offline -p hive-llap --lib kill_drops_cache_share
 echo "-- key-less kernels = the pairs route, every compilable (function, type) pair --"
 cargo test -q --offline -p hive-exec --lib pir::agg::tests
 # Decimals in 64 bits (DESIGN.md §4 "Decimals in 64 bits"): a width by
