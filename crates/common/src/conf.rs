@@ -54,7 +54,10 @@ pub struct HiveConf {
     /// Use LLAP daemons (persistent executors + data cache) instead of
     /// per-query containers (Section 5.1).
     pub llap_enabled: bool,
-    /// Vectorized execution (row interpreter when false).
+    /// Vectorized execution (row interpreter when false). Vectorized,
+    /// every predicate compiles to a physical-IR pipeline (`pir` in
+    /// `hive-exec`); the row interpreter is the Hive 1.2 engine and the
+    /// differential reference.
     pub vectorized: bool,
     /// Cost-based optimization: join reordering etc. (Section 4.1).
     pub cbo_enabled: bool,
@@ -97,28 +100,6 @@ pub struct HiveConf {
     /// the serial path. Results are byte-identical at every setting; only
     /// wall-clock time changes. Overridable via `HIVE_PARALLEL_THREADS`.
     pub parallel_threads: usize,
-    /// `hive.exec.pir.enabled`: lower optimizer Filter/Project chains
-    /// into physical-IR pipelines — fused selection-vector loops whose
-    /// expression nodes are resolved to type-specialized kernels once
-    /// per pipeline (monomorphization) instead of matching on
-    /// `ColumnVector` variants per batch, with multi-conjunct
-    /// predicates short-circuiting through the selection vector in
-    /// cheapest-first order. Also compiles past the aggregate
-    /// boundary: aggregate accumulators fold monomorphized per
-    /// (function, column type) over the recorded group assignment, and
-    /// join residual predicates evaluate vectorized over gathered
-    /// candidate pair-batches instead of per-pair row interpretation
-    /// (non-compilable shapes and grace-join residuals keep the
-    /// interpreter; a spilled aggregate's partitions fold compiled
-    /// exactly when the in-memory build would;
-    /// `pir_compiled_stages`/`pir_fallback_rows` on the query result
-    /// account for which path ran). When off, the
-    /// per-batch interpreter (`eval_vector` + eager stage
-    /// materialization) runs — the differential oracle. Results are
-    /// byte-identical either way; only dispatch and materialization
-    /// cost changes. Overridable via `HIVE_PIR_ENABLED`
-    /// (`0`/`false`/`off` disables, anything else enables).
-    pub pir_enabled: bool,
     /// `hive.optimizer.histograms.enabled`: drive optimizer
     /// cardinality estimates from the seeded equi-depth histograms in
     /// HMS column statistics — equality via bucket-local NDV, ranges
@@ -179,7 +160,6 @@ impl HiveConf {
             results_cache_entries: 64,
             hash_join_row_budget: 4_000_000,
             parallel_threads: 0,
-            pir_enabled: true,
             histograms_enabled: true,
             spill_enabled: true,
             memory_per_query_bytes: 0,
@@ -235,13 +215,6 @@ impl HiveConf {
                 .map(|n| n.get())
                 .unwrap_or(1)
         })
-    }
-
-    /// Resolve [`HiveConf::pir_enabled`]: the `HIVE_PIR_ENABLED`
-    /// environment variable wins (for process-level differential
-    /// sweeps), then the conf field.
-    pub fn effective_pir_enabled(&self) -> bool {
-        env_flag("HIVE_PIR_ENABLED", self.pir_enabled)
     }
 
     /// Resolve [`HiveConf::histograms_enabled`]: the

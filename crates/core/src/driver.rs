@@ -1464,12 +1464,13 @@ fn rows_where(
     let Some(cond) = cond else {
         return Ok((rows, vec![]));
     };
-    let mut pass = vec![false; rows.len()];
-    for p in hive_exec::kernels::filter_indices(cond, &take_batch(batch, &rows))? {
-        pass[p as usize] = true;
-    }
-    let mut pass = pass.into_iter();
-    Ok(rows.into_iter().partition(|_| pass.next() == Some(true)))
+    // The passing rows are a subsequence of `rows`.
+    let mut pass = hive_exec::pir::select_rows(cond, batch, &rows)?
+        .into_iter()
+        .peekable();
+    Ok(rows
+        .into_iter()
+        .partition(|&r| pass.next_if_eq(&r).is_some()))
 }
 
 /// Evaluate one expression per column of `schema` over `input`,

@@ -42,12 +42,13 @@ pub struct QueryResult {
     /// fair-share model allocates cluster capacity against this.
     pub parallel_width: u64,
     /// Operator stages that executed fully compiled under the physical
-    /// IR (`hive.exec.pir.enabled`): filter/project pipelines, aggregate
-    /// accumulator banks, join residual conjunctions. Zero with PIR off.
+    /// IR: filter/project pipelines, scan predicates, aggregate
+    /// accumulator banks, join residual conjunctions. Zero in row mode
+    /// (`vectorized = false`).
     pub pir_compiled_stages: u64,
-    /// Rows (or join candidate pairs) that fell back to the interpreter
-    /// while PIR was on — non-compilable expression shapes, spilled
-    /// aggregates, grace joins.
+    /// Rows (or join candidate pairs) that the vectorized engine ran
+    /// through the row interpreter — non-compilable expression shapes,
+    /// grace joins.
     pub pir_fallback_rows: u64,
     /// Human-readable notice (DDL acknowledgements, EXPLAIN text, …).
     pub message: Option<String>,

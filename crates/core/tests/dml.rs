@@ -453,6 +453,64 @@ fn dml_touching_no_rows_writes_nothing() {
     assert_eq!(open_txns(&s), 0);
 }
 
+/// WHERE and WHEN conditions that evaluate to NULL on some rows: a NULL
+/// column, a CASE arm that yields NULL, NOT and OR over a NULL. A row
+/// whose condition is NULL is neither updated nor deleted, and a MERGE
+/// row whose UPDATE condition is NULL falls through to the DELETE arm.
+/// The vectorized engine (compiled conditions) and the row interpreter
+/// must both reach the rows worked out by hand.
+#[test]
+fn null_producing_conditions_match_row_mode_and_the_pinned_rows() {
+    let apply = |vectorized: bool| {
+        let server = HiveServer::new(HiveConf::v3_1().with(|c| c.vectorized = vectorized));
+        let s = server.session();
+        run(
+            &s,
+            "CREATE TABLE t (id INT, k INT, v STRING) PARTITIONED BY (day INT)",
+        );
+        run(&s, "CREATE TABLE src (id INT, k INT, v STRING, day INT)");
+        run(
+            &s,
+            "INSERT INTO t VALUES (1, 10, 'a', 1), (2, 20, 'b', 1), (3, 30, 'c', 2), \
+             (4, NULL, 'd', 2), (5, 5, 'e', 1), (7, NULL, 'g', 1)",
+        );
+        run(
+            &s,
+            "INSERT INTO src VALUES (1, 1, 's1', 1), (2, 9, 's2', 1), (4, NULL, 's4', 2), \
+             (5, 7, 's5', 1), (6, 7, 's6', 2), (7, 3, 's7', 1)",
+        );
+        let affected: Vec<u64> = [
+            "UPDATE t SET v = 'u' WHERE k > 15",
+            "UPDATE t SET v = 'w' WHERE CASE WHEN k > 25 THEN NULL ELSE k < 12 END",
+            "DELETE FROM t WHERE NOT (k < 25)",
+            "MERGE INTO t USING src s ON t.id = s.id \
+             WHEN MATCHED AND (CASE WHEN s.k > 5 THEN NULL ELSE s.k < 2 END) \
+             THEN UPDATE SET v = s.v \
+             WHEN MATCHED AND (s.k IS NULL OR t.k < s.k) THEN DELETE \
+             WHEN NOT MATCHED THEN INSERT VALUES (s.id, s.k, s.v, s.day)",
+        ]
+        .iter()
+        .map(|sql| run(&s, sql).affected_rows)
+        .collect();
+        (
+            affected,
+            rows(&s, "SELECT id, k, v, day FROM t ORDER BY id"),
+        )
+    };
+    let vectorized = apply(true);
+    assert_eq!(vectorized, apply(false), "the engines disagree");
+    assert_eq!(vectorized.0, [2, 2, 1, 4]);
+    assert_eq!(
+        vectorized.1,
+        [
+            "1\t10\ts1\t1",
+            "2\t20\tu\t1",
+            "6\t7\ts6\t2",
+            "7\tNULL\tg\t1"
+        ]
+    );
+}
+
 // ---- satellites ----------------------------------------------------------
 
 #[test]

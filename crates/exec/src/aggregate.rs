@@ -11,12 +11,10 @@
 //! A build's per-group states ([`States`]) are columns on the compiled
 //! path — one [`FoldOut`] per aggregate from the fold to the output
 //! column — and accumulator rows (`Vec<Acc>` per group) only where the
-//! interpreter *is* the implementation: `hive.exec.pir.enabled = false`
-//! (the differential oracle) and `STDDEV_SAMP`. A build that spills is
+//! interpreter *is* the implementation: row mode (`vectorized = false`,
+//! the differential reference) and `STDDEV_SAMP`. A build that spills is
 //! the in-memory build over each spilled partition's positions, so it
 //! is compiled or interpreted exactly as the in-memory one would be.
-
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use crate::engine::align_column;
 use crate::kernels::eval_vector;

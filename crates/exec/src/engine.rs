@@ -2,11 +2,9 @@
 //! optimized logical plan, with per-node tracing feeding the simulated
 //! cluster time model.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use crate::aggregate::execute_aggregate_parts;
 use crate::join::execute_join_parts;
-use crate::kernels::{eval_rowmode, eval_vector, filter_indices, filter_indices_rowmode};
+use crate::kernels::{eval_rowmode, eval_vector, filter_indices_rowmode};
 use crate::keys::{column_refs, Grouper, KeySide};
 use crate::membroker::MemoryBroker;
 use crate::scan::{execute_scan, execute_scan_parts};
@@ -431,12 +429,13 @@ pub struct NodeTrace {
     /// operators with no parallel section, 1 for the serial fallback).
     pub parallel_workers: u64,
     /// Stages of this operator that executed fully compiled under the
-    /// physical IR (filter/project pipelines, aggregate accumulator
-    /// banks, join residual conjunctions). Zero when PIR is off.
+    /// physical IR (filter/project pipelines, a scan's predicate,
+    /// aggregate accumulator banks, join residual conjunctions). Zero
+    /// in row mode.
     pub pir_compiled_stages: u64,
-    /// Rows (candidate pairs, for join residuals) this operator ran
-    /// through the interpreter while PIR was on — non-compilable
-    /// expression shapes, spilled aggregates, grace joins.
+    /// Rows (candidate pairs, for join residuals) the vectorized engine
+    /// ran through the row interpreter here — non-compilable expression
+    /// shapes, grace joins.
     pub pir_fallback_rows: u64,
     pub children: Vec<NodeTrace>,
 }
@@ -548,9 +547,7 @@ pub(crate) fn execute_parts(
             LogicalPlan::Scan { table, .. } => {
                 table.handler.is_none() && ctx.scan_share_key(plan).is_none()
             }
-            LogicalPlan::Filter { .. } | LogicalPlan::Project { .. } => {
-                crate::pir::enabled(ctx.conf)
-            }
+            LogicalPlan::Filter { .. } | LogicalPlan::Project { .. } => ctx.conf.vectorized,
             LogicalPlan::Join { join_type, .. } => {
                 !matches!(join_type, JoinType::Right | JoinType::Full)
             }
@@ -600,7 +597,7 @@ fn execute_join_node(
     let rows_in = (lrows + rb.num_rows()) as u64;
     let sp = ctx.spill_ctx();
     let mut pc = crate::pir::PirCounters::default();
-    let pir = crate::pir::enabled(ctx.conf).then_some(&mut pc);
+    let pir = ctx.conf.vectorized.then_some(&mut pc);
     let out = execute_join_parts(
         &lparts,
         &rb,
@@ -655,27 +652,17 @@ fn execute_sel_inner(plan: &LogicalPlan, ctx: &ExecContext) -> Result<(SelBatch,
             t.rows_out = b.num_rows() as u64;
             Ok((SelBatch::from_batch(b), t))
         }
-        // Physical IR: fuse the maximal Filter/Project chain into one
-        // compiled pipeline over a shared base batch (§ DESIGN.md 4).
-        // The arms below remain the interpreter — the differential
-        // oracle `hive.exec.pir.enabled=false` falls back to.
-        LogicalPlan::Filter { .. } | LogicalPlan::Project { .. }
-            if crate::pir::enabled(ctx.conf) =>
-        {
+        // The vectorized engine fuses the maximal Filter/Project chain
+        // into one compiled pipeline over a shared base batch (DESIGN.md
+        // §4). The arms below are the row interpreter (Hive 1.2).
+        LogicalPlan::Filter { .. } | LogicalPlan::Project { .. } if ctx.conf.vectorized => {
             crate::pir::execute_chain(plan, ctx)
         }
         LogicalPlan::Filter { input, predicate } => {
             let (child, ct) = execute_sel(input, ctx)?;
             let rows_in = child.num_rows() as u64;
-            // Kernels evaluate the predicate over every batch row, so a
-            // stacked selection compacts first — vectorized evaluation
-            // must only ever see rows the eager path would have seen.
             let base = child.compact();
-            let idx = if ctx.conf.vectorized {
-                filter_indices(predicate, &base)?
-            } else {
-                filter_indices_rowmode(predicate, &base)?
-            };
+            let idx = filter_indices_rowmode(predicate, &base)?;
             let mut t = NodeTrace::leaf("Filter");
             t.rows_in = rows_in;
             t.rows_out = idx.len() as u64;
@@ -685,49 +672,16 @@ fn execute_sel_inner(plan: &LogicalPlan, ctx: &ExecContext) -> Result<(SelBatch,
         LogicalPlan::Project { input, exprs, .. } => {
             let (child, ct) = execute_sel(input, ctx)?;
             let rows_in = child.num_rows() as u64;
-            // All-trivial projections (bare column refs already in
-            // their declared types) re-share the child's columns and
-            // pass the selection through untouched — zero copies.
-            let trivial = ctx.conf.vectorized
-                && exprs.iter().enumerate().all(|(i, e)| {
-                    matches!(e, ScalarExpr::Column(c)
-                        if type_aligned(&child.batch.column(*c).data_type(), &schema.field(i).data_type))
-                });
-            if trivial {
-                let cols = exprs
-                    .iter()
-                    .map(|e| match e {
-                        ScalarExpr::Column(c) => child.batch.column_arc(*c).clone(),
-                        _ => unreachable!("trivial projection is all column refs"),
-                    })
-                    .collect();
-                let out = VectorBatch::from_arcs(schema.clone(), cols, child.batch.num_rows())?;
-                let mut t = NodeTrace::leaf("Project");
-                t.rows_in = rows_in;
-                t.rows_out = rows_in;
-                t.children = vec![ct];
-                return Ok((SelBatch::new(out, child.sel)?, t));
-            }
-            // General expressions evaluate over a compact batch so they
-            // only ever see selected rows (an unselected row could
-            // error — or cost — where the eager path would not).
             let base = child.compact();
-            let mut cols = Vec::with_capacity(exprs.len());
-            for (i, e) in exprs.iter().enumerate() {
-                if ctx.conf.vectorized {
-                    let col = eval_vector(e, &base)?;
-                    // Align the column to the declared output type.
-                    cols.push(align_column(col, &schema.field(i).data_type)?);
-                } else {
-                    // Row-mode results build the declared output column
-                    // directly (no whole-column `Vec<Value>` detour).
-                    cols.push(std::sync::Arc::new(eval_rowmode(
-                        e,
-                        &base,
-                        &schema.field(i).data_type,
-                    )?));
-                }
-            }
+            // Results build the declared output column directly (no
+            // whole-column `Vec<Value>` detour).
+            let cols = exprs
+                .iter()
+                .enumerate()
+                .map(|(i, e)| {
+                    eval_rowmode(e, &base, &schema.field(i).data_type).map(std::sync::Arc::new)
+                })
+                .collect::<Result<Vec<_>>>()?;
             let out = VectorBatch::from_arcs(schema.clone(), cols, base.num_rows())?;
             let mut t = NodeTrace::leaf("Project");
             t.rows_in = rows_in;
@@ -756,7 +710,7 @@ fn execute_sel_inner(plan: &LogicalPlan, ctx: &ExecContext) -> Result<(SelBatch,
             let rows_in = child_rows as u64;
             let sp = ctx.spill_ctx();
             let mut pc = crate::pir::PirCounters::default();
-            let pir = crate::pir::enabled(ctx.conf).then_some(&mut pc);
+            let pir = ctx.conf.vectorized.then_some(&mut pc);
             let out = execute_aggregate_parts(
                 &child,
                 group_exprs,

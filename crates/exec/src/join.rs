@@ -10,8 +10,6 @@
 //! contiguous row ranges otherwise — either way the outputs follow in
 //! part or range order, the serial probe order.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use crate::kernels::eval_vector;
 use crate::keys::{column_refs, partitions_for, JoinIndex, KeySide};
 use crate::pir::{PredPipeline, SelRef};
@@ -430,7 +428,7 @@ struct Build<'a> {
     /// The residual lowered to kernels: probe rows gather their
     /// candidate (probe, build) pairs into pair-batches and run the
     /// compiled conjunction vectorized. `None` (non-compilable shape, or
-    /// PIR off) keeps the row closure.
+    /// row mode) keeps the row closure.
     plan: Option<ResidualPlan>,
 }
 

@@ -1,26 +1,19 @@
-//! Vectorized expression evaluation over [`VectorBatch`]es.
+//! Vectorized evaluation of value expressions over [`VectorBatch`]es.
 //!
-//! Hot paths (column/literal comparisons, boolean combinators, numeric
-//! arithmetic) run column-at-a-time on the typed vectors; everything
-//! else falls back to the shared row evaluator
-//! ([`hive_optimizer::eval`]), which is also what the Hive-1.2
-//! row-interpreter mode uses for *all* expressions.
+//! Predicates do not come here: the vectorized engine compiles them
+//! through [`crate::pir`]. What remains is the value side — bare
+//! columns and literals share or broadcast, numeric `column ⊕ literal`
+//! arithmetic has a typed kernel, a single dictionary column evaluates
+//! once per distinct entry, and everything else falls back to the
+//! shared row evaluator ([`hive_optimizer::eval`]), which is also what
+//! the Hive-1.2 row-interpreter mode uses for *all* expressions.
 
-use hive_common::{
-    BitSet, ColumnBuilder, ColumnVector, DecUnit, HiveError, Result, Value, VectorBatch,
-};
-use hive_optimizer::eval::{eval_binary, eval_scalar};
+use crate::pir::kernel::live_nulls;
+use hive_common::{BitSet, ColumnBuilder, ColumnVector, Result, Value, VectorBatch};
+use hive_optimizer::eval::eval_scalar;
 use hive_optimizer::ScalarExpr;
 use hive_sql::BinaryOp;
-use std::cmp::Ordering;
 use std::sync::Arc;
-
-/// True when the column has no NULL rows (bitmap absent *or* empty),
-/// letting kernels skip their per-row null branch.
-#[inline]
-fn null_free(nulls: &Option<BitSet>) -> bool {
-    nulls.as_ref().is_none_or(|b| b.count_ones() == 0)
-}
 
 /// Evaluate an expression over every row of the batch, producing one
 /// column. Bare column references return the batch's shared handle —
@@ -29,119 +22,11 @@ pub fn eval_vector(expr: &ScalarExpr, batch: &VectorBatch) -> Result<Arc<ColumnV
     match expr {
         ScalarExpr::Column(i) => Ok(batch.column_arc(*i).clone()),
         ScalarExpr::Literal(v) => broadcast(v, batch.num_rows()).map(Arc::new),
-        ScalarExpr::Binary { op, left, right } => match op {
-            BinaryOp::And | BinaryOp::Or => {
-                let l = eval_vector(left, batch)?;
-                let r = eval_vector(right, batch)?;
-                bool_combine(*op, &l, &r).map(Arc::new)
-            }
-            _ => {
-                // Specialized compare/arith kernels when a typed fast
-                // path applies; fallback otherwise.
-                if let Some(out) = try_fast_binary(*op, left, right, batch)? {
-                    Ok(Arc::new(out))
-                } else {
-                    fallback(expr, batch).map(Arc::new)
-                }
-            }
+        ScalarExpr::Binary { op, left, right } => match try_fast_arith(*op, left, right, batch)? {
+            Some(out) => Ok(Arc::new(out)),
+            None => fallback(expr, batch).map(Arc::new),
         },
-        ScalarExpr::Not(e) => {
-            let v = eval_vector(e, batch)?;
-            match v.as_ref() {
-                ColumnVector::Boolean(vals, nulls) => Ok(Arc::new(ColumnVector::Boolean(
-                    vals.iter().map(|b| !b).collect(),
-                    nulls.clone(),
-                ))),
-                other => Err(HiveError::Execution(format!(
-                    "NOT over non-boolean column {}",
-                    other.data_type()
-                ))),
-            }
-        }
-        ScalarExpr::IsNull { expr, negated } => {
-            let v = eval_vector(expr, batch)?;
-            let out: Vec<bool> = (0..v.len()).map(|i| v.is_null(i) != *negated).collect();
-            Ok(Arc::new(ColumnVector::Boolean(out, None)))
-        }
-        ScalarExpr::Like {
-            expr: inner,
-            pattern,
-            negated,
-        } => {
-            // `col [NOT] LIKE 'prefix%'` (no metacharacters in the
-            // prefix) is a `starts_with` — per row over plain string
-            // columns, once per distinct entry over dictionaries.
-            if let (ScalarExpr::Column(c), ScalarExpr::Literal(Value::String(p))) =
-                (inner.as_ref(), pattern.as_ref())
-            {
-                if let Some(prefix) = like_prefix(p) {
-                    // Null rows hold `false` (the builder default the
-                    // row fallback leaves behind), never the verdict of
-                    // a stored placeholder value.
-                    match batch.column(*c) {
-                        ColumnVector::Str(v, nl) => {
-                            let mut out: Vec<bool> = v
-                                .iter()
-                                .map(|s| s.starts_with(prefix) != *negated)
-                                .collect();
-                            if let Some(bits) = nl {
-                                for i in bits.iter_ones() {
-                                    out[i] = false;
-                                }
-                            }
-                            return Ok(Arc::new(ColumnVector::Boolean(out, nl.clone())));
-                        }
-                        ColumnVector::Dict { codes, dict, nulls } => {
-                            let per_code: Vec<bool> = dict
-                                .iter()
-                                .map(|s| s.starts_with(prefix) != *negated)
-                                .collect();
-                            let mut out: Vec<bool> =
-                                codes.iter().map(|&c| per_code[c as usize]).collect();
-                            if let Some(bits) = nulls {
-                                for i in bits.iter_ones() {
-                                    out[i] = false;
-                                }
-                            }
-                            return Ok(Arc::new(ColumnVector::Boolean(out, nulls.clone())));
-                        }
-                        _ => {}
-                    }
-                }
-            }
-            fallback(expr, batch).map(Arc::new)
-        }
         _ => fallback(expr, batch).map(Arc::new),
-    }
-}
-
-/// Evaluate a boolean predicate and return the indexes of rows where it
-/// is TRUE (the vectorized selection).
-pub fn filter_indices(expr: &ScalarExpr, batch: &VectorBatch) -> Result<Vec<u32>> {
-    let col = eval_vector(expr, batch)?;
-    match col.as_ref() {
-        ColumnVector::Boolean(vals, nulls) => {
-            if null_free(nulls) {
-                // Null-free fast path: no per-row bitmap probe.
-                Ok(vals
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, &b)| b)
-                    .map(|(i, _)| i as u32)
-                    .collect())
-            } else {
-                Ok(vals
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, &b)| b && !nulls.as_ref().is_some_and(|n| n.get(*i)))
-                    .map(|(i, _)| i as u32)
-                    .collect())
-            }
-        }
-        other => Err(HiveError::Execution(format!(
-            "filter predicate produced {}",
-            other.data_type()
-        ))),
     }
 }
 
@@ -192,196 +77,6 @@ fn broadcast(v: &Value, n: usize) -> Result<ColumnVector> {
     ColumnVector::constant(v, &v.data_type(), n)
 }
 
-fn bool_combine(op: BinaryOp, l: &ColumnVector, r: &ColumnVector) -> Result<ColumnVector> {
-    let (lv, ln) = match l {
-        ColumnVector::Boolean(v, n) => (v, n),
-        other => {
-            return Err(HiveError::Execution(format!(
-                "AND/OR over {}",
-                other.data_type()
-            )))
-        }
-    };
-    let (rv, rn) = match r {
-        ColumnVector::Boolean(v, n) => (v, n),
-        other => {
-            return Err(HiveError::Execution(format!(
-                "AND/OR over {}",
-                other.data_type()
-            )))
-        }
-    };
-    let n = lv.len();
-    // Null-free fast path: with no NULL on either side, three-valued
-    // logic degenerates to plain boolean ops — skip the per-row null
-    // branches entirely.
-    if null_free(ln) && null_free(rn) {
-        let out: Vec<bool> = match op {
-            BinaryOp::And => lv.iter().zip(rv).map(|(&a, &b)| a && b).collect(),
-            BinaryOp::Or => lv.iter().zip(rv).map(|(&a, &b)| a || b).collect(),
-            other => {
-                return Err(HiveError::Execution(format!(
-                    "boolean kernel dispatched for non-logical operator {other:?}"
-                )))
-            }
-        };
-        return Ok(ColumnVector::Boolean(out, None));
-    }
-    let mut out = Vec::with_capacity(n);
-    let mut nulls: Option<BitSet> = None;
-    for i in 0..n {
-        let ln_i = ln.as_ref().is_some_and(|b| b.get(i));
-        let rn_i = rn.as_ref().is_some_and(|b| b.get(i));
-        // Three-valued logic.
-        let (val, is_null) = match op {
-            BinaryOp::And => match (ln_i, lv[i], rn_i, rv[i]) {
-                (false, false, _, _) | (_, _, false, false) => (false, false),
-                (false, true, false, true) => (true, false),
-                _ => (false, true),
-            },
-            BinaryOp::Or => match (ln_i, lv[i], rn_i, rv[i]) {
-                (false, true, _, _) | (_, _, false, true) => (true, false),
-                (false, false, false, false) => (false, false),
-                _ => (false, true),
-            },
-            other => {
-                return Err(HiveError::Execution(format!(
-                    "boolean kernel dispatched for non-logical operator {other:?}"
-                )))
-            }
-        };
-        if is_null {
-            nulls.get_or_insert_with(|| BitSet::new(n)).set(i);
-        }
-        out.push(val);
-    }
-    Ok(ColumnVector::Boolean(out, nulls))
-}
-
-/// Try the typed fast path for a comparison or arithmetic op; returns
-/// `None` when the shapes are not specialized.
-fn try_fast_binary(
-    op: BinaryOp,
-    left: &ScalarExpr,
-    right: &ScalarExpr,
-    batch: &VectorBatch,
-) -> Result<Option<ColumnVector>> {
-    if !op.is_comparison() {
-        // +,-,* on integer/double columns have a typed kernel; decimal
-        // and division fall back (precision rules live in Value).
-        return try_fast_arith(op, left, right, batch);
-    }
-    // column vs literal comparison over primitive types.
-    let (col_expr, lit, flipped) = match (left, right) {
-        (ScalarExpr::Column(c), ScalarExpr::Literal(v)) => (*c, v, false),
-        (ScalarExpr::Literal(v), ScalarExpr::Column(c)) => (*c, v, true),
-        _ => return Ok(None),
-    };
-    if lit.is_null() {
-        return Ok(None);
-    }
-    let col = batch.column(col_expr);
-    let n = col.len();
-    let op = if flipped { flip(op) } else { op };
-    macro_rules! cmp_prim {
-        ($vals:expr, $nulls:expr, $lit:expr) => {{
-            let lit = $lit;
-            let mut out = Vec::with_capacity(n);
-            for v in $vals.iter() {
-                out.push(apply_ord(op, v.partial_cmp(&lit)));
-            }
-            Ok(Some(ColumnVector::Boolean(out, $nulls.clone())))
-        }};
-    }
-    match (col, lit) {
-        (ColumnVector::Int(v, nl), Value::Int(x)) => cmp_prim!(v, nl, *x),
-        (ColumnVector::BigInt(v, nl), Value::BigInt(x)) => cmp_prim!(v, nl, *x),
-        (ColumnVector::BigInt(v, nl), Value::Int(x)) => cmp_prim!(v, nl, *x as i64),
-        (ColumnVector::Int(v, nl), Value::BigInt(x)) => {
-            let lit = *x;
-            let mut out = Vec::with_capacity(n);
-            for v in v.iter() {
-                out.push(apply_ord(op, (*v as i64).partial_cmp(&lit)));
-            }
-            Ok(Some(ColumnVector::Boolean(out, nl.clone())))
-        }
-        (ColumnVector::Double(v, nl), Value::Double(x)) => cmp_prim!(v, nl, *x),
-        (ColumnVector::Double(v, nl), Value::Int(x)) => cmp_prim!(v, nl, *x as f64),
-        (ColumnVector::Date(v, nl), Value::Date(x)) => cmp_prim!(v, nl, *x),
-        (ColumnVector::Timestamp(v, nl), Value::Timestamp(x)) => cmp_prim!(v, nl, *x),
-        (ColumnVector::Str(v, nl), Value::String(x)) => {
-            let mut out = Vec::with_capacity(n);
-            for s in v.iter() {
-                out.push(apply_ord(op, Some(s.as_str().cmp(x.as_str()))));
-            }
-            Ok(Some(ColumnVector::Boolean(out, nl.clone())))
-        }
-        (ColumnVector::Dict { codes, dict, nulls }, Value::String(x)) => {
-            // Compare once per distinct dictionary entry, then expand
-            // the per-code verdicts through the codes — one string
-            // comparison per *distinct* value instead of per row.
-            let per_code: Vec<bool> = dict
-                .iter()
-                .map(|s| apply_ord(op, Some(s.as_str().cmp(x.as_str()))))
-                .collect();
-            let out: Vec<bool> = codes.iter().map(|&c| per_code[c as usize]).collect();
-            Ok(Some(ColumnVector::Boolean(out, nulls.clone())))
-        }
-        (ColumnVector::Decimal(v, s, nl), lit) => {
-            // `sql_cmp` compares decimals exactly at the wider scale.
-            // Rescaling the literal *down* to the column scale rounds
-            // (half away from zero), so when the literal carries more
-            // fractional digits the rows widen instead.
-            let (lit, factor) = match lit {
-                Value::Decimal(u, s2) if s2 <= s => (hive_common::value::rescale(*u, *s2, *s), 1),
-                Value::Decimal(u, s2) => (*u, hive_common::value::pow10(*s2 - *s)),
-                Value::Int(x) => (*x as i128 * hive_common::value::pow10(*s), 1),
-                Value::BigInt(x) => (*x as i128 * hive_common::value::pow10(*s), 1),
-                _ => return Ok(None),
-            };
-            let out = hive_common::with_dec!(v, v => v
-                .iter()
-                .map(|x| apply_ord(op, (x.wide() * factor).partial_cmp(&lit)))
-                .collect());
-            Ok(Some(ColumnVector::Boolean(out, nl.clone())))
-        }
-        // Reversed orientation: integer column against a decimal
-        // literal. `sql_cmp` scales the *integer* up to the literal's
-        // scale and compares exactly — never round the literal down to
-        // the integer (`1 < 1.5` and `2 > 1.5` must both hold).
-        (ColumnVector::Int(v, nl), Value::Decimal(u, s2)) => {
-            let (lit, factor) = (*u, hive_common::value::pow10(*s2));
-            let mut out = Vec::with_capacity(n);
-            for v in v.iter() {
-                out.push(apply_ord(op, (*v as i128 * factor).partial_cmp(&lit)));
-            }
-            Ok(Some(ColumnVector::Boolean(out, nl.clone())))
-        }
-        (ColumnVector::BigInt(v, nl), Value::Decimal(u, s2)) => {
-            let (lit, factor) = (*u, hive_common::value::pow10(*s2));
-            let mut out = Vec::with_capacity(n);
-            for v in v.iter() {
-                out.push(apply_ord(op, (*v as i128 * factor).partial_cmp(&lit)));
-            }
-            Ok(Some(ColumnVector::Boolean(out, nl.clone())))
-        }
-        _ => Ok(None),
-    }
-}
-
-/// The literal prefix of a LIKE pattern of the shape `prefix%` — a
-/// prefix free of metacharacters followed by a single trailing `%`.
-/// Such patterns reduce to `starts_with`, the shape both the
-/// vectorized fast path below and the PIR `StrPrefix` kernel key on
-/// (one gating function so the two can never disagree).
-pub(crate) fn like_prefix(pattern: &str) -> Option<&str> {
-    let prefix = pattern.strip_suffix('%')?;
-    if prefix.contains(['%', '_', '\\']) {
-        return None;
-    }
-    Some(prefix)
-}
-
 /// Typed kernel for `column ⊕ literal` (either side) with ⊕ in
 /// `{+,-,*}` over Int/BigInt/Double. Semantics — promotion, the
 /// wrap-through-cast behavior of `Value`'s integer ops (i128 math then
@@ -430,17 +125,15 @@ fn try_fast_arith(
         nl: &Option<BitSet>,
         f: impl Fn(T) -> O,
     ) -> (Vec<O>, Option<BitSet>) {
-        if null_free(nl) {
-            (vals.iter().map(|&v| f(v)).collect(), nl.clone())
-        } else {
-            let b = nl.as_ref().expect("non-empty bitmap");
-            let out = vals
+        let out = match live_nulls(nl) {
+            None => vals.iter().map(|&v| f(v)).collect(),
+            Some(b) => vals
                 .iter()
                 .enumerate()
                 .map(|(i, &v)| if b.get(i) { O::default() } else { f(v) })
-                .collect();
-            (out, nl.clone())
-        }
+                .collect(),
+        };
+        (out, nl.clone())
     }
     Ok(match (col, lit) {
         (ColumnVector::Int(v, nl), Value::Int(x)) => {
@@ -496,33 +189,10 @@ fn try_fast_arith(
     })
 }
 
-fn flip(op: BinaryOp) -> BinaryOp {
-    match op {
-        BinaryOp::Lt => BinaryOp::Gt,
-        BinaryOp::LtEq => BinaryOp::GtEq,
-        BinaryOp::Gt => BinaryOp::Lt,
-        BinaryOp::GtEq => BinaryOp::LtEq,
-        other => other,
-    }
-}
-
-fn apply_ord(op: BinaryOp, ord: Option<Ordering>) -> bool {
-    match ord {
-        None => false,
-        Some(o) => match op {
-            BinaryOp::Eq => o == Ordering::Equal,
-            BinaryOp::NotEq => o != Ordering::Equal,
-            BinaryOp::Lt => o == Ordering::Less,
-            BinaryOp::LtEq => o != Ordering::Greater,
-            BinaryOp::Gt => o == Ordering::Greater,
-            BinaryOp::GtEq => o != Ordering::Less,
-            _ => false,
-        },
-    }
-}
-
 /// Row-fallback evaluation into a typed column. The output type comes
-/// from the expression's static type against the batch schema.
+/// from the expression's static type against the batch schema. One row
+/// buffer is reused across the loop, and only the columns the
+/// expression reads are materialized into it.
 fn fallback(expr: &ScalarExpr, batch: &VectorBatch) -> Result<ColumnVector> {
     if let Some(out) = eval_dict_unary(expr, batch)? {
         return Ok(out);
@@ -533,11 +203,14 @@ fn fallback(expr: &ScalarExpr, batch: &VectorBatch) -> Result<ColumnVector> {
     } else {
         dt
     };
+    let cols = expr.columns();
     let mut b = ColumnBuilder::new(&dt)?;
+    let mut vals = vec![Value::Null; batch.num_columns()];
     for i in 0..batch.num_rows() {
-        let row = batch.row(i);
-        let v = eval_scalar(expr, row.values())?;
-        b.push(&v)?;
+        for &c in &cols {
+            vals[c] = batch.column(c).get(i);
+        }
+        b.push(&eval_scalar(expr, &vals)?)?;
     }
     Ok(b.finish())
 }
@@ -584,16 +257,21 @@ fn eval_dict_unary(expr: &ScalarExpr, batch: &VectorBatch) -> Result<Option<Colu
     Ok(Some(b.finish()))
 }
 
-/// Evaluate a binary op on two scalars — re-exported convenience for
-/// operators that need ad-hoc value comparisons.
-pub fn eval_value_binary(op: BinaryOp, l: &Value, r: &Value) -> Result<Value> {
-    eval_binary(op, l, r)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pir::{PredPipeline, SelRef};
     use hive_common::{DataType, Field, Row, Schema};
+
+    /// The compiled predicate's pass set over every row of `b` — the
+    /// rows the vectorized engine keeps.
+    fn compiled(e: &ScalarExpr, b: &VectorBatch) -> Result<Vec<u32>> {
+        let n = b.num_rows();
+        let pipe = PredPipeline::compile(e, b.schema(), None, false);
+        Ok(pipe
+            .select(b, SelRef::All(n))?
+            .unwrap_or_else(|| (0..n as u32).collect()))
+    }
 
     fn batch() -> VectorBatch {
         let schema = Schema::new(vec![
@@ -617,21 +295,21 @@ mod tests {
     }
 
     #[test]
-    fn fast_compare_int() {
+    fn compare_int_either_orientation() {
         let b = batch();
         let e = ScalarExpr::Binary {
             op: BinaryOp::Gt,
             left: Box::new(ScalarExpr::Column(0)),
             right: Box::new(ScalarExpr::Literal(Value::Int(4))),
         };
-        assert_eq!(filter_indices(&e, &b).unwrap(), vec![1, 2]);
+        assert_eq!(compiled(&e, &b).unwrap(), vec![1, 2]);
         // Flipped literal side.
         let e2 = ScalarExpr::Binary {
             op: BinaryOp::Gt,
             left: Box::new(ScalarExpr::Literal(Value::Int(4))),
             right: Box::new(ScalarExpr::Column(0)),
         };
-        assert_eq!(filter_indices(&e2, &b).unwrap(), vec![0]);
+        assert_eq!(compiled(&e2, &b).unwrap(), vec![0]);
     }
 
     #[test]
@@ -642,14 +320,14 @@ mod tests {
             left: Box::new(ScalarExpr::Column(1)),
             right: Box::new(ScalarExpr::Literal(Value::String("x".into()))),
         };
-        assert_eq!(filter_indices(&e, &b).unwrap(), vec![0]);
+        assert_eq!(compiled(&e, &b).unwrap(), vec![0]);
         // Decimal null row filtered out too.
         let e2 = ScalarExpr::Binary {
             op: BinaryOp::LtEq,
             left: Box::new(ScalarExpr::Column(2)),
             right: Box::new(ScalarExpr::Literal(Value::Decimal(300, 2))),
         };
-        assert_eq!(filter_indices(&e2, &b).unwrap(), vec![0, 1]);
+        assert_eq!(compiled(&e2, &b).unwrap(), vec![0, 1]);
     }
 
     #[test]
@@ -680,7 +358,7 @@ mod tests {
         ];
         for e in exprs {
             assert_eq!(
-                filter_indices(&e, &b).unwrap(),
+                compiled(&e, &b).unwrap(),
                 filter_indices_rowmode(&e, &b).unwrap(),
                 "mode divergence for {e}"
             );
@@ -704,7 +382,7 @@ mod tests {
                 right: Box::new(ScalarExpr::Literal(Value::Int(0))),
             }),
         };
-        assert_eq!(filter_indices(&e, &b).unwrap(), vec![0]);
+        assert_eq!(compiled(&e, &b).unwrap(), vec![0]);
     }
 
     #[test]
@@ -823,11 +501,11 @@ mod tests {
         assert_eq!(*fast.as_ref(), slow);
     }
 
-    /// Comparison kernels and the AND/OR combinator agree with the row
-    /// interpreter on both the null-free and the nullable batch (the
-    /// null-free batch drives the branch-free selection path).
+    /// Comparison kernels and AND/OR agree with the row interpreter on
+    /// both the null-free and the nullable batch (the null-free batch
+    /// drives the branch-free loops).
     #[test]
-    fn fast_compare_and_bool_match_rowmode_both_paths() {
+    fn compare_and_bool_match_rowmode_both_paths() {
         let (dense, holey) = numeric_batches();
         let cmp = |op, col, lit: Value| bin(op, ScalarExpr::Column(col), ScalarExpr::Literal(lit));
         let exprs = vec![
@@ -848,16 +526,12 @@ mod tests {
         for b in [&dense, &holey] {
             for e in &exprs {
                 assert_eq!(
-                    filter_indices(e, b).unwrap(),
+                    compiled(e, b).unwrap(),
                     filter_indices_rowmode(e, b).unwrap(),
                     "mode divergence for {e}"
                 );
             }
         }
-        // The dense batch's boolean outputs carry no null bitmap, so
-        // bool_combine's fast path applies end to end.
-        let l = eval_vector(&exprs[0], &dense).unwrap();
-        assert!(matches!(l.as_ref(), ColumnVector::Boolean(_, None)));
     }
 
     /// A scale-3 literal against a Decimal(7,2) column must compare at
@@ -889,7 +563,7 @@ mod tests {
         ] {
             let e = bin(op, ScalarExpr::Column(0), ScalarExpr::Literal(lit.clone()));
             assert_eq!(
-                filter_indices(&e, &b).unwrap(),
+                compiled(&e, &b).unwrap(),
                 filter_indices_rowmode(&e, &b).unwrap(),
                 "mode divergence for {e}"
             );
@@ -901,13 +575,13 @@ mod tests {
             ScalarExpr::Column(0),
             ScalarExpr::Literal(lit.clone()),
         );
-        assert_eq!(filter_indices(&lt, &b).unwrap(), vec![0]);
+        assert_eq!(compiled(&lt, &b).unwrap(), vec![0]);
         let gt = bin(
             BinaryOp::Gt,
             ScalarExpr::Column(0),
             ScalarExpr::Literal(lit),
         );
-        assert_eq!(filter_indices(&gt, &b).unwrap(), vec![1, 2]);
+        assert_eq!(compiled(&gt, &b).unwrap(), vec![1, 2]);
         // Integer literals rescale to the column's scale losslessly.
         for op in [BinaryOp::Eq, BinaryOp::Gt] {
             let e = bin(
@@ -916,7 +590,7 @@ mod tests {
                 ScalarExpr::Literal(Value::BigInt(1)),
             );
             assert_eq!(
-                filter_indices(&e, &b).unwrap(),
+                compiled(&e, &b).unwrap(),
                 filter_indices_rowmode(&e, &b).unwrap(),
                 "mode divergence for {e}"
             );
@@ -956,7 +630,7 @@ mod tests {
             ] {
                 let e = bin(op, ScalarExpr::Column(c), ScalarExpr::Literal(lit.clone()));
                 assert_eq!(
-                    filter_indices(&e, &b).unwrap(),
+                    compiled(&e, &b).unwrap(),
                     filter_indices_rowmode(&e, &b).unwrap(),
                     "mode divergence for {e}"
                 );
@@ -970,13 +644,13 @@ mod tests {
                 ScalarExpr::Column(c),
                 ScalarExpr::Literal(lit.clone()),
             );
-            assert_eq!(filter_indices(&lt, &b).unwrap(), vec![0], "col {c}");
+            assert_eq!(compiled(&lt, &b).unwrap(), vec![0], "col {c}");
             let gt = bin(
                 BinaryOp::Gt,
                 ScalarExpr::Column(c),
                 ScalarExpr::Literal(lit.clone()),
             );
-            assert_eq!(filter_indices(&gt, &b).unwrap(), vec![1], "col {c}");
+            assert_eq!(compiled(&gt, &b).unwrap(), vec![1], "col {c}");
         }
         // Flipped operand order exercises the same arms through `flip`.
         let flipped = bin(
@@ -985,19 +659,19 @@ mod tests {
             ScalarExpr::Column(1),
         );
         assert_eq!(
-            filter_indices(&flipped, &b).unwrap(),
+            compiled(&flipped, &b).unwrap(),
             filter_indices_rowmode(&flipped, &b).unwrap(),
             "flipped divergence"
         );
-        assert_eq!(filter_indices(&flipped, &b).unwrap(), vec![0]);
+        assert_eq!(compiled(&flipped, &b).unwrap(), vec![0]);
     }
 
     /// Ordering comparisons and prefix LIKE over a dictionary column
-    /// take the per-entry fast paths; their pass sets must match the
-    /// row interpreter, including null rows and negation. A non-prefix
+    /// take the per-entry kernels; their pass sets must match the row
+    /// interpreter, including null rows and negation. A non-prefix
     /// pattern pins the gating: it must fall back, and still agree.
     #[test]
-    fn dict_fast_paths_match_rowmode() {
+    fn dict_predicates_match_rowmode() {
         let schema = Schema::new(vec![Field::new("s", DataType::String)]);
         let dict = std::sync::Arc::new(vec![
             "apple".to_string(),
@@ -1030,40 +704,165 @@ mod tests {
         ];
         for e in &exprs {
             assert_eq!(
-                filter_indices(e, &b).unwrap(),
+                compiled(e, &b).unwrap(),
                 filter_indices_rowmode(e, &b).unwrap(),
                 "mode divergence for {e}"
             );
         }
         // Spot-check the sets themselves: codes [apple, banana,
         // apricot, NULL, banana].
-        assert_eq!(filter_indices(&exprs[0], &b).unwrap(), vec![0, 2]);
-        assert_eq!(filter_indices(&exprs[2], &b).unwrap(), vec![0, 2]);
-        assert_eq!(filter_indices(&exprs[3], &b).unwrap(), vec![1, 4]);
-        assert_eq!(filter_indices(&exprs[4], &b).unwrap(), vec![1, 4]);
+        assert_eq!(compiled(&exprs[0], &b).unwrap(), vec![0, 2]);
+        assert_eq!(compiled(&exprs[2], &b).unwrap(), vec![0, 2]);
+        assert_eq!(compiled(&exprs[3], &b).unwrap(), vec![1, 4]);
+        assert_eq!(compiled(&exprs[4], &b).unwrap(), vec![1, 4]);
     }
 
-    /// The prefix-LIKE vector arm over a plain string column produces
-    /// the same bytes as the row-at-a-time fallback it replaced.
+    /// Prefix LIKE over a plain string column (NULL row included) keeps
+    /// the row interpreter's rows, negated or not.
     #[test]
-    fn like_prefix_fast_arm_matches_fallback_bytes() {
+    fn like_prefix_over_plain_strings_matches_rowmode() {
         let b = batch();
-        for negated in [false, true] {
+        for (pattern, negated) in [("x%", false), ("x%", true), ("%", false), ("x_%", false)] {
             let e = ScalarExpr::Like {
                 expr: Box::new(ScalarExpr::Column(1)),
-                pattern: Box::new(ScalarExpr::Literal(Value::String("x%".into()))),
+                pattern: Box::new(ScalarExpr::Literal(Value::String(pattern.into()))),
                 negated,
             };
-            let fast = eval_vector(&e, &b).unwrap();
-            let slow = fallback(&e, &b).unwrap();
-            assert_eq!(*fast.as_ref(), slow, "byte divergence for {e}");
+            assert_eq!(
+                compiled(&e, &b).unwrap(),
+                filter_indices_rowmode(&e, &b).unwrap(),
+                "mode divergence for {e}"
+            );
         }
-        // Escapes and mid-pattern wildcards are not prefixes.
-        assert_eq!(like_prefix("ab%"), Some("ab"));
-        assert_eq!(like_prefix("%"), Some(""));
-        assert_eq!(like_prefix("a_b%"), None);
-        assert_eq!(like_prefix("a\\%b%"), None);
-        assert_eq!(like_prefix("a%b"), None);
+    }
+
+    /// The edges a typed comparison can get wrong: NaN and signed zeros
+    /// in a DOUBLE column, an INT column against BIGINT literals past
+    /// `i32`, a DOUBLE column against an INT literal, and NULL literals
+    /// (which no row passes, negated or not).
+    #[test]
+    fn nan_wide_and_null_literals_match_rowmode() {
+        let schema = Schema::new(vec![
+            Field::new("f", DataType::Double),
+            Field::new("i", DataType::Int),
+        ]);
+        let b = VectorBatch::from_rows(
+            &schema,
+            &[
+                Row::new(vec![Value::Double(f64::NAN), Value::Int(i32::MAX)]),
+                Row::new(vec![Value::Double(0.0), Value::Int(i32::MIN)]),
+                Row::new(vec![Value::Double(-0.0), Value::Int(0)]),
+                Row::new(vec![Value::Double(2.0), Value::Null]),
+                Row::new(vec![Value::Null, Value::Int(7)]),
+            ],
+        )
+        .unwrap();
+        let lits = [
+            (0, Value::Double(f64::NAN)),
+            (0, Value::Double(0.0)),
+            (0, Value::Double(-0.0)),
+            (0, Value::Int(2)),
+            (1, Value::BigInt(3_000_000_000)),
+            (1, Value::BigInt(-3_000_000_000)),
+            (1, Value::BigInt(7)),
+            (0, Value::Null),
+            (1, Value::Null),
+        ];
+        for (c, lit) in lits {
+            for op in [
+                BinaryOp::Lt,
+                BinaryOp::LtEq,
+                BinaryOp::Gt,
+                BinaryOp::GtEq,
+                BinaryOp::Eq,
+                BinaryOp::NotEq,
+            ] {
+                for flipped in [false, true] {
+                    let (l, r) = (ScalarExpr::Column(c), ScalarExpr::Literal(lit.clone()));
+                    let e = if flipped {
+                        bin(op, r, l)
+                    } else {
+                        bin(op, l, r)
+                    };
+                    for e in [e.clone(), ScalarExpr::Not(Box::new(e))] {
+                        assert_eq!(
+                            compiled(&e, &b).unwrap(),
+                            filter_indices_rowmode(&e, &b).unwrap(),
+                            "mode divergence for {e}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// The row fallback reads only the columns an expression references.
+    /// Its output must equal the whole-row evaluation it replaced —
+    /// unreferenced string columns, NULLs and all — bit for bit.
+    #[test]
+    fn fallback_reading_referenced_columns_equals_whole_row_evaluation() {
+        let schema = Schema::new(vec![
+            Field::new("pad0", DataType::String),
+            Field::new("a", DataType::Int),
+            Field::new("s", DataType::String),
+            Field::new("pad1", DataType::String),
+            Field::new("d", DataType::Decimal(7, 2)),
+        ]);
+        let rows: Vec<Row> = (0..40)
+            .map(|i| {
+                let null_if = |k: i32, v: Value| if i % k == 0 { Value::Null } else { v };
+                Row::new(vec![
+                    Value::String(format!("unread-{i}")),
+                    null_if(5, Value::Int(i - 20)),
+                    null_if(7, Value::String(format!("s{}", i % 9))),
+                    null_if(3, Value::String("z".repeat(i as usize))),
+                    null_if(4, Value::Decimal(i as i128 * 37, 2)),
+                ])
+            })
+            .collect();
+        let b = VectorBatch::from_rows(&schema, &rows).unwrap();
+        let whole_rows = |e: &ScalarExpr| -> ColumnVector {
+            let mut out = ColumnBuilder::new(&e.data_type(b.schema()).unwrap()).unwrap();
+            for i in 0..b.num_rows() {
+                out.push(&eval_scalar(e, b.row(i).values()).unwrap())
+                    .unwrap();
+            }
+            out.finish()
+        };
+        let exprs = vec![
+            ScalarExpr::Func {
+                func: hive_optimizer::BuiltinFunc::Upper,
+                args: vec![ScalarExpr::Column(2)],
+            },
+            bin(
+                BinaryOp::Multiply,
+                ScalarExpr::Column(4),
+                ScalarExpr::Column(1),
+            ),
+            bin(
+                BinaryOp::Gt,
+                ScalarExpr::Column(1),
+                ScalarExpr::Literal(Value::Int(3)),
+            ),
+            ScalarExpr::Case {
+                operand: None,
+                branches: vec![(
+                    ScalarExpr::IsNull {
+                        expr: Box::new(ScalarExpr::Column(2)),
+                        negated: false,
+                    },
+                    ScalarExpr::Column(1),
+                )],
+                else_expr: Some(Box::new(ScalarExpr::Literal(Value::Int(-1)))),
+            },
+        ];
+        for e in &exprs {
+            assert_eq!(
+                fallback(e, &b).unwrap(),
+                whole_rows(e),
+                "divergence for {e}"
+            );
+        }
     }
 
     /// Row-mode projection builds the declared output column directly;

@@ -43,8 +43,6 @@
 //! position or probe range). Both hashes are fixed functions, so
 //! `HIVE_FAULT_SEED` replay is unaffected.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use crate::rawtable::RawTable;
 use hive_common::hash::{self, fnv1a};
 use hive_common::{BitSet, ColumnVector, HiveError, Result, SelVec, Value};

@@ -13,6 +13,8 @@
 //! path and a row-interpreter Hive-1.2 emulation used as the Figure 7
 //! baseline.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod aggregate;
 pub(crate) mod dict;
 pub mod engine;

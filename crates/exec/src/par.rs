@@ -37,8 +37,6 @@
 //!   admission accounting stay in agreement. The pool decides only
 //!   *which* thread runs a claim loop, never how many may.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use hive_common::{HiveError, Result};
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;

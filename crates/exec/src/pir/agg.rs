@@ -65,8 +65,6 @@
 //! surfaces first may differ from the interpreter. Any failing query
 //! fails under both paths; only the reported error can differ.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use super::kernel::column_nulls;
 use crate::engine::align_column;
 use crate::keys::{Grouper, KeySide};

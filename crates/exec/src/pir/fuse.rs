@@ -1,9 +1,10 @@
 //! Operator fusion: execute a `Filter`/`Project` chain as one compiled
 //! pipeline over a single selection vector.
 //!
-//! The interpreter materializes between stages: `Filter` compacts its
-//! child before evaluating (a full gather of every column), `Project`
-//! compacts again before `eval_vector`. Fusion peels the maximal chain
+//! Evaluated one operator at a time, a chain materializes between
+//! stages: `Filter` compacts its child before evaluating (a full gather
+//! of every column), `Project` compacts again before evaluating. Fusion
+//! peels the maximal chain
 //! of `Filter`/`Project` nodes off the plan, executes the shared
 //! source once, and then runs each stage **against the same base
 //! batch**, only narrowing the selection (filters) or evaluating at
@@ -13,18 +14,17 @@
 //!
 //! ## What fusion must preserve
 //!
-//! - **Results**: each stage's pass-set/outputs are exactly the
+//! - **Results**: each stage's pass-set/outputs are exactly the row
 //!   interpreter's (see [`super::kernel`]'s pass-set contract; fused
-//!   projections evaluate through the same `eval_vector` kernels the
-//!   interpreter uses, over a gather of only the *referenced*
-//!   columns).
+//!   projections evaluate through `eval_vector`, over a gather of only
+//!   the *referenced* columns).
 //! - **Traces**: one `NodeTrace` per peeled stage, same labels and row
 //!   counts, so runtime re-optimization feedback and the simulated
 //!   clock see an identical tree.
 //! - **Fault schedule**: `apply_fragment_faults` rolls per executed
-//!   plan vertex, keyed by label, bottom-up. Fused stages roll in
-//!   interpreter order — every stage here except the topmost (whose
-//!   roll happens in the `execute_sel` wrapper, as for any node).
+//!   plan vertex, keyed by label, bottom-up. Fused stages roll in plan
+//!   order — every stage here except the topmost (whose roll happens in
+//!   the `execute_sel` wrapper, as for any node).
 //! - **Pipeline breakers**: fusion stops at any non-Filter/Project
 //!   node and at shared subtrees (their results materialize once via
 //!   `compact()` and are reused by fingerprint — fusing across that
@@ -149,8 +149,7 @@ fn run_chain(
             }
             Stage::Project { exprs, schema } => {
                 // All-trivial projection: re-share column handles, the
-                // selection passes through untouched (the interpreter's
-                // zero-copy fast path).
+                // selection passes through untouched (zero copies).
                 let trivial = exprs.iter().enumerate().all(|(i, e)| {
                     matches!(e, ScalarExpr::Column(c)
                         if type_aligned(&first.column(*c).data_type(), &schema.field(i).data_type))
@@ -173,7 +172,7 @@ fn run_chain(
         st.children = vec![trace];
         if i > 0 {
             // Interior stage: roll its fault schedule here, exactly
-            // where the interpreter's per-node `execute_sel` would.
+            // where a per-node `execute_sel` would.
             // The topmost stage's roll happens in our caller.
             crate::recovery::apply_fragment_faults(ctx, &mut st)?;
         }
@@ -225,17 +224,19 @@ fn run_project(
         let cols = exprs
             .iter()
             .map(|e| match e {
-                ScalarExpr::Column(c) => sb.batch.column_arc(*c).clone(),
-                _ => unreachable!("trivial projection is all column refs"),
+                ScalarExpr::Column(c) => Ok(sb.batch.column_arc(*c).clone()),
+                other => Err(HiveError::Execution(format!(
+                    "trivial projection over a non-column expression {other}"
+                ))),
             })
-            .collect();
+            .collect::<Result<_>>()?;
         let out = VectorBatch::from_arcs(out_schema.clone(), cols, sb.batch.num_rows())?;
         return SelBatch::new(out, sb.sel);
     };
     let n = sb.num_rows();
     // The evaluation base: at an identity selection the child's columns
     // are shared as-is; otherwise gather *only referenced* columns
-    // (the interpreter's compact() gathers every column) and pad the
+    // (a compact() gathers every column) and pad the
     // rest with typed all-NULL columns so positional references line
     // up. Expressions never read the padding.
     let base = if sb.sel.is_all() {
@@ -270,8 +271,7 @@ fn run_project(
     };
     // Hoisted common subexpressions evaluate once into temp columns
     // (they reference base columns only), then the distinct outputs
-    // evaluate over the extended batch through the same `eval_vector`
-    // kernels the interpreter uses.
+    // evaluate over the extended batch through `eval_vector`.
     let mut cols: Vec<Arc<ColumnVector>> = (0..base.num_columns())
         .map(|c| base.column_arc(c).clone())
         .collect();

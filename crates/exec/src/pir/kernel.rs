@@ -1,22 +1,19 @@
 //! Type-specialized predicate kernels — the monomorphization layer of
 //! the physical IR.
 //!
-//! The interpreter ([`crate::kernels`]) re-discovers the column
-//! representation of every operand on every batch: `try_fast_binary`
-//! matches on [`ColumnVector`] variants, and a miss walks rows through
-//! `eval_scalar`. A [`PredKernel`] is the result of doing that match
-//! **once at lowering time**: the comparison literal is pre-coerced
-//! into the column's kernel domain ([`CmpSpec`]) and evaluation is a
-//! tight loop over the selection vector with no per-batch dispatch.
+//! A [`PredKernel`] resolves a predicate's shape **once at lowering
+//! time**: the comparison literal is pre-coerced into the column's
+//! kernel domain ([`CmpSpec`]) and evaluation is a tight loop over the
+//! selection vector with no per-batch dispatch on [`ColumnVector`]
+//! variants. Shapes with no kernel run the row interpreter
+//! (`eval_scalar`) at the selected rows only.
 //!
 //! Pass-set contract: for every kernel, `select(batch, sel)` returns
 //! exactly the rows of `sel` (in `sel` order) on which the source
-//! predicate evaluates to SQL TRUE — the same set
-//! [`crate::kernels::filter_indices`] would keep after compacting
-//! `sel`. NULL comparisons never pass (three-valued logic), so
-//! `AND` is an ordered short-circuit intersection and `OR` a union.
-
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+//! predicate evaluates to SQL TRUE under `eval_scalar` — the set
+//! [`crate::kernels::filter_indices_rowmode`] keeps. NULL comparisons
+//! never pass (three-valued logic), so `AND` is an ordered
+//! short-circuit intersection and `OR` a union.
 
 use hive_common::value::{dec_to_f64, pow10};
 use hive_common::{
@@ -71,13 +68,13 @@ fn for_each_sel(sel: SelRef<'_>, mut f: impl FnMut(u32)) {
 /// The bitmap a row loop has to consult: `None` when the column has no
 /// NULL row (no bitmap, or one with no bit set).
 #[inline]
-fn live_nulls(nulls: &Option<BitSet>) -> Option<&BitSet> {
+pub(crate) fn live_nulls(nulls: &Option<BitSet>) -> Option<&BitSet> {
     nulls.as_ref().filter(|b| b.count_ones() > 0)
 }
 
 /// A comparison operator resolved to its verdict per [`Ordering`] —
 /// computed once at lowering so the row loop is a table lookup instead
-/// of an operator match (`apply_ord` per row in the interpreter).
+/// of an operator match per row.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct OrdMask {
     lt: bool,
@@ -169,8 +166,8 @@ impl CmpSpec {
     }
 
     /// Coerce a literal into the comparison domain of a column of
-    /// kernel type `kt`. Mirrors the `(column, literal)` pairs
-    /// `try_fast_binary` specializes; anything else row-falls-back.
+    /// kernel type `kt`, exactly as `sql_cmp` compares the pair;
+    /// anything else row-falls-back.
     pub(crate) fn coerce(kt: KernelType, lit: &Value) -> Option<CmpSpec> {
         use hive_common::value::rescale;
         Some(match (kt, lit) {

@@ -291,7 +291,7 @@ fn compile_leaf(e: &ScalarExpr, schema: &Schema) -> Option<PredKernel> {
                 (ScalarExpr::Column(c), ScalarExpr::Literal(Value::String(p))) => (*c, p),
                 _ => return None,
             };
-            let prefix = crate::kernels::like_prefix(pat)?;
+            let prefix = like_prefix(pat)?;
             if KernelType::of_data_type(&schema.field(col).data_type)? != KernelType::Str {
                 return None;
             }
@@ -304,6 +304,18 @@ fn compile_leaf(e: &ScalarExpr, schema: &Schema) -> Option<PredKernel> {
         }
         _ => None,
     }
+}
+
+/// The literal prefix of a LIKE pattern of the shape `prefix%` — a
+/// prefix free of metacharacters followed by a single trailing `%`.
+/// Such patterns reduce to `starts_with`: the [`PredKernel::StrPrefix`]
+/// shape.
+fn like_prefix(pattern: &str) -> Option<&str> {
+    let prefix = pattern.strip_suffix('%')?;
+    if prefix.contains(['%', '_', '\\']) {
+        return None;
+    }
+    Some(prefix)
 }
 
 /// Mirror a comparison across its operands (`lit < col` ≡ `col > lit`).
@@ -529,5 +541,21 @@ fn replace_subtree(e: &ScalarExpr, key: &str, col: usize) -> ScalarExpr {
             func: *func,
             args: args.iter().map(|x| replace_subtree(x, key, col)).collect(),
         },
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::like_prefix;
+
+    /// Only `prefix%` with no metacharacter in the prefix is a prefix
+    /// pattern; escapes and inner wildcards are not.
+    #[test]
+    fn like_prefix_accepts_only_a_trailing_percent() {
+        assert_eq!(like_prefix("ab%"), Some("ab"));
+        assert_eq!(like_prefix("%"), Some(""));
+        assert_eq!(like_prefix("a_b%"), None);
+        assert_eq!(like_prefix("a\\%b%"), None);
+        assert_eq!(like_prefix("a%b"), None);
     }
 }

@@ -1,8 +1,10 @@
 //! Physical IR: compiled, fused, type-specialized execution pipelines.
 //!
-//! `hive.exec.pir.enabled` (env `HIVE_PIR_ENABLED`, default on) lowers
-//! optimizer `Filter`/`Project` chains — and the residual predicates of
-//! scans — into pipelines that are compiled **once per query**:
+//! The vectorized engine (`vectorized = true`) evaluates every predicate
+//! here: optimizer `Filter`/`Project` chains, the residual predicates of
+//! scans (shared-work scans included), join residuals and DML
+//! conditions lower into pipelines that are compiled **once per
+//! query**:
 //!
 //! - [`lower`] folds constants, eliminates common subexpressions, and
 //!   orders predicate conjuncts by cost tier and estimated selectivity;
@@ -14,11 +16,11 @@
 //!   narrowing selection vector, with no intermediate materialization
 //!   between stages.
 //!
-//! The per-batch interpreter ([`crate::kernels`]) stays as the
-//! differential oracle: with the toggle off, every operator takes the
-//! pre-PIR path. `tests/differential.rs` holds that path to the row
-//! interpreter's results, and `tests/pir_differential.rs` pins the two
-//! to identical rows and fault schedules.
+//! A predicate has two evaluators: these kernels, and the row
+//! interpreter (`eval_scalar`), which is the Hive 1.2 engine
+//! (`vectorized = false`) and the reference. `tests/differential.rs`
+//! and `tests/pir_differential.rs` hold the compiled paths to the row
+//! interpreter's rows and to an exact fault-schedule replay.
 
 pub(crate) mod agg;
 pub(crate) mod fuse;
@@ -29,23 +31,31 @@ pub(crate) use fuse::{execute_chain, execute_chain_parts};
 pub(crate) use kernel::SelRef;
 pub(crate) use lower::PredPipeline;
 
+use hive_common::{Result, VectorBatch};
+use hive_optimizer::ScalarExpr;
+
 /// Per-operator accounting of where the compiled paths actually ran —
 /// surfaced on `NodeTrace`/`QueryResult` so differential sweeps can
-/// assert the toggle exercised compiled code instead of silently
-/// falling back to the interpreter.
+/// assert that compiled code ran instead of silently falling back to
+/// the row interpreter.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct PirCounters {
-    /// Stages (filter/project pipelines, aggregate accumulator banks,
-    /// join residual conjunctions) that executed fully compiled.
+    /// Stages (filter/project pipelines, scan predicates, aggregate
+    /// accumulator banks, join residual conjunctions) that executed
+    /// fully compiled.
     pub compiled_stages: u64,
     /// Rows (or candidate pairs, for residuals) that went through the
-    /// interpreter instead — non-compilable expression shapes, spilled
-    /// aggregates, grace joins.
+    /// row interpreter instead — non-compilable expression shapes,
+    /// grace joins.
     pub fallback_rows: u64,
 }
 
-/// PIR applies only to the vectorized engine — row-mode execution
-/// (`hive.vectorized.execution.enabled=false`) keeps its interpreter.
-pub(crate) fn enabled(conf: &hive_common::HiveConf) -> bool {
-    conf.effective_pir_enabled() && conf.vectorized
+/// The entries of `rows` (row indexes into `batch`) at which `pred` is
+/// TRUE, in their order in `rows`: `pred` compiled once and run over
+/// `rows` as a selection. A row where it is FALSE or NULL is dropped.
+pub fn select_rows(pred: &ScalarExpr, batch: &VectorBatch, rows: &[u32]) -> Result<Vec<u32>> {
+    let pipe = PredPipeline::compile(pred, batch.schema(), None, false);
+    Ok(pipe
+        .select(batch, SelRef::Idx(rows))?
+        .unwrap_or_else(|| rows.to_vec()))
 }

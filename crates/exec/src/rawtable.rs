@@ -19,8 +19,6 @@
 //! rely on. Growth rehashes buckets from the *stored* hashes; keys are
 //! never re-encoded and entry ids never move.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 /// Bucket tag marking an empty slot. Occupied tags always have the high
 /// bit set, so no fingerprint collides with empty.
 const EMPTY: u8 = 0;

@@ -11,8 +11,6 @@
 //! choice is a size comparison, not a setting (DESIGN.md, "Semijoin
 //! reducers"). `corc::bloom` is the file format's filter, not this one.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use crate::keys::encode_cell;
 use hive_common::hash::{self, fnv1a};
 use hive_common::{BitSet, ColumnVector, SelVec, Value};

@@ -2,10 +2,8 @@
 //! dynamic semijoin reduction, LLAP cache routing, and federation
 //! dispatch.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use crate::engine::{ExecContext, NodeTrace};
-use crate::kernels::{filter_indices, filter_indices_rowmode};
+use crate::kernels::filter_indices_rowmode;
 use crate::pir::{PredPipeline, SelRef};
 use crate::runtime_filter::RuntimeFilter;
 use hive_acid::{resolve_snapshot, DeleteSet, RowGroupClass, Visibility, ACID_COLS};
@@ -41,7 +39,9 @@ pub fn execute_scan(
     if let Some((key, work)) = read.publish {
         // A shared scan reads unfiltered: `out` is every raw row.
         ctx.shared_put(key, out.batch.clone());
-        out = work.apply(out.batch, ctx)?;
+        out = work.apply(out.batch)?;
+        let rows_in = read.trace.rows_in;
+        work.account(&mut read.trace, rows_in);
     }
     read.trace.rows_out = out.num_rows() as u64;
     Ok((out, read.trace))
@@ -86,11 +86,11 @@ struct ScanRead<'p> {
     publish: Option<(u64, RowWork<'p>)>,
 }
 
-/// A scan's row-level work: its pushed filters — compiled (`fused`) or
-/// interpreted — then its semijoin reducers' row checks (a reducer's
-/// sarg skips whole row groups only). Batch-local: a storage read does
-/// it to each part inside the morsel workers, a shared scan to the rows
-/// it published or reuses.
+/// A scan's row-level work: its pushed filters — compiled (`fused`) in
+/// the vectorized engine, interpreted in row mode — then its semijoin
+/// reducers' row checks (a reducer's sarg skips whole row groups only).
+/// Batch-local: a storage read does it to each part inside the morsel
+/// workers, a shared scan to the rows it published or reuses.
 struct RowWork<'p> {
     filters: &'p [ScalarExpr],
     fused: Option<PredPipeline>,
@@ -98,20 +98,65 @@ struct RowWork<'p> {
     reducers: Vec<(usize, Arc<RuntimeFilter>)>,
 }
 
-impl RowWork<'_> {
-    fn apply(&self, batch: VectorBatch, ctx: &ExecContext) -> Result<SelBatch> {
+impl<'p> RowWork<'p> {
+    /// The row work of a scan's pushed `filters`: compiled once — the
+    /// conjuncts ordered by the table's column statistics — when the
+    /// engine is vectorized and there is a filter.
+    fn new(
+        filters: &'p [ScalarExpr],
+        reducers: Vec<(usize, Arc<RuntimeFilter>)>,
+        plan: &LogicalPlan,
+        ctx: &ExecContext,
+    ) -> RowWork<'p> {
+        let fused = match plan {
+            LogicalPlan::Scan {
+                table, projection, ..
+            } if ctx.conf.vectorized => ScalarExpr::conjunction(filters.to_vec()).map(|pred| {
+                let tstats = ctx.ms.table_stats(&table.qualified_name);
+                PredPipeline::compile(
+                    &pred,
+                    &plan.schema(),
+                    Some((&*tstats, projection)),
+                    ctx.conf.effective_histograms_enabled(),
+                )
+            }),
+            _ => None,
+        };
+        RowWork {
+            filters,
+            fused,
+            reducers,
+        }
+    }
+
+    fn apply(&self, batch: VectorBatch) -> Result<SelBatch> {
         let n = batch.num_rows();
         let sel = match &self.fused {
             Some(p) => p
                 .select(&batch, SelRef::All(n))?
                 .map_or(SelVec::All(n), SelVec::Idx),
-            None => apply_row_filters(&batch, self.filters, ctx)?,
+            None => apply_row_filters(&batch, self.filters)?,
         };
         let sel = self
             .reducers
             .iter()
             .fold(sel, |sel, (col, f)| f.retain(batch.column(*col), sel));
         Ok(SelBatch { batch, sel })
+    }
+
+    /// Fold the fused predicate's accounting into the scan's trace, as a
+    /// Filter stage reports its own: one compiled stage when no conjunct
+    /// is a row kernel, and the rows the row interpreter evaluated
+    /// (`rows_in`, the raw rows the filter saw, for a row kernel).
+    fn account(&self, trace: &mut NodeTrace, rows_in: u64) {
+        if let Some(p) = &self.fused {
+            trace.pir_compiled_stages += p.fully_compiled() as u64;
+            trace.pir_fallback_rows += if p.fully_compiled() {
+                p.interpreted_rows()
+            } else {
+                rows_in
+            };
+        }
     }
 }
 
@@ -152,11 +197,9 @@ fn read_scan<'p>(plan: &'p LogicalPlan, ctx: &ExecContext, exec: ExecFn) -> Resu
         trace.external_ms = result.external_ms;
         // Residual filters still apply (the handler may have pushed
         // only part of them).
-        let sel = apply_row_filters(&result.batch, filters, ctx)?;
-        let filtered = SelBatch {
-            batch: result.batch,
-            sel,
-        };
+        let work = RowWork::new(filters, Vec::new(), plan, ctx);
+        let filtered = work.apply(result.batch)?;
+        work.account(&mut trace, filtered.batch.num_rows() as u64);
         return Ok(finished(filtered, trace));
     }
 
@@ -263,28 +306,9 @@ fn read_scan<'p>(plan: &'p LogicalPlan, ctx: &ExecContext, exec: ExecFn) -> Resu
     // filters, the raw read happens once; each consumer applies its own
     // filters below. (The sarg skip is forfeited on the shared read.)
     let share_key = ctx.scan_share_key(plan);
-    // Fused residual predicate (PIR): compile the pushed filters once —
-    // conjuncts ordered by the table's column statistics. Shared scans
-    // must publish raw rows (other plan sites apply different filters),
-    // so they keep the interpreted path.
-    let fused = if crate::pir::enabled(ctx.conf) && share_key.is_none() && !filters.is_empty() {
-        let tstats = ctx.ms.table_stats(&table.qualified_name);
-        ScalarExpr::conjunction(filters.to_vec()).map(|pred| {
-            PredPipeline::compile(
-                &pred,
-                &out_schema,
-                Some((&*tstats, projection)),
-                ctx.conf.effective_histograms_enabled(),
-            )
-        })
-    } else {
-        None
-    };
-    let work = RowWork {
-        filters,
-        fused,
-        reducers,
-    };
+    // The pushed filters are row work on either path: a shared scan
+    // publishes its raw rows and applies its own filters to them.
+    let work = RowWork::new(filters, reducers, plan, ctx);
     if let Some(key) = share_key {
         if let Some(raw) = ctx.shared_get(key) {
             let mut reuse = NodeTrace {
@@ -296,7 +320,10 @@ fn read_scan<'p>(plan: &'p LogicalPlan, ctx: &ExecContext, exec: ExecFn) -> Resu
             std::mem::swap(&mut reuse.children, &mut trace.children);
             trace.children.push(reuse);
             trace.rows_in = raw.num_rows() as u64;
-            return Ok(finished(work.apply(raw, ctx)?, trace));
+            let filtered = work.apply(raw)?;
+            let rows_in = trace.rows_in;
+            work.account(&mut trace, rows_in);
+            return Ok(finished(filtered, trace));
         }
     }
     // A shared scan reads without sargs so every consumer's rows are
@@ -434,12 +461,16 @@ fn read_scan<'p>(plan: &'p LogicalPlan, ctx: &ExecContext, exec: ExecFn) -> Resu
         )?;
         match share_key {
             Some(_) => Ok(SelBatch::from_batch(b)),
-            None => work.apply(b, ctx),
+            None => work.apply(b),
         }
     })?;
     // The scan's input cardinality is the raw morsel rows, before any
     // filter.
     trace.rows_in = parts.iter().map(|p| p.batch.num_rows() as u64).sum();
+    if share_key.is_none() {
+        let rows_in = trace.rows_in;
+        work.account(&mut trace, rows_in);
+    }
     if parts.is_empty() {
         parts.push(SelBatch::from_batch(VectorBatch::empty(&out_schema)?));
     }
@@ -591,21 +622,14 @@ fn fetch_chunk(
     }
 }
 
-/// Residual row-level filters as a selection over `batch` — no row
-/// movement; compaction is deferred to the next pipeline breaker.
-fn apply_row_filters(
-    batch: &VectorBatch,
-    filters: &[ScalarExpr],
-    ctx: &ExecContext,
-) -> Result<SelVec> {
+/// Residual row-level filters as a selection over `batch`, row by row
+/// (the row-mode engine) — no row movement; compaction is deferred to
+/// the next pipeline breaker.
+fn apply_row_filters(batch: &VectorBatch, filters: &[ScalarExpr]) -> Result<SelVec> {
     let Some(pred) = ScalarExpr::conjunction(filters.to_vec()) else {
         return Ok(SelVec::All(batch.num_rows()));
     };
-    Ok(SelVec::Idx(if ctx.conf.vectorized {
-        filter_indices(&pred, batch)?
-    } else {
-        filter_indices_rowmode(&pred, batch)?
-    }))
+    Ok(SelVec::Idx(filter_indices_rowmode(&pred, batch)?))
 }
 
 /// Evaluate partition-column-only conjuncts against a directory's

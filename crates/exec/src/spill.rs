@@ -41,8 +41,6 @@
 //! file on drop — normal completion, `?` propagation, and panic unwind
 //! all leave the spill directory empty.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use crate::keys::KeySide;
 use crate::membroker::MemoryBroker;
 use hive_common::{HiveError, Result, SelVec};

@@ -9,7 +9,7 @@
 //! * the hashed arm passes at most 2 % of 100 000 absent keys;
 //! * a scan that checks its reducers inside the morsel workers keeps the
 //!   same rows by its parts route (an aggregate's input) as by its
-//!   assembled one, at 1 and 2 workers, fused and interpreted filters.
+//!   assembled one, at 1 and 2 workers, compiled and row-mode filters.
 //!
 //! Random columns of every `ColumnVector` variant come from a seeded
 //! generator.
@@ -303,10 +303,10 @@ fn the_parts_route_keeps_the_rows_of_the_assembled_route() {
         let matching: Vec<i32> = (700..6_000i32)
             .filter(|&i| set.contains(&(i * 7_919 % 5_000)))
             .collect();
-        for (threads, pir) in [(1, true), (2, true), (1, false), (2, false)] {
+        for (threads, vectorized) in [(1, true), (2, true), (1, false), (2, false)] {
             let conf = HiveConf::v3_1().with(|c| {
                 c.parallel_threads = threads;
-                c.pir_enabled = pir;
+                c.vectorized = vectorized;
                 c.results_cache = false;
             });
             let snaps = WideOpenSnapshots(&ms);

@@ -16,9 +16,8 @@
 # workspace tests once per value of its variable (each overrides a
 # HiveConf field for the whole process; results must not change). PAR
 # sweeps the morsel threads, SPILL a per-query memory budget that forces
-# grace joins, spilled aggregation and external sorts, PIR the compiled
-# physical IR, STATS histogram-driven estimation (off is the
-# constant-selectivity planner).
+# grace joins, spilled aggregation and external sorts, STATS
+# histogram-driven estimation (off is the constant-selectivity planner).
 #
 # HIVE_WM_SWEEP=1 runs the multi-stream serving determinism suite at
 # 1/4/16 streams × 1/2/8 morsel threads under a fixed HIVE_FAULT_SEED
@@ -35,7 +34,6 @@ cd "$(dirname "$0")/.."
 sweeps=(
     "PAR HIVE_PARALLEL_THREADS 1,2,8"
     "SPILL HIVE_MEMORY_BUDGET 32768,1048576"
-    "PIR HIVE_PIR_ENABLED 0,1"
     "STATS HIVE_HISTOGRAMS_ENABLED 0,1"
 )
 
@@ -124,6 +122,17 @@ cargo test -q --offline -p hive-corc --lib spares::tests
 cargo test -q --offline -p hive-llap --lib a_held_chunk_keeps_its_values_through_misses_that_take_spares
 cargo test -q --offline -p hive-llap --lib spares_never_pass_a_quarter_of_the_capacity
 cargo test -q --offline -p hive-llap --lib kill_drops_cache_share
+# One predicate engine (DESIGN.md §4 "Physical IR"): every vectorized
+# predicate compiles through PredPipeline, and the row interpreter is the
+# reference for all of them — scan residuals (shared-work scans too), DML
+# conditions that evaluate to NULL, and the typed comparison edges.
+echo "-- predicates: compiled = the row interpreter on NaN, wide, NULL and decimal literals; the fallback reads only what it uses --"
+cargo test -q --offline -p hive-exec --lib kernels::tests
+echo "-- predicates: a shared scan's residuals = the row interpreter, and they count as compiled stages --"
+cargo test -q --offline --test pir_differential random_predicates_on_a_shared_scan_agree_with_the_row_interpreter
+cargo test -q --offline --test pir_differential counters_prove_compiled_paths_ran
+echo "-- predicates: UPDATE / DELETE / MERGE conditions that are NULL on some rows = row mode = the pinned rows --"
+cargo test -q --offline -p hive-core --test dml null_producing_conditions_match_row_mode_and_the_pinned_rows
 echo "-- key-less kernels = the pairs route, every compilable (function, type) pair --"
 cargo test -q --offline -p hive-exec --lib pir::agg::tests
 # Decimals in 64 bits (DESIGN.md §4 "Decimals in 64 bits"): a width by

@@ -5,8 +5,8 @@
 //! projections evaluate expressions: joins, group-bys, window
 //! partitions and set operations run the same key layer on both sides,
 //! and are held to `Value`-level references in their own modules'
-//! tests. Every configuration row — the defaults, PIR off, histograms
-//! off, and a 32 KiB per-query memory budget that forces grace joins,
+//! tests. Every configuration row — the defaults, histograms off, and a
+//! 32 KiB per-query memory budget that forces grace joins,
 //! spilled group-bys and external sorts, each at 1, 2 and 8 threads —
 //! must return the reference's rows for all curated TPC-DS queries, byte
 //! for byte. Each row then runs the suite under one seeded fault plan
@@ -25,7 +25,6 @@ fn neutralize_env() {
     static ONCE: std::sync::Once = std::sync::Once::new();
     ONCE.call_once(|| {
         for var in [
-            "HIVE_PIR_ENABLED",
             "HIVE_HISTOGRAMS_ENABLED",
             "HIVE_SPILL_ENABLED",
             "HIVE_MEMORY_BUDGET",
@@ -58,7 +57,6 @@ const TINY_BUDGET: usize = 32 * 1024;
 type Config = (&'static str, fn(&mut HiveConf));
 
 const DEFAULTS: Config = ("defaults", |_| {});
-const PIR_OFF: Config = ("pir off", |c| c.pir_enabled = false);
 const HISTOGRAMS_OFF: Config = ("histograms off", |c| c.histograms_enabled = false);
 const TINY: Config = ("32 KiB budget", |c| c.memory_per_query_bytes = TINY_BUDGET);
 
@@ -230,9 +228,6 @@ configurations! {
     defaults_1_thread: DEFAULTS, 1;
     defaults_2_threads: DEFAULTS, 2;
     defaults_8_threads: DEFAULTS, 8;
-    pir_off_1_thread: PIR_OFF, 1;
-    pir_off_2_threads: PIR_OFF, 2;
-    pir_off_8_threads: PIR_OFF, 8;
     histograms_off_1_thread: HISTOGRAMS_OFF, 1;
     histograms_off_2_threads: HISTOGRAMS_OFF, 2;
     histograms_off_8_threads: HISTOGRAMS_OFF, 8;

@@ -17,7 +17,6 @@ fn neutralize_env() {
     static ONCE: std::sync::Once = std::sync::Once::new();
     ONCE.call_once(|| {
         for var in [
-            "HIVE_PIR_ENABLED",
             "HIVE_PARALLEL_THREADS",
             "HIVE_SPILL_ENABLED",
             "HIVE_MEMORY_BUDGET",
@@ -177,13 +176,12 @@ fn double_keys_are_one_answer_under_every_configuration() {
     // group) are two of the configurations. With the NaNs filtered out,
     // SUM and AVG over the distinct values show the fold order too.
     let mut answers = Vec::new();
-    for (vectorized, pir) in [(true, true), (true, false), (false, false)] {
+    for vectorized in [true, false] {
         for threads in [1, 2, 4] {
             neutralize_env();
             let server = HiveServer::new(HiveConf::v3_1().with(|c| {
                 c.results_cache = false;
                 c.vectorized = vectorized;
-                c.pir_enabled = pir;
                 c.parallel_threads = threads;
             }));
             let session = server.session();
@@ -206,10 +204,7 @@ fn double_keys_are_one_answer_under_every_configuration() {
             ] {
                 got.push(session.execute(sql).unwrap().display_rows());
             }
-            answers.push((
-                format!("vectorized {vectorized}, pir {pir}, {threads} threads"),
-                got,
-            ));
+            answers.push((format!("vectorized {vectorized}, {threads} threads"), got));
         }
     }
     // NaN, zero, 2.5, 3.0.

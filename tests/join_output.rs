@@ -18,11 +18,7 @@ use hive_warehouse::{HiveConf, HiveServer};
 fn neutralize_env() {
     static ONCE: std::sync::Once = std::sync::Once::new();
     ONCE.call_once(|| {
-        for var in [
-            "HIVE_PIR_ENABLED",
-            "HIVE_PARALLEL_THREADS",
-            "HIVE_MEMORY_BUDGET",
-        ] {
+        for var in ["HIVE_PARALLEL_THREADS", "HIVE_MEMORY_BUDGET"] {
             std::env::remove_var(var);
         }
     });
@@ -125,10 +121,9 @@ fn operators_above_a_join_match_the_row_interpreter() {
         assert!(!rows.is_empty(), "{what}: the fixture returns no rows");
     }
     type Tune = fn(&mut HiveConf);
-    let settings: [(&str, Tune); 4] = [
+    let settings: [(&str, Tune); 3] = [
         ("defaults", |_| {}),
         ("8 threads", |c| c.parallel_threads = 8),
-        ("pir off", |c| c.pir_enabled = false),
         ("32 KiB budget", |c| c.memory_per_query_bytes = 32 * 1024),
     ];
     for (setting, tune) in settings {

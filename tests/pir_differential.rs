@@ -1,15 +1,16 @@
-//! Physical-IR differential suite: `hive.exec.pir.enabled` may only
-//! change how Filter/Project chains, scan predicates, aggregate
-//! accumulators, and join residuals execute (fused compiled pipelines
-//! versus the per-batch interpreter), never results. The curated
-//! TPC-DS suite with PIR off runs in `tests/differential.rs`; here the
-//! fault schedule must not depend on the setting, and property tests
-//! drive randomly generated predicate trees — mixed-scale decimal
-//! literals, NULL literals, CASE-produced NULLs, nested AND/OR/NOT —
-//! through both paths and require identical row sets, both as plain
-//! filters and as aggregate inputs / join residual predicates; the
+//! Physical-IR differential suite: the vectorized engine compiles every
+//! predicate — Filter/Project chains, scan predicates (shared-work scans
+//! included), aggregate accumulators and join residuals — and must
+//! return the row interpreter's rows (`vectorized = false`, the Hive 1.2
+//! engine and the reference). The curated TPC-DS suite runs in
+//! `tests/differential.rs`; here property tests drive randomly generated
+//! predicate trees — mixed-scale decimal literals, NULL literals,
+//! CASE-produced NULLs, nested AND/OR/NOT — through both engines and
+//! require identical row sets, as plain filters, as shared-scan
+//! residuals, as aggregate inputs and as join residual predicates; the
 //! `pir_compiled_stages`/`pir_fallback_rows` counters then prove the
-//! compiled paths actually ran rather than silently falling back.
+//! compiled paths actually ran rather than silently falling back, and a
+//! seeded fault plan must replay exactly.
 
 use hive_warehouse::benchdata::tpcds::{self, TpcdsScale};
 use hive_warehouse::{FaultPlan, HiveConf, HiveServer};
@@ -20,7 +21,6 @@ use std::sync::OnceLock;
 fn neutralize_env() {
     static ONCE: std::sync::Once = std::sync::Once::new();
     ONCE.call_once(|| {
-        std::env::remove_var("HIVE_PIR_ENABLED");
         std::env::remove_var("HIVE_PARALLEL_THREADS");
     });
 }
@@ -38,43 +38,24 @@ fn scale() -> TpcdsScale {
     }
 }
 
-fn load_server(pir: bool, threads: usize) -> HiveServer {
+fn load_server(vectorized: bool, threads: usize) -> HiveServer {
     neutralize_env();
     let mut conf = HiveConf::v3_1();
-    conf.pir_enabled = pir;
+    conf.vectorized = vectorized;
     conf.parallel_threads = threads;
     let server = HiveServer::new(conf);
     tpcds::load(&server, scale(), 0xDA7A).unwrap();
     server
 }
 
-/// The fused fault schedule also replays identically across the two
-/// settings, not just within one: same rows in, same labels, same
-/// bottom-up roll order — so the charged penalty is toggle-invariant.
-#[test]
-fn fault_penalty_is_toggle_invariant() {
-    let query = &tpcds::queries()[0];
-    let plan = FaultPlan::none().with(|p| {
-        p.seed = 0x5EED_F00D;
-        p.dfs_slow_prob = 0.2;
-        p.dfs_slow_ms = 2.5;
-        p.daemon_kill_prob = 0.5;
-    });
-    let run = |pir: bool| -> (f64, u64) {
-        let server = load_server(pir, 2);
-        server.set_conf(|c| c.fault = plan.clone());
-        let r = server.session().execute(&query.sql).unwrap();
-        (r.sim_ms, r.fragment_retries)
-    };
-    assert_eq!(run(true), run(false), "fault schedule shifted under PIR");
-}
-
 // ---------------------------------------------------------------------
-// Property tests: random predicate trees, fused versus interpreted.
+// Property tests: random predicate trees, compiled versus the row
+// interpreter.
 // ---------------------------------------------------------------------
 
-/// One PIR-on and one PIR-off server, loaded once and reused across all
-/// proptest cases (loading dominates per-case cost otherwise).
+/// A row-interpreter and a vectorized server, loaded once and reused
+/// across all proptest cases (loading dominates per-case cost
+/// otherwise).
 fn servers() -> &'static (HiveServer, HiveServer) {
     static CELL: OnceLock<(HiveServer, HiveServer)> = OnceLock::new();
     CELL.get_or_init(|| (load_server(false, 1), load_server(true, 1)))
@@ -188,8 +169,8 @@ fn resid_pred(depth: u32) -> BoxedStrategy<String> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Any generated predicate returns the identical row sequence with
-    /// PIR on and off — both as a pushed-down scan filter and as an
+    /// Any generated predicate returns the row interpreter's row
+    /// sequence — both as a pushed-down scan filter and as an
     /// engine-level filter above a projected subquery (where the fused
     /// chain includes the Project stage).
     #[test]
@@ -214,8 +195,8 @@ proptest! {
         prop_assert_eq!(&got, &expected, "chain-level divergence for {}", p);
     }
 
-    /// Any generated predicate feeding an aggregate returns identical
-    /// groups with PIR on and off. The aggregate list covers every
+    /// Any generated predicate feeding an aggregate returns the row
+    /// interpreter's groups. The aggregate list covers every
     /// compiled accumulator — COUNT(*), COUNT(col), SUM/AVG over int
     /// and decimal, MIN/MAX — plus STDDEV_SAMP and COUNT(DISTINCT),
     /// which must take the interpreted fallback and still agree.
@@ -246,8 +227,8 @@ proptest! {
     }
 
     /// Any generated residual tree over `store_sales ⋈ item` joins to
-    /// the identical row sequence with PIR on and off — the compiled
-    /// pair-batch conjunction versus the per-pair row interpreter.
+    /// the row interpreter's row sequence — the compiled pair-batch
+    /// conjunction versus the per-pair row interpreter.
     #[test]
     fn random_join_residuals_agree_fused_and_interpreted(p in resid_pred(2)) {
         let (off, on) = servers();
@@ -259,13 +240,35 @@ proptest! {
         let got = on.session().execute(&sql).unwrap().display_rows();
         prop_assert_eq!(&got, &expected, "residual divergence for {}", p);
     }
+
+    /// Two branches that scan `store_sales` with the same columns and
+    /// different generated predicates share one raw read (§4.5); each
+    /// applies its own residual to the published rows. They must keep
+    /// the row interpreter's rows.
+    #[test]
+    fn random_predicates_on_a_shared_scan_agree_with_the_row_interpreter(
+        p in pred(2),
+        q in pred(2),
+    ) {
+        let (off, on) = servers();
+        let branch = |pred: &str| format!(
+            "SELECT ss_ticket_number, ss_quantity, ss_customer_sk, ss_item_sk, \
+             ss_store_sk, ss_list_price, ss_net_profit, ss_wholesale_cost \
+             FROM store_sales WHERE {pred}"
+        );
+        let sql = format!("{} UNION ALL {}", branch(&p), branch(&q));
+        let expected = off.session().execute(&sql).unwrap().display_rows();
+        let got = on.session().execute(&sql).unwrap().display_rows();
+        prop_assert_eq!(&got, &expected, "shared-scan divergence for {} / {}", p, q);
+    }
 }
 
 /// The counters prove the compiled paths executed: a compilable
 /// aggregate and a compilable residual report compiled stages (and the
-/// residual reports zero interpreted pairs), the PIR-off server reports
-/// zero everywhere, and a non-compilable residual shape reports its
-/// fallback pairs instead of pretending it compiled.
+/// residual reports zero interpreted pairs), the row interpreter reports
+/// zero everywhere, a non-compilable residual shape reports its
+/// fallback pairs instead of pretending it compiled, and a shared scan's
+/// residuals report their stages and rows as an unshared scan's do.
 #[test]
 fn counters_prove_compiled_paths_ran() {
     let (off, on) = servers();
@@ -282,11 +285,11 @@ fn counters_prove_compiled_paths_ran() {
     let r_off = off.session().execute(agg_sql).unwrap();
     assert_eq!(
         r_off.pir_compiled_stages, 0,
-        "PIR off must report no compiled stages"
+        "the row interpreter must report no compiled stages"
     );
     assert_eq!(
         r_off.pir_fallback_rows, 0,
-        "PIR off must report no fallback rows"
+        "the row interpreter must report no fallback rows"
     );
 
     let join_sql = "SELECT ss_ticket_number, i_current_price FROM store_sales \
@@ -313,15 +316,69 @@ fn counters_prove_compiled_paths_ran() {
         r.pir_fallback_rows > 0,
         "non-compilable residual must count interpreted pairs"
     );
+
+    // A shared scan: with shared work on, the two branches read the
+    // table once (fewer DFS bytes than apart) and each branch's residual
+    // compiles over the published rows, counted as an unshared scan
+    // counts it. Arithmetic is not a kernel shape: that branch's
+    // residual interprets every raw row of the table.
+    let server = load_server(true, 1);
+    let branch =
+        |pred: &str| format!("SELECT ss_ticket_number, ss_quantity FROM store_sales WHERE {pred}");
+    let run = |shared: bool, sql: &str| {
+        server.set_conf(|c| {
+            c.shared_work = shared;
+            c.llap_enabled = false;
+            c.results_cache = false;
+        });
+        server.session().execute(sql).unwrap()
+    };
+    let compiled = format!(
+        "{} UNION ALL {}",
+        branch("ss_quantity < 20"),
+        branch("ss_quantity > 90 AND ss_quantity IS NOT NULL")
+    );
+    let (shared, apart) = (run(true, &compiled), run(false, &compiled));
+    assert!(
+        shared.bytes_disk < apart.bytes_disk,
+        "the branches did not share their scan ({} vs {} bytes)",
+        shared.bytes_disk,
+        apart.bytes_disk
+    );
+    assert_eq!(shared.display_rows(), apart.display_rows());
+    assert!(shared.pir_compiled_stages >= 2);
+    assert_eq!(
+        (shared.pir_compiled_stages, shared.pir_fallback_rows),
+        (apart.pir_compiled_stages, 0),
+        "a shared scan's compiled residuals must count as unshared ones do"
+    );
+    let table_rows: u64 = run(true, "SELECT COUNT(*) FROM store_sales").display_rows()[0]
+        .parse()
+        .unwrap();
+    let mixed = format!(
+        "{} UNION ALL {}",
+        branch("ss_quantity < 20"),
+        branch("ss_quantity + 1 > 91")
+    );
+    let shared = run(true, &mixed);
+    assert_eq!(
+        shared.pir_fallback_rows, table_rows,
+        "a shared scan's row-kernel residual interprets every published row"
+    );
+    assert_eq!(
+        shared.pir_compiled_stages + 1,
+        run(true, &compiled).pir_compiled_stages,
+        "only the compiled branch counts a compiled stage"
+    );
 }
 
-/// Aggregate and join-residual queries stay byte-identical across the
-/// toggle at 1/2/8 threads under a seeded fault plan, and the charged
-/// fault penalty is toggle-invariant at every thread count — compiled
-/// accumulators and pair-batches must not shift the per-stage fault
-/// rolls.
+/// Aggregate and join-residual queries return the row interpreter's
+/// rows at 1/2/8 threads under a seeded fault plan, and the charged
+/// fault penalty replays exactly — compiled accumulators and
+/// pair-batches must not make the per-stage fault rolls depend on
+/// anything but the plan and the seed.
 #[test]
-fn agg_and_residual_fault_sweep_is_toggle_invariant() {
+fn agg_and_residual_fault_sweep_replays_exactly() {
     let agg_sql = "SELECT ss_store_sk, COUNT(*) AS c, SUM(ss_list_price) AS s, \
                    MIN(ss_net_profit) AS lo, MAX(ss_wholesale_cost) AS hi, \
                    AVG(ss_quantity) AS a FROM store_sales \
@@ -344,26 +401,24 @@ fn agg_and_residual_fault_sweep_is_toggle_invariant() {
             .unwrap()
             .display_rows();
         for threads in [1usize, 2, 8] {
-            let run = |pir: bool| -> (Vec<String>, f64, u64) {
-                let server = load_server(pir, threads);
+            // A fresh server per run: killed daemons stay dead.
+            let run = || -> (Vec<String>, f64, u64) {
+                let server = load_server(true, threads);
                 server.set_conf(|c| c.fault = plan.clone());
                 let r = server.session().execute(sql).unwrap();
                 (r.display_rows(), r.sim_ms, r.fragment_retries)
             };
-            let (rows_off, ms_off, retries_off) = run(false);
-            let (rows_on, ms_on, retries_on) = run(true);
+            let (rows, ms, retries) = run();
             assert_eq!(
-                rows_off, baseline,
-                "faulted pir=off diverged at {threads} threads"
+                rows, baseline,
+                "faulted compiled run diverged at {threads} threads"
             );
+            let (rows_again, ms_again, retries_again) = run();
+            assert_eq!(rows_again, baseline);
             assert_eq!(
-                rows_on, baseline,
-                "faulted pir=on diverged at {threads} threads"
-            );
-            assert_eq!(
-                (ms_on, retries_on),
-                (ms_off, retries_off),
-                "fault penalty shifted under PIR at {threads} threads"
+                (ms_again, retries_again),
+                (ms, retries),
+                "fault penalty did not replay at {threads} threads"
             );
         }
     }

@@ -41,11 +41,7 @@ const MV_SQL: &str = "CREATE MATERIALIZED VIEW mv_daily_store AS \
      FROM store_sales GROUP BY ss_sold_date_sk, ss_store_sk";
 
 fn load_server() -> HiveServer {
-    for var in [
-        "HIVE_HISTOGRAMS_ENABLED",
-        "HIVE_PIR_ENABLED",
-        "HIVE_PARALLEL_THREADS",
-    ] {
+    for var in ["HIVE_HISTOGRAMS_ENABLED", "HIVE_PARALLEL_THREADS"] {
         std::env::remove_var(var);
     }
     let server = HiveServer::new(HiveConf::v3_1());

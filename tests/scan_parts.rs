@@ -4,8 +4,8 @@
 //! wall-clock time. The twelve statement shapes of the `scan_cold`
 //! benchmark workload — key-less sweeps, partition-range and point
 //! reads, GROUP BYs over both fact tables — must return the row
-//! interpreter's rows at every thread count, with PIR, LLAP or shared
-//! work off, under a memory budget that denies the group-by its grant, and
+//! interpreter's rows at every thread count, with LLAP or shared work
+//! off, under a memory budget that denies the group-by its grant, and
 //! under a seeded fault plan; simulated time must not depend on the
 //! thread count; a cache too small for the working set must evict the
 //! same chunks in every run; and a plan whose branches share a scan
@@ -19,7 +19,6 @@ fn neutralize_env() {
     static ONCE: std::sync::Once = std::sync::Once::new();
     ONCE.call_once(|| {
         for var in [
-            "HIVE_PIR_ENABLED",
             "HIVE_PARALLEL_THREADS",
             "HIVE_SPILL_ENABLED",
             "HIVE_MEMORY_BUDGET",
@@ -174,11 +173,10 @@ fn statements_match_the_row_interpreter_under_every_configuration() {
     let server = load_server(HiveConf::v3_1());
     let base = server.conf();
     type Variant = (&'static str, fn(&mut HiveConf));
-    let variants: [Variant; 7] = [
+    let variants: [Variant; 6] = [
         ("1 thread", |c| c.parallel_threads = 1),
         ("2 threads", |c| c.parallel_threads = 2),
         ("8 threads", |c| c.parallel_threads = 8),
-        ("pir off", |c| c.pir_enabled = false),
         ("llap off", |c| c.llap_enabled = false),
         ("shared work off", |c| c.shared_work = false),
         // Denies every group-by its grant: the spilled build.

@@ -15,7 +15,6 @@ fn neutralize_env() {
     static ONCE: std::sync::Once = std::sync::Once::new();
     ONCE.call_once(|| {
         std::env::remove_var("HIVE_HISTOGRAMS_ENABLED");
-        std::env::remove_var("HIVE_PIR_ENABLED");
         std::env::remove_var("HIVE_PARALLEL_THREADS");
     });
 }
