@@ -5,9 +5,11 @@
 //! projections evaluate expressions: joins, group-bys, window
 //! partitions and set operations run the same key layer on both sides,
 //! and are held to `Value`-level references in their own modules'
-//! tests. Every configuration row — the defaults, histograms off, and a
-//! 32 KiB per-query memory budget that forces grace joins,
-//! spilled group-bys and external sorts, each at 1, 2 and 8 threads —
+//! tests. Every configuration row — the defaults, histograms off, shared
+//! work off (every branch scans and filters its own rows instead of
+//! applying its residual to a shared read), and a 32 KiB per-query
+//! memory budget that forces grace joins, spilled group-bys and
+//! external sorts, each at 1, 2 and 8 threads —
 //! must return the reference's rows for all curated TPC-DS queries, byte
 //! for byte. Each row then runs the suite under one seeded fault plan
 //! (daemon deaths, transient and slow DFS reads, spill-targeted read and
@@ -58,6 +60,7 @@ type Config = (&'static str, fn(&mut HiveConf));
 
 const DEFAULTS: Config = ("defaults", |_| {});
 const HISTOGRAMS_OFF: Config = ("histograms off", |c| c.histograms_enabled = false);
+const SHARED_WORK_OFF: Config = ("shared work off", |c| c.shared_work = false);
 const TINY: Config = ("32 KiB budget", |c| c.memory_per_query_bytes = TINY_BUDGET);
 
 /// The defaults every row starts from. The results cache is off so each
@@ -231,6 +234,9 @@ configurations! {
     histograms_off_1_thread: HISTOGRAMS_OFF, 1;
     histograms_off_2_threads: HISTOGRAMS_OFF, 2;
     histograms_off_8_threads: HISTOGRAMS_OFF, 8;
+    shared_work_off_1_thread: SHARED_WORK_OFF, 1;
+    shared_work_off_2_threads: SHARED_WORK_OFF, 2;
+    shared_work_off_8_threads: SHARED_WORK_OFF, 8;
     tiny_budget_1_thread: TINY, 1;
     tiny_budget_2_threads: TINY, 2;
     tiny_budget_8_threads: TINY, 8;
