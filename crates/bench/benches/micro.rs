@@ -594,8 +594,9 @@ fn bench_keyless_fold(_c: &mut Criterion) {
 }
 
 /// The hash-key layer, one operator call per case: a single INT join
-/// key against a build side that fits the cache and one that does not,
-/// a two-column INT key, a key-less LEFT join (a scalar subquery's
+/// key against a build side that fits the cache and one that does not
+/// (both unique and dense, so addressed directly), the small build's
+/// keys scattered over `i32` (hashed), a two-column INT key, a key-less LEFT join (a scalar subquery's
 /// shape), a GROUP BY over an (INT, dictionary) key, and the byte
 /// table's zero-length key. Prints ns per probe / input row; recorded in
 /// EXPERIMENTS.md, not gated on time.
@@ -651,6 +652,28 @@ fn bench_hash_keys(_c: &mut Criterion) {
             col0(),
         );
     }
+    // The same 2k build with its keys scattered over all of `i32`: too
+    // sparse to address directly, so the hashed index stays measured.
+    let sparse = |k: i32| (k as u32).wrapping_mul(2_654_435_761) as i32;
+    join_case(
+        "join/probe_sparse_int_key_build_2k",
+        ints(
+            "l",
+            vec![
+                (0..ROWS).map(|i| sparse(scatter(i, 2_000))).collect(),
+                row_ids(ROWS),
+            ],
+        ),
+        ints(
+            "r",
+            vec![
+                (0..2_000).map(|i| sparse(scatter(i + 17, 2_000))).collect(),
+                row_ids(2_000),
+            ],
+        ),
+        JoinType::Inner,
+        col0(),
+    );
     let pair = |i: usize| (scatter(i, 1_000), scatter(i / 7, 300));
     join_case(
         "join/probe_two_int_keys_build_300k",

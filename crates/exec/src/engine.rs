@@ -3,7 +3,7 @@
 //! cluster time model.
 
 use crate::aggregate::execute_aggregate_parts;
-use crate::join::execute_join_parts;
+use crate::join::join_parts_profiled;
 use crate::kernels::{eval_rowmode, eval_vector, filter_indices_rowmode};
 use crate::keys::{column_refs, Grouper, KeySide};
 use crate::membroker::MemoryBroker;
@@ -437,6 +437,10 @@ pub struct NodeTrace {
     /// ran through the row interpreter here — non-compilable expression
     /// shapes, grace joins.
     pub pir_fallback_rows: u64,
+    /// A join's route and wall-clock split; `None` on other operators.
+    /// Wall-clock feeds no simulated time, fault roll or byte-compared
+    /// output.
+    pub join: Option<crate::join::JoinProfile>,
     pub children: Vec<NodeTrace>,
 }
 
@@ -535,7 +539,7 @@ pub fn execute_sel(plan: &LogicalPlan, ctx: &ExecContext) -> Result<(SelBatch, N
 /// site yields one part per morsel in enumeration order; so does the
 /// PIR-fused Filter/Project chain above such a source (its stages
 /// evaluate batch-locally) and a join that probes such a source part by
-/// part ([`execute_join_parts`]); anything else — a shared subtree, a
+/// part ([`crate::join::execute_join_parts`]); anything else — a shared subtree, a
 /// federated scan, a `Right`/`Full` join, any other operator — is one
 /// part. The trace, the fault rolls and their order are `execute_sel`'s.
 pub(crate) fn execute_parts(
@@ -567,7 +571,7 @@ pub(crate) fn execute_parts(
 
 /// A `Join` node: its probe side as parts when `parts` holds (see
 /// [`execute_parts`]), as one batch otherwise; the output as
-/// [`execute_join_parts`] gives it.
+/// [`crate::join::execute_join_parts`] gives it.
 fn execute_join_node(
     plan: &LogicalPlan,
     ctx: &ExecContext,
@@ -598,7 +602,8 @@ fn execute_join_node(
     let sp = ctx.spill_ctx();
     let mut pc = crate::pir::PirCounters::default();
     let pir = ctx.conf.vectorized.then_some(&mut pc);
-    let out = execute_join_parts(
+    let mut profile = crate::join::JoinProfile::default();
+    let out = join_parts_profiled(
         &lparts,
         &rb,
         *join_type,
@@ -609,6 +614,7 @@ fn execute_join_node(
         workers,
         sp.as_ref(),
         pir,
+        &mut profile,
     )?;
     let rows_out: usize = out.iter().map(SelBatch::num_rows).sum();
     if let Some(g) = &ctx.card_guard {
@@ -624,6 +630,7 @@ fn execute_join_node(
     t.shuffle_rows = t.rows_in;
     t.pir_compiled_stages = pc.compiled_stages;
     t.pir_fallback_rows = pc.fallback_rows;
+    t.join = Some(profile);
     t.children = vec![lt, rt];
     if let Some(sp) = &sp {
         fold_spill(&mut t, sp);

@@ -11,7 +11,7 @@
 //! part or range order, the serial probe order.
 
 use crate::kernels::eval_vector;
-use crate::keys::{column_refs, partitions_for, JoinIndex, KeySide};
+use crate::keys::{column_refs, partitions_for, IndexKind, JoinIndex, KeySide};
 use crate::pir::{PredPipeline, SelRef};
 use crate::spill::SpillCtx;
 use hive_common::{
@@ -22,6 +22,7 @@ use hive_optimizer::plan::JoinType;
 use hive_optimizer::ScalarExpr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Execute a join over compact batches (serial path; identical results
 /// to [`execute_join_par`] at any worker count).
@@ -139,6 +140,81 @@ pub fn execute_join_parts(
     spill: Option<&SpillCtx<'_>>,
     pir: Option<&mut crate::pir::PirCounters>,
 ) -> Result<Vec<SelBatch>> {
+    join_parts_profiled(
+        lefts,
+        right_in,
+        join_type,
+        equi,
+        residual,
+        out_schema,
+        build_row_budget,
+        workers,
+        spill,
+        pir,
+        &mut JoinProfile::default(),
+    )
+}
+
+/// How a join ran and where its wall-clock time went — what a `Join`
+/// [`crate::engine::NodeTrace`] carries for profiles. The times are
+/// wall-clock: nothing that decides a result, a simulated time or a
+/// fault roll reads them.
+#[derive(Debug, Clone, Default)]
+pub struct JoinProfile {
+    /// The build index's kind; `None` for a grace join, whose leaves
+    /// each index their own partition.
+    pub index: Option<IndexKind>,
+    /// The probe side was probed part by part (else as one assembled
+    /// batch).
+    pub by_parts: bool,
+    /// Hash partitions the build index was built in.
+    pub partitions: usize,
+    /// Key evaluation and the build index.
+    pub build_ns: u64,
+    /// The probe walk.
+    pub probe_ns: u64,
+    /// Output assembly.
+    pub assemble_ns: u64,
+}
+
+impl JoinProfile {
+    /// The route column: index kind, parts or assembled, and partition
+    /// count, e.g. `dense/parts/1`.
+    pub fn route(&self) -> String {
+        format!(
+            "{}/{}/{}",
+            self.index.map_or("grace", IndexKind::name),
+            if self.by_parts { "parts" } else { "assembled" },
+            self.partitions
+        )
+    }
+}
+
+/// Wall nanoseconds since `t`, restarting it.
+fn lap(t: &mut Instant) -> u64 {
+    let now = Instant::now();
+    let ns = now.duration_since(*t).as_nanos() as u64;
+    *t = now;
+    ns
+}
+
+/// [`execute_join_parts`], recording its route and wall-clock split in
+/// `profile`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn join_parts_profiled(
+    lefts: &[SelBatch],
+    right_in: &SelBatch,
+    join_type: JoinType,
+    equi: &[(ScalarExpr, ScalarExpr)],
+    residual: &Option<ScalarExpr>,
+    out_schema: &Schema,
+    build_row_budget: usize,
+    workers: usize,
+    spill: Option<&SpillCtx<'_>>,
+    pir: Option<&mut crate::pir::PirCounters>,
+    profile: &mut JoinProfile,
+) -> Result<Vec<SelBatch>> {
+    let mut clock = Instant::now();
     // Memory admission. With a broker present the build's modeled bytes
     // must win a grant (held for the whole join); a denial — or the
     // legacy row budget, kept as a planner-misprediction signal —
@@ -265,6 +341,10 @@ pub fn execute_join_parts(
             if let Some(pc) = pir {
                 pc.fallback_rows += resid.pairs.load(Ordering::Relaxed);
             }
+            *profile = JoinProfile {
+                build_ns: lap(&mut clock),
+                ..JoinProfile::default()
+            };
             return Ok(vec![result]);
         }
         let build = Build::new(
@@ -276,6 +356,8 @@ pub fn execute_join_parts(
             pir.is_some(),
             workers,
         )?;
+        build.describe(profile, false);
+        profile.build_ns = lap(&mut clock);
         // Contiguous left-row ranges probed in parallel; range outputs
         // concatenate in range order, reproducing the serial probe order.
         let n = left.num_rows() as u32;
@@ -289,6 +371,7 @@ pub fn execute_join_parts(
                 build.probe(&left, &probe_side, lo, (lo + chunk).min(n))
             })?
         };
+        profile.probe_ns = lap(&mut clock);
         let result = assemble(
             &left,
             &right,
@@ -297,6 +380,7 @@ pub fn execute_join_parts(
             out_schema,
             workers,
         )?;
+        profile.assemble_ns = lap(&mut clock);
         build.count(pir);
         return Ok(vec![result]);
     }
@@ -316,12 +400,15 @@ pub fn execute_join_parts(
         pir.is_some(),
         workers,
     )?;
+    build.describe(profile, true);
+    profile.build_ns = lap(&mut clock);
     let outs = crate::par::parallel_map(workers, lefts.len(), |p| {
         let left = &lefts[p];
         let lkeys = probe_keys(left)?;
         let (probe_side, _) = KeySide::join_pair(&column_refs(&lkeys), &column_refs(&rkeys));
         build.probe(left, &probe_side, 0, left.num_rows() as u32)
     })?;
+    profile.probe_ns = lap(&mut clock);
     build.count(pir);
 
     // The fan-out rule, decided on the whole join's output.
@@ -344,9 +431,9 @@ pub fn execute_join_parts(
             o
         });
         let merged = ProbeOut::concat(shifted.collect());
-        return Ok(vec![assemble(
-            &left, &right, join_type, merged, out_schema, workers,
-        )?]);
+        let out = assemble(&left, &right, join_type, merged, out_schema, workers)?;
+        profile.assemble_ns = lap(&mut clock);
+        return Ok(vec![out]);
     }
     let right = if join_type.keeps_right() {
         let encoded: Vec<Arc<ColumnVector>> = (right.batch.columns().iter())
@@ -364,10 +451,12 @@ pub fn execute_join_parts(
         .into_iter()
         .map(|o| parking_lot::Mutex::new(Some(o)))
         .collect();
-    crate::par::parallel_map(workers, lefts.len(), |p| {
+    let parts = crate::par::parallel_map(workers, lefts.len(), |p| {
         let out = outs[p].lock().take().unwrap_or_default();
         assemble(&lefts[p], &right, join_type, out, out_schema, 1)
-    })
+    })?;
+    profile.assemble_ns = lap(&mut clock);
+    Ok(parts)
 }
 
 /// A join's residual predicate as the row interpreter evaluates it, the
@@ -468,8 +557,11 @@ impl<'a> Build<'a> {
     }
 
     /// Probe positions `lo..hi` of `left`. Each chunk of probe keys is
-    /// prepared column-wise, then its rows are walked with each row's
-    /// candidate list borrowed from the build — no per-row allocation.
+    /// prepared column-wise, then walked against the index. Without a
+    /// residual the walk writes the output rows itself
+    /// ([`JoinIndex::probe_into`]); with one, each probe row's candidate
+    /// list, borrowed from the build, goes through the residual first —
+    /// no per-row allocation either way.
     fn probe(
         &self,
         left: &SelBatch,
@@ -481,6 +573,14 @@ impl<'a> Build<'a> {
         let mut out = ProbeOut::default();
         out.left.reserve((hi - lo) as usize);
         out.right.reserve((hi - lo) as usize);
+        let all_left = SelVec::all(left.num_rows());
+        let (lo, hi) = (lo as usize, hi as usize);
+        if self.resid.pred.is_none() {
+            probe_side.key_chunks(&all_left, lo, hi, |at, keys| {
+                (self.index).probe_into(keys, at as u32, join_type, &mut out)
+            })?;
+            return Ok(out);
+        }
         let mut kept: Vec<u32> = Vec::new();
         // Compiled-residual buffers, held with their plan: candidate
         // pairs accumulate across probe rows (`pr` = build positions,
@@ -503,7 +603,6 @@ impl<'a> Build<'a> {
                         spans.clear();
                     }
                 }
-                None if self.resid.pred.is_none() => emit_probe(join_type, li, cands, &mut out),
                 None => {
                     kept.clear();
                     for &ri in cands {
@@ -511,13 +610,12 @@ impl<'a> Build<'a> {
                             kept.push(ri);
                         }
                     }
-                    emit_probe(join_type, li, &kept, &mut out);
+                    emit_rows(join_type, li, 1, &mut out, |_| kept.as_slice());
                 }
             }
             Ok(())
         };
-        let all_left = SelVec::all(left.num_rows());
-        probe_side.key_chunks(&all_left, lo as usize, hi as usize, |at, keys| {
+        probe_side.key_chunks(&all_left, lo, hi, |at, keys| {
             self.index
                 .probe(keys, |r, cands| matched((at + r) as u32, cands))
         })?;
@@ -525,6 +623,14 @@ impl<'a> Build<'a> {
             flush_pairs(plan, left, right, join_type, pr, spans, &mut kept, &mut out)?;
         }
         Ok(out)
+    }
+
+    /// Record the route this build serves: its index and whether the
+    /// probe goes `by_parts`.
+    fn describe(&self, profile: &mut JoinProfile, by_parts: bool) {
+        profile.index = Some(self.index.kind());
+        profile.partitions = self.index.partitions();
+        profile.by_parts = by_parts;
     }
 
     /// Report the residual's compiled stage and interpreted pairs.
@@ -542,12 +648,13 @@ impl<'a> Build<'a> {
 
 /// One probe range's output rows and the build rows it matched.
 #[derive(Default)]
-struct ProbeOut {
-    left: Vec<u32>,
+#[cfg_attr(test, derive(Debug, PartialEq))]
+pub(crate) struct ProbeOut {
+    pub(crate) left: Vec<u32>,
     /// Build position per output row; [`NULL_INDEX`] where the probe
     /// row found no match.
-    right: Vec<u32>,
-    matched_right: Vec<u32>,
+    pub(crate) right: Vec<u32>,
+    pub(crate) matched_right: Vec<u32>,
 }
 
 impl ProbeOut {
@@ -573,50 +680,77 @@ impl ProbeOut {
     }
 }
 
-/// Emit probe row `li`'s output for its residual-surviving candidate
-/// list `kept` — the single source of truth for per-join-type emission
-/// semantics, shared by the in-memory probe and the grace join's
-/// leaves (which is what makes them byte-identical).
-fn emit_probe(join_type: JoinType, li: u32, kept: &[u32], out: &mut ProbeOut) {
+/// Append the output rows of probe positions `at..at + n`, position
+/// `at + r` having met build rows `cands(r)`, by `join_type`'s rule —
+/// the single source of truth for per-join-type emission. A join
+/// without a residual runs it over a whole chunk of probe keys, one
+/// loop per join type ([`JoinIndex::probe_into`]); the residual probe
+/// and the grace join's leaves run it one probe row at a time over the
+/// residual-surviving candidates. That sharing is what makes the three
+/// byte-identical.
+#[inline]
+pub(crate) fn emit_rows<'c>(
+    join_type: JoinType,
+    at: u32,
+    n: usize,
+    out: &mut ProbeOut,
+    cands: impl Fn(usize) -> &'c [u32],
+) {
+    let ProbeOut {
+        left,
+        right,
+        matched_right,
+    } = out;
+    let rows = (0..n).map(|r| (at + r as u32, cands(r)));
     match join_type {
         JoinType::Inner | JoinType::Cross => {
-            for &ri in kept {
-                out.left.push(li);
-                out.right.push(ri);
+            for (li, c) in rows {
+                for &ri in c {
+                    left.push(li);
+                    right.push(ri);
+                }
             }
         }
         JoinType::Left => {
-            if kept.is_empty() {
-                out.left.push(li);
-                out.right.push(NULL_INDEX);
-            } else {
-                for &ri in kept {
-                    out.left.push(li);
-                    out.right.push(ri);
+            for (li, c) in rows {
+                if c.is_empty() {
+                    left.push(li);
+                    right.push(NULL_INDEX);
+                } else {
+                    for &ri in c {
+                        left.push(li);
+                        right.push(ri);
+                    }
                 }
             }
         }
         JoinType::Right | JoinType::Full => {
-            for &ri in kept {
-                out.matched_right.push(ri);
-                out.left.push(li);
-                out.right.push(ri);
-            }
-            if join_type == JoinType::Full && kept.is_empty() {
-                out.left.push(li);
-                out.right.push(NULL_INDEX);
+            for (li, c) in rows {
+                for &ri in c {
+                    matched_right.push(ri);
+                    left.push(li);
+                    right.push(ri);
+                }
+                if join_type == JoinType::Full && c.is_empty() {
+                    left.push(li);
+                    right.push(NULL_INDEX);
+                }
             }
         }
         JoinType::Semi => {
-            if !kept.is_empty() {
-                out.left.push(li);
-                out.right.push(NULL_INDEX);
+            for (li, c) in rows {
+                if !c.is_empty() {
+                    left.push(li);
+                    right.push(NULL_INDEX);
+                }
             }
         }
         JoinType::Anti => {
-            if kept.is_empty() {
-                out.left.push(li);
-                out.right.push(NULL_INDEX);
+            for (li, c) in rows {
+                if c.is_empty() {
+                    left.push(li);
+                    right.push(NULL_INDEX);
+                }
             }
         }
     }
@@ -683,7 +817,7 @@ impl ResidualPlan {
 /// exactly like `residual_ok`), pads the rest with typed NULL columns,
 /// and runs the pipeline once over all pairs. Kernels return pass-set
 /// indices in ascending order, so a single forward walk splits them
-/// back into per-probe-row `kept` lists for [`emit_probe`].
+/// back into per-probe-row `kept` lists for [`emit_rows`].
 #[allow(clippy::too_many_arguments)]
 fn flush_pairs(
     plan: &ResidualPlan,
@@ -723,7 +857,7 @@ fn flush_pairs(
         // Every pair passed: each span keeps its full candidate list.
         None => {
             for &(li, s, e) in spans {
-                emit_probe(join_type, li, &pr[s as usize..e as usize], out);
+                emit_rows(join_type, li, 1, out, |_| &pr[s as usize..e as usize]);
             }
         }
         Some(p) => {
@@ -735,7 +869,7 @@ fn flush_pairs(
                     kept.push(pr[p[pi] as usize]);
                     pi += 1;
                 }
-                emit_probe(join_type, li, kept, out);
+                emit_rows(join_type, li, 1, out, |_| kept.as_slice());
             }
         }
     }
@@ -749,7 +883,7 @@ fn flush_pairs(
 /// positions' keys in a [`JoinIndex`] and probes it with its probe
 /// positions' keys — both re-derived from the resident key columns by
 /// the join's own [`KeySide`]s, whatever shape they chose — emitting
-/// through [`emit_probe`], as the in-memory probe does. A probe row the
+/// through [`emit_rows`], as the in-memory probe does. A probe row the
 /// join excludes (a NULL key part) routes to partition 0 and finds no
 /// candidates there. Payload columns never spill: assembly gathers from
 /// the resident input batches at the end, exactly like the in-memory
@@ -804,7 +938,7 @@ fn grace_join(
                             kept.push(ri);
                         }
                     }
-                    emit_probe(join_type, li, &kept, &mut out);
+                    emit_rows(join_type, li, 1, &mut out, |_| kept.as_slice());
                     Ok(())
                 })
             })
@@ -959,6 +1093,47 @@ mod tests {
         let mut rows: Vec<String> = out.to_rows().iter().map(|r| r.to_string()).collect();
         rows.sort();
         rows
+    }
+
+    /// The route column of a join's profile: a unique dense key is
+    /// addressed directly, keys scattered over `i32` hash, and a join
+    /// without keys indexes nothing. Every route joins the same rows.
+    #[test]
+    fn profile_records_the_route() {
+        let route = |build_keys: &[i32], equi: Vec<(ScalarExpr, ScalarExpr)>| {
+            let rows: Vec<(Option<i32>, &str)> =
+                build_keys.iter().map(|&k| (Some(k), "r")).collect();
+            let r = batch("r", &rows);
+            let l = batch(
+                "l",
+                &[(Some(build_keys[0]), "a"), (Some(3), "b"), (None, "n")],
+            );
+            let schema = l.schema().join(r.schema());
+            let mut profile = JoinProfile::default();
+            let out = join_parts_profiled(
+                &[SelBatch::from_batch(l)],
+                &SelBatch::from_batch(r),
+                JoinType::Inner,
+                &equi,
+                &None,
+                &schema,
+                1_000_000,
+                1,
+                None,
+                None,
+                &mut profile,
+            )
+            .unwrap();
+            (profile.route(), out[0].num_rows())
+        };
+        let on_key = || vec![(ScalarExpr::Column(0), ScalarExpr::Column(0))];
+        assert_eq!(route(&[5, 3, 4], on_key()), ("dense/assembled/1".into(), 2));
+        let scattered = [i32::MIN + 7, 3, i32::MAX - 1];
+        assert_eq!(
+            route(&scattered, on_key()),
+            ("hashed/assembled/1".into(), 2)
+        );
+        assert_eq!(route(&[5, 3, 4], vec![]), ("keyless/assembled/1".into(), 9));
     }
 
     #[test]

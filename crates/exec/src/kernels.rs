@@ -31,44 +31,50 @@ pub fn eval_vector(expr: &ScalarExpr, batch: &VectorBatch) -> Result<Arc<ColumnV
 }
 
 /// Row-at-a-time interpretation of a predicate (the Hive 1.2 path).
-/// One row buffer is reused across the loop — `batch.row(i)` would
-/// allocate a fresh `Vec<Value>` per row.
 pub fn filter_indices_rowmode(expr: &ScalarExpr, batch: &VectorBatch) -> Result<Vec<u32>> {
     let mut out = Vec::new();
-    let mut vals: Vec<Value> = Vec::with_capacity(batch.num_columns());
-    for i in 0..batch.num_rows() {
-        vals.clear();
-        for c in 0..batch.num_columns() {
-            vals.push(batch.column(c).get(i));
-        }
-        if eval_scalar(expr, &vals)? == Value::Boolean(true) {
+    each_row_value(expr, batch, |i, v| {
+        if v == Value::Boolean(true) {
             out.push(i as u32);
         }
-    }
+        Ok(())
+    })?;
     Ok(out)
 }
 
 /// Row-at-a-time projection (the Hive 1.2 path): results stream
 /// straight into a [`ColumnBuilder`] for the declared output type —
-/// no intermediate `Vec<Value>` of the whole column, and one reused
-/// row buffer instead of a `Row` allocation per row. The output is
-/// byte-identical to `eval_vector`'s builder fallback for the same
-/// expression (same builder, same push sequence).
+/// no intermediate `Vec<Value>` of the whole column. The vectorized
+/// engine's row fallback is this function too.
 pub fn eval_rowmode(
     expr: &ScalarExpr,
     batch: &VectorBatch,
     want: &hive_common::DataType,
 ) -> Result<ColumnVector> {
     let mut b = ColumnBuilder::new(want)?;
-    let mut vals: Vec<Value> = Vec::with_capacity(batch.num_columns());
-    for i in 0..batch.num_rows() {
-        vals.clear();
-        for c in 0..batch.num_columns() {
-            vals.push(batch.column(c).get(i));
-        }
-        b.push(&eval_scalar(expr, &vals)?)?;
-    }
+    each_row_value(expr, batch, |_, v| b.push(&v))?;
     Ok(b.finish())
+}
+
+/// `f(row, expr's value at row)` for every row of the batch, in order.
+/// One row buffer is reused across the loop, and only the columns the
+/// expression references are read into it; the others stay NULL, which
+/// the expression never looks at.
+fn each_row_value(
+    expr: &ScalarExpr,
+    batch: &VectorBatch,
+    mut f: impl FnMut(usize, Value) -> Result<()>,
+) -> Result<()> {
+    let mut cols = expr.columns();
+    cols.retain(|&c| c < batch.num_columns()); // an unbound column fails in `eval_scalar`
+    let mut vals = vec![Value::Null; batch.num_columns()];
+    for i in 0..batch.num_rows() {
+        for &c in &cols {
+            vals[c] = batch.column(c).get(i);
+        }
+        f(i, eval_scalar(expr, &vals)?)?;
+    }
+    Ok(())
 }
 
 /// `n` rows of the literal `v` in its own type (a type-less NULL is a
@@ -189,10 +195,9 @@ fn try_fast_arith(
     })
 }
 
-/// Row-fallback evaluation into a typed column. The output type comes
-/// from the expression's static type against the batch schema. One row
-/// buffer is reused across the loop, and only the columns the
-/// expression reads are materialized into it.
+/// Row-fallback evaluation into a typed column: the dictionary fast
+/// path, else [`eval_rowmode`] at the expression's static type against
+/// the batch schema.
 fn fallback(expr: &ScalarExpr, batch: &VectorBatch) -> Result<ColumnVector> {
     if let Some(out) = eval_dict_unary(expr, batch)? {
         return Ok(out);
@@ -203,16 +208,7 @@ fn fallback(expr: &ScalarExpr, batch: &VectorBatch) -> Result<ColumnVector> {
     } else {
         dt
     };
-    let cols = expr.columns();
-    let mut b = ColumnBuilder::new(&dt)?;
-    let mut vals = vec![Value::Null; batch.num_columns()];
-    for i in 0..batch.num_rows() {
-        for &c in &cols {
-            vals[c] = batch.column(c).get(i);
-        }
-        b.push(&eval_scalar(expr, &vals)?)?;
-    }
-    Ok(b.finish())
+    eval_rowmode(expr, batch, &dt)
 }
 
 /// Dictionary fast path for any expression whose only input column is
@@ -862,6 +858,17 @@ mod tests {
                 whole_rows(e),
                 "divergence for {e}"
             );
+            let dt = e.data_type(b.schema()).unwrap();
+            assert_eq!(eval_rowmode(e, &b, &dt).unwrap(), whole_rows(e), "{e}");
+        }
+        // The row-mode filter keeps the rows whole-row evaluation keeps.
+        for e in &exprs[2..] {
+            let whole: Vec<u32> = (0..b.num_rows() as u32)
+                .filter(|&i| {
+                    eval_scalar(e, b.row(i as usize).values()).unwrap() == Value::Boolean(true)
+                })
+                .collect();
+            assert_eq!(filter_indices_rowmode(e, &b).unwrap(), whole, "{e}");
         }
     }
 

@@ -43,9 +43,11 @@
 //! position or probe range). Both hashes are fixed functions, so
 //! `HIVE_FAULT_SEED` replay is unaffected.
 
+use crate::join::{emit_rows, ProbeOut};
 use crate::rawtable::RawTable;
 use hive_common::hash::{self, fnv1a};
 use hive_common::{BitSet, ColumnVector, HiveError, Result, SelVec, Value};
+use hive_optimizer::plan::JoinType;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -1170,15 +1172,19 @@ impl<T: KeyTable> JoinPart<T> {
     }
 }
 
-/// Probe rows are looked up a block at a time, ahead of being visited:
+/// Probe rows are looked up a block at a time, ahead of being emitted:
 /// the lookups of a block are independent loads the CPU overlaps, which
 /// the per-row emit work between them would otherwise serialize.
 const PROBE_BLOCK: usize = 64;
 
-fn probe_parts<'s, T: KeyTable>(
-    parts: &'s [JoinPart<T>],
+/// Walk the probe rows of `keys` a [`PROBE_BLOCK`] at a time: look the
+/// block's rows up, then `walk(first row of the block, each row's
+/// partition and entry)` — `None` for a row the join excludes or a key
+/// no partition has.
+fn probe_parts<T: KeyTable>(
+    parts: &[JoinPart<T>],
     keys: &T::Keys,
-    mut visit: impl FnMut(usize, &'s [u32]) -> Result<()>,
+    mut walk: impl FnMut(usize, &[(u32, Option<u32>)]) -> Result<()>,
 ) -> Result<()> {
     let n = T::rows(keys);
     let mut found: [(u32, Option<u32>); PROBE_BLOCK] = [(0, None); PROBE_BLOCK];
@@ -1199,18 +1205,101 @@ fn probe_parts<'s, T: KeyTable>(
                 (p as u32, parts[p].table.find_row(keys, r, h))
             };
         }
-        for (j, &(p, entry)) in found[..block].iter().enumerate() {
-            visit(lo + j, parts[p as usize].candidates(entry))?;
-        }
+        walk(lo, &found[..block])?;
         lo += block;
     }
     Ok(())
 }
 
-/// A join's build side: key → the build rows carrying it, hash-partitioned
-/// so the partitions build in parallel. A key's rows all land in one
-/// partition and each partition inserts in ascending position, so every
-/// candidate list is what a serial single-table build produces.
+/// Build slots a dense index may spend per keyed build row: four `u32`
+/// slots are 16 bytes, what a [`WordTable`] bucket alone costs.
+const DENSE_SLOTS_PER_ROW: u64 = 4;
+/// A dense index of up to this many slots (256 KiB) is taken whatever
+/// the row count.
+const DENSE_MIN_SLOTS: u64 = 1 << 16;
+
+/// Unique one-word build keys over a narrow span (a dimension's
+/// surrogate key): `slots[key − min]` is the one build row carrying
+/// `key`, [`VACANT`] where none does. A probe is a subtraction, a bounds
+/// check and one load, with no hash.
+#[derive(Debug)]
+struct Dense {
+    min: u64,
+    slots: Vec<u32>,
+}
+
+impl Dense {
+    /// The dense index of the keyed rows of `keys`, or `None` when there
+    /// are none, a key repeats, or their span is wider than
+    /// `max(DENSE_SLOTS_PER_ROW × rows, DENSE_MIN_SLOTS)` slots.
+    fn build(keys: &WordKeys<u64>) -> Option<Dense> {
+        let keyed = || (0..keys.keys.len()).filter(|&r| !skipped(&keys.skip, r));
+        let (mut min, mut max, mut rows) = (u64::MAX, 0u64, 0u64);
+        for r in keyed() {
+            let k = keys.keys[r];
+            min = min.min(k);
+            max = max.max(k);
+            rows += 1;
+        }
+        if rows == 0 {
+            return None;
+        }
+        let span = (max - min).saturating_add(1);
+        if span > (DENSE_SLOTS_PER_ROW * rows).max(DENSE_MIN_SLOTS) {
+            return None;
+        }
+        let mut slots = vec![VACANT; span as usize];
+        for r in keyed() {
+            let slot = &mut slots[(keys.keys[r] - min) as usize];
+            if *slot != VACANT {
+                return None;
+            }
+            *slot = r as u32;
+        }
+        Some(Dense { min, slots })
+    }
+
+    /// Probe row `r`'s candidate list: its build row, or none.
+    #[inline]
+    fn candidates<'s>(&'s self, keys: &WordKeys<u64>, r: usize) -> &'s [u32] {
+        if skipped(&keys.skip, r) {
+            return &[];
+        }
+        match self.slots.get(keys.keys[r].wrapping_sub(self.min) as usize) {
+            Some(row) if *row != VACANT => std::slice::from_ref(row),
+            _ => &[],
+        }
+    }
+}
+
+/// How a [`JoinIndex`] finds a probe key's build rows.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum IndexKind {
+    /// No key columns: every probe row's candidates are all build rows.
+    Keyless,
+    /// Unique one-word keys over a narrow span, addressed directly.
+    Dense,
+    /// Hash tables, one per build partition.
+    Hashed,
+}
+
+impl IndexKind {
+    pub fn name(self) -> &'static str {
+        match self {
+            IndexKind::Keyless => "keyless",
+            IndexKind::Dense => "dense",
+            IndexKind::Hashed => "hashed",
+        }
+    }
+}
+
+/// A join's build side: key → the build rows carrying it. Unique
+/// one-word keys over a narrow span are an array indexed by key
+/// (`Dense`); every other key is hash-partitioned so the partitions
+/// build in parallel. A key's rows all land in one partition and each
+/// partition inserts in ascending position, so every candidate list is
+/// what a serial single-table build produces — and what the dense
+/// index holds, one row per key.
 #[derive(Debug)]
 pub struct JoinIndex(Index);
 
@@ -1219,6 +1308,7 @@ enum Index {
     /// No key columns, no table: every probe row's candidates are all
     /// build rows in order.
     None(Vec<u32>),
+    Dense(Dense),
     W64(Vec<JoinPart<WordTable<u64>>>),
     W128(Vec<JoinPart<WordTable<u128>>>),
     Bytes(Vec<JoinPart<RawTable>>),
@@ -1226,7 +1316,8 @@ enum Index {
 
 impl JoinIndex {
     /// Index the build side's keys (row `r` of `keys` is build position
-    /// `r`) across `workers`: one table, or — given the [`partition`]
+    /// `r`) across `workers`: a dense array when the keys allow one
+    /// (`Dense::build`), else one table, or — given the [`partition`]
     /// runs of `keys`' chunks, in chunk order — one table per partition.
     pub fn build(keys: &RowKeys, runs: &[Runs], workers: usize) -> Result<JoinIndex> {
         fn parts<T: KeyTable>(
@@ -1244,25 +1335,103 @@ impl JoinIndex {
         }
         Ok(JoinIndex(match keys {
             RowKeys::None(n) => Index::None((0..*n as u32).collect()),
-            RowKeys::W64(k) => Index::W64(parts(k, runs, workers)?),
+            RowKeys::W64(k) => match Dense::build(k) {
+                Some(dense) => Index::Dense(dense),
+                None => Index::W64(parts(k, runs, workers)?),
+            },
             RowKeys::W128(k) => Index::W128(parts(k, runs, workers)?),
             RowKeys::Bytes(k) => Index::Bytes(parts(k, runs, workers)?),
         }))
     }
 
+    /// How this index finds a key's build rows.
+    pub fn kind(&self) -> IndexKind {
+        match &self.0 {
+            Index::None(_) => IndexKind::Keyless,
+            Index::Dense(_) => IndexKind::Dense,
+            _ => IndexKind::Hashed,
+        }
+    }
+
+    /// Hash partitions the index was built in (1 for the keyless and
+    /// dense kinds).
+    pub fn partitions(&self) -> usize {
+        match &self.0 {
+            Index::None(_) | Index::Dense(_) => 1,
+            Index::W64(p) => p.len(),
+            Index::W128(p) => p.len(),
+            Index::Bytes(p) => p.len(),
+        }
+    }
+
     /// For each row of the probe keys, ascending: `visit(row, the build
     /// positions carrying its key, ascending)` — none for a row the join
-    /// excludes.
+    /// excludes. What a join with a residual filters candidates through.
     pub fn probe<'s>(
         &'s self,
         keys: &RowKeys,
         mut visit: impl FnMut(usize, &'s [u32]) -> Result<()>,
     ) -> Result<()> {
+        fn each<'s, T: KeyTable>(
+            parts: &'s [JoinPart<T>],
+            keys: &T::Keys,
+            visit: &mut impl FnMut(usize, &'s [u32]) -> Result<()>,
+        ) -> Result<()> {
+            probe_parts(parts, keys, |lo, block| {
+                (block.iter().enumerate())
+                    .try_for_each(|(j, &(p, e))| visit(lo + j, parts[p as usize].candidates(e)))
+            })
+        }
         match (&self.0, keys) {
             (Index::None(all), RowKeys::None(n)) => (0..*n).try_for_each(|r| visit(r, all)),
-            (Index::W64(parts), RowKeys::W64(k)) => probe_parts(parts, k, visit),
-            (Index::W128(parts), RowKeys::W128(k)) => probe_parts(parts, k, visit),
-            (Index::Bytes(parts), RowKeys::Bytes(k)) => probe_parts(parts, k, visit),
+            (Index::Dense(d), RowKeys::W64(k)) => {
+                (0..k.keys.len()).try_for_each(|r| visit(r, d.candidates(k, r)))
+            }
+            (Index::W64(parts), RowKeys::W64(k)) => each(parts, k, &mut visit),
+            (Index::W128(parts), RowKeys::W128(k)) => each(parts, k, &mut visit),
+            (Index::Bytes(parts), RowKeys::Bytes(k)) => each(parts, k, &mut visit),
+            (_, keys) => Err(shape_mismatch(keys.shape())),
+        }
+    }
+
+    /// Probe every row of `keys` — probe positions `at..` — and append
+    /// its output rows by `join_type`'s rule straight into `out`, in
+    /// probe order: what a join without a residual runs, one loop per
+    /// index kind and join type with no per-row callback.
+    pub(crate) fn probe_into(
+        &self,
+        keys: &RowKeys,
+        at: u32,
+        join_type: JoinType,
+        out: &mut ProbeOut,
+    ) -> Result<()> {
+        fn blocks<T: KeyTable>(
+            parts: &[JoinPart<T>],
+            keys: &T::Keys,
+            at: u32,
+            join_type: JoinType,
+            out: &mut ProbeOut,
+        ) -> Result<()> {
+            probe_parts(parts, keys, |lo, block| {
+                emit_rows(join_type, at + lo as u32, block.len(), out, |j| {
+                    let (p, e) = block[j];
+                    parts[p as usize].candidates(e)
+                });
+                Ok(())
+            })
+        }
+        match (&self.0, keys) {
+            (Index::None(all), RowKeys::None(n)) => {
+                emit_rows(join_type, at, *n, out, |_| all);
+                Ok(())
+            }
+            (Index::Dense(d), RowKeys::W64(k)) => {
+                emit_rows(join_type, at, k.keys.len(), out, |r| d.candidates(k, r));
+                Ok(())
+            }
+            (Index::W64(parts), RowKeys::W64(k)) => blocks(parts, k, at, join_type, out),
+            (Index::W128(parts), RowKeys::W128(k)) => blocks(parts, k, at, join_type, out),
+            (Index::Bytes(parts), RowKeys::Bytes(k)) => blocks(parts, k, at, join_type, out),
             (_, keys) => Err(shape_mismatch(keys.shape())),
         }
     }
@@ -1386,5 +1555,136 @@ mod tests {
         assert_eq!(join(&[&codes], &[&dups]), Shape::W64);
         assert_eq!(join(&[&codes], &[&text]), Shape::Bytes);
         assert_eq!(join(&[], &[]), Shape::None);
+    }
+
+    /// One INT key column from optional values.
+    fn int_col(vals: &[Option<i32>]) -> ColumnVector {
+        let mut nulls = BitSet::new(vals.len());
+        for (i, v) in vals.iter().enumerate() {
+            if v.is_none() {
+                nulls.set(i);
+            }
+        }
+        let any_null = vals.iter().any(Option::is_none);
+        ColumnVector::Int(
+            vals.iter().map(|v| v.unwrap_or(0)).collect(),
+            any_null.then_some(nulls),
+        )
+    }
+
+    /// The kind [`JoinIndex::build`] picks for `build`, and what the
+    /// dense index (when picked) and a hashed one over the same keys
+    /// give `probe`: candidate lists, and the output rows of every join
+    /// type — which is all a join's bytes are assembled from.
+    fn dense_against_hashed(build: &[Option<i32>], probe: &[Option<i32>]) -> IndexKind {
+        let (pcol, bcol) = (int_col(probe), int_col(build));
+        let (pside, bside) = KeySide::join_pair(&[&pcol], &[&bcol]);
+        let bkeys = bside.keys(&SelVec::all(build.len()), 0, build.len());
+        let pkeys = pside.keys(&SelVec::all(probe.len()), 0, probe.len());
+        let RowKeys::W64(words) = &bkeys else {
+            panic!("an INT key is one word");
+        };
+        let picked = JoinIndex::build(&bkeys, &[], 1).unwrap();
+        let hashed = JoinIndex(Index::W64(vec![JoinPart::build(words, None)]));
+        let candidates = |index: &JoinIndex| {
+            let mut all = Vec::new();
+            (index.probe(&pkeys, |r, c| {
+                all.push((r, c.to_vec()));
+                Ok(())
+            }))
+            .unwrap();
+            all
+        };
+        assert_eq!(
+            candidates(&picked),
+            candidates(&hashed),
+            "{build:?} / {probe:?}"
+        );
+        for jt in [
+            JoinType::Inner,
+            JoinType::Left,
+            JoinType::Right,
+            JoinType::Full,
+            JoinType::Semi,
+            JoinType::Anti,
+        ] {
+            let emitted = |index: &JoinIndex| {
+                let mut out = ProbeOut::default();
+                index.probe_into(&pkeys, 7, jt, &mut out).unwrap();
+                out
+            };
+            assert_eq!(emitted(&picked), emitted(&hashed), "{jt:?} {build:?}");
+        }
+        picked.kind()
+    }
+
+    /// Is this build's key set one the dense index takes: non-empty,
+    /// unique, and spanning at most the size rule's slots (as packed
+    /// words — a negative INT packs above every positive one)?
+    fn dense_expected(build: &[Option<i32>]) -> bool {
+        let words: Vec<u64> = build.iter().flatten().map(|&k| k as u32 as u64).collect();
+        let (Some(&min), Some(&max)) = (words.iter().min(), words.iter().max()) else {
+            return false;
+        };
+        let unique = words.iter().collect::<HashSet<_>>().len() == words.len();
+        let rule = (DENSE_SLOTS_PER_ROW * words.len() as u64).max(DENSE_MIN_SLOTS);
+        unique && max - min < rule
+    }
+
+    #[test]
+    fn dense_index_edges() {
+        let probe: Vec<Option<i32>> = (-3..12).map(Some).chain([None]).collect();
+        // Unique, dense, with a NULL: addressed directly.
+        let unique = [Some(4), None, Some(1), Some(9), Some(2)];
+        assert_eq!(dense_against_hashed(&unique, &probe), IndexKind::Dense);
+        // All negative: dense over the packed words too.
+        let negative = [Some(-3), Some(-1), Some(-2)];
+        assert_eq!(dense_against_hashed(&negative, &probe), IndexKind::Dense);
+        // Duplicates fall back to the hashed table.
+        let dups = [Some(1), Some(5), Some(1)];
+        assert_eq!(dense_against_hashed(&dups, &probe), IndexKind::Hashed);
+        // An empty build, and one of NULLs only, index nothing.
+        assert_eq!(dense_against_hashed(&[], &probe), IndexKind::Hashed);
+        assert_eq!(
+            dense_against_hashed(&[None, None], &probe),
+            IndexKind::Hashed
+        );
+        // A span exactly at the rule is dense; one slot over is not.
+        let rule = DENSE_MIN_SLOTS as i32;
+        let at_rule = [Some(0), Some(rule - 1)];
+        assert_eq!(dense_against_hashed(&at_rule, &probe), IndexKind::Dense);
+        let over = [Some(0), Some(rule)];
+        assert_eq!(dense_against_hashed(&over, &probe), IndexKind::Hashed);
+        // Past the minimum, the rule scales with the rows.
+        let rows = (DENSE_MIN_SLOTS / DENSE_SLOTS_PER_ROW) as i32 + 10;
+        let span = rows * DENSE_SLOTS_PER_ROW as i32;
+        let mut wide: Vec<Option<i32>> = (0..rows - 1).map(Some).collect();
+        wide.push(Some(span - 1));
+        assert_eq!(dense_against_hashed(&wide, &probe), IndexKind::Dense);
+        *wide.last_mut().unwrap() = Some(span);
+        assert_eq!(dense_against_hashed(&wide, &probe), IndexKind::Hashed);
+    }
+
+    proptest::proptest! {
+        /// Over random builds — unique or not, NULLs, keys around zero
+        /// so some spans straddle the sign — the picked index and the
+        /// hashed one agree on every candidate list and every join
+        /// type's output, and the dense kind is picked exactly when the
+        /// size rule allows it.
+        #[test]
+        fn dense_and_hashed_indexes_agree(
+            base in -40i32..40,
+            keys in proptest::collection::vec(proptest::option::of(0i32..60), 0..50),
+            unique in proptest::arbitrary::any::<bool>(),
+            probe in proptest::collection::vec(proptest::option::of(-60i32..120), 0..80),
+        ) {
+            let mut build: Vec<Option<i32>> = keys.iter().map(|k| k.map(|k| base + k)).collect();
+            if unique {
+                let mut seen = HashSet::new();
+                build.retain(|k| k.is_none_or(|k| seen.insert(k)));
+            }
+            let kind = dense_against_hashed(&build, &probe);
+            proptest::prop_assert_eq!(kind == IndexKind::Dense, dense_expected(&build));
+        }
     }
 }

@@ -236,6 +236,15 @@ pub(crate) enum PredKernel {
         negated: bool,
         orig: Box<ScalarExpr>,
     },
+    /// `column [NOT] IN (literals)`, every literal non-NULL and
+    /// pre-coerced — a dictionary column tests each entry once, then
+    /// reads codes.
+    InList {
+        col: usize,
+        specs: Vec<CmpSpec>,
+        negated: bool,
+        orig: Box<ScalarExpr>,
+    },
     /// `column IS [NOT] NULL` — a bitmap probe, the cheapest tier.
     IsNull { col: usize, negated: bool },
     /// Ordered short-circuit conjunction: each kernel narrows the
@@ -267,6 +276,9 @@ impl PredKernel {
             }
             // Column-column comparisons can land on a string pair, so
             // they order with the string tier.
+            PredKernel::InList { specs, .. } => {
+                u8::from(!specs.iter().all(|s| s.kernel_type().is_fixed_width()))
+            }
             PredKernel::CmpCols { .. } => 1,
             PredKernel::StrPrefix { .. } => 1,
             PredKernel::And(_) | PredKernel::Or(..) => 2,
@@ -348,6 +360,15 @@ impl PredKernel {
                     }))
                 }
                 _ => interpret(orig, std::slice::from_ref(col)),
+            },
+            PredKernel::InList {
+                col,
+                specs,
+                negated,
+                orig,
+            } => match select_in(batch.column(*col), specs, *negated, sel) {
+                Some(v) => Ok(v),
+                None => interpret(orig, std::slice::from_ref(col)),
             },
             PredKernel::IsNull { col, negated } => {
                 let c = batch.column(*col);
@@ -487,6 +508,47 @@ fn select_cmp(
             })
         }
         _ => return None,
+    })
+}
+
+/// `col [NOT] IN (specs)`: a row passes when it is non-NULL and equals
+/// some literal (IN) or none (NOT IN) — `eval_scalar`'s verdict for a
+/// list with no NULL literal. A dictionary column decides once per
+/// entry; any other column marks the rows each literal's equality loop
+/// ([`select_cmp`]) passes. `None` when the representation does not
+/// match the compiled specs.
+fn select_in(
+    col: &ColumnVector,
+    specs: &[CmpSpec],
+    negated: bool,
+    sel: SelRef<'_>,
+) -> Option<Vec<u32>> {
+    if let ColumnVector::Dict { codes, dict, nulls } = col {
+        let lits = (specs.iter())
+            .map(|s| match s {
+                CmpSpec::Str(x) => Some(x.as_str()),
+                _ => None,
+            })
+            .collect::<Option<Vec<&str>>>()?;
+        let verdicts: Vec<bool> = (dict.iter())
+            .map(|entry| lits.contains(&entry.as_str()) != negated)
+            .collect();
+        let nulls = live_nulls(nulls);
+        return Some(filter_sel(sel, |r| {
+            !nulls.is_some_and(|b| b.get(r)) && verdicts[codes[r] as usize]
+        }));
+    }
+    let eq = OrdMask::of(BinaryOp::Eq)?;
+    let mut hit = vec![false; col.len()];
+    for spec in specs {
+        for r in select_cmp(col, eq, spec, sel)? {
+            hit[r as usize] = true;
+        }
+    }
+    Some(match (negated, column_nulls(col)) {
+        (false, _) => filter_sel(sel, |r| hit[r]),
+        (true, None) => filter_sel(sel, |r| !hit[r]),
+        (true, Some(nulls)) => filter_sel(sel, |r| !hit[r] && !nulls.get(r)),
     })
 }
 

@@ -195,8 +195,8 @@ fn compile_pred(e: &ScalarExpr, schema: &Schema) -> PredKernel {
 }
 
 /// Leaf shapes with a specialized kernel: `col <cmp> lit` (either
-/// orientation), `NOT` of one, `col IS [NOT] NULL`, and
-/// `col [NOT] LIKE 'prefix%'`.
+/// orientation), `NOT` of one, `col IS [NOT] NULL`,
+/// `col [NOT] LIKE 'prefix%'` and `col [NOT] IN (non-NULL literals)`.
 fn compile_leaf(e: &ScalarExpr, schema: &Schema) -> Option<PredKernel> {
     match e {
         ScalarExpr::Binary { op, left, right } if op.is_comparison() => {
@@ -262,6 +262,19 @@ fn compile_leaf(e: &ScalarExpr, schema: &Schema) -> Option<PredKernel> {
                 col,
                 negated: !negated,
             }),
+            // `NOT (c IN list)` is `c NOT IN list`: both are NULL
+            // exactly when `c` is, with no NULL literal in the list.
+            PredKernel::InList {
+                col,
+                specs,
+                negated,
+                orig,
+            } => Some(PredKernel::InList {
+                col,
+                specs,
+                negated: !negated,
+                orig: Box::new(ScalarExpr::Not(orig)),
+            }),
             PredKernel::StrPrefix {
                 col,
                 prefix,
@@ -275,6 +288,28 @@ fn compile_leaf(e: &ScalarExpr, schema: &Schema) -> Option<PredKernel> {
             }),
             _ => None,
         },
+        ScalarExpr::InList {
+            expr,
+            list,
+            negated,
+        } => {
+            let ScalarExpr::Column(col) = expr.as_ref() else {
+                return None;
+            };
+            let kt = KernelType::of_data_type(&schema.field(*col).data_type)?;
+            let specs = (list.iter())
+                .map(|item| match item {
+                    ScalarExpr::Literal(v) if !v.is_null() => CmpSpec::coerce(kt, v),
+                    _ => None,
+                })
+                .collect::<Option<Vec<_>>>()?;
+            Some(PredKernel::InList {
+                col: *col,
+                specs,
+                negated: *negated,
+                orig: Box::new(e.clone()),
+            })
+        }
         ScalarExpr::IsNull { expr, negated } => match expr.as_ref() {
             ScalarExpr::Column(c) => Some(PredKernel::IsNull {
                 col: *c,
@@ -546,7 +581,91 @@ fn replace_subtree(e: &ScalarExpr, key: &str, col: usize) -> ScalarExpr {
 
 #[cfg(test)]
 mod tests {
-    use super::like_prefix;
+    use super::{like_prefix, PredPipeline, SelRef};
+    use crate::kernels::filter_indices_rowmode;
+    use hive_common::{BitSet, ColumnVector, DataType, Field, Schema, Value, VectorBatch};
+    use hive_optimizer::ScalarExpr;
+    use std::sync::Arc;
+
+    /// `col [NOT] IN (literals)` compiles to a kernel — no row
+    /// fallback, none at run time either — that keeps exactly the rows
+    /// the row interpreter keeps: NULL rows, a dictionary column with an
+    /// unused and a repeated entry, decimals against literals of fewer,
+    /// equal and more fractional digits, NaN, and `NOT` of an IN list.
+    #[test]
+    fn in_lists_compile_and_keep_what_the_row_interpreter_keeps() {
+        let mut nulls = BitSet::new(6);
+        nulls.set(4);
+        let dict = Arc::new(vec!["City1".to_string(), "City9".into(), "City3".into()]);
+        let strs = ["City1", "City2", "City9", "City3", "x", "City1"];
+        let cases: Vec<(DataType, ColumnVector, Vec<Value>)> = vec![
+            (
+                DataType::Int,
+                ColumnVector::Int(vec![1, 2, 3, -4, 5, 2], Some(nulls.clone())),
+                vec![Value::Int(2), Value::BigInt(-4), Value::Int(5)],
+            ),
+            (
+                DataType::Decimal(7, 2),
+                ColumnVector::Decimal(vec![100i128, 150, 105, 0, 7, -100].into(), 2, None),
+                vec![
+                    Value::Int(1),
+                    Value::Decimal(15, 1),
+                    Value::Decimal(1050, 3),
+                    Value::Decimal(1051, 3),
+                    Value::Decimal(-1, 0),
+                ],
+            ),
+            (
+                DataType::Double,
+                ColumnVector::Double(vec![1.5, f64::NAN, -0.0, 2.0, 3.0, 1.0], None),
+                vec![Value::Double(0.0), Value::Int(1), Value::Double(f64::NAN)],
+            ),
+            (
+                DataType::String,
+                ColumnVector::Str(
+                    strs.iter().map(|s| s.to_string()).collect(),
+                    Some(nulls.clone()),
+                ),
+                vec![Value::String("City1".into()), Value::String("City3".into())],
+            ),
+            (
+                DataType::String,
+                ColumnVector::dict_from_codes(vec![0, 2, 0, 1, 2, 0], dict, Some(nulls)).unwrap(),
+                vec![Value::String("City3".into()), Value::String("City2".into())],
+            ),
+        ];
+        for (dt, col, lits) in cases {
+            let schema = Schema::new(vec![Field::new("c", dt)]);
+            let batch = VectorBatch::from_arcs(schema.clone(), vec![Arc::new(col)], 6).unwrap();
+            for negated in [false, true] {
+                let in_list = ScalarExpr::InList {
+                    expr: Box::new(ScalarExpr::Column(0)),
+                    list: lits.iter().cloned().map(ScalarExpr::Literal).collect(),
+                    negated,
+                };
+                for expr in [in_list.clone(), ScalarExpr::Not(Box::new(in_list))] {
+                    let pipe = PredPipeline::compile(&expr, &schema, None, false);
+                    assert!(pipe.fully_compiled(), "{expr}");
+                    let want = filter_indices_rowmode(&expr, &batch).unwrap();
+                    for sel in [SelRef::All(6), SelRef::Idx(&[5, 3, 1, 0])] {
+                        let got = pipe.select(&batch, sel).unwrap();
+                        let got = got.unwrap_or_else(|| match sel {
+                            SelRef::All(n) => (0..n as u32).collect(),
+                            SelRef::Idx(v) => v.to_vec(),
+                        });
+                        let want: Vec<u32> = match sel {
+                            SelRef::All(_) => want.clone(),
+                            SelRef::Idx(v) => {
+                                v.iter().copied().filter(|r| want.contains(r)).collect()
+                            }
+                        };
+                        assert_eq!(got, want, "{expr} over {:?}", batch.column(0));
+                    }
+                    assert_eq!(pipe.interpreted_rows(), 0, "{expr}");
+                }
+            }
+        }
+    }
 
     /// Only `prefix%` with no metacharacter in the prefix is a prefix
     /// pattern; escapes and inner wildcards are not.

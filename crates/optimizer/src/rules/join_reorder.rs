@@ -7,7 +7,8 @@
 //! sides) and at each step attach the connected relation that minimizes
 //! the estimated intermediate cardinality (falling back to Cartesian
 //! expansion only when no connected relation remains). A final
-//! projection restores the original column order.
+//! projection restores the original column order. Last, every inner
+//! equi-join is built on its smaller input (`build_on_smaller`).
 //!
 //! Every estimate goes through the pass's [`Estimator`]: relations and
 //! candidate joins are `Arc` nodes it memoizes, so the subtree under a
@@ -22,8 +23,14 @@ use crate::stats::Estimator;
 use hive_common::{HiveError, Result};
 use std::sync::Arc;
 
-/// Reorder all maximal inner-join trees in the plan.
+/// Reorder all maximal inner-join trees in the plan, then build every
+/// inner equi-join on its smaller input (`build_on_smaller`).
 pub fn reorder_joins(plan: &LogicalPlan, est: &mut Estimator) -> Result<LogicalPlan> {
+    let reordered = reorder_only(plan, est)?;
+    Ok(build_on_smaller(&Arc::new(reordered), est))
+}
+
+fn reorder_only(plan: &LogicalPlan, est: &mut Estimator) -> Result<LogicalPlan> {
     if est.histograms_enabled() {
         return reorder_top_down(plan, est);
     }
@@ -99,6 +106,168 @@ fn reorder_below_joins(plan: &LogicalPlan, est: &mut Estimator) -> Result<Logica
     } else {
         reorder_top_down(plan, est)
     }
+}
+
+/// A swap must find the right input larger than the left by more than
+/// estimate noise — the greedy order's histogram margin: a right input
+/// within 1 / `SWAP_MARGIN` of the left stays the build side.
+const SWAP_MARGIN: f64 = 0.9;
+
+/// The build side (§4.1: the optimizer picks which input becomes the
+/// in-memory hash table). The executor builds on a join's *right*
+/// input, and a greedy or authored order can leave the bigger input
+/// there — a dimension probing the fact table. Every inner equi-join
+/// whose estimated right input exceeds its left by more than
+/// [`SWAP_MARGIN`] swaps its inputs: the equi pairs flip and the
+/// residual is remapped.
+///
+/// A swap permutes the join's output columns, and it adds no plan node
+/// to restore them: the permutation composes into the expressions of
+/// the operators above, through every operator that passes columns
+/// through (Filter, Sort, Limit, Window, the probe side of a join), up
+/// to the first Project or Aggregate, which absorbs it. A join with no
+/// such operator above it — under the plan's root, a union or a set
+/// operation, whose output columns are positional — keeps its sides.
+///
+/// The estimates are read from the estimator's memo: the reordering
+/// that precedes this pass estimated every join's inputs.
+fn build_on_smaller(plan: &Arc<LogicalPlan>, est: &mut Estimator) -> LogicalPlan {
+    let (out, perm) = swap_sides(plan, false, est);
+    debug_assert!(perm.is_none(), "the root absorbs no column permutation");
+    Arc::unwrap_or_clone(out)
+}
+
+/// A rewritten node's output columns against the original's: original
+/// column `i` is column `perm[i]`; `None` is the identity.
+type Perm = Option<Vec<usize>>;
+
+fn at(perm: &Perm, i: usize) -> usize {
+    perm.as_ref().map_or(i, |p| p[i])
+}
+
+/// Rewrite `expr` over an input whose columns moved by `perm`.
+fn moved(expr: ScalarExpr, perm: &Perm) -> ScalarExpr {
+    match perm {
+        None => expr,
+        Some(p) => expr.transform(&mut |e| match e {
+            ScalarExpr::Column(c) => ScalarExpr::Column(p[c]),
+            e => e,
+        }),
+    }
+}
+
+/// [`build_on_smaller`] below `plan`: the rewritten node and how its
+/// output columns moved. `absorbed` tells whether an operator above
+/// takes a permutation of this node's columns into its expressions.
+fn swap_sides(
+    plan: &Arc<LogicalPlan>,
+    absorbed: bool,
+    est: &mut Estimator,
+) -> (Arc<LogicalPlan>, Perm) {
+    let children = plan.children();
+    if children.is_empty() {
+        return (plan.clone(), None);
+    }
+    let child_absorbed = |i: usize| match &**plan {
+        LogicalPlan::Project { .. } | LogicalPlan::Aggregate { .. } => true,
+        LogicalPlan::Union { .. } | LogicalPlan::SetOp { .. } => false,
+        // A semi or anti join outputs its probe side only.
+        LogicalPlan::Join { join_type, .. } if !join_type.keeps_right() => i == 1 || absorbed,
+        _ => absorbed,
+    };
+    let mut new_children = Vec::with_capacity(children.len());
+    let mut perms = Vec::with_capacity(children.len());
+    for (i, c) in children.into_iter().enumerate() {
+        let (nc, p) = swap_sides(c, child_absorbed(i), est);
+        new_children.push(nc);
+        perms.push(p);
+    }
+    let unchanged = perms.iter().all(Option::is_none)
+        && new_children
+            .iter()
+            .zip(plan.children())
+            .all(|(n, o)| Arc::ptr_eq(n, o));
+    if let LogicalPlan::Join {
+        left,
+        right,
+        join_type,
+        equi,
+        residual,
+    } = &**plan
+    {
+        let swap = *join_type == JoinType::Inner
+            && !equi.is_empty()
+            && absorbed
+            && est.rows_of(left) < est.rows_of(right) * SWAP_MARGIN;
+        if unchanged && !swap {
+            return (plan.clone(), None);
+        }
+        let (pl, pr) = (&perms[0], &perms[1]);
+        let (lw, rw) = (left.schema().len(), right.schema().len());
+        // The join's own columns over (left ++ right), moved by the
+        // children's permutations.
+        let joined: Perm = (pl.is_some() || pr.is_some()).then(|| {
+            (0..lw)
+                .map(|c| at(pl, c))
+                .chain((0..rw).map(|c| lw + at(pr, c)))
+                .collect()
+        });
+        let (nl, nr) = (new_children[0].clone(), new_children[1].clone());
+        let equi = equi
+            .iter()
+            .map(|(l, r)| (moved(l.clone(), pl), moved(r.clone(), pr)));
+        if !swap {
+            let out_perm = if join_type.keeps_right() {
+                joined.clone()
+            } else {
+                pl.clone()
+            };
+            let node = LogicalPlan::Join {
+                left: nl,
+                right: nr,
+                join_type: *join_type,
+                equi: equi.collect(),
+                residual: residual.clone().map(|r| moved(r, &joined)),
+            };
+            return (Arc::new(node), out_perm);
+        }
+        // Swapped: the right input's columns come first.
+        let swapped: Perm = Some(
+            (0..lw)
+                .map(|c| rw + at(pl, c))
+                .chain((0..rw).map(|c| at(pr, c)))
+                .collect(),
+        );
+        let node = LogicalPlan::Join {
+            left: nr,
+            right: nl,
+            join_type: *join_type,
+            equi: equi.map(|(l, r)| (r, l)).collect(),
+            residual: residual.clone().map(|r| moved(r, &swapped)),
+        };
+        return (Arc::new(node), swapped);
+    }
+    if unchanged {
+        return (plan.clone(), None);
+    }
+    let input = &perms[0];
+    let out_perm = match &**plan {
+        LogicalPlan::Project { .. } | LogicalPlan::Aggregate { .. } => None,
+        LogicalPlan::Window { windows, .. } => input.as_ref().map(|p| {
+            let width = p.len();
+            p.iter()
+                .copied()
+                .chain(width..width + windows.len())
+                .collect()
+        }),
+        _ => input.clone(),
+    };
+    let rebuilt = super::with_children(plan, new_children);
+    let node = super::map_node_exprs(rebuilt, &mut |e| match e {
+        ScalarExpr::Column(c) => ScalarExpr::Column(at(input, c)),
+        e => e,
+    });
+    (Arc::new(node), out_perm)
 }
 
 /// Cost of a join tree as the sum of estimated output rows over every

@@ -86,6 +86,8 @@ echo "-- plans do not move: EXPLAIN + estimate bits vs tests/golden/plan_stabili
 cargo test -q --offline --test plan_stability plans_and_estimates_match_the_golden_file
 echo "-- planning in O(plan): the counting-StatsSource gate --"
 cargo test -q --offline --test plan_stability one_optimize_fetches_each_table_once_and_derives_each_summary_once
+echo "-- build side: q43's and q65's inner joins build on the dimension, never on store_sales --"
+cargo test -q --offline --test plan_stability fact_joins_build_on_the_dimension_side
 # The cold read path's three promises (DESIGN.md §4 "parts", §LLAP):
 # folding a scan part by part changes no byte, LRFU evicts what the
 # linear chooser would have, and the chunk decoder ends typed. The first
@@ -128,6 +130,8 @@ cargo test -q --offline -p hive-llap --lib kill_drops_cache_share
 # conditions that evaluate to NULL, and the typed comparison edges.
 echo "-- predicates: compiled = the row interpreter on NaN, wide, NULL and decimal literals; the fallback reads only what it uses --"
 cargo test -q --offline -p hive-exec --lib kernels::tests
+echo "-- predicates: col [NOT] IN (literals) compiles, and keeps the row interpreter's rows --"
+cargo test -q --offline -p hive-exec --lib pir::lower::tests
 echo "-- predicates: a shared scan's residuals = the row interpreter, and they count as compiled stages --"
 cargo test -q --offline --test pir_differential random_predicates_on_a_shared_scan_agree_with_the_row_interpreter
 cargo test -q --offline --test pir_differential counters_prove_compiled_paths_ran
@@ -153,6 +157,12 @@ cargo test -q --offline -p hive-core --test server_tests decimal_products_past_i
 # configuration.
 echo "-- key layer: word shapes = bytes shape = the replaced encode-and-FNV code --"
 cargo test -q --offline -p hive-exec --test keys
+# Dimension joins at array speed (DESIGN.md §4 "Joins over parts"): a
+# dense index is invisible in every join's output, and a join's profile
+# names the route it took.
+echo "-- join index: dense = hashed on candidates and every join type's rows; the size rule's edges; the route column --"
+cargo test -q --offline -p hive-exec --lib keys::tests
+cargo test -q --offline -p hive-exec --lib join::tests::profile_records_the_route
 echo "-- DISTINCT and JOIN over doubles: NaN is one value, one answer under every configuration --"
 cargo test -q --offline --test hash_keys double_keys_are_one_answer_under_every_configuration
 # The persistent executors (DESIGN.md §5 "Executors are persistent"): the

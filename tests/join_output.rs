@@ -226,3 +226,73 @@ fn replicated_plain_strings_match_the_row_interpreter() {
         }
     }
 }
+
+/// Statements whose authored order probes the fact table with a
+/// dimension (the dimension first in FROM), so the optimizer swaps the
+/// join's inputs and composes the column permutation into whatever sits
+/// above it: a window, a semi join's probe side, both branches of a
+/// UNION ALL, a residual over both sides, a LEFT JOIN. `SELECT *` is
+/// the join at the plan's root, whose column order nothing above can
+/// absorb: it keeps its sides.
+const SWAPPED: [(&str, &str); 6] = [
+    (
+        "Window over the join",
+        "SELECT i_category, ss_ticket_number, ss_quantity, \
+                RANK() OVER (PARTITION BY i_category ORDER BY ss_quantity DESC, ss_ticket_number, ss_item_sk) \
+         FROM item JOIN store_sales ON i_item_sk = ss_item_sk WHERE ss_quantity > 15",
+    ),
+    (
+        "semi join probing the join",
+        "SELECT i_item_id, ss_quantity, ss_ticket_number FROM item JOIN store_sales ON i_item_sk = ss_item_sk \
+         WHERE ss_customer_sk IN (SELECT c_customer_sk FROM customer WHERE c_customer_sk < 40)",
+    ),
+    (
+        "UNION ALL of two joins",
+        "SELECT i_brand, ss_quantity, ss_ticket_number FROM item JOIN store_sales ON i_item_sk = ss_item_sk \
+         WHERE ss_quantity > 18 \
+         UNION ALL \
+         SELECT s_store_name, ss_quantity, ss_ticket_number FROM store JOIN store_sales ON s_store_sk = ss_store_sk \
+         WHERE ss_quantity < 2",
+    ),
+    (
+        "residual over both sides",
+        "SELECT i_item_id, ss_quantity, ss_ticket_number \
+         FROM item JOIN store_sales ON i_item_sk = ss_item_sk AND ss_quantity * 10 > i_item_sk",
+    ),
+    (
+        "LEFT JOIN above",
+        "SELECT s_store_name, i_brand, ss_quantity, ss_ticket_number \
+         FROM item JOIN store_sales ON i_item_sk = ss_item_sk \
+              LEFT JOIN store ON ss_store_sk = s_store_sk AND s_store_sk > 2 \
+         WHERE ss_quantity > 17",
+    ),
+    (
+        "SELECT *",
+        "SELECT * FROM store JOIN store_sales ON s_store_sk = ss_store_sk WHERE ss_quantity = 7",
+    ),
+];
+
+/// A build-side swap is invisible in the rows: every statement returns
+/// what it returns with the cost-based stages off (no reordering, no
+/// swap), vectorized and in the row interpreter — and the swap really
+/// ran where it may, or the comparison would be vacuous.
+#[test]
+fn swapped_build_sides_return_the_unswapped_rows() {
+    let unswapped = load_server(|c| c.cbo_enabled = false);
+    let vectorized = load_server(|_| {});
+    let interpreted = load_server(|c| c.vectorized = false);
+    for (what, sql) in SWAPPED {
+        let want = sorted_rows(&unswapped, sql);
+        assert!(!want.is_empty(), "{what}: the fixture returns no rows");
+        for server in [&vectorized, &interpreted] {
+            assert_eq!(sorted_rows(server, sql), want, "{what}");
+        }
+        let explain = |s: &HiveServer| {
+            (s.session().execute(&format!("EXPLAIN {sql}")).unwrap())
+                .message
+                .unwrap_or_default()
+        };
+        let swapped = explain(&vectorized) != explain(&unswapped);
+        assert_eq!(swapped, what != "SELECT *", "{what}");
+    }
+}

@@ -260,3 +260,74 @@ fn one_optimize_fetches_each_table_once_and_derives_each_summary_once() {
     assert_eq!(fetches_again, fetches);
     assert_eq!(built_warm, 0, "a warm SELECT sorts no sample");
 }
+
+/// The base tables a subtree scans, semijoin reducer sources excluded.
+fn scanned(plan: &LogicalPlan, out: &mut Vec<String>) {
+    if let LogicalPlan::Scan { table, .. } = plan {
+        out.push(table.qualified_name.clone());
+    }
+    for c in plan.children() {
+        scanned(c, out);
+    }
+}
+
+/// Every inner equi-join of a query whose authored order probed the
+/// fact table with a dimension (q43's `date_dim` and `store`, q65's
+/// store × item pairs) builds on the dimension side once optimized:
+/// the fact table is never on a join's right, and no right input is
+/// estimated larger than its left.
+#[test]
+fn fact_joins_build_on_the_dimension_side() {
+    let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let server = load_server();
+    let cat = MetastoreCatalog::new(server.metastore().clone(), "default".to_string());
+    let conf = server.conf();
+    let ctx = OptimizerContext {
+        metastore: server.metastore(),
+        conf: &conf,
+        usable_views: vec![],
+        feedback: HashMap::new(),
+    };
+    for id in ["q43", "q65"] {
+        let q = tpcds::queries().into_iter().find(|q| q.id == id).unwrap();
+        let hive_sql::Statement::Query(ast) = hive_sql::parse_sql(&q.sql).unwrap() else {
+            panic!("{id} is not a query");
+        };
+        let analyzed = Analyzer::new(&cat).analyze_query(&ast).unwrap();
+        let plan = Optimizer::optimize(analyzed, &ctx).unwrap();
+        let mut joins = 0;
+        plan.visit(&mut |p| {
+            let LogicalPlan::Join {
+                left,
+                right,
+                join_type: hive_optimizer::plan::JoinType::Inner,
+                equi,
+                ..
+            } = p
+            else {
+                return;
+            };
+            if equi.is_empty() {
+                return;
+            }
+            joins += 1;
+            let mut build = Vec::new();
+            scanned(right, &mut build);
+            assert!(
+                !build.iter().any(|t| t.ends_with("store_sales")),
+                "{id} builds on {build:?}:\n{}",
+                plan.explain()
+            );
+            let (l, r) = (
+                estimate_rows(left, server.metastore()),
+                estimate_rows(right, server.metastore()),
+            );
+            assert!(
+                r <= l,
+                "{id}: build {r} rows, probe {l}:\n{}",
+                plan.explain()
+            );
+        });
+        assert!(joins > 0, "{id} has an inner equi-join");
+    }
+}
