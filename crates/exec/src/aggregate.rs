@@ -16,7 +16,7 @@
 //! the in-memory build over each spilled partition's positions, so it
 //! is compiled or interpreted exactly as the in-memory one would be.
 
-use crate::engine::align_column;
+use crate::engine::{align_column, compact_for};
 use crate::kernels::eval_vector;
 use crate::keys::{Grouper, KeySide, RowKeys, Runs, ValueSet};
 use crate::pir::agg::FoldOut;
@@ -27,9 +27,10 @@ use hive_common::{
 use hive_optimizer::{AggExpr, AggFunc, ScalarExpr};
 use std::sync::Arc;
 
-/// One in-flight aggregate state.
+/// One in-flight aggregate state: the interpreted accumulator of a
+/// GROUP BY row and of a window frame.
 #[derive(Debug, Clone)]
-enum Acc {
+pub(crate) enum Acc {
     Count(i64),
     Sum(Option<Value>),
     Min(Option<Value>),
@@ -57,7 +58,7 @@ enum Acc {
 /// group's rows all live in one partition and arrive in ascending row
 /// order.
 #[derive(Debug, Clone, Default)]
-struct DistinctSet {
+pub(crate) struct DistinctSet {
     set: ValueSet,
     vals: Vec<Value>,
 }
@@ -78,7 +79,12 @@ impl Acc {
                 func: a.func,
             };
         }
-        match a.func {
+        Acc::of(a.func)
+    }
+
+    /// A plain (not DISTINCT) accumulator for `func`.
+    pub(crate) fn of(func: AggFunc) -> Acc {
+        match func {
             AggFunc::Count => Acc::Count(0),
             AggFunc::Sum => Acc::Sum(None),
             AggFunc::Min => Acc::Min(None),
@@ -93,7 +99,7 @@ impl Acc {
     }
 
     /// Fold one value (`None` arg = COUNT(*) semantics).
-    fn update(&mut self, v: Option<&Value>) -> Result<()> {
+    pub(crate) fn update(&mut self, v: Option<&Value>) -> Result<()> {
         match self {
             Acc::Count(c) => {
                 match v {
@@ -167,7 +173,7 @@ impl Acc {
         Ok(())
     }
 
-    fn finish(self) -> Result<Value> {
+    pub(crate) fn finish(self) -> Result<Value> {
         Ok(match self {
             Acc::Count(c) => Value::BigInt(c),
             Acc::Sum(v) => v.unwrap_or(Value::Null),
@@ -313,16 +319,8 @@ pub fn execute_aggregate_parts(
     spill: Option<&SpillCtx<'_>>,
     mut pir: Option<&mut crate::pir::PirCounters>,
 ) -> Result<VectorBatch> {
-    let trivial = group_exprs
-        .iter()
-        .all(|g| matches!(g, ScalarExpr::Column(_)))
-        && aggs.iter().all(|a| {
-            a.arg
-                .as_ref()
-                .is_none_or(|e| matches!(e, ScalarExpr::Column(_)))
-        });
     let mut evaluated = crate::par::parallel_map(workers, parts.len(), |p| {
-        PartCols::eval(&parts[p], group_exprs, aggs, trivial)
+        PartCols::eval(&parts[p], group_exprs, aggs)
     })?;
     let total_rows: usize = evaluated.iter().map(|p| p.sel.len()).sum();
     // Several parts fold part by part when every aggregate's states
@@ -476,17 +474,9 @@ impl PartCols {
     /// Evaluate keys and arguments once, over the batch domain (bare
     /// columns are `Arc` clones — zero copy). Computed expressions must
     /// only see selected rows, so they compact the part first.
-    fn eval(
-        part: &SelBatch,
-        group_exprs: &[ScalarExpr],
-        aggs: &[AggExpr],
-        trivial: bool,
-    ) -> Result<PartCols> {
-        let part = if part.sel.is_all() || trivial {
-            part.clone()
-        } else {
-            SelBatch::from_batch(part.clone().compact())
-        };
+    fn eval(part: &SelBatch, group_exprs: &[ScalarExpr], aggs: &[AggExpr]) -> Result<PartCols> {
+        let args = aggs.iter().filter_map(|a| a.arg.as_ref());
+        let part = compact_for(part.clone(), group_exprs.iter().chain(args));
         let key_cols = group_exprs
             .iter()
             .map(|g| eval_vector(g, &part.batch))
@@ -1550,7 +1540,7 @@ mod tests {
                 let batch = VectorBatch::from_rows(&schema, &rows).unwrap();
                 let keys = [ScalarExpr::Column(0), ScalarExpr::Column(1)];
                 let aggs = sum_of(2);
-                PartCols::eval(&SelBatch::from_batch(batch), &keys, &aggs, true).unwrap()
+                PartCols::eval(&SelBatch::from_batch(batch), &keys, &aggs).unwrap()
             })
             .collect();
         let aggs = sum_of(2);

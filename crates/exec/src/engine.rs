@@ -10,16 +10,20 @@ use crate::membroker::MemoryBroker;
 use crate::scan::{execute_scan, execute_scan_parts};
 use crate::spill::SpillCtx;
 use crate::window::execute_window;
-use hive_common::{HiveConf, HiveError, Result, Row, SelBatch, SelVec, VectorBatch};
+use hive_common::{
+    ColumnVector, HiveConf, HiveError, Result, Row, SelBatch, SelVec, Value, VectorBatch,
+};
 use hive_dfs::{DfsPath, DistFs};
 use hive_metastore::{Metastore, ValidWriteIdList};
 use hive_optimizer::fingerprint::fingerprint;
 use hive_optimizer::plan::{JoinType, LogicalPlan};
-use hive_optimizer::ScalarExpr;
+use hive_optimizer::{ScalarExpr, SortKey};
 use hive_sql::SetOperator;
 use parking_lot::Mutex;
+use std::cmp::Ordering as CmpOrdering;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Per-table snapshot provider (the driver owns transaction state).
 pub trait SnapshotProvider: Sync {
@@ -756,40 +760,17 @@ fn execute_sel_inner(plan: &LogicalPlan, ctx: &ExecContext) -> Result<(SelBatch,
         }
         LogicalPlan::Sort { input, keys } => {
             let (child, ct) = execute_sel(input, ctx)?;
-            // Key expressions evaluate over whole batches; with a
-            // stacked selection only bare column refs can read through
-            // it, so anything else compacts first.
-            let child = if child.sel.is_all()
-                || keys.iter().all(|k| matches!(k.expr, ScalarExpr::Column(_)))
-            {
-                child
-            } else {
-                SelBatch::from_batch(child.compact())
-            };
+            let child = compact_for(child, keys.iter().map(|k| &k.expr));
             let key_cols = keys
                 .iter()
                 .map(|k| eval_vector(&k.expr, &child.batch))
                 .collect::<Result<Vec<_>>>()?;
-            // Dictionary-encoded string keys compare through a rank
-            // table built per distinct entry (see [`SortAccess`]); the
-            // per-row comparator then never touches string bytes.
-            let accesses: Vec<SortAccess<'_>> =
-                key_cols.iter().map(|c| SortAccess::new(c)).collect();
+            // One comparator for the in-memory stable sort and the
+            // external merge, so both order rows identically.
+            let order = SortOrder::new(&key_cols, keys);
             let n = child.num_rows();
-            // Shared comparator: the in-memory stable sort and the
-            // external-merge path must order rows identically (the
-            // comparator reads dictionary rank tables, so dict-encoded
-            // keys never decode on either path).
             let cmp = |a: u32, b: u32| {
-                let (ra, rb) = (child.sel.index(a as usize), child.sel.index(b as usize));
-                for (acc, key) in accesses.iter().zip(keys) {
-                    let ord = acc.cmp_rows(ra, rb, key.nulls_first);
-                    let ord = if key.asc { ord } else { ord.reverse() };
-                    if ord != std::cmp::Ordering::Equal {
-                        return ord;
-                    }
-                }
-                std::cmp::Ordering::Equal
+                order.cmp(child.sel.index(a as usize), child.sel.index(b as usize))
             };
             let sp = ctx.spill_ctx();
             let est = crate::spill::estimate_sort_bytes(n, keys.len().max(1));
@@ -896,7 +877,7 @@ fn fold_spill(t: &mut NodeTrace, sp: &SpillCtx<'_>) {
 fn external_sort(
     n: usize,
     per_row: u64,
-    cmp: impl Fn(u32, u32) -> std::cmp::Ordering,
+    cmp: impl Fn(u32, u32) -> CmpOrdering,
     sp: &SpillCtx<'_>,
 ) -> Result<Vec<u32>> {
     let op = sp.next_op();
@@ -933,7 +914,7 @@ fn external_sort(
                 continue;
             }
             best = Some(match best {
-                Some(b) if cmp(r[heads[i]], runs[b][heads[b]]) == std::cmp::Ordering::Less => i,
+                Some(b) if cmp(r[heads[i]], runs[b][heads[b]]) == CmpOrdering::Less => i,
                 Some(b) => b,
                 None => i,
             });
@@ -945,78 +926,119 @@ fn external_sort(
     Ok(out)
 }
 
-/// Per-key accessor for Sort: a dictionary-encoded string key compares
-/// through a rank table built by sorting the distinct dictionary
-/// entries once (equal entries share a rank, so ties — and with them
-/// the stable sort's output order — match the value comparator
-/// exactly); every other column compares via `sql_cmp` as before.
-enum SortAccess<'a> {
+/// One ORDER BY over its evaluated key columns: the row order of Sort
+/// (in memory and external) and of a window's partitions, and the
+/// window's peer test. Rows are the key columns' physical rows.
+///
+/// A dictionary-encoded string key compares through a rank table built
+/// by sorting the distinct dictionary entries once (equal entries share
+/// a rank, so ties match the value comparator exactly); every other
+/// column compares via `sql_cmp`, with NaN above every number.
+pub(crate) struct SortOrder<'a> {
+    keys: Vec<(KeyOrder<'a>, &'a SortKey)>,
+}
+
+enum KeyOrder<'a> {
     Ranked {
         codes: &'a [u32],
         nulls: Option<&'a hive_common::BitSet>,
         rank: Vec<u32>,
     },
-    Plain(&'a hive_common::ColumnVector),
+    Plain(&'a ColumnVector),
 }
 
-impl<'a> SortAccess<'a> {
-    fn new(col: &'a hive_common::ColumnVector) -> SortAccess<'a> {
-        if let Some((codes, dict, nulls)) = col.dict_parts() {
-            let mut order: Vec<u32> = (0..dict.len() as u32).collect();
-            order.sort_by(|&x, &y| dict[x as usize].cmp(&dict[y as usize]));
-            let mut rank = vec![0u32; dict.len()];
-            for (pos, &c) in order.iter().enumerate() {
-                rank[c as usize] = if pos > 0 && dict[c as usize] == dict[order[pos - 1] as usize] {
-                    rank[order[pos - 1] as usize]
-                } else {
-                    pos as u32
+impl<'a> SortOrder<'a> {
+    pub(crate) fn new(cols: &'a [Arc<ColumnVector>], keys: &'a [SortKey]) -> SortOrder<'a> {
+        let keys = (cols.iter().zip(keys))
+            .map(|(col, key)| {
+                let Some((codes, dict, nulls)) = col.dict_parts() else {
+                    return (KeyOrder::Plain(col), key);
                 };
-            }
-            return SortAccess::Ranked { codes, nulls, rank };
-        }
-        SortAccess::Plain(col)
+                let mut order: Vec<u32> = (0..dict.len() as u32).collect();
+                order.sort_by(|&x, &y| dict[x as usize].cmp(&dict[y as usize]));
+                let mut rank = vec![0u32; dict.len()];
+                for (pos, &c) in order.iter().enumerate() {
+                    rank[c as usize] =
+                        if pos > 0 && dict[c as usize] == dict[order[pos - 1] as usize] {
+                            rank[order[pos - 1] as usize]
+                        } else {
+                            pos as u32
+                        };
+                }
+                (KeyOrder::Ranked { codes, nulls, rank }, key)
+            })
+            .collect();
+        SortOrder { keys }
     }
 
-    fn cmp_rows(&self, a: usize, b: usize, nulls_first: bool) -> std::cmp::Ordering {
-        use std::cmp::Ordering;
-        let with_nulls = |na: bool, nb: bool, non_null: Ordering| match (na, nb) {
-            (true, true) => Ordering::Equal,
-            (true, false) => {
-                if nulls_first {
-                    Ordering::Less
-                } else {
-                    Ordering::Greater
-                }
+    /// Rows `a` and `b` in ORDER BY order: per key, NULLs placed by
+    /// `nulls_first`, then the key's order reversed for DESC.
+    pub(crate) fn cmp(&self, a: usize, b: usize) -> CmpOrdering {
+        for (order, key) in &self.keys {
+            let ord = match order.cmp(a, b) {
+                (false, false, ord) => ord,
+                (na, nb, _) if key.nulls_first => nb.cmp(&na),
+                (na, nb, _) => na.cmp(&nb),
+            };
+            let ord = if key.asc { ord } else { ord.reverse() };
+            if ord != CmpOrdering::Equal {
+                return ord;
             }
-            (false, true) => {
-                if nulls_first {
-                    Ordering::Greater
-                } else {
-                    Ordering::Less
-                }
-            }
-            (false, false) => non_null,
-        };
+        }
+        CmpOrdering::Equal
+    }
+
+    /// Whether rows `a` and `b` are peers: on every key both NULL, or
+    /// equal ranks, or `sql_cmp`-equal values (so NaN is no row's peer).
+    pub(crate) fn peers(&self, a: usize, b: usize) -> bool {
+        self.keys.iter().all(|(order, _)| match order {
+            KeyOrder::Plain(col) => col.get(a).group_eq(&col.get(b)),
+            ranked => matches!(ranked.cmp(a, b), (na, nb, CmpOrdering::Equal) if na == nb),
+        })
+    }
+}
+
+impl KeyOrder<'_> {
+    /// Whether rows `a` and `b` are NULL, and their order when neither is.
+    fn cmp(&self, a: usize, b: usize) -> (bool, bool, CmpOrdering) {
         match self {
-            SortAccess::Ranked { codes, nulls, rank } => {
-                let na = nulls.is_some_and(|n| n.get(a));
-                let nb = nulls.is_some_and(|n| n.get(b));
+            KeyOrder::Ranked { codes, nulls, rank } => {
+                let null = |i: usize| nulls.is_some_and(|n| n.get(i));
+                let (na, nb) = (null(a), null(b));
                 let ord = if na || nb {
-                    Ordering::Equal // unused: with_nulls short-circuits
+                    CmpOrdering::Equal
                 } else {
                     rank[codes[a] as usize].cmp(&rank[codes[b] as usize])
                 };
-                with_nulls(na, nb, ord)
+                (na, nb, ord)
             }
-            SortAccess::Plain(col) => {
+            KeyOrder::Plain(col) => {
                 let (va, vb) = (col.get(a), col.get(b));
-                with_nulls(
-                    va.is_null(),
-                    vb.is_null(),
-                    va.sql_cmp(&vb).unwrap_or(Ordering::Equal),
-                )
+                let nan = |v: &Value| v.as_f64().is_some_and(f64::is_nan);
+                let ord = (va.sql_cmp(&vb)).unwrap_or_else(|| nan(&va).cmp(&nan(&vb)));
+                (va.is_null(), vb.is_null(), ord)
             }
         }
+    }
+}
+
+/// Whether `exprs` evaluate through a stacked selection: bare columns
+/// and literals do; a computed expression evaluates over the whole
+/// batch, which must then hold the selected rows only.
+pub(crate) fn reads_through<'e>(mut exprs: impl Iterator<Item = &'e ScalarExpr>) -> bool {
+    exprs.all(|e| matches!(e, ScalarExpr::Column(_) | ScalarExpr::Literal(_)))
+}
+
+/// `sb` ready for `exprs` to evaluate over: as it is where they read
+/// through its selection ([`reads_through`]), compacted otherwise.
+pub(crate) fn compact_for<'e>(
+    sb: SelBatch,
+    exprs: impl Iterator<Item = &'e ScalarExpr>,
+) -> SelBatch {
+    if sb.sel.is_all() || reads_through(exprs) {
+        sb
+    } else {
+        SelBatch::from_batch(sb.compact())
     }
 }
 
@@ -1117,8 +1139,8 @@ pub fn execute_simple(
 }
 
 /// Map a retryable error to a fresh "overlay" configuration for the
-/// re-execution (§4.2's overlay strategy): more conservative join
-/// budgets and row-mode fallback off.
+/// re-execution (§4.2's overlay strategy): the hash join's build-row
+/// budget lifted, so a build the planner underestimated runs to the end.
 pub fn overlay_conf(conf: &HiveConf) -> HiveConf {
     let mut c = conf.clone();
     c.hash_join_row_budget = usize::MAX; // force sort-merge-like robustness

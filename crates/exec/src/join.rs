@@ -10,6 +10,7 @@
 //! contiguous row ranges otherwise — either way the outputs follow in
 //! part or range order, the serial probe order.
 
+use crate::engine::{compact_for, reads_through};
 use crate::kernels::eval_vector;
 use crate::keys::{column_refs, partitions_for, IndexKind, JoinIndex, KeySide};
 use crate::pir::{PredPipeline, SelRef};
@@ -256,21 +257,12 @@ pub(crate) fn join_parts_profiled(
     };
 
     // Computed key expressions evaluate over whole batches, so a side
-    // with a stacked selection and non-trivial keys compacts up front;
+    // with a stacked selection and computed keys compacts up front;
     // bare column keys gather through the selection instead (one column
     // copy, not one per surviving column).
-    let normalize = |sb: &SelBatch, trivial: bool| -> SelBatch {
-        if sb.sel.is_all() || trivial {
-            sb.clone()
-        } else {
-            SelBatch::from_batch(sb.clone().compact())
-        }
-    };
-    let probe_trivial = equi.iter().all(|(l, _)| matches!(l, ScalarExpr::Column(_)));
-    let right = normalize(
-        right_in,
-        equi.iter().all(|(_, r)| matches!(r, ScalarExpr::Column(_))),
-    );
+    let probe_exprs = || equi.iter().map(|(l, _)| l);
+    let probe_trivial = reads_through(probe_exprs());
+    let right = compact_for(right_in.clone(), equi.iter().map(|(_, r)| r));
 
     // Evaluate key columns, compact (length = selected row count).
     let sel_key = |sb: &SelBatch, e: &ScalarExpr| -> Result<Arc<ColumnVector>> {
@@ -317,7 +309,7 @@ pub(crate) fn join_parts_profiled(
 
     if !by_parts {
         let left = match lefts {
-            [one] => normalize(one, probe_trivial),
+            [one] => compact_for(one.clone(), probe_exprs()),
             _ => SelBatch::from_batch(VectorBatch::concat_selected(probe_schema()?, lefts)?),
         };
         let lkeys = probe_keys(&left)?;

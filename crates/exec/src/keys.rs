@@ -318,16 +318,6 @@ impl<'a> KeyCol<'a> {
         (col(l, ls), col(r, rs))
     }
 
-    /// Classify a grouping column (GROUP BY, window partition or peer
-    /// key): NULL is a key value.
-    pub(crate) fn group(col: &'a ColumnVector) -> KeyCol<'a> {
-        KeyCol::pair(col, col, false).0
-    }
-
-    pub(crate) fn col(&self) -> &'a ColumnVector {
-        self.col
-    }
-
     pub(crate) fn nulls(&self) -> Option<&'a BitSet> {
         self.nulls
     }

@@ -16,7 +16,6 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod aggregate;
-pub(crate) mod dict;
 pub mod engine;
 pub mod join;
 pub mod kernels;

@@ -163,6 +163,13 @@ cargo test -q --offline -p hive-exec --test keys
 echo "-- join index: dense = hashed on candidates and every join type's rows; the size rule's edges; the route column --"
 cargo test -q --offline -p hive-exec --lib keys::tests
 cargo test -q --offline -p hive-exec --lib join::tests::profile_records_the_route
+# One ordering, one accumulator (DESIGN.md §4 "Kernels", "Who still
+# takes `Acc` rows"): the window sorts and finds peers through the
+# Sort's comparator and folds frames with the GROUP BY's `Acc`.
+echo "-- window: every function, key type, selection and frame = the brute-force Value reference --"
+cargo test -q --offline -p hive-exec --lib window::tests::every_window_function_matches_the_value_reference
+echo "-- window: STDDEV_SAMP OVER (PARTITION BY g) = the GROUP BY's, vectorized and in row mode --"
+cargo test -q --offline --test integration window_stddev_samp_equals_the_group_by_stddev_samp_in_both_modes
 echo "-- DISTINCT and JOIN over doubles: NaN is one value, one answer under every configuration --"
 cargo test -q --offline --test hash_keys double_keys_are_one_answer_under_every_configuration
 # The persistent executors (DESIGN.md §5 "Executors are persistent"): the

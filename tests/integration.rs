@@ -163,3 +163,38 @@ fn write_write_conflicts_surface_to_clients() {
     let r = a.execute("SELECT v FROM c WHERE k = 1").unwrap();
     assert_eq!(r.rows()[0].get(0), &Value::Int(12));
 }
+
+/// A window aggregate finishes as the GROUP BY's does: over each
+/// partition, `STDDEV_SAMP(x) OVER (PARTITION BY g)` is that group's
+/// `STDDEV_SAMP` on every row, vectorized and in row mode.
+#[test]
+fn window_stddev_samp_equals_the_group_by_stddev_samp_in_both_modes() {
+    for vectorized in [true, false] {
+        let mut conf = HiveConf::v3_1();
+        conf.vectorized = vectorized;
+        let server = HiveServer::new(conf);
+        let session = server.session();
+        session.execute("CREATE TABLE t (g INT, x DOUBLE)").unwrap();
+        session
+            .execute(
+                "INSERT INTO t VALUES (1, 1.0), (1, 2.0), (1, 4.0), \
+                 (2, 1.0), (2, NULL), (2, 3.0), (3, 5.0)",
+            )
+            .unwrap();
+        let grouped = session
+            .execute("SELECT g, STDDEV_SAMP(x) FROM t GROUP BY g ORDER BY g")
+            .unwrap()
+            .display_rows();
+        assert_eq!(grouped.len(), 3);
+        assert!(grouped[0].starts_with("1\t1.5275"), "{grouped:?}");
+        assert!(grouped[1].starts_with("2\t1.4142"), "{grouped:?}");
+        assert_eq!(grouped[2], "3\tNULL");
+        let mut windowed = session
+            .execute("SELECT g, STDDEV_SAMP(x) OVER (PARTITION BY g) FROM t ORDER BY g")
+            .unwrap()
+            .display_rows();
+        assert_eq!(windowed.len(), 7);
+        windowed.dedup();
+        assert_eq!(windowed, grouped, "vectorized = {vectorized}");
+    }
+}
