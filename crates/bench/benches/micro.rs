@@ -1023,6 +1023,7 @@ fn bench_replicated_strings(_c: &mut Criterion) {
                         None,
                     )
                     .unwrap()
+                    .0
                 };
                 let out = join(&join(&parts, &equi, &first_schema), &second, &star_schema);
                 std::hint::black_box(out.len());
@@ -1105,7 +1106,7 @@ fn bench_replicated_strings(_c: &mut Criterion) {
 /// recorded in EXPERIMENTS.md, not gated on time.
 fn bench_aggregate_states(_c: &mut Criterion) {
     use hive_common::{ColumnVector, SelBatch, SelVec};
-    use hive_exec::aggregate::execute_aggregate_par;
+    use hive_exec::aggregate::execute_aggregate_parts;
     use hive_exec::keys::{Grouper, KeySide};
     use hive_exec::pir::PirCounters;
 
@@ -1129,8 +1130,16 @@ fn bench_aggregate_states(_c: &mut Criterion) {
         report_ns(name, "row", 10, rows, || {
             let mut pc = PirCounters::default();
             let pir = compiled.then_some(&mut pc);
-            let out =
-                execute_aggregate_par(&input, groups, &None, aggs, &out_schema, workers, None, pir);
+            let out = execute_aggregate_parts(
+                std::slice::from_ref(&input),
+                groups,
+                &None,
+                aggs,
+                &out_schema,
+                workers,
+                None,
+                pir,
+            );
             std::hint::black_box(out.unwrap().num_rows());
         });
     };

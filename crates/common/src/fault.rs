@@ -21,7 +21,6 @@
 //! cache→DFS degradation) lives in `hive-exec`/`hive-llap`; this
 //! module only decides *what breaks when*.
 
-use crate::conf::HiveConf;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::RwLock;
@@ -281,11 +280,6 @@ impl FaultInjector {
             .unwrap_or_else(|e| e.into_inner())
             .clear();
         self.slow_penalty_micros.store(0, Ordering::Relaxed);
-    }
-
-    /// Adopt the plan embedded in a configuration.
-    pub fn set_plan_from_conf(&self, conf: &HiveConf) {
-        self.set_plan(conf.fault.clone());
     }
 
     /// Snapshot of the active plan.

@@ -75,12 +75,6 @@ impl DataType {
         matches!(self, DataType::Int | DataType::BigInt)
     }
 
-    /// True if values of this type have a total order usable by ORDER BY
-    /// and min/max statistics.
-    pub fn is_orderable(&self) -> bool {
-        self.is_atomic()
-    }
-
     /// The common supertype two operands coerce to, if any.
     ///
     /// The lattice is: Int < BigInt < Decimal < Double; Date < Timestamp;

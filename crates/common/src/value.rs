@@ -81,14 +81,6 @@ impl Value {
         }
     }
 
-    /// Boolean view, if the value is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Boolean(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// Cast this value to `target`, following Hive's lenient cast rules
     /// (failed string→number casts yield NULL rather than erroring).
     pub fn cast_to(&self, target: &DataType) -> Result<Value> {

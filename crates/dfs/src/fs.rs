@@ -335,11 +335,6 @@ impl DistFs {
         self.stats.record_rename();
         Ok(())
     }
-
-    /// Total number of files (diagnostics).
-    pub fn file_count(&self) -> usize {
-        self.inner.read().files.len()
-    }
 }
 
 /// For `descendant` strictly under `dir`, the direct child of `dir` on the

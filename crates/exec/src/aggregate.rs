@@ -246,8 +246,8 @@ pub fn execute_aggregate(
     aggs: &[AggExpr],
     out_schema: &hive_common::Schema,
 ) -> Result<VectorBatch> {
-    execute_aggregate_par(
-        &SelBatch::from_batch(input.clone()),
+    execute_aggregate_parts(
+        std::slice::from_ref(&SelBatch::from_batch(input.clone())),
         group_exprs,
         grouping_sets,
         aggs,
@@ -255,30 +255,6 @@ pub fn execute_aggregate(
         1,
         None,
         None,
-    )
-}
-
-/// [`execute_aggregate_parts`] over one part.
-#[allow(clippy::too_many_arguments)]
-pub fn execute_aggregate_par(
-    input: &SelBatch,
-    group_exprs: &[ScalarExpr],
-    grouping_sets: &Option<Vec<Vec<usize>>>,
-    aggs: &[AggExpr],
-    out_schema: &hive_common::Schema,
-    workers: usize,
-    spill: Option<&SpillCtx<'_>>,
-    pir: Option<&mut crate::pir::PirCounters>,
-) -> Result<VectorBatch> {
-    execute_aggregate_parts(
-        std::slice::from_ref(input),
-        group_exprs,
-        grouping_sets,
-        aggs,
-        out_schema,
-        workers,
-        spill,
-        pir,
     )
 }
 
@@ -1353,7 +1329,7 @@ mod tests {
             .collect()
     }
 
-    /// [`execute_aggregate_par`] grouped on column 0, as display rows,
+    /// [`execute_aggregate_parts`] over one part grouped on column 0, as display rows,
     /// interpreted (`pir = false`) or compiled.
     fn run_grouped(
         sb: &SelBatch,
@@ -1365,8 +1341,8 @@ mod tests {
         let groups = vec![ScalarExpr::Column(0)];
         let out_schema = agg_schema(&sb.batch, &groups, &None, aggs);
         let mut pc = crate::pir::PirCounters::default();
-        let out = execute_aggregate_par(
-            sb,
+        let out = execute_aggregate_parts(
+            std::slice::from_ref(sb),
             &groups,
             &None,
             aggs,

@@ -3,11 +3,11 @@
 //! cluster time model.
 
 use crate::aggregate::execute_aggregate_parts;
-use crate::join::join_parts_profiled;
+use crate::join::execute_join_parts;
 use crate::kernels::{eval_rowmode, eval_vector, filter_indices_rowmode};
 use crate::keys::{column_refs, Grouper, KeySide};
 use crate::membroker::MemoryBroker;
-use crate::scan::{execute_scan, execute_scan_parts};
+use crate::scan::execute_scan;
 use crate::spill::SpillCtx;
 use crate::window::execute_window;
 use hive_common::{
@@ -16,7 +16,7 @@ use hive_common::{
 use hive_dfs::{DfsPath, DistFs};
 use hive_metastore::{Metastore, ValidWriteIdList};
 use hive_optimizer::fingerprint::fingerprint;
-use hive_optimizer::plan::{JoinType, LogicalPlan};
+use hive_optimizer::plan::LogicalPlan;
 use hive_optimizer::{ScalarExpr, SortKey};
 use hive_sql::SetOperator;
 use parking_lot::Mutex;
@@ -180,7 +180,17 @@ impl ExecContext<'_> {
     /// once and is reused by fingerprint)? PIR fusion must not peel
     /// across such a node: it is a pipeline breaker.
     pub(crate) fn is_shared_subtree(&self, plan: &LogicalPlan) -> bool {
-        !self.shared_counts.is_empty() && self.shared_counts.contains_key(&fingerprint(plan))
+        self.shared_site(plan).is_some()
+    }
+
+    /// The fingerprint of a shared-work site; `None` for any other
+    /// subtree, and without fingerprinting when nothing is shared.
+    fn shared_site(&self, plan: &LogicalPlan) -> Option<u64> {
+        if self.shared_counts.is_empty() {
+            return None;
+        }
+        let fp = fingerprint(plan);
+        self.shared_counts.contains_key(&fp).then_some(fp)
     }
 
     /// Fetch a shared scan's raw (unfiltered) rows, if already read.
@@ -230,11 +240,6 @@ impl ExecContext<'_> {
     /// High-water mark of broker-tracked memory (0 when unbudgeted).
     pub fn spill_peak_bytes(&self) -> u64 {
         self.spill.as_ref().map_or(0, |s| s.broker.peak_bytes())
-    }
-
-    /// Broker denials so far — each one is a spill decision.
-    pub fn spill_denials(&self) -> u64 {
-        self.spill.as_ref().map_or(0, |s| s.broker.denials())
     }
 
     /// Snapshot of the per-query recovery charges so far.
@@ -506,81 +511,72 @@ pub fn execute(plan: &LogicalPlan, ctx: &ExecContext) -> Result<(VectorBatch, No
     Ok((sb.compact(), trace))
 }
 
-/// Execute a plan, returning a `(batch, selection)` pair. Operators
-/// narrow selections and share `Arc`'d columns instead of copying
-/// survivors; the caller compacts at its pipeline breaker (the driver's
-/// output choke point, a join build, a reducer).
+/// Execute a plan, returning a `(batch, selection)` pair: the walk of
+/// [`execute_parts`], then its parts [`assemble`]d. Operators narrow
+/// selections and share `Arc`'d columns instead of copying survivors;
+/// the caller compacts at its pipeline breaker (the driver's output
+/// choke point, a reducer).
 pub fn execute_sel(plan: &LogicalPlan, ctx: &ExecContext) -> Result<(SelBatch, NodeTrace)> {
-    // Shared-work reuse check.
-    let fp = fingerprint(plan);
-    let is_shared = ctx.shared_counts.contains_key(&fp);
-    if is_shared {
-        if let Some(cached) = ctx.shared.lock().get(&fp) {
-            let mut t = NodeTrace::leaf("SharedWorkReuse");
-            t.rows_out = cached.num_rows() as u64;
-            t.shared_reuse = true;
-            return Ok((SelBatch::from_batch(cached.clone()), t));
-        }
-    }
-    let (mut sb, mut trace) = execute_sel_inner(plan, ctx)?;
-    // Per-vertex fault injection + fragment recovery (retries, node
-    // failover); no-op when no fault plan is active.
-    crate::recovery::apply_fragment_faults(ctx, &mut trace)?;
-    if is_shared {
-        // Shared results are consumed at several plan sites: store them
-        // compacted once rather than re-gathering per consumer.
-        let b = sb.compact();
-        ctx.shared.lock().insert(fp, b.clone());
-        sb = SelBatch::from_batch(b);
-    }
-    Ok((sb, trace))
+    let (parts, trace) = execute_parts(plan, ctx)?;
+    Ok((assemble(parts)?, trace))
 }
 
-/// Execute the input of a consumer that folds parts (the aggregate, a
-/// join's probe side, a fused chain over either) as an ordered sequence
-/// of at least one part, whose selected rows end to end are exactly
-/// [`execute_sel`]'s rows. A stored-table scan that is not a shared-work
-/// site yields one part per morsel in enumeration order; so does the
-/// PIR-fused Filter/Project chain above such a source (its stages
-/// evaluate batch-locally) and a join that probes such a source part by
-/// part ([`crate::join::execute_join_parts`]); anything else — a shared subtree, a
-/// federated scan, a `Right`/`Full` join, any other operator — is one
-/// part. The trace, the fault rolls and their order are `execute_sel`'s.
+/// The one assembly rule, for a consumer that needs one batch: one part
+/// as it is, several in one [`VectorBatch::concat_selected`] (each
+/// survivor copied exactly once).
+pub(crate) fn assemble(mut parts: Vec<SelBatch>) -> Result<SelBatch> {
+    match parts.len() {
+        1 => Ok(parts.swap_remove(0)),
+        _ => {
+            let first = (parts.first())
+                .ok_or_else(|| HiveError::Execution("assembling no parts".into()))?;
+            let batch = VectorBatch::concat_selected(first.batch.schema(), &parts)?;
+            Ok(SelBatch::from_batch(batch))
+        }
+    }
+}
+
+/// The plan walker. Every node yields its output as an ordered sequence
+/// of at least one part, whose selected rows end to end are the node's
+/// rows: a stored-table scan that is not shared yields one part per
+/// morsel in enumeration order, a fused Filter/Project chain runs each
+/// stage part by part, a join other than `Right`/`Full` probes its
+/// parts one by one ([`crate::join::execute_join_parts`]), and every
+/// other operator yields one part. An operator that needs one batch
+/// [`assemble`]s its input.
+///
+/// A shared-work site (§4.5) publishes its assembled, compacted rows
+/// once and is answered from them at its other sites. Every node rolls
+/// its fragment faults after it ran, children first.
 pub(crate) fn execute_parts(
     plan: &LogicalPlan,
     ctx: &ExecContext,
 ) -> Result<(Vec<SelBatch>, NodeTrace)> {
-    let in_parts = !ctx.is_shared_subtree(plan)
-        && match plan {
-            LogicalPlan::Scan { table, .. } => {
-                table.handler.is_none() && ctx.scan_share_key(plan).is_none()
-            }
-            LogicalPlan::Filter { .. } | LogicalPlan::Project { .. } => ctx.conf.vectorized,
-            LogicalPlan::Join { join_type, .. } => {
-                !matches!(join_type, JoinType::Right | JoinType::Full)
-            }
-            _ => false,
-        };
-    if !in_parts {
-        return execute_sel(plan, ctx).map(|(sb, t)| (vec![sb], t));
+    let share = ctx.shared_site(plan);
+    if let Some(cached) = share.and_then(|fp| ctx.shared.lock().get(&fp).cloned()) {
+        let mut t = NodeTrace::leaf("SharedWorkReuse");
+        t.rows_out = cached.num_rows() as u64;
+        t.shared_reuse = true;
+        return Ok((vec![SelBatch::from_batch(cached)], t));
     }
-    let (parts, mut trace) = match plan {
-        LogicalPlan::Scan { .. } => execute_scan_parts(plan, ctx, &execute)?,
-        LogicalPlan::Join { .. } => execute_join_node(plan, ctx, true)?,
-        _ => crate::pir::execute_chain_parts(plan, ctx)?,
-    };
+    let (parts, mut trace) = execute_node(plan, ctx)?;
+    // Per-vertex fault injection + fragment recovery (retries, node
+    // failover); no-op when no fault plan is active.
     crate::recovery::apply_fragment_faults(ctx, &mut trace)?;
-    Ok((parts, trace))
+    let Some(fp) = share else {
+        return Ok((parts, trace));
+    };
+    // Shared results are consumed at several plan sites: store them
+    // compacted once rather than re-gathering per consumer.
+    let b = assemble(parts)?.compact();
+    ctx.shared.lock().insert(fp, b.clone());
+    Ok((vec![SelBatch::from_batch(b)], trace))
 }
 
-/// A `Join` node: its probe side as parts when `parts` holds (see
-/// [`execute_parts`]), as one batch otherwise; the output as
-/// [`crate::join::execute_join_parts`] gives it.
-fn execute_join_node(
-    plan: &LogicalPlan,
-    ctx: &ExecContext,
-    parts: bool,
-) -> Result<(Vec<SelBatch>, NodeTrace)> {
+/// A `Join` node: its probe side as the walker yields it, its build
+/// side assembled; the output as [`crate::join::execute_join_parts`]
+/// gives it.
+fn execute_join_node(plan: &LogicalPlan, ctx: &ExecContext) -> Result<(Vec<SelBatch>, NodeTrace)> {
     let LogicalPlan::Join {
         left,
         right,
@@ -593,11 +589,7 @@ fn execute_join_node(
             "execute_join_node on a non-join".into(),
         ));
     };
-    let (lparts, lt) = if parts {
-        execute_parts(left, ctx)?
-    } else {
-        execute_sel(left, ctx).map(|(sb, t)| (vec![sb], t))?
-    };
+    let (lparts, lt) = execute_parts(left, ctx)?;
     let (rb, rt) = execute_sel(right, ctx)?;
     let lrows: usize = lparts.iter().map(SelBatch::num_rows).sum();
     let morsels = crate::par::row_morsels(lrows.max(rb.num_rows()));
@@ -606,8 +598,7 @@ fn execute_join_node(
     let sp = ctx.spill_ctx();
     let mut pc = crate::pir::PirCounters::default();
     let pir = ctx.conf.vectorized.then_some(&mut pc);
-    let mut profile = crate::join::JoinProfile::default();
-    let out = join_parts_profiled(
+    let (out, profile) = execute_join_parts(
         &lparts,
         &rb,
         *join_type,
@@ -618,7 +609,6 @@ fn execute_join_node(
         workers,
         sp.as_ref(),
         pir,
-        &mut profile,
     )?;
     let rows_out: usize = out.iter().map(SelBatch::num_rows).sum();
     if let Some(g) = &ctx.card_guard {
@@ -652,16 +642,17 @@ pub(crate) fn type_aligned(col_dt: &hive_common::DataType, want: &hive_common::D
         )
 }
 
-fn execute_sel_inner(plan: &LogicalPlan, ctx: &ExecContext) -> Result<(SelBatch, NodeTrace)> {
+/// One node, before its fault roll and shared-work publication.
+fn execute_node(plan: &LogicalPlan, ctx: &ExecContext) -> Result<(Vec<SelBatch>, NodeTrace)> {
     let schema = plan.schema();
     match plan {
-        LogicalPlan::Scan { .. } => execute_scan(plan, ctx, &execute),
+        LogicalPlan::Scan { .. } => execute_scan(plan, ctx),
         LogicalPlan::Values { schema, rows } => {
             let rows: Vec<Row> = rows.iter().map(|r| Row::new(r.clone())).collect();
             let b = VectorBatch::from_rows(schema, &rows)?;
             let mut t = NodeTrace::leaf("Values");
             t.rows_out = b.num_rows() as u64;
-            Ok((SelBatch::from_batch(b), t))
+            Ok((vec![SelBatch::from_batch(b)], t))
         }
         // The vectorized engine fuses the maximal Filter/Project chain
         // into one compiled pipeline over a shared base batch (DESIGN.md
@@ -678,7 +669,7 @@ fn execute_sel_inner(plan: &LogicalPlan, ctx: &ExecContext) -> Result<(SelBatch,
             t.rows_in = rows_in;
             t.rows_out = idx.len() as u64;
             t.children = vec![ct];
-            Ok((SelBatch::new(base, SelVec::Idx(idx))?, t))
+            Ok((vec![SelBatch::new(base, SelVec::Idx(idx))?], t))
         }
         LogicalPlan::Project { input, exprs, .. } => {
             let (child, ct) = execute_sel(input, ctx)?;
@@ -698,17 +689,9 @@ fn execute_sel_inner(plan: &LogicalPlan, ctx: &ExecContext) -> Result<(SelBatch,
             t.rows_in = rows_in;
             t.rows_out = out.num_rows() as u64;
             t.children = vec![ct];
-            Ok((SelBatch::from_batch(out), t))
+            Ok((vec![SelBatch::from_batch(out)], t))
         }
-        LogicalPlan::Join { .. } => {
-            let (mut out, t) = execute_join_node(plan, ctx, false)?;
-            match (out.pop(), out.is_empty()) {
-                (Some(one), true) => Ok((one, t)),
-                _ => Err(HiveError::Execution(
-                    "a join over one probe batch did not yield one batch".into(),
-                )),
-            }
-        }
+        LogicalPlan::Join { .. } => execute_join_node(plan, ctx),
         LogicalPlan::Aggregate {
             input,
             group_exprs,
@@ -744,7 +727,7 @@ fn execute_sel_inner(plan: &LogicalPlan, ctx: &ExecContext) -> Result<(SelBatch,
             if let Some(sp) = &sp {
                 fold_spill(&mut t, sp);
             }
-            Ok((SelBatch::from_batch(out), t))
+            Ok((vec![SelBatch::from_batch(out)], t))
         }
         LogicalPlan::Window { input, windows } => {
             let (child, ct) = execute_sel(input, ctx)?;
@@ -756,7 +739,7 @@ fn execute_sel_inner(plan: &LogicalPlan, ctx: &ExecContext) -> Result<(SelBatch,
             t.is_boundary = true;
             t.shuffle_rows = t.rows_in;
             t.children = vec![ct];
-            Ok((SelBatch::from_batch(out), t))
+            Ok((vec![SelBatch::from_batch(out)], t))
         }
         LogicalPlan::Sort { input, keys } => {
             let (child, ct) = execute_sel(input, ctx)?;
@@ -807,7 +790,7 @@ fn execute_sel_inner(plan: &LogicalPlan, ctx: &ExecContext) -> Result<(SelBatch,
             if let Some(sp) = &sp {
                 fold_spill(&mut t, sp);
             }
-            Ok((SelBatch::new(child.batch, sel)?, t))
+            Ok((vec![SelBatch::new(child.batch, sel)?], t))
         }
         LogicalPlan::Limit { input, n } => {
             let (child, ct) = execute_sel(input, ctx)?;
@@ -817,7 +800,7 @@ fn execute_sel_inner(plan: &LogicalPlan, ctx: &ExecContext) -> Result<(SelBatch,
             t.rows_in = rows_in;
             t.rows_out = sel.len() as u64;
             t.children = vec![ct];
-            Ok((SelBatch::new(child.batch, sel)?, t))
+            Ok((vec![SelBatch::new(child.batch, sel)?], t))
         }
         LogicalPlan::Union { inputs } => {
             // Union buffers all inputs into one batch: a breaker.
@@ -830,7 +813,7 @@ fn execute_sel_inner(plan: &LogicalPlan, ctx: &ExecContext) -> Result<(SelBatch,
                 t.children.push(ct);
             }
             t.rows_out = out.num_rows() as u64;
-            Ok((SelBatch::from_batch(out), t))
+            Ok((vec![SelBatch::from_batch(out)], t))
         }
         LogicalPlan::SetOp {
             op,
@@ -847,7 +830,7 @@ fn execute_sel_inner(plan: &LogicalPlan, ctx: &ExecContext) -> Result<(SelBatch,
             t.is_boundary = true;
             t.shuffle_rows = t.rows_in;
             t.children = vec![lt, rt];
-            Ok((SelBatch::from_batch(out), t))
+            Ok((vec![SelBatch::from_batch(out)], t))
         }
     }
 }
@@ -971,16 +954,17 @@ impl<'a> SortOrder<'a> {
         SortOrder { keys }
     }
 
-    /// Rows `a` and `b` in ORDER BY order: per key, NULLs placed by
-    /// `nulls_first`, then the key's order reversed for DESC.
+    /// Rows `a` and `b` in ORDER BY order: per key, two values in the
+    /// key's order (reversed for DESC), and NULLs first in the output
+    /// when `nulls_first` holds, last otherwise.
     pub(crate) fn cmp(&self, a: usize, b: usize) -> CmpOrdering {
         for (order, key) in &self.keys {
             let ord = match order.cmp(a, b) {
-                (false, false, ord) => ord,
+                (false, false, ord) if key.asc => ord,
+                (false, false, ord) => ord.reverse(),
                 (na, nb, _) if key.nulls_first => nb.cmp(&na),
                 (na, nb, _) => na.cmp(&nb),
             };
-            let ord = if key.asc { ord } else { ord.reverse() };
             if ord != CmpOrdering::Equal {
                 return ord;
             }
@@ -1122,20 +1106,6 @@ fn execute_setop(
         .map(|(col, f)| align_column(std::sync::Arc::new(col.take(&kept)), &f.data_type))
         .collect::<Result<Vec<_>>>()?;
     VectorBatch::from_arcs(schema.clone(), cols, kept.len())
-}
-
-/// Convenience for tests: run a plan with wide-open snapshots and no
-/// LLAP/federation.
-pub fn execute_simple(
-    plan: &LogicalPlan,
-    fs: &DistFs,
-    ms: &Metastore,
-    conf: &HiveConf,
-) -> Result<(VectorBatch, NodeTrace)> {
-    let snaps = WideOpenSnapshots(ms);
-    let mut ctx = ExecContext::new(fs, ms, conf, None, &snaps, None);
-    ctx.prepare_shared_work(plan);
-    execute(plan, &ctx)
 }
 
 /// Map a retryable error to a fresh "overlay" configuration for the

@@ -26,7 +26,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// Execute a join over compact batches (serial path; identical results
-/// to [`execute_join_par`] at any worker count).
+/// to [`execute_join_parts`] at any worker count).
 pub fn execute_join(
     left: &VectorBatch,
     right: &VectorBatch,
@@ -36,8 +36,8 @@ pub fn execute_join(
     out_schema: &Schema,
     build_row_budget: usize,
 ) -> Result<VectorBatch> {
-    execute_join_par(
-        &SelBatch::from_batch(left.clone()),
+    let (parts, _) = execute_join_parts(
+        std::slice::from_ref(&SelBatch::from_batch(left.clone())),
         &SelBatch::from_batch(right.clone()),
         join_type,
         equi,
@@ -47,113 +47,8 @@ pub fn execute_join(
         1,
         None,
         None,
-    )
-    .map(SelBatch::compact)
-}
-
-/// Execute a join with hash-partitioned parallel build and ranged
-/// parallel probe across up to `workers` threads. `equi` pairs are
-/// (left expr, right expr); `residual` is evaluated over the
-/// concatenated (left ++ right) row.
-///
-/// Inputs arrive as `(batch, selection)` pairs; the join works in
-/// *position* space (0..selected rows) — key columns are gathered
-/// compact, while residual evaluation and output assembly map positions
-/// back through the selections, so unselected rows are never touched.
-///
-/// The build side is the right input; exceeding `build_row_budget`
-/// raises a retryable error so the driver can re-optimize with runtime
-/// statistics.
-///
-/// `pir` is `Some` when the physical IR is enabled: residual predicates
-/// then lower to compiled kernels and evaluate vectorized over gathered
-/// candidate pair-batches ([`ResidualPlan`]), with the row closure kept
-/// as the fallback for non-compilable expressions and the grace path.
-///
-/// The output is columnar end to end: one typed gather per column
-/// ([`assemble`]), dictionary columns staying encoded over their shared
-/// dictionary. Semi and anti joins copy nothing — they return the probe
-/// batch's columns under a narrowed selection.
-#[allow(clippy::too_many_arguments)]
-pub fn execute_join_par(
-    left_in: &SelBatch,
-    right_in: &SelBatch,
-    join_type: JoinType,
-    equi: &[(ScalarExpr, ScalarExpr)],
-    residual: &Option<ScalarExpr>,
-    out_schema: &Schema,
-    build_row_budget: usize,
-    workers: usize,
-    spill: Option<&SpillCtx<'_>>,
-    pir: Option<&mut crate::pir::PirCounters>,
-) -> Result<SelBatch> {
-    let mut out = execute_join_parts(
-        std::slice::from_ref(left_in),
-        right_in,
-        join_type,
-        equi,
-        residual,
-        out_schema,
-        build_row_budget,
-        workers,
-        spill,
-        pir,
     )?;
-    match (out.pop(), out.is_empty()) {
-        (Some(one), true) => Ok(one),
-        _ => Err(HiveError::Execution(
-            "a join over one probe part did not yield one part".into(),
-        )),
-    }
-}
-
-/// [`execute_join_par`] over a probe side that arrives as an ordered
-/// sequence of parts — a scan's morsels, a fused chain over them, or
-/// another such join's output — returning the output as parts in part
-/// order, whose selected rows end to end are the join's rows over the
-/// parts' concatenation.
-///
-/// The build runs once. Each probe part is then probed on its own,
-/// the parts in parallel across `workers`, and assembles its own output,
-/// so the probe side is never concatenated. Two things are decided once
-/// for the whole join, as one output would: a plain string build column
-/// the whole join fans out ([`ColumnVector::fanout_encoded`]) is encoded
-/// once, and every part gathers codes over that one dictionary; and a
-/// plain string *probe* column that would fan out in the whole join or
-/// in a part sends the join down the assembled path.
-///
-/// The assembled path — the probe parts concatenated into one, probed in
-/// row ranges — is taken for a single part, a probe side under two
-/// morsels, `Right`/`Full` joins (their unmatched build rows are a
-/// property of every part), computed probe keys, probe key columns whose
-/// representations differ between parts (one build index serves one
-/// classification), and a denied memory grant (the grace join).
-#[allow(clippy::too_many_arguments)]
-pub fn execute_join_parts(
-    lefts: &[SelBatch],
-    right_in: &SelBatch,
-    join_type: JoinType,
-    equi: &[(ScalarExpr, ScalarExpr)],
-    residual: &Option<ScalarExpr>,
-    out_schema: &Schema,
-    build_row_budget: usize,
-    workers: usize,
-    spill: Option<&SpillCtx<'_>>,
-    pir: Option<&mut crate::pir::PirCounters>,
-) -> Result<Vec<SelBatch>> {
-    join_parts_profiled(
-        lefts,
-        right_in,
-        join_type,
-        equi,
-        residual,
-        out_schema,
-        build_row_budget,
-        workers,
-        spill,
-        pir,
-        &mut JoinProfile::default(),
-    )
+    Ok(crate::engine::assemble(parts)?.compact())
 }
 
 /// How a join ran and where its wall-clock time went — what a `Join`
@@ -199,10 +94,52 @@ fn lap(t: &mut Instant) -> u64 {
     ns
 }
 
-/// [`execute_join_parts`], recording its route and wall-clock split in
-/// `profile`.
+/// Execute a join with a hash-partitioned parallel build across up to
+/// `workers` threads, over a probe (left) side that arrives as an
+/// ordered sequence of parts — a scan's morsels, a fused chain over
+/// them, another such join's output, or one part — returning the output
+/// as parts in part order, whose selected rows end to end are the
+/// join's rows over the parts' concatenation, beside the join's route
+/// and wall-clock split. `equi` pairs are (left expr, right expr);
+/// `residual` is evaluated over the concatenated (left ++ right) row.
+///
+/// Inputs arrive as `(batch, selection)` pairs; the join works in
+/// *position* space (0..selected rows) — key columns are gathered
+/// compact, while residual evaluation and output assembly map positions
+/// back through the selections, so unselected rows are never touched.
+///
+/// The build side is the right input; exceeding `build_row_budget`
+/// raises a retryable error so the driver can re-optimize with runtime
+/// statistics.
+///
+/// `pir` is `Some` when the physical IR is enabled: residual predicates
+/// then lower to compiled kernels and evaluate vectorized over gathered
+/// candidate pair-batches ([`ResidualPlan`]), with the row closure kept
+/// as the fallback for non-compilable expressions and the grace path.
+///
+/// The output is columnar end to end: one typed gather per column
+/// ([`assemble`]), dictionary columns staying encoded over their shared
+/// dictionary. Semi and anti joins copy nothing — they return the probe
+/// batch's columns under a narrowed selection.
+///
+/// The build runs once. Each probe part is then probed on its own,
+/// the parts in parallel across `workers`, and assembles its own output,
+/// so the probe side is never concatenated. Two things are decided once
+/// for the whole join, as one output would: a plain string build column
+/// the whole join fans out ([`ColumnVector::fanout_encoded`]) is encoded
+/// once, and every part gathers codes over that one dictionary; and a
+/// plain string *probe* column that would fan out in the whole join or
+/// in a part sends the join down the assembled path.
+///
+/// The assembled path — the probe parts assembled into one
+/// ([`crate::engine::assemble`]), probed in row ranges — is taken for a
+/// single part, a probe side under two morsels, `Right`/`Full` joins
+/// (their unmatched build rows are a property of every part), computed
+/// probe keys, probe key columns whose representations differ between
+/// parts (one build index serves one classification), and a denied
+/// memory grant (the grace join).
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn join_parts_profiled(
+pub fn execute_join_parts(
     lefts: &[SelBatch],
     right_in: &SelBatch,
     join_type: JoinType,
@@ -213,9 +150,9 @@ pub(crate) fn join_parts_profiled(
     workers: usize,
     spill: Option<&SpillCtx<'_>>,
     pir: Option<&mut crate::pir::PirCounters>,
-    profile: &mut JoinProfile,
-) -> Result<Vec<SelBatch>> {
+) -> Result<(Vec<SelBatch>, JoinProfile)> {
     let mut clock = Instant::now();
+    let mut profile = JoinProfile::default();
     // Memory admission. With a broker present the build's modeled bytes
     // must win a grant (held for the whole join); a denial — or the
     // legacy row budget, kept as a planner-misprediction signal —
@@ -302,16 +239,9 @@ pub(crate) fn join_parts_profiled(
 
     let lw = lefts.first().map_or(0, |l| l.batch.num_columns());
     let resid = Residual::new(residual.as_ref(), lw, right.batch.num_columns());
-    let probe_schema = || -> Result<&Schema> {
-        (lefts.first().map(|l| l.batch.schema()))
-            .ok_or_else(|| HiveError::Execution("a join over no probe parts".into()))
-    };
 
     if !by_parts {
-        let left = match lefts {
-            [one] => compact_for(one.clone(), probe_exprs()),
-            _ => SelBatch::from_batch(VectorBatch::concat_selected(probe_schema()?, lefts)?),
-        };
+        let left = compact_for(crate::engine::assemble(lefts.to_vec())?, probe_exprs());
         let lkeys = probe_keys(&left)?;
         let (probe_side, build_side) =
             KeySide::join_pair(&column_refs(&lkeys), &column_refs(&rkeys));
@@ -333,11 +263,8 @@ pub(crate) fn join_parts_profiled(
             if let Some(pc) = pir {
                 pc.fallback_rows += resid.pairs.load(Ordering::Relaxed);
             }
-            *profile = JoinProfile {
-                build_ns: lap(&mut clock),
-                ..JoinProfile::default()
-            };
-            return Ok(vec![result]);
+            profile.build_ns = lap(&mut clock);
+            return Ok((vec![result], profile));
         }
         let build = Build::new(
             &right,
@@ -348,7 +275,7 @@ pub(crate) fn join_parts_profiled(
             pir.is_some(),
             workers,
         )?;
-        build.describe(profile, false);
+        build.describe(&mut profile, false);
         profile.build_ns = lap(&mut clock);
         // Contiguous left-row ranges probed in parallel; range outputs
         // concatenate in range order, reproducing the serial probe order.
@@ -374,7 +301,7 @@ pub(crate) fn join_parts_profiled(
         )?;
         profile.assemble_ns = lap(&mut clock);
         build.count(pir);
-        return Ok(vec![result]);
+        return Ok((vec![result], profile));
     }
 
     // By parts: the build side pairs with the first part's key columns
@@ -392,7 +319,7 @@ pub(crate) fn join_parts_profiled(
         pir.is_some(),
         workers,
     )?;
-    build.describe(profile, true);
+    build.describe(&mut profile, true);
     profile.build_ns = lap(&mut clock);
     let outs = crate::par::parallel_map(workers, lefts.len(), |p| {
         let left = &lefts[p];
@@ -415,7 +342,7 @@ pub(crate) fn join_parts_profiled(
         });
     if probe_fans_out {
         // Assemble as one output, over the concatenated probe side.
-        let left = SelBatch::from_batch(VectorBatch::concat_selected(probe_schema()?, lefts)?);
+        let left = crate::engine::assemble(lefts.to_vec())?;
         let mut at = 0u32;
         let shifted = (lefts.iter().zip(outs)).map(|(l, mut o)| {
             o.left.iter_mut().for_each(|li| *li += at);
@@ -425,7 +352,7 @@ pub(crate) fn join_parts_profiled(
         let merged = ProbeOut::concat(shifted.collect());
         let out = assemble(&left, &right, join_type, merged, out_schema, workers)?;
         profile.assemble_ns = lap(&mut clock);
-        return Ok(vec![out]);
+        return Ok((vec![out], profile));
     }
     let right = if join_type.keeps_right() {
         let encoded: Vec<Arc<ColumnVector>> = (right.batch.columns().iter())
@@ -448,7 +375,7 @@ pub(crate) fn join_parts_profiled(
         assemble(&lefts[p], &right, join_type, out, out_schema, 1)
     })?;
     profile.assemble_ns = lap(&mut clock);
-    Ok(parts)
+    Ok((parts, profile))
 }
 
 /// A join's residual predicate as the row interpreter evaluates it, the
@@ -1057,6 +984,35 @@ mod tests {
     use hive_common::{BitSet, DataType, Field, Row};
     use std::collections::{HashMap, HashSet};
 
+    /// [`execute_join_parts`] over one probe part, assembled.
+    #[allow(clippy::too_many_arguments)]
+    fn join_one(
+        left: &SelBatch,
+        right: &SelBatch,
+        join_type: JoinType,
+        equi: &[(ScalarExpr, ScalarExpr)],
+        residual: &Option<ScalarExpr>,
+        out_schema: &Schema,
+        build_row_budget: usize,
+        workers: usize,
+        spill: Option<&SpillCtx<'_>>,
+        pir: Option<&mut crate::pir::PirCounters>,
+    ) -> Result<SelBatch> {
+        let (parts, _) = execute_join_parts(
+            std::slice::from_ref(left),
+            right,
+            join_type,
+            equi,
+            residual,
+            out_schema,
+            build_row_budget,
+            workers,
+            spill,
+            pir,
+        )?;
+        crate::engine::assemble(parts)
+    }
+
     fn batch(name: &str, rows: &[(Option<i32>, &str)]) -> VectorBatch {
         let schema = Schema::new(vec![
             Field::new(format!("{name}_k"), DataType::Int),
@@ -1101,8 +1057,7 @@ mod tests {
                 &[(Some(build_keys[0]), "a"), (Some(3), "b"), (None, "n")],
             );
             let schema = l.schema().join(r.schema());
-            let mut profile = JoinProfile::default();
-            let out = join_parts_profiled(
+            let (out, profile) = execute_join_parts(
                 &[SelBatch::from_batch(l)],
                 &SelBatch::from_batch(r),
                 JoinType::Inner,
@@ -1113,7 +1068,6 @@ mod tests {
                 1,
                 None,
                 None,
-                &mut profile,
             )
             .unwrap();
             (profile.route(), out[0].num_rows())
@@ -1236,7 +1190,7 @@ mod tests {
         let broker = MemoryBroker::with_budget(8 * 1024);
         let ops = AtomicU64::new(0);
         let sp = SpillCtx::new(&fs, DfsPath::new("/tmp/spill/q0"), &broker, false, &ops);
-        let err = execute_join_par(
+        let err = join_one(
             &SelBatch::from_batch(l),
             &SelBatch::from_batch(r),
             JoinType::Inner,
@@ -1272,7 +1226,7 @@ mod tests {
             let broker = MemoryBroker::with_budget(16 * 1024);
             let ops = AtomicU64::new(0);
             let sp = SpillCtx::new(&fs, DfsPath::new("/tmp/spill/q0"), &broker, true, &ops);
-            let out = execute_join_par(
+            let out = join_one(
                 &lsb,
                 &rsb,
                 jt,
@@ -1343,7 +1297,7 @@ mod tests {
             let (want, _) = reference_join(&lsb, &rsb, jt, None, &out_schema);
             assert!(want.num_rows() > 0, "{jt:?} produced no rows");
             for workers in [1, 2, 8] {
-                let out = execute_join_par(
+                let out = join_one(
                     &lsb,
                     &rsb,
                     jt,
@@ -1384,7 +1338,7 @@ mod tests {
         let out_schema = l.schema().join(r.schema());
         let lsb = SelBatch::from_batch(l);
         let rsb = SelBatch::from_batch(r);
-        let out = execute_join_par(
+        let out = join_one(
             &lsb,
             &rsb,
             JoinType::Left,
@@ -1604,7 +1558,7 @@ mod tests {
                     let out_schema = schema_of(&lsb.batch, &rsb.batch, jt);
                     let (want, _) = reference_join(lsb, rsb, jt, None, &out_schema);
                     for workers in [1, 2, 8] {
-                        let out = execute_join_par(
+                        let out = join_one(
                             lsb,
                             rsb,
                             jt,
@@ -1759,7 +1713,7 @@ mod tests {
         let broker = MemoryBroker::with_budget(64);
         let ops = AtomicU64::new(0);
         let sp = SpillCtx::new(&fs, DfsPath::new("/tmp/spill/q0"), &broker, true, &ops);
-        execute_join_par(
+        join_one(
             l,
             r,
             jt,
@@ -1970,7 +1924,7 @@ mod tests {
                         let ops = AtomicU64::new(0);
                         let sp =
                             SpillCtx::new(&fs, DfsPath::new("/tmp/spill/q0"), &broker, true, &ops);
-                        let out = execute_join_par(
+                        let out = join_one(
                             &lsb,
                             &rsb,
                             jt,
@@ -2020,7 +1974,7 @@ mod tests {
             assert!(pairs > 0);
             for workers in [1, 8] {
                 let mut pc = crate::pir::PirCounters::default();
-                let out = execute_join_par(
+                let out = join_one(
                     &lsb,
                     &rsb,
                     jt,

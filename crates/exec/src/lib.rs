@@ -32,8 +32,8 @@ pub mod spill;
 pub mod window;
 
 pub use engine::{
-    execute, execute_sel, execute_simple, CardGuard, ExecContext, ExternalScanResult,
-    ExternalScanner, FaultCharges, NodeTrace, SnapshotProvider, SpillConfig, WideOpenSnapshots,
+    execute, execute_sel, CardGuard, ExecContext, ExternalScanResult, ExternalScanner,
+    FaultCharges, NodeTrace, SnapshotProvider, SpillConfig, WideOpenSnapshots,
 };
 pub use membroker::{scaled_budget, MemGrant, MemoryBroker};
 pub use rawtable::RawTable;

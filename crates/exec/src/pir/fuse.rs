@@ -12,6 +12,12 @@
 //! materialization happens between fused stages; the one gather left
 //! is the projection's own output.
 //!
+//! The source arrives as the engine's walker yields it: a scan's
+//! morsels, a join's probe parts, or one part. Stages evaluate
+//! batch-locally, so every stage runs part by part, the parts in
+//! parallel over leased workers, and the parts' selected rows end to
+//! end are the rows the chain yields over the assembled source.
+//!
 //! ## What fusion must preserve
 //!
 //! - **Results**: each stage's pass-set/outputs are exactly the row
@@ -24,7 +30,7 @@
 //! - **Fault schedule**: `apply_fragment_faults` rolls per executed
 //!   plan vertex, keyed by label, bottom-up. Fused stages roll in plan
 //!   order — every stage here except the topmost (whose roll happens in
-//!   the `execute_sel` wrapper, as for any node).
+//!   the engine's walker, `execute_parts`, as for any node).
 //! - **Pipeline breakers**: fusion stops at any non-Filter/Project
 //!   node and at shared subtrees (their results materialize once via
 //!   `compact()` and are reused by fingerprint — fusing across that
@@ -32,7 +38,7 @@
 
 use super::kernel::SelRef;
 use super::lower::{PredPipeline, ProjPlan};
-use crate::engine::{align_column, execute_sel, type_aligned, ExecContext, NodeTrace};
+use crate::engine::{align_column, execute_parts, type_aligned, ExecContext, NodeTrace};
 use crate::kernels::eval_vector;
 use hive_common::{
     ColumnVector, DataType, HiveError, Result, Schema, SelBatch, SelVec, VectorBatch,
@@ -52,45 +58,14 @@ enum Stage<'a> {
 }
 
 /// Execute a plan rooted at a `Filter` or `Project` by fusing the
-/// maximal chain below it. Called from `execute_sel_inner`, so the
-/// shared-work wrapper and the topmost fault roll sit above us.
+/// maximal chain below it: peel the chain off `plan`, walk its source
+/// into parts (at least one), and run each stage over every part. A
+/// stage is compiled once, from the first part's schema; its one
+/// `NodeTrace` sums the parts' rows. Called from the engine's walker,
+/// so the shared-work wrapper and the topmost fault roll sit above us.
 pub(crate) fn execute_chain(
     plan: &LogicalPlan,
     ctx: &ExecContext,
-) -> Result<(SelBatch, NodeTrace)> {
-    let (mut parts, trace) = run_chain(plan, ctx, |source| {
-        execute_sel(source, ctx).map(|(sb, t)| (vec![sb], t))
-    })?;
-    match parts.pop() {
-        Some(sb) if parts.is_empty() => Ok((sb, trace)),
-        _ => Err(HiveError::Execution(
-            "fused chain over one batch did not yield one batch".into(),
-        )),
-    }
-}
-
-/// [`execute_chain`] for a consumer that folds parts: the chain's
-/// source may arrive as several parts (a scan's morsels) and every
-/// stage runs part by part — stages evaluate batch-locally, so the
-/// parts' selected rows, end to end, are exactly the rows the chain
-/// yields over the assembled source.
-pub(crate) fn execute_chain_parts(
-    plan: &LogicalPlan,
-    ctx: &ExecContext,
-) -> Result<(Vec<SelBatch>, NodeTrace)> {
-    run_chain(plan, ctx, |source| {
-        crate::engine::execute_parts(source, ctx)
-    })
-}
-
-/// Peel the chain off `plan`, take its source's parts from `source`
-/// (at least one), and run each stage over every part. A stage is
-/// compiled once, from the first part's schema; its one `NodeTrace`
-/// sums the parts' rows.
-fn run_chain(
-    plan: &LogicalPlan,
-    ctx: &ExecContext,
-    source: impl FnOnce(&LogicalPlan) -> Result<(Vec<SelBatch>, NodeTrace)>,
 ) -> Result<(Vec<SelBatch>, NodeTrace)> {
     // Peel top-down.
     let mut stages: Vec<Stage<'_>> = Vec::new();
@@ -116,7 +91,7 @@ fn run_chain(
             break;
         }
     }
-    let (mut parts, mut trace) = source(cur)?;
+    let (mut parts, mut trace) = execute_parts(cur, ctx)?;
     // Stages run part by part, the parts in parallel.
     let rows: usize = parts.iter().map(SelBatch::num_rows).sum();
     let (workers, _lease) = match parts.len() {
@@ -172,7 +147,7 @@ fn run_chain(
         st.children = vec![trace];
         if i > 0 {
             // Interior stage: roll its fault schedule here, exactly
-            // where a per-node `execute_sel` would.
+            // where the walker would for a node of its own.
             // The topmost stage's roll happens in our caller.
             crate::recovery::apply_fragment_faults(ctx, &mut st)?;
         }

@@ -27,7 +27,7 @@ pub(crate) mod fuse;
 pub(crate) mod kernel;
 pub(crate) mod lower;
 
-pub(crate) use fuse::{execute_chain, execute_chain_parts};
+pub(crate) use fuse::execute_chain;
 pub(crate) use kernel::SelRef;
 pub(crate) use lower::PredPipeline;
 

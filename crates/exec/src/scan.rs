@@ -1,8 +1,10 @@
 //! Table scans: ACID snapshot reads, partition handling, sarg pushdown,
 //! dynamic semijoin reduction, LLAP cache routing, and federation
-//! dispatch.
+//! dispatch. [`execute_scan`] yields a stored table's morsels as parts;
+//! the consumer that needs one batch assembles them
+//! ([`crate::engine::assemble`]).
 
-use crate::engine::{ExecContext, NodeTrace};
+use crate::engine::{assemble, execute, ExecContext, NodeTrace};
 use crate::kernels::filter_indices_rowmode;
 use crate::pir::{PredPipeline, SelRef};
 use crate::runtime_filter::RuntimeFilter;
@@ -17,56 +19,27 @@ use hive_sql::BinaryOp;
 use std::collections::HashSet;
 use std::sync::Arc;
 
-type ExecFn<'f> = &'f dyn Fn(&LogicalPlan, &ExecContext) -> Result<(VectorBatch, NodeTrace)>;
-
-/// Execute a Scan node. The result carries residual row-level filters as
-/// a selection over the read batch — downstream operators consume the
-/// `(batch, selection)` pair without compacting (§3.3's late filtering).
+/// Execute a Scan node as parts: a stored table's read yields one part
+/// per morsel, in morsel enumeration order, each carrying the rows that
+/// passed the scan's residual filters and reducers as its selection
+/// (§3.3's late filtering); a federated scan or an empty reducer yields
+/// one finished part.
 ///
-/// This is [`read_scan`] plus assembly: a single part keeps the row
-/// group's `Arc` columns as they are, several parts take one
-/// [`VectorBatch::concat_selected`] (each survivor copied exactly once).
-pub fn execute_scan(
-    plan: &LogicalPlan,
-    ctx: &ExecContext,
-    exec: ExecFn,
-) -> Result<(SelBatch, NodeTrace)> {
-    let mut read = read_scan(plan, ctx, exec)?;
-    let mut out = match read.parts.len() {
-        1 => read.parts.swap_remove(0),
-        _ => SelBatch::from_batch(VectorBatch::concat_selected(&plan.schema(), &read.parts)?),
-    };
-    if let Some((key, work)) = read.publish {
-        // A shared scan reads unfiltered: `out` is every raw row.
-        ctx.shared_put(key, out.batch.clone());
-        out = work.apply(out.batch)?;
-        let rows_in = read.trace.rows_in;
-        work.account(&mut read.trace, rows_in);
-    }
-    read.trace.rows_out = out.num_rows() as u64;
-    Ok((out, read.trace))
-}
-
-/// Execute a Scan node without assembling it: one filtered part per
-/// morsel, in morsel enumeration order, for a consumer that folds parts
-/// (the aggregate). Concatenating the parts' selected rows gives
-/// exactly [`execute_scan`]'s rows; the trace is the same trace. The
-/// caller has checked that the scan is not a shared-work site — a
-/// shared scan must publish its assembled rows.
-pub(crate) fn execute_scan_parts(
-    plan: &LogicalPlan,
-    ctx: &ExecContext,
-    exec: ExecFn,
-) -> Result<(Vec<SelBatch>, NodeTrace)> {
+/// A shared scan (§4.5) reads raw rows: they are [`assemble`]d once and
+/// published for the other sites, and this site's own row work then
+/// applies to them, as one part.
+pub fn execute_scan(plan: &LogicalPlan, ctx: &ExecContext) -> Result<(Vec<SelBatch>, NodeTrace)> {
     let ScanRead {
-        parts,
+        mut parts,
         mut trace,
         publish,
-    } = read_scan(plan, ctx, exec)?;
-    if publish.is_some() {
-        return Err(HiveError::Execution(
-            "execute_scan_parts on a shared scan: its parts are raw rows".into(),
-        ));
+    } = read_scan(plan, ctx)?;
+    if let Some((key, work)) = publish {
+        let raw = assemble(parts)?.batch;
+        ctx.shared_put(key, raw.clone());
+        parts = vec![work.apply(raw)?];
+        let rows_in = trace.rows_in;
+        work.account(&mut trace, rows_in);
     }
     trace.rows_out = parts.iter().map(|p| p.num_rows() as u64).sum();
     Ok((parts, trace))
@@ -163,7 +136,7 @@ impl<'p> RowWork<'p> {
 /// Everything a scan does short of assembling its rows: reducers,
 /// partition and snapshot resolution, morsel enumeration, and the
 /// morsel-parallel read with the fused residual predicate.
-fn read_scan<'p>(plan: &'p LogicalPlan, ctx: &ExecContext, exec: ExecFn) -> Result<ScanRead<'p>> {
+fn read_scan<'p>(plan: &'p LogicalPlan, ctx: &ExecContext) -> Result<ScanRead<'p>> {
     let LogicalPlan::Scan {
         table,
         projection,
@@ -212,7 +185,7 @@ fn read_scan<'p>(plan: &'p LogicalPlan, ctx: &ExecContext, exec: ExecFn) -> Resu
         Ok(finished(empty, trace))
     };
     for spec in semijoin_filters {
-        let (batch, sub_trace) = exec(&spec.source, ctx)?;
+        let (batch, sub_trace) = execute(&spec.source, ctx)?;
         trace.children.push(sub_trace);
         let keys = batch.column(spec.source_key);
         if spec.is_partition_col {

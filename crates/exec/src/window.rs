@@ -544,9 +544,15 @@ mod tests {
                     (true, false) => Ordering::Greater,
                     (false, true) if k.nulls_first => Ordering::Greater,
                     (false, true) => Ordering::Less,
-                    (false, false) => x.sql_cmp(&y).unwrap_or_else(|| nan(&x).cmp(&nan(&y))),
+                    (false, false) => {
+                        let o = x.sql_cmp(&y).unwrap_or_else(|| nan(&x).cmp(&nan(&y)));
+                        if k.asc {
+                            o
+                        } else {
+                            o.reverse()
+                        }
+                    }
                 };
-                let o = if k.asc { o } else { o.reverse() };
                 if o != Ordering::Equal {
                     return o;
                 }

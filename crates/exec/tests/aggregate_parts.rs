@@ -15,7 +15,7 @@ use hive_common::{
     BitSet, ColumnVector, DataType, Field, Schema, SelBatch, SelVec, Value, VectorBatch,
 };
 use hive_dfs::{DfsPath, DistFs};
-use hive_exec::aggregate::{execute_aggregate, execute_aggregate_par, execute_aggregate_parts};
+use hive_exec::aggregate::{execute_aggregate, execute_aggregate_parts};
 use hive_exec::pir::PirCounters;
 use hive_exec::{MemoryBroker, SpillCtx};
 use hive_optimizer::plan::LogicalPlan;
@@ -497,8 +497,8 @@ fn a_group_per_row_merges_its_partitions_in_first_seen_order() {
         let want = execute_aggregate(&whole, &groups, &None, &aggs, &out);
         for workers in [1, 2, 8] {
             let mut pc = PirCounters::default();
-            let got = execute_aggregate_par(
-                &part,
+            let got = execute_aggregate_parts(
+                std::slice::from_ref(&part),
                 &groups,
                 &None,
                 &aggs,

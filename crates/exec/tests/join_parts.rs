@@ -208,7 +208,7 @@ fn join_parts(
     workers: usize,
 ) -> Outcome {
     let mut pc = PirCounters::default();
-    let parts = execute_join_parts(
+    let (parts, _) = execute_join_parts(
         parts,
         &SelBatch::from_batch(right.clone()),
         jt,

@@ -15,8 +15,8 @@ use hive_common::hash::fnv1a;
 use hive_common::{
     BitSet, ColumnVector, Field, Schema, SelBatch, SelVec, Value, VectorBatch, NULL_INDEX,
 };
-use hive_exec::aggregate::execute_aggregate_par;
-use hive_exec::join::execute_join_par;
+use hive_exec::aggregate::execute_aggregate_parts;
+use hive_exec::join::execute_join_parts;
 use hive_exec::keys::{
     partition, route, Grouper, JoinIndex, KeySide, RowKeys, Runs, Shape, ValueSet, Word, WordTable,
 };
@@ -489,8 +489,8 @@ fn check_join_operator(
     // Byte-identity by `Debug`: a NaN key column is unequal to itself.
     let mut first: Option<String> = None;
     for workers in WORKERS {
-        let out = execute_join_par(
-            &lsb,
+        let (parts, _) = execute_join_parts(
+            std::slice::from_ref(&lsb),
             &rsb,
             jt,
             &equi,
@@ -501,8 +501,8 @@ fn check_join_operator(
             None,
             None,
         )
-        .unwrap()
-        .compact();
+        .unwrap();
+        let out = VectorBatch::concat_selected(&out_schema, &parts).unwrap();
         let ctx = format!("{jt:?}, {workers} workers");
         assert_eq!(output_pairs(&out, lid, rid), want, "{ctx}");
         let out = format!("{out:?}");
@@ -718,8 +718,8 @@ proptest! {
         let sb = SelBatch::from_batch(batch);
         let mut first: Option<String> = None;
         for workers in WORKERS {
-            let out = execute_aggregate_par(
-                &sb, &groups, &None, &aggs, &out_schema, workers, None, None,
+            let out = execute_aggregate_parts(
+                std::slice::from_ref(&sb), &groups, &None, &aggs, &out_schema, workers, None, None,
             )
             .unwrap();
             let got: Vec<i64> = out

@@ -10,8 +10,8 @@
 
 use hive_common::{BitSet, ColumnVector, DataType, Field, Schema, SelBatch, Value, VectorBatch};
 use hive_dfs::{DfsPath, DistFs};
-use hive_exec::aggregate::execute_aggregate_par;
-use hive_exec::join::execute_join_par;
+use hive_exec::aggregate::execute_aggregate_parts;
+use hive_exec::join::execute_join_parts;
 use hive_exec::pir::PirCounters;
 use hive_exec::{MemoryBroker, SpillCtx};
 use hive_optimizer::plan::{JoinType, LogicalPlan};
@@ -228,11 +228,12 @@ proptest! {
             for residual in [None, Some(less.clone())] {
                 let join = |spill: Option<&SpillCtx<'_>>, workers: usize| {
                     let mut pc = PirCounters::default();
-                    let out = execute_join_par(
-                        &l, &r, jt, &equi, &residual, &out_schema, usize::MAX, workers, spill,
-                        Some(&mut pc),
+                    let out = execute_join_parts(
+                        std::slice::from_ref(&l), &r, jt, &equi, &residual, &out_schema, usize::MAX,
+                        workers, spill, Some(&mut pc),
                     );
-                    out.map(|o| bytes(&o.compact()))
+                    out.and_then(|(parts, _)| VectorBatch::concat_selected(&out_schema, &parts))
+                        .map(|o| bytes(&o))
                 };
                 let want = join(None, 1).unwrap();
                 let (fs, broker, ops) = (DistFs::new(), MemoryBroker::with_budget(BUDGET), AtomicU64::new(0));
@@ -292,8 +293,8 @@ proptest! {
             .schema();
             let aggregate = |spill: Option<&SpillCtx<'_>>, workers: usize| {
                 let mut pc = PirCounters::default();
-                let out = execute_aggregate_par(
-                    &input, &groups, &sets, &aggs, &out_schema, workers, spill, Some(&mut pc),
+                let out = execute_aggregate_parts(
+                    std::slice::from_ref(&input), &groups, &sets, &aggs, &out_schema, workers, spill, Some(&mut pc),
                 );
                 out.map(|o| (bytes(&o), pc.compiled_stages, pc.fallback_rows))
             };

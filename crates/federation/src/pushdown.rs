@@ -558,7 +558,7 @@ mod tests {
                 keys: vec![SortKey {
                     expr: ScalarExpr::Column(col),
                     asc,
-                    nulls_first: false,
+                    nulls_first: !asc,
                 }],
             }),
             n,

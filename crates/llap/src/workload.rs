@@ -421,16 +421,6 @@ impl WorkloadManager {
             .cloned()
     }
 
-    /// A pool's definition in the active plan.
-    pub fn pool_info(&self, pool: &str) -> Option<Pool> {
-        self.state
-            .lock()
-            .plan
-            .as_ref()
-            .and_then(|p| p.pool(pool))
-            .cloned()
-    }
-
     /// Running query count for a pool (diagnostics).
     pub fn running_in(&self, pool: &str) -> usize {
         self.state.lock().running_in(pool)

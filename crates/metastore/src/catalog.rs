@@ -230,11 +230,6 @@ impl Catalog {
         Ok(())
     }
 
-    /// All database names.
-    pub fn database_names(&self) -> Vec<String> {
-        self.databases.keys().cloned().collect()
-    }
-
     /// Look up a database.
     pub fn database(&self, name: &str) -> Result<&Database> {
         self.databases

@@ -186,15 +186,6 @@ impl Metastore {
         Ok(())
     }
 
-    /// Apply an arbitrary mutation to a table's metadata.
-    pub fn alter_table(&self, db: &str, name: &str, f: impl FnOnce(&mut Table)) -> Result<()> {
-        let mut cat = self.inner.catalog.write();
-        let t = cat.table_mut(db, name)?;
-        f(t);
-        self.bump_ddl_generation();
-        Ok(())
-    }
-
     // ---- statistics ----------------------------------------------------
 
     /// The published statistics snapshot of a table (empty default when
@@ -236,11 +227,6 @@ impl Metastore {
     /// Begin a transaction.
     pub fn open_txn(&self) -> TxnId {
         self.inner.txns.lock().open()
-    }
-
-    /// Transaction state.
-    pub fn txn_state(&self, txn: TxnId) -> Option<TxnState> {
-        self.inner.txns.lock().state(txn)
     }
 
     /// Allocate the per-table WriteId for a transaction.

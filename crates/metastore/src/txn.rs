@@ -409,14 +409,6 @@ impl TxnManager {
             .collect()
     }
 
-    /// Number of open transactions (diagnostics).
-    pub fn open_count(&self) -> usize {
-        self.txns
-            .values()
-            .filter(|i| i.state == TxnState::Open)
-            .count()
-    }
-
     /// Current WriteId high watermark for a table.
     pub fn table_write_hwm(&self, table: &str) -> WriteId {
         WriteId(*self.write_id_counters.get(table).unwrap_or(&0))

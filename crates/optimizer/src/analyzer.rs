@@ -227,7 +227,7 @@ impl<'a> Analyzer<'a> {
                         .map(|(expr, item)| SortKey {
                             expr,
                             asc: item.asc,
-                            nulls_first: item.nulls_first.unwrap_or(!item.asc),
+                            nulls_first: item.nulls_first.unwrap_or(false),
                         })
                         .collect();
                     plan = Arc::new(LogicalPlan::Sort { input: plan, keys });
@@ -266,7 +266,7 @@ impl<'a> Analyzer<'a> {
                         keys.push(SortKey {
                             expr,
                             asc: item.asc,
-                            nulls_first: item.nulls_first.unwrap_or(!item.asc),
+                            nulls_first: item.nulls_first.unwrap_or(false),
                         });
                     }
                     let extended = Arc::new(LogicalPlan::Project {
@@ -993,7 +993,7 @@ impl<'a> Analyzer<'a> {
                         Ok(SortKey {
                             expr: self.lower_post_agg(&o.expr, replace, ctx, ctes)?,
                             asc: o.asc,
-                            nulls_first: o.nulls_first.unwrap_or(!o.asc),
+                            nulls_first: o.nulls_first.unwrap_or(false),
                         })
                     })
                     .collect::<Result<Vec<_>>>()?,

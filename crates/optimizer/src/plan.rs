@@ -621,7 +621,7 @@ mod tests {
                 keys: vec![SortKey {
                     expr: ScalarExpr::Column(0),
                     asc: false,
-                    nulls_first: false,
+                    nulls_first: true,
                 }],
             }),
             n: 10,

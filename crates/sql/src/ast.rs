@@ -335,7 +335,8 @@ pub enum JoinKind {
 pub struct OrderItem {
     pub expr: Expr,
     pub asc: bool,
-    /// `None` = dialect default (NULLS LAST for ASC, FIRST for DESC).
+    /// `None` = the default, NULLS LAST under ASC and under DESC (Hive's
+    /// is ASC NULLS FIRST: a known deviation, DESIGN.md §1).
     pub nulls_first: Option<bool>,
 }
 
@@ -495,14 +496,6 @@ impl Expr {
         }
     }
 
-    /// Shorthand qualified column reference.
-    pub fn qcol(q: &str, name: &str) -> Expr {
-        Expr::Column {
-            qualifier: Some(q.to_ascii_lowercase()),
-            name: name.to_ascii_lowercase(),
-        }
-    }
-
     /// Shorthand literal.
     pub fn lit(v: Value) -> Expr {
         Expr::Literal(v)
@@ -514,14 +507,6 @@ impl Expr {
             left: Box::new(self),
             op: BinaryOp::And,
             right: Box::new(other),
-        }
-    }
-
-    /// Combine optional predicates with AND.
-    pub fn and_opt(a: Option<Expr>, b: Option<Expr>) -> Option<Expr> {
-        match (a, b) {
-            (Some(a), Some(b)) => Some(a.and(b)),
-            (x, None) | (None, x) => x,
         }
     }
 

@@ -170,6 +170,19 @@ echo "-- window: every function, key type, selection and frame = the brute-force
 cargo test -q --offline -p hive-exec --lib window::tests::every_window_function_matches_the_value_reference
 echo "-- window: STDDEV_SAMP OVER (PARTITION BY g) = the GROUP BY's, vectorized and in row mode --"
 cargo test -q --offline --test integration window_stddev_samp_equals_the_group_by_stddev_samp_in_both_modes
+# One walker (DESIGN.md §4 "Execution over parts"): every operator yields
+# parts, and a consumer that needs one batch assembles them by one rule.
+# The statements include a filtered multi-morsel scan under a Sort, a
+# Window, a LIMIT, a build side and a RIGHT / FULL join's probe side; an
+# explicit NULLS clause holds under DESC (DESIGN.md §1).
+echo "-- one walker: every scan_parts statement = the row interpreter at 1/2/8 threads, llap/shared work off, a tiny budget --"
+cargo test -q --offline --test scan_parts statements_match_the_row_interpreter_under_every_configuration
+echo "-- one walker: the same statements recover and replay exactly under a seeded fault plan --"
+cargo test -q --offline --test scan_parts faulted_statements_recover_to_the_same_rows_and_replay_exactly
+echo "-- one walker: a Sort, a Window and a LIMIT over a multi-morsel scan keep every morsel (counted against the aggregate) --"
+cargo test -q --offline --test scan_parts assembling_consumers_keep_every_morsel
+echo "-- NULL order: NULLS FIRST / LAST under ASC and DESC, and the no-clause default, Sort and window, both modes --"
+cargo test -q --offline --test integration nulls_clauses_place_nulls_under_asc_and_desc_in_both_modes
 echo "-- DISTINCT and JOIN over doubles: NaN is one value, one answer under every configuration --"
 cargo test -q --offline --test hash_keys double_keys_are_one_answer_under_every_configuration
 # The persistent executors (DESIGN.md §5 "Executors are persistent"): the

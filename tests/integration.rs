@@ -164,6 +164,52 @@ fn write_write_conflicts_surface_to_clients() {
     assert_eq!(r.rows()[0].get(0), &Value::Int(12));
 }
 
+/// An explicit NULLS clause places NULLs where it says, under ASC and
+/// under DESC alike; with no clause NULLs come last in both directions.
+/// The Sort and the window's ORDER BY share one comparator, vectorized
+/// and in row mode.
+#[test]
+fn nulls_clauses_place_nulls_under_asc_and_desc_in_both_modes() {
+    let cases = [
+        ("x", ["1", "3", "NULL"]),
+        ("x DESC", ["3", "1", "NULL"]),
+        ("x ASC NULLS FIRST", ["NULL", "1", "3"]),
+        ("x ASC NULLS LAST", ["1", "3", "NULL"]),
+        ("x DESC NULLS FIRST", ["NULL", "3", "1"]),
+        ("x DESC NULLS LAST", ["3", "1", "NULL"]),
+    ];
+    for vectorized in [true, false] {
+        let server = HiveServer::new(HiveConf::v3_1().with(|c| c.vectorized = vectorized));
+        let session = server.session();
+        session.execute("CREATE TABLE n (x INT)").unwrap();
+        session
+            .execute("INSERT INTO n VALUES (1), (NULL), (3)")
+            .unwrap();
+        for (order, want) in cases {
+            let sorted = session
+                .execute(&format!("SELECT x FROM n ORDER BY {order}"))
+                .unwrap()
+                .display_rows();
+            assert_eq!(sorted, want, "ORDER BY {order}, vectorized = {vectorized}");
+            // The window numbers the rows in its own ORDER BY's order.
+            let numbered = session
+                .execute(&format!(
+                    "SELECT x, ROW_NUMBER() OVER (ORDER BY {order}) AS r FROM n ORDER BY r"
+                ))
+                .unwrap()
+                .display_rows();
+            let numbered: Vec<&str> = numbered
+                .iter()
+                .map(|row| row.split('\t').next().unwrap_or(""))
+                .collect();
+            assert_eq!(
+                numbered, want,
+                "OVER (ORDER BY {order}), vectorized = {vectorized}"
+            );
+        }
+    }
+}
+
 /// A window aggregate finishes as the GROUP BY's does: over each
 /// partition, `STDDEV_SAMP(x) OVER (PARTITION BY g)` is that group's
 /// `STDDEV_SAMP` on every row, vectorized and in row mode.

@@ -9,7 +9,11 @@
 //! under a seeded fault plan; simulated time must not depend on the
 //! thread count; a cache too small for the working set must evict the
 //! same chunks in every run; and a plan whose branches share a scan
-//! must still read its table once.
+//! must still read its table once. Beyond the aggregate, the statements
+//! feed a filtered or projected multi-morsel scan to each consumer that
+//! assembles its input into one batch — a Sort, a Window, a LIMIT, a
+//! join's build side, a `RIGHT` / `FULL` join's probe side — under the
+//! same configurations and fault plan.
 
 use hive_warehouse::benchdata::tpcds::{self, TpcdsScale};
 use hive_warehouse::{FaultPlan, HiveConf, HiveServer};
@@ -139,6 +143,54 @@ fn statements() -> Vec<(&'static str, String)> {
          WHERE ss_quantity > 5 GROUP BY ss_store_sk"
             .into(),
     ));
+    // A filtered or projected scan under each consumer that assembles
+    // its input into one batch: a Sort, a Window, a LIMIT, a join's
+    // build side, and the probe side of a `RIGHT` and a `FULL` join.
+    out.push((
+        "sort",
+        "SELECT ss_ticket_number, ss_item_sk, ss_quantity * 2 AS q2 FROM store_sales \
+         WHERE ss_quantity > 15 ORDER BY ss_ticket_number DESC, ss_item_sk, q2"
+            .into(),
+    ));
+    out.push((
+        "window",
+        "SELECT ss_store_sk, ss_ticket_number, ss_item_sk, \
+         RANK() OVER (PARTITION BY ss_store_sk ORDER BY ss_net_profit DESC) AS rk, \
+         SUM(ss_quantity) OVER (PARTITION BY ss_store_sk ORDER BY ss_ticket_number) AS run \
+         FROM store_sales WHERE ss_quantity < 4 \
+         ORDER BY ss_store_sk, ss_ticket_number, ss_item_sk, rk, run"
+            .into(),
+    ));
+    out.push((
+        "limit",
+        "SELECT ss_ticket_number, ss_item_sk, ss_net_profit + 1 FROM store_sales \
+         WHERE ss_quantity = 7 LIMIT 200"
+            .into(),
+    ));
+    out.push((
+        "join_build",
+        "SELECT COUNT(*), SUM(a.ss_quantity), SUM(b.p) FROM store_sales a \
+         JOIN (SELECT ss_ticket_number t, ss_net_profit * 2 p FROM store_sales \
+               WHERE ss_quantity = 1) b ON a.ss_ticket_number = b.t"
+            .into(),
+    ));
+    out.push((
+        "right_join_probe",
+        "SELECT i.i_item_sk, COUNT(s.ss_item_sk), SUM(s.q) \
+         FROM (SELECT ss_item_sk, ss_quantity + 1 q FROM store_sales \
+               WHERE ss_quantity > 10) s \
+         RIGHT JOIN item i ON s.ss_item_sk = i.i_item_sk \
+         GROUP BY i.i_item_sk ORDER BY i.i_item_sk"
+            .into(),
+    ));
+    out.push((
+        "full_join_probe",
+        "SELECT COUNT(*), COUNT(s.ss_item_sk), COUNT(i.i_item_sk), SUM(s.ss_quantity) \
+         FROM (SELECT ss_item_sk, ss_quantity FROM store_sales WHERE ss_quantity > 18) s \
+         FULL OUTER JOIN (SELECT i_item_sk FROM item WHERE i_item_sk > 100) i \
+         ON s.ss_item_sk = i.i_item_sk"
+            .into(),
+    ));
     out
 }
 
@@ -196,6 +248,27 @@ fn statements_match_the_row_interpreter_under_every_configuration() {
             assert_eq!(&rows, want, "{id} diverged with {name}");
         }
     }
+}
+
+/// The row interpreter shares the Sort, Window and LIMIT operators with
+/// the vectorized engine, so a consumer that lost a part of its input
+/// would lose it in both modes. Count what each returns against the
+/// aggregate's count of the same filter, which folds the parts itself.
+#[test]
+fn assembling_consumers_keep_every_morsel() {
+    let server = load_server(HiveConf::v3_1().with(|c| c.parallel_threads = 2));
+    let run = |sql: &str| server.session().execute(sql).unwrap().display_rows();
+    let count = |filter: &str| -> usize {
+        run(&format!("SELECT COUNT(*) FROM store_sales WHERE {filter}"))[0]
+            .parse()
+            .unwrap()
+    };
+    let statement = |id: &str| statements().into_iter().find(|s| s.0 == id).unwrap().1;
+    assert_eq!(run(&statement("sort")).len(), count("ss_quantity > 15"));
+    assert_eq!(run(&statement("window")).len(), count("ss_quantity < 4"));
+    // More matching rows than the limit, over more than one morsel.
+    assert!(count("ss_quantity = 7") > 2 * 200);
+    assert_eq!(run(&statement("limit")).len(), 200);
 }
 
 #[test]
