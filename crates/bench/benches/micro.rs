@@ -529,7 +529,8 @@ fn bench_cold_read_path(_c: &mut Criterion) {
                     workers,
                     None,
                     Some(&mut pc),
-                );
+                )
+                .map(|(batch, _)| batch);
                 std::hint::black_box(out.unwrap().num_rows());
             },
         );
@@ -585,7 +586,8 @@ fn bench_keyless_fold(_c: &mut Criterion) {
                         1,
                         None,
                         Some(&mut pc),
-                    );
+                    )
+                    .map(|(batch, _)| batch);
                     std::hint::black_box(out.unwrap().num_rows());
                 },
             );
@@ -1098,7 +1100,9 @@ fn bench_replicated_strings(_c: &mut Criterion) {
 /// their own through the key layer, then the whole operator compiled at
 /// one worker — fold and emit are what it adds to those two — and at
 /// two, which adds routing and the partition merge, and interpreted for
-/// contrast), `COUNT(DISTINCT int)` over four groups (q73), a decimal
+/// contrast), `COUNT(DISTINCT int)` over four groups (q73), a `GROUP BY`
+/// over two ten-entry dictionaries (q27), `EXCEPT` over one INT key
+/// spanning 5 000 values (q87), a decimal
 /// SUM over 20 000 groups, and a `DECIMAL` column filtered against the
 /// `DOUBLE` column a scalar subquery leaves beside it (q25 / q65 / q92;
 /// the statement also scans, joins and counts, so the same statement
@@ -1139,7 +1143,8 @@ fn bench_aggregate_states(_c: &mut Criterion) {
                 workers,
                 None,
                 pir,
-            );
+            )
+            .map(|(batch, _)| batch);
             std::hint::black_box(out.unwrap().num_rows());
         });
     };
@@ -1180,7 +1185,7 @@ fn bench_aggregate_states(_c: &mut Criterion) {
         TICKETS as f64,
         || {
             let mut assign = Vec::with_capacity(TICKETS);
-            let mut groups = Grouper::new(side.shape());
+            let mut groups = Grouper::new(&side, 1);
             groups
                 .assign(&keys, None, |_, g, _| assign.push(g))
                 .unwrap();
@@ -1223,6 +1228,61 @@ fn bench_aggregate_states(_c: &mut Criterion) {
         &[ScalarExpr::Column(0)],
         &[distinct_tickets],
     );
+
+    // q27's shape: two dictionary keys of ten entries each, 100 groups.
+    let dict10 = |prefix: &str| {
+        let entries = (0..10).map(|e| format!("{prefix}{e}")).collect::<Vec<_>>();
+        std::sync::Arc::new(entries)
+    };
+    let (categories, states) = (dict10("category-"), dict10("state-"));
+    let dict_rows = |dict, stride| {
+        let codes = (0..ROWS).map(|i| scatter(i * stride, 10) as u32).collect();
+        ColumnVector::dict_from_codes(codes, dict, None).unwrap()
+    };
+    let two_dicts = VectorBatch::new(
+        Schema::new(vec![
+            Field::new("category", DataType::String),
+            Field::new("state", DataType::String),
+            int_field("quantity"),
+        ]),
+        vec![
+            dict_rows(categories, 1),
+            dict_rows(states, 7),
+            ColumnVector::Int((0..ROWS).map(|i| scatter(i, 100)).collect(), None),
+        ],
+    )
+    .unwrap();
+    let sum_quantity = AggExpr {
+        func: AggFunc::Sum,
+        arg: Some(ScalarExpr::Column(2)),
+        distinct: false,
+    };
+    variants(
+        "aggregate/group_two_dict_keys_300k",
+        &two_dicts,
+        &[ScalarExpr::Column(0), ScalarExpr::Column(1)],
+        &[count_star(), sum_quantity],
+    );
+
+    // q87's shape: EXCEPT over one INT key spanning 5 000 values, a
+    // 300 000-row left input and a 30 000-row right one.
+    let customers = |rows: usize, salt: usize| {
+        let keys = (0..rows).map(|i| 1 + scatter(i + salt, 5_000)).collect();
+        let schema = Schema::new(vec![int_field("c_customer_sk")]);
+        VectorBatch::new(schema, vec![ColumnVector::Int(keys, None)]).unwrap()
+    };
+    let (left, right) = (customers(ROWS, 0), customers(ROWS / 10, 17));
+    let rows = (left.num_rows() + right.num_rows()) as f64;
+    report_ns("setop/except_int_key_330k", "row", 10, rows, || {
+        let out = hive_exec::engine::execute_setop(
+            hive_sql::SetOperator::Except,
+            false,
+            &left,
+            &right,
+            left.schema(),
+        );
+        std::hint::black_box(out.unwrap().0.num_rows());
+    });
 
     let priced = VectorBatch::new(
         Schema::new(vec![

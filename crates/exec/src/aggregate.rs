@@ -17,8 +17,9 @@
 //! is compiled or interpreted exactly as the in-memory one would be.
 
 use crate::engine::{align_column, compact_for};
+use crate::join::lap;
 use crate::kernels::eval_vector;
-use crate::keys::{Grouper, KeySide, RowKeys, Runs, ValueSet};
+use crate::keys::{Grouper, IndexKind, KeySide, RowKeys, Runs, ValueSet};
 use crate::pir::agg::FoldOut;
 use crate::spill::SpillCtx;
 use hive_common::{
@@ -26,6 +27,106 @@ use hive_common::{
 };
 use hive_optimizer::{AggExpr, AggFunc, ScalarExpr};
 use std::sync::Arc;
+use std::time::Instant;
+
+/// How an aggregate ran and where its wall-clock time went, a
+/// [`SetProfile`] per grouping set — what an `Aggregate`
+/// [`crate::engine::NodeTrace`] carries for profiles. The times are
+/// wall-clock: nothing that decides a result, a simulated time or a
+/// fault roll reads them.
+#[derive(Debug, Clone, Default)]
+pub struct AggregateProfile {
+    pub sets: Vec<SetProfile>,
+}
+
+/// One grouping set's route, index kinds and wall nanoseconds by phase.
+/// A phase run across workers records its wall time, split over its
+/// steps in proportion to their in-worker times.
+#[derive(Debug, Clone, Default)]
+pub struct SetProfile {
+    /// `parts` ([`fold_parts`]), `assembled`, `spilled` (a denied
+    /// memory grant) or `keyless` (no group keys).
+    pub route: &'static str,
+    /// The group index's kind — dense only when every index the set
+    /// built (per part, per partition) was.
+    pub groups: IndexKind,
+    /// The DISTINCT filters' kind, by the same rule; `None` without a
+    /// DISTINCT aggregate.
+    pub distinct: Option<IndexKind>,
+    /// Partitions of the assembled build.
+    pub partitions: usize,
+    /// Key classification, spans and per-row keys.
+    pub keys_ns: u64,
+    /// Routing rows to partitions.
+    pub scatter_ns: u64,
+    /// The group index walk.
+    pub discover_ns: u64,
+    /// Accumulator folds, DISTINCT filters included.
+    pub fold_ns: u64,
+    /// Joining the partitions' or the parts' groups.
+    pub merge_ns: u64,
+    /// The output batch.
+    pub emit_ns: u64,
+}
+
+impl SetProfile {
+    /// The route column: group index kind, route and partition count,
+    /// e.g. `dense/assembled/4`.
+    pub fn route(&self) -> String {
+        format!("{}/{}/{}", self.groups.name(), self.route, self.partitions)
+    }
+
+    /// Record a DISTINCT filter of kind `k`.
+    fn distinct_kind(&mut self, k: IndexKind) {
+        self.distinct = Some(self.distinct.map_or(k, |have| combine(have, k)));
+    }
+
+    fn phases(&mut self) -> [&mut u64; 6] {
+        [
+            &mut self.keys_ns,
+            &mut self.scatter_ns,
+            &mut self.discover_ns,
+            &mut self.fold_ns,
+            &mut self.merge_ns,
+            &mut self.emit_ns,
+        ]
+    }
+
+    /// Add the steps of one section that took `wall` nanoseconds: their
+    /// index kinds combine, their phases add up scaled to `wall`.
+    fn absorb(&mut self, mut steps: Vec<SetProfile>, wall: u64) {
+        let spent: u64 = steps
+            .iter_mut()
+            .flat_map(|s| s.phases())
+            .map(|ns| *ns)
+            .sum();
+        for mut step in steps {
+            self.groups = combine(self.groups, step.groups);
+            if let Some(k) = step.distinct {
+                self.distinct_kind(k);
+            }
+            for (ns, add) in self.phases().into_iter().zip(step.phases()) {
+                *ns += (*add as u128 * wall as u128 / spent.max(1) as u128) as u64;
+            }
+        }
+    }
+
+    /// [`SetProfile::absorb`] for one serial step: its times as they are.
+    fn add(&mut self, mut step: SetProfile) {
+        let wall = step.phases().into_iter().map(|ns| *ns).sum();
+        self.absorb(vec![step], wall);
+    }
+}
+
+/// The kind of several indexes of one grouping set: dense only when all
+/// of them were.
+fn combine(a: IndexKind, b: IndexKind) -> IndexKind {
+    match (a, b) {
+        (IndexKind::Keyless, k) | (k, IndexKind::Keyless) => k,
+        (a, b) if a == b => a,
+        _ => IndexKind::Hashed,
+    }
+}
 
 /// One in-flight aggregate state: the interpreted accumulator of a
 /// GROUP BY row and of a window frame.
@@ -256,6 +357,7 @@ pub fn execute_aggregate(
         None,
         None,
     )
+    .map(|(batch, _)| batch)
 }
 
 /// Execute an Aggregate node over its input as an ordered sequence of
@@ -284,6 +386,8 @@ pub fn execute_aggregate(
 /// ([`FoldOut`]) and finishes those straight into the output columns —
 /// no accumulator row and no `Value` per group in between — reporting
 /// compiled/fallback accounting into the counters.
+///
+/// Returns the output beside the aggregate's route and wall-clock split.
 #[allow(clippy::too_many_arguments)]
 pub fn execute_aggregate_parts(
     parts: &[SelBatch],
@@ -294,7 +398,7 @@ pub fn execute_aggregate_parts(
     workers: usize,
     spill: Option<&SpillCtx<'_>>,
     mut pir: Option<&mut crate::pir::PirCounters>,
-) -> Result<VectorBatch> {
+) -> Result<(VectorBatch, AggregateProfile)> {
     let mut evaluated = crate::par::parallel_map(workers, parts.len(), |p| {
         PartCols::eval(&parts[p], group_exprs, aggs)
     })?;
@@ -337,7 +441,13 @@ pub fn execute_aggregate_parts(
 
     let mut any_compiled = false;
     let mut out: Vec<VectorBatch> = Vec::with_capacity(sets.len());
+    let mut profile = AggregateProfile::default();
     for set in &sets {
+        let mut prof = SetProfile {
+            route: if set.is_empty() { "keyless" } else { "parts" },
+            partitions: 1,
+            ..Default::default()
+        };
         // Grouping id: bit k set when key k is aggregated away.
         let gid: i64 = (0..group_exprs.len())
             .filter(|k| !set.contains(k))
@@ -354,8 +464,9 @@ pub fn execute_aggregate_parts(
         let denied = matches!(&admission, Some((_, None)));
 
         if let Some(continued) = by_parts(&evaluated, set).filter(|_| !denied) {
-            if let Some(f) = fold_parts(&evaluated, set, aggs, &continued, workers)? {
+            if let Some(f) = fold_parts(&evaluated, set, aggs, &continued, workers, &mut prof)? {
                 any_compiled = true;
+                let mut clock = Instant::now();
                 out.push(emit_groups(
                     f.groups,
                     &f.key_rows,
@@ -365,8 +476,13 @@ pub fn execute_aggregate_parts(
                     gid,
                     out_schema,
                 )?);
+                prof.emit_ns = lap(&mut clock);
+                profile.sets.push(prof);
                 continue;
             }
+        }
+        if !set.is_empty() {
+            prof.route = "assembled";
         }
 
         let input = match &mut whole {
@@ -390,16 +506,28 @@ pub fn execute_aggregate_parts(
                 pc.fallback_rows += total_rows as u64;
             }
         }
+        // The interpreter's DISTINCT sets hash every value's bytes.
+        if !compiled && aggs.iter().any(|a| a.distinct) {
+            prof.distinct_kind(IndexKind::Hashed);
+        }
         let groups = match &admission {
-            Some((sp, None)) if sp.enabled => build_groups_spilled(
-                &input.sel,
-                &input.key_cols,
-                &input.arg_cols,
-                set,
-                aggs,
-                compiled,
-                sp,
-            )?,
+            Some((sp, None)) if sp.enabled => {
+                prof.route = "spilled";
+                let mut clock = Instant::now();
+                let built = build_groups_spilled(
+                    &input.sel,
+                    &input.key_cols,
+                    &input.arg_cols,
+                    set,
+                    aggs,
+                    compiled,
+                    sp,
+                    &mut prof,
+                )?;
+                // Partitioning through spill files and the leaf builds.
+                prof.discover_ns = lap(&mut clock);
+                built
+            }
             _ => {
                 let _forced = match &admission {
                     Some((sp, None)) => Some(sp.broker.force_reserve("group-by", est)),
@@ -413,9 +541,11 @@ pub fn execute_aggregate_parts(
                     aggs,
                     workers,
                     compiled,
+                    &mut prof,
                 )?
             }
         };
+        let mut clock = Instant::now();
         out.push(emit_groups(
             groups,
             &input.sel,
@@ -425,16 +555,19 @@ pub fn execute_aggregate_parts(
             gid,
             out_schema,
         )?);
+        prof.emit_ns = lap(&mut clock);
+        profile.sets.push(prof);
     }
     if any_compiled {
         if let Some(pc) = pir {
             pc.compiled_stages += 1;
         }
     }
-    match out.len() {
-        1 => Ok(out.swap_remove(0)),
-        _ => VectorBatch::concat(out_schema, &out),
-    }
+    let batch = match out.len() {
+        1 => out.swap_remove(0),
+        _ => VectorBatch::concat(out_schema, &out)?,
+    };
+    Ok((batch, profile))
 }
 
 /// One part's evaluated group-key and aggregate-argument columns. The
@@ -565,6 +698,7 @@ fn fold_parts(
     aggs: &[AggExpr],
     continued: &[bool],
     workers: usize,
+    prof: &mut SetProfile,
 ) -> Result<Option<PartsFold>> {
     use crate::pir::agg::{assigned, fold, fold_keyless, fold_keyless_continued};
     /// One part's states: `states` groups, the batch row each was first
@@ -576,47 +710,55 @@ fn fold_parts(
         first_rows: Vec<u32>,
         folds: Vec<Option<FoldOut>>,
     }
-    let fold_part = |part: &PartCols| -> Result<PartFold> {
+    let fold_part = |part: &PartCols| -> Result<(PartFold, SetProfile)> {
         let args = aggs.iter().zip(&part.arg_cols).zip(continued);
-        if set.is_empty() {
-            return Ok(PartFold {
-                states: 1,
-                first_rows: Vec::new(),
-                folds: args
-                    .map(|((a, c), &continued)| {
-                        (!continued)
-                            .then(|| fold_keyless(a.func, false, c.as_deref(), &part.sel, true))
-                            .transpose()
-                    })
-                    .collect::<Result<_>>()?,
-            });
-        }
-        let d = discover(&part.sel, &part.key_cols, set)?;
-        let states = d.first_pos.len();
-        Ok(PartFold {
-            states,
-            folds: args
-                .map(|((a, c), _)| {
+        let mut prof = SetProfile::default();
+        let (d, mut clock) = match set.is_empty() {
+            true => (None, Instant::now()),
+            false => (
+                Some(discover(&part.sel, &part.key_cols, set, &mut prof)?),
+                Instant::now(),
+            ),
+        };
+        let states = d.as_ref().map_or(1, |d| d.first_pos.len());
+        let folds = args
+            .map(|((a, c), &continued)| match &d {
+                None => (!continued)
+                    .then(|| fold_keyless(a.func, c.as_deref(), &part.sel, true))
+                    .transpose(),
+                Some(d) => {
                     let pairs = assigned(&d.rows_idx, &d.assign);
                     fold(a.func, c.as_deref(), pairs, states, true).map(Some)
-                })
-                .collect::<Result<_>>()?,
-            first_rows: (d.first_pos.iter())
-                .map(|&pos| part.sel.index(pos) as u32)
-                .collect(),
-        })
+                }
+            })
+            .collect::<Result<_>>()?;
+        prof.fold_ns = lap(&mut clock);
+        let first_rows = (d.iter().flat_map(|d| &d.first_pos))
+            .map(|&pos| part.sel.index(pos) as u32)
+            .collect();
+        let fold = PartFold {
+            states,
+            first_rows,
+            folds,
+        };
+        Ok((fold, prof))
     };
     let Some((probe, rest)) = parts.split_first() else {
         return Ok(None);
     };
-    let first = fold_part(probe)?;
+    let (first, step) = fold_part(probe)?;
+    prof.add(step);
     if first.first_rows.len() * MIN_REDUCTION > probe.sel.len() {
         return Ok(None);
     }
+    let mut clock = Instant::now();
+    let (rest, steps): (Vec<PartFold>, Vec<SetProfile>) =
+        crate::par::parallel_map(workers, rest.len(), |p| fold_part(&rest[p]))?
+            .into_iter()
+            .unzip();
+    prof.absorb(steps, lap(&mut clock));
     let mut partials = vec![first];
-    partials.extend(crate::par::parallel_map(workers, rest.len(), |p| {
-        fold_part(&rest[p])
-    })?);
+    partials.extend(rest);
 
     // Lay every part's group keys end to end, in part order, and
     // discover the groups of *that*: row r's group is the merged group
@@ -636,7 +778,9 @@ fn fold_parts(
             key_cols[k] = Arc::new(ColumnVector::concat_selected(&dt, &cols)?);
         }
         let local_groups = partials.iter().map(|p| p.states).sum();
-        let d = discover(&SelVec::All(local_groups), &key_cols, set)?;
+        let mut merged = SetProfile::default();
+        let d = discover(&SelVec::All(local_groups), &key_cols, set, &mut merged)?;
+        prof.groups = combine(prof.groups, merged.groups);
         (d.first_pos, d.assign, key_cols)
     };
     let ngroups = first_pos.len();
@@ -697,6 +841,7 @@ fn fold_parts(
         folds.push(acc);
         arg_cols.push(None);
     }
+    prof.merge_ns += lap(&mut clock);
     Ok(Some(PartsFold {
         groups: Built {
             first_pos,
@@ -815,104 +960,51 @@ fn key_side<'a>(key_cols: &'a [Arc<ColumnVector>], set: &[usize]) -> KeySide<'a>
     KeySide::group(&cols)
 }
 
-/// The single-dictionary-key case looks groups up densely — slot 0 is
-/// the NULL group, slot c+1 the group of code c — with no per-row key,
-/// no hashes and no table probe at all.
-fn dense_keys<'a>(
-    side: &KeySide<'a>,
-) -> Option<(&'a [u32], Option<&'a hive_common::BitSet>, usize)> {
-    match side.cols() {
-        [c] => c.codes().map(|k| (k.codes, c.nulls(), k.space)),
-        _ => None,
-    }
-}
-
 /// Discover the groups of one partition of a partitioned build: the
-/// selected positions of partition `p`'s run in every chunk's [`Runs`],
-/// read in chunk order — ascending position order.
-///
-/// The group index is the key layer's table for the side's shape (group
-/// id = table entry id — entry ids are dense in insertion order, so they
-/// stay aligned with `first_pos`), or the dense code slots of a single
-/// dictionary key.
+/// selected positions of partition `p` (of `nparts`) in every chunk's
+/// [`Runs`], read in chunk order — ascending position order. Group id =
+/// the key layer's index entry id, dense in insertion order, so aligned
+/// with `first_pos`.
 fn discover_partition(
     sel: &SelVec,
     side: &KeySide<'_>,
     keys: &RowKeys,
-    runs: &[Runs],
-    p: usize,
+    (runs, p, nparts): (&[Runs], usize, usize),
+    prof: &mut SetProfile,
 ) -> Result<Discovery> {
+    let mut clock = Instant::now();
     let rows: usize = runs.iter().map(|r| r.run(p).len()).sum();
     let mut d = Discovery::for_rows(rows);
-    match dense_keys(side) {
-        Some(dense) => {
-            let mut slots = DenseSlots::new(dense);
-            for run in runs {
-                for &pos in run.run(p) {
-                    slots.push(&mut d, pos as usize, sel);
-                }
-            }
-        }
-        None => {
-            let mut groups = Grouper::new(side.shape());
-            for run in runs {
-                groups.assign(keys, Some(run.run(p)), |pos, g, _| {
-                    d.push(pos, sel.index(pos), g as usize)
-                })?;
-            }
-        }
+    let mut groups = Grouper::new(side, nparts);
+    for run in runs {
+        groups.assign(keys, Some(run.run(p)), |pos, g, _| {
+            d.push(pos, sel.index(pos), g as usize)
+        })?;
     }
+    prof.discover_ns += lap(&mut clock);
     Ok(d)
 }
 
-/// Group ids of a single dictionary key, looked up densely: slot 0 is
-/// the NULL group, slot c+1 the group of code c.
-struct DenseSlots<'a> {
-    codes: &'a [u32],
-    nulls: Option<&'a hive_common::BitSet>,
-    group: Vec<usize>,
-}
-
-impl<'a> DenseSlots<'a> {
-    fn new((codes, nulls, dict_len): (&'a [u32], Option<&'a hive_common::BitSet>, usize)) -> Self {
-        DenseSlots {
-            codes,
-            nulls,
-            group: vec![usize::MAX; dict_len + 1],
-        }
-    }
-
-    /// Assign selected position `pos` to its group.
-    #[inline]
-    fn push(&mut self, d: &mut Discovery, pos: usize, sel: &SelVec) {
-        let i = sel.index(pos);
-        let slot = if self.nulls.is_some_and(|n| n.get(i)) {
-            0
-        } else {
-            self.codes[i] as usize + 1
-        };
-        if self.group[slot] == usize::MAX {
-            self.group[slot] = d.first_pos.len();
-        }
-        d.push(pos, i, self.group[slot]);
-    }
-}
-
-/// Serial discovery over a whole selection.
-fn discover(sel: &SelVec, key_cols: &[Arc<ColumnVector>], set: &[usize]) -> Result<Discovery> {
-    let side = key_side(key_cols, set);
+/// Serial discovery over a whole selection, through the key layer's
+/// index for the set's keys — dense where the selected rows allow it.
+fn discover(
+    sel: &SelVec,
+    key_cols: &[Arc<ColumnVector>],
+    set: &[usize],
+    prof: &mut SetProfile,
+) -> Result<Discovery> {
+    let mut clock = Instant::now();
+    let side = key_side(key_cols, set).dense_over(sel);
+    prof.groups = combine(prof.groups, side.kind());
     let mut d = Discovery::for_rows(sel.len());
-    // The dense path indexes groups by code: it needs no keys.
-    if let Some(dense) = dense_keys(&side) {
-        let mut slots = DenseSlots::new(dense);
-        (0..sel.len()).for_each(|pos| slots.push(&mut d, pos, sel));
-        return Ok(d);
-    }
-    let mut groups = Grouper::new(side.shape());
+    let mut groups = Grouper::new(&side, 1);
     side.key_chunks(sel, 0, sel.len(), |at, keys| {
+        prof.keys_ns += lap(&mut clock);
         groups.assign(keys, None, |r, g, _| {
             d.push(at + r, sel.index(at + r), g as usize)
-        })
+        })?;
+        prof.discover_ns += lap(&mut clock);
+        Ok(())
     })?;
     Ok(d)
 }
@@ -927,14 +1019,27 @@ fn accumulate(
     aggs: &[AggExpr],
     arg_cols: &[Option<Arc<ColumnVector>>],
     compiled: bool,
+    prof: &mut SetProfile,
 ) -> Result<Built> {
-    let ngroups = d.first_pos.len();
+    let (ngroups, mut clock) = (d.first_pos.len(), Instant::now());
+    let (rows, assign) = (&d.rows_idx, &d.assign);
     let states = if compiled {
-        let fold = |(a, c): (&AggExpr, &Option<Arc<ColumnVector>>)| {
-            let arg = c.as_deref();
-            crate::pir::agg::fold_assigned(a.func, a.distinct, arg, &d.rows_idx, &d.assign, ngroups)
-        };
-        States::Folded(aggs.iter().zip(arg_cols).map(fold).collect::<Result<_>>()?)
+        let mut folds = Vec::with_capacity(aggs.len());
+        for (a, c) in aggs.iter().zip(arg_cols) {
+            let (fold, kind) = crate::pir::agg::fold_assigned(
+                a.func,
+                a.distinct,
+                c.as_deref(),
+                rows,
+                assign,
+                ngroups,
+            )?;
+            if let Some(kind) = kind {
+                prof.distinct_kind(kind);
+            }
+            folds.push(fold);
+        }
+        States::Folded(folds)
     } else {
         let mut rows: Vec<Vec<Acc>> = (0..ngroups)
             .map(|_| aggs.iter().map(Acc::new).collect())
@@ -947,6 +1052,7 @@ fn accumulate(
         }
         States::Rows(rows)
     };
+    prof.fold_ns += lap(&mut clock);
     Ok(Built {
         first_pos: d.first_pos,
         states,
@@ -960,12 +1066,24 @@ fn fold_keyless_group(
     arg_cols: &[Option<Arc<ColumnVector>>],
     aggs: &[AggExpr],
     compiled: bool,
+    prof: &mut SetProfile,
 ) -> Result<Built> {
+    let mut clock = Instant::now();
     let states = if compiled {
-        let fold = |(a, c): (&AggExpr, &Option<Arc<ColumnVector>>)| {
-            crate::pir::agg::fold_keyless(a.func, a.distinct, c.as_deref(), sel, false)
-        };
-        States::Folded(aggs.iter().zip(arg_cols).map(fold).collect::<Result<_>>()?)
+        let mut folds = Vec::with_capacity(aggs.len());
+        for (a, c) in aggs.iter().zip(arg_cols) {
+            let (arg, mut rows) = (c.as_deref(), std::borrow::Cow::Borrowed(sel));
+            if a.distinct {
+                let col =
+                    arg.ok_or_else(|| HiveError::Execution("DISTINCT without an argument".into()))?;
+                let (kind, firsts, _) =
+                    crate::pir::agg::first_occurrences(col, &sel.to_indices(), None)?;
+                prof.distinct_kind(kind);
+                rows = std::borrow::Cow::Owned(SelVec::Idx(firsts));
+            }
+            folds.push(crate::pir::agg::fold_keyless(a.func, arg, &rows, false)?);
+        }
+        States::Folded(folds)
     } else {
         let mut row: Vec<Acc> = aggs.iter().map(Acc::new).collect();
         for i in sel.iter() {
@@ -976,6 +1094,7 @@ fn fold_keyless_group(
         }
         States::Rows(vec![row])
     };
+    prof.fold_ns += lap(&mut clock);
     Ok(Built {
         first_pos: vec![0],
         states,
@@ -996,26 +1115,43 @@ fn build_groups(
     aggs: &[AggExpr],
     workers: usize,
     compiled: bool,
+    prof: &mut SetProfile,
 ) -> Result<Built> {
     if set.is_empty() {
-        return fold_keyless_group(sel, arg_cols, aggs, compiled);
+        return fold_keyless_group(sel, arg_cols, aggs, compiled, prof);
     }
     let nparts = crate::keys::partitions_for(sel.len());
     if workers <= 1 || nparts <= 1 {
-        let d = discover(sel, key_cols, set)?;
-        return accumulate(d, aggs, arg_cols, compiled);
+        let d = discover(sel, key_cols, set, prof)?;
+        return accumulate(d, aggs, arg_cols, compiled, prof);
     }
-    // One build per hash partition. A group's rows all share a hash, so
-    // they live in exactly one partition and fold in position order;
-    // each position is routed once, by the chunk that prepared its key.
-    let side = key_side(key_cols, set);
-    let (keys, runs) = side.keys_par(sel, workers, nparts)?;
-    let parts = crate::par::parallel_map(workers, nparts, |p| {
-        let d = discover_partition(sel, &side, &keys, &runs, p)?;
-        accumulate(d, aggs, arg_cols, compiled)
-    })?;
+    // One build per partition. A group's rows all share a key, so they
+    // live in exactly one partition and fold in position order; each
+    // position is routed once, by the chunk that prepared its key.
+    let mut clock = Instant::now();
+    let side = key_side(key_cols, set).dense_over(sel);
+    (prof.groups, prof.partitions) = (combine(prof.groups, side.kind()), nparts);
+    prof.keys_ns += lap(&mut clock);
+    let (keys, runs, [keys_ns, scatter_ns]) = side.keys_par(sel, workers, nparts)?;
+    let split = SetProfile {
+        keys_ns,
+        scatter_ns,
+        ..Default::default()
+    };
+    prof.absorb(vec![split], lap(&mut clock));
+    let (parts, steps): (Vec<Built>, Vec<SetProfile>) =
+        crate::par::parallel_map(workers, nparts, |p| {
+            let mut step = SetProfile::default();
+            let d = discover_partition(sel, &side, &keys, (&runs, p, nparts), &mut step)?;
+            Ok((accumulate(d, aggs, arg_cols, compiled, &mut step)?, step))
+        })?
+        .into_iter()
+        .unzip();
+    prof.absorb(steps, lap(&mut clock));
     let order = merge_first_seen(&parts, sel.len());
-    merge_partitions(parts, aggs.len(), order)
+    let built = merge_partitions(parts, aggs.len(), order);
+    prof.merge_ns += lap(&mut clock);
+    built
 }
 
 /// The partitions of a hash-partitioned build as one build. Their
@@ -1105,6 +1241,7 @@ fn merge_sorted(parts: &[Built]) -> (Vec<usize>, Vec<(u32, u32)>) {
 /// (f64 sums, Welford variance and DISTINCT first-seen order included),
 /// and the leaves merge by first-seen position. The recursion is
 /// serial, so its spill I/O replays at any worker count.
+#[allow(clippy::too_many_arguments)]
 fn build_groups_spilled(
     sel: &SelVec,
     key_cols: &[Arc<ColumnVector>],
@@ -1113,6 +1250,7 @@ fn build_groups_spilled(
     aggs: &[AggExpr],
     compiled: bool,
     sp: &SpillCtx<'_>,
+    prof: &mut SetProfile,
 ) -> Result<Built> {
     let side = key_side(key_cols, set);
     let mut leaves: Vec<Built> = Vec::new();
@@ -1124,7 +1262,11 @@ fn build_groups_spilled(
         [(0..sel.len() as u32).collect()],
         |[run]| {
             let rows = sel.compose(&run);
-            let mut leaf = build_groups(&rows, key_cols, arg_cols, set, aggs, 1, compiled)?;
+            let mut step = SetProfile::default();
+            let mut leaf =
+                build_groups(&rows, key_cols, arg_cols, set, aggs, 1, compiled, &mut step)?;
+            // The leaves' index kinds; the spilled build is timed whole.
+            prof.absorb(vec![step], 0);
             // A key-less group's position is never read.
             if !set.is_empty() {
                 for p in &mut leaf.first_pos {
@@ -1351,7 +1493,8 @@ mod tests {
             spill,
             pir.then_some(&mut pc),
         )
-        .unwrap();
+        .unwrap()
+        .0;
         out.to_rows().iter().map(|r| r.to_string()).collect()
     }
 
@@ -1521,17 +1664,19 @@ mod tests {
             .collect();
         let aggs = sum_of(2);
         // Seven groups a part: merged part by part, in first-seen order.
-        let merged = fold_parts(&parts, &[0], &aggs, &[false], 2)
+        let merged = fold_parts(&parts, &[0], &aggs, &[false], 2, &mut SetProfile::default())
             .unwrap()
             .expect("a key that reduces takes the parts route");
         assert_eq!(merged.groups.first_pos, (0..7).collect::<Vec<_>>());
         // A group per row: merging 3 000 one-row groups would cost more
         // than the partitioned build over the assembled columns.
-        assert!(fold_parts(&parts, &[1], &aggs, &[false], 2)
-            .unwrap()
-            .is_none());
+        assert!(
+            fold_parts(&parts, &[1], &aggs, &[false], 2, &mut SetProfile::default())
+                .unwrap()
+                .is_none()
+        );
         // No keys: one state per part, nothing to discover.
-        let merged = fold_parts(&parts, &[], &aggs, &[false], 2)
+        let merged = fold_parts(&parts, &[], &aggs, &[false], 2, &mut SetProfile::default())
             .unwrap()
             .unwrap();
         let total: i64 = 3 * (0..1000).sum::<i64>();
@@ -1541,6 +1686,92 @@ mod tests {
         };
         let sum = folds.remove(0).finish(None, &DataType::BigInt).unwrap();
         assert_eq!(*sum, ColumnVector::BigInt(vec![total], None));
+    }
+
+    /// Each grouping set's profile names the route it took, the kind of
+    /// its group index and of its DISTINCT filter, and its partitions;
+    /// a keyed build spends time keying, discovering and folding.
+    #[test]
+    fn profile_records_the_route() {
+        let rows = 20_000;
+        let schema = Schema::new(vec![
+            Field::new("category", DataType::String),
+            Field::new("state", DataType::String),
+            Field::new("wide", DataType::BigInt),
+            Field::new("v", DataType::Int),
+        ]);
+        let dict = |entries: &[&str], stride: usize| {
+            let entries = Arc::new(entries.iter().map(|e| e.to_string()).collect::<Vec<_>>());
+            let codes = (0..rows)
+                .map(|i| (i * stride % entries.len()) as u32)
+                .collect();
+            ColumnVector::dict_from_codes(codes, entries, None).unwrap()
+        };
+        let batch = VectorBatch::new(
+            schema,
+            vec![
+                dict(&["books", "music", "home"], 1),
+                dict(&["TN", "GA", "AL", "SD"], 7),
+                ColumnVector::BigInt((0..rows as i64).map(|i| (i % 50) << 40).collect(), None),
+                ColumnVector::Int((0..rows as i32).map(|i| i % 97).collect(), None),
+            ],
+        )
+        .unwrap();
+        // The same rows as one part and as five.
+        let whole = SelBatch::from_batch(batch.clone());
+        let parts: Vec<SelBatch> = (0..5)
+            .map(|p| {
+                SelBatch::new(
+                    batch.clone(),
+                    SelVec::Idx((p * 4000..(p + 1) * 4000).collect()),
+                )
+                .unwrap()
+            })
+            .collect();
+        let sum = sum_of(3);
+        let distinct = vec![AggExpr {
+            func: AggFunc::Count,
+            arg: Some(ScalarExpr::Column(3)),
+            distinct: true,
+        }];
+        let profile = |parts: &[SelBatch], groups: &[usize], sets, aggs: &[AggExpr]| {
+            let groups: Vec<ScalarExpr> = groups.iter().map(|&k| ScalarExpr::Column(k)).collect();
+            let out = agg_schema(&batch, &groups, &sets, aggs);
+            let mut pc = crate::pir::PirCounters::default();
+            let run =
+                execute_aggregate_parts(parts, &groups, &sets, aggs, &out, 2, None, Some(&mut pc));
+            run.unwrap().1.sets
+        };
+        let routes = |sets: &[SetProfile]| sets.iter().map(SetProfile::route).collect::<Vec<_>>();
+        // Two dictionaries: dense, part by part or assembled in two
+        // partitions (20 000 rows), with a dense DISTINCT filter.
+        assert_eq!(
+            routes(&profile(&parts, &[0, 1], None, &sum)),
+            ["dense/parts/1"]
+        );
+        let sets = profile(std::slice::from_ref(&whole), &[0, 1], None, &distinct);
+        assert_eq!(routes(&sets), ["dense/assembled/2"]);
+        assert_eq!(sets[0].distinct, Some(IndexKind::Dense));
+        // A key too wide for the slot rule stays hashed.
+        assert_eq!(
+            routes(&profile(&parts, &[2], None, &sum)),
+            ["hashed/parts/1"]
+        );
+        let sets = profile(&[whole], &[2], None, &sum);
+        assert_eq!(routes(&sets), ["hashed/assembled/2"]);
+        assert_eq!(sets[0].distinct, None);
+        // ROLLUP: every set has its row, the empty one key-less.
+        let rollup = Some(vec![vec![0, 1], vec![0], vec![]]);
+        let sets = profile(&parts, &[0, 1], rollup, &sum);
+        assert_eq!(
+            routes(&sets),
+            ["dense/parts/1", "dense/parts/1", "keyless/keyless/1"]
+        );
+        for set in &sets {
+            let keyed = set.keys_ns + set.discover_ns;
+            assert!(set.groups == IndexKind::Keyless || keyed > 0, "{set:?}");
+            assert!(set.fold_ns > 0 && set.emit_ns > 0, "{set:?}");
+        }
     }
 
     fn sum_of(col: usize) -> Vec<AggExpr> {

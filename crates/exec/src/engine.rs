@@ -450,6 +450,12 @@ pub struct NodeTrace {
     /// Wall-clock feeds no simulated time, fault roll or byte-compared
     /// output.
     pub join: Option<crate::join::JoinProfile>,
+    /// An aggregate's routes, index kinds and wall-clock split, per
+    /// grouping set; `None` on other operators. Wall-clock, like `join`.
+    pub aggregate: Option<crate::aggregate::AggregateProfile>,
+    /// A set operation's key index kind and wall-clock keying; `None`
+    /// on other operators.
+    pub setop: Option<SetOpProfile>,
     pub children: Vec<NodeTrace>,
 }
 
@@ -541,9 +547,9 @@ pub(crate) fn assemble(mut parts: Vec<SelBatch>) -> Result<SelBatch> {
 /// rows: a stored-table scan that is not shared yields one part per
 /// morsel in enumeration order, a fused Filter/Project chain runs each
 /// stage part by part, a join other than `Right`/`Full` probes its
-/// parts one by one ([`crate::join::execute_join_parts`]), and every
-/// other operator yields one part. An operator that needs one batch
-/// [`assemble`]s its input.
+/// parts one by one ([`crate::join::execute_join_parts`]), a LIMIT
+/// yields the parts it keeps, and every other operator yields one part.
+/// An operator that needs one batch [`assemble`]s its input.
 ///
 /// A shared-work site (§4.5) publishes its assembled, compacted rows
 /// once and is answered from them at its other sites. Every node rolls
@@ -705,7 +711,7 @@ fn execute_node(plan: &LogicalPlan, ctx: &ExecContext) -> Result<(Vec<SelBatch>,
             let sp = ctx.spill_ctx();
             let mut pc = crate::pir::PirCounters::default();
             let pir = ctx.conf.vectorized.then_some(&mut pc);
-            let out = execute_aggregate_parts(
+            let (out, profile) = execute_aggregate_parts(
                 &child,
                 group_exprs,
                 grouping_sets,
@@ -723,6 +729,7 @@ fn execute_node(plan: &LogicalPlan, ctx: &ExecContext) -> Result<(Vec<SelBatch>,
             t.shuffle_rows = t.rows_in;
             t.pir_compiled_stages = pc.compiled_stages;
             t.pir_fallback_rows = pc.fallback_rows;
+            t.aggregate = Some(profile);
             t.children = vec![ct];
             if let Some(sp) = &sp {
                 fold_spill(&mut t, sp);
@@ -793,14 +800,23 @@ fn execute_node(plan: &LogicalPlan, ctx: &ExecContext) -> Result<(Vec<SelBatch>,
             Ok((vec![SelBatch::new(child.batch, sel)?], t))
         }
         LogicalPlan::Limit { input, n } => {
-            let (child, ct) = execute_sel(input, ctx)?;
-            let rows_in = child.num_rows() as u64;
-            let sel = child.sel.truncate(*n as usize);
+            // The parts in order, up to the one that reaches `n`,
+            // truncated there: nothing is assembled.
+            let (child, ct) = execute_parts(input, ctx)?;
             let mut t = NodeTrace::leaf("Limit");
-            t.rows_in = rows_in;
-            t.rows_out = sel.len() as u64;
+            t.rows_in = child.iter().map(SelBatch::num_rows).sum::<usize>() as u64;
+            let mut kept = Vec::new();
+            for part in child {
+                let room = *n as usize - t.rows_out as usize;
+                if room == 0 && !kept.is_empty() {
+                    break;
+                }
+                let sel = part.sel.truncate(room);
+                t.rows_out += sel.len() as u64;
+                kept.push(SelBatch::new(part.batch, sel)?);
+            }
             t.children = vec![ct];
-            Ok((vec![SelBatch::new(child.batch, sel)?], t))
+            Ok((kept, t))
         }
         LogicalPlan::Union { inputs } => {
             // Union buffers all inputs into one batch: a breaker.
@@ -823,8 +839,9 @@ fn execute_node(plan: &LogicalPlan, ctx: &ExecContext) -> Result<(Vec<SelBatch>,
         } => {
             let (lb, lt) = execute(left, ctx)?;
             let (rb, rt) = execute(right, ctx)?;
-            let out = execute_setop(*op, *all, &lb, &rb, &schema)?;
+            let (out, profile) = execute_setop(*op, *all, &lb, &rb, &schema)?;
             let mut t = NodeTrace::leaf(&format!("SetOp({op:?})"));
+            t.setop = Some(profile);
             t.rows_in = (lb.num_rows() + rb.num_rows()) as u64;
             t.rows_out = out.num_rows() as u64;
             t.is_boundary = true;
@@ -1041,19 +1058,30 @@ pub fn align_column(
     Ok(std::sync::Arc::new(col.cast_to(want)?))
 }
 
+/// A set operation's key index and the wall nanoseconds its keying took
+/// (classification, spans, keys and the index walk of both inputs) —
+/// what a `SetOp` [`NodeTrace`] carries. Wall-clock, like
+/// [`crate::join::JoinProfile`].
+#[derive(Debug, Clone, Default)]
+pub struct SetOpProfile {
+    pub index: crate::keys::IndexKind,
+    pub keys_ns: u64,
+}
+
 /// INTERSECT / EXCEPT via row-count maps (ALL keeps multiplicity).
 ///
 /// Whole rows are keyed through the key layer ([`crate::keys`]) — both
-/// inputs into one table, packed words where every column pair allows
-/// it — and the output is the kept *left positions* gathered column by
-/// column and aligned to the output schema; no `Row` is built.
-fn execute_setop(
+/// inputs into one table, dense slots or packed words where the columns
+/// allow it — and the output is the kept *left positions* gathered
+/// column by column and aligned to the output schema; no `Row` is built.
+/// Returned beside the keying's profile.
+pub fn execute_setop(
     op: SetOperator,
     all: bool,
     left: &VectorBatch,
     right: &VectorBatch,
     schema: &hive_common::Schema,
-) -> Result<VectorBatch> {
+) -> Result<(VectorBatch, SetOpProfile)> {
     // Shared emit decision: `in_right` is the row's right-side
     // multiplicity, `already` how many left occurrences preceded this
     // one. For EXCEPT ALL this is the multiset difference — emit
@@ -1072,9 +1100,10 @@ fn execute_setop(
             ));
         }
     };
+    let mut clock = std::time::Instant::now();
     let (lcols, rcols) = (column_refs(left.columns()), column_refs(right.columns()));
     let (lside, rside) = KeySide::group_pair(&lcols, &rcols);
-    let mut groups = Grouper::new(lside.shape());
+    let mut groups = Grouper::new(&lside, 1);
     // Per group: right-side multiplicity / left rows seen.
     let mut right_count: Vec<i64> = Vec::new();
     let mut seen: Vec<i64> = Vec::new();
@@ -1102,10 +1131,17 @@ fn execute_setop(
             seen[g] += 1;
         })
     })?;
+    let profile = SetOpProfile {
+        index: lside.kind(),
+        keys_ns: crate::join::lap(&mut clock),
+    };
     let cols = (left.columns().iter().zip(schema.fields()))
         .map(|(col, f)| align_column(std::sync::Arc::new(col.take(&kept)), &f.data_type))
         .collect::<Result<Vec<_>>>()?;
-    VectorBatch::from_arcs(schema.clone(), cols, kept.len())
+    Ok((
+        VectorBatch::from_arcs(schema.clone(), cols, kept.len())?,
+        profile,
+    ))
 }
 
 /// Map a retryable error to a fresh "overlay" configuration for the
@@ -1133,6 +1169,7 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::keys::IndexKind;
     use hive_common::{BitSet, ColumnVector, DataType, Field, Schema, Value};
     use std::sync::Arc;
 
@@ -1264,7 +1301,8 @@ mod tests {
                     let right = side(seed * 31 + 7, 50, rdict, width);
                     for op in [SetOperator::Intersect, SetOperator::Except] {
                         for all in [true, false] {
-                            let got = execute_setop(op, all, &left, &right, left.schema()).unwrap();
+                            let (got, _) =
+                                execute_setop(op, all, &left, &right, left.schema()).unwrap();
                             let got: Vec<String> =
                                 got.to_rows().iter().map(|r| r.to_string()).collect();
                             let want = reference_setop(op, all, &left, &right);
@@ -1279,6 +1317,55 @@ mod tests {
             }
         }
         assert!(checked > 1000, "the cases must keep rows: {checked}");
+    }
+
+    /// The dense kind's spans cover both inputs: an input far wider than
+    /// the other — on the left, then on the right — keys into one slot
+    /// array, and a span past the size rule stays hashed; either way the
+    /// rows are the reference's.
+    #[test]
+    fn set_operation_spans_cover_both_inputs() {
+        let ints = |vals: Vec<i32>| {
+            let schema = Schema::new(vec![Field::new("k", DataType::Int)]);
+            let mut nulls = BitSet::new(vals.len());
+            (0..vals.len()).step_by(9).for_each(|i| nulls.set(i));
+            let col = ColumnVector::Int(vals, Some(nulls));
+            VectorBatch::new(schema, vec![col]).unwrap()
+        };
+        let right = ints((0..90).map(|i| i % 11).collect());
+        let narrow = ints((0..700).map(|i| i * 37 % 601 - 300).collect());
+        let wide = ints(
+            (0..700)
+                .map(|i| {
+                    if i % 2 == 0 {
+                        i32::MIN + i
+                    } else {
+                        i32::MAX - i
+                    }
+                })
+                .collect(),
+        );
+        // The wider input on the left, then on the right.
+        let cases = [
+            (&narrow, &right, IndexKind::Dense),
+            (&right, &narrow, IndexKind::Dense),
+            (&wide, &right, IndexKind::Hashed),
+        ];
+        for (left, right, kind) in cases {
+            for op in [SetOperator::Intersect, SetOperator::Except] {
+                for all in [true, false] {
+                    let (got, profile) =
+                        execute_setop(op, all, left, right, left.schema()).unwrap();
+                    let got: Vec<String> = got.to_rows().iter().map(|r| r.to_string()).collect();
+                    assert_eq!(
+                        got,
+                        reference_setop(op, all, left, right),
+                        "{op:?} all={all}"
+                    );
+                    assert_eq!(profile.index, kind);
+                }
+            }
+        }
     }
 
     /// NaN meets NaN, -0.0 meets 0.0 and NULL meets NULL; a NaN with no
@@ -1300,7 +1387,7 @@ mod tests {
         ]);
         let right = batch(&[nan.clone(), Value::Double(0.0), Value::Null, Value::Null]);
         let run = |op, all| {
-            let out = execute_setop(op, all, &left, &right, left.schema()).unwrap();
+            let (out, _) = execute_setop(op, all, &left, &right, left.schema()).unwrap();
             (
                 out.to_rows()
                     .iter()

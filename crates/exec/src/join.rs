@@ -87,7 +87,7 @@ impl JoinProfile {
 }
 
 /// Wall nanoseconds since `t`, restarting it.
-fn lap(t: &mut Instant) -> u64 {
+pub(crate) fn lap(t: &mut Instant) -> u64 {
     let now = Instant::now();
     let ns = now.duration_since(*t).as_nanos() as u64;
     *t = now;
@@ -465,7 +465,8 @@ impl<'a> Build<'a> {
         } else {
             partitions_for(right.num_rows())
         };
-        let (keys, runs) = build_side.keys_par(&SelVec::all(right.num_rows()), workers, nparts)?;
+        let (keys, runs, _) =
+            build_side.keys_par(&SelVec::all(right.num_rows()), workers, nparts)?;
         Ok(Build {
             right,
             join_type,

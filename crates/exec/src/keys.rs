@@ -29,6 +29,19 @@
 //!   written once into an arena, hashed with FNV-1a and compared by
 //!   `memcmp` in a [`RawTable`]. This is the single general path.
 //!
+//! A grouping side — GROUP BY, window partitions, a set operation, the
+//! DISTINCT filter — may then take the **dense kind**, decided by the
+//! content of its rows ([`KeySide::dense_over`], [`KeySide::group_pair`]):
+//! when every column is an integer, a date, a boolean or a
+//! duplicate-free dictionary, each column's values span `max − min + 1`
+//! over the selected rows (a dictionary its length, one more slot for
+//! NULL where a side is nullable), and the spans' product is within
+//! [`dense_limit`] of the rows, a row's key is its mixed-radix slot
+//! `k0 + span0 × (k1 + span1 × …)` and the group index is a slot array.
+//! No word is packed, hashed or compared; a partitioned build routes on
+//! the slot itself. [`dense_limit`] is one size rule, the join's unique
+//! dense index takes it too. Keys that do not fit stay hashed.
+//!
 //! Spilling operators key through the same shapes: a spilled partition
 //! is a run of positions ([`crate::spill`]), and its keys are re-derived
 //! from the resident columns by the operator's own [`KeySide`].
@@ -59,6 +72,8 @@ pub(crate) const MISS: u32 = u32::MAX;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Shape {
     None,
+    /// The dense kind's mixed-radix slots.
+    Dense,
     W64,
     W128,
     Bytes,
@@ -78,12 +93,14 @@ const PARTITION_ROWS: usize = 2 * crate::par::ROWS_PER_MORSEL;
 /// The most partitions a build splits into.
 const MAX_PARTITIONS: usize = 16;
 
-/// How many partitions a hash-partitioned build of `rows` rows splits
-/// into — a function of the build's size, never of the worker count, so
-/// every lease width routes a key to the same partition. Below two
-/// [`PARTITION_ROWS`] the build is one partition.
+/// How many partitions a partitioned build of `rows` rows splits into —
+/// a function of the build's size, never of the worker count, so every
+/// lease width routes a key to the same partition. Below two
+/// [`PARTITION_ROWS`] the build is one partition. A power of two, which
+/// the dense kind routes and indexes its slots by with a mask and a
+/// shift.
 pub(crate) fn partitions_for(rows: usize) -> usize {
-    (rows / PARTITION_ROWS).clamp(1, MAX_PARTITIONS)
+    1 << (rows / PARTITION_ROWS).clamp(1, MAX_PARTITIONS).ilog2()
 }
 
 /// One chunk of keyed rows scattered by partition: partition `p`'s run
@@ -108,20 +125,27 @@ impl Runs {
 /// over the routes, then one stable placement. Row `r` is recorded as
 /// `at + r` — the chunk's rows numbered in the whole input — so a
 /// partition that reads every chunk's run in chunk order sees its rows
-/// in ascending order, as the serial build inserts them.
+/// in ascending order, as the serial build inserts them. The dense kind
+/// routes slot `s` to partition `s mod nparts` (a power of two).
 pub fn partition(keys: &RowKeys, at: usize, nparts: usize) -> Runs {
-    fn scatter<T: KeyTable>(keys: &T::Keys, at: usize, nparts: usize) -> Runs {
-        let n = T::rows(keys);
+    fn hashed<T: KeyTable>(keys: &T::Keys, at: usize, nparts: usize) -> Runs {
+        scatter(T::rows(keys), at, nparts, |r| {
+            (!T::skip(keys, r)).then(|| route(T::hash(keys, r), nparts))
+        })
+    }
+    fn scatter(
+        n: usize,
+        at: usize,
+        nparts: usize,
+        to_part: impl Fn(usize) -> Option<usize>,
+    ) -> Runs {
         let mut to: Vec<u32> = Vec::with_capacity(n);
         let mut starts = vec![0u32; nparts + 1];
         for r in 0..n {
-            let p = if T::skip(keys, r) {
-                u32::MAX
-            } else {
-                let p = route(T::hash(keys, r), nparts);
+            let p = to_part(r).map_or(u32::MAX, |p| {
                 starts[p + 1] += 1;
                 p as u32
-            };
+            });
             to.push(p);
         }
         for p in 0..nparts {
@@ -146,9 +170,15 @@ pub fn partition(keys: &RowKeys, at: usize, nparts: usize) -> Runs {
                 starts,
             }
         }
-        RowKeys::W64(k) => scatter::<WordTable<u64>>(k, at, nparts),
-        RowKeys::W128(k) => scatter::<WordTable<u128>>(k, at, nparts),
-        RowKeys::Bytes(k) => scatter::<RawTable>(k, at, nparts),
+        RowKeys::Dense(slots) => {
+            debug_assert!(nparts.is_power_of_two());
+            scatter(slots.len(), at, nparts, |r| {
+                Some(slots[r] as usize & (nparts - 1))
+            })
+        }
+        RowKeys::W64(k) => hashed::<WordTable<u64>>(k, at, nparts),
+        RowKeys::W128(k) => hashed::<WordTable<u128>>(k, at, nparts),
+        RowKeys::Bytes(k) => hashed::<RawTable>(k, at, nparts),
     }
 }
 
@@ -220,18 +250,17 @@ pub struct KeyCol<'a> {
     src: Src<'a>,
 }
 
-/// A code-keyed column's per-row codes, their translation into the
-/// key's code space (`None` = identity) and that space's size.
-pub(crate) struct Codes<'a, 'k> {
-    pub codes: &'a [u32],
+/// A code-keyed column's per-row codes and their translation into the
+/// key's code space (`None` = identity).
+struct Codes<'a, 'k> {
+    codes: &'a [u32],
     map: Option<&'k [u32]>,
-    pub space: usize,
 }
 
 impl Codes<'_, '_> {
     /// Row `i`'s code in the key's code space ([`MISS`] when absent).
     #[inline]
-    pub fn at(&self, i: usize) -> u32 {
+    fn at(&self, i: usize) -> u32 {
         let code = self.codes[i];
         self.map.map_or(code, |m| m[code as usize])
     }
@@ -318,17 +347,12 @@ impl<'a> KeyCol<'a> {
         (col(l, ls), col(r, rs))
     }
 
-    pub(crate) fn nulls(&self) -> Option<&'a BitSet> {
-        self.nulls
-    }
-
     /// The column's dictionary codes, when it keys by code.
-    pub(crate) fn codes(&self) -> Option<Codes<'a, '_>> {
+    fn codes(&self) -> Option<Codes<'a, '_>> {
         match &self.src {
-            Src::Code { codes, map, space } => Some(Codes {
+            Src::Code { codes, map, .. } => Some(Codes {
                 codes,
                 map: map.as_deref(),
-                space: *space,
             }),
             _ => None,
         }
@@ -455,12 +479,146 @@ impl<'a> KeyCol<'a> {
             }
         }
     }
+
+    /// `f(slot, value)` for rows `lo..lo + n` of `idx`, the value as an
+    /// `i64` and `None` where NULL; `false` (no call) when the column has
+    /// no dense digit.
+    #[inline]
+    fn ints(
+        &self,
+        idx: Option<&[u32]>,
+        lo: usize,
+        n: usize,
+        f: impl FnMut(usize, Option<i64>),
+    ) -> bool {
+        #[inline]
+        fn each<T: Copy>(
+            nulls: Option<&BitSet>,
+            vals: &[T],
+            (idx, lo, n): (Option<&[u32]>, usize, usize),
+            to: impl Fn(T) -> i64,
+            mut f: impl FnMut(usize, Option<i64>),
+        ) {
+            match nulls {
+                None => for_idx(idx, lo, n, |s, i| f(s, Some(to(vals[i])))),
+                Some(nb) => for_idx(idx, lo, n, |s, i| f(s, (!nb.get(i)).then(|| to(vals[i])))),
+            }
+        }
+        let rows = (idx, lo, n);
+        match &self.src {
+            Src::Bool(v) => each(self.nulls, v, rows, |b| b as i64, f),
+            Src::I32(v) | Src::I32Wide(v) => each(self.nulls, v, rows, |x| x as i64, f),
+            Src::I64(v) => each(self.nulls, v, rows, |x| x, f),
+            Src::Code {
+                codes, map: None, ..
+            } => each(self.nulls, codes, rows, |c| c as i64, f),
+            _ => return false,
+        }
+        true
+    }
+
+    /// The inclusive range of the column's non-NULL values over the `n`
+    /// rows of `idx` — a dictionary's whole code space, both booleans —
+    /// `Some(None)` when there are none; `None` when the column has no
+    /// dense digit.
+    fn range(&self, idx: Option<&[u32]>, n: usize) -> Option<Option<(i64, i64)>> {
+        match &self.src {
+            Src::Code {
+                space, map: None, ..
+            } => return Some((*space > 0).then(|| (0, *space as i64 - 1))),
+            Src::Bool(_) => return Some(Some((0, 1))),
+            _ => {}
+        }
+        let (mut min, mut max) = (i64::MAX, i64::MIN);
+        let dense = self.ints(idx, 0, n, |_, v| {
+            if let Some(v) = v {
+                (min, max) = (min.min(v), max.max(v));
+            }
+        });
+        dense.then_some((min <= max).then_some((min, max)))
+    }
+
+    /// Add this column's digit times its stride into `slots`, for rows
+    /// `lo..lo + slots.len()` of `idx`.
+    fn add_digits(&self, slots: &mut [u32], idx: Option<&[u32]>, lo: usize, d: Digit) {
+        self.ints(idx, lo, slots.len(), |s, v| {
+            slots[s] += v.map_or(d.null, |v| v.wrapping_sub(d.min) as u32) * d.stride
+        });
+    }
+}
+
+/// One key column's place in a dense slot: `slot += (value − min) ×
+/// stride`, a NULL's digit being `null`, one past the values.
+#[derive(Debug, Clone, Copy)]
+struct Digit {
+    min: i64,
+    null: u32,
+    stride: u32,
+}
+
+/// The dense kind's layout: each key column's digit, and the slot count —
+/// the product of the columns' spans.
+#[derive(Debug, Clone)]
+struct DenseLayout {
+    digits: Vec<Digit>,
+    slots: usize,
+}
+
+impl DenseLayout {
+    /// Add a column whose non-NULL values span `range` (plus a NULL slot
+    /// when `nullable`); `None` once the slots pass `limit`.
+    fn push(&mut self, range: Option<(i64, i64)>, nullable: bool, limit: u64) -> Option<()> {
+        let (min, values) = range.map_or((0, 0), |(lo, hi)| {
+            (lo, (hi as i128 - lo as i128 + 1) as u128)
+        });
+        let slots = self.slots as u128 * (values + nullable as u128).max(1);
+        if slots > limit as u128 {
+            return None;
+        }
+        let (null, stride) = (values as u32, self.slots as u32);
+        self.digits.push(Digit { min, null, stride });
+        self.slots = slots as usize;
+        Some(())
+    }
+}
+
+/// The dense layout of grouping sides that feed one table (a set
+/// operation's two inputs), over the rows each side's selection names:
+/// `None` unless every column has a dense digit and the spans' product
+/// — per column the union of the sides' ranges — is within `limit`.
+fn dense_layout(sides: &[(&KeySide<'_>, &SelVec)], limit: u64) -> Option<DenseLayout> {
+    let first = sides.first()?.0;
+    if !first.null_is_key || first.cols.is_empty() {
+        return None;
+    }
+    let mut layout = DenseLayout {
+        digits: Vec::new(),
+        slots: 1,
+    };
+    for c in 0..first.cols.len() {
+        let (mut range, mut nullable) = (None::<(i64, i64)>, false);
+        for (side, sel) in sides {
+            let col = &side.cols[c];
+            nullable |= col.nulls.is_some();
+            if let Some((lo, hi)) = col.range(sel.as_indices(), sel.len())? {
+                range = Some(range.map_or((lo, hi), |(a, b)| (a.min(lo), b.max(hi))));
+            }
+        }
+        layout.push(range, nullable, limit)?;
+    }
+    Some(layout)
 }
 
 /// `f(slot, batch row)` for selected positions `lo..lo + n`.
 #[inline]
-fn for_rows(sel: &SelVec, lo: usize, n: usize, mut f: impl FnMut(usize, usize)) {
-    match sel.as_indices() {
+fn for_rows(sel: &SelVec, lo: usize, n: usize, f: impl FnMut(usize, usize)) {
+    for_idx(sel.as_indices(), lo, n, f)
+}
+
+/// [`for_rows`] over a selection's indices (`None`: every row).
+#[inline]
+fn for_idx(idx: Option<&[u32]>, lo: usize, n: usize, mut f: impl FnMut(usize, usize)) {
+    match idx {
         None => (0..n).for_each(|s| f(s, lo + s)),
         Some(idx) => idx[lo..lo + n]
             .iter()
@@ -526,6 +684,8 @@ pub struct KeySide<'a> {
     /// GROUP BY semantics (NULL is a key) rather than join semantics (a
     /// NULL key part excludes the row).
     null_is_key: bool,
+    /// The dense kind's layout, when the side took it.
+    dense: Option<DenseLayout>,
 }
 
 impl<'a> KeySide<'a> {
@@ -566,6 +726,7 @@ impl<'a> KeySide<'a> {
             slots: slots.clone(),
             shape,
             null_is_key: !join,
+            dense: None,
         };
         (side(lcols), side(rcols))
     }
@@ -579,21 +740,64 @@ impl<'a> KeySide<'a> {
     }
 
     /// Two inputs keyed into one table with grouping semantics (a set
-    /// operation's whole rows).
+    /// operation's whole rows), in the dense kind when all the rows of
+    /// both allow it: each column's span covers both inputs.
     pub fn group_pair(
         left: &[&'a ColumnVector],
         right: &[&'a ColumnVector],
     ) -> (KeySide<'a>, KeySide<'a>) {
-        KeySide::pair(left, right, false)
+        let (l, r) = KeySide::pair(left, right, false);
+        let all = |cols: &[&ColumnVector]| SelVec::all(cols.first().map_or(0, |c| c.len()));
+        let (ls, rs) = (all(left), all(right));
+        let layout = dense_layout(&[(&l, &ls), (&r, &rs)], dense_limit(ls.len() + rs.len()));
+        (l.with_dense(layout.clone()), r.with_dense(layout))
     }
 
-    /// One input's grouping columns (GROUP BY, window partitions).
+    /// One input's grouping columns (GROUP BY, window partitions), their
+    /// shape chosen by the columns alone; see [`KeySide::dense_over`].
     pub fn group(cols: &[&'a ColumnVector]) -> KeySide<'a> {
         KeySide::pair(cols, cols, false).0
     }
 
+    /// This grouping side in the dense kind when the content of the rows
+    /// of `sel` allows it (see the module docs); as it is otherwise.
+    pub fn dense_over(self, sel: &SelVec) -> KeySide<'a> {
+        let layout = dense_layout(&[(&self, sel)], dense_limit(sel.len()));
+        self.with_dense(layout)
+    }
+
+    /// The DISTINCT filter's dense form: the slots of all `n` rows and
+    /// the slot count, when one bit a slot fits the grouper's byte budget
+    /// ([`dense_limit`] `u32` slots).
+    pub(crate) fn bit_slots(&self, n: usize) -> Option<(Vec<u32>, usize)> {
+        let all = SelVec::All(n);
+        let bits = (32 * dense_limit(n)).min(VACANT as u64);
+        let layout = dense_layout(&[(self, &all)], bits)?;
+        let slots = layout.slots;
+        match self.clone().with_dense(Some(layout)).keys(&all, 0, n) {
+            RowKeys::Dense(keys) => Some((keys, slots)),
+            _ => None,
+        }
+    }
+
+    fn with_dense(mut self, layout: Option<DenseLayout>) -> KeySide<'a> {
+        if layout.is_some() {
+            (self.shape, self.dense) = (Shape::Dense, layout);
+        }
+        self
+    }
+
     pub fn shape(&self) -> Shape {
         self.shape
+    }
+
+    /// How a table over this side's keys finds them.
+    pub fn kind(&self) -> IndexKind {
+        match self.shape {
+            Shape::None => IndexKind::Keyless,
+            Shape::Dense => IndexKind::Dense,
+            _ => IndexKind::Hashed,
+        }
     }
 
     pub(crate) fn cols(&self) -> &[KeyCol<'a>] {
@@ -604,6 +808,14 @@ impl<'a> KeySide<'a> {
     pub fn keys(&self, sel: &SelVec, lo: usize, hi: usize) -> RowKeys {
         match self.shape {
             Shape::None => RowKeys::None(hi - lo),
+            Shape::Dense => {
+                let mut slots = vec![0u32; hi - lo];
+                let digits = self.dense.iter().flat_map(|l| &l.digits);
+                for (col, &d) in self.cols.iter().zip(digits) {
+                    col.add_digits(&mut slots, sel.as_indices(), lo, d);
+                }
+                RowKeys::Dense(slots)
+            }
             Shape::W64 => RowKeys::W64(self.pack(sel, lo, hi)),
             Shape::W128 => RowKeys::W128(self.pack(sel, lo, hi)),
             Shape::Bytes => RowKeys::Bytes(self.encode(sel, lo, hi)),
@@ -631,13 +843,14 @@ impl<'a> KeySide<'a> {
     /// chunks (of a morsel at least) across `workers`. With more than one
     /// partition each chunk also [`partition`]s its own rows while its
     /// keys are cache-resident: the runs come back in chunk order (none
-    /// for a single partition).
+    /// for a single partition), beside the wall nanoseconds the chunks
+    /// spent on keys and on the scatter, summed.
     pub(crate) fn keys_par(
         &self,
         sel: &SelVec,
         workers: usize,
         nparts: usize,
-    ) -> Result<(RowKeys, Vec<Runs>)> {
+    ) -> Result<(RowKeys, Vec<Runs>, [u64; 2])> {
         let n = sel.len();
         let chunk = n.div_ceil(workers.max(1)).max(crate::par::ROWS_PER_MORSEL);
         let nchunks = if workers <= 1 {
@@ -647,21 +860,23 @@ impl<'a> KeySide<'a> {
         };
         let chunk = n.div_ceil(nchunks);
         let chunks = crate::par::parallel_map(workers, nchunks, |c| {
-            let lo = c * chunk;
+            let (lo, mut clock) = (c * chunk, std::time::Instant::now());
             let keys = self.keys(sel, lo, ((c + 1) * chunk).min(n));
+            let keys_ns = crate::join::lap(&mut clock);
             let runs = (nparts > 1).then(|| partition(&keys, lo, nparts));
-            Ok((keys, runs))
+            Ok((keys, runs, [keys_ns, crate::join::lap(&mut clock)]))
         })?;
         let mut all: Option<RowKeys> = None;
-        let mut runs = Vec::with_capacity(chunks.len());
-        for (keys, r) in chunks {
+        let (mut runs, mut ns) = (Vec::with_capacity(chunks.len()), [0u64; 2]);
+        for (keys, r, [k, s]) in chunks {
             runs.extend(r);
+            (ns[0], ns[1]) = (ns[0] + k, ns[1] + s);
             match &mut all {
                 Some(all) => all.append(keys)?,
                 None => all = Some(keys),
             }
         }
-        Ok((all.unwrap_or(RowKeys::None(0)), runs))
+        Ok((all.unwrap_or(RowKeys::None(0)), runs, ns))
     }
 
     fn pack<K: Word>(&self, sel: &SelVec, lo: usize, hi: usize) -> WordKeys<K> {
@@ -744,6 +959,8 @@ fn skipped(skip: &Option<Vec<bool>>, r: usize) -> bool {
 pub enum RowKeys {
     /// No key columns: this many rows, all with the one empty key.
     None(usize),
+    /// The dense kind: each row's slot.
+    Dense(Vec<u32>),
     W64(WordKeys<u64>),
     W128(WordKeys<u128>),
     Bytes(ByteKeys),
@@ -753,6 +970,7 @@ impl RowKeys {
     pub fn len(&self) -> usize {
         match self {
             RowKeys::None(n) => *n,
+            RowKeys::Dense(slots) => slots.len(),
             RowKeys::W64(k) => k.keys.len(),
             RowKeys::W128(k) => k.keys.len(),
             RowKeys::Bytes(k) => k.hashes.len(),
@@ -766,17 +984,20 @@ impl RowKeys {
     pub fn shape(&self) -> Shape {
         match self {
             RowKeys::None(_) => Shape::None,
+            RowKeys::Dense(_) => Shape::Dense,
             RowKeys::W64(_) => Shape::W64,
             RowKeys::W128(_) => Shape::W128,
             RowKeys::Bytes(_) => Shape::Bytes,
         }
     }
 
-    /// Row `r`'s key hash; `None` when a join excludes the row.
+    /// Row `r`'s key hash; `None` when a join excludes the row. (The
+    /// dense kind's is its slot's: [`partition`] routes on the slot.)
     #[inline]
     pub fn hash(&self, r: usize) -> Option<u64> {
         match self {
             RowKeys::None(_) => Some(0),
+            RowKeys::Dense(slots) => Some(mix(slots[r] as u64)),
             RowKeys::W64(k) => (!skipped(&k.skip, r)).then(|| k.keys[r].hash()),
             RowKeys::W128(k) => (!skipped(&k.skip, r)).then(|| k.keys[r].hash()),
             RowKeys::Bytes(k) => (!skipped(&k.skip, r)).then(|| k.hashes[r]),
@@ -797,6 +1018,7 @@ impl RowKeys {
     fn append(&mut self, more: RowKeys) -> Result<()> {
         match (self, more) {
             (RowKeys::None(n), RowKeys::None(m)) => *n += m,
+            (RowKeys::Dense(a), RowKeys::Dense(b)) => a.extend(b),
             (RowKeys::W64(a), RowKeys::W64(b)) => a.append(b),
             (RowKeys::W128(a), RowKeys::W128(b)) => a.append(b),
             (RowKeys::Bytes(a), RowKeys::Bytes(b)) => {
@@ -1037,8 +1259,8 @@ fn shape_mismatch(keys: Shape) -> HiveError {
 }
 
 /// Groups rows by key: dense group ids in first-seen order. One
-/// `Grouper` may take several [`RowKeys`] of one shape in turn (a set
-/// operation's right input, then its left).
+/// `Grouper` may take several [`RowKeys`] of one [`KeySide`]'s shape in
+/// turn (a set operation's right input, then its left).
 #[derive(Debug)]
 pub struct Grouper(Groups);
 
@@ -1048,15 +1270,31 @@ enum Groups {
     None {
         seen: bool,
     },
+    /// The dense kind: `ids[slot >> shift]` is the slot's group,
+    /// [`VACANT`] until first seen.
+    Dense {
+        ids: Vec<u32>,
+        len: u32,
+        shift: u32,
+    },
     W64(WordTable<u64>),
     W128(WordTable<u128>),
     Bytes(RawTable),
 }
 
 impl Grouper {
-    pub fn new(shape: Shape) -> Grouper {
-        Grouper(match shape {
+    /// A table for the keys of `side`, or — given `nparts` partitions, a
+    /// power of two — for one partition's: a dense partition's slots `s`
+    /// share `s mod nparts` ([`partition`]), and it indexes `s / nparts`.
+    pub fn new(side: &KeySide<'_>, nparts: usize) -> Grouper {
+        let shift = nparts.max(1).trailing_zeros();
+        Grouper(match side.shape {
             Shape::None => Groups::None { seen: false },
+            Shape::Dense => {
+                let slots = side.dense.as_ref().map_or(0, |l| l.slots);
+                let ids = vec![VACANT; (slots >> shift) + 1];
+                Groups::Dense { ids, len: 0, shift }
+            }
             Shape::W64 => Groups::W64(WordTable::new()),
             Shape::W128 => Groups::W128(WordTable::new()),
             Shape::Bytes => Groups::Bytes(RawTable::new()),
@@ -1078,6 +1316,20 @@ impl Grouper {
                 match rows {
                     Some(rows) => rows.iter().for_each(|&r| one(r as usize)),
                     None => (0..*n).for_each(one),
+                }
+            }
+            (Groups::Dense { ids, len, shift }, RowKeys::Dense(slots)) => {
+                let mut one = |r: usize| {
+                    let id = &mut ids[(slots[r] >> *shift) as usize];
+                    let new = *id == VACANT;
+                    if new {
+                        (*id, *len) = (*len, *len + 1);
+                    }
+                    visit(r, *id, new);
+                };
+                match rows {
+                    Some(rows) => rows.iter().for_each(|&r| one(r as usize)),
+                    None => (0..slots.len()).for_each(one),
                 }
             }
             (Groups::W64(t), RowKeys::W64(k)) => assign_rows(t, k, rows, visit),
@@ -1201,12 +1453,19 @@ fn probe_parts<T: KeyTable>(
     Ok(())
 }
 
-/// Build slots a dense index may spend per keyed build row: four `u32`
-/// slots are 16 bytes, what a [`WordTable`] bucket alone costs.
+/// Slots a dense index may spend per keyed row: four `u32` slots are 16
+/// bytes, what a [`WordTable`] bucket alone costs.
 const DENSE_SLOTS_PER_ROW: u64 = 4;
 /// A dense index of up to this many slots (256 KiB) is taken whatever
 /// the row count.
 const DENSE_MIN_SLOTS: u64 = 1 << 16;
+
+/// The one size rule of a dense index over `rows` keyed rows — a join's
+/// unique keys, a grouping side's slots, the DISTINCT filter's bits (32
+/// a slot): `max(DENSE_SLOTS_PER_ROW × rows, DENSE_MIN_SLOTS)` slots.
+pub(crate) fn dense_limit(rows: usize) -> u64 {
+    (DENSE_SLOTS_PER_ROW * rows as u64).clamp(DENSE_MIN_SLOTS, VACANT as u64)
+}
 
 /// Unique one-word build keys over a narrow span (a dimension's
 /// surrogate key): `slots[key − min]` is the one build row carrying
@@ -1221,7 +1480,7 @@ struct Dense {
 impl Dense {
     /// The dense index of the keyed rows of `keys`, or `None` when there
     /// are none, a key repeats, or their span is wider than
-    /// `max(DENSE_SLOTS_PER_ROW × rows, DENSE_MIN_SLOTS)` slots.
+    /// [`dense_limit`] slots.
     fn build(keys: &WordKeys<u64>) -> Option<Dense> {
         let keyed = || (0..keys.keys.len()).filter(|&r| !skipped(&keys.skip, r));
         let (mut min, mut max, mut rows) = (u64::MAX, 0u64, 0u64);
@@ -1235,7 +1494,7 @@ impl Dense {
             return None;
         }
         let span = (max - min).saturating_add(1);
-        if span > (DENSE_SLOTS_PER_ROW * rows).max(DENSE_MIN_SLOTS) {
+        if span > dense_limit(rows as usize) {
             return None;
         }
         let mut slots = vec![VACANT; span as usize];
@@ -1262,12 +1521,16 @@ impl Dense {
     }
 }
 
-/// How a [`JoinIndex`] finds a probe key's build rows.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// How a [`JoinIndex`] finds a probe key's build rows, and a [`Grouper`]
+/// a row's group.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum IndexKind {
-    /// No key columns: every probe row's candidates are all build rows.
+    /// No key columns: every probe row's candidates are all build rows,
+    /// every grouped row is in the one group.
+    #[default]
     Keyless,
-    /// Unique one-word keys over a narrow span, addressed directly.
+    /// Addressed directly: a join's unique one-word keys over a narrow
+    /// span, a grouping side's slots ([`Shape::Dense`]).
     Dense,
     /// Hash tables, one per build partition.
     Hashed,
@@ -1331,6 +1594,7 @@ impl JoinIndex {
             },
             RowKeys::W128(k) => Index::W128(parts(k, runs, workers)?),
             RowKeys::Bytes(k) => Index::Bytes(parts(k, runs, workers)?),
+            RowKeys::Dense(_) => return Err(shape_mismatch(Shape::Dense)),
         }))
     }
 

@@ -67,7 +67,7 @@
 
 use super::kernel::column_nulls;
 use crate::engine::align_column;
-use crate::keys::{Grouper, KeySide};
+use crate::keys::{Grouper, IndexKind, KeySide};
 use hive_common::value::dec_to_f64;
 use hive_common::{
     with_dec, BitSet, ColumnVector, DataType, DecUnit, HiveError, Result, SelVec, NULL_INDEX,
@@ -237,14 +237,16 @@ fn missing_argument() -> HiveError {
 ///
 /// The pairs are discovered by the key layer, like any other grouping:
 /// the group ids and the gathered argument are the two key columns, and
-/// [`Grouper::assign`] flags the first row of each key. Key equality is
-/// canonical-encoding equality, i.e. the interpreter's `ValueSet`: one
-/// `NaN` per bit pattern, `0.0` and `-0.0` one value.
+/// the first row of each key is flagged — by one bit a slot where they
+/// take the dense kind ([`KeySide::bit_slots`]), by [`Grouper::assign`]
+/// otherwise. Key equality is canonical-encoding equality, i.e. the
+/// interpreter's `ValueSet`: one `NaN` per bit pattern, `0.0` and `-0.0`
+/// one value. Returns the filter's index kind beside the pairs.
 pub(crate) fn first_occurrences(
     arg: &ColumnVector,
     rows: &[u32],
     assign: Option<&[u32]>,
-) -> Result<(Vec<u32>, Vec<u32>)> {
+) -> Result<(IndexKind, Vec<u32>, Vec<u32>)> {
     // NULL arguments never enter a DISTINCT set; without them the
     // gathered argument carries no bitmap (and its key no NULL bit).
     let nulls = column_nulls(arg);
@@ -258,14 +260,26 @@ pub(crate) fn first_occurrences(
     let ids = assign.map(|_| ColumnVector::Int(groups.iter().map(|&g| g as i32).collect(), None));
     let cols: Vec<&ColumnVector> = ids.iter().chain(std::iter::once(&vals)).collect();
     let side = KeySide::group(&cols);
-    let mut pairs = Grouper::new(side.shape());
-    let mut first = (Vec::new(), Vec::new());
     let n = rows.len();
+    let mut first = (IndexKind::Dense, Vec::new(), Vec::new());
+    if let Some((slots, span)) = side.bit_slots(n) {
+        let mut seen = BitSet::new(span);
+        for (j, &slot) in slots.iter().enumerate() {
+            if !seen.get(slot as usize) {
+                seen.set(slot as usize);
+                first.1.push(rows[j]);
+                first.2.push(groups[j]);
+            }
+        }
+        return Ok(first);
+    }
+    let mut pairs = Grouper::new(&side, 1);
+    first.0 = IndexKind::Hashed;
     side.key_chunks(&SelVec::All(n), 0, n, |at, keys| {
         pairs.assign(keys, None, |r, _, new| {
             if new {
-                first.0.push(rows[at + r]);
-                first.1.push(groups[at + r]);
+                first.1.push(rows[at + r]);
+                first.2.push(groups[at + r]);
             }
         })
     })?;
@@ -273,21 +287,16 @@ pub(crate) fn first_occurrences(
 }
 
 /// A key-less aggregate's one state over the selected rows of `arg`,
-/// held in locals while it folds (see the module docs). DISTINCT folds
-/// the rows its filter keeps. Only call for [`compilable`] combinations;
-/// with `partial`, SUM(Decimal) yields a [`FoldOut::DecPartial`].
+/// held in locals while it folds (see the module docs). A DISTINCT
+/// aggregate folds the rows its filter ([`first_occurrences`]) keeps.
+/// Only call for [`compilable`] combinations; with `partial`,
+/// SUM(Decimal) yields a [`FoldOut::DecPartial`].
 pub(crate) fn fold_keyless(
     func: AggFunc,
-    distinct: bool,
     arg: Option<&ColumnVector>,
     sel: &SelVec,
     partial: bool,
 ) -> Result<FoldOut> {
-    if distinct {
-        let col = arg.ok_or_else(missing_argument)?;
-        let (rows, _) = first_occurrences(col, &sel.to_indices(), None)?;
-        return fold_keyless(func, false, arg, &SelVec::Idx(rows), partial);
-    }
     let col = match (func, arg) {
         (AggFunc::Count, None) => return Ok(FoldOut::Count(vec![sel.len() as i64])),
         (_, arg) => arg.ok_or_else(missing_argument)?,
@@ -513,7 +522,7 @@ fn best_of_total<'a, T, K: Ord + Copy>(
 
 /// [`fold`] over a keyed build's recorded assignment — `rows[j]` is a
 /// batch row, `assign[j]` its group — through the DISTINCT filter when
-/// the aggregate has one.
+/// the aggregate has one, beside that filter's index kind.
 pub(crate) fn fold_assigned(
     func: AggFunc,
     distinct: bool,
@@ -521,13 +530,19 @@ pub(crate) fn fold_assigned(
     rows: &[u32],
     assign: &[u32],
     ngroups: usize,
-) -> Result<FoldOut> {
+) -> Result<(FoldOut, Option<IndexKind>)> {
     if distinct {
         let col = arg.ok_or_else(missing_argument)?;
-        let (rows, assign) = first_occurrences(col, rows, Some(assign))?;
-        return fold(func, arg, assigned(&rows, &assign), ngroups, false);
+        let (kind, rows, assign) = first_occurrences(col, rows, Some(assign))?;
+        return Ok((
+            fold(func, arg, assigned(&rows, &assign), ngroups, false)?,
+            Some(kind),
+        ));
     }
-    fold(func, arg, assigned(rows, assign), ngroups, false)
+    Ok((
+        fold(func, arg, assigned(rows, assign), ngroups, false)?,
+        None,
+    ))
 }
 
 /// Fold one aggregate over `(row, group)` pairs in ascending
@@ -929,7 +944,7 @@ pub(crate) fn fold_keyless_continued(
     for &(arg, sel) in parts {
         let col = arg.ok_or_else(missing_argument)?;
         match (state.as_mut(), func) {
-            (None, _) => state = Some(fold_keyless(func, false, arg, sel, false)?),
+            (None, _) => state = Some(fold_keyless(func, arg, sel, false)?),
             (Some(FoldOut::Avg(accs)), AggFunc::Avg) => keyless_avg_into(&mut accs[0], col, sel)?,
             (Some(sums), AggFunc::Sum) => keyless_sum_into(sums, col, sel)?,
             _ => return Err(mismatched_parts()),
@@ -1123,6 +1138,22 @@ mod tests {
         format!("{r:?}")
     }
 
+    /// [`fold_keyless`] behind the DISTINCT filter when `distinct`.
+    fn keyless(
+        func: AggFunc,
+        distinct: bool,
+        arg: Option<&ColumnVector>,
+        sel: &SelVec,
+        partial: bool,
+    ) -> Result<FoldOut> {
+        if distinct {
+            let col = arg.ok_or_else(missing_argument)?;
+            let (_, rows, _) = first_occurrences(col, &sel.to_indices(), None)?;
+            return fold_keyless(func, arg, &SelVec::Idx(rows), partial);
+        }
+        fold_keyless(func, arg, sel, partial)
+    }
+
     /// The pairs route with the constant group 0 — the reference.
     fn by_pairs(
         func: AggFunc,
@@ -1132,7 +1163,7 @@ mod tests {
         partial: bool,
     ) -> Result<FoldOut> {
         if distinct {
-            let (rows, groups) =
+            let (_, rows, groups) =
                 first_occurrences(arg.ok_or_else(missing_argument)?, &sel.to_indices(), None)?;
             return fold(func, arg, assigned(&rows, &groups), 1, partial);
         }
@@ -1166,8 +1197,7 @@ mod tests {
                                         "{func:?} distinct={distinct} partial={partial} over {name} \
                                          n={n} nulls={nulls} {sel:?}"
                                     );
-                                    let got =
-                                        fold_keyless(func, distinct, Some(&col), &sel, partial);
+                                    let got = keyless(func, distinct, Some(&col), &sel, partial);
                                     let want = by_pairs(func, distinct, Some(&col), &sel, partial);
                                     assert_eq!(text(&got), text(&want), "{what}");
                                     overflowed += got.is_err() as usize;
@@ -1183,7 +1213,7 @@ mod tests {
                 }
                 // COUNT(*): no argument at all.
                 for sel in selections(n) {
-                    let got = fold_keyless(AggFunc::Count, false, None, &sel, false);
+                    let got = fold_keyless(AggFunc::Count, None, &sel, false);
                     assert_eq!(
                         text(&got),
                         text(&by_pairs(AggFunc::Count, false, None, &sel, false))
@@ -1222,15 +1252,16 @@ mod tests {
                             for (distinct, partial) in
                                 [(false, false), (false, true), (true, false)]
                             {
-                                let got = fold_keyless(func, distinct, Some(&col), &sel, partial);
-                                let want = fold_keyless(func, distinct, Some(&wide), &sel, partial);
+                                let got = keyless(func, distinct, Some(&col), &sel, partial);
+                                let want = keyless(func, distinct, Some(&wide), &sel, partial);
                                 assert_eq!(text(&got), text(&want), "{what} {distinct} {partial}");
                                 let groups: Vec<u32> = sel.iter().map(|i| (i % 3) as u32).collect();
                                 let rows = sel.to_indices();
-                                let got =
-                                    fold_assigned(func, distinct, Some(&col), &rows, &groups, 3);
-                                let want =
-                                    fold_assigned(func, distinct, Some(&wide), &rows, &groups, 3);
+                                let keyed = |col| {
+                                    fold_assigned(func, distinct, Some(col), &rows, &groups, 3)
+                                        .map(|(fold, _)| fold)
+                                };
+                                let (got, want) = (keyed(&col), keyed(&wide));
                                 assert_eq!(text(&got), text(&want), "keyed {what} {distinct}");
                                 checked += 1;
                             }

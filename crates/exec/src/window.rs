@@ -73,16 +73,17 @@ fn eval_one_window(input: &SelBatch, w: &WindowExpr) -> Result<Vec<Value>> {
         .collect::<Result<Vec<_>>>()?;
     let arg_cols = w.args.iter().map(eval).collect::<Result<Vec<_>>>()?;
 
-    // Group positions by partition key through the key layer: packed
-    // words for fixed-width and dictionary-coded columns, canonical
-    // bytes otherwise, and no table at all without PARTITION BY.
+    // Group positions by partition key through the key layer: dense
+    // slots or packed words for fixed-width and dictionary-coded
+    // columns, canonical bytes otherwise, and no table at all without
+    // PARTITION BY.
     // (Output cells are written per position, so partition iteration
     // order is irrelevant to results.)
     let part_refs = column_refs(&part_cols);
-    let part_side = KeySide::group(&part_refs);
+    let part_side = KeySide::group(&part_refs).dense_over(&input.sel);
     // Bucket index = group id (dense in first-seen order).
     let mut buckets: Vec<Vec<usize>> = Vec::new();
-    let mut groups = Grouper::new(part_side.shape());
+    let mut groups = Grouper::new(&part_side, 1);
     part_side.key_chunks(&input.sel, 0, n, |at, keys| {
         groups.assign(keys, None, |r, g, new| {
             if new {

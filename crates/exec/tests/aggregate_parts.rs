@@ -315,7 +315,8 @@ fn check(parts: &[SelBatch], what: &str) {
                         workers,
                         None,
                         Some(&mut pc),
-                    );
+                    )
+                    .map(|(batch, _)| batch);
                     let ctx = format!(
                         "{what}: {} keys, sets {sets:?}, {aggs:?}, {workers} workers",
                         groups.len()
@@ -347,7 +348,8 @@ fn check(parts: &[SelBatch], what: &str) {
                         2,
                         Some(&sp),
                         Some(&mut pc),
-                    );
+                    )
+                    .map(|(batch, _)| batch);
                     let ctx = format!("{what}: {} keys, sets {sets:?}, spilled", groups.len());
                     same(&want, &got, &ctx);
                     if got.is_ok() {
@@ -417,8 +419,9 @@ fn all_empty_parts_give_the_neutral_row() {
     let aggs = aggs_over(V_INT, &DataType::Int);
     let out = out_schema(&[], &None, &aggs);
     let mut pc = PirCounters::default();
-    let got =
-        execute_aggregate_parts(&parts, &[], &None, &aggs, &out, 2, None, Some(&mut pc)).unwrap();
+    let got = execute_aggregate_parts(&parts, &[], &None, &aggs, &out, 2, None, Some(&mut pc))
+        .map(|(batch, _)| batch)
+        .unwrap();
     assert_eq!(got.num_rows(), 1);
     assert_eq!(got.row(0).get(0), &Value::BigInt(0)); // COUNT(*)
     assert!(got.row(0).get(3).is_null()); // SUM
@@ -459,6 +462,7 @@ fn a_prefix_overflow_the_partials_hide_still_errors() {
     let want = execute_aggregate(&whole, &[], &None, &aggs, &out).unwrap_err();
     let mut pc = PirCounters::default();
     let got = execute_aggregate_parts(&parts, &[], &None, &aggs, &out, 2, None, Some(&mut pc))
+        .map(|(batch, _)| batch)
         .unwrap_err();
     assert_eq!(got.to_string(), want.to_string());
 }
@@ -506,7 +510,8 @@ fn a_group_per_row_merges_its_partitions_in_first_seen_order() {
                 workers,
                 None,
                 Some(&mut pc),
-            );
+            )
+            .map(|(batch, _)| batch);
             let ctx = format!("{} keys, {workers} workers", groups.len());
             same(&want, &got, &ctx);
             assert_eq!((pc.compiled_stages, pc.fallback_rows), (1, 0), "{ctx}");
@@ -586,7 +591,8 @@ fn keyless_double_sums_and_averages_continue_one_state_across_parts() {
             workers,
             None,
             Some(&mut pc),
-        );
+        )
+        .map(|(batch, _)| batch);
         same(&want, &got, &format!("{workers} workers"));
         assert_eq!(
             (pc.compiled_stages, pc.fallback_rows),

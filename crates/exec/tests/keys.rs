@@ -390,10 +390,10 @@ fn selection(rng: &mut Rng, n: usize) -> SelVec {
     SelVec::Idx(idx)
 }
 
-/// Group ids of `keys` through the key layer.
-fn layer_group_ids(keys: &RowKeys) -> (Vec<u32>, Vec<usize>) {
+/// Group ids of `keys`, keyed by `side`, through the key layer.
+fn layer_group_ids(side: &KeySide, keys: &RowKeys) -> (Vec<u32>, Vec<usize>) {
     let (mut ids, mut firsts) = (Vec::new(), Vec::new());
-    Grouper::new(keys.shape())
+    Grouper::new(side, 1)
         .assign(keys, None, |r, g, new| {
             assert_eq!(r, ids.len(), "rows arrive in ascending order");
             assert_eq!(
@@ -531,16 +531,19 @@ proptest! {
         let cols = refs(&cols);
         let sel = selection(&mut rng, n);
         let want = reference::group_ids(&cols, &sel);
-        let side = KeySide::group(&cols);
-        let keys = side.keys(&sel, 0, sel.len());
-        prop_assert_eq!(keys.len(), sel.len());
-        let (ids, _) = layer_group_ids(&keys);
-        prop_assert_eq!(&ids, &want, "shape {:?}", side.shape());
-        // A row range keys like the same rows of the whole.
-        let (lo, hi) = (sel.len() / 3, sel.len() - sel.len() / 4);
-        let part = side.keys(&sel, lo, hi);
-        for r in 0..hi - lo {
-            prop_assert_eq!(part.hash(r), keys.hash(lo + r));
+        // The shape the columns choose, and the dense kind where the
+        // selected rows allow it.
+        for side in [KeySide::group(&cols), KeySide::group(&cols).dense_over(&sel)] {
+            let keys = side.keys(&sel, 0, sel.len());
+            prop_assert_eq!(keys.len(), sel.len());
+            let (ids, _) = layer_group_ids(&side, &keys);
+            prop_assert_eq!(&ids, &want, "shape {:?}", side.shape());
+            // A row range keys like the same rows of the whole.
+            let (lo, hi) = (sel.len() / 3, sel.len() - sel.len() / 4);
+            let part = side.keys(&sel, lo, hi);
+            for r in 0..hi - lo {
+                prop_assert_eq!(part.hash(r), keys.hash(lo + r));
+            }
         }
     }
 
@@ -721,6 +724,7 @@ proptest! {
             let out = execute_aggregate_parts(
                 std::slice::from_ref(&sb), &groups, &None, &aggs, &out_schema, workers, None, None,
             )
+        .map(|(batch, _)| batch)
             .unwrap();
             let got: Vec<i64> = out
                 .to_rows()
@@ -744,7 +748,7 @@ fn keys_too_wide_to_pack_take_the_bytes_shape_and_still_group() {
     let cols = [big(1), big(-7), big(1 << 40)];
     let side = KeySide::group(&refs(&cols));
     assert_eq!(side.shape(), Shape::Bytes);
-    let (ids, _) = layer_group_ids(&side.keys(&SelVec::all(n as usize), 0, n as usize));
+    let (ids, _) = layer_group_ids(&side, &side.keys(&SelVec::all(n as usize), 0, n as usize));
     assert_eq!(
         ids,
         reference::group_ids(&refs(&cols), &SelVec::all(n as usize))
@@ -757,16 +761,22 @@ fn keys_too_wide_to_pack_take_the_bytes_shape_and_still_group() {
 fn chunked_keys_group_like_the_whole_range() {
     // Serial consumers take keys a chunk at a time (`key_chunks`): one
     // table across chunk boundaries must see what it would see in the
-    // whole range's keys, on a word shape and on the bytes shape.
+    // whole range's keys, on a word shape, the bytes shape and the dense
+    // kind.
     let n = 40_000usize;
     let ints = ColumnVector::Int((0..n).map(|i| (i * 7919 % 3001) as i32).collect(), None);
     let text = ColumnVector::Str((0..n).map(|i| format!("s{}", i * 31 % 977)).collect(), None);
-    for cols in [vec![&ints], vec![&ints, &text]] {
-        let side = KeySide::group(&cols);
-        let sel = SelVec::all(n);
-        let (whole, _) = layer_group_ids(&side.keys(&sel, 0, n));
+    let sel = SelVec::all(n);
+    let dense = KeySide::group(&[&ints]).dense_over(&sel);
+    assert_eq!(dense.shape(), Shape::Dense);
+    for side in [
+        KeySide::group(&[&ints]),
+        KeySide::group(&[&ints, &text]),
+        dense,
+    ] {
+        let (whole, _) = layer_group_ids(&side, &side.keys(&sel, 0, n));
         let mut chunked = vec![u32::MAX; n];
-        let (mut groups, mut chunks) = (Grouper::new(side.shape()), 0);
+        let (mut groups, mut chunks) = (Grouper::new(&side, 1), 0);
         side.key_chunks(&sel, 0, n, |at, keys| {
             chunks += 1;
             groups.assign(keys, None, |r, g, _| chunked[at + r] = g)

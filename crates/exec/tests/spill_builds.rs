@@ -295,7 +295,8 @@ proptest! {
                 let mut pc = PirCounters::default();
                 let out = execute_aggregate_parts(
                     std::slice::from_ref(&input), &groups, &sets, &aggs, &out_schema, workers, spill, Some(&mut pc),
-                );
+                )
+        .map(|(batch, _)| batch);
                 out.map(|o| (bytes(&o), pc.compiled_stages, pc.fallback_rows))
             };
             let want = aggregate(None, 1).unwrap();

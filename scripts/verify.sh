@@ -163,6 +163,16 @@ cargo test -q --offline -p hive-exec --test keys
 echo "-- join index: dense = hashed on candidates and every join type's rows; the size rule's edges; the route column --"
 cargo test -q --offline -p hive-exec --lib keys::tests
 cargo test -q --offline -p hive-exec --lib join::tests::profile_records_the_route
+# Dense keys for grouping (DESIGN.md §4 "Hash keys", "The dense kind"):
+# GROUP BY, DISTINCT and set operations index narrow keys by slot, held
+# to a reference that shares no key code; the aggregate's profile names
+# the route and index kinds it took.
+echo "-- dense kind: group ids, routing, size rule, set-op spans, DISTINCT = a linear search over Values --"
+cargo test -q --offline -p hive-exec --test dense_keys
+cargo test -q --offline -p hive-exec --lib engine::tests::set_operation_spans_cover_both_inputs
+cargo test -q --offline -p hive-exec --lib aggregate::tests::profile_records_the_route
+echo "-- LIMIT keeps parts: the multi-morsel LIMIT 200 copies at most 200 rows --"
+cargo test -q --offline --test scan_parts limit_copies_at_most_its_rows
 # One ordering, one accumulator (DESIGN.md §4 "Kernels", "Who still
 # takes `Acc` rows"): the window sorts and finds peers through the
 # Sort's comparator and folds frames with the GROUP BY's `Acc`.

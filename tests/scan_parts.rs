@@ -271,6 +271,51 @@ fn assembling_consumers_keep_every_morsel() {
     assert_eq!(run(&statement("limit")).len(), 200);
 }
 
+/// A LIMIT walks its input's parts in order and keeps those it needs,
+/// the last truncated: over the eight-morsel scan, whose every morsel
+/// holds fewer than 200 matching rows, the statement's result is
+/// assembled from the 200 rows it returns and no more.
+#[test]
+fn limit_copies_at_most_its_rows() {
+    use hive_optimizer::{Analyzer, MetastoreCatalog, Optimizer, OptimizerContext};
+    let server = load_server(HiveConf::v3_1().with(|c| c.parallel_threads = 2));
+    let sql = statements().into_iter().find(|s| s.0 == "limit").unwrap().1;
+    let hive_sql::Statement::Query(q) = hive_sql::parse_sql(&sql).unwrap() else {
+        panic!("not a query: {sql}");
+    };
+    let (ms, conf) = (server.metastore(), server.conf());
+    let cat = MetastoreCatalog::new(ms.clone(), "default".to_string());
+    let analyzed = Analyzer::new(&cat).analyze_query(&q).unwrap();
+    let octx = OptimizerContext {
+        metastore: ms,
+        conf: &conf,
+        usable_views: vec![],
+        feedback: Default::default(),
+    };
+    let plan = Optimizer::optimize(analyzed, &octx).unwrap();
+    let snaps = hive_exec::WideOpenSnapshots(ms);
+    let ctx =
+        hive_exec::ExecContext::new(server.fs(), ms, &conf, Some(server.llap()), &snaps, None);
+    let (out, trace) = hive_exec::execute_sel(&plan, &ctx).unwrap();
+    let mut limit = None;
+    trace.visit(&mut |t| {
+        if t.label == "Limit" {
+            limit = Some((t.rows_in, t.rows_out));
+        }
+    });
+    let (rows_in, rows_out) = limit.expect("the plan keeps its LIMIT");
+    assert!(
+        rows_in > 2 * 200,
+        "the scan offers more than the limit: {rows_in}"
+    );
+    assert_eq!((rows_out, out.num_rows()), (200, 200));
+    assert!(
+        out.batch.num_rows() <= 200,
+        "{} rows copied to return 200",
+        out.batch.num_rows()
+    );
+}
+
 #[test]
 fn thread_count_moves_neither_simulated_time_nor_retries() {
     // With a cache that holds the working set. (Under one that
