@@ -276,6 +276,7 @@ pub fn execute_join_parts(
             workers,
         )?;
         build.describe(&mut profile, false);
+        let probe_side = build.index.probe_side(probe_side);
         profile.build_ns = lap(&mut clock);
         // Contiguous left-row ranges probed in parallel; range outputs
         // concatenate in range order, reproducing the serial probe order.
@@ -325,6 +326,7 @@ pub fn execute_join_parts(
         let left = &lefts[p];
         let lkeys = probe_keys(left)?;
         let (probe_side, _) = KeySide::join_pair(&column_refs(&lkeys), &column_refs(&rkeys));
+        let probe_side = build.index.probe_side(probe_side);
         build.probe(left, &probe_side, 0, left.num_rows() as u32)
     })?;
     profile.probe_ns = lap(&mut clock);
@@ -441,8 +443,8 @@ struct Build<'a> {
 }
 
 impl<'a> Build<'a> {
-    /// Hash-partitioned build over the right side: a key's rows all land
-    /// in one partition (keyed by the key hash), and each partition
+    /// Partitioned build over the right side: a key's rows all land in
+    /// one partition (routed by the key's slot or hash), and each partition
     /// inserts its rows in ascending order, so every key's candidate list
     /// is exactly what the serial single-table build produces. The
     /// partition count follows the build's size ([`partitions_for`]); a
@@ -465,12 +467,11 @@ impl<'a> Build<'a> {
         } else {
             partitions_for(right.num_rows())
         };
-        let (keys, runs, _) =
-            build_side.keys_par(&SelVec::all(right.num_rows()), workers, nparts)?;
+        let all = SelVec::all(right.num_rows());
         Ok(Build {
             right,
             join_type,
-            index: JoinIndex::build(&keys, &runs, workers)?,
+            index: JoinIndex::build(build_side, &all, nparts, workers)?,
             resid,
             plan,
         })
@@ -847,7 +848,8 @@ fn grace_join(
         [(0..nr as u32).collect(), (0..nl as u32).collect()],
         |[build, probe]| {
             let (build, probe) = (SelVec::Idx(build), SelVec::Idx(probe));
-            let index = JoinIndex::build(&build_side.keys(&build, 0, build.len()), &[], 1)?;
+            let index = JoinIndex::build(build_side, &build, 1, 1)?;
+            let probe_side = index.probe_side(probe_side.clone());
             probe_side.key_chunks(&probe, 0, probe.len(), |at, keys| {
                 index.probe(keys, |r, cands| {
                     let li = probe.index(at + r) as u32;
@@ -1075,6 +1077,13 @@ mod tests {
         };
         let on_key = || vec![(ScalarExpr::Column(0), ScalarExpr::Column(0))];
         assert_eq!(route(&[5, 3, 4], on_key()), ("dense/assembled/1".into(), 2));
+        // Duplicate keys, and a key of two INT columns, are dense too.
+        assert_eq!(route(&[5, 3, 5], on_key()), ("dense/assembled/1".into(), 3));
+        let two_cols = || [on_key(), on_key()].concat();
+        assert_eq!(
+            route(&[5, 3, 4], two_cols()),
+            ("dense/assembled/1".into(), 2)
+        );
         let scattered = [i32::MIN + 7, 3, i32::MAX - 1];
         assert_eq!(
             route(&scattered, on_key()),

@@ -10,9 +10,9 @@
 //! that stores that key.
 //!
 //! * **None** — no key columns (a cross join, a scalar-subquery LEFT
-//!   join, a window without PARTITION BY). No table is consulted and
-//!   nothing is hashed: every row is in the one group, every probe
-//!   row's candidates are all build rows in order.
+//!   join, a window without PARTITION BY). Nothing is hashed: every row
+//!   has slot 0 of a one-slot dense table, so every row is in the one
+//!   group and every probe row's candidates are all build rows in order.
 //! * **Word** (`u64` / `u128`) — every column is fixed-width and *word
 //!   equality ⟺ canonical-encoding equality* (the table in DESIGN.md
 //!   §4): INT and BIGINT normalised to one width on both sides, DATE ×
@@ -29,18 +29,17 @@
 //!   written once into an arena, hashed with FNV-1a and compared by
 //!   `memcmp` in a [`RawTable`]. This is the single general path.
 //!
-//! A grouping side — GROUP BY, window partitions, a set operation, the
-//! DISTINCT filter — may then take the **dense kind**, decided by the
-//! content of its rows ([`KeySide::dense_over`], [`KeySide::group_pair`]):
-//! when every column is an integer, a date, a boolean or a
-//! duplicate-free dictionary, each column's values span `max − min + 1`
-//! over the selected rows (a dictionary its length, one more slot for
-//! NULL where a side is nullable), and the spans' product is within
-//! [`dense_limit`] of the rows, a row's key is its mixed-radix slot
-//! `k0 + span0 × (k1 + span1 × …)` and the group index is a slot array.
-//! No word is packed, hashed or compared; a partitioned build routes on
-//! the slot itself. [`dense_limit`] is one size rule, the join's unique
-//! dense index takes it too. Keys that do not fit stay hashed.
+//! Any keyed side may then take the **dense kind**, by one rule over the
+//! content of its rows ([`KeySide::dense_over`], a join's build too):
+//! when every column is an integer, a date, a boolean or a dictionary
+//! code and the columns' spans (`max − min + 1`, a dictionary its
+//! length) multiply to within [`dense_limit`] of the rows, a row's key is
+//! its mixed-radix slot `k0 + span0 × (k1 + span1 × …)` and the table is
+//! a slot array. A grouping side gives NULL one more slot per nullable
+//! column. A join has none: its probe side is keyed through the build's
+//! layout, and a NULL, a probe entry the build lacks or a value outside
+//! the build's span excludes the row. One table type, [`Grouper`], serves
+//! every kind and operator; a join's build partition is one.
 //!
 //! Spilling operators key through the same shapes: a spilled partition
 //! is a run of positions ([`crate::spill`]), and its keys are re-derived
@@ -104,8 +103,8 @@ pub(crate) fn partitions_for(rows: usize) -> usize {
 }
 
 /// One chunk of keyed rows scattered by partition: partition `p`'s run
-/// is the chunk's rows whose key [`route`]s to `p`, ascending. Rows a
-/// join excludes (a NULL key part) are in no run.
+/// is the chunk's rows whose key routes to `p` ([`partition`]),
+/// ascending. Rows a join excludes (a NULL key part) are in no run.
 #[derive(Debug, Clone, Default)]
 pub struct Runs {
     /// Row numbers grouped by partition, ascending inside each group.
@@ -116,70 +115,59 @@ pub struct Runs {
 
 impl Runs {
     /// Partition `p`'s rows, ascending.
+    #[inline]
     pub fn run(&self, p: usize) -> &[u32] {
         &self.rows[self.starts[p] as usize..self.starts[p + 1] as usize]
     }
 }
 
-/// Scatter the rows of `keys` into `nparts` runs, once: a counting pass
-/// over the routes, then one stable placement. Row `r` is recorded as
-/// `at + r` — the chunk's rows numbered in the whole input — so a
-/// partition that reads every chunk's run in chunk order sees its rows
-/// in ascending order, as the serial build inserts them. The dense kind
-/// routes slot `s` to partition `s mod nparts` (a power of two).
+/// `$f::<T>(keys, args…)` with `T` the [`KeyTable`] of `$keys`' kind:
+/// a per-kind loop written once, its kind chosen once a call.
+macro_rules! each_kind {
+    ($keys:expr, $f:ident($($arg:expr),*)) => {
+        match $keys {
+            RowKeys::Dense(k) => $f::<DenseTable>(k, $($arg),*),
+            RowKeys::W64(k) => $f::<WordTable<u64>>(k, $($arg),*),
+            RowKeys::W128(k) => $f::<WordTable<u128>>(k, $($arg),*),
+            RowKeys::Bytes(k) => $f::<RawTable>(k, $($arg),*),
+        }
+    };
+}
+
+/// Scatter the rows of `keys` into `nparts` runs by their table's route
+/// ([`KeyTable::part`], which the probe takes too), in one counting
+/// sort. Row `r` is recorded as `at + r` — the chunk's rows numbered in
+/// the whole input — so a partition that reads every chunk's run in
+/// chunk order sees its rows ascending, as the serial build inserts them.
 pub fn partition(keys: &RowKeys, at: usize, nparts: usize) -> Runs {
-    fn hashed<T: KeyTable>(keys: &T::Keys, at: usize, nparts: usize) -> Runs {
-        scatter(T::rows(keys), at, nparts, |r| {
-            (!T::skip(keys, r)).then(|| route(T::hash(keys, r), nparts))
-        })
+    fn scatter<T: KeyTable>(keys: &T::Keys, at: usize, nparts: usize) -> Runs {
+        let to = (0..T::rows(keys)).map(|r| match T::skip(keys, r) {
+            true => u32::MAX,
+            false => T::part(T::hash(keys, r), nparts) as u32,
+        });
+        sort_by_bucket(&to.collect::<Vec<_>>(), nparts, |r| (at + r) as u32)
     }
-    fn scatter(
-        n: usize,
-        at: usize,
-        nparts: usize,
-        to_part: impl Fn(usize) -> Option<usize>,
-    ) -> Runs {
-        let mut to: Vec<u32> = Vec::with_capacity(n);
-        let mut starts = vec![0u32; nparts + 1];
-        for r in 0..n {
-            let p = to_part(r).map_or(u32::MAX, |p| {
-                starts[p + 1] += 1;
-                p as u32
-            });
-            to.push(p);
-        }
-        for p in 0..nparts {
-            starts[p + 1] += starts[p];
-        }
-        let mut next = starts.clone();
-        let mut rows = vec![0u32; starts[nparts] as usize];
-        for (r, &p) in to.iter().enumerate().filter(|(_, &p)| p != u32::MAX) {
-            rows[next[p as usize] as usize] = (at + r) as u32;
-            next[p as usize] += 1;
-        }
-        Runs { rows, starts }
+    each_kind!(keys, scatter(at, nparts.max(1)))
+}
+
+/// One stable counting sort: bucket `b`'s run holds `label(i)` of every
+/// `i` with `to[i] = b`, ascending `i`; an `i` with `to[i] = u32::MAX` is
+/// in no run.
+fn sort_by_bucket(to: &[u32], nbuckets: usize, label: impl Fn(usize) -> u32) -> Runs {
+    let mut starts = vec![0u32; nbuckets + 1];
+    for &b in to.iter().filter(|&&b| b != u32::MAX) {
+        starts[b as usize + 1] += 1;
     }
-    let nparts = nparts.max(1);
-    match keys {
-        // The empty key hashes to 0: partition 0 owns every row.
-        RowKeys::None(n) => {
-            let mut starts = vec![*n as u32; nparts + 1];
-            starts[0] = 0;
-            Runs {
-                rows: (at as u32..(at + n) as u32).collect(),
-                starts,
-            }
-        }
-        RowKeys::Dense(slots) => {
-            debug_assert!(nparts.is_power_of_two());
-            scatter(slots.len(), at, nparts, |r| {
-                Some(slots[r] as usize & (nparts - 1))
-            })
-        }
-        RowKeys::W64(k) => hashed::<WordTable<u64>>(k, at, nparts),
-        RowKeys::W128(k) => hashed::<WordTable<u128>>(k, at, nparts),
-        RowKeys::Bytes(k) => hashed::<RawTable>(k, at, nparts),
+    for b in 0..nbuckets {
+        starts[b + 1] += starts[b];
     }
+    let mut next = starts.clone();
+    let mut rows = vec![0u32; starts[nbuckets] as usize];
+    for (i, &b) in to.iter().enumerate().filter(|(_, &b)| b != u32::MAX) {
+        rows[next[b as usize] as usize] = label(i);
+        next[b as usize] += 1;
+    }
+    Runs { rows, starts }
 }
 
 /// A packed key: `u64` or `u128`.
@@ -248,22 +236,6 @@ pub struct KeyCol<'a> {
     col: &'a ColumnVector,
     nulls: Option<&'a BitSet>,
     src: Src<'a>,
-}
-
-/// A code-keyed column's per-row codes and their translation into the
-/// key's code space (`None` = identity).
-struct Codes<'a, 'k> {
-    codes: &'a [u32],
-    map: Option<&'k [u32]>,
-}
-
-impl Codes<'_, '_> {
-    /// Row `i`'s code in the key's code space ([`MISS`] when absent).
-    #[inline]
-    fn at(&self, i: usize) -> u32 {
-        let code = self.codes[i];
-        self.map.map_or(code, |m| m[code as usize])
-    }
 }
 
 /// True when no two dictionary entries are equal, i.e. codes identify
@@ -347,17 +319,6 @@ impl<'a> KeyCol<'a> {
         (col(l, ls), col(r, rs))
     }
 
-    /// The column's dictionary codes, when it keys by code.
-    fn codes(&self) -> Option<Codes<'a, '_>> {
-        match &self.src {
-            Src::Code { codes, map, .. } => Some(Codes {
-                codes,
-                map: map.as_deref(),
-            }),
-            _ => None,
-        }
-    }
-
     /// Bits the column takes in a packed word; `None` = bytes only.
     fn width(&self) -> Option<u32> {
         Some(match &self.src {
@@ -378,13 +339,14 @@ impl<'a> KeyCol<'a> {
     /// contains.
     #[inline]
     fn encode(&self, i: usize, out: &mut Vec<u8>) -> bool {
-        let Some(codes) = self.codes() else {
+        let Src::Code { codes, map, .. } = &self.src else {
             return encode_cell(self.col, i, out);
         };
         if self.nulls.is_some_and(|n| n.get(i)) {
             return false;
         }
-        match codes.at(i) {
+        // The code in the key's code space, `MISS` where it is absent.
+        match map.as_ref().map_or(codes[i], |m| m[codes[i] as usize]) {
             MISS => hash::encode_miss(out),
             code => hash::encode_code(code, out),
         }
@@ -431,7 +393,7 @@ impl<'a> KeyCol<'a> {
                 });
                 if missed {
                     let skip = skip.get_or_insert_with(|| vec![false; keys.len()]);
-                    for_rows(sel, lo, keys.len(), |s, i| {
+                    for_idx(sel.as_indices(), lo, keys.len(), |s, i| {
                         if map[codes[i] as usize] == MISS {
                             skip[s] = true;
                         }
@@ -457,10 +419,12 @@ impl<'a> KeyCol<'a> {
     ) {
         let n = keys.len();
         let Some(nulls) = self.nulls else {
-            return for_rows(sel, lo, n, |s, i| keys[s].or_in(bits(vals[i]), slot.shift));
+            return for_idx(sel.as_indices(), lo, n, |s, i| {
+                keys[s].or_in(bits(vals[i]), slot.shift)
+            });
         };
         match slot.null_bit {
-            Some(bit) => for_rows(sel, lo, n, |s, i| {
+            Some(bit) => for_idx(sel.as_indices(), lo, n, |s, i| {
                 if nulls.get(i) {
                     keys[s].or_in(1, bit);
                 } else {
@@ -469,7 +433,7 @@ impl<'a> KeyCol<'a> {
             }),
             None => {
                 let skip = skip.get_or_insert_with(|| vec![false; n]);
-                for_rows(sel, lo, n, |s, i| {
+                for_idx(sel.as_indices(), lo, n, |s, i| {
                     if nulls.get(i) {
                         skip[s] = true;
                     } else {
@@ -481,8 +445,8 @@ impl<'a> KeyCol<'a> {
     }
 
     /// `f(slot, value)` for rows `lo..lo + n` of `idx`, the value as an
-    /// `i64` and `None` where NULL; `false` (no call) when the column has
-    /// no dense digit.
+    /// `i64` (a code in the key's code space) and `None` where NULL;
+    /// `false` (no call) when the column has no dense digit.
     #[inline]
     fn ints(
         &self,
@@ -499,9 +463,14 @@ impl<'a> KeyCol<'a> {
             to: impl Fn(T) -> i64,
             mut f: impl FnMut(usize, Option<i64>),
         ) {
-            match nulls {
-                None => for_idx(idx, lo, n, |s, i| f(s, Some(to(vals[i])))),
-                Some(nb) => for_idx(idx, lo, n, |s, i| f(s, (!nb.get(i)).then(|| to(vals[i])))),
+            match (nulls, idx) {
+                (None, None) => (vals[lo..lo + n].iter())
+                    .enumerate()
+                    .for_each(|(s, &v)| f(s, Some(to(v)))),
+                (None, _) => for_idx(idx, lo, n, |s, i| f(s, Some(to(vals[i])))),
+                (Some(nb), _) => {
+                    for_idx(idx, lo, n, |s, i| f(s, (!nb.get(i)).then(|| to(vals[i]))))
+                }
             }
         }
         let rows = (idx, lo, n);
@@ -512,7 +481,13 @@ impl<'a> KeyCol<'a> {
             Src::Code {
                 codes, map: None, ..
             } => each(self.nulls, codes, rows, |c| c as i64, f),
-            _ => return false,
+            // A join's translated code; `MISS` is -1, outside the codes.
+            Src::Code {
+                codes,
+                map: Some(m),
+                ..
+            } => each(self.nulls, codes, rows, |c| m[c as usize] as i32 as i64, f),
+            Src::Cell => return false,
         }
         true
     }
@@ -523,9 +498,7 @@ impl<'a> KeyCol<'a> {
     /// dense digit.
     fn range(&self, idx: Option<&[u32]>, n: usize) -> Option<Option<(i64, i64)>> {
         match &self.src {
-            Src::Code {
-                space, map: None, ..
-            } => return Some((*space > 0).then(|| (0, *space as i64 - 1))),
+            Src::Code { space, .. } => return Some((*space > 0).then(|| (0, *space as i64 - 1))),
             Src::Bool(_) => return Some(Some((0, 1))),
             _ => {}
         }
@@ -538,22 +511,42 @@ impl<'a> KeyCol<'a> {
         dense.then_some((min <= max).then_some((min, max)))
     }
 
-    /// Add this column's digit times its stride into `slots`, for rows
-    /// `lo..lo + slots.len()` of `idx`.
-    fn add_digits(&self, slots: &mut [u32], idx: Option<&[u32]>, lo: usize, d: Digit) {
-        self.ints(idx, lo, slots.len(), |s, v| {
-            slots[s] += v.map_or(d.null, |v| v.wrapping_sub(d.min) as u32) * d.stride
+    /// Add this column's digit × stride into the slots of rows `lo..` of
+    /// `idx`; on a join side a NULL or a value outside `min..min + span`
+    /// marks the row excluded instead (a grouping side's are all in).
+    fn add_digits(&self, keys: &mut WordKeys<u32>, idx: Option<&[u32]>, lo: usize, d: Digit) {
+        let WordKeys { keys: slots, skip } = keys;
+        let (n, slots) = (slots.len(), &mut slots[..]);
+        // Exact: `min + span − 1` is a value, so no `v` wraps in.
+        let digit = |v: Option<i64>| v.map_or(u64::MAX, |v| v.wrapping_sub(d.min) as u64);
+        if let Some(null) = d.null {
+            self.ints(idx, lo, n, |s, v| {
+                slots[s] += v.map_or(null, |v| v.wrapping_sub(d.min) as u32) * d.stride
+            });
+            return;
+        }
+        // Branch-free; an excluded row's slot is never read.
+        let mut missed = false;
+        self.ints(idx, lo, n, |s, v| {
+            missed |= digit(v) >= d.span as u64;
+            slots[s] = slots[s].wrapping_add((digit(v) as u32).wrapping_mul(d.stride));
         });
+        if missed {
+            let skip = skip.get_or_insert_with(|| vec![false; n]);
+            self.ints(idx, lo, n, |s, v| skip[s] |= digit(v) >= d.span as u64);
+        }
     }
 }
 
 /// One key column's place in a dense slot: `slot += (value − min) ×
-/// stride`, a NULL's digit being `null`, one past the values.
+/// stride` for a value in `min..min + span`. A grouping column's NULL
+/// digit is `span`, one past the values; a join's has none.
 #[derive(Debug, Clone, Copy)]
 struct Digit {
     min: i64,
-    null: u32,
+    span: u32,
     stride: u32,
+    null: Option<u32>,
 }
 
 /// The dense kind's layout: each key column's digit, and the slot count —
@@ -565,30 +558,43 @@ struct DenseLayout {
 }
 
 impl DenseLayout {
-    /// Add a column whose non-NULL values span `range` (plus a NULL slot
-    /// when `nullable`); `None` once the slots pass `limit`.
-    fn push(&mut self, range: Option<(i64, i64)>, nullable: bool, limit: u64) -> Option<()> {
+    /// Add a column whose non-NULL values span `range`, on a grouping
+    /// side (`nullable` known: plus a NULL slot when true) or a join's
+    /// (`None`); `None` once the slots pass `limit`.
+    fn push(
+        &mut self,
+        range: Option<(i64, i64)>,
+        nullable: Option<bool>,
+        limit: u64,
+    ) -> Option<()> {
         let (min, values) = range.map_or((0, 0), |(lo, hi)| {
             (lo, (hi as i128 - lo as i128 + 1) as u128)
         });
-        let slots = self.slots as u128 * (values + nullable as u128).max(1);
+        let slots = self.slots as u128 * (values + (nullable == Some(true)) as u128).max(1);
         if slots > limit as u128 {
             return None;
         }
-        let (null, stride) = (values as u32, self.slots as u32);
-        self.digits.push(Digit { min, null, stride });
+        let (span, stride) = (values as u32, self.slots as u32);
+        let null = nullable.map(|_| span);
+        self.digits.push(Digit {
+            min,
+            span,
+            stride,
+            null,
+        });
         self.slots = slots as usize;
         Some(())
     }
 }
 
-/// The dense layout of grouping sides that feed one table (a set
-/// operation's two inputs), over the rows each side's selection names:
-/// `None` unless every column has a dense digit and the spans' product
-/// — per column the union of the sides' ranges — is within `limit`.
+/// The dense layout of sides that feed one table (a set operation's two
+/// inputs; one grouping side; a join's build), over the rows each side's
+/// selection names: `None` unless every column has a dense digit and the
+/// spans' product — per column the union of the sides' ranges, plus a
+/// NULL slot on a nullable grouping column — is within `limit`.
 fn dense_layout(sides: &[(&KeySide<'_>, &SelVec)], limit: u64) -> Option<DenseLayout> {
     let first = sides.first()?.0;
-    if !first.null_is_key || first.cols.is_empty() {
+    if first.cols.is_empty() {
         return None;
     }
     let mut layout = DenseLayout {
@@ -596,10 +602,10 @@ fn dense_layout(sides: &[(&KeySide<'_>, &SelVec)], limit: u64) -> Option<DenseLa
         slots: 1,
     };
     for c in 0..first.cols.len() {
-        let (mut range, mut nullable) = (None::<(i64, i64)>, false);
+        let (mut range, mut nullable) = (None::<(i64, i64)>, first.null_is_key.then_some(false));
         for (side, sel) in sides {
             let col = &side.cols[c];
-            nullable |= col.nulls.is_some();
+            nullable = nullable.map(|any| any || col.nulls.is_some());
             if let Some((lo, hi)) = col.range(sel.as_indices(), sel.len())? {
                 range = Some(range.map_or((lo, hi), |(a, b)| (a.min(lo), b.max(hi))));
             }
@@ -609,22 +615,12 @@ fn dense_layout(sides: &[(&KeySide<'_>, &SelVec)], limit: u64) -> Option<DenseLa
     Some(layout)
 }
 
-/// `f(slot, batch row)` for selected positions `lo..lo + n`.
-#[inline]
-fn for_rows(sel: &SelVec, lo: usize, n: usize, f: impl FnMut(usize, usize)) {
-    for_idx(sel.as_indices(), lo, n, f)
-}
-
-/// [`for_rows`] over a selection's indices (`None`: every row).
+/// `f(slot, batch row)` for positions `lo..lo + n` of a selection's
+/// indices (`None`: every row).
 #[inline]
 fn for_idx(idx: Option<&[u32]>, lo: usize, n: usize, mut f: impl FnMut(usize, usize)) {
-    match idx {
-        None => (0..n).for_each(|s| f(s, lo + s)),
-        Some(idx) => idx[lo..lo + n]
-            .iter()
-            .enumerate()
-            .for_each(|(s, &i)| f(s, i as usize)),
-    }
+    // One call of `f`, which inlines into the loop.
+    (0..n).for_each(|s| f(s, idx.map_or(lo + s, |idx| idx[lo + s] as usize)))
 }
 
 /// Append the canonical encoding of column cell `(col, i)` when it is
@@ -759,8 +755,8 @@ impl<'a> KeySide<'a> {
         KeySide::pair(cols, cols, false).0
     }
 
-    /// This grouping side in the dense kind when the content of the rows
-    /// of `sel` allows it (see the module docs); as it is otherwise.
+    /// This side in the dense kind when the content of the rows of `sel`
+    /// allows it (see the module docs); as it is otherwise.
     pub fn dense_over(self, sel: &SelVec) -> KeySide<'a> {
         let layout = dense_layout(&[(&self, sel)], dense_limit(sel.len()));
         self.with_dense(layout)
@@ -775,7 +771,7 @@ impl<'a> KeySide<'a> {
         let layout = dense_layout(&[(self, &all)], bits)?;
         let slots = layout.slots;
         match self.clone().with_dense(Some(layout)).keys(&all, 0, n) {
-            RowKeys::Dense(keys) => Some((keys, slots)),
+            RowKeys::Dense(keys) => Some((keys.keys, slots)),
             _ => None,
         }
     }
@@ -807,14 +803,17 @@ impl<'a> KeySide<'a> {
     /// The keys of selected positions `lo..hi` of `sel`.
     pub fn keys(&self, sel: &SelVec, lo: usize, hi: usize) -> RowKeys {
         match self.shape {
-            Shape::None => RowKeys::None(hi - lo),
-            Shape::Dense => {
-                let mut slots = vec![0u32; hi - lo];
+            // No key columns: every row has the one slot, 0.
+            Shape::None | Shape::Dense => {
+                let mut keys = WordKeys {
+                    keys: vec![0u32; hi - lo],
+                    skip: None,
+                };
                 let digits = self.dense.iter().flat_map(|l| &l.digits);
                 for (col, &d) in self.cols.iter().zip(digits) {
-                    col.add_digits(&mut slots, sel.as_indices(), lo, d);
+                    col.add_digits(&mut keys, sel.as_indices(), lo, d);
                 }
-                RowKeys::Dense(slots)
+                RowKeys::Dense(keys)
             }
             Shape::W64 => RowKeys::W64(self.pack(sel, lo, hi)),
             Shape::W128 => RowKeys::W128(self.pack(sel, lo, hi)),
@@ -876,7 +875,7 @@ impl<'a> KeySide<'a> {
                 None => all = Some(keys),
             }
         }
-        Ok((all.unwrap_or(RowKeys::None(0)), runs, ns))
+        Ok((all.unwrap_or(RowKeys::Dense(WordKeys::default())), runs, ns))
     }
 
     fn pack<K: Word>(&self, sel: &SelVec, lo: usize, hi: usize) -> WordKeys<K> {
@@ -896,7 +895,7 @@ impl<'a> KeySide<'a> {
             arena: Vec::new(),
             skip: None,
         };
-        for_rows(sel, lo, n, |s, i| {
+        for_idx(sel.as_indices(), lo, n, |s, i| {
             let start = out.arena.len();
             let mut keyed = true;
             for col in &self.cols {
@@ -920,11 +919,12 @@ impl<'a> KeySide<'a> {
     }
 }
 
-/// Packed keys of a row range, with the rows a join excludes (a NULL
-/// key part, a probe entry the build dictionary lacks) marked beside
-/// them. The hash is a function of the word and is computed where it is
-/// used.
-#[derive(Debug, Clone)]
+/// Packed keys — or the dense kind's slots — of a row range, with the
+/// rows a join excludes (a NULL key part, a probe entry the build
+/// dictionary lacks, a value outside the build's dense span) marked
+/// beside them. The hash is a function of the word and is computed where
+/// it is used.
+#[derive(Debug, Clone, Default)]
 pub struct WordKeys<K> {
     keys: Vec<K>,
     skip: Option<Vec<bool>>,
@@ -957,10 +957,8 @@ fn skipped(skip: &Option<Vec<bool>>, r: usize) -> bool {
 /// The keys of a row range, in the shape its [`KeySide`] chose.
 #[derive(Debug, Clone)]
 pub enum RowKeys {
-    /// No key columns: this many rows, all with the one empty key.
-    None(usize),
-    /// The dense kind: each row's slot.
-    Dense(Vec<u32>),
+    /// The dense kind: each row's slot (0 on a side with no key columns).
+    Dense(WordKeys<u32>),
     W64(WordKeys<u64>),
     W128(WordKeys<u128>),
     Bytes(ByteKeys),
@@ -968,40 +966,34 @@ pub enum RowKeys {
 
 impl RowKeys {
     pub fn len(&self) -> usize {
-        match self {
-            RowKeys::None(n) => *n,
-            RowKeys::Dense(slots) => slots.len(),
-            RowKeys::W64(k) => k.keys.len(),
-            RowKeys::W128(k) => k.keys.len(),
-            RowKeys::Bytes(k) => k.hashes.len(),
+        fn rows<T: KeyTable>(keys: &T::Keys) -> usize {
+            T::rows(keys)
         }
+        each_kind!(self, rows())
     }
 
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    pub fn shape(&self) -> Shape {
-        match self {
-            RowKeys::None(_) => Shape::None,
-            RowKeys::Dense(_) => Shape::Dense,
-            RowKeys::W64(_) => Shape::W64,
-            RowKeys::W128(_) => Shape::W128,
-            RowKeys::Bytes(_) => Shape::Bytes,
+    /// The rows a join does not exclude, ascending.
+    fn keyed(&self) -> Vec<u32> {
+        fn each<T: KeyTable>(keys: &T::Keys) -> Vec<u32> {
+            let mut rows = Vec::with_capacity(T::rows(keys));
+            rows.extend((0..T::rows(keys) as u32).filter(|&r| !T::skip(keys, r as usize)));
+            rows
         }
+        each_kind!(self, each())
     }
 
-    /// Row `r`'s key hash; `None` when a join excludes the row. (The
-    /// dense kind's is its slot's: [`partition`] routes on the slot.)
+    /// Row `r`'s key hash — the dense kind's is its slot — or `None`
+    /// when a join excludes the row.
     #[inline]
     pub fn hash(&self, r: usize) -> Option<u64> {
-        match self {
-            RowKeys::None(_) => Some(0),
-            RowKeys::Dense(slots) => Some(mix(slots[r] as u64)),
-            RowKeys::W64(k) => (!skipped(&k.skip, r)).then(|| k.keys[r].hash()),
-            RowKeys::W128(k) => (!skipped(&k.skip, r)).then(|| k.keys[r].hash()),
-            RowKeys::Bytes(k) => (!skipped(&k.skip, r)).then(|| k.hashes[r]),
+        fn one<T: KeyTable>(keys: &T::Keys, r: usize) -> Option<u64> {
+            (!T::skip(keys, r)).then(|| T::hash(keys, r))
         }
+        each_kind!(self, one(r))
     }
 
     /// Row `r`'s canonical key bytes on the bytes shape (`None` on the
@@ -1017,8 +1009,7 @@ impl RowKeys {
     /// same [`KeySide`]).
     fn append(&mut self, more: RowKeys) -> Result<()> {
         match (self, more) {
-            (RowKeys::None(n), RowKeys::None(m)) => *n += m,
-            (RowKeys::Dense(a), RowKeys::Dense(b)) => a.extend(b),
+            (RowKeys::Dense(a), RowKeys::Dense(b)) => a.append(b),
             (RowKeys::W64(a), RowKeys::W64(b)) => a.append(b),
             (RowKeys::W128(a), RowKeys::W128(b)) => a.append(b),
             (RowKeys::Bytes(a), RowKeys::Bytes(b)) => {
@@ -1028,13 +1019,13 @@ impl RowKeys {
                 a.ends.extend(b.ends.iter().map(|end| base + end));
                 a.arena.extend(b.arena);
             }
-            (_, more) => return Err(shape_mismatch(more.shape())),
+            _ => return Err(shape_mismatch()),
         }
         Ok(())
     }
 }
 
-impl<K: Word> WordKeys<K> {
+impl<K> WordKeys<K> {
     fn append(&mut self, more: WordKeys<K>) {
         append_skips(&mut self.skip, self.keys.len(), more.skip, more.keys.len());
         self.keys.extend(more.keys);
@@ -1068,21 +1059,11 @@ struct Bucket<K> {
 /// Open-addressing table from packed keys to dense entry ids (`0..len`
 /// in insertion order), linear probing. The bucket carries the key, so a
 /// lookup that hits its home bucket touches one cache line.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct WordTable<K> {
     buckets: Vec<Bucket<K>>,
     mask: usize,
     len: u32,
-}
-
-impl<K: Word> Default for WordTable<K> {
-    fn default() -> Self {
-        WordTable {
-            buckets: Vec::new(),
-            mask: 0,
-            len: 0,
-        }
-    }
 }
 
 impl<K: Word> WordTable<K> {
@@ -1102,6 +1083,12 @@ impl<K: Word> WordTable<K> {
     /// Look `key` up by its hash.
     #[inline]
     pub fn find(&self, hash: u64, key: K) -> Option<u32> {
+        self.entry(hash, key).copied()
+    }
+
+    /// [`WordTable::find`]'s entry id, in its bucket.
+    #[inline]
+    fn entry(&self, hash: u64, key: K) -> Option<&u32> {
         if self.buckets.is_empty() {
             return None;
         }
@@ -1112,7 +1099,7 @@ impl<K: Word> WordTable<K> {
                 return None;
             }
             if bucket.key == key {
-                return Some(bucket.entry);
+                return Some(&bucket.entry);
             }
             b = (b + 1) & self.mask;
         }
@@ -1164,47 +1151,76 @@ impl<K: Word> WordTable<K> {
     }
 }
 
-/// A table over one shape's keys — what lets the group and join loops
-/// below be written once and compiled per shape.
-trait KeyTable: Default + Send + Sync {
-    type Keys: Sync;
+/// A table over one kind's keys: each loop is written once, per kind.
+trait KeyTable: Sized + 'static {
+    type Keys;
+    /// This kind's table in `groups`; `None` when they hold another kind.
+    fn of(groups: &Groups) -> Option<&Self>;
     fn rows(keys: &Self::Keys) -> usize;
     fn skip(keys: &Self::Keys, r: usize) -> bool;
+    /// Row `r`'s hash; the dense kind's is its slot.
     fn hash(keys: &Self::Keys, r: usize) -> u64;
-    fn entries(&self) -> usize;
+    /// A lookup is one load: no block need run ahead of it.
+    const DIRECT: bool = false;
+    /// The partition of `nparts` a key of hash `hash` is in, for the
+    /// build's scatter and the probe alike.
+    #[inline]
+    fn part(hash: u64, nparts: usize) -> usize {
+        route(hash, nparts)
+    }
+    /// Find row `r`'s key or insert it: `(entry id, inserted)`.
     fn insert_row(&mut self, keys: &Self::Keys, r: usize, hash: u64) -> (u32, bool);
-    fn find_row(&self, keys: &Self::Keys, r: usize, hash: u64) -> Option<u32>;
+    /// Row `r`'s entry id, in place (a build row, once relabelled).
+    fn find_row(&self, keys: &Self::Keys, r: usize, hash: u64) -> Option<&u32>;
 }
 
-impl<K: Word> KeyTable for WordTable<K> {
-    type Keys = WordKeys<K>;
-    #[inline]
-    fn rows(keys: &WordKeys<K>) -> usize {
-        keys.keys.len()
-    }
-    #[inline]
-    fn skip(keys: &WordKeys<K>, r: usize) -> bool {
-        skipped(&keys.skip, r)
-    }
-    #[inline]
-    fn hash(keys: &WordKeys<K>, r: usize) -> u64 {
-        keys.keys[r].hash()
-    }
-    fn entries(&self) -> usize {
-        self.len()
-    }
-    #[inline]
-    fn insert_row(&mut self, keys: &WordKeys<K>, r: usize, hash: u64) -> (u32, bool) {
-        self.insert(hash, keys.keys[r])
-    }
-    #[inline]
-    fn find_row(&self, keys: &WordKeys<K>, r: usize, hash: u64) -> Option<u32> {
-        self.find(hash, keys.keys[r])
-    }
+/// [`KeyTable::of`] for the table `Groups::$kind` holds.
+macro_rules! table_of {
+    ($kind:ident) => {
+        fn of(groups: &Groups) -> Option<&Self> {
+            match groups {
+                Groups::$kind(t) => Some(t),
+                _ => None,
+            }
+        }
+    };
 }
+
+/// The [`KeyTable`] of a packed-word kind.
+macro_rules! word_table {
+    ($k:ty, $kind:ident) => {
+        impl KeyTable for WordTable<$k> {
+            type Keys = WordKeys<$k>;
+            table_of!($kind);
+            #[inline]
+            fn rows(keys: &WordKeys<$k>) -> usize {
+                keys.keys.len()
+            }
+            #[inline]
+            fn skip(keys: &WordKeys<$k>, r: usize) -> bool {
+                skipped(&keys.skip, r)
+            }
+            #[inline]
+            fn hash(keys: &WordKeys<$k>, r: usize) -> u64 {
+                keys.keys[r].hash()
+            }
+            #[inline]
+            fn insert_row(&mut self, keys: &WordKeys<$k>, r: usize, hash: u64) -> (u32, bool) {
+                self.insert(hash, keys.keys[r])
+            }
+            #[inline]
+            fn find_row(&self, keys: &WordKeys<$k>, r: usize, hash: u64) -> Option<&u32> {
+                self.entry(hash, keys.keys[r])
+            }
+        }
+    };
+}
+word_table!(u64, W64);
+word_table!(u128, W128);
 
 impl KeyTable for RawTable {
     type Keys = ByteKeys;
+    table_of!(Bytes);
     #[inline]
     fn rows(keys: &ByteKeys) -> usize {
         keys.hashes.len()
@@ -1217,16 +1233,59 @@ impl KeyTable for RawTable {
     fn hash(keys: &ByteKeys, r: usize) -> u64 {
         keys.hashes[r]
     }
-    fn entries(&self) -> usize {
-        self.len()
-    }
     #[inline]
     fn insert_row(&mut self, keys: &ByteKeys, r: usize, hash: u64) -> (u32, bool) {
         self.insert(hash, keys.key(r))
     }
     #[inline]
-    fn find_row(&self, keys: &ByteKeys, r: usize, hash: u64) -> Option<u32> {
-        self.find(hash, keys.key(r))
+    fn find_row(&self, keys: &ByteKeys, r: usize, hash: u64) -> Option<&u32> {
+        self.entry(hash, keys.key(r))
+    }
+}
+
+/// The dense kind's table: `ids[slot >> shift]` is the slot's entry,
+/// [`VACANT`] until first seen; a partition holds the slots
+/// [`KeyTable::part`] routes to it, `shift` being `nparts`' log.
+#[derive(Debug)]
+struct DenseTable {
+    ids: Vec<u32>,
+    len: u32,
+    shift: u32,
+}
+
+impl KeyTable for DenseTable {
+    type Keys = WordKeys<u32>;
+    const DIRECT: bool = true;
+    table_of!(Dense);
+    #[inline]
+    fn rows(keys: &WordKeys<u32>) -> usize {
+        keys.keys.len()
+    }
+    #[inline]
+    fn skip(keys: &WordKeys<u32>, r: usize) -> bool {
+        skipped(&keys.skip, r)
+    }
+    #[inline]
+    fn hash(keys: &WordKeys<u32>, r: usize) -> u64 {
+        keys.keys[r] as u64
+    }
+    #[inline]
+    fn part(slot: u64, nparts: usize) -> usize {
+        slot as usize & (nparts - 1)
+    }
+    #[inline]
+    fn insert_row(&mut self, _: &WordKeys<u32>, _: usize, slot: u64) -> (u32, bool) {
+        let id = &mut self.ids[(slot >> self.shift) as usize];
+        let new = *id == VACANT;
+        if new {
+            (*id, self.len) = (self.len, self.len + 1);
+        }
+        (*id, new)
+    }
+    #[inline]
+    fn find_row(&self, _: &WordKeys<u32>, _: usize, slot: u64) -> Option<&u32> {
+        let id = &self.ids[(slot >> self.shift) as usize];
+        (*id != VACANT).then_some(id)
     }
 }
 
@@ -1252,48 +1311,34 @@ fn assign_rows<T: KeyTable>(
     }
 }
 
-fn shape_mismatch(keys: Shape) -> HiveError {
-    HiveError::Execution(format!(
-        "{keys:?} keys offered to a key table of another shape"
-    ))
+fn shape_mismatch() -> HiveError {
+    HiveError::Execution("keys offered to a key table of another shape".into())
 }
 
-/// Groups rows by key: dense group ids in first-seen order. One
-/// `Grouper` may take several [`RowKeys`] of one [`KeySide`]'s shape in
-/// turn (a set operation's right input, then its left).
+/// The one key table: entry ids dense in first-seen order, every kind.
+/// One `Grouper` may take several [`RowKeys`] of one [`KeySide`]'s kind
+/// in turn (a set operation's right input, then its left).
 #[derive(Debug)]
 pub struct Grouper(Groups);
 
 #[derive(Debug)]
 enum Groups {
-    /// No key columns: one group, once a row arrived.
-    None {
-        seen: bool,
-    },
-    /// The dense kind: `ids[slot >> shift]` is the slot's group,
-    /// [`VACANT`] until first seen.
-    Dense {
-        ids: Vec<u32>,
-        len: u32,
-        shift: u32,
-    },
+    Dense(DenseTable),
     W64(WordTable<u64>),
     W128(WordTable<u128>),
     Bytes(RawTable),
 }
 
 impl Grouper {
-    /// A table for the keys of `side`, or — given `nparts` partitions, a
-    /// power of two — for one partition's: a dense partition's slots `s`
-    /// share `s mod nparts` ([`partition`]), and it indexes `s / nparts`.
+    /// A table for the keys of `side`, or — given `nparts` partitions —
+    /// for one partition's ([`partition`]).
     pub fn new(side: &KeySide<'_>, nparts: usize) -> Grouper {
-        let shift = nparts.max(1).trailing_zeros();
         Grouper(match side.shape {
-            Shape::None => Groups::None { seen: false },
-            Shape::Dense => {
+            Shape::None | Shape::Dense => {
+                let shift = nparts.max(1).trailing_zeros();
                 let slots = side.dense.as_ref().map_or(0, |l| l.slots);
                 let ids = vec![VACANT; (slots >> shift) + 1];
-                Groups::Dense { ids, len: 0, shift }
+                Groups::Dense(DenseTable { ids, len: 0, shift })
             }
             Shape::W64 => Groups::W64(WordTable::new()),
             Shape::W128 => Groups::W128(WordTable::new()),
@@ -1308,149 +1353,171 @@ impl Grouper {
         &mut self,
         keys: &RowKeys,
         rows: Option<&[u32]>,
-        mut visit: impl FnMut(usize, u32, bool),
+        visit: impl FnMut(usize, u32, bool),
     ) -> Result<()> {
         match (&mut self.0, keys) {
-            (Groups::None { seen }, RowKeys::None(n)) => {
-                let mut one = |r: usize| visit(r, 0, !std::mem::replace(seen, true));
-                match rows {
-                    Some(rows) => rows.iter().for_each(|&r| one(r as usize)),
-                    None => (0..*n).for_each(one),
-                }
-            }
-            (Groups::Dense { ids, len, shift }, RowKeys::Dense(slots)) => {
-                let mut one = |r: usize| {
-                    let id = &mut ids[(slots[r] >> *shift) as usize];
-                    let new = *id == VACANT;
-                    if new {
-                        (*id, *len) = (*len, *len + 1);
-                    }
-                    visit(r, *id, new);
-                };
-                match rows {
-                    Some(rows) => rows.iter().for_each(|&r| one(r as usize)),
-                    None => (0..slots.len()).for_each(one),
-                }
-            }
+            (Groups::Dense(t), RowKeys::Dense(k)) => assign_rows(t, k, rows, visit),
             (Groups::W64(t), RowKeys::W64(k)) => assign_rows(t, k, rows, visit),
             (Groups::W128(t), RowKeys::W128(k)) => assign_rows(t, k, rows, visit),
             (Groups::Bytes(t), RowKeys::Bytes(k)) => assign_rows(t, k, rows, visit),
-            (_, keys) => return Err(shape_mismatch(keys.shape())),
+            _ => return Err(shape_mismatch()),
         }
         Ok(())
     }
-}
 
-/// One build partition of a join: its keys' table and, per entry, the
-/// build rows carrying that key in ascending position — entry `e`'s
-/// candidates are `rows[starts[e]..starts[e + 1]]`.
-#[derive(Debug)]
-struct JoinPart<T> {
-    table: T,
-    starts: Vec<u32>,
-    rows: Vec<u32>,
-}
-
-impl<T: KeyTable> JoinPart<T> {
-    /// Index the keyed rows of `keys`, or — for partition `p` of a
-    /// partitioned build — partition `p`'s run of every chunk, in chunk
-    /// order.
-    fn build(keys: &T::Keys, runs: Option<(&[Runs], usize)>) -> JoinPart<T> {
-        let mut table = T::default();
-        let (mut rows, mut entry_of) = (Vec::new(), Vec::new());
-        let mut record = |r: usize, e: u32, _| {
-            rows.push(r as u32);
-            entry_of.push(e);
-        };
-        match runs {
-            Some((runs, p)) => {
-                for run in runs {
-                    assign_rows(&mut table, keys, Some(run.run(p)), &mut record);
-                }
-            }
-            None => assign_rows(&mut table, keys, None, record),
+    /// The entry of each of `rows` of `keys`, every one inserted.
+    fn find(&self, keys: &RowKeys, rows: &[u32]) -> Result<Vec<u32>> {
+        fn each<T: KeyTable>(keys: &T::Keys, groups: &Groups, rows: &[u32]) -> Option<Vec<u32>> {
+            let t = T::of(groups)?;
+            let find = |r| t.find_row(keys, r, T::hash(keys, r)).copied();
+            rows.iter().map(|&r| find(r as usize)).collect()
         }
-        let entries = table.entries();
-        // Unique keys (a dimension's primary key): entry e is row e of
-        // the inserted rows already.
-        if entries == rows.len() {
-            return JoinPart {
-                table,
-                starts: (0..=entries as u32).collect(),
-                rows,
-            };
-        }
-        // Counting sort by entry; stable, so each entry's rows stay in
-        // ascending position.
-        let mut starts = vec![0u32; entries + 1];
-        for &e in &entry_of {
-            starts[e as usize + 1] += 1;
-        }
-        for e in 0..entries {
-            starts[e + 1] += starts[e];
-        }
-        let mut next = starts.clone();
-        let mut sorted = vec![0u32; rows.len()];
-        for (&r, &e) in rows.iter().zip(&entry_of) {
-            sorted[next[e as usize] as usize] = r;
-            next[e as usize] += 1;
-        }
-        JoinPart {
-            table,
-            starts,
-            rows: sorted,
-        }
+        each_kind!(keys, each(&self.0, rows)).ok_or_else(shape_mismatch)
     }
 
-    #[inline]
-    fn candidates(&self, entry: Option<u32>) -> &[u32] {
-        match entry {
-            Some(e) => {
-                let e = e as usize;
-                &self.rows[self.starts[e] as usize..self.starts[e + 1] as usize]
+    /// Store each entry's row (unique keys, inserted from `rows` in
+    /// order) in place of its id on the dense kind, so a join finds a
+    /// key's build row with one load; `false` on the hashed kinds.
+    fn relabel(&mut self, keys: &RowKeys, rows: &[u32]) -> bool {
+        let (Groups::Dense(t), RowKeys::Dense(k)) = (&mut self.0, keys) else {
+            return false;
+        };
+        // Rows inserted as `0..` carry their own numbers as ids already.
+        if rows.len() < k.keys.len() {
+            for &r in rows {
+                t.ids[(k.keys[r as usize] >> t.shift) as usize] = r;
             }
-            None => &[],
+        }
+        true
+    }
+}
+
+/// One build partition of a join: a [`Grouper`] over its build rows and
+/// each entry's rows in ascending position.
+#[derive(Debug)]
+struct JoinPart {
+    groups: Grouper,
+    /// Entry `e`'s rows are run `e`. `None` when every entry has one row
+    /// and the grouper holds it in place of the entry id
+    /// ([`Grouper::relabel`]).
+    rows: Option<Runs>,
+}
+
+impl JoinPart {
+    /// Index the keyed rows of `keys` or — for partition `p` of a
+    /// partitioned build — partition `p`'s run of every chunk, in order.
+    fn build(side: &KeySide<'_>, keys: &RowKeys, runs: &[Runs], p: usize) -> Result<JoinPart> {
+        let nparts = runs.first().map_or(1, |r| r.starts.len() - 1);
+        let mut groups = Grouper::new(side, nparts);
+        let rows: Vec<u32> = match runs {
+            [] => keys.keyed(),
+            runs => runs.iter().flat_map(|run| run.run(p)).copied().collect(),
+        };
+        let mut entries = 0;
+        groups.assign(keys, Some(&rows), |_, _, new| entries += new as u32)?;
+        // Unique keys (a dimension's primary key) on the dense kind: the
+        // slot array holds the rows. Else a stable sort by entry, so each
+        // entry's rows stay in ascending position.
+        let unique = entries as usize == rows.len();
+        if unique && groups.relabel(keys, &rows) {
+            return Ok(JoinPart { groups, rows: None });
+        }
+        let entry_of = match unique {
+            true => (0..entries).collect(),
+            false => groups.find(keys, &rows)?,
+        };
+        let rows = Some(sort_by_bucket(&entry_of, entries as usize, |i| rows[i]));
+        Ok(JoinPart { groups, rows })
+    }
+
+    /// The build rows of the entry `found` in this part's table.
+    #[inline]
+    fn candidates<'s>(&'s self, found: Option<&'s u32>) -> &'s [u32] {
+        match (found, &self.rows) {
+            (None, _) => &[],
+            (Some(row), None) => std::slice::from_ref(row),
+            (Some(&e), Some(runs)) => runs.run(e as usize),
         }
     }
 }
 
 /// Probe rows are looked up a block at a time, ahead of being emitted:
-/// the lookups of a block are independent loads the CPU overlaps, which
-/// the per-row emit work between them would otherwise serialize.
+/// the CPU overlaps a block's independent lookups.
 const PROBE_BLOCK: usize = 64;
 
-/// Walk the probe rows of `keys` a [`PROBE_BLOCK`] at a time: look the
-/// block's rows up, then `walk(first row of the block, each row's
-/// partition and entry)` — `None` for a row the join excludes or a key
-/// no partition has.
-fn probe_parts<T: KeyTable>(
-    parts: &[JoinPart<T>],
-    keys: &T::Keys,
-    mut walk: impl FnMut(usize, &[(u32, Option<u32>)]) -> Result<()>,
-) -> Result<()> {
-    let n = T::rows(keys);
-    let mut found: [(u32, Option<u32>); PROBE_BLOCK] = [(0, None); PROBE_BLOCK];
-    let mut lo = 0;
-    while lo < n {
-        let block = (n - lo).min(PROBE_BLOCK);
-        for (j, slot) in found[..block].iter_mut().enumerate() {
-            let r = lo + j;
-            *slot = if T::skip(keys, r) {
-                (0, None)
-            } else {
-                let h = T::hash(keys, r);
-                let p = if parts.len() == 1 {
-                    0
-                } else {
-                    route(h, parts.len())
-                };
-                (p as u32, parts[p].table.find_row(keys, r, h))
-            };
-        }
-        walk(lo, &found[..block])?;
-        lo += block;
+/// A probe's use of rows `lo..lo + n`, row `lo + j` meeting `cands(j)`.
+trait Walk<'s> {
+    fn rows(&mut self, lo: usize, n: usize, cands: impl Fn(usize) -> &'s [u32]) -> Result<()>;
+}
+
+/// [`JoinIndex::probe`]'s walk: each row to a callback.
+struct Visit<F>(F);
+
+impl<'s, F: FnMut(usize, &'s [u32]) -> Result<()>> Walk<'s> for Visit<F> {
+    fn rows(&mut self, lo: usize, n: usize, cands: impl Fn(usize) -> &'s [u32]) -> Result<()> {
+        (0..n).try_for_each(|j| (self.0)(lo + j, cands(j)))
     }
-    Ok(())
+}
+
+/// [`JoinIndex::probe_into`]'s walk: a join type's output rows.
+struct Emit<'o>(JoinType, u32, &'o mut ProbeOut);
+
+impl<'s> Walk<'s> for Emit<'_> {
+    fn rows(&mut self, lo: usize, n: usize, cands: impl Fn(usize) -> &'s [u32]) -> Result<()> {
+        emit_rows(self.0, self.1 + lo as u32, n, self.2, cands);
+        Ok(())
+    }
+}
+
+/// Walk the probe rows of `keys` with their candidates — none for a row
+/// the join excludes or a key no partition has — a [`PROBE_BLOCK`] at a
+/// time, except where a lookup is one load or none (a key-less build).
+fn probe_parts<'s>(index: &'s JoinIndex, keys: &RowKeys, walk: &mut impl Walk<'s>) -> Result<()> {
+    if let (IndexKind::Keyless, [part]) = (index.kind, &index.parts[..]) {
+        let ids = DenseTable::of(&part.groups.0).map_or(&[][..], |t| &t.ids);
+        let all = part.candidates(ids.first().filter(|&&id| id != VACANT));
+        return walk.rows(0, keys.len(), |_| all);
+    }
+    fn blocks<'s, T: KeyTable>(
+        keys: &T::Keys,
+        parts: &'s [JoinPart],
+        walk: &mut impl Walk<'s>,
+    ) -> Result<()> {
+        let tables: Vec<(&'s T, &'s JoinPart)> = (parts.iter())
+            .map(|part| T::of(&part.groups.0).map(|t| (t, part)))
+            .collect::<Option<_>>()
+            .ok_or_else(shape_mismatch)?;
+        let n = T::rows(keys);
+        let find = |r: usize| -> &'s [u32] {
+            if T::skip(keys, r) {
+                return &[];
+            }
+            let h = T::hash(keys, r);
+            let (table, part) = tables[T::part(h, tables.len())];
+            part.candidates(table.find_row(keys, r, h))
+        };
+        // One relabelled dense part: a lookup is one load, no block.
+        if let ([(table, JoinPart { rows: None, .. })], true) = (&tables[..], T::DIRECT) {
+            return walk.rows(0, n, |r| match T::skip(keys, r) {
+                true => &[],
+                false => table
+                    .find_row(keys, r, T::hash(keys, r))
+                    .map_or(&[], std::slice::from_ref),
+            });
+        }
+        let mut found: [&'s [u32]; PROBE_BLOCK] = [&[]; PROBE_BLOCK];
+        let mut lo = 0;
+        while lo < n {
+            let block = (n - lo).min(PROBE_BLOCK);
+            for (j, slot) in found[..block].iter_mut().enumerate() {
+                *slot = find(lo + j);
+            }
+            walk.rows(lo, block, |j| found[j])?;
+            lo += block;
+        }
+        Ok(())
+    }
+    each_kind!(keys, blocks(&index.parts, walk))
 }
 
 /// Slots a dense index may spend per keyed row: four `u32` slots are 16
@@ -1460,65 +1527,11 @@ const DENSE_SLOTS_PER_ROW: u64 = 4;
 /// the row count.
 const DENSE_MIN_SLOTS: u64 = 1 << 16;
 
-/// The one size rule of a dense index over `rows` keyed rows — a join's
-/// unique keys, a grouping side's slots, the DISTINCT filter's bits (32
-/// a slot): `max(DENSE_SLOTS_PER_ROW × rows, DENSE_MIN_SLOTS)` slots.
+/// The one size rule of a dense index over `rows` rows — a join's build,
+/// a grouping side's slots, the DISTINCT filter's bits (32 a slot):
+/// `max(DENSE_SLOTS_PER_ROW × rows, DENSE_MIN_SLOTS)` slots.
 pub(crate) fn dense_limit(rows: usize) -> u64 {
     (DENSE_SLOTS_PER_ROW * rows as u64).clamp(DENSE_MIN_SLOTS, VACANT as u64)
-}
-
-/// Unique one-word build keys over a narrow span (a dimension's
-/// surrogate key): `slots[key − min]` is the one build row carrying
-/// `key`, [`VACANT`] where none does. A probe is a subtraction, a bounds
-/// check and one load, with no hash.
-#[derive(Debug)]
-struct Dense {
-    min: u64,
-    slots: Vec<u32>,
-}
-
-impl Dense {
-    /// The dense index of the keyed rows of `keys`, or `None` when there
-    /// are none, a key repeats, or their span is wider than
-    /// [`dense_limit`] slots.
-    fn build(keys: &WordKeys<u64>) -> Option<Dense> {
-        let keyed = || (0..keys.keys.len()).filter(|&r| !skipped(&keys.skip, r));
-        let (mut min, mut max, mut rows) = (u64::MAX, 0u64, 0u64);
-        for r in keyed() {
-            let k = keys.keys[r];
-            min = min.min(k);
-            max = max.max(k);
-            rows += 1;
-        }
-        if rows == 0 {
-            return None;
-        }
-        let span = (max - min).saturating_add(1);
-        if span > dense_limit(rows as usize) {
-            return None;
-        }
-        let mut slots = vec![VACANT; span as usize];
-        for r in keyed() {
-            let slot = &mut slots[(keys.keys[r] - min) as usize];
-            if *slot != VACANT {
-                return None;
-            }
-            *slot = r as u32;
-        }
-        Some(Dense { min, slots })
-    }
-
-    /// Probe row `r`'s candidate list: its build row, or none.
-    #[inline]
-    fn candidates<'s>(&'s self, keys: &WordKeys<u64>, r: usize) -> &'s [u32] {
-        if skipped(&keys.skip, r) {
-            return &[];
-        }
-        match self.slots.get(keys.keys[r].wrapping_sub(self.min) as usize) {
-            Some(row) if *row != VACANT => std::slice::from_ref(row),
-            _ => &[],
-        }
-    }
 }
 
 /// How a [`JoinIndex`] finds a probe key's build rows, and a [`Grouper`]
@@ -1529,8 +1542,7 @@ pub enum IndexKind {
     /// every grouped row is in the one group.
     #[default]
     Keyless,
-    /// Addressed directly: a join's unique one-word keys over a narrow
-    /// span, a grouping side's slots ([`Shape::Dense`]).
+    /// Addressed directly by the dense kind's slots ([`Shape::Dense`]).
     Dense,
     /// Hash tables, one per build partition.
     Hashed,
@@ -1546,76 +1558,49 @@ impl IndexKind {
     }
 }
 
-/// A join's build side: key → the build rows carrying it. Unique
-/// one-word keys over a narrow span are an array indexed by key
-/// (`Dense`); every other key is hash-partitioned so the partitions
-/// build in parallel. A key's rows all land in one partition and each
-/// partition inserts in ascending position, so every candidate list is
-/// what a serial single-table build produces — and what the dense
-/// index holds, one row per key.
+/// A join's build side: key → the build rows carrying it, one
+/// [`JoinPart`] per partition, built in parallel. A key's rows all land
+/// in one partition in ascending position, as a serial build has them.
 #[derive(Debug)]
-pub struct JoinIndex(Index);
-
-#[derive(Debug)]
-enum Index {
-    /// No key columns, no table: every probe row's candidates are all
-    /// build rows in order.
-    None(Vec<u32>),
-    Dense(Dense),
-    W64(Vec<JoinPart<WordTable<u64>>>),
-    W128(Vec<JoinPart<WordTable<u128>>>),
-    Bytes(Vec<JoinPart<RawTable>>),
+pub struct JoinIndex {
+    parts: Vec<JoinPart>,
+    kind: IndexKind,
+    /// The build's dense layout, which keys the probe side too.
+    dense: Option<DenseLayout>,
 }
 
 impl JoinIndex {
-    /// Index the build side's keys (row `r` of `keys` is build position
-    /// `r`) across `workers`: a dense array when the keys allow one
-    /// (`Dense::build`), else one table, or — given the [`partition`]
-    /// runs of `keys`' chunks, in chunk order — one table per partition.
-    pub fn build(keys: &RowKeys, runs: &[Runs], workers: usize) -> Result<JoinIndex> {
-        fn parts<T: KeyTable>(
-            keys: &T::Keys,
-            runs: &[Runs],
-            workers: usize,
-        ) -> Result<Vec<JoinPart<T>>> {
-            let nparts = runs.first().map_or(1, |r| r.starts.len() - 1);
-            if nparts <= 1 {
-                return Ok(vec![JoinPart::build(keys, None)]);
-            }
-            crate::par::parallel_map(workers, nparts, |p| {
-                Ok(JoinPart::build(keys, Some((runs, p))))
-            })
-        }
-        Ok(JoinIndex(match keys {
-            RowKeys::None(n) => Index::None((0..*n as u32).collect()),
-            RowKeys::W64(k) => match Dense::build(k) {
-                Some(dense) => Index::Dense(dense),
-                None => Index::W64(parts(k, runs, workers)?),
-            },
-            RowKeys::W128(k) => Index::W128(parts(k, runs, workers)?),
-            RowKeys::Bytes(k) => Index::Bytes(parts(k, runs, workers)?),
-            RowKeys::Dense(_) => return Err(shape_mismatch(Shape::Dense)),
-        }))
+    /// Index build positions `sel` of `side` in `nparts` partitions (one
+    /// for a key-less side) across `workers`: in the dense kind when the
+    /// rows allow it ([`KeySide::dense_over`]), else in the side's shape.
+    pub fn build(side: &KeySide<'_>, sel: &SelVec, nparts: usize, workers: usize) -> Result<Self> {
+        JoinIndex::over(side.clone().dense_over(sel), sel, nparts, workers)
+    }
+
+    /// [`JoinIndex::build`] in `side`'s kind as it stands.
+    fn over(side: KeySide<'_>, sel: &SelVec, nparts: usize, workers: usize) -> Result<Self> {
+        let nparts = if side.cols.is_empty() { 1 } else { nparts };
+        let (keys, runs, _) = side.keys_par(sel, workers, nparts)?;
+        let parts =
+            crate::par::parallel_map(workers, nparts, |p| JoinPart::build(&side, &keys, &runs, p))?;
+        let (kind, dense) = (side.kind(), side.dense);
+        Ok(JoinIndex { parts, kind, dense })
+    }
+
+    /// The probe side keyed through this build's dense layout, if any: a
+    /// value outside the build's span excludes the row.
+    pub fn probe_side<'a>(&self, side: KeySide<'a>) -> KeySide<'a> {
+        side.with_dense(self.dense.clone())
     }
 
     /// How this index finds a key's build rows.
     pub fn kind(&self) -> IndexKind {
-        match &self.0 {
-            Index::None(_) => IndexKind::Keyless,
-            Index::Dense(_) => IndexKind::Dense,
-            _ => IndexKind::Hashed,
-        }
+        self.kind
     }
 
-    /// Hash partitions the index was built in (1 for the keyless and
-    /// dense kinds).
+    /// Partitions the index was built in (1 for the keyless kind).
     pub fn partitions(&self) -> usize {
-        match &self.0 {
-            Index::None(_) | Index::Dense(_) => 1,
-            Index::W64(p) => p.len(),
-            Index::W128(p) => p.len(),
-            Index::Bytes(p) => p.len(),
-        }
+        self.parts.len()
     }
 
     /// For each row of the probe keys, ascending: `visit(row, the build
@@ -1624,34 +1609,15 @@ impl JoinIndex {
     pub fn probe<'s>(
         &'s self,
         keys: &RowKeys,
-        mut visit: impl FnMut(usize, &'s [u32]) -> Result<()>,
+        visit: impl FnMut(usize, &'s [u32]) -> Result<()>,
     ) -> Result<()> {
-        fn each<'s, T: KeyTable>(
-            parts: &'s [JoinPart<T>],
-            keys: &T::Keys,
-            visit: &mut impl FnMut(usize, &'s [u32]) -> Result<()>,
-        ) -> Result<()> {
-            probe_parts(parts, keys, |lo, block| {
-                (block.iter().enumerate())
-                    .try_for_each(|(j, &(p, e))| visit(lo + j, parts[p as usize].candidates(e)))
-            })
-        }
-        match (&self.0, keys) {
-            (Index::None(all), RowKeys::None(n)) => (0..*n).try_for_each(|r| visit(r, all)),
-            (Index::Dense(d), RowKeys::W64(k)) => {
-                (0..k.keys.len()).try_for_each(|r| visit(r, d.candidates(k, r)))
-            }
-            (Index::W64(parts), RowKeys::W64(k)) => each(parts, k, &mut visit),
-            (Index::W128(parts), RowKeys::W128(k)) => each(parts, k, &mut visit),
-            (Index::Bytes(parts), RowKeys::Bytes(k)) => each(parts, k, &mut visit),
-            (_, keys) => Err(shape_mismatch(keys.shape())),
-        }
+        probe_parts(self, keys, &mut Visit(visit))
     }
 
     /// Probe every row of `keys` — probe positions `at..` — and append
     /// its output rows by `join_type`'s rule straight into `out`, in
     /// probe order: what a join without a residual runs, one loop per
-    /// index kind and join type with no per-row callback.
+    /// key kind and join type with no per-row callback.
     pub(crate) fn probe_into(
         &self,
         keys: &RowKeys,
@@ -1659,35 +1625,7 @@ impl JoinIndex {
         join_type: JoinType,
         out: &mut ProbeOut,
     ) -> Result<()> {
-        fn blocks<T: KeyTable>(
-            parts: &[JoinPart<T>],
-            keys: &T::Keys,
-            at: u32,
-            join_type: JoinType,
-            out: &mut ProbeOut,
-        ) -> Result<()> {
-            probe_parts(parts, keys, |lo, block| {
-                emit_rows(join_type, at + lo as u32, block.len(), out, |j| {
-                    let (p, e) = block[j];
-                    parts[p as usize].candidates(e)
-                });
-                Ok(())
-            })
-        }
-        match (&self.0, keys) {
-            (Index::None(all), RowKeys::None(n)) => {
-                emit_rows(join_type, at, *n, out, |_| all);
-                Ok(())
-            }
-            (Index::Dense(d), RowKeys::W64(k)) => {
-                emit_rows(join_type, at, k.keys.len(), out, |r| d.candidates(k, r));
-                Ok(())
-            }
-            (Index::W64(parts), RowKeys::W64(k)) => blocks(parts, k, at, join_type, out),
-            (Index::W128(parts), RowKeys::W128(k)) => blocks(parts, k, at, join_type, out),
-            (Index::Bytes(parts), RowKeys::Bytes(k)) => blocks(parts, k, at, join_type, out),
-            (_, keys) => Err(shape_mismatch(keys.shape())),
-        }
+        probe_parts(self, keys, &mut Emit(join_type, at, out))
     }
 }
 
@@ -1826,119 +1764,212 @@ mod tests {
         )
     }
 
-    /// The kind [`JoinIndex::build`] picks for `build`, and what the
-    /// dense index (when picked) and a hashed one over the same keys
-    /// give `probe`: candidate lists, and the output rows of every join
-    /// type — which is all a join's bytes are assembled from.
-    fn dense_against_hashed(build: &[Option<i32>], probe: &[Option<i32>]) -> IndexKind {
-        let (pcol, bcol) = (int_col(probe), int_col(build));
-        let (pside, bside) = KeySide::join_pair(&[&pcol], &[&bcol]);
-        let bkeys = bside.keys(&SelVec::all(build.len()), 0, build.len());
-        let pkeys = pside.keys(&SelVec::all(probe.len()), 0, probe.len());
-        let RowKeys::W64(words) = &bkeys else {
-            panic!("an INT key is one word");
-        };
-        let picked = JoinIndex::build(&bkeys, &[], 1).unwrap();
-        let hashed = JoinIndex(Index::W64(vec![JoinPart::build(words, None)]));
-        let candidates = |index: &JoinIndex| {
-            let mut all = Vec::new();
-            (index.probe(&pkeys, |r, c| {
-                all.push((r, c.to_vec()));
+    /// INT key columns from rows of optional values, `ncols` a row.
+    fn int_cols(rows: &[Vec<Option<i32>>], ncols: usize) -> Vec<ColumnVector> {
+        (0..ncols)
+            .map(|c| int_col(&rows.iter().map(|row| row[c]).collect::<Vec<_>>()))
+            .collect()
+    }
+
+    /// A dictionary column over `entries`, `None` codes NULL.
+    fn dict_col(codes: &[Option<u32>], entries: &[&str]) -> ColumnVector {
+        let mut nulls = BitSet::new(codes.len());
+        codes
+            .iter()
+            .enumerate()
+            .filter(|(_, c)| c.is_none())
+            .for_each(|(i, _)| nulls.set(i));
+        let dict = Arc::new(entries.iter().map(|s| s.to_string()).collect::<Vec<_>>());
+        let any_null = codes.iter().any(Option::is_none);
+        let codes = codes.iter().map(|c| c.unwrap_or(0)).collect();
+        ColumnVector::dict_from_codes(codes, dict, any_null.then_some(nulls)).unwrap()
+    }
+
+    const JOIN_TYPES: [JoinType; 6] = [
+        JoinType::Inner,
+        JoinType::Left,
+        JoinType::Right,
+        JoinType::Full,
+        JoinType::Semi,
+        JoinType::Anti,
+    ];
+
+    /// The kind [`JoinIndex::build`] picks for `build`, after checking
+    /// that at 1, 2, 4 and 16 partitions it gives `probe` what the hashed
+    /// index over the undensified build side gives: candidate lists, and
+    /// the output rows of every join type — which is all a join's bytes
+    /// are assembled from.
+    fn dense_against_hashed(build: &[ColumnVector], probe: &[ColumnVector]) -> IndexKind {
+        let rows = |cols: &[ColumnVector]| cols.first().map_or(0, |c| c.len());
+        let (brefs, prefs): (Vec<_>, Vec<_>) = (build.iter().collect(), probe.iter().collect());
+        let (pside, bside) = KeySide::join_pair(&prefs, &brefs);
+        let (bsel, np) = (SelVec::all(rows(build)), rows(probe));
+        let outputs = |index: &JoinIndex| {
+            let keys = index
+                .probe_side(pside.clone())
+                .keys(&SelVec::all(np), 0, np);
+            let mut candidates = Vec::new();
+            (index.probe(&keys, |r, c| {
+                candidates.push((r, c.to_vec()));
                 Ok(())
             }))
             .unwrap();
-            all
-        };
-        assert_eq!(
-            candidates(&picked),
-            candidates(&hashed),
-            "{build:?} / {probe:?}"
-        );
-        for jt in [
-            JoinType::Inner,
-            JoinType::Left,
-            JoinType::Right,
-            JoinType::Full,
-            JoinType::Semi,
-            JoinType::Anti,
-        ] {
-            let emitted = |index: &JoinIndex| {
+            let emitted = JOIN_TYPES.map(|jt| {
                 let mut out = ProbeOut::default();
-                index.probe_into(&pkeys, 7, jt, &mut out).unwrap();
+                index.probe_into(&keys, 7, jt, &mut out).unwrap();
                 out
-            };
-            assert_eq!(emitted(&picked), emitted(&hashed), "{jt:?} {build:?}");
+            });
+            (candidates, emitted)
+        };
+        let hashed = JoinIndex::over(bside.clone(), &bsel, 1, 1).unwrap();
+        assert_ne!(hashed.kind(), IndexKind::Dense);
+        let want = outputs(&hashed);
+        let mut kind = hashed.kind();
+        for nparts in [1, 2, 4, 16] {
+            let picked = JoinIndex::build(&bside, &bsel, nparts, 2).unwrap();
+            assert_eq!(
+                outputs(&picked),
+                want,
+                "{nparts} parts: {build:?} / {probe:?}"
+            );
+            kind = picked.kind();
         }
-        picked.kind()
+        kind
     }
 
-    /// Is this build's key set one the dense index takes: non-empty,
-    /// unique, and spanning at most the size rule's slots (as packed
-    /// words — a negative INT packs above every positive one)?
-    fn dense_expected(build: &[Option<i32>]) -> bool {
-        let words: Vec<u64> = build.iter().flatten().map(|&k| k as u32 as u64).collect();
-        let (Some(&min), Some(&max)) = (words.iter().min(), words.iter().max()) else {
-            return false;
-        };
-        let unique = words.iter().collect::<HashSet<_>>().len() == words.len();
-        let rule = (DENSE_SLOTS_PER_ROW * words.len() as u64).max(DENSE_MIN_SLOTS);
-        unique && max - min < rule
+    /// [`dense_against_hashed`] over one INT key column a side.
+    fn ints_against_hashed(build: &[Option<i32>], probe: &[Option<i32>]) -> IndexKind {
+        dense_against_hashed(&[int_col(build)], &[int_col(probe)])
+    }
+
+    /// Is this build one the dense kind takes: each column's `i64` digit
+    /// spans its non-NULL values (at least one slot), and the spans'
+    /// product is within the size rule of the build's rows? Uniqueness
+    /// plays no part.
+    fn dense_expected(build: &[Vec<Option<i32>>], ncols: usize) -> bool {
+        let slots: u128 = (0..ncols)
+            .map(|c| {
+                let vals = build.iter().filter_map(|row| row[c]).map(i64::from);
+                match (vals.clone().min(), vals.max()) {
+                    (Some(lo), Some(hi)) => (hi - lo + 1) as u128,
+                    _ => 1,
+                }
+            })
+            .product();
+        let rule = (DENSE_SLOTS_PER_ROW * build.len() as u64).max(DENSE_MIN_SLOTS);
+        slots <= rule as u128
     }
 
     #[test]
     fn dense_index_edges() {
+        // Below, inside and above every build range here, and NULL.
         let probe: Vec<Option<i32>> = (-3..12).map(Some).chain([None]).collect();
-        // Unique, dense, with a NULL: addressed directly.
+        // Unique, with a NULL: addressed directly.
         let unique = [Some(4), None, Some(1), Some(9), Some(2)];
-        assert_eq!(dense_against_hashed(&unique, &probe), IndexKind::Dense);
-        // All negative: dense over the packed words too.
+        assert_eq!(ints_against_hashed(&unique, &probe), IndexKind::Dense);
+        // All negative, and a span that straddles zero.
         let negative = [Some(-3), Some(-1), Some(-2)];
-        assert_eq!(dense_against_hashed(&negative, &probe), IndexKind::Dense);
-        // Duplicates fall back to the hashed table.
-        let dups = [Some(1), Some(5), Some(1)];
-        assert_eq!(dense_against_hashed(&dups, &probe), IndexKind::Hashed);
-        // An empty build, and one of NULLs only, index nothing.
-        assert_eq!(dense_against_hashed(&[], &probe), IndexKind::Hashed);
-        assert_eq!(
-            dense_against_hashed(&[None, None], &probe),
-            IndexKind::Hashed
-        );
+        assert_eq!(ints_against_hashed(&negative, &probe), IndexKind::Dense);
+        let straddles = [Some(-2), Some(3), Some(0), Some(-2)];
+        assert_eq!(ints_against_hashed(&straddles, &probe), IndexKind::Dense);
+        // Duplicate keys are dense too: an entry holds several rows.
+        let dups = [Some(1), Some(5), Some(1), None, Some(5), Some(1)];
+        assert_eq!(ints_against_hashed(&dups, &probe), IndexKind::Dense);
+        // An empty build, and one of NULLs only, match nothing.
+        assert_eq!(ints_against_hashed(&[], &probe), IndexKind::Dense);
+        assert_eq!(ints_against_hashed(&[None, None], &probe), IndexKind::Dense);
         // A span exactly at the rule is dense; one slot over is not.
         let rule = DENSE_MIN_SLOTS as i32;
         let at_rule = [Some(0), Some(rule - 1)];
-        assert_eq!(dense_against_hashed(&at_rule, &probe), IndexKind::Dense);
+        assert_eq!(ints_against_hashed(&at_rule, &probe), IndexKind::Dense);
         let over = [Some(0), Some(rule)];
-        assert_eq!(dense_against_hashed(&over, &probe), IndexKind::Hashed);
+        assert_eq!(ints_against_hashed(&over, &probe), IndexKind::Hashed);
         // Past the minimum, the rule scales with the rows.
         let rows = (DENSE_MIN_SLOTS / DENSE_SLOTS_PER_ROW) as i32 + 10;
         let span = rows * DENSE_SLOTS_PER_ROW as i32;
         let mut wide: Vec<Option<i32>> = (0..rows - 1).map(Some).collect();
         wide.push(Some(span - 1));
-        assert_eq!(dense_against_hashed(&wide, &probe), IndexKind::Dense);
+        assert_eq!(ints_against_hashed(&wide, &probe), IndexKind::Dense);
         *wide.last_mut().unwrap() = Some(span);
-        assert_eq!(dense_against_hashed(&wide, &probe), IndexKind::Hashed);
+        assert_eq!(ints_against_hashed(&wide, &probe), IndexKind::Hashed);
+        // Two columns: the product of their spans is the rule's.
+        let two = |a: &[Option<i32>], b: &[Option<i32>], pa: &[Option<i32>], pb: &[Option<i32>]| {
+            dense_against_hashed(&[int_col(a), int_col(b)], &[int_col(pa), int_col(pb)])
+        };
+        let (a, b) = (
+            [Some(1), Some(2), Some(1), None],
+            [Some(-5), Some(7), Some(-5), Some(0)],
+        );
+        let (pa, pb): (Vec<_>, Vec<_>) = (-1..4)
+            .flat_map(|x| (-7..9).map(move |y| (Some(x), Some(y))))
+            .unzip();
+        assert_eq!(two(&a, &b, &pa, &pb), IndexKind::Dense);
+        let far = [Some(0), Some(300), Some(0), Some(300)];
+        assert_eq!(
+            two(&far, &far, &far, &[Some(300), None, Some(0), Some(1)]),
+            IndexKind::Hashed
+        );
+    }
+
+    #[test]
+    fn dense_dictionary_joins() {
+        // The build dictionary repeats "a" (codes 0 and 2); the probe's
+        // has "z", which the build lacks, and a NULL.
+        let build = dict_col(
+            &[Some(0), Some(1), Some(2), Some(3), Some(2), None],
+            &["a", "b", "a", "c"],
+        );
+        let probe = dict_col(
+            &[Some(0), Some(1), Some(2), Some(3), Some(1), None, Some(2)],
+            &["c", "z", "a", "b"],
+        );
+        let (b, p) = (build.clone(), probe.clone());
+        assert_eq!(dense_against_hashed(&[b], &[p]), IndexKind::Dense);
+        // Beside an INT column, with values outside its range.
+        let bint = int_col(&[Some(1), Some(2), Some(1), Some(2), Some(1), Some(1)]);
+        let pint = int_col(&[
+            Some(1),
+            Some(2),
+            Some(1),
+            Some(0),
+            Some(2),
+            Some(1),
+            Some(3),
+        ]);
+        assert_eq!(
+            dense_against_hashed(&[bint, build], &[pint, probe]),
+            IndexKind::Dense
+        );
     }
 
     proptest::proptest! {
-        /// Over random builds — unique or not, NULLs, keys around zero
-        /// so some spans straddle the sign — the picked index and the
-        /// hashed one agree on every candidate list and every join
-        /// type's output, and the dense kind is picked exactly when the
-        /// size rule allows it.
+        /// Over random builds of one or two INT columns — unique or not,
+        /// NULLs, keys around zero so some spans straddle the sign, spread
+        /// so some pass the size rule — the picked index and the hashed
+        /// one agree on every candidate list and every join type's output
+        /// at every partition count, and the dense kind is picked exactly
+        /// when the size rule allows it.
         #[test]
         fn dense_and_hashed_indexes_agree(
             base in -40i32..40,
-            keys in proptest::collection::vec(proptest::option::of(0i32..60), 0..50),
+            spread in 0usize..3,
+            ncols in 1usize..3,
+            keys in proptest::collection::vec(proptest::collection::vec(proptest::option::of(0i32..60), 2), 0..50),
             unique in proptest::arbitrary::any::<bool>(),
-            probe in proptest::collection::vec(proptest::option::of(-60i32..120), 0..80),
+            probe in proptest::collection::vec(proptest::collection::vec(proptest::option::of(-60i32..120), 2), 0..80),
         ) {
-            let mut build: Vec<Option<i32>> = keys.iter().map(|k| k.map(|k| base + k)).collect();
+            let scale = [1, 7, 2000][spread];
+            let at = |row: &Vec<Option<i32>>| -> Vec<Option<i32>> {
+                row.iter().map(|k| k.map(|k| base + k * scale)).collect()
+            };
+            let mut build: Vec<Vec<Option<i32>>> = keys.iter().map(at).collect();
             if unique {
                 let mut seen = HashSet::new();
-                build.retain(|k| k.is_none_or(|k| seen.insert(k)));
+                build.retain(|row| row[..ncols].iter().any(Option::is_none) || seen.insert(row[..ncols].to_vec()));
             }
-            let kind = dense_against_hashed(&build, &probe);
-            proptest::prop_assert_eq!(kind == IndexKind::Dense, dense_expected(&build));
+            let probe: Vec<Vec<Option<i32>>> = probe.iter().map(at).collect();
+            let kind = dense_against_hashed(&int_cols(&build, ncols), &int_cols(&probe, ncols));
+            proptest::prop_assert_eq!(kind == IndexKind::Dense, dense_expected(&build, ncols));
         }
     }
 }

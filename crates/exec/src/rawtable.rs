@@ -101,6 +101,12 @@ impl RawTable {
     /// full-hash filter, then `memcmp`.
     #[inline]
     pub fn find(&self, hash: u64, key: &[u8]) -> Option<u32> {
+        self.entry(hash, key).copied()
+    }
+
+    /// [`RawTable::find`]'s entry id, in its bucket.
+    #[inline]
+    pub(crate) fn entry(&self, hash: u64, key: &[u8]) -> Option<&u32> {
         if self.tags.is_empty() {
             return None;
         }
@@ -114,7 +120,7 @@ impl RawTable {
             if t == tag {
                 let e = self.slots[b] as usize;
                 if self.hashes[e] == hash && self.key_is(e, key) {
-                    return Some(e as u32);
+                    return Some(&self.slots[b]);
                 }
             }
             b = (b + 1) & self.mask;

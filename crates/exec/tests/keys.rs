@@ -18,7 +18,7 @@ use hive_common::{
 use hive_exec::aggregate::execute_aggregate_parts;
 use hive_exec::join::execute_join_parts;
 use hive_exec::keys::{
-    partition, route, Grouper, JoinIndex, KeySide, RowKeys, Runs, Shape, ValueSet, Word, WordTable,
+    partition, route, Grouper, JoinIndex, KeySide, RowKeys, Shape, ValueSet, Word, WordTable,
 };
 use hive_optimizer::plan::{JoinType, LogicalPlan};
 use hive_optimizer::{AggExpr, AggFunc, ScalarExpr};
@@ -410,16 +410,21 @@ fn layer_group_ids(side: &KeySide, keys: &RowKeys) -> (Vec<u32>, Vec<usize>) {
     (ids, firsts)
 }
 
-/// Candidate lists of every probe row through the key layer.
-fn layer_candidates(probe: &RowKeys, build: &RowKeys, nparts: usize) -> Vec<Vec<u32>> {
-    let runs: Vec<Runs> = (nparts > 1)
-        .then(|| partition(build, 0, nparts))
-        .into_iter()
-        .collect();
-    let index = JoinIndex::build(build, &runs, nparts).unwrap();
+/// Candidate lists of every probe row through the key layer: `nl`
+/// probe rows against `nr` build rows in `nparts` partitions.
+fn layer_candidates(
+    probe: &KeySide,
+    build: &KeySide,
+    (nl, nr): (usize, usize),
+    nparts: usize,
+) -> Vec<Vec<u32>> {
+    let index = JoinIndex::build(build, &SelVec::all(nr), nparts, nparts).unwrap();
+    let probe = index
+        .probe_side(probe.clone())
+        .keys(&SelVec::all(nl), 0, nl);
     let mut out = Vec::new();
     index
-        .probe(probe, |r, cands| {
+        .probe(&probe, |r, cands| {
             assert_eq!(r, out.len());
             out.push(cands.to_vec());
             Ok(())
@@ -603,9 +608,8 @@ proptest! {
         let want = reference::candidates(&refs(&lcols), &refs(&rcols), nl, nr);
         let (probe, build) = KeySide::join_pair(&refs(&lcols), &refs(&rcols));
         prop_assert_eq!(probe.shape(), build.shape());
-        let (all_l, all_r) = (SelVec::all(nl), SelVec::all(nr));
         for nparts in [1, 3] {
-            let got = layer_candidates(&probe.keys(&all_l, 0, nl), &build.keys(&all_r, 0, nr), nparts);
+            let got = layer_candidates(&probe, &build, (nl, nr), nparts);
             prop_assert_eq!(&got, &want, "shape {:?}, {} partitions", probe.shape(), nparts);
         }
 
@@ -817,11 +821,7 @@ fn keyless_joins_consult_no_table() {
         let nl = 5usize;
         let (probe, build) = KeySide::join_pair(&[], &[]);
         assert_eq!(probe.shape(), Shape::None);
-        let cands = layer_candidates(
-            &probe.keys(&SelVec::all(nl), 0, nl),
-            &build.keys(&SelVec::all(nr), 0, nr),
-            2,
-        );
+        let cands = layer_candidates(&probe, &build, (nl, nr), 2);
         let everyone: Vec<u32> = (0..nr as u32).collect();
         assert_eq!(cands, vec![everyone; nl]);
         let (l, r) = (batch_rows("l", nl), batch_rows("r", nr));

@@ -157,10 +157,11 @@ cargo test -q --offline -p hive-core --test server_tests decimal_products_past_i
 # configuration.
 echo "-- key layer: word shapes = bytes shape = the replaced encode-and-FNV code --"
 cargo test -q --offline -p hive-exec --test keys
-# Dimension joins at array speed (DESIGN.md §4 "Joins over parts"): a
-# dense index is invisible in every join's output, and a join's profile
-# names the route it took.
-echo "-- join index: dense = hashed on candidates and every join type's rows; the size rule's edges; the route column --"
+# One key index (DESIGN.md §4 "One index, chosen by content"): a join's
+# build partition is the grouper, dense by the grouping's rule; which
+# kind a build took is invisible in every join's output, and a join's
+# profile names the route it took.
+echo "-- join index: one dense rule; picked = the hashed index over the undensified build on candidates and every join type's rows at 1/2/4/16 partitions (dense_and_hashed_indexes_agree, dense_index_edges, dense_dictionary_joins); duplicate and two-column keys route dense (profile_records_the_route) --"
 cargo test -q --offline -p hive-exec --lib keys::tests
 cargo test -q --offline -p hive-exec --lib join::tests::profile_records_the_route
 # Dense keys for grouping (DESIGN.md §4 "Hash keys", "The dense kind"):
