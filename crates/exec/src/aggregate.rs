@@ -380,9 +380,9 @@ pub fn execute_aggregate(
 /// `out_schema` is the logical node's output schema (group keys, aggs,
 /// and the grouping-id column when `grouping_sets` is present).
 ///
-/// `pir` is `Some` when the physical IR is enabled: when every
-/// aggregate is compilable ([`crate::pir::agg::compilable`]) the build
-/// folds each through its kernel into per-group state columns
+/// `pir` is `Some` in the vectorized engine (`None` in row mode): when
+/// every aggregate is compilable ([`crate::pir::agg::compilable`]) the
+/// build folds each through its kernel into per-group state columns
 /// ([`FoldOut`]) and finishes those straight into the output columns —
 /// no accumulator row and no `Value` per group in between — reporting
 /// compiled/fallback accounting into the counters.

@@ -70,8 +70,9 @@ pub struct ExecContext<'a> {
     pub snapshots: &'a dyn SnapshotProvider,
     pub external: Option<&'a dyn ExternalScanner>,
     /// Shared-work result cache (§4.5): fingerprints of subplans that
-    /// occur more than once, filled as they first execute.
-    shared: Mutex<HashMap<u64, VectorBatch>>,
+    /// occur more than once, filled as they first execute, each with the
+    /// batches its other sites read.
+    shared: Mutex<HashMap<u64, Arc<[VectorBatch]>>>,
     shared_counts: HashMap<u64, usize>,
     /// Per-query fault-recovery charges (transient-read retries happen
     /// deep in the scan path where no trace node is at hand; scans
@@ -193,14 +194,16 @@ impl ExecContext<'_> {
         self.shared_counts.contains_key(&fp).then_some(fp)
     }
 
-    /// Fetch a shared scan's raw (unfiltered) rows, if already read.
-    pub(crate) fn shared_get(&self, key: u64) -> Option<VectorBatch> {
+    /// The batches published under a shared-work key, if its first
+    /// site already ran: a shared scan's raw morsels, or an exact
+    /// subtree's one compacted result.
+    pub(crate) fn shared_get(&self, key: u64) -> Option<Arc<[VectorBatch]>> {
         self.shared.lock().get(&key).cloned()
     }
 
-    /// Publish a shared scan's raw rows.
-    pub(crate) fn shared_put(&self, key: u64, batch: VectorBatch) {
-        self.shared.lock().insert(key, batch);
+    /// Publish a shared-work site's batches under `key`.
+    pub(crate) fn shared_put(&self, key: u64, batches: Arc<[VectorBatch]>) {
+        self.shared.lock().insert(key, batches);
     }
 
     /// Record one transient-read retry and its backoff wait.
@@ -306,7 +309,7 @@ impl<'a> ExecContext<'a> {
             return;
         }
         let mut counts: HashMap<u64, usize> = HashMap::new();
-        count_subtrees(plan, &mut counts);
+        count_subtrees(plan, true, &mut counts);
         if self.conf.effective_histograms_enabled() {
             // The histogram path plans semijoin reducers through
             // intermediate joins, so a reducer's source subplan always
@@ -326,7 +329,7 @@ impl<'a> ExecContext<'a> {
                 } = p
                 {
                     for spec in semijoin_filters {
-                        count_exact_subtrees(&spec.source, &mut counts);
+                        count_subtrees(&spec.source, false, &mut counts);
                     }
                 }
             });
@@ -336,40 +339,27 @@ impl<'a> ExecContext<'a> {
     }
 }
 
-fn count_subtrees(plan: &LogicalPlan, counts: &mut HashMap<u64, usize>) {
-    // Count non-leaf subtrees; scans alone are cheap to repeat but a
-    // scan with filters is worth sharing too, so count everything with
-    // at least one operator above a scan.
+/// Count the subtrees worth sharing by fingerprint: every one with at
+/// least one operator above a scan, and a scan with filters. With
+/// `base_keys`, count each scan's filter-stripped shape too: Hive's
+/// shared-work optimizer "starts merging scan operations over the same
+/// tables, then continues merging plan operators until a difference is
+/// found" (§4.5), so scans of one table that differ only in their pushed
+/// filters share the underlying read. A semijoin reducer's source counts
+/// without them: an exact match against the join's build side is the
+/// sharing that pays there, and a base-key match would only forfeit the
+/// scan's sarg skipping.
+fn count_subtrees(plan: &LogicalPlan, base_keys: bool, counts: &mut HashMap<u64, usize>) {
     if !plan.children().is_empty()
         || matches!(plan, LogicalPlan::Scan { filters, .. } if !filters.is_empty())
     {
         *counts.entry(fingerprint(plan)).or_insert(0) += 1;
     }
-    // Hive's shared-work optimizer "starts merging scan operations over
-    // the same tables, then continues merging plan operators until a
-    // difference is found" (§4.5): scans of one table that differ only
-    // in their pushed filters share the underlying read. Count the
-    // filter-stripped scan shape as well.
-    if let Some(base) = scan_base_key(plan) {
+    if let Some(base) = scan_base_key(plan).filter(|_| base_keys) {
         *counts.entry(base).or_insert(0) += 1;
     }
     for c in plan.children() {
-        count_subtrees(c, counts);
-    }
-}
-
-/// Like [`count_subtrees`] but without the filter-stripped scan base
-/// keys: used for semijoin reducer sources, where an exact-fingerprint
-/// match against the join's build side is the sharing that pays and a
-/// base-key match would only forfeit the scan's sarg skipping.
-fn count_exact_subtrees(plan: &LogicalPlan, counts: &mut HashMap<u64, usize>) {
-    if !plan.children().is_empty()
-        || matches!(plan, LogicalPlan::Scan { filters, .. } if !filters.is_empty())
-    {
-        *counts.entry(fingerprint(plan)).or_insert(0) += 1;
-    }
-    for c in plan.children() {
-        count_exact_subtrees(c, counts);
+        count_subtrees(c, base_keys, counts);
     }
 }
 
@@ -544,14 +534,15 @@ pub(crate) fn assemble(mut parts: Vec<SelBatch>) -> Result<SelBatch> {
 
 /// The plan walker. Every node yields its output as an ordered sequence
 /// of at least one part, whose selected rows end to end are the node's
-/// rows: a stored-table scan that is not shared yields one part per
-/// morsel in enumeration order, a fused Filter/Project chain runs each
-/// stage part by part, a join other than `Right`/`Full` probes its
-/// parts one by one ([`crate::join::execute_join_parts`]), a LIMIT
-/// yields the parts it keeps, and every other operator yields one part.
-/// An operator that needs one batch [`assemble`]s its input.
+/// rows: a stored-table scan yields one part per morsel in enumeration
+/// order (a shared scan's other sites one per batch it published), a
+/// fused Filter/Project chain runs each stage part by part, a join other
+/// than `Right`/`Full` probes its parts one by one
+/// ([`crate::join::execute_join_parts`]), a LIMIT yields the parts it
+/// keeps, and every other operator yields one part. An operator that
+/// needs one batch [`assemble`]s its input.
 ///
-/// A shared-work site (§4.5) publishes its assembled, compacted rows
+/// A shared-work subtree (§4.5) publishes its assembled, compacted rows
 /// once and is answered from them at its other sites. Every node rolls
 /// its fragment faults after it ran, children first.
 pub(crate) fn execute_parts(
@@ -559,11 +550,14 @@ pub(crate) fn execute_parts(
     ctx: &ExecContext,
 ) -> Result<(Vec<SelBatch>, NodeTrace)> {
     let share = ctx.shared_site(plan);
-    if let Some(cached) = share.and_then(|fp| ctx.shared.lock().get(&fp).cloned()) {
+    if let Some(cached) = share.and_then(|fp| ctx.shared_get(fp)) {
         let mut t = NodeTrace::leaf("SharedWorkReuse");
-        t.rows_out = cached.num_rows() as u64;
+        t.rows_out = cached.iter().map(|b| b.num_rows() as u64).sum();
         t.shared_reuse = true;
-        return Ok((vec![SelBatch::from_batch(cached)], t));
+        return Ok((
+            cached.iter().cloned().map(SelBatch::from_batch).collect(),
+            t,
+        ));
     }
     let (parts, mut trace) = execute_node(plan, ctx)?;
     // Per-vertex fault injection + fragment recovery (retries, node
@@ -575,7 +569,7 @@ pub(crate) fn execute_parts(
     // Shared results are consumed at several plan sites: store them
     // compacted once rather than re-gathering per consumer.
     let b = assemble(parts)?.compact();
-    ctx.shared.lock().insert(fp, b.clone());
+    ctx.shared_put(fp, Arc::from([b.clone()]));
     Ok((vec![SelBatch::from_batch(b)], trace))
 }
 

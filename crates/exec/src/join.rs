@@ -112,10 +112,11 @@ pub(crate) fn lap(t: &mut Instant) -> u64 {
 /// raises a retryable error so the driver can re-optimize with runtime
 /// statistics.
 ///
-/// `pir` is `Some` when the physical IR is enabled: residual predicates
-/// then lower to compiled kernels and evaluate vectorized over gathered
-/// candidate pair-batches ([`ResidualPlan`]), with the row closure kept
-/// as the fallback for non-compilable expressions and the grace path.
+/// `pir` is `Some` in the vectorized engine (`None` in row mode):
+/// residual predicates then lower to compiled kernels and evaluate
+/// vectorized over gathered candidate pair-batches ([`ResidualPlan`]),
+/// with the row closure kept as the fallback for non-compilable
+/// expressions and the grace path.
 ///
 /// The output is columnar end to end: one typed gather per column
 /// ([`assemble`]), dictionary columns staying encoded over their shared
@@ -497,9 +498,7 @@ impl<'a> Build<'a> {
         let all_left = SelVec::all(left.num_rows());
         let (lo, hi) = (lo as usize, hi as usize);
         if self.resid.pred.is_none() {
-            probe_side.key_chunks(&all_left, lo, hi, |at, keys| {
-                (self.index).probe_into(keys, at as u32, join_type, &mut out)
-            })?;
+            (self.index).probe_into(probe_side, &all_left, (lo, hi), join_type, &mut out)?;
             return Ok(out);
         }
         let mut kept: Vec<u32> = Vec::new();
@@ -536,9 +535,8 @@ impl<'a> Build<'a> {
             }
             Ok(())
         };
-        probe_side.key_chunks(&all_left, lo, hi, |at, keys| {
-            self.index
-                .probe(keys, |r, cands| matched((at + r) as u32, cands))
+        (self.index).probe(probe_side, &all_left, (lo, hi), |r, cands| {
+            matched(r as u32, cands)
         })?;
         if let Some((plan, pr, spans)) = pairs.as_ref().filter(|(_, _, spans)| !spans.is_empty()) {
             flush_pairs(plan, left, right, join_type, pr, spans, &mut kept, &mut out)?;
@@ -850,19 +848,17 @@ fn grace_join(
             let (build, probe) = (SelVec::Idx(build), SelVec::Idx(probe));
             let index = JoinIndex::build(build_side, &build, 1, 1)?;
             let probe_side = index.probe_side(probe_side.clone());
-            probe_side.key_chunks(&probe, 0, probe.len(), |at, keys| {
-                index.probe(keys, |r, cands| {
-                    let li = probe.index(at + r) as u32;
-                    kept.clear();
-                    for &c in cands {
-                        let ri = build.index(c as usize) as u32;
-                        if residual_ok(li, ri)? {
-                            kept.push(ri);
-                        }
+            index.probe(&probe_side, &probe, (0, probe.len()), |r, cands| {
+                let li = probe.index(r) as u32;
+                kept.clear();
+                for &c in cands {
+                    let ri = build.index(c as usize) as u32;
+                    if residual_ok(li, ri)? {
+                        kept.push(ri);
                     }
-                    emit_rows(join_type, li, 1, &mut out, |_| kept.as_slice());
-                    Ok(())
-                })
+                }
+                emit_rows(join_type, li, 1, &mut out, |_| kept.as_slice());
+                Ok(())
             })
         },
     )?;

@@ -1460,26 +1460,37 @@ impl<'s, F: FnMut(usize, &'s [u32]) -> Result<()>> Walk<'s> for Visit<F> {
 }
 
 /// [`JoinIndex::probe_into`]'s walk: a join type's output rows.
-struct Emit<'o>(JoinType, u32, &'o mut ProbeOut);
+struct Emit<'o>(JoinType, &'o mut ProbeOut);
 
 impl<'s> Walk<'s> for Emit<'_> {
     fn rows(&mut self, lo: usize, n: usize, cands: impl Fn(usize) -> &'s [u32]) -> Result<()> {
-        emit_rows(self.0, self.1 + lo as u32, n, self.2, cands);
+        emit_rows(self.0, lo as u32, n, self.1, cands);
         Ok(())
     }
 }
 
-/// Walk the probe rows of `keys` with their candidates — none for a row
-/// the join excludes or a key no partition has — a [`PROBE_BLOCK`] at a
-/// time, except where a lookup is one load or none (a key-less build).
-fn probe_parts<'s>(index: &'s JoinIndex, keys: &RowKeys, walk: &mut impl Walk<'s>) -> Result<()> {
+/// Walk probe positions `lo..hi` of `sel` on `side` with their
+/// candidates — none for a row the join excludes or a key no partition
+/// has — a [`KEY_CHUNK`] of keys and then a [`PROBE_BLOCK`] of lookups
+/// at a time, except where a lookup is one load, or none: a key-less
+/// build meets every probe row with all its rows, and no probe key is
+/// computed.
+fn probe_parts<'s>(
+    index: &'s JoinIndex,
+    side: &KeySide<'_>,
+    sel: &SelVec,
+    (lo, hi): (usize, usize),
+    walk: &mut impl Walk<'s>,
+) -> Result<()> {
     if let (IndexKind::Keyless, [part]) = (index.kind, &index.parts[..]) {
         let ids = DenseTable::of(&part.groups.0).map_or(&[][..], |t| &t.ids);
         let all = part.candidates(ids.first().filter(|&&id| id != VACANT));
-        return walk.rows(0, keys.len(), |_| all);
+        return walk.rows(lo, hi - lo, |_| all);
     }
+    /// One chunk's lookups: `keys` are those of positions `at..`.
     fn blocks<'s, T: KeyTable>(
         keys: &T::Keys,
+        at: usize,
         parts: &'s [JoinPart],
         walk: &mut impl Walk<'s>,
     ) -> Result<()> {
@@ -1498,7 +1509,7 @@ fn probe_parts<'s>(index: &'s JoinIndex, keys: &RowKeys, walk: &mut impl Walk<'s
         };
         // One relabelled dense part: a lookup is one load, no block.
         if let ([(table, JoinPart { rows: None, .. })], true) = (&tables[..], T::DIRECT) {
-            return walk.rows(0, n, |r| match T::skip(keys, r) {
+            return walk.rows(at, n, |r| match T::skip(keys, r) {
                 true => &[],
                 false => table
                     .find_row(keys, r, T::hash(keys, r))
@@ -1512,12 +1523,16 @@ fn probe_parts<'s>(index: &'s JoinIndex, keys: &RowKeys, walk: &mut impl Walk<'s
             for (j, slot) in found[..block].iter_mut().enumerate() {
                 *slot = find(lo + j);
             }
-            walk.rows(lo, block, |j| found[j])?;
+            walk.rows(at + lo, block, |j| found[j])?;
             lo += block;
         }
         Ok(())
     }
-    each_kind!(keys, blocks(&index.parts, walk))
+    for at in (lo..hi).step_by(KEY_CHUNK) {
+        let keys = side.keys(sel, at, (at + KEY_CHUNK).min(hi));
+        each_kind!(&keys, blocks(at, &index.parts, walk))?;
+    }
+    Ok(())
 }
 
 /// Slots a dense index may spend per keyed row: four `u32` slots are 16
@@ -1603,29 +1618,34 @@ impl JoinIndex {
         self.parts.len()
     }
 
-    /// For each row of the probe keys, ascending: `visit(row, the build
-    /// positions carrying its key, ascending)` — none for a row the join
-    /// excludes. What a join with a residual filters candidates through.
+    /// For each probe position `lo..hi` of `sel` on `side` (keyed
+    /// through [`JoinIndex::probe_side`]), ascending: `visit(position,
+    /// the build positions carrying its key, ascending)` — none for a row
+    /// the join excludes. What a join with a residual filters candidates
+    /// through.
     pub fn probe<'s>(
         &'s self,
-        keys: &RowKeys,
+        side: &KeySide<'_>,
+        sel: &SelVec,
+        (lo, hi): (usize, usize),
         visit: impl FnMut(usize, &'s [u32]) -> Result<()>,
     ) -> Result<()> {
-        probe_parts(self, keys, &mut Visit(visit))
+        probe_parts(self, side, sel, (lo, hi), &mut Visit(visit))
     }
 
-    /// Probe every row of `keys` — probe positions `at..` — and append
-    /// its output rows by `join_type`'s rule straight into `out`, in
-    /// probe order: what a join without a residual runs, one loop per
-    /// key kind and join type with no per-row callback.
+    /// Probe positions `lo..hi` of `sel` on `side` and append their
+    /// output rows by `join_type`'s rule straight into `out`, in probe
+    /// order: what a join without a residual runs, one loop per key kind
+    /// and join type with no per-row callback.
     pub(crate) fn probe_into(
         &self,
-        keys: &RowKeys,
-        at: u32,
+        side: &KeySide<'_>,
+        sel: &SelVec,
+        (lo, hi): (usize, usize),
         join_type: JoinType,
         out: &mut ProbeOut,
     ) -> Result<()> {
-        probe_parts(self, keys, &mut Emit(join_type, at, out))
+        probe_parts(self, side, sel, (lo, hi), &mut Emit(join_type, out))
     }
 }
 
@@ -1805,18 +1825,18 @@ mod tests {
         let (pside, bside) = KeySide::join_pair(&prefs, &brefs);
         let (bsel, np) = (SelVec::all(rows(build)), rows(probe));
         let outputs = |index: &JoinIndex| {
-            let keys = index
-                .probe_side(pside.clone())
-                .keys(&SelVec::all(np), 0, np);
+            let (side, all) = (index.probe_side(pside.clone()), SelVec::all(np));
             let mut candidates = Vec::new();
-            (index.probe(&keys, |r, c| {
+            (index.probe(&side, &all, (0, np), |r, c| {
                 candidates.push((r, c.to_vec()));
                 Ok(())
             }))
             .unwrap();
             let emitted = JOIN_TYPES.map(|jt| {
                 let mut out = ProbeOut::default();
-                index.probe_into(&keys, 7, jt, &mut out).unwrap();
+                index
+                    .probe_into(&side, &all, (0, np), jt, &mut out)
+                    .unwrap();
                 out
             });
             (candidates, emitted)

@@ -108,7 +108,7 @@ pub(crate) fn execute_chain(
             Stage::Filter(pred) => {
                 // Engine-level filters order conjuncts by cost tier and
                 // default selectivity estimates; scans (which hold table
-                // stats) compile their own pipelines in `read_scan`.
+                // stats) compile their own pipelines in `execute_scan`.
                 let pipe = PredPipeline::compile(pred, in_schema, None, false);
                 parts = map_parts(parts, workers, |sb| run_filter(&pipe, sb))?;
                 let mut t = NodeTrace::leaf("Filter");

@@ -1,10 +1,11 @@
 //! Table scans: ACID snapshot reads, partition handling, sarg pushdown,
 //! dynamic semijoin reduction, LLAP cache routing, and federation
-//! dispatch. [`execute_scan`] yields a stored table's morsels as parts;
-//! the consumer that needs one batch assembles them
+//! dispatch. [`execute_scan`] yields a stored table's morsels as parts,
+//! shared or not, their row work done in the morsel workers; the
+//! consumer that needs one batch assembles them
 //! ([`crate::engine::assemble`]).
 
-use crate::engine::{assemble, execute, ExecContext, NodeTrace};
+use crate::engine::{execute, ExecContext, NodeTrace};
 use crate::kernels::filter_indices_rowmode;
 use crate::pir::{PredPipeline, SelRef};
 use crate::runtime_filter::RuntimeFilter;
@@ -19,51 +20,11 @@ use hive_sql::BinaryOp;
 use std::collections::HashSet;
 use std::sync::Arc;
 
-/// Execute a Scan node as parts: a stored table's read yields one part
-/// per morsel, in morsel enumeration order, each carrying the rows that
-/// passed the scan's residual filters and reducers as its selection
-/// (§3.3's late filtering); a federated scan or an empty reducer yields
-/// one finished part.
-///
-/// A shared scan (§4.5) reads raw rows: they are [`assemble`]d once and
-/// published for the other sites, and this site's own row work then
-/// applies to them, as one part.
-pub fn execute_scan(plan: &LogicalPlan, ctx: &ExecContext) -> Result<(Vec<SelBatch>, NodeTrace)> {
-    let ScanRead {
-        mut parts,
-        mut trace,
-        publish,
-    } = read_scan(plan, ctx)?;
-    if let Some((key, work)) = publish {
-        let raw = assemble(parts)?.batch;
-        ctx.shared_put(key, raw.clone());
-        parts = vec![work.apply(raw)?];
-        let rows_in = trace.rows_in;
-        work.account(&mut trace, rows_in);
-    }
-    trace.rows_out = parts.iter().map(|p| p.num_rows() as u64).sum();
-    Ok((parts, trace))
-}
-
-/// A scan's rows before assembly.
-struct ScanRead<'p> {
-    /// At least one part. A storage read gives one per morsel in
-    /// enumeration order, each carrying the rows that passed its
-    /// [`RowWork`] as its selection; a federated scan, a shared-work
-    /// reuse and an empty reducer give a single finished part.
-    parts: Vec<SelBatch>,
-    /// Everything but `rows_out`.
-    trace: NodeTrace,
-    /// A shared scan's parts are raw rows: the share key to publish them
-    /// under, assembled, and the row work they still owe.
-    publish: Option<(u64, RowWork<'p>)>,
-}
-
 /// A scan's row-level work: its pushed filters — compiled (`fused`) in
 /// the vectorized engine, interpreted in row mode — then its semijoin
 /// reducers' row checks (a reducer's sarg skips whole row groups only).
-/// Batch-local: a storage read does it to each part inside the morsel
-/// workers, a shared scan to the rows it published or reuses.
+/// Batch-local: every stored read does it to each part inside the morsel
+/// workers — a shared scan's other sites to each batch it published.
 struct RowWork<'p> {
     filters: &'p [ScalarExpr],
     fused: Option<PredPipeline>,
@@ -117,11 +78,17 @@ impl<'p> RowWork<'p> {
         Ok(SelBatch { batch, sel })
     }
 
-    /// Fold the fused predicate's accounting into the scan's trace, as a
+    /// The scan's result: the `parts` this row work selected, and
+    /// `trace` with their rows and the fused predicate's accounting, as a
     /// Filter stage reports its own: one compiled stage when no conjunct
     /// is a row kernel, and the rows the row interpreter evaluated
     /// (`rows_in`, the raw rows the filter saw, for a row kernel).
-    fn account(&self, trace: &mut NodeTrace, rows_in: u64) {
+    fn finish(
+        &self,
+        parts: Vec<SelBatch>,
+        mut trace: NodeTrace,
+        rows_in: u64,
+    ) -> (Vec<SelBatch>, NodeTrace) {
         if let Some(p) = &self.fused {
             trace.pir_compiled_stages += p.fully_compiled() as u64;
             trace.pir_fallback_rows += if p.fully_compiled() {
@@ -130,13 +97,22 @@ impl<'p> RowWork<'p> {
                 rows_in
             };
         }
+        trace.rows_out = parts.iter().map(|p| p.num_rows() as u64).sum();
+        (parts, trace)
     }
 }
 
-/// Everything a scan does short of assembling its rows: reducers,
-/// partition and snapshot resolution, morsel enumeration, and the
-/// morsel-parallel read with the fused residual predicate.
-fn read_scan<'p>(plan: &'p LogicalPlan, ctx: &ExecContext) -> Result<ScanRead<'p>> {
+/// Execute a Scan node as parts: a stored table's read yields one part
+/// per morsel, in morsel enumeration order, each carrying the rows that
+/// passed the scan's residual filters and reducers as its selection
+/// (§3.3's late filtering); a federated scan or an empty reducer yields
+/// one finished part.
+///
+/// A shared scan (§4.5) is read the same way, without sargs: its first
+/// site publishes its parts' batches — the raw morsels, in order — and
+/// every other site applies its own row work to each published batch
+/// in the morsel workers, yielding one part per batch.
+pub fn execute_scan(plan: &LogicalPlan, ctx: &ExecContext) -> Result<(Vec<SelBatch>, NodeTrace)> {
     let LogicalPlan::Scan {
         table,
         projection,
@@ -152,11 +128,6 @@ fn read_scan<'p>(plan: &'p LogicalPlan, ctx: &ExecContext) -> Result<ScanRead<'p
         label: format!("Scan({})", table.qualified_name),
         ..Default::default()
     };
-    let finished = |part: SelBatch, trace: NodeTrace| ScanRead {
-        parts: vec![part],
-        trace,
-        publish: None,
-    };
 
     // Federated tables go through the storage-handler hook.
     if table.handler.is_some() {
@@ -171,18 +142,17 @@ fn read_scan<'p>(plan: &'p LogicalPlan, ctx: &ExecContext) -> Result<ScanRead<'p
         // Residual filters still apply (the handler may have pushed
         // only part of them).
         let work = RowWork::new(filters, Vec::new(), plan, ctx);
-        let filtered = work.apply(result.batch)?;
-        work.account(&mut trace, filtered.batch.num_rows() as u64);
-        return Ok(finished(filtered, trace));
+        let rows_in = result.batch.num_rows() as u64;
+        return Ok(work.finish(vec![work.apply(result.batch)?], trace, rows_in));
     }
 
     // --- dynamic semijoin reduction (§4.6) -------------------------------
     let mut reducers: Vec<(usize, Arc<RuntimeFilter>)> = Vec::new();
     let mut partition_value_allowlist: Option<(usize, HashSet<Value>)> = None;
     // A build with no key: nothing can match.
-    let nothing = |trace| -> Result<ScanRead<'p>> {
+    let nothing = |trace| -> Result<(Vec<SelBatch>, NodeTrace)> {
         let empty = SelBatch::from_batch(VectorBatch::empty(&out_schema)?);
-        Ok(finished(empty, trace))
+        Ok((vec![empty], trace))
     };
     for spec in semijoin_filters {
         let (batch, sub_trace) = execute(&spec.source, ctx)?;
@@ -276,31 +246,28 @@ fn read_scan<'p>(plan: &'p LogicalPlan, ctx: &ExecContext) -> Result<ScanRead<'p
 
     // --- shared-work scan reuse (§4.5) -----------------------------------
     // When several plan sites scan the same table shape with different
-    // filters, the raw read happens once; each consumer applies its own
-    // filters below. (The sarg skip is forfeited on the shared read.)
+    // filters, the raw read happens once and is published as its
+    // morsels' batches; each site applies its own row work to them. (The
+    // sarg skip is forfeited on the shared read, so every site's rows
+    // are present.)
     let share_key = ctx.scan_share_key(plan);
-    // The pushed filters are row work on either path: a shared scan
-    // publishes its raw rows and applies its own filters to them.
     let work = RowWork::new(filters, reducers, plan, ctx);
-    if let Some(key) = share_key {
-        if let Some(raw) = ctx.shared_get(key) {
-            let mut reuse = NodeTrace {
-                label: format!("SharedScanReuse({})", table.qualified_name),
-                rows_out: raw.num_rows() as u64,
-                shared_reuse: true,
-                ..Default::default()
-            };
-            std::mem::swap(&mut reuse.children, &mut trace.children);
-            trace.children.push(reuse);
-            trace.rows_in = raw.num_rows() as u64;
-            let filtered = work.apply(raw)?;
-            let rows_in = trace.rows_in;
-            work.account(&mut trace, rows_in);
-            return Ok(finished(filtered, trace));
-        }
+    if let Some(raw) = share_key.and_then(|key| ctx.shared_get(key)) {
+        let mut reuse = NodeTrace {
+            label: format!("SharedScanReuse({})", table.qualified_name),
+            rows_out: raw.iter().map(|b| b.num_rows() as u64).sum(),
+            shared_reuse: true,
+            ..Default::default()
+        };
+        std::mem::swap(&mut reuse.children, &mut trace.children);
+        trace.rows_in = reuse.rows_out;
+        trace.children.push(reuse);
+        let (workers, _lease) = ctx.lease_workers(raw.len());
+        trace.parallel_workers = workers as u64;
+        let parts = crate::par::parallel_map(workers, raw.len(), |i| work.apply(raw[i].clone()))?;
+        let rows_in = trace.rows_in;
+        return Ok(work.finish(parts, trace, rows_in));
     }
-    // A shared scan reads without sargs so every consumer's rows are
-    // present in the published batch.
     let file_sarg = if share_key.is_some() {
         SearchArgument::new()
     } else {
@@ -414,7 +381,7 @@ fn read_scan<'p>(plan: &'p LogicalPlan, ctx: &ExecContext) -> Result<ScanRead<'p
     let (workers, _lease) = ctx.lease_workers(morsels.len());
     trace.parallel_workers = workers as u64;
     // Each worker does its part's row work, so assembly gathers only
-    // survivors; a shared scan's parts stay raw for publishing.
+    // survivors.
     let mut parts = crate::par::parallel_map(workers, morsels.len(), |i| {
         let m = &morsels[i];
         let b = read_row_group(
@@ -432,20 +399,16 @@ fn read_scan<'p>(plan: &'p LogicalPlan, ctx: &ExecContext) -> Result<ScanRead<'p
                 .map(|w| Visibility::new(w, &delete_sets[m.dir_idx])),
             &out_schema,
         )?;
-        match share_key {
-            Some(_) => Ok(SelBatch::from_batch(b)),
-            None => work.apply(b),
-        }
+        work.apply(b)
     })?;
     // The scan's input cardinality is the raw morsel rows, before any
     // filter.
     trace.rows_in = parts.iter().map(|p| p.batch.num_rows() as u64).sum();
-    if share_key.is_none() {
-        let rows_in = trace.rows_in;
-        work.account(&mut trace, rows_in);
-    }
     if parts.is_empty() {
         parts.push(SelBatch::from_batch(VectorBatch::empty(&out_schema)?));
+    }
+    if let Some(key) = share_key {
+        ctx.shared_put(key, parts.iter().map(|p| p.batch.clone()).collect());
     }
 
     let io_after = ctx.fs.stats().snapshot().since(&io_before);
@@ -459,11 +422,8 @@ fn read_scan<'p>(plan: &'p LogicalPlan, ctx: &ExecContext) -> Result<ScanRead<'p
     trace.injected_delay_ms += ctx.fs.fault().slow_penalty_ms() - slow_before;
     trace.bytes_cache = cache_bytes_served().saturating_sub(cache_bytes_before);
 
-    Ok(ScanRead {
-        parts,
-        trace,
-        publish: share_key.map(|key| (key, work)),
-    })
+    let rows_in = trace.rows_in;
+    Ok(work.finish(parts, trace, rows_in))
 }
 
 fn open_file(ctx: &ExecContext, path: &DfsPath) -> Result<CorcFile> {

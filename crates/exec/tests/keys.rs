@@ -419,12 +419,10 @@ fn layer_candidates(
     nparts: usize,
 ) -> Vec<Vec<u32>> {
     let index = JoinIndex::build(build, &SelVec::all(nr), nparts, nparts).unwrap();
-    let probe = index
-        .probe_side(probe.clone())
-        .keys(&SelVec::all(nl), 0, nl);
+    let probe = index.probe_side(probe.clone());
     let mut out = Vec::new();
     index
-        .probe(&probe, |r, cands| {
+        .probe(&probe, &SelVec::all(nl), (0, nl), |r, cands| {
             assert_eq!(r, out.len());
             out.push(cands.to_vec());
             Ok(())

@@ -191,6 +191,25 @@ fn statements() -> Vec<(&'static str, String)> {
          ON s.ss_item_sk = i.i_item_sk"
             .into(),
     ));
+    // q88's shape: two branches scan `store_sales` with one projection
+    // and different filters — one shared read — each joined to a
+    // filtered dimension, so a semijoin reducer checks the published
+    // morsels at both sites.
+    let q88_branch = |(name, lo, hi, dep): (&str, i32, i32, i32)| {
+        format!(
+            "(SELECT COUNT(*) c, SUM(ss_quantity) q FROM store_sales, household_demographics \
+             WHERE ss_hdemo_sk = hd_demo_sk AND hd_dep_count = {dep} \
+             AND ss_quantity BETWEEN {lo} AND {hi}) {name}"
+        )
+    };
+    out.push((
+        "q88_shared_scan",
+        format!(
+            "SELECT * FROM {}, {}",
+            q88_branch(("s1", 1, 8, 0)),
+            q88_branch(("s2", 9, 20, 2))
+        ),
+    ));
     out
 }
 
@@ -271,16 +290,11 @@ fn assembling_consumers_keep_every_morsel() {
     assert_eq!(run(&statement("limit")).len(), 200);
 }
 
-/// A LIMIT walks its input's parts in order and keeps those it needs,
-/// the last truncated: over the eight-morsel scan, whose every morsel
-/// holds fewer than 200 matching rows, the statement's result is
-/// assembled from the 200 rows it returns and no more.
-#[test]
-fn limit_copies_at_most_its_rows() {
+/// Plan `sql` on `server` and execute it through the engine, shared
+/// work prepared: its output and its trace tree.
+fn traced(server: &HiveServer, sql: &str) -> (hive_common::SelBatch, hive_exec::NodeTrace) {
     use hive_optimizer::{Analyzer, MetastoreCatalog, Optimizer, OptimizerContext};
-    let server = load_server(HiveConf::v3_1().with(|c| c.parallel_threads = 2));
-    let sql = statements().into_iter().find(|s| s.0 == "limit").unwrap().1;
-    let hive_sql::Statement::Query(q) = hive_sql::parse_sql(&sql).unwrap() else {
+    let hive_sql::Statement::Query(q) = hive_sql::parse_sql(sql).unwrap() else {
         panic!("not a query: {sql}");
     };
     let (ms, conf) = (server.metastore(), server.conf());
@@ -294,9 +308,21 @@ fn limit_copies_at_most_its_rows() {
     };
     let plan = Optimizer::optimize(analyzed, &octx).unwrap();
     let snaps = hive_exec::WideOpenSnapshots(ms);
-    let ctx =
+    let mut ctx =
         hive_exec::ExecContext::new(server.fs(), ms, &conf, Some(server.llap()), &snaps, None);
-    let (out, trace) = hive_exec::execute_sel(&plan, &ctx).unwrap();
+    ctx.prepare_shared_work(&plan);
+    hive_exec::execute_sel(&plan, &ctx).unwrap()
+}
+
+/// A LIMIT walks its input's parts in order and keeps those it needs,
+/// the last truncated: over the eight-morsel scan, whose every morsel
+/// holds fewer than 200 matching rows, the statement's result is
+/// assembled from the 200 rows it returns and no more.
+#[test]
+fn limit_copies_at_most_its_rows() {
+    let server = load_server(HiveConf::v3_1().with(|c| c.parallel_threads = 2));
+    let sql = statements().into_iter().find(|s| s.0 == "limit").unwrap().1;
+    let (out, trace) = traced(&server, &sql);
     let mut limit = None;
     trace.visit(&mut |t| {
         if t.label == "Limit" {
@@ -421,8 +447,9 @@ fn small_cache_evicts_the_same_chunks_every_run() {
 #[test]
 fn branches_sharing_a_scan_still_read_the_table_once() {
     // q88's shape: independent aggregates over one table under
-    // different filters. The shared scan publishes its assembled rows,
-    // so these aggregates take one part each.
+    // different filters. The shared scan's first site publishes its
+    // morsels' raw batches; each site filters its parts in the morsel
+    // workers, so both aggregates fold one part per morsel.
     let branch = |lo: i32| {
         format!(
             "(SELECT COUNT(*) c FROM store_sales WHERE ss_quantity BETWEEN {lo} AND {}) ",
@@ -450,4 +477,23 @@ fn branches_sharing_a_scan_still_read_the_table_once() {
     // branch reads the whole column, two unshared branches read it twice.
     assert_eq!(bytes_shared, bytes_one, "the shared plan re-read its table");
     assert_eq!(bytes_apart, 2 * bytes_one);
+
+    // Both sites do their row work on two workers: the publishing read
+    // over its morsels, the reusing one over the published batches.
+    let server = load_server(HiveConf::v3_1().with(|c| c.parallel_threads = 2));
+    let (out, trace) = traced(&server, &both);
+    assert_eq!(out.num_rows(), 1);
+    let mut scans = Vec::new();
+    trace.visit(&mut |t| {
+        if t.label == "Scan(default.store_sales)" {
+            let reuses = t.children.iter().any(|c| c.shared_reuse);
+            scans.push((reuses, t.parallel_workers));
+        }
+    });
+    scans.sort();
+    assert_eq!(
+        scans,
+        vec![(false, 2), (true, 2)],
+        "(reuses, workers) per site"
+    );
 }
