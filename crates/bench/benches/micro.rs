@@ -238,7 +238,8 @@ fn bench_frontend(c: &mut Criterion) {
 
 /// `Optimizer::optimize` over a loaded warehouse — real statistics, so
 /// the cost-based stages read histograms and sketches: a `bi_short`-style
-/// filter join and TPC-DS q27. Prints µs per planning (the criterion
+/// filter join, `bi_short`'s two-table customer lookup and TPC-DS q27.
+/// Prints µs per planning (the criterion
 /// stand-in only prints milliseconds); recorded in EXPERIMENTS.md, not
 /// gated on time.
 fn bench_optimize_loaded(_c: &mut Criterion) {
@@ -259,7 +260,15 @@ fn bench_optimize_loaded(_c: &mut Criterion) {
         .sql;
     let conf = server.conf();
     let ms = server.metastore();
-    for (name, sql) in [("bi_filter_join", filter_join), ("tpcds_q27", q27)] {
+    let customer_lookup = "SELECT c_first_name, c_last_name, ca_city, ca_state \
+         FROM customer, customer_address \
+         WHERE c_current_addr_sk = ca_address_sk AND c_customer_sk = 42"
+        .to_string();
+    for (name, sql) in [
+        ("bi_filter_join", filter_join),
+        ("bi_customer_lookup", customer_lookup),
+        ("tpcds_q27", q27),
+    ] {
         let hive_sql::Statement::Query(q) = hive_sql::parse_sql(&sql).unwrap() else {
             unreachable!()
         };

@@ -21,6 +21,7 @@ use hive_metastore::{
 };
 use hive_optimizer::fingerprint::fingerprint;
 use hive_optimizer::plan::LogicalPlan;
+use hive_optimizer::rules::node_exprs;
 use hive_optimizer::{
     Analyzer, DmlKind, DmlPlan, MetastoreCatalog, Optimizer, OptimizerContext, ScalarExpr,
 };
@@ -380,7 +381,9 @@ impl Session {
         conf: &HiveConf,
         extra: &HashMap<String, u64>,
     ) -> Result<Planned> {
-        self.optimize_analyzed(self.analyze_query(q)?, conf, extra)
+        let analyzed = self.analyze_query(q)?;
+        let fp = fingerprint(&analyzed);
+        self.optimize_analyzed(analyzed, fp, conf, extra)
     }
 
     /// Resolve a query against the session catalog: the plan the results
@@ -390,11 +393,13 @@ impl Session {
         Analyzer::new(&cat).analyze_query(q)
     }
 
-    /// Optimize an analyzed plan — a query's or a DML statement's — under
-    /// the feedback context described at [`Session::plan_query_fb`].
+    /// Optimize an analyzed plan — a query's or a DML statement's, whose
+    /// fingerprint is `before_fp` — under the feedback context described
+    /// at [`Session::plan_query_fb`].
     fn optimize_analyzed(
         &self,
         analyzed: LogicalPlan,
+        before_fp: u64,
         conf: &HiveConf,
         extra: &HashMap<String, u64>,
     ) -> Result<Planned> {
@@ -405,7 +410,6 @@ impl Session {
         } else {
             vec![]
         };
-        let before_fp = fingerprint(&analyzed);
         let analyzed_fp = format!("{before_fp:016x}");
         let mut feedback: HashMap<String, u64> = self
             .server
@@ -493,7 +497,8 @@ impl Session {
         // Results cache probe (§4.3), in front of the planner: keyed on
         // the analyzed query, so a hit costs parse + analyze + one
         // fetch. Deterministic queries only.
-        let key = results_cache_key(&analyzed, conf);
+        let analyzed_fp = fingerprint(&analyzed);
+        let key = results_cache_key(analyzed_fp, conf);
         let mut claim = None;
         if conf.results_cache && plan_is_deterministic(&analyzed) {
             match cache.probe(key, |t| ms.table_version(t)) {
@@ -520,7 +525,7 @@ impl Session {
         };
         let named = analyzed.referenced_tables();
         let mut snapshot = claim.as_ref().map_or_else(Vec::new, |_| versions(&named));
-        let planned = self.optimize_analyzed(analyzed, conf, &HashMap::new())?;
+        let planned = self.optimize_analyzed(analyzed, analyzed_fp, conf, &HashMap::new())?;
         // A result read from a view that is behind its sources is good
         // for the view's staleness window, not for as long as nothing
         // changes: it is not cached. (Read after the snapshot: a source
@@ -750,7 +755,9 @@ impl Session {
             | ast::Statement::Delete(_)
             | ast::Statement::Merge(_)) => {
                 let dml = self.compile_dml(&dml)?;
-                let planned = self.optimize_analyzed(dml.plan.clone(), conf, &HashMap::new())?;
+                let fp = fingerprint(&dml.plan);
+                let planned =
+                    self.optimize_analyzed(dml.plan.clone(), fp, conf, &HashMap::new())?;
                 let arms = [
                     dml.update.as_ref().map(|_| "update"),
                     dml.delete.as_ref().map(|_| "delete"),
@@ -1151,8 +1158,10 @@ impl Session {
     fn run_dml(&self, stmt: &ast::Statement, conf: &HiveConf) -> Result<QueryResult> {
         let ms = self.server.metastore();
         let dml = self.compile_dml(stmt)?;
-        let replan =
-            |extra: &HashMap<String, u64>| self.optimize_analyzed(dml.plan.clone(), conf, extra);
+        let fp = fingerprint(&dml.plan);
+        let replan = |extra: &HashMap<String, u64>| {
+            self.optimize_analyzed(dml.plan.clone(), fp, conf, extra)
+        };
         let planned = replan(&HashMap::new())?;
         let qname = dml.target.qualified_name();
 
@@ -1552,12 +1561,11 @@ fn convert_constraint(c: &ast::TableConstraintDef) -> hive_metastore::Constraint
     }
 }
 
-/// The results-cache key of an analyzed query: its fingerprint — table
-/// references resolved, so one text under two current databases is two
-/// keys — mixed with the one switch that changes which stored data may
-/// answer it.
-fn results_cache_key(analyzed: &LogicalPlan, conf: &HiveConf) -> u64 {
-    let fp = fingerprint(analyzed);
+/// The results-cache key of an analyzed query: its fingerprint `fp` —
+/// table references resolved, so one text under two current databases
+/// is two keys — mixed with the one switch that changes which stored
+/// data may answer it.
+fn results_cache_key(fp: u64, conf: &HiveConf) -> u64 {
     if conf.mv_rewriting {
         fp.rotate_left(1) ^ 0x9E37_79B9_7F4A_7C15
     } else {
@@ -1568,43 +1576,7 @@ fn results_cache_key(analyzed: &LogicalPlan, conf: &HiveConf) -> u64 {
 /// Is every expression in the plan deterministic (cacheable)?
 fn plan_is_deterministic(plan: &LogicalPlan) -> bool {
     let mut det = true;
-    plan.visit(&mut |p| {
-        let mut check = |e: &ScalarExpr| {
-            if !e.is_deterministic() {
-                det = false;
-            }
-        };
-        match p {
-            LogicalPlan::Filter { predicate, .. } => check(predicate),
-            LogicalPlan::Project { exprs, .. } => exprs.iter().for_each(&mut check),
-            LogicalPlan::Scan { filters, .. } => filters.iter().for_each(&mut check),
-            LogicalPlan::Aggregate {
-                group_exprs, aggs, ..
-            } => {
-                group_exprs.iter().for_each(&mut check);
-                aggs.iter().filter_map(|a| a.arg.as_ref()).for_each(check);
-            }
-            LogicalPlan::Join { equi, residual, .. } => {
-                for (l, r) in equi {
-                    check(l);
-                    check(r);
-                }
-                residual.iter().for_each(check);
-            }
-            LogicalPlan::Sort { keys, .. } => keys.iter().for_each(|k| check(&k.expr)),
-            LogicalPlan::Window { windows, .. } => {
-                for w in windows {
-                    w.args.iter().chain(&w.partition_by).for_each(&mut check);
-                    w.order_by.iter().for_each(|k| check(&k.expr));
-                }
-            }
-            // No expressions of their own.
-            LogicalPlan::Values { .. }
-            | LogicalPlan::Limit { .. }
-            | LogicalPlan::Union { .. }
-            | LogicalPlan::SetOp { .. } => {}
-        }
-    });
+    plan.visit(&mut |p| node_exprs(p, &mut |e| det = det && e.is_deterministic()));
     det
 }
 

@@ -396,7 +396,7 @@ fn definition_plan(
             return kept.plan.clone();
         }
     }
-    let plan = analyze_definition(ms, &table.db, &info.definition).map(Arc::new);
+    let plan = analyze_definition(ms, &table.db, &info.definition);
     session.server.inner.mv_plans.lock().insert(
         qname,
         DefinitionPlan {
@@ -411,13 +411,13 @@ fn analyze_definition(
     ms: &hive_metastore::Metastore,
     db: &str,
     definition: &str,
-) -> Option<LogicalPlan> {
+) -> Option<Arc<LogicalPlan>> {
     let Ok(ast::Statement::Query(q)) = hive_sql::parse_sql(definition) else {
         return None;
     };
     let cat = MetastoreCatalog::new(ms.clone(), db.to_string());
     let plan = Analyzer::new(&cat).analyze_query(&q).ok()?;
-    hive_optimizer::Optimizer::exhaustive(plan).ok()
+    Some(hive_optimizer::Optimizer::exhaustive(&Arc::new(plan)).data)
 }
 
 /// Render a query AST back to SQL-ish text for storage. The parser

@@ -7,32 +7,34 @@ use crate::druid::{DruidAgg, DruidFilter, DruidQuery};
 use crate::sqlgen;
 use hive_common::{dates, DataType, Field, Schema, Value};
 use hive_optimizer::plan::{LogicalPlan, ScanTable};
-use hive_optimizer::rules::transform_up;
+use hive_optimizer::rules::{transform_up, Rewrite, Transformed};
 use hive_optimizer::{AggFunc, ScalarExpr};
 use hive_sql::BinaryOp;
 use std::sync::Arc;
 
 /// Apply every federation pushdown rule to the plan.
 pub fn push_to_external(plan: &LogicalPlan) -> LogicalPlan {
-    let plan = transform_up(plan, &mut push_druid_aggregate);
-    let plan = transform_up(&plan, &mut push_druid_limit);
-    transform_up(&plan, &mut push_external_scan)
+    let mut plan = Arc::new(plan.clone());
+    for mut rule in [push_druid_aggregate, push_druid_limit, push_external_scan] {
+        plan = transform_up(&plan, &mut rule).data;
+    }
+    Arc::unwrap_or_clone(plan)
 }
 
 /// Rule 1b: `Limit(Sort(Scan(druid groupBy)))` → fold the ordering and
 /// limit into the pushed query's `limitSpec` (Figure 6's
 /// `ORDER BY s DESC LIMIT 10`). The local Sort/Limit stay in the plan
 /// (they are idempotent) but Druid now truncates before transfer.
-fn push_druid_limit(node: LogicalPlan) -> LogicalPlan {
-    let LogicalPlan::Limit { input, n } = &node else {
-        return node;
+fn push_druid_limit(node: Arc<LogicalPlan>) -> Rewrite {
+    let LogicalPlan::Limit { input, n } = &*node else {
+        return Transformed::no(node);
     };
     let LogicalPlan::Sort {
         input: sort_input,
         keys,
     } = input.as_ref()
     else {
-        return node;
+        return Transformed::no(node);
     };
     // Allow a pass-through projection between Sort and Scan.
     let (scan, mapping): (&LogicalPlan, Option<Vec<usize>>) = match sort_input.as_ref() {
@@ -46,11 +48,11 @@ fn push_druid_limit(node: LogicalPlan) -> LogicalPlan {
                 .collect();
             match (input.as_ref(), cols) {
                 (s @ LogicalPlan::Scan { .. }, Some(m)) => (s, Some(m)),
-                _ => return node,
+                _ => return Transformed::no(node),
             }
         }
         s @ LogicalPlan::Scan { .. } => (s, None),
-        _ => return node,
+        _ => return Transformed::no(node),
     };
     let LogicalPlan::Scan {
         table,
@@ -60,30 +62,30 @@ fn push_druid_limit(node: LogicalPlan) -> LogicalPlan {
         semijoin_filters,
     } = scan
     else {
-        return node;
+        return Transformed::no(node);
     };
     let Some(json) = &table.external_query else {
-        return node;
+        return Transformed::no(node);
     };
     if table.handler.as_deref() != Some("druid") {
-        return node;
+        return Transformed::no(node);
     }
     let Ok(mut q) = DruidQuery::parse(json) else {
-        return node;
+        return Transformed::no(node);
     };
     if q.limit_spec.is_some() {
-        return node;
+        return Transformed::no(node);
     }
     // Sort keys must be plain columns of the pushed query's output.
     let mut columns: Vec<(String, bool)> = Vec::new();
     for k in keys {
         let ScalarExpr::Column(c) = &k.expr else {
-            return node;
+            return Transformed::no(node);
         };
         let scan_out = match &mapping {
             Some(m) => match m.get(*c) {
                 Some(&mc) => mc,
-                None => return node,
+                None => return Transformed::no(node),
             },
             None => *c,
         };
@@ -91,14 +93,14 @@ fn push_druid_limit(node: LogicalPlan) -> LogicalPlan {
         // layout for a pushed groupBy is dims then agg names.
         let scan_out = match projection.get(scan_out) {
             Some(&i) => i,
-            None => return node,
+            None => return Transformed::no(node),
         };
         let name = if scan_out < q.dimensions.len() {
             q.dimensions[scan_out].clone()
         } else {
             match q.aggregations.get(scan_out - q.dimensions.len()) {
                 Some(a) => a.name().to_string(),
-                None => return node,
+                None => return Transformed::no(node),
             }
         };
         columns.push((name, !k.asc));
@@ -125,28 +127,28 @@ fn push_druid_limit(node: LogicalPlan) -> LogicalPlan {
         },
         _ => new_scan,
     };
-    LogicalPlan::Limit {
+    Transformed::yes(Arc::new(LogicalPlan::Limit {
         input: Arc::new(LogicalPlan::Sort {
             input: Arc::new(new_sort_input),
             keys: keys.clone(),
         }),
         n: *n,
-    }
+    }))
 }
 
 /// Rule 1: `Aggregate(Filter?(Scan(druid)))` → a Druid groupBy query.
-fn push_druid_aggregate(node: LogicalPlan) -> LogicalPlan {
+fn push_druid_aggregate(node: Arc<LogicalPlan>) -> Rewrite {
     let LogicalPlan::Aggregate {
         input,
         group_exprs,
         grouping_sets,
         aggs,
-    } = &node
+    } = &*node
     else {
-        return node;
+        return Transformed::no(node);
     };
     if grouping_sets.is_some() {
-        return node;
+        return Transformed::no(node);
     }
     // Peel Filters and pass-through (column-only) Projects down to the
     // scan — projection pruning routinely inserts both. Expressions at
@@ -171,7 +173,7 @@ fn push_druid_aggregate(node: LogicalPlan) -> LogicalPlan {
                         mappings.push(m);
                         cursor = input.as_ref();
                     }
-                    None => return node,
+                    None => return Transformed::no(node),
                 }
             }
             LogicalPlan::Filter { input, predicate } => {
@@ -179,7 +181,7 @@ fn push_druid_aggregate(node: LogicalPlan) -> LogicalPlan {
                 cursor = input.as_ref();
             }
             s @ LogicalPlan::Scan { .. } => break s,
-            _ => return node,
+            _ => return Transformed::no(node),
         }
     };
     let LogicalPlan::Scan {
@@ -189,10 +191,10 @@ fn push_druid_aggregate(node: LogicalPlan) -> LogicalPlan {
         ..
     } = scan
     else {
-        return node;
+        return Transformed::no(node);
     };
     if table.handler.as_deref() != Some("druid") || table.external_query.is_some() {
-        return node;
+        return Transformed::no(node);
     }
     // Compose an expression from coordinate depth `from` down to scan
     // output coordinates.
@@ -208,7 +210,7 @@ fn push_druid_aggregate(node: LogicalPlan) -> LogicalPlan {
         for (depth, pred) in &pending_filters {
             match to_scan_coords(pred, *depth) {
                 Some(p) => parts.push(p),
-                None => return node,
+                None => return Transformed::no(node),
             }
         }
         ScalarExpr::conjunction(parts)
@@ -219,14 +221,14 @@ fn push_druid_aggregate(node: LogicalPlan) -> LogicalPlan {
     let mut dims: Vec<String> = Vec::new();
     for g in group_exprs {
         let Some(ScalarExpr::Column(c)) = to_scan_coords(g, 0) else {
-            return node;
+            return Transformed::no(node);
         };
         let Some(&sc) = projection.get(c) else {
-            return node;
+            return Transformed::no(node);
         };
         let f = table.schema.field(sc);
         if f.data_type != DataType::String {
-            return node;
+            return Transformed::no(node);
         }
         dims.push(f.name.clone());
     }
@@ -235,7 +237,7 @@ fn push_druid_aggregate(node: LogicalPlan) -> LogicalPlan {
     let mut druid_aggs: Vec<DruidAgg> = Vec::new();
     for (i, a) in aggs.iter().enumerate() {
         if a.distinct {
-            return node;
+            return Transformed::no(node);
         }
         let name = format!("_a{i}");
         let metric_of = |e: &Option<ScalarExpr>| -> Option<String> {
@@ -252,17 +254,17 @@ fn push_druid_aggregate(node: LogicalPlan) -> LogicalPlan {
             AggFunc::Count if a.arg.is_none() => DruidAgg::Count { name },
             AggFunc::Sum => match metric_of(&a.arg) {
                 Some(field) => DruidAgg::DoubleSum { name, field },
-                None => return node,
+                None => return Transformed::no(node),
             },
             AggFunc::Min => match metric_of(&a.arg) {
                 Some(field) => DruidAgg::DoubleMin { name, field },
-                None => return node,
+                None => return Transformed::no(node),
             },
             AggFunc::Max => match metric_of(&a.arg) {
                 Some(field) => DruidAgg::DoubleMax { name, field },
-                None => return node,
+                None => return Transformed::no(node),
             },
-            _ => return node,
+            _ => return Transformed::no(node),
         };
         druid_aggs.push(agg);
     }
@@ -281,7 +283,7 @@ fn push_druid_aggregate(node: LogicalPlan) -> LogicalPlan {
         match convert_conjunct(c, table, projection) {
             Some(Converted::Filter(df)) => druid_filters.push(df),
             Some(Converted::Interval(a, b)) => intervals.push((a, b)),
-            None => return node,
+            None => return Transformed::no(node),
         }
     }
 
@@ -324,7 +326,7 @@ fn push_druid_aggregate(node: LogicalPlan) -> LogicalPlan {
     );
     // Druid answers SUM/MIN/MAX as Double and COUNT as BigInt; the
     // Aggregate schema already matches for Druid's numeric metrics.
-    LogicalPlan::Scan {
+    Transformed::yes(Arc::new(LogicalPlan::Scan {
         table: ScanTable {
             qualified_name: table.qualified_name.clone(),
             db: table.db.clone(),
@@ -342,7 +344,7 @@ fn push_druid_aggregate(node: LogicalPlan) -> LogicalPlan {
         filters: vec![],
         partitions: None,
         semijoin_filters: vec![],
-    }
+    }))
 }
 
 enum Converted {
@@ -468,30 +470,30 @@ fn year_interval(op: BinaryOp, year: i32) -> Option<(i64, i64)> {
 /// Rule 2: push filters+projection of a plain external scan as generated
 /// SQL for JDBC handlers (Druid raw scans export as-is; the handler
 /// does its own scan-query conversion).
-fn push_external_scan(node: LogicalPlan) -> LogicalPlan {
+fn push_external_scan(node: Arc<LogicalPlan>) -> Rewrite {
     let LogicalPlan::Scan {
         table,
         projection,
         filters,
         partitions,
         semijoin_filters,
-    } = &node
+    } = &*node
     else {
-        return node;
+        return Transformed::no(node);
     };
     if table.handler.as_deref() != Some("jdbc") || table.external_query.is_some() {
-        return node;
+        return Transformed::no(node);
     }
     let remote_name = table
         .external_source
         .clone()
         .unwrap_or_else(|| table.name.clone());
     let Ok(sql) = sqlgen::select_sql(&remote_name, &table.schema, projection, filters) else {
-        return node;
+        return Transformed::no(node);
     };
     // The pushed query produces exactly the projected columns.
     let out_schema = table.schema.project(projection);
-    LogicalPlan::Scan {
+    Transformed::yes(Arc::new(LogicalPlan::Scan {
         table: ScanTable {
             qualified_name: table.qualified_name.clone(),
             db: table.db.clone(),
@@ -511,7 +513,7 @@ fn push_external_scan(node: LogicalPlan) -> LogicalPlan {
         filters: vec![],
         partitions: partitions.clone(),
         semijoin_filters: semijoin_filters.clone(),
-    }
+    }))
 }
 
 #[cfg(test)]

@@ -401,7 +401,9 @@ impl ScalarExpr {
 
     /// True when the expression references no columns (constant).
     pub fn is_constant(&self) -> bool {
-        self.columns().is_empty() && self.is_deterministic()
+        let mut column = false;
+        self.visit(&mut |e| column |= matches!(e, ScalarExpr::Column(_)));
+        !column && self.is_deterministic()
     }
 
     /// True when the expression has no non-deterministic or

@@ -5,12 +5,13 @@
 //! [`plan::LogicalPlan`], and [`optimizer::Optimizer`] runs multi-stage
 //! rewriting:
 //!
-//! 1. **Exhaustive stage** — rule-based rewrites applied to fixpoint:
-//!    constant folding, predicate simplification and pushdown, projection
-//!    pruning, static partition pruning.
-//! 2. **Cost-based stage** — join reordering driven by HMS statistics
-//!    ([`stats`]), materialized-view rewriting ([`mv_rewrite`]), and
-//!    dynamic semijoin-reduction planning ([`rules::semijoin`]).
+//! 1. **Exhaustive stage** — rule-based rewrites in passes until no rule
+//!    changes the plan: constant folding, predicate simplification and
+//!    pushdown, filter and projection merging, empty pruning.
+//! 2. **Cost-based stages** — materialized-view rewriting ([`mv_rewrite`])
+//!    and join reordering driven by HMS statistics ([`stats`]); then
+//!    static partition pruning, projection pruning, and dynamic
+//!    semijoin-reduction planning ([`rules::semijoin`]).
 //!
 //! Plan fingerprints ([`fingerprint`]) serve the shared-work optimizer
 //! (§4.5) and the query results cache (§4.3).

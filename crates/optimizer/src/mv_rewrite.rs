@@ -15,8 +15,9 @@
 //! range implication, group keys, and derivable aggregates.
 
 use crate::expr::{AggExpr, AggFunc, ScalarExpr};
+use crate::optimizer::Optimizer;
 use crate::plan::{JoinType, LogicalPlan, ScanTable};
-use crate::rules::transform_up;
+use crate::rules::{join_reorder, transform_up, Transformed};
 use crate::stats::{Estimator, StatsSource};
 use hive_common::{HiveError, Result, Value};
 use hive_sql::BinaryOp;
@@ -70,25 +71,23 @@ impl Spja {
 /// Try to rewrite `plan` using any usable view; returns the rewritten
 /// plan only when its estimated cost improves.
 pub fn try_rewrite(
-    plan: &LogicalPlan,
+    plan: &Arc<LogicalPlan>,
     views: &[UsableView],
     stats: &dyn StatsSource,
-) -> Result<Option<LogicalPlan>> {
+) -> Result<Option<Arc<LogicalPlan>>> {
     let mut applied = false;
     let rewritten = transform_up(plan, &mut |node| {
-        if applied {
-            return node; // one substitution per pass keeps things simple
-        }
-        if !matches!(node, LogicalPlan::Aggregate { .. }) {
-            return node;
+        // One substitution per pass keeps things simple.
+        if applied || !matches!(*node, LogicalPlan::Aggregate { .. }) {
+            return Transformed::no(node);
         }
         for view in views {
             if let Ok(Some(new)) = rewrite_aggregate(&node, view) {
                 applied = true;
-                return new;
+                return Transformed::yes(Arc::new(new));
             }
         }
-        node
+        Transformed::no(node)
     });
     if !applied {
         return Ok(None);
@@ -98,11 +97,15 @@ pub fn try_rewrite(
     // filtered cross join and would otherwise look artificially costly.
     // Both sides are compared *after* join reordering, since that is the
     // form either one would ultimately execute in.
-    let rewritten = crate::optimizer::Optimizer::exhaustive(rewritten)?;
+    let rewritten = Optimizer::exhaustive(&rewritten.data).data;
     let mut est = Estimator::new(stats);
-    let rewritten = crate::rules::join_reorder::reorder_joins(&rewritten, &mut est)?;
-    let rewritten = crate::optimizer::Optimizer::exhaustive(rewritten)?;
-    let old_reordered = crate::rules::join_reorder::reorder_joins(plan, &mut est)?;
+    let reordered = join_reorder::reorder_joins(&rewritten, &mut est)?;
+    let rewritten = if reordered.transformed {
+        Optimizer::exhaustive(&reordered.data).data
+    } else {
+        reordered.data
+    };
+    let old_reordered = join_reorder::reorder_joins(plan, &mut est)?.data;
     let old_cost = est.cost(&old_reordered);
     let new_cost = est.cost(&rewritten);
     if std::env::var("HIVE_MV_DEBUG").is_ok() {

@@ -1,13 +1,17 @@
 //! The multi-stage optimization driver (§4.1): an exhaustive rewrite
-//! stage run to fixpoint, followed by cost-based stages.
+//! stage run until no rule fires, followed by cost-based stages.
 
+use crate::fingerprint::fingerprint;
 use crate::mv_rewrite;
 use crate::plan::LogicalPlan;
-use crate::rules::{folding, join_reorder, partition_prune, pruning, pushdown, semijoin};
+use crate::rules::{
+    folding, join_reorder, partition_prune, pruning, pushdown, semijoin, Rewrite, Transformed,
+};
 use crate::stats::{Estimator, GatedStats, StatsSource};
 use hive_common::{HiveConf, Result};
 use hive_metastore::Metastore;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Everything the optimizer needs from its environment.
 pub struct OptimizerContext<'a> {
@@ -44,16 +48,14 @@ impl Optimizer {
         ctx: &OptimizerContext,
         stats: &dyn StatsSource,
     ) -> Result<LogicalPlan> {
-        let mut plan = plan;
-
         // Stage 1 — exhaustive rewriting to fixpoint.
-        plan = Self::exhaustive(plan)?;
+        let mut plan = Self::exhaustive(&Arc::new(plan)).data;
 
         // Stage 2 — materialized-view rewriting (cost-based: the
         // rewriter only substitutes when the estimate improves).
         if ctx.conf.mv_rewriting && !ctx.usable_views.is_empty() {
             if let Some(rewritten) = mv_rewrite::try_rewrite(&plan, &ctx.usable_views, stats)? {
-                plan = Self::exhaustive(rewritten)?;
+                plan = Self::exhaustive(&rewritten).data;
             }
         }
 
@@ -69,10 +71,15 @@ impl Optimizer {
         };
         let mut est = Estimator::new(&gated);
 
-        // Stage 3 — cost-based join reordering.
+        // Stage 3 — cost-based join reordering; the exhaustive stage
+        // runs again only on a plan it changed.
         if ctx.conf.cbo_enabled {
-            plan = join_reorder::reorder_joins(&plan, &mut est)?;
-            plan = Self::exhaustive(plan)?;
+            let reordered = join_reorder::reorder_joins(&plan, &mut est)?;
+            plan = if reordered.transformed {
+                Self::exhaustive(&reordered.data).data
+            } else {
+                reordered.data
+            };
         }
 
         // Stage 4 — static partition pruning (after pushdown settled).
@@ -80,8 +87,8 @@ impl Optimizer {
 
         // Stage 5 — projection pruning (drives columnar projection
         // pushdown).
-        plan = pruning::prune_columns(&plan, ctx.metastore)?;
-        plan = folding::remove_trivial_projects(&plan);
+        plan = Arc::new(pruning::prune_columns(&plan, ctx.metastore)?);
+        plan = folding::remove_trivial_projects(&plan).data;
 
         // Stage 6 — dynamic semijoin reduction planning.
         if ctx.conf.semijoin_reduction {
@@ -89,24 +96,41 @@ impl Optimizer {
         }
 
         debug_assert!(plan.check().is_ok(), "optimized plan fails type check");
-        Ok(plan)
+        Ok(Arc::unwrap_or_clone(plan))
     }
 
     /// The exhaustive stage: folding, filter merging, pushdown, project
-    /// merging, empty pruning — iterated until the plan stops changing.
-    pub fn exhaustive(mut plan: LogicalPlan) -> Result<LogicalPlan> {
+    /// merging, trivial-project removal and empty pruning, in passes
+    /// until a pass changes nothing (at most ten). Changed when any pass
+    /// changed the plan; a settled plan comes back as the same `Arc`.
+    pub fn exhaustive(plan: &Arc<LogicalPlan>) -> Rewrite {
+        let rules: [fn(&Arc<LogicalPlan>) -> Rewrite; 6] = [
+            folding::fold_constants,
+            folding::merge_filters,
+            pushdown::push_down_predicates,
+            folding::merge_projects,
+            folding::remove_trivial_projects,
+            folding::prune_empty,
+        ];
+        let mut out = Transformed::no(plan.clone());
         for _ in 0..10 {
-            let before = crate::fingerprint::fingerprint(&plan);
-            plan = folding::fold_constants(&plan);
-            plan = folding::merge_filters(&plan);
-            plan = pushdown::push_down_predicates(&plan);
-            plan = folding::merge_projects(&plan);
-            plan = folding::remove_trivial_projects(&plan);
-            plan = folding::prune_empty(&plan);
-            if crate::fingerprint::fingerprint(&plan) == before {
+            let before = cfg!(debug_assertions).then(|| fingerprint(&out.data));
+            let mut changed = false;
+            for rule in rules {
+                let t = rule(&out.data);
+                changed |= t.transformed;
+                out.data = t.data;
+            }
+            if !changed {
+                debug_assert_eq!(
+                    before,
+                    Some(fingerprint(&out.data)),
+                    "a pass that reported no change changed the plan"
+                );
                 break;
             }
+            out.transformed = true;
         }
-        Ok(plan)
+        out
     }
 }

@@ -263,6 +263,23 @@ impl LogicalPlan {
         }
     }
 
+    /// Direct children, to replace.
+    pub fn children_mut(&mut self) -> Vec<&mut Arc<LogicalPlan>> {
+        match self {
+            LogicalPlan::Scan { .. } | LogicalPlan::Values { .. } => vec![],
+            LogicalPlan::Filter { input, .. }
+            | LogicalPlan::Project { input, .. }
+            | LogicalPlan::Aggregate { input, .. }
+            | LogicalPlan::Window { input, .. }
+            | LogicalPlan::Sort { input, .. }
+            | LogicalPlan::Limit { input, .. } => vec![input],
+            LogicalPlan::Join { left, right, .. } | LogicalPlan::SetOp { left, right, .. } => {
+                vec![left, right]
+            }
+            LogicalPlan::Union { inputs } => inputs.iter_mut().collect(),
+        }
+    }
+
     /// Qualified names of every table scanned anywhere in the plan
     /// (drives snapshot acquisition, the results cache validity check,
     /// and MV source tracking).

@@ -18,39 +18,43 @@
 
 use crate::expr::ScalarExpr;
 use crate::plan::{JoinType, LogicalPlan};
-use crate::rules::transform_up;
+use crate::rules::{transform_up, Rewrite, Transformed};
 use crate::stats::Estimator;
 use hive_common::{HiveError, Result};
 use std::sync::Arc;
 
 /// Reorder all maximal inner-join trees in the plan, then build every
-/// inner equi-join on its smaller input (`build_on_smaller`).
-pub fn reorder_joins(plan: &LogicalPlan, est: &mut Estimator) -> Result<LogicalPlan> {
+/// inner equi-join on its smaller input (`build_on_smaller`). Reports a
+/// change when the result is not the input's own `Arc`.
+pub fn reorder_joins(plan: &Arc<LogicalPlan>, est: &mut Estimator) -> Result<Rewrite> {
     let reordered = reorder_only(plan, est)?;
-    Ok(build_on_smaller(&Arc::new(reordered), est))
+    let out = build_on_smaller(&reordered, est);
+    Ok(Transformed {
+        transformed: !Arc::ptr_eq(&out, plan),
+        data: out,
+    })
 }
 
-fn reorder_only(plan: &LogicalPlan, est: &mut Estimator) -> Result<LogicalPlan> {
+fn reorder_only(plan: &Arc<LogicalPlan>, est: &mut Estimator) -> Result<Arc<LogicalPlan>> {
     if est.histograms_enabled() {
         return reorder_top_down(plan, est);
     }
     let mut err = None;
     let out = transform_up(plan, &mut |node| {
-        if is_reorderable_join(&node) {
-            match reorder_one(&node, est, false) {
-                Ok(p) => p,
-                Err(e) => {
-                    err = Some(e);
-                    node
-                }
+        if !is_reorderable_join(&node) {
+            return Transformed::no(node);
+        }
+        match reorder_one(&node, est, false) {
+            Ok(p) => Transformed::yes(Arc::new(p)),
+            Err(e) => {
+                err = Some(e);
+                Transformed::no(node)
             }
-        } else {
-            node
         }
     });
     match err {
         Some(e) => Err(e),
-        None => Ok(out),
+        None => Ok(out.data),
     }
 }
 
@@ -62,50 +66,58 @@ fn reorder_only(plan: &LogicalPlan, est: &mut Estimator) -> Result<LogicalPlan> 
 /// histogram can never move a selective dimension ahead of a bulky
 /// one.) Relations discovered by `flatten` are recursed into, so join
 /// trees under aggregates, set ops, or non-inner joins still reorder.
-fn reorder_top_down(plan: &LogicalPlan, est: &mut Estimator) -> Result<LogicalPlan> {
-    if is_reorderable_join(plan) {
-        // Greedy left-deep rebuild versus the authored shape, costed
-        // under the same estimator. Greedy's search space is left-deep
-        // chains only; an authored bushy shape (e.g. cross-joining two
-        // tiny dimensions before one multi-key probe of the fact) can
-        // be strictly cheaper, and on a tie the authored tree wins —
-        // it needs no column-restoring projection.
-        let greedy = reorder_one(plan, est, true)?;
-        let authored = reorder_below_joins(plan, est)?;
-        return Ok(
-            if join_tree_cost(&greedy, est) < join_tree_cost(&authored, est) {
-                greedy
-            } else {
-                authored
-            },
-        );
+fn reorder_top_down(plan: &Arc<LogicalPlan>, est: &mut Estimator) -> Result<Arc<LogicalPlan>> {
+    if !is_reorderable_join(plan) {
+        return map_children(plan, |c| reorder_top_down(c, est));
     }
-    let children = plan.children();
-    if children.is_empty() {
-        return Ok(plan.clone());
+    let authored = reorder_below_joins(plan, est)?;
+    // Two relations: the greedy tree is the authored one or its mirror,
+    // which the estimator costs the same, or higher when the authored
+    // join carries a residual; the tie goes to the authored tree, and
+    // `build_on_smaller` makes the one decision left.
+    if plan.children().iter().all(|c| !is_reorderable_join(c)) {
+        return Ok(authored);
     }
-    let mut new_children = Vec::with_capacity(children.len());
-    for c in children {
-        new_children.push(Arc::new(reorder_top_down(c, est)?));
-    }
-    Ok(super::with_children(plan, new_children))
+    // Greedy left-deep rebuild versus the authored shape, costed under
+    // the same estimator. Greedy's search space is left-deep chains
+    // only; an authored bushy shape (e.g. cross-joining two tiny
+    // dimensions before one multi-key probe of the fact) can be
+    // strictly cheaper, and on a tie the authored tree wins — it needs
+    // no column-restoring projection.
+    let greedy = reorder_one(plan, est, true)?;
+    Ok(
+        if join_tree_cost(&greedy, est) < join_tree_cost(&authored, est) {
+            Arc::new(greedy)
+        } else {
+            authored
+        },
+    )
 }
 
 /// Keep this maximal inner-join tree's authored shape, recursing only
 /// into the relations below it (which may themselves contain join trees
 /// — subqueries, derived tables — that still get their own
 /// authored-versus-greedy choice).
-fn reorder_below_joins(plan: &LogicalPlan, est: &mut Estimator) -> Result<LogicalPlan> {
+fn reorder_below_joins(plan: &Arc<LogicalPlan>, est: &mut Estimator) -> Result<Arc<LogicalPlan>> {
     if is_reorderable_join(plan) {
-        let children = plan.children();
-        let mut new_children = Vec::with_capacity(children.len());
-        for c in children {
-            new_children.push(Arc::new(reorder_below_joins(c, est)?));
-        }
-        Ok(super::with_children(plan, new_children))
+        map_children(plan, |c| reorder_below_joins(c, est))
     } else {
         reorder_top_down(plan, est)
     }
+}
+
+/// `plan` over `f` of each child: `plan` itself when `f` hands every
+/// child back as it was.
+fn map_children(
+    plan: &Arc<LogicalPlan>,
+    mut f: impl FnMut(&Arc<LogicalPlan>) -> Result<Arc<LogicalPlan>>,
+) -> Result<Arc<LogicalPlan>> {
+    let children = plan.children();
+    let new: Vec<_> = children.iter().map(|c| f(c)).collect::<Result<_>>()?;
+    if new.iter().zip(&children).all(|(n, o)| Arc::ptr_eq(n, o)) {
+        return Ok(plan.clone());
+    }
+    Ok(Arc::new(super::with_children(plan, new)))
 }
 
 /// A swap must find the right input larger than the left by more than
@@ -129,12 +141,12 @@ const SWAP_MARGIN: f64 = 0.9;
 /// such operator above it — under the plan's root, a union or a set
 /// operation, whose output columns are positional — keeps its sides.
 ///
-/// The estimates are read from the estimator's memo: the reordering
-/// that precedes this pass estimated every join's inputs.
-fn build_on_smaller(plan: &Arc<LogicalPlan>, est: &mut Estimator) -> LogicalPlan {
+/// The estimates go through the pass's estimator, whose memo holds what
+/// the reordering before this pass estimated.
+fn build_on_smaller(plan: &Arc<LogicalPlan>, est: &mut Estimator) -> Arc<LogicalPlan> {
     let (out, perm) = swap_sides(plan, false, est);
     debug_assert!(perm.is_none(), "the root absorbs no column permutation");
-    Arc::unwrap_or_clone(out)
+    out
 }
 
 /// A rewritten node's output columns against the original's: original
@@ -262,11 +274,8 @@ fn swap_sides(
         }),
         _ => input.clone(),
     };
-    let rebuilt = super::with_children(plan, new_children);
-    let node = super::map_node_exprs(rebuilt, &mut |e| match e {
-        ScalarExpr::Column(c) => ScalarExpr::Column(at(input, c)),
-        e => e,
-    });
+    let mut node = super::with_children(plan, new_children);
+    super::map_node_exprs(&mut node, &mut |e| moved(e, input));
     (Arc::new(node), out_perm)
 }
 
@@ -321,14 +330,14 @@ impl Edge {
     }
 }
 
-fn reorder_one(node: &LogicalPlan, est: &mut Estimator, deep: bool) -> Result<LogicalPlan> {
+fn reorder_one(node: &Arc<LogicalPlan>, est: &mut Estimator, deep: bool) -> Result<LogicalPlan> {
     // Flatten.
     let mut rels: Vec<Rel> = Vec::new();
     let mut edges: Vec<Edge> = Vec::new();
     let mut residuals: Vec<ScalarExpr> = Vec::new(); // global coords
     flatten(node, &mut rels, &mut edges, &mut residuals, est, deep)?;
     if rels.len() < 2 {
-        return Ok(node.clone());
+        return Ok((**node).clone());
     }
 
     // Greedy construction.
@@ -571,14 +580,14 @@ fn candidate_join(
 
 /// Flatten nested inner/cross joins into relations + edges.
 fn flatten(
-    node: &LogicalPlan,
+    node: &Arc<LogicalPlan>,
     rels: &mut Vec<Rel>,
     edges: &mut Vec<Edge>,
     residuals: &mut Vec<ScalarExpr>,
     est: &mut Estimator,
     deep: bool,
 ) -> Result<()> {
-    match node {
+    match &**node {
         LogicalPlan::Join {
             left,
             right,
@@ -598,8 +607,8 @@ fn flatten(
             // Register equi edges: left expr over left subtree's local
             // coords, right over right subtree's.
             for (l, r) in equi {
-                let (l_rel, l_local) = locate(rels, left_start_rel, right_start_rel, l, 0)?;
-                let (r_rel, r_local) = locate(rels, right_start_rel, rels.len(), r, 0)?;
+                let (l_rel, l_local) = locate(rels, left_start_rel, right_start_rel, l)?;
+                let (r_rel, r_local) = locate(rels, right_start_rel, rels.len(), r)?;
                 edges.push(Edge {
                     left_rel: l_rel,
                     right_rel: r_rel,
@@ -623,11 +632,11 @@ fn flatten(
             Ok(())
         }
         other => {
-            let plan = Arc::new(if deep {
-                reorder_top_down(other, est)?
+            let plan = if deep {
+                reorder_top_down(node, est)?
             } else {
-                other.clone()
-            });
+                node.clone()
+            };
             let offset = rels.iter().map(|r| r.width).sum();
             let width = other.schema().len();
             rels.push(Rel {
@@ -649,7 +658,6 @@ fn locate(
     rel_start: usize,
     rel_end: usize,
     expr: &ScalarExpr,
-    _unused: usize,
 ) -> Result<(usize, ScalarExpr)> {
     // The expr is in the subtree's combined coordinates; relation widths
     // inside [rel_start, rel_end) partition that space in order.
@@ -665,4 +673,210 @@ fn locate(
         acc = hi;
     }
     Err(HiveError::Plan("join key spans multiple relations".into()))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::expr::{AggExpr, AggFunc};
+    use crate::plan::ScanTable;
+    use crate::stats::{GatedStats, StatsSource};
+    use hive_common::{DataType, Field, Schema, Value};
+    use hive_metastore::TableStats;
+    use hive_sql::{BinaryOp, SetOperator};
+    use std::collections::HashMap;
+
+    struct FakeStats(HashMap<String, Arc<TableStats>>);
+
+    impl StatsSource for FakeStats {
+        fn stats_for(&self, q: &str) -> Arc<TableStats> {
+            self.0.get(q).map(Arc::clone).unwrap_or_default()
+        }
+    }
+
+    /// The histogram path before two-relation trees kept their authored
+    /// shape: every inner-join tree costs its greedy rebuild against the
+    /// authored tree. (Relations are recursed into by the engine's
+    /// traversal; the generated relations hold no joins.)
+    fn reference_top_down(
+        plan: &Arc<LogicalPlan>,
+        est: &mut Estimator,
+    ) -> Result<Arc<LogicalPlan>> {
+        if !is_reorderable_join(plan) {
+            return map_children(plan, |c| reference_top_down(c, est));
+        }
+        let greedy = reorder_one(plan, est, true)?;
+        let authored = reorder_below_joins(plan, est)?;
+        Ok(
+            if join_tree_cost(&greedy, est) < join_tree_cost(&authored, est) {
+                Arc::new(greedy)
+            } else {
+                authored
+            },
+        )
+    }
+
+    /// A table of `rows` rows over INT columns `k` (`ndv` distinct keys)
+    /// and `v` (distinct per row), registered in `stats`.
+    fn table(
+        stats: &mut HashMap<String, Arc<TableStats>>,
+        name: &str,
+        rows: u64,
+        ndv: u64,
+    ) -> Arc<LogicalPlan> {
+        let qualified_name = format!("default.{name}");
+        let mut ts = TableStats::new(2);
+        ts.row_count = rows;
+        for i in 0..rows {
+            ts.columns[0].update(&Value::Int((i % ndv) as i32));
+            ts.columns[1].update(&Value::Int(i as i32));
+        }
+        stats.insert(qualified_name.clone(), Arc::new(ts));
+        Arc::new(LogicalPlan::Scan {
+            table: ScanTable {
+                qualified_name,
+                db: "default".into(),
+                name: name.into(),
+                schema: Schema::new(vec![
+                    Field::new("k", DataType::Int),
+                    Field::new("v", DataType::Int),
+                ]),
+                partition_cols: vec![],
+                handler: None,
+                acid: true,
+                is_mv: false,
+                external_query: None,
+                external_source: None,
+                row_ids: false,
+            },
+            projection: vec![0, 1],
+            filters: vec![],
+            partitions: None,
+            semijoin_filters: vec![],
+        })
+    }
+
+    /// `l` joined to `r` on `k` (inner) or crossed, with `l.v < r.v` as
+    /// residual when asked.
+    fn join(
+        l: &Arc<LogicalPlan>,
+        r: &Arc<LogicalPlan>,
+        inner: bool,
+        residual: bool,
+    ) -> Arc<LogicalPlan> {
+        Arc::new(LogicalPlan::Join {
+            left: l.clone(),
+            right: r.clone(),
+            join_type: if inner {
+                JoinType::Inner
+            } else {
+                JoinType::Cross
+            },
+            equi: match inner {
+                true => vec![(ScalarExpr::Column(0), ScalarExpr::Column(0))],
+                false => vec![],
+            },
+            residual: residual.then(|| ScalarExpr::Binary {
+                op: BinaryOp::Lt,
+                left: Box::new(ScalarExpr::Column(1)),
+                right: Box::new(ScalarExpr::Column(3)),
+            }),
+        })
+    }
+
+    fn project_all(input: Arc<LogicalPlan>) -> Arc<LogicalPlan> {
+        let width = input.schema().len();
+        Arc::new(LogicalPlan::Project {
+            input,
+            exprs: (0..width).map(ScalarExpr::Column).collect(),
+            names: (0..width).map(|c| format!("c{c}")).collect(),
+        })
+    }
+
+    /// Every node's estimate (pre-order) as bits, memo hits included.
+    fn estimate_bits(plan: &LogicalPlan, est: &mut Estimator) -> Vec<u64> {
+        let mut out = Vec::new();
+        plan.visit(&mut |p| out.push(est.rows(p).to_bits()));
+        out
+    }
+
+    #[test]
+    fn two_relation_trees_keep_the_plans_and_estimates_greedy_gave() {
+        let mut cases = 0;
+        for (rows_a, rows_b) in [(2000, 100), (100, 2000), (500, 500)] {
+            let mut stats = HashMap::new();
+            let a = table(&mut stats, "a", rows_a, 50);
+            let b = table(&mut stats, "b", rows_b, 40);
+            let c = table(&mut stats, "c", 300, 30);
+            let src = FakeStats(stats);
+            for inner in [true, false] {
+                for residual in [false, true] {
+                    let ab = join(&a, &b, inner, residual);
+                    let ba = join(&b, &a, inner, residual);
+                    let shapes: [(&str, Arc<LogicalPlan>); 4] = [
+                        ("project", project_all(ab.clone())),
+                        (
+                            "aggregate",
+                            Arc::new(LogicalPlan::Aggregate {
+                                input: ab.clone(),
+                                group_exprs: vec![ScalarExpr::Column(2)],
+                                grouping_sets: None,
+                                aggs: vec![AggExpr {
+                                    func: AggFunc::Count,
+                                    arg: None,
+                                    distinct: false,
+                                }],
+                            }),
+                        ),
+                        (
+                            "set op",
+                            Arc::new(LogicalPlan::SetOp {
+                                op: SetOperator::Intersect,
+                                all: false,
+                                left: ab.clone(),
+                                right: ba,
+                            }),
+                        ),
+                        (
+                            "outer join",
+                            project_all(Arc::new(LogicalPlan::Join {
+                                left: ab,
+                                right: c.clone(),
+                                join_type: JoinType::Left,
+                                equi: vec![(ScalarExpr::Column(0), ScalarExpr::Column(0))],
+                                residual: None,
+                            })),
+                        ),
+                    ];
+                    for (shape, plan) in shapes {
+                        for feedback in [None, Some(1234u64)] {
+                            let case = format!(
+                                "{rows_a}x{rows_b} inner={inner} residual={residual} \
+                                 {shape} feedback={feedback:?}"
+                            );
+                            let gated = GatedStats {
+                                inner: &src,
+                                use_histograms: true,
+                                feedback: feedback
+                                    .map(|n| ("default.a,default.b".to_string(), n))
+                                    .into_iter()
+                                    .collect(),
+                            };
+                            let mut est = Estimator::new(&gated);
+                            let got = reorder_joins(&plan, &mut est).unwrap().data;
+                            let got_bits = estimate_bits(&got, &mut est);
+                            let mut ref_est = Estimator::new(&gated);
+                            let reference = reference_top_down(&plan, &mut ref_est).unwrap();
+                            let want = build_on_smaller(&reference, &mut ref_est);
+                            let want_bits = estimate_bits(&want, &mut ref_est);
+                            assert_eq!(got, want, "{case}");
+                            assert_eq!(got_bits, want_bits, "{case}");
+                            cases += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(cases, 96);
+    }
 }

@@ -9,49 +9,41 @@
 use crate::eval::eval_scalar;
 use crate::expr::ScalarExpr;
 use crate::plan::LogicalPlan;
-use crate::rules::transform_up;
+use crate::rules::{transform_up, Transformed};
 use hive_common::{Result, Value};
 use hive_metastore::Metastore;
+use std::sync::Arc;
 
 /// Apply static partition pruning using the catalog's partition lists.
-pub fn prune_partitions(plan: &LogicalPlan, ms: &Metastore) -> Result<LogicalPlan> {
+pub fn prune_partitions(plan: &Arc<LogicalPlan>, ms: &Metastore) -> Result<Arc<LogicalPlan>> {
     let mut err: Option<hive_common::HiveError> = None;
-    let out = transform_up(plan, &mut |node| match prune_scan(node, ms) {
-        Ok(p) => p,
+    let out = transform_up(plan, &mut |node| match prune_scan(&node, ms) {
+        Ok(None) => Transformed::no(node),
+        Ok(Some(p)) => Transformed::yes(Arc::new(p)),
         Err(e) => {
             err = Some(e);
-            LogicalPlan::Values {
-                schema: hive_common::Schema::empty(),
-                rows: vec![],
-            }
+            Transformed::no(node)
         }
     });
     match err {
         Some(e) => Err(e),
-        None => Ok(out),
+        None => Ok(out.data),
     }
 }
 
-fn prune_scan(node: LogicalPlan, ms: &Metastore) -> Result<LogicalPlan> {
+/// The scan with its surviving partitions recorded, `None` when it is
+/// not a partitioned scan this rule can prune.
+fn prune_scan(node: &LogicalPlan, ms: &Metastore) -> Result<Option<LogicalPlan>> {
     let LogicalPlan::Scan {
         table,
         projection,
         filters,
-        partitions,
+        partitions: None,
         semijoin_filters,
     } = node
     else {
-        return Ok(node);
+        return Ok(None);
     };
-    if table.partition_cols.is_empty() || partitions.is_some() {
-        return Ok(LogicalPlan::Scan {
-            table,
-            projection,
-            filters,
-            partitions,
-            semijoin_filters,
-        });
-    }
     // Output-column index of each partition column, when projected.
     let part_out_cols: Vec<(usize, usize)> = table
         .partition_cols
@@ -65,13 +57,7 @@ fn prune_scan(node: LogicalPlan, ms: &Metastore) -> Result<LogicalPlan> {
         })
         .collect();
     if part_out_cols.is_empty() {
-        return Ok(LogicalPlan::Scan {
-            table,
-            projection,
-            filters,
-            partitions,
-            semijoin_filters,
-        });
+        return Ok(None);
     }
     // Filter conjuncts that reference only partition columns.
     let part_conjuncts: Vec<&ScalarExpr> = filters
@@ -86,13 +72,7 @@ fn prune_scan(node: LogicalPlan, ms: &Metastore) -> Result<LogicalPlan> {
         })
         .collect();
     if part_conjuncts.is_empty() {
-        return Ok(LogicalPlan::Scan {
-            table,
-            projection,
-            filters,
-            partitions,
-            semijoin_filters,
-        });
+        return Ok(None);
     }
     // Evaluate each conjunct per partition: build a pseudo-row where the
     // partition columns carry the partition's values.
@@ -111,11 +91,11 @@ fn prune_scan(node: LogicalPlan, ms: &Metastore) -> Result<LogicalPlan> {
             selected.push(dir.clone());
         }
     }
-    Ok(LogicalPlan::Scan {
-        table,
-        projection,
-        filters,
+    Ok(Some(LogicalPlan::Scan {
+        table: table.clone(),
+        projection: projection.clone(),
+        filters: filters.clone(),
         partitions: Some(selected),
-        semijoin_filters,
-    })
+        semijoin_filters: semijoin_filters.clone(),
+    }))
 }

@@ -5,20 +5,29 @@
 
 use crate::expr::ScalarExpr;
 use crate::plan::{JoinType, LogicalPlan};
-use crate::rules::transform_up;
+use crate::rules::{transform_up, Rewrite, Transformed};
 use hive_sql::BinaryOp;
 use std::sync::Arc;
 
 /// One pushdown pass (run to fixpoint by the optimizer driver).
-pub fn push_down_predicates(plan: &LogicalPlan) -> LogicalPlan {
+pub fn push_down_predicates(plan: &Arc<LogicalPlan>) -> Rewrite {
     transform_up(plan, &mut push_one)
 }
 
-fn push_one(node: LogicalPlan) -> LogicalPlan {
-    let LogicalPlan::Filter { input, predicate } = node else {
-        return node;
+/// A Filter of `predicate` over `input`, pushed as far as it goes.
+fn pushed(input: &Arc<LogicalPlan>, predicate: ScalarExpr) -> Arc<LogicalPlan> {
+    let filter = LogicalPlan::Filter {
+        input: input.clone(),
+        predicate,
     };
-    match input.as_ref() {
+    push_one(Arc::new(filter)).data
+}
+
+fn push_one(node: Arc<LogicalPlan>) -> Rewrite {
+    let LogicalPlan::Filter { input, predicate } = &*node else {
+        return Transformed::no(node);
+    };
+    let out = match input.as_ref() {
         LogicalPlan::Project {
             input: p_input,
             exprs,
@@ -39,13 +48,10 @@ fn push_one(node: LogicalPlan) -> LogicalPlan {
                 other => other,
             });
             if !ok {
-                return LogicalPlan::Filter { input, predicate };
+                return Transformed::no(node);
             }
             LogicalPlan::Project {
-                input: Arc::new(push_one(LogicalPlan::Filter {
-                    input: p_input.clone(),
-                    predicate: substituted,
-                })),
+                input: pushed(p_input, substituted),
                 exprs: exprs.clone(),
                 names: names.clone(),
             }
@@ -127,25 +133,28 @@ fn push_one(node: LogicalPlan) -> LogicalPlan {
                     keep.push(part.clone());
                 }
             }
-            let new_left: Arc<LogicalPlan> = match ScalarExpr::conjunction(to_left) {
-                Some(p) => Arc::new(push_one(LogicalPlan::Filter {
-                    input: left.clone(),
-                    predicate: p,
-                })),
-                None => left.clone(),
-            };
-            let new_right: Arc<LogicalPlan> = match ScalarExpr::conjunction(to_right) {
-                Some(p) => Arc::new(push_one(LogicalPlan::Filter {
-                    input: right.clone(),
-                    predicate: p,
-                })),
-                None => right.clone(),
-            };
             // Cross joins that gained equi conditions become inner.
             let new_type = if *join_type == JoinType::Cross && !new_equi.is_empty() {
                 JoinType::Inner
             } else {
                 *join_type
+            };
+            let kept = ScalarExpr::conjunction(keep);
+            if to_left.is_empty()
+                && to_right.is_empty()
+                && new_equi.len() == equi.len()
+                && new_type == *join_type
+                && kept.as_ref() == Some(predicate)
+            {
+                return Transformed::no(node);
+            }
+            let new_left = match ScalarExpr::conjunction(to_left) {
+                Some(p) => pushed(left, p),
+                None => left.clone(),
+            };
+            let new_right = match ScalarExpr::conjunction(to_right) {
+                Some(p) => pushed(right, p),
+                None => right.clone(),
             };
             let join = LogicalPlan::Join {
                 left: new_left,
@@ -154,7 +163,7 @@ fn push_one(node: LogicalPlan) -> LogicalPlan {
                 equi: new_equi,
                 residual: residual.clone(),
             };
-            match ScalarExpr::conjunction(keep) {
+            match kept {
                 Some(p) => LogicalPlan::Filter {
                     input: Arc::new(join),
                     predicate: p,
@@ -172,7 +181,7 @@ fn push_one(node: LogicalPlan) -> LogicalPlan {
             // (disabled under grouping sets: filters over partially
             // grouped output are not equivalent below the aggregate).
             if grouping_sets.is_some() {
-                return LogicalPlan::Filter { input, predicate };
+                return Transformed::no(node);
             }
             let mut below: Vec<ScalarExpr> = Vec::new();
             let mut keep: Vec<ScalarExpr> = Vec::new();
@@ -191,58 +200,47 @@ fn push_one(node: LogicalPlan) -> LogicalPlan {
                     keep.push(part.clone());
                 }
             }
-            if below.is_empty() {
-                return LogicalPlan::Filter { input, predicate };
-            }
-            let pushed = LogicalPlan::Aggregate {
-                input: Arc::new(push_one(LogicalPlan::Filter {
-                    input: a_input.clone(),
-                    predicate: ScalarExpr::conjunction(below).expect("nonempty"),
-                })),
+            let Some(below) = ScalarExpr::conjunction(below) else {
+                return Transformed::no(node);
+            };
+            let aggregate = LogicalPlan::Aggregate {
+                input: pushed(a_input, below),
                 group_exprs: group_exprs.clone(),
                 grouping_sets: grouping_sets.clone(),
                 aggs: aggs.clone(),
             };
             match ScalarExpr::conjunction(keep) {
                 Some(p) => LogicalPlan::Filter {
-                    input: Arc::new(pushed),
+                    input: Arc::new(aggregate),
                     predicate: p,
                 },
-                None => pushed,
+                None => aggregate,
             }
         }
         LogicalPlan::Union { inputs } => LogicalPlan::Union {
             inputs: inputs
                 .iter()
-                .map(|i| {
-                    Arc::new(push_one(LogicalPlan::Filter {
-                        input: i.clone(),
-                        predicate: predicate.clone(),
-                    }))
-                })
+                .map(|i| pushed(i, predicate.clone()))
                 .collect(),
         },
         LogicalPlan::Sort {
             input: s_input,
             keys,
         } => LogicalPlan::Sort {
-            input: Arc::new(push_one(LogicalPlan::Filter {
-                input: s_input.clone(),
-                predicate,
-            })),
+            input: pushed(s_input, predicate.clone()),
             keys: keys.clone(),
         },
         LogicalPlan::Filter {
             input: f_input,
             predicate: p2,
-        } => push_one(LogicalPlan::Filter {
-            input: f_input.clone(),
-            predicate: ScalarExpr::Binary {
+        } => {
+            let both = ScalarExpr::Binary {
                 op: BinaryOp::And,
-                left: Box::new(predicate),
+                left: Box::new(predicate.clone()),
                 right: Box::new(p2.clone()),
-            },
-        }),
+            };
+            return Transformed::yes(pushed(f_input, both));
+        }
         LogicalPlan::Scan {
             table,
             projection,
@@ -260,6 +258,10 @@ fn push_one(node: LogicalPlan) -> LogicalPlan {
                     keep.push(part.clone());
                 }
             }
+            let kept = ScalarExpr::conjunction(keep);
+            if new_filters.len() == filters.len() && kept.as_ref() == Some(predicate) {
+                return Transformed::no(node);
+            }
             let scan = LogicalPlan::Scan {
                 table: table.clone(),
                 projection: projection.clone(),
@@ -267,7 +269,7 @@ fn push_one(node: LogicalPlan) -> LogicalPlan {
                 partitions: partitions.clone(),
                 semijoin_filters: semijoin_filters.clone(),
             };
-            match ScalarExpr::conjunction(keep) {
+            match kept {
                 Some(p) => LogicalPlan::Filter {
                     input: Arc::new(scan),
                     predicate: p,
@@ -275,6 +277,7 @@ fn push_one(node: LogicalPlan) -> LogicalPlan {
                 None => scan,
             }
         }
-        _ => LogicalPlan::Filter { input, predicate },
-    }
+        _ => return Transformed::no(node),
+    };
+    Transformed::yes(Arc::new(out))
 }

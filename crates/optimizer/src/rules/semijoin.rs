@@ -14,7 +14,7 @@
 
 use crate::expr::ScalarExpr;
 use crate::plan::{JoinType, LogicalPlan, SemiJoinFilterSpec};
-use crate::rules::transform_up;
+use crate::rules::{transform_up, with_children, Transformed};
 use crate::stats::Estimator;
 use std::sync::Arc;
 
@@ -24,11 +24,17 @@ const MAX_SOURCE_ROWS: f64 = 2_000_000.0;
 const MIN_RATIO: f64 = 2.0;
 
 /// Plan semijoin reducers across the plan.
-pub fn plan_semijoin_reduction(plan: &LogicalPlan, est: &mut Estimator) -> LogicalPlan {
-    transform_up(plan, &mut |node| attach_reducers(node, est))
+pub fn plan_semijoin_reduction(plan: &Arc<LogicalPlan>, est: &mut Estimator) -> Arc<LogicalPlan> {
+    transform_up(plan, &mut |node| match attach_reducers(&node, est) {
+        Some(p) => Transformed::yes(Arc::new(p)),
+        None => Transformed::no(node),
+    })
+    .data
 }
 
-fn attach_reducers(node: LogicalPlan, est: &mut Estimator) -> LogicalPlan {
+/// The join with reducers attached to its larger side, `None` when no
+/// reducer applies.
+fn attach_reducers(node: &LogicalPlan, est: &mut Estimator) -> Option<LogicalPlan> {
     let LogicalPlan::Join {
         left,
         right,
@@ -37,19 +43,13 @@ fn attach_reducers(node: LogicalPlan, est: &mut Estimator) -> LogicalPlan {
         residual,
     } = node
     else {
-        return node;
+        return None;
     };
     if !matches!(join_type, JoinType::Inner | JoinType::Semi) || equi.is_empty() {
-        return LogicalPlan::Join {
-            left,
-            right,
-            join_type,
-            equi,
-            residual,
-        };
+        return None;
     }
-    let left_rows = est.rows_of(&left);
-    let right_rows = est.rows_of(&right);
+    let left_rows = est.rows_of(left);
+    let right_rows = est.rows_of(right);
     // Reducers only reach through intermediate joins on the histogram
     // path: the constant-selectivity plan shape (and thus simulated
     // cost) stays byte-identical to the pre-histogram oracle.
@@ -60,28 +60,31 @@ fn attach_reducers(node: LogicalPlan, est: &mut Estimator) -> LogicalPlan {
     // Try reducing the larger side with keys from the smaller, filtered
     // side. Only a side that actually has filtering (Filter node or scan
     // filters) is a useful source.
-    for (li, ri) in &equi {
-        if right_rows * MIN_RATIO < left_rows && right_rows < MAX_SOURCE_ROWS && is_filtered(&right)
+    for (li, ri) in equi {
+        if right_rows * MIN_RATIO < left_rows && right_rows < MAX_SOURCE_ROWS && is_filtered(right)
         {
-            if let Some(reduced) = try_attach(&new_left, li, &right, ri, through_joins) {
+            if let Some(reduced) = try_attach(&new_left, li, right, ri, through_joins) {
                 new_left = reduced;
             }
         } else if left_rows * MIN_RATIO < right_rows
             && left_rows < MAX_SOURCE_ROWS
-            && is_filtered(&left)
+            && is_filtered(left)
         {
-            if let Some(reduced) = try_attach(&new_right, ri, &left, li, through_joins) {
+            if let Some(reduced) = try_attach(&new_right, ri, left, li, through_joins) {
                 new_right = reduced;
             }
         }
     }
-    LogicalPlan::Join {
+    if Arc::ptr_eq(&new_left, left) && Arc::ptr_eq(&new_right, right) {
+        return None;
+    }
+    Some(LogicalPlan::Join {
         left: new_left,
         right: new_right,
-        join_type,
-        equi,
-        residual,
-    }
+        join_type: *join_type,
+        equi: equi.clone(),
+        residual: residual.clone(),
+    })
 }
 
 /// Does the subplan apply any filtering (so its key set is selective)?
@@ -136,48 +139,31 @@ fn attach_to_scan(
 ) -> Option<LogicalPlan> {
     match plan {
         LogicalPlan::Scan {
-            table,
-            projection,
-            filters,
-            partitions,
-            semijoin_filters,
+            table, projection, ..
         } => {
             let schema_col = *projection.get(col)?;
-            let is_partition_col = table.partition_cols.contains(&schema_col);
-            let mut sj = semijoin_filters.clone();
-            sj.push(make_spec(col, is_partition_col));
-            Some(LogicalPlan::Scan {
-                table: table.clone(),
-                projection: projection.clone(),
-                filters: filters.clone(),
-                partitions: partitions.clone(),
-                semijoin_filters: sj,
-            })
-        }
-        LogicalPlan::Filter { input, predicate } => {
-            let inner = attach_to_scan(input, col, make_spec, through_joins)?;
-            Some(LogicalPlan::Filter {
-                input: Arc::new(inner),
-                predicate: predicate.clone(),
-            })
-        }
-        LogicalPlan::Project {
-            input,
-            exprs,
-            names,
-        } => {
-            // Trace through a pass-through projection.
-            if let Some(ScalarExpr::Column(inner_col)) = exprs.get(col) {
-                let inner = attach_to_scan(input, *inner_col, make_spec, through_joins)?;
-                Some(LogicalPlan::Project {
-                    input: Arc::new(inner),
-                    exprs: exprs.clone(),
-                    names: names.clone(),
-                })
-            } else {
-                None
+            let spec = make_spec(col, table.partition_cols.contains(&schema_col));
+            let mut scan = plan.clone();
+            if let LogicalPlan::Scan {
+                semijoin_filters, ..
+            } = &mut scan
+            {
+                semijoin_filters.push(spec);
             }
+            Some(scan)
         }
+        LogicalPlan::Filter { input, .. } => {
+            let inner = attach_to_scan(input, col, make_spec, through_joins)?;
+            Some(with_children(plan, vec![Arc::new(inner)]))
+        }
+        // Trace through a pass-through projection.
+        LogicalPlan::Project { input, exprs, .. } => match exprs.get(col) {
+            Some(ScalarExpr::Column(inner_col)) => {
+                let inner = attach_to_scan(input, *inner_col, make_spec, through_joins)?;
+                Some(with_children(plan, vec![Arc::new(inner)]))
+            }
+            _ => None,
+        },
         // Trace through an intermediate inner/cross join to whichever
         // side owns the column: the reducer only drops rows whose key
         // cannot satisfy the *outer* join's equality, so filtering the
@@ -187,28 +173,21 @@ fn attach_to_scan(
         LogicalPlan::Join {
             left,
             right,
-            join_type: join_type @ (JoinType::Inner | JoinType::Cross),
-            equi,
-            residual,
+            join_type: JoinType::Inner | JoinType::Cross,
+            ..
         } => {
             if !through_joins {
                 return None;
             }
             let left_width = left.schema().len();
-            let (new_left, new_right) = if col < left_width {
+            let children = if col < left_width {
                 let inner = attach_to_scan(left, col, make_spec, through_joins)?;
-                (Arc::new(inner), right.clone())
+                vec![Arc::new(inner), right.clone()]
             } else {
                 let inner = attach_to_scan(right, col - left_width, make_spec, through_joins)?;
-                (left.clone(), Arc::new(inner))
+                vec![left.clone(), Arc::new(inner)]
             };
-            Some(LogicalPlan::Join {
-                left: new_left,
-                right: new_right,
-                join_type: *join_type,
-                equi: equi.clone(),
-                residual: residual.clone(),
-            })
+            Some(with_children(plan, children))
         }
         _ => None,
     }

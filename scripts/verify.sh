@@ -88,6 +88,10 @@ echo "-- planning in O(plan): the counting-StatsSource gate --"
 cargo test -q --offline --test plan_stability one_optimize_fetches_each_table_once_and_derives_each_summary_once
 echo "-- build side: q43's and q65's inner joins build on the dimension, never on store_sales --"
 cargo test -q --offline --test plan_stability fact_joins_build_on_the_dimension_side
+echo "-- rules report change: the exhaustive stage over its own output changes nothing and returns the same Arc --"
+cargo test -q --offline --test plan_stability the_exhaustive_stage_leaves_a_settled_plan_alone
+echo "-- two-relation join trees: the early return = the greedy-versus-authored path, plans and estimate bits --"
+cargo test -q --offline -p hive-optimizer --lib join_reorder::tests
 # The cold read path's three promises (DESIGN.md §4 "parts", §LLAP):
 # folding a scan part by part changes no byte, LRFU evicts what the
 # linear chooser would have, and the chunk decoder ends typed. The first

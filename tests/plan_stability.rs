@@ -331,3 +331,30 @@ fn fact_joins_build_on_the_dimension_side() {
         assert!(joins > 0, "{id} has an inner equi-join");
     }
 }
+
+/// A settled plan is left alone: the exhaustive stage, run on its own
+/// output, reports no change after its first pass and hands back the
+/// same `Arc` — for every curated query and every `bi_short` template.
+#[test]
+fn the_exhaustive_stage_leaves_a_settled_plan_alone() {
+    let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let server = load_server();
+    let cat = MetastoreCatalog::new(server.metastore().clone(), "default".to_string());
+    let curated = tpcds::queries().into_iter().map(|q| (q.id, q.sql));
+    for (id, sql) in curated.chain(bi_short_texts()) {
+        let hive_sql::Statement::Query(q) = hive_sql::parse_sql(&sql).unwrap() else {
+            panic!("{id} is not a query");
+        };
+        let analyzed = Arc::new(Analyzer::new(&cat).analyze_query(&q).unwrap());
+        let settled = Optimizer::exhaustive(&analyzed).data;
+        let again = Optimizer::exhaustive(&settled);
+        assert!(
+            !again.transformed,
+            "{id}: a pass over the settled plan reported a change"
+        );
+        assert!(
+            Arc::ptr_eq(&again.data, &settled),
+            "{id}: the settled plan came back rebuilt"
+        );
+    }
+}
